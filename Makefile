@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench bench-smoke profile cover fuzz verify verify-full
+.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench-module bench bench-smoke profile cover fuzz verify verify-full
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,14 @@ torture:
 
 vet:
 	$(GO) vet ./...
+
+# benchmark/ is a nested module that calls internal packages directly
+# (benchmark/kernels.go) and that `./...` above does not reach: build and
+# vet it here, so that an internal API change that breaks it fails tier-1
+# and not the next benchmark run.
+bench-module:
+	$(GO) -C benchmark build -o /dev/null ./...
+	$(GO) -C benchmark vet ./...
 
 # Full measured-experiment sweep (B1..B16); BENCH_trigger.json holds the
 # machine-readable B8 results, BENCH_eb.json the B9 Event Base soak,
@@ -127,6 +135,6 @@ cover:
 fuzz:
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzEngineBlock -fuzztime 20s
 
-verify: build test race vet
+verify: build test race vet bench-module
 
 verify-full: verify cover fuzz

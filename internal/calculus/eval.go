@@ -300,13 +300,24 @@ func (env *Env) TriggeredAfter(e Expr, afterProbe, now clock.Time) (bool, clock.
 // expression e is active at time t over R — the binding set produced by
 // the occurred(e, X) event formula of Section 3.3.
 func (env *Env) AffectedObjects(e Expr, t clock.Time) []types.OID {
-	var out []types.OID
-	for _, oid := range env.domain(e, t) {
+	return env.AppendAffectedObjects(nil, e, t)
+}
+
+// AppendAffectedObjects is AffectedObjects appending to dst, so that a
+// caller evaluating one condition after another can recycle the slice.
+func (env *Env) AppendAffectedObjects(dst []types.OID, e Expr, t clock.Time) []types.OID {
+	oids := env.domain(e, t)
+	if _, prim := e.(Prim); prim && env.RestrictDomain {
+		// The restricted domain of a primitive is the objects its type
+		// touched in R: exactly those it is active for.
+		return append(dst, oids...)
+	}
+	for _, oid := range oids {
 		if env.OTS(e, t, oid).Active() {
-			out = append(out, oid)
+			dst = append(dst, oid)
 		}
 	}
-	return out
+	return dst
 }
 
 // ActivationTimes returns every time stamp in (env.Since, t] at which an

@@ -94,7 +94,13 @@ func NetEffects(ctx *Ctx, class string) map[types.OID]NetKind {
 
 // Eval binds or filters Var by the objects whose net effect matches the
 // predicate's event type.
-func (a Holds) Eval(ctx *Ctx, in []Binding) ([]Binding, error) {
+func (a Holds) Eval(ctx *Ctx, in []Binding) ([]Binding, error) { return evalEvent(a, ctx, in) }
+
+func (a Holds) objVar() string { return a.Var }
+
+// scan lists, in first-touch order, the objects of the class whose net
+// effect over the window matches.
+func (a Holds) scan(ctx *Ctx, w *window) error {
 	var want NetKind
 	switch a.Event.Op {
 	case event.OpCreate:
@@ -104,52 +110,29 @@ func (a Holds) Eval(ctx *Ctx, in []Binding) ([]Binding, error) {
 	case event.OpModify:
 		want = NetModify
 	default:
-		return nil, fmt.Errorf("cond: holds supports create/delete/modify, got %s", a.Event.Op)
+		return fmt.Errorf("cond: holds supports create/delete/modify, got %s", a.Event.Op)
 	}
 	nets := NetEffects(ctx, a.Event.Class)
-	// For modify with a named attribute, additionally require that
-	// attribute to have been touched.
-	matches := func(oid types.OID) bool {
-		k, ok := nets[oid]
-		if !ok || k != want {
-			return false
-		}
-		if a.Event.Op == event.OpModify && a.Event.Attr != "" {
-			return len(ctx.Base.OccurrencesOfObj(a.Event, oid, ctx.Since, ctx.At)) > 0
-		}
-		return true
-	}
-	var all []types.OID
+	w.order = w.order[:0]
 	for _, occ := range ctx.Base.Window(ctx.Since, ctx.At) {
-		if occ.Type.Class == a.Event.Class {
-			all = append(all, occ.OID)
-		}
-	}
-	seen := make(map[types.OID]bool)
-	var candidates []types.OID
-	for _, oid := range all {
-		if !seen[oid] {
-			seen[oid] = true
-			if matches(oid) {
-				candidates = append(candidates, oid)
-			}
-		}
-	}
-	var out []Binding
-	for _, env := range in {
-		if v, bound := env[a.Var]; bound {
-			if v.Kind() == types.KindOID && matches(v.AsOID()) {
-				out = append(out, env)
-			}
+		if occ.Type.Class != a.Event.Class || nets[occ.OID] != want {
 			continue
 		}
-		for _, oid := range candidates {
-			ext := env.clone()
-			ext[a.Var] = types.Ref(oid)
-			out = append(out, ext)
+		delete(nets, occ.OID) // first touch only
+		// For modify with a named attribute, additionally require that
+		// attribute to have been touched.
+		if a.Event.Op == event.OpModify && a.Event.Attr != "" &&
+			len(ctx.Base.OccurrencesOfObj(a.Event, occ.OID, ctx.Since, ctx.At)) == 0 {
+			continue
 		}
+		w.order = append(w.order, occ.OID)
 	}
-	return out, nil
+	w.setSorted()
+	return nil
+}
+
+func (a Holds) bind(_ *Ctx, w *window, in []Binding) ([]Binding, error) {
+	return w.bind(a.Var, in)
 }
 
 // String renders holds(E, X).

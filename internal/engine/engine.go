@@ -583,6 +583,9 @@ type Txn struct {
 	// operation that crossed the limit and the transaction must be
 	// rolled back.
 	budget *calculus.Budget
+	// cctx is the condition context of the running consideration; one per
+	// line, so its evaluation scratch recycles across considerations.
+	cctx cond.Ctx
 	// Durable-mode block state: the current block's WAL op stream
 	// (events, mutations, considerations in execution order — becomes
 	// one record at the block boundary), a reused record-assembly
@@ -1144,13 +1147,9 @@ func (t *Txn) runRule(name string) error {
 	// The condition reads through the line, so in multi-session mode
 	// every object and class extension it examines is latched shared to
 	// end of line and the bindings stay stable.
-	ctx := &cond.Ctx{
-		Store:  t.line,
-		Base:   t.base,
-		Since:  consideration.Since,
-		At:     consideration.At,
-		Budget: t.budget,
-	}
+	ctx := &t.cctx
+	ctx.Store, ctx.Base, ctx.Budget = t.line, t.base, t.budget
+	ctx.Since, ctx.At = consideration.Since, consideration.At
 	bindings, err := evalCondition(body, ctx)
 	if err != nil {
 		return t.classify(t.conflict(fmt.Errorf("engine: rule %q condition: %w", name, err)))

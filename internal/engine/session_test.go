@@ -374,3 +374,98 @@ func TestMultiMatchesSingleSequentially(t *testing.T) {
 		}
 	}
 }
+
+// A condition of the shape class(S), occurred(E, S) reads only the
+// objects its own window affected, each under its object latch, and takes
+// no class latch: a concurrent line inserting into the class is no
+// conflict, whichever of the two reaches the class first, and the two
+// commit to the state either serial order gives. (With the class walked,
+// the try-latch below fails: the inserter holds the class exclusively.)
+func TestConsiderationDoesNotLatchTheClass(t *testing.T) {
+	opts := DefaultOptions()
+	opts.MaxSessions = 2
+	opts.LockWait = -1 // try-latch: a conflict is an immediate error
+	db := New(opts)
+	if err := db.DefineClass("stock",
+		schema.Attribute{Name: "quantity", Kind: types.KindInt},
+		schema.Attribute{Name: "maxquantity", Kind: types.KindInt},
+	); err != nil {
+		t.Fatal(err)
+	}
+	modified := calculus.P(event.Modify("stock", "quantity"))
+	if err := db.DefineRule(
+		rules.Def{Name: "cap", Target: "stock", Event: modified, Coupling: rules.Immediate},
+		Body{
+			Condition: cond.Formula{Atoms: []cond.Atom{
+				cond.Class{Class: "stock", Var: "S"},
+				cond.Occurred{Event: modified, Var: "S"},
+				cond.Compare{L: cond.Attr{Var: "S", Attr: "quantity"}, Op: cond.CmpGt, R: cond.Attr{Var: "S", Attr: "maxquantity"}},
+			}},
+			Action: act.Action{Statements: []act.Statement{
+				act.Modify{Class: "stock", Attr: "quantity", Var: "S", Value: cond.Attr{Var: "S", Attr: "maxquantity"}},
+			}},
+		}); err != nil {
+		t.Fatal(err)
+	}
+	var held types.OID
+	if err := db.Run(func(tx *Txn) (err error) {
+		held, err = tx.Create("stock", map[string]types.Value{"quantity": types.Int(1), "maxquantity": types.Int(40)})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, inserterFirst := range []bool{true, false} {
+		conflicts := db.Stats().Conflicts
+		inserter, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		writer, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		insert := func() types.OID {
+			oid, err := inserter.Create("stock", map[string]types.Value{"quantity": types.Int(7), "maxquantity": types.Int(40)})
+			if err != nil {
+				t.Fatalf("inserter first %v: create beside the consideration: %v", inserterFirst, err)
+			}
+			return oid
+		}
+		consider := func() {
+			if err := writer.Modify(held, "quantity", types.Int(100)); err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.EndLine(); err != nil { // considers and executes cap
+				t.Fatalf("inserter first %v: consideration beside the insert: %v", inserterFirst, err)
+			}
+		}
+		var fresh types.OID
+		if inserterFirst {
+			fresh = insert()
+			consider()
+		} else {
+			consider()
+			fresh = insert()
+		}
+		// The considered object stays pinned to the end of the writer's line.
+		if err := inserter.Modify(held, "quantity", types.Int(0)); !errors.Is(err, ErrConflict) {
+			t.Fatalf("modify of the considered object = %v, want ErrConflict", err)
+		}
+		if err := writer.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := inserter.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if o, _ := db.Store().Get(held); o.MustGet("quantity").AsInt() != 40 {
+			t.Fatalf("held quantity = %s, want the cap 40", o.MustGet("quantity"))
+		}
+		if o, ok := db.Store().Get(fresh); !ok || o.MustGet("quantity").AsInt() != 7 {
+			t.Fatalf("inserted stock missing or capped: %v", o)
+		}
+		if n := db.Stats().Conflicts - conflicts; n != 1 {
+			t.Fatalf("conflicts = %d, want only the deliberate one", n)
+		}
+	}
+}

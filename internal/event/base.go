@@ -3,6 +3,7 @@ package event
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -1044,7 +1045,7 @@ func (b *Base) AppendOIDsOfTypes(dst []types.OID, ts []Type, since, upTo clock.T
 		}
 	}
 	tail := dst[start:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(tail)
 	// Compact duplicates (the same object touched through several types
 	// or surfacing from several segments).
 	w := start

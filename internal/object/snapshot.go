@@ -2,7 +2,7 @@ package object
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"chimera/internal/schema"
 	"chimera/internal/types"
@@ -65,7 +65,7 @@ func (sn *Snapshot) Select(class string) ([]types.OID, error) {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 

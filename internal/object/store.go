@@ -12,6 +12,7 @@ package object
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -453,13 +454,30 @@ func (s *Store) Select(class string) ([]types.OID, error) {
 	if !ok {
 		return nil, fmt.Errorf("object: unknown class %q", class)
 	}
-	var out []types.OID
-	for oid, o := range s.objects {
-		if o.class.IsA(target) {
-			out = append(out, oid)
+	// The extension is the union of the per-class sets of the target and
+	// of every class below it; the sets are disjoint, so their sizes add.
+	below := func(name string) bool {
+		c, ok := s.schema.Class(name)
+		return ok && c.IsA(target)
+	}
+	n := 0
+	for name, set := range s.byClass {
+		if below(name) {
+			n += len(set)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]types.OID, 0, n)
+	for name, set := range s.byClass {
+		if below(name) {
+			for oid := range set {
+				out = append(out, oid)
+			}
+		}
+	}
+	slices.Sort(out)
 	return out, nil
 }
 

@@ -43,6 +43,7 @@ package rules
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -538,7 +539,7 @@ func (s *Support) Define(d Def) error {
 		st.planRoot = s.plan.Intern(d.Event)
 	}
 	s.rules[d.Name] = st
-	s.order = append(s.order, d.Name)
+	s.enqueue(st)
 	if d.Consumption == Preserving {
 		s.preserving++
 	}
@@ -546,7 +547,6 @@ func (s *Support) Define(d Def) error {
 		s.deferred++
 	}
 	s.index(st, s.opts.FilterMode)
-	s.sortQueue()
 	return nil
 }
 
@@ -666,18 +666,18 @@ func (s *Support) Drop(name string) error {
 	return nil
 }
 
-func (s *Support) sortQueue() {
-	sort.Slice(s.order, func(i, j int) bool {
-		a, b := s.rules[s.order[i]], s.rules[s.order[j]]
-		if a.Def.Priority != b.Def.Priority {
-			return a.Def.Priority < b.Def.Priority
+// enqueue inserts the rule at its (priority, name) slot of the queue,
+// which Define and Drop keep sorted: names are unique, so the slot is.
+func (s *Support) enqueue(st *State) {
+	i := sort.Search(len(s.ordered), func(i int) bool {
+		q := s.ordered[i].Def
+		if q.Priority != st.Def.Priority {
+			return q.Priority > st.Def.Priority
 		}
-		return a.Def.Name < b.Def.Name
+		return q.Name > st.Def.Name
 	})
-	s.ordered = s.ordered[:0]
-	for _, name := range s.order {
-		s.ordered = append(s.ordered, s.rules[name])
-	}
+	s.order = slices.Insert(s.order, i, st.Def.Name)
+	s.ordered = slices.Insert(s.ordered, i, st)
 }
 
 // Rule returns a copy of the rule's state. The copy shares the
@@ -1352,8 +1352,18 @@ func (l *line) triggeredNames(filter func(Def) bool) []string {
 
 // Pick returns the highest-priority triggered rule passing the filter.
 func (s *Support) Pick(filter func(Def) bool) (string, bool) {
-	if names := s.Triggered(filter); len(names) > 0 {
-		return names[0], true
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.line.pick(filter)
+}
+
+// pick is triggeredNames stopped at its first element: the engine picks
+// once per consideration, so it must not build the list it discards.
+func (l *line) pick(filter func(Def) bool) (string, bool) {
+	for _, st := range l.ordered {
+		if st.Triggered && (filter == nil || filter(st.Def)) {
+			return st.Def.Name, true
+		}
 	}
 	return "", false
 }

@@ -1,7 +1,9 @@
 package rules
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"chimera/internal/calculus"
@@ -196,7 +198,7 @@ func TestFilterSkipsPureNegativeArrival(t *testing.T) {
 	s, b, c := newSupport(t, Options{UseFilter: true})
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 	s.Define(Def{Name: "r", Event: e})
-	s.CheckTriggered(c.Now()) // settle the fresh rule's pending state
+	s.CheckTriggered(c.Now())       // settle the fresh rule's pending state
 	log(t, s, b, c, modStockQty, 1) // pure Δ− arrival
 	s.ResetStats()
 	if fired := s.CheckTriggered(c.Now()); len(fired) != 0 {
@@ -363,5 +365,74 @@ func TestLegacySupport(t *testing.T) {
 	}
 	if err := s.Consider("ghost"); err == nil {
 		t.Error("consider of unknown rule accepted")
+	}
+}
+
+// Define keeps the queue sorted by inserting, Drop by splicing: after any
+// sequence of both, the queue is the (priority, name) sort of the rules
+// defined.
+func TestDefineInsertsInQueueOrder(t *testing.T) {
+	s, _, _ := newSupport(t, Options{UseFilter: true, Incremental: true, SharedPlan: true})
+	r := rand.New(rand.NewSource(7))
+	var defs []Def
+	for i := 0; i < 1000; i++ {
+		d := Def{Name: fmt.Sprintf("r%03d", r.Intn(1e6)), Priority: r.Intn(9) - 4, Event: calculus.P(createStock)}
+		if err := s.Define(d); err != nil {
+			continue // a duplicate name
+		}
+		defs = append(defs, d)
+		if i%10 == 9 {
+			k := r.Intn(len(defs))
+			if err := s.Drop(defs[k].Name); err != nil {
+				t.Fatal(err)
+			}
+			defs = append(defs[:k], defs[k+1:]...)
+		}
+	}
+	sort.Slice(defs, func(i, j int) bool {
+		if defs[i].Priority != defs[j].Priority {
+			return defs[i].Priority < defs[j].Priority
+		}
+		return defs[i].Name < defs[j].Name
+	})
+	names := s.Rules()
+	if len(names) != len(defs) {
+		t.Fatalf("%d rules queued, %d defined", len(names), len(defs))
+	}
+	for i, d := range defs {
+		if names[i] != d.Name || s.ordered[i].Def.Name != d.Name {
+			t.Fatalf("queue[%d] = %s / %s, want %s", i, names[i], s.ordered[i].Def.Name, d.Name)
+		}
+	}
+}
+
+// Pick runs once per consideration: it returns the first triggered rule
+// without building the list of all of them.
+func TestPickAllocatesNothing(t *testing.T) {
+	s, b, c := newSupport(t, Options{UseFilter: true, Incremental: true, SharedPlan: true})
+	for i := 0; i < 200; i++ {
+		if err := s.Define(Def{Name: fmt.Sprintf("r%03d", i), Priority: i % 5, Event: calculus.P(createStock)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess := s.NewSession(b, c.Now())
+	defer sess.Release()
+	occ, err := b.Append(createStock, 1, c.Tick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.NotifyArrivals([]event.Occurrence{occ})
+	s.NotifyArrivals([]event.Occurrence{occ})
+	for _, v := range []View{s, sess} {
+		if fired := v.CheckTriggered(c.Now()); len(fired) != 200 {
+			t.Fatalf("%d rules triggered, want 200", len(fired))
+		}
+		if name, ok := v.Pick(nil); !ok || name != v.Triggered(nil)[0] {
+			t.Fatalf("Pick = %q, want the head of Triggered", name)
+		}
+		immediate := func(d Def) bool { return d.Coupling == Immediate }
+		if n := testing.AllocsPerRun(100, func() { v.Pick(immediate) }); n != 0 {
+			t.Errorf("%T.Pick allocates %v times", v, n)
+		}
 	}
 }

@@ -198,10 +198,9 @@ func (sess *Session) Triggered(filter func(Def) bool) []string {
 
 // Pick returns the session's highest-priority triggered rule.
 func (sess *Session) Pick(filter func(Def) bool) (string, bool) {
-	if names := sess.Triggered(filter); len(names) > 0 {
-		return names[0], true
-	}
-	return "", false
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.line.pick(filter)
 }
 
 // RestoreTriggered reinstates one rule's triggered flag in this session
