@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench-module bench bench-smoke profile cover fuzz verify verify-full
+.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench-module bench-module-test bench bench-smoke profile cover fuzz verify verify-full
 
 build:
 	$(GO) build ./...
@@ -16,16 +16,15 @@ race:
 	$(GO) test -race ./...
 
 # Concurrency stress under the race detector with forced parallelism:
-# the transaction-line stress tests (disjoint and contended writers at
-# the store layer, parallel triggering and the shared counter at the
-# engine layer), the snapshot readers-vs-writers mix (lock-free
-# BeginRead against committing lines, including the zero-alloc
-# steady-state assertion), and the multi-session durability/group-commit
-# suite, with GOMAXPROCS pinned to 4 so goroutines genuinely interleave
-# even on small CI runners.
+# every test of the three packages whose state several goroutines reach
+# — the store's transaction lines and snapshot readers, the engine's
+# sessions, group commit and recovery, the Trigger Support's sharded
+# determination and its block-boundary index — twice, with GOMAXPROCS
+# pinned to 4 so goroutines genuinely interleave even on small CI
+# runners. Selected by package, not by test name: a new test cannot be
+# left out by a regex nobody updated.
 race-stress:
 	GOMAXPROCS=4 $(GO) test -race -count=2 \
-		-run 'TestLine|TestMultiSession|TestSupportConcurrentAccess|TestReadTxn' \
 		./internal/object/ ./internal/engine/ ./internal/rules/
 
 # Crash/recovery smoke under the race detector: the kill-and-recover
@@ -66,6 +65,12 @@ vet:
 bench-module:
 	$(GO) -C benchmark build -o /dev/null ./...
 	$(GO) -C benchmark vet ./...
+
+# The benchmark's own smoke pass (~9 s): every workload end to end with
+# its correctness gates. A change that makes the driver's run fail is
+# invisible to `go test ./...` in the root module; it fails here.
+bench-module-test:
+	$(GO) -C benchmark test ./...
 
 # Full measured-experiment sweep (B1..B16); BENCH_trigger.json holds the
 # machine-readable B8 results, BENCH_eb.json the B9 Event Base soak,
@@ -137,4 +142,4 @@ fuzz:
 
 verify: build test race vet bench-module
 
-verify-full: verify cover fuzz
+verify-full: verify bench-module-test cover fuzz

@@ -79,10 +79,11 @@ type Ctx struct {
 	// calc is the one calculus environment every event atom evaluates in
 	// (its buffers grow once), wins holds the windows of the event atoms
 	// the running Formula.Eval has scanned, ext the extension a class atom
-	// is enumerating.
+	// is enumerating, seed the binding list Formula.Eval starts from.
 	calc calculus.Env
 	wins []window
 	ext  []types.OID
+	seed [1]Binding
 }
 
 // env returns the calculus environment of the observed window.
@@ -570,7 +571,10 @@ type Formula struct {
 
 // Eval returns every satisfying binding — the bindings, in the order, of
 // running the atoms left to right from the empty binding; the condition
-// succeeds if at least one survives.
+// succeeds if at least one survives. The empty binding is nil, and a
+// result that still consists of it (a formula of filters, or none) lives
+// in ctx and is valid until ctx evaluates again: a binding is extended
+// through clone only, and filters compact the list they are given.
 //
 // It runs them left to right too, with one shortcut. A class atom that
 // generates its variable (nothing earlier binds it) ahead of an event
@@ -582,7 +586,8 @@ type Formula struct {
 // error an atom in between would have raised on an object left out.
 func (f Formula) Eval(ctx *Ctx) ([]Binding, error) {
 	ctx.wins = ctx.wins[:0]
-	bindings := []Binding{{}}
+	ctx.seed[0] = nil
+	bindings := ctx.seed[:]
 	for i, a := range f.Atoms {
 		var err error
 		switch a := a.(type) {

@@ -213,3 +213,28 @@ func TestAttrOnDeletedObjectErrors(t *testing.T) {
 		t.Fatalf("class atom on deleted object: %v %v", out, err)
 	}
 }
+
+// A consideration starts from the empty binding in the Ctx's scratch: a
+// rule without a condition costs no allocation, and a condition pays
+// only for the bindings it generates.
+func TestEvalSeedAllocatesNothing(t *testing.T) {
+	ctx, _, _ := fixture(t)
+	if n := testing.AllocsPerRun(100, func() {
+		if out, err := True.Eval(ctx); err != nil || len(out) != 1 || len(out[0]) != 0 {
+			t.Fatalf("True = %v %v", out, err)
+		}
+	}); n != 0 {
+		t.Errorf("True.Eval: %v allocs, want 0", n)
+	}
+	// occurred binds S to the two created objects: the generated list and
+	// per object a cloned binding holding a boxed reference — six
+	// allocations, where seeding with []Binding{{}} made it eight.
+	f := Formula{Atoms: []Atom{Occurred{Event: calculus.P(event.Create("stock")), Var: "S"}}}
+	if n := testing.AllocsPerRun(100, func() {
+		if out, err := f.Eval(ctx); err != nil || len(out) != 2 {
+			t.Fatalf("occurred = %v %v", out, err)
+		}
+	}); n > 6 {
+		t.Errorf("occurred-bound Eval: %v allocs, want at most 6", n)
+	}
+}

@@ -22,7 +22,7 @@ import (
 // oracle's order.
 
 func oracleEval(ctx *Ctx, f Formula) ([]Binding, error) {
-	bindings := []Binding{{}}
+	bindings := []Binding{nil} // the empty binding, as Formula.Eval represents it
 	for _, a := range f.Atoms {
 		var err error
 		if bindings, err = oracleAtom(ctx, a, bindings); err != nil {

@@ -1028,9 +1028,9 @@ func (t *Txn) flushBlock() error {
 			// The activation instant and the net effect behind it: the
 			// occurrences of the rule's relevant window up to activation.
 			// Read-only lookups — tracing must never perturb state.
-			if st, ok := t.view.Rule(name); ok {
-				tr.RuleTriggered(name, st.TriggeredAt,
-					t.base.CountArrivals(st.LastConsideration, st.TriggeredAt))
+			if m, ok := t.view.Mark(name); ok {
+				tr.RuleTriggered(name, m.TriggeredAt,
+					t.base.CountArrivals(m.LastConsideration, m.TriggeredAt))
 			}
 		}
 	}
@@ -1075,11 +1075,11 @@ func (t *Txn) walFlushBlock(now clock.Time, fired []string) {
 			// recovery must not re-run the triggering determination (a
 			// monotone rule's TriggeredAt is latched at first activation
 			// and cannot be recomputed from a later probe).
-			st, ok := t.view.Rule(name)
+			m, ok := t.view.Mark(name)
 			if !ok {
 				continue
 			}
-			marks = append(marks, firedMark{Rule: name, At: st.TriggeredAt})
+			marks = append(marks, firedMark{Rule: name, At: m.TriggeredAt})
 		}
 		t.markBuf = marks[:0]
 	}

@@ -39,7 +39,9 @@ func replayLayout(t *testing.T, o Options, defs []Def, vocab []event.Type, seed 
 			occs = append(occs, occ)
 		}
 		s.NotifyArrivals(occs)
+		verifyIndex(t, &s.line)
 		fired := s.CheckTriggered(c.Now())
+		verifyIndex(t, &s.line)
 		round := make([]firing, len(fired))
 		for i, name := range fired {
 			st, ok := s.Rule(name)
@@ -53,6 +55,7 @@ func replayLayout(t *testing.T, o Options, defs []Def, vocab []event.Type, seed 
 			if _, err := s.Consider(name, c.Tick()); err != nil {
 				t.Fatal(err)
 			}
+			verifyIndex(t, &s.line)
 		}
 		if compact {
 			b.CompactBelow(s.Watermark())

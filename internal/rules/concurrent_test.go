@@ -45,7 +45,9 @@ func replay(t *testing.T, o Options, defs []Def, vocab []event.Type, seed int64,
 			occs = append(occs, occ)
 		}
 		s.NotifyArrivals(occs)
+		verifyIndex(t, &s.line)
 		fired := s.CheckTriggered(c.Now())
+		verifyIndex(t, &s.line)
 		round := make([]firing, len(fired))
 		for i, name := range fired {
 			st, ok := s.Rule(name)
@@ -61,6 +63,7 @@ func replay(t *testing.T, o Options, defs []Def, vocab []event.Type, seed int64,
 				if _, err := s.Consider(name, c.Tick()); err != nil {
 					t.Fatal(err)
 				}
+				verifyIndex(t, &s.line)
 			}
 		}
 	}

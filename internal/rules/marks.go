@@ -28,12 +28,7 @@ func (s *Support) Marks() []Mark {
 	defer s.mu.RUnlock()
 	out := make([]Mark, 0, len(s.ordered))
 	for _, st := range s.ordered {
-		out = append(out, Mark{
-			Rule:              st.Def.Name,
-			LastConsideration: st.LastConsideration,
-			Triggered:         st.Triggered,
-			TriggeredAt:       st.TriggeredAt,
-		})
+		out = append(out, st.mark())
 	}
 	return out
 }
@@ -74,6 +69,7 @@ func (s *Support) RestoreMarks(ms []Mark) error {
 		st.pending = true
 		st.sweeper = nil
 	}
+	s.stale = true
 	return nil
 }
 
@@ -86,13 +82,48 @@ func (s *Support) RestoreMarks(ms []Mark) error {
 func (s *Support) RestoreTriggered(name string, at clock.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.rules[name]
+	return s.line.restoreTriggered(name, at)
+}
+
+func (l *line) restoreTriggered(name string, at clock.Time) error {
+	st, ok := l.rules[name]
 	if !ok {
 		return fmt.Errorf("rules: no rule %q", name)
 	}
-	st.Triggered = true
+	l.sync()
+	if !st.Triggered {
+		st.Triggered = true
+		l.trig.add(st.rank)
+		l.ntrig++
+	}
 	st.TriggeredAt = at
 	st.pending = false
 	st.lastProbe = at
 	return nil
+}
+
+// Mark returns one rule's durable state without copying its State: what
+// the engine reads per fired rule at a block boundary (the activation
+// instant for the WAL, the horizon for the tracer).
+func (s *Support) Mark(name string) (Mark, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.line.mark(name)
+}
+
+func (l *line) mark(name string) (Mark, bool) {
+	st, ok := l.rules[name]
+	if !ok {
+		return Mark{}, false
+	}
+	return st.mark(), true
+}
+
+func (st *State) mark() Mark {
+	return Mark{
+		Rule:              st.Def.Name,
+		LastConsideration: st.LastConsideration,
+		Triggered:         st.Triggered,
+		TriggeredAt:       st.TriggeredAt,
+	}
 }

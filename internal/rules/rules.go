@@ -32,8 +32,9 @@
 // Support is safe for concurrent use. State-changing operations
 // (Define, Drop, NotifyArrivals, CheckTriggered, Consider,
 // BeginTransaction, Rebind, ResetStats) take the mutex exclusively;
-// read-only operations (Rule, Rules, Triggered, Pick, Stats, TxnStart)
-// take it shared, so inspection never serializes against other readers.
+// read-only operations (Rule, Rules, Triggered, Pick, Watermark, Stats,
+// TxnStart) take it shared, so inspection never serializes against
+// other readers.
 // Inside a sharded CheckTriggered the worker goroutines share nothing
 // but the Event Base, which is explicitly safe for concurrent reads;
 // each worker owns a disjoint slice of per-rule States and a private
@@ -41,7 +42,9 @@
 package rules
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -154,6 +157,10 @@ type State struct {
 	// lastProbe is the newest instant already examined by the ∃t' probe;
 	// earlier instants can never yield a new outcome.
 	lastProbe clock.Time
+	// rank is the rule's position in its line's priority queue
+	// (line.ordered), the coordinate of the line's block-boundary index.
+	// Assigned by line.reindex; meaningless while the index is stale.
+	rank int32
 	// pending is set when an arrival relevant per the filter has been
 	// seen since the last probe.
 	pending bool
@@ -291,9 +298,15 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 type Stats struct {
 	// Checks counts CheckTriggered calls (block boundaries).
 	Checks int64
-	// RulesExamined counts per-rule triggering examinations.
+	// RulesExamined counts per-rule triggering examinations: every rule
+	// that is not triggered when a check starts is examined by it. With
+	// the V(E) filter on, the check does not visit them to count them —
+	// the figure is defined rules minus triggered rules, read off the
+	// line's index.
 	RulesExamined int64
-	// RulesSkipped counts rules skipped thanks to the V(E) filter.
+	// RulesSkipped counts examined rules the V(E) filter settled without
+	// a ts evaluation: examined minus the check's batch (the pending
+	// rules). Always zero with UseFilter off.
 	RulesSkipped int64
 	// TsEvaluations counts full ts(E, t') evaluations.
 	TsEvaluations int64
@@ -409,19 +422,27 @@ func (s *Stats) add(o Stats) {
 
 // line is the state of one transaction line's triggering determination:
 // the bound Event Base, the per-rule records, the inverted listening
-// index, work counters, and all check-path scratch. The Support embeds
-// one line (its default, serving the classic single-session engine and
-// the direct Support API) and every Session owns another over the same
-// rule registry, so N concurrent lines run their determinations in
-// parallel with nothing shared but the immutable definitions, filters
-// and the interned plan DAG.
+// index, the block-boundary index, work counters, and all check-path
+// scratch. The Support embeds one line (its default, serving the classic
+// single-session engine and the direct Support API) and every Session
+// owns another over the same rule registry, so N concurrent lines run
+// their determinations in parallel with nothing shared but the immutable
+// definitions, filters and the interned plan DAG.
+//
+// The block-boundary index (queue, trig, wmMin; DESIGN.md "Block
+// boundary") is derived state: at every instant it is not stale it
+// equals what reindex would recompute from the States, so a block
+// boundary reads it instead of walking every defined rule. Three
+// transitions maintain it — arrive, the fold at the end of
+// checkTriggered, and consider — and whatever else rewrites marks
+// (Define, Drop, BeginTransaction, RestoreMarks, NewSession, a check a
+// budget fault cut short) only sets stale.
 type line struct {
 	base  *event.Base
 	rules map[string]*State
 	// order holds rule names sorted by (priority, name); it is the
 	// priority queue of the paper's Rule Table. ordered mirrors it with
-	// resolved *State pointers so the hot check path iterates without
-	// per-name map lookups.
+	// resolved *State pointers; a State's rank is its position here.
 	order    []string
 	ordered  []*State
 	txnStart clock.Time
@@ -438,16 +459,36 @@ type line struct {
 	// O(arrivals × listeners hit) instead of O(arrivals × rules).
 	byType   map[event.Type][]*State
 	matchAll []*State
+
+	// stale marks the index below as out of date with the States; sync
+	// rebuilds it before its next use.
+	stale bool
+	// queue is the pending worklist as a set of ranks: it holds every
+	// rule with pending && !Triggered (and possibly rules that stopped
+	// being so since they entered); queued is false only if it is empty.
+	// A check takes its batch from it, already in queue order, and
+	// empties it.
+	queue  rankSet
+	queued bool
+	// trig is the set of triggered rules by rank, ntrig its size: Pick
+	// scans it for the first bit, Stats derive from its size.
+	trig  rankSet
+	ntrig int
+	// wmMin is the least LastConsideration of any rule and wmHolders the
+	// number of rules at it: the consumption low-watermark while no rule
+	// is preserving.
+	wmMin     clock.Time
+	wmHolders int
+
 	// checkBuf and envs are CheckTriggered scratch, recycled across
 	// checks: the pending-rule batch, and one calculus.Env (with its
 	// allocation-free buffers) per worker shard.
 	checkBuf []*State
 	envs     []*calculus.Env
 	// planWorkers holds one memoized evaluator (plus private scratch)
-	// per worker shard; sinceBuf/groupBuf order the batch by
-	// consideration horizon so rules sharing a window share a memo.
+	// per worker shard; groupBuf orders the batch by consideration
+	// horizon so rules sharing a window share a memo.
 	planWorkers []*planWorker
-	sinceBuf    []clock.Time
 	groupBuf    []*State
 	cutBuf      []int
 	// firedBuf backs CheckTriggered's result slice, recycled across
@@ -460,6 +501,73 @@ type line struct {
 	// rethrows on its own stack, so the fault always unwinds through the
 	// caller (the engine's block flush), never through a bare goroutine.
 	budget *calculus.Budget
+}
+
+// rankSet is a set of queue ranks, one bit each.
+type rankSet []uint64
+
+func (b rankSet) add(r int32)    { b[r>>6] |= 1 << (uint(r) & 63) }
+func (b rankSet) remove(r int32) { b[r>>6] &^= 1 << (uint(r) & 63) }
+
+// each calls f on the rules of set, in queue order, until f returns
+// false.
+func (l *line) each(set rankSet, f func(*State) bool) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			if !f(l.ordered[w<<6|bits.TrailingZeros64(word)]) {
+				return
+			}
+		}
+	}
+}
+
+// sync brings the index up to date with the States. Every line method
+// that reads or maintains the index starts with it. A caller holding
+// only a read lock must have synced under the write lock first (see
+// Support.rlockSynced), so that this is a pure read there.
+func (l *line) sync() {
+	if l.stale {
+		l.reindex()
+	}
+}
+
+// reindex recomputes the whole index from the States: ranks from the
+// queue order, the worklist from pending, the triggered set from
+// Triggered, the watermark from LastConsideration. It is the definition
+// the incremental transitions are held to (line.checkIndex, in the
+// tests, compares the two).
+func (l *line) reindex() {
+	words := (len(l.ordered) + 63) >> 6
+	l.queue = append(l.queue[:0], make(rankSet, words)...)
+	l.trig = append(l.trig[:0], make(rankSet, words)...)
+	l.queued, l.ntrig = false, 0
+	for i, st := range l.ordered {
+		st.rank = int32(i)
+		switch {
+		case st.Triggered:
+			l.trig.add(st.rank)
+			l.ntrig++
+		case st.pending:
+			l.queue.add(st.rank)
+			l.queued = true
+		}
+	}
+	l.rescanWatermark()
+	l.stale = false
+}
+
+// rescanWatermark recomputes the least consideration horizon and the
+// number of rules holding it.
+func (l *line) rescanWatermark() {
+	l.wmMin, l.wmHolders = l.txnStart, 0
+	for i, st := range l.ordered {
+		switch {
+		case i == 0 || st.LastConsideration < l.wmMin:
+			l.wmMin, l.wmHolders = st.LastConsideration, 1
+		case st.LastConsideration == l.wmMin:
+			l.wmHolders++
+		}
+	}
 }
 
 // Support is the Trigger Support plus Rule Table.
@@ -479,6 +587,10 @@ type Support struct {
 	// it is zero; the count is stable while any session is open (the
 	// registry is frozen), so the skip decision cannot race a Define.
 	deferred int
+	// vocab is the rule set's primitive event types, each once, in the
+	// order the (priority, expression traversal) walk first meets them;
+	// nil after Define or Drop until internVocabulary rebuilds it.
+	vocab []event.Type
 	line
 }
 
@@ -540,6 +652,7 @@ func (s *Support) Define(d Def) error {
 	}
 	s.rules[d.Name] = st
 	s.enqueue(st)
+	s.vocab = nil
 	if d.Consumption == Preserving {
 		s.preserving++
 	}
@@ -567,29 +680,40 @@ func (s *Support) HasDeferred() bool {
 // invisible to every rule, so the Event Base may retire it; the engine
 // feeds the value to event.Base.CompactBelow at block boundaries.
 //
-// The watermark is recomputed from live rule state on every call, so
-// Define (a new rule starts its window at the transaction start, pulling
-// the watermark back down) and Drop (removing the pinning rule releases
-// it immediately) are reflected with nothing to invalidate. With no
-// rules defined it conservatively returns the transaction start, keeping
-// the whole log available to ad-hoc window queries.
+// The call reads the line's index — the least LastConsideration and how
+// many rules hold it, which Consider keeps current and rescans only when
+// the last holder moves — so it costs the same under one rule and under
+// ten thousand. Define (a new rule starts its window at the transaction
+// start, pulling the watermark back down) and Drop (removing the pinning
+// rule releases it immediately) mark the index stale, and the first call
+// after them rebuilds it. With no rules defined it conservatively
+// returns the transaction start, keeping the whole log available to
+// ad-hoc window queries.
 func (s *Support) Watermark() clock.Time {
-	s.mu.RLock()
+	s.rlockSynced()
 	defer s.mu.RUnlock()
 	return s.line.watermark()
 }
 
+// rlockSynced takes the read lock with the default line's index in sync,
+// rebuilding it under the write lock first if it is stale.
+func (s *Support) rlockSynced() {
+	s.mu.RLock()
+	for s.line.stale {
+		s.mu.RUnlock()
+		s.mu.Lock()
+		s.line.sync()
+		s.mu.Unlock()
+		s.mu.RLock()
+	}
+}
+
 func (l *line) watermark() clock.Time {
+	l.sync()
 	if l.preserving > 0 || len(l.ordered) == 0 {
 		return l.txnStart
 	}
-	wm := l.ordered[0].LastConsideration
-	for _, st := range l.ordered[1:] {
-		if st.LastConsideration < wm {
-			wm = st.LastConsideration
-		}
-	}
-	return wm
+	return l.wmMin
 }
 
 // index registers the rule in the inverted listening index.
@@ -640,6 +764,11 @@ func (s *Support) Drop(name string) error {
 		return fmt.Errorf("rules: no rule %q", name)
 	}
 	delete(s.rules, name)
+	// The rule leaves the queue below, so every rank after it moves: the
+	// index (which may hold the rule as pending or triggered) is rebuilt
+	// from the surviving States before anything reads it again.
+	s.stale = true
+	s.vocab = nil
 	if s.plan != nil && st.planRoot != calculus.NoNode {
 		// Drop the rule's tree from the interned DAG; nodes still
 		// referenced by other rules survive, the rest free their ids.
@@ -678,6 +807,9 @@ func (s *Support) enqueue(st *State) {
 	})
 	s.order = slices.Insert(s.order, i, st.Def.Name)
 	s.ordered = slices.Insert(s.ordered, i, st)
+	// Every later rank moved. Renumbering is left to the next block
+	// boundary, so loading N rules renumbers once, not N times.
+	s.stale = true
 }
 
 // Rule returns a copy of the rule's state. The copy shares the
@@ -739,7 +871,7 @@ func (s *Support) BeginTransaction(start clock.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.txnStart = start
-	for _, st := range s.rules {
+	for _, st := range s.ordered {
 		st.LastConsideration = start
 		st.lastProbe = start
 		st.Triggered = false
@@ -747,6 +879,7 @@ func (s *Support) BeginTransaction(start clock.Time) {
 		st.pending = false
 		st.sweeper = nil
 	}
+	s.stale = true
 }
 
 // Rebind points the support at a new Event Base (a new transaction's
@@ -763,17 +896,30 @@ func (s *Support) Rebind(base *event.Base) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.base = base
-	for _, st := range s.rules {
+	for _, st := range s.ordered {
 		st.sweeper = nil
 	}
-	for _, name := range s.order {
-		st := s.rules[name]
-		if st == nil || st.Def.Event == nil {
-			continue
+	s.internVocabulary(base)
+}
+
+// internVocabulary interns the rule set's primitive types into base in
+// vocabulary order. Interning assigns ids by first appearance, so the
+// de-duplicated list yields exactly the ids a walk of every mention
+// would. The list is built once per rule set, not once per transaction.
+func (s *Support) internVocabulary(base *event.Base) {
+	if s.vocab == nil {
+		seen := make(map[event.Type]bool)
+		for _, st := range s.ordered {
+			for _, t := range calculus.Primitives(st.Def.Event) {
+				if !seen[t] {
+					seen[t] = true
+					s.vocab = append(s.vocab, t)
+				}
+			}
 		}
-		for _, t := range calculus.Primitives(st.Def.Event) {
-			base.InternType(t)
-		}
+	}
+	for _, t := range s.vocab {
+		base.InternType(t)
 	}
 }
 
@@ -810,18 +956,26 @@ func (l *line) notifyArrivals(occs []event.Occurrence, opts *Options) {
 	if !opts.UseFilter {
 		return
 	}
+	l.sync()
 	for _, st := range l.matchAll {
-		if !st.Triggered {
-			st.pending = true
-		}
+		l.arrive(st)
 	}
 	for _, occ := range occs {
 		for _, st := range l.byType[occ.Type] {
-			if !st.pending && !st.Triggered {
-				st.pending = true
-			}
+			l.arrive(st)
 		}
 	}
+}
+
+// arrive is the arrival→pending transition: a rule a relevant arrival
+// reaches joins the worklist the moment its flag flips.
+func (l *line) arrive(st *State) {
+	if st.pending || st.Triggered {
+		return
+	}
+	st.pending = true
+	l.queue.add(st.rank)
+	l.queued = true
 }
 
 // checkOne runs the triggering determination for one rule. It mutates
@@ -902,21 +1056,44 @@ func (l *line) checkTriggered(now clock.Time, opts *Options, plan *calculus.Plan
 	if m != nil {
 		statsBefore = l.stats
 	}
+	l.sync()
 	l.stats.Checks++
-	// Collect the rules to examine, preserving priority order.
+	// Every non-triggered rule is examined; the batch is those of them
+	// that need a ts evaluation, in queue order. With the filter that is
+	// the worklist, whose ranks come out of the set already ordered; an
+	// empty worklist — the block after a consideration whose action
+	// logged nothing — visits no rule at all.
+	examined := len(l.ordered) - l.ntrig
 	batch := l.checkBuf[:0]
-	for _, st := range l.ordered {
-		if st.Triggered {
-			continue
+	if !opts.UseFilter {
+		for _, st := range l.ordered {
+			if !st.Triggered {
+				batch = append(batch, st)
+			}
 		}
-		l.stats.RulesExamined++
-		if opts.UseFilter && !st.pending {
-			l.stats.RulesSkipped++
-			continue
-		}
-		batch = append(batch, st)
+	} else if l.queued {
+		l.each(l.queue, func(st *State) bool {
+			if st.pending && !st.Triggered {
+				batch = append(batch, st)
+			}
+			return true
+		})
+	}
+	if l.queued {
+		// The check settles every pending rule, in either mode.
+		clear(l.queue)
+		l.queued = false
+	}
+	l.stats.RulesExamined += int64(examined)
+	if opts.UseFilter {
+		l.stats.RulesSkipped += int64(examined - len(batch))
 	}
 	l.checkBuf = batch
+	// The evaluators (worker goroutines among them) write Triggered and
+	// pending into their own States only; the index learns of it in the
+	// fold below. A budget fault unwinding from here skips the fold, and
+	// stale makes the next reader rebuild from what the States then say.
+	l.stale = true
 	workers := opts.Workers
 	if workers > len(batch) {
 		workers = len(batch)
@@ -987,54 +1164,39 @@ func (l *line) checkTriggered(now clock.Time, opts *Options, plan *calculus.Plan
 		m.PlanShared.Set(int64(plan.Shared()))
 	}
 	// The result slice is recycled across checks (no allocation on busy
-	// boundaries); callers must not retain it past the next call.
+	// boundaries); callers must not retain it past the next call. The
+	// same pass is the check→triggered transition of the index.
 	fired := l.firedBuf[:0]
 	for _, st := range batch {
 		if st.Triggered {
+			l.trig.add(st.rank)
+			l.ntrig++
 			fired = append(fired, st.Def.Name)
 		}
 	}
+	l.stale = false
 	l.firedBuf = fired
 	return fired
 }
 
 // checkShared runs the triggering determination over the interned DAG:
-// the batch is reordered by consideration horizon (rules sharing a
-// horizon share a probe memo), partitioned across workers at group
-// boundaries — a group's memo must stay with one worker, so shards are
-// contiguous runs of whole groups, balanced by rule count — and each
+// the batch is reordered by ascending consideration horizon (rules
+// sharing a horizon share a probe memo), partitioned across workers at
+// group boundaries — a group's memo must stay with one worker, so shards
+// are contiguous runs of whole groups, balanced by rule count — and each
 // worker walks its shard group by group with a private memoized
 // evaluator. Per-rule outcomes are independent, so neither the
 // reordering nor the partition can change results; the caller collects
 // fired names from the priority-ordered batch, keeping the merge
 // bit-identical to the sequential reference.
 func (l *line) checkShared(batch []*State, now clock.Time, workers int, m *SupportMetrics, opts *Options, plan *calculus.Plan) {
-	// Order by horizon in first-appearance order without sorting: one
-	// scan collects the distinct horizons (typically one or two), one
-	// scan per horizon buckets the rules. Buffers recycle across checks.
-	l.sinceBuf = l.sinceBuf[:0]
-	for _, st := range batch {
-		seen := false
-		for _, v := range l.sinceBuf {
-			if v == st.LastConsideration {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			l.sinceBuf = append(l.sinceBuf, st.LastConsideration)
-		}
-	}
+	// Group by horizon: one stable sort on a copy, which keeps queue order
+	// inside a group — and no sort at all when the horizons already ascend
+	// along the batch, as they do whenever it has a single one.
 	grouped := batch
-	if len(l.sinceBuf) > 1 {
-		l.groupBuf = l.groupBuf[:0]
-		for _, v := range l.sinceBuf {
-			for _, st := range batch {
-				if st.LastConsideration == v {
-					l.groupBuf = append(l.groupBuf, st)
-				}
-			}
-		}
+	if !slices.IsSortedFunc(batch, byHorizon) {
+		l.groupBuf = append(l.groupBuf[:0], batch...)
+		slices.SortStableFunc(l.groupBuf, byHorizon)
 		grouped = l.groupBuf
 	}
 	for len(l.planWorkers) < workers {
@@ -1108,6 +1270,10 @@ func (l *line) checkShared(batch []*State, now clock.Time, workers int, m *Suppo
 	for _, err := range errs {
 		calculus.ThrowBudget(err)
 	}
+}
+
+func byHorizon(a, b *State) int {
+	return cmp.Compare(a.LastConsideration, b.LastConsideration)
 }
 
 // checkSharedRange walks one contiguous slice of the horizon-ordered
@@ -1335,37 +1501,45 @@ func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now 
 // Triggered returns the currently triggered rules in priority order,
 // optionally restricted to one coupling mode.
 func (s *Support) Triggered(filter func(Def) bool) []string {
-	s.mu.RLock()
+	s.rlockSynced()
 	defer s.mu.RUnlock()
 	return s.line.triggeredNames(filter)
 }
 
 func (l *line) triggeredNames(filter func(Def) bool) []string {
+	l.sync()
 	var out []string
-	for _, st := range l.ordered {
-		if st.Triggered && (filter == nil || filter(st.Def)) {
+	l.each(l.trig, func(st *State) bool {
+		if filter == nil || filter(st.Def) {
 			out = append(out, st.Def.Name)
 		}
-	}
+		return true
+	})
 	return out
 }
 
 // Pick returns the highest-priority triggered rule passing the filter.
 func (s *Support) Pick(filter func(Def) bool) (string, bool) {
-	s.mu.RLock()
+	s.rlockSynced()
 	defer s.mu.RUnlock()
 	return s.line.pick(filter)
 }
 
 // pick is triggeredNames stopped at its first element: the engine picks
 // once per consideration, so it must not build the list it discards.
-func (l *line) pick(filter func(Def) bool) (string, bool) {
-	for _, st := range l.ordered {
-		if st.Triggered && (filter == nil || filter(st.Def)) {
-			return st.Def.Name, true
-		}
+// The lowest set rank is the head of the queue among the triggered.
+func (l *line) pick(filter func(Def) bool) (name string, ok bool) {
+	l.sync()
+	if l.ntrig == 0 {
+		return "", false
 	}
-	return "", false
+	l.each(l.trig, func(st *State) bool {
+		if filter == nil || filter(st.Def) {
+			name, ok = st.Def.Name, true
+		}
+		return !ok
+	})
+	return name, ok
 }
 
 // Consideration is what the engine needs to evaluate a considered rule's
@@ -1399,12 +1573,29 @@ func (l *line) consider(name string, now clock.Time) (Consideration, error) {
 		since = l.txnStart
 	}
 	c := Consideration{Rule: st.Def, Since: since, At: now}
-	st.Triggered = false
+	l.sync()
+	if st.Triggered {
+		st.Triggered = false
+		l.trig.remove(st.rank)
+		l.ntrig--
+	}
 	st.TriggeredAt = clock.Never
-	st.LastConsideration = now
 	st.lastProbe = now
 	st.pending = false
 	// st.sweeper is kept: the next check notices the window restart via
 	// Sweeper.Since and rewinds it in place.
+	if old := st.LastConsideration; now != old {
+		// The horizon leaves the minimum only if the rule held it, and the
+		// minimum is rescanned only when its last holder leaves — or when
+		// a caller hands in an instant at or below it, which a clock never
+		// does.
+		st.LastConsideration = now
+		if old == l.wmMin {
+			l.wmHolders--
+		}
+		if l.wmHolders == 0 || now <= l.wmMin {
+			l.rescanWatermark()
+		}
+	}
 	return c, nil
 }

@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"fmt"
 	"sync"
 
 	"chimera/internal/calculus"
@@ -32,6 +31,8 @@ type View interface {
 	Pick(filter func(Def) bool) (string, bool)
 	// Rule returns a copy of the line's state for one rule.
 	Rule(name string) (State, bool)
+	// Mark returns one rule's durable state (see Support.Mark).
+	Mark(name string) (Mark, bool)
 	// Stats snapshots the line's work counters.
 	Stats() Stats
 	// TxnStart is the line's transaction start instant.
@@ -95,15 +96,7 @@ func (s *Support) NewSession(base *event.Base, start clock.Time) *Session {
 	// a pure function of the rule set and the append order — the
 	// property multi-session WAL replay (which re-runs appends but not
 	// determinations) relies on to reproduce the logged type ids.
-	for _, name := range s.order {
-		reg := s.rules[name]
-		if reg.Def.Event == nil {
-			continue
-		}
-		for _, t := range calculus.Primitives(reg.Def.Event) {
-			base.InternType(t)
-		}
-	}
+	s.internVocabulary(base)
 	for _, name := range s.order {
 		reg := s.rules[name]
 		st := &State{
@@ -123,6 +116,7 @@ func (s *Support) NewSession(base *event.Base, start clock.Time) *Session {
 		}
 		sess.line.index(st, s.opts.FilterMode)
 	}
+	sess.line.stale = true
 	s.sessions++
 	return sess
 }
@@ -211,15 +205,7 @@ func (sess *Session) Pick(filter func(Def) bool) (string, bool) {
 func (sess *Session) RestoreTriggered(name string, at clock.Time) error {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	st, ok := sess.line.rules[name]
-	if !ok {
-		return fmt.Errorf("rules: no rule %q", name)
-	}
-	st.Triggered = true
-	st.TriggeredAt = at
-	st.pending = false
-	st.lastProbe = at
-	return nil
+	return sess.line.restoreTriggered(name, at)
 }
 
 // Rule returns a copy of the session's state for one rule.
@@ -227,6 +213,13 @@ func (sess *Session) Rule(name string) (State, bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.line.rule(name)
+}
+
+// Mark returns one rule's durable state in this session.
+func (sess *Session) Mark(name string) (Mark, bool) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.line.mark(name)
 }
 
 // Stats snapshots the session's private work counters.

@@ -155,7 +155,9 @@ func replayCompacting(t *testing.T, o Options, defs []Def, vocab []event.Type, s
 			occs = append(occs, occ)
 		}
 		s.NotifyArrivals(occs)
+		verifyIndex(t, &s.line)
 		fired := s.CheckTriggered(c.Now())
+		verifyIndex(t, &s.line)
 		round := make([]firing, len(fired))
 		for i, name := range fired {
 			st, ok := s.Rule(name)
@@ -169,6 +171,7 @@ func replayCompacting(t *testing.T, o Options, defs []Def, vocab []event.Type, s
 			if _, err := s.Consider(name, c.Tick()); err != nil {
 				t.Fatal(err)
 			}
+			verifyIndex(t, &s.line)
 		}
 		if compact {
 			b.CompactBelow(s.Watermark())
