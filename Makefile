@@ -27,15 +27,17 @@ race-stress:
 	GOMAXPROCS=4 $(GO) test -race -count=2 \
 		./internal/object/ ./internal/engine/ ./internal/rules/
 
-# Crash/recovery smoke under the race detector: the kill-and-recover
+# Crash/recovery smoke under the race detector: every test of the three
+# packages recovery runs through — the engine's kill-and-recover
 # differential suite (random crash points, bit-identical replay), WAL
-# truncation/corruption recovery, checkpoint bounds, and the FileStore
+# truncation/corruption recovery and checkpoint bounds; the FileStore
 # fault-injection tests (failing writer, failing fsync, torn tails,
-# flipped CRC frames, leftover temp checkpoint).
+# flipped CRC frames, leftover temp checkpoint); the Event Base's segment
+# codec and restored-index oracle. Selected by package, like race-stress;
+# a test too slow for this tier gates itself on testing.Short().
 crash-smoke:
 	$(GO) test -race -count=1 \
-		-run 'TestKillRecover|TestRecoverContinuation|TestTruncatedWAL|TestCorruptWAL|TestStaleWAL|TestOpenNeedsRecovery|TestWALFailure|TestPerCommitSyncFailure|TestCloseSemantics|TestCheckpointBoundsWAL|TestDDLReplay|TestFileStore' \
-		./internal/engine/ ./internal/storage/
+		./internal/engine/ ./internal/storage/ ./internal/event/
 
 # Streaming-mode suite under the race detector with forced parallelism:
 # the stream-vs-replay differential (bit-identical store, marks, clock

@@ -138,23 +138,33 @@ func (env *Env) TS(e Expr, t clock.Time) TS {
 // e must satisfy the instance-only constraint (primitives or
 // instance-oriented operators).
 func (env *Env) OTS(e Expr, t clock.Time, oid types.OID) TS {
+	rd := env.Base.Read()
+	defer rd.Done() // a budget fault unwinds through here
+	return env.ots(rd, e, t, oid)
+}
+
+// ots is OTS inside the caller's read section of the base: the loops
+// over an object domain (the lifts, AppendAffectedObjects) hold one
+// section for the domain and every probe under it. Nothing below may
+// call a locking method of env.Base.
+func (env *Env) ots(rd event.Reader, e Expr, t clock.Time, oid types.OID) TS {
 	env.Budget.Charge()
 	switch n := e.(type) {
 	case Prim:
-		if last := env.Base.LastOfObj(n.T, oid, env.Since, t); last != clock.Never {
+		if last := rd.LastOfObj(n.T, oid, env.Since, t); last != clock.Never {
 			return TS(last)
 		}
 		return -TS(t)
 	case Not:
-		return -env.OTS(n.X, t, oid)
+		return -env.ots(rd, n.X, t, oid)
 	case And:
-		return andTS(env.OTS(n.L, t, oid), env.OTS(n.R, t, oid))
+		return andTS(env.ots(rd, n.L, t, oid), env.ots(rd, n.R, t, oid))
 	case Or:
-		return orTS(env.OTS(n.L, t, oid), env.OTS(n.R, t, oid))
+		return orTS(env.ots(rd, n.L, t, oid), env.ots(rd, n.R, t, oid))
 	case Seq:
-		b := env.OTS(n.R, t, oid)
+		b := env.ots(rd, n.R, t, oid)
 		if b.Active() {
-			if a := env.OTS(n.L, b.Time(), oid); a.Active() {
+			if a := env.ots(rd, n.L, b.Time(), oid); a.Active() {
 				return b
 			}
 		}
@@ -174,22 +184,24 @@ func (env *Env) OTS(e Expr, t clock.Time, oid types.OID) TS {
 // the unsafe shapes (e.g. -=(-=A), or A ,= -=B) the full object domain
 // of R is used.
 func (env *Env) domain(e Expr, t clock.Time) []types.OID {
-	return env.domainCached(e, nil, restrictionSafe(e), t)
+	rd := env.Base.Read()
+	defer rd.Done()
+	return env.domainIn(rd, e, nil, restrictionSafe(e), t)
 }
 
-// domainCached is domain with the expression's primitive types and
-// restriction safety precomputed (nil prims means "compute on demand").
-// The result aliases env.oidBuf: it is valid until the next domain call
-// on this Env and must not be retained.
-func (env *Env) domainCached(e Expr, prims []event.Type, safe bool, t clock.Time) []types.OID {
+// domainIn is domain inside the caller's read section, with the
+// expression's primitive types and restriction safety precomputed (nil
+// prims means "compute on demand"). The result aliases env.oidBuf: it is
+// valid until the next domain call on this Env and must not be retained.
+func (env *Env) domainIn(rd event.Reader, e Expr, prims []event.Type, safe bool, t clock.Time) []types.OID {
 	env.Budget.Charge()
 	if env.RestrictDomain && safe {
 		if prims == nil {
 			prims = Primitives(e)
 		}
-		env.oidBuf = env.Base.AppendOIDsOfTypes(env.oidBuf[:0], prims, env.Since, t)
+		env.oidBuf = rd.AppendOIDsOfTypes(env.oidBuf[:0], prims, env.Since, t)
 	} else {
-		env.oidBuf = env.Base.AppendOIDs(env.oidBuf[:0], env.Since, t)
+		env.oidBuf = rd.AppendOIDs(env.oidBuf[:0], env.Since, t)
 	}
 	return env.oidBuf
 }
@@ -227,23 +239,25 @@ func (env *Env) lift(e Expr, t clock.Time) TS {
 // incremental sweep calls it with the per-node cache so repeated probes
 // do not re-derive the primitive set.
 func (env *Env) liftCached(e Expr, prims []event.Type, safe bool, t clock.Time) TS {
-	oids := env.domainCached(e, prims, safe, t)
+	rd := env.Base.Read()
+	defer rd.Done()
+	oids := env.domainIn(rd, e, prims, safe, t)
 	if n, ok := e.(Not); ok && n.Inst {
 		if len(oids) == 0 {
 			return TS(t)
 		}
-		best := env.OTS(e, t, oids[0])
+		best := env.ots(rd, e, t, oids[0])
 		for _, oid := range oids[1:] {
-			best = minTS(best, env.OTS(e, t, oid))
+			best = minTS(best, env.ots(rd, e, t, oid))
 		}
 		return best
 	}
 	if len(oids) == 0 {
 		return -TS(t)
 	}
-	best := env.OTS(e, t, oids[0])
+	best := env.ots(rd, e, t, oids[0])
 	for _, oid := range oids[1:] {
-		best = maxTS(best, env.OTS(e, t, oid))
+		best = maxTS(best, env.ots(rd, e, t, oid))
 	}
 	return best
 }
@@ -306,14 +320,16 @@ func (env *Env) AffectedObjects(e Expr, t clock.Time) []types.OID {
 // AppendAffectedObjects is AffectedObjects appending to dst, so that a
 // caller evaluating one condition after another can recycle the slice.
 func (env *Env) AppendAffectedObjects(dst []types.OID, e Expr, t clock.Time) []types.OID {
-	oids := env.domain(e, t)
+	rd := env.Base.Read()
+	defer rd.Done()
+	oids := env.domainIn(rd, e, nil, restrictionSafe(e), t)
 	if _, prim := e.(Prim); prim && env.RestrictDomain {
 		// The restricted domain of a primitive is the objects its type
 		// touched in R: exactly those it is active for.
 		return append(dst, oids...)
 	}
 	for _, oid := range oids {
-		if env.OTS(e, t, oid).Active() {
+		if env.ots(rd, e, t, oid).Active() {
 			dst = append(dst, oid)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"chimera/internal/arena"
 	"chimera/internal/clock"
 	"chimera/internal/event"
-	"chimera/internal/types"
 )
 
 // This file implements the shared trigger plan: expression trees of a
@@ -256,26 +255,13 @@ func (p *Plan) SharedNodes(minRefs int) []SharedNode {
 // ---------------------------------------------------------------------
 // Memoized evaluation over the DAG.
 
-type otsKey struct {
-	id  NodeID
-	oid types.OID
-}
-
-type otsEntry struct {
-	gen uint64
-	v   TS
-}
-
-// DefaultOTSBound is the default capacity of the per-evaluator
-// (nodeID, oid) cache for instance-oriented subresults.
-const DefaultOTSBound = 1 << 15
-
 // PlanEval evaluates interned nodes with a generation-stamped memo: one
 // generation per (Event Base window, probe instant), so every node's
 // set-oriented ts — and every lift's object domain — is computed at most
-// once per probe no matter how many rules share it. The ots values of
-// instance-oriented subexpressions go through a bounded (node, oid)
-// cache, useful when distinct lifts share instance subtrees.
+// once per probe no matter how many rules share it. The per-object ots
+// values below a lift are not memoized: the lift's own ts is, and that
+// is the value rules share. Leaves are resolved to the bound base's
+// interned ids at Bind, so an evaluation hashes no Type and no OID.
 //
 // A PlanEval is stateful scratch like Env: one per goroutine. The
 // underlying Plan may be shared read-only across evaluators.
@@ -298,8 +284,8 @@ type PlanEval struct {
 	// probe schedule.
 	DisableMemo bool
 	// Budget, when non-nil, is charged one unit per computed node (the
-	// same work evals counts; memo hits are free). Exhaustion aborts
-	// with a budget fault (see Budget).
+	// same work evals counts; hits of the node memo are free). Exhaustion
+	// aborts with a budget fault (see Budget).
 	Budget *Budget
 
 	gen uint64
@@ -312,9 +298,9 @@ type PlanEval struct {
 	// O(1) Reset instead of keeping a peak-sized buffer pinned per node.
 	// The gen stamp in domEpoch is what makes the recycling sound — a
 	// stale doms[id] is never read once its generation is over.
-	doms     [][]types.OID
+	doms     [][]int32
 	domEpoch []uint64
-	domArena *arena.Arena[types.OID]
+	domArena *arena.Arena[int32]
 
 	// Prim cursors (Track mode): the last arrival of each interned
 	// primitive node inside the bound window, maintained incrementally
@@ -326,26 +312,26 @@ type PlanEval struct {
 	primLast  []clock.Time
 	primEpoch []uint64
 
-	// tid2prim dispatches an interned-type id (event.Base's per-Base type
-	// interner) straight to the prim node of that type — the columnar
-	// batched probe path reports arrivals by int32 id (NoteArrivalTID), an
-	// array index instead of NoteArrival's nodeKey map hash. Bind rebuilds
-	// it whenever the bound base or the plan's structure changed; the
-	// rebuild interns every live prim type, so a tid at or past the
-	// table's length was interned later by a non-prim arrival and is
-	// correctly ignored.
+	// The leaves resolved against the bound base's type interner: primTID
+	// is each prim node's type id, liftTIDs each instance-rooted node's
+	// prims as type ids, and tid2prim the way back, from a type id to the
+	// prim node of that type — the batched probe path reports arrivals by
+	// id (NoteArrivalTID). Bind rebuilds all three whenever the bound base
+	// or the plan's structure changed; the rebuild interns every live prim
+	// type, so a tid at or past tid2prim's length was interned later by a
+	// non-prim arrival and is correctly ignored.
+	primTID  []int32
+	liftTIDs [][]int32
 	tid2prim []NodeID
 	tidBase  *event.Base
 	planVer  uint64
 
-	otsCache map[otsKey]otsEntry
-	// OTSBound caps the (node, oid) cache; 0 keeps DefaultOTSBound,
-	// negative disables the cache entirely.
-	OTSBound int
+	// rd is the read section a lift holds over its domain and ots probes.
+	rd event.Reader
 
 	// oidScratch serves domain computations at historical (off-memo)
 	// instants so they cannot clobber a memoized domain slice.
-	oidScratch []types.OID
+	oidScratch []int32
 
 	evals int64
 	hits  int64
@@ -357,34 +343,40 @@ func NewPlanEval(p *Plan) *PlanEval {
 	return &PlanEval{
 		plan:           p,
 		RestrictDomain: true,
-		otsCache:       make(map[otsKey]otsEntry),
-		domArena:       arena.New[types.OID](0),
+		domArena:       arena.New[int32](0),
 	}
 }
 
 // Bind points the evaluator at an Event Base window (Since exclusive)
-// and invalidates every memoized value, prim cursors included. On a
-// columnar base it also refreshes the interned-type-id dispatch table
-// backing NoteArrivalTID.
+// and invalidates every memoized value, prim cursors included. It also
+// resolves the plan's leaves to the base's type ids if the base or the
+// plan changed since they were last resolved.
 func (pe *PlanEval) Bind(base *event.Base, since clock.Time) {
 	pe.base = base
 	pe.since = since
 	pe.gen++
 	pe.bindGen++
 	pe.cur = clock.Never
-	if base.Columnar() && (pe.tidBase != base || pe.planVer != pe.plan.version) {
+	if pe.tidBase != base || pe.planVer != pe.plan.version {
 		pe.rebuildTIDs(base)
 	}
 }
 
-// rebuildTIDs rebuilds tid2prim: every live prim type is interned into
-// the base (assigning ids to types that have not occurred yet) and
-// mapped to its node. Types interned after this instant cannot be prim
-// types while the plan is unchanged, so lookups past the table's length
-// are simply not prims.
+// rebuildTIDs resolves the plan's leaves against base. Every live prim
+// type is interned (assigning ids, in the plan's prim order, to types the
+// engine has not interned yet; after Support.Rebind there are none) and
+// mapped to its node and back; an instance-rooted node's prims are prim
+// nodes of the plan, so their ids exist by then. Types interned after
+// this instant cannot be prim types while the plan is unchanged, so
+// tid2prim lookups past its length are simply not prims.
 func (pe *PlanEval) rebuildTIDs(base *event.Base) {
+	nodes := pe.plan.nodes
+	if len(pe.primTID) < len(nodes) {
+		pe.primTID = append(pe.primTID, make([]int32, len(nodes)-len(pe.primTID))...)
+		pe.liftTIDs = append(pe.liftTIDs, make([][]int32, len(nodes)-len(pe.liftTIDs))...)
+	}
 	for _, id := range pe.plan.prims {
-		base.InternType(pe.plan.nodes[id].key.t)
+		pe.primTID[id] = base.InternType(nodes[id].key.t)
 	}
 	n := base.InternedTypes()
 	if cap(pe.tid2prim) < n {
@@ -395,16 +387,33 @@ func (pe *PlanEval) rebuildTIDs(base *event.Base) {
 		pe.tid2prim[i] = NoNode
 	}
 	for _, id := range pe.plan.prims {
-		pe.tid2prim[base.InternType(pe.plan.nodes[id].key.t)] = id
+		pe.tid2prim[pe.primTID[id]] = id
+	}
+	rd := base.Read()
+	for id := range nodes {
+		if !nodes[id].instRooted {
+			continue
+		}
+		tids := pe.liftTIDs[id][:0]
+		for _, t := range nodes[id].prims {
+			tid, _ := rd.TypeID(t)
+			tids = append(tids, tid)
+		}
+		pe.liftTIDs[id] = tids
+	}
+	rd.Done()
+	if pe.tracking {
+		pe.growPrim()
 	}
 	pe.tidBase = base
 	pe.planVer = pe.plan.version
 }
 
-// NoteArrivalTID is NoteArrival dispatched by interned-type id: the
-// columnar probe loop reports each scanned arrival with one array index
-// instead of a nodeKey map hash. Valid only after a Bind to the columnar
-// base whose interner produced the tid.
+// NoteArrivalTID reports one arrival, by interned type id, to the prim
+// cursors: one array index per scanned arrival. Cursors not yet
+// initialized in this Bind stay lazy: their first evaluation runs one
+// LastOf catch-up query that includes this arrival. Valid only after a
+// Bind to the base whose interner produced the tid.
 func (pe *PlanEval) NoteArrivalTID(tid int32, at clock.Time) {
 	if !pe.tracking || int(tid) >= len(pe.tid2prim) {
 		return
@@ -428,20 +437,13 @@ func (pe *PlanEval) Track(on bool) {
 	}
 }
 
-// NoteArrival reports one arrival to the prim cursors. Cursors not yet
-// initialized in this Bind stay lazy: their first evaluation runs one
-// LastOf catch-up query that includes this arrival.
+// NoteArrival is NoteArrivalTID for callers that hold rows, not columns.
 func (pe *PlanEval) NoteArrival(t event.Type, at clock.Time) {
 	if !pe.tracking {
 		return
 	}
-	id, ok := pe.plan.ids[nodeKey{op: planPrim, t: t, l: NoNode, r: NoNode}]
-	if !ok {
-		return
-	}
-	pe.growPrim()
-	if pe.primEpoch[id] == pe.bindGen {
-		pe.primLast[id] = at
+	if tid, ok := pe.base.TypeID(t); ok {
+		pe.NoteArrivalTID(tid, at)
 	}
 }
 
@@ -463,20 +465,11 @@ func (pe *PlanEval) Begin(t clock.Time) {
 	if n := pe.plan.Cap(); len(pe.vals) < n {
 		pe.vals = append(pe.vals, make([]TS, n-len(pe.vals))...)
 		pe.epoch = append(pe.epoch, make([]uint64, n-len(pe.epoch))...)
-		pe.doms = append(pe.doms, make([][]types.OID, n-len(pe.doms))...)
+		pe.doms = append(pe.doms, make([][]int32, n-len(pe.doms))...)
 		pe.domEpoch = append(pe.domEpoch, make([]uint64, n-len(pe.domEpoch))...)
 	}
 	if pe.tracking {
 		pe.growPrim()
-	}
-	bound := pe.OTSBound
-	if bound == 0 {
-		bound = DefaultOTSBound
-	}
-	if bound > 0 && len(pe.otsCache) >= bound {
-		// Evict wholesale once full: stale generations would otherwise pin
-		// the capacity and starve the current one.
-		clear(pe.otsCache)
 	}
 }
 
@@ -511,7 +504,7 @@ func (pe *PlanEval) TS(id NodeID, t clock.Time) TS {
 	} else {
 		switch n.key.op {
 		case planPrim:
-			v = pe.primTS(id, n, t)
+			v = pe.primTS(id, t)
 		case planNot:
 			v = -pe.TS(n.key.l, t)
 		case planAnd:
@@ -545,26 +538,38 @@ func (pe *PlanEval) Active(id NodeID, t clock.Time) bool { return pe.TS(id, t).A
 // instead of a LastOf search — initializing the cursor with one
 // catch-up query the first time the prim is touched in this Bind.
 // Historical probes (precedence left operands) always search.
-func (pe *PlanEval) primTS(id NodeID, n *planNode, t clock.Time) TS {
+func (pe *PlanEval) primTS(id NodeID, t clock.Time) TS {
+	last := clock.Never
 	if pe.tracking && t == pe.cur {
 		if pe.primEpoch[id] != pe.bindGen {
-			pe.primLast[id] = pe.base.LastOf(n.key.t, pe.since, t)
+			pe.primLast[id] = pe.lastOf(id, t)
 			pe.primEpoch[id] = pe.bindGen
 		}
-		if last := pe.primLast[id]; last != clock.Never {
-			return TS(last)
-		}
-		return -TS(t)
+		last = pe.primLast[id]
+	} else {
+		last = pe.lastOf(id, t)
 	}
-	if last := pe.base.LastOf(n.key.t, pe.since, t); last != clock.Never {
+	if last != clock.Never {
 		return TS(last)
 	}
 	return -TS(t)
 }
 
+// lastOf is prim node id's last occurrence in (since, t].
+func (pe *PlanEval) lastOf(id NodeID, t clock.Time) clock.Time {
+	rd := pe.base.Read()
+	last := rd.LastOfTID(pe.primTID[id], pe.since, t)
+	rd.Done()
+	return last
+}
+
 // lift mirrors Env.liftCached on the DAG: universal lift for instance
 // negation, existential lift otherwise, over the memoized object domain.
+// The domain and the |domain| × leaves ots probes under it run in one
+// read section of the base; nothing below calls a locking Base method.
 func (pe *PlanEval) lift(id NodeID, n *planNode, t clock.Time) TS {
+	pe.rd = pe.base.Read()
+	defer pe.rd.Done() // a budget fault unwinds through here
 	oids := pe.domain(id, n, t)
 	if n.key.op == planNot {
 		if len(oids) == 0 {
@@ -589,7 +594,7 @@ func (pe *PlanEval) lift(id NodeID, n *planNode, t clock.Time) TS {
 // domain returns the lift's object domain at t, memoized per node at the
 // generation's instant; off-instant requests compute into a scratch
 // buffer so they cannot clobber memoized slices.
-func (pe *PlanEval) domain(id NodeID, n *planNode, t clock.Time) []types.OID {
+func (pe *PlanEval) domain(id NodeID, n *planNode, t clock.Time) []int32 {
 	memo := t == pe.cur && !pe.DisableMemo
 	if memo && pe.domEpoch[id] == pe.gen {
 		pe.hits++
@@ -598,9 +603,9 @@ func (pe *PlanEval) domain(id NodeID, n *planNode, t clock.Time) []types.OID {
 	pe.Budget.Charge()
 	buf := pe.oidScratch[:0]
 	if pe.RestrictDomain && n.safe {
-		buf = pe.base.AppendOIDsOfTypes(buf, n.prims, pe.since, t)
+		buf = pe.rd.AppendObjsOfTIDs(buf, pe.liftTIDs[id], pe.since, t)
 	} else {
-		buf = pe.base.AppendOIDs(buf, pe.since, t)
+		buf = pe.rd.AppendObjs(buf, pe.since, t)
 	}
 	pe.oidScratch = buf
 	pe.evals++
@@ -616,22 +621,15 @@ func (pe *PlanEval) domain(id NodeID, n *planNode, t clock.Time) []types.OID {
 	return buf
 }
 
-// ots mirrors Env.OTS on the DAG, with the bounded (node, oid) cache at
-// the generation's instant.
-func (pe *PlanEval) ots(id NodeID, t clock.Time, oid types.OID) TS {
-	memo := t == pe.cur && pe.OTSBound >= 0 && !pe.DisableMemo
-	if memo {
-		if e, ok := pe.otsCache[otsKey{id, oid}]; ok && e.gen == pe.gen {
-			pe.hits++
-			return e.v
-		}
-	}
+// ots mirrors Env.OTS on the DAG, for the object with interned id oid,
+// inside lift's read section.
+func (pe *PlanEval) ots(id NodeID, t clock.Time, oid int32) TS {
 	pe.Budget.Charge()
 	n := &pe.plan.nodes[id]
 	var v TS
 	switch n.key.op {
 	case planPrim:
-		if last := pe.base.LastOfObj(n.key.t, oid, pe.since, t); last != clock.Never {
+		if last := pe.rd.LastOfObjTID(pe.primTID[id], oid, pe.since, t); last != clock.Never {
 			v = TS(last)
 		} else {
 			v = -TS(t)
@@ -651,8 +649,5 @@ func (pe *PlanEval) ots(id NodeID, t clock.Time, oid types.OID) TS {
 		}
 	}
 	pe.evals++
-	if memo {
-		pe.otsCache[otsKey{id, oid}] = otsEntry{gen: pe.gen, v: v}
-	}
 	return v
 }

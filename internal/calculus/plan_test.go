@@ -2,10 +2,14 @@ package calculus
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"chimera/internal/clock"
 	"chimera/internal/event"
+	"chimera/internal/types"
 )
 
 func TestPlanInterningSharesStructure(t *testing.T) {
@@ -210,27 +214,71 @@ func TestPlanEvalSharingCounters(t *testing.T) {
 	}
 }
 
-// TestPlanEvalOTSBound pins tiny and disabled (node, oid) caches to the
-// reference evaluator: the bound must shed capacity, never correctness.
-func TestPlanEvalOTSBound(t *testing.T) {
-	r := rand.New(rand.NewSource(123))
+// TestLiftsRunBesideAnAppender runs long lifts — PlanEval's and the
+// occurred() window of Env.AppendAffectedObjects — while a writer appends
+// without pause. Each lift holds one read section of the base over its
+// domain and every ots probe under it; a probe that took the base's
+// shared lock again inside the section would block behind the waiting
+// writer for good, so finishing is the assertion (the race suites run
+// this with -race). The probes stop at the instant the history was built
+// to, so the appender cannot change their answers either.
+func TestLiftsRunBesideAnAppender(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
 	vocab := DefaultVocabulary()
-	for _, bound := range []int{-1, 1, 4} {
-		c := clock.New()
-		base, now := GenHistory(r, c, HistoryOptions{Types: vocab, Objects: 8, Events: 50})
-		e := DisjI(ConjI(P(vocab[0]), P(vocab[1])), NegI(P(vocab[2])))
-		plan := NewPlan()
-		root := plan.Intern(e)
-		env := &Env{Base: base, RestrictDomain: true}
-		pe := NewPlanEval(plan)
-		pe.OTSBound = bound
-		pe.Bind(base, clock.Never)
-		probes := append(base.AppendArrivals(nil, clock.Never, now), now)
-		for _, at := range probes {
-			pe.Begin(at)
-			if got, want := pe.TS(root, at), env.TS(e, at); got != want {
-				t.Fatalf("bound=%d: ts(%s, %d) = %d, want %d", bound, e, at, got, want)
+	c := clock.New()
+	base, now := GenHistory(r, c, HistoryOptions{Types: vocab, Objects: 200, Events: 3000})
+	e := DisjI(ConjI(P(vocab[0]), P(vocab[1])), PrecI(P(vocab[2]), P(vocab[0])))
+	env := &Env{Base: base, RestrictDomain: true}
+	wantTS, wantObjs := env.TS(e, now), env.AffectedObjects(e, now)
+
+	stop, appended := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(appended)
+		for at := now + 1; at < now+200000; at++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := base.Append(vocab[int(at)%len(vocab)], types.OID(1+int(at)%200), at); err != nil {
+				t.Error(err)
+				return
 			}
 		}
+	}()
+
+	var lifts sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		lifts.Add(1)
+		go func() {
+			defer lifts.Done()
+			plan := NewPlan()
+			root := plan.Intern(e)
+			pe := NewPlanEval(plan)
+			pe.DisableMemo = true // every TS below is a full lift
+			env := &Env{Base: base, RestrictDomain: true}
+			var objs []types.OID
+			for i := 0; i < 150; i++ {
+				pe.Bind(base, clock.Never)
+				pe.Begin(now)
+				if got := pe.TS(root, now); got != wantTS {
+					t.Errorf("lift %d beside the appender: ts = %d, want %d", i, got, wantTS)
+					return
+				}
+				if objs = env.AppendAffectedObjects(objs[:0], e, now); !slices.Equal(objs, wantObjs) {
+					t.Errorf("window %d beside the appender: %v, want %v", i, objs, wantObjs)
+					return
+				}
+			}
+		}()
 	}
+	done := make(chan struct{})
+	go func() { lifts.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("lifts did not finish beside the appender: a probe re-locked the base inside a read section")
+	}
+	close(stop)
+	<-appended
 }

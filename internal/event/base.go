@@ -3,8 +3,8 @@ package event
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -103,38 +103,44 @@ const DefaultSegmentSize = 256
 //
 // # Columnar layout
 //
-// The default layout stores each segment as parallel columns — the
-// timestamp column, an interned-type-id column and an interned-OID
-// column — instead of an array of Occurrence rows. The probe loops of
-// the Trigger Support walk windows through ChunkCols, touching only the
-// 8-byte timestamp and 4-byte type-id columns (cache-dense, no string
-// fields), and compare interned int32 ids instead of Type structs;
-// Occurrence rows are materialized only at API edges (Window, All,
-// OccurrencesOf, the aliasing views). NewRowBase selects the historical
-// row-store layout, kept as the measured ablation (experiment B13) and
-// as a differential reference: both layouts serve the identical API with
-// bit-identical results.
+// Invariant: a segment is three parallel columns — time stamp, interned
+// type id, interned object id — and its index is a pure function of
+// them: segment.index applied to the rows in order, by Append and by
+// the checkpoint restore alike, so a restored base answers every probe
+// as the base it was exported from. The index is keyed by id only (see
+// segment), in open-addressed tables whose memory follows the entries
+// of the segment, never the vocabulary. A probe (LastOf, LastOfObj,
+// AppendOIDsOfTypes, OccurrencesOf, ...) resolves its Type and OID to
+// ids once, at the API edge, and below that compares and hashes int32s;
+// a Type or OID that was never interned has no occurrences. The probe
+// loops of the Trigger Support walk windows through ChunkCols, touching
+// only the timestamp and type-id columns; Occurrence rows are
+// materialized only at API edges. NewRowBase additionally keeps the
+// rows eagerly and switches ChunkCols off: the measured ablation of
+// experiment B13 and a differential reference, same index, same answers.
 //
 // # Interners and retention
 //
-// A Base interns every distinct event Type and OID it sees into dense
-// int32 ids (first-arrival order). The interners — like the per-type
-// latest-timestamp map — are transaction-lifetime state: they grow with
-// the number of *distinct* types and objects, not with occurrences, and
-// compaction never shrinks them, because retired history still
-// determines id assignment (and OID first-arrival order, which
-// OIDs/AppendOIDs expose). A transaction touching an unbounded stream of
-// fresh objects therefore grows its interner without bound; the
+// Ids are per Base, dense int32s assigned in first-arrival order
+// (InternType lets compiled consumers claim a type id before the type
+// occurs), and never recycled: WAL records and segment frames carry
+// them. Type appears only at the API edge, in the interner map and in
+// typesByID. The interners and the per-type latest time stamp (a slice
+// by type id) are transaction-lifetime state: they grow with the number
+// of *distinct* types and objects, not with occurrences, and compaction
+// never shrinks them, because retired history still determines id
+// assignment (and OID first-arrival order, which OIDs/AppendOIDs
+// expose). A transaction touching an unbounded stream of fresh objects
+// therefore grows its interner without bound; the
 // chimera_eb_distinct_oids and chimera_eb_interned_types gauges expose
-// exactly this component so operators can see the slope. Bounding it
-// would need epoch-based id recycling across compactions, which nothing
-// requires yet.
+// exactly this component so operators can see the slope.
 //
 // # Concurrency
 //
 // Base is explicitly safe for any number of concurrent readers: every
 // read path takes the internal RWMutex in shared mode and either copies
-// results or appends into a buffer the caller owns. The exceptions,
+// results or appends into a buffer the caller owns. A loop of probes
+// takes it once, through a read section (Read, Reader). The exceptions,
 // WindowView, ChunkView and ChunkCols, return slices aliasing a
 // segment's arrays — safe because sealed segments are immutable and the
 // tail segment is append-only: existing entries are never moved or
@@ -154,14 +160,15 @@ type Base struct {
 	segSize  int
 	columnar bool
 	segs     []*segment // live segments, ascending by time stamp
-	latest   map[Type]clock.Time
 	// typeIDs/typesByID and oidIDs/oidsByID are the per-Base interners:
 	// dense int32 ids in first-arrival order. The OID interner doubles as
 	// the first-arrival rank that keeps OIDs/AppendOIDs order stable
-	// across segment boundaries and compactions. See the retention
-	// contract in the type comment.
+	// across segment boundaries and compactions. latest, parallel to
+	// typesByID, is each type's newest time stamp (clock.Never before its
+	// first occurrence). See the retention contract in the type comment.
 	typeIDs   map[Type]int32
 	typesByID []Type
+	latest    []clock.Time
 	oidIDs    map[types.OID]int32
 	oidsByID  []types.OID
 	nextID    EID
@@ -189,21 +196,25 @@ type Base struct {
 
 // segment is one generation of the log: up to segSize occurrences in
 // time-stamp order plus the segment-local slice of every index — the
-// per-type leaves (with their per-object sparse lists) and the
-// per-object occurrence lists. Index entries are int32 offsets into the
-// columns; a segment and all its indexes retire together.
+// per-type leaves, the per-(type, object) sparse lists and the set of
+// objects present. Index entries are int32 offsets into the columns,
+// keys are interned ids; a segment and all its indexes retire together.
 //
-// The timestamp column ts is filled in both layouts (every search is a
-// binary probe over it). The columnar layout additionally fills the
-// tids/oids id columns and leaves occs nil until a row view materializes
-// it; the row layout fills occs eagerly and leaves tids/oids nil.
+// The three columns are filled in both layouts (every search is a binary
+// probe over ts, the index is derived from tids and oids). The columnar
+// layout leaves occs nil until a row view materializes it; the row
+// layout fills occs eagerly.
 type segment struct {
 	firstEID EID // EID of entry 0; EIDs are dense, entry i is firstEID+i
 	ts       []clock.Time
 	tids     []int32
 	oids     []int32
-	leaves   map[Type]*segLeaf
-	byOID    map[types.OID][]int32
+	// leafOf holds a leaf per type of the segment, pairOf per (type,
+	// object) pair the ascending positions of its occurrences; objOf's
+	// keys are the distinct objects of the segment.
+	leafOf idTable[segLeaf]
+	pairOf idTable[[]int32]
+	objOf  idTable[struct{}]
 	// occs is the row store (row layout) or the lazily materialized row
 	// cache (columnar layout). rowMu orders concurrent readers
 	// materializing the cache; the backing array is allocated once with
@@ -214,30 +225,148 @@ type segment struct {
 }
 
 // segLeaf is one segment's slice of a leaf of the Occurred-Events tree:
-// the occurrences of one event type within the segment, plus the
-// per-object sparse lists.
+// the positions of one event type's occurrences within the segment,
+// ascending, and the distinct objects (interned ids, first-touch order)
+// they affect.
 type segLeaf struct {
-	all   []int32
-	byOID map[types.OID][]int32
+	all  []int32
+	objs []int32
+}
+
+// idTable is a segment-local open-addressed index from an id key to a
+// value. Entries are numbered in insertion order (keys[n], vals[n]), so
+// keys lists the distinct keys. Linear probing at a load of at most one
+// half; the three arrays grow together and follow the number of keys.
+type idTable[V any] struct {
+	slots []int32 // entry number + 1, 0 = free; len is a power of two
+	keys  []uint64
+	vals  []V
+	shift uint8 // 64 - log2(len(slots))
+}
+
+// pairKey is pairOf's key for (type id, object id).
+func pairKey(tid, oi int32) uint64 { return uint64(tid)<<32 | uint64(uint32(oi)) }
+
+// probe returns the slot holding k's entry or, if k is absent, the free
+// slot it would take.
+func (t *idTable[V]) probe(k uint64) int {
+	i := int(k * 0x9E3779B97F4A7C15 >> t.shift)
+	for e := t.slots[i]; e != 0 && t.keys[e-1] != k; e = t.slots[i] {
+		i = (i + 1) & (len(t.slots) - 1)
+	}
+	return i
+}
+
+// find returns k's entry number, or -1.
+func (t *idTable[V]) find(k uint64) int {
+	if len(t.slots) == 0 {
+		return -1
+	}
+	return int(t.slots[t.probe(k)]) - 1
+}
+
+// findOrAdd returns k's entry number, adding an entry with the zero
+// value (added) if k is new.
+func (t *idTable[V]) findOrAdd(k uint64) (n int, added bool) {
+	if 2*len(t.keys) >= len(t.slots) {
+		size := max(16, 2*len(t.slots))
+		t.slots = make([]int32, size)
+		t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+		t.keys = append(make([]uint64, 0, size/2), t.keys...)
+		t.vals = append(make([]V, 0, size/2), t.vals...)
+		for e, key := range t.keys {
+			t.slots[t.probe(key)] = int32(e + 1)
+		}
+	}
+	i := t.probe(k)
+	if e := t.slots[i]; e != 0 {
+		return int(e - 1), false
+	}
+	var zero V
+	t.keys, t.vals = append(t.keys, k), append(t.vals, zero)
+	t.slots[i] = int32(len(t.keys))
+	return len(t.keys) - 1, true
 }
 
 func (sg *segment) n() int            { return len(sg.ts) }
 func (sg *segment) minTS() clock.Time { return sg.ts[0] }
 func (sg *segment) maxTS() clock.Time { return sg.ts[len(sg.ts)-1] }
 
+// index enters row i of the columns, an occurrence of type tid on object
+// oi, into the segment-local index. It is the index's only writer: the
+// index of a segment is index applied to its rows in order.
+func (sg *segment) index(i, tid, oi int32) {
+	l, _ := sg.leafOf.findOrAdd(uint64(tid))
+	lf := &sg.leafOf.vals[l]
+	lf.all = append(lf.all, i)
+	p, added := sg.pairOf.findOrAdd(pairKey(tid, oi))
+	if added {
+		lf.objs = append(lf.objs, oi)
+	}
+	sg.pairOf.vals[p] = append(sg.pairOf.vals[p], i)
+	sg.objOf.findOrAdd(uint64(oi))
+}
+
+// anyObj as the object id of list selects the type's whole leaf.
+const anyObj int32 = -1
+
+// list returns the ascending positions of type tid's occurrences on
+// object oi (anyObj: on any object) in the segment, nil if there are
+// none.
+func (sg *segment) list(tid, oi int32) []int32 {
+	if oi == anyObj {
+		if l := sg.leafOf.find(uint64(tid)); l >= 0 {
+			return sg.leafOf.vals[l].all
+		}
+		return nil
+	}
+	if p := sg.pairOf.find(pairKey(tid, oi)); p >= 0 {
+		return sg.pairOf.vals[p]
+	}
+	return nil
+}
+
 // search returns the first position in idxs whose occurrence has a time
 // stamp exceeding t (idxs ascend by time stamp).
 func (sg *segment) search(idxs []int32, t clock.Time) int {
-	return sort.Search(len(idxs), func(k int) bool {
-		return sg.ts[idxs[k]] > t
-	})
+	lo, hi := 0, len(idxs)
+	if hi > 0 && sg.ts[idxs[hi-1]] <= t {
+		return hi // the usual probe: at or after the list's newest entry
+	}
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); sg.ts[idxs[m]] > t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// after returns the first position of the segment whose time stamp
+// exceeds t.
+func (sg *segment) after(t clock.Time) int {
+	if sg.minTS() > t {
+		return 0
+	}
+	if sg.maxTS() <= t {
+		return sg.n() // also keeps t+1 from overflowing
+	}
+	i, _ := slices.BinarySearch(sg.ts, t+1)
+	return i
+}
+
+// within returns the part of the ascending position list idxs that lies
+// in [lo, hi).
+func within(idxs []int32, lo, hi int) []int32 {
+	a, _ := slices.BinarySearch(idxs, int32(lo))
+	z, _ := slices.BinarySearch(idxs, int32(hi))
+	return idxs[a:z]
 }
 
 // bounds returns the [lo, hi) range of the segment covering (since, upTo].
 func (sg *segment) bounds(since, upTo clock.Time) (int, int) {
-	lo := sort.Search(len(sg.ts), func(k int) bool { return sg.ts[k] > since })
-	hi := sort.Search(len(sg.ts), func(k int) bool { return sg.ts[k] > upTo })
-	return lo, hi
+	return sg.after(since), sg.after(upTo)
 }
 
 // NewBase returns an empty Event Base with the default segment size, in
@@ -264,7 +393,6 @@ func newBase(segSize int, columnar bool) *Base {
 	return &Base{
 		segSize:  segSize,
 		columnar: columnar,
-		latest:   make(map[Type]clock.Time),
 		typeIDs:  make(map[Type]int32),
 		oidIDs:   make(map[types.OID]int32),
 	}
@@ -353,6 +481,7 @@ func (b *Base) internTypeLocked(t Type) int32 {
 	id := int32(len(b.typesByID))
 	b.typeIDs[t] = id
 	b.typesByID = append(b.typesByID, t)
+	b.latest = append(b.latest, clock.Never)
 	b.m.InternedTypes.Set(int64(len(b.typesByID)))
 	return id
 }
@@ -448,22 +577,31 @@ func (b *Base) rows(sg *segment, hi int) []Occurrence {
 // Append records a new event occurrence and returns it. The time stamp
 // must exceed every time stamp already appended (including retired ones).
 func (b *Base) Append(t Type, oid types.OID, at clock.Time) (Occurrence, error) {
+	occ, _, err := b.AppendTID(t, oid, at)
+	return occ, err
+}
+
+// AppendTID is Append, additionally returning the occurrence's interned
+// type id: the engine's WAL encoder keys its per-transaction type
+// dictionary by it. One append interns the type and the object once and
+// takes the lock once.
+func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (Occurrence, int32, error) {
 	if err := t.Valid(); err != nil {
-		return Occurrence{}, err
+		return Occurrence{}, 0, err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.nextID > 0 && at <= b.lastTS {
-		return Occurrence{}, fmt.Errorf(
+		return Occurrence{}, 0, fmt.Errorf(
 			"event: non-monotone time stamp t%d after t%d", at, b.lastTS)
 	}
 	if b.maxEvents > 0 && b.live >= b.maxEvents {
-		return Occurrence{}, fmt.Errorf(
+		return Occurrence{}, 0, fmt.Errorf(
 			"%w: %d live occurrences (MaxEvents %d)", ErrLimit, b.live, b.maxEvents)
 	}
 	tailRoom := len(b.segs) > 0 && b.segs[len(b.segs)-1].n() < b.segSize
 	if !tailRoom && b.maxSegments > 0 && len(b.segs) >= b.maxSegments {
-		return Occurrence{}, fmt.Errorf(
+		return Occurrence{}, 0, fmt.Errorf(
 			"%w: %d live segments (MaxSegments %d)", ErrLimit, len(b.segs), b.maxSegments)
 	}
 	b.nextID++
@@ -476,13 +614,10 @@ func (b *Base) Append(t Type, oid types.OID, at clock.Time) (Occurrence, error) 
 		sg = &segment{
 			firstEID: b.nextID,
 			ts:       make([]clock.Time, 0, b.segSize),
-			leaves:   make(map[Type]*segLeaf),
-			byOID:    make(map[types.OID][]int32),
+			tids:     make([]int32, 0, b.segSize),
+			oids:     make([]int32, 0, b.segSize),
 		}
-		if b.columnar {
-			sg.tids = make([]int32, 0, b.segSize)
-			sg.oids = make([]int32, 0, b.segSize)
-		} else {
+		if !b.columnar {
 			sg.occs = make([]Occurrence, 0, b.segSize)
 		}
 		b.segs = append(b.segs, sg)
@@ -493,28 +628,19 @@ func (b *Base) Append(t Type, oid types.OID, at clock.Time) (Occurrence, error) 
 	tid := b.internTypeLocked(t)
 	oi := b.internOIDLocked(oid)
 	sg.ts = append(sg.ts, at)
-	if b.columnar {
-		sg.tids = append(sg.tids, tid)
-		sg.oids = append(sg.oids, oi)
-	} else {
+	sg.tids = append(sg.tids, tid)
+	sg.oids = append(sg.oids, oi)
+	if !b.columnar {
 		sg.occs = append(sg.occs, occ)
 	}
+	sg.index(idx, tid, oi)
 
-	lf := sg.leaves[t]
-	if lf == nil {
-		lf = &segLeaf{byOID: make(map[types.OID][]int32)}
-		sg.leaves[t] = lf
-	}
-	lf.all = append(lf.all, idx)
-	lf.byOID[oid] = append(lf.byOID[oid], idx)
-	sg.byOID[oid] = append(sg.byOID[oid], idx)
-
-	b.latest[t] = at
+	b.latest[tid] = at
 	b.lastTS = at
 	b.live++
 	b.m.Appends.Inc()
 	b.m.Live.Set(int64(b.live))
-	return occ, nil
+	return occ, tid, nil
 }
 
 // CompactBelow retires every segment whose newest occurrence is at or
@@ -622,40 +748,63 @@ func (b *Base) All() []Occurrence {
 	return out
 }
 
+// Reader is a read section over a Base: it holds the base's lock in
+// shared mode from Read to Done, and its probes do not lock. The
+// function that owns a loop of probes (a lift over an object domain, an
+// occurred() window) opens one around the loop and pays for the lock
+// once instead of once per leaf. While a section is open its goroutine
+// must call no locking method of the same Base: a shared lock
+// re-acquired behind a waiting writer deadlocks. Defer Done when
+// anything inside may panic (budget faults do).
+//
+// The id-typed probes are the implementation; the Type-keyed methods of
+// Reader and Base resolve ids once and call them.
+type Reader struct{ b *Base }
+
+// Read opens a read section.
+func (b *Base) Read() Reader {
+	b.mu.RLock()
+	return Reader{b}
+}
+
+// Done closes the section.
+func (r Reader) Done() { r.b.mu.RUnlock() }
+
+// TypeID returns t's interned id, or false if t was never interned (and
+// so has no occurrences).
+func (r Reader) TypeID(t Type) (int32, bool) {
+	tid, ok := r.b.typeIDs[t]
+	return tid, ok
+}
+
+// TypeID is Reader.TypeID under its own lock.
+func (b *Base) TypeID(t Type) (int32, bool) {
+	r := b.Read()
+	defer r.Done()
+	return r.TypeID(t)
+}
+
 // Latest returns the time stamp of the most recent occurrence of type t,
 // or clock.Never if t never occurred. This is the leaf's cached value the
 // paper's implementation section calls out; it survives compaction (the
 // most recent occurrence of a type is a fact about the whole
 // transaction, not about the live window).
 func (b *Base) Latest(t Type) clock.Time {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if ts, ok := b.latest[t]; ok {
-		return ts
+	r := b.Read()
+	defer r.Done()
+	if tid, ok := r.TypeID(t); ok {
+		return b.latest[tid]
 	}
 	return clock.Never
 }
 
-// lastIn returns the greatest time stamp among the segment occurrences
-// at idxs lying in (since, upTo], or clock.Never.
-func lastIn(sg *segment, idxs []int32, since, upTo clock.Time) clock.Time {
-	i := sg.search(idxs, upTo)
-	if i == 0 {
-		return clock.Never
-	}
-	ts := sg.ts[idxs[i-1]]
-	if ts <= since {
-		return clock.Never
-	}
-	return ts
-}
-
-// lastOf walks segments newest-first and returns the most recent
-// occurrence time stamp of (since, upTo] among the index lists selected
-// by pick, or clock.Never. pick returns nil when a segment holds no
-// matching entries. Callers hold the mutex.
-func (b *Base) lastOf(pick func(*segment) []int32, since, upTo clock.Time) clock.Time {
-	if since >= upTo {
+// LastOfObjTID returns the time stamp of the most recent occurrence in
+// the window (since, upTo] of the type with id tid on the object with id
+// oi, or clock.Never if there is none; it backs ots(E, t, oid). Segments
+// are walked newest-first.
+func (r Reader) LastOfObjTID(tid, oi int32, since, upTo clock.Time) clock.Time {
+	b := r.b
+	if since >= upTo || b.latest[tid] <= since {
 		return clock.Never
 	}
 	for i := len(b.segs) - 1; i >= 0; i-- {
@@ -666,9 +815,8 @@ func (b *Base) lastOf(pick func(*segment) []int32, since, upTo clock.Time) clock
 		if sg.maxTS() <= since {
 			break
 		}
-		if idxs := pick(sg); len(idxs) > 0 {
-			k := sg.search(idxs, upTo)
-			if k > 0 {
+		if idxs := sg.list(tid, oi); len(idxs) > 0 {
+			if k := sg.search(idxs, upTo); k > 0 {
 				// The newest entry ≤ upTo decides: if it clears since it is
 				// the answer; otherwise every older entry is smaller still.
 				if ts := sg.ts[idxs[k-1]]; ts > since {
@@ -684,55 +832,54 @@ func (b *Base) lastOf(pick func(*segment) []int32, since, upTo clock.Time) clock
 	return clock.Never
 }
 
-// LastOf returns the time stamp of the most recent occurrence of type t
-// in the window (since, upTo], or clock.Never if there is none. This is
-// the primitive lookup behind ts(E, t) over R = (since, now].
+// LastOfTID is LastOfObjTID on any object: the primitive lookup behind
+// ts(E, t) over R = (since, now].
+func (r Reader) LastOfTID(tid int32, since, upTo clock.Time) clock.Time {
+	return r.LastOfObjTID(tid, anyObj, since, upTo)
+}
+
+// LastOfObj is LastOfObjTID for a Type and an OID.
+func (r Reader) LastOfObj(t Type, oid types.OID, since, upTo clock.Time) clock.Time {
+	tid, ok := r.b.typeIDs[t]
+	oi, seen := r.b.oidIDs[oid]
+	if !ok || !seen {
+		return clock.Never
+	}
+	return r.LastOfObjTID(tid, oi, since, upTo)
+}
+
+// LastOf is LastOfTID for a Type, under its own lock.
 func (b *Base) LastOf(t Type, since, upTo clock.Time) clock.Time {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.lastOf(func(sg *segment) []int32 {
-		if lf := sg.leaves[t]; lf != nil {
-			return lf.all
-		}
-		return nil
-	}, since, upTo)
+	r := b.Read()
+	defer r.Done()
+	if tid, ok := r.TypeID(t); ok {
+		return r.LastOfTID(tid, since, upTo)
+	}
+	return clock.Never
 }
 
-// LastOfObj is LastOf restricted to occurrences affecting oid; it backs
-// ots(E, t, oid).
+// LastOfObj is Reader.LastOfObj under its own lock.
 func (b *Base) LastOfObj(t Type, oid types.OID, since, upTo clock.Time) clock.Time {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.lastOf(func(sg *segment) []int32 {
-		if lf := sg.leaves[t]; lf != nil {
-			return lf.byOID[oid]
-		}
-		return nil
-	}, since, upTo)
+	r := b.Read()
+	defer r.Done()
+	return r.LastOfObj(t, oid, since, upTo)
 }
 
-// appendMatches appends to dst the occurrences of (since, upTo] among
-// each segment's pick-selected index list, ascending. Callers hold the
-// mutex.
-func (b *Base) appendMatches(dst []Occurrence, pick func(*segment) []int32, since, upTo clock.Time) []Occurrence {
-	if since >= upTo {
-		return dst
+// occurrences returns the occurrences in (since, upTo] of type t on
+// object oi (anyObj: on any object), in time order.
+func (b *Base) occurrences(t Type, oi int32, since, upTo clock.Time) []Occurrence {
+	tid, ok := b.typeIDs[t]
+	if !ok {
+		return nil
 	}
-	for _, sg := range b.segs {
-		if sg.maxTS() <= since {
-			continue
+	var out []Occurrence
+	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
+		for _, i := range within(sg.list(tid, oi), lo, hi) {
+			out = append(out, b.occAt(sg, int(i)))
 		}
-		if sg.minTS() > upTo {
-			break
-		}
-		idxs := pick(sg)
-		lo := sg.search(idxs, since)
-		hi := sg.search(idxs, upTo)
-		for _, i := range idxs[lo:hi] {
-			dst = append(dst, b.occAt(sg, int(i)))
-		}
-	}
-	return dst
+		return true
+	})
+	return out
 }
 
 // OccurrencesOf returns all occurrences of type t in the window
@@ -741,12 +888,7 @@ func (b *Base) appendMatches(dst []Occurrence, pick func(*segment) []int32, sinc
 func (b *Base) OccurrencesOf(t Type, since, upTo clock.Time) []Occurrence {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.appendMatches(nil, func(sg *segment) []int32 {
-		if lf := sg.leaves[t]; lf != nil {
-			return lf.all
-		}
-		return nil
-	}, since, upTo)
+	return b.occurrences(t, anyObj, since, upTo)
 }
 
 // OccurrencesOfObj returns the occurrences of type t on object oid in the
@@ -754,12 +896,10 @@ func (b *Base) OccurrencesOf(t Type, since, upTo clock.Time) []Occurrence {
 func (b *Base) OccurrencesOfObj(t Type, oid types.OID, since, upTo clock.Time) []Occurrence {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.appendMatches(nil, func(sg *segment) []int32 {
-		if lf := sg.leaves[t]; lf != nil {
-			return lf.byOID[oid]
-		}
-		return nil
-	}, since, upTo)
+	if oi, ok := b.oidIDs[oid]; ok {
+		return b.occurrences(t, oi, since, upTo)
+	}
+	return nil
 }
 
 // forRanges calls fn for each live segment range [lo:hi] covering
@@ -955,43 +1095,61 @@ func (b *Base) OIDs(since, upTo clock.Time) []types.OID {
 	return b.AppendOIDs(nil, since, upTo)
 }
 
-// AppendOIDs appends the distinct objects of (since, upTo] to dst, in
-// order of first appearance, and returns the extended slice (the
-// buffer-reusing variant of OIDs). Candidates are gathered from each
-// overlapping segment's per-object index and ordered by the global
-// first-arrival rank (the OID interner's id order), so the order is
-// stable across segment boundaries and compactions.
-func (b *Base) AppendOIDs(dst []types.OID, since, upTo clock.Time) []types.OID {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if since >= upTo {
-		return dst
-	}
-	start := len(dst)
-	for _, sg := range b.segs {
-		if sg.maxTS() <= since {
-			continue
-		}
-		if sg.minTS() > upTo {
-			break
-		}
-		for oid, idxs := range sg.byOID {
-			lo := sg.search(idxs, since)
-			if lo < len(idxs) && sg.ts[idxs[lo]] <= upTo {
-				dst = append(dst, oid)
+// objID is what the domain gathers append: interned object ids, in an
+// []int32 or, until they are translated, in the tail of the caller's
+// []types.OID (the OID-typed probes have no other buffer).
+type objID interface{ ~int32 | ~int64 }
+
+// appendObjs appends the id of every object of (since, upTo], with
+// duplicates: a segment inside the window contributes its distinct
+// objects, a segment the window cuts the objects column of the cut.
+func appendObjs[E objID](b *Base, dst []E, since, upTo clock.Time) []E {
+	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
+		if hi-lo == sg.n() {
+			for _, oi := range sg.objOf.keys {
+				dst = append(dst, E(oi))
 			}
+			return true
 		}
-	}
-	return b.rankDedup(dst, start)
+		for _, oi := range sg.oids[lo:hi] {
+			dst = append(dst, E(oi))
+		}
+		return true
+	})
+	return dst
 }
 
-// rankDedup sorts dst[start:] by global first-arrival rank and compacts
-// duplicates (the same object surfacing from several segments) in place.
-func (b *Base) rankDedup(dst []types.OID, start int) []types.OID {
-	tail := dst[start:]
-	sort.Slice(tail, func(i, j int) bool {
-		return b.oidIDs[tail[i]] < b.oidIDs[tail[j]]
+// appendObjsOfTIDs is appendObjs restricted to occurrences of the given
+// types, read off each type's segment leaves: O(objects touched) within
+// the live window rather than a scan of every occurrence.
+func appendObjsOfTIDs[E objID](b *Base, dst []E, tids []int32, since, upTo clock.Time) []E {
+	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
+		for _, tid := range tids {
+			l := sg.leafOf.find(uint64(tid))
+			if l < 0 {
+				continue
+			}
+			lf := &sg.leafOf.vals[l]
+			if hi-lo == sg.n() {
+				for _, oi := range lf.objs {
+					dst = append(dst, E(oi))
+				}
+				continue
+			}
+			for _, i := range within(lf.all, lo, hi) {
+				dst = append(dst, E(sg.oids[i]))
+			}
+		}
+		return true
 	})
+	return dst
+}
+
+// sortDedup sorts dst[start:] ascending and compacts duplicates in
+// place. Deduplicating by sorting instead of with a set is what keeps
+// the domain probes allocation-free on a recycled buffer.
+func sortDedup[E objID](dst []E, start int) []E {
+	slices.Sort(dst[start:])
 	w := start
 	for r := start; r < len(dst); r++ {
 		if r == start || dst[r] != dst[r-1] {
@@ -1002,60 +1160,70 @@ func (b *Base) rankDedup(dst []types.OID, start int) []types.OID {
 	return dst[:w]
 }
 
+// AppendObjs appends the interned ids of the distinct objects of
+// (since, upTo] to dst, ascending — which for ids is the order of first
+// appearance in the transaction — and returns the extended slice.
+func (r Reader) AppendObjs(dst []int32, since, upTo clock.Time) []int32 {
+	return sortDedup(appendObjs(r.b, dst, since, upTo), len(dst))
+}
+
+// AppendObjsOfTIDs is AppendObjs restricted to the objects touched by
+// occurrences of the given types.
+func (r Reader) AppendObjsOfTIDs(dst []int32, tids []int32, since, upTo clock.Time) []int32 {
+	return sortDedup(appendObjsOfTIDs(r.b, dst, tids, since, upTo), len(dst))
+}
+
+// AppendOIDs appends the distinct objects of (since, upTo] to dst, in
+// order of first appearance, and returns the extended slice (the
+// buffer-reusing variant of OIDs). The order is the OID interner's id
+// order, so it is stable across segment boundaries and compactions.
+func (r Reader) AppendOIDs(dst []types.OID, since, upTo clock.Time) []types.OID {
+	start := len(dst)
+	dst = sortDedup(appendObjs(r.b, dst, since, upTo), start)
+	for i, oi := range dst[start:] {
+		dst[start+i] = r.b.oidsByID[oi]
+	}
+	return dst
+}
+
+// AppendOIDsOfTypes appends the distinct objects touched by the given
+// types in (since, upTo] to dst, ascending by OID, and returns the
+// extended slice; a recycled dst[:0] makes the call allocation-free. It
+// is the object domain of occurred() and of the restricted lifts.
+func (r Reader) AppendOIDsOfTypes(dst []types.OID, ts []Type, since, upTo clock.Time) []types.OID {
+	var buf [8]int32
+	tids := buf[:0]
+	for _, t := range ts {
+		if tid, ok := r.TypeID(t); ok {
+			tids = append(tids, tid)
+		}
+	}
+	start := len(dst)
+	dst = appendObjsOfTIDs(r.b, dst, tids, since, upTo)
+	for i, oi := range dst[start:] {
+		dst[start+i] = r.b.oidsByID[oi]
+	}
+	return sortDedup(dst, start)
+}
+
+// AppendOIDs is Reader.AppendOIDs under its own lock.
+func (b *Base) AppendOIDs(dst []types.OID, since, upTo clock.Time) []types.OID {
+	r := b.Read()
+	defer r.Done()
+	return r.AppendOIDs(dst, since, upTo)
+}
+
 // OIDsOfTypes returns the distinct objects affected by occurrences of any
-// of the given types in (since, upTo], in ascending OID order. The
-// occurred() event formula and the instance lifts use it to restrict the
-// object domain to the types an expression mentions. It iterates the
-// per-object lists of each type's segment leaves — O(objects touched ·
-// log) within the live window rather than a scan of every occurrence.
+// of the given types in (since, upTo], in ascending OID order.
 func (b *Base) OIDsOfTypes(ts []Type, since, upTo clock.Time) []types.OID {
 	return b.AppendOIDsOfTypes(nil, ts, since, upTo)
 }
 
-// AppendOIDsOfTypes appends the distinct objects touched by the given
-// types in (since, upTo] to dst, ascending, and returns the extended
-// slice. It dedupes by sorting the appended tail in place instead of
-// with a set, so a recycled dst[:0] makes the call allocation-free.
+// AppendOIDsOfTypes is Reader.AppendOIDsOfTypes under its own lock.
 func (b *Base) AppendOIDsOfTypes(dst []types.OID, ts []Type, since, upTo clock.Time) []types.OID {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if since >= upTo {
-		return dst
-	}
-	start := len(dst)
-	for _, sg := range b.segs {
-		if sg.maxTS() <= since {
-			continue
-		}
-		if sg.minTS() > upTo {
-			break
-		}
-		for _, t := range ts {
-			lf := sg.leaves[t]
-			if lf == nil {
-				continue
-			}
-			for oid, idxs := range lf.byOID {
-				// Any occurrence of this type on this object in the window?
-				lo := sg.search(idxs, since)
-				if lo < len(idxs) && sg.ts[idxs[lo]] <= upTo {
-					dst = append(dst, oid)
-				}
-			}
-		}
-	}
-	tail := dst[start:]
-	slices.Sort(tail)
-	// Compact duplicates (the same object touched through several types
-	// or surfacing from several segments).
-	w := start
-	for r := start; r < len(dst); r++ {
-		if r == start || dst[r] != dst[r-1] {
-			dst[w] = dst[r]
-			w++
-		}
-	}
-	return dst[:w]
+	r := b.Read()
+	defer r.Done()
+	return r.AppendOIDsOfTypes(dst, ts, since, upTo)
 }
 
 // String renders the retained base as the table of Figure 3.

@@ -81,8 +81,8 @@ type BaseState struct {
 // ExportState captures the base for a checkpoint. Sealed frames alias
 // the immutable segment columns (no copy); the tail frame is copied, so
 // the export stays consistent even if appends continue afterwards. Only
-// columnar bases can be exported — the row-store ablation has no id
-// columns to persist.
+// columnar bases can be exported — RestoreBase rebuilds that layout, and
+// durability refuses the row-store ablation.
 func (b *Base) ExportState() (BaseState, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -95,20 +95,13 @@ func (b *Base) ExportState() (BaseState, error) {
 			Columnar:    b.columnar,
 			Types:       append([]Type(nil), b.typesByID...),
 			OIDs:        append([]types.OID(nil), b.oidsByID...),
-			Latest:      make([]clock.Time, len(b.typesByID)),
+			Latest:      append([]clock.Time(nil), b.latest...),
 			Floor:       b.floor,
 			Retired:     b.retired,
 			RetiredSegs: b.retiredSegs,
 			NextEID:     b.nextID,
 			LastTS:      b.lastTS,
 		},
-	}
-	for id, t := range b.typesByID {
-		if ts, ok := b.latest[t]; ok {
-			st.Meta.Latest[id] = ts
-		} else {
-			st.Meta.Latest[id] = clock.Never
-		}
 	}
 	for i, sg := range b.segs {
 		if sg.n() == b.segSize {
@@ -158,20 +151,6 @@ func (b *Base) SealedSegments() uint64 {
 		}
 	}
 	return uint64(n)
-}
-
-// AppendTID is Append, additionally returning the occurrence's interned
-// type id. The engine's WAL encoder keys its per-transaction type
-// dictionary by the id, avoiding a second interner lookup per event.
-func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (Occurrence, int32, error) {
-	occ, err := b.Append(t, oid, at)
-	if err != nil {
-		return occ, 0, err
-	}
-	b.mu.RLock()
-	tid := b.typeIDs[t]
-	b.mu.RUnlock()
-	return occ, tid, nil
 }
 
 // EncodeSegment appends one CRC-framed segment frame to dst. Timestamps
@@ -278,10 +257,8 @@ func RestoreBase(meta BaseMeta, frames []SegmentFrame, workers int) (*Base, erro
 		}
 		b.typeIDs[t] = int32(id)
 		b.typesByID = append(b.typesByID, t)
-		if ts := meta.Latest[id]; ts != clock.Never {
-			b.latest[t] = ts
-		}
 	}
+	b.latest = append(b.latest, meta.Latest...)
 	if len(b.typeIDs) != len(meta.Types) {
 		return nil, fmt.Errorf("event: restore: duplicate entries in type table")
 	}
@@ -362,30 +339,19 @@ func RestoreBase(meta BaseMeta, frames []SegmentFrame, workers int) (*Base, erro
 	return b, nil
 }
 
-// buildSegment reconstructs one segment (columns copied to full segment
-// capacity, segment-local indexes rebuilt) from a frame. It touches
-// only b's immutable interner tables, so concurrent calls are safe.
+// buildSegment reconstructs one segment from a frame: the columns copied
+// to full segment capacity, and the index Append would have built, by
+// the same function over the same rows. It reads only the segment size
+// of b, so concurrent calls are safe.
 func (b *Base) buildSegment(f SegmentFrame) *segment {
-	n := f.Len()
 	sg := &segment{
 		firstEID: f.FirstEID,
 		ts:       append(make([]clock.Time, 0, b.segSize), f.TS...),
 		tids:     append(make([]int32, 0, b.segSize), f.TIDs...),
 		oids:     append(make([]int32, 0, b.segSize), f.OIDs...),
-		leaves:   make(map[Type]*segLeaf),
-		byOID:    make(map[types.OID][]int32),
 	}
-	for i := 0; i < n; i++ {
-		t := b.typesByID[f.TIDs[i]]
-		oid := b.oidsByID[f.OIDs[i]]
-		lf := sg.leaves[t]
-		if lf == nil {
-			lf = &segLeaf{byOID: make(map[types.OID][]int32)}
-			sg.leaves[t] = lf
-		}
-		lf.all = append(lf.all, int32(i))
-		lf.byOID[oid] = append(lf.byOID[oid], int32(i))
-		sg.byOID[oid] = append(sg.byOID[oid], int32(i))
+	for i, tid := range sg.tids {
+		sg.index(int32(i), tid, sg.oids[i])
 	}
 	return sg
 }

@@ -240,3 +240,55 @@ func TestColumnarProbeScanSteadyStateAllocs(t *testing.T) {
 		t.Errorf("columnar probe scan allocates %.1f objects/op in steady state, want 0", allocs)
 	}
 }
+
+// TestCheckAssignsNoTypeIDs pins the interner contract WAL records and
+// segment frames rest on: once Rebind has interned the rule set's
+// vocabulary into a transaction's base, resolving the shared plan's
+// leaves (PlanEval.Bind) and full checks assign no further type id, and
+// the ids they use are the ones Rebind assigned, in vocabulary order.
+func TestCheckAssignsNoTypeIDs(t *testing.T) {
+	r := rand.New(rand.NewSource(83))
+	vocab := calculus.DefaultVocabulary()
+	gen := calculus.GenOptions{Types: vocab, MaxDepth: 3,
+		AllowNegation: true, AllowInstance: true, AllowPrecedence: true}
+	for _, workers := range []int{1, 4} {
+		s := NewSupport(event.NewBase(), Options{UseFilter: true, Incremental: true, SharedPlan: true, Workers: workers})
+		for i := 0; i < 40; i++ {
+			if err := s.Define(Def{Name: fmt.Sprintf("r%02d", i), Event: calculus.GenExpr(r, gen), Priority: i % 5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for txn := 0; txn < 3; txn++ {
+			b, c := event.NewBaseSize(4), clock.New()
+			s.Rebind(b)
+			s.BeginTransaction(c.Now())
+			for i, ty := range s.vocab {
+				if tid, ok := b.TypeID(ty); !ok || int(tid) != i {
+					t.Fatalf("workers=%d: vocabulary type %d (%v) has id %d, %v", workers, i, ty, tid, ok)
+				}
+			}
+			for block := 0; block < 6; block++ {
+				var occs []event.Occurrence
+				for i := 0; i < 5; i++ {
+					// Only vocabulary types: an append of a new type would
+					// rightly intern it.
+					occ, err := b.Append(s.vocab[r.Intn(len(s.vocab))], types.OID(1+r.Intn(3)), c.Tick())
+					if err != nil {
+						t.Fatal(err)
+					}
+					occs = append(occs, occ)
+				}
+				s.NotifyArrivals(occs)
+				for _, name := range s.CheckTriggered(c.Now()) {
+					if _, err := s.Consider(name, c.Tick()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := b.InternedTypes(); got != len(s.vocab) {
+					t.Fatalf("workers=%d txn %d block %d: %d types interned, the vocabulary has %d",
+						workers, txn, block, got, len(s.vocab))
+				}
+			}
+		}
+	}
+}
