@@ -1,7 +1,7 @@
 package chimera_test
 
-// Benchmarks for every measured experiment of EXPERIMENTS.md (B1..B6)
-// plus micro-benchmarks of the core calculus. The chimera-bench command
+// Benchmarks for the paper's measured experiments of EXPERIMENTS.md
+// (B1–B5) plus micro-benchmarks of the core calculus. The chimera-bench command
 // prints the corresponding human-readable tables; these expose the same
 // code paths to `go test -bench`.
 
@@ -91,51 +91,12 @@ func BenchmarkInstanceEval(b *testing.B) {
 	}
 }
 
-// B4 — disjunction-only rules through the legacy type index vs the
-// calculus-based support.
+// B4 — disjunction-only rules through the legacy type index and the
+// calculus-based support (one RunB4 call drives both).
 func BenchmarkLegacyVsCalculus(b *testing.B) {
-	vocab := workload.Vocabulary(16)
-	defs := workload.Rules(rand.New(rand.NewSource(5)), workload.RuleSetOptions{
-		Rules: 100, Vocab: vocab, TypesPerRule: 3, Depth: 0,
-	})
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := rules.NewLegacySupport()
-			for _, d := range defs {
-				if err := s.Define(d.Name, d.Event); err != nil {
-					b.Fatal(err)
-				}
-			}
-			c := clock.New()
-			base := event.NewBase()
-			stream := workload.Stream(rand.New(rand.NewSource(6)), c, base, workload.StreamOptions{
-				Blocks: 20, EventsPerBlock: 8, Objects: 16, Vocab: vocab,
-			})
-			for _, blk := range stream {
-				s.NotifyArrivals(blk)
-				for _, n := range s.CheckTriggered(c.Now()) {
-					s.Consider(n)
-				}
-			}
-		}
-	})
-	b.Run("calculus", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := clock.New()
-			base := event.NewBase()
-			s := rules.NewSupport(base, rules.Options{UseFilter: true})
-			s.BeginTransaction(c.Now())
-			for _, d := range defs {
-				if err := s.Define(d); err != nil {
-					b.Fatal(err)
-				}
-			}
-			stream := workload.Stream(rand.New(rand.NewSource(6)), c, base, workload.StreamOptions{
-				Blocks: 20, EventsPerBlock: 8, Objects: 16, Vocab: vocab,
-			})
-			workload.Drive(s, c, stream, true)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		bench.RunB4(100, 20, 8)
+	}
 }
 
 // B5 — end-to-end transactions across coupling and consumption modes.
@@ -154,175 +115,40 @@ func BenchmarkEngineEndToEnd(b *testing.B) {
 	}
 }
 
-// B6 — the formal ∃t' probe vs the boundary-only ablation.
-func BenchmarkExistsProbe(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts rules.Options
-	}{
-		{"formal", rules.Options{UseFilter: true}},
-		{"boundary-only", rules.Options{UseFilter: true, BoundaryOnly: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			vocab := workload.Vocabulary(6)
-			r := rand.New(rand.NewSource(11))
-			defs := make([]rules.Def, 40)
-			for i := range defs {
-				defs[i] = rules.Def{
-					Name: fmt.Sprintf("r%03d", i),
-					Event: calculus.Conj(
-						calculus.P(vocab[r.Intn(len(vocab))]),
-						calculus.Neg(calculus.P(vocab[r.Intn(len(vocab))]))),
-					Priority: i,
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := clock.New()
-				base := event.NewBase()
-				s := rules.NewSupport(base, mode.opts)
-				s.BeginTransaction(c.Now())
-				for _, d := range defs {
-					if err := s.Define(d); err != nil {
-						b.Fatal(err)
-					}
-				}
-				stream := workload.Stream(rand.New(rand.NewSource(12)), c, base, workload.StreamOptions{
-					Blocks: 20, EventsPerBlock: 4, Objects: 8, Vocab: vocab,
-				})
-				workload.Drive(s, c, stream, true)
-			}
-		})
-	}
-}
-
-// B8 — trigger determination through the sequential reference support
-// vs the sharded + incremental configuration.
-func BenchmarkShardedSupport(b *testing.B) {
-	vocab := workload.Vocabulary(32)
-	r := rand.New(rand.NewSource(41))
-	defs := make([]rules.Def, 1000)
-	for i := range defs {
-		defs[i] = rules.Def{
-			Name: fmt.Sprintf("r%05d", i),
-			Event: calculus.Conj(
-				calculus.P(vocab[r.Intn(len(vocab))]),
-				calculus.Neg(calculus.P(vocab[r.Intn(len(vocab))]))),
-			Priority: i,
-		}
-	}
-	for _, mode := range []struct {
-		name string
-		opts rules.Options
-	}{
-		{"sequential", rules.Options{UseFilter: true}},
-		{"incremental", rules.Options{UseFilter: true, Incremental: true}},
-		{"sharded-4", rules.Options{UseFilter: true, Incremental: true, Workers: 4}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c := clock.New()
-				base := event.NewBase()
-				s := rules.NewSupport(base, mode.opts)
-				s.BeginTransaction(c.Now())
-				for _, d := range defs {
-					if err := s.Define(d); err != nil {
-						b.Fatal(err)
-					}
-				}
-				stream := workload.Stream(rand.New(rand.NewSource(42)), c, base, workload.StreamOptions{
-					Blocks: 20, EventsPerBlock: 12, Objects: 16, Vocab: vocab,
-				})
-				workload.Drive(s, c, stream, true)
-			}
-		})
-	}
-}
-
-// B11 — shared trigger plans: the incremental per-rule sweep vs the
-// interned DAG with memoized ts evaluation, on rule sets with forced
-// subexpression overlap (chimera-bench -exp B11 prints the full table).
-func BenchmarkSharedPlan(b *testing.B) {
-	vocab := workload.Vocabulary(6)
-	defs := workload.OverlapRules(rand.New(rand.NewSource(71)), workload.OverlapRuleSetOptions{
-		Rules: 50, Vocab: vocab, Overlap: 4,
-		FragmentsPerRule: 2, Depth: 3,
-		Negation: true, Precedence: true, Conjunctive: true,
-	})
-	for _, mode := range []struct {
-		name string
-		opts rules.Options
-	}{
-		{"incremental", rules.Options{UseFilter: true, Incremental: true}},
-		{"shared", rules.Options{UseFilter: true, Incremental: true, SharedPlan: true}},
-		{"shared-memoOff", rules.Options{UseFilter: true, Incremental: true, SharedPlan: true, MemoOff: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c := clock.New()
-				base := event.NewBase()
-				s := rules.NewSupport(base, mode.opts)
-				s.BeginTransaction(c.Now())
-				for _, d := range defs {
-					if err := s.Define(d); err != nil {
-						b.Fatal(err)
-					}
-				}
-				stream := workload.Stream(rand.New(rand.NewSource(42)), c, base, workload.StreamOptions{
-					Blocks: 30, EventsPerBlock: 8, Objects: 16, Vocab: vocab,
-				})
-				workload.Drive(s, c, stream, true)
-			}
-		})
-	}
-}
-
 // Steady-state CheckTriggered on rules that never fire: after warmup
-// the call recycles every buffer, so allocs/op must report 0 for all
-// three evaluation modes (the test suite asserts this; the benchmark
-// shows it alongside the per-call cost).
+// the call recycles every buffer, so allocs/op must report 0 (the test
+// suite asserts this; the benchmark shows it alongside the per-call
+// cost).
 func BenchmarkCheckSteadyState(b *testing.B) {
 	vocab := workload.Vocabulary(4)
-	for _, mode := range []struct {
-		name string
-		opts rules.Options
-	}{
-		{"classic", rules.Options{UseFilter: true}},
-		{"incremental", rules.Options{UseFilter: true, Incremental: true}},
-		{"shared", rules.Options{UseFilter: true, SharedPlan: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := clock.New()
-			base := event.NewBase()
-			s := rules.NewSupport(base, mode.opts)
-			s.BeginTransaction(c.Now())
-			for i := 0; i < 8; i++ {
-				// Conjunction with an unseen type: probed, never fires.
-				def := rules.Def{
-					Name: fmt.Sprintf("r%02d", i),
-					Event: calculus.Conj(
-						calculus.P(vocab[i%len(vocab)]),
-						calculus.P(event.Create("never"))),
-					Priority: i,
-				}
-				if err := s.Define(def); err != nil {
-					b.Fatal(err)
-				}
-			}
-			r := rand.New(rand.NewSource(7))
-			for i := 0; i < 64; i++ {
-				if _, err := base.Append(vocab[r.Intn(len(vocab))], 1, c.Tick()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			s.CheckTriggered(c.Now()) // warm the buffers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.CheckTriggered(c.Now())
-			}
-		})
+	c := clock.New()
+	base := event.NewBase()
+	s := rules.NewSupport(base, rules.Options{UseFilter: true})
+	s.BeginTransaction(c.Now())
+	for i := 0; i < 8; i++ {
+		// Conjunction with an unseen type: probed, never fires.
+		def := rules.Def{
+			Name: fmt.Sprintf("r%02d", i),
+			Event: calculus.Conj(
+				calculus.P(vocab[i%len(vocab)]),
+				calculus.P(event.Create("never"))),
+			Priority: i,
+		}
+		if err := s.Define(def); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 64; i++ {
+		if _, err := base.Append(vocab[r.Intn(len(vocab))], 1, c.Tick()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.CheckTriggered(c.Now()) // warm the buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.CheckTriggered(c.Now())
 	}
 }
 

@@ -226,8 +226,8 @@ func Attr(name string, kind Kind) SchemaAttribute {
 }
 
 // DefaultOptions is the paper's default configuration (V(E)-filtered
-// Trigger Support, formal ∃t' triggering, sharded determination,
-// low-watermark compaction of the Event Base).
+// Trigger Support, formal ∃t' triggering, low-watermark compaction of
+// the Event Base).
 func DefaultOptions() Options { return engine.DefaultOptions() }
 
 // Open creates an empty database with the paper's default configuration

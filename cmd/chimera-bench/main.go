@@ -1,20 +1,18 @@
 // Command chimera-bench runs the measured experiments of EXPERIMENTS.md
-// (B1..B16) and prints their tables. Each experiment exercises a
-// performance claim Section 5 of the paper makes qualitatively.
+// (B1–B5, B9, B10, B12, B14–B16) and prints their tables. Each
+// experiment exercises a performance claim Section 5 of the paper makes
+// qualitatively.
 //
 // Usage:
 //
 //	chimera-bench                          # run everything
 //	chimera-bench -exp B1                  # run one experiment
-//	chimera-bench -exp B8 -json out.json   # machine-readable B8 results
 //	chimera-bench -exp B9 -json eb.json    # machine-readable B9 soak
 //	chimera-bench -metrics                 # B10 overhead run -> BENCH_obs.json
-//	chimera-bench -exp B11 -json BENCH_cse.json        # shared-plan sweep
 //	chimera-bench -exp B12 -json BENCH_mt.json         # multi-session sweep
-//	chimera-bench -exp B13 -json BENCH_col.json        # columnar-vs-row sweep
 //	chimera-bench -exp B14 -json BENCH_wal.json        # WAL ingest + recovery
 //	chimera-bench -exp B16 -json BENCH_ro.json         # snapshot reads + group commit
-//	chimera-bench -exp B11 -smoke -json smoke.json     # reduced CI sweep
+//	chimera-bench -exp B12 -smoke -json smoke.json     # reduced CI sweep
 //	chimera-bench -exp B9 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -31,11 +29,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (B1..B16); empty runs all")
+	exp := flag.String("exp", "", "experiment id (B1..B5, B9, B10, B12, B14..B16); empty runs all")
 	format := flag.String("format", "table", "output format: table or csv")
-	jsonOut := flag.String("json", "", "write machine-readable results to this file (-exp B8..B16; defaults to B8)")
+	jsonOut := flag.String("json", "", "write machine-readable results to this file (-exp B9, B10, B12, B14..B16; defaults to B9)")
 	metricsRun := flag.Bool("metrics", false, "run the B10 observability-overhead experiment and write BENCH_obs.json")
-	smoke := flag.Bool("smoke", false, "with -exp B11..B16: run the reduced CI-sized sweep instead of the full one")
+	smoke := flag.Bool("smoke", false, "with -exp B12, B14..B16: run the reduced CI-sized sweep instead of the full one")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -89,11 +87,7 @@ func main() {
 		var table bench.Table
 		var err error
 		switch strings.ToUpper(*exp) {
-		case "", "B8":
-			results := bench.B8Results()
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B8FromResults(results)
-		case "B9":
+		case "", "B9":
 			results := bench.B9Results()
 			data, err = json.MarshalIndent(results, "", "  ")
 			table = bench.B9FromResults(results)
@@ -101,15 +95,6 @@ func main() {
 			results := bench.B10Results()
 			data, err = json.MarshalIndent(results, "", "  ")
 			table = bench.B10FromResults(results)
-		case "B11":
-			var results []bench.B11Result
-			if *smoke {
-				results = bench.B11SmokeResults()
-			} else {
-				results = bench.B11Results()
-			}
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B11FromResults(results)
 		case "B12":
 			var results []bench.B12Result
 			if *smoke {
@@ -119,15 +104,6 @@ func main() {
 			}
 			data, err = json.MarshalIndent(results, "", "  ")
 			table = bench.B12FromResults(results)
-		case "B13":
-			var results []bench.B13Result
-			if *smoke {
-				results = bench.B13SmokeResults()
-			} else {
-				results = bench.B13Results()
-			}
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B13FromResults(results)
 		case "B14":
 			var results bench.B14Result
 			if *smoke {
@@ -156,7 +132,7 @@ func main() {
 			data, err = json.MarshalIndent(results, "", "  ")
 			table = bench.B16FromResults(results)
 		default:
-			fail(fmt.Errorf("-json supports experiments B8 through B16, not %q", *exp))
+			fail(fmt.Errorf("-json supports experiments B9, B10, B12 and B14 through B16, not %q", *exp))
 		}
 		if err != nil {
 			fail(err)
@@ -175,7 +151,7 @@ func main() {
 	}
 	t, ok := bench.ByID(*exp)
 	if !ok {
-		fail(fmt.Errorf("unknown experiment %q (B1..B16)", *exp))
+		fail(fmt.Errorf("unknown experiment %q (B1..B5, B9, B10, B12, B14..B16)", *exp))
 	}
 	fmt.Println(render(t))
 }

@@ -1,12 +1,12 @@
 // Command chimera-benchcmp compares two benchmark result files (the
 // JSON chimera-bench emits, e.g. a committed baseline against a fresh
 // run) cell by cell, benchstat-style. -exp selects the experiment
-// schema from a registry: B11 (default) compares shared-plan sweeps
-// keyed (rules, overlap, workers); B12 compares multi-session sweeps
-// keyed (lines, workload); B13 compares columnar-vs-row layout sweeps
-// keyed (rules); B14 compares the durable-WAL ingest and recovery runs
-// keyed (section, config); B16 compares snapshot-read scaling and
-// group-commit sync sharing keyed (section, readers, writers).
+// schema from a registry: B12 (default) compares multi-session sweeps
+// keyed (lines, workload); B14 compares the durable-WAL ingest and
+// recovery runs keyed (section, config); B15 compares streaming
+// throughput and the flat-memory soak keyed (section, config, batch);
+// B16 compares snapshot-read scaling and group-commit sync sharing keyed
+// (section, readers, writers).
 // Only cells present in both files are compared, so a
 // smoke run holds itself against just the matching slice of the full
 // baseline.
@@ -20,9 +20,7 @@
 //
 // Usage:
 //
-//	chimera-benchcmp BENCH_cse.json new.json
-//	chimera-benchcmp -exp B12 BENCH_mt.json smoke.json
-//	chimera-benchcmp -exp B13 BENCH_col.json smoke.json
+//	chimera-benchcmp BENCH_mt.json smoke.json
 //	chimera-benchcmp -exp B14 BENCH_wal.json smoke.json
 //	chimera-benchcmp -exp B15 BENCH_stream.json smoke.json
 //	chimera-benchcmp -exp B16 BENCH_ro.json smoke.json
@@ -76,29 +74,6 @@ type experiment struct {
 func boolPtr(b bool) *bool { return &b }
 
 var experiments = []experiment{
-	{
-		id:    "B11",
-		about: "shared trigger plans, keyed (rules, overlap, workers)",
-		metrics: []metricDef{
-			{name: "shared_ms", unit: "ms"},
-			{name: "eval_reduction", unit: "x", higherIsBetter: true},
-		},
-		load: func(path string) ([]cell, error) {
-			var rs []bench.B11Result
-			if err := load(path, &rs); err != nil {
-				return nil, err
-			}
-			cells := make([]cell, len(rs))
-			for i, r := range rs {
-				cells[i] = cell{
-					key:    fmt.Sprintf("rules=%d overlap=%d workers=%d", r.Rules, r.Overlap, r.Workers),
-					vals:   []float64{r.SharedMs, r.EvalReduction},
-					parity: boolPtr(r.SameOutcomes),
-				}
-			}
-			return cells, nil
-		},
-	},
 	{
 		id:    "B12",
 		about: "concurrent transaction lines, keyed (lines, workload)",
@@ -224,30 +199,6 @@ var experiments = []experiment{
 			return cells, nil
 		},
 	},
-	{
-		id:    "B13",
-		about: "columnar Event Base vs row store, keyed (rules)",
-		metrics: []metricDef{
-			{name: "columnar_ms", unit: "ms"},
-			{name: "speedup", unit: "x", higherIsBetter: true},
-			{name: "col_alloc_kb", unit: "KB"},
-		},
-		load: func(path string) ([]cell, error) {
-			var rs []bench.B13Result
-			if err := load(path, &rs); err != nil {
-				return nil, err
-			}
-			cells := make([]cell, len(rs))
-			for i, r := range rs {
-				cells[i] = cell{
-					key:    fmt.Sprintf("rules=%d", r.Rules),
-					vals:   []float64{r.ColMs, r.Speedup, float64(r.ColAllocKB)},
-					parity: boolPtr(r.SameOutcomes),
-				}
-			}
-			return cells, nil
-		},
-	},
 }
 
 func lookup(id string) (experiment, bool) {
@@ -269,7 +220,7 @@ func registryIDs() string {
 }
 
 func main() {
-	expID := flag.String("exp", "B11", "result schema to compare ("+registryIDs()+")")
+	expID := flag.String("exp", "B12", "result schema to compare ("+registryIDs()+")")
 	threshold := flag.Float64("threshold", 0.10, "relative change that counts as a regression")
 	strict := flag.Bool("strict", false, "exit 1 when any regression is found (default: warn only)")
 	flag.Parse()

@@ -12,10 +12,6 @@ import (
 // trigger plan: how many expression tree nodes the rule set writes down
 // versus how many DAG nodes the engine actually evaluates.
 type SharingReport struct {
-	// Enabled reports whether the engine runs with a shared plan at all
-	// (Options.Support.SharedPlan); when false only Rules/TreeNodes are
-	// populated and the dedup fields are zero.
-	Enabled bool
 	// Rules is the number of defined rules.
 	Rules int
 	// TreeNodes is the total node count over every rule's event formula
@@ -47,10 +43,6 @@ func AnalyzeSharing(db *engine.DB) SharingReport {
 		r.TreeNodes += calculus.Size(st.Def.Event)
 	}
 	p := sup.Plan()
-	if p == nil {
-		return r
-	}
-	r.Enabled = true
 	r.DAGNodes = p.Live()
 	r.SharedNodes = p.Shared()
 	if r.DAGNodes > 0 {
@@ -67,10 +59,6 @@ func AnalyzeSharing(db *engine.DB) SharingReport {
 // String renders the report.
 func (r SharingReport) String() string {
 	var sb strings.Builder
-	if !r.Enabled {
-		fmt.Fprintf(&sb, "shared plan: off (%d rules, %d tree nodes)\n", r.Rules, r.TreeNodes)
-		return sb.String()
-	}
 	fmt.Fprintf(&sb, "shared plan: %d rules, %d tree nodes -> %d DAG nodes (dedup %.2fx, %d shared)\n",
 		r.Rules, r.TreeNodes, r.DAGNodes, r.DedupRatio, r.SharedNodes)
 	for _, n := range r.Top {

@@ -1,8 +1,9 @@
-// Package bench implements the measured experiments B1..B6 of
-// EXPERIMENTS.md: the performance claims Section 5 of the paper makes
-// qualitatively, run on synthetic workloads from internal/workload. The
-// chimera-bench command prints the tables; the repository-root
-// benchmarks (bench_test.go) expose the same code paths to testing.B.
+// Package bench implements the measured experiments of EXPERIMENTS.md
+// (B1–B5, B9, B10, B12, B14–B16): the performance claims Section 5 of
+// the paper makes qualitatively, run on synthetic workloads from
+// internal/workload. The chimera-bench command prints the tables; the
+// repository-root benchmarks (bench_test.go) expose the same code paths
+// to testing.B.
 package bench
 
 import (
@@ -192,6 +193,7 @@ func B1() Table {
 	}
 	t.Notes = append(t.Notes,
 		"paper §5.1: recompute ts only when an arrival matches V(E); the lower the relevant fraction, the larger the saving",
+		"both arms run the one triggering path (the shared plan), with and without the filter; ts-evals count plan nodes evaluated on both sides",
 		"'same triggerings' checks the optimization is semantically transparent")
 	return t
 }
@@ -304,19 +306,21 @@ type B4Result struct {
 	Triggerings int
 }
 
-// RunB4 drives identical disjunction-only rule sets through the legacy
-// support and the calculus-based support.
+// RunB4 drives identical disjunction-only rule sets through original
+// Chimera's triggering — each rule listens on a disjunction of primitive
+// types, so an arrival triggers its listeners by one type-index lookup,
+// with no ts evaluation at all — and through the calculus-based support.
 func RunB4(nRules, blocks, eventsPerBlock int) B4Result {
 	vocab := workload.Vocabulary(16)
 	defs := workload.Rules(rand.New(rand.NewSource(5)), workload.RuleSetOptions{
 		Rules: nRules, Vocab: vocab, TypesPerRule: 3, Depth: 0, // disjunction-only
 	})
 
-	// Legacy.
-	legacy := rules.NewLegacySupport()
-	for _, d := range defs {
-		if err := legacy.Define(d.Name, d.Event); err != nil {
-			panic(err)
+	// Legacy: the type index, every triggered rule considered per block.
+	listeners := make(map[event.Type][]int)
+	for i, d := range defs {
+		for _, t := range calculus.Primitives(d.Event) {
+			listeners[t] = append(listeners[t], i)
 		}
 	}
 	cl := clock.New()
@@ -326,13 +330,22 @@ func RunB4(nRules, blocks, eventsPerBlock int) B4Result {
 	})
 	start := time.Now()
 	fired := 0
+	triggered := make([]bool, len(defs))
+	var pending []int
 	for _, blk := range streamL {
-		legacy.NotifyArrivals(blk)
-		names := legacy.CheckTriggered(cl.Now())
-		fired += len(names)
-		for _, n := range names {
-			legacy.Consider(n)
+		for _, occ := range blk {
+			for _, i := range listeners[occ.Type] {
+				if !triggered[i] {
+					triggered[i] = true
+					pending = append(pending, i)
+				}
+			}
 		}
+		fired += len(pending)
+		for _, i := range pending {
+			triggered[i] = false
+		}
+		pending = pending[:0]
 	}
 	legacyNs := time.Since(start).Nanoseconds()
 
@@ -470,275 +483,6 @@ func B5() Table {
 }
 
 // ---------------------------------------------------------------------
-// B6 — formal ∃t' probe vs boundary-only ablation.
-
-// B6Result counts triggerings under the two semantics.
-type B6Result struct {
-	FormalTriggerings   int64
-	BoundaryTriggerings int64
-	FormalTsEvals       int64
-	BoundaryTsEvals     int64
-}
-
-// RunB6 drives an adversarial stream (conjunctions with negated arms,
-// where activations are transient within a block) through both probes.
-func RunB6(nRules, blocks, eventsPerBlock int) B6Result {
-	vocab := workload.Vocabulary(6)
-	r := rand.New(rand.NewSource(11))
-	defs := make([]rules.Def, nRules)
-	for i := range defs {
-		a := vocab[r.Intn(len(vocab))]
-		b := vocab[r.Intn(len(vocab))]
-		defs[i] = rules.Def{
-			Name: fmt.Sprintf("r%03d", i),
-			// A + -B: active in the window between an A and the next B.
-			Event:    calculus.Conj(calculus.P(a), calculus.Neg(calculus.P(b))),
-			Priority: i,
-		}
-	}
-	run := func(opts rules.Options) workload.RunResult {
-		c := clock.New()
-		b := event.NewBase()
-		s := rules.NewSupport(b, opts)
-		s.BeginTransaction(c.Now())
-		for _, d := range defs {
-			if err := s.Define(d); err != nil {
-				panic(err)
-			}
-		}
-		stream := workload.Stream(rand.New(rand.NewSource(12)), c, b, workload.StreamOptions{
-			Blocks: blocks, EventsPerBlock: eventsPerBlock, Objects: 8, Vocab: vocab,
-		})
-		return workload.Drive(s, c, stream, true)
-	}
-	formal := run(rules.Options{UseFilter: true})
-	boundary := run(rules.Options{UseFilter: true, BoundaryOnly: true})
-	return B6Result{
-		FormalTriggerings: formal.Triggerings, BoundaryTriggerings: boundary.Triggerings,
-		FormalTsEvals: formal.TsEvaluations, BoundaryTsEvals: boundary.TsEvaluations,
-	}
-}
-
-// B6 reports the trigger loss of the boundary-only implementation sketch.
-func B6() Table {
-	t := Table{
-		ID:     "B6",
-		Title:  "∃t' triggering (formal §4.4) vs boundary-only evaluation (implementation sketch §5)",
-		Header: []string{"events/block", "triggerings ∃t'", "triggerings boundary", "missed", "ts-evals ∃t'", "ts-evals boundary"},
-	}
-	for _, epb := range []int{1, 4, 16} {
-		r := RunB6(40, 60, epb)
-		missed := r.FormalTriggerings - r.BoundaryTriggerings
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(epb),
-			fmt.Sprint(r.FormalTriggerings), fmt.Sprint(r.BoundaryTriggerings),
-			fmt.Sprintf("%d (%.1f%%)", missed, 100*float64(missed)/float64(max64(r.FormalTriggerings, 1))),
-			fmt.Sprint(r.FormalTsEvals), fmt.Sprint(r.BoundaryTsEvals),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"rules of shape A + -B are active only in the window between an A and the next B; the boundary-only check evaluates ts at the block end, where some occurrence of B is almost always already in R, so it misses nearly every transient activation",
-		"the formal probe pays ts evaluations proportional to the arrivals in R — the price of the ∃t' quantifier the paper's semantics demands")
-	return t
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ---------------------------------------------------------------------
-// B7 — filter granularity ablation: no filter, the paper's literal
-// "arrival mentioned in V(E)" condition, and the sign-aware refinement
-// (skip pure Δ− arrivals for non-triggered rules).
-
-// RunB7 drives a negation-heavy workload through the three filter
-// settings and reports the ts-evaluation counts.
-func RunB7(nRules, blocks, eventsPerBlock int) (none, mentioned, relevant workload.RunResult) {
-	vocab := workload.Vocabulary(24)
-	r := rand.New(rand.NewSource(21))
-	defs := make([]rules.Def, nRules)
-	for i := range defs {
-		// A + -B: B is a pure Δ− type — the sign-aware filter can skip
-		// its arrivals entirely.
-		a := vocab[r.Intn(len(vocab))]
-		b := vocab[r.Intn(len(vocab))]
-		defs[i] = rules.Def{
-			Name:     fmt.Sprintf("r%04d", i),
-			Event:    calculus.Conj(calculus.P(a), calculus.Neg(calculus.P(b))),
-			Priority: i,
-		}
-	}
-	run := func(opts rules.Options) workload.RunResult {
-		c := clock.New()
-		b := event.NewBase()
-		s := rules.NewSupport(b, opts)
-		s.BeginTransaction(c.Now())
-		for _, d := range defs {
-			if err := s.Define(d); err != nil {
-				panic(err)
-			}
-		}
-		stream := workload.Stream(rand.New(rand.NewSource(22)), c, b, workload.StreamOptions{
-			Blocks: blocks, EventsPerBlock: eventsPerBlock, Objects: 16, Vocab: vocab,
-		})
-		return workload.Drive(s, c, stream, true)
-	}
-	none = run(rules.Options{})
-	mentioned = run(rules.Options{UseFilter: true, FilterMode: rules.FilterMentioned})
-	relevant = run(rules.Options{UseFilter: true, FilterMode: rules.FilterRelevant})
-	return none, mentioned, relevant
-}
-
-// B7 reports the ablation table.
-func B7() Table {
-	t := Table{
-		ID:     "B7",
-		Title:  "filter granularity ablation on A + -B rules (pure Δ− arrivals skippable)",
-		Header: []string{"rules", "ts-evals none", "ts-evals mentioned", "ts-evals sign-aware", "triggerings equal"},
-	}
-	for _, nRules := range []int{50, 500} {
-		none, mentioned, relevant := RunB7(nRules, 50, 6)
-		equal := none.Triggerings == mentioned.Triggerings && mentioned.Triggerings == relevant.Triggerings
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(nRules),
-			fmt.Sprint(none.TsEvaluations),
-			fmt.Sprint(mentioned.TsEvaluations),
-			fmt.Sprint(relevant.TsEvaluations),
-			fmt.Sprint(equal),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"'mentioned' is the paper's literal condition (any arrival matching V(E)); 'sign-aware' additionally skips pure Δ− arrivals for rules that are not yet triggered",
-		"all three settings must produce identical triggerings — the filters are pure optimizations")
-	return t
-}
-
-// ---------------------------------------------------------------------
-// B8 — sequential reference support vs sharded + incremental support.
-
-// B8Result carries one (rules, workers) cell; the JSON tags feed the
-// machine-readable BENCH_trigger.json emitted by chimera-bench -json.
-type B8Result struct {
-	Rules        int     `json:"rules"`
-	Workers      int     `json:"workers"`
-	SeqMs        float64 `json:"sequential_ms"`
-	ShardMs      float64 `json:"sharded_ms"`
-	Speedup      float64 `json:"speedup"`
-	SeqTsEvals   int64   `json:"sequential_ts_evals"`
-	ShardTsEvals int64   `json:"sharded_ts_evals"`
-	SweepSkipped int64   `json:"sweep_skipped"`
-	SameOutcomes bool    `json:"same_triggerings"`
-}
-
-// RunB8 measures one rule count across a sweep of worker counts. The
-// sequential reference (recursive per-arrival probe, single goroutine) is
-// measured once; each sharded configuration adds the incremental sweep
-// and Workers goroutines. Rules have the adversarial A + -B shape of
-// B6/B7 — non-monotone, so the ∃t' probe cannot collapse to a single
-// boundary evaluation — over a vocabulary wide enough that most arrivals
-// are unmentioned and the sweep can skip them.
-func RunB8(nRules, blocks, eventsPerBlock int, workers []int) []B8Result {
-	vocab := workload.Vocabulary(32)
-	r := rand.New(rand.NewSource(41))
-	defs := make([]rules.Def, nRules)
-	for i := range defs {
-		a := vocab[r.Intn(len(vocab))]
-		b := vocab[r.Intn(len(vocab))]
-		defs[i] = rules.Def{
-			Name:     fmt.Sprintf("r%05d", i),
-			Event:    calculus.Conj(calculus.P(a), calculus.Neg(calculus.P(b))),
-			Priority: i,
-		}
-	}
-	reps := 20000 / nRules
-	if reps < 3 {
-		reps = 3
-	}
-	if reps > 30 {
-		reps = 30
-	}
-	run := func(opts rules.Options) (workload.RunResult, int64) {
-		var res workload.RunResult
-		var total int64
-		for i := 0; i <= reps; i++ {
-			c := clock.New()
-			b := event.NewBase()
-			s := rules.NewSupport(b, opts)
-			s.BeginTransaction(c.Now())
-			for _, d := range defs {
-				if err := s.Define(d); err != nil {
-					panic(err)
-				}
-			}
-			stream := workload.Stream(rand.New(rand.NewSource(42)), c, b, workload.StreamOptions{
-				Blocks: blocks, EventsPerBlock: eventsPerBlock, Objects: 16, Vocab: vocab,
-			})
-			start := time.Now()
-			res = workload.Drive(s, c, stream, true)
-			if i > 0 {
-				total += time.Since(start).Nanoseconds()
-			}
-		}
-		return res, total / int64(reps)
-	}
-	seq, seqNs := run(rules.Options{UseFilter: true})
-	out := make([]B8Result, 0, len(workers))
-	for _, w := range workers {
-		shard, shardNs := run(rules.Options{UseFilter: true, Incremental: true, Workers: w})
-		out = append(out, B8Result{
-			Rules: nRules, Workers: w,
-			SeqMs:      float64(seqNs) / 1e6,
-			ShardMs:    float64(shardNs) / 1e6,
-			Speedup:    float64(seqNs) / float64(shardNs),
-			SeqTsEvals: seq.TsEvaluations, ShardTsEvals: shard.TsEvaluations,
-			SweepSkipped: shard.SweepSkipped,
-			SameOutcomes: seq.Triggerings == shard.Triggerings,
-		})
-	}
-	return out
-}
-
-// B8Results runs the full sweep (#rules × workers).
-func B8Results() []B8Result {
-	var out []B8Result
-	for _, nRules := range []int{100, 1000, 10000} {
-		out = append(out, RunB8(nRules, 30, 12, []int{1, 2, 4, 8})...)
-	}
-	return out
-}
-
-// B8FromResults renders the table for a precomputed sweep, so the -json
-// emission path does not run the experiment twice.
-func B8FromResults(rs []B8Result) Table {
-	t := Table{
-		ID:     "B8",
-		Title:  "trigger determination: sequential reference vs sharded + incremental support",
-		Header: []string{"rules", "workers", "seq ms", "sharded ms", "speedup", "ts-evals seq", "ts-evals sharded", "sweep-skipped", "same triggerings"},
-	}
-	for _, r := range rs {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(r.Rules), fmt.Sprint(r.Workers),
-			fmt.Sprintf("%.2f", r.SeqMs), fmt.Sprintf("%.2f", r.ShardMs),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprint(r.SeqTsEvals), fmt.Sprint(r.ShardTsEvals),
-			fmt.Sprint(r.SweepSkipped),
-			fmt.Sprint(r.SameOutcomes),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"the sharded configurations add the incremental ∃t' sweep (calculus.Sweeper) and Workers goroutines; 'sweep-skipped' counts probe instants settled from cached signs without a ts evaluation",
-		"on a single-core host the worker sweep shows scheduling overhead only; the speedup there comes from the incremental sweep and allocation-free evaluation",
-		"'same triggerings' checks the parallel + incremental determination is semantically transparent")
-	return t
-}
-
-// B8 compares the sequential and sharded supports.
-func B8() Table { return B8FromResults(B8Results()) }
-
-// ---------------------------------------------------------------------
 // B9 — long-transaction soak: generational Event Base under consumption
 // low-watermark compaction.
 
@@ -806,7 +550,7 @@ func RunB9(mix string, nRules, blocks, eventsPerBlock int) B9Result {
 	r := rand.New(rand.NewSource(51))
 	c := clock.New()
 	b := event.NewBase()
-	s := rules.NewSupport(b, rules.Options{UseFilter: true, Incremental: true})
+	s := rules.NewSupport(b, rules.Options{UseFilter: true})
 	s.BeginTransaction(c.Now())
 	for i := 0; i < nRules; i++ {
 		cons := rules.Consuming
@@ -1097,7 +841,7 @@ func B10() Table { return B10FromResults(B10Results()) }
 
 // All runs every experiment.
 func All() []Table {
-	return []Table{B1(), B2(), B3(), B4(), B5(), B6(), B7(), B8(), B9(), B10(), B11(), B12(), B13(), B14(), B15(), B16()}
+	return []Table{B1(), B2(), B3(), B4(), B5(), B9(), B10(), B12(), B14(), B15(), B16()}
 }
 
 // ByID runs one experiment.
@@ -1113,22 +857,12 @@ func ByID(id string) (Table, bool) {
 		return B4(), true
 	case "B5":
 		return B5(), true
-	case "B6":
-		return B6(), true
-	case "B7":
-		return B7(), true
-	case "B8":
-		return B8(), true
 	case "B9":
 		return B9(), true
 	case "B10":
 		return B10(), true
-	case "B11":
-		return B11(), true
 	case "B12":
 		return B12(), true
-	case "B13":
-		return B13(), true
 	case "B14":
 		return B14(), true
 	case "B15":

@@ -23,9 +23,8 @@ func TestTableRendering(t *testing.T) {
 }
 
 // Small-configuration smoke runs of every experiment driver: the
-// invariants the tables assert (semantic transparency of the filters,
-// boundary-only missing at most what the formal probe finds) must hold
-// at any scale.
+// invariants the tables assert (semantic transparency of the filter)
+// must hold at any scale.
 func TestRunB1Transparency(t *testing.T) {
 	r := RunB1Config(20, 0.2, 10, 4)
 	if !r.TriggeringsOK {
@@ -43,29 +42,6 @@ func TestRunB4Shapes(t *testing.T) {
 	}
 	if r.Triggerings == 0 {
 		t.Fatal("no triggerings in the legacy run")
-	}
-}
-
-func TestRunB6BoundaryNeverExceedsFormal(t *testing.T) {
-	r := RunB6(10, 15, 4)
-	if r.BoundaryTriggerings > r.FormalTriggerings {
-		t.Fatalf("boundary-only fired more than the formal semantics: %+v", r)
-	}
-	if r.BoundaryTsEvals > r.FormalTsEvals {
-		t.Fatalf("boundary-only evaluated more: %+v", r)
-	}
-}
-
-func TestRunB7AllTransparent(t *testing.T) {
-	none, mentioned, relevant := RunB7(20, 15, 4)
-	if none.Triggerings != mentioned.Triggerings || mentioned.Triggerings != relevant.Triggerings {
-		t.Fatalf("filter settings diverged: %d / %d / %d",
-			none.Triggerings, mentioned.Triggerings, relevant.Triggerings)
-	}
-	if relevant.TsEvaluations > mentioned.TsEvaluations ||
-		mentioned.TsEvaluations > none.TsEvaluations {
-		t.Fatalf("filters increased work: %d / %d / %d",
-			none.TsEvaluations, mentioned.TsEvaluations, relevant.TsEvaluations)
 	}
 }
 
@@ -132,5 +108,19 @@ func TestB15MicroRun(t *testing.T) {
 	tab := B15FromResults(B15Result{Throughput: sweep, Soak: soak})
 	if tab.ID != "B15" || len(tab.Rows) != 9 {
 		t.Fatalf("unexpected table shape: id=%s rows=%d", tab.ID, len(tab.Rows))
+	}
+}
+
+func TestRunB9Bounds(t *testing.T) {
+	consuming := RunB9("consuming", 20, 300, 8)
+	if !consuming.Bounded || consuming.RetiredOccs == 0 {
+		t.Fatalf("all-consuming soak must retire and plateau: %+v", consuming)
+	}
+	preserving := RunB9("preserving", 20, 300, 8)
+	if preserving.RetiredOccs != 0 || preserving.LiveEnd != preserving.Appended {
+		t.Fatalf("a preserving rule pins the watermark, nothing may retire: %+v", preserving)
+	}
+	if tab := B9FromResults([]B9Result{consuming, preserving}); len(tab.Rows) != 2 {
+		t.Fatalf("B9 table has %d rows, want 2", len(tab.Rows))
 	}
 }

@@ -24,11 +24,10 @@ var ErrDeadlineExceeded = errors.New("calculus: evaluation deadline exceeded")
 const deadlineStride = 64
 
 // Budget is a per-transaction evaluation budget, shared by every
-// evaluator the transaction drives (the recursive Env, the memoized
-// PlanEval, the incremental Sweeper — including the worker goroutines of
-// a sharded CheckTriggered). The unit of gas is one node evaluation, the
-// same work TsEvaluations/MemoMisses count, so a budget is portable
-// across evaluator configurations: memo hits are free, as they should be.
+// evaluator the transaction drives (the memoized PlanEval of the
+// triggering determination and the recursive Env of the conditions).
+// The unit of gas is one node evaluation, the same work
+// TsEvaluations/MemoMisses count: memo hits are free, as they should be.
 //
 // Exhaustion aborts the evaluation in flight by panicking with a private
 // fault value; the package boundary converts it back into the typed
@@ -169,24 +168,9 @@ func RecoverBudget(errp *error) {
 }
 
 // CatchBudget runs fn, converting a budget-fault panic raised inside it
-// into the typed error. Worker goroutines use it so an exhaustion on one
-// shard surfaces as a value the coordinator can rethrow on its own
-// goroutine (an unrecovered panic on a worker would kill the process).
+// into the typed error.
 func CatchBudget(fn func()) (err error) {
 	defer RecoverBudget(&err)
 	fn()
 	return nil
-}
-
-// ThrowBudget re-raises a budget error previously caught by CatchBudget
-// as a budget fault, forwarding the abort across a goroutine join onto
-// the caller. A nil err is a no-op; non-budget errors must not be thrown.
-func ThrowBudget(err error) {
-	if err == nil {
-		return
-	}
-	if !errors.Is(err, ErrGasExhausted) && !errors.Is(err, ErrDeadlineExceeded) {
-		panic("calculus: ThrowBudget on a non-budget error: " + err.Error())
-	}
-	panic(budgetFault{err})
 }

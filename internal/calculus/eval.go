@@ -89,11 +89,11 @@ type Env struct {
 	// exhaustion aborts with a budget fault (see Budget).
 	Budget *Budget
 
-	// Scratch buffers recycled across evaluations, so that the hot probe
-	// loops of the Trigger Support allocate nothing in steady state. They
-	// make an Env stateful: one Env must not be shared between goroutines
-	// (the sharded Trigger Support keeps one per worker). The zero value
-	// is ready to use — buffers grow on first need and are then reused.
+	// Scratch buffers recycled across evaluations, so that repeated
+	// evaluations allocate nothing in steady state. They make an Env
+	// stateful: one Env must not be shared between goroutines. The zero
+	// value is ready to use — buffers grow on first need and are then
+	// reused.
 	oidBuf  []types.OID
 	timeBuf []clock.Time
 }
@@ -186,20 +186,16 @@ func (env *Env) ots(rd event.Reader, e Expr, t clock.Time, oid types.OID) TS {
 func (env *Env) domain(e Expr, t clock.Time) []types.OID {
 	rd := env.Base.Read()
 	defer rd.Done()
-	return env.domainIn(rd, e, nil, restrictionSafe(e), t)
+	return env.domainIn(rd, e, t)
 }
 
-// domainIn is domain inside the caller's read section, with the
-// expression's primitive types and restriction safety precomputed (nil
-// prims means "compute on demand"). The result aliases env.oidBuf: it is
-// valid until the next domain call on this Env and must not be retained.
-func (env *Env) domainIn(rd event.Reader, e Expr, prims []event.Type, safe bool, t clock.Time) []types.OID {
+// domainIn is domain inside the caller's read section. The result aliases
+// env.oidBuf: it is valid until the next domain call on this Env and must
+// not be retained.
+func (env *Env) domainIn(rd event.Reader, e Expr, t clock.Time) []types.OID {
 	env.Budget.Charge()
-	if env.RestrictDomain && safe {
-		if prims == nil {
-			prims = Primitives(e)
-		}
-		env.oidBuf = rd.AppendOIDsOfTypes(env.oidBuf[:0], prims, env.Since, t)
+	if env.RestrictDomain && restrictionSafe(e) {
+		env.oidBuf = rd.AppendOIDsOfTypes(env.oidBuf[:0], Primitives(e), env.Since, t)
 	} else {
 		env.oidBuf = rd.AppendOIDs(env.oidBuf[:0], env.Since, t)
 	}
@@ -232,16 +228,9 @@ func restrictionSafe(e Expr) bool {
 //
 // See DESIGN.md §5.1 for why the prose of Section 3.2 forces this pairing.
 func (env *Env) lift(e Expr, t clock.Time) TS {
-	return env.liftCached(e, nil, restrictionSafe(e), t)
-}
-
-// liftCached is lift with the domain parameters precomputed; the
-// incremental sweep calls it with the per-node cache so repeated probes
-// do not re-derive the primitive set.
-func (env *Env) liftCached(e Expr, prims []event.Type, safe bool, t clock.Time) TS {
 	rd := env.Base.Read()
 	defer rd.Done()
-	oids := env.domainIn(rd, e, prims, safe, t)
+	oids := env.domainIn(rd, e, t)
 	if n, ok := e.(Not); ok && n.Inst {
 		if len(oids) == 0 {
 			return TS(t)
@@ -322,7 +311,7 @@ func (env *Env) AffectedObjects(e Expr, t clock.Time) []types.OID {
 func (env *Env) AppendAffectedObjects(dst []types.OID, e Expr, t clock.Time) []types.OID {
 	rd := env.Base.Read()
 	defer rd.Done()
-	oids := env.domainIn(rd, e, nil, restrictionSafe(e), t)
+	oids := env.domainIn(rd, e, t)
 	if _, prim := e.(Prim); prim && env.RestrictDomain {
 		// The restricted domain of a primitive is the objects its type
 		// touched in R: exactly those it is active for.

@@ -12,9 +12,9 @@ import (
 // whole rule set hash-consed into one interned DAG (structural keys over
 // Prim/Not/And/Or/Seq × granularity), plus a generation-stamped memo
 // evaluator so a subexpression shared by N rules is evaluated once per
-// probe instant instead of N times. The Trigger Support drives it from
-// CheckTriggered (Options.SharedPlan); the paper's Section 5.1 optimizes
-// each rule in isolation, this is the cross-rule complement.
+// probe instant instead of N times. It is the Trigger Support's only
+// triggering evaluator; the paper's Section 5.1 optimizes each rule in
+// isolation, this is the cross-rule complement.
 
 // NodeID identifies one interned DAG node within a Plan. IDs are stable
 // for the lifetime of the node (until its refcount drops to zero) and
@@ -69,7 +69,7 @@ type planNode struct {
 // Plan is the interned DAG for one rule set. It is not safe for
 // concurrent mutation; the Trigger Support mutates it only under its
 // exclusive lock (Define/Drop) and shares it read-only across the
-// CheckTriggered worker goroutines.
+// evaluators of its transaction lines.
 type Plan struct {
 	nodes  []planNode
 	ids    map[nodeKey]NodeID
@@ -278,11 +278,6 @@ type PlanEval struct {
 	since clock.Time
 	// RestrictDomain mirrors Env.RestrictDomain for the lifts.
 	RestrictDomain bool
-	// DisableMemo turns every cache off while keeping the DAG walk and
-	// the work counters — the ablation baseline benchmarks use to measure
-	// exactly how many node evaluations sharing avoids on an identical
-	// probe schedule.
-	DisableMemo bool
 	// Budget, when non-nil, is charged one unit per computed node (the
 	// same work evals counts; hits of the node memo are free). Exhaustion
 	// aborts with a budget fault (see Budget).
@@ -304,7 +299,7 @@ type PlanEval struct {
 
 	// Prim cursors (Track mode): the last arrival of each interned
 	// primitive node inside the bound window, maintained incrementally
-	// from NoteArrival instead of re-queried with a LastOf search per
+	// from NoteArrivalTID instead of re-queried with a LastOf search per
 	// probe instant. One cursor per prim node serves every rule sharing
 	// it. Entries are stamped with bindGen so Bind invalidates them all.
 	tracking  bool
@@ -427,23 +422,13 @@ func (pe *PlanEval) NoteArrivalTID(tid int32, at clock.Time) {
 // stricter driving contract in exchange for O(1) prim lookups at the
 // memo instant: Begin instants within one Bind must be non-decreasing,
 // and every arrival in the window up to the current instant must be
-// reported through NoteArrival in timestamp order before that instant
+// reported through NoteArrivalTID in timestamp order before that instant
 // is probed. The grouped CheckTriggered walk satisfies this by
 // construction; ad-hoc callers should leave tracking off.
 func (pe *PlanEval) Track(on bool) {
 	pe.tracking = on
 	if on {
 		pe.growPrim()
-	}
-}
-
-// NoteArrival is NoteArrivalTID for callers that hold rows, not columns.
-func (pe *PlanEval) NoteArrival(t event.Type, at clock.Time) {
-	if !pe.tracking {
-		return
-	}
-	if tid, ok := pe.base.TypeID(t); ok {
-		pe.NoteArrivalTID(tid, at)
 	}
 }
 
@@ -491,7 +476,7 @@ func (pe *PlanEval) TakeCounters() (evals, hits int64) {
 // R = (since, t], exactly as Env.TS does on the expression tree. Values
 // at the generation's instant (Begin) are memoized per node.
 func (pe *PlanEval) TS(id NodeID, t clock.Time) TS {
-	memo := t == pe.cur && !pe.DisableMemo
+	memo := t == pe.cur
 	if memo && pe.epoch[id] == pe.gen {
 		pe.hits++
 		return pe.vals[id]
@@ -563,7 +548,7 @@ func (pe *PlanEval) lastOf(id NodeID, t clock.Time) clock.Time {
 	return last
 }
 
-// lift mirrors Env.liftCached on the DAG: universal lift for instance
+// lift mirrors Env.lift on the DAG: universal lift for instance
 // negation, existential lift otherwise, over the memoized object domain.
 // The domain and the |domain| × leaves ots probes under it run in one
 // read section of the base; nothing below calls a locking Base method.
@@ -595,7 +580,7 @@ func (pe *PlanEval) lift(id NodeID, n *planNode, t clock.Time) TS {
 // generation's instant; off-instant requests compute into a scratch
 // buffer so they cannot clobber memoized slices.
 func (pe *PlanEval) domain(id NodeID, n *planNode, t clock.Time) []int32 {
-	memo := t == pe.cur && !pe.DisableMemo
+	memo := t == pe.cur
 	if memo && pe.domEpoch[id] == pe.gen {
 		pe.hits++
 		return pe.doms[id]

@@ -126,7 +126,7 @@ func TestPlanEvalMatchesEnv(t *testing.T) {
 }
 
 // TestPlanEvalTrackingMatchesEnv pins the prim-cursor fast path (Track +
-// NoteArrival) to the reference evaluator under the grouped walk's
+// NoteArrivalTID) to the reference evaluator under the grouped walk's
 // driving contract: arrivals reported in timestamp order, ascending
 // probe instants, and instants skipped without probing — the cursor's
 // lazy catch-up query — mixed with instants probed right after their
@@ -156,7 +156,8 @@ func TestPlanEvalTrackingMatchesEnv(t *testing.T) {
 			pe.Bind(base, since)
 			occs := base.AppendWindow(nil, since, now)
 			for j, o := range occs {
-				pe.NoteArrival(o.Type, o.Timestamp)
+				tid, _ := base.TypeID(o.Type)
+				pe.NoteArrivalTID(tid, o.Timestamp)
 				if j%2 == 1 {
 					continue // noted but never probed: later probes must still see it
 				}
@@ -255,11 +256,10 @@ func TestLiftsRunBesideAnAppender(t *testing.T) {
 			plan := NewPlan()
 			root := plan.Intern(e)
 			pe := NewPlanEval(plan)
-			pe.DisableMemo = true // every TS below is a full lift
 			env := &Env{Base: base, RestrictDomain: true}
 			var objs []types.OID
 			for i := 0; i < 150; i++ {
-				pe.Bind(base, clock.Never)
+				pe.Bind(base, clock.Never) // a new memo generation: TS below is a full lift
 				pe.Begin(now)
 				if got := pe.TS(root, now); got != wantTS {
 					t.Errorf("lift %d beside the appender: ts = %d, want %d", i, got, wantTS)

@@ -17,7 +17,7 @@ import (
 func driveLongTxn(t *testing.T, consumption rules.Consumption, disable bool, lines int) (appended, live, retired int) {
 	t.Helper()
 	db := New(Options{
-		Support:           rules.Options{UseFilter: true, Incremental: true},
+		Support:           rules.Options{UseFilter: true},
 		DisableCompaction: disable,
 	})
 	if err := db.DefineClass("item",

@@ -17,8 +17,7 @@ import (
 // Differential testing: the V(E) filter and the naive Trigger Support
 // must produce byte-identical databases on identical workloads — the
 // optimization may only change how much work triggering does, never what
-// the rules do. (The BoundaryOnly ablation is intentionally NOT
-// equivalent and is excluded.)
+// the rules do.
 
 // diffWorkload drives a scripted random workload against a database.
 type diffOp struct {
@@ -200,17 +199,18 @@ func TestDifferentialNaiveVsOptimized(t *testing.T) {
 		opt := buildDiffDB(t, Options{Support: rules.Options{UseFilter: true}}, seed)
 		runDiffWorkload(t, opt, ops)
 
-		mentioned := buildDiffDB(t, Options{Support: rules.Options{
-			UseFilter: true, FilterMode: rules.FilterMentioned}}, seed)
-		runDiffWorkload(t, mentioned, ops)
+		// Tiny segments force the triggering scan across seals and
+		// compaction.
+		small := buildDiffDB(t, Options{Support: rules.Options{UseFilter: true}, SegmentSize: 4}, seed)
+		runDiffWorkload(t, small, ops)
 
-		fpNaive, fpOpt, fpMen := fingerprint(naive), fingerprint(opt), fingerprint(mentioned)
+		fpNaive, fpOpt, fpSmall := fingerprint(naive), fingerprint(opt), fingerprint(small)
 		if fpNaive != fpOpt {
 			t.Fatalf("trial %d: naive and V(E)-filtered databases diverged:\n--- naive\n%s--- optimized\n%s",
 				trial, fpNaive, fpOpt)
 		}
-		if fpNaive != fpMen {
-			t.Fatalf("trial %d: mentioned-filter database diverged", trial)
+		if fpNaive != fpSmall {
+			t.Fatalf("trial %d: small-segment database diverged", trial)
 		}
 		if naive.Stats().RuleExecutions != opt.Stats().RuleExecutions {
 			t.Fatalf("trial %d: rule executions diverged: %d vs %d",

@@ -78,8 +78,8 @@ type Body struct {
 
 // Options configures a database.
 type Options struct {
-	// Support configures the Trigger Support (V(E) filter on by default
-	// via DefaultOptions).
+	// Support configures the Trigger Support (V(E) filter on via
+	// DefaultOptions).
 	Support rules.Options
 	// MaxRuleExecutions bounds rule executions per transaction; 0 means
 	// the default of 10000.
@@ -120,18 +120,10 @@ type Options struct {
 	// segment boundaries and compaction in tests; production
 	// configurations should leave the default.
 	SegmentSize int
-	// ColumnarEB selects the columnar Event Base layout: segments store
-	// parallel timestamp/type-id/OID-id columns and the triggering hot
-	// loops scan them directly (see event.NewBaseSize). Semantically
-	// transparent — the differential suites pin it to the row store bit
-	// for bit. Mirrors the SharedPlan convention: on by default via
-	// DefaultOptions, cleared to opt out (the row-store ablation of
-	// experiment B13).
-	ColumnarEB bool
 	// Metrics, when non-nil, is the registry the engine and every layer
-	// under it (Event Base, Trigger Support, incremental sweep) report
-	// into; read it back with DB.Snapshot. nil (the default) disables
-	// instrumentation entirely: every report site reduces to one
+	// under it (Event Base, Trigger Support) report into; read it back
+	// with DB.Snapshot. nil (the default) disables instrumentation
+	// entirely: every report site reduces to one
 	// branch-predictable nil check with no allocation and no atomic
 	// operation, and the differential suite pins enabled vs disabled
 	// runs to identical semantics (see DESIGN.md §9).
@@ -154,16 +146,15 @@ type Options struct {
 	// Event Base segments and the committed object/schema/rule state are
 	// persisted by checkpoints, and engine.Recover rebuilds a
 	// bit-identical engine after a crash (DESIGN.md §13). Durable
-	// databases are constructed with Open, not New, and require the
-	// columnar Event Base in single-session mode.
+	// databases are constructed with Open, not New.
 	Durability DurabilityOptions
 }
 
 // Validate checks the options for constructor use. Negative limits are
 // rejected rather than silently clamped, and durability's structural
-// requirements (columnar Event Base, single session) are enforced up
-// front — a misconfiguration must fail at Open, not at the first
-// checkpoint.
+// requirement (automatic checkpoints only in single-session mode) is
+// enforced up front — a misconfiguration must fail at Open, not at the
+// first checkpoint.
 func (o Options) Validate() error {
 	if o.SegmentSize < 0 {
 		return fmt.Errorf("engine: negative SegmentSize %d", o.SegmentSize)
@@ -187,9 +178,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("engine: negative MaxSegments %d", o.MaxSegments)
 	}
 	if o.Durability.enabled() {
-		if !o.ColumnarEB {
-			return errors.New("engine: durability requires the columnar Event Base (segment export)")
-		}
 		if o.MaxSessions > 1 && o.Durability.CheckpointEvery > 0 {
 			// A multi-session checkpoint must capture only committed state,
 			// but the live store holds other lines' uncommitted latched
@@ -208,21 +196,11 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// DefaultOptions enables the paper's static optimization and the formal
-// triggering semantics, plus the incremental ∃t' sweep, the
-// GOMAXPROCS-sharded triggering determination, the shared trigger plan
-// with memoized evaluation, and the columnar Event Base (all
-// semantically transparent; see DESIGN.md §7, §10 and §12).
+// DefaultOptions enables the paper's static optimization of the
+// triggering determination (the V(E) filter of Section 5.1; see
+// DESIGN.md §10).
 func DefaultOptions() Options {
-	return Options{
-		Support: rules.Options{
-			UseFilter:   true,
-			Incremental: true,
-			SharedPlan:  true,
-			Workers:     rules.DefaultWorkers(),
-		},
-		ColumnarEB: true,
-	}
+	return Options{Support: rules.Options{UseFilter: true}}
 }
 
 // Stats aggregates engine-level counters for the benchmark harness.
@@ -622,12 +600,7 @@ func (t *Txn) stageRec(rec []byte) {
 // above that, up to MaxSessions lines run concurrently. Either limit
 // reports ErrTxnOpen.
 func (db *DB) Begin() (*Txn, error) {
-	var base *event.Base
-	if db.opts.ColumnarEB {
-		base = event.NewBaseSize(db.opts.SegmentSize)
-	} else {
-		base = event.NewRowBase(db.opts.SegmentSize)
-	}
+	base := event.NewBaseSize(db.opts.SegmentSize)
 	base.SetMetrics(db.baseMetrics)
 	base.SetLimits(db.opts.MaxEvents, db.opts.MaxSegments)
 	t := &Txn{db: db, base: base, multi: db.multiSession()}

@@ -69,7 +69,7 @@ show stats
 		}
 		reg := chimera.NewMetricsRegistry()
 		db := chimera.OpenWith(chimera.Options{
-			Support:           rules.Options{UseFilter: true, Incremental: true, Workers: 4},
+			Support:           rules.Options{UseFilter: true},
 			MaxRuleExecutions: 200,
 			SegmentSize:       8,
 			Metrics:           reg,

@@ -70,9 +70,9 @@ func newEngineMetrics(r *metrics.Registry) engineMetrics {
 		activeLines:  r.Gauge("chimera_engine_active_lines"),
 		commitWait: r.Histogram("chimera_engine_commit_wait_ns",
 			1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9),
-		readTxns:         r.Counter("chimera_engine_read_txns_total"),
-		snapshotEpoch:    r.Gauge("chimera_engine_snapshot_epoch"),
-		publishedObjects: r.Counter("chimera_engine_published_objects_total"),
+		readTxns:          r.Counter("chimera_engine_read_txns_total"),
+		snapshotEpoch:     r.Gauge("chimera_engine_snapshot_epoch"),
+		publishedObjects:  r.Counter("chimera_engine_published_objects_total"),
 		walRecords:        r.Counter("chimera_wal_records_total"),
 		walBytes:          r.Counter("chimera_wal_bytes_total"),
 		walFlushes:        r.Counter("chimera_wal_flushes_total"),
@@ -91,6 +91,6 @@ func newEngineMetrics(r *metrics.Registry) engineMetrics {
 func (db *DB) Metrics() *metrics.Registry { return db.opts.Metrics }
 
 // Snapshot copies every metric the database and its layers (Event Base,
-// Trigger Support, incremental sweep) have reported. With metrics
+// Trigger Support) have reported. With metrics
 // disabled it returns the zero (empty) snapshot.
 func (db *DB) Snapshot() metrics.Snapshot { return db.opts.Metrics.Snapshot() }

@@ -41,9 +41,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative max sessions", Options{MaxSessions: -3}, "MaxSessions"},
 		{"negative rule executions", Options{MaxRuleExecutions: -7}, "MaxRuleExecutions"},
 		{"durable defaults", durable(nil), ""},
-		{"durable without columnar base", durable(func(o *Options) {
-			o.ColumnarEB = false
-		}), "columnar"},
+		{"durable zero value", Options{Durability: DurabilityOptions{Store: nullStore{}}}, ""},
 		{"durable multi-session", durable(func(o *Options) {
 			o.MaxSessions = 4
 		}), ""},

@@ -90,18 +90,19 @@ const DefaultSegmentSize = 256
 // The log is a chain of fixed-size segments. A segment is append-only
 // while it is the tail and immutable once sealed; the per-type leaf
 // lists and per-object sparse indexes are segment-local, so an
-// occurrence's entire footprint — the row and every index entry pointing
-// at it — lives inside one segment. Section 5 defines R, the portion of
-// the base relevant for triggering, as the events more recent than a
-// rule's last consideration (consuming mode) or the transaction start
-// (preserving mode); once every defined rule's window has moved past a
-// segment, CompactBelow retires the whole segment in O(1), and with it
+// occurrence's entire footprint — its columns and every index entry
+// pointing at it — lives inside one segment. Section 5 defines R, the
+// portion of the base relevant for triggering, as the events more
+// recent than a rule's last consideration (consuming mode) or the
+// transaction start (preserving mode); once every defined rule's window
+// has moved past a segment, CompactBelow retires the whole segment in
+// O(1), and with it
 // every index entry, keeping memory and index-scan cost proportional to
 // the live window instead of the transaction lifetime. Retired
 // occurrences are unreachable through the window API (their time stamps
 // lie at or below Floor); lookups never consult them.
 //
-// # Columnar layout
+// # Layout
 //
 // Invariant: a segment is three parallel columns — time stamp, interned
 // type id, interned object id — and its index is a pure function of
@@ -115,9 +116,8 @@ const DefaultSegmentSize = 256
 // a Type or OID that was never interned has no occurrences. The probe
 // loops of the Trigger Support walk windows through ChunkCols, touching
 // only the timestamp and type-id columns; Occurrence rows are
-// materialized only at API edges. NewRowBase additionally keeps the
-// rows eagerly and switches ChunkCols off: the measured ablation of
-// experiment B13 and a differential reference, same index, same answers.
+// materialized only at API edges, lazily, into a per-segment cache that
+// backs the aliasing views.
 //
 // # Interners and retention
 //
@@ -147,19 +147,18 @@ const DefaultSegmentSize = 256
 // overwritten, and compaction only unlinks whole segments from the
 // chain, never relocating live data, so a previously returned view stays
 // valid (the garbage collector keeps its segment alive) even across
-// appends and compactions. In the columnar layout the row views are
-// served from a per-segment cache materialized lazily under its own
-// mutex; the cache's backing array is sized to the segment once and
-// never reallocates, so the same aliasing guarantee holds. Appends and
+// appends and compactions. The row views are served from the row cache,
+// materialized under its own mutex; its backing array is sized to the
+// segment once and never reallocates, so the same aliasing guarantee
+// holds. Appends and
 // CompactBelow take the mutex exclusively; the engine additionally
 // serializes writers per transaction (one open transaction owns the
 // Base), so readers racing a writer observe either the pre-append or the
 // post-append log, never a torn state.
 type Base struct {
-	mu       sync.RWMutex
-	segSize  int
-	columnar bool
-	segs     []*segment // live segments, ascending by time stamp
+	mu      sync.RWMutex
+	segSize int
+	segs    []*segment // live segments, ascending by time stamp
 	// typeIDs/typesByID and oidIDs/oidsByID are the per-Base interners:
 	// dense int32 ids in first-arrival order. The OID interner doubles as
 	// the first-arrival rank that keeps OIDs/AppendOIDs order stable
@@ -200,10 +199,8 @@ type Base struct {
 // objects present. Index entries are int32 offsets into the columns,
 // keys are interned ids; a segment and all its indexes retire together.
 //
-// The three columns are filled in both layouts (every search is a binary
-// probe over ts, the index is derived from tids and oids). The columnar
-// layout leaves occs nil until a row view materializes it; the row
-// layout fills occs eagerly.
+// Every search is a binary probe over ts, the index is derived from tids
+// and oids; occs stays nil until a row view materializes it.
 type segment struct {
 	firstEID EID // EID of entry 0; EIDs are dense, entry i is firstEID+i
 	ts       []clock.Time
@@ -215,11 +212,10 @@ type segment struct {
 	leafOf idTable[segLeaf]
 	pairOf idTable[[]int32]
 	objOf  idTable[struct{}]
-	// occs is the row store (row layout) or the lazily materialized row
-	// cache (columnar layout). rowMu orders concurrent readers
-	// materializing the cache; the backing array is allocated once with
-	// the segment's full capacity, so previously returned views never
-	// move.
+	// occs is the lazily materialized row cache behind the aliasing
+	// views. rowMu orders concurrent readers materializing it; the
+	// backing array is allocated once with the segment's full capacity,
+	// so previously returned views never move.
 	rowMu sync.Mutex
 	occs  []Occurrence
 }
@@ -369,38 +365,24 @@ func (sg *segment) bounds(since, upTo clock.Time) (int, int) {
 	return sg.after(since), sg.after(upTo)
 }
 
-// NewBase returns an empty Event Base with the default segment size, in
-// the columnar layout.
+// NewBase returns an empty Event Base with the default segment size.
 func NewBase() *Base { return NewBaseSize(DefaultSegmentSize) }
 
-// NewBaseSize returns an empty columnar Event Base whose segments hold
-// segSize occurrences. Small sizes exercise segment boundaries in tests;
-// a size larger than any workload degenerates to the flat single-array
-// layout (useful as an uncompacted differential reference).
-func NewBaseSize(segSize int) *Base { return newBase(segSize, true) }
-
-// NewRowBase returns an Event Base in the historical row-store layout:
-// segments hold []Occurrence rows and the columnar probe APIs are
-// disabled. It is the measured ablation of experiment B13 and the
-// differential reference the columnar layout is pinned against; new code
-// should use NewBase/NewBaseSize.
-func NewRowBase(segSize int) *Base { return newBase(segSize, false) }
-
-func newBase(segSize int, columnar bool) *Base {
+// NewBaseSize returns an empty Event Base whose segments hold segSize
+// occurrences (below 1: the default). Small sizes exercise segment
+// boundaries in tests; a size larger than any workload degenerates to
+// the flat single-array layout (useful as an uncompacted differential
+// reference).
+func NewBaseSize(segSize int) *Base {
 	if segSize < 1 {
 		segSize = DefaultSegmentSize
 	}
 	return &Base{
-		segSize:  segSize,
-		columnar: columnar,
-		typeIDs:  make(map[Type]int32),
-		oidIDs:   make(map[types.OID]int32),
+		segSize: segSize,
+		typeIDs: make(map[Type]int32),
+		oidIDs:  make(map[types.OID]int32),
 	}
 }
-
-// Columnar reports whether the base uses the columnar segment layout
-// (ChunkCols and the interned-id columns are available).
-func (b *Base) Columnar() bool { return b.columnar }
 
 // SetMetrics installs the instrument set. Call before the Base is
 // shared between goroutines (the engine installs it at Begin).
@@ -502,9 +484,9 @@ func (b *Base) internOIDLocked(oid types.OID) int32 {
 
 // InternType interns an event type and returns its dense id, assigning
 // one if the type has not occurred yet. Compiled consumers (the shared
-// plan's prim cursors, the sweep's type cursors, the mention bitsets of
-// the Trigger Support) call it at bind time so arrivals can be matched
-// by int32 id instead of by Type struct comparison or map hashing.
+// plan's prim cursors, the mention bitsets of the Trigger Support) call
+// it at bind time so arrivals can be matched by int32 id instead of by
+// Type struct comparison or map hashing.
 func (b *Base) InternType(t Type) int32 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -531,9 +513,6 @@ func (b *Base) DistinctOIDs() int {
 // occAt materializes the occurrence at index i of sg. Callers hold the
 // mutex (read suffices).
 func (b *Base) occAt(sg *segment, i int) Occurrence {
-	if !b.columnar {
-		return sg.occs[i]
-	}
 	return Occurrence{
 		EID:       sg.firstEID + EID(i),
 		Type:      b.typesByID[sg.tids[i]],
@@ -543,8 +522,7 @@ func (b *Base) occAt(sg *segment, i int) Occurrence {
 }
 
 // rows returns sg's occurrence rows materialized through index hi
-// (exclusive), for the aliasing views. In the row layout this is the
-// primary store. In the columnar layout rows are materialized lazily, in
+// (exclusive), for the aliasing views. Rows are materialized lazily, in
 // place, into a per-segment cache whose backing array is allocated once
 // with the segment's full capacity — it never reallocates, so slices
 // handed out earlier stay valid (and bit-identical) across later
@@ -554,9 +532,6 @@ func (b *Base) occAt(sg *segment, i int) Occurrence {
 // segment, and the happens-before edge it provides covers every element
 // a returned view exposes.
 func (b *Base) rows(sg *segment, hi int) []Occurrence {
-	if !b.columnar {
-		return sg.occs[:hi]
-	}
 	sg.rowMu.Lock()
 	if sg.occs == nil {
 		sg.occs = make([]Occurrence, 0, b.segSize)
@@ -617,9 +592,6 @@ func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (Occurrence, int3
 			tids:     make([]int32, 0, b.segSize),
 			oids:     make([]int32, 0, b.segSize),
 		}
-		if !b.columnar {
-			sg.occs = make([]Occurrence, 0, b.segSize)
-		}
 		b.segs = append(b.segs, sg)
 		b.m.SegmentsAllocated.Inc()
 		b.m.LiveSegments.Set(int64(len(b.segs)))
@@ -630,9 +602,6 @@ func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (Occurrence, int3
 	sg.ts = append(sg.ts, at)
 	sg.tids = append(sg.tids, tid)
 	sg.oids = append(sg.oids, oi)
-	if !b.columnar {
-		sg.occs = append(sg.occs, occ)
-	}
 	sg.index(idx, tid, oi)
 
 	b.latest[tid] = at
@@ -930,18 +899,13 @@ func (b *Base) Window(since, upTo clock.Time) []Occurrence {
 }
 
 // AppendWindow appends the occurrences of (since, upTo] to dst and
-// returns the extended slice. Passing a recycled dst[:0] makes the hot
-// probe loops of the Trigger Support allocation-free in steady state.
-// Columnar hot paths walk ChunkCols instead and skip the row
-// materialization entirely.
+// returns the extended slice; a recycled dst[:0] makes the call
+// allocation-free in steady state. Hot loops walk ChunkCols instead and
+// skip the row materialization entirely.
 func (b *Base) AppendWindow(dst []Occurrence, since, upTo clock.Time) []Occurrence {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
-		if !b.columnar {
-			dst = append(dst, sg.occs[lo:hi]...)
-			return true
-		}
 		for i := lo; i < hi; i++ {
 			dst = append(dst, b.occAt(sg, i))
 		}
@@ -986,12 +950,11 @@ func (b *Base) WindowView(since, upTo clock.Time) []Occurrence {
 // contiguous in one segment, as a read-only alias of that segment's row
 // array (never a copy of row data), or nil when the window holds none.
 // Iterating a window chunk by chunk — advancing since to the last
-// returned occurrence's time stamp — is the allocation-free walk the
-// incremental sweep uses on row-store bases; each chunk stays valid
-// across appends and compactions for the same reason WindowView's
-// aliased case does. On a columnar base the rows are served from the
-// per-segment materialization cache (filled at most once per entry);
-// columnar hot paths should prefer ChunkCols, which touches no rows.
+// returned occurrence's time stamp — is an allocation-free walk; each
+// chunk stays valid across appends and compactions for the same reason
+// WindowView's aliased case does. The rows are served from the
+// per-segment materialization cache (filled at most once per entry); hot
+// paths should prefer ChunkCols, which touches no rows.
 func (b *Base) ChunkView(since, upTo clock.Time) []Occurrence {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -1008,7 +971,7 @@ func (b *Base) ChunkView(since, upTo clock.Time) []Occurrence {
 // columns, plus the EID of the first entry (EIDs are dense — entry i has
 // EID EID0+i). Like ChunkView, the slices alias segment storage: they
 // stay valid across appends and compaction and are read-only for
-// callers. Only columnar bases produce a non-zero Cols (see Columnar).
+// callers.
 type Cols struct {
 	TS   []clock.Time
 	TIDs []int32
@@ -1022,13 +985,9 @@ type Cols struct {
 // of ChunkView: the batched probe loops of the Trigger Support walk a
 // window chunk by chunk — advancing since to the last returned timestamp
 // — touching only the dense timestamp and id columns, with no Occurrence
-// materialization at all. A row-store base always returns the zero Cols;
-// callers gate on Columnar().
+// materialization at all.
 func (b *Base) ChunkCols(since, upTo clock.Time) Cols {
 	var c Cols
-	if !b.columnar {
-		return c
-	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
@@ -1050,8 +1009,8 @@ func (b *Base) Arrivals(since, upTo clock.Time) []clock.Time {
 }
 
 // AppendArrivals appends the time stamps of (since, upTo] to dst and
-// returns the extended slice (the buffer-reusing variant of Arrivals).
-// Both layouts serve it straight from the timestamp column.
+// returns the extended slice (the buffer-reusing variant of Arrivals),
+// straight from the timestamp column.
 func (b *Base) AppendArrivals(dst []clock.Time, since, upTo clock.Time) []clock.Time {
 	b.mu.RLock()
 	defer b.mu.RUnlock()

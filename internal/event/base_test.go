@@ -231,15 +231,14 @@ func TestTypeParseAndString(t *testing.T) {
 
 // TestInternerGauges pins the interner-observability satellite: the
 // distinct-OID and interned-type gauges track exactly the interners'
-// sizes, on both layouts, and — per the retention contract documented on
-// Base — are not shrunk by compaction.
+// sizes and — per the retention contract documented on Base — are not
+// shrunk by compaction.
 func TestInternerGauges(t *testing.T) {
 	for _, layout := range []struct {
 		name string
 		mk   func() *Base
 	}{
 		{"columnar", func() *Base { return NewBaseSize(2) }},
-		{"rowstore", func() *Base { return NewRowBase(2) }},
 	} {
 		t.Run(layout.name, func(t *testing.T) {
 			reg := metrics.NewRegistry()

@@ -27,8 +27,8 @@ import (
 // segmentCodecVersion pins the frame payload layout.
 const segmentCodecVersion = 1
 
-// SegmentFrame is one segment's contents in transit: the parallel
-// columns of the columnar layout plus the dense-EID origin. Frames
+// SegmentFrame is one segment's contents in transit: the three parallel
+// columns plus the dense-EID origin. Frames
 // returned by ExportState alias live segment storage (sealed segments
 // are immutable; the tail is copied) and must be treated as read-only.
 type SegmentFrame struct {
@@ -42,13 +42,12 @@ type SegmentFrame struct {
 func (f SegmentFrame) Len() int { return len(f.TS) }
 
 // BaseMeta is the transaction-lifetime state of a Base that segments do
-// not carry: the layout parameters, the interner tables (dense id →
+// not carry: the segment size, the interner tables (dense id →
 // type/OID, in assignment order), the per-type latest-occurrence cache,
 // and the compaction counters. Together with the live segment frames it
 // reconstructs a Base bit-identically.
 type BaseMeta struct {
-	SegSize  int
-	Columnar bool
+	SegSize int
 	// Types and OIDs are the interner tables; index is the dense id.
 	// Types may include entries with no occurrence (compiled consumers
 	// intern at bind time), so Latest is clock.Never for those.
@@ -80,19 +79,13 @@ type BaseState struct {
 
 // ExportState captures the base for a checkpoint. Sealed frames alias
 // the immutable segment columns (no copy); the tail frame is copied, so
-// the export stays consistent even if appends continue afterwards. Only
-// columnar bases can be exported — RestoreBase rebuilds that layout, and
-// durability refuses the row-store ablation.
+// the export stays consistent even if appends continue afterwards.
 func (b *Base) ExportState() (BaseState, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if !b.columnar {
-		return BaseState{}, fmt.Errorf("event: only columnar bases export segment state")
-	}
 	st := BaseState{
 		Meta: BaseMeta{
 			SegSize:     b.segSize,
-			Columnar:    b.columnar,
 			Types:       append([]Type(nil), b.typesByID...),
 			OIDs:        append([]types.OID(nil), b.oidsByID...),
 			Latest:      append([]clock.Time(nil), b.latest...),
@@ -250,7 +243,7 @@ func RestoreBase(meta BaseMeta, frames []SegmentFrame, workers int) (*Base, erro
 		return nil, fmt.Errorf("event: restore: latest table has %d entries for %d types",
 			len(meta.Latest), len(meta.Types))
 	}
-	b := newBase(meta.SegSize, true)
+	b := NewBaseSize(meta.SegSize)
 	for id, t := range meta.Types {
 		if err := t.Valid(); err != nil {
 			return nil, fmt.Errorf("event: restore: type %d: %w", id, err)
@@ -356,16 +349,18 @@ func (b *Base) buildSegment(f SegmentFrame) *segment {
 	return sg
 }
 
+// metaLayoutColumnar is the layout byte AppendBaseMeta writes after the
+// segment size. It dates from when a base had two layouts; only the
+// columnar one was ever exported, so the byte is always this value and
+// any other is refused as corrupt.
+const metaLayoutColumnar = 1
+
 // AppendBaseMeta appends the meta encoded as one wire frame.
 func AppendBaseMeta(dst []byte, m BaseMeta) []byte {
 	payload := make([]byte, 0, 64+16*len(m.Types)+8*len(m.OIDs))
 	payload = append(payload, segmentCodecVersion)
 	payload = wire.AppendUvarint(payload, uint64(m.SegSize))
-	if m.Columnar {
-		payload = append(payload, 1)
-	} else {
-		payload = append(payload, 0)
-	}
+	payload = append(payload, metaLayoutColumnar)
 	payload = wire.AppendUvarint(payload, uint64(len(m.Types)))
 	for id, t := range m.Types {
 		payload = append(payload, byte(t.Op))
@@ -405,10 +400,9 @@ func DecodeBaseMeta(data []byte) (BaseMeta, []byte, error) {
 		return BaseMeta{}, nil, err
 	}
 	m.SegSize = int(segSize)
-	if len(p) < 1 {
-		return BaseMeta{}, nil, wire.ErrCorrupt
+	if len(p) < 1 || p[0] != metaLayoutColumnar {
+		return BaseMeta{}, nil, fmt.Errorf("%w: base meta layout", wire.ErrCorrupt)
 	}
-	m.Columnar = p[0] != 0
 	p = p[1:]
 	nTypes, p, err := wire.Uvarint(p)
 	if err != nil {

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // buildBase appends n occurrences across a few types and objects into a
-// columnar base with the given segment size.
+// base with the given segment size.
 func buildBase(t *testing.T, segSize, n int) *Base {
 	t.Helper()
 	b := NewBaseSize(segSize)
@@ -155,6 +156,68 @@ func TestRestoreBaseRoundTrip(t *testing.T) {
 		if err1 != nil || err2 != nil || occ1 != occ2 {
 			t.Fatalf("post-restore append diverged: %v/%v vs %v/%v", occ1, err1, occ2, err2)
 		}
+	}
+}
+
+// parentMeta is AppendBaseMeta's encoding of buildBase(t, 8, 30), plus an
+// eagerly interned Create("never"), compacted below t10 — written by the
+// codec as it stood when BaseMeta still carried the layout flag. Byte 10
+// is that layout byte (the payload's third: version, segment size,
+// layout).
+var parentMeta = []byte{
+	0x44, 0x00, 0x00, 0x00, 0x3b, 0xb8, 0x6f, 0x7c, 0x01, 0x08, 0x01, 0x05,
+	0x00, 0x05, 0x73, 0x74, 0x6f, 0x63, 0x6b, 0x00, 0x3a, 0x02, 0x05, 0x73,
+	0x74, 0x6f, 0x63, 0x6b, 0x08, 0x71, 0x75, 0x61, 0x6e, 0x74, 0x69, 0x74,
+	0x79, 0x3c, 0x01, 0x05, 0x73, 0x74, 0x6f, 0x63, 0x6b, 0x00, 0x36, 0x00,
+	0x05, 0x6f, 0x72, 0x64, 0x65, 0x72, 0x00, 0x38, 0x00, 0x05, 0x6e, 0x65,
+	0x76, 0x65, 0x72, 0x00, 0x00, 0x05, 0x02, 0x04, 0x06, 0x08, 0x0a, 0x10,
+	0x08, 0x01, 0x3c, 0x3c,
+}
+
+// TestDecodeParentMeta pins the checkpoint format across the removal of
+// the row-store layout: meta bytes encoded before it decode, restore a
+// base that answers as the original, and re-encode to the same bytes; a
+// layout byte of 0, which no checkpoint ever carried, is corrupt.
+func TestDecodeParentMeta(t *testing.T) {
+	b := buildBase(t, 8, 30)
+	b.InternType(Create("never"))
+	b.CompactBelow(clock.Time(10))
+	st, err := b.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, rest, err := DecodeBaseMeta(parentMeta)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: %v (%d trailing bytes)", err, len(rest))
+	}
+	if enc := AppendBaseMeta(nil, meta); !bytes.Equal(enc, parentMeta) {
+		t.Fatalf("re-encoding changed the bytes:\n got % x\nwant % x", enc, parentMeta)
+	}
+	frames := append([]SegmentFrame(nil), st.Sealed...)
+	if st.Tail != nil {
+		frames = append(frames, *st.Tail)
+	}
+	r, err := RestoreBase(meta, frames, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.String() != b.String() {
+		t.Fatalf("restored base differs:\n--- original\n%s--- restored\n%s", b, r)
+	}
+	for _, ty := range []Type{Create("stock"), Create("order"), Create("never")} {
+		if r.Latest(ty) != b.Latest(ty) || r.LastOf(ty, 10, 30) != b.LastOf(ty, 10, 30) {
+			t.Fatalf("probes of %v differ after restore", ty)
+		}
+	}
+
+	payload, _, err := wire.NextFrame(parentMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = append([]byte(nil), payload...)
+	payload[2] = 0
+	if _, _, err := DecodeBaseMeta(wire.AppendFrame(nil, payload)); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("layout byte 0: got %v, want ErrCorrupt", err)
 	}
 }
 

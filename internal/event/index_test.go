@@ -200,12 +200,12 @@ func restoreThroughCodec(t *testing.T, b *Base) *Base {
 	return restored
 }
 
-// TestIndexMatchesNaiveScan drives random appends and compactions through
-// both layouts at segment sizes from 1 to 256 and, at every step, pins
-// every index-backed probe — Type-keyed and id-typed — to a naive scan of
-// the retained log. The columnar base is periodically replaced by its own
-// image restored through the segment codec, so the restored index (and
-// appends continuing into a restored tail) answer to the same oracle.
+// TestIndexMatchesNaiveScan drives random appends and compactions at
+// segment sizes from 1 to 256 and, at every step, pins every index-backed
+// probe — Type-keyed and id-typed — to a naive scan of the retained log.
+// The base is periodically replaced by its own image restored through the
+// segment codec, so the restored index (and appends continuing into a
+// restored tail) answer to the same oracle.
 func TestIndexMatchesNaiveScan(t *testing.T) {
 	vocab := []Type{
 		Create("stock"), Delete("stock"), Modify("stock", "quantity"),
@@ -214,36 +214,34 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 	}
 	const objects = 7 // OID objects+1 is never seen
 	for _, segSize := range []int{1, 2, 3, 5, 8, 256} {
-		for _, columnar := range []bool{true, false} {
-			r := rand.New(rand.NewSource(int64(1000*segSize) + 7))
-			b := newBase(segSize, columnar)
-			o := &oracle{latest: map[Type]clock.Time{}, rank: map[types.OID]int{}}
-			steps := 100
-			if segSize == 256 {
-				steps = 700
+		r := rand.New(rand.NewSource(int64(1000*segSize) + 7))
+		b := NewBaseSize(segSize)
+		o := &oracle{latest: map[Type]clock.Time{}, rank: map[types.OID]int{}}
+		steps := 100
+		if segSize == 256 {
+			steps = 700
+		}
+		now := clock.Never
+		for step := 0; step < steps; step++ {
+			tag := fmt.Sprintf("seg=%d step=%d", segSize, step)
+			now += clock.Time(1 + r.Intn(3))
+			ty := vocab[r.Intn(len(vocab)-1)]
+			oid := types.OID(1 + r.Intn(objects))
+			if _, err := b.Append(ty, oid, now); err != nil {
+				t.Fatal(err)
 			}
-			now := clock.Never
-			for step := 0; step < steps; step++ {
-				tag := fmt.Sprintf("seg=%d columnar=%v step=%d", segSize, columnar, step)
-				now += clock.Time(1 + r.Intn(3))
-				ty := vocab[r.Intn(len(vocab)-1)]
-				oid := types.OID(1 + r.Intn(objects))
-				if _, err := b.Append(ty, oid, now); err != nil {
-					t.Fatal(err)
-				}
-				o.note(ty, oid, now)
-				if r.Intn(6) == 0 {
-					b.CompactBelow(now - clock.Time(r.Intn(40)))
-				}
-				if columnar && r.Intn(10) == 0 {
-					b = restoreThroughCodec(t, b)
-					tag += " restored"
-				}
-				if segSize == 256 && step%20 != 0 {
-					continue // long histories: probe every twentieth step
-				}
-				checkAgainstOracle(t, tag, r, b, o, vocab, objects, now)
+			o.note(ty, oid, now)
+			if r.Intn(6) == 0 {
+				b.CompactBelow(now - clock.Time(r.Intn(40)))
 			}
+			if r.Intn(10) == 0 {
+				b = restoreThroughCodec(t, b)
+				tag += " restored"
+			}
+			if segSize == 256 && step%20 != 0 {
+				continue // long histories: probe every twentieth step
+			}
+			checkAgainstOracle(t, tag, r, b, o, vocab, objects, now)
 		}
 	}
 }

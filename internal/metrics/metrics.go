@@ -1,10 +1,9 @@
 // Package metrics is the engine-wide observability registry: a
 // dependency-free set of atomic instruments (monotone counters, gauges,
 // fixed-bucket histograms) the hot layers — Event Base appends, the
-// incremental ∃t' sweep, the sharded triggering determination, the
-// rule-processing loop — report into, plus a snapshot and text
-// exposition for `chimerash show stats`, `chimera-bench -metrics` and
-// `engine.DB.Snapshot`.
+// triggering determination, the rule-processing loop — report into,
+// plus a snapshot and text exposition for `chimerash show stats`,
+// `chimera-bench -metrics` and `engine.DB.Snapshot`.
 //
 // # Zero overhead when off
 //

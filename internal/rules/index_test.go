@@ -216,10 +216,7 @@ func scriptArrivals(t *testing.T, r *rand.Rand, b *event.Base, c *clock.Clock) [
 }
 
 var scriptConfigs = []Options{
-	{UseFilter: true, SharedPlan: true},
-	{UseFilter: true, SharedPlan: true, Workers: 4},
-	{UseFilter: true, Incremental: true, Workers: 8},
-	{UseFilter: true, FilterMode: FilterMentioned},
+	{UseFilter: true},
 	{}, // the naive support examines every rule: the index serves Pick, Watermark and the counters
 }
 
@@ -346,7 +343,7 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 // The same script over a Session's line, beside the Support's own line
 // serving a different history: the two indexes share nothing.
 func TestIndexMatchesFullWalkInSession(t *testing.T) {
-	cfg := Options{UseFilter: true, SharedPlan: true, Workers: 4}
+	cfg := Options{UseFilter: true}
 	r := rand.New(rand.NewSource(42))
 	s := NewSupport(event.NewBase(), cfg)
 	for _, d := range scriptDefs(r, 70, "r") {
@@ -411,7 +408,7 @@ func TestBlockBoundaryIndependentOfRuleCount(t *testing.T) {
 	for _, n := range []int{10, 10000} {
 		b := event.NewBase()
 		c := clock.New()
-		s := NewSupport(b, Options{UseFilter: true, SharedPlan: true, Workers: 4})
+		s := NewSupport(b, Options{UseFilter: true})
 		s.BeginTransaction(c.Now())
 		for i := 0; i < n; i++ {
 			// Two rules listen to create(stock), the rest to a type that
@@ -474,7 +471,7 @@ func TestBlockBoundaryIndependentOfRuleCount(t *testing.T) {
 // a triggered rule is evaluated, picked or counted after its Drop, and
 // the ranks it shifted keep pointing at the right neighbours.
 func TestDropLeavesIndex(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true, SharedPlan: true})
+	s, b, c := newSupport(t, Options{UseFilter: true})
 	for _, d := range []Def{
 		{Name: "a", Priority: 1, Event: calculus.P(createStock)},
 		{Name: "b", Priority: 2, Event: calculus.P(createStock)},

@@ -45,7 +45,7 @@ func (s *Support) Marks() []Mark {
 // that decided "not triggered" before the crash decides the same way
 // again, and a triggered rule's flag arrives from the mark (checks skip
 // triggered rules) — but it means recovery never has to serialize
-// sweeper cursors or memo state.
+// probe cursors or memo state.
 func (s *Support) RestoreMarks(ms []Mark) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -67,7 +67,6 @@ func (s *Support) RestoreMarks(ms []Mark) error {
 		st.TriggeredAt = m.TriggeredAt
 		st.lastProbe = m.LastConsideration
 		st.pending = true
-		st.sweeper = nil
 	}
 	s.stale = true
 	return nil

@@ -6,26 +6,17 @@
 // consumption, triggered flag — and decides triggering with the event
 // calculus.
 //
-// The Trigger Support comes in several configurations used by the
-// benchmark harness:
-//
-//   - the optimized support of Section 5.1, which consults the compiled
-//     V(E) filter and recomputes ts only for rules a new arrival is
-//     relevant to;
-//   - the naive support, which recomputes ts for every non-triggered rule
-//     at every block boundary;
-//   - a boundary-only ablation that evaluates ts at the check instant
-//     instead of probing every arrival (the paper's implementation
-//     sketch, weaker than the formal ∃t' semantics);
-//   - the incremental sweep (Options.Incremental), which replaces the
-//     per-arrival recursive ts probe with calculus.Sweeper — one walk of
-//     the arrivals with per-subexpression cursor state;
-//   - the sharded determination (Options.Workers > 1), which partitions
-//     the pending rules across worker goroutines and merges the fired
-//     names back into priority order deterministically.
-//
-// A LegacySupport reproduces original Chimera (disjunctions of primitive
-// event types, constant-time type lookup) for the comparison baseline.
+// The Trigger Support decides T(r, t) of Section 4.4 one way. Every
+// rule's event expression is interned into one shared DAG
+// (calculus.Plan); at a block boundary the rules to examine — with the
+// V(E) filter of Section 5.1, only those a relevant arrival reached —
+// are grouped by consideration horizon, and each group walks the
+// arrivals of its window once through the interned-id columns of the
+// Event Base, probing ts(E, t') at every arrival a rule's V(E) mentions
+// and at the check instant, with one memoized evaluator
+// (calculus.PlanEval) serving every rule of the group. The recursive
+// evaluator calculus.Env is the definition this is held to: the tests
+// keep the per-rule determination over it as the oracle.
 //
 // # Concurrency
 //
@@ -34,22 +25,19 @@
 // BeginTransaction, Rebind, ResetStats) take the mutex exclusively;
 // read-only operations (Rule, Rules, Triggered, Pick, Watermark, Stats,
 // TxnStart) take it shared, so inspection never serializes against
-// other readers.
-// Inside a sharded CheckTriggered the worker goroutines share nothing
-// but the Event Base, which is explicitly safe for concurrent reads;
-// each worker owns a disjoint slice of per-rule States and a private
-// scratch Env. See DESIGN.md §7 for the lock hierarchy.
+// other readers. A determination runs on the calling goroutine; lines
+// of different Sessions run theirs in parallel, sharing only the
+// immutable registry and the Event Base's read paths. See DESIGN.md §7
+// for the lock hierarchy.
 package rules
 
 import (
 	"cmp"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"chimera/internal/calculus"
 	"chimera/internal/clock"
@@ -143,8 +131,8 @@ func (d Def) Validate() error {
 //
 // The copies returned by Support.Rule share the Filter pointer with the
 // live support: a Filter is immutable after calculus.Compile, so the
-// aliasing is read-only by construction. All mutable per-rule sweep
-// state is unexported and stripped from exported copies.
+// aliasing is read-only by construction. The mutable mention bitset is
+// unexported and stripped from exported copies.
 type State struct {
 	Def Def
 	// Filter is the compiled V(E) filter. It is immutable once built —
@@ -172,12 +160,7 @@ type State struct {
 	// precedence over negation-free operands are all monotone in the
 	// growing prefix of R.)
 	monotone bool
-	// sweeper is the incremental ∃t' evaluator for this rule's current
-	// consideration window (Options.Incremental); nil until the first
-	// probe and discarded whenever the window restarts.
-	sweeper *calculus.Sweeper
-	// planRoot is the rule's root node in the support's interned DAG
-	// (Options.SharedPlan); NoNode when the shared plan is off.
+	// planRoot is the rule's root node in the support's interned DAG.
 	planRoot calculus.NodeID
 	// mentionBits is V(E)'s mentioned-type set as a bitset over the Event
 	// Base's interned type ids — the columnar probe loop's replacement
@@ -218,54 +201,15 @@ func (st *State) mentionedTID(tid int32) bool {
 	return w < len(st.mentionBits) && st.mentionBits[w]&(1<<(uint(tid)&63)) != 0
 }
 
-// FilterMode selects how the V(E) filter is consulted.
-type FilterMode int
-
-const (
-	// FilterRelevant is the sign-aware filter: an arrival is relevant
-	// only when its type carries a Δ+ or Δ± variation (a pure Δ− arrival
-	// cannot raise ts, so a non-triggered rule skips it).
-	FilterRelevant FilterMode = iota
-	// FilterMentioned is the paper's literal "match V(E)" condition: any
-	// arrival whose type appears in V(E), regardless of sign, forces a
-	// recomputation. Kept as the B7 ablation.
-	FilterMentioned
-)
-
 // Options configures a Support.
 type Options struct {
-	// UseFilter enables the V(E) static optimization; when false every
-	// block boundary recomputes ts for every non-triggered rule.
+	// UseFilter enables the V(E) static optimization of Section 5.1: a
+	// block boundary examines only the rules a relevant arrival reached —
+	// one whose type carries a Δ+ or Δ± variation (a pure Δ− arrival
+	// cannot raise ts, so a non-triggered rule skips it). When false every
+	// block boundary recomputes ts for every non-triggered rule; the
+	// paper's figure of the filter's effect (experiment B1) is its user.
 	UseFilter bool
-	// FilterMode selects the sign-aware or the mention-only filter
-	// (meaningful only with UseFilter).
-	FilterMode FilterMode
-	// BoundaryOnly replaces the formal ∃t' probe with a single ts
-	// evaluation at the check instant (the ablation of experiment B6).
-	BoundaryOnly bool
-	// Incremental replaces the per-arrival recursive ts probe with the
-	// incremental sweep of calculus.Sweeper: one walk of the arrivals
-	// maintaining per-subexpression cursors, skipping probe instants no
-	// mentioned type arrived at. Semantically transparent — the
-	// differential tests pin it to the recursive reference probe.
-	Incremental bool
-	// SharedPlan hash-conses every rule's event expression into one
-	// interned DAG (calculus.Plan) and evaluates the triggering
-	// determination over it with a per-probe memo, so a subexpression
-	// shared by N rules with the same consideration horizon is evaluated
-	// once instead of N times. Semantically transparent — the differential
-	// tests pin it to the per-rule evaluators bit for bit. When set it
-	// supersedes Incremental on the check path (the per-rule sweeper
-	// cannot share work across rules); BoundaryOnly, an ablation of the
-	// probe semantics itself, still takes precedence. Mirrors the engine's
-	// DisableCompaction convention: on by default via
-	// engine.DefaultOptions, cleared to opt out.
-	SharedPlan bool
-	// MemoOff keeps the shared plan's grouped DAG walk but disables its
-	// memo tables (the ablation of experiment B11: it measures exactly
-	// how many node evaluations sharing avoids on an identical probe
-	// schedule). Meaningful only with SharedPlan.
-	MemoOff bool
 	// Metrics, when non-nil, is the instrument set the support reports
 	// into. Reporting happens in bulk at the end of each CheckTriggered
 	// (counter deltas, not per-rule atomics), so the enabled path adds a
@@ -274,24 +218,7 @@ type Options struct {
 	// suite in internal/engine pins metrics-on vs metrics-off runs to
 	// identical triggerings and database states.
 	Metrics *SupportMetrics
-	// Workers selects the CheckTriggered execution mode: 0 or 1 run the
-	// determination sequentially on the calling goroutine (the reference
-	// configuration), and n > 1 partitions the pending rules across n
-	// worker goroutines. Fired names are merged back into priority order
-	// deterministically, so every value produces identical results.
-	// Batches smaller than ShardMinRules stay sequential regardless —
-	// goroutine fan-out costs more than it saves there. DefaultWorkers
-	// returns the GOMAXPROCS-bounded value production configurations use.
-	Workers int
 }
-
-// ShardMinRules is the smallest pending-rule batch CheckTriggered will
-// fan out across workers; smaller batches run in-line on the caller.
-const ShardMinRules = 32
-
-// DefaultWorkers returns the worker count a production configuration
-// should use: the scheduler's processor budget.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Stats counts the work the Trigger Support performed; the benchmark
 // harness reads them to report the effect of the static optimization.
@@ -308,30 +235,25 @@ type Stats struct {
 	// a ts evaluation: examined minus the check's batch (the pending
 	// rules). Always zero with UseFilter off.
 	RulesSkipped int64
-	// TsEvaluations counts full ts(E, t') evaluations.
+	// TsEvaluations counts node evaluations of the shared plan: set-level
+	// ts, per-object ots and lift domains actually computed. It equals
+	// MemoMisses.
 	TsEvaluations int64
-	// SweepSkipped counts probe instants the incremental sweep settled
-	// from cached sign state without a ts evaluation (its saving over the
-	// per-arrival recursive probe).
+	// SweepSkipped counts (arrival, undecided rule) probe pairs the mention
+	// test settled without a ts evaluation: the arrival's type is not in
+	// the rule's V(E), so its activation cannot change there.
 	SweepSkipped int64
-	// MemoHits and MemoMisses count shared-plan memo lookups
-	// (Options.SharedPlan): a hit is a node result served from the
-	// per-probe memo instead of recomputed, a miss a node actually
-	// evaluated. In shared-plan runs TsEvaluations equals MemoMisses —
-	// the counters are node-granular there, where the per-rule modes
-	// count root-level evaluations.
+	// MemoHits and MemoMisses count memo lookups of the shared plan's
+	// evaluator: a hit is a node result served from the per-probe memo
+	// instead of recomputed, a miss a node actually evaluated.
 	MemoHits   int64
 	MemoMisses int64
 	// Triggerings counts transitions into the triggered state.
 	Triggerings int64
 }
 
-// SupportMetrics is the Trigger Support's instrument set. The shard
-// histograms expose imbalance (rules checked and triggerings per shard
-// per check) and MergeWaitNs the time the merging goroutine spent
-// blocked on the slowest shard — the signals the sharded determination
-// of DESIGN.md §7 needs in production. A nil *SupportMetrics disables
-// reporting.
+// SupportMetrics is the Trigger Support's instrument set. A nil
+// *SupportMetrics disables reporting.
 type SupportMetrics struct {
 	Checks        *metrics.Counter
 	RulesExamined *metrics.Counter
@@ -346,17 +268,8 @@ type SupportMetrics struct {
 	MemoMisses *metrics.Counter
 	PlanNodes  *metrics.Gauge
 	PlanShared *metrics.Gauge
-	// BatchRules observes the pending-rule batch per check; ShardRules
-	// and ShardTriggerings observe per-shard loads (sharded path only).
-	BatchRules       *metrics.Histogram
-	ShardRules       *metrics.Histogram
-	ShardTriggerings *metrics.Histogram
-	// MergeWaitNs observes the coordinator's wait for the slowest shard.
-	MergeWaitNs *metrics.Histogram
-	// Workers gauges the worker count of the most recent check.
-	Workers *metrics.Gauge
-	// Sweep is handed to every rule's incremental Sweeper.
-	Sweep *calculus.SweepMetrics
+	// BatchRules observes the pending-rule batch per check.
+	BatchRules *metrics.Histogram
 }
 
 // NewSupportMetrics resolves the Trigger Support instruments from a
@@ -374,25 +287,18 @@ func NewSupportMetrics(r *metrics.Registry) *SupportMetrics {
 		Triggerings:   r.Counter("chimera_trigger_triggerings_total"),
 		BatchRules: r.Histogram("chimera_trigger_batch_rules",
 			1, 4, 16, 64, 256, 1024, 4096),
-		ShardRules: r.Histogram("chimera_trigger_shard_rules",
-			1, 4, 16, 64, 256, 1024, 4096),
-		ShardTriggerings: r.Histogram("chimera_trigger_shard_triggerings",
-			0, 1, 4, 16, 64, 256),
-		MergeWaitNs: r.Histogram("chimera_trigger_merge_wait_ns",
-			1e3, 1e4, 1e5, 1e6, 1e7, 1e8),
-		Workers:    r.Gauge("chimera_trigger_workers"),
 		MemoHits:   r.Counter("chimera_plan_memo_hits_total"),
 		MemoMisses: r.Counter("chimera_plan_memo_misses_total"),
 		PlanNodes:  r.Gauge("chimera_plan_nodes"),
 		PlanShared: r.Gauge("chimera_plan_shared_nodes"),
-		Sweep:      calculus.NewSweepMetrics(r),
 	}
 }
 
 // report publishes the delta between two Stats snapshots plus the batch
-// shape of one check. Called once per CheckTriggered with the support
-// mutex held; all instrument writes are atomic and allocation-free.
-func (m *SupportMetrics) report(before, after Stats, batch, workers int) {
+// size of one check and the plan's shape. Called once per CheckTriggered
+// with the line's lock held; all instrument writes are atomic and
+// allocation-free.
+func (m *SupportMetrics) report(before, after Stats, batch int, plan *calculus.Plan) {
 	if m == nil {
 		return
 	}
@@ -405,10 +311,11 @@ func (m *SupportMetrics) report(before, after Stats, batch, workers int) {
 	m.MemoMisses.Add(after.MemoMisses - before.MemoMisses)
 	m.Triggerings.Add(after.Triggerings - before.Triggerings)
 	m.BatchRules.Observe(int64(batch))
-	m.Workers.Set(int64(workers))
+	m.PlanNodes.Set(int64(plan.Live()))
+	m.PlanShared.Set(int64(plan.Shared()))
 }
 
-// add accumulates a per-shard partial into the receiver.
+// add accumulates a released session's counters into the receiver.
 func (s *Stats) add(o Stats) {
 	s.Checks += o.Checks
 	s.RulesExamined += o.RulesExamined
@@ -480,26 +387,21 @@ type line struct {
 	wmMin     clock.Time
 	wmHolders int
 
-	// checkBuf and envs are CheckTriggered scratch, recycled across
-	// checks: the pending-rule batch, and one calculus.Env (with its
-	// allocation-free buffers) per worker shard.
-	checkBuf []*State
-	envs     []*calculus.Env
-	// planWorkers holds one memoized evaluator (plus private scratch)
-	// per worker shard; groupBuf orders the batch by consideration
-	// horizon so rules sharing a window share a memo.
-	planWorkers []*planWorker
-	groupBuf    []*State
-	cutBuf      []int
-	// firedBuf backs CheckTriggered's result slice, recycled across
-	// checks: the returned names are valid until the next call.
-	firedBuf []string
+	// CheckTriggered scratch, recycled across checks: checkBuf is the
+	// pending-rule batch, groupBuf the batch ordered by consideration
+	// horizon so rules sharing a window share a memo, eval the memoized
+	// evaluator (created at the first check) and undecided its group's
+	// rules still probing arrivals. firedBuf backs the result slice: the
+	// returned names are valid until the next call.
+	checkBuf  []*State
+	groupBuf  []*State
+	eval      *calculus.PlanEval
+	undecided []*State
+	firedBuf  []string
 	// budget is the transaction's evaluation budget (nil = unlimited),
-	// installed by SetBudget at Begin and handed to every evaluator the
-	// determination drives. Exhaustion aborts CheckTriggered with a
-	// budget fault; worker goroutines catch it and the coordinator
-	// rethrows on its own stack, so the fault always unwinds through the
-	// caller (the engine's block flush), never through a bare goroutine.
+	// installed by SetBudget at Begin and handed to the evaluator.
+	// Exhaustion aborts CheckTriggered with a budget fault that unwinds
+	// through the caller (the engine's block flush).
 	budget *calculus.Budget
 }
 
@@ -574,9 +476,8 @@ func (l *line) rescanWatermark() {
 type Support struct {
 	mu   sync.RWMutex
 	opts Options
-	// plan is the rule set's interned expression DAG (Options.SharedPlan;
-	// nil otherwise), rebuilt incrementally on Define/Drop via per-node
-	// refcounts.
+	// plan is the rule set's interned expression DAG, rebuilt
+	// incrementally on Define/Drop via per-node refcounts.
 	plan *calculus.Plan
 	// sessions counts the open per-transaction Sessions. While any are
 	// open the rule set (and with it the plan DAG their evaluators walk)
@@ -594,29 +495,17 @@ type Support struct {
 	line
 }
 
-// planWorker is one shard's shared-plan scratch: the memoized evaluator
-// and the buffers the grouped probe loop recycles. Like calculus.Env it
-// is stateful and owned by a single goroutine at a time.
-type planWorker struct {
-	pe        *calculus.PlanEval
-	undecided []*State
-	occs      []event.Occurrence
-}
-
 // NewSupport builds a Trigger Support over an Event Base.
 func NewSupport(base *event.Base, opts Options) *Support {
-	s := &Support{
+	return &Support{
 		opts: opts,
+		plan: calculus.NewPlan(),
 		line: line{
 			base:   base,
 			rules:  make(map[string]*State),
 			byType: make(map[event.Type][]*State),
 		},
 	}
-	if opts.SharedPlan {
-		s.plan = calculus.NewPlan()
-	}
-	return s
 }
 
 // Define registers a rule. The rule starts non-triggered with its
@@ -645,10 +534,7 @@ func (s *Support) Define(d Def) error {
 		// NEXT relevant arrival. The first check settles the flag (an
 		// empty window simply decides "not triggered").
 		pending:  true,
-		planRoot: calculus.NoNode,
-	}
-	if s.plan != nil {
-		st.planRoot = s.plan.Intern(d.Event)
+		planRoot: s.plan.Intern(d.Event),
 	}
 	s.rules[d.Name] = st
 	s.enqueue(st)
@@ -659,7 +545,7 @@ func (s *Support) Define(d Def) error {
 	if d.Coupling == Deferred {
 		s.deferred++
 	}
-	s.index(st, s.opts.FilterMode)
+	s.index(st)
 	return nil
 }
 
@@ -717,16 +603,12 @@ func (l *line) watermark() clock.Time {
 }
 
 // index registers the rule in the inverted listening index.
-func (l *line) index(st *State, mode FilterMode) {
+func (l *line) index(st *State) {
 	if st.Filter.MatchAll {
 		l.matchAll = append(l.matchAll, st)
 		return
 	}
-	listen := st.Filter.RelevantTypes()
-	if mode == FilterMentioned {
-		listen = st.Filter.MentionedTypes()
-	}
-	for _, t := range listen {
+	for _, t := range st.Filter.RelevantTypes() {
 		l.byType[t] = append(l.byType[t], st)
 	}
 }
@@ -769,12 +651,10 @@ func (s *Support) Drop(name string) error {
 	// from the surviving States before anything reads it again.
 	s.stale = true
 	s.vocab = nil
-	if s.plan != nil && st.planRoot != calculus.NoNode {
-		// Drop the rule's tree from the interned DAG; nodes still
-		// referenced by other rules survive, the rest free their ids.
-		s.plan.Release(st.planRoot)
-		st.planRoot = calculus.NoNode
-	}
+	// Drop the rule's tree from the interned DAG; nodes still referenced
+	// by other rules survive, the rest free their ids.
+	s.plan.Release(st.planRoot)
+	st.planRoot = calculus.NoNode
 	if st.Def.Consumption == Preserving {
 		// Recompute the watermark input immediately: dropping the last
 		// preserving rule must unpin compaction without waiting for any
@@ -814,7 +694,7 @@ func (s *Support) enqueue(st *State) {
 
 // Rule returns a copy of the rule's state. The copy shares the
 // immutable Filter pointer with the live support (see State) but strips
-// the unexported mutable sweep state.
+// the unexported mention bitset.
 func (s *Support) Rule(name string) (State, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -827,7 +707,6 @@ func (l *line) rule(name string) (State, bool) {
 		return State{}, false
 	}
 	cp := *st
-	cp.sweeper = nil
 	cp.mentionBase = nil
 	cp.mentionBits = nil
 	return cp, true
@@ -847,10 +726,10 @@ func (s *Support) Stats() Stats {
 	return s.stats
 }
 
-// Plan returns the interned trigger-plan DAG, or nil when SharedPlan is
-// off. The plan is mutated only under Define/Drop (which hold the write
-// lock), so readers inspecting sharing — the analysis report, the shell
-// — see a consistent DAG between rule-set changes.
+// Plan returns the interned trigger-plan DAG. The plan is mutated only
+// under Define/Drop (which hold the write lock), so readers inspecting
+// sharing — the analysis report, the shell — see a consistent DAG
+// between rule-set changes.
 func (s *Support) Plan() *calculus.Plan {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -877,13 +756,12 @@ func (s *Support) BeginTransaction(start clock.Time) {
 		st.Triggered = false
 		st.TriggeredAt = clock.Never
 		st.pending = false
-		st.sweeper = nil
 	}
 	s.stale = true
 }
 
 // Rebind points the support at a new Event Base (a new transaction's
-// log). Sweepers hold cursors into the old base, so they are discarded.
+// log).
 //
 // The rule vocabulary is interned into the fresh base here, eagerly and
 // in deterministic (priority, then expression traversal) order. The
@@ -896,9 +774,6 @@ func (s *Support) Rebind(base *event.Base) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.base = base
-	for _, st := range s.ordered {
-		st.sweeper = nil
-	}
 	s.internVocabulary(base)
 }
 
@@ -978,72 +853,10 @@ func (l *line) arrive(st *State) {
 	l.queued = true
 }
 
-// checkOne runs the triggering determination for one rule. It mutates
-// only st and stats — both owned exclusively by the calling shard — and
-// reads the Event Base, which is safe to share across workers. env is
-// the shard's private scratch evaluator.
-func (l *line) checkOne(st *State, env *calculus.Env, now clock.Time, stats *Stats, opts *Options) {
-	env.Base = l.base
-	env.Since = st.LastConsideration
-	env.RestrictDomain = true
-	var ok bool
-	var at clock.Time
-	switch {
-	case opts.BoundaryOnly:
-		stats.TsEvaluations++
-		if !l.base.Empty(st.LastConsideration, now) && env.TS(st.Def.Event, now).Active() {
-			ok, at = true, now
-		}
-	case st.monotone:
-		// Negation-free: activation is monotone in the probe instant,
-		// so evaluating at now decides ∃t' exactly, in one evaluation.
-		// A positive ts of a negation-free expression also implies R
-		// holds occurrences, so the R ≠ ∅ guard is subsumed.
-		stats.TsEvaluations++
-		if v := env.TS(st.Def.Event, now); v.Active() {
-			ok, at = true, v.Time()
-		}
-	case opts.Incremental:
-		if st.sweeper == nil {
-			st.sweeper = calculus.NewSweeper(st.Def.Event, st.LastConsideration, true)
-			if opts.Metrics != nil {
-				st.sweeper.SetMetrics(opts.Metrics.Sweep)
-			}
-		} else if st.sweeper.Since() != st.LastConsideration {
-			// The window restarted (a consideration); rewind the compiled
-			// sweeper in place instead of re-allocating it.
-			st.sweeper.Reset(st.LastConsideration)
-		}
-		res := st.sweeper.Advance(env, now)
-		stats.TsEvaluations += res.Evals
-		stats.SweepSkipped += res.Skipped
-		ok, at = res.Fired, res.At
-	default:
-		probeFrom := st.lastProbe
-		stats.TsEvaluations += int64(l.base.CountArrivals(probeFrom, now)) + 1
-		ok, at = env.TriggeredAfter(st.Def.Event, probeFrom, now)
-	}
-	st.lastProbe = now
-	st.pending = false
-	if ok {
-		st.Triggered = true
-		st.TriggeredAt = at
-		stats.Triggerings++
-	}
-}
-
 // CheckTriggered runs the triggering determination at a block boundary:
 // for every non-triggered rule (skipping, under the optimization, rules
 // with no relevant arrival) it decides T(r, now) and flips the triggered
 // flag. It returns the names of newly triggered rules in priority order.
-//
-// With Options.Workers > 1 the examined rules are partitioned into
-// contiguous shards checked by worker goroutines. Per-rule outcomes are
-// independent (each worker owns a disjoint set of States plus a private
-// Env, and the Event Base is read-only for the duration), so the only
-// cross-shard effects are the Stats partials, summed after the join, and
-// the fired names, collected from the priority-ordered batch after the
-// join — the result is bit-identical to the sequential run.
 func (s *Support) CheckTriggered(now clock.Time) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1089,80 +902,13 @@ func (l *line) checkTriggered(now clock.Time, opts *Options, plan *calculus.Plan
 		l.stats.RulesSkipped += int64(examined - len(batch))
 	}
 	l.checkBuf = batch
-	// The evaluators (worker goroutines among them) write Triggered and
-	// pending into their own States only; the index learns of it in the
-	// fold below. A budget fault unwinding from here skips the fold, and
-	// stale makes the next reader rebuild from what the States then say.
+	// The evaluator writes Triggered and pending into the States only;
+	// the index learns of it in the fold below. A budget fault unwinding
+	// from here skips the fold, and stale makes the next reader rebuild
+	// from what the States then say.
 	l.stale = true
-	workers := opts.Workers
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	if workers < 2 || len(batch) < ShardMinRules {
-		workers = 1
-	}
-	if plan != nil && !opts.BoundaryOnly {
-		l.checkShared(batch, now, workers, m, opts, plan)
-	} else if workers == 1 {
-		for len(l.envs) < 1 {
-			l.envs = append(l.envs, &calculus.Env{})
-		}
-		l.envs[0].Budget = l.budget
-		for _, st := range batch {
-			l.checkOne(st, l.envs[0], now, &l.stats, opts)
-		}
-	} else {
-		for len(l.envs) < workers {
-			l.envs = append(l.envs, &calculus.Env{})
-		}
-		for _, env := range l.envs {
-			env.Budget = l.budget
-		}
-		partials := make([]Stats, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * len(batch) / workers
-			hi := (w + 1) * len(batch) / workers
-			wg.Add(1)
-			go func(shard []*State, env *calculus.Env, out *Stats, errp *error) {
-				defer wg.Done()
-				// A budget fault must not unwind a bare goroutine (that
-				// would kill the process): catch it here, rethrow on the
-				// coordinator after the join.
-				*errp = calculus.CatchBudget(func() {
-					for _, st := range shard {
-						l.checkOne(st, env, now, out, opts)
-					}
-				})
-			}(batch[lo:hi], l.envs[w], &partials[w], &errs[w])
-		}
-		var waitStart time.Time
-		if m != nil {
-			waitStart = time.Now()
-		}
-		wg.Wait()
-		if m != nil {
-			m.MergeWaitNs.Observe(time.Since(waitStart).Nanoseconds())
-			for w := 0; w < workers; w++ {
-				lo := w * len(batch) / workers
-				hi := (w + 1) * len(batch) / workers
-				m.ShardRules.Observe(int64(hi - lo))
-				m.ShardTriggerings.Observe(partials[w].Triggerings)
-			}
-		}
-		for w := range partials {
-			l.stats.add(partials[w])
-		}
-		for _, err := range errs {
-			calculus.ThrowBudget(err)
-		}
-	}
-	m.report(statsBefore, l.stats, len(batch), workers)
-	if m != nil && plan != nil {
-		m.PlanNodes.Set(int64(plan.Live()))
-		m.PlanShared.Set(int64(plan.Shared()))
-	}
+	l.checkShared(batch, now, plan)
+	m.report(statsBefore, l.stats, len(batch), plan)
 	// The result slice is recycled across checks (no allocation on busy
 	// boundaries); callers must not retain it past the next call. The
 	// same pass is the check→triggered transition of the index.
@@ -1180,130 +926,53 @@ func (l *line) checkTriggered(now clock.Time, opts *Options, plan *calculus.Plan
 }
 
 // checkShared runs the triggering determination over the interned DAG:
-// the batch is reordered by ascending consideration horizon (rules
-// sharing a horizon share a probe memo), partitioned across workers at
-// group boundaries — a group's memo must stay with one worker, so shards
-// are contiguous runs of whole groups, balanced by rule count — and each
-// worker walks its shard group by group with a private memoized
-// evaluator. Per-rule outcomes are independent, so neither the
-// reordering nor the partition can change results; the caller collects
-// fired names from the priority-ordered batch, keeping the merge
-// bit-identical to the sequential reference.
-func (l *line) checkShared(batch []*State, now clock.Time, workers int, m *SupportMetrics, opts *Options, plan *calculus.Plan) {
+// the batch is reordered by ascending consideration horizon and walked
+// group by group, rules sharing a horizon sharing one probe memo. Per-rule
+// outcomes are independent, so the reordering cannot change results; the
+// caller collects fired names from the priority-ordered batch.
+func (l *line) checkShared(batch []*State, now clock.Time, plan *calculus.Plan) {
 	// Group by horizon: one stable sort on a copy, which keeps queue order
 	// inside a group — and no sort at all when the horizons already ascend
 	// along the batch, as they do whenever it has a single one.
-	grouped := batch
+	rs := batch
 	if !slices.IsSortedFunc(batch, byHorizon) {
 		l.groupBuf = append(l.groupBuf[:0], batch...)
 		slices.SortStableFunc(l.groupBuf, byHorizon)
-		grouped = l.groupBuf
+		rs = l.groupBuf
 	}
-	for len(l.planWorkers) < workers {
-		pe := calculus.NewPlanEval(plan)
-		pe.DisableMemo = opts.MemoOff
+	if l.eval == nil {
+		l.eval = calculus.NewPlanEval(plan)
 		// The group walk feeds every arrival to the evaluator in
 		// timestamp order, so the prim cursors apply.
-		pe.Track(true)
-		l.planWorkers = append(l.planWorkers, &planWorker{pe: pe})
+		l.eval.Track(true)
 	}
-	for _, pw := range l.planWorkers {
-		pw.pe.Budget = l.budget
-	}
-	// Cut the horizon-ordered batch into at most `workers` contiguous
-	// shards, each ending on a group boundary (splitting a group across
-	// workers would duplicate its memo work in every shard).
-	cuts := l.cutBuf[:0]
-	i := 0
-	for w := workers; w > 0 && i < len(grouped); w-- {
-		target := (len(grouped) - i + w - 1) / w
-		end := i
-		for end-i < target && end < len(grouped) {
-			h := grouped[end].LastConsideration
-			for end < len(grouped) && grouped[end].LastConsideration == h {
-				end++
-			}
+	l.eval.Budget = l.budget
+	for len(rs) > 0 {
+		j := 1
+		for j < len(rs) && rs[j].LastConsideration == rs[0].LastConsideration {
+			j++
 		}
-		cuts = append(cuts, end)
-		i = end
+		l.checkGroup(rs[:j], now)
+		rs = rs[j:]
 	}
-	l.cutBuf = cuts
-	if len(cuts) <= 1 {
-		// One group (or one shard's worth, or an empty batch): run on
-		// the caller, sharing its memo across the whole batch.
-		l.checkSharedRange(grouped, l.planWorkers[0], now, &l.stats)
-		return
-	}
-	partials := make([]Stats, len(cuts))
-	errs := make([]error, len(cuts))
-	var wg sync.WaitGroup
-	start := 0
-	for w, end := range cuts {
-		wg.Add(1)
-		go func(shard []*State, pw *planWorker, out *Stats, errp *error) {
-			defer wg.Done()
-			// Budget faults are caught per worker and rethrown by the
-			// coordinator after the join (see checkTriggered).
-			*errp = calculus.CatchBudget(func() {
-				l.checkSharedRange(shard, pw, now, out)
-			})
-		}(grouped[start:end], l.planWorkers[w], &partials[w], &errs[w])
-		start = end
-	}
-	var waitStart time.Time
-	if m != nil {
-		waitStart = time.Now()
-	}
-	wg.Wait()
-	if m != nil {
-		m.MergeWaitNs.Observe(time.Since(waitStart).Nanoseconds())
-		start = 0
-		for w, end := range cuts {
-			m.ShardRules.Observe(int64(end - start))
-			m.ShardTriggerings.Observe(partials[w].Triggerings)
-			start = end
-		}
-	}
-	for w := range partials {
-		l.stats.add(partials[w])
-	}
-	for _, err := range errs {
-		calculus.ThrowBudget(err)
-	}
+	evals, hits := l.eval.TakeCounters()
+	l.stats.TsEvaluations += evals
+	l.stats.MemoMisses += evals
+	l.stats.MemoHits += hits
 }
 
 func byHorizon(a, b *State) int {
 	return cmp.Compare(a.LastConsideration, b.LastConsideration)
 }
 
-// checkSharedRange walks one contiguous slice of the horizon-ordered
-// batch, handing each run of equal horizons to checkGroup, then drains
-// the evaluator's work counters into the shard's stats.
-func (l *line) checkSharedRange(rs []*State, pw *planWorker, now clock.Time, stats *Stats) {
-	for len(rs) > 0 {
-		since := rs[0].LastConsideration
-		j := 1
-		for j < len(rs) && rs[j].LastConsideration == since {
-			j++
-		}
-		l.checkGroup(rs[:j], pw, now, stats)
-		rs = rs[j:]
-	}
-	evals, hits := pw.pe.TakeCounters()
-	stats.TsEvaluations += evals
-	stats.MemoMisses += evals
-	stats.MemoHits += hits
-}
-
 // checkGroup decides triggering for rules sharing one consideration
-// horizon. It reproduces the reference probe semantics exactly — every
-// arrival instant in (lastProbe, now] and then now itself, earliest
-// active probe wins, monotone rules collapsing to one evaluation at now
-// with the activation instant as TriggeredAt — but evaluates through
-// the worker's memoized DAG evaluator, so rules sharing subexpressions
-// (usually whole probes) share the work: one memo generation per probe
-// instant serves the entire group.
-func (l *line) checkGroup(group []*State, pw *planWorker, now clock.Time, stats *Stats) {
+// horizon — every arrival instant in (lastProbe, now] and then now
+// itself, earliest active probe wins, monotone rules collapsing to one
+// evaluation at now with the activation instant as TriggeredAt — through
+// the memoized DAG evaluator, so rules sharing subexpressions (usually
+// whole probes) share the work: one memo generation per probe instant
+// serves the entire group.
+func (l *line) checkGroup(group []*State, now clock.Time) {
 	since := group[0].LastConsideration
 	if l.base.Empty(since, now) {
 		// R = ∅: the system stays reactive, nothing can trigger (and a
@@ -1314,11 +983,11 @@ func (l *line) checkGroup(group []*State, pw *planWorker, now clock.Time, stats 
 		}
 		return
 	}
-	pe := pw.pe
+	pe := l.eval
 	pe.Bind(l.base, since)
 	// Collect the non-monotone rules — they probe every arrival instant
 	// they have not examined yet — and the earliest such instant.
-	und := pw.undecided[:0]
+	und := l.undecided[:0]
 	minLo := now
 	for _, st := range group {
 		if st.monotone {
@@ -1335,11 +1004,7 @@ func (l *line) checkGroup(group []*State, pw *planWorker, now clock.Time, stats 
 	}
 	lastProbed := clock.Never
 	if len(und) > 0 && minLo < now {
-		if l.base.Columnar() {
-			lastProbed, und = l.probeCols(pe, und, since, minLo, now, stats)
-		} else {
-			lastProbed, und = l.probeRows(pw, pe, und, since, minLo, now, stats)
-		}
+		lastProbed, und = l.probeCols(pe, und, since, minLo, now)
 	}
 	if lastProbed != now {
 		pe.Begin(now)
@@ -1352,7 +1017,7 @@ func (l *line) checkGroup(group []*State, pw *planWorker, now clock.Time, stats 
 		if now > lo && pe.TS(st.planRoot, now).Active() {
 			st.Triggered = true
 			st.TriggeredAt = now
-			stats.Triggerings++
+			l.stats.Triggerings++
 		}
 		st.lastProbe = now
 		st.pending = false
@@ -1366,83 +1031,21 @@ func (l *line) checkGroup(group []*State, pw *planWorker, now clock.Time, stats 
 		if v := pe.TS(st.planRoot, now); v.Active() {
 			st.Triggered = true
 			st.TriggeredAt = v.Time()
-			stats.Triggerings++
+			l.stats.Triggerings++
 		}
 		st.lastProbe = now
 		st.pending = false
 	}
-	pw.undecided = und[:0]
+	l.undecided = und[:0]
 }
 
-// probeRows is checkGroup's arrival scan over the row-store layout: the
-// window is materialized into the worker's recycled Occurrence buffer
-// and each rule consults its V(E) filter by Type map lookup. Kept
-// verbatim as the measured ablation of experiment B13. Returns the last
-// probed instant and the still-undecided remainder of und (filtered in
-// place).
-func (l *line) probeRows(pw *planWorker, pe *calculus.PlanEval, und []*State, since, minLo, now clock.Time, stats *Stats) (clock.Time, []*State) {
-	lastProbed := clock.Never
-	pw.occs = l.base.AppendWindow(pw.occs[:0], minLo, now)
-	for _, o := range pw.occs {
-		// Feed the prim cursors even once every rule has decided:
-		// the final probe at now still reads them.
-		pe.NoteArrival(o.Type, o.Timestamp)
-		if len(und) == 0 {
-			continue
-		}
-		t := o.Timestamp
-		began := false
-		kept := und[:0]
-		for _, st := range und {
-			lo := st.lastProbe
-			if lo < since {
-				lo = since
-			}
-			if t <= lo {
-				// This rule already examined t in an earlier check;
-				// re-probing could not yield a new outcome.
-				kept = append(kept, st)
-				continue
-			}
-			if !st.Filter.Mentioned(o.Type) {
-				// No variation of the rule's formula matches this
-				// arrival, so its activation cannot change at t — the
-				// same soundness argument as the incremental sweep's
-				// instant skip.
-				stats.SweepSkipped++
-				kept = append(kept, st)
-				continue
-			}
-			if !began {
-				// Open the memo generation lazily: instants every
-				// rule skips cost nothing.
-				pe.Begin(t)
-				lastProbed = t
-				began = true
-			}
-			if pe.TS(st.planRoot, t).Active() {
-				st.Triggered = true
-				st.TriggeredAt = t
-				st.lastProbe = now
-				st.pending = false
-				stats.Triggerings++
-				continue
-			}
-			kept = append(kept, st)
-		}
-		und = kept
-	}
-	return lastProbed, und
-}
-
-// probeCols is the batched columnar scan: one walk of the timestamp and
+// probeCols is checkGroup's arrival scan: one walk of the timestamp and
 // interned-type-id columns serves the whole horizon group, with no
 // Occurrence materialization. Per arrival the prim cursors advance by
-// array index (NoteArrivalTID) and each rule's mention test is one
-// bitset load — the two per-(arrival × rule) map hashes of the row path
-// become pure arithmetic. The probe semantics are identical to
-// probeRows; the differential suites pin the two bit for bit.
-func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now clock.Time, stats *Stats) (clock.Time, []*State) {
+// array index (NoteArrivalTID) and each rule's mention test is one bitset
+// load. Returns the last probed instant and the still-undecided remainder
+// of und (filtered in place).
+func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now clock.Time) (clock.Time, []*State) {
 	for _, st := range und {
 		st.ensureMentionTIDs(l.base)
 	}
@@ -1456,6 +1059,8 @@ func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now 
 		for i := 0; i < n; i++ {
 			t := cols.TS[i]
 			tid := cols.TIDs[i]
+			// Feed the prim cursors even once every rule has decided: the
+			// final probe at now still reads them.
 			pe.NoteArrivalTID(tid, t)
 			if len(und) == 0 {
 				continue
@@ -1468,15 +1073,21 @@ func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now 
 					lo = since
 				}
 				if t <= lo {
+					// This rule already examined t in an earlier check;
+					// re-probing could not yield a new outcome.
 					kept = append(kept, st)
 					continue
 				}
 				if !st.mentionedTID(tid) {
-					stats.SweepSkipped++
+					// No variation of the rule's formula matches this
+					// arrival, so its activation cannot change at t.
+					l.stats.SweepSkipped++
 					kept = append(kept, st)
 					continue
 				}
 				if !began {
+					// Open the memo generation lazily: instants every rule
+					// skips cost nothing.
 					pe.Begin(t)
 					lastProbed = t
 					began = true
@@ -1486,7 +1097,7 @@ func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now 
 					st.TriggeredAt = t
 					st.lastProbe = now
 					st.pending = false
-					stats.Triggerings++
+					l.stats.Triggerings++
 					continue
 				}
 				kept = append(kept, st)
@@ -1582,8 +1193,6 @@ func (l *line) consider(name string, now clock.Time) (Consideration, error) {
 	st.TriggeredAt = clock.Never
 	st.lastProbe = now
 	st.pending = false
-	// st.sweeper is kept: the next check notices the window restart via
-	// Sweeper.Since and rewinds it in place.
 	if old := st.LastConsideration; now != old {
 		// The horizon leaves the minimum only if the rule held it, and the
 		// minimum is rescanned only when its last holder leaves — or when

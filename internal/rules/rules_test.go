@@ -216,29 +216,46 @@ func TestFilterSkipsPureNegativeArrival(t *testing.T) {
 	}
 }
 
-// The ∃t' probe vs the boundary-only ablation: A then B inside one block.
+// The ∃t' probe catches an activation that is over by the block
+// boundary: A then B inside one block. The paper's implementation sketch,
+// ts at the check instant only, would miss it.
 func TestBoundaryOnlyMissesTransient(t *testing.T) {
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 
-	full, fb, fc := newSupport(t, Options{UseFilter: true})
-	full.Define(Def{Name: "r", Event: e})
-	log(t, full, fb, fc, createStock, 1)
-	log(t, full, fb, fc, modStockQty, 1)
-	if fired := full.CheckTriggered(fc.Now()); len(fired) != 1 {
+	s, b, c := newSupport(t, Options{UseFilter: true})
+	s.Define(Def{Name: "r", Event: e})
+	log(t, s, b, c, createStock, 1)
+	log(t, s, b, c, modStockQty, 1)
+	if fired := s.CheckTriggered(c.Now()); len(fired) != 1 {
 		t.Fatal("formal semantics should catch the transient activation")
 	}
-
-	bound, bb, bc := newSupport(t, Options{UseFilter: true, BoundaryOnly: true})
-	bound.Define(Def{Name: "r", Event: e})
-	log(t, bound, bb, bc, createStock, 1)
-	log(t, bound, bb, bc, modStockQty, 1)
-	if fired := bound.CheckTriggered(bc.Now()); len(fired) != 0 {
-		t.Fatal("boundary-only ablation unexpectedly caught the transient")
+	env := calculus.Env{Base: b, Since: s.TxnStart(), RestrictDomain: true}
+	if env.TS(e, c.Now()).Active() {
+		t.Fatal("test premise: the activation must be over at the check instant")
 	}
 }
 
-// Optimized and naive supports agree on which rules trigger, on random
-// workloads — the filter is a pure optimization.
+// The positive control beside TestBoundaryOnlyMissesTransient: when only
+// A arrives, the activation lasts to the check instant, where the
+// implementation sketch would see it too.
+func TestBoundaryOnlyPositiveControl(t *testing.T) {
+	s, b, c := newSupport(t, Options{UseFilter: true})
+	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
+	s.Define(Def{Name: "r", Event: e})
+	log(t, s, b, c, createStock, 1) // only A arrives
+	if fired := s.CheckTriggered(c.Now()); len(fired) != 1 {
+		st, _ := s.Rule("r")
+		t.Fatalf("fired=%v state=%+v now=%d", fired, st, c.Now())
+	}
+	env := calculus.Env{Base: b, Since: s.TxnStart(), RestrictDomain: true}
+	if !env.TS(e, c.Now()).Active() {
+		t.Fatal("the activation must last to the check instant")
+	}
+}
+
+// The production support, filtered and not, agrees with the oracle on
+// which rules trigger and when, on random workloads — the filter is a
+// pure optimization.
 func TestOptimizedMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	vocab := calculus.DefaultVocabulary()
@@ -249,17 +266,11 @@ func TestOptimizedMatchesNaive(t *testing.T) {
 		for i := range defs {
 			defs[i] = Def{Name: string(rune('a' + i)), Event: calculus.GenExpr(r, opts), Priority: i}
 		}
-		run := func(o Options) [][]string {
+		run := func(mk maker) [][]firing {
 			b := event.NewBase()
 			c := clock.New()
-			s := NewSupport(b, o)
-			s.BeginTransaction(c.Now())
-			for _, d := range defs {
-				if err := s.Define(d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var rounds [][]string
+			s := mk(t, b, c.Now(), defs)
+			var rounds [][]firing
 			for block := 0; block < 5; block++ {
 				n := 1 + r.Intn(3)
 				var occs []event.Occurrence
@@ -271,7 +282,12 @@ func TestOptimizedMatchesNaive(t *testing.T) {
 					occs = append(occs, occ)
 				}
 				s.NotifyArrivals(occs)
-				rounds = append(rounds, s.CheckTriggered(c.Now()))
+				var round []firing
+				for _, name := range s.CheckTriggered(c.Now()) {
+					st, _ := s.Rule(name)
+					round = append(round, firing{name, st.TriggeredAt})
+				}
+				rounds = append(rounds, round)
 				// Occasionally consider the head of the queue.
 				if name, ok := s.Pick(nil); ok && r.Intn(2) == 0 {
 					s.Consider(name, c.Tick())
@@ -281,19 +297,10 @@ func TestOptimizedMatchesNaive(t *testing.T) {
 		}
 		seed := r.Int63()
 		r = rand.New(rand.NewSource(seed))
-		naive := run(Options{})
-		r = rand.New(rand.NewSource(seed))
-		opt := run(Options{UseFilter: true})
-		for i := range naive {
-			if len(naive[i]) != len(opt[i]) {
-				t.Fatalf("trial %d round %d: naive fired %v, optimized fired %v",
-					trial, i, naive[i], opt[i])
-			}
-			for j := range naive[i] {
-				if naive[i][j] != opt[i][j] {
-					t.Fatalf("trial %d round %d: naive %v vs optimized %v", trial, i, naive[i], opt[i])
-				}
-			}
+		want := run(reference)
+		for _, o := range []Options{{}, {UseFilter: true}} {
+			r = rand.New(rand.NewSource(seed))
+			sameFirings(t, fmt.Sprintf("trial %d %+v", trial, o), want, run(production(o)))
 		}
 	}
 }
@@ -332,47 +339,11 @@ func TestDrop(t *testing.T) {
 	}
 }
 
-func TestLegacySupport(t *testing.T) {
-	s := NewLegacySupport()
-	e := calculus.DisjAll(calculus.P(createStock), calculus.P(modStockQty))
-	if err := s.Define("r", e); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Define("r", e); err == nil {
-		t.Error("duplicate legacy rule accepted")
-	}
-	if err := s.Define("bad", calculus.Conj(calculus.P(createStock), calculus.P(modStockQty))); err == nil {
-		t.Error("conjunction accepted as legacy")
-	}
-	s.NotifyArrivals([]event.Occurrence{{Type: modStockQty, OID: 1, Timestamp: 1}})
-	fired := s.CheckTriggered(0)
-	if len(fired) != 1 || fired[0] != "r" {
-		t.Fatalf("fired = %v", fired)
-	}
-	if s.TriggeredCount() != 1 {
-		t.Fatal("TriggeredCount != 1")
-	}
-	if err := s.Consider("r"); err != nil {
-		t.Fatal(err)
-	}
-	if s.TriggeredCount() != 0 {
-		t.Fatal("consider did not detrigger")
-	}
-	// Second arrival retriggers.
-	s.NotifyArrivals([]event.Occurrence{{Type: createStock, OID: 2, Timestamp: 2}})
-	if fired := s.CheckTriggered(0); len(fired) != 1 {
-		t.Fatal("legacy rule did not re-trigger")
-	}
-	if err := s.Consider("ghost"); err == nil {
-		t.Error("consider of unknown rule accepted")
-	}
-}
-
 // Define keeps the queue sorted by inserting, Drop by splicing: after any
 // sequence of both, the queue is the (priority, name) sort of the rules
 // defined.
 func TestDefineInsertsInQueueOrder(t *testing.T) {
-	s, _, _ := newSupport(t, Options{UseFilter: true, Incremental: true, SharedPlan: true})
+	s, _, _ := newSupport(t, Options{UseFilter: true})
 	r := rand.New(rand.NewSource(7))
 	var defs []Def
 	for i := 0; i < 1000; i++ {
@@ -409,7 +380,7 @@ func TestDefineInsertsInQueueOrder(t *testing.T) {
 // Pick runs once per consideration: it returns the first triggered rule
 // without building the list of all of them.
 func TestPickAllocatesNothing(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true, Incremental: true, SharedPlan: true})
+	s, b, c := newSupport(t, Options{UseFilter: true})
 	for i := 0; i < 200; i++ {
 		if err := s.Define(Def{Name: fmt.Sprintf("r%03d", i), Priority: i % 5, Event: calculus.P(createStock)}); err != nil {
 			t.Fatal(err)

@@ -52,7 +52,7 @@ var (
 
 // Session is one concurrent transaction line's Trigger Support state: a
 // private set of per-rule records (last consideration, triggered flag,
-// probe cursors, sweepers, memo scratch) over the Support's shared,
+// probe cursors, memo scratch) over the Support's shared,
 // immutable rule registry — definitions, compiled V(E) filters and the
 // interned plan DAG stay global, exactly the split the multi-session
 // engine needs. Sessions of one Support run their determinations fully
@@ -114,7 +114,7 @@ func (s *Support) NewSession(base *event.Base, start clock.Time) *Session {
 		if st.Def.Consumption == Preserving {
 			sess.line.preserving++
 		}
-		sess.line.index(st, s.opts.FilterMode)
+		sess.line.index(st)
 	}
 	sess.line.stale = true
 	s.sessions++

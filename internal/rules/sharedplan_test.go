@@ -6,15 +6,17 @@ import (
 	"testing"
 
 	"chimera/internal/calculus"
+	"chimera/internal/clock"
+	"chimera/internal/event"
 )
 
-// TestSharedPlanMatchesReference is the shared-plan differential suite:
-// over randomized rule sets with forced subexpression overlap (a small
-// fragment pool spliced into every other rule), the shared-plan engine
+// TestSharedPlanMatchesReference is the oracle differential suite: over
+// randomized rule sets with forced subexpression overlap (a small
+// fragment pool spliced into every other rule), the production support
 // must fire the identical rule set at identical activation instants as
-// the plain sequential reference — sequential, incremental, and sharded,
-// Workers ∈ {1, 4}. Run under -race this also exercises the per-worker
-// evaluator isolation.
+// the per-rule oracle — filtered and not, on segments of 1, 2 and 256
+// occurrences, compacting below its watermark, with rules defined and
+// dropped mid-transaction, and on a Session's line.
 func TestSharedPlanMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	vocab := calculus.DefaultVocabulary()
@@ -23,12 +25,33 @@ func TestSharedPlanMatchesReference(t *testing.T) {
 	fragGen := calculus.GenOptions{Types: vocab, MaxDepth: 2,
 		AllowNegation: true, AllowInstance: true, AllowPrecedence: true}
 
-	configs := []Options{
-		{SharedPlan: true},                                              // plain grouped path
-		{UseFilter: true, SharedPlan: true},                             // plus the V(E) gate
-		{Incremental: true, SharedPlan: true},                           // SharedPlan supersedes the sweep
-		{UseFilter: true, Incremental: true, SharedPlan: true, Workers: 4},
-		{SharedPlan: true, Workers: 4},
+	type variant struct {
+		mk maker
+		w  replayOpts
+	}
+	var layouts []variant
+	for _, o := range []Options{{}, {UseFilter: true}} {
+		for _, seg := range []int{1, 2, 256} {
+			layouts = append(layouts, variant{production(o), replayOpts{segSize: seg}})
+		}
+	}
+	// Each workload shape is replayed once through the oracle and then
+	// through every production variant of that shape.
+	shapes := []struct {
+		name string
+		ref  replayOpts
+		prod []variant
+	}{
+		{"picks", replayOpts{}, append(layouts,
+			variant{inSession(Options{UseFilter: true}), replayOpts{segSize: 2}})},
+		{"churn", replayOpts{churn: true}, []variant{
+			{production(Options{}), replayOpts{churn: true, segSize: 2}},
+			{production(Options{UseFilter: true}), replayOpts{churn: true, segSize: 2}},
+		}},
+		{"compacting", replayOpts{considerAll: true}, []variant{
+			{production(Options{UseFilter: true}), replayOpts{considerAll: true, compact: true, segSize: 1}},
+			{production(Options{UseFilter: true}), replayOpts{considerAll: true, compact: true, segSize: 4}},
+		}},
 	}
 
 	for trial := 0; trial < 10; trial++ {
@@ -53,23 +76,11 @@ func TestSharedPlanMatchesReference(t *testing.T) {
 			}
 		}
 		seed := r.Int63()
-		ref := replay(t, Options{}, defs, vocab, seed, 6)
-		for _, cfg := range configs {
-			got := replay(t, cfg, defs, vocab, seed, 6)
-			if len(got) != len(ref) {
-				t.Fatalf("trial %d cfg %+v: %d rounds, want %d", trial, cfg, len(got), len(ref))
-			}
-			for i := range ref {
-				if len(ref[i]) != len(got[i]) {
-					t.Fatalf("trial %d cfg %+v round %d: reference fired %v, shared plan fired %v",
-						trial, cfg, i, ref[i], got[i])
-				}
-				for j := range ref[i] {
-					if ref[i][j] != got[i][j] {
-						t.Fatalf("trial %d cfg %+v round %d: reference %v vs shared plan %v",
-							trial, cfg, i, ref[i], got[i])
-					}
-				}
+		for _, sh := range shapes {
+			want := replay(t, reference, defs, vocab, seed, 8, sh.ref)
+			for i, v := range sh.prod {
+				got := replay(t, v.mk, defs, vocab, seed, 8, v.w)
+				sameFirings(t, fmt.Sprintf("trial %d %s variant %d %+v", trial, sh.name, i, v.w), want, got)
 			}
 		}
 	}
@@ -79,7 +90,7 @@ func TestSharedPlanMatchesReference(t *testing.T) {
 // hits, and TsEvaluations must equal MemoMisses (shared runs count node
 // evaluations, and every counted evaluation is by definition a miss).
 func TestSharedPlanStatsAccounting(t *testing.T) {
-	s, b, c := newSupport(t, Options{SharedPlan: true})
+	s, b, c := newSupport(t, Options{})
 	shared := calculus.Conj(calculus.P(createStock), calculus.P(modStockQty))
 	for i := 0; i < 8; i++ {
 		d := Def{Name: fmt.Sprintf("r%d", i),
@@ -95,7 +106,7 @@ func TestSharedPlanStatsAccounting(t *testing.T) {
 		t.Fatalf("8 structurally identical rules produced no memo hits: %+v", st)
 	}
 	if st.TsEvaluations != st.MemoMisses {
-		t.Fatalf("TsEvaluations = %d, MemoMisses = %d; must be equal in shared runs",
+		t.Fatalf("TsEvaluations = %d, MemoMisses = %d; must be equal",
 			st.TsEvaluations, st.MemoMisses)
 	}
 	// The 8 roots intern to one tree: hits should dwarf misses.
@@ -109,18 +120,16 @@ func TestSharedPlanStatsAccounting(t *testing.T) {
 // same transaction must still be examined at the next check — its
 // window (txnStart, now] already holds matching occurrences.
 func TestMidTransactionDefine(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		s, b, c := newSupport(t, Options{UseFilter: true, SharedPlan: shared})
-		// The arrival lands before the rule exists, so NotifyArrivals
-		// cannot mark it pending.
-		log(t, s, b, c, createStock, 1)
-		if err := s.Define(Def{Name: "late", Event: calculus.P(createStock)}); err != nil {
-			t.Fatal(err)
-		}
-		fired := s.CheckTriggered(c.Now())
-		if len(fired) != 1 || fired[0] != "late" {
-			t.Fatalf("shared=%v: mid-transaction rule not triggered, fired = %v", shared, fired)
-		}
+	s, b, c := newSupport(t, Options{UseFilter: true})
+	// The arrival lands before the rule exists, so NotifyArrivals cannot
+	// mark it pending.
+	log(t, s, b, c, createStock, 1)
+	if err := s.Define(Def{Name: "late", Event: calculus.P(createStock)}); err != nil {
+		t.Fatal(err)
+	}
+	fired := s.CheckTriggered(c.Now())
+	if len(fired) != 1 || fired[0] != "late" {
+		t.Fatalf("mid-transaction rule not triggered, fired = %v", fired)
 	}
 }
 
@@ -128,7 +137,7 @@ func TestMidTransactionDefine(t *testing.T) {
 // refcounts exact — shared nodes survive partial drops, and dropping
 // every owner empties the plan.
 func TestSharedPlanDefineDropLifecycle(t *testing.T) {
-	s, _, _ := newSupport(t, Options{SharedPlan: true})
+	s, _, _ := newSupport(t, Options{})
 	shared := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 	if err := s.Define(Def{Name: "a", Event: calculus.Disj(shared, calculus.P(modShowQty))}); err != nil {
 		t.Fatal(err)
@@ -137,9 +146,6 @@ func TestSharedPlanDefineDropLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.Plan()
-	if p == nil {
-		t.Fatal("SharedPlan on but Plan() is nil")
-	}
 	if p.Shared() == 0 {
 		t.Fatal("two rules over one conjunction: no shared nodes")
 	}
@@ -158,53 +164,59 @@ func TestSharedPlanDefineDropLifecycle(t *testing.T) {
 }
 
 // TestCheckTriggeredSteadyStateAllocs pins the zero-allocation property
-// of the triggering hot path: once buffers are warm, a sequential
-// boundary check allocates nothing — classic and shared-plan alike.
+// of the triggering hot path: once buffers are warm, a boundary check
+// allocates nothing, filtered or not.
 func TestCheckTriggeredSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
-		{"classic", Options{}},
-		{"incremental", Options{Incremental: true}},
-		{"shared", Options{SharedPlan: true}},
-		// With the filter on, the steady-state batch is empty — the
-		// shared path must not pay for its parallel machinery then.
-		{"shared-filtered", Options{SharedPlan: true, UseFilter: true}},
+		{"shared", Options{}},
+		// With the filter on, the steady-state batch is empty.
+		{"shared-filtered", Options{UseFilter: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, b, c := newSupport(t, tc.opts)
-			// Rules that examine work every check but never trigger, so
-			// the batch stays stable: a monotone conjunction missing one
-			// conjunct, and a negated form inactive once B arrived.
-			mono := calculus.Conj(calculus.P(createStock), calculus.P(modShowQty))
-			nonMono := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(createStock)))
-			for i := 0; i < 6; i++ {
-				e := mono
-				if i%2 == 1 {
-					e = nonMono
-				}
-				if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Event: e}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 10; i++ {
-				if _, err := b.Append(createStock, 1, c.Tick()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Warm every recycled buffer (fired slice, group buffers,
-			// memo tables, sweeper state).
-			for i := 0; i < 3; i++ {
-				s.CheckTriggered(c.Tick())
-			}
-			allocs := testing.AllocsPerRun(50, func() {
-				s.CheckTriggered(c.Tick())
-			})
-			if allocs != 0 {
-				t.Errorf("steady-state CheckTriggered allocates %.1f objects/op, want 0", allocs)
-			}
+			quietCheckAllocatesNothing(t, event.NewBase(), tc.opts)
 		})
+	}
+}
+
+// quietCheckAllocatesNothing defines rules that examine work every check
+// but never trigger, so the batch stays stable — a monotone conjunction
+// missing one conjunct, and a negated form inactive once its type
+// arrived — and requires a warm boundary check over b to allocate
+// nothing.
+func quietCheckAllocatesNothing(t *testing.T, b *event.Base, opts Options) {
+	t.Helper()
+	c := clock.New()
+	s := NewSupport(b, opts)
+	s.BeginTransaction(c.Now())
+	mono := calculus.Conj(calculus.P(createStock), calculus.P(modShowQty))
+	nonMono := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(createStock)))
+	for i := 0; i < 6; i++ {
+		e := mono
+		if i%2 == 1 {
+			e = nonMono
+		}
+		if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Event: e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := b.Append(createStock, 1, c.Tick()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm every recycled buffer (fired slice, group buffers, memo
+	// tables).
+	for i := 0; i < 3; i++ {
+		s.CheckTriggered(c.Tick())
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		s.CheckTriggered(c.Tick())
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state CheckTriggered allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -212,7 +224,7 @@ func TestCheckTriggeredSteadyStateAllocs(t *testing.T) {
 // checks (documented contract), so two consecutive boundaries with
 // firings must hand back the same backing array.
 func TestSharedPlanFiredSliceRecycled(t *testing.T) {
-	s, b, c := newSupport(t, Options{SharedPlan: true})
+	s, b, c := newSupport(t, Options{})
 	if err := s.Define(Def{Name: "r", Event: calculus.P(createStock), Consumption: Consuming}); err != nil {
 		t.Fatal(err)
 	}

@@ -123,68 +123,10 @@ func TestWatermarkPreservingPinsAndDropUnpins(t *testing.T) {
 	}
 }
 
-// replayCompacting drives one Support over a base with tiny segments,
-// compacting to the watermark after every block, and records firings —
-// the compacting half of the differential pair.
-func replayCompacting(t *testing.T, o Options, defs []Def, vocab []event.Type, seed int64, blocks int, compact bool) [][]firing {
-	t.Helper()
-	r := rand.New(rand.NewSource(seed))
-	var b *event.Base
-	if compact {
-		b = event.NewBaseSize(4)
-	} else {
-		b = event.NewBaseSize(1 << 20)
-	}
-	c := clock.New()
-	s := NewSupport(b, o)
-	s.BeginTransaction(c.Now())
-	for _, d := range defs {
-		if err := s.Define(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var rounds [][]firing
-	for block := 0; block < blocks; block++ {
-		n := 1 + r.Intn(4)
-		var occs []event.Occurrence
-		for i := 0; i < n; i++ {
-			occ, err := b.Append(vocab[r.Intn(len(vocab))], types.OID(1+r.Intn(3)), c.Tick())
-			if err != nil {
-				t.Fatal(err)
-			}
-			occs = append(occs, occ)
-		}
-		s.NotifyArrivals(occs)
-		verifyIndex(t, &s.line)
-		fired := s.CheckTriggered(c.Now())
-		verifyIndex(t, &s.line)
-		round := make([]firing, len(fired))
-		for i, name := range fired {
-			st, ok := s.Rule(name)
-			if !ok {
-				t.Fatalf("fired unknown rule %q", name)
-			}
-			round[i] = firing{name: name, at: st.TriggeredAt}
-		}
-		rounds = append(rounds, round)
-		for _, name := range fired {
-			if _, err := s.Consider(name, c.Tick()); err != nil {
-				t.Fatal(err)
-			}
-			verifyIndex(t, &s.line)
-		}
-		if compact {
-			b.CompactBelow(s.Watermark())
-		}
-	}
-	return rounds
-}
-
-// TestCompactingMatchesUncompactedReference is the tentpole differential:
-// the segmented base with sharded + incremental determination and
-// per-block low-watermark compaction must fire the identical rule set at
-// identical instants as the sequential support over a flat uncompacted
-// base, on random consuming-rule expression/history pairs.
+// TestCompactingMatchesUncompactedReference: the support over tiny
+// segments with per-block low-watermark compaction must fire the
+// identical rule set at identical instants as the oracle over a flat
+// uncompacted base, on random consuming-rule expression/history pairs.
 func TestCompactingMatchesUncompactedReference(t *testing.T) {
 	r := rand.New(rand.NewSource(131))
 	vocab := calculus.DefaultVocabulary()
@@ -200,15 +142,10 @@ func TestCompactingMatchesUncompactedReference(t *testing.T) {
 			}
 		}
 		seed := r.Int63()
-		ref := replayCompacting(t, Options{}, defs, vocab, seed, 8, false)
-		got := replayCompacting(t, Options{UseFilter: true, Incremental: true, Workers: 8},
-			defs, vocab, seed, 8, true)
-		for i := range ref {
-			if !reflect.DeepEqual(ref[i], got[i]) {
-				t.Fatalf("trial %d round %d: uncompacted sequential fired %v, compacting sharded fired %v",
-					trial, i, ref[i], got[i])
-			}
-		}
+		want := replay(t, reference, defs, vocab, seed, 8, replayOpts{considerAll: true})
+		got := replay(t, production(Options{UseFilter: true}), defs, vocab, seed, 8,
+			replayOpts{considerAll: true, compact: true, segSize: 4})
+		sameFirings(t, fmt.Sprintf("trial %d", trial), want, got)
 	}
 }
 
@@ -224,7 +161,7 @@ func TestPreservingSurvivesConsumingChurn(t *testing.T) {
 	compacted := event.NewBaseSize(4)
 	flat := event.NewBaseSize(1 << 20)
 	c := clock.New()
-	s := NewSupport(compacted, Options{UseFilter: true, Incremental: true})
+	s := NewSupport(compacted, Options{UseFilter: true})
 	s.BeginTransaction(c.Now())
 	if err := s.Define(Def{Name: "audit", Event: calculus.P(createStock),
 		Consumption: Preserving, Priority: 99}); err != nil {

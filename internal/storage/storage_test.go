@@ -319,7 +319,6 @@ func TestSnapshotMultiSessionSharedPlan(t *testing.T) {
 	// rule set unchanged.
 	opts := engine.DefaultOptions()
 	opts.MaxSessions = 4
-	opts.Support.SharedPlan = true
 	restored, err := Load(snap, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestTorture_Differential_DegradationModes(t *testing.T) {
 	configs := map[string]chimera.Options{
 		"optimized": chimera.DefaultOptions(),
 		"naive": {Support: rules.Options{
-			UseFilter: false, Incremental: false, SharedPlan: false, Workers: 1}},
+			UseFilter: false}},
 		"budgeted": adversarialOpts(100_000_000),
 	}
 	for pname, program := range programs {

@@ -88,96 +88,6 @@ func Rules(r *rand.Rand, o RuleSetOptions) []rules.Def {
 	return defs
 }
 
-// OverlapRuleSetOptions parameterizes rule sets with controlled
-// cross-rule subexpression overlap: rules are disjunctions of fragments
-// drawn from a shared pool, so the expected number of rules reusing any
-// one fragment — the overlap factor — is a direct experiment knob.
-type OverlapRuleSetOptions struct {
-	// Rules is the number of rules.
-	Rules int
-	// Vocab is the primitive vocabulary fragments draw from.
-	Vocab []event.Type
-	// Overlap is the target sharing factor: the pool holds
-	// Rules×FragmentsPerRule/Overlap fragments, so each fragment serves
-	// ~Overlap rule slots. 1 (or less) gives every slot its own fragment.
-	Overlap int
-	// FragmentsPerRule is how many pool fragments each rule disjoins
-	// (default 2).
-	FragmentsPerRule int
-	// Depth is each fragment's expression depth (default 2).
-	Depth int
-	// Negation/Instance/Precedence gate the operator families inside
-	// fragments.
-	Negation, Instance, Precedence bool
-	// Conjunctive combines each rule's fragments with conjunction instead
-	// of disjunction: selective rules that are probed repeatedly without
-	// firing (disjunctions over a long window are active almost
-	// immediately, so they fire at the first probe and are never
-	// re-examined until considered).
-	Conjunctive bool
-	// Preserving generates event-preserving rules: their windows stay
-	// anchored at the transaction start across considerations, so the
-	// whole set shares one consideration horizon — the best case for the
-	// shared plan's per-group memo (consuming rules fragment horizons as
-	// they fire).
-	Preserving bool
-}
-
-// OverlapRules generates a deterministic rule set with forced
-// subexpression overlap.
-func OverlapRules(r *rand.Rand, o OverlapRuleSetOptions) []rules.Def {
-	if o.FragmentsPerRule <= 0 {
-		o.FragmentsPerRule = 2
-	}
-	if o.Depth <= 0 {
-		o.Depth = 2
-	}
-	if o.Overlap < 1 {
-		o.Overlap = 1
-	}
-	slots := o.Rules * o.FragmentsPerRule
-	poolSize := (slots + o.Overlap - 1) / o.Overlap
-	if poolSize < 1 {
-		poolSize = 1
-	}
-	pool := make([]calculus.Expr, poolSize)
-	for i := range pool {
-		pool[i] = calculus.GenExpr(r, calculus.GenOptions{
-			Types:           o.Vocab,
-			MaxDepth:        o.Depth,
-			AllowNegation:   o.Negation,
-			AllowInstance:   o.Instance,
-			AllowPrecedence: o.Precedence,
-		})
-	}
-	defs := make([]rules.Def, o.Rules)
-	for i := range defs {
-		frags := make([]calculus.Expr, o.FragmentsPerRule)
-		for j := range frags {
-			frags[j] = pool[r.Intn(poolSize)]
-		}
-		cons := rules.Consuming
-		if o.Preserving {
-			cons = rules.Preserving
-		}
-		e := frags[0]
-		for _, f := range frags[1:] {
-			if o.Conjunctive {
-				e = calculus.Conj(e, f)
-			} else {
-				e = calculus.Disj(e, f)
-			}
-		}
-		defs[i] = rules.Def{
-			Name:        fmt.Sprintf("r%04d", i),
-			Event:       e,
-			Priority:    i,
-			Consumption: cons,
-		}
-	}
-	return defs
-}
-
 // StreamOptions parameterizes event-stream generation.
 type StreamOptions struct {
 	// Blocks is the number of non-interruptible blocks.
