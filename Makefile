@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench-module bench-module-test bench bench-smoke profile cover fuzz verify verify-full
+.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench-module bench-module-test bench bench-smoke profile cover fuzz b0-pairs verify verify-full
 
 build:
 	$(GO) build ./...
@@ -138,6 +138,19 @@ cover:
 # instrumented engine, asserting no panic and balanced lifecycle spans.
 fuzz:
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzEngineBlock -fuzztime 20s
+
+# Alternating parent/change passes of the B0 benchmark, PAIRS of them per
+# workload, with every pass's output kept under .b0-pairs/ and a summary
+# per end-to-end metric: the parent's median and IQR, the change's median
+# and the pairs the change won. Takes PAIRS × workloads × ~2 × (SECONDS +
+# set-up); not part of verify.
+PARENT ?= HEAD~1
+PAIRS ?= 10
+SEED ?= 7
+SECONDS ?= 10
+WORKLOADS ?= stream_rules
+b0-pairs:
+	bash scripts/b0-pairs.sh "$(PARENT)" "$(PAIRS)" "$(SEED)" "$(SECONDS)" "$(WORKLOADS)"
 
 verify: build test race vet bench-module
 

@@ -1,9 +1,9 @@
 package calculus
 
 import (
+	"math"
 	"sort"
 
-	"chimera/internal/arena"
 	"chimera/internal/clock"
 	"chimera/internal/event"
 )
@@ -255,27 +255,33 @@ func (p *Plan) SharedNodes(minRefs int) []SharedNode {
 // ---------------------------------------------------------------------
 // Memoized evaluation over the DAG.
 
-// PlanEval evaluates interned nodes with a generation-stamped memo: one
-// generation per (Event Base window, probe instant), so every node's
-// set-oriented ts — and every lift's object domain — is computed at most
-// once per probe no matter how many rules share it. The per-object ots
-// values below a lift are not memoized: the lift's own ts is, and that
-// is the value rules share. Leaves are resolved to the bound base's
-// interned ids at Bind, so an evaluation hashes no Type and no OID.
+// PlanEval evaluates interned nodes with a generation-stamped memo that
+// does not depend on the window's lower bound. Every probe names its own
+// horizon — ts(E, t) over R = (since, t] — and a memoized value carries
+// the range of horizons it holds for, so one generation per probe instant
+// serves every rule probing that instant, whatever its last consideration.
+// The per-object ots values below a lift are not memoized: the lift's own
+// ts is, and that is the value rules share. Leaves are resolved to the
+// bound base's interned ids at Bind, so an evaluation hashes no Type and
+// no OID.
 //
 // A PlanEval is stateful scratch like Env: one per goroutine. The
 // underlying Plan may be shared read-only across evaluators.
 //
-// Correctness hinges on one gate: memo slots are keyed to the current
-// probe instant (Begin), and precedence evaluates its left operand at
-// the right operand's activation instant — a historical time. Every
-// recursive call therefore re-checks t against the generation's instant
-// and bypasses the memo (read and write) off-instant; see DESIGN.md §10.
+// Correctness hinges on two gates (DESIGN.md §10). A memo slot is read
+// only at the generation's instant (Begin): precedence evaluates its left
+// operand at the right operand's activation instant, a historical time,
+// so every recursive call re-checks t and bypasses the memo off-instant.
+// And a slot is read only for a horizon inside its range, which is the
+// intersection of its children's ranges: an active primitive with stamp
+// L holds for every horizon below L, an inactive one for every horizon at
+// or above its last stamp, and a lift for its own horizon only.
 type PlanEval struct {
 	plan *Plan
 	base *event.Base
-	// Since is the exclusive lower bound of the window R, as in Env.
-	since clock.Time
+	// floor is the least horizon any probe of the bound walk names; stamps
+	// at or below it cannot make a leaf active.
+	floor clock.Time
 	// RestrictDomain mirrors Env.RestrictDomain for the lifts.
 	RestrictDomain bool
 	// Budget, when non-nil, is charged one unit per computed node (the
@@ -286,22 +292,16 @@ type PlanEval struct {
 	gen uint64
 	cur clock.Time
 
-	vals  []TS
-	epoch []uint64
-	// Domain memos live in a generational arena: doms[id] points into
-	// domArena, and Begin reclaims the whole generation's slices with one
-	// O(1) Reset instead of keeping a peak-sized buffer pinned per node.
-	// The gen stamp in domEpoch is what makes the recycling sound — a
-	// stale doms[id] is never read once its generation is over.
-	doms     [][]int32
-	domEpoch []uint64
-	domArena *arena.Arena[int32]
+	// memo[id] is node id's value at the instant of generation
+	// memo[id].gen, for every horizon in memo[id].span.
+	memo []memoSlot
 
-	// Prim cursors (Track mode): the last arrival of each interned
-	// primitive node inside the bound window, maintained incrementally
-	// from NoteArrivalTID instead of re-queried with a LastOf search per
-	// probe instant. One cursor per prim node serves every rule sharing
-	// it. Entries are stamped with bindGen so Bind invalidates them all.
+	// Prim cursors (Track mode): each interned primitive node's newest
+	// stamp at or before the current instant, above the floor, maintained
+	// incrementally from NoteArrivalTID instead of re-queried with a
+	// LastOf search per probe instant. One cursor per prim node serves
+	// every rule sharing it, at every horizon. Entries are stamped with
+	// bindGen so Bind invalidates them all.
 	tracking  bool
 	bindGen   uint64
 	primLast  []clock.Time
@@ -323,32 +323,41 @@ type PlanEval struct {
 
 	// rd is the read section a lift holds over its domain and ots probes.
 	rd event.Reader
-
-	// oidScratch serves domain computations at historical (off-memo)
-	// instants so they cannot clobber a memoized domain slice.
+	// oidScratch holds the object domain of the lift being evaluated.
 	oidScratch []int32
 
 	evals int64
 	hits  int64
 }
 
+// span is the half-open range [lo, hi) of horizons a value holds for.
+type span struct{ lo, hi clock.Time }
+
+// memoSlot is one node's memoized value; the four words share a cache
+// line.
+type memoSlot struct {
+	gen uint64
+	v   TS
+	span
+}
+
+func (s span) meet(o span) span { return span{max(s.lo, o.lo), min(s.hi, o.hi)} }
+
+func (s span) holds(since clock.Time) bool { return s.lo <= since && since < s.hi }
+
 // NewPlanEval returns an evaluator over p with domain restriction on
 // (the Trigger Support's configuration).
 func NewPlanEval(p *Plan) *PlanEval {
-	return &PlanEval{
-		plan:           p,
-		RestrictDomain: true,
-		domArena:       arena.New[int32](0),
-	}
+	return &PlanEval{plan: p, RestrictDomain: true}
 }
 
-// Bind points the evaluator at an Event Base window (Since exclusive)
-// and invalidates every memoized value, prim cursors included. It also
-// resolves the plan's leaves to the base's type ids if the base or the
-// plan changed since they were last resolved.
-func (pe *PlanEval) Bind(base *event.Base, since clock.Time) {
+// Bind points the evaluator at an Event Base for probes whose horizons
+// all lie at or above floor, and invalidates every memoized value, prim
+// cursors included. It also resolves the plan's leaves to the base's type
+// ids if the base or the plan changed since they were last resolved.
+func (pe *PlanEval) Bind(base *event.Base, floor clock.Time) {
 	pe.base = base
-	pe.since = since
+	pe.floor = floor
 	pe.gen++
 	pe.bindGen++
 	pe.cur = clock.Never
@@ -421,9 +430,10 @@ func (pe *PlanEval) NoteArrivalTID(tid int32, at clock.Time) {
 // Track switches the prim cursors on. A tracking evaluator has a
 // stricter driving contract in exchange for O(1) prim lookups at the
 // memo instant: Begin instants within one Bind must be non-decreasing,
-// and every arrival in the window up to the current instant must be
+// and every arrival after the floor up to the current instant must be
 // reported through NoteArrivalTID in timestamp order before that instant
-// is probed. The grouped CheckTriggered walk satisfies this by
+// is probed (arrivals before a prim's first probe may be skipped: its
+// catch-up query finds them). The CheckTriggered walk satisfies this by
 // construction; ad-hoc callers should leave tracking off.
 func (pe *PlanEval) Track(on bool) {
 	pe.tracking = on
@@ -440,18 +450,13 @@ func (pe *PlanEval) growPrim() {
 }
 
 // Begin opens the memo generation for probe instant t: values computed
-// at t are memoized until the next Begin or Bind. The previous
-// generation's domain-memo slices are reclaimed wholesale (arena reset);
-// their domEpoch stamps guarantee no stale read.
+// at t are memoized, each for its range of horizons, until the next
+// Begin or Bind.
 func (pe *PlanEval) Begin(t clock.Time) {
 	pe.gen++
 	pe.cur = t
-	pe.domArena.Reset()
-	if n := pe.plan.Cap(); len(pe.vals) < n {
-		pe.vals = append(pe.vals, make([]TS, n-len(pe.vals))...)
-		pe.epoch = append(pe.epoch, make([]uint64, n-len(pe.epoch))...)
-		pe.doms = append(pe.doms, make([][]int32, n-len(pe.doms))...)
-		pe.domEpoch = append(pe.domEpoch, make([]uint64, n-len(pe.domEpoch))...)
+	if n := pe.plan.Cap(); len(pe.memo) < n {
+		pe.memo = append(pe.memo, make([]memoSlot, n-len(pe.memo))...)
 	}
 	if pe.tracking {
 		pe.growPrim()
@@ -473,35 +478,52 @@ func (pe *PlanEval) TakeCounters() (evals, hits int64) {
 }
 
 // TS evaluates the set-oriented ts of node id at probe instant t over
-// R = (since, t], exactly as Env.TS does on the expression tree. Values
-// at the generation's instant (Begin) are memoized per node.
-func (pe *PlanEval) TS(id NodeID, t clock.Time) TS {
+// R = (since, t], exactly as Env.TS does with Env.Since = since; since
+// must not lie below the floor of the Bind. Values at the generation's
+// instant (Begin) are memoized per node for the horizons they hold for.
+func (pe *PlanEval) TS(id NodeID, t, since clock.Time) TS {
+	v, _ := pe.ts(id, t, since)
+	return v
+}
+
+// ts is TS with the span of horizons the value holds for.
+func (pe *PlanEval) ts(id NodeID, t, since clock.Time) (TS, span) {
 	memo := t == pe.cur
-	if memo && pe.epoch[id] == pe.gen {
-		pe.hits++
-		return pe.vals[id]
+	if memo {
+		if m := &pe.memo[id]; m.gen == pe.gen && m.holds(since) {
+			pe.hits++
+			return m.v, m.span
+		}
 	}
 	pe.Budget.Charge()
 	n := &pe.plan.nodes[id]
 	var v TS
+	var sp span
 	if n.instRooted {
-		v = pe.lift(id, n, t)
+		v, sp = pe.lift(id, n, t, since), span{since, since + 1}
 	} else {
 		switch n.key.op {
 		case planPrim:
-			v = pe.primTS(id, t)
+			v, sp = pe.primTS(id, t, since)
 		case planNot:
-			v = -pe.TS(n.key.l, t)
+			v, sp = pe.ts(n.key.l, t, since)
+			v = -v
 		case planAnd:
-			v = andTS(pe.TS(n.key.l, t), pe.TS(n.key.r, t))
+			a, sa := pe.ts(n.key.l, t, since)
+			b, sb := pe.ts(n.key.r, t, since)
+			v, sp = andTS(a, b), sa.meet(sb)
 		case planOr:
-			v = orTS(pe.TS(n.key.l, t), pe.TS(n.key.r, t))
+			a, sa := pe.ts(n.key.l, t, since)
+			b, sb := pe.ts(n.key.r, t, since)
+			v, sp = orTS(a, b), sa.meet(sb)
 		case planSeq:
-			v = -TS(t)
 			// The left operand is probed at the right's activation instant —
 			// a historical time, so the recursive call bypasses the memo.
-			if b := pe.TS(n.key.r, t); b.Active() {
-				if a := pe.TS(n.key.l, b.Time()); a.Active() {
+			var b TS
+			v = -TS(t)
+			if b, sp = pe.ts(n.key.r, t, since); b.Active() {
+				a, sa := pe.ts(n.key.l, b.Time(), since)
+				if sp = sp.meet(sa); a.Active() {
 					v = b
 				}
 			}
@@ -509,22 +531,19 @@ func (pe *PlanEval) TS(id NodeID, t clock.Time) TS {
 	}
 	pe.evals++
 	if memo {
-		pe.vals[id] = v
-		pe.epoch[id] = pe.gen
+		pe.memo[id] = memoSlot{pe.gen, v, sp}
 	}
-	return v
+	return v, sp
 }
 
-// Active reports whether node id is active at t.
-func (pe *PlanEval) Active(id NodeID, t clock.Time) bool { return pe.TS(id, t).Active() }
-
-// primTS is the set-oriented ts of one primitive node. At the memo
-// instant a tracking evaluator serves it from the prim cursor — O(1)
-// instead of a LastOf search — initializing the cursor with one
-// catch-up query the first time the prim is touched in this Bind.
-// Historical probes (precedence left operands) always search.
-func (pe *PlanEval) primTS(id NodeID, t clock.Time) TS {
-	last := clock.Never
+// primTS is the set-oriented ts of one primitive node: its newest stamp
+// L at or before t is the value for every horizon below L, and −t for
+// every other. At the memo instant a tracking evaluator reads L from the
+// prim cursor — O(1) instead of a LastOf search — initializing the cursor
+// with one catch-up query the first time the prim is touched in this
+// Bind. Historical probes (precedence left operands) always search.
+func (pe *PlanEval) primTS(id NodeID, t, since clock.Time) (TS, span) {
+	var last clock.Time
 	if pe.tracking && t == pe.cur {
 		if pe.primEpoch[id] != pe.bindGen {
 			pe.primLast[id] = pe.lastOf(id, t)
@@ -534,101 +553,85 @@ func (pe *PlanEval) primTS(id NodeID, t clock.Time) TS {
 	} else {
 		last = pe.lastOf(id, t)
 	}
-	if last != clock.Never {
-		return TS(last)
+	if last > since {
+		return TS(last), span{clock.Never, last}
 	}
-	return -TS(t)
+	return -TS(t), span{last, math.MaxInt64}
 }
 
-// lastOf is prim node id's last occurrence in (since, t].
+// lastOf is prim node id's last occurrence in (floor, t].
 func (pe *PlanEval) lastOf(id NodeID, t clock.Time) clock.Time {
 	rd := pe.base.Read()
-	last := rd.LastOfTID(pe.primTID[id], pe.since, t)
+	last := rd.LastOfTID(pe.primTID[id], pe.floor, t)
 	rd.Done()
 	return last
 }
 
 // lift mirrors Env.lift on the DAG: universal lift for instance
-// negation, existential lift otherwise, over the memoized object domain.
-// The domain and the |domain| × leaves ots probes under it run in one
-// read section of the base; nothing below calls a locking Base method.
-func (pe *PlanEval) lift(id NodeID, n *planNode, t clock.Time) TS {
+// negation, existential lift otherwise, over the object domain of
+// (since, t]. The domain and the |domain| × leaves ots probes under it
+// run in one read section of the base; nothing below calls a locking
+// Base method.
+func (pe *PlanEval) lift(id NodeID, n *planNode, t, since clock.Time) TS {
 	pe.rd = pe.base.Read()
 	defer pe.rd.Done() // a budget fault unwinds through here
-	oids := pe.domain(id, n, t)
+	oids := pe.domain(id, n, t, since)
 	if n.key.op == planNot {
 		if len(oids) == 0 {
 			return TS(t)
 		}
-		best := pe.ots(id, t, oids[0])
+		best := pe.ots(id, t, since, oids[0])
 		for _, oid := range oids[1:] {
-			best = minTS(best, pe.ots(id, t, oid))
+			best = minTS(best, pe.ots(id, t, since, oid))
 		}
 		return best
 	}
 	if len(oids) == 0 {
 		return -TS(t)
 	}
-	best := pe.ots(id, t, oids[0])
+	best := pe.ots(id, t, since, oids[0])
 	for _, oid := range oids[1:] {
-		best = maxTS(best, pe.ots(id, t, oid))
+		best = maxTS(best, pe.ots(id, t, since, oid))
 	}
 	return best
 }
 
-// domain returns the lift's object domain at t, memoized per node at the
-// generation's instant; off-instant requests compute into a scratch
-// buffer so they cannot clobber memoized slices.
-func (pe *PlanEval) domain(id NodeID, n *planNode, t clock.Time) []int32 {
-	memo := t == pe.cur
-	if memo && pe.domEpoch[id] == pe.gen {
-		pe.hits++
-		return pe.doms[id]
-	}
+// domain returns the lift's object domain over (since, t] in oidScratch,
+// which the next domain overwrites.
+func (pe *PlanEval) domain(id NodeID, n *planNode, t, since clock.Time) []int32 {
 	pe.Budget.Charge()
-	buf := pe.oidScratch[:0]
-	if pe.RestrictDomain && n.safe {
-		buf = pe.rd.AppendObjsOfTIDs(buf, pe.liftTIDs[id], pe.since, t)
-	} else {
-		buf = pe.rd.AppendObjs(buf, pe.since, t)
-	}
-	pe.oidScratch = buf
 	pe.evals++
-	if memo {
-		// Park the memoized copy in the generation arena; Begin reclaims
-		// every generation's domains with one reset.
-		dom := pe.domArena.Alloc(len(buf))
-		copy(dom, buf)
-		pe.doms[id] = dom
-		pe.domEpoch[id] = pe.gen
-		return dom
+	if pe.RestrictDomain && n.safe {
+		pe.oidScratch = pe.rd.AppendObjsOfTIDs(pe.oidScratch[:0], pe.liftTIDs[id], since, t)
+	} else {
+		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)
 	}
-	return buf
+	return pe.oidScratch
 }
 
 // ots mirrors Env.OTS on the DAG, for the object with interned id oid,
 // inside lift's read section.
-func (pe *PlanEval) ots(id NodeID, t clock.Time, oid int32) TS {
+func (pe *PlanEval) ots(id NodeID, t, since clock.Time, oid int32) TS {
 	pe.Budget.Charge()
 	n := &pe.plan.nodes[id]
 	var v TS
 	switch n.key.op {
 	case planPrim:
-		if last := pe.rd.LastOfObjTID(pe.primTID[id], oid, pe.since, t); last != clock.Never {
+		if last := pe.rd.LastOfObjTID(pe.primTID[id], oid, since, t); last != clock.Never {
 			v = TS(last)
 		} else {
 			v = -TS(t)
 		}
 	case planNot:
-		v = -pe.ots(n.key.l, t, oid)
+		v = -pe.ots(n.key.l, t, since, oid)
 	case planAnd:
-		v = andTS(pe.ots(n.key.l, t, oid), pe.ots(n.key.r, t, oid))
+		v = andTS(pe.ots(n.key.l, t, since, oid), pe.ots(n.key.r, t, since, oid))
 	case planOr:
-		v = orTS(pe.ots(n.key.l, t, oid), pe.ots(n.key.r, t, oid))
+		v = orTS(pe.ots(n.key.l, t, since, oid), pe.ots(n.key.r, t, since, oid))
 	case planSeq:
 		v = -TS(t)
-		if b := pe.ots(n.key.r, t, oid); b.Active() {
-			if a := pe.ots(n.key.l, b.Time(), oid); a.Active() {
+		if b := pe.ots(n.key.r, t, since, oid); b.Active() {
+			if a := pe.ots(n.key.l, b.Time(), since, oid); a.Active() {
 				v = b
 			}
 		}

@@ -69,7 +69,9 @@ func TestPlanInterningSharesStructure(t *testing.T) {
 // recursive reference evaluator over random expressions and histories,
 // at every arrival instant and the final now, under both domain modes —
 // including precedence (whose left operand is probed at a historical
-// instant and must bypass the memo) and instance lifts.
+// instant and must bypass the memo) and instance lifts. Every
+// generation serves several horizons, interleaved, so a memoized value
+// is read back only inside the range of horizons it holds for.
 func TestPlanEvalMatchesEnv(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	vocab := DefaultVocabulary()
@@ -97,26 +99,32 @@ func TestPlanEvalMatchesEnv(t *testing.T) {
 			roots[i] = plan.Intern(e)
 		}
 
+		horizons := []clock.Time{clock.Never, now / 3, now / 2, now/2 + 1}
 		for _, restrict := range []bool{true, false} {
-			for _, since := range []clock.Time{clock.Never, now / 2} {
-				env := &Env{Base: base, Since: since, RestrictDomain: restrict}
-				pe := NewPlanEval(plan)
-				pe.RestrictDomain = restrict
-				pe.Bind(base, since)
-				probes := base.AppendArrivals(nil, since, now)
-				probes = append(probes, now)
-				for _, at := range probes {
-					pe.Begin(at)
-					for i, e := range exprs {
-						want := env.TS(e, at)
-						got := pe.TS(roots[i], at)
-						if got != want {
+			envs := make([]*Env, len(horizons))
+			for h, since := range horizons {
+				envs[h] = &Env{Base: base, Since: since, RestrictDomain: restrict}
+			}
+			pe := NewPlanEval(plan)
+			pe.RestrictDomain = restrict
+			pe.Bind(base, clock.Never)
+			probes := base.AppendArrivals(nil, clock.Never, now)
+			probes = append(probes, now)
+			for _, at := range probes {
+				pe.Begin(at)
+				for i, e := range exprs {
+					for h, since := range horizons {
+						if at <= since {
+							continue
+						}
+						want := envs[h].TS(e, at)
+						if got := pe.TS(roots[i], at, since); got != want {
 							t.Fatalf("trial %d restrict=%v since=%d: ts(%s, %d) = %d via plan, %d via reference",
 								trial, restrict, since, e, at, got, want)
 						}
-						// Second read must come from the memo with the same value.
-						if again := pe.TS(roots[i], at); again != want {
-							t.Fatalf("memoized reread of ts(%s, %d) = %d, want %d", e, at, again, want)
+						// A second read serves the same value, from the memo.
+						if again := pe.TS(roots[i], at, since); again != want {
+							t.Fatalf("memoized reread of ts(%s, %d) since %d = %d, want %d", e, at, since, again, want)
 						}
 					}
 				}
@@ -126,11 +134,11 @@ func TestPlanEvalMatchesEnv(t *testing.T) {
 }
 
 // TestPlanEvalTrackingMatchesEnv pins the prim-cursor fast path (Track +
-// NoteArrivalTID) to the reference evaluator under the grouped walk's
-// driving contract: arrivals reported in timestamp order, ascending
-// probe instants, and instants skipped without probing — the cursor's
-// lazy catch-up query — mixed with instants probed right after their
-// arrival is noted.
+// NoteArrivalTID) to the reference evaluator under the walk's driving
+// contract: arrivals after the floor reported in timestamp order,
+// ascending probe instants, and instants skipped without probing — the
+// cursor's lazy catch-up query — mixed with instants probed right after
+// their arrival is noted, each at two horizons at or above the floor.
 func TestPlanEvalTrackingMatchesEnv(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	vocab := DefaultVocabulary()
@@ -149,34 +157,38 @@ func TestPlanEvalTrackingMatchesEnv(t *testing.T) {
 			roots[i] = plan.Intern(e)
 		}
 
-		for _, since := range []clock.Time{clock.Never, now / 2} {
-			env := &Env{Base: base, Since: since, RestrictDomain: true}
+		for _, floor := range []clock.Time{clock.Never, now / 2} {
+			horizons := []clock.Time{floor, floor + (now-floor)/2}
+			envs := make([]*Env, len(horizons))
+			for h, since := range horizons {
+				envs[h] = &Env{Base: base, Since: since, RestrictDomain: true}
+			}
 			pe := NewPlanEval(plan)
 			pe.Track(true)
-			pe.Bind(base, since)
-			occs := base.AppendWindow(nil, since, now)
-			for j, o := range occs {
-				tid, _ := base.TypeID(o.Type)
-				pe.NoteArrivalTID(tid, o.Timestamp)
-				if j%2 == 1 {
-					continue // noted but never probed: later probes must still see it
-				}
-				at := o.Timestamp
+			pe.Bind(base, floor)
+			probe := func(at clock.Time) {
+				t.Helper()
 				pe.Begin(at)
 				for i, e := range exprs {
-					if got, want := pe.TS(roots[i], at), env.TS(e, at); got != want {
-						t.Fatalf("trial %d since=%d: tracked ts(%s, %d) = %d, want %d",
-							trial, since, e, at, got, want)
+					for h, since := range horizons {
+						if at <= since {
+							continue
+						}
+						if got, want := pe.TS(roots[i], at, since), envs[h].TS(e, at); got != want {
+							t.Fatalf("trial %d floor=%d since=%d: tracked ts(%s, %d) = %d, want %d",
+								trial, floor, since, e, at, got, want)
+						}
 					}
 				}
 			}
-			pe.Begin(now)
-			for i, e := range exprs {
-				if got, want := pe.TS(roots[i], now), env.TS(e, now); got != want {
-					t.Fatalf("trial %d since=%d: tracked ts(%s, now=%d) = %d, want %d",
-						trial, since, e, now, got, want)
+			for j, o := range base.AppendWindow(nil, floor, now) {
+				tid, _ := base.TypeID(o.Type)
+				pe.NoteArrivalTID(tid, o.Timestamp)
+				if j%2 == 0 {
+					probe(o.Timestamp) // odd arrivals are noted but never probed: later probes must still see them
 				}
 			}
+			probe(now)
 		}
 	}
 }
@@ -197,12 +209,12 @@ func TestPlanEvalSharingCounters(t *testing.T) {
 	pe := NewPlanEval(plan)
 	pe.Bind(base, clock.Never)
 	pe.Begin(now)
-	pe.TS(r1, now)
+	pe.TS(r1, now, clock.Never)
 	evals1, hits1 := pe.TakeCounters()
 	if evals1 == 0 || hits1 != 0 {
 		t.Fatalf("first root: evals=%d hits=%d, want work and no hits", evals1, hits1)
 	}
-	pe.TS(r2, now)
+	pe.TS(r2, now, clock.Never)
 	evals2, hits2 := pe.TakeCounters()
 	if hits2 == 0 {
 		t.Fatalf("second root sharing a conjunction produced no memo hits (evals=%d)", evals2)
@@ -261,7 +273,7 @@ func TestLiftsRunBesideAnAppender(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				pe.Bind(base, clock.Never) // a new memo generation: TS below is a full lift
 				pe.Begin(now)
-				if got := pe.TS(root, now); got != wantTS {
+				if got := pe.TS(root, now, clock.Never); got != wantTS {
 					t.Errorf("lift %d beside the appender: ts = %d, want %d", i, got, wantTS)
 					return
 				}

@@ -265,14 +265,7 @@ func (t *idTable[V]) find(k uint64) int {
 // value (added) if k is new.
 func (t *idTable[V]) findOrAdd(k uint64) (n int, added bool) {
 	if 2*len(t.keys) >= len(t.slots) {
-		size := max(16, 2*len(t.slots))
-		t.slots = make([]int32, size)
-		t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
-		t.keys = append(make([]uint64, 0, size/2), t.keys...)
-		t.vals = append(make([]V, 0, size/2), t.vals...)
-		for e, key := range t.keys {
-			t.slots[t.probe(key)] = int32(e + 1)
-		}
+		t.resize(max(16, 2*len(t.slots)))
 	}
 	i := t.probe(k)
 	if e := t.slots[i]; e != 0 {
@@ -282,6 +275,26 @@ func (t *idTable[V]) findOrAdd(k uint64) (n int, added bool) {
 	t.keys, t.vals = append(t.keys, k), append(t.vals, zero)
 	t.slots[i] = int32(len(t.keys))
 	return len(t.keys) - 1, true
+}
+
+// resize rehashes the table into size slots, a power of two, with room
+// for size/2 entries.
+func (t *idTable[V]) resize(size int) {
+	t.slots = make([]int32, size)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	t.keys = append(make([]uint64, 0, size/2), t.keys...)
+	t.vals = append(make([]V, 0, size/2), t.vals...)
+	for e, key := range t.keys {
+		t.slots[t.probe(key)] = int32(e + 1)
+	}
+}
+
+// sizeLike gives an empty table the slot count prev ended with, so that a
+// segment indexing the same stream as its predecessor never rehashes.
+func (t *idTable[V]) sizeLike(prev *idTable[V]) {
+	if n := len(prev.slots); n > 0 {
+		t.resize(n)
+	}
 }
 
 func (sg *segment) n() int            { return len(sg.ts) }
@@ -484,7 +497,7 @@ func (b *Base) internOIDLocked(oid types.OID) int32 {
 
 // InternType interns an event type and returns its dense id, assigning
 // one if the type has not occurred yet. Compiled consumers (the shared
-// plan's prim cursors, the mention bitsets of the Trigger Support) call
+// plan's prim cursors, the Trigger Support's inverted V(E) index) call
 // it at bind time so arrivals can be matched by int32 id instead of by
 // Type struct comparison or map hashing.
 func (b *Base) InternType(t Type) int32 {
@@ -591,6 +604,13 @@ func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (Occurrence, int3
 			ts:       make([]clock.Time, 0, b.segSize),
 			tids:     make([]int32, 0, b.segSize),
 			oids:     make([]int32, 0, b.segSize),
+		}
+		if n := len(b.segs); n > 0 {
+			// Roll-over: the predecessor's table sizes, never more.
+			prev := b.segs[n-1]
+			sg.leafOf.sizeLike(&prev.leafOf)
+			sg.pairOf.sizeLike(&prev.pairOf)
+			sg.objOf.sizeLike(&prev.objOf)
 		}
 		b.segs = append(b.segs, sg)
 		b.m.SegmentsAllocated.Inc()
@@ -1036,15 +1056,20 @@ func (b *Base) CountArrivals(since, upTo clock.Time) int {
 
 // Empty reports whether the window (since, upTo] holds no occurrence
 // (the R = ∅ test of the triggering predicate).
-func (b *Base) Empty(since, upTo clock.Time) bool {
+func (b *Base) Empty(since, upTo clock.Time) bool { return b.Newest(upTo) <= since }
+
+// Newest returns the time stamp of the newest retained occurrence at or
+// before upTo, or clock.Never if there is none: every window (since,
+// upTo] with since below it is non-empty, every other one empty.
+func (b *Base) Newest(upTo clock.Time) clock.Time {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	empty := true
-	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
-		empty = false
-		return false
-	})
-	return empty
+	for i := len(b.segs) - 1; i >= 0; i-- {
+		if k := b.segs[i].after(upTo); k > 0 {
+			return b.segs[i].ts[k-1]
+		}
+	}
+	return clock.Never
 }
 
 // OIDs returns the distinct objects affected by any occurrence in

@@ -52,6 +52,18 @@ func (o *oracle) occurrences(ty Type, oid types.OID, anyObj bool, since, upTo cl
 	return out
 }
 
+// newest returns the newest retained stamp at or below t, clock.Never if
+// there is none.
+func (o *oracle) newest(t clock.Time) clock.Time {
+	last := clock.Never
+	for _, occ := range o.all {
+		if occ.Timestamp <= t {
+			last = occ.Timestamp
+		}
+	}
+	return last
+}
+
 // oids returns the distinct objects touched in the window by the given
 // types (nil: by any type), ascending by OID (byRank: by first arrival).
 func (o *oracle) oids(tys []Type, byRank bool, since, upTo clock.Time) []types.OID {
@@ -121,6 +133,9 @@ func checkAgainstOracle(t *testing.T, tag string, r *rand.Rand, b *Base, o *orac
 		}
 		if got := b.AppendOIDsOfTypes(nil, tys, since, upTo); !slices.Equal(got, wantOfTypes) {
 			t.Fatalf("%s: AppendOIDsOfTypes(%v) = %v, want %v", at, tys, got, wantOfTypes)
+		}
+		if want := o.newest(upTo); b.Newest(upTo) != want {
+			t.Fatalf("%s: Newest = %d, want %d", at, b.Newest(upTo), want)
 		}
 
 		rd := b.Read()
@@ -290,6 +305,38 @@ func TestIndexMemoryFollowsEntries(t *testing.T) {
 	}
 	if w := indexWords(b); w > perEntry*b.Len() {
 		t.Fatalf("after compaction the index holds %d words for %d live entries", w, b.Len())
+	}
+}
+
+// TestRolledSegmentSizedLikePredecessor: a segment opened by roll-over
+// starts with the table sizes its predecessor ended with, so a stream
+// whose segments look alike rehashes in its first segment only; the first
+// segment of a base starts as small as ever.
+func TestRolledSegmentSizedLikePredecessor(t *testing.T) {
+	b := NewBaseSize(64)
+	for i := 0; i < 65; i++ {
+		if _, err := b.Append(Create(fmt.Sprintf("c%02d", i%40)), types.OID(1+i), clock.Time(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if sg := b.segs[0]; len(sg.leafOf.slots) != 16 || len(sg.pairOf.slots) != 16 || len(sg.objOf.slots) != 16 {
+				t.Fatalf("first segment after one append: %d/%d/%d slots, want 16 each",
+					len(sg.leafOf.slots), len(sg.pairOf.slots), len(sg.objOf.slots))
+			}
+		}
+	}
+	prev, next := b.segs[0], b.segs[1]
+	for _, c := range []struct {
+		name       string
+		prev, next int
+	}{
+		{"leaf", len(prev.leafOf.slots), len(next.leafOf.slots)},
+		{"pair", len(prev.pairOf.slots), len(next.pairOf.slots)},
+		{"object", len(prev.objOf.slots), len(next.objOf.slots)},
+	} {
+		if c.prev <= 16 || c.next != c.prev {
+			t.Errorf("%s table: the rolled-over segment has %d slots, its predecessor ended with %d", c.name, c.next, c.prev)
+		}
 	}
 }
 

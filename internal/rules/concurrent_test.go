@@ -138,27 +138,3 @@ func TestDropPrunesListeningIndex(t *testing.T) {
 		t.Errorf("byType holds %d stale entries after dropping every rule", len(s.byType))
 	}
 }
-
-// The exported State copy must not leak the live mention bitset.
-func TestRuleCopyStripsMentionBits(t *testing.T) {
-	s, b, c := newSupport(t, Options{})
-	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
-	if err := s.Define(Def{Name: "r", Event: e}); err != nil {
-		t.Fatal(err)
-	}
-	log(t, s, b, c, modShowQty, 1)
-	s.CheckTriggered(c.Now()) // the arrival scan builds the bitset
-	if s.rules["r"].mentionBits == nil {
-		t.Fatal("test premise: the check built no mention bitset")
-	}
-	st, ok := s.Rule("r")
-	if !ok {
-		t.Fatal("rule not found")
-	}
-	if st.mentionBits != nil || st.mentionBase != nil {
-		t.Error("exported State copy aliases the live mention bitset")
-	}
-	if st.Filter == nil {
-		t.Error("exported State copy lost the (immutable) filter")
-	}
-}

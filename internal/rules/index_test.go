@@ -55,6 +55,60 @@ func (l *line) checkIndex() error {
 	if len(l.ordered) > 0 && (l.wmMin != min || l.wmHolders != holders) {
 		return fmt.Errorf("watermark %d held by %d, States say %d held by %d", l.wmMin, l.wmHolders, min, holders)
 	}
+	return l.checkProbeIndex()
+}
+
+// probeBuildsChecked records, per line, the build of its inverted index
+// whose lists checkProbeIndex last compared with their definition.
+var probeBuildsChecked = map[*line]int{}
+
+// checkProbeIndex holds a built inverted V(E) index to its definition:
+// between checks no rank is marked, and the ranks filed under each type
+// id are, in queue order, the non-monotone rules whose V(E) mentions that
+// type (the lists are compared once per build).
+func (l *line) checkProbeIndex() error {
+	p := &l.probe
+	if p.base == nil || p.base != l.base {
+		return nil
+	}
+	if len(p.lo) != len(l.ordered) {
+		return fmt.Errorf("probe index marks %d ranks for %d rules", len(p.lo), len(l.ordered))
+	}
+	for i, lo := range p.lo {
+		if lo != notProbing {
+			return fmt.Errorf("rule %s is still marked for the walk at %d", l.ordered[i].Def.Name, lo)
+		}
+	}
+	if probeBuildsChecked[l] == p.builds {
+		return nil
+	}
+	probeBuildsChecked[l] = p.builds
+	want := make([][]int32, len(p.off)-1)
+	var all []int32
+	for i, st := range l.ordered {
+		if st.monotone {
+			continue
+		}
+		if st.Filter.MatchAll {
+			all = append(all, int32(i))
+			continue
+		}
+		for _, ty := range st.Filter.MentionedTypes() {
+			tid, ok := l.base.TypeID(ty)
+			if !ok || int(tid) >= len(want) {
+				return fmt.Errorf("rule %s mentions %v, which the index has no list for", st.Def.Name, ty)
+			}
+			want[tid] = append(want[tid], int32(i))
+		}
+	}
+	if !slices.Equal(p.all, all) {
+		return fmt.Errorf("match-all ranks %v, the rules say %v", p.all, all)
+	}
+	for tid, ranks := range want {
+		if got := p.ranks[p.off[tid]:p.off[tid+1]]; !slices.Equal(got, ranks) {
+			return fmt.Errorf("type id %d files ranks %v, the rules say %v", tid, got, ranks)
+		}
+	}
 	return nil
 }
 
@@ -330,9 +384,15 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 				s.SetBudget(nil)
 				if err != nil {
 					// The killed check left some rules decided and some
-					// not; the next one picks up exactly the rest.
+					// not; the next one picks up exactly the rest. If the
+					// fault cut an arrival walk short, the next walk
+					// rebuilds the inverted index first.
+					cut, builds := s.probe.base == nil && s.probe.lo != nil, s.probe.builds
 					if err := w.check(c.Now()); err != nil {
 						t.Fatal(err)
+					}
+					if cut && s.probe.base != nil && s.probe.builds != builds+1 {
+						t.Fatalf("a walk after a cut one ran on the old index (%d builds, then %d)", builds, s.probe.builds)
 					}
 				}
 			}
@@ -513,5 +573,74 @@ func TestDropLeavesIndex(t *testing.T) {
 	}
 	if live := s.Plan().Live(); live != 2 {
 		t.Errorf("plan holds %d nodes, want the two prims still in use", live)
+	}
+}
+
+// An arrival walk visits the rules whose V(E) mentions the arrival, not
+// the rules pending: the same arrivals cost the same visits under 10 and
+// under 10 000 pending, undecided rules that do not mention them.
+func TestProbeVisitsFollowMentions(t *testing.T) {
+	var visits []int64
+	for _, n := range []int{10, 10000} {
+		s, b, c := newSupport(t, Options{UseFilter: true})
+		// A ∧ ¬A is inactive at every instant: every rule stays undecided
+		// through the whole walk. Two rules mention create(stock), the rest
+		// only modify(show.quantity), which never arrives.
+		for i := 0; i < n; i++ {
+			ty := modShowQty
+			if i == 3 || i == n-2 {
+				ty = createStock
+			}
+			e := calculus.Conj(calculus.P(ty), calculus.Neg(calculus.P(ty)))
+			if err := s.Define(Def{Name: fmt.Sprintf("r%05d", i), Priority: i % 7, Event: e}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			log(t, s, b, c, createStock, types.OID(1+i%3))
+		}
+		if fired := s.CheckTriggered(c.Now()); len(fired) != 0 {
+			t.Fatalf("%d rules: fired %v", n, fired)
+		}
+		if st := s.Stats(); st.RulesExamined-st.RulesSkipped != int64(n) {
+			t.Fatalf("%d rules: the batch held %d rules, want every one pending", n, st.RulesExamined-st.RulesSkipped)
+		}
+		visits = append(visits, s.visits)
+	}
+	if visits[0] != 40 || visits[1] != visits[0] {
+		t.Errorf("20 arrivals mentioned by 2 rules visited %v rules under 10 and 10 000 rules, want 40 each", visits)
+	}
+}
+
+// Loading rules inverts nothing: 1 000 Defines build the inverted V(E)
+// index no time, the first check that walks arrivals builds it once, and
+// later checks over the same base and rules reuse it. A NewSession over
+// one rule allocates no more than it did before the index existed.
+func TestDefineBuildsNoProbeIndex(t *testing.T) {
+	s, b, c := newSupport(t, Options{UseFilter: true})
+	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
+	for i := 0; i < 1000; i++ {
+		if err := s.Define(Def{Name: fmt.Sprintf("r%04d", i), Event: e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.probe.builds != 0 {
+		t.Fatalf("Define built the inverted index %d times", s.probe.builds)
+	}
+	for i := 0; i < 3; i++ {
+		log(t, s, b, c, modShowQty, 1)
+		s.CheckTriggered(c.Now())
+		if s.probe.builds != 1 {
+			t.Fatalf("after check %d the inverted index was built %d times, want once", i, s.probe.builds)
+		}
+	}
+
+	one := NewSupport(event.NewBase(), Options{UseFilter: true})
+	if err := one.Define(Def{Name: "cap", Event: calculus.P(modStockQty)}); err != nil {
+		t.Fatal(err)
+	}
+	const before = 10 // NewSession + Release over one rule before the index existed
+	if n := testing.AllocsPerRun(100, func() { one.NewSession(b, c.Now()).Release() }); n > before {
+		t.Errorf("NewSession over one rule allocates %v objects, want at most %d", n, before)
 	}
 }

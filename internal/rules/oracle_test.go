@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"chimera/internal/calculus"
 	"chimera/internal/clock"
@@ -226,6 +227,34 @@ type replayOpts struct {
 	// churn defines a fresh random rule and drops a random one between
 	// blocks, now and then (definer subjects only).
 	churn bool
+	// spread considers every rule, each at an instant of its own and with
+	// an arrival after every eighth, before every other block: the next
+	// check's batch holds a horizon per rule.
+	spread bool
+	// kill cuts every third check of a production subject short with a
+	// budget of a few units and then checks again without one. The round
+	// of such a block, for every subject, is the rules that went from not
+	// triggered to triggered across it, in the order of names.
+	kill bool
+	// seen, when set, records what the production checks exercised.
+	seen *exercised
+}
+
+// exercised is what a replay's production checks covered.
+type exercised struct {
+	horizons     int // the most distinct horizons in one check's batch
+	midWalkKills int // budget faults that left an arrival walk unfinished
+}
+
+// lineOf is a production subject's line, nil for the oracle.
+func lineOf(sub subject) *line {
+	switch s := sub.(type) {
+	case *Support:
+		return &s.line
+	case *Session:
+		return &s.line
+	}
+	return nil
 }
 
 // replay drives one subject through a deterministic workload (seeded by
@@ -262,27 +291,44 @@ func replay(t *testing.T, mk maker, defs []Def, vocab []event.Type, seed int64, 
 				names = slices.Delete(names, k, k+1)
 			}
 		}
-		n := 1 + r.Intn(4)
-		var occs []event.Occurrence
-		for i := 0; i < n; i++ {
-			occ, err := b.Append(vocab[r.Intn(len(vocab))], types.OID(1+r.Intn(3)), c.Tick())
-			if err != nil {
-				t.Fatal(err)
+		arrive := func(n int) {
+			var occs []event.Occurrence
+			for i := 0; i < n; i++ {
+				occ, err := b.Append(vocab[r.Intn(len(vocab))], types.OID(1+r.Intn(3)), c.Tick())
+				if err != nil {
+					t.Fatal(err)
+				}
+				occs = append(occs, occ)
 			}
-			occs = append(occs, occ)
+			s.NotifyArrivals(occs)
 		}
-		s.NotifyArrivals(occs)
-		verifySubject(t, s)
-		fired := s.CheckTriggered(c.Now())
-		verifySubject(t, s)
-		round := make([]firing, len(fired))
-		for i, name := range fired {
-			st, ok := s.Rule(name)
-			if !ok {
-				t.Fatalf("fired unknown rule %q", name)
+		if w.spread && block%2 == 0 {
+			for i, name := range names {
+				if _, err := s.Consider(name, c.Tick()); err != nil {
+					t.Fatal(err)
+				}
+				if i%8 == 7 {
+					arrive(1)
+				}
 			}
-			round[i] = firing{name: name, at: st.TriggeredAt}
 		}
+		arrive(1 + r.Intn(4))
+		verifySubject(t, s)
+		var round []firing
+		if w.kill && block%3 == 1 {
+			round = killedCheck(t, s, names, c.Now(), int64(1+block%5), w.seen)
+		} else {
+			fired := s.CheckTriggered(c.Now())
+			w.seen.batch(lineOf(s))
+			for _, name := range fired {
+				st, ok := s.Rule(name)
+				if !ok {
+					t.Fatalf("fired unknown rule %q", name)
+				}
+				round = append(round, firing{name: name, at: st.TriggeredAt})
+			}
+		}
+		verifySubject(t, s)
 		rounds = append(rounds, round)
 		if w.considerAll {
 			for _, f := range round {
@@ -307,6 +353,49 @@ func replay(t *testing.T, mk maker, defs []Def, vocab []event.Type, seed int64, 
 		}
 	}
 	return rounds
+}
+
+// killedCheck runs a block's check on a production subject under a
+// budget of gas units, then again without one, and returns the rules
+// triggered across the two, in the order of names; on the oracle it is
+// one plain check.
+func killedCheck(t *testing.T, s subject, names []string, now clock.Time, gas int64, seen *exercised) []firing {
+	t.Helper()
+	was := make(map[string]bool)
+	for _, name := range names {
+		st, _ := s.Rule(name)
+		was[name] = st.Triggered
+	}
+	if b, ok := s.(interface{ SetBudget(*calculus.Budget) }); ok {
+		b.SetBudget(calculus.NewBudget(gas, time.Time{}))
+		err := calculus.CatchBudget(func() { s.CheckTriggered(now) })
+		b.SetBudget(nil)
+		seen.batch(lineOf(s))
+		if l := lineOf(s); err != nil && l.probe.base == nil && l.probe.lo != nil && seen != nil {
+			seen.midWalkKills++
+		}
+		verifySubject(t, s)
+	}
+	s.CheckTriggered(now)
+	var round []firing
+	for _, name := range names {
+		if st, _ := s.Rule(name); st.Triggered && !was[name] {
+			round = append(round, firing{name: name, at: st.TriggeredAt})
+		}
+	}
+	return round
+}
+
+// batch records the distinct horizons of a production line's last batch.
+func (e *exercised) batch(l *line) {
+	if e == nil || l == nil {
+		return
+	}
+	horizons := make(map[clock.Time]bool)
+	for _, st := range l.checkBuf {
+		horizons[st.LastConsideration] = true
+	}
+	e.horizons = max(e.horizons, len(horizons))
 }
 
 // sameFirings fails the test at the first block where got and want

@@ -8,15 +8,17 @@
 //
 // The Trigger Support decides T(r, t) of Section 4.4 one way. Every
 // rule's event expression is interned into one shared DAG
-// (calculus.Plan); at a block boundary the rules to examine — with the
+// (calculus.Plan). At a block boundary the rules to examine — with the
 // V(E) filter of Section 5.1, only those a relevant arrival reached —
-// are grouped by consideration horizon, and each group walks the
-// arrivals of its window once through the interned-id columns of the
-// Event Base, probing ts(E, t') at every arrival a rule's V(E) mentions
-// and at the check instant, with one memoized evaluator
-// (calculus.PlanEval) serving every rule of the group. The recursive
-// evaluator calculus.Env is the definition this is held to: the tests
-// keep the per-rule determination over it as the oracle.
+// are decided together in one walk of the check's arrivals through the
+// interned-id columns of the Event Base: an inverted V(E) index hands
+// each arrival the undecided rules whose V(E) mentions its type, and
+// each of them probes ts(E, t') there; every rule probes the check
+// instant last. One memoized evaluator (calculus.PlanEval) serves the
+// whole walk, its memo shared by every rule whatever its consideration
+// horizon. The recursive evaluator calculus.Env is the definition this
+// is held to: the tests keep the per-rule determination over it as the
+// oracle.
 //
 // # Concurrency
 //
@@ -32,8 +34,8 @@
 package rules
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -131,8 +133,7 @@ func (d Def) Validate() error {
 //
 // The copies returned by Support.Rule share the Filter pointer with the
 // live support: a Filter is immutable after calculus.Compile, so the
-// aliasing is read-only by construction. The mutable mention bitset is
-// unexported and stripped from exported copies.
+// aliasing is read-only by construction.
 type State struct {
 	Def Def
 	// Filter is the compiled V(E) filter. It is immutable once built —
@@ -162,43 +163,6 @@ type State struct {
 	monotone bool
 	// planRoot is the rule's root node in the support's interned DAG.
 	planRoot calculus.NodeID
-	// mentionBits is V(E)'s mentioned-type set as a bitset over the Event
-	// Base's interned type ids — the columnar probe loop's replacement
-	// for Filter.Mentioned's map lookups (one load and mask per arrival ×
-	// rule, the dominant cost of wide rule sets). Built lazily against
-	// the line's base; types interned after the build have ids past the
-	// bitset's length and are correctly reported unmentioned, so growth
-	// never forces a rebuild — only a base change (mentionBase) does.
-	mentionBase *event.Base
-	mentionBits []uint64
-}
-
-// ensureMentionTIDs builds the interned-id mention bitset for base.
-// Interning is eager (ids are assigned to types that have not occurred
-// yet), so the bitset is complete from the first arrival.
-func (st *State) ensureMentionTIDs(base *event.Base) {
-	if st.mentionBase == base || st.Filter.MatchAll {
-		return
-	}
-	st.mentionBits = st.mentionBits[:0]
-	for _, t := range st.Filter.MentionedTypes() {
-		tid := base.InternType(t)
-		w := int(tid >> 6)
-		for len(st.mentionBits) <= w {
-			st.mentionBits = append(st.mentionBits, 0)
-		}
-		st.mentionBits[w] |= 1 << (uint(tid) & 63)
-	}
-	st.mentionBase = base
-}
-
-// mentionedTID is Filter.Mentioned dispatched by interned type id.
-func (st *State) mentionedTID(tid int32) bool {
-	if st.Filter.MatchAll {
-		return true
-	}
-	w := int(tid >> 6)
-	return w < len(st.mentionBits) && st.mentionBits[w]&(1<<(uint(tid)&63)) != 0
 }
 
 // Options configures a Support.
@@ -239,10 +203,6 @@ type Stats struct {
 	// ts, per-object ots and lift domains actually computed. It equals
 	// MemoMisses.
 	TsEvaluations int64
-	// SweepSkipped counts (arrival, undecided rule) probe pairs the mention
-	// test settled without a ts evaluation: the arrival's type is not in
-	// the rule's V(E), so its activation cannot change there.
-	SweepSkipped int64
 	// MemoHits and MemoMisses count memo lookups of the shared plan's
 	// evaluator: a hit is a node result served from the per-probe memo
 	// instead of recomputed, a miss a node actually evaluated.
@@ -259,7 +219,6 @@ type SupportMetrics struct {
 	RulesExamined *metrics.Counter
 	RulesSkipped  *metrics.Counter
 	TsEvals       *metrics.Counter
-	SweepSkipped  *metrics.Counter
 	Triggerings   *metrics.Counter
 	// MemoHits/MemoMisses count shared-plan memo lookups; PlanNodes and
 	// PlanShared gauge the interned DAG (live nodes, nodes referenced by
@@ -283,7 +242,6 @@ func NewSupportMetrics(r *metrics.Registry) *SupportMetrics {
 		RulesExamined: r.Counter("chimera_trigger_rules_examined_total"),
 		RulesSkipped:  r.Counter("chimera_trigger_rules_skipped_total"),
 		TsEvals:       r.Counter("chimera_trigger_ts_evals_total"),
-		SweepSkipped:  r.Counter("chimera_trigger_sweep_skipped_total"),
 		Triggerings:   r.Counter("chimera_trigger_triggerings_total"),
 		BatchRules: r.Histogram("chimera_trigger_batch_rules",
 			1, 4, 16, 64, 256, 1024, 4096),
@@ -306,7 +264,6 @@ func (m *SupportMetrics) report(before, after Stats, batch int, plan *calculus.P
 	m.RulesExamined.Add(after.RulesExamined - before.RulesExamined)
 	m.RulesSkipped.Add(after.RulesSkipped - before.RulesSkipped)
 	m.TsEvals.Add(after.TsEvaluations - before.TsEvaluations)
-	m.SweepSkipped.Add(after.SweepSkipped - before.SweepSkipped)
 	m.MemoHits.Add(after.MemoHits - before.MemoHits)
 	m.MemoMisses.Add(after.MemoMisses - before.MemoMisses)
 	m.Triggerings.Add(after.Triggerings - before.Triggerings)
@@ -321,7 +278,6 @@ func (s *Stats) add(o Stats) {
 	s.RulesExamined += o.RulesExamined
 	s.RulesSkipped += o.RulesSkipped
 	s.TsEvaluations += o.TsEvaluations
-	s.SweepSkipped += o.SweepSkipped
 	s.MemoHits += o.MemoHits
 	s.MemoMisses += o.MemoMisses
 	s.Triggerings += o.Triggerings
@@ -329,8 +285,8 @@ func (s *Stats) add(o Stats) {
 
 // line is the state of one transaction line's triggering determination:
 // the bound Event Base, the per-rule records, the inverted listening
-// index, the block-boundary index, work counters, and all check-path
-// scratch. The Support embeds one line (its default, serving the classic
+// index, the block-boundary index, the inverted V(E) index, work
+// counters, and all check-path scratch. The Support embeds one line (its default, serving the classic
 // single-session engine and the direct Support API) and every Session
 // owns another over the same rule registry, so N concurrent lines run
 // their determinations in parallel with nothing shared but the immutable
@@ -388,16 +344,16 @@ type line struct {
 	wmHolders int
 
 	// CheckTriggered scratch, recycled across checks: checkBuf is the
-	// pending-rule batch, groupBuf the batch ordered by consideration
-	// horizon so rules sharing a window share a memo, eval the memoized
-	// evaluator (created at the first check) and undecided its group's
-	// rules still probing arrivals. firedBuf backs the result slice: the
-	// returned names are valid until the next call.
-	checkBuf  []*State
-	groupBuf  []*State
-	eval      *calculus.PlanEval
-	undecided []*State
-	firedBuf  []string
+	// pending-rule batch, eval the memoized evaluator (created at the
+	// first check) and probe the inverted V(E) index its arrival walk
+	// reads. firedBuf backs the result slice: the returned names are valid
+	// until the next call.
+	checkBuf []*State
+	eval     *calculus.PlanEval
+	probe    probeIndex
+	firedBuf []string
+	// visits counts the (arrival, rule) probes of the arrival walks.
+	visits int64
 	// budget is the transaction's evaluation budget (nil = unlimited),
 	// installed by SetBudget at Begin and handed to the evaluator.
 	// Exhaustion aborts CheckTriggered with a budget fault that unwinds
@@ -672,6 +628,7 @@ func (s *Support) Drop(name string) error {
 			break
 		}
 	}
+	s.probe.base = nil
 	return nil
 }
 
@@ -688,13 +645,14 @@ func (s *Support) enqueue(st *State) {
 	s.order = slices.Insert(s.order, i, st.Def.Name)
 	s.ordered = slices.Insert(s.ordered, i, st)
 	// Every later rank moved. Renumbering is left to the next block
-	// boundary, so loading N rules renumbers once, not N times.
+	// boundary, and the inverted V(E) index to the next arrival walk, so
+	// loading N rules renumbers and inverts once, not N times.
 	s.stale = true
+	s.probe.base = nil
 }
 
 // Rule returns a copy of the rule's state. The copy shares the
-// immutable Filter pointer with the live support (see State) but strips
-// the unexported mention bitset.
+// immutable Filter pointer with the live support (see State).
 func (s *Support) Rule(name string) (State, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -706,10 +664,7 @@ func (l *line) rule(name string) (State, bool) {
 	if !ok {
 		return State{}, false
 	}
-	cp := *st
-	cp.mentionBase = nil
-	cp.mentionBits = nil
-	return cp, true
+	return *st, true
 }
 
 // Rules returns the rule names in priority order.
@@ -925,188 +880,209 @@ func (l *line) checkTriggered(now clock.Time, opts *Options, plan *calculus.Plan
 	return fired
 }
 
-// checkShared runs the triggering determination over the interned DAG:
-// the batch is reordered by ascending consideration horizon and walked
-// group by group, rules sharing a horizon sharing one probe memo. Per-rule
-// outcomes are independent, so the reordering cannot change results; the
-// caller collects fired names from the priority-ordered batch.
+// checkShared decides T(r, now) for every rule of the batch over the
+// interned DAG. A rule probes every arrival instant in (lo, now] — lo the
+// later of its last probe and its horizon — that its V(E) mentions, then
+// now itself; the earliest active probe wins, a monotone rule collapses
+// to one evaluation at now with the activation instant as TriggeredAt,
+// and an empty R never triggers. One arrival walk and one memo serve the
+// whole batch, whatever the horizons. Per-rule outcomes are independent,
+// so the order rules are probed in cannot change results; the caller
+// collects fired names from the priority-ordered batch.
 func (l *line) checkShared(batch []*State, now clock.Time, plan *calculus.Plan) {
-	// Group by horizon: one stable sort on a copy, which keeps queue order
-	// inside a group — and no sort at all when the horizons already ascend
-	// along the batch, as they do whenever it has a single one.
-	rs := batch
-	if !slices.IsSortedFunc(batch, byHorizon) {
-		l.groupBuf = append(l.groupBuf[:0], batch...)
-		slices.SortStableFunc(l.groupBuf, byHorizon)
-		rs = l.groupBuf
+	// R = (since, now] is empty exactly when the newest arrival at or
+	// before now is at or below since: one comparison per rule.
+	newest := l.base.Newest(now)
+	floor, minLo := now, now
+	for _, st := range batch {
+		since := st.LastConsideration
+		if newest <= since {
+			st.lastProbe, st.pending = now, false
+			continue
+		}
+		floor = min(floor, since)
+		if !st.monotone {
+			minLo = min(minLo, max(st.lastProbe, since))
+		}
+	}
+	if floor == now {
+		return // every window is empty
 	}
 	if l.eval == nil {
 		l.eval = calculus.NewPlanEval(plan)
-		// The group walk feeds every arrival to the evaluator in
-		// timestamp order, so the prim cursors apply.
+		// The walk feeds every arrival to the evaluator in timestamp
+		// order, so the prim cursors apply.
 		l.eval.Track(true)
 	}
-	l.eval.Budget = l.budget
-	for len(rs) > 0 {
-		j := 1
-		for j < len(rs) && rs[j].LastConsideration == rs[0].LastConsideration {
-			j++
-		}
-		l.checkGroup(rs[:j], now)
-		rs = rs[j:]
+	pe := l.eval
+	pe.Budget = l.budget
+	pe.Bind(l.base, floor)
+	walked := minLo < now
+	if walked {
+		l.walk(pe, batch, newest, minLo, now)
 	}
-	evals, hits := l.eval.TakeCounters()
+	if pe.Cur() != now {
+		pe.Begin(now)
+	}
+	for _, st := range batch {
+		if walked {
+			l.probe.lo[st.rank] = notProbing
+		}
+		since := st.LastConsideration
+		if st.Triggered || newest <= since {
+			continue // at an arrival of the walk, or R = ∅
+		}
+		if st.monotone {
+			if v := pe.TS(st.planRoot, now, since); v.Active() {
+				st.Triggered, st.TriggeredAt = true, v.Time()
+				l.stats.Triggerings++
+			}
+		} else if now > max(st.lastProbe, since) && pe.TS(st.planRoot, now, since).Active() {
+			st.Triggered, st.TriggeredAt = true, now
+			l.stats.Triggerings++
+		}
+		st.lastProbe, st.pending = now, false
+	}
+	if walked {
+		l.probe.base = l.base
+	}
+	evals, hits := pe.TakeCounters()
 	l.stats.TsEvaluations += evals
 	l.stats.MemoMisses += evals
 	l.stats.MemoHits += hits
 }
 
-func byHorizon(a, b *State) int {
-	return cmp.Compare(a.LastConsideration, b.LastConsideration)
+// notProbing is probeIndex.lo of a rule no arrival of the walk probes.
+const notProbing = clock.Time(math.MaxInt64)
+
+// probeIndex is the inverted V(E) index of one line: for every type id
+// interned in the line's base, the queue ranks of the rules whose V(E)
+// mentions that type, ascending, plus the ranks of the match-all rules —
+// non-monotone rules only, since a monotone one decides at the check
+// instant alone. Like the block-boundary index it is derived state. It is built at the
+// first arrival walk after the base or the rule set changed (base nil
+// marks it unbuilt; Define and Drop only clear it), so Define, Drop and
+// NewSession never invert anything.
+//
+// lo is the walk's scratch, by rank: the instant after which an
+// undecided rule of the check probes arrivals, notProbing for every
+// other rule, so an arrival at t probes rank r exactly when lo[r] < t.
+// The walk clears base while lo holds its marks: a budget fault that
+// unwinds through it leaves the index unbuilt, and the next walk
+// rebuilds it clean.
+type probeIndex struct {
+	base  *event.Base
+	off   []int32 // the ranks mentioning type id tid are ranks[off[tid]:off[tid+1]]
+	ranks []int32
+	all   []int32
+	lo    []clock.Time
+	// filed is the build's scratch; builds counts the builds.
+	filed  []filing
+	builds int
 }
 
-// checkGroup decides triggering for rules sharing one consideration
-// horizon — every arrival instant in (lastProbe, now] and then now
-// itself, earliest active probe wins, monotone rules collapsing to one
-// evaluation at now with the activation instant as TriggeredAt — through
-// the memoized DAG evaluator, so rules sharing subexpressions (usually
-// whole probes) share the work: one memo generation per probe instant
-// serves the entire group.
-func (l *line) checkGroup(group []*State, now clock.Time) {
-	since := group[0].LastConsideration
-	if l.base.Empty(since, now) {
-		// R = ∅: the system stays reactive, nothing can trigger (and a
-		// negation-free expression is inactive on an empty window too).
-		for _, st := range group {
-			st.lastProbe = now
-			st.pending = false
-		}
-		return
-	}
-	pe := l.eval
-	pe.Bind(l.base, since)
-	// Collect the non-monotone rules — they probe every arrival instant
-	// they have not examined yet — and the earliest such instant.
-	und := l.undecided[:0]
-	minLo := now
-	for _, st := range group {
+// filing is one (type id, rank) entry of the index under construction.
+type filing struct{ tid, rank int32 }
+
+// buildProbeIndex inverts the non-monotone rules' V(E) over the line's
+// base. The mentioned types are interned (after Rebind or NewSession they
+// already are), and a counting sort by type id files each rank under its
+// types, keeping every list in rank order.
+func (l *line) buildProbeIndex() {
+	p := &l.probe
+	p.builds++
+	p.all, p.filed = p.all[:0], p.filed[:0]
+	for _, st := range l.ordered {
 		if st.monotone {
 			continue
 		}
-		lo := st.lastProbe
-		if lo < since {
-			lo = since
-		}
-		if lo < minLo {
-			minLo = lo
-		}
-		und = append(und, st)
-	}
-	lastProbed := clock.Never
-	if len(und) > 0 && minLo < now {
-		lastProbed, und = l.probeCols(pe, und, since, minLo, now)
-	}
-	if lastProbed != now {
-		pe.Begin(now)
-	}
-	for _, st := range und {
-		lo := st.lastProbe
-		if lo < since {
-			lo = since
-		}
-		if now > lo && pe.TS(st.planRoot, now).Active() {
-			st.Triggered = true
-			st.TriggeredAt = now
-			l.stats.Triggerings++
-		}
-		st.lastProbe = now
-		st.pending = false
-	}
-	// Monotone rules decide in one evaluation at now, sharing the final
-	// probe's memo generation with everything above.
-	for _, st := range group {
-		if !st.monotone {
+		if st.Filter.MatchAll {
+			p.all = append(p.all, st.rank)
 			continue
 		}
-		if v := pe.TS(st.planRoot, now); v.Active() {
-			st.Triggered = true
-			st.TriggeredAt = v.Time()
-			l.stats.Triggerings++
+		for _, t := range st.Filter.MentionedTypes() {
+			p.filed = append(p.filed, filing{l.base.InternType(t), st.rank})
 		}
-		st.lastProbe = now
-		st.pending = false
 	}
-	l.undecided = und[:0]
+	n := l.base.InternedTypes()
+	p.off = append(p.off[:0], make([]int32, n+2)...)
+	for _, f := range p.filed {
+		p.off[f.tid+2]++
+	}
+	for i := 2; i < len(p.off); i++ {
+		p.off[i] += p.off[i-1]
+	}
+	p.ranks = append(p.ranks[:0], make([]int32, len(p.filed))...)
+	for _, f := range p.filed {
+		p.ranks[p.off[f.tid+1]] = f.rank
+		p.off[f.tid+1]++
+	}
+	p.off = p.off[:n+1]
+	p.lo = append(p.lo[:0], make([]clock.Time, len(l.ordered))...)
+	for i := range p.lo {
+		p.lo[i] = notProbing
+	}
+	p.base = l.base
 }
 
-// probeCols is checkGroup's arrival scan: one walk of the timestamp and
-// interned-type-id columns serves the whole horizon group, with no
-// Occurrence materialization. Per arrival the prim cursors advance by
-// array index (NoteArrivalTID) and each rule's mention test is one bitset
-// load. Returns the last probed instant and the still-undecided remainder
-// of und (filtered in place).
-func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now clock.Time) (clock.Time, []*State) {
-	for _, st := range und {
-		st.ensureMentionTIDs(l.base)
+// walk is the check's one pass over the arrivals of (minLo, now]. Each
+// arrival is fed to the prim cursors and probed by the undecided rules
+// its type id files it under — the rules whose V(E) mentions its type,
+// and the match-all rules — whose lo lies below it: one load per rule
+// filed under it, so an arrival no rule mentions costs one table read.
+// The memo generation of an instant opens at its first probe.
+func (l *line) walk(pe *calculus.PlanEval, batch []*State, newest, minLo, now clock.Time) {
+	p := &l.probe
+	if p.base != l.base {
+		l.buildProbeIndex()
 	}
-	lastProbed := clock.Never
+	p.base = nil
+	open := 0
+	for _, st := range batch {
+		if !st.monotone && newest > st.LastConsideration {
+			p.lo[st.rank] = max(st.lastProbe, st.LastConsideration)
+			open++
+		}
+	}
 	for cursor := minLo; ; {
 		cols := l.base.ChunkCols(cursor, now)
-		n := len(cols.TS)
-		if n == 0 {
-			break
+		if len(cols.TS) == 0 {
+			return
 		}
-		for i := 0; i < n; i++ {
-			t := cols.TS[i]
+		for i, t := range cols.TS {
 			tid := cols.TIDs[i]
 			// Feed the prim cursors even once every rule has decided: the
 			// final probe at now still reads them.
 			pe.NoteArrivalTID(tid, t)
-			if len(und) == 0 {
+			if open == 0 {
 				continue
 			}
-			began := false
-			kept := und[:0]
-			for _, st := range und {
-				lo := st.lastProbe
-				if lo < since {
-					lo = since
-				}
-				if t <= lo {
-					// This rule already examined t in an earlier check;
-					// re-probing could not yield a new outcome.
-					kept = append(kept, st)
-					continue
-				}
-				if !st.mentionedTID(tid) {
-					// No variation of the rule's formula matches this
-					// arrival, so its activation cannot change at t.
-					l.stats.SweepSkipped++
-					kept = append(kept, st)
-					continue
-				}
-				if !began {
-					// Open the memo generation lazily: instants every rule
-					// skips cost nothing.
-					pe.Begin(t)
-					lastProbed = t
-					began = true
-				}
-				if pe.TS(st.planRoot, t).Active() {
-					st.Triggered = true
-					st.TriggeredAt = t
-					st.lastProbe = now
-					st.pending = false
-					l.stats.Triggerings++
-					continue
-				}
-				kept = append(kept, st)
+			var mentioning []int32
+			if int(tid) < len(p.off)-1 {
+				mentioning = p.ranks[p.off[tid]:p.off[tid+1]]
 			}
-			und = kept
+			for _, ranks := range [2][]int32{mentioning, p.all} {
+				for _, r := range ranks {
+					if p.lo[r] >= t {
+						continue
+					}
+					if pe.Cur() != t {
+						pe.Begin(t)
+					}
+					l.visits++
+					st := l.ordered[r]
+					if pe.TS(st.planRoot, t, st.LastConsideration).Active() {
+						st.Triggered, st.TriggeredAt = true, t
+						st.lastProbe, st.pending = now, false
+						p.lo[r] = notProbing
+						l.stats.Triggerings++
+						open--
+					}
+				}
+			}
 		}
-		cursor = cols.TS[n-1]
+		cursor = cols.TS[len(cols.TS)-1]
 	}
-	return lastProbed, und
 }
 
 // Triggered returns the currently triggered rules in priority order,

@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"chimera/internal/calculus"
@@ -16,7 +17,12 @@ import (
 // must fire the identical rule set at identical activation instants as
 // the per-rule oracle — filtered and not, on segments of 1, 2 and 256
 // occurrences, compacting below its watermark, with rules defined and
-// dropped mid-transaction, and on a Session's line.
+// dropped mid-transaction, and on a Session's line. The horizons shapes
+// give every rule of a wider set — copies of one expression, match-all
+// rules, precedence and instance lifts among them — a consideration
+// horizon of its own before every other check, so one arrival walk and
+// one memo serve at least 64 horizons, and cut checks short with a
+// budget in the middle of the walk.
 func TestSharedPlanMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	vocab := calculus.DefaultVocabulary()
@@ -37,20 +43,40 @@ func TestSharedPlanMatchesReference(t *testing.T) {
 	}
 	// Each workload shape is replayed once through the oracle and then
 	// through every production variant of that shape.
+	seen := &exercised{}
+	spread := func(w replayOpts) replayOpts {
+		w.spread, w.kill, w.considerAll, w.seen = true, true, true, seen
+		return w
+	}
 	shapes := []struct {
 		name string
+		wide bool
 		ref  replayOpts
 		prod []variant
 	}{
-		{"picks", replayOpts{}, append(layouts,
+		{"picks", false, replayOpts{}, append(layouts,
 			variant{inSession(Options{UseFilter: true}), replayOpts{segSize: 2}})},
-		{"churn", replayOpts{churn: true}, []variant{
+		{"churn", false, replayOpts{churn: true}, []variant{
 			{production(Options{}), replayOpts{churn: true, segSize: 2}},
 			{production(Options{UseFilter: true}), replayOpts{churn: true, segSize: 2}},
 		}},
-		{"compacting", replayOpts{considerAll: true}, []variant{
+		{"compacting", false, replayOpts{considerAll: true}, []variant{
 			{production(Options{UseFilter: true}), replayOpts{considerAll: true, compact: true, segSize: 1}},
 			{production(Options{UseFilter: true}), replayOpts{considerAll: true, compact: true, segSize: 4}},
+		}},
+		{"horizons", true, spread(replayOpts{}), []variant{
+			{production(Options{}), spread(replayOpts{segSize: 1, compact: true})},
+			{production(Options{}), spread(replayOpts{segSize: 256})},
+			{production(Options{UseFilter: true}), spread(replayOpts{segSize: 2, compact: true})},
+			{production(Options{UseFilter: true}), spread(replayOpts{segSize: 256, compact: true})},
+			{inSession(Options{UseFilter: true}), spread(replayOpts{segSize: 2})},
+		}},
+		{"horizons-churn", true, spread(replayOpts{churn: true}), []variant{
+			{production(Options{}), spread(replayOpts{churn: true, segSize: 1})},
+			// No compaction here: a rule defined mid-transaction reaches back
+			// to the transaction start, below what the watermark let go.
+			{production(Options{UseFilter: true}), spread(replayOpts{churn: true, segSize: 2})},
+			{production(Options{UseFilter: true}), spread(replayOpts{churn: true, segSize: 256})},
 		}},
 	}
 
@@ -75,15 +101,52 @@ func TestSharedPlanMatchesReference(t *testing.T) {
 				Priority: i % 5,
 			}
 		}
+		wide := append(slices.Clone(defs), wideDefs(r, vocab, pool)...)
 		seed := r.Int63()
 		for _, sh := range shapes {
-			want := replay(t, reference, defs, vocab, seed, 8, sh.ref)
+			ds := defs
+			if sh.wide {
+				ds = wide
+			}
+			want := replay(t, reference, ds, vocab, seed, 8, sh.ref)
 			for i, v := range sh.prod {
-				got := replay(t, v.mk, defs, vocab, seed, 8, v.w)
+				got := replay(t, v.mk, ds, vocab, seed, 8, v.w)
 				sameFirings(t, fmt.Sprintf("trial %d %s variant %d %+v", trial, sh.name, i, v.w), want, got)
 			}
 		}
 	}
+	if seen.horizons < 64 {
+		t.Errorf("the widest check saw %d distinct horizons, want at least 64", seen.horizons)
+	}
+	if seen.midWalkKills == 0 {
+		t.Error("no budget fault cut an arrival walk short")
+	}
+}
+
+// wideDefs is the horizons shapes' addition to a trial's rule set: each
+// pool fragment again under four names (one DAG root, four horizons),
+// match-all rules, precedence whose left operand is probed at a
+// historical instant, and instance-rooted lifts.
+func wideDefs(r *rand.Rand, vocab []event.Type, pool []calculus.Expr) []Def {
+	prim := func() calculus.Expr { return calculus.P(vocab[r.Intn(len(vocab))]) }
+	var exprs []calculus.Expr
+	for _, f := range pool {
+		exprs = append(exprs, f, f, f, f)
+	}
+	for i := 0; i < 8; i++ {
+		exprs = append(exprs,
+			calculus.Neg(prim()),
+			calculus.NegI(prim()),
+			calculus.Prec(prim(), calculus.Conj(prim(), calculus.Neg(prim()))),
+			calculus.Prec(calculus.Disj(prim(), prim()), prim()),
+			calculus.ConjI(prim(), prim()),
+			calculus.PrecI(prim(), prim()))
+	}
+	defs := make([]Def, len(exprs))
+	for i, e := range exprs {
+		defs[i] = Def{Name: fmt.Sprintf("w%02d", i), Event: e, Priority: i % 3}
+	}
+	return defs
 }
 
 // TestSharedPlanStatsAccounting: with heavy overlap the memo must record
@@ -243,5 +306,34 @@ func TestSharedPlanFiredSliceRecycled(t *testing.T) {
 	}
 	if &first[0] != &second[0] {
 		t.Error("fired slice was reallocated between checks")
+	}
+}
+
+// TestMemoSharedAcrossHorizons: rules at different consideration
+// horizons share one memo. Eight copies of one expression, each
+// considered at an instant of its own, probe the arrival that triggers
+// them all; the first computes the DAG and the other seven read it back,
+// because every node's value holds for every horizon below the arrival.
+func TestMemoSharedAcrossHorizons(t *testing.T) {
+	s, b, c := newSupport(t, Options{UseFilter: true})
+	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
+	for i := 0; i < 8; i++ {
+		if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Event: e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		log(t, s, b, c, modShowQty, 1)
+		if _, err := s.Consider(fmt.Sprintf("r%d", i), c.Tick()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log(t, s, b, c, createStock, 1)
+	s.ResetStats()
+	if fired := s.CheckTriggered(c.Now()); len(fired) != 8 {
+		t.Fatalf("fired %v, want all eight", fired)
+	}
+	if st := s.Stats(); st.MemoHits < 7 {
+		t.Errorf("eight horizons, one expression: %d memo hits, %d misses; want the seven later rules served from the memo", st.MemoHits, st.MemoMisses)
 	}
 }

@@ -142,7 +142,6 @@ type RunResult struct {
 	TsEvaluations int64
 	RulesExamined int64
 	RulesSkipped  int64
-	SweepSkipped  int64
 	MemoHits      int64
 	MemoMisses    int64
 }
@@ -168,7 +167,6 @@ func Drive(s *rules.Support, c *clock.Clock, blocks []Block, consider bool) RunR
 		TsEvaluations: st.TsEvaluations,
 		RulesExamined: st.RulesExamined,
 		RulesSkipped:  st.RulesSkipped,
-		SweepSkipped:  st.SweepSkipped,
 		MemoHits:      st.MemoHits,
 		MemoMisses:    st.MemoMisses,
 	}
