@@ -225,13 +225,13 @@ func Attr(name string, kind Kind) SchemaAttribute {
 	return SchemaAttribute{Name: name, Kind: kind}
 }
 
-// DefaultOptions is the paper's default configuration (V(E)-filtered
-// Trigger Support, formal ∃t' triggering, low-watermark compaction of
-// the Event Base).
+// DefaultOptions is the paper's default configuration (formal ∃t'
+// triggering with the V(E) filter, low-watermark compaction of the Event
+// Base); it equals the zero Options.
 func DefaultOptions() Options { return engine.DefaultOptions() }
 
 // Open creates an empty database with the paper's default configuration
-// (V(E)-filtered Trigger Support, formal ∃t' triggering).
+// (formal ∃t' triggering with the V(E) filter).
 func Open() *DB { return engine.New(engine.DefaultOptions()) }
 
 // OpenWith creates a database with explicit options.

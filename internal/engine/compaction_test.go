@@ -16,10 +16,7 @@ import (
 // statistics observed just before commit.
 func driveLongTxn(t *testing.T, consumption rules.Consumption, disable bool, lines int) (appended, live, retired int) {
 	t.Helper()
-	db := New(Options{
-		Support:           rules.Options{UseFilter: true},
-		DisableCompaction: disable,
-	})
+	db := New(Options{DisableCompaction: disable})
 	if err := db.DefineClass("item",
 		schema.Attribute{Name: "n", Kind: types.KindInt},
 		schema.Attribute{Name: "cap", Kind: types.KindInt}); err != nil {

@@ -78,8 +78,8 @@ type Body struct {
 
 // Options configures a database.
 type Options struct {
-	// Support configures the Trigger Support (V(E) filter on via
-	// DefaultOptions).
+	// Support configures the Trigger Support; New fills its Metrics from
+	// Metrics when unset.
 	Support rules.Options
 	// MaxRuleExecutions bounds rule executions per transaction; 0 means
 	// the default of 10000.
@@ -196,14 +196,15 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// DefaultOptions enables the paper's static optimization of the
-// triggering determination (the V(E) filter of Section 5.1; see
-// DESIGN.md §10).
+// DefaultOptions is the configuration the facade and the examples start
+// from. It is the zero Options: the triggering determination always runs
+// the V(E) filter of Section 5.1 (DESIGN.md §10), so nothing is left to
+// switch on.
 func DefaultOptions() Options {
-	return Options{Support: rules.Options{UseFilter: true}}
+	return Options{}
 }
 
-// Stats aggregates engine-level counters for the benchmark harness.
+// Stats aggregates engine-level counters (`show stats`, the B0 benchmark).
 type Stats struct {
 	Transactions   int64
 	Blocks         int64

@@ -262,7 +262,7 @@ func (p probe) String() string { return "probe" }
 // A self-triggering rule hits the execution limit and the transaction
 // rolls back.
 func TestRuleLimitAndRollback(t *testing.T) {
-	db := New(Options{Support: rules.Options{UseFilter: true}, MaxRuleExecutions: 20})
+	db := New(Options{MaxRuleExecutions: 20})
 	if err := db.DefineClass("stock",
 		schema.Attribute{Name: "quantity", Kind: types.KindInt}); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"chimera"
-	"chimera/internal/rules"
 	"chimera/internal/shell"
 )
 
@@ -69,7 +68,6 @@ show stats
 		}
 		reg := chimera.NewMetricsRegistry()
 		db := chimera.OpenWith(chimera.Options{
-			Support:           rules.Options{UseFilter: true},
 			MaxRuleExecutions: 200,
 			SegmentSize:       8,
 			Metrics:           reg,

@@ -109,12 +109,12 @@ var obsConfigs = []struct {
 	fillers int
 	opts    Options
 }{
-	{"sequential", 0, Options{Support: rules.Options{UseFilter: true}}},
-	// No filter so every non-triggered rule is examined each boundary:
-	// with 40 fillers the batch spans many horizon groups.
-	{"unfiltered", 40, Options{}},
-	{"compacting", 40, Options{Support: rules.Options{UseFilter: true}, SegmentSize: 4}},
-	{"no-compaction", 0, Options{Support: rules.Options{UseFilter: true}, DisableCompaction: true}},
+	{"sequential", 0, Options{}},
+	// 40 fillers whose types arrive: the batch holds many rules, each at
+	// a horizon of its own.
+	{"fillers", 40, Options{}},
+	{"compacting", 40, Options{SegmentSize: 4}},
+	{"no-compaction", 0, Options{DisableCompaction: true}},
 }
 
 // buildObsDB builds the differential database for one config,
@@ -264,7 +264,7 @@ func TestCompactingPathExercised(t *testing.T) {
 	ops := genWorkload(rand.New(rand.NewSource(seed)), 240)
 
 	regComp := metrics.NewRegistry()
-	compacting := buildObsDB(t, Options{Support: rules.Options{UseFilter: true}, SegmentSize: 4}, 40, regComp, seed)
+	compacting := buildObsDB(t, Options{SegmentSize: 4}, 40, regComp, seed)
 	tr := &spanRecorder{}
 	compacting.SetTracer(tr)
 	runDiffWorkload(t, compacting, ops)

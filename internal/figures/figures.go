@@ -1,7 +1,8 @@
 // Package figures regenerates every figure of the paper and the in-text
 // worked examples, as formatted text plus programmatic values the tests
-// assert on. The chimera-figures command prints them; EXPERIMENTS.md
-// records the correspondence.
+// assert on. The chimera-figures command prints them, docs/figures.txt
+// is its output held byte for byte by TestFiguresMatchReference, and
+// EXPERIMENTS.md records the correspondence with the paper.
 package figures
 
 import (

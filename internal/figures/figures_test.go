@@ -1,6 +1,8 @@
 package figures
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -158,4 +160,29 @@ func TestAllFigures(t *testing.T) {
 		}
 	}
 	_ = event.Create("x")
+}
+
+// TestFiguresMatchReference holds what `chimera-figures` prints with no
+// flags — every figure's text followed by a newline — to the reference
+// output docs/figures.txt, byte for byte.
+func TestFiguresMatchReference(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "figures.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, f := range All() {
+		sb.WriteString(f.Text + "\n")
+	}
+	got := sb.String()
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < min(len(gotLines), len(wantLines)); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d differs from docs/figures.txt:\n got: %q\nwant: %q", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("output has %d lines, docs/figures.txt %d", len(gotLines), len(wantLines))
 }

@@ -2,8 +2,8 @@
 // dependency-free set of atomic instruments (monotone counters, gauges,
 // fixed-bucket histograms) the hot layers — Event Base appends, the
 // triggering determination, the rule-processing loop — report into,
-// plus a snapshot and text exposition for `chimerash show stats`,
-// `chimera-bench -metrics` and `engine.DB.Snapshot`.
+// plus a snapshot and text exposition for `chimerash show stats` and
+// `engine.DB.Snapshot`, which the B0 benchmark's per-layer pass reads.
 //
 // # Zero overhead when off
 //

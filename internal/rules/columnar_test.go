@@ -15,17 +15,9 @@ import (
 // on a base of two-occurrence segments, the window spread over many of
 // them.
 func TestColumnarSteadyStateAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"columnar/shared", Options{}},
-		{"columnar/shared-filtered", Options{UseFilter: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			quietCheckAllocatesNothing(t, event.NewBaseSize(2), tc.opts)
-		})
-	}
+	t.Run("columnar/shared-filtered", func(t *testing.T) {
+		quietCheckAllocatesNothing(t, event.NewBaseSize(2))
+	})
 }
 
 // TestColumnarProbeScanSteadyStateAllocs pins the zero-allocation
@@ -38,7 +30,7 @@ func TestColumnarSteadyStateAllocs(t *testing.T) {
 func TestColumnarProbeScanSteadyStateAllocs(t *testing.T) {
 	b := event.NewBase()
 	c := clock.New()
-	s := NewSupport(b, Options{UseFilter: true})
+	s := NewSupport(b, Options{})
 	s.BeginTransaction(c.Now())
 	vocab := []event.Type{createStock, modStockQty, modShowQty, event.Delete("stock")}
 	// Never-triggering non-monotone rules: A ∧ ¬A is inactive at every
@@ -86,7 +78,7 @@ func TestCheckAssignsNoTypeIDs(t *testing.T) {
 	vocab := calculus.DefaultVocabulary()
 	gen := calculus.GenOptions{Types: vocab, MaxDepth: 3,
 		AllowNegation: true, AllowInstance: true, AllowPrecedence: true}
-	s := NewSupport(event.NewBase(), Options{UseFilter: true})
+	s := NewSupport(event.NewBase(), Options{})
 	for i := 0; i < 40; i++ {
 		if err := s.Define(Def{Name: fmt.Sprintf("r%02d", i), Event: calculus.GenExpr(r, gen), Priority: i % 5}); err != nil {
 			t.Fatal(err)

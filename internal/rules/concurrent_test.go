@@ -21,7 +21,7 @@ func TestSupportConcurrentAccess(t *testing.T) {
 	vocab := calculus.DefaultVocabulary()
 	b := event.NewBase()
 	c := clock.New()
-	s := NewSupport(b, Options{UseFilter: true})
+	s := NewSupport(b, Options{})
 	s.BeginTransaction(c.Now())
 
 	r := rand.New(rand.NewSource(5))
@@ -121,7 +121,7 @@ func TestSupportConcurrentAccess(t *testing.T) {
 // Dropping the last listener of a type must delete the byType key, so
 // rule churn over many types cannot grow the index unboundedly.
 func TestDropPrunesListeningIndex(t *testing.T) {
-	s, _, _ := newSupport(t, Options{UseFilter: true})
+	s, _, _ := newSupport(t)
 	for i := 0; i < 50; i++ {
 		ty := event.Modify("stock", fmt.Sprintf("attr%d", i))
 		name := fmt.Sprintf("r%d", i)

@@ -125,13 +125,13 @@ func verifyIndex(t *testing.T, l *line) {
 
 // walkBatch is the batch a check would examine, with the examined and
 // skipped counts the walk accumulates.
-func walkBatch(l *line, useFilter bool) (batch []string, examined, skipped int64) {
+func walkBatch(l *line) (batch []string, examined, skipped int64) {
 	for _, st := range l.ordered {
 		if st.Triggered {
 			continue
 		}
 		examined++
-		if useFilter && !st.pending {
+		if !st.pending {
 			skipped++
 			continue
 		}
@@ -174,10 +174,9 @@ func walkWatermark(l *line) clock.Time {
 // View and compares every answer with the oracle's, computed from the
 // same States.
 type walked struct {
-	t    *testing.T
-	v    View
-	l    *line
-	opts *Options
+	t *testing.T
+	v View
+	l *line
 }
 
 var immediateOnly = func(d Def) bool { return d.Coupling == Immediate }
@@ -205,7 +204,7 @@ func (w walked) verify(step string) {
 // not raised.
 func (w walked) check(now clock.Time) error {
 	w.t.Helper()
-	batch, examined, skipped := walkBatch(w.l, w.opts.UseFilter)
+	batch, examined, skipped := walkBatch(w.l)
 	before := w.v.Stats()
 	var fired []string
 	if err := calculus.CatchBudget(func() { fired = w.v.CheckTriggered(now) }); err != nil {
@@ -269,11 +268,6 @@ func scriptArrivals(t *testing.T, r *rand.Rand, b *event.Base, c *clock.Clock) [
 	return occs
 }
 
-var scriptConfigs = []Options{
-	{UseFilter: true},
-	{}, // the naive support examines every rule: the index serves Pick, Watermark and the counters
-}
-
 // A random script of everything that touches marks — arrivals, checks,
 // picks and considerations, considerations of rules that are not
 // triggered (of all of them in turn, and at stale instants),
@@ -282,14 +276,13 @@ var scriptConfigs = []Options{
 // transaction, a check cut short by its budget — with every answer
 // compared to the full walk after every step.
 func TestIndexMatchesFullWalk(t *testing.T) {
-	for ci, cfg := range scriptConfigs {
-		cfg := cfg
-		r := rand.New(rand.NewSource(int64(1996 + ci)))
+	for _, seed := range []int64{1996, 1997} {
+		r := rand.New(rand.NewSource(seed))
 		b := event.NewBase()
 		c := clock.New()
-		s := NewSupport(b, cfg)
+		s := NewSupport(b, Options{})
 		s.BeginTransaction(c.Now())
-		w := walked{t: t, v: s, l: &s.line, opts: &cfg}
+		w := walked{t: t, v: s, l: &s.line}
 		for _, d := range scriptDefs(r, 48, "r") {
 			if err := s.Define(d); err != nil {
 				t.Fatal(err)
@@ -403,9 +396,8 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 // The same script over a Session's line, beside the Support's own line
 // serving a different history: the two indexes share nothing.
 func TestIndexMatchesFullWalkInSession(t *testing.T) {
-	cfg := Options{UseFilter: true}
 	r := rand.New(rand.NewSource(42))
-	s := NewSupport(event.NewBase(), cfg)
+	s := NewSupport(event.NewBase(), Options{})
 	for _, d := range scriptDefs(r, 70, "r") {
 		if err := s.Define(d); err != nil {
 			t.Fatal(err)
@@ -415,7 +407,7 @@ func TestIndexMatchesFullWalkInSession(t *testing.T) {
 		b := event.NewBase()
 		c := clock.New()
 		sess := s.NewSession(b, c.Now())
-		w := walked{t: t, v: sess, l: &sess.line, opts: &cfg}
+		w := walked{t: t, v: sess, l: &sess.line}
 		w.verify("after NewSession")
 		for step := 0; step < 300; step++ {
 			switch op := r.Intn(10); {
@@ -468,7 +460,7 @@ func TestBlockBoundaryIndependentOfRuleCount(t *testing.T) {
 	for _, n := range []int{10, 10000} {
 		b := event.NewBase()
 		c := clock.New()
-		s := NewSupport(b, Options{UseFilter: true})
+		s := NewSupport(b, Options{})
 		s.BeginTransaction(c.Now())
 		for i := 0; i < n; i++ {
 			// Two rules listen to create(stock), the rest to a type that
@@ -531,7 +523,7 @@ func TestBlockBoundaryIndependentOfRuleCount(t *testing.T) {
 // a triggered rule is evaluated, picked or counted after its Drop, and
 // the ranks it shifted keep pointing at the right neighbours.
 func TestDropLeavesIndex(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	for _, d := range []Def{
 		{Name: "a", Priority: 1, Event: calculus.P(createStock)},
 		{Name: "b", Priority: 2, Event: calculus.P(createStock)},
@@ -547,7 +539,7 @@ func TestDropLeavesIndex(t *testing.T) {
 		t.Fatalf("fired %v", fired)
 	}
 	log(t, s, b, c, modStockQty, 1) // c and d are pending now
-	w := walked{t: t, v: s, l: &s.line, opts: &Options{UseFilter: true}}
+	w := walked{t: t, v: s, l: &s.line}
 	w.verify("before the drops")
 
 	if err := s.Drop("a"); err != nil { // triggered
@@ -582,7 +574,7 @@ func TestDropLeavesIndex(t *testing.T) {
 func TestProbeVisitsFollowMentions(t *testing.T) {
 	var visits []int64
 	for _, n := range []int{10, 10000} {
-		s, b, c := newSupport(t, Options{UseFilter: true})
+		s, b, c := newSupport(t)
 		// A ∧ ¬A is inactive at every instant: every rule stays undecided
 		// through the whole walk. Two rules mention create(stock), the rest
 		// only modify(show.quantity), which never arrives.
@@ -617,7 +609,7 @@ func TestProbeVisitsFollowMentions(t *testing.T) {
 // later checks over the same base and rules reuse it. A NewSession over
 // one rule allocates no more than it did before the index existed.
 func TestDefineBuildsNoProbeIndex(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 	for i := 0; i < 1000; i++ {
 		if err := s.Define(Def{Name: fmt.Sprintf("r%04d", i), Event: e}); err != nil {
@@ -635,7 +627,7 @@ func TestDefineBuildsNoProbeIndex(t *testing.T) {
 		}
 	}
 
-	one := NewSupport(event.NewBase(), Options{UseFilter: true})
+	one := NewSupport(event.NewBase(), Options{})
 	if err := one.Define(Def{Name: "cap", Event: calculus.P(modStockQty)}); err != nil {
 		t.Fatal(err)
 	}

@@ -172,26 +172,22 @@ func reference(t *testing.T, base *event.Base, start clock.Time, defs []Def) sub
 	return o
 }
 
-// production is the Support's own line under o.
-func production(o Options) maker {
-	return func(t *testing.T, base *event.Base, start clock.Time, defs []Def) subject {
-		s := NewSupport(base, o)
-		s.BeginTransaction(start)
-		defineAll(t, s, defs)
-		return s
-	}
+// production is the Support's own line.
+func production(t *testing.T, base *event.Base, start clock.Time, defs []Def) subject {
+	s := NewSupport(base, Options{})
+	s.BeginTransaction(start)
+	defineAll(t, s, defs)
+	return s
 }
 
-// inSession is a Session's line over a Support under o, whose own line
-// serves nothing.
-func inSession(o Options) maker {
-	return func(t *testing.T, base *event.Base, start clock.Time, defs []Def) subject {
-		s := NewSupport(event.NewBase(), o)
-		defineAll(t, s, defs)
-		sess := s.NewSession(base, start)
-		t.Cleanup(sess.Release)
-		return sess
-	}
+// inSession is a Session's line over a Support whose own line serves
+// nothing.
+func inSession(t *testing.T, base *event.Base, start clock.Time, defs []Def) subject {
+	s := NewSupport(event.NewBase(), Options{})
+	defineAll(t, s, defs)
+	sess := s.NewSession(base, start)
+	t.Cleanup(sess.Release)
+	return sess
 }
 
 // verifySubject holds a production line's block-boundary index to its

@@ -8,7 +8,7 @@
 //
 // The Trigger Support decides T(r, t) of Section 4.4 one way. Every
 // rule's event expression is interned into one shared DAG
-// (calculus.Plan). At a block boundary the rules to examine — with the
+// (calculus.Plan). At a block boundary the rules to examine — by the
 // V(E) filter of Section 5.1, only those a relevant arrival reached —
 // are decided together in one walk of the check's arrivals through the
 // interned-id columns of the Event Base: an inverted V(E) index hands
@@ -167,13 +167,6 @@ type State struct {
 
 // Options configures a Support.
 type Options struct {
-	// UseFilter enables the V(E) static optimization of Section 5.1: a
-	// block boundary examines only the rules a relevant arrival reached —
-	// one whose type carries a Δ+ or Δ± variation (a pure Δ− arrival
-	// cannot raise ts, so a non-triggered rule skips it). When false every
-	// block boundary recomputes ts for every non-triggered rule; the
-	// paper's figure of the filter's effect (experiment B1) is its user.
-	UseFilter bool
 	// Metrics, when non-nil, is the instrument set the support reports
 	// into. Reporting happens in bulk at the end of each CheckTriggered
 	// (counter deltas, not per-rule atomics), so the enabled path adds a
@@ -184,20 +177,19 @@ type Options struct {
 	Metrics *SupportMetrics
 }
 
-// Stats counts the work the Trigger Support performed; the benchmark
-// harness reads them to report the effect of the static optimization.
+// Stats counts the work the Trigger Support performed; RulesSkipped
+// against RulesExamined is the effect of the static optimization.
 type Stats struct {
 	// Checks counts CheckTriggered calls (block boundaries).
 	Checks int64
 	// RulesExamined counts per-rule triggering examinations: every rule
-	// that is not triggered when a check starts is examined by it. With
-	// the V(E) filter on, the check does not visit them to count them —
-	// the figure is defined rules minus triggered rules, read off the
-	// line's index.
+	// that is not triggered when a check starts is examined by it. The
+	// check does not visit them to count them — the figure is defined
+	// rules minus triggered rules, read off the line's index.
 	RulesExamined int64
 	// RulesSkipped counts examined rules the V(E) filter settled without
 	// a ts evaluation: examined minus the check's batch (the pending
-	// rules). Always zero with UseFilter off.
+	// rules).
 	RulesSkipped int64
 	// TsEvaluations counts node evaluations of the shared plan: set-level
 	// ts, per-object ots and lift domains actually computed. It equals
@@ -770,22 +762,22 @@ func (s *Support) SetBudget(b *calculus.Budget) {
 	s.line.budget = b
 }
 
-// NotifyArrivals tells the support about freshly logged occurrences; with
-// the filter enabled it marks the rules those arrivals are relevant to.
-// This is the Event Handler → Trigger Support hand-off of Section 5.
+// NotifyArrivals tells the support about freshly logged occurrences and
+// marks the rules those arrivals are relevant to: by the V(E) static
+// optimization of Section 5.1, a rule whose V(E) gives the arrival's type
+// a Δ+ or Δ± variation (a pure Δ− arrival cannot raise ts, so a
+// non-triggered rule skips it). This is the Event Handler → Trigger
+// Support hand-off of Section 5.
 func (s *Support) NotifyArrivals(occs []event.Occurrence) {
 	if len(occs) == 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.line.notifyArrivals(occs, &s.opts)
+	s.line.notifyArrivals(occs)
 }
 
-func (l *line) notifyArrivals(occs []event.Occurrence, opts *Options) {
-	if !opts.UseFilter {
-		return
-	}
+func (l *line) notifyArrivals(occs []event.Occurrence) {
 	l.sync()
 	for _, st := range l.matchAll {
 		l.arrive(st)
@@ -809,17 +801,16 @@ func (l *line) arrive(st *State) {
 }
 
 // CheckTriggered runs the triggering determination at a block boundary:
-// for every non-triggered rule (skipping, under the optimization, rules
-// with no relevant arrival) it decides T(r, now) and flips the triggered
-// flag. It returns the names of newly triggered rules in priority order.
+// for every non-triggered rule (skipping rules with no relevant arrival)
+// it decides T(r, now) and flips the triggered flag. It returns the names
+// of newly triggered rules in priority order.
 func (s *Support) CheckTriggered(now clock.Time) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.line.checkTriggered(now, &s.opts, s.plan)
+	return s.line.checkTriggered(now, s.opts.Metrics, s.plan)
 }
 
-func (l *line) checkTriggered(now clock.Time, opts *Options, plan *calculus.Plan) []string {
-	m := opts.Metrics
+func (l *line) checkTriggered(now clock.Time, m *SupportMetrics, plan *calculus.Plan) []string {
 	var statsBefore Stats
 	if m != nil {
 		statsBefore = l.stats
@@ -827,35 +818,24 @@ func (l *line) checkTriggered(now clock.Time, opts *Options, plan *calculus.Plan
 	l.sync()
 	l.stats.Checks++
 	// Every non-triggered rule is examined; the batch is those of them
-	// that need a ts evaluation, in queue order. With the filter that is
-	// the worklist, whose ranks come out of the set already ordered; an
-	// empty worklist — the block after a consideration whose action
-	// logged nothing — visits no rule at all.
+	// that need a ts evaluation — the worklist, whose ranks come out of
+	// the set already in queue order. An empty worklist — the block after
+	// a consideration whose action logged nothing — visits no rule at all.
 	examined := len(l.ordered) - l.ntrig
 	batch := l.checkBuf[:0]
-	if !opts.UseFilter {
-		for _, st := range l.ordered {
-			if !st.Triggered {
-				batch = append(batch, st)
-			}
-		}
-	} else if l.queued {
+	if l.queued {
 		l.each(l.queue, func(st *State) bool {
 			if st.pending && !st.Triggered {
 				batch = append(batch, st)
 			}
 			return true
 		})
-	}
-	if l.queued {
-		// The check settles every pending rule, in either mode.
+		// The check settles every pending rule.
 		clear(l.queue)
 		l.queued = false
 	}
 	l.stats.RulesExamined += int64(examined)
-	if opts.UseFilter {
-		l.stats.RulesSkipped += int64(examined - len(batch))
-	}
+	l.stats.RulesSkipped += int64(examined - len(batch))
 	l.checkBuf = batch
 	// The evaluator writes Triggered and pending into the States only;
 	// the index learns of it in the fold below. A budget fault unwinding

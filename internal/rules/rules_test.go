@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -18,11 +19,11 @@ var (
 	modShowQty  = event.Modify("show", "quantity")
 )
 
-func newSupport(t *testing.T, opts Options) (*Support, *event.Base, *clock.Clock) {
+func newSupport(t *testing.T) (*Support, *event.Base, *clock.Clock) {
 	t.Helper()
 	b := event.NewBase()
 	c := clock.New()
-	s := NewSupport(b, opts)
+	s := NewSupport(b, Options{})
 	s.BeginTransaction(c.Now())
 	return s, b, c
 }
@@ -38,7 +39,7 @@ func log(t *testing.T, s *Support, b *event.Base, c *clock.Clock, ty event.Type,
 }
 
 func TestDefineValidation(t *testing.T) {
-	s, _, _ := newSupport(t, Options{UseFilter: true})
+	s, _, _ := newSupport(t)
 	if err := s.Define(Def{Name: "", Event: calculus.P(createStock)}); err == nil {
 		t.Error("unnamed rule accepted")
 	}
@@ -61,7 +62,7 @@ func TestDefineValidation(t *testing.T) {
 }
 
 func TestBasicTriggerDetriggerCycle(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	if err := s.Define(Def{Name: "onCreate", Event: calculus.P(createStock)}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestBasicTriggerDetriggerCycle(t *testing.T) {
 }
 
 func TestPriorityOrder(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	s.Define(Def{Name: "zeta", Priority: 1, Event: calculus.P(createStock)})
 	s.Define(Def{Name: "alpha", Priority: 2, Event: calculus.P(createStock)})
 	s.Define(Def{Name: "beta", Priority: 1, Event: calculus.P(createStock)})
@@ -132,7 +133,7 @@ func TestPriorityOrder(t *testing.T) {
 }
 
 func TestPreservingConsumptionWindow(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	s.Define(Def{Name: "p", Consumption: Preserving, Event: calculus.P(createStock)})
 	log(t, s, b, c, createStock, 1)
 	s.CheckTriggered(c.Now())
@@ -162,7 +163,7 @@ func TestPreservingConsumptionWindow(t *testing.T) {
 }
 
 func TestFilterSkipsIrrelevantRules(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	s.Define(Def{Name: "stockRule", Event: calculus.P(createStock)})
 	s.Define(Def{Name: "showRule", Event: calculus.P(modShowQty)})
 	// Fresh rules start pending (their window may already hold matches);
@@ -175,19 +176,8 @@ func TestFilterSkipsIrrelevantRules(t *testing.T) {
 		t.Fatalf("fired = %v", fired)
 	}
 	st := s.Stats()
-	if st.RulesSkipped != 1 {
-		t.Errorf("RulesSkipped = %d, want 1 (showRule)", st.RulesSkipped)
-	}
-	// Naive support examines both.
-	n, nb, nc := newSupport(t, Options{})
-	n.Define(Def{Name: "stockRule", Event: calculus.P(createStock)})
-	n.Define(Def{Name: "showRule", Event: calculus.P(modShowQty)})
-	occ, _ := nb.Append(createStock, 1, nc.Tick())
-	n.NotifyArrivals([]event.Occurrence{occ})
-	n.ResetStats()
-	n.CheckTriggered(nc.Now())
-	if got := n.Stats(); got.RulesSkipped != 0 || got.TsEvaluations == 0 {
-		t.Errorf("naive stats = %+v", got)
+	if st.RulesSkipped != 1 || st.RulesExamined != 2 {
+		t.Errorf("examined %d, skipped %d; want 2 and 1 (showRule)", st.RulesExamined, st.RulesSkipped)
 	}
 }
 
@@ -195,7 +185,7 @@ func TestFilterSkipsIrrelevantRules(t *testing.T) {
 // arrives, and that is semantically safe (it could only have gone
 // inactive).
 func TestFilterSkipsPureNegativeArrival(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 	s.Define(Def{Name: "r", Event: e})
 	s.CheckTriggered(c.Now())       // settle the fresh rule's pending state
@@ -222,7 +212,7 @@ func TestFilterSkipsPureNegativeArrival(t *testing.T) {
 func TestBoundaryOnlyMissesTransient(t *testing.T) {
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	s.Define(Def{Name: "r", Event: e})
 	log(t, s, b, c, createStock, 1)
 	log(t, s, b, c, modStockQty, 1)
@@ -239,7 +229,7 @@ func TestBoundaryOnlyMissesTransient(t *testing.T) {
 // A arrives, the activation lasts to the check instant, where the
 // implementation sketch would see it too.
 func TestBoundaryOnlyPositiveControl(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 	s.Define(Def{Name: "r", Event: e})
 	log(t, s, b, c, createStock, 1) // only A arrives
@@ -253,9 +243,9 @@ func TestBoundaryOnlyPositiveControl(t *testing.T) {
 	}
 }
 
-// The production support, filtered and not, agrees with the oracle on
-// which rules trigger and when, on random workloads — the filter is a
-// pure optimization.
+// The production support agrees with the oracle, which examines every
+// non-triggered rule at every check, on which rules trigger and when, on
+// random workloads — the V(E) filter is a pure optimization.
 func TestOptimizedMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	vocab := calculus.DefaultVocabulary()
@@ -298,15 +288,77 @@ func TestOptimizedMatchesNaive(t *testing.T) {
 		seed := r.Int63()
 		r = rand.New(rand.NewSource(seed))
 		want := run(reference)
-		for _, o := range []Options{{}, {UseFilter: true}} {
-			r = rand.New(rand.NewSource(seed))
-			sameFirings(t, fmt.Sprintf("trial %d %+v", trial, o), want, run(production(o)))
+		r = rand.New(rand.NewSource(seed))
+		sameFirings(t, fmt.Sprintf("trial %d", trial), want, run(production))
+	}
+}
+
+// Original Chimera's event language is a disjunction of primitive types,
+// and its triggering a type index: a block triggers exactly the rules
+// listening to a type that arrived in it. On that language the calculus
+// must decide the same. Consuming rules over random three-type
+// disjunctions, every fired rule considered after each block, so each
+// block's firings are its own arrivals' listeners.
+func TestDisjunctionOnlyIsTypeIndex(t *testing.T) {
+	var vocab []event.Type
+	for i := 0; i < 8; i++ {
+		cls := fmt.Sprintf("c%d", i)
+		vocab = append(vocab, event.Create(cls), event.Delete(cls), event.Modify(cls, "a"))
+	}
+	for _, n := range []int{10, 100, 1000} {
+		r := rand.New(rand.NewSource(int64(n)))
+		s, b, c := newSupport(t)
+		listeners := make(map[event.Type][]int)
+		for i := 0; i < n; i++ {
+			var prims []calculus.Expr
+			for _, k := range r.Perm(len(vocab))[:3] {
+				prims = append(prims, calculus.P(vocab[k]))
+				listeners[vocab[k]] = append(listeners[vocab[k]], i)
+			}
+			if err := s.Define(Def{Name: fmt.Sprintf("r%04d", i), Event: calculus.DisjAll(prims...), Priority: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fired := 0
+		for block := 0; block < 50; block++ {
+			reached := make([]bool, n)
+			var occs []event.Occurrence
+			for i := 1 + r.Intn(4); i > 0; i-- {
+				occ, err := b.Append(vocab[r.Intn(len(vocab))], types.OID(1+r.Intn(16)), c.Tick())
+				if err != nil {
+					t.Fatal(err)
+				}
+				occs = append(occs, occ)
+				for _, k := range listeners[occ.Type] {
+					reached[k] = true
+				}
+			}
+			var want []string
+			for i, ok := range reached {
+				if ok {
+					want = append(want, fmt.Sprintf("r%04d", i))
+				}
+			}
+			s.NotifyArrivals(occs)
+			got := s.CheckTriggered(c.Now())
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d rules, block %d: fired %v, the type index says %v", n, block, got, want)
+			}
+			fired += len(got)
+			for _, name := range got {
+				if _, err := s.Consider(name, c.Tick()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if fired == 0 || fired == 50*n {
+			t.Errorf("%d rules: %d firings over 50 blocks; the type index must separate the rules", n, fired)
 		}
 	}
 }
 
 func TestBeginTransactionResets(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	s.Define(Def{Name: "r", Event: calculus.P(createStock)})
 	log(t, s, b, c, createStock, 1)
 	s.CheckTriggered(c.Now())
@@ -326,7 +378,7 @@ func TestBeginTransactionResets(t *testing.T) {
 }
 
 func TestDrop(t *testing.T) {
-	s, _, _ := newSupport(t, Options{UseFilter: true})
+	s, _, _ := newSupport(t)
 	s.Define(Def{Name: "r", Event: calculus.P(createStock)})
 	if err := s.Drop("r"); err != nil {
 		t.Fatal(err)
@@ -343,7 +395,7 @@ func TestDrop(t *testing.T) {
 // sequence of both, the queue is the (priority, name) sort of the rules
 // defined.
 func TestDefineInsertsInQueueOrder(t *testing.T) {
-	s, _, _ := newSupport(t, Options{UseFilter: true})
+	s, _, _ := newSupport(t)
 	r := rand.New(rand.NewSource(7))
 	var defs []Def
 	for i := 0; i < 1000; i++ {
@@ -380,7 +432,7 @@ func TestDefineInsertsInQueueOrder(t *testing.T) {
 // Pick runs once per consideration: it returns the first triggered rule
 // without building the list of all of them.
 func TestPickAllocatesNothing(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	for i := 0; i < 200; i++ {
 		if err := s.Define(Def{Name: fmt.Sprintf("r%03d", i), Priority: i % 5, Event: calculus.P(createStock)}); err != nil {
 			t.Fatal(err)

@@ -151,7 +151,7 @@ func (sess *Session) NotifyArrivals(occs []event.Occurrence) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	sess.line.notifyArrivals(occs, &sess.sup.opts)
+	sess.line.notifyArrivals(occs)
 }
 
 // CheckTriggered runs the session's triggering determination. The
@@ -159,7 +159,7 @@ func (sess *Session) NotifyArrivals(occs []event.Occurrence) {
 func (sess *Session) CheckTriggered(now clock.Time) []string {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	return sess.line.checkTriggered(now, &sess.sup.opts, sess.sup.plan)
+	return sess.line.checkTriggered(now, sess.sup.opts.Metrics, sess.sup.plan)
 }
 
 // SetBudget installs the session's evaluation budget (nil = unlimited).

@@ -15,8 +15,8 @@ import (
 // randomized rule sets with forced subexpression overlap (a small
 // fragment pool spliced into every other rule), the production support
 // must fire the identical rule set at identical activation instants as
-// the per-rule oracle — filtered and not, on segments of 1, 2 and 256
-// occurrences, compacting below its watermark, with rules defined and
+// the per-rule oracle, which has no V(E) filter — on segments of 1, 2 and
+// 256 occurrences, compacting below its watermark, with rules defined and
 // dropped mid-transaction, and on a Session's line. The horizons shapes
 // give every rule of a wider set — copies of one expression, match-all
 // rules, precedence and instance lifts among them — a consideration
@@ -36,10 +36,8 @@ func TestSharedPlanMatchesReference(t *testing.T) {
 		w  replayOpts
 	}
 	var layouts []variant
-	for _, o := range []Options{{}, {UseFilter: true}} {
-		for _, seg := range []int{1, 2, 256} {
-			layouts = append(layouts, variant{production(o), replayOpts{segSize: seg}})
-		}
+	for _, seg := range []int{1, 2, 256} {
+		layouts = append(layouts, variant{production, replayOpts{segSize: seg}})
 	}
 	// Each workload shape is replayed once through the oracle and then
 	// through every production variant of that shape.
@@ -55,28 +53,27 @@ func TestSharedPlanMatchesReference(t *testing.T) {
 		prod []variant
 	}{
 		{"picks", false, replayOpts{}, append(layouts,
-			variant{inSession(Options{UseFilter: true}), replayOpts{segSize: 2}})},
+			variant{inSession, replayOpts{segSize: 2}})},
 		{"churn", false, replayOpts{churn: true}, []variant{
-			{production(Options{}), replayOpts{churn: true, segSize: 2}},
-			{production(Options{UseFilter: true}), replayOpts{churn: true, segSize: 2}},
+			{production, replayOpts{churn: true, segSize: 2}},
 		}},
 		{"compacting", false, replayOpts{considerAll: true}, []variant{
-			{production(Options{UseFilter: true}), replayOpts{considerAll: true, compact: true, segSize: 1}},
-			{production(Options{UseFilter: true}), replayOpts{considerAll: true, compact: true, segSize: 4}},
+			{production, replayOpts{considerAll: true, compact: true, segSize: 1}},
+			{production, replayOpts{considerAll: true, compact: true, segSize: 4}},
 		}},
 		{"horizons", true, spread(replayOpts{}), []variant{
-			{production(Options{}), spread(replayOpts{segSize: 1, compact: true})},
-			{production(Options{}), spread(replayOpts{segSize: 256})},
-			{production(Options{UseFilter: true}), spread(replayOpts{segSize: 2, compact: true})},
-			{production(Options{UseFilter: true}), spread(replayOpts{segSize: 256, compact: true})},
-			{inSession(Options{UseFilter: true}), spread(replayOpts{segSize: 2})},
+			{production, spread(replayOpts{segSize: 1, compact: true})},
+			{production, spread(replayOpts{segSize: 2, compact: true})},
+			{production, spread(replayOpts{segSize: 256, compact: true})},
+			{production, spread(replayOpts{segSize: 256})},
+			{inSession, spread(replayOpts{segSize: 2})},
 		}},
 		{"horizons-churn", true, spread(replayOpts{churn: true}), []variant{
-			{production(Options{}), spread(replayOpts{churn: true, segSize: 1})},
 			// No compaction here: a rule defined mid-transaction reaches back
 			// to the transaction start, below what the watermark let go.
-			{production(Options{UseFilter: true}), spread(replayOpts{churn: true, segSize: 2})},
-			{production(Options{UseFilter: true}), spread(replayOpts{churn: true, segSize: 256})},
+			{production, spread(replayOpts{churn: true, segSize: 1})},
+			{production, spread(replayOpts{churn: true, segSize: 2})},
+			{production, spread(replayOpts{churn: true, segSize: 256})},
 		}},
 	}
 
@@ -153,7 +150,7 @@ func wideDefs(r *rand.Rand, vocab []event.Type, pool []calculus.Expr) []Def {
 // hits, and TsEvaluations must equal MemoMisses (shared runs count node
 // evaluations, and every counted evaluation is by definition a miss).
 func TestSharedPlanStatsAccounting(t *testing.T) {
-	s, b, c := newSupport(t, Options{})
+	s, b, c := newSupport(t)
 	shared := calculus.Conj(calculus.P(createStock), calculus.P(modStockQty))
 	for i := 0; i < 8; i++ {
 		d := Def{Name: fmt.Sprintf("r%d", i),
@@ -179,11 +176,11 @@ func TestSharedPlanStatsAccounting(t *testing.T) {
 }
 
 // TestMidTransactionDefine is the regression test for the pending-gate
-// bug: under UseFilter, a rule defined after relevant arrivals in the
-// same transaction must still be examined at the next check — its
-// window (txnStart, now] already holds matching occurrences.
+// bug: a rule defined after relevant arrivals in the same transaction
+// must still be examined at the next check — its window (txnStart, now]
+// already holds matching occurrences.
 func TestMidTransactionDefine(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	// The arrival lands before the rule exists, so NotifyArrivals cannot
 	// mark it pending.
 	log(t, s, b, c, createStock, 1)
@@ -200,7 +197,7 @@ func TestMidTransactionDefine(t *testing.T) {
 // refcounts exact — shared nodes survive partial drops, and dropping
 // every owner empties the plan.
 func TestSharedPlanDefineDropLifecycle(t *testing.T) {
-	s, _, _ := newSupport(t, Options{})
+	s, _, _ := newSupport(t)
 	shared := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 	if err := s.Define(Def{Name: "a", Event: calculus.Disj(shared, calculus.P(modShowQty))}); err != nil {
 		t.Fatal(err)
@@ -228,31 +225,22 @@ func TestSharedPlanDefineDropLifecycle(t *testing.T) {
 
 // TestCheckTriggeredSteadyStateAllocs pins the zero-allocation property
 // of the triggering hot path: once buffers are warm, a boundary check
-// allocates nothing, filtered or not.
+// allocates nothing. The filter is always on, so the one configuration
+// is the filtered shared plan.
 func TestCheckTriggeredSteadyStateAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"shared", Options{}},
-		// With the filter on, the steady-state batch is empty.
-		{"shared-filtered", Options{UseFilter: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			quietCheckAllocatesNothing(t, event.NewBase(), tc.opts)
-		})
-	}
+	t.Run("shared-filtered", func(t *testing.T) {
+		quietCheckAllocatesNothing(t, event.NewBase())
+	})
 }
 
-// quietCheckAllocatesNothing defines rules that examine work every check
-// but never trigger, so the batch stays stable — a monotone conjunction
-// missing one conjunct, and a negated form inactive once its type
-// arrived — and requires a warm boundary check over b to allocate
-// nothing.
-func quietCheckAllocatesNothing(t *testing.T, b *event.Base, opts Options) {
+// quietCheckAllocatesNothing defines rules that never trigger — a
+// monotone conjunction missing one conjunct, and a negated form inactive
+// once its type arrived — and requires a warm boundary check over b to
+// allocate nothing. With no arrival between checks the batch is empty.
+func quietCheckAllocatesNothing(t *testing.T, b *event.Base) {
 	t.Helper()
 	c := clock.New()
-	s := NewSupport(b, opts)
+	s := NewSupport(b, Options{})
 	s.BeginTransaction(c.Now())
 	mono := calculus.Conj(calculus.P(createStock), calculus.P(modShowQty))
 	nonMono := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(createStock)))
@@ -287,7 +275,7 @@ func quietCheckAllocatesNothing(t *testing.T, b *event.Base, opts Options) {
 // checks (documented contract), so two consecutive boundaries with
 // firings must hand back the same backing array.
 func TestSharedPlanFiredSliceRecycled(t *testing.T) {
-	s, b, c := newSupport(t, Options{})
+	s, b, c := newSupport(t)
 	if err := s.Define(Def{Name: "r", Event: calculus.P(createStock), Consumption: Consuming}); err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +303,7 @@ func TestSharedPlanFiredSliceRecycled(t *testing.T) {
 // them all; the first computes the DAG and the other seven read it back,
 // because every node's value holds for every horizon below the arrival.
 func TestMemoSharedAcrossHorizons(t *testing.T) {
-	s, b, c := newSupport(t, Options{UseFilter: true})
+	s, b, c := newSupport(t)
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 	for i := 0; i < 8; i++ {
 		if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Event: e}); err != nil {

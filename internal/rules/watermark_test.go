@@ -17,7 +17,7 @@ import (
 // transaction start and advances only when the laggard rule is
 // considered.
 func TestWatermarkTracksConsiderations(t *testing.T) {
-	s, b, c := newSupport(t, Options{})
+	s, b, c := newSupport(t)
 	for i := 0; i < 3; i++ {
 		d := Def{Name: fmt.Sprintf("r%d", i), Event: calculus.P(createStock), Priority: i}
 		if err := s.Define(d); err != nil {
@@ -84,7 +84,7 @@ func TestWatermarkTracksConsiderations(t *testing.T) {
 // preserving rule unpins compaction immediately — with no further rule
 // activity needed.
 func TestWatermarkPreservingPinsAndDropUnpins(t *testing.T) {
-	s, b, c := newSupport(t, Options{})
+	s, b, c := newSupport(t)
 	if err := s.Define(Def{Name: "keep", Event: calculus.P(createStock),
 		Consumption: Preserving}); err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestCompactingMatchesUncompactedReference(t *testing.T) {
 		}
 		seed := r.Int63()
 		want := replay(t, reference, defs, vocab, seed, 8, replayOpts{considerAll: true})
-		got := replay(t, production(Options{UseFilter: true}), defs, vocab, seed, 8,
+		got := replay(t, production, defs, vocab, seed, 8,
 			replayOpts{considerAll: true, compact: true, segSize: 4})
 		sameFirings(t, fmt.Sprintf("trial %d", trial), want, got)
 	}
@@ -161,7 +161,7 @@ func TestPreservingSurvivesConsumingChurn(t *testing.T) {
 	compacted := event.NewBaseSize(4)
 	flat := event.NewBaseSize(1 << 20)
 	c := clock.New()
-	s := NewSupport(compacted, Options{UseFilter: true})
+	s := NewSupport(compacted, Options{})
 	s.BeginTransaction(c.Now())
 	if err := s.Define(Def{Name: "audit", Event: calculus.P(createStock),
 		Consumption: Preserving, Priority: 99}); err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"chimera"
-	"chimera/internal/rules"
 	"chimera/internal/types"
 )
 
@@ -38,12 +37,10 @@ func driveMarked(t *testing.T, db *chimera.DB, blocks, perBlock, classes int) []
 }
 
 // TestTorture_Differential_DegradationModes drives identical
-// adversarial rule sets and workloads through the fully optimized
-// evaluator, the naive evaluator, and the optimized evaluator with a
-// generous (never-tripping) budget. All three must produce an identical
-// block-by-block triggering trace: degradation knobs and budget
-// instrumentation may change how much work evaluation does, never what
-// the rules observe.
+// adversarial rule sets and workloads through the evaluator unbounded
+// and with a generous (never-tripping) budget. Both must produce an
+// identical block-by-block triggering trace: budget instrumentation may
+// change how much work evaluation does, never what the rules observe.
 func TestTorture_Differential_DegradationModes(t *testing.T) {
 	programs := map[string]string{
 		"deep-nest":  AdversarialProgram(41, 6, 18, 3),
@@ -51,9 +48,7 @@ func TestTorture_Differential_DegradationModes(t *testing.T) {
 	}
 	configs := map[string]chimera.Options{
 		"optimized": chimera.DefaultOptions(),
-		"naive": {Support: rules.Options{
-			UseFilter: false}},
-		"budgeted": adversarialOpts(100_000_000),
+		"budgeted":  adversarialOpts(100_000_000),
 	}
 	for pname, program := range programs {
 		t.Run(pname, func(t *testing.T) {
