@@ -21,6 +21,7 @@ import (
 // Mutator is the engine-provided sink for database manipulations. Every
 // call generates the corresponding primitive event.
 type Mutator interface {
+	// Create reads vals only during the call.
 	Create(class string, vals map[string]types.Value) (types.OID, error)
 	Modify(oid types.OID, attr string, v types.Value) error
 	Delete(oid types.OID) error
@@ -31,7 +32,8 @@ type Mutator interface {
 // Statement is one action statement.
 type Statement interface {
 	fmt.Stringer
-	// Exec runs the statement over every binding.
+	// Exec runs the statement over every binding, reading the variables
+	// of a row by the columns of ctx's slot table.
 	Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error
 }
 
@@ -46,15 +48,17 @@ type Create struct {
 }
 
 // Exec evaluates the value terms under each binding and creates objects.
+// The bindings share one value map: Mutator.Create does not keep it.
 func (s Create) Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error {
 	run := bindings
 	if s.Once {
 		run = bindings[:1]
 	}
-	for _, env := range run {
-		vals := make(map[string]types.Value, len(s.Vals))
+	vals := make(map[string]types.Value, len(s.Vals))
+	for _, row := range run {
+		clear(vals)
 		for attr, term := range s.Vals {
-			v, err := term.Eval(ctx, env)
+			v, err := term.Eval(ctx, row)
 			if err != nil {
 				return err
 			}
@@ -101,19 +105,17 @@ type Modify struct {
 
 // Exec applies the modification per binding.
 func (s Modify) Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error {
-	for _, env := range bindings {
-		ref, ok := env[s.Var]
-		if !ok {
-			return fmt.Errorf("act: unbound variable %s", s.Var)
-		}
-		if ref.Kind() != types.KindOID {
-			return fmt.Errorf("act: %s is not an object variable", s.Var)
-		}
-		v, err := s.Value.Eval(ctx, env)
+	slot := ctx.Slot(s.Var)
+	for _, row := range bindings {
+		oid, err := boundObject(row, slot, s.Var)
 		if err != nil {
 			return err
 		}
-		if err := m.Modify(ref.AsOID(), s.Attr, v); err != nil {
+		v, err := s.Value.Eval(ctx, row)
+		if err != nil {
+			return err
+		}
+		if err := m.Modify(oid, s.Attr, v); err != nil {
 			return err
 		}
 	}
@@ -133,25 +135,7 @@ type Delete struct {
 // Exec deletes per binding, tolerating objects already deleted by an
 // earlier binding of the same set-oriented execution.
 func (s Delete) Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error {
-	deleted := make(map[types.OID]bool)
-	for _, env := range bindings {
-		ref, ok := env[s.Var]
-		if !ok {
-			return fmt.Errorf("act: unbound variable %s", s.Var)
-		}
-		if ref.Kind() != types.KindOID {
-			return fmt.Errorf("act: %s is not an object variable", s.Var)
-		}
-		oid := ref.AsOID()
-		if deleted[oid] {
-			continue
-		}
-		if err := m.Delete(oid); err != nil {
-			return err
-		}
-		deleted[oid] = true
-	}
-	return nil
+	return eachObject(ctx, bindings, s.Var, m.Delete)
 }
 
 // String renders delete(Var).
@@ -165,7 +149,7 @@ type Specialize struct {
 
 // Exec specializes per binding.
 func (s Specialize) Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error {
-	return migrate(bindings, s.Var, func(oid types.OID) error { return m.Specialize(oid, s.To) })
+	return eachObject(ctx, bindings, s.Var, func(oid types.OID) error { return m.Specialize(oid, s.To) })
 }
 
 // String renders specialize(Var, class).
@@ -179,32 +163,55 @@ type Generalize struct {
 
 // Exec generalizes per binding.
 func (s Generalize) Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error {
-	return migrate(bindings, s.Var, func(oid types.OID) error { return m.Generalize(oid, s.To) })
+	return eachObject(ctx, bindings, s.Var, func(oid types.OID) error { return m.Generalize(oid, s.To) })
 }
 
 // String renders generalize(Var, class).
 func (s Generalize) String() string { return fmt.Sprintf("generalize(%s, %s)", s.Var, s.To) }
 
-func migrate(bindings []cond.Binding, varName string, fn func(types.OID) error) error {
-	done := make(map[types.OID]bool)
-	for _, env := range bindings {
-		ref, ok := env[varName]
-		if !ok {
-			return fmt.Errorf("act: unbound variable %s", varName)
+// eachObject calls fn once per object the rows bind the variable name to,
+// in the order of first binding. While the objects ascend, as a class
+// extension does, none can repeat; from the first that does not, ctx's
+// scratch set holds the objects done.
+func eachObject(ctx *cond.Ctx, rows []cond.Binding, name string, fn func(types.OID) error) error {
+	slot := ctx.Slot(name)
+	var done map[types.OID]bool
+	last := types.NilOID
+	for i, row := range rows {
+		oid, err := boundObject(row, slot, name)
+		if err != nil {
+			return err
 		}
-		if ref.Kind() != types.KindOID {
-			return fmt.Errorf("act: %s is not an object variable", varName)
+		if done == nil && oid <= last {
+			done = ctx.OIDSet()
+			for _, prev := range rows[:i] {
+				done[prev[slot].AsOID()] = true
+			}
 		}
-		oid := ref.AsOID()
-		if done[oid] {
-			continue
+		if done != nil {
+			if done[oid] {
+				continue
+			}
+			done[oid] = true
 		}
 		if err := fn(oid); err != nil {
 			return err
 		}
-		done[oid] = true
+		last = oid
 	}
 	return nil
+}
+
+// boundObject reads the object variable name from column slot of row.
+func boundObject(row cond.Binding, slot int, name string) (types.OID, error) {
+	ref, ok := row.Get(slot)
+	if !ok {
+		return types.NilOID, fmt.Errorf("act: unbound variable %s", name)
+	}
+	if ref.Kind() != types.KindOID {
+		return types.NilOID, fmt.Errorf("act: %s is not an object variable", name)
+	}
+	return ref.AsOID(), nil
 }
 
 // Action is the ordered statement list of a rule's action part.

@@ -2,6 +2,7 @@ package act
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"chimera/internal/cond"
@@ -62,19 +63,23 @@ func fixture(t *testing.T) (*cond.Ctx, *recorder, types.OID, types.OID) {
 	return &cond.Ctx{Store: st}, &recorder{store: st}, o1, o2
 }
 
-func bindingsFor(oids ...types.OID) []cond.Binding {
-	var out []cond.Binding
-	for _, oid := range oids {
-		out = append(out, cond.Binding{"S": types.Ref(oid)})
-	}
-	return out
+// bindingsFor seeds ctx with one row per object, binding S to it.
+func bindingsFor(ctx *cond.Ctx, oids ...types.OID) []cond.Binding {
+	return ctx.Seed("S", oids)
+}
+
+// nonObject seeds ctx's slot table with v and returns one row binding v
+// to an integer.
+func nonObject(ctx *cond.Ctx, v string) []cond.Binding {
+	ctx.Seed(v, nil)
+	return []cond.Binding{{types.Int(3)}}
 }
 
 func TestModifySetOriented(t *testing.T) {
 	ctx, m, o1, o2 := fixture(t)
 	stmt := Modify{Class: "stock", Attr: "quantity", Var: "S",
 		Value: cond.Attr{Var: "S", Attr: "maxquantity"}}
-	if err := stmt.Exec(ctx, m, bindingsFor(o1, o2)); err != nil {
+	if err := stmt.Exec(ctx, m, bindingsFor(ctx, o1, o2)); err != nil {
 		t.Fatal(err)
 	}
 	for i, oid := range []types.OID{o1, o2} {
@@ -93,7 +98,7 @@ func TestCreatePerBindingAndOnce(t *testing.T) {
 	ctx, m, o1, o2 := fixture(t)
 	per := Create{Class: "order", Vals: map[string]cond.Term{
 		"item": cond.Const{V: types.String_("restock")}}}
-	if err := per.Exec(ctx, m, bindingsFor(o1, o2)); err != nil {
+	if err := per.Exec(ctx, m, bindingsFor(ctx, o1, o2)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := ctx.Store.Select("order")
@@ -101,7 +106,7 @@ func TestCreatePerBindingAndOnce(t *testing.T) {
 		t.Fatalf("per-binding create made %d orders", len(got))
 	}
 	once := Create{Class: "order", Once: true, Vals: map[string]cond.Term{}}
-	if err := once.Exec(ctx, m, bindingsFor(o1, o2)); err != nil {
+	if err := once.Exec(ctx, m, bindingsFor(ctx, o1, o2)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = ctx.Store.Select("order")
@@ -115,7 +120,7 @@ func TestDeleteDedupes(t *testing.T) {
 	// The same object appears in two bindings; delete must not fail on
 	// the second.
 	stmt := Delete{Var: "S"}
-	if err := stmt.Exec(ctx, m, bindingsFor(o1, o1)); err != nil {
+	if err := stmt.Exec(ctx, m, bindingsFor(ctx, o1, o1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ctx.Store.Get(o1); ok {
@@ -124,20 +129,27 @@ func TestDeleteDedupes(t *testing.T) {
 	if len(m.calls) != 1 {
 		t.Errorf("delete called %d times, want 1", len(m.calls))
 	}
+	// A repeat after the objects stopped ascending.
+	ctx, m, o1, o2 := fixture(t)
+	if err := stmt.Exec(ctx, m, bindingsFor(ctx, o2, o1, o2, o1)); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"delete o2", "delete o1"}; !slices.Equal(m.calls, want) {
+		t.Errorf("calls = %v, want %v", m.calls, want)
+	}
 }
 
 func TestSpecializeGeneralizeStatements(t *testing.T) {
 	ctx, m, _, _ := fixture(t)
 	oid, _ := ctx.Store.(*object.Store).Create("order", map[string]types.Value{"item": types.String_("x")})
-	bs := []cond.Binding{{"O": types.Ref(oid)}}
-	if err := (Specialize{Var: "O", To: "bigOrder"}).Exec(ctx, m, bs); err != nil {
+	if err := (Specialize{Var: "O", To: "bigOrder"}).Exec(ctx, m, ctx.Seed("O", []types.OID{oid})); err != nil {
 		t.Fatal(err)
 	}
 	o, _ := ctx.Store.Get(oid)
 	if o.Class().Name() != "bigOrder" {
 		t.Fatal("specialize statement failed")
 	}
-	if err := (Generalize{Var: "O", To: "order"}).Exec(ctx, m, bs); err != nil {
+	if err := (Generalize{Var: "O", To: "order"}).Exec(ctx, m, ctx.Seed("O", []types.OID{oid})); err != nil {
 		t.Fatal(err)
 	}
 	if o.Class().Name() != "order" {
@@ -148,20 +160,20 @@ func TestSpecializeGeneralizeStatements(t *testing.T) {
 func TestStatementErrors(t *testing.T) {
 	ctx, m, o1, _ := fixture(t)
 	if err := (Modify{Class: "stock", Attr: "quantity", Var: "Z",
-		Value: cond.Const{V: types.Int(1)}}).Exec(ctx, m, bindingsFor(o1)); err == nil {
+		Value: cond.Const{V: types.Int(1)}}).Exec(ctx, m, bindingsFor(ctx, o1)); err == nil {
 		t.Fatal("unbound variable accepted")
 	}
 	if err := (Modify{Class: "stock", Attr: "quantity", Var: "S",
-		Value: cond.Attr{Var: "S", Attr: "ghost"}}).Exec(ctx, m, bindingsFor(o1)); err == nil {
+		Value: cond.Attr{Var: "S", Attr: "ghost"}}).Exec(ctx, m, bindingsFor(ctx, o1)); err == nil {
 		t.Fatal("unknown attribute term accepted")
 	}
-	if err := (Delete{Var: "S"}).Exec(ctx, m, []cond.Binding{{"S": types.Int(3)}}); err == nil {
+	if err := (Delete{Var: "S"}).Exec(ctx, m, nonObject(ctx, "S")); err == nil {
 		t.Fatal("non-object variable accepted")
 	}
 	bad := Action{Statements: []Statement{
 		Modify{Class: "stock", Attr: "quantity", Var: "S", Value: cond.Const{V: types.String_("x")}},
 	}}
-	if err := bad.Exec(ctx, m, bindingsFor(o1)); err == nil {
+	if err := bad.Exec(ctx, m, bindingsFor(ctx, o1)); err == nil {
 		t.Fatal("ill-typed modify accepted")
 	}
 }
@@ -172,7 +184,7 @@ func TestActionSequenceAndString(t *testing.T) {
 		Modify{Class: "stock", Attr: "quantity", Var: "S", Value: cond.Const{V: types.Int(0)}},
 		Delete{Var: "S"},
 	}}
-	if err := a.Exec(ctx, m, bindingsFor(o1)); err != nil {
+	if err := a.Exec(ctx, m, bindingsFor(ctx, o1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ctx.Store.Get(o1); ok {
@@ -206,11 +218,52 @@ func TestStatementRendering(t *testing.T) {
 
 func TestMigrateErrors(t *testing.T) {
 	ctx, m, _, _ := fixture(t)
-	if err := (Specialize{Var: "Z", To: "bigOrder"}).Exec(ctx, m, bindingsFor(1)); err == nil {
+	if err := (Specialize{Var: "Z", To: "bigOrder"}).Exec(ctx, m, bindingsFor(ctx, 1)); err == nil {
 		t.Error("unbound specialize accepted")
 	}
-	if err := (Generalize{Var: "O", To: "order"}).Exec(ctx, m,
-		[]cond.Binding{{"O": types.Int(1)}}); err == nil {
+	if err := (Generalize{Var: "O", To: "order"}).Exec(ctx, m, nonObject(ctx, "O")); err == nil {
 		t.Error("non-object generalize accepted")
+	}
+}
+
+// discard is a Mutator that does nothing.
+type discard struct{}
+
+func (discard) Create(string, map[string]types.Value) (types.OID, error) { return 1, nil }
+func (discard) Modify(types.OID, string, types.Value) error              { return nil }
+func (discard) Delete(types.OID) error                                   { return nil }
+func (discard) Specialize(types.OID, string) error                       { return nil }
+func (discard) Generalize(types.OID, string) error                       { return nil }
+
+// A statement allocates nothing per binding: Create shares one value map
+// across its bindings, and the once-per-object statements dedupe through
+// the Ctx's scratch set.
+func TestExecAllocatesNothingPerBinding(t *testing.T) {
+	ctx, _, o1, o2 := fixture(t)
+	many := make([]types.OID, 64)
+	for i := range many {
+		many[i] = []types.OID{o1, o2}[i%2]
+	}
+	for _, c := range []struct {
+		stmt  Statement
+		fixed float64 // allocations per execution, whatever the bindings
+	}{
+		{Create{Class: "order", Vals: map[string]cond.Term{"item": cond.Const{V: types.String_("x")}}}, -1},
+		{Modify{Class: "stock", Attr: "quantity", Var: "S", Value: cond.Attr{Var: "S", Attr: "maxquantity"}}, 0},
+		{Delete{Var: "S"}, 0},
+		{Specialize{Var: "S", To: "bigOrder"}, 0},
+	} {
+		allocs := func(oids []types.OID) float64 {
+			rows := bindingsFor(ctx, oids...)
+			return testing.AllocsPerRun(20, func() {
+				if err := c.stmt.Exec(ctx, discard{}, rows); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		one, all := allocs(many[:1]), allocs(many)
+		if one != all || (c.fixed >= 0 && all != c.fixed) {
+			t.Errorf("%s: %v allocs over 1 binding, %v over %d", c.stmt, one, all, len(many))
+		}
 	}
 }

@@ -96,6 +96,7 @@ type Env struct {
 	// reused.
 	oidBuf  []types.OID
 	timeBuf []clock.Time
+	primBuf []event.Type
 }
 
 // TS evaluates the set-oriented ts(e, t) over R = (env.Since, t].
@@ -195,7 +196,8 @@ func (env *Env) domain(e Expr, t clock.Time) []types.OID {
 func (env *Env) domainIn(rd event.Reader, e Expr, t clock.Time) []types.OID {
 	env.Budget.Charge()
 	if env.RestrictDomain && restrictionSafe(e) {
-		env.oidBuf = rd.AppendOIDsOfTypes(env.oidBuf[:0], Primitives(e), env.Since, t)
+		env.primBuf = AppendPrimitives(env.primBuf[:0], e)
+		env.oidBuf = rd.AppendOIDsOfTypes(env.oidBuf[:0], env.primBuf, env.Since, t)
 	} else {
 		env.oidBuf = rd.AppendOIDs(env.oidBuf[:0], env.Since, t)
 	}
@@ -325,19 +327,18 @@ func (env *Env) AppendAffectedObjects(dst []types.OID, e Expr, t clock.Time) []t
 	return dst
 }
 
-// ActivationTimes returns every time stamp in (env.Since, t] at which an
-// occurrence of the instance-oriented expression e arises for object oid:
-// the instants T bound by the at(e, X, T) event formula of Section 3.3.
-// An occurrence "arises at t'" exactly when ots(e, t', oid) equals t'
-// (the expression is active for the object with the probe instant itself
-// as activation time stamp).
-func (env *Env) ActivationTimes(e Expr, t clock.Time, oid types.OID) []clock.Time {
-	var out []clock.Time
+// AppendActivationTimes appends to dst every time stamp in (env.Since, t]
+// at which an occurrence of the instance-oriented expression e arises for
+// object oid: the instants T bound by the at(e, X, T) event formula of
+// Section 3.3. An occurrence "arises at t'" exactly when ots(e, t', oid)
+// equals t' (the expression is active for the object with the probe
+// instant itself as activation time stamp).
+func (env *Env) AppendActivationTimes(dst []clock.Time, e Expr, t clock.Time, oid types.OID) []clock.Time {
 	env.timeBuf = env.Base.AppendArrivals(env.timeBuf[:0], env.Since, t)
 	for _, at := range env.timeBuf {
 		if env.OTS(e, at, oid) == TS(at) {
-			out = append(out, at)
+			dst = append(dst, at)
 		}
 	}
-	return out
+	return dst
 }

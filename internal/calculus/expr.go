@@ -9,6 +9,7 @@ package calculus
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"chimera/internal/event"
@@ -192,32 +193,31 @@ func validBinary(inst bool, op string, l, r Expr) error {
 
 // Primitives returns the distinct primitive event types mentioned by the
 // expression, in first-mention order.
-func Primitives(e Expr) []event.Type {
-	var out []event.Type
-	seen := make(map[event.Type]bool)
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch n := x.(type) {
-		case Prim:
-			if !seen[n.T] {
-				seen[n.T] = true
-				out = append(out, n.T)
-			}
-		case Not:
-			walk(n.X)
-		case And:
-			walk(n.L)
-			walk(n.R)
-		case Or:
-			walk(n.L)
-			walk(n.R)
-		case Seq:
-			walk(n.L)
-			walk(n.R)
+func Primitives(e Expr) []event.Type { return AppendPrimitives(nil, e) }
+
+// AppendPrimitives is Primitives appending to dst, so that a caller
+// evaluating one expression after another can recycle the slice.
+func AppendPrimitives(dst []event.Type, e Expr) []event.Type {
+	return appendPrimitives(dst, len(dst), e)
+}
+
+// appendPrimitives appends the primitives of e that dst[from:] lacks.
+func appendPrimitives(dst []event.Type, from int, e Expr) []event.Type {
+	switch n := e.(type) {
+	case Prim:
+		if !slices.Contains(dst[from:], n.T) {
+			dst = append(dst, n.T)
 		}
+	case Not:
+		dst = appendPrimitives(dst, from, n.X)
+	case And:
+		dst = appendPrimitives(appendPrimitives(dst, from, n.L), from, n.R)
+	case Or:
+		dst = appendPrimitives(appendPrimitives(dst, from, n.L), from, n.R)
+	case Seq:
+		dst = appendPrimitives(appendPrimitives(dst, from, n.L), from, n.R)
 	}
-	walk(e)
-	return out
+	return dst
 }
 
 // Mentions reports whether the expression mentions the primitive type t.

@@ -161,12 +161,12 @@ func TestAtPredicateTwoUpdates(t *testing.T) {
 	)
 	env := &Env{Base: b}
 	e := PrecI(P(createStock), P(modStockQty))
-	got := env.ActivationTimes(e, 40, 1)
+	got := env.AppendActivationTimes(nil, e, 40, 1)
 	if len(got) != 2 || got[0] != 20 || got[1] != 30 {
 		t.Fatalf("ActivationTimes = %v, want [20 30]", got)
 	}
 	// An object never created yields none.
-	if got := env.ActivationTimes(e, 40, 2); len(got) != 0 {
+	if got := env.AppendActivationTimes(nil, e, 40, 2); len(got) != 0 {
 		t.Fatalf("ActivationTimes(o2) = %v, want empty", got)
 	}
 }

@@ -14,6 +14,11 @@
 // instead of the class extension (see Formula.Eval), so a consideration
 // costs O(objects the window affected), not O(extension).
 //
+// A binding is a row of values, one column per variable: an evaluation
+// lays out the slot table of its formula, and keeps the slot table and
+// the rows in buffers its Ctx reuses, so that once they have grown a
+// consideration allocates nothing.
+//
 // The event formulas are:
 //
 //   - occurred(E, X): binds X to the objects affected by the
@@ -37,17 +42,22 @@ import (
 	"chimera/internal/types"
 )
 
-// Binding maps variable names to values. Object variables hold
-// types.Ref values; time variables hold types.TimeVal values.
-type Binding map[string]types.Value
+// Binding is one row of a condition's bindings. Column i holds the value
+// of the variable the slot table names i (see Ctx.Slot): a types.Ref for
+// an object variable, a types.TimeVal for a time variable, Null while the
+// variable is unbound. A row shorter than the slot table leaves the
+// columns past its end unbound: the empty binding is the empty row. Rows
+// are read-only. Those an evaluation returns live in its Ctx and are
+// valid until the Ctx evaluates again.
+type Binding []types.Value
 
-// clone copies a binding before extension.
-func (b Binding) clone() Binding {
-	c := make(Binding, len(b)+1)
-	for k, v := range b {
-		c[k] = v
+// Get returns the value of column slot, and false if the row leaves it
+// unbound; slot -1 stands for a variable the formula never binds.
+func (b Binding) Get(slot int) (types.Value, bool) {
+	if slot < 0 || slot >= len(b) || b[slot].IsNull() {
+		return types.Null, false
 	}
-	return c
+	return b[slot], true
 }
 
 // StoreView is the read face of the object store a condition evaluates
@@ -79,11 +89,124 @@ type Ctx struct {
 	// calc is the one calculus environment every event atom evaluates in
 	// (its buffers grow once), wins holds the windows of the event atoms
 	// the running Formula.Eval has scanned, ext the extension a class atom
-	// is enumerating, seed the binding list Formula.Eval starts from.
-	calc calculus.Env
-	wins []window
-	ext  []types.OID
-	seed [1]Binding
+	// is enumerating, prims and times an at() atom's primitive types and
+	// activation instants. names is the slot table of the rows. empty
+	// lists the empty row an evaluation starts from, and gen holds the rows
+	// atoms generate in two generations: a generating atom reads the rows
+	// of one and writes those of the other, gen[next]. oids is the set
+	// OIDSet hands out.
+	calc  calculus.Env
+	wins  []window
+	ext   []types.OID
+	prims []event.Type
+	times []clock.Time
+	names []string
+	empty [1]Binding
+	gen   [2]rowBuf
+	next  int
+	oids  map[types.OID]bool
+}
+
+// Slot returns the column of the variable name in the rows of the formula
+// ctx is evaluating or last evaluated (or of the last Seed), and -1 if
+// that formula binds no such variable.
+func (c *Ctx) Slot(name string) int { return slices.Index(c.names, name) }
+
+// bind adds the variable name, which an atom binds, to the slot table
+// unless it is there already.
+func (c *Ctx) bind(name string) {
+	if !slices.Contains(c.names, name) {
+		c.names = append(c.names, name)
+	}
+}
+
+// column is Slot for an atom evaluated on its own, which can only read
+// and write the columns its input rows have.
+func (c *Ctx) column(name string) (int, error) {
+	if i := c.Slot(name); i >= 0 {
+		return i, nil
+	}
+	return -1, fmt.Errorf("cond: variable %s has no column in the rows", name)
+}
+
+// Seed starts ctx's rows over the one-variable slot table {v}: one row
+// per object of oids, binding v to it, for atoms to run over on their own
+// (Atom.Eval). The rows are valid until ctx evaluates again.
+func (c *Ctx) Seed(v string, oids []types.OID) []Binding {
+	b := c.start()
+	c.bind(v)
+	for _, oid := range oids {
+		b.add(1)[0] = types.Ref(oid)
+	}
+	return b.rows
+}
+
+// OIDSet returns ctx's scratch object set, emptied. An action statement
+// that acts once per object records in it the objects it has done; the
+// set is valid until the next call.
+func (c *Ctx) OIDSet() map[types.OID]bool {
+	if c.oids == nil {
+		c.oids = make(map[types.OID]bool)
+	}
+	clear(c.oids)
+	return c.oids
+}
+
+// start begins a set of rows in the first generation, with an empty slot
+// table for the caller to fill, and returns it empty.
+func (c *Ctx) start() *rowBuf {
+	c.names, c.next = c.names[:0], 1
+	b := &c.gen[0]
+	b.reset()
+	return b
+}
+
+// extend appends to the generation b a copy of row as wide as the slot
+// table, the columns past row's end unbound, and returns it.
+func (c *Ctx) extend(b *rowBuf, row Binding) Binding {
+	r := b.add(len(c.names))
+	clear(r[copy(r, row):])
+	return r
+}
+
+// generate returns the generation the running rows are not in, empty, for
+// a generating atom to write its rows to.
+func (c *Ctx) generate() *rowBuf {
+	b := &c.gen[c.next]
+	c.next ^= 1
+	b.reset()
+	return b
+}
+
+// rowBuf is one generation of rows, all of one width: their cells, row
+// after row, and the rows as slices of the cells.
+type rowBuf struct {
+	cells []types.Value
+	rows  []Binding
+}
+
+func (b *rowBuf) reset() { b.cells, b.rows = b.cells[:0], b.rows[:0] }
+
+// add appends a row of width w and returns it. Its cells hold whatever
+// they held before: the caller overwrites every one.
+func (b *rowBuf) add(w int) Binding {
+	n := len(b.cells)
+	if n+w > cap(b.cells) {
+		// The rows move with the cells, so that the array a generation
+		// keeps for the next evaluation holds all of its rows. Both grow
+		// as append grows a slice, from room for eight rows.
+		b.cells = slices.Grow(b.cells, 8*w)
+		for i := range b.rows {
+			b.rows[i] = b.cells[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
+	if len(b.rows) == cap(b.rows) {
+		b.rows = slices.Grow(b.rows, 8)
+	}
+	b.cells = b.cells[:n+w]
+	r := Binding(b.cells[n : n+w : n+w])
+	b.rows = append(b.rows, r)
+	return r
 }
 
 // env returns the calculus environment of the observed window.
@@ -123,10 +246,10 @@ func (w *window) setSorted() {
 	}
 }
 
-// bind is the binding step of an exact window (occurred, holds): a bound
-// variable is kept if the window has its object, an unbound one ranges
-// over the window in generation order.
-func (w *window) bind(v string, in []Binding) ([]Binding, error) {
+// bind is the binding step of an exact window (occurred, holds): a row
+// that binds column v is kept if the window has its object, one that
+// does not ranges over the window in generation order.
+func (w *window) bind(ctx *Ctx, v int, in []Binding) ([]Binding, error) {
 	has := func(x types.Value) (bool, error) {
 		if x.Kind() != types.KindOID {
 			return false, nil
@@ -134,7 +257,7 @@ func (w *window) bind(v string, in []Binding) ([]Binding, error) {
 		_, ok := slices.BinarySearch(w.sorted, x.AsOID())
 		return ok, nil
 	}
-	return bindObjects(v, in, has, func() ([]types.OID, error) { return w.order, nil })
+	return ctx.bindObjects(v, in, has, func() ([]types.OID, error) { return w.order, nil })
 }
 
 // eventAtom is an event formula — occurred, at, holds: an atom over one
@@ -144,17 +267,36 @@ type eventAtom interface {
 	objVar() string
 	// scan computes the atom's window.
 	scan(ctx *Ctx, w *window) error
-	// bind filters and extends in by a scanned window.
-	bind(ctx *Ctx, w *window, in []Binding) ([]Binding, error)
+	// bind filters and extends in by a scanned window; v is the column of
+	// the object variable, t that of at()'s time variable.
+	bind(ctx *Ctx, w *window, v, t int, in []Binding) ([]Binding, error)
 }
 
-// evalEvent is an event atom evaluated on its own, outside a Formula.
+// columns returns the columns of an event atom's object variable and of
+// at()'s time variable (-1 for the others).
+func (c *Ctx) columns(a eventAtom) (v, t int, err error) {
+	if v, err = c.column(a.objVar()); err != nil {
+		return -1, -1, err
+	}
+	t = -1
+	if at, ok := a.(At); ok {
+		t, err = c.column(at.TimeVar)
+	}
+	return v, t, err
+}
+
+// evalEvent is an event atom evaluated on its own, outside a Formula,
+// over rows laid out by ctx's slot table.
 func evalEvent(a eventAtom, ctx *Ctx, in []Binding) ([]Binding, error) {
+	v, t, err := ctx.columns(a)
+	if err != nil {
+		return nil, err
+	}
 	var w window
 	if err := a.scan(ctx, &w); err != nil {
 		return nil, err
 	}
-	return a.bind(ctx, &w, in)
+	return a.bind(ctx, &w, v, t, in)
 }
 
 // window returns the window of the event atom at position i of the
@@ -182,7 +324,7 @@ func (c *Ctx) window(i int, a eventAtom) (*window, error) {
 // Term evaluates to a value under a binding.
 type Term interface {
 	fmt.Stringer
-	Eval(ctx *Ctx, env Binding) (types.Value, error)
+	Eval(ctx *Ctx, row Binding) (types.Value, error)
 }
 
 // Const is a literal value.
@@ -198,9 +340,9 @@ func (t Const) String() string { return t.V.String() }
 // time stamp).
 type Var struct{ Name string }
 
-// Eval looks the variable up.
-func (t Var) Eval(_ *Ctx, env Binding) (types.Value, error) {
-	v, ok := env[t.Name]
+// Eval reads the variable's column, found by name in ctx's slot table.
+func (t Var) Eval(ctx *Ctx, row Binding) (types.Value, error) {
+	v, ok := row.Get(ctx.Slot(t.Name))
 	if !ok {
 		return types.Null, fmt.Errorf("cond: unbound variable %s", t.Name)
 	}
@@ -217,9 +359,10 @@ type Attr struct {
 	Attr string
 }
 
-// Eval dereferences the object and reads the attribute.
-func (t Attr) Eval(ctx *Ctx, env Binding) (types.Value, error) {
-	v, ok := env[t.Var]
+// Eval dereferences the object in the variable's column, found by name in
+// ctx's slot table, and reads the attribute.
+func (t Attr) Eval(ctx *Ctx, row Binding) (types.Value, error) {
+	v, ok := row.Get(ctx.Slot(t.Var))
 	if !ok {
 		return types.Null, fmt.Errorf("cond: unbound variable %s", t.Var)
 	}
@@ -255,12 +398,12 @@ type Arith struct {
 
 // Eval computes the arithmetic result; integers stay integral unless
 // mixed with floats or divided.
-func (t Arith) Eval(ctx *Ctx, env Binding) (types.Value, error) {
-	l, err := t.L.Eval(ctx, env)
+func (t Arith) Eval(ctx *Ctx, row Binding) (types.Value, error) {
+	l, err := t.L.Eval(ctx, row)
 	if err != nil {
 		return types.Null, err
 	}
-	r, err := t.R.Eval(ctx, env)
+	r, err := t.R.Eval(ctx, row)
 	if err != nil {
 		return types.Null, err
 	}
@@ -300,9 +443,10 @@ func (t Arith) String() string {
 	return fmt.Sprintf("(%s %c %s)", t.L, t.Op, t.R)
 }
 
-// Atom is one conjunct of a condition: it filters and extends bindings.
-// Eval owns in: an atom that only filters returns a prefix of in's
-// backing array, so the caller must not read in afterwards.
+// Atom is one conjunct of a condition: it filters and extends rows laid
+// out by the slot table of the formula it belongs to (Ctx.Slot finds a
+// column). Eval owns in: an atom that only filters returns a prefix of
+// in's backing array, so the caller must not read in afterwards.
 type Atom interface {
 	fmt.Stringer
 	Eval(ctx *Ctx, in []Binding) ([]Binding, error)
@@ -317,20 +461,25 @@ type Class struct {
 
 // Eval enumerates or checks the class extension.
 func (a Class) Eval(ctx *Ctx, in []Binding) ([]Binding, error) {
-	return a.eval(ctx, in, nil, false)
+	v, err := ctx.column(a.Var)
+	if err != nil {
+		return nil, err
+	}
+	return a.eval(ctx, v, in, nil, false)
 }
 
-// eval is Eval with the enumeration optionally restricted to candidates
-// (ascending, duplicate-free): the caller guarantees a later atom rejects
-// every object outside them, so the bindings that survive the conjunction
-// are those of the unrestricted enumeration, in the same order.
-func (a Class) eval(ctx *Ctx, in []Binding, candidates []types.OID, restricted bool) ([]Binding, error) {
+// eval is Eval of column v with the enumeration optionally restricted to
+// candidates (ascending, duplicate-free): the caller guarantees a later
+// atom rejects every object outside them, so the rows that survive the
+// conjunction are those of the unrestricted enumeration, in the same
+// order.
+func (a Class) eval(ctx *Ctx, v int, in []Binding, candidates []types.OID, restricted bool) ([]Binding, error) {
 	cls, found := ctx.Store.Schema().Class(a.Class)
-	member := func(v types.Value) (bool, error) {
-		if v.Kind() != types.KindOID {
+	member := func(x types.Value) (bool, error) {
+		if x.Kind() != types.KindOID {
 			return false, fmt.Errorf("cond: %s is not an object variable", a.Var)
 		}
-		o, ok := ctx.Store.Get(v.AsOID())
+		o, ok := ctx.Store.Get(x.AsOID())
 		if !ok {
 			return false, nil
 		}
@@ -355,45 +504,52 @@ func (a Class) eval(ctx *Ctx, in []Binding, candidates []types.OID, restricted b
 		ctx.ext = ext
 		return ext, nil
 	}
-	return bindObjects(a.Var, in, member, extension)
+	return ctx.bindObjects(v, in, member, extension)
 }
 
 func (a Class) unknown() error { return fmt.Errorf("cond: unknown class %q", a.Class) }
 
 // bindObjects is the binding step the atoms over an object variable
-// share. A binding that binds v is kept if keep accepts its value; one
+// share. A row that binds column v is kept if keep accepts its value; one
 // that does not is replaced by its extensions to each of objects(), in
-// order. Filtering compacts in's array in place; generating writes more
-// than it reads and moves to a fresh one.
-func bindObjects(v string, in []Binding,
+// order. Filtering compacts in in place; generating copies every row it
+// keeps or extends into the next generation.
+func (c *Ctx) bindObjects(v int, in []Binding,
 	keep func(types.Value) (bool, error), objects func() ([]types.OID, error)) ([]Binding, error) {
 	out := in[:0]
+	var gen *rowBuf
 	var oids []types.OID
-	generating := false
-	for i, env := range in {
-		if x, bound := env[v]; bound {
+	for _, row := range in {
+		if x, bound := row.Get(v); bound {
 			ok, err := keep(x)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				out = append(out, env)
+			switch {
+			case !ok:
+			case gen == nil:
+				out = append(out, row)
+			default:
+				c.extend(gen, row)
 			}
 			continue
 		}
-		if !generating {
-			generating = true
+		if gen == nil {
 			var err error
 			if oids, err = objects(); err != nil {
 				return nil, err
 			}
-			out = append(make([]Binding, 0, len(out)+(len(in)-i)*len(oids)), out...)
+			gen = c.generate()
+			for _, kept := range out {
+				c.extend(gen, kept)
+			}
 		}
 		for _, oid := range oids {
-			b := env.clone()
-			b[v] = types.Ref(oid)
-			out = append(out, b)
+			c.extend(gen, row)[v] = types.Ref(oid)
 		}
+	}
+	if gen != nil {
+		return gen.rows, nil
 	}
 	return out, nil
 }
@@ -423,8 +579,8 @@ func (a Occurred) scan(ctx *Ctx, w *window) error {
 	return nil
 }
 
-func (a Occurred) bind(_ *Ctx, w *window, in []Binding) ([]Binding, error) {
-	return w.bind(a.Var, in)
+func (a Occurred) bind(ctx *Ctx, w *window, v, _ int, in []Binding) ([]Binding, error) {
+	return w.bind(ctx, v, in)
 }
 
 // String renders occurred(E, X).
@@ -457,33 +613,36 @@ func (a At) scan(ctx *Ctx, w *window) error {
 	}
 	w.order = ctx.env().AppendAffectedObjects(w.order[:0], a.Event, ctx.At)
 	if w.bounded = !calculus.VacuouslyActive(a.Event); w.bounded {
-		w.buf = ctx.Base.AppendOIDsOfTypes(w.buf[:0], calculus.Primitives(a.Event), ctx.Since, ctx.At)
+		ctx.prims = calculus.AppendPrimitives(ctx.prims[:0], a.Event)
+		w.buf = ctx.Base.AppendOIDsOfTypes(w.buf[:0], ctx.prims, ctx.Since, ctx.At)
 		w.sorted = w.buf
 	}
 	return nil
 }
 
-func (a At) bind(ctx *Ctx, w *window, in []Binding) ([]Binding, error) {
-	env0 := ctx.env()
-	var out []Binding
-	for _, env := range in {
+// bind extends every row by the (X, T) pairs of its candidates into the
+// next generation, writing X's column and then T's.
+func (a At) bind(ctx *Ctx, w *window, v, t int, in []Binding) ([]Binding, error) {
+	env := ctx.env()
+	gen := ctx.generate()
+	for _, row := range in {
 		candidates := w.order
-		if v, bound := env[a.Var]; bound {
-			if v.Kind() != types.KindOID {
+		if x, bound := row.Get(v); bound {
+			if x.Kind() != types.KindOID {
 				return nil, fmt.Errorf("cond: %s is not an object variable", a.Var)
 			}
-			candidates = []types.OID{v.AsOID()}
+			candidates = []types.OID{x.AsOID()}
 		}
 		for _, oid := range candidates {
-			for _, ts := range env0.ActivationTimes(a.Event, ctx.At, oid) {
-				ext := env.clone()
-				ext[a.Var] = types.Ref(oid)
-				ext[a.TimeVar] = types.TimeVal(ts)
-				out = append(out, ext)
+			ctx.times = env.AppendActivationTimes(ctx.times[:0], a.Event, ctx.At, oid)
+			for _, ts := range ctx.times {
+				r := ctx.extend(gen, row)
+				r[v] = types.Ref(oid)
+				r[t] = types.TimeVal(ts)
 			}
 		}
 	}
-	return out, nil
+	return gen.rows, nil
 }
 
 // String renders at(E, X, T).
@@ -511,18 +670,18 @@ type Compare struct {
 	R  Term
 }
 
-// Eval keeps the bindings satisfying the comparison. A binding whose
-// terms cannot be evaluated (e.g. an attribute of a meanwhile-deleted
-// object) is an error: conditions are expected to guard object variables
-// with a class atom.
+// Eval keeps the rows satisfying the comparison. A row whose terms
+// cannot be evaluated (e.g. an attribute of a meanwhile-deleted object)
+// is an error: conditions are expected to guard object variables with a
+// class atom.
 func (a Compare) Eval(ctx *Ctx, in []Binding) ([]Binding, error) {
 	out := in[:0]
-	for _, env := range in {
-		l, err := a.L.Eval(ctx, env)
+	for _, row := range in {
+		l, err := a.L.Eval(ctx, row)
 		if err != nil {
 			return nil, err
 		}
-		r, err := a.R.Eval(ctx, env)
+		r, err := a.R.Eval(ctx, row)
 		if err != nil {
 			return nil, err
 		}
@@ -531,7 +690,7 @@ func (a Compare) Eval(ctx *Ctx, in []Binding) ([]Binding, error) {
 			return nil, err
 		}
 		if ok {
-			out = append(out, env)
+			out = append(out, row)
 		}
 	}
 	return out, nil
@@ -569,12 +728,14 @@ type Formula struct {
 	Atoms []Atom
 }
 
-// Eval returns every satisfying binding — the bindings, in the order, of
-// running the atoms left to right from the empty binding; the condition
-// succeeds if at least one survives. The empty binding is nil, and a
-// result that still consists of it (a formula of filters, or none) lives
-// in ctx and is valid until ctx evaluates again: a binding is extended
-// through clone only, and filters compact the list they are given.
+// Eval returns every satisfying binding — the rows, in the order, of
+// running the atoms left to right from the empty row; the condition
+// succeeds if at least one survives. Column i of the rows holds the i-th
+// variable an atom binds, in the order the atoms first bind them (Ctx.Slot
+// finds it). The rows live in ctx and are valid until ctx evaluates again:
+// a generating atom writes its rows into the one of ctx's two generations
+// the rows it reads are not in, and filters compact the list they are
+// given.
 //
 // It runs them left to right too, with one shortcut. A class atom that
 // generates its variable (nothing earlier binds it) ahead of an event
@@ -585,31 +746,45 @@ type Formula struct {
 // is computed once. What the shortcut does not preserve is an evaluation
 // error an atom in between would have raised on an object left out.
 func (f Formula) Eval(ctx *Ctx) ([]Binding, error) {
+	ctx.start()
+	for _, a := range f.Atoms {
+		switch a := a.(type) {
+		case Class:
+			ctx.bind(a.Var)
+		case eventAtom:
+			ctx.bind(a.objVar())
+			if at, ok := a.(At); ok {
+				ctx.bind(at.TimeVar)
+			}
+		}
+	}
 	ctx.wins = ctx.wins[:0]
-	ctx.seed[0] = nil
-	bindings := ctx.seed[:]
+	ctx.empty[0] = nil
+	rows := ctx.empty[:]
 	for i, a := range f.Atoms {
 		var err error
 		switch a := a.(type) {
 		case Class:
-			candidates, restricted := f.candidates(ctx, i, a.Var, bindings[0])
-			bindings, err = a.eval(ctx, bindings, candidates, restricted)
+			candidates, restricted := f.candidates(ctx, i, a.Var, rows[0])
+			rows, err = a.eval(ctx, ctx.Slot(a.Var), rows, candidates, restricted)
 		case eventAtom:
 			var w *window
 			if w, err = ctx.window(i, a); err == nil {
-				bindings, err = a.bind(ctx, w, bindings)
+				// The slot table has a column for every variable it binds.
+				v, t, _ := ctx.columns(a)
+				rows, err = a.bind(ctx, w, v, t, rows)
 			}
 		default:
-			bindings, err = a.Eval(ctx, bindings)
+			rows, err = a.Eval(ctx, rows)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", a, err)
 		}
-		if len(bindings) == 0 {
+		if len(rows) == 0 {
 			return nil, nil
 		}
 	}
-	return bindings, nil
+	return rows, nil
 }
 
 // candidates returns the window a class atom at position i may enumerate
@@ -617,7 +792,7 @@ func (f Formula) Eval(ctx *Ctx) ([]Binding, error) {
 // event atom on v after it. An event atom that cannot be scanned bounds
 // nothing; it reports its error in its own turn.
 func (f Formula) candidates(ctx *Ctx, i int, v string, first Binding) ([]types.OID, bool) {
-	if _, bound := first[v]; bound {
+	if _, bound := first.Get(ctx.Slot(v)); bound {
 		return nil, false
 	}
 	for j := i + 1; j < len(f.Atoms); j++ {

@@ -49,22 +49,38 @@ func fixture(t *testing.T) (*Ctx, types.OID, types.OID) {
 	return &Ctx{Store: st, Base: b, Since: clock.Never, At: 10}, o1, o2
 }
 
+// one is the formula of a single atom.
+func one(a Atom) Formula { return Formula{Atoms: []Atom{a}} }
+
+// oidsOf lists the objects the rows bind v to.
+func oidsOf(ctx *Ctx, rows []Binding, v string) []types.OID {
+	var out []types.OID
+	for _, row := range rows {
+		out = append(out, row[ctx.Slot(v)].AsOID())
+	}
+	return out
+}
+
 func TestClassAtomBindsAndChecks(t *testing.T) {
 	ctx, o1, o2 := fixture(t)
-	out, err := Class{Class: "stock", Var: "S"}.Eval(ctx, []Binding{{}})
+	out, err := one(Class{Class: "stock", Var: "S"}).Eval(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || out[0]["S"].AsOID() != o1 || out[1]["S"].AsOID() != o2 {
+	if got := oidsOf(ctx, out, "S"); len(got) != 2 || got[0] != o1 || got[1] != o2 {
 		t.Fatalf("bindings = %v", out)
 	}
 	// Already bound: membership check.
-	out, err = Class{Class: "stock", Var: "S"}.Eval(ctx, []Binding{{"S": types.Ref(o1)}})
+	out, err = Class{Class: "stock", Var: "S"}.Eval(ctx, ctx.Seed("S", []types.OID{o1}))
 	if err != nil || len(out) != 1 {
 		t.Fatalf("membership check failed: %v %v", out, err)
 	}
-	if _, err := (Class{Class: "ghost", Var: "S"}).Eval(ctx, []Binding{{}}); err == nil {
+	if _, err := one(Class{Class: "ghost", Var: "S"}).Eval(ctx); err == nil {
 		t.Fatal("unknown class accepted")
+	}
+	// On its own an atom can only bind a column its rows have.
+	if _, err := (Class{Class: "stock", Var: "Z"}).Eval(ctx, ctx.Seed("S", []types.OID{o1})); err == nil {
+		t.Fatal("a variable without a column was bound")
 	}
 }
 
@@ -72,7 +88,7 @@ func TestOccurredBindsAffectedObjects(t *testing.T) {
 	ctx, o1, o2 := fixture(t)
 	// occurred(create += modify(quantity), S): both objects qualify.
 	e := calculus.ConjI(calculus.P(event.Create("stock")), calculus.P(event.Modify("stock", "quantity")))
-	out, err := Occurred{Event: e, Var: "S"}.Eval(ctx, []Binding{{}})
+	out, err := one(Occurred{Event: e, Var: "S"}).Eval(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +98,7 @@ func TestOccurredBindsAffectedObjects(t *testing.T) {
 	// With a consumption window starting after o1's events, only o2.
 	ctx2 := *ctx
 	ctx2.Since = 3
-	out, err = Occurred{Event: e, Var: "S"}.Eval(&ctx2, []Binding{{}})
+	out, err = one(Occurred{Event: e, Var: "S"}).Eval(&ctx2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +114,7 @@ func TestOccurredBindsAffectedObjects(t *testing.T) {
 func TestOccurredFiltersBoundVariable(t *testing.T) {
 	ctx, o1, o2 := fixture(t)
 	e := calculus.P(event.Modify("stock", "quantity"))
-	in := []Binding{{"S": types.Ref(o1)}, {"S": types.Ref(o2)}}
+	in := ctx.Seed("S", []types.OID{o1, o2})
 	out, err := Occurred{Event: e, Var: "S"}.Eval(ctx, in)
 	if err != nil {
 		t.Fatal(err)
@@ -113,15 +129,15 @@ func TestOccurredFiltersBoundVariable(t *testing.T) {
 func TestAtBindsTimestamps(t *testing.T) {
 	ctx, _, o2 := fixture(t)
 	e := calculus.PrecI(calculus.P(event.Create("stock")), calculus.P(event.Modify("stock", "quantity")))
-	out, err := At{Event: e, Var: "X", TimeVar: "T"}.Eval(ctx, []Binding{{}})
+	out, err := one(At{Event: e, Var: "X", TimeVar: "T"}).Eval(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// o1: one update instant (t3); o2: two (t4, t5).
 	var o2Times []clock.Time
-	for _, b := range out {
-		if b["X"].AsOID() == o2 {
-			o2Times = append(o2Times, b["T"].AsTime())
+	for _, row := range out {
+		if row[ctx.Slot("X")].AsOID() == o2 {
+			o2Times = append(o2Times, row[ctx.Slot("T")].AsTime())
 		}
 	}
 	if len(out) != 3 || len(o2Times) != 2 || o2Times[0] != 4 || o2Times[1] != 5 {
@@ -131,17 +147,18 @@ func TestAtBindsTimestamps(t *testing.T) {
 
 func TestCompareAndTerms(t *testing.T) {
 	ctx, o1, o2 := fixture(t)
-	in := []Binding{{"S": types.Ref(o1)}, {"S": types.Ref(o2)}}
+	// A filter compacts its input in place: every use seeds afresh.
+	in := func() []Binding { return ctx.Seed("S", []types.OID{o1, o2}) }
 	// S.quantity > S.maxquantity keeps only o1 (50 > 40).
 	out, err := Compare{
 		L:  Attr{Var: "S", Attr: "quantity"},
 		Op: CmpGt,
 		R:  Attr{Var: "S", Attr: "maxquantity"},
-	}.Eval(ctx, in)
+	}.Eval(ctx, in())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || out[0]["S"].AsOID() != o1 {
+	if len(out) != 1 || out[0][0].AsOID() != o1 {
 		t.Fatalf("compare bindings = %v", out)
 	}
 	// Arithmetic: S.quantity - 10 > S.maxquantity drops both.
@@ -149,15 +166,15 @@ func TestCompareAndTerms(t *testing.T) {
 		L:  Arith{Op: OpSub, L: Attr{Var: "S", Attr: "quantity"}, R: Const{V: types.Int(20)}},
 		Op: CmpGt,
 		R:  Attr{Var: "S", Attr: "maxquantity"},
-	}.Eval(ctx, in)
+	}.Eval(ctx, in())
 	if err != nil || len(out) != 0 {
 		t.Fatalf("arith compare = %v, %v", out, err)
 	}
 	// Errors.
-	if _, err := (Compare{L: Attr{Var: "Z", Attr: "quantity"}, Op: CmpGt, R: Const{V: types.Int(0)}}).Eval(ctx, in); err == nil {
+	if _, err := (Compare{L: Attr{Var: "Z", Attr: "quantity"}, Op: CmpGt, R: Const{V: types.Int(0)}}).Eval(ctx, in()); err == nil {
 		t.Fatal("unbound variable accepted")
 	}
-	if _, err := (Compare{L: Attr{Var: "S", Attr: "name"}, Op: CmpGt, R: Const{V: types.Int(0)}}).Eval(ctx, in); err == nil {
+	if _, err := (Compare{L: Attr{Var: "S", Attr: "name"}, Op: CmpGt, R: Const{V: types.Int(0)}}).Eval(ctx, in()); err == nil {
 		t.Fatal("string/int comparison accepted")
 	}
 	if _, err := (Arith{Op: OpDiv, L: Const{V: types.Int(1)}, R: Const{V: types.Int(0)}}).Eval(ctx, Binding{}); err == nil {
@@ -176,7 +193,7 @@ func TestFormulaConjunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || out[0]["S"].AsOID() != o1 {
+	if got := oidsOf(ctx, out, "S"); len(got) != 1 || got[0] != o1 {
 		t.Fatalf("formula bindings = %v", out)
 	}
 	if got := f.String(); got != "stock(S), occurred(create(stock), S), S.quantity > S.maxquantity" {
@@ -203,20 +220,21 @@ func TestAttrOnDeletedObjectErrors(t *testing.T) {
 	ctx.Store.(*object.Store).Delete(o1)
 	_, err := Compare{
 		L: Attr{Var: "S", Attr: "quantity"}, Op: CmpGt, R: Const{V: types.Int(0)},
-	}.Eval(ctx, []Binding{{"S": types.Ref(o1)}})
+	}.Eval(ctx, ctx.Seed("S", []types.OID{o1}))
 	if err == nil {
 		t.Fatal("attribute of deleted object accepted")
 	}
 	// But the class atom filters deleted objects silently.
-	out, err := Class{Class: "stock", Var: "S"}.Eval(ctx, []Binding{{"S": types.Ref(o1)}})
+	out, err := Class{Class: "stock", Var: "S"}.Eval(ctx, ctx.Seed("S", []types.OID{o1}))
 	if err != nil || len(out) != 0 {
 		t.Fatalf("class atom on deleted object: %v %v", out, err)
 	}
 }
 
-// A consideration starts from the empty binding in the Ctx's scratch: a
-// rule without a condition costs no allocation, and a condition pays
-// only for the bindings it generates.
+// A consideration runs in the Ctx's row buffers: once one evaluation has
+// grown them, a rule without a condition, one that binds the objects of
+// an event formula, one whose class atom enumerates a window and one that
+// binds at() pairs all allocate nothing.
 func TestEvalSeedAllocatesNothing(t *testing.T) {
 	ctx, _, _ := fixture(t)
 	if n := testing.AllocsPerRun(100, func() {
@@ -226,15 +244,30 @@ func TestEvalSeedAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("True.Eval: %v allocs, want 0", n)
 	}
-	// occurred binds S to the two created objects: the generated list and
-	// per object a cloned binding holding a boxed reference — six
-	// allocations, where seeding with []Binding{{}} made it eight.
-	f := Formula{Atoms: []Atom{Occurred{Event: calculus.P(event.Create("stock")), Var: "S"}}}
-	if n := testing.AllocsPerRun(100, func() {
-		if out, err := f.Eval(ctx); err != nil || len(out) != 2 {
-			t.Fatalf("occurred = %v %v", out, err)
+	cardCtx, _ := cards(t, 64)
+	prec := calculus.PrecI(calculus.P(event.Create("stock")), calculus.P(event.Modify("stock", "quantity")))
+	for _, c := range []struct {
+		name string
+		ctx  *Ctx
+		f    Formula
+		rows int
+	}{
+		// occurred binds S to the two created objects.
+		{"occurred", ctx, one(Occurred{Event: calculus.P(event.Create("stock")), Var: "S"}), 2},
+		// card(C) enumerates occurred's window of eight cards, and the
+		// comparison keeps the three past their limit.
+		{"class", cardCtx, overlimit, 3},
+		// at binds (o1, t3), (o2, t4) and (o2, t5).
+		{"at", ctx, one(At{Event: prec, Var: "X", TimeVar: "T"}), 3},
+	} {
+		eval := func() {
+			if out, err := c.f.Eval(c.ctx); err != nil || len(out) != c.rows {
+				t.Fatalf("%s = %v %v, want %d rows", c.f, out, err, c.rows)
+			}
 		}
-	}); n > 6 {
-		t.Errorf("occurred-bound Eval: %v allocs, want at most 6", n)
+		eval()
+		if n := testing.AllocsPerRun(100, eval); n != 0 {
+			t.Errorf("%s: %v allocs after a warm-up evaluation, want 0", c.name, n)
+		}
 	}
 }

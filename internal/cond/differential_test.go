@@ -15,18 +15,49 @@ import (
 )
 
 // The oracle: a condition is its atoms run strictly left to right, each
-// atom written from its definition — a class atom walks the whole class
-// extension, every event atom recomputes its set per evaluation in a
-// fresh calculus environment, nothing is shared and nothing is reused.
-// Production Formula.Eval must return the oracle's bindings in the
-// oracle's order.
+// atom written from its definition over bindings that map variable names
+// to values — a class atom walks the whole class extension, every event
+// atom recomputes its set per evaluation in a fresh calculus environment,
+// nothing is shared and nothing is reused. Production Formula.Eval must
+// return the oracle's bindings in the oracle's order, its rows read
+// through the slot table, and fail with the oracle's error text.
 
-func oracleEval(ctx *Ctx, f Formula) ([]Binding, error) {
-	bindings := []Binding{nil} // the empty binding, as Formula.Eval represents it
+// env is the oracle's binding: variable names to values.
+type env map[string]types.Value
+
+// with is e extended by v = val.
+func (e env) with(v string, val types.Value) env {
+	ext := make(env, len(e)+1)
+	for k, x := range e {
+		ext[k] = x
+	}
+	ext[v] = val
+	return ext
+}
+
+// envs reads production rows through ctx's slot table.
+func envs(ctx *Ctx, rows []Binding) []env {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]env, len(rows))
+	for i, row := range rows {
+		out[i] = env{}
+		for slot, name := range ctx.names {
+			if v, ok := row.Get(slot); ok {
+				out[i][name] = v
+			}
+		}
+	}
+	return out
+}
+
+func oracleEval(ctx *Ctx, f Formula) ([]env, error) {
+	bindings := []env{{}}
 	for _, a := range f.Atoms {
 		var err error
 		if bindings, err = oracleAtom(ctx, a, bindings); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", a, err)
 		}
 		if len(bindings) == 0 {
 			return nil, nil
@@ -39,40 +70,74 @@ func oracleEnv(ctx *Ctx) *calculus.Env {
 	return &calculus.Env{Base: ctx.Base, Since: ctx.Since, RestrictDomain: true}
 }
 
-func extend(env Binding, v string, val types.Value) Binding {
-	ext := env.clone()
-	ext[v] = val
-	return ext
+func oracleTerm(ctx *Ctx, t Term, e env) (types.Value, error) {
+	switch t := t.(type) {
+	case Const:
+		return t.V, nil
+	case Var:
+		v, ok := e[t.Name]
+		if !ok {
+			return types.Null, fmt.Errorf("cond: unbound variable %s", t.Name)
+		}
+		return v, nil
+	case Attr:
+		v, ok := e[t.Var]
+		if !ok {
+			return types.Null, fmt.Errorf("cond: unbound variable %s", t.Var)
+		}
+		if v.Kind() != types.KindOID {
+			return types.Null, fmt.Errorf("cond: %s is not an object variable", t.Var)
+		}
+		o, ok := ctx.Store.Get(v.AsOID())
+		if !ok {
+			return types.Null, fmt.Errorf("cond: %s is bound to deleted object %s", t.Var, v.AsOID())
+		}
+		return o.Get(t.Attr)
+	case Arith:
+		l, err := oracleTerm(ctx, t.L, e)
+		if err != nil {
+			return types.Null, err
+		}
+		r, err := oracleTerm(ctx, t.R, e)
+		if err != nil {
+			return types.Null, err
+		}
+		return Arith{Op: t.Op, L: Const{V: l}, R: Const{V: r}}.Eval(ctx, nil)
+	}
+	return types.Null, fmt.Errorf("oracle: unknown term %T", t)
 }
 
-func oracleAtom(ctx *Ctx, atom Atom, in []Binding) ([]Binding, error) {
-	var out []Binding
+func oracleAtom(ctx *Ctx, atom Atom, in []env) ([]env, error) {
+	var out []env
 	switch a := atom.(type) {
 	case Class:
-		for _, env := range in {
-			if v, bound := env[a.Var]; bound {
+		cls, found := ctx.Store.Schema().Class(a.Class)
+		for _, e := range in {
+			if v, bound := e[a.Var]; bound {
 				if v.Kind() != types.KindOID {
-					return nil, fmt.Errorf("%s is not an object variable", a.Var)
+					return nil, fmt.Errorf("cond: %s is not an object variable", a.Var)
 				}
 				o, ok := ctx.Store.Get(v.AsOID())
 				if !ok {
 					continue
 				}
-				cls, found := ctx.Store.Schema().Class(a.Class)
 				if !found {
-					return nil, fmt.Errorf("unknown class %q", a.Class)
+					return nil, fmt.Errorf("cond: unknown class %q", a.Class)
 				}
 				if o.Class().IsA(cls) {
-					out = append(out, env)
+					out = append(out, e)
 				}
 				continue
+			}
+			if !found {
+				return nil, fmt.Errorf("cond: unknown class %q", a.Class)
 			}
 			oids, err := ctx.Store.Select(a.Class)
 			if err != nil {
 				return nil, err
 			}
 			for _, oid := range oids {
-				out = append(out, extend(env, a.Var, types.Ref(oid)))
+				out = append(out, e.with(a.Var, types.Ref(oid)))
 			}
 		}
 	case Occurred:
@@ -80,34 +145,34 @@ func oracleAtom(ctx *Ctx, atom Atom, in []Binding) ([]Binding, error) {
 			return nil, err
 		}
 		affected := oracleEnv(ctx).AffectedObjects(a.Event, ctx.At)
-		for _, env := range in {
-			if v, bound := env[a.Var]; bound {
+		for _, e := range in {
+			if v, bound := e[a.Var]; bound {
 				for _, oid := range affected {
 					if v.Kind() == types.KindOID && v.AsOID() == oid {
-						out = append(out, env)
+						out = append(out, e)
 					}
 				}
 				continue
 			}
 			for _, oid := range affected {
-				out = append(out, extend(env, a.Var, types.Ref(oid)))
+				out = append(out, e.with(a.Var, types.Ref(oid)))
 			}
 		}
 	case At:
 		if err := calculus.Valid(a.Event); err != nil {
 			return nil, err
 		}
-		for _, env := range in {
+		for _, e := range in {
 			candidates := oracleEnv(ctx).AffectedObjects(a.Event, ctx.At)
-			if v, bound := env[a.Var]; bound {
+			if v, bound := e[a.Var]; bound {
 				if v.Kind() != types.KindOID {
-					return nil, fmt.Errorf("%s is not an object variable", a.Var)
+					return nil, fmt.Errorf("cond: %s is not an object variable", a.Var)
 				}
 				candidates = []types.OID{v.AsOID()}
 			}
 			for _, oid := range candidates {
-				for _, ts := range oracleEnv(ctx).ActivationTimes(a.Event, ctx.At, oid) {
-					out = append(out, extend(extend(env, a.Var, types.Ref(oid)), a.TimeVar, types.TimeVal(ts)))
+				for _, ts := range oracleEnv(ctx).AppendActivationTimes(nil, a.Event, ctx.At, oid) {
+					out = append(out, e.with(a.Var, types.Ref(oid)).with(a.TimeVar, types.TimeVal(ts)))
 				}
 			}
 		}
@@ -116,7 +181,7 @@ func oracleAtom(ctx *Ctx, atom Atom, in []Binding) ([]Binding, error) {
 			event.OpCreate: NetCreate, event.OpDelete: NetDelete, event.OpModify: NetModify,
 		}[a.Event.Op]
 		if !ok {
-			return nil, fmt.Errorf("holds on %s", a.Event.Op)
+			return nil, fmt.Errorf("cond: holds supports create/delete/modify, got %s", a.Event.Op)
 		}
 		nets := NetEffects(ctx, a.Event.Class)
 		matches := func(oid types.OID) bool {
@@ -138,24 +203,24 @@ func oracleAtom(ctx *Ctx, atom Atom, in []Binding) ([]Binding, error) {
 				}
 			}
 		}
-		for _, env := range in {
-			if v, bound := env[a.Var]; bound {
+		for _, e := range in {
+			if v, bound := e[a.Var]; bound {
 				if v.Kind() == types.KindOID && matches(v.AsOID()) {
-					out = append(out, env)
+					out = append(out, e)
 				}
 				continue
 			}
 			for _, oid := range candidates {
-				out = append(out, extend(env, a.Var, types.Ref(oid)))
+				out = append(out, e.with(a.Var, types.Ref(oid)))
 			}
 		}
 	case Compare:
-		for _, env := range in {
-			l, err := a.L.Eval(ctx, env)
+		for _, e := range in {
+			l, err := oracleTerm(ctx, a.L, e)
 			if err != nil {
 				return nil, err
 			}
-			r, err := a.R.Eval(ctx, env)
+			r, err := oracleTerm(ctx, a.R, e)
 			if err != nil {
 				return nil, err
 			}
@@ -164,15 +229,15 @@ func oracleAtom(ctx *Ctx, atom Atom, in []Binding) ([]Binding, error) {
 				return nil, err
 			}
 			if ok {
-				out = append(out, env)
+				out = append(out, e)
 			}
 		}
 	case touched:
 		oids := ctx.Base.OIDsOfTypes(calculus.Primitives(a.event), ctx.Since, ctx.At)
-		for _, env := range in {
+		for _, e := range in {
 			for _, oid := range oids {
-				if env[a.v].AsOID() == oid {
-					out = append(out, env)
+				if e[a.v].AsOID() == oid {
+					out = append(out, e)
 				}
 			}
 		}
@@ -343,42 +408,61 @@ func randomExpr(r *rand.Rand, depth int) calculus.Expr {
 	return calculus.Conj(l, rr) // set-oriented: valid only over primitives' own granularity
 }
 
+// randomFormula draws a conjunction over the object variables X, Y, Z
+// and the time variables T, U. Now and then an object position names a
+// time variable, a term names W, which nothing binds, and a class atom
+// follows an event atom that already bound its variable.
 func randomFormula(r *rand.Rand) Formula {
 	vars := []string{"X", "Y", "Z"}[:1+r.Intn(3)]
-	v := func() string { return vars[r.Intn(len(vars))] }
+	v := func() string {
+		if r.Intn(12) == 0 {
+			return "T"
+		}
+		return vars[r.Intn(len(vars))]
+	}
+	timeVar := func() string { return []string{"T", "T", "U"}[r.Intn(3)] }
 	classes := []string{"item", "gadget", "widget", "crate", "item", "ghost"}
+	class := func() string {
+		if c := classes[r.Intn(len(classes))]; c != "ghost" || r.Intn(8) == 0 {
+			return c
+		}
+		return "item"
+	}
 	attrs := []string{"n", "m", "g", "w", "tag"}
 	ops := []CmpOp{CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe}
 	term := func() Term {
-		switch r.Intn(4) {
-		case 0:
+		switch r.Intn(7) {
+		case 0, 1:
 			return Const{V: types.Int(int64(r.Intn(6)))}
-		case 1:
-			return Var{Name: "T"}
 		case 2:
+			return Var{Name: timeVar()}
+		case 3:
 			return Arith{Op: OpDiv, L: Const{V: types.Int(6)}, R: Attr{Var: v(), Attr: "n"}}
+		case 4:
+			if r.Intn(3) == 0 {
+				return Var{Name: "W"}
+			}
 		}
 		return Attr{Var: v(), Attr: attrs[r.Intn(len(attrs))]}
 	}
 	var atoms []Atom
 	for i, n := 0, 1+r.Intn(5); i < n; i++ {
-		switch r.Intn(10) {
+		switch r.Intn(11) {
 		case 0, 1, 2:
-			class := classes[r.Intn(len(classes))]
-			if class == "ghost" && r.Intn(8) > 0 {
-				class = "item"
-			}
-			atoms = append(atoms, Class{Class: class, Var: v()})
+			atoms = append(atoms, Class{Class: class(), Var: v()})
 		case 3, 4, 5:
 			atoms = append(atoms, Occurred{Event: randomExpr(r, 2), Var: v()})
 		case 6:
-			atoms = append(atoms, At{Event: randomExpr(r, 2), Var: v(), TimeVar: "T"})
+			atoms = append(atoms, At{Event: randomExpr(r, 2), Var: v(), TimeVar: timeVar()})
 		case 7:
 			ty := worldPrims[r.Intn(len(worldPrims))]
 			if r.Intn(3) == 0 {
 				ty.Attr = "" // net modify of any attribute
 			}
 			atoms = append(atoms, Holds{Event: ty, Var: v()})
+		case 8:
+			x := v()
+			atoms = append(atoms, Occurred{Event: randomExpr(r, 2), Var: x}, Class{Class: class(), Var: x})
 		default:
 			atoms = append(atoms, Compare{L: term(), Op: ops[r.Intn(len(ops))], R: term()})
 		}
@@ -404,12 +488,12 @@ func TestEvalMatchesLeftToRightOracle(t *testing.T) {
 					diverged++
 				}
 			}
-			if (gotErr != nil) != (wantErr != nil) {
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Fatalf("world %d, %s (since %d, at %d):\nEval error %v\noracle error %v (plain: %v)",
 					i, f, w.ctx.Since, w.ctx.At, gotErr, wantErr, plainErr)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("world %d, %s (since %d, at %d):\nEval   %v\noracle %v", i, f, w.ctx.Since, w.ctx.At, got, want)
+			if rows := envs(w.ctx, got); !reflect.DeepEqual(rows, want) {
+				t.Fatalf("world %d, %s (since %d, at %d):\nEval   %v\noracle %v", i, f, w.ctx.Since, w.ctx.At, rows, want)
 			}
 			if len(got) > 0 {
 				withBindings++

@@ -131,8 +131,8 @@ func (a Holds) scan(ctx *Ctx, w *window) error {
 	return nil
 }
 
-func (a Holds) bind(_ *Ctx, w *window, in []Binding) ([]Binding, error) {
-	return w.bind(a.Var, in)
+func (a Holds) bind(ctx *Ctx, w *window, v, _ int, in []Binding) ([]Binding, error) {
+	return w.bind(ctx, v, in)
 }
 
 // String renders holds(E, X).

@@ -39,54 +39,46 @@ func holdsFixture(t *testing.T) *Ctx {
 	return &Ctx{Store: st, Base: b, Since: clock.Never, At: 10}
 }
 
-func oidsOf(bs []Binding, v string) []types.OID {
-	var out []types.OID
-	for _, b := range bs {
-		out = append(out, b[v].AsOID())
-	}
-	return out
-}
-
 func TestHoldsNetEffect(t *testing.T) {
 	ctx := holdsFixture(t)
 
 	// holds(create(stock), X): only o1 (o2 was created then deleted).
-	out, err := Holds{Event: event.Create("stock"), Var: "X"}.Eval(ctx, []Binding{{}})
+	out, err := one(Holds{Event: event.Create("stock"), Var: "X"}).Eval(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := oidsOf(out, "X"); len(got) != 1 || got[0] != 1 {
+	if got := oidsOf(ctx, out, "X"); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("holds(create) = %v, want [o1]", got)
 	}
 
 	// holds(delete(stock), X): only o4 (pre-existing, modified, deleted).
-	out, err = Holds{Event: event.Delete("stock"), Var: "X"}.Eval(ctx, []Binding{{}})
+	out, err = one(Holds{Event: event.Delete("stock"), Var: "X"}).Eval(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := oidsOf(out, "X"); len(got) != 1 || got[0] != 4 {
+	if got := oidsOf(ctx, out, "X"); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("holds(delete) = %v, want [o4]", got)
 	}
 
 	// holds(modify(stock.quantity), X): only o3 (o1's modify folds into
 	// its creation; o4's into its deletion).
-	out, err = Holds{Event: event.Modify("stock", "quantity"), Var: "X"}.Eval(ctx, []Binding{{}})
+	out, err = one(Holds{Event: event.Modify("stock", "quantity"), Var: "X"}).Eval(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := oidsOf(out, "X"); len(got) != 1 || got[0] != 3 {
+	if got := oidsOf(ctx, out, "X"); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("holds(modify) = %v, want [o3]", got)
 	}
 }
 
 func TestHoldsBoundVariableFilters(t *testing.T) {
 	ctx := holdsFixture(t)
-	in := []Binding{{"X": types.Ref(types.OID(1))}, {"X": types.Ref(types.OID(2))}}
+	in := ctx.Seed("X", []types.OID{1, 2})
 	out, err := Holds{Event: event.Create("stock"), Var: "X"}.Eval(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := oidsOf(out, "X"); len(got) != 1 || got[0] != 1 {
+	if got := oidsOf(ctx, out, "X"); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("filtered holds = %v", got)
 	}
 }
@@ -98,11 +90,11 @@ func TestHoldsWindowRespected(t *testing.T) {
 	// outside. Use (1, 10]: create at t1 excluded, modify at t2 included
 	// → o1 nets to modify.
 	ctx.Since = 1
-	out, err := Holds{Event: event.Modify("stock", "quantity"), Var: "X"}.Eval(ctx, []Binding{{}})
+	out, err := one(Holds{Event: event.Modify("stock", "quantity"), Var: "X"}).Eval(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := oidsOf(out, "X")
+	got := oidsOf(ctx, out, "X")
 	want := map[types.OID]bool{1: true, 3: true}
 	if len(got) != 2 || !want[got[0]] || !want[got[1]] {
 		t.Fatalf("windowed holds(modify) = %v, want {o1,o3}", got)
@@ -111,7 +103,7 @@ func TestHoldsWindowRespected(t *testing.T) {
 
 func TestHoldsRejectsNonNetOps(t *testing.T) {
 	ctx := holdsFixture(t)
-	if _, err := (Holds{Event: event.T(event.OpSelect, "stock"), Var: "X"}).Eval(ctx, []Binding{{}}); err == nil {
+	if _, err := one(Holds{Event: event.T(event.OpSelect, "stock"), Var: "X"}).Eval(ctx); err == nil {
 		t.Fatal("holds(select) accepted")
 	}
 }

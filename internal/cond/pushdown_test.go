@@ -40,7 +40,11 @@ var overlimit = Formula{Atoms: []Atom{
 
 // cards builds a store of n cards whose window modified the first eight,
 // three of them past their limit.
-func cards(t *testing.T, n int) (*Ctx, *countingView) {
+func cards(t *testing.T, n int) (*Ctx, *countingView) { return cardsTouched(t, n, 8) }
+
+// cardsTouched is cards with a window that modified the first touched cards,
+// one in three of them past its limit.
+func cardsTouched(t *testing.T, n, touched int) (*Ctx, *countingView) {
 	t.Helper()
 	s := schema.New()
 	if _, err := s.Define("card",
@@ -59,14 +63,14 @@ func cards(t *testing.T, n int) (*Ctx, *countingView) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i < 8 {
+		if i < touched {
 			if _, err := b.Append(event.Modify("card", "spent"), oid, clock.Time(i+1)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	view := &countingView{StoreView: st}
-	return &Ctx{Store: view, Base: b, At: 100}, view
+	return &Ctx{Store: view, Base: b, At: clock.Time(touched + 100)}, view
 }
 
 // A consideration costs what its window affected, whatever the size of
@@ -101,6 +105,24 @@ func TestConsiderationCostIndependentOfExtension(t *testing.T) {
 	if small.examined != 8+2*8 {
 		t.Fatalf("examined %d objects, want 24", small.examined)
 	}
+	if small.allocs != 0 {
+		t.Fatalf("a consideration allocates %v times, want 0", small.allocs)
+	}
+	// Nor does the cost of the rows grow with the objects the window
+	// binds: they live in the Ctx's buffers.
+	binds := Formula{Atoms: overlimit.Atoms[:2]}
+	for _, touched := range []int{8, 512} {
+		ctx, _ := cardsTouched(t, 1024, touched)
+		eval := func() {
+			if out, err := binds.Eval(ctx); err != nil || len(out) != touched {
+				t.Fatalf("%s over %d modified cards = %d rows, %v", binds, touched, len(out), err)
+			}
+		}
+		eval()
+		if n := testing.AllocsPerRun(50, eval); n != 0 {
+			t.Errorf("binding %d cards: %v allocs, want 0", touched, n)
+		}
+	}
 }
 
 // Through a latched line the pushed-down class atom takes no class latch
@@ -124,7 +146,7 @@ func TestPushedDownClassAtomTakesNoClassLatch(t *testing.T) {
 	if _, err := writer.Create("card", vals); err != nil {
 		t.Fatalf("create beside a pushed-down consideration: %v", err)
 	}
-	if err := writer.Modify(out[0]["C"].AsOID(), "limit", types.Int(0)); !errors.Is(err, object.ErrConflict) {
+	if err := writer.Modify(out[0][ctx.Slot("C")].AsOID(), "limit", types.Int(0)); !errors.Is(err, object.ErrConflict) {
 		t.Fatalf("modify of a bound card = %v, want ErrConflict", err)
 	}
 

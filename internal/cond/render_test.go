@@ -41,12 +41,16 @@ func TestAtomAndTermRendering(t *testing.T) {
 
 func TestVarTermEval(t *testing.T) {
 	ctx := &Ctx{}
-	v, err := Var{Name: "T"}.Eval(ctx, Binding{"T": types.TimeVal(9)})
+	ctx.Seed("T", nil) // the slot table {T}
+	v, err := Var{Name: "T"}.Eval(ctx, Binding{types.TimeVal(9)})
 	if err != nil || v.AsTime() != 9 {
 		t.Fatalf("Var eval = %v, %v", v, err)
 	}
-	if _, err := (Var{Name: "Z"}).Eval(ctx, Binding{}); err == nil {
+	if _, err := (Var{Name: "T"}).Eval(ctx, Binding{types.Null}); err == nil {
 		t.Fatal("unbound Var accepted")
+	}
+	if _, err := (Var{Name: "Z"}).Eval(ctx, Binding{types.TimeVal(9)}); err == nil {
+		t.Fatal("Var outside the slot table accepted")
 	}
 }
 

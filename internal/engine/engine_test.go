@@ -366,9 +366,10 @@ type recordVar struct {
 	out  *[]types.OID
 }
 
-func (r recordVar) Eval(_ *cond.Ctx, in []cond.Binding) ([]cond.Binding, error) {
-	for _, env := range in {
-		*r.out = append(*r.out, env[r.name].AsOID())
+func (r recordVar) Eval(ctx *cond.Ctx, in []cond.Binding) ([]cond.Binding, error) {
+	slot := ctx.Slot(r.name)
+	for _, row := range in {
+		*r.out = append(*r.out, row[slot].AsOID())
 	}
 	return in, nil
 }

@@ -240,23 +240,9 @@ func (s *Shell) data(t *chimera.Txn, cmd lang.Command) error {
 		if err != nil {
 			return err
 		}
-		if len(c.Where) > 0 {
-			// Filter through the condition machinery: seed one binding
-			// per object and run the predicate atoms.
-			ctx := &cond.Ctx{Store: s.db.Store(), Base: t.Base(), At: s.db.Clock().Now()}
-			var bindings []cond.Binding
-			for _, oid := range oids {
-				bindings = append(bindings, cond.Binding{c.Var: chimera.Ref(oid)})
-			}
-			for _, a := range c.Where {
-				if bindings, err = a.Eval(ctx, bindings); err != nil {
-					return err
-				}
-			}
-			oids = oids[:0]
-			for _, b := range bindings {
-				oids = append(oids, b[c.Var].AsOID())
-			}
+		ctx := &cond.Ctx{Store: s.db.Store(), Base: t.Base(), At: s.db.Clock().Now()}
+		if oids, err = where(ctx, c, oids); err != nil {
+			return err
 		}
 		for _, oid := range oids {
 			if o, ok := t.Get(oid); ok {
@@ -266,6 +252,27 @@ func (s *Shell) data(t *chimera.Txn, cmd lang.Command) error {
 		return nil
 	}
 	return fmt.Errorf("unhandled command %T", cmd)
+}
+
+// where keeps the objects of oids that the where atoms of a select hold
+// for, in order: it seeds one condition row per object, binding the
+// select's variable, and runs the atoms over the rows.
+func where(ctx *cond.Ctx, c lang.CmdSelect, oids []chimera.OID) ([]chimera.OID, error) {
+	if len(c.Where) == 0 {
+		return oids, nil
+	}
+	rows := ctx.Seed(c.Var, oids)
+	for _, a := range c.Where {
+		var err error
+		if rows, err = a.Eval(ctx, rows); err != nil {
+			return nil, err
+		}
+	}
+	kept := make([]chimera.OID, len(rows))
+	for i, row := range rows {
+		kept[i] = row[0].AsOID()
+	}
+	return kept, nil
 }
 
 // readCmd runs one parsed command inside the open read-only
@@ -287,23 +294,11 @@ func (s *Shell) readCmd(cmd lang.Command) error {
 		if err != nil {
 			return err
 		}
-		if len(c.Where) > 0 {
-			// Where atoms are pure comparisons (no event atoms), so the
-			// snapshot alone — no Event Base — evaluates them.
-			ctx := &cond.Ctx{Store: s.rtxn.Snapshot(), At: s.db.Clock().Now()}
-			var bindings []cond.Binding
-			for _, oid := range oids {
-				bindings = append(bindings, cond.Binding{c.Var: chimera.Ref(oid)})
-			}
-			for _, a := range c.Where {
-				if bindings, err = a.Eval(ctx, bindings); err != nil {
-					return err
-				}
-			}
-			oids = oids[:0]
-			for _, b := range bindings {
-				oids = append(oids, b[c.Var].AsOID())
-			}
+		// Where atoms are pure comparisons (no event atoms), so the
+		// snapshot alone — no Event Base — evaluates them.
+		ctx := &cond.Ctx{Store: s.rtxn.Snapshot(), At: s.db.Clock().Now()}
+		if oids, err = where(ctx, c, oids); err != nil {
+			return err
 		}
 		for _, oid := range oids {
 			if o, ok := s.rtxn.Get(oid); ok {

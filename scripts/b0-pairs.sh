@@ -10,10 +10,26 @@
 # runs, for every workload, the parent's end-to-end pass and the change's,
 # the parent first in odd pairs and second in even ones. Every pass's
 # stdout and stderr is kept under out (default .b0-pairs/<time>/), a
-# failed pass included. The summary prints, per workload and end-to-end
-# metric of BENCHMARK.json, the parent's median and interquartile range,
-# the change's median and the pairs the change won; a pair with a failed
-# pass counts in neither.
+# failed pass included. The summary prints, per workload, the operations
+# each side's passes failed and attempted and the passes that produced no
+# result, and per end-to-end metric of BENCHMARK.json the parent's median
+# and interquartile range, the change's median, the pairs the change won
+# out of all pairs run (a pair with a failed pass counts for neither side,
+# nor does a tie) and a verdict against the metric's bound in
+# BENCHMARK.json, the first of these that holds:
+#
+#   gain        the change won at least 9 in 10 of the pairs run, its median
+#               is better than the parent's by more than the parent's IQR,
+#               and it failed no larger share of operations, nor more
+#               passes, than the parent;
+#   worse       the change's median is worse than the parent's by more
+#               than the bound;
+#   unresolved  the parent's IQR is wider than the bound, and some run of
+#               the change reads no better than some run of the parent;
+#   within      otherwise.
+#
+# The IQR and the worsening compare with the bound as fractions of the
+# parent's median.
 set -euo pipefail
 parent=${1:?usage: b0-pairs.sh <parent-rev> [pairs] [seed] [seconds] [workloads] [out]}
 pairs=${2:-10} seed=${3:-7} secs=${4:-10} workloads=${5:-stream_rules}
@@ -45,20 +61,47 @@ done
 # value <side> <workload> <pair> <metric>: the metric of one pass, or nothing.
 value() { tail -n 1 "$out/$2.$1.$3.out" | jq -r ".metrics.$4.value // empty" 2>/dev/null || true; }
 
-printf '%-13s %-19s %13s %11s %13s %6s\n' workload metric parent_median parent_IQR change_median won
+# failures <side> <workload>: the operations the side's passes failed and
+# attempted, and its passes without a result.
+failures() {
+	local i r
+	for ((i = 1; i <= pairs; i++)); do
+		r=$(tail -n 1 "$out/$2.$1.$i.out" 2>/dev/null | jq -er '"\(.failed) \(.attempted) 0"' 2>/dev/null) || r="0 0 1"
+		echo "$r"
+	done | awk '{ f += $1; a += $2; x += $3 } END { print f + 0, a + 0, x + 0 }'
+}
+
+printf '%-13s %-19s %13s %11s %13s %6s  %s\n' workload metric parent_median parent_IQR change_median won verdict
 for w in $workloads; do
-	jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json" | while read -r m better; do
+	read -r pf pa px < <(failures parent "$w")
+	read -r cf ca cx < <(failures change "$w")
+	printf '%-13s failed operations: parent %d of %d, change %d of %d; passes without a result: parent %d, change %d\n' \
+		"$w" "$pf" "$pa" "$cf" "$ca" "$px" "$cx"
+	# morefail: the change failed a larger share of operations, or more passes.
+	morefail=$(( cf * pa > pf * ca || (pa == 0 && cf > 0) || cx > px ))
+	jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$root/BENCHMARK.json" | while read -r m better bound; do
 		for ((i = 1; i <= pairs; i++)); do
 			p=$(value parent "$w" "$i" "$m") c=$(value change "$w" "$i" "$m")
-			if [[ -n $p && -n $c ]]; then echo "$p $c"; fi
-		done | awk -v w="$w" -v m="$m" -v better="$better" '
+			echo "${p:--} ${c:--}"
+		done | awk -v w="$w" -v m="$m" -v better="$better" -v bound="$bound" -v morefail="$morefail" '
 			function sort(a, n,   i, j, x) { for (i = 2; i <= n; i++) { x = a[i]; for (j = i - 1; j > 0 && a[j] > x; j--) a[j+1] = a[j]; a[j+1] = x } }
 			function q(a, n, f,   h, k) { h = (n - 1) * f + 1; k = int(h); return k >= n ? a[n] : a[k] + (h - k) * (a[k+1] - a[k]) }
+			# rel is x as a fraction of the parent median.
+			function rel(x) { return pm != 0 ? x / (pm < 0 ? -pm : pm) : (x > 0 ? bound + 1 : 0) }
+			{ run++ }
+			$1 == "-" || $2 == "-" { next }
 			{ n++; p[n] = $1; c[n] = $2; if ((better == "lower") ? $2 < $1 : $2 > $1) won++ }
 			END {
 				if (n == 0) { printf "%-13s %-19s %13s\n", w, m, "no pairs"; exit }
 				sort(p, n); sort(c, n)
-				printf "%-13s %-19s %13.6g %11.4g %13.6g %3d/%d\n", w, m, q(p, n, .5), q(p, n, .75) - q(p, n, .25), q(c, n, .5), won, n
+				pm = q(p, n, .5); iqr = q(p, n, .75) - q(p, n, .25); cm = q(c, n, .5)
+				gained = (better == "lower") ? pm - cm : cm - pm # positive when the change is better
+				dominates = (better == "lower") ? c[n] < p[1] : c[1] > p[n] # every change run reads better
+				if (10 * won >= 9 * run && gained > iqr && !morefail) verdict = "gain"
+				else if (rel(-gained) > bound) verdict = "worse"
+				else if (rel(iqr) > bound && !dominates) verdict = "unresolved"
+				else verdict = "within"
+				printf "%-13s %-19s %13.6g %11.4g %13.6g %3d/%d  %s\n", w, m, pm, iqr, cm, won, run, verdict
 			}'
 	done
 done
