@@ -76,12 +76,12 @@ bench-module-test:
 	$(GO) -C benchmark test ./...
 
 # Coverage gate: total statement coverage must not fall below the
-# recorded baseline (76.6% when the gate was introduced; the floor
-# leaves ~1.5 points of slack for platform-dependent branches). It
+# recorded baseline (81.3% when last measured; the floor leaves ~1.5
+# points of slack for platform-dependent branches). It
 # measures the packages that have tests, as it did when introduced:
 # since Go 1.22 ./... also reports cmd/ and examples/, which have none,
 # at 0%.
-COVER_BASELINE ?= 75.0
+COVER_BASELINE ?= 79.8
 COVER_PKGS = $(shell $(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...)
 cover:
 	$(GO) test -count=1 -coverprofile=coverage.out $(COVER_PKGS)

@@ -24,10 +24,11 @@ var ErrDeadlineExceeded = errors.New("calculus: evaluation deadline exceeded")
 const deadlineStride = 64
 
 // Budget is a per-transaction evaluation budget, shared by every
-// evaluator the transaction drives (the memoized PlanEval of the
-// triggering determination and the recursive Env of the conditions).
-// The unit of gas is one node evaluation, the same work
-// TsEvaluations/MemoMisses count: memo hits are free, as they should be.
+// evaluator the transaction drives (the PlanEval of the triggering
+// determination and the one of its conditions' event formulas). The unit
+// of gas is one node a PlanEval computes — a memo miss, a per-object ots
+// or a lift domain, the same work TsEvaluations/MemoMisses count: memo
+// hits are free, as they should be.
 //
 // Exhaustion aborts the evaluation in flight by panicking with a private
 // fault value; the package boundary converts it back into the typed
@@ -41,10 +42,8 @@ const deadlineStride = 64
 // valid and charges nothing.
 type Budget struct {
 	// gas is the remaining budget. Unlimited-gas budgets start at
-	// math.MaxInt64: the counter still tracks usage but can never go
-	// negative within a transaction's lifetime.
-	gas     atomic.Int64
-	initial int64
+	// math.MaxInt64, which no transaction's lifetime can spend.
+	gas atomic.Int64
 	// state latches the first exhaustion cause: 0 live, 1 gas,
 	// 2 deadline. Once set every subsequent charge panics again within
 	// one stride, so sibling workers stop promptly.
@@ -66,11 +65,11 @@ type budgetFault struct{ err error }
 // NewBudget returns a budget with the given gas allowance (≤ 0 means
 // unlimited) and wall-clock deadline (the zero Time means none).
 func NewBudget(gas int64, deadline time.Time) *Budget {
-	b := &Budget{initial: gas, deadline: deadline, hasDeadline: !deadline.IsZero()}
+	b := &Budget{deadline: deadline, hasDeadline: !deadline.IsZero()}
 	if gas <= 0 {
-		b.initial = math.MaxInt64
+		gas = math.MaxInt64
 	}
-	b.gas.Store(b.initial)
+	b.gas.Store(gas)
 	return b
 }
 
@@ -118,38 +117,6 @@ func (b *Budget) Err() error {
 		return nil
 	}
 	return b.stateErr(b.state.Load())
-}
-
-// Used returns the gas spent so far.
-func (b *Budget) Used() int64 {
-	if b == nil {
-		return 0
-	}
-	u := b.initial - b.gas.Load()
-	if u < 0 {
-		u = 0
-	}
-	return u
-}
-
-// Remaining returns the gas left (0 once exhausted; a large positive
-// number on unlimited-gas budgets).
-func (b *Budget) Remaining() int64 {
-	if b == nil {
-		return math.MaxInt64
-	}
-	if rem := b.gas.Load(); rem > 0 {
-		return rem
-	}
-	return 0
-}
-
-// Deadline returns the wall-clock deadline and whether one is set.
-func (b *Budget) Deadline() (time.Time, bool) {
-	if b == nil {
-		return time.Time{}, false
-	}
-	return b.deadline, b.hasDeadline
 }
 
 // RecoverBudget is the deferred package-boundary handler: it converts a

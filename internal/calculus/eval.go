@@ -19,20 +19,6 @@ func (v TS) Active() bool { return v > 0 }
 // Time converts a positive TS back into the activation time stamp.
 func (v TS) Time() clock.Time { return clock.Time(v) }
 
-func minTS(a, b TS) TS {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxTS(a, b TS) TS {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // andTS and orTS combine two operand ts values with branch-free sign
 // arithmetic — the u()-based selections of Section 4.2 compiled down to
 // shifts and masks, so the probe loops pay no branch mispredictions on
@@ -66,8 +52,12 @@ func orTS(a, b TS) TS {
 	return hi ^ ((hi ^ lo) & m)
 }
 
-// Env fixes the portion R of the Event Base the calculus applies to:
-// every occurrence with Since < timestamp ≤ t participates in ts(E, t).
+// Env is the definition of the calculus: ts/ots of Section 4 evaluated
+// recursively, straight from the paper, over the portion R of the Event
+// Base with Since < timestamp ≤ t. It serves the paper's artefacts (the
+// conformance corpus, the figures) and the tests, which hold the
+// production evaluator, PlanEval, to it; nothing is cached and the lifts
+// range over every object of R.
 // Section 4.4 instantiates Since with the rule's last consideration for
 // triggering; event formulas instantiate it with the rule's last
 // consumption.
@@ -76,27 +66,6 @@ type Env struct {
 	// Since is the exclusive lower bound of R (clock.Never for "from the
 	// beginning of the transaction").
 	Since clock.Time
-	// RestrictDomain, when set, restricts the object domain of the
-	// instance-oriented lifts from "all OIDs occurring in R" to the OIDs
-	// affected by the expression's own primitive types. This never changes
-	// any activation outcome (objects untouched by the expression's types
-	// contribute strictly negative ots values to existential lifts and
-	// strictly positive ones to the universal negation lift) but makes
-	// evaluation cheaper on wide transactions; TestLiftDomainRestriction
-	// checks the sign-equivalence property.
-	RestrictDomain bool
-	// Budget, when non-nil, is charged one unit per node evaluation;
-	// exhaustion aborts with a budget fault (see Budget).
-	Budget *Budget
-
-	// Scratch buffers recycled across evaluations, so that repeated
-	// evaluations allocate nothing in steady state. They make an Env
-	// stateful: one Env must not be shared between goroutines. The zero
-	// value is ready to use — buffers grow on first need and are then
-	// reused.
-	oidBuf  []types.OID
-	timeBuf []clock.Time
-	primBuf []event.Type
 }
 
 // TS evaluates the set-oriented ts(e, t) over R = (env.Since, t].
@@ -107,7 +76,6 @@ type Env struct {
 // Section 4.3 whenever a maximal instance-oriented subexpression is
 // reached.
 func (env *Env) TS(e Expr, t clock.Time) TS {
-	env.Budget.Charge()
 	if IsInstanceRooted(e) {
 		return env.lift(e, t)
 	}
@@ -139,33 +107,22 @@ func (env *Env) TS(e Expr, t clock.Time) TS {
 // e must satisfy the instance-only constraint (primitives or
 // instance-oriented operators).
 func (env *Env) OTS(e Expr, t clock.Time, oid types.OID) TS {
-	rd := env.Base.Read()
-	defer rd.Done() // a budget fault unwinds through here
-	return env.ots(rd, e, t, oid)
-}
-
-// ots is OTS inside the caller's read section of the base: the loops
-// over an object domain (the lifts, AppendAffectedObjects) hold one
-// section for the domain and every probe under it. Nothing below may
-// call a locking method of env.Base.
-func (env *Env) ots(rd event.Reader, e Expr, t clock.Time, oid types.OID) TS {
-	env.Budget.Charge()
 	switch n := e.(type) {
 	case Prim:
-		if last := rd.LastOfObj(n.T, oid, env.Since, t); last != clock.Never {
+		if last := env.Base.LastOfObj(n.T, oid, env.Since, t); last != clock.Never {
 			return TS(last)
 		}
 		return -TS(t)
 	case Not:
-		return -env.ots(rd, n.X, t, oid)
+		return -env.OTS(n.X, t, oid)
 	case And:
-		return andTS(env.ots(rd, n.L, t, oid), env.ots(rd, n.R, t, oid))
+		return andTS(env.OTS(n.L, t, oid), env.OTS(n.R, t, oid))
 	case Or:
-		return orTS(env.ots(rd, n.L, t, oid), env.ots(rd, n.R, t, oid))
+		return orTS(env.OTS(n.L, t, oid), env.OTS(n.R, t, oid))
 	case Seq:
-		b := env.ots(rd, n.R, t, oid)
+		b := env.OTS(n.R, t, oid)
 		if b.Active() {
-			if a := env.ots(rd, n.L, b.Time(), oid); a.Active() {
+			if a := env.OTS(n.L, b.Time(), oid); a.Active() {
 				return b
 			}
 		}
@@ -174,52 +131,8 @@ func (env *Env) ots(rd event.Reader, e Expr, t clock.Time, oid types.OID) TS {
 	panic("calculus: unknown expression node in OTS")
 }
 
-// domain returns the OIDs the instance-oriented lifts range over.
-//
-// The RestrictDomain optimization drops objects untouched by the
-// expression's own primitive types. It is applied only when such objects
-// contribute neutrally to the lift — a strictly negative ots to an
-// existential lift, a strictly positive entry to the universal -= lift —
-// which is exactly when the lifted body is not vacuously active: an
-// untouched object's ots equals the vacuous sign of the expression. For
-// the unsafe shapes (e.g. -=(-=A), or A ,= -=B) the full object domain
-// of R is used.
-func (env *Env) domain(e Expr, t clock.Time) []types.OID {
-	rd := env.Base.Read()
-	defer rd.Done()
-	return env.domainIn(rd, e, t)
-}
-
-// domainIn is domain inside the caller's read section. The result aliases
-// env.oidBuf: it is valid until the next domain call on this Env and must
-// not be retained.
-func (env *Env) domainIn(rd event.Reader, e Expr, t clock.Time) []types.OID {
-	env.Budget.Charge()
-	if env.RestrictDomain && restrictionSafe(e) {
-		env.primBuf = AppendPrimitives(env.primBuf[:0], e)
-		env.oidBuf = rd.AppendOIDsOfTypes(env.oidBuf[:0], env.primBuf, env.Since, t)
-	} else {
-		env.oidBuf = rd.AppendOIDs(env.oidBuf[:0], env.Since, t)
-	}
-	return env.oidBuf
-}
-
-// restrictionSafe reports whether dropping untouched objects from the
-// lift domain of e preserves the activation outcome.
-func restrictionSafe(e Expr) bool {
-	if n, ok := e.(Not); ok && n.Inst {
-		// Universal lift: untouched objects must contribute positive
-		// entries (-ots of an inactive body), i.e. the body must be
-		// vacuously inactive.
-		return !VacuouslyActive(n.X)
-	}
-	// Existential lift: untouched objects must contribute negative
-	// entries, i.e. the expression must be vacuously inactive.
-	return !VacuouslyActive(e)
-}
-
 // lift evaluates a maximal instance-oriented subexpression in a
-// set-oriented context (Section 4.3, "ots to ts"):
+// set-oriented context (Section 4.3, "ots to ts") over the OIDs of R:
 //
 //   - instance negation -=E is active iff no object in R has E active
 //     (universal lift: the minimum of ots(-E) over the OIDs of R, or the
@@ -230,25 +143,21 @@ func restrictionSafe(e Expr) bool {
 //
 // See DESIGN.md §5.1 for why the prose of Section 3.2 forces this pairing.
 func (env *Env) lift(e Expr, t clock.Time) TS {
-	rd := env.Base.Read()
-	defer rd.Done()
-	oids := env.domainIn(rd, e, t)
+	oids := env.Base.OIDs(env.Since, t)
 	if n, ok := e.(Not); ok && n.Inst {
-		if len(oids) == 0 {
-			return TS(t)
-		}
-		best := env.ots(rd, e, t, oids[0])
-		for _, oid := range oids[1:] {
-			best = minTS(best, env.ots(rd, e, t, oid))
+		best := TS(t)
+		for i, oid := range oids {
+			if v := env.OTS(e, t, oid); i == 0 || v < best {
+				best = v
+			}
 		}
 		return best
 	}
-	if len(oids) == 0 {
-		return -TS(t)
-	}
-	best := env.ots(rd, e, t, oids[0])
-	for _, oid := range oids[1:] {
-		best = maxTS(best, env.ots(rd, e, t, oid))
+	best := -TS(t)
+	for i, oid := range oids {
+		if v := env.OTS(e, t, oid); i == 0 || v > best {
+			best = v
+		}
 	}
 	return best
 }
@@ -283,62 +192,44 @@ func (env *Env) TriggeredAfter(e Expr, afterProbe, now clock.Time) (bool, clock.
 	if env.Base.Empty(env.Since, now) {
 		return false, clock.Never
 	}
-	lo := afterProbe
-	if lo < env.Since {
-		lo = env.Since
-	}
-	env.timeBuf = env.Base.AppendArrivals(env.timeBuf[:0], lo, now)
-	for _, t := range env.timeBuf {
+	lo := max(afterProbe, env.Since)
+	for _, t := range env.Base.Arrivals(lo, now) {
 		if env.TS(e, t).Active() {
 			return true, t
 		}
 	}
-	if now > lo {
-		if env.TS(e, now).Active() {
-			return true, now
-		}
+	if now > lo && env.TS(e, now).Active() {
+		return true, now
 	}
 	return false, clock.Never
 }
 
 // AffectedObjects returns the objects for which the instance-oriented
 // expression e is active at time t over R — the binding set produced by
-// the occurred(e, X) event formula of Section 3.3.
+// the occurred(e, X) event formula of Section 3.3 — in order of first
+// appearance.
 func (env *Env) AffectedObjects(e Expr, t clock.Time) []types.OID {
-	return env.AppendAffectedObjects(nil, e, t)
-}
-
-// AppendAffectedObjects is AffectedObjects appending to dst, so that a
-// caller evaluating one condition after another can recycle the slice.
-func (env *Env) AppendAffectedObjects(dst []types.OID, e Expr, t clock.Time) []types.OID {
-	rd := env.Base.Read()
-	defer rd.Done()
-	oids := env.domainIn(rd, e, t)
-	if _, prim := e.(Prim); prim && env.RestrictDomain {
-		// The restricted domain of a primitive is the objects its type
-		// touched in R: exactly those it is active for.
-		return append(dst, oids...)
-	}
-	for _, oid := range oids {
-		if env.ots(rd, e, t, oid).Active() {
-			dst = append(dst, oid)
+	var out []types.OID
+	for _, oid := range env.Base.OIDs(env.Since, t) {
+		if env.OTS(e, t, oid).Active() {
+			out = append(out, oid)
 		}
 	}
-	return dst
+	return out
 }
 
-// AppendActivationTimes appends to dst every time stamp in (env.Since, t]
-// at which an occurrence of the instance-oriented expression e arises for
-// object oid: the instants T bound by the at(e, X, T) event formula of
-// Section 3.3. An occurrence "arises at t'" exactly when ots(e, t', oid)
-// equals t' (the expression is active for the object with the probe
-// instant itself as activation time stamp).
-func (env *Env) AppendActivationTimes(dst []clock.Time, e Expr, t clock.Time, oid types.OID) []clock.Time {
-	env.timeBuf = env.Base.AppendArrivals(env.timeBuf[:0], env.Since, t)
-	for _, at := range env.timeBuf {
+// ActivationTimes returns every time stamp in (env.Since, t] at which an
+// occurrence of the instance-oriented expression e arises for object oid:
+// the instants T bound by the at(e, X, T) event formula of Section 3.3.
+// An occurrence "arises at t'" exactly when ots(e, t', oid) equals t'
+// (the expression is active for the object with the probe instant itself
+// as activation time stamp).
+func (env *Env) ActivationTimes(e Expr, t clock.Time, oid types.OID) []clock.Time {
+	var out []clock.Time
+	for _, at := range env.Base.Arrivals(env.Since, t) {
 		if env.OTS(e, at, oid) == TS(at) {
-			dst = append(dst, at)
+			out = append(out, at)
 		}
 	}
-	return dst
+	return out
 }

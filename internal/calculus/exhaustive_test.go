@@ -70,7 +70,8 @@ func exhaustiveCatalog() []Expr {
 // Every catalog expression satisfies, on every history and at every
 // instant: (1) the witness invariant (ts is ±t or ±(an arrival stamp));
 // (2) De Morgan against its mechanically negated dual at the set level;
-// (3) domain-restricted lifts preserve activation.
+// (3) PlanEval, whose lifts range over the objects the expression's own
+// types touched where restrictionSafe allows, agrees value for value.
 func TestExhaustiveInvariants(t *testing.T) {
 	catalog := exhaustiveCatalog()
 	forEachHistory(t, 4, func(b *event.Base, horizon clock.Time) {
@@ -79,8 +80,8 @@ func TestExhaustiveInvariants(t *testing.T) {
 			stamps[o.Timestamp] = true
 		}
 		full := &Env{Base: b}
-		restricted := &Env{Base: b, RestrictDomain: true}
-		for _, e := range catalog {
+		pe, roots := evaluator(b, catalog...)
+		for i, e := range catalog {
 			for at := clock.Time(1); at <= horizon; at++ {
 				v := full.TS(e, at)
 				abs := clock.Time(v)
@@ -90,8 +91,8 @@ func TestExhaustiveInvariants(t *testing.T) {
 				if abs != at && !stamps[abs] {
 					t.Fatalf("witness violated: ts(%s, %d) = %d on %v", e, at, int64(v), b.All())
 				}
-				if r := restricted.TS(e, at); r.Active() != v.Active() {
-					t.Fatalf("restriction changed activation: %s at t=%d on %v", e, at, b.All())
+				if r := pe.TS(roots[i], at, clock.Never); r != v {
+					t.Fatalf("PlanEval ts(%s, %d) = %d, definition %d on %v", e, at, int64(r), int64(v), b.All())
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package calculus
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"chimera/internal/clock"
@@ -13,7 +14,8 @@ import (
 // annotated with their quantifier and per-object breakdown. The shell's
 // `explain <rule>` command renders it so a rule author can see exactly
 // why a composite event is (not) active — the calculus counterpart of a
-// query plan.
+// query plan. It walks the plan's nodes and reads every value from the
+// PlanEval, the evaluator that fires rules.
 
 // ExplainNode is one node of the evaluation tree.
 type ExplainNode struct {
@@ -54,108 +56,104 @@ func (n ExplainNode) render(sb *strings.Builder, depth int) {
 	}
 }
 
-// Explain evaluates ts(e, t) and returns the annotated tree. It mirrors
-// Env.TS exactly; TestExplainMatchesTS checks the values coincide on
-// random expressions and histories.
-func (env *Env) Explain(e Expr, t clock.Time) ExplainNode {
-	if IsInstanceRooted(e) {
-		return env.explainLift(e, t)
+// Explain evaluates ts of node id at t over R = (since, t] and returns the
+// annotated tree. pe must be bound (Bind) with a floor at or below since.
+func (pe *PlanEval) Explain(id NodeID, t, since clock.Time) ExplainNode {
+	n := &pe.plan.nodes[id]
+	node := ExplainNode{Expr: n.expr.String(), Value: pe.TS(id, t, since)}
+	if n.instRooted {
+		return pe.explainLift(id, n, node, t, since)
 	}
-	switch n := e.(type) {
-	case Prim:
-		node := ExplainNode{Expr: e.String(), Value: env.TS(e, t)}
-		if last := env.Base.LastOf(n.T, env.Since, t); last != clock.Never {
-			node.Note = fmt.Sprintf("last occurrence at t%d", last)
-		} else {
-			node.Note = "no occurrence in window"
+	switch n.key.op {
+	case planPrim:
+		node.Note = "no occurrence in window"
+		if node.Active() {
+			node.Note = fmt.Sprintf("last occurrence at t%d", node.Value)
 		}
-		return node
-	case Not:
-		child := env.Explain(n.X, t)
-		return ExplainNode{Expr: e.String(), Value: -child.Value,
-			Note: "negation flips the component's ts", Children: []ExplainNode{child}}
-	case And:
-		l, r := env.Explain(n.L, t), env.Explain(n.R, t)
-		v := env.TS(e, t)
-		note := "both active → max of stamps"
-		if !v.Active() {
-			note = "needs both components active"
+	case planNot:
+		node.Note = "negation flips the component's ts"
+		node.Children = []ExplainNode{pe.Explain(n.key.l, t, since)}
+	case planAnd:
+		node.Note = "both active → max of stamps"
+		if !node.Active() {
+			node.Note = "needs both components active"
 		}
-		return ExplainNode{Expr: e.String(), Value: v, Note: note, Children: []ExplainNode{l, r}}
-	case Or:
-		l, r := env.Explain(n.L, t), env.Explain(n.R, t)
-		v := env.TS(e, t)
-		note := "at least one component active"
-		if !v.Active() {
-			note = "no component active"
+		node.Children = []ExplainNode{pe.Explain(n.key.l, t, since), pe.Explain(n.key.r, t, since)}
+	case planOr:
+		node.Note = "at least one component active"
+		if !node.Active() {
+			node.Note = "no component active"
 		}
-		return ExplainNode{Expr: e.String(), Value: v, Note: note, Children: []ExplainNode{l, r}}
-	case Seq:
-		r := env.Explain(n.R, t)
-		node := ExplainNode{Expr: e.String(), Value: env.TS(e, t)}
+		node.Children = []ExplainNode{pe.Explain(n.key.l, t, since), pe.Explain(n.key.r, t, since)}
+	case planSeq:
+		r := pe.Explain(n.key.r, t, since)
 		if !r.Active() {
 			node.Note = "second component inactive"
 			node.Children = []ExplainNode{r}
-			return node
+			break
 		}
-		l := env.Explain(n.L, r.Value.Time())
-		l.Note = strings.TrimSpace(l.Note + fmt.Sprintf(" (evaluated at the anchor t%d)", r.Value.Time()))
-		if node.Value.Active() {
-			node.Note = fmt.Sprintf("first active by the second's stamp t%d", r.Value.Time())
-		} else {
-			node.Note = fmt.Sprintf("first not active by the second's stamp t%d", r.Value.Time())
+		anchor := r.Value.Time()
+		l := pe.Explain(n.key.l, anchor, since)
+		l.Note = strings.TrimSpace(l.Note + fmt.Sprintf(" (evaluated at the anchor t%d)", anchor))
+		node.Note = fmt.Sprintf("first not active by the second's stamp t%d", anchor)
+		if node.Active() {
+			node.Note = fmt.Sprintf("first active by the second's stamp t%d", anchor)
 		}
 		node.Children = []ExplainNode{l, r}
-		return node
 	}
-	panic("calculus: unknown expression node in Explain")
+	return node
 }
 
 // explainLift explains a maximal instance-rooted subexpression: the
-// quantifier, the object domain, and one child per object.
-func (env *Env) explainLift(e Expr, t clock.Time) ExplainNode {
-	oids := env.domain(e, t)
-	universal := false
-	if n, ok := e.(Not); ok && n.Inst {
-		universal = true
+// quantifier, the lift's object domain — ascending by OID when it is
+// restricted to the objects the node's types touched, in order of first
+// appearance otherwise — and one child per object.
+func (pe *PlanEval) explainLift(id NodeID, n *planNode, node ExplainNode, t, since clock.Time) ExplainNode {
+	pe.rd = pe.base.Read()
+	defer pe.rd.Done()
+	var oids []types.OID
+	for _, oi := range pe.domain(id, n.safe, t, since) {
+		oids = append(oids, pe.rd.OID(oi))
+	}
+	if n.safe {
+		slices.Sort(oids)
 	}
 	quant := "existential lift (some object)"
-	if universal {
+	if n.key.op == planNot {
 		quant = "universal lift (no object may satisfy the body)"
 	}
-	node := ExplainNode{Expr: e.String(), Value: env.TS(e, t),
-		Note: fmt.Sprintf("%s over %d object(s)", quant, len(oids))}
+	node.Note = fmt.Sprintf("%s over %d object(s)", quant, len(oids))
 	for _, oid := range oids {
-		v := env.OTS(e, t, oid)
 		node.Children = append(node.Children, ExplainNode{
 			Expr:  fmt.Sprintf("ots for %s", oid),
-			Value: v,
+			Value: pe.ots(id, t, since, pe.rd.ObjID(oid)),
 		})
 	}
 	return node
 }
 
-// ExplainTrigger renders the full Section 4.4 triggering verdict for an
-// expression over R = (since, now]: the R ≠ ∅ guard, the ∃t' probe, and
-// the ts tree at the decisive instant (the firing instant when
-// triggered, now otherwise).
-func (env *Env) ExplainTrigger(e Expr, now clock.Time) string {
+// ExplainTrigger renders the full Section 4.4 triggering verdict of node
+// id over R = (since, now]: the R ≠ ∅ guard, the ∃t' probe — every
+// arrival of R, then now — and the ts tree at the decisive instant (the
+// firing instant when triggered, now otherwise). pe must be bound (Bind)
+// with a floor at or below since.
+func (pe *PlanEval) ExplainTrigger(id NodeID, since, now clock.Time) string {
 	var sb strings.Builder
-	arrivals := env.Base.Arrivals(env.Since, now)
-	fmt.Fprintf(&sb, "window R = (t%d, t%d]: %d occurrence(s)\n", env.Since, now, len(arrivals))
+	arrivals := pe.base.Arrivals(since, now)
+	fmt.Fprintf(&sb, "window R = (t%d, t%d]: %d occurrence(s)\n", since, now, len(arrivals))
 	if len(arrivals) == 0 {
 		sb.WriteString("R is empty → not triggered (reactive-system guard)\n")
 		return sb.String()
 	}
-	ok, at := env.Triggered(e, now)
-	if ok {
-		fmt.Fprintf(&sb, "∃t' probe: ts positive first at t' = t%d → TRIGGERED\n", at)
-		sb.WriteString(env.Explain(e, at).String())
-	} else {
-		fmt.Fprintf(&sb, "∃t' probe: ts never positive at any of %d instants → not triggered\n", len(arrivals)+1)
-		sb.WriteString(env.Explain(e, now).String())
+	for _, at := range append(arrivals, now) {
+		pe.Begin(at)
+		if pe.TS(id, at, since).Active() {
+			fmt.Fprintf(&sb, "∃t' probe: ts positive first at t' = t%d → TRIGGERED\n", at)
+			sb.WriteString(pe.Explain(id, at, since).String())
+			return sb.String()
+		}
 	}
+	fmt.Fprintf(&sb, "∃t' probe: ts never positive at any of %d instants → not triggered\n", len(arrivals)+1)
+	sb.WriteString(pe.Explain(id, now, since).String())
 	return sb.String()
 }
-
-var _ = types.OID(0)

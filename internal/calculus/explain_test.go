@@ -6,10 +6,23 @@ import (
 	"testing"
 
 	"chimera/internal/clock"
+	"chimera/internal/event"
 )
 
-// Explain's value at every node of the tree equals the corresponding TS
-// evaluation — the explanation never lies.
+// explain is PlanEval.Explain of e at t over the whole of b.
+func explain(b *event.Base, e Expr, t clock.Time) ExplainNode {
+	pe, roots := evaluator(b, e)
+	return pe.Explain(roots[0], t, clock.Never)
+}
+
+// explainTrigger is PlanEval.ExplainTrigger of e over (clock.Never, now].
+func explainTrigger(b *event.Base, e Expr, now clock.Time) string {
+	pe, roots := evaluator(b, e)
+	return pe.ExplainTrigger(roots[0], clock.Never, now)
+}
+
+// Explain's value at the root of the tree equals the definition's TS —
+// the explanation never lies.
 func TestExplainMatchesTS(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	vocab := DefaultVocabulary()
@@ -20,8 +33,9 @@ func TestExplainMatchesTS(t *testing.T) {
 		c := clock.New()
 		base, now := GenHistory(r, c, HistoryOptions{Types: vocab, Objects: 3, Events: 10})
 		env := &Env{Base: base}
+		pe, roots := evaluator(base, e)
 		for at := clock.Time(1); at <= now; at += 3 {
-			node := env.Explain(e, at)
+			node := pe.Explain(roots[0], at, clock.Never)
 			if node.Value != env.TS(e, at) {
 				t.Fatalf("Explain root value %d != TS %d for %s at t=%d",
 					int64(node.Value), int64(env.TS(e, at)), e, at)
@@ -35,9 +49,8 @@ func TestExplainTree(t *testing.T) {
 		row{createStock, 1, 10},
 		row{modStockQty, 1, 20},
 	)
-	env := &Env{Base: b}
 	e := Conj(P(createStock), Neg(P(deleteStock)))
-	node := env.Explain(e, 25)
+	node := explain(b, e, 25)
 	if !node.Active() {
 		t.Fatal("conjunction should be active")
 	}
@@ -60,13 +73,12 @@ func TestExplainPrecedenceAnchor(t *testing.T) {
 		row{createStock, 1, 10},
 		row{modStockQty, 1, 20},
 	)
-	env := &Env{Base: b}
-	s := env.Explain(Prec(P(createStock), P(modStockQty)), 25).String()
+	s := explain(b, Prec(P(createStock), P(modStockQty)), 25).String()
 	if !strings.Contains(s, "anchor t20") && !strings.Contains(s, "stamp t20") {
 		t.Errorf("precedence explanation lacks the anchor:\n%s", s)
 	}
 	// Inactive second component short-circuits.
-	s = env.Explain(Prec(P(modStockQty), P(deleteStock)), 25).String()
+	s = explain(b, Prec(P(modStockQty), P(deleteStock)), 25).String()
 	if !strings.Contains(s, "second component inactive") {
 		t.Errorf("short-circuit note missing:\n%s", s)
 	}
@@ -77,12 +89,11 @@ func TestExplainLiftQuantifiers(t *testing.T) {
 		row{createStock, 1, 10},
 		row{modStockQty, 2, 20},
 	)
-	env := &Env{Base: b}
-	s := env.Explain(ConjI(P(createStock), P(modStockQty)), 25).String()
+	s := explain(b, ConjI(P(createStock), P(modStockQty)), 25).String()
 	if !strings.Contains(s, "existential lift") || !strings.Contains(s, "ots for o1") {
 		t.Errorf("existential lift explanation:\n%s", s)
 	}
-	s = env.Explain(NegI(ConjI(P(createStock), P(modStockQty))), 25).String()
+	s = explain(b, NegI(ConjI(P(createStock), P(modStockQty))), 25).String()
 	if !strings.Contains(s, "universal lift") {
 		t.Errorf("universal lift explanation:\n%s", s)
 	}
@@ -90,8 +101,7 @@ func TestExplainLiftQuantifiers(t *testing.T) {
 
 func TestExplainTrigger(t *testing.T) {
 	// Empty window.
-	env := &Env{Base: hist(t)}
-	s := env.ExplainTrigger(P(createStock), 10)
+	s := explainTrigger(hist(t), P(createStock), 10)
 	if !strings.Contains(s, "R is empty") {
 		t.Errorf("empty-R verdict missing:\n%s", s)
 	}
@@ -100,13 +110,12 @@ func TestExplainTrigger(t *testing.T) {
 		row{createStock, 1, 10},
 		row{modStockQty, 1, 20},
 	)
-	env = &Env{Base: b}
-	s = env.ExplainTrigger(Conj(P(createStock), Neg(P(modStockQty))), 25)
+	s = explainTrigger(b, Conj(P(createStock), Neg(P(modStockQty))), 25)
 	if !strings.Contains(s, "TRIGGERED") || !strings.Contains(s, "t' = t10") {
 		t.Errorf("probe verdict:\n%s", s)
 	}
 	// Never active.
-	s = env.ExplainTrigger(P(deleteStock), 25)
+	s = explainTrigger(b, P(deleteStock), 25)
 	if !strings.Contains(s, "not triggered") {
 		t.Errorf("negative verdict:\n%s", s)
 	}

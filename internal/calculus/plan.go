@@ -2,19 +2,23 @@ package calculus
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"chimera/internal/clock"
 	"chimera/internal/event"
+	"chimera/internal/types"
 )
 
 // This file implements the shared trigger plan: expression trees of a
 // whole rule set hash-consed into one interned DAG (structural keys over
 // Prim/Not/And/Or/Seq × granularity), plus a generation-stamped memo
 // evaluator so a subexpression shared by N rules is evaluated once per
-// probe instant instead of N times. It is the Trigger Support's only
-// triggering evaluator; the paper's Section 5.1 optimizes each rule in
-// isolation, this is the cross-rule complement.
+// probe instant instead of N times. It is the one production evaluator of
+// the calculus: the Trigger Support decides triggering with it, the
+// condition's event formulas bind with it and the shell's explain reads
+// it. The paper's Section 5.1 optimizes each rule in isolation, this is
+// the cross-rule complement.
 
 // NodeID identifies one interned DAG node within a Plan. IDs are stable
 // for the lifetime of the node (until its refcount drops to zero) and
@@ -58,12 +62,10 @@ type planNode struct {
 	// multiplicity), the sharing report's dedup numerator.
 	size int32
 	// instRooted marks nodes whose top operator is instance-oriented: in a
-	// set-oriented context they evaluate via the ots→ts lift.
+	// set-oriented context they evaluate via the ots→ts lift. safe is
+	// restrictionSafe of the lift; meaningful only when instRooted.
 	instRooted bool
-	// prims and safe are the lift's precomputed domain-restriction inputs
-	// (see Env.domainCached); meaningful only when instRooted.
-	prims []event.Type
-	safe  bool
+	safe       bool
 }
 
 // Plan is the interned DAG for one rule set. It is not safe for
@@ -160,7 +162,6 @@ func (p *Plan) Intern(e Expr) NodeID {
 	if IsInstanceRooted(e) {
 		nd.instRooted = true
 		nd.safe = restrictionSafe(e)
-		nd.prims = Primitives(e)
 	}
 	p.ids[k] = id
 	p.live++
@@ -169,6 +170,27 @@ func (p *Plan) Intern(e Expr) NodeID {
 		p.prims = append(p.prims, id)
 	}
 	return id
+}
+
+// restrictionSafe reports whether the lift of e may range over the
+// objects e's own primitive types touched instead of every object of R.
+// It may exactly when the objects left out contribute neutrally: a
+// strictly negative ots to an existential lift, a strictly positive entry
+// to the universal -= lift. An untouched object's ots is the vacuous
+// value of the expression (−t, or +t under a negation), and every touched
+// value is bounded by it, so the restriction never changes a lift's
+// value. For the other shapes (e.g. -=(-=A), or A ,= -=B) the lift ranges
+// over every object of R.
+func restrictionSafe(e Expr) bool {
+	if n, ok := e.(Not); ok && n.Inst {
+		// Universal lift: untouched objects must contribute positive
+		// entries (-ots of an inactive body), i.e. the body must be
+		// vacuously inactive.
+		return !VacuouslyActive(n.X)
+	}
+	// Existential lift: untouched objects must contribute negative
+	// entries, i.e. the expression must be vacuously inactive.
+	return !VacuouslyActive(e)
 }
 
 func (p *Plan) alloc() NodeID {
@@ -265,8 +287,13 @@ func (p *Plan) SharedNodes(minRefs int) []SharedNode {
 // bound base's interned ids at Bind, so an evaluation hashes no Type and
 // no OID.
 //
-// A PlanEval is stateful scratch like Env: one per goroutine. The
-// underlying Plan may be shared read-only across evaluators.
+// Besides ts it answers the two event formulas of Section 3.3 over a node
+// (AffectedObjects, ActivationTimes), each in one read section of the
+// base, and explains a triggering verdict (explain.go). Env is the
+// definition it is held to.
+//
+// A PlanEval is stateful scratch: one per goroutine. The underlying Plan
+// may be shared read-only across evaluators.
 //
 // Correctness hinges on two gates (DESIGN.md §10). A memo slot is read
 // only at the generation's instant (Begin): precedence evaluates its left
@@ -282,8 +309,6 @@ type PlanEval struct {
 	// floor is the least horizon any probe of the bound walk names; stamps
 	// at or below it cannot make a leaf active.
 	floor clock.Time
-	// RestrictDomain mirrors Env.RestrictDomain for the lifts.
-	RestrictDomain bool
 	// Budget, when non-nil, is charged one unit per computed node (the
 	// same work evals counts; hits of the node memo are free). Exhaustion
 	// aborts with a budget fault (see Budget).
@@ -308,23 +333,28 @@ type PlanEval struct {
 	primEpoch []uint64
 
 	// The leaves resolved against the bound base's type interner: primTID
-	// is each prim node's type id, liftTIDs each instance-rooted node's
-	// prims as type ids, and tid2prim the way back, from a type id to the
-	// prim node of that type — the batched probe path reports arrivals by
-	// id (NoteArrivalTID). Bind rebuilds all three whenever the bound base
-	// or the plan's structure changed; the rebuild interns every live prim
-	// type, so a tid at or past tid2prim's length was interned later by a
-	// non-prim arrival and is correctly ignored.
+	// is each prim node's type id (event.NoType for a type the base never
+	// interned), and tid2prim the way back, from a type id to the prim
+	// node of that type — the batched probe path reports arrivals by id
+	// (NoteArrivalTID). Bind rebuilds both whenever the bound base or the
+	// plan's structure changed, and, unless tracking, whenever the base
+	// interned a type since (tidTypes is the count the rebuild saw). A
+	// tracking rebuild interns every live prim type, so a tid at or past
+	// tid2prim's length was interned later by a non-prim arrival and is
+	// correctly ignored.
 	primTID  []int32
-	liftTIDs [][]int32
 	tid2prim []NodeID
 	tidBase  *event.Base
 	planVer  uint64
+	tidTypes int
 
-	// rd is the read section a lift holds over its domain and ots probes.
-	rd event.Reader
-	// oidScratch holds the object domain of the lift being evaluated.
+	// rd is the read section a lift or a query holds over its domain and
+	// ots probes. oidScratch holds the domain, tidScratch the types it is
+	// restricted to, times a query's probe instants.
+	rd         event.Reader
 	oidScratch []int32
+	tidScratch []int32
+	times      []clock.Time
 
 	evals int64
 	hits  int64
@@ -345,42 +375,51 @@ func (s span) meet(o span) span { return span{max(s.lo, o.lo), min(s.hi, o.hi)} 
 
 func (s span) holds(since clock.Time) bool { return s.lo <= since && since < s.hi }
 
-// NewPlanEval returns an evaluator over p with domain restriction on
-// (the Trigger Support's configuration).
-func NewPlanEval(p *Plan) *PlanEval {
-	return &PlanEval{plan: p, RestrictDomain: true}
-}
+// NewPlanEval returns an evaluator over p.
+func NewPlanEval(p *Plan) *PlanEval { return &PlanEval{plan: p} }
 
 // Bind points the evaluator at an Event Base for probes whose horizons
 // all lie at or above floor, and invalidates every memoized value, prim
 // cursors included. It also resolves the plan's leaves to the base's type
-// ids if the base or the plan changed since they were last resolved.
+// ids if the base or the plan changed since they were last resolved, or,
+// unless tracking, if the base interned a type since.
 func (pe *PlanEval) Bind(base *event.Base, floor clock.Time) {
 	pe.base = base
 	pe.floor = floor
 	pe.gen++
 	pe.bindGen++
 	pe.cur = clock.Never
-	if pe.tidBase != base || pe.planVer != pe.plan.version {
+	if pe.tidBase != base || pe.planVer != pe.plan.version ||
+		!pe.tracking && base.InternedTypes() != pe.tidTypes {
 		pe.rebuildTIDs(base)
 	}
 }
 
-// rebuildTIDs resolves the plan's leaves against base. Every live prim
-// type is interned (assigning ids, in the plan's prim order, to types the
-// engine has not interned yet; after Support.Rebind there are none) and
-// mapped to its node and back; an instance-rooted node's prims are prim
-// nodes of the plan, so their ids exist by then. Types interned after
-// this instant cannot be prim types while the plan is unchanged, so
-// tid2prim lookups past its length are simply not prims.
+// rebuildTIDs resolves the plan's leaves against base. A tracking
+// evaluator interns every live prim type (assigning ids, in the plan's
+// prim order, to types the engine has not interned yet; after
+// Support.Rebind there are none), so types interned after this instant
+// cannot be prim types while the plan is unchanged and tid2prim lookups
+// past its length are simply not prims. Any other evaluator only looks
+// the types up: a condition or an explanation must not change the ids
+// the base hands its arrivals, which the WAL logs. A type it does not
+// find has no occurrence yet; one interned after the lookups began is
+// resolved at the next Bind.
 func (pe *PlanEval) rebuildTIDs(base *event.Base) {
 	nodes := pe.plan.nodes
 	if len(pe.primTID) < len(nodes) {
 		pe.primTID = append(pe.primTID, make([]int32, len(nodes)-len(pe.primTID))...)
-		pe.liftTIDs = append(pe.liftTIDs, make([][]int32, len(nodes)-len(pe.liftTIDs))...)
 	}
+	pe.tidTypes = base.InternedTypes()
 	for _, id := range pe.plan.prims {
-		pe.primTID[id] = base.InternType(nodes[id].key.t)
+		t := nodes[id].key.t
+		if pe.tracking {
+			pe.primTID[id] = base.InternType(t)
+		} else if tid, ok := base.TypeID(t); ok {
+			pe.primTID[id] = tid
+		} else {
+			pe.primTID[id] = event.NoType
+		}
 	}
 	n := base.InternedTypes()
 	if cap(pe.tid2prim) < n {
@@ -391,21 +430,10 @@ func (pe *PlanEval) rebuildTIDs(base *event.Base) {
 		pe.tid2prim[i] = NoNode
 	}
 	for _, id := range pe.plan.prims {
-		pe.tid2prim[pe.primTID[id]] = id
-	}
-	rd := base.Read()
-	for id := range nodes {
-		if !nodes[id].instRooted {
-			continue
+		if tid := pe.primTID[id]; tid != event.NoType {
+			pe.tid2prim[tid] = id
 		}
-		tids := pe.liftTIDs[id][:0]
-		for _, t := range nodes[id].prims {
-			tid, _ := rd.TypeID(t)
-			tids = append(tids, tid)
-		}
-		pe.liftTIDs[id] = tids
 	}
-	rd.Done()
 	if pe.tracking {
 		pe.growPrim()
 	}
@@ -559,6 +587,22 @@ func (pe *PlanEval) primTS(id NodeID, t, since clock.Time) (TS, span) {
 	return -TS(t), span{last, math.MaxInt64}
 }
 
+// appendTIDs appends to dst the type ids of the prims under node id that
+// dst lacks, leaving out the types the base has not interned.
+func (pe *PlanEval) appendTIDs(dst []int32, id NodeID) []int32 {
+	if id == NoNode {
+		return dst
+	}
+	n := &pe.plan.nodes[id]
+	if n.key.op != planPrim {
+		return pe.appendTIDs(pe.appendTIDs(dst, n.key.l), n.key.r)
+	}
+	if tid := pe.primTID[id]; tid != event.NoType && !slices.Contains(dst, tid) {
+		dst = append(dst, tid)
+	}
+	return dst
+}
+
 // lastOf is prim node id's last occurrence in (floor, t].
 func (pe *PlanEval) lastOf(id NodeID, t clock.Time) clock.Time {
 	rd := pe.base.Read()
@@ -575,42 +619,84 @@ func (pe *PlanEval) lastOf(id NodeID, t clock.Time) clock.Time {
 func (pe *PlanEval) lift(id NodeID, n *planNode, t, since clock.Time) TS {
 	pe.rd = pe.base.Read()
 	defer pe.rd.Done() // a budget fault unwinds through here
-	oids := pe.domain(id, n, t, since)
+	oids := pe.domain(id, n.safe, t, since)
 	if n.key.op == planNot {
-		if len(oids) == 0 {
-			return TS(t)
-		}
-		best := pe.ots(id, t, since, oids[0])
-		for _, oid := range oids[1:] {
-			best = minTS(best, pe.ots(id, t, since, oid))
+		best := TS(t)
+		for i, oi := range oids {
+			if v := pe.ots(id, t, since, oi); i == 0 || v < best {
+				best = v
+			}
 		}
 		return best
 	}
-	if len(oids) == 0 {
-		return -TS(t)
-	}
-	best := pe.ots(id, t, since, oids[0])
-	for _, oid := range oids[1:] {
-		best = maxTS(best, pe.ots(id, t, since, oid))
+	best := -TS(t)
+	for i, oi := range oids {
+		if v := pe.ots(id, t, since, oi); i == 0 || v > best {
+			best = v
+		}
 	}
 	return best
 }
 
-// domain returns the lift's object domain over (since, t] in oidScratch,
-// which the next domain overwrites.
-func (pe *PlanEval) domain(id NodeID, n *planNode, t, since clock.Time) []int32 {
+// domain returns the object domain of node id over (since, t], inside the
+// read section, in oidScratch, which the next domain overwrites: the
+// objects the node's own types touched if restrict is set, every object
+// of the window otherwise; ascending by interned id either way.
+func (pe *PlanEval) domain(id NodeID, restrict bool, t, since clock.Time) []int32 {
 	pe.Budget.Charge()
 	pe.evals++
-	if pe.RestrictDomain && n.safe {
-		pe.oidScratch = pe.rd.AppendObjsOfTIDs(pe.oidScratch[:0], pe.liftTIDs[id], since, t)
+	if restrict {
+		pe.tidScratch = pe.appendTIDs(pe.tidScratch[:0], id)
+		pe.oidScratch = pe.rd.AppendObjsOfTIDs(pe.oidScratch[:0], pe.tidScratch, since, t)
 	} else {
 		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)
 	}
 	return pe.oidScratch
 }
 
-// ots mirrors Env.OTS on the DAG, for the object with interned id oid,
-// inside lift's read section.
+// AffectedObjects appends to dst the objects for which node id is active
+// at t over R = (since, t] — the occurred(E, X) bindings of Section 3.3,
+// Env.AffectedObjects' set. Unless E is vacuously active, an object E's
+// own types did not touch has ots −t: only the touched ones are probed,
+// and they come out in ascending OID order; otherwise every object of R
+// is, in order of first appearance.
+func (pe *PlanEval) AffectedObjects(dst []types.OID, id NodeID, t, since clock.Time) []types.OID {
+	pe.rd = pe.base.Read()
+	defer pe.rd.Done() // a budget fault unwinds through here
+	n := &pe.plan.nodes[id]
+	restrict := !VacuouslyActive(n.expr)
+	start := len(dst)
+	for _, oi := range pe.domain(id, restrict, t, since) {
+		// A primitive is active for exactly the objects its type touched.
+		if n.key.op == planPrim || pe.ots(id, t, since, oi).Active() {
+			dst = append(dst, pe.rd.OID(oi))
+		}
+	}
+	if restrict {
+		slices.Sort(dst[start:])
+	}
+	return dst
+}
+
+// ActivationTimes appends to dst every instant t' of (since, t] at which
+// an occurrence of node id arises for object oid, ots(E, t', oid) = t' —
+// the at(E, X, T) instants of Section 3.3, as Env.ActivationTimes.
+func (pe *PlanEval) ActivationTimes(dst []clock.Time, id NodeID, t, since clock.Time, oid types.OID) []clock.Time {
+	pe.rd = pe.base.Read()
+	defer pe.rd.Done() // a budget fault unwinds through here
+	oi := pe.rd.ObjID(oid)
+	pe.times = pe.rd.AppendArrivals(pe.times[:0], since, t)
+	for _, at := range pe.times {
+		if pe.ots(id, at, since, oi) == TS(at) {
+			dst = append(dst, at)
+		}
+	}
+	return dst
+}
+
+// ots mirrors Env.OTS on the DAG, for the object with interned id oid
+// (event.NoObj for one the base never logged), inside the caller's read
+// section.
 func (pe *PlanEval) ots(id NodeID, t, since clock.Time, oid int32) TS {
 	pe.Budget.Charge()
 	n := &pe.plan.nodes[id]

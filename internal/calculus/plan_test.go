@@ -65,13 +65,38 @@ func TestPlanInterningSharesStructure(t *testing.T) {
 	}
 }
 
+// evaluator interns exprs into a fresh plan and returns an evaluator over
+// it bound to base from the beginning, with the root of each expression.
+func evaluator(base *event.Base, exprs ...Expr) (*PlanEval, []NodeID) {
+	plan := NewPlan()
+	roots := make([]NodeID, len(exprs))
+	for i, e := range exprs {
+		roots[i] = plan.Intern(e)
+	}
+	pe := NewPlanEval(plan)
+	pe.Bind(base, clock.Never)
+	return pe, roots
+}
+
+// wantAffected is the definition's affected objects in the order PlanEval
+// returns them: ascending by OID unless e is vacuously active.
+func wantAffected(env *Env, e Expr, t clock.Time) []types.OID {
+	objs := env.AffectedObjects(e, t)
+	if !VacuouslyActive(e) {
+		slices.Sort(objs)
+	}
+	return objs
+}
+
 // TestPlanEvalMatchesEnv pins the memoized DAG evaluator to the
-// recursive reference evaluator over random expressions and histories,
-// at every arrival instant and the final now, under both domain modes —
-// including precedence (whose left operand is probed at a historical
-// instant and must bypass the memo) and instance lifts. Every
-// generation serves several horizons, interleaved, so a memoized value
-// is read back only inside the range of horizons it holds for.
+// definition over random expressions and histories, at every arrival
+// instant and the final now — including precedence (whose left operand is
+// probed at a historical instant and must bypass the memo) and instance
+// lifts, whose domains PlanEval restricts and the definition does not.
+// Every generation serves several horizons, interleaved, so a memoized
+// value is read back only inside the range of horizons it holds for. At
+// now, every root's affected objects (in order) and, for every object of
+// the base and one it never logged, its activation instants match too.
 func TestPlanEvalMatchesEnv(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	vocab := DefaultVocabulary()
@@ -92,40 +117,50 @@ func TestPlanEvalMatchesEnv(t *testing.T) {
 				exprs = append(exprs, Disj(e, frag))
 			}
 		}
-
-		plan := NewPlan()
-		roots := make([]NodeID, len(exprs))
-		for i, e := range exprs {
-			roots[i] = plan.Intern(e)
-		}
+		pe, roots := evaluator(base, exprs...)
 
 		horizons := []clock.Time{clock.Never, now / 3, now / 2, now/2 + 1}
-		for _, restrict := range []bool{true, false} {
-			envs := make([]*Env, len(horizons))
-			for h, since := range horizons {
-				envs[h] = &Env{Base: base, Since: since, RestrictDomain: restrict}
+		envs := make([]*Env, len(horizons))
+		for h, since := range horizons {
+			envs[h] = &Env{Base: base, Since: since}
+		}
+		probes := base.AppendArrivals(nil, clock.Never, now)
+		probes = append(probes, now)
+		for _, at := range probes {
+			pe.Begin(at)
+			for i, e := range exprs {
+				for h, since := range horizons {
+					if at <= since {
+						continue
+					}
+					want := envs[h].TS(e, at)
+					if got := pe.TS(roots[i], at, since); got != want {
+						t.Fatalf("trial %d since=%d: ts(%s, %d) = %d via plan, %d via definition",
+							trial, since, e, at, got, want)
+					}
+					// A second read serves the same value, from the memo.
+					if again := pe.TS(roots[i], at, since); again != want {
+						t.Fatalf("memoized reread of ts(%s, %d) since %d = %d, want %d", e, at, since, again, want)
+					}
+				}
 			}
-			pe := NewPlanEval(plan)
-			pe.RestrictDomain = restrict
-			pe.Bind(base, clock.Never)
-			probes := base.AppendArrivals(nil, clock.Never, now)
-			probes = append(probes, now)
-			for _, at := range probes {
-				pe.Begin(at)
-				for i, e := range exprs {
-					for h, since := range horizons {
-						if at <= since {
-							continue
-						}
-						want := envs[h].TS(e, at)
-						if got := pe.TS(roots[i], at, since); got != want {
-							t.Fatalf("trial %d restrict=%v since=%d: ts(%s, %d) = %d via plan, %d via reference",
-								trial, restrict, since, e, at, got, want)
-						}
-						// A second read serves the same value, from the memo.
-						if again := pe.TS(roots[i], at, since); again != want {
-							t.Fatalf("memoized reread of ts(%s, %d) since %d = %d, want %d", e, at, since, again, want)
-						}
+		}
+		objs := append(base.OIDs(clock.Never, now), 999)
+		for i, e := range exprs {
+			if !IsInstanceRooted(e) {
+				continue
+			}
+			for h, since := range horizons {
+				want := wantAffected(envs[h], e, now)
+				if got := pe.AffectedObjects(nil, roots[i], now, since); !slices.Equal(got, want) {
+					t.Fatalf("trial %d since=%d: affected objects of %s = %v via plan, %v via definition",
+						trial, since, e, got, want)
+				}
+				for _, oid := range objs {
+					want := envs[h].ActivationTimes(e, now, oid)
+					if got := pe.ActivationTimes(nil, roots[i], now, since, oid); !slices.Equal(got, want) {
+						t.Fatalf("trial %d since=%d: activation instants of %s for %s = %v via plan, %v via definition",
+							trial, since, e, oid, got, want)
 					}
 				}
 			}
@@ -161,7 +196,7 @@ func TestPlanEvalTrackingMatchesEnv(t *testing.T) {
 			horizons := []clock.Time{floor, floor + (now-floor)/2}
 			envs := make([]*Env, len(horizons))
 			for h, since := range horizons {
-				envs[h] = &Env{Base: base, Since: since, RestrictDomain: true}
+				envs[h] = &Env{Base: base, Since: since}
 			}
 			pe := NewPlanEval(plan)
 			pe.Track(true)
@@ -227,22 +262,22 @@ func TestPlanEvalSharingCounters(t *testing.T) {
 	}
 }
 
-// TestLiftsRunBesideAnAppender runs long lifts — PlanEval's and the
-// occurred() window of Env.AppendAffectedObjects — while a writer appends
-// without pause. Each lift holds one read section of the base over its
-// domain and every ots probe under it; a probe that took the base's
-// shared lock again inside the section would block behind the waiting
-// writer for good, so finishing is the assertion (the race suites run
-// this with -race). The probes stop at the instant the history was built
-// to, so the appender cannot change their answers either.
+// TestLiftsRunBesideAnAppender runs long lifts — PlanEval's ts and its
+// occurred() window, AffectedObjects — while a writer appends without
+// pause. Each holds one read section of the base over its domain and
+// every ots probe under it; a probe that took the base's shared lock again
+// inside the section would block behind the waiting writer for good, so
+// finishing is the assertion (the race suites run this with -race). The
+// probes stop at the instant the history was built to, so the appender
+// cannot change their answers either.
 func TestLiftsRunBesideAnAppender(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	vocab := DefaultVocabulary()
 	c := clock.New()
 	base, now := GenHistory(r, c, HistoryOptions{Types: vocab, Objects: 200, Events: 3000})
 	e := DisjI(ConjI(P(vocab[0]), P(vocab[1])), PrecI(P(vocab[2]), P(vocab[0])))
-	env := &Env{Base: base, RestrictDomain: true}
-	wantTS, wantObjs := env.TS(e, now), env.AffectedObjects(e, now)
+	env := &Env{Base: base}
+	wantTS, wantObjs := env.TS(e, now), wantAffected(env, e, now)
 
 	stop, appended := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -265,19 +300,16 @@ func TestLiftsRunBesideAnAppender(t *testing.T) {
 		lifts.Add(1)
 		go func() {
 			defer lifts.Done()
-			plan := NewPlan()
-			root := plan.Intern(e)
-			pe := NewPlanEval(plan)
-			env := &Env{Base: base, RestrictDomain: true}
+			pe, roots := evaluator(base, e)
 			var objs []types.OID
 			for i := 0; i < 150; i++ {
 				pe.Bind(base, clock.Never) // a new memo generation: TS below is a full lift
 				pe.Begin(now)
-				if got := pe.TS(root, now, clock.Never); got != wantTS {
+				if got := pe.TS(roots[0], now, clock.Never); got != wantTS {
 					t.Errorf("lift %d beside the appender: ts = %d, want %d", i, got, wantTS)
 					return
 				}
-				if objs = env.AppendAffectedObjects(objs[:0], e, now); !slices.Equal(objs, wantObjs) {
+				if objs = pe.AffectedObjects(objs[:0], roots[0], now, clock.Never); !slices.Equal(objs, wantObjs) {
 					t.Errorf("window %d beside the appender: %v, want %v", i, objs, wantObjs)
 					return
 				}

@@ -161,20 +161,20 @@ func TestAtPredicateTwoUpdates(t *testing.T) {
 	)
 	env := &Env{Base: b}
 	e := PrecI(P(createStock), P(modStockQty))
-	got := env.AppendActivationTimes(nil, e, 40, 1)
+	got := env.ActivationTimes(e, 40, 1)
 	if len(got) != 2 || got[0] != 20 || got[1] != 30 {
 		t.Fatalf("ActivationTimes = %v, want [20 30]", got)
 	}
 	// An object never created yields none.
-	if got := env.AppendActivationTimes(nil, e, 40, 2); len(got) != 0 {
+	if got := env.ActivationTimes(e, 40, 2); len(got) != 0 {
 		t.Fatalf("ActivationTimes(o2) = %v, want empty", got)
 	}
 }
 
-// Domain restriction is sign-preserving: with RestrictDomain the lift
-// ranges only over objects touched by the expression's own types, and
-// every activation outcome (set-level and per the triggering probe) is
-// unchanged on random histories.
+// Domain restriction is value-preserving: PlanEval's lifts range only
+// over the objects the expression's own types touched (where
+// restrictionSafe allows), the definition's over every object of R, and
+// every ts value is the same on random histories.
 func TestLiftDomainRestriction(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	vocab := DefaultVocabulary()
@@ -186,11 +186,11 @@ func TestLiftDomainRestriction(t *testing.T) {
 		// objects exist.
 		base, now := GenHistory(r, c, HistoryOptions{Types: vocab, Objects: 5, Events: 14})
 		full := &Env{Base: base}
-		restricted := &Env{Base: base, RestrictDomain: true}
+		pe, roots := evaluator(base, e)
 		for at := clock.Time(1); at <= now; at++ {
-			a, b := full.TS(e, at), restricted.TS(e, at)
-			if a.Active() != b.Active() {
-				t.Fatalf("domain restriction changed activation of %s at t=%d: %d vs %d",
+			pe.Begin(at)
+			if a, b := full.TS(e, at), pe.TS(roots[0], at, clock.Never); a != b {
+				t.Fatalf("domain restriction changed ts(%s, %d): %d by definition, %d restricted",
 					e, at, int64(a), int64(b))
 			}
 		}

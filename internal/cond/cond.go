@@ -19,7 +19,8 @@
 // the rows in buffers its Ctx reuses, so that once they have grown a
 // consideration allocates nothing.
 //
-// The event formulas are:
+// The event formulas, answered by calculus.PlanEval — the evaluator that
+// decides triggering — over a plan their Ctx interns them into, are:
 //
 //   - occurred(E, X): binds X to the objects affected by the
 //     instance-oriented event expression E within the observed window;
@@ -80,22 +81,25 @@ type Ctx struct {
 	Since clock.Time
 	At    clock.Time
 	// Budget, when non-nil, is charged by every calculus evaluation the
-	// condition performs (event atoms re-entering the TS/OTS machinery).
+	// condition performs: one unit per node the evaluator computes.
 	Budget *calculus.Budget
 
-	// Scratch recycled across evaluations; the zero value is ready. It
+	// State recycled across evaluations; the zero value is ready. It
 	// makes a Ctx stateful: one Ctx serves one goroutine.
 	//
-	// calc is the one calculus environment every event atom evaluates in
-	// (its buffers grow once), wins holds the windows of the event atoms
-	// the running Formula.Eval has scanned, ext the extension a class atom
-	// is enumerating, prims and times an at() atom's primitive types and
+	// plan, built at the first event atom, holds the expression of every
+	// event atom the Ctx has met, interned once — nodes maps it to its
+	// root, or to calculus.Valid's error — and eval answers them. wins holds the windows of the event atoms the running
+	// Formula.Eval has scanned, ext the extension a class atom is
+	// enumerating, prims and times an at() atom's primitive types and
 	// activation instants. names is the slot table of the rows. empty
 	// lists the empty row an evaluation starts from, and gen holds the rows
 	// atoms generate in two generations: a generating atom reads the rows
 	// of one and writes those of the other, gen[next]. oids is the set
 	// OIDSet hands out.
-	calc  calculus.Env
+	plan  *calculus.Plan
+	eval  *calculus.PlanEval
+	nodes map[calculus.Expr]node
 	wins  []window
 	ext   []types.OID
 	prims []event.Type
@@ -209,11 +213,34 @@ func (b *rowBuf) add(w int) Binding {
 	return r
 }
 
-// env returns the calculus environment of the observed window.
-func (c *Ctx) env() *calculus.Env {
-	e := &c.calc
-	e.Base, e.Since, e.RestrictDomain, e.Budget = c.Base, c.Since, true, c.Budget
-	return e
+// node is an event expression's root in the Ctx's plan, or its error.
+type node struct {
+	id  calculus.NodeID
+	err error
+}
+
+// event returns e's root, interning e the first time ctx meets it, and
+// binds the evaluator to the observed window.
+func (c *Ctx) event(e calculus.Expr) (calculus.NodeID, error) {
+	n, ok := c.nodes[e]
+	if !ok {
+		if c.plan == nil {
+			c.plan = calculus.NewPlan()
+			c.eval = calculus.NewPlanEval(c.plan)
+			c.nodes = make(map[calculus.Expr]node)
+		}
+		n = node{calculus.NoNode, calculus.Valid(e)}
+		if n.err == nil {
+			n.id = c.plan.Intern(e)
+		}
+		c.nodes[e] = n
+	}
+	if n.err != nil {
+		return calculus.NoNode, n.err
+	}
+	c.eval.Budget = c.Budget
+	c.eval.Bind(c.Base, c.Since)
+	return n.id, nil
 }
 
 // window is the part of an event atom that depends on the Ctx alone,
@@ -222,8 +249,10 @@ func (c *Ctx) env() *calculus.Env {
 // once per evaluation lets an earlier class atom enumerate it and the
 // event atom then filter by it.
 type window struct {
-	// atom is the event atom's position in the formula.
+	// atom is the event atom's position in the formula, and node its event
+	// expression's root in the Ctx's plan (occurred and at).
 	atom int
+	node calculus.NodeID
 	// order lists the objects the atom binds an unbound variable to, in
 	// generation order, without duplicates.
 	order []types.OID
@@ -570,11 +599,11 @@ func (a Occurred) Eval(ctx *Ctx, in []Binding) ([]Binding, error) { return evalE
 
 func (a Occurred) objVar() string { return a.Var }
 
-func (a Occurred) scan(ctx *Ctx, w *window) error {
-	if err := calculus.Valid(a.Event); err != nil {
+func (a Occurred) scan(ctx *Ctx, w *window) (err error) {
+	if w.node, err = ctx.event(a.Event); err != nil {
 		return err
 	}
-	w.order = ctx.env().AppendAffectedObjects(w.order[:0], a.Event, ctx.At)
+	w.order = ctx.eval.AffectedObjects(w.order[:0], w.node, ctx.At, ctx.Since)
 	w.setSorted()
 	return nil
 }
@@ -607,11 +636,11 @@ func (a At) objVar() string { return a.Var }
 // the window, whether or not E is still active for it at the end; unless
 // E is vacuously active that takes an occurrence of one of E's own
 // primitive types, so the objects those touched bound the window.
-func (a At) scan(ctx *Ctx, w *window) error {
-	if err := calculus.Valid(a.Event); err != nil {
+func (a At) scan(ctx *Ctx, w *window) (err error) {
+	if w.node, err = ctx.event(a.Event); err != nil {
 		return err
 	}
-	w.order = ctx.env().AppendAffectedObjects(w.order[:0], a.Event, ctx.At)
+	w.order = ctx.eval.AffectedObjects(w.order[:0], w.node, ctx.At, ctx.Since)
 	if w.bounded = !calculus.VacuouslyActive(a.Event); w.bounded {
 		ctx.prims = calculus.AppendPrimitives(ctx.prims[:0], a.Event)
 		w.buf = ctx.Base.AppendOIDsOfTypes(w.buf[:0], ctx.prims, ctx.Since, ctx.At)
@@ -623,7 +652,6 @@ func (a At) scan(ctx *Ctx, w *window) error {
 // bind extends every row by the (X, T) pairs of its candidates into the
 // next generation, writing X's column and then T's.
 func (a At) bind(ctx *Ctx, w *window, v, t int, in []Binding) ([]Binding, error) {
-	env := ctx.env()
 	gen := ctx.generate()
 	for _, row := range in {
 		candidates := w.order
@@ -634,7 +662,7 @@ func (a At) bind(ctx *Ctx, w *window, v, t int, in []Binding) ([]Binding, error)
 			candidates = []types.OID{x.AsOID()}
 		}
 		for _, oid := range candidates {
-			ctx.times = env.AppendActivationTimes(ctx.times[:0], a.Event, ctx.At, oid)
+			ctx.times = ctx.eval.ActivationTimes(ctx.times[:0], w.node, ctx.At, ctx.Since, oid)
 			for _, ts := range ctx.times {
 				r := ctx.extend(gen, row)
 				r[v] = types.Ref(oid)

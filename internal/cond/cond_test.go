@@ -271,3 +271,25 @@ func TestEvalSeedAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// An event formula neither interns the types it mentions into the Event
+// Base — the ids the base hands its arrivals are the WAL's — nor misses
+// one interned after it first ran: the Ctx's evaluator looks the type up
+// again.
+func TestEventAtomInternsNoType(t *testing.T) {
+	ctx, o1, _ := fixture(t)
+	f := one(Occurred{Event: calculus.P(event.Delete("stock")), Var: "S"})
+	before := ctx.Base.InternedTypes()
+	if out, err := f.Eval(ctx); err != nil || len(out) != 0 {
+		t.Fatalf("before any delete: %v %v", out, err)
+	}
+	if got := ctx.Base.InternedTypes(); got != before {
+		t.Fatalf("evaluating the condition interned %d type(s)", got-before)
+	}
+	if _, err := ctx.Base.Append(event.Delete("stock"), o1, 6); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := f.Eval(ctx); err != nil || len(oidsOf(ctx, out, "S")) != 1 || oidsOf(ctx, out, "S")[0] != o1 {
+		t.Fatalf("after o1's delete: %v %v, want o1", out, err)
+	}
+}

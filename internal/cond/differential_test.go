@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"chimera/internal/calculus"
@@ -17,8 +18,8 @@ import (
 // The oracle: a condition is its atoms run strictly left to right, each
 // atom written from its definition over bindings that map variable names
 // to values — a class atom walks the whole class extension, every event
-// atom recomputes its set per evaluation in a fresh calculus environment,
-// nothing is shared and nothing is reused. Production Formula.Eval must
+// atom recomputes its set per evaluation with the definition of the
+// calculus (calculus.Env), nothing is shared and nothing is reused. Production Formula.Eval must
 // return the oracle's bindings in the oracle's order, its rows read
 // through the slot table, and fail with the oracle's error text.
 
@@ -67,7 +68,18 @@ func oracleEval(ctx *Ctx, f Formula) ([]env, error) {
 }
 
 func oracleEnv(ctx *Ctx) *calculus.Env {
-	return &calculus.Env{Base: ctx.Base, Since: ctx.Since, RestrictDomain: true}
+	return &calculus.Env{Base: ctx.Base, Since: ctx.Since}
+}
+
+// oracleAffected is the definition's occurred() set in binding order:
+// ascending by OID, unless e is vacuously active — then any object of the
+// window may qualify, and they bind in order of first appearance.
+func oracleAffected(ctx *Ctx, e calculus.Expr) []types.OID {
+	objs := oracleEnv(ctx).AffectedObjects(e, ctx.At)
+	if !calculus.VacuouslyActive(e) {
+		slices.Sort(objs)
+	}
+	return objs
 }
 
 func oracleTerm(ctx *Ctx, t Term, e env) (types.Value, error) {
@@ -144,7 +156,7 @@ func oracleAtom(ctx *Ctx, atom Atom, in []env) ([]env, error) {
 		if err := calculus.Valid(a.Event); err != nil {
 			return nil, err
 		}
-		affected := oracleEnv(ctx).AffectedObjects(a.Event, ctx.At)
+		affected := oracleAffected(ctx, a.Event)
 		for _, e := range in {
 			if v, bound := e[a.Var]; bound {
 				for _, oid := range affected {
@@ -163,7 +175,7 @@ func oracleAtom(ctx *Ctx, atom Atom, in []env) ([]env, error) {
 			return nil, err
 		}
 		for _, e := range in {
-			candidates := oracleEnv(ctx).AffectedObjects(a.Event, ctx.At)
+			candidates := oracleAffected(ctx, a.Event)
 			if v, bound := e[a.Var]; bound {
 				if v.Kind() != types.KindOID {
 					return nil, fmt.Errorf("cond: %s is not an object variable", a.Var)
@@ -171,7 +183,7 @@ func oracleAtom(ctx *Ctx, atom Atom, in []env) ([]env, error) {
 				candidates = []types.OID{v.AsOID()}
 			}
 			for _, oid := range candidates {
-				for _, ts := range oracleEnv(ctx).AppendActivationTimes(nil, a.Event, ctx.At, oid) {
+				for _, ts := range oracleEnv(ctx).ActivationTimes(a.Event, ctx.At, oid) {
 					out = append(out, e.with(a.Var, types.Ref(oid)).with(a.TimeVar, types.TimeVal(ts)))
 				}
 			}

@@ -766,6 +766,25 @@ func (r Reader) TypeID(t Type) (int32, bool) {
 	return tid, ok
 }
 
+// NoType and NoObj stand for a type and an object the base never
+// interned: every probe on them finds nothing.
+const (
+	NoType int32 = -1
+	NoObj  int32 = -2
+)
+
+// ObjID returns oid's interned id, or NoObj if no occurrence on it was
+// ever logged.
+func (r Reader) ObjID(oid types.OID) int32 {
+	if oi, ok := r.b.oidIDs[oid]; ok {
+		return oi
+	}
+	return NoObj
+}
+
+// OID returns the object with interned id oi.
+func (r Reader) OID(oi int32) types.OID { return r.b.oidsByID[oi] }
+
 // TypeID is Reader.TypeID under its own lock.
 func (b *Base) TypeID(t Type) (int32, bool) {
 	r := b.Read()
@@ -793,7 +812,7 @@ func (b *Base) Latest(t Type) clock.Time {
 // are walked newest-first.
 func (r Reader) LastOfObjTID(tid, oi int32, since, upTo clock.Time) clock.Time {
 	b := r.b
-	if since >= upTo || b.latest[tid] <= since {
+	if since >= upTo || tid == NoType || b.latest[tid] <= since {
 		return clock.Never
 	}
 	for i := len(b.segs) - 1; i >= 0; i-- {
@@ -1032,9 +1051,14 @@ func (b *Base) Arrivals(since, upTo clock.Time) []clock.Time {
 // returns the extended slice (the buffer-reusing variant of Arrivals),
 // straight from the timestamp column.
 func (b *Base) AppendArrivals(dst []clock.Time, since, upTo clock.Time) []clock.Time {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
+	r := b.Read()
+	defer r.Done()
+	return r.AppendArrivals(dst, since, upTo)
+}
+
+// AppendArrivals is Base.AppendArrivals inside the read section.
+func (r Reader) AppendArrivals(dst []clock.Time, since, upTo clock.Time) []clock.Time {
+	r.b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
 		dst = append(dst, sg.ts[lo:hi]...)
 		return true
 	})

@@ -87,7 +87,7 @@ func (o *oracle) CheckTriggered(now clock.Time) []string {
 		if st.Triggered {
 			continue
 		}
-		o.env.Base, o.env.Since, o.env.RestrictDomain = o.base, st.LastConsideration, true
+		o.env.Base, o.env.Since = o.base, st.LastConsideration
 		var ok bool
 		at := clock.Never
 		if st.monotone {

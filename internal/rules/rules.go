@@ -16,8 +16,9 @@
 // each of them probes ts(E, t') there; every rule probes the check
 // instant last. One memoized evaluator (calculus.PlanEval) serves the
 // whole walk, its memo shared by every rule whatever its consideration
-// horizon. The recursive evaluator calculus.Env is the definition this
-// is held to: the tests keep the per-rule determination over it as the
+// horizon. The same evaluator answers the conditions' event formulas
+// and the shell's explain. The recursive calculus.Env is the definition
+// it is held to: the tests keep the per-rule determination over it as the
 // oracle.
 //
 // # Concurrency

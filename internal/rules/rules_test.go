@@ -219,7 +219,7 @@ func TestBoundaryOnlyMissesTransient(t *testing.T) {
 	if fired := s.CheckTriggered(c.Now()); len(fired) != 1 {
 		t.Fatal("formal semantics should catch the transient activation")
 	}
-	env := calculus.Env{Base: b, Since: s.TxnStart(), RestrictDomain: true}
+	env := calculus.Env{Base: b, Since: s.TxnStart()}
 	if env.TS(e, c.Now()).Active() {
 		t.Fatal("test premise: the activation must be over at the check instant")
 	}
@@ -237,7 +237,7 @@ func TestBoundaryOnlyPositiveControl(t *testing.T) {
 		st, _ := s.Rule("r")
 		t.Fatalf("fired=%v state=%+v now=%d", fired, st, c.Now())
 	}
-	env := calculus.Env{Base: b, Since: s.TxnStart(), RestrictDomain: true}
+	env := calculus.Env{Base: b, Since: s.TxnStart()}
 	if !env.TS(e, c.Now()).Active() {
 		t.Fatal("the activation must last to the check instant")
 	}

@@ -498,7 +498,8 @@ func writeHistLine(w io.Writer, h metrics.HistogramSnapshot) {
 
 // explain renders the triggering verdict of one rule against the open
 // transaction's Event Base: the R ≠ ∅ guard, the ∃t' probe, and the
-// per-subexpression ts tree at the decisive instant.
+// per-subexpression ts tree at the decisive instant, all read from a
+// calculus.PlanEval, the evaluator that decides triggering.
 func (s *Shell) explain(rule string) error {
 	if s.txn == nil {
 		return fmt.Errorf("explain needs an open transaction (the Event Base is per-transaction)")
@@ -507,9 +508,12 @@ func (s *Shell) explain(rule string) error {
 	if !ok {
 		return fmt.Errorf("no rule %q", rule)
 	}
-	env := &calculus.Env{Base: s.txn.Base(), Since: st.LastConsideration, RestrictDomain: true}
+	plan := calculus.NewPlan()
+	root := plan.Intern(st.Def.Event)
+	pe := calculus.NewPlanEval(plan)
+	pe.Bind(s.txn.Base(), st.LastConsideration)
 	fmt.Fprintf(s.out, "rule %s\nevents %s\n", rule, st.Def.Event)
-	fmt.Fprint(s.out, env.ExplainTrigger(st.Def.Event, s.db.Clock().Now()))
+	fmt.Fprint(s.out, pe.ExplainTrigger(root, st.LastConsideration, s.db.Clock().Now()))
 	return nil
 }
 

@@ -3,13 +3,16 @@ package shell
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"chimera"
+	"chimera/internal/calculus"
 )
 
 func newShell(t *testing.T) (*Shell, *bytes.Buffer) {
@@ -315,7 +318,13 @@ commit`)
 
 func TestExplainCommand(t *testing.T) {
 	sh, out := newShell(t)
-	sh.RunScript(setup)
+	if err := sh.RunScript(setup + `
+define deferred audit for stock
+events create + -delete
+end
+`); err != nil {
+		t.Fatal(err)
+	}
 	if err := sh.Execute("explain checkStockQty"); err == nil {
 		t.Error("explain outside a transaction accepted")
 	}
@@ -331,6 +340,24 @@ func TestExplainCommand(t *testing.T) {
 	if !strings.Contains(got, "rule checkStockQty") || !strings.Contains(got, "window R") {
 		t.Errorf("explain output:\n%s", got)
 	}
+
+	// The deferred rule the line triggered waits for the commit: explain
+	// prints the engine's verdict, at the instant the definition finds.
+	out.Reset()
+	if err := sh.Execute("explain audit"); err != nil {
+		t.Fatal(err)
+	}
+	got = out.String()
+	if triggered := sh.DB().Support().Triggered(nil); !slices.Contains(triggered, "audit") {
+		t.Fatalf("triggered rules = %v, want audit among them", triggered)
+	}
+	st, _ := sh.DB().Support().Rule("audit")
+	env := calculus.Env{Base: sh.txn.Base(), Since: st.LastConsideration}
+	ok, at := env.Triggered(st.Def.Event, sh.DB().Clock().Now())
+	if !ok || !strings.Contains(got, "TRIGGERED") || !strings.Contains(got, fmt.Sprintf("t' = t%d ", at)) {
+		t.Errorf("explain of a triggered deferred rule (definition: %v at t%d):\n%s", ok, at, got)
+	}
+
 	if err := sh.Execute("explain ghost"); err == nil {
 		t.Error("explain of unknown rule accepted")
 	}

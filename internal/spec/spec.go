@@ -282,7 +282,7 @@ func (sc *Scenario) Run() ([]Failure, error) {
 				fail(d.Line, "affected(%s, %d) = %v, want %v", d.Expr, d.At, gots, d.WantList)
 			}
 		case "times":
-			got := env.AppendActivationTimes(nil, d.Expr, d.At, d.OID)
+			got := env.ActivationTimes(d.Expr, d.At, d.OID)
 			gots := make([]string, len(got))
 			for i, ts := range got {
 				gots[i] = fmt.Sprintf("t%d", ts)
