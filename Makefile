@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench-module bench-module-test cover fuzz b0-pairs verify verify-full
+.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench-module bench-module-test cover fuzz b0-pairs size verify verify-full
 
 build:
 	$(GO) build ./...
@@ -107,6 +107,12 @@ SECONDS ?= 10
 WORKLOADS ?= stream_rules
 b0-pairs:
 	bash scripts/b0-pairs.sh "$(PARENT)" "$(PAIRS)" "$(SEED)" "$(SECONDS)" "$(WORKLOADS)"
+
+# How large the production code is: non-test Go lines outside
+# benchmark/ and exported top-level identifiers, per package and in
+# total (scripts/size.go).
+size:
+	$(GO) run scripts/size.go
 
 verify: build test race vet bench-module
 

@@ -11,33 +11,33 @@ import (
 	"chimera/internal/types"
 )
 
-// recorder is a Mutator that applies to a plain store and records the
-// call sequence.
+// recorder is a Mutator that applies to a store through a solo line and
+// records the call sequence.
 type recorder struct {
-	store *object.Store
+	line  *object.Line
 	calls []string
 }
 
 func (r *recorder) Create(class string, vals map[string]types.Value) (types.OID, error) {
-	oid, err := r.store.Create(class, vals)
+	oid, err := r.line.Create(class, vals)
 	r.calls = append(r.calls, fmt.Sprintf("create %s -> %s", class, oid))
 	return oid, err
 }
 func (r *recorder) Modify(oid types.OID, attr string, v types.Value) error {
 	r.calls = append(r.calls, fmt.Sprintf("modify %s.%s = %s", oid, attr, v))
-	return r.store.Modify(oid, attr, v)
+	return r.line.Modify(oid, attr, v)
 }
 func (r *recorder) Delete(oid types.OID) error {
 	r.calls = append(r.calls, fmt.Sprintf("delete %s", oid))
-	return r.store.Delete(oid)
+	return r.line.Delete(oid)
 }
 func (r *recorder) Specialize(oid types.OID, sub string) error {
 	r.calls = append(r.calls, fmt.Sprintf("specialize %s -> %s", oid, sub))
-	return r.store.Specialize(oid, sub)
+	return r.line.Specialize(oid, sub)
 }
 func (r *recorder) Generalize(oid types.OID, super string) error {
 	r.calls = append(r.calls, fmt.Sprintf("generalize %s -> %s", oid, super))
-	return r.store.Generalize(oid, super)
+	return r.line.Generalize(oid, super)
 }
 
 func fixture(t *testing.T) (*cond.Ctx, *recorder, types.OID, types.OID) {
@@ -56,11 +56,12 @@ func fixture(t *testing.T) (*cond.Ctx, *recorder, types.OID, types.OID) {
 		t.Fatal(err)
 	}
 	st := object.NewStore(s)
-	o1, _ := st.Create("stock", map[string]types.Value{
+	ln := st.BeginLine(object.LineOptions{Solo: true})
+	o1, _ := ln.Create("stock", map[string]types.Value{
 		"quantity": types.Int(90), "maxquantity": types.Int(40)})
-	o2, _ := st.Create("stock", map[string]types.Value{
+	o2, _ := ln.Create("stock", map[string]types.Value{
 		"quantity": types.Int(80), "maxquantity": types.Int(30)})
-	return &cond.Ctx{Store: st}, &recorder{store: st}, o1, o2
+	return &cond.Ctx{Store: st}, &recorder{line: ln}, o1, o2
 }
 
 // bindingsFor seeds ctx with one row per object, binding S to it.
@@ -141,7 +142,7 @@ func TestDeleteDedupes(t *testing.T) {
 
 func TestSpecializeGeneralizeStatements(t *testing.T) {
 	ctx, m, _, _ := fixture(t)
-	oid, _ := ctx.Store.(*object.Store).Create("order", map[string]types.Value{"item": types.String_("x")})
+	oid, _ := m.line.Create("order", map[string]types.Value{"item": types.String_("x")})
 	if err := (Specialize{Var: "O", To: "bigOrder"}).Exec(ctx, m, ctx.Seed("O", []types.OID{oid})); err != nil {
 		t.Fatal(err)
 	}

@@ -61,39 +61,6 @@ func AnyOf(xs ...Expr) Expr { return DisjAll(xs...) }
 // NoneOf(a, b) ≡ -(a , b) ≡ -a + -b.
 func NoneOf(xs ...Expr) Expr { return Neg(DisjAll(xs...)) }
 
-// Absent is Snoop's interval negation specialized to the paper's window
-// semantics: active when e has no occurrence in the observed window.
-func Absent(e Expr) Expr { return Neg(e) }
-
-// WithoutIntervening approximates Ode's "relative" / Snoop's aperiodic
-// shape "b after a with no x in between, per object": the pair a <= b on
-// one object, with the refutation that x slid in between expressed as
-// NOT (a <= x <= b). It is exact when each primitive occurs at most once
-// per object in the window (the common workflow case); with repeated
-// occurrences the calculus compares latest activations, as everywhere
-// else in the paper.
-func WithoutIntervening(a, x, b Expr) Expr {
-	return Conj(SequenceI(a, b), Neg(SequenceI(a, x, b)))
-}
-
-// FollowedByFirst is Ode's "relative(A, B)" head: B occurring after the
-// first occurrence of A. The calculus keeps only latest activations, so
-// the faithful rendering is "A then B" on latest stamps; combined with a
-// consuming rule (whose window resets at each consideration) the first
-// and latest A coincide, making the combinator exact — the same
-// window-instead-of-operator trade the paper makes for Snoop's A1/A2
-// intervals.
-func FollowedByFirst(a, b Expr) Expr { return Prec(a, b) }
-
-// GuardedBy is REFLEX's "E1 provided E2 has (not) happened": the
-// conjunction with an optional negation on the guard.
-func GuardedBy(e, guard Expr, positive bool) Expr {
-	if positive {
-		return Conj(e, guard)
-	}
-	return Conj(e, Neg(guard))
-}
-
 // SameObject lifts a list of primitive events into Samos's "same"
 // qualifier: all components on one object (instance conjunction).
 func SameObject(xs ...Expr) Expr {

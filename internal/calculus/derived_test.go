@@ -176,3 +176,27 @@ func TestDerivedPanicOnEmpty(t *testing.T) {
 		}()
 	}
 }
+
+// Absent is Snoop's interval negation specialized to the paper's window
+// semantics: active when e has no occurrence in the observed window.
+func Absent(e Expr) Expr { return Neg(e) }
+
+// WithoutIntervening approximates Ode's "relative" / Snoop's aperiodic
+// shape "b after a with no x in between, per object": the pair a <= b on
+// one object, with the refutation that x slid in between expressed as
+// NOT (a <= x <= b). It is exact when each primitive occurs at most once
+// per object in the window (the common workflow case); with repeated
+// occurrences the calculus compares latest activations, as everywhere
+// else in the paper.
+func WithoutIntervening(a, x, b Expr) Expr {
+	return Conj(SequenceI(a, b), Neg(SequenceI(a, x, b)))
+}
+
+// GuardedBy is REFLEX's "E1 provided E2 has (not) happened": the
+// conjunction with an optional negation on the guard.
+func GuardedBy(e, guard Expr, positive bool) Expr {
+	if positive {
+		return Conj(e, guard)
+	}
+	return Conj(e, Neg(guard))
+}

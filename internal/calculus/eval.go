@@ -165,12 +165,6 @@ func (env *Env) lift(e Expr, t clock.Time) TS {
 // Active reports whether e is active at time t over R.
 func (env *Env) Active(e Expr, t clock.Time) bool { return env.TS(e, t).Active() }
 
-// ActiveFor reports whether the instance-oriented e is active for oid at
-// time t over R.
-func (env *Env) ActiveFor(e Expr, t clock.Time, oid types.OID) bool {
-	return env.OTS(e, t, oid).Active()
-}
-
 // Triggered decides the ∃t' part of the triggering predicate of
 // Section 4.4: it reports whether ts(e, t') > 0 for some
 // t' ∈ (env.Since, now], together with the earliest such t'.

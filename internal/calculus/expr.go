@@ -220,16 +220,6 @@ func appendPrimitives(dst []event.Type, from int, e Expr) []event.Type {
 	return dst
 }
 
-// Mentions reports whether the expression mentions the primitive type t.
-func Mentions(e Expr, t event.Type) bool {
-	for _, p := range Primitives(e) {
-		if p == t {
-			return true
-		}
-	}
-	return false
-}
-
 // Equal reports structural equality of two expressions.
 func Equal(a, b Expr) bool {
 	switch x := a.(type) {
@@ -284,6 +274,25 @@ func Depth(e Expr) int {
 		return 1 + max(Depth(n.L), Depth(n.R))
 	}
 	return 0
+}
+
+// ContainsNegation reports whether the expression contains a negation at
+// any level. A negation-free expression is monotone: its ts never falls
+// as occurrences arrive.
+func ContainsNegation(e Expr) bool {
+	switch n := e.(type) {
+	case Prim:
+		return false
+	case Not:
+		return true
+	case And:
+		return ContainsNegation(n.L) || ContainsNegation(n.R)
+	case Or:
+		return ContainsNegation(n.L) || ContainsNegation(n.R)
+	case Seq:
+		return ContainsNegation(n.L) || ContainsNegation(n.R)
+	}
+	panic("calculus: unknown expression node in ContainsNegation")
 }
 
 // Binding powers implementing Figure 1's priorities: operators are listed

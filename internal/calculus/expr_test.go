@@ -207,3 +207,13 @@ func TestBindingPowersMatchFigure1(t *testing.T) {
 	}
 	_ = ranked{}
 }
+
+// Mentions reports whether the expression mentions the primitive type t.
+func Mentions(e Expr, t event.Type) bool {
+	for _, p := range Primitives(e) {
+		if p == t {
+			return true
+		}
+	}
+	return false
+}

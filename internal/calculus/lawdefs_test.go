@@ -1,6 +1,6 @@
 package calculus
 
-// This file implements the algebraic law layer of Section 4: the paper
+// The algebraic law layer of Section 4, which laws_test.go checks: the paper
 // proves that the ts assignment validates the "obvious properties of
 // calculus" — De Morgan's rules, commutativity and associativity of
 // conjunction and disjunction, and distributivity/factoring of the
@@ -201,25 +201,6 @@ func precConjL(e Expr) (Expr, bool) {
 	return And{Inst: n.Inst,
 		L: Seq{Inst: n.Inst, L: c.L, R: n.R},
 		R: Seq{Inst: n.Inst, L: c.R, R: n.R}}, true
-}
-
-// ContainsNegation reports whether the expression contains a negation at
-// any level; the precedence factoring laws require negation-free
-// operands (see Laws).
-func ContainsNegation(e Expr) bool {
-	switch n := e.(type) {
-	case Prim:
-		return false
-	case Not:
-		return true
-	case And:
-		return ContainsNegation(n.L) || ContainsNegation(n.R)
-	case Or:
-		return ContainsNegation(n.L) || ContainsNegation(n.R)
-	case Seq:
-		return ContainsNegation(n.L) || ContainsNegation(n.R)
-	}
-	panic("calculus: unknown expression node in ContainsNegation")
 }
 
 // PushNegations rewrites the expression into an equivalent one whose

@@ -89,11 +89,6 @@ func NewPlan() *Plan {
 	return &Plan{ids: make(map[nodeKey]NodeID)}
 }
 
-// Version returns a counter bumped by every structural change (Intern of
-// a new node, Release freeing one). Evaluators caching id-indexed
-// dispatch state use it to detect staleness.
-func (p *Plan) Version() uint64 { return p.version }
-
 // Cap returns the id-space size (live + free slots); memo tables size
 // their flat per-node state to it.
 func (p *Plan) Cap() int { return len(p.nodes) }
@@ -104,15 +99,6 @@ func (p *Plan) Live() int { return p.live }
 // Shared returns the number of live nodes referenced more than once —
 // the subexpressions the memo can actually deduplicate.
 func (p *Plan) Shared() int { return p.shared }
-
-// Refs returns the reference count of a node (parents plus rule roots).
-func (p *Plan) Refs(id NodeID) int { return int(p.nodes[id].refs) }
-
-// Expr returns the canonical expression of a node.
-func (p *Plan) Expr(id NodeID) Expr { return p.nodes[id].expr }
-
-// Size returns the tree size of the subtree rooted at id.
-func (p *Plan) Size(id NodeID) int { return int(p.nodes[id].size) }
 
 // Intern hash-conses e into the DAG and returns its root id, taking one
 // reference on it. Structurally equal subtrees — across rules and within

@@ -326,3 +326,9 @@ func TestLiftsRunBesideAnAppender(t *testing.T) {
 	close(stop)
 	<-appended
 }
+
+// Refs returns the reference count of a node (parents plus rule roots).
+func (p *Plan) Refs(id NodeID) int { return int(p.nodes[id].refs) }
+
+// Expr returns the canonical expression of a node.
+func (p *Plan) Expr(id NodeID) Expr { return p.nodes[id].expr }

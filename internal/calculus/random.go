@@ -3,16 +3,14 @@ package calculus
 import (
 	"math/rand"
 
-	"chimera/internal/clock"
 	"chimera/internal/event"
-	"chimera/internal/types"
 )
 
-// This file provides deterministic pseudo-random generators for event
-// expressions and event histories. The property-based tests
-// (testing/quick and hand-rolled loops) and the benchmark workloads use
-// them; they live in the library so every consumer samples the same
-// distribution.
+// This file provides the deterministic pseudo-random expression
+// generator that the property tests of several packages share. Only
+// tests call it. It stays in the library because calculus's own
+// in-package tests use it too: a helper package would import calculus,
+// and calculus's tests could then not import it without a cycle.
 
 // GenOptions controls random expression generation.
 type GenOptions struct {
@@ -92,34 +90,3 @@ const (
 	opOr
 	opSeq
 )
-
-// HistoryOptions controls random event-history generation.
-type HistoryOptions struct {
-	// Types is the primitive vocabulary occurrences are drawn from.
-	Types []event.Type
-	// Objects is the number of distinct OIDs in play.
-	Objects int
-	// Events is the number of occurrences to generate.
-	Events int
-}
-
-// GenHistory appends a random history to a fresh Event Base, driving the
-// supplied clock (one tick per occurrence), and returns the base together
-// with the final time.
-func GenHistory(r *rand.Rand, c *clock.Clock, o HistoryOptions) (*event.Base, clock.Time) {
-	if len(o.Types) == 0 || o.Objects <= 0 {
-		panic("calculus: GenHistory needs types and objects")
-	}
-	b := event.NewBase()
-	var last clock.Time
-	for i := 0; i < o.Events; i++ {
-		t := o.Types[r.Intn(len(o.Types))]
-		oid := types.OID(1 + r.Intn(o.Objects))
-		last = c.Tick()
-		if _, err := b.Append(t, oid, last); err != nil {
-			panic(err) // the clock is strictly monotone; Append cannot fail
-		}
-	}
-	// One extra tick so "now" lies strictly after the last arrival.
-	return b, c.Tick()
-}

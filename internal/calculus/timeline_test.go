@@ -505,3 +505,9 @@ func TestConsumptionWindowExcludesOldEvents(t *testing.T) {
 		t.Error("preserving window should see the whole pair")
 	}
 }
+
+// ActiveFor reports whether the instance-oriented e is active for oid at
+// time t over R.
+func (env *Env) ActiveFor(e Expr, t clock.Time, oid types.OID) bool {
+	return env.OTS(e, t, oid).Active()
+}

@@ -138,9 +138,6 @@ func (vs VarSet) merge(o VarSet) VarSet {
 // TestWorkedVariationExample.)
 func DerivePos(e Expr) VarSet { return derive(e, SignPos, false) }
 
-// DeriveNeg computes Δ−(E). See DerivePos.
-func DeriveNeg(e Expr) VarSet { return derive(e, SignNeg, false) }
-
 func flipSign(s Sign) Sign {
 	switch s {
 	case SignPos:
@@ -341,18 +338,4 @@ func (f *Filter) MentionedTypes() []event.Type {
 		}
 	}
 	return out
-}
-
-// Mentioned reports whether an arrival of type t matches any variation in
-// V(E) regardless of sign (the paper's literal "match V(E)" condition,
-// used by the Mentioned-filter ablation).
-func (f *Filter) Mentioned(t event.Type) bool {
-	if f.MatchAll {
-		return true
-	}
-	if _, ok := f.signs[varKey{t, false}]; ok {
-		return true
-	}
-	_, ok := f.signs[varKey{t, true}]
-	return ok
 }

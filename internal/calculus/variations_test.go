@@ -2,6 +2,7 @@ package calculus
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"chimera/internal/clock"
@@ -147,10 +148,10 @@ func TestFilterRelevance(t *testing.T) {
 	if f.Relevant(B) {
 		t.Error("arrival of B is a pure Δ− variation; not relevant for triggering")
 	}
-	if !f.Mentioned(B) {
+	if !slices.Contains(f.MentionedTypes(), B) {
 		t.Error("B is mentioned in V(E)")
 	}
-	if f.Relevant(C) || f.Mentioned(C) {
+	if f.Relevant(C) || slices.Contains(f.MentionedTypes(), C) {
 		t.Error("C is foreign to the expression")
 	}
 
@@ -240,3 +241,6 @@ func TestFilterSoundnessIncremental(t *testing.T) {
 }
 
 var _ = types.OID(0)
+
+// DeriveNeg computes Δ−(E). See DerivePos.
+func DeriveNeg(e Expr) VarSet { return derive(e, SignNeg, false) }

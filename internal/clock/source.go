@@ -94,14 +94,6 @@ func (m *Manual) Advance(d time.Duration) {
 	m.setLocked(m.now.Add(d))
 }
 
-// Set moves the manual time to t (never backwards), delivering crossed
-// ticks.
-func (m *Manual) Set(t time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.setLocked(t)
-}
-
 func (m *Manual) setLocked(t time.Time) {
 	if t.Before(m.now) {
 		return

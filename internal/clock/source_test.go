@@ -34,9 +34,9 @@ func TestManualNowAdvance(t *testing.T) {
 		t.Fatalf("Since = %v, want 3s", got)
 	}
 	// Never backwards.
-	m.Set(start)
+	m.Advance(-time.Second)
 	if got := m.Since(start); got != 3*time.Second {
-		t.Fatalf("Set moved time backwards: Since = %v", got)
+		t.Fatalf("Advance moved time backwards: Since = %v", got)
 	}
 }
 

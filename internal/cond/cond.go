@@ -842,5 +842,3 @@ func (f Formula) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// True is the empty condition (always satisfied, one empty binding).
-var True = Formula{}

@@ -25,12 +25,14 @@ func fixture(t *testing.T) (*Ctx, types.OID, types.OID) {
 		t.Fatal(err)
 	}
 	st := object.NewStore(s)
-	o1, err := st.Create("stock", map[string]types.Value{
+	ln := st.BeginLine(object.LineOptions{Solo: true})
+	defer ln.Commit()
+	o1, err := ln.Create("stock", map[string]types.Value{
 		"name": types.String_("bolts"), "quantity": types.Int(50), "maxquantity": types.Int(40)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := st.Create("stock", map[string]types.Value{
+	o2, err := ln.Create("stock", map[string]types.Value{
 		"name": types.String_("nuts"), "quantity": types.Int(5), "maxquantity": types.Int(40)})
 	if err != nil {
 		t.Fatal(err)
@@ -209,15 +211,17 @@ func TestFormulaConjunction(t *testing.T) {
 		t.Fatalf("short circuit failed: %v %v", out, err)
 	}
 	// The empty condition is true with one empty binding.
-	out, err = True.Eval(ctx)
+	out, err = Formula{}.Eval(ctx)
 	if err != nil || len(out) != 1 {
-		t.Fatalf("True = %v %v", out, err)
+		t.Fatalf("empty condition = %v %v", out, err)
 	}
 }
 
 func TestAttrOnDeletedObjectErrors(t *testing.T) {
 	ctx, o1, _ := fixture(t)
-	ctx.Store.(*object.Store).Delete(o1)
+	ln := ctx.Store.(*object.Store).BeginLine(object.LineOptions{Solo: true})
+	ln.Delete(o1)
+	ln.Commit()
 	_, err := Compare{
 		L: Attr{Var: "S", Attr: "quantity"}, Op: CmpGt, R: Const{V: types.Int(0)},
 	}.Eval(ctx, ctx.Seed("S", []types.OID{o1}))
@@ -238,11 +242,11 @@ func TestAttrOnDeletedObjectErrors(t *testing.T) {
 func TestEvalSeedAllocatesNothing(t *testing.T) {
 	ctx, _, _ := fixture(t)
 	if n := testing.AllocsPerRun(100, func() {
-		if out, err := True.Eval(ctx); err != nil || len(out) != 1 || len(out[0]) != 0 {
-			t.Fatalf("True = %v %v", out, err)
+		if out, err := (Formula{}).Eval(ctx); err != nil || len(out) != 1 || len(out[0]) != 0 {
+			t.Fatalf("empty condition = %v %v", out, err)
 		}
 	}); n != 0 {
-		t.Errorf("True.Eval: %v allocs, want 0", n)
+		t.Errorf("empty condition Eval: %v allocs, want 0", n)
 	}
 	cardCtx, _ := cards(t, 64)
 	prec := calculus.PrecI(calculus.P(event.Create("stock")), calculus.P(event.Modify("stock", "quantity")))

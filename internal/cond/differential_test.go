@@ -245,7 +245,7 @@ func oracleAtom(ctx *Ctx, atom Atom, in []env) ([]env, error) {
 			}
 		}
 	case touched:
-		oids := ctx.Base.OIDsOfTypes(calculus.Primitives(a.event), ctx.Since, ctx.At)
+		oids := ctx.Base.AppendOIDsOfTypes(nil, calculus.Primitives(a.event), ctx.Since, ctx.At)
 		for _, e := range in {
 			for _, oid := range oids {
 				if e[a.v].AsOID() == oid {
@@ -349,6 +349,8 @@ func randomWorld(t *testing.T, r *rand.Rand) world {
 	must(s.DefineSub("widget", "gadget", schema.Attribute{Name: "w", Kind: types.KindInt}))
 	must(s.Define("crate", schema.Attribute{Name: "n", Kind: types.KindInt}))
 	st := object.NewStore(s)
+	ln := st.BeginLine(object.LineOptions{Solo: true})
+	defer ln.Commit()
 
 	classes := []string{"item", "item", "gadget", "widget", "crate"}
 	var w world
@@ -358,7 +360,7 @@ func randomWorld(t *testing.T, r *rand.Rand) world {
 		if class != "crate" && r.Intn(4) > 0 { // m is sometimes null
 			vals["m"] = types.Int(int64(r.Intn(6)))
 		}
-		oid, err := st.Create(class, vals)
+		oid, err := ln.Create(class, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,14 +370,14 @@ func randomWorld(t *testing.T, r *rand.Rand) world {
 		o, _ := st.Get(oid)
 		switch name := o.Class().Name(); r.Intn(8) {
 		case 0:
-			st.Delete(oid) //nolint:errcheck // live by construction
+			ln.Delete(oid) //nolint:errcheck // live by construction
 		case 1:
 			if name == "item" {
-				st.Specialize(oid, "gadget") //nolint:errcheck // a subclass by construction
+				ln.Specialize(oid, "gadget") //nolint:errcheck // a subclass by construction
 			}
 		case 2:
 			if name == "widget" || name == "gadget" {
-				st.Generalize(oid, "item") //nolint:errcheck // a superclass by construction
+				ln.Generalize(oid, "item") //nolint:errcheck // a superclass by construction
 			}
 		}
 	}

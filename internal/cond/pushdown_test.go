@@ -53,13 +53,15 @@ func cardsTouched(t *testing.T, n, touched int) (*Ctx, *countingView) {
 		t.Fatal(err)
 	}
 	st := object.NewStore(s)
+	ln := st.BeginLine(object.LineOptions{Solo: true})
+	defer ln.Commit()
 	b := event.NewBase()
 	for i := 0; i < n; i++ {
 		spent := int64(10)
 		if i%3 == 0 {
 			spent = 1000
 		}
-		oid, err := st.Create("card", map[string]types.Value{"spent": types.Int(spent), "limit": types.Int(100)})
+		oid, err := ln.Create("card", map[string]types.Value{"spent": types.Int(spent), "limit": types.Int(100)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,53 +86,19 @@ func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, 
 	}
 	out := wire.AppendFrame(nil, hdr)
 
-	// Catalog frame: classes parents-first, then rule sources in
-	// priority order.
-	cat := db.schema
-	emitted := make(map[string]bool)
-	var classes []ckptClass
-	var emit func(name string) error
-	emit = func(name string) error {
-		if emitted[name] {
-			return nil
-		}
-		c, ok := cat.Class(name)
-		if !ok {
-			return fmt.Errorf("engine: checkpoint: unknown class %q", name)
-		}
-		if p := c.Parent(); p != nil {
-			if err := emit(p.Name()); err != nil {
-				return err
-			}
-		}
-		emitted[name] = true
-		rec := ckptClass{Name: name}
-		inherited := make(map[string]bool)
-		if p := c.Parent(); p != nil {
-			rec.Parent = p.Name()
-			for _, a := range p.Attributes() {
-				inherited[a.Name] = true
-			}
-		}
-		for _, a := range c.Attributes() {
-			if !inherited[a.Name] {
-				rec.Attrs = append(rec.Attrs, a)
-			}
-		}
-		classes = append(classes, rec)
-		return nil
-	}
-	for _, name := range cat.Names() {
-		if err := emit(name); err != nil {
-			return nil, err
-		}
-	}
+	// Catalog frame: classes parents-first, each with the attributes it
+	// declares, then rule sources in priority order.
+	classes := db.schema.Ordered()
 	catp := wire.AppendUvarint(nil, uint64(len(classes)))
 	for _, c := range classes {
-		catp = wire.AppendString(catp, c.Name)
-		catp = wire.AppendString(catp, c.Parent)
-		catp = wire.AppendUvarint(catp, uint64(len(c.Attrs)))
-		for _, a := range c.Attrs {
+		parent := ""
+		if p := c.Parent(); p != nil {
+			parent = p.Name()
+		}
+		catp = wire.AppendString(catp, c.Name())
+		catp = wire.AppendString(catp, parent)
+		catp = wire.AppendUvarint(catp, uint64(len(c.Own())))
+		for _, a := range c.Own() {
 			catp = wire.AppendString(catp, a.Name)
 			catp = wire.AppendString(catp, a.Kind.String())
 		}
@@ -145,32 +111,16 @@ func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, 
 	}
 	out = wire.AppendFrame(out, catp)
 
-	// Objects frame, ascending OID (exact class, not extension).
-	var oids []types.OID
-	byOID := make(map[types.OID]ckptObject)
-	for _, name := range cat.Names() {
-		sel, err := db.store.Select(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, oid := range sel {
-			o, ok := db.store.Get(oid)
-			if !ok || o.Class().Name() != name {
-				continue
-			}
-			oids = append(oids, oid)
-			byOID[oid] = ckptObject{OID: oid, Class: name, Vals: o.Snapshot()}
-		}
-	}
-	sortOIDs(oids)
-	objp := wire.AppendUvarint(nil, uint64(len(oids)))
-	for _, oid := range oids {
-		rec := byOID[oid]
-		objp = wire.AppendVarint(objp, int64(rec.OID))
-		objp = wire.AppendString(objp, rec.Class)
-		objp = wire.AppendUvarint(objp, uint64(len(rec.Vals)))
+	// Objects frame, ascending OID.
+	objs := db.store.Objects()
+	objp := wire.AppendUvarint(nil, uint64(len(objs)))
+	for _, o := range objs {
+		vals := o.Snapshot()
+		objp = wire.AppendVarint(objp, int64(o.OID()))
+		objp = wire.AppendString(objp, o.Class().Name())
+		objp = wire.AppendUvarint(objp, uint64(len(vals)))
 		var err error
-		for k, v := range rec.Vals {
+		for k, v := range vals {
 			objp = wire.AppendString(objp, k)
 			if objp, err = wire.AppendValue(objp, v); err != nil {
 				return nil, err
@@ -248,14 +198,6 @@ func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, 
 		out = event.EncodeSegment(out, *st.Tail)
 	}
 	return out, nil
-}
-
-func sortOIDs(oids []types.OID) {
-	for i := 1; i < len(oids); i++ {
-		for j := i; j > 0 && oids[j] < oids[j-1]; j-- {
-			oids[j], oids[j-1] = oids[j-1], oids[j]
-		}
-	}
 }
 
 // decodeCheckpoint parses checkpoint bytes.
@@ -632,21 +574,6 @@ func (db *DB) Checkpoint() error {
 		return errors.New("engine: checkpoint mid-block; call EndLine first")
 	}
 	return db.checkpointNow(t)
-}
-
-// Checkpoint writes a checkpoint of the database with this transaction
-// open — the live window is captured at the current block boundary.
-func (t *Txn) Checkpoint() error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	if t.db.wal == nil {
-		return errors.New("engine: not a durable database")
-	}
-	if len(t.pending) > 0 || len(t.wrec) > 0 {
-		return errors.New("engine: checkpoint mid-block; call EndLine first")
-	}
-	return t.db.checkpointNow(t)
 }
 
 // SyncWAL blocks until every WAL record appended so far is durable,

@@ -50,7 +50,8 @@ func driveLongTxn(t *testing.T, consumption rules.Consumption, disable bool, lin
 		}
 	}
 	b := tx.Base()
-	appended, live, retired = b.Appended(), b.Len(), b.Retired()
+	live, retired = b.Len(), b.Retired()
+	appended = live + retired
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}

@@ -102,12 +102,9 @@ type DurabilityOptions struct {
 	SyncInterval time.Duration
 	// CheckpointEvery, when positive, writes a checkpoint automatically
 	// after that many blocks, truncating the WAL and persisting sealed
-	// segments. 0 checkpoints only on explicit DB.Checkpoint /
-	// Txn.Checkpoint calls (and at the end of recovery).
+	// segments. 0 checkpoints only on explicit DB.Checkpoint calls (and
+	// at the end of recovery).
 	CheckpointEvery int
-	// RecoveryWorkers bounds the parallel segment decode/rebuild during
-	// Recover; ≤0 means GOMAXPROCS.
-	RecoveryWorkers int
 	// Clock is the wall-clock source pacing the group committer's drain
 	// tick and interval syncs. nil means clock.Wall; tests inject a
 	// clock.Manual to drive the fsync interval deterministically.

@@ -302,6 +302,62 @@ func TestKillRecoverDifferential(t *testing.T) {
 	}
 }
 
+// TestCheckpointInterleavedClasses checkpoints objects of two classes
+// whose OIDs alternate: the objects frame must list them in ascending
+// OID order, and recovery from the checkpoint must restore every one.
+func TestCheckpointInterleavedClasses(t *testing.T) {
+	const n = 2000
+	store := storage.NewMemStore()
+	db, err := engine.Open(durOptions(store, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := []string{"even", "odd"}
+	for _, c := range classes {
+		if err := db.DefineClass(c, schema.Attribute{Name: "n", Kind: types.KindInt}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Run(func(tx *engine.Txn) error {
+		for i := 0; i < n; i++ {
+			if _, err := tx.Create(classes[i%2], map[string]types.Value{"n": types.Int(int64(i))}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := store.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oids, err := engine.CheckpointOIDs(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oids) != n {
+		t.Fatalf("objects frame holds %d objects, want %d", len(oids), n)
+	}
+	for i := 1; i < len(oids); i++ {
+		if oids[i] <= oids[i-1] {
+			t.Fatalf("objects frame not ascending at %d: %d after %d", i, oids[i], oids[i-1])
+		}
+	}
+	rdb, rtx, _, err := engine.Recover(durOptions(store.Clone(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, got := durFingerprint(db, nil), durFingerprint(rdb, rtx); want != got {
+		t.Fatalf("recovered state diverged:\n--- live\n%s--- recovered\n%s", want, got)
+	}
+	rdb.Close()
+	db.Close()
+}
+
 // TestRecoverContinuation crashes mid-workload, recovers, and then
 // drives the identical remaining operations against both the original
 // and the recovered database: they must stay in lockstep to the end.

@@ -1250,12 +1250,6 @@ func (t *Txn) Commit() error {
 		}
 	}
 	db.commitMu.Unlock()
-	if !t.multi {
-		// The legacy contract: a successful commit discards the global
-		// undo history, including entries from direct store use outside
-		// any transaction.
-		db.store.DiscardUndo()
-	}
 	t.finish()
 	db.m.commits.Inc()
 	if t.db.tracer != nil {

@@ -270,7 +270,7 @@ func TestRuleLimitAndRollback(t *testing.T) {
 	err := db.DefineRule(
 		rules.Def{Name: "loop", Event: calculus.P(event.Create("stock"))},
 		Body{
-			Condition: cond.True,
+			Condition: cond.Formula{}, // always satisfied
 			Action: act.Action{Statements: []act.Statement{
 				act.Create{Class: "stock", Once: true, Vals: map[string]cond.Term{}},
 			}},

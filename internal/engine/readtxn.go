@@ -93,14 +93,6 @@ func (t *ReadTxn) Snapshot() *object.Snapshot {
 // unpinned when the ReadTxn value goes out of scope.
 func (t *ReadTxn) Close() { t.done = true }
 
-// Commit closes the transaction. A read txn has nothing to commit; this
-// exists so session-shaped callers (the shell) can end either kind of
-// transaction uniformly.
-func (t *ReadTxn) Commit() error { t.done = true; return nil }
-
-// Rollback closes the transaction (identical to Commit for reads).
-func (t *ReadTxn) Rollback() error { t.done = true; return nil }
-
 // Write-shaped operations: every one fails with ErrReadOnly, typed so
 // callers routing mixed workloads can test with errors.Is.
 

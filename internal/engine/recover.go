@@ -20,7 +20,7 @@ type RecoveryReport struct {
 	// started from (0 if the store held none).
 	CheckpointSeq uint64
 	// Segments is how many sealed segment frames were fetched, decoded
-	// and index-rebuilt (in parallel across RecoveryWorkers).
+	// and index-rebuilt (in parallel, one worker per GOMAXPROCS).
 	Segments int
 	// Records and Blocks count the WAL records replayed; Events the
 	// occurrences re-appended by block replay.
@@ -168,10 +168,7 @@ func (db *DB) applyCheckpoint(ck *checkpoint, rep *RecoveryReport) (*Txn, error)
 		total++
 	}
 	frames := make([]event.SegmentFrame, total)
-	workers := db.dur().RecoveryWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if n > 0 {
 		if workers > n {
 			workers = n
@@ -208,7 +205,7 @@ func (db *DB) applyCheckpoint(ck *checkpoint, rep *RecoveryReport) (*Txn, error)
 	if ck.Tail != nil {
 		frames[total-1] = *ck.Tail
 	}
-	base, err := event.RestoreBase(ck.Meta, frames, db.dur().RecoveryWorkers)
+	base, err := event.RestoreBase(ck.Meta, frames, 0)
 	if err != nil {
 		return nil, fmt.Errorf("engine: recover: %w", err)
 	}
@@ -412,9 +409,6 @@ func (db *DB) replayRecord(rec walRecord, t *Txn, typeTab *replayTypes, rep *Rec
 		// records. (Per-commit snapshot publication is skipped — Recover
 		// publishes the whole store once at the end.)
 		t.line.Commit()
-		if !t.multi {
-			db.store.DiscardUndo()
-		}
 		t.finish()
 		return nil, nil
 	case recRollback:

@@ -115,9 +115,9 @@ const DefaultSegmentSize = 256
 // ids once, at the API edge, and below that compares and hashes int32s;
 // a Type or OID that was never interned has no occurrences. The probe
 // loops of the Trigger Support walk windows through ChunkCols, touching
-// only the timestamp and type-id columns; Occurrence rows are
-// materialized only at API edges, lazily, into a per-segment cache that
-// backs the aliasing views.
+// only the timestamp and type-id columns; Occurrence rows exist only as
+// copies made at the API edge (Window, AppendWindow, All,
+// OccurrencesOfObj).
 //
 // # Interners and retention
 //
@@ -140,21 +140,17 @@ const DefaultSegmentSize = 256
 // Base is explicitly safe for any number of concurrent readers: every
 // read path takes the internal RWMutex in shared mode and either copies
 // results or appends into a buffer the caller owns. A loop of probes
-// takes it once, through a read section (Read, Reader). The exceptions,
-// WindowView, ChunkView and ChunkCols, return slices aliasing a
-// segment's arrays — safe because sealed segments are immutable and the
-// tail segment is append-only: existing entries are never moved or
-// overwritten, and compaction only unlinks whole segments from the
-// chain, never relocating live data, so a previously returned view stays
-// valid (the garbage collector keeps its segment alive) even across
-// appends and compactions. The row views are served from the row cache,
-// materialized under its own mutex; its backing array is sized to the
-// segment once and never reallocates, so the same aliasing guarantee
-// holds. Appends and
-// CompactBelow take the mutex exclusively; the engine additionally
-// serializes writers per transaction (one open transaction owns the
-// Base), so readers racing a writer observe either the pre-append or the
-// post-append log, never a torn state.
+// takes it once, through a read section (Read, Reader). The one
+// exception, ChunkCols, returns slices aliasing a segment's columns —
+// safe because sealed segments are immutable and the tail segment is
+// append-only: existing entries are never moved or overwritten, and
+// compaction only unlinks whole segments from the chain, never
+// relocating live data, so previously returned columns stay valid (the
+// garbage collector keeps their segment alive) even across appends and
+// compactions. Appends and CompactBelow take the mutex exclusively; the
+// engine additionally serializes writers per transaction (one open
+// transaction owns the Base), so readers racing a writer observe either
+// the pre-append or the post-append log, never a torn state.
 type Base struct {
 	mu      sync.RWMutex
 	segSize int
@@ -199,8 +195,8 @@ type Base struct {
 // objects present. Index entries are int32 offsets into the columns,
 // keys are interned ids; a segment and all its indexes retire together.
 //
-// Every search is a binary probe over ts, the index is derived from tids
-// and oids; occs stays nil until a row view materializes it.
+// Every search is a binary probe over ts, and the index is derived from
+// tids and oids.
 type segment struct {
 	firstEID EID // EID of entry 0; EIDs are dense, entry i is firstEID+i
 	ts       []clock.Time
@@ -212,12 +208,6 @@ type segment struct {
 	leafOf idTable[segLeaf]
 	pairOf idTable[[]int32]
 	objOf  idTable[struct{}]
-	// occs is the lazily materialized row cache behind the aliasing
-	// views. rowMu orders concurrent readers materializing it; the
-	// backing array is allocated once with the segment's full capacity,
-	// so previously returned views never move.
-	rowMu sync.Mutex
-	occs  []Occurrence
 }
 
 // segLeaf is one segment's slice of a leaf of the Occurred-Events tree:
@@ -419,13 +409,6 @@ func (b *Base) SetLimits(maxEvents, maxSegments int) {
 	b.maxSegments = maxSegments
 }
 
-// Limits returns the configured live-window bounds (0 = unlimited).
-func (b *Base) Limits() (maxEvents, maxSegments int) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.maxEvents, b.maxSegments
-}
-
 // SetRetention declares a logical-time retention window for streaming
 // consumption: occurrences older than window ticks behind the current
 // instant are eligible for compaction even when some rule's consumption
@@ -441,13 +424,6 @@ func (b *Base) SetRetention(window clock.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.retention = window
-}
-
-// Retention returns the configured retention window (0 = unlimited).
-func (b *Base) Retention() clock.Time {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.retention
 }
 
 // RetentionBound lifts a consumption watermark to the retention floor:
@@ -515,14 +491,6 @@ func (b *Base) InternedTypes() int {
 	return len(b.typesByID)
 }
 
-// DistinctOIDs returns the number of distinct objects ever logged
-// (retired occurrences included).
-func (b *Base) DistinctOIDs() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.oidsByID)
-}
-
 // occAt materializes the occurrence at index i of sg. Callers hold the
 // mutex (read suffices).
 func (b *Base) occAt(sg *segment, i int) Occurrence {
@@ -532,34 +500,6 @@ func (b *Base) occAt(sg *segment, i int) Occurrence {
 		OID:       b.oidsByID[sg.oids[i]],
 		Timestamp: sg.ts[i],
 	}
-}
-
-// rows returns sg's occurrence rows materialized through index hi
-// (exclusive), for the aliasing views. Rows are materialized lazily, in
-// place, into a per-segment cache whose backing array is allocated once
-// with the segment's full capacity — it never reallocates, so slices
-// handed out earlier stay valid (and bit-identical) across later
-// appends, materializations and compactions, preserving the
-// WindowView/ChunkView aliasing contract. Callers hold b.mu (read
-// suffices); rowMu orders concurrent readers materializing the same
-// segment, and the happens-before edge it provides covers every element
-// a returned view exposes.
-func (b *Base) rows(sg *segment, hi int) []Occurrence {
-	sg.rowMu.Lock()
-	if sg.occs == nil {
-		sg.occs = make([]Occurrence, 0, b.segSize)
-	}
-	for i := len(sg.occs); i < hi; i++ {
-		sg.occs = append(sg.occs, Occurrence{
-			EID:       sg.firstEID + EID(i),
-			Type:      b.typesByID[sg.tids[i]],
-			OID:       b.oidsByID[sg.oids[i]],
-			Timestamp: sg.ts[i],
-		})
-	}
-	view := sg.occs[:hi]
-	sg.rowMu.Unlock()
-	return view
 }
 
 // Append records a new event occurrence and returns it. The time stamp
@@ -637,8 +577,8 @@ func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (Occurrence, int3
 // relevant-window start (rules.Support exports it). Retirement unlinks
 // whole segments, dropping their occurrences and every segment-local
 // index in O(segments retired); live data is never moved, so previously
-// returned views stay valid. It returns the number of occurrences
-// retired.
+// returned ChunkCols columns stay valid. It returns the number of
+// occurrences retired.
 //
 // Callers must guarantee no window reaching at or below the watermark is
 // still being evaluated: the engine compacts only at block boundaries,
@@ -690,14 +630,6 @@ func (b *Base) Len() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.live
-}
-
-// Appended returns the total number of occurrences ever appended,
-// including retired ones.
-func (b *Base) Appended() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.live + b.retired
 }
 
 // Retired returns the number of occurrences retired by compaction.
@@ -792,20 +724,6 @@ func (b *Base) TypeID(t Type) (int32, bool) {
 	return r.TypeID(t)
 }
 
-// Latest returns the time stamp of the most recent occurrence of type t,
-// or clock.Never if t never occurred. This is the leaf's cached value the
-// paper's implementation section calls out; it survives compaction (the
-// most recent occurrence of a type is a fact about the whole
-// transaction, not about the live window).
-func (b *Base) Latest(t Type) clock.Time {
-	r := b.Read()
-	defer r.Done()
-	if tid, ok := r.TypeID(t); ok {
-		return b.latest[tid]
-	}
-	return clock.Never
-}
-
 // LastOfObjTID returns the time stamp of the most recent occurrence in
 // the window (since, upTo] of the type with id tid on the object with id
 // oi, or clock.Never if there is none; it backs ots(E, t, oid). Segments
@@ -890,15 +808,6 @@ func (b *Base) occurrences(t Type, oi int32, since, upTo clock.Time) []Occurrenc
 	return out
 }
 
-// OccurrencesOf returns all occurrences of type t in the window
-// (since, upTo], in time order. The at() event formula uses it to produce
-// every activation time stamp of a composite expression.
-func (b *Base) OccurrencesOf(t Type, since, upTo clock.Time) []Occurrence {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.occurrences(t, anyObj, since, upTo)
-}
-
 // OccurrencesOfObj returns the occurrences of type t on object oid in the
 // window (since, upTo].
 func (b *Base) OccurrencesOfObj(t Type, oid types.OID, since, upTo clock.Time) []Occurrence {
@@ -953,64 +862,11 @@ func (b *Base) AppendWindow(dst []Occurrence, since, upTo clock.Time) []Occurren
 	return dst
 }
 
-// WindowView returns the occurrences of (since, upTo] as a read-only
-// view. When the window lies inside one segment the view aliases that
-// segment's row array — valid and immutable across later appends and
-// compactions (segments are never mutated or moved, only unlinked);
-// callers must not write through it. When the window spans a segment
-// boundary (or reaches into the retired region, whose live remainder may
-// start mid-chain) the method falls back to an allocated copy. Callers
-// needing guaranteed-zero-allocation iteration walk the window with
-// ChunkView (rows) or ChunkCols (columns) instead.
-func (b *Base) WindowView(since, upTo clock.Time) []Occurrence {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var view []Occurrence
-	single := true
-	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
-		rows := b.rows(sg, hi)
-		if view == nil {
-			view = rows[lo:hi]
-			return true
-		}
-		if single {
-			// Second range: abandon aliasing, start a copy.
-			view = append(append(make([]Occurrence, 0, len(view)+(hi-lo)), view...), rows[lo:hi]...)
-			single = false
-			return true
-		}
-		view = append(view, rows[lo:hi]...)
-		return true
-	})
-	return view
-}
-
-// ChunkView returns the earliest occurrences of (since, upTo] that are
-// contiguous in one segment, as a read-only alias of that segment's row
-// array (never a copy of row data), or nil when the window holds none.
-// Iterating a window chunk by chunk — advancing since to the last
-// returned occurrence's time stamp — is an allocation-free walk; each
-// chunk stays valid across appends and compactions for the same reason
-// WindowView's aliased case does. The rows are served from the
-// per-segment materialization cache (filled at most once per entry); hot
-// paths should prefer ChunkCols, which touches no rows.
-func (b *Base) ChunkView(since, upTo clock.Time) []Occurrence {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var view []Occurrence
-	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
-		view = b.rows(sg, hi)[lo:hi]
-		return false
-	})
-	return view
-}
-
 // Cols is a columnar view of one contiguous run of occurrences inside a
 // single segment: parallel timestamp / interned-type-id / interned-OID
 // columns, plus the EID of the first entry (EIDs are dense — entry i has
-// EID EID0+i). Like ChunkView, the slices alias segment storage: they
-// stay valid across appends and compaction and are read-only for
-// callers.
+// EID EID0+i). The slices alias segment storage: they stay valid across
+// appends and compaction and are read-only for callers.
 type Cols struct {
 	TS   []clock.Time
 	TIDs []int32
@@ -1020,11 +876,10 @@ type Cols struct {
 
 // ChunkCols returns the earliest occurrences of (since, upTo] that are
 // contiguous in one segment, as a columnar view (never a copy), or the
-// zero Cols when the window holds none. It is the column-store analogue
-// of ChunkView: the batched probe loops of the Trigger Support walk a
-// window chunk by chunk — advancing since to the last returned timestamp
-// — touching only the dense timestamp and id columns, with no Occurrence
-// materialization at all.
+// zero Cols when the window holds none. The batched probe loops of the
+// Trigger Support walk a window chunk by chunk — advancing since to the
+// last returned timestamp — touching only the dense timestamp and id
+// columns, with no Occurrence materialization at all.
 func (b *Base) ChunkCols(since, upTo clock.Time) Cols {
 	var c Cols
 	b.mu.RLock()
@@ -1219,12 +1074,6 @@ func (b *Base) AppendOIDs(dst []types.OID, since, upTo clock.Time) []types.OID {
 	r := b.Read()
 	defer r.Done()
 	return r.AppendOIDs(dst, since, upTo)
-}
-
-// OIDsOfTypes returns the distinct objects affected by occurrences of any
-// of the given types in (since, upTo], in ascending OID order.
-func (b *Base) OIDsOfTypes(ts []Type, since, upTo clock.Time) []types.OID {
-	return b.AppendOIDsOfTypes(nil, ts, since, upTo)
 }
 
 // AppendOIDsOfTypes is Reader.AppendOIDsOfTypes under its own lock.

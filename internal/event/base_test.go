@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -295,4 +296,14 @@ func TestInternerGauges(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ParseOp maps an operation name to its Op.
+func ParseOp(name string) (Op, error) {
+	for i, n := range opNames {
+		if n == name {
+			return Op(i), nil
+		}
+	}
+	return 0, fmt.Errorf("event: unknown operation %q", name)
 }

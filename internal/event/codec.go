@@ -116,21 +116,6 @@ func (b *Base) ExportState() (BaseState, error) {
 	return st, nil
 }
 
-// SealedFrame returns the live sealed segment with global ordinal ord
-// (Meta.RetiredSegs ≤ ord < RetiredSegs + sealed count), aliasing its
-// immutable columns. The engine uses it to persist segments
-// incrementally without re-exporting the whole base.
-func (b *Base) SealedFrame(ord uint64) (SegmentFrame, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	i := int(ord) - b.retiredSegs
-	if i < 0 || i >= len(b.segs) || b.segs[i].n() != b.segSize {
-		return SegmentFrame{}, fmt.Errorf("event: no sealed segment with ordinal %d", ord)
-	}
-	sg := b.segs[i]
-	return SegmentFrame{FirstEID: sg.firstEID, TS: sg.ts, TIDs: sg.tids, OIDs: sg.oids}, nil
-}
-
 // SealedSegments returns the global count of segments ever sealed:
 // retired segments plus live full ones. Ordinals [RetiredSegments(),
 // SealedSegments()) are the live sealed frames.
@@ -231,10 +216,10 @@ func DecodeSegment(data []byte) (SegmentFrame, error) {
 // RestoreBase reconstructs a Base from a checkpoint export: the meta
 // plus the live frames in ascending order (sealed frames first, then
 // the tail, exactly as ExportState produced them). The per-segment
-// indexes — leaves, per-object lists, the row cache geometry — are
-// rebuilt concurrently across workers (≤0 means GOMAXPROCS), which is
-// the parallel-recovery half of the durability design: segments are
-// independent, so index rebuild scales with cores.
+// indexes — leaves and per-object lists — are rebuilt concurrently
+// across workers (≤0 means GOMAXPROCS), which is the parallel-recovery
+// half of the durability design: segments are independent, so index
+// rebuild scales with cores.
 func RestoreBase(meta BaseMeta, frames []SegmentFrame, workers int) (*Base, error) {
 	if meta.SegSize < 1 {
 		return nil, fmt.Errorf("event: restore: invalid segment size %d", meta.SegSize)

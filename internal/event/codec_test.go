@@ -3,6 +3,7 @@ package event
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"chimera/internal/clock"
@@ -245,4 +246,18 @@ func TestRestoreBaseValidation(t *testing.T) {
 	if _, err := RestoreBase(st.Meta, broken, 2); err == nil {
 		t.Fatal("out-of-range TID accepted")
 	}
+}
+
+// SealedFrame returns the live sealed segment with global ordinal ord
+// (Meta.RetiredSegs ≤ ord < RetiredSegs + sealed count), aliasing its
+// immutable columns.
+func (b *Base) SealedFrame(ord uint64) (SegmentFrame, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	i := int(ord) - b.retiredSegs
+	if i < 0 || i >= len(b.segs) || b.segs[i].n() != b.segSize {
+		return SegmentFrame{}, fmt.Errorf("event: no sealed segment with ordinal %d", ord)
+	}
+	sg := b.segs[i]
+	return SegmentFrame{FirstEID: sg.firstEID, TS: sg.ts, TIDs: sg.tids, OIDs: sg.oids}, nil
 }

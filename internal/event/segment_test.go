@@ -3,6 +3,7 @@ package event
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -72,9 +73,6 @@ func TestSegmentedLookupsMatchFlat(t *testing.T) {
 		if g, want := seg.Window(since, upTo), ref.Window(since, upTo); !reflect.DeepEqual(g, want) {
 			t.Fatalf("Window(%d, %d) mismatch", since, upTo)
 		}
-		if g, want := seg.WindowView(since, upTo), ref.WindowView(since, upTo); !occEqual(g, want) {
-			t.Fatalf("WindowView(%d, %d) mismatch", since, upTo)
-		}
 		if g, want := seg.Arrivals(since, upTo), ref.Arrivals(since, upTo); !reflect.DeepEqual(g, want) {
 			t.Fatalf("Arrivals(%d, %d) mismatch", since, upTo)
 		}
@@ -90,24 +88,10 @@ func TestSegmentedLookupsMatchFlat(t *testing.T) {
 		if g, want := seg.OIDsOfTypes(vocab[:3], since, upTo), ref.OIDsOfTypes(vocab[:3], since, upTo); !reflect.DeepEqual(g, want) {
 			t.Fatalf("OIDsOfTypes(%d, %d) = %v, want %v", since, upTo, g, want)
 		}
-		// Walking chunk by chunk reconstructs the window exactly.
-		var chunks []Occurrence
-		lo := since
-		for {
-			c := seg.ChunkView(lo, upTo)
-			if len(c) == 0 {
-				break
-			}
-			chunks = append(chunks, c...)
-			lo = c[len(c)-1].Timestamp
-		}
-		if want := ref.Window(since, upTo); !occEqual(chunks, want) {
-			t.Fatalf("ChunkView walk (%d, %d) mismatch", since, upTo)
-		}
-		// The columnar chunk walk reconstructs the same window from the
-		// raw columns (EIDs dense from EID0, ids through the interners).
+		// The columnar chunk walk reconstructs the window from the raw
+		// columns (EIDs dense from EID0, ids through the interners).
 		var colOccs []Occurrence
-		lo = since
+		lo := since
 		for {
 			c := seg.ChunkCols(lo, upTo)
 			if len(c.TS) != len(c.TIDs) || len(c.TS) != len(c.OIDs) {
@@ -328,9 +312,9 @@ func TestCompactBelow(t *testing.T) {
 	}
 }
 
-// TestViewsSurviveCompaction pins the aliasing contract: a view taken
-// before compaction keeps its contents after the segments it aliases are
-// retired (compaction unlinks segments, never moves live data).
+// TestViewsSurviveCompaction pins the aliasing contract: columns taken
+// before compaction keep their contents after the segments they alias
+// are retired (compaction unlinks segments, never moves live data).
 func TestViewsSurviveCompaction(t *testing.T) {
 	b := NewBaseSize(3)
 	for i := 1; i <= 12; i++ {
@@ -338,33 +322,38 @@ func TestViewsSurviveCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	view := b.WindowView(clock.Never, 3) // one whole segment: aliased
-	chunk := b.ChunkView(3, 9)           // first chunk of a wider window
-	wantView := append([]Occurrence(nil), view...)
-	wantChunk := append([]Occurrence(nil), chunk...)
+	view := b.ChunkCols(clock.Never, 3) // one whole segment
+	chunk := b.ChunkCols(3, 9)          // first chunk of a wider window
+	clone := func(c Cols) Cols {
+		return Cols{TS: slices.Clone(c.TS), TIDs: slices.Clone(c.TIDs), OIDs: slices.Clone(c.OIDs), EID0: c.EID0}
+	}
+	wantView, wantChunk := clone(view), clone(chunk)
+	same := func(a, b Cols) bool {
+		return slices.Equal(a.TS, b.TS) && slices.Equal(a.TIDs, b.TIDs) && slices.Equal(a.OIDs, b.OIDs) && a.EID0 == b.EID0
+	}
 
 	if n := b.CompactBelow(9); n != 9 {
 		t.Fatalf("retired %d, want 9", n)
 	}
-	if !occEqual(view, wantView) || !occEqual(chunk, wantChunk) {
-		t.Fatal("views changed under compaction")
+	if !same(view, wantView) || !same(chunk, wantChunk) {
+		t.Fatal("columns changed under compaction")
 	}
-	// And appends past the views leave them intact too.
+	// And appends past the columns leave them intact too.
 	for i := 13; i <= 24; i++ {
 		if _, err := b.Append(Create("stock"), 1, clock.Time(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !occEqual(view, wantView) || !occEqual(chunk, wantChunk) {
-		t.Fatal("views changed under later appends")
+	if !same(view, wantView) || !same(chunk, wantChunk) {
+		t.Fatal("columns changed under later appends")
 	}
 }
 
 // TestViewsStableAcrossSealsColumnar pins the aliasing contract:
-// WindowView/ChunkView slices (and ChunkCols columns) taken at every
-// stage — inside an unsealed tail segment, before later appends seal it,
-// and before CompactBelow — keep their exact contents through all of it,
-// and those contents are the window as a copy taken at capture time.
+// ChunkCols columns taken at every stage — inside an unsealed tail
+// segment, before later appends seal it, and before CompactBelow — keep
+// their exact contents through all of it, and those contents are the
+// window as a copy taken at capture time.
 func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	col := NewBaseSize(4)
@@ -372,8 +361,6 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 
 	type snap struct {
 		since, upTo clock.Time
-		colView     []Occurrence
-		colChunk    []Occurrence
 		cols        Cols
 		want        []Occurrence // deep copy at capture time
 	}
@@ -387,18 +374,16 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 		if _, err := col.Append(ty, oid, ts); err != nil {
 			t.Fatal(err)
 		}
-		// Capture views mid-stream — including from the unsealed tail
+		// Capture columns mid-stream — including from the unsealed tail
 		// (i not a multiple of the segment size) — so later appends write
-		// into the very arrays the views alias.
+		// into the very arrays the columns alias.
 		if i%7 == 3 {
 			since := ts - clock.Time(r.Intn(6)+1)
 			s := snap{
-				since:    since,
-				upTo:     ts,
-				colView:  col.WindowView(since, ts),
-				colChunk: col.ChunkView(since, ts),
-				cols:     col.ChunkCols(since, ts),
-				want:     col.Window(since, ts), // a copy, never an alias
+				since: since,
+				upTo:  ts,
+				cols:  col.ChunkCols(since, ts),
+				want:  col.Window(since, ts), // a copy, never an alias
 			}
 			snaps = append(snaps, s)
 		}
@@ -407,14 +392,6 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		for _, s := range snaps {
-			if !occEqual(s.colView, s.want) {
-				t.Fatalf("%s: WindowView(%d, %d) diverged", stage, s.since, s.upTo)
-			}
-			for i := range s.colChunk {
-				if s.colChunk[i] != s.want[i] {
-					t.Fatalf("%s: ChunkView(%d, %d) changed under the view", stage, s.since, s.upTo)
-				}
-			}
 			for i := range s.cols.TS {
 				w := s.want[i]
 				if s.cols.TS[i] != w.Timestamp || s.cols.EID0+EID(i) != w.EID {
@@ -442,7 +419,7 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 
 // TestConcurrentReadersWithCompaction stress-tests the reader paths
 // against a live appender and compactor under -race: readers walk
-// windows, chunk views and index lookups while segments are appended and
+// windows, column chunks and index lookups while segments are appended and
 // retired.
 func TestConcurrentReadersWithCompaction(t *testing.T) {
 	b := NewBaseSize(8)
@@ -488,17 +465,17 @@ func TestConcurrentReadersWithCompaction(t *testing.T) {
 				prev := since
 				lo := since
 				for {
-					c := b.ChunkView(lo, upTo)
-					if len(c) == 0 {
+					c := b.ChunkCols(lo, upTo)
+					if len(c.TS) == 0 {
 						break
 					}
-					for _, o := range c {
-						if o.Timestamp <= prev || o.Timestamp > upTo {
+					for _, ts := range c.TS {
+						if ts <= prev || ts > upTo {
 							panic("chunk walk out of window order")
 						}
-						prev = o.Timestamp
+						prev = ts
 					}
-					lo = c[len(c)-1].Timestamp
+					lo = c.TS[len(c.TS)-1]
 				}
 				b.LastOf(ty[r.Intn(3)], since, upTo)
 				b.OIDs(since, upTo)

@@ -59,16 +59,6 @@ func (o Op) String() string {
 	return opNames[o]
 }
 
-// ParseOp maps an operation name to its Op.
-func ParseOp(name string) (Op, error) {
-	for i, n := range opNames {
-		if n == name {
-			return Op(i), nil
-		}
-	}
-	return 0, fmt.Errorf("event: unknown operation %q", name)
-}
-
 // Type is a primitive event type: an operation, the class it applies to,
 // and — for modify — the attribute changed. Type is comparable and used
 // as a map key throughout the Trigger Support.

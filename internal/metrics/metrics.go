@@ -75,14 +75,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the gauge by n (which may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value returns the current value (0 on a nil receiver).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -129,22 +121,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[i].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values (0 on a nil receiver).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // snapshot reads the histogram race-free (counts may trail in-flight

@@ -186,12 +186,14 @@ func (ln *Line) Delete(oid types.OID) error {
 	return ln.s.deleteLocked(oid, &ln.undo)
 }
 
-// Specialize moves an object into a subclass (see Store.Specialize).
+// Specialize moves an object down the hierarchy into sub, a subclass of
+// its current class; its attributes are preserved.
 func (ln *Line) Specialize(oid types.OID, sub string) error {
 	return ln.migrate(oid, sub, true)
 }
 
-// Generalize moves an object into a superclass (see Store.Generalize).
+// Generalize moves an object up the hierarchy into super, a superclass
+// of its current class; attributes the superclass lacks are dropped.
 func (ln *Line) Generalize(oid types.OID, super string) error {
 	return ln.migrate(oid, super, false)
 }
@@ -275,9 +277,6 @@ func (ln *Line) Select(class string) ([]types.OID, error) {
 
 // Schema returns the catalog of the underlying store.
 func (ln *Line) Schema() *schema.Schema { return ln.s.schema }
-
-// Undo returns the number of undo entries the line has accumulated.
-func (ln *Line) Undo() int { return len(ln.undo) }
 
 // TouchedOIDs returns the distinct OIDs the line has created, modified,
 // deleted or migrated, in first-touch order. The engine captures this

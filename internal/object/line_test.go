@@ -36,10 +36,7 @@ func TestLineCommitPublishesWrites(t *testing.T) {
 
 func TestLineRollbackUndoesEverything(t *testing.T) {
 	st := newStockStore(t)
-	keep, err := st.Create("stock", map[string]types.Value{"quantity": types.Int(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	keep := seed(t, st, "stock", map[string]types.Value{"quantity": types.Int(1)})
 
 	ln := st.BeginLine(tryOpts)
 	oid, err := ln.Create("order", map[string]types.Value{"item": types.String_("x")})
@@ -74,7 +71,7 @@ func TestLineRollbackUndoesEverything(t *testing.T) {
 
 func TestLineWriteWriteConflict(t *testing.T) {
 	st := newStockStore(t)
-	oid, _ := st.Create("stock", map[string]types.Value{"quantity": types.Int(1)})
+	oid := seed(t, st, "stock", map[string]types.Value{"quantity": types.Int(1)})
 
 	a := st.BeginLine(tryOpts)
 	b := st.BeginLine(tryOpts)
@@ -104,7 +101,7 @@ func TestLineWriteWriteConflict(t *testing.T) {
 
 func TestLineReadBlocksWriter(t *testing.T) {
 	st := newStockStore(t)
-	oid, _ := st.Create("stock", map[string]types.Value{"quantity": types.Int(1)})
+	oid := seed(t, st, "stock", map[string]types.Value{"quantity": types.Int(1)})
 
 	r := st.BeginLine(tryOpts)
 	if _, ok := r.Get(oid); !ok {
@@ -149,7 +146,7 @@ func TestLineSelectConflictsWithExtensionChange(t *testing.T) {
 
 func TestLineBlockingWaitSucceeds(t *testing.T) {
 	st := newStockStore(t)
-	oid, _ := st.Create("stock", map[string]types.Value{"quantity": types.Int(1)})
+	oid := seed(t, st, "stock", map[string]types.Value{"quantity": types.Int(1)})
 
 	a := st.BeginLine(blockingOpts)
 	if err := a.Modify(oid, "quantity", types.Int(2)); err != nil {
@@ -179,8 +176,8 @@ func TestLineBlockingWaitSucceeds(t *testing.T) {
 // migrations' bookkeeping disjoint.
 func TestLineInterleavedMigrationRollback(t *testing.T) {
 	st := newStockStore(t)
-	o1, _ := st.Create("order", map[string]types.Value{"item": types.String_("a")})
-	o2, _ := st.Create("order", map[string]types.Value{"item": types.String_("b")})
+	o1 := seed(t, st, "order", map[string]types.Value{"item": types.String_("a")})
+	o2 := seed(t, st, "order", map[string]types.Value{"item": types.String_("b")})
 
 	a := st.BeginLine(blockingOpts)
 	b := st.BeginLine(blockingOpts)
@@ -233,10 +230,7 @@ func TestLineStressDisjointWriters(t *testing.T) {
 	oids := make([][]types.OID, lines)
 	for i := range oids {
 		for j := 0; j < 4; j++ {
-			oid, err := st.Create("stock", map[string]types.Value{"quantity": types.Int(0)})
-			if err != nil {
-				t.Fatal(err)
-			}
+			oid := seed(t, st, "stock", map[string]types.Value{"quantity": types.Int(0)})
 			oids[i] = append(oids[i], oid)
 		}
 	}
@@ -286,7 +280,7 @@ func TestLineStressDisjointWriters(t *testing.T) {
 // Exercised by the CI -race job.
 func TestLineStressContendedCounter(t *testing.T) {
 	st := newStockStore(t)
-	oid, _ := st.Create("stock", map[string]types.Value{"quantity": types.Int(0)})
+	oid := seed(t, st, "stock", map[string]types.Value{"quantity": types.Int(0)})
 	const lines, rounds = 8, 25
 	var wg sync.WaitGroup
 	for i := 0; i < lines; i++ {

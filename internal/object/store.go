@@ -4,13 +4,14 @@
 // generate Chimera's primitive events.
 //
 // The store is purely a state container: it performs no event logging and
-// no rule processing. The engine package wraps every mutation, stamps it
-// with the logical clock and appends the corresponding occurrence to the
-// Event Base. The store keeps an undo log so the engine can roll a
-// transaction back.
+// no rule processing. Every mutation goes through a transaction Line
+// (line.go), which keeps the undo log that rolls it back; the engine wraps
+// each one, stamps it with the logical clock and appends the corresponding
+// occurrence to the Event Base.
 package object
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -149,10 +150,6 @@ func (e undoEntry) apply(s *Store) {
 	}
 }
 
-// Mark is a position in the undo log; rolling back to a Mark undoes every
-// mutation performed after it.
-type Mark int
-
 // Store holds all live objects of a database.
 type Store struct {
 	mu      sync.RWMutex
@@ -160,7 +157,6 @@ type Store struct {
 	objects map[types.OID]*Object
 	byClass map[string]map[types.OID]*Object
 	nextOID types.OID
-	undo    []undoEntry
 	// latches and nextLine serve the multi-line access path (BeginLine):
 	// per-OID and per-class reader/writer latches held to line end, and
 	// the line id allocator.
@@ -203,20 +199,11 @@ func (s *Store) Len() int {
 	return len(s.objects)
 }
 
-// Create instantiates a new object of the named class with the given
-// initial attribute values and returns its OID.
-func (s *Store) Create(class string, vals map[string]types.Value) (types.OID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.createLocked(class, vals, &s.undo, true)
-}
-
-// createLocked is the creation core, shared by the legacy global-undo
-// path and the per-line path. reuseOID selects whether the undo entry
-// rolls the OID allocator back: with a single line of control the
-// created OID is always the newest at undo time, but with concurrent
-// lines a later line may have allocated past it, so aborts leave an OID
-// gap instead.
+// createLocked instantiates a new object of the named class, recording
+// its undo entry in undo. reuseOID selects whether the undo entry rolls
+// the OID allocator back: with a single line of control the created OID
+// is always the newest at undo time, but with concurrent lines a later
+// line may have allocated past it, so aborts leave an OID gap instead.
 func (s *Store) createLocked(class string, vals map[string]types.Value, undo *[]undoEntry, reuseOID bool) (types.OID, error) {
 	c, ok := s.schema.Class(class)
 	if !ok {
@@ -274,13 +261,6 @@ func (s *Store) createAtLocked(oid types.OID, class string, vals map[string]type
 	return nil
 }
 
-// Modify sets one attribute of one object.
-func (s *Store) Modify(oid types.OID, attr string, v types.Value) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.modifyLocked(oid, attr, v, &s.undo)
-}
-
 func (s *Store) modifyLocked(oid types.OID, attr string, v types.Value, undo *[]undoEntry) error {
 	o, ok := s.objects[oid]
 	if !ok {
@@ -299,13 +279,6 @@ func (s *Store) modifyLocked(oid types.OID, attr string, v types.Value, undo *[]
 	return nil
 }
 
-// Delete removes an object from the store.
-func (s *Store) Delete(oid types.OID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deleteLocked(oid, &s.undo)
-}
-
 func (s *Store) deleteLocked(oid types.OID, undo *[]undoEntry) error {
 	o, ok := s.objects[oid]
 	if !ok {
@@ -319,25 +292,9 @@ func (s *Store) deleteLocked(oid types.OID, undo *[]undoEntry) error {
 	return nil
 }
 
-// Specialize moves an object down the hierarchy into sub, which must be a
-// subclass of the object's current class. Attributes are preserved.
-func (s *Store) Specialize(oid types.OID, sub string) error {
-	return s.migrate(oid, sub, true)
-}
-
-// Generalize moves an object up the hierarchy into super, which must be a
-// superclass of the object's current class. Attributes not present in the
-// superclass are dropped.
-func (s *Store) Generalize(oid types.OID, super string) error {
-	return s.migrate(oid, super, false)
-}
-
-func (s *Store) migrate(oid types.OID, to string, down bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.migrateLocked(oid, to, down, &s.undo)
-}
-
+// migrateLocked moves an object along the hierarchy: down into a
+// subclass of its current class, keeping its attributes, or up into a
+// superclass, dropping the attributes the superclass lacks.
 func (s *Store) migrateLocked(oid types.OID, to string, down bool, undo *[]undoEntry) error {
 	o, ok := s.objects[oid]
 	if !ok {
@@ -481,6 +438,19 @@ func (s *Store) Select(class string) ([]types.OID, error) {
 	return out, nil
 }
 
+// Objects returns every live object in ascending OID order: what a
+// checkpoint or a snapshot writes out.
+func (s *Store) Objects() []*Object {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]*Object, 0, len(s.objects))
+	for _, o := range s.objects {
+		out = append(out, o)
+	}
+	slices.SortFunc(out, func(a, b *Object) int { return cmp.Compare(a.oid, b.oid) })
+	return out
+}
+
 func (s *Store) classSet(name string) map[types.OID]*Object {
 	set := s.byClass[name]
 	if set == nil {
@@ -488,31 +458,4 @@ func (s *Store) classSet(name string) map[types.OID]*Object {
 		s.byClass[name] = set
 	}
 	return set
-}
-
-// MarkUndo returns the current undo position. The engine takes a mark at
-// the start of a transaction and rolls back to it on abort.
-func (s *Store) MarkUndo() Mark {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return Mark(len(s.undo))
-}
-
-// RollbackTo undoes every mutation performed after the mark, newest
-// first.
-func (s *Store) RollbackTo(m Mark) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := len(s.undo) - 1; i >= int(m); i-- {
-		s.undo[i].apply(s)
-	}
-	s.undo = s.undo[:m]
-}
-
-// DiscardUndo forgets the undo log up to the current point (after a
-// successful commit the history is no longer needed).
-func (s *Store) DiscardUndo() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.undo = nil
 }

@@ -1,6 +1,7 @@
 package object
 
 import (
+	"slices"
 	"testing"
 
 	"chimera/internal/schema"
@@ -30,9 +31,26 @@ func newStockStore(t *testing.T) *Store {
 	return NewStore(s)
 }
 
+// solo opens the store's only writer line, as the single-session engine
+// does: no latches, and rolled-back creations give their OIDs back.
+func solo(st *Store) *Line { return st.BeginLine(LineOptions{Solo: true}) }
+
+// seed commits one object through a solo line.
+func seed(t *testing.T, st *Store, class string, vals map[string]types.Value) types.OID {
+	t.Helper()
+	ln := solo(st)
+	oid, err := ln.Create(class, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Commit()
+	return oid
+}
+
 func TestCreateGetModify(t *testing.T) {
 	st := newStockStore(t)
-	oid, err := st.Create("stock", map[string]types.Value{
+	ln := solo(st)
+	oid, err := ln.Create("stock", map[string]types.Value{
 		"name": types.String_("bolts"), "quantity": types.Int(5),
 	})
 	if err != nil {
@@ -48,7 +66,7 @@ func TestCreateGetModify(t *testing.T) {
 	if v, _ := o.Get("maxquantity"); !v.IsNull() {
 		t.Error("unset attribute should be null")
 	}
-	if err := st.Modify(oid, "quantity", types.Int(9)); err != nil {
+	if err := ln.Modify(oid, "quantity", types.Int(9)); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := o.Get("quantity"); v.AsInt() != 9 {
@@ -57,40 +75,41 @@ func TestCreateGetModify(t *testing.T) {
 	if _, err := o.Get("nope"); err == nil {
 		t.Error("unknown attribute read accepted")
 	}
+	ln.Commit()
 }
 
 func TestCreateErrors(t *testing.T) {
-	st := newStockStore(t)
-	if _, err := st.Create("nosuch", nil); err == nil {
+	ln := solo(newStockStore(t))
+	if _, err := ln.Create("nosuch", nil); err == nil {
 		t.Error("unknown class accepted")
 	}
-	if _, err := st.Create("stock", map[string]types.Value{"quantity": types.String_("x")}); err == nil {
+	if _, err := ln.Create("stock", map[string]types.Value{"quantity": types.String_("x")}); err == nil {
 		t.Error("ill-typed value accepted")
 	}
 }
 
 func TestModifyDeleteErrors(t *testing.T) {
-	st := newStockStore(t)
-	if err := st.Modify(99, "quantity", types.Int(1)); err == nil {
+	ln := solo(newStockStore(t))
+	if err := ln.Modify(99, "quantity", types.Int(1)); err == nil {
 		t.Error("modify of missing object accepted")
 	}
-	oid, _ := st.Create("stock", nil)
-	if err := st.Modify(oid, "nope", types.Int(1)); err == nil {
+	oid, _ := ln.Create("stock", nil)
+	if err := ln.Modify(oid, "nope", types.Int(1)); err == nil {
 		t.Error("modify of unknown attribute accepted")
 	}
-	if err := st.Modify(oid, "quantity", types.String_("x")); err == nil {
+	if err := ln.Modify(oid, "quantity", types.String_("x")); err == nil {
 		t.Error("ill-typed modify accepted")
 	}
-	if err := st.Delete(99); err == nil {
+	if err := ln.Delete(99); err == nil {
 		t.Error("delete of missing object accepted")
 	}
 }
 
 func TestSelectByClassAndHierarchy(t *testing.T) {
 	st := newStockStore(t)
-	o1, _ := st.Create("order", map[string]types.Value{"item": types.String_("a")})
-	o2, _ := st.Create("notFilledOrder", map[string]types.Value{"item": types.String_("b")})
-	st.Create("stock", nil)
+	o1 := seed(t, st, "order", map[string]types.Value{"item": types.String_("a")})
+	o2 := seed(t, st, "notFilledOrder", map[string]types.Value{"item": types.String_("b")})
+	seed(t, st, "stock", nil)
 
 	orders, err := st.Select("order")
 	if err != nil {
@@ -106,12 +125,20 @@ func TestSelectByClassAndHierarchy(t *testing.T) {
 	if _, err := st.Select("ghost"); err == nil {
 		t.Error("unknown class accepted")
 	}
+	var all []types.OID
+	for _, o := range st.Objects() {
+		all = append(all, o.OID())
+	}
+	if want := []types.OID{o1, o2, o2 + 1}; !slices.Equal(all, want) {
+		t.Errorf("Objects = %v, want %v", all, want)
+	}
 }
 
 func TestSpecializeGeneralize(t *testing.T) {
 	st := newStockStore(t)
-	oid, _ := st.Create("order", map[string]types.Value{"item": types.String_("x")})
-	if err := st.Specialize(oid, "notFilledOrder"); err != nil {
+	ln := solo(st)
+	oid, _ := ln.Create("order", map[string]types.Value{"item": types.String_("x")})
+	if err := ln.Specialize(oid, "notFilledOrder"); err != nil {
 		t.Fatal(err)
 	}
 	o, _ := st.Get(oid)
@@ -121,11 +148,11 @@ func TestSpecializeGeneralize(t *testing.T) {
 	if v, _ := o.Get("item"); v.AsString() != "x" {
 		t.Error("attributes lost on specialize")
 	}
-	if err := st.Modify(oid, "missing", types.Int(3)); err != nil {
+	if err := ln.Modify(oid, "missing", types.Int(3)); err != nil {
 		t.Fatal(err)
 	}
 	// Generalizing back drops the subclass attribute.
-	if err := st.Generalize(oid, "order"); err != nil {
+	if err := ln.Generalize(oid, "order"); err != nil {
 		t.Fatal(err)
 	}
 	if o.Class().Name() != "order" {
@@ -136,30 +163,29 @@ func TestSpecializeGeneralize(t *testing.T) {
 	}
 
 	// Errors.
-	if err := st.Specialize(oid, "stock"); err == nil {
+	if err := ln.Specialize(oid, "stock"); err == nil {
 		t.Error("specialize to unrelated class accepted")
 	}
-	if err := st.Generalize(oid, "notFilledOrder"); err == nil {
+	if err := ln.Generalize(oid, "notFilledOrder"); err == nil {
 		t.Error("generalize to subclass accepted")
 	}
-	if err := st.Specialize(999, "notFilledOrder"); err == nil {
+	if err := ln.Specialize(999, "notFilledOrder"); err == nil {
 		t.Error("specialize of missing object accepted")
 	}
 }
 
 func TestUndoRollback(t *testing.T) {
 	st := newStockStore(t)
-	base, _ := st.Create("stock", map[string]types.Value{"quantity": types.Int(1)})
-	st.DiscardUndo()
-	mark := st.MarkUndo()
+	base := seed(t, st, "stock", map[string]types.Value{"quantity": types.Int(1)})
 
-	oid, _ := st.Create("stock", map[string]types.Value{"quantity": types.Int(2)})
-	st.Modify(base, "quantity", types.Int(42))
-	st.Delete(base)
-	o2, _ := st.Create("order", map[string]types.Value{"item": types.String_("z")})
-	st.Specialize(o2, "notFilledOrder")
+	ln := solo(st)
+	oid, _ := ln.Create("stock", map[string]types.Value{"quantity": types.Int(2)})
+	ln.Modify(base, "quantity", types.Int(42))
+	ln.Delete(base)
+	o2, _ := ln.Create("order", map[string]types.Value{"item": types.String_("z")})
+	ln.Specialize(o2, "notFilledOrder")
 
-	st.RollbackTo(mark)
+	ln.Rollback()
 
 	if st.Len() != 1 {
 		t.Fatalf("Len after rollback = %d, want 1", st.Len())
@@ -174,19 +200,19 @@ func TestUndoRollback(t *testing.T) {
 	if v, _ := o.Get("quantity"); v.AsInt() != 1 {
 		t.Errorf("modify not undone: quantity = %v", v)
 	}
-	// OIDs are reused after rollback of creations, keeping allocation dense.
-	oid2, _ := st.Create("stock", nil)
-	if oid2 != oid {
+	// A solo line's rolled-back creations give their OIDs back, keeping
+	// allocation dense.
+	if oid2 := seed(t, st, "stock", nil); oid2 != oid {
 		t.Errorf("OID after rollback = %v, want %v", oid2, oid)
 	}
 }
 
 func TestRollbackClassIndexes(t *testing.T) {
 	st := newStockStore(t)
-	mark := st.MarkUndo()
-	oid, _ := st.Create("order", nil)
-	st.Specialize(oid, "notFilledOrder")
-	st.RollbackTo(mark)
+	ln := solo(st)
+	oid, _ := ln.Create("order", nil)
+	ln.Specialize(oid, "notFilledOrder")
+	ln.Rollback()
 	for _, class := range []string{"order", "notFilledOrder"} {
 		got, _ := st.Select(class)
 		if len(got) != 0 {
@@ -197,7 +223,7 @@ func TestRollbackClassIndexes(t *testing.T) {
 
 func TestObjectString(t *testing.T) {
 	st := newStockStore(t)
-	oid, _ := st.Create("stock", map[string]types.Value{
+	oid := seed(t, st, "stock", map[string]types.Value{
 		"name": types.String_("nut"), "quantity": types.Int(3),
 	})
 	o, _ := st.Get(oid)

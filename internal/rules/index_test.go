@@ -175,7 +175,7 @@ func walkWatermark(l *line) clock.Time {
 // same States.
 type walked struct {
 	t *testing.T
-	v View
+	v lineView
 	l *line
 }
 

@@ -684,13 +684,6 @@ func (s *Support) Plan() *calculus.Plan {
 	return s.plan
 }
 
-// ResetStats zeroes the work counters.
-func (s *Support) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = Stats{}
-}
-
 // BeginTransaction resets every rule's horizon to the new transaction's
 // start instant (the Event Base is per-transaction; the engine supplies a
 // fresh one via Rebind).
@@ -1066,26 +1059,6 @@ func (l *line) walk(pe *calculus.PlanEval, batch []*State, newest, minLo, now cl
 	}
 }
 
-// Triggered returns the currently triggered rules in priority order,
-// optionally restricted to one coupling mode.
-func (s *Support) Triggered(filter func(Def) bool) []string {
-	s.rlockSynced()
-	defer s.mu.RUnlock()
-	return s.line.triggeredNames(filter)
-}
-
-func (l *line) triggeredNames(filter func(Def) bool) []string {
-	l.sync()
-	var out []string
-	l.each(l.trig, func(st *State) bool {
-		if filter == nil || filter(st.Def) {
-			out = append(out, st.Def.Name)
-		}
-		return true
-	})
-	return out
-}
-
 // Pick returns the highest-priority triggered rule passing the filter.
 func (s *Support) Pick(filter func(Def) bool) (string, bool) {
 	s.rlockSynced()
@@ -1093,7 +1066,7 @@ func (s *Support) Pick(filter func(Def) bool) (string, bool) {
 	return s.line.pick(filter)
 }
 
-// pick is triggeredNames stopped at its first element: the engine picks
+// pick returns the first triggered rule passing filter: the engine picks
 // once per consideration, so it must not build the list it discards.
 // The lowest set rank is the head of the queue among the triggered.
 func (l *line) pick(filter func(Def) bool) (name string, ok bool) {

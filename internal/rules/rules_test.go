@@ -446,7 +446,7 @@ func TestPickAllocatesNothing(t *testing.T) {
 	}
 	sess.NotifyArrivals([]event.Occurrence{occ})
 	s.NotifyArrivals([]event.Occurrence{occ})
-	for _, v := range []View{s, sess} {
+	for _, v := range []lineView{s, sess} {
 		if fired := v.CheckTriggered(c.Now()); len(fired) != 200 {
 			t.Fatalf("%d rules triggered, want 200", len(fired))
 		}

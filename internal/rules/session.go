@@ -25,18 +25,12 @@ type View interface {
 	Watermark() clock.Time
 	// Consider detriggers a rule and returns its event-formula window.
 	Consider(name string, now clock.Time) (Consideration, error)
-	// Triggered lists currently triggered rules in priority order.
-	Triggered(filter func(Def) bool) []string
 	// Pick returns the highest-priority triggered rule passing filter.
 	Pick(filter func(Def) bool) (string, bool)
-	// Rule returns a copy of the line's state for one rule.
-	Rule(name string) (State, bool)
 	// Mark returns one rule's durable state (see Support.Mark).
 	Mark(name string) (Mark, bool)
 	// Stats snapshots the line's work counters.
 	Stats() Stats
-	// TxnStart is the line's transaction start instant.
-	TxnStart() clock.Time
 	// SetBudget installs (or, with nil, clears) the evaluation budget
 	// this line's triggering determinations charge against. Exhaustion
 	// surfaces from CheckTriggered as a budget fault the engine converts
@@ -121,13 +115,6 @@ func (s *Support) NewSession(base *event.Base, start clock.Time) *Session {
 	return sess
 }
 
-// Sessions returns the number of open sessions.
-func (s *Support) Sessions() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sessions
-}
-
 // Release closes the session, folding its work counters into the
 // Support's aggregate Stats and unfreezing the registry once the last
 // session is gone. Idempotent.
@@ -183,13 +170,6 @@ func (sess *Session) Consider(name string, now clock.Time) (Consideration, error
 	return sess.line.consider(name, now)
 }
 
-// Triggered lists the session's currently triggered rules.
-func (sess *Session) Triggered(filter func(Def) bool) []string {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.line.triggeredNames(filter)
-}
-
 // Pick returns the session's highest-priority triggered rule.
 func (sess *Session) Pick(filter func(Def) bool) (string, bool) {
 	sess.mu.Lock()
@@ -208,13 +188,6 @@ func (sess *Session) RestoreTriggered(name string, at clock.Time) error {
 	return sess.line.restoreTriggered(name, at)
 }
 
-// Rule returns a copy of the session's state for one rule.
-func (sess *Session) Rule(name string) (State, bool) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.line.rule(name)
-}
-
 // Mark returns one rule's durable state in this session.
 func (sess *Session) Mark(name string) (Mark, bool) {
 	sess.mu.Lock()
@@ -227,11 +200,4 @@ func (sess *Session) Stats() Stats {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.stats
-}
-
-// TxnStart is the session's transaction start instant.
-func (sess *Session) TxnStart() clock.Time {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.txnStart
 }

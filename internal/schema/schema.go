@@ -43,6 +43,11 @@ func (c *Class) Attr(name string) (types.Kind, bool) {
 	return k, ok
 }
 
+// Own returns the attributes the class declares itself, in declaration
+// order; Attributes puts the inherited ones in front. Callers must not
+// modify the slice.
+func (c *Class) Own() []Attribute { return c.own }
+
 // Attributes returns the full attribute list, inherited first, in
 // declaration order.
 func (c *Class) Attributes() []Attribute {
@@ -119,15 +124,6 @@ func (s *Schema) Class(name string) (*Class, bool) {
 	return c, ok
 }
 
-// MustClass looks up a class and panics if absent; it is a test helper.
-func (s *Schema) MustClass(name string) *Class {
-	c, ok := s.classes[name]
-	if !ok {
-		panic(fmt.Sprintf("schema: unknown class %q", name))
-	}
-	return c
-}
-
 // Names returns all class names in sorted order.
 func (s *Schema) Names() []string {
 	out := make([]string, 0, len(s.classes))
@@ -135,6 +131,29 @@ func (s *Schema) Names() []string {
 		out = append(out, n)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// Ordered returns every class, each after its superclass and otherwise
+// in name order: the order in which defining them again rebuilds the
+// catalog.
+func (s *Schema) Ordered() []*Class {
+	out := make([]*Class, 0, len(s.classes))
+	done := make(map[*Class]bool, len(s.classes))
+	var visit func(c *Class)
+	visit = func(c *Class) {
+		if done[c] {
+			return
+		}
+		if c.parent != nil {
+			visit(c.parent)
+		}
+		done[c] = true
+		out = append(out, c)
+	}
+	for _, name := range s.Names() {
+		visit(s.classes[name])
+	}
 	return out
 }
 

@@ -87,6 +87,15 @@ func TestInheritance(t *testing.T) {
 	}
 }
 
+// MustClass looks up a class and panics if absent.
+func (s *Schema) MustClass(name string) *Class {
+	c, ok := s.classes[name]
+	if !ok {
+		panic("schema: unknown class " + name)
+	}
+	return c
+}
+
 func TestValidate(t *testing.T) {
 	s := stockSchema(t)
 	c := s.MustClass("stock")

@@ -46,9 +46,6 @@ func New(db *chimera.DB, out io.Writer) *Shell {
 	return &Shell{db: db, out: out}
 }
 
-// DB exposes the underlying database.
-func (s *Shell) DB() *chimera.DB { return s.db }
-
 // InTransaction reports whether a transaction (writing or read-only) is
 // open.
 func (s *Shell) InTransaction() bool { return s.txn != nil || s.rtxn != nil }
@@ -523,30 +520,4 @@ func classAttrs(c lang.ClassDef) []chimera.SchemaAttribute {
 		out[i] = chimera.Attr(a.Name, a.Kind)
 	}
 	return out
-}
-
-// RunScript feeds a multi-line script through the session, accumulating
-// define blocks, and stops at the first error.
-func (s *Shell) RunScript(src string) error {
-	var block strings.Builder
-	for _, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if block.Len() == 0 && (line == "" || strings.HasPrefix(line, "--")) {
-			continue
-		}
-		block.WriteString(line)
-		block.WriteString("\n")
-		if NeedsMore(block.String()) {
-			continue
-		}
-		cmd := block.String()
-		block.Reset()
-		if err := s.Execute(cmd); err != nil {
-			return err
-		}
-	}
-	if block.Len() > 0 {
-		return fmt.Errorf("shell: unterminated define block")
-	}
-	return nil
 }

@@ -49,9 +49,6 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return &FileStore{dir: dir, wal: wal}, nil
 }
 
-// Dir returns the store directory.
-func (s *FileStore) Dir() string { return s.dir }
-
 // SetWALSink replaces the WAL write target — a fault-injection hook for
 // the error-path tests (pass a writer that fails after N bytes). nil
 // restores the log file.

@@ -169,14 +169,6 @@ func (s *MemStore) Close() error {
 	return nil
 }
 
-// SegmentCount reports how many segments the store holds (test
-// inspection).
-func (s *MemStore) SegmentCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.segs)
-}
-
 // WALLen reports the log's byte length (test inspection).
 func (s *MemStore) WALLen() int {
 	s.mu.Lock()

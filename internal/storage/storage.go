@@ -15,13 +15,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"chimera/internal/clock"
 	"chimera/internal/engine"
 	"chimera/internal/lang"
-	"chimera/internal/rules"
 	"chimera/internal/schema"
 	"chimera/internal/types"
 )
@@ -151,67 +149,21 @@ func decodeValue(r ValueRecord) (types.Value, error) {
 func Capture(db *engine.DB) (*Snapshot, error) {
 	snap := &Snapshot{Format: CurrentFormat, NextOID: int64(db.Store().NextOID())}
 
-	// Classes, parents first.
-	cat := db.Schema()
-	emitted := make(map[string]bool)
-	var emit func(name string) error
-	emit = func(name string) error {
-		if emitted[name] {
-			return nil
-		}
-		c, ok := cat.Class(name)
-		if !ok {
-			return fmt.Errorf("storage: unknown class %q", name)
-		}
-		if p := c.Parent(); p != nil {
-			if err := emit(p.Name()); err != nil {
-				return err
-			}
-		}
-		emitted[name] = true
-		rec := ClassRecord{Name: name}
+	// Classes, parents first, each with the attributes it declares.
+	for _, c := range db.Schema().Ordered() {
+		rec := ClassRecord{Name: c.Name()}
 		if p := c.Parent(); p != nil {
 			rec.Extends = p.Name()
 		}
-		inherited := make(map[string]bool)
-		if p := c.Parent(); p != nil {
-			for _, a := range p.Attributes() {
-				inherited[a.Name] = true
-			}
-		}
-		for _, a := range c.Attributes() {
-			if inherited[a.Name] {
-				continue
-			}
+		for _, a := range c.Own() {
 			rec.Attrs = append(rec.Attrs, AttrRecord{Name: a.Name, Kind: a.Kind.String()})
 		}
 		snap.Classes = append(snap.Classes, rec)
-		return nil
-	}
-	for _, name := range cat.Names() {
-		if err := emit(name); err != nil {
-			return nil, err
-		}
 	}
 
-	// Objects, ascending OID. Select per class yields subclass members
-	// too; filter by exact class to avoid duplicates.
-	var oids []types.OID
-	for _, name := range cat.Names() {
-		sel, err := db.Store().Select(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, oid := range sel {
-			if o, ok := db.Store().Get(oid); ok && o.Class().Name() == name {
-				oids = append(oids, oid)
-			}
-		}
-	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	for _, oid := range oids {
-		o, _ := db.Store().Get(oid)
-		rec := ObjectRecord{OID: int64(oid), Class: o.Class().Name(),
+	// Objects, ascending OID.
+	for _, o := range db.Store().Objects() {
+		rec := ObjectRecord{OID: int64(o.OID()), Class: o.Class().Name(),
 			Attrs: make(map[string]ValueRecord)}
 		for name, v := range o.Snapshot() {
 			enc, err := encodeValue(v)
@@ -227,17 +179,9 @@ func Capture(db *engine.DB) (*Snapshot, error) {
 	for _, name := range db.Support().Rules() {
 		st, _ := db.Support().Rule(name)
 		body := db.RuleBody(name)
-		snap.Rules = append(snap.Rules, RenderRule(st.Def, body))
+		snap.Rules = append(snap.Rules, engine.RenderRule(st.Def, body))
 	}
 	return snap, nil
-}
-
-// RenderRule renders a rule back to the concrete define syntax. It is
-// engine.RenderRule, re-exported here for compatibility: the renderer
-// moved into the engine so the WAL's rule-definition records and the
-// snapshot writer share one implementation.
-func RenderRule(def rules.Def, body engine.Body) string {
-	return engine.RenderRule(def, body)
 }
 
 // ErrOldFormat reports a snapshot written by an earlier release; it is

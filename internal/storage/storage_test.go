@@ -110,8 +110,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := restored.Schema().Names(); len(got) != 3 {
 		t.Fatalf("classes = %v", got)
 	}
-	pref := restored.Schema().MustClass("preferredSupplier")
-	if pref.Parent() == nil || pref.Parent().Name() != "supplier" {
+	pref, ok := restored.Schema().Class("preferredSupplier")
+	if !ok || pref.Parent() == nil || pref.Parent().Name() != "supplier" {
 		t.Fatal("hierarchy lost")
 	}
 
@@ -203,7 +203,7 @@ func TestSaveLoadFile(t *testing.T) {
 func TestRenderRuleParses(t *testing.T) {
 	db := buildDB(t)
 	st, _ := db.Support().Rule("clamp")
-	src := RenderRule(st.Def, db.RuleBody("clamp"))
+	src := engine.RenderRule(st.Def, db.RuleBody("clamp"))
 	if !strings.Contains(src, "define immediate consuming clamp for stock priority 2") {
 		t.Errorf("rendered rule:\n%s", src)
 	}

@@ -236,15 +236,3 @@ func (v Value) AssignableTo(k Kind) bool {
 	}
 	return v.kind == KindInt && k == KindFloat
 }
-
-// Convert coerces the value to kind k (currently only Int→Float widening
-// beyond identity). It returns an error if the coercion is not allowed.
-func (v Value) Convert(k Kind) (Value, error) {
-	if v.kind == k || v.kind == KindNull {
-		return v, nil
-	}
-	if v.kind == KindInt && k == KindFloat {
-		return Float(float64(v.i)), nil
-	}
-	return Null, fmt.Errorf("types: cannot convert %s to %s", v.kind, k)
-}

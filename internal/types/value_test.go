@@ -1,6 +1,7 @@
 package types
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -106,6 +107,9 @@ func TestAssignableAndConvert(t *testing.T) {
 	if !Null.AssignableTo(KindString) {
 		t.Error("null is assignable everywhere")
 	}
+	if String_("x").AssignableTo(KindInt) {
+		t.Error("string must not be assignable to int")
+	}
 	v, err := Int(2).Convert(KindFloat)
 	if err != nil || v.Kind() != KindFloat || v.AsFloat() != 2 {
 		t.Errorf("Convert int->float: %v %v", v, err)
@@ -113,6 +117,18 @@ func TestAssignableAndConvert(t *testing.T) {
 	if _, err := String_("x").Convert(KindInt); err == nil {
 		t.Error("string->int conversion accepted")
 	}
+}
+
+// Convert coerces the value to kind k (currently only Int→Float widening
+// beyond identity). It returns an error if the coercion is not allowed.
+func (v Value) Convert(k Kind) (Value, error) {
+	if v.kind == k || v.kind == KindNull {
+		return v, nil
+	}
+	if v.kind == KindInt && k == KindFloat {
+		return Float(float64(v.i)), nil
+	}
+	return Null, fmt.Errorf("types: cannot convert %s to %s", v.kind, k)
 }
 
 // Compare is antisymmetric and consistent with Equal on integers,
