@@ -16,16 +16,17 @@ race:
 	$(GO) test -race ./...
 
 # Concurrency stress under the race detector with forced parallelism:
-# every test of the three packages whose state several goroutines reach
+# every test of the four packages whose state several goroutines reach
 # — the store's transaction lines and snapshot readers, the engine's
 # sessions, group commit and recovery, the Trigger Support's concurrent
-# sessions and its block-boundary index — twice, with GOMAXPROCS
-# pinned to 4 so goroutines genuinely interleave even on small CI
-# runners. Selected by package, not by test name: a new test cannot be
-# left out by a regex nobody updated.
+# sessions and its block-boundary index, the evaluators' lifts (each
+# with its own fold tables) beside an appender of the Event Base they
+# read — twice, with GOMAXPROCS pinned to 4 so goroutines genuinely
+# interleave even on small CI runners. Selected by package, not by test
+# name: a new test cannot be left out by a regex nobody updated.
 race-stress:
 	GOMAXPROCS=4 $(GO) test -race -count=2 \
-		./internal/object/ ./internal/engine/ ./internal/rules/
+		./internal/object/ ./internal/engine/ ./internal/rules/ ./internal/calculus/
 
 # Crash/recovery smoke under the race detector: every test of the three
 # packages recovery runs through — the engine's kill-and-recover

@@ -8,7 +8,7 @@ import (
 )
 
 // ErrGasExhausted is returned (wrapped) when a transaction spends more
-// evaluation gas — node evaluations across ts/ots probes, lift domains
+// evaluation gas — node evaluations across ts/ots probes, lift folds
 // and condition formulas — than its configured budget.
 var ErrGasExhausted = errors.New("calculus: gas budget exhausted")
 
@@ -27,7 +27,7 @@ const deadlineStride = 64
 // evaluator the transaction drives (the PlanEval of the triggering
 // determination and the one of its conditions' event formulas). The unit
 // of gas is one node a PlanEval computes — a memo miss, a per-object ots
-// or a lift domain, the same work TsEvaluations/MemoMisses count: memo
+// or a lift fold, the same work TsEvaluations/MemoMisses count: memo
 // hits are free, as they should be.
 //
 // Exhaustion aborts the evaluation in flight by panicking with a private

@@ -27,7 +27,7 @@ type ExplainNode struct {
 	// objects", "sequence anchor ts(B)=t7", ...).
 	Note string
 	// Children are the operand evaluations (for lifts: one entry per
-	// object in the domain).
+	// object of the lift).
 	Children []ExplainNode
 }
 
@@ -105,14 +105,21 @@ func (pe *PlanEval) Explain(id NodeID, t, since clock.Time) ExplainNode {
 }
 
 // explainLift explains a maximal instance-rooted subexpression: the
-// quantifier, the lift's object domain — ascending by OID when it is
-// restricted to the objects the node's types touched, in order of first
-// appearance otherwise — and one child per object.
+// quantifier, the lift's objects — the ones the node's types touched,
+// ascending by OID, when it is restrictionSafe, every object of the
+// window in order of first appearance otherwise — and one child per
+// object, its ots read from the lift's fold.
 func (pe *PlanEval) explainLift(id NodeID, n *planNode, node ExplainNode, t, since clock.Time) ExplainNode {
 	pe.rd = pe.base.Read()
-	defer pe.rd.Done()
+	defer pe.endFold()
+	pe.fold(id, t, since)
+	objs := pe.touched
+	if !n.safe {
+		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)
+		objs = pe.oidScratch
+	}
 	var oids []types.OID
-	for _, oi := range pe.domain(id, n.safe, t, since) {
+	for _, oi := range objs {
 		oids = append(oids, pe.rd.OID(oi))
 	}
 	if n.safe {
@@ -124,9 +131,10 @@ func (pe *PlanEval) explainLift(id NodeID, n *planNode, node ExplainNode, t, sin
 	}
 	node.Note = fmt.Sprintf("%s over %d object(s)", quant, len(oids))
 	for _, oid := range oids {
+		oi := pe.rd.ObjID(oid)
 		node.Children = append(node.Children, ExplainNode{
 			Expr:  fmt.Sprintf("ots for %s", oid),
-			Value: pe.ots(id, t, since, pe.rd.ObjID(oid)),
+			Value: pe.ots(id, t, since, oi, pe.row(oi)),
 		})
 	}
 	return node

@@ -2,6 +2,7 @@ package calculus
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -269,9 +270,10 @@ func (p *Plan) SharedNodes(minRefs int) []SharedNode {
 // the range of horizons it holds for, so one generation per probe instant
 // serves every rule probing that instant, whatever its last consideration.
 // The per-object ots values below a lift are not memoized: the lift's own
-// ts is, and that is the value rules share. Leaves are resolved to the
-// bound base's interned ids at Bind, so an evaluation hashes no Type and
-// no OID.
+// ts is, and that is the value rules share. A lift reads its objects and
+// their stamps from one fold over its leaves' occurrences in the window
+// (fold). Leaves are resolved to the bound base's interned ids at Bind,
+// so an evaluation hashes no Type and no OID.
 //
 // Besides ts it answers the two event formulas of Section 3.3 over a node
 // (AffectedObjects, ActivationTimes), each in one read section of the
@@ -334,13 +336,29 @@ type PlanEval struct {
 	planVer  uint64
 	tidTypes int
 
-	// rd is the read section a lift or a query holds over its domain and
-	// ots probes. oidScratch holds the domain, tidScratch the types it is
-	// restricted to, times a query's probe instants.
+	// rd is the read section a lift or a query holds over its fold and
+	// ots probes. oidScratch holds a window's objects, times a query's
+	// probe instants.
 	rd         event.Reader
 	oidScratch []int32
-	tidScratch []int32
 	times      []clock.Time
+
+	// The open fold (see fold): the instant it is open at (clock.Never
+	// when none is), the prims under its node and the objects it touched,
+	// in first-touch order. stamps holds a row per touched object, its
+	// newest stamp of each prim of leaves, in order; leafCol[p] is the
+	// column of prim p in the last fold over it. rows maps an interned
+	// object id to its row: open addressing sized to the objects folds
+	// touch, not to the base's, its entries live while their epoch is
+	// foldGen, so a fold clears nothing.
+	foldAt   clock.Time
+	foldGen  uint32
+	leaves   []NodeID
+	leafCol  []int32
+	touched  []int32
+	stamps   []clock.Time
+	rows     []foldRow
+	rowShift uint8
 
 	evals int64
 	hits  int64
@@ -483,7 +501,7 @@ func (pe *PlanEval) Cur() clock.Time { return pe.cur }
 
 // TakeCounters returns and resets the evaluation-work counters: evals is
 // the number of node results actually computed (set-level ts, per-object
-// ots, lift domains), hits the number served from the memo — the
+// ots, lift folds), hits the number served from the memo — the
 // recomputations sharing avoided.
 func (pe *PlanEval) TakeCounters() (evals, hits int64) {
 	evals, hits = pe.evals, pe.hits
@@ -573,18 +591,18 @@ func (pe *PlanEval) primTS(id NodeID, t, since clock.Time) (TS, span) {
 	return -TS(t), span{last, math.MaxInt64}
 }
 
-// appendTIDs appends to dst the type ids of the prims under node id that
-// dst lacks, leaving out the types the base has not interned.
-func (pe *PlanEval) appendTIDs(dst []int32, id NodeID) []int32 {
+// appendLeaves appends to dst the prim nodes under node id that dst
+// lacks.
+func (pe *PlanEval) appendLeaves(dst []NodeID, id NodeID) []NodeID {
 	if id == NoNode {
 		return dst
 	}
 	n := &pe.plan.nodes[id]
 	if n.key.op != planPrim {
-		return pe.appendTIDs(pe.appendTIDs(dst, n.key.l), n.key.r)
+		return pe.appendLeaves(pe.appendLeaves(dst, n.key.l), n.key.r)
 	}
-	if tid := pe.primTID[id]; tid != event.NoType && !slices.Contains(dst, tid) {
-		dst = append(dst, tid)
+	if !slices.Contains(dst, id) {
+		dst = append(dst, id)
 	}
 	return dst
 }
@@ -598,69 +616,175 @@ func (pe *PlanEval) lastOf(id NodeID, t clock.Time) clock.Time {
 }
 
 // lift mirrors Env.lift on the DAG: universal lift for instance
-// negation, existential lift otherwise, over the object domain of
-// (since, t]. The domain and the |domain| × leaves ots probes under it
-// run in one read section of the base; nothing below calls a locking
-// Base method.
+// negation, existential lift otherwise, over the objects of (since, t].
+// One fold over the node's leaves gives every object they touched, and
+// the ots of each of those; an object they did not touch has the node's
+// vacuous ots, which counts only when the node is not restrictionSafe
+// and (since, t] holds such an object. All of it runs in one read section
+// of the base; nothing below calls a locking Base method.
 func (pe *PlanEval) lift(id NodeID, n *planNode, t, since clock.Time) TS {
 	pe.rd = pe.base.Read()
-	defer pe.rd.Done() // a budget fault unwinds through here
-	oids := pe.domain(id, n.safe, t, since)
-	if n.key.op == planNot {
-		best := TS(t)
-		for i, oi := range oids {
-			if v := pe.ots(id, t, since, oi); i == 0 || v < best {
-				best = v
-			}
-		}
-		return best
-	}
+	defer pe.endFold() // a budget fault unwinds through here
+	pe.fold(id, t, since)
+	univ := n.key.op == planNot
 	best := -TS(t)
-	for i, oi := range oids {
-		if v := pe.ots(id, t, since, oi); i == 0 || v > best {
-			best = v
+	if univ {
+		best = TS(t)
+	}
+	for r, oi := range pe.touched {
+		best = liftStep(univ, best, pe.ots(id, t, since, oi, r))
+	}
+	if !n.safe {
+		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)
+		if len(pe.oidScratch) > len(pe.touched) { // some object no leaf touched
+			best = liftStep(univ, best, pe.ots(id, t, since, event.NoObj, -1))
 		}
 	}
 	return best
 }
 
-// domain returns the object domain of node id over (since, t], inside the
-// read section, in oidScratch, which the next domain overwrites: the
-// objects the node's own types touched if restrict is set, every object
-// of the window otherwise; ascending by interned id either way.
-func (pe *PlanEval) domain(id NodeID, restrict bool, t, since clock.Time) []int32 {
+// liftStep folds one object's ots v into a lift's running value best: the
+// universal lift keeps the least, the existential the greatest. Every ots
+// at t lies in [−t, t], so starting from the lift over no object is exact.
+func liftStep(univ bool, best, v TS) TS {
+	if univ {
+		return min(best, v)
+	}
+	return max(best, v)
+}
+
+// fold walks node id's leaves over (since, t] in one pass, inside the
+// caller's read section: every object the node's primitive types touched
+// in the window lands in touched, with the newest stamp of each of those
+// types on it. Until endFold, ots at instant t reads a prim's stamp from
+// the fold instead of probing the base; an object the fold did not touch
+// reads no stamp at all, which is its ots. The fold counts as one
+// computed node.
+func (pe *PlanEval) fold(id NodeID, t, since clock.Time) {
 	pe.Budget.Charge()
 	pe.evals++
-	if restrict {
-		pe.tidScratch = pe.appendTIDs(pe.tidScratch[:0], id)
-		pe.oidScratch = pe.rd.AppendObjsOfTIDs(pe.oidScratch[:0], pe.tidScratch, since, t)
-	} else {
-		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)
+	if pe.foldGen++; pe.foldGen == 0 { // the epochs wrapped: forget them all
+		clear(pe.rows)
+		pe.foldGen = 1
 	}
-	return pe.oidScratch
+	pe.foldAt = t
+	pe.leaves = pe.appendLeaves(pe.leaves[:0], id)
+	k := len(pe.leaves)
+	pe.touched, pe.stamps = pe.touched[:0], pe.stamps[:0]
+	if len(pe.rows) == 0 {
+		pe.growRows(k)
+	}
+	if n := len(pe.plan.nodes); len(pe.leafCol) < n {
+		pe.leafCol = append(pe.leafCol, make([]int32, n-len(pe.leafCol))...)
+	}
+	for c, leaf := range pe.leaves {
+		pe.leafCol[leaf] = int32(c)
+		pe.rd.ForLeaf(pe.primTID[leaf], since, t, func(oi int32, at clock.Time) {
+			r := pe.rowFor(oi, k) // may grow stamps
+			pe.stamps[r*k+c] = at // the leaf is in time order: the newest stamp lands last
+		})
+	}
+}
+
+// foldRow is an entry of the fold's object table: row r of touched and
+// stamps, live while epoch is the open fold's.
+type foldRow struct {
+	epoch uint32
+	r     int32
+}
+
+// find returns the slot of object oi in rows and its row in the open
+// fold, or, if the fold did not touch oi, the free slot oi would take and
+// -1 (Fibonacci hashing, linear probing).
+func (pe *PlanEval) find(oi int32) (slot, row int) {
+	mask := len(pe.rows) - 1
+	for i := int(uint32(oi) * 0x9E3779B9 >> pe.rowShift); ; i = (i + 1) & mask {
+		e := pe.rows[i]
+		if e.epoch != pe.foldGen {
+			return i, -1
+		}
+		if pe.touched[e.r] == oi {
+			return i, int(e.r)
+		}
+	}
+}
+
+// row returns the row of object oi in the open fold, or -1 if it did not
+// touch oi.
+func (pe *PlanEval) row(oi int32) int {
+	_, r := pe.find(oi)
+	return r
+}
+
+// rowFor returns the row of object oi in the open fold, adding one of k
+// empty stamps if the fold had not touched oi yet.
+func (pe *PlanEval) rowFor(oi int32, k int) int {
+	if 2*len(pe.touched) >= len(pe.rows) { // keep the load at most one half
+		pe.growRows(k)
+	}
+	i, r := pe.find(oi)
+	if r < 0 {
+		r = len(pe.touched)
+		pe.rows[i] = foldRow{pe.foldGen, int32(r)}
+		pe.touched = append(pe.touched, oi)
+		for range k {
+			pe.stamps = append(pe.stamps, clock.Never)
+		}
+	}
+	return r
+}
+
+// growRows doubles the object table (from 16 slots), gives touched and
+// stamps room for as many objects as it takes before it grows again (half
+// its slots, k stamps each), and re-enters the open fold's objects. An
+// evaluator keeps its table, so once it has held the most objects a fold
+// touches, folds no longer grow it.
+func (pe *PlanEval) growRows(k int) {
+	n := max(16, 2*len(pe.rows))
+	pe.rows = make([]foldRow, n)
+	pe.rowShift = uint8(32 - bits.TrailingZeros(uint(n)))
+	pe.touched = slices.Grow(pe.touched, n/2-len(pe.touched))
+	pe.stamps = slices.Grow(pe.stamps, n/2*k-len(pe.stamps))
+	for r, oi := range pe.touched {
+		i, _ := pe.find(oi)
+		pe.rows[i] = foldRow{pe.foldGen, int32(r)}
+	}
+}
+
+// endFold ends the fold and the read section it ran in.
+func (pe *PlanEval) endFold() {
+	pe.foldAt = clock.Never
+	pe.rd.Done()
 }
 
 // AffectedObjects appends to dst the objects for which node id is active
 // at t over R = (since, t] — the occurred(E, X) bindings of Section 3.3,
-// Env.AffectedObjects' set. Unless E is vacuously active, an object E's
-// own types did not touch has ots −t: only the touched ones are probed,
-// and they come out in ascending OID order; otherwise every object of R
-// is, in order of first appearance.
+// Env.AffectedObjects' set — read from one fold over the node's leaves.
+// Unless E is vacuously active, an object E's own types did not touch has
+// ots −t: only the touched ones count, and they come out in ascending OID
+// order; otherwise every object of R does, in order of first appearance.
 func (pe *PlanEval) AffectedObjects(dst []types.OID, id NodeID, t, since clock.Time) []types.OID {
 	pe.rd = pe.base.Read()
-	defer pe.rd.Done() // a budget fault unwinds through here
+	defer pe.endFold() // a budget fault unwinds through here
+	pe.fold(id, t, since)
 	n := &pe.plan.nodes[id]
-	restrict := !VacuouslyActive(n.expr)
+	if VacuouslyActive(n.expr) {
+		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)
+		for _, oi := range pe.oidScratch {
+			if pe.ots(id, t, since, oi, pe.row(oi)).Active() {
+				dst = append(dst, pe.rd.OID(oi))
+			}
+		}
+		return dst
+	}
 	start := len(dst)
-	for _, oi := range pe.domain(id, restrict, t, since) {
+	for r, oi := range pe.touched {
 		// A primitive is active for exactly the objects its type touched.
-		if n.key.op == planPrim || pe.ots(id, t, since, oi).Active() {
+		if n.key.op == planPrim || pe.ots(id, t, since, oi, r).Active() {
 			dst = append(dst, pe.rd.OID(oi))
 		}
 	}
-	if restrict {
-		slices.Sort(dst[start:])
-	}
+	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -673,7 +797,7 @@ func (pe *PlanEval) ActivationTimes(dst []clock.Time, id NodeID, t, since clock.
 	oi := pe.rd.ObjID(oid)
 	pe.times = pe.rd.AppendArrivals(pe.times[:0], since, t)
 	for _, at := range pe.times {
-		if pe.ots(id, at, since, oi) == TS(at) {
+		if pe.ots(id, at, since, oi, -1) == TS(at) {
 			dst = append(dst, at)
 		}
 	}
@@ -682,28 +806,39 @@ func (pe *PlanEval) ActivationTimes(dst []clock.Time, id NodeID, t, since clock.
 
 // ots mirrors Env.OTS on the DAG, for the object with interned id oid
 // (event.NoObj for one the base never logged), inside the caller's read
-// section.
-func (pe *PlanEval) ots(id NodeID, t, since clock.Time, oid int32) TS {
+// section. At the instant of an open fold a primitive — one under the
+// fold's node, as every ots there is — reads its stamp from oid's row of
+// the fold, row (-1 if the fold did not touch oid); at any other instant
+// (an instance precedence's left operand, which is probed at its right
+// operand's activation instant, or an ActivationTimes probe) it probes
+// the base, and row is not read.
+func (pe *PlanEval) ots(id NodeID, t, since clock.Time, oid int32, row int) TS {
 	pe.Budget.Charge()
 	n := &pe.plan.nodes[id]
 	var v TS
 	switch n.key.op {
 	case planPrim:
-		if last := pe.rd.LastOfObjTID(pe.primTID[id], oid, since, t); last != clock.Never {
+		last := clock.Never
+		if t != pe.foldAt {
+			last = pe.rd.LastOfObjTID(pe.primTID[id], oid, since, t)
+		} else if row >= 0 {
+			last = pe.stamps[row*len(pe.leaves)+int(pe.leafCol[id])]
+		}
+		if last != clock.Never {
 			v = TS(last)
 		} else {
 			v = -TS(t)
 		}
 	case planNot:
-		v = -pe.ots(n.key.l, t, since, oid)
+		v = -pe.ots(n.key.l, t, since, oid, row)
 	case planAnd:
-		v = andTS(pe.ots(n.key.l, t, since, oid), pe.ots(n.key.r, t, since, oid))
+		v = andTS(pe.ots(n.key.l, t, since, oid, row), pe.ots(n.key.r, t, since, oid, row))
 	case planOr:
-		v = orTS(pe.ots(n.key.l, t, since, oid), pe.ots(n.key.r, t, since, oid))
+		v = orTS(pe.ots(n.key.l, t, since, oid, row), pe.ots(n.key.r, t, since, oid, row))
 	case planSeq:
 		v = -TS(t)
-		if b := pe.ots(n.key.r, t, since, oid); b.Active() {
-			if a := pe.ots(n.key.l, b.Time(), since, oid); a.Active() {
+		if b := pe.ots(n.key.r, t, since, oid, row); b.Active() {
+			if a := pe.ots(n.key.l, b.Time(), since, oid, row); a.Active() {
 				v = b
 			}
 		}

@@ -264,7 +264,7 @@ func TestPlanEvalSharingCounters(t *testing.T) {
 
 // TestLiftsRunBesideAnAppender runs long lifts — PlanEval's ts and its
 // occurred() window, AffectedObjects — while a writer appends without
-// pause. Each holds one read section of the base over its domain and
+// pause. Each holds one read section of the base over its fold and
 // every ots probe under it; a probe that took the base's shared lock again
 // inside the section would block behind the waiting writer for good, so
 // finishing is the assertion (the race suites run this with -race). The

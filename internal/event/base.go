@@ -1030,10 +1030,30 @@ func (r Reader) AppendObjs(dst []int32, since, upTo clock.Time) []int32 {
 	return sortDedup(appendObjs(r.b, dst, since, upTo), len(dst))
 }
 
-// AppendObjsOfTIDs is AppendObjs restricted to the objects touched by
-// occurrences of the given types.
-func (r Reader) AppendObjsOfTIDs(dst []int32, tids []int32, since, upTo clock.Time) []int32 {
-	return sortDedup(appendObjsOfTIDs(r.b, dst, tids, since, upTo), len(dst))
+// ForLeaf calls fn with the interned object id and the time stamp of
+// each occurrence of the type with id tid in (since, upTo], in time
+// order: it reads each live segment's leaf of the type (cut to the window
+// on a segment the window cuts) and the ts and oids columns it points
+// into, hashing no object and allocating nothing.
+func (r Reader) ForLeaf(tid int32, since, upTo clock.Time, fn func(oi int32, at clock.Time)) {
+	b := r.b
+	if tid == NoType || b.latest[tid] <= since {
+		return
+	}
+	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
+		l := sg.leafOf.find(uint64(tid))
+		if l < 0 {
+			return true
+		}
+		idxs := sg.leafOf.vals[l].all
+		if hi-lo != sg.n() {
+			idxs = within(idxs, lo, hi)
+		}
+		for _, i := range idxs {
+			fn(sg.oids[i], sg.ts[i])
+		}
+		return true
+	})
 }
 
 // AppendOIDs appends the distinct objects of (since, upTo] to dst, in

@@ -155,6 +155,16 @@ func checkAgainstOracle(t *testing.T, tag string, r *rand.Rand, b *Base, o *orac
 			if got := rd.LastOfTID(tid, since, upTo); got != want {
 				t.Fatalf("%s: LastOfTID(%v) = %d, want %d", at, ty, got, want)
 			}
+			var gotLeaf, wantLeaf []Occurrence
+			for _, occ := range o.occurrences(ty, 0, true, since, upTo) {
+				wantLeaf = append(wantLeaf, Occurrence{Type: ty, OID: occ.OID, Timestamp: occ.Timestamp})
+			}
+			rd.ForLeaf(tid, since, upTo, func(oi int32, ts clock.Time) {
+				gotLeaf = append(gotLeaf, Occurrence{Type: ty, OID: rd.OID(oi), Timestamp: ts})
+			})
+			if !slices.Equal(gotLeaf, wantLeaf) {
+				t.Fatalf("%s: ForLeaf(%v) = %v, want %v", at, ty, gotLeaf, wantLeaf)
+			}
 			for oid := types.OID(1); oid <= types.OID(objects)+1; oid++ {
 				want := o.lastOf(ty, oid, false, since, upTo)
 				if got := rd.LastOfObj(ty, oid, since, upTo); got != want {
@@ -342,7 +352,8 @@ func TestRolledSegmentSizedLikePredecessor(t *testing.T) {
 
 // TestProbesAllocateNothing pins the steady state of the three hot
 // paths: an append into a segment that already knows the type and the
-// object, a per-object probe, and a domain gather into a recycled buffer.
+// object, a per-object probe, a domain gather into a recycled buffer, and a
+// leaf walk.
 func TestProbesAllocateNothing(t *testing.T) {
 	tys := []Type{Modify("card", "spent"), Modify("card", "limit"), Create("card")}
 	const objects = 16
@@ -389,5 +400,17 @@ func TestProbesAllocateNothing(t *testing.T) {
 		small.LastOfObj(tys[1], 5, 100, 4000)
 	}); a != 0 {
 		t.Errorf("probes across segments: %v allocs/op, want 0", a)
+	}
+	tid, _ := small.TypeID(tys[1])
+	var newest clock.Time
+	if a := testing.AllocsPerRun(1000, func() {
+		rd := small.Read()
+		rd.ForLeaf(tid, 100, 4000, func(_ int32, at clock.Time) { newest = max(newest, at) })
+		rd.Done()
+	}); a != 0 {
+		t.Errorf("ForLeaf across segments: %v allocs/op, want 0", a)
+	}
+	if newest == clock.Never {
+		t.Fatal("ForLeaf walked no occurrence")
 	}
 }

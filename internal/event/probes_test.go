@@ -50,3 +50,9 @@ func (b *Base) OccurrencesOf(t Type, since, upTo clock.Time) []Occurrence {
 func (b *Base) OIDsOfTypes(ts []Type, since, upTo clock.Time) []types.OID {
 	return b.AppendOIDsOfTypes(nil, ts, since, upTo)
 }
+
+// AppendObjsOfTIDs is AppendObjs restricted to the objects touched by
+// occurrences of the given types, ascending by interned id.
+func (r Reader) AppendObjsOfTIDs(dst []int32, tids []int32, since, upTo clock.Time) []int32 {
+	return sortDedup(appendObjsOfTIDs(r.b, dst, tids, since, upTo), len(dst))
+}

@@ -50,19 +50,24 @@ func TestColumnarProbeScanSteadyStateAllocs(t *testing.T) {
 	}
 	now := c.Tick()
 	rewind := func() {
+		s.line.sync()
 		for _, st := range s.ordered {
-			st.lastProbe = origin
-			st.pending = true
+			st.lastProbe, st.pending = origin, false
+			s.line.arrive(st) // back on the worklist
 		}
 	}
 	for i := 0; i < 3; i++ {
 		rewind()
 		s.CheckTriggered(now)
 	}
+	before := s.Stats().TsEvaluations
 	allocs := testing.AllocsPerRun(20, func() {
 		rewind()
 		s.CheckTriggered(now)
 	})
+	if s.Stats().TsEvaluations == before {
+		t.Fatal("the rewound checks evaluated nothing")
+	}
 	if allocs != 0 {
 		t.Errorf("columnar probe scan allocates %.1f objects/op in steady state, want 0", allocs)
 	}

@@ -193,7 +193,7 @@ type Stats struct {
 	// rules).
 	RulesSkipped int64
 	// TsEvaluations counts node evaluations of the shared plan: set-level
-	// ts, per-object ots and lift domains actually computed. It equals
+	// ts, per-object ots and lift folds actually computed. It equals
 	// MemoMisses.
 	TsEvaluations int64
 	// MemoHits and MemoMisses count memo lookups of the shared plan's

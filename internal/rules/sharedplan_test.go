@@ -9,6 +9,7 @@ import (
 	"chimera/internal/calculus"
 	"chimera/internal/clock"
 	"chimera/internal/event"
+	"chimera/internal/types"
 )
 
 // TestSharedPlanMatchesReference is the oracle differential suite: over
@@ -231,6 +232,79 @@ func TestCheckTriggeredSteadyStateAllocs(t *testing.T) {
 	t.Run("shared-filtered", func(t *testing.T) {
 		quietCheckAllocatesNothing(t, event.NewBase())
 	})
+	t.Run("instance-lift", liftCheckAllocatesNothing)
+}
+
+// liftCheckAllocatesNothing defines `A < (B += C)` rules whose A never
+// occurs, over a window where B and C keep hitting the same objects, and
+// rewinds the rules before each check so every check re-walks the whole
+// window and folds the lift at each of its instants: once the fold's
+// tables are warm, a check allocates nothing. So does AffectedObjects
+// into a recycled buffer.
+func liftCheckAllocatesNothing(t *testing.T) {
+	b := event.NewBase()
+	c := clock.New()
+	s := NewSupport(b, Options{})
+	s.BeginTransaction(c.Now())
+	never := event.Delete("stock")
+	lift := calculus.ConjI(calculus.P(modStockQty), calculus.P(createStock))
+	for i, a := range []event.Type{never, event.Delete("show")} {
+		if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Event: calculus.Prec(calculus.P(a), lift)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	origin := c.Now()
+	for i := 0; i < 600; i++ { // spans 3 segments at the default size
+		ty := createStock
+		if i%3 != 0 {
+			ty = modStockQty
+		}
+		if _, err := b.Append(ty, types.OID(i%7+1), c.Tick()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := c.Tick()
+	rewind := func() {
+		s.line.sync()
+		for _, st := range s.ordered {
+			st.lastProbe, st.pending = origin, false
+			s.line.arrive(st) // back on the worklist
+		}
+	}
+	for i := 0; i < 3; i++ {
+		rewind()
+		if fired := s.CheckTriggered(now); len(fired) != 0 {
+			t.Fatalf("fired %v", fired)
+		}
+	}
+	before := s.Stats().TsEvaluations
+	if allocs := testing.AllocsPerRun(20, func() {
+		rewind()
+		s.CheckTriggered(now)
+	}); allocs != 0 {
+		t.Errorf("checks folding an instance lift allocate %.1f objects/op in steady state, want 0", allocs)
+	}
+	if s.Stats().TsEvaluations == before {
+		t.Fatal("the rewound checks evaluated nothing")
+	}
+
+	// The lift, and a vacuously active node, whose query ranges over
+	// every object of the window.
+	plan := calculus.NewPlan()
+	pe := calculus.NewPlanEval(plan)
+	for _, e := range []calculus.Expr{lift, calculus.NegI(calculus.P(never))} {
+		id := plan.Intern(e)
+		pe.Bind(b, origin)
+		objs := pe.AffectedObjects(nil, id, now, origin)
+		if len(objs) != 7 {
+			t.Fatalf("affected objects of %s: %v, want the 7 objects", e, objs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			objs = pe.AffectedObjects(objs[:0], id, now, origin)
+		}); allocs != 0 {
+			t.Errorf("AffectedObjects of %s into a recycled buffer allocates %.1f objects/op, want 0", e, allocs)
+		}
+	}
 }
 
 // quietCheckAllocatesNothing defines rules that never trigger — a
