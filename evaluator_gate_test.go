@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,9 +17,20 @@ import (
 // triggering, binds the conditions' event formulas and explains verdicts.
 // The recursive calculus.Env is the paper's definition, for the tests,
 // the conformance corpus and the figures only; a program file anywhere
-// else that names it fails here.
+// else that names it fails here. And one interning path: plans are built
+// by the Trigger Support (the trigger plan), the engine (the condition
+// plan every rule's condition is interned into at definition) and the
+// shell (explain) only; a program file anywhere else that calls
+// calculus.NewPlan fails here.
 func TestOneEvaluatorInProduction(t *testing.T) {
-	allowed := []string{"internal/calculus", "internal/spec", "internal/figures"}
+	allowed := map[string][]string{
+		"Env":     {"internal/calculus", "internal/spec", "internal/figures"},
+		"NewPlan": {"internal/rules", "internal/engine", "internal/shell"},
+	}
+	why := map[string]string{
+		"Env":     "production code evaluates with calculus.PlanEval",
+		"NewPlan": "conditions are interned into the engine's condition plan",
+	}
 	files := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -40,20 +52,20 @@ func TestOneEvaluatorInProduction(t *testing.T) {
 			return nil
 		}
 		files++
-		for _, dir := range allowed {
-			if filepath.ToSlash(filepath.Dir(path)) == dir {
-				return nil
-			}
-		}
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
+		dir := filepath.ToSlash(filepath.Dir(path))
 		for _, name := range calculusNames(f) {
 			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Env" {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
-						t.Errorf("%s names calculus.Env: production code evaluates with calculus.PlanEval", path)
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+					if dirs, gated := allowed[sel.Sel.Name]; gated && !slices.Contains(dirs, dir) {
+						t.Errorf("%s names calculus.%s: %s", path, sel.Sel.Name, why[sel.Sel.Name])
 					}
 				}
 				return true

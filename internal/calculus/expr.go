@@ -193,29 +193,23 @@ func validBinary(inst bool, op string, l, r Expr) error {
 
 // Primitives returns the distinct primitive event types mentioned by the
 // expression, in first-mention order.
-func Primitives(e Expr) []event.Type { return AppendPrimitives(nil, e) }
+func Primitives(e Expr) []event.Type { return appendPrimitives(nil, e) }
 
-// AppendPrimitives is Primitives appending to dst, so that a caller
-// evaluating one expression after another can recycle the slice.
-func AppendPrimitives(dst []event.Type, e Expr) []event.Type {
-	return appendPrimitives(dst, len(dst), e)
-}
-
-// appendPrimitives appends the primitives of e that dst[from:] lacks.
-func appendPrimitives(dst []event.Type, from int, e Expr) []event.Type {
+// appendPrimitives appends the primitives of e that dst lacks.
+func appendPrimitives(dst []event.Type, e Expr) []event.Type {
 	switch n := e.(type) {
 	case Prim:
-		if !slices.Contains(dst[from:], n.T) {
+		if !slices.Contains(dst, n.T) {
 			dst = append(dst, n.T)
 		}
 	case Not:
-		dst = appendPrimitives(dst, from, n.X)
+		dst = appendPrimitives(dst, n.X)
 	case And:
-		dst = appendPrimitives(appendPrimitives(dst, from, n.L), from, n.R)
+		dst = appendPrimitives(appendPrimitives(dst, n.L), n.R)
 	case Or:
-		dst = appendPrimitives(appendPrimitives(dst, from, n.L), from, n.R)
+		dst = appendPrimitives(appendPrimitives(dst, n.L), n.R)
 	case Seq:
-		dst = appendPrimitives(appendPrimitives(dst, from, n.L), from, n.R)
+		dst = appendPrimitives(appendPrimitives(dst, n.L), n.R)
 	}
 	return dst
 }

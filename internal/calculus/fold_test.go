@@ -22,28 +22,35 @@ import (
 
 // probeDomain is a lift's object domain over (since, t]: the objects node
 // id's own types touched if restrict is set, every object of the window
-// otherwise, as interned ids, ascending.
+// otherwise, as interned ids, ascending. It scans the base's window and
+// must run outside a read section.
 func (pe *PlanEval) probeDomain(id NodeID, restrict bool, t, since clock.Time) []int32 {
 	pe.Budget.Charge()
 	pe.evals++
-	if !restrict {
-		return pe.rd.AppendObjs(nil, since, t)
+	prims := Primitives(pe.plan.nodes[id].expr)
+	var oids []types.OID
+	for _, occ := range pe.base.Window(since, t) {
+		if !restrict || slices.Contains(prims, occ.Type) {
+			oids = append(oids, occ.OID)
+		}
 	}
+	rd := pe.base.Read()
+	defer rd.Done()
 	var ois []int32
-	for _, oid := range pe.rd.AppendOIDsOfTypes(nil, Primitives(pe.plan.nodes[id].expr), since, t) {
-		ois = append(ois, pe.rd.ObjID(oid))
+	for _, oid := range oids {
+		ois = append(ois, rd.ObjID(oid))
 	}
 	slices.Sort(ois)
-	return ois
+	return slices.Compact(ois)
 }
 
 // probeLift is lift by gathering the domain and probing ots for each of
 // its objects. No fold is open, so every primitive probes the base.
 func (pe *PlanEval) probeLift(id NodeID, t, since clock.Time) TS {
 	n := &pe.plan.nodes[id]
+	oids := pe.probeDomain(id, n.safe, t, since)
 	pe.rd = pe.base.Read()
 	defer pe.rd.Done()
-	oids := pe.probeDomain(id, n.safe, t, since)
 	if n.key.op == planNot {
 		best := TS(t)
 		for i, oi := range oids {
@@ -64,12 +71,12 @@ func (pe *PlanEval) probeLift(id NodeID, t, since clock.Time) TS {
 
 // probeAffected is AffectedObjects over the gathered domain.
 func (pe *PlanEval) probeAffected(id NodeID, t, since clock.Time) []types.OID {
+	restrict := !VacuouslyActive(pe.plan.nodes[id].expr)
+	domain := pe.probeDomain(id, restrict, t, since)
 	pe.rd = pe.base.Read()
 	defer pe.rd.Done()
-	n := &pe.plan.nodes[id]
-	restrict := !VacuouslyActive(n.expr)
 	var out []types.OID
-	for _, oi := range pe.probeDomain(id, restrict, t, since) {
+	for _, oi := range domain {
 		if pe.ots(id, t, since, oi, -1).Active() {
 			out = append(out, pe.rd.OID(oi))
 		}
@@ -190,6 +197,23 @@ func TestFoldMatchesProbeLift(t *testing.T) {
 						want := wantAffected(env, e, now)
 						if got := pe.AffectedObjects(nil, roots[i], now, since); !slices.Equal(got, want) {
 							t.Fatalf("seg %d trial %d: affected objects of %s since %d = %v, want %v", seg, trial, e, since, got, want)
+						}
+						// The same fold hands out every object E's own types
+						// touched, ascending: the restricted domain.
+						got, touched := pe.AffectedWindow(nil, nil, roots[i], now, since)
+						if !slices.Equal(got, want) {
+							t.Fatalf("seg %d trial %d: AffectedWindow's affected objects of %s since %d = %v, want %v", seg, trial, e, since, got, want)
+						}
+						ois := oracle.probeDomain(roots[i], true, now, since)
+						var domain []types.OID
+						rd := base.Read()
+						for _, oi := range ois {
+							domain = append(domain, rd.OID(oi))
+						}
+						rd.Done()
+						slices.Sort(domain)
+						if !slices.Equal(touched, domain) {
+							t.Fatalf("seg %d trial %d: objects %s's types touched since %d = %v, want %v", seg, trial, e, since, touched, domain)
 						}
 						if got := oracle.probeAffected(roots[i], now, since); !slices.Equal(got, want) {
 							t.Fatalf("seg %d trial %d: oracle's affected objects of %s since %d = %v, want %v", seg, trial, e, since, got, want)

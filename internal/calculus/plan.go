@@ -382,6 +382,9 @@ func (s span) holds(since clock.Time) bool { return s.lo <= since && since < s.h
 // NewPlanEval returns an evaluator over p.
 func NewPlanEval(p *Plan) *PlanEval { return &PlanEval{plan: p} }
 
+// Plan returns the plan the evaluator answers.
+func (pe *PlanEval) Plan() *Plan { return pe.plan }
+
 // Bind points the evaluator at an Event Base for probes whose horizons
 // all lie at or above floor, and invalidates every memoized value, prim
 // cursors included. It also resolves the plan's leaves to the base's type
@@ -764,9 +767,29 @@ func (pe *PlanEval) endFold() {
 // ots −t: only the touched ones count, and they come out in ascending OID
 // order; otherwise every object of R does, in order of first appearance.
 func (pe *PlanEval) AffectedObjects(dst []types.OID, id NodeID, t, since clock.Time) []types.OID {
+	return pe.affected(dst, nil, id, t, since)
+}
+
+// AffectedWindow is AffectedObjects that also appends to window, from the
+// same fold, every object E's own types touched in R, ascending by OID:
+// unless E is vacuously active, those at which E can have arisen in R,
+// the objects at(E, X, T) accepts a bound X from.
+func (pe *PlanEval) AffectedWindow(dst, window []types.OID, id NodeID, t, since clock.Time) (affected, touched []types.OID) {
+	return pe.affected(dst, &window, id, t, since), window
+}
+
+// affected is AffectedWindow, or AffectedObjects if window is nil.
+func (pe *PlanEval) affected(dst []types.OID, window *[]types.OID, id NodeID, t, since clock.Time) []types.OID {
 	pe.rd = pe.base.Read()
 	defer pe.endFold() // a budget fault unwinds through here
 	pe.fold(id, t, since)
+	if window != nil {
+		start := len(*window)
+		for _, oi := range pe.touched {
+			*window = append(*window, pe.rd.OID(oi))
+		}
+		slices.Sort((*window)[start:])
+	}
 	n := &pe.plan.nodes[id]
 	if VacuouslyActive(n.expr) {
 		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)

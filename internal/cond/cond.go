@@ -19,8 +19,9 @@
 // the rows in buffers its Ctx reuses, so that once they have grown a
 // consideration allocates nothing.
 //
-// The event formulas, answered by calculus.PlanEval — the evaluator that
-// decides triggering — over a plan their Ctx interns them into, are:
+// The event formulas are answered by calculus.PlanEval, the evaluator
+// that decides triggering, over the plan Formula.Intern compiled their
+// expressions into once, when the rule was defined. They are:
 //
 //   - occurred(E, X): binds X to the objects affected by the
 //     instance-oriented event expression E within the observed window;
@@ -74,7 +75,8 @@ type StoreView interface {
 
 // Ctx is the evaluation context of a condition: the object store view,
 // the event base, and the observed window (Since is the rule's last
-// consumption instant, At the consideration instant).
+// consumption instant, At the consideration instant). A Ctx may outlive
+// the store view and the base: set them before each evaluation.
 type Ctx struct {
 	Store StoreView
 	Base  *event.Base
@@ -87,22 +89,18 @@ type Ctx struct {
 	// State recycled across evaluations; the zero value is ready. It
 	// makes a Ctx stateful: one Ctx serves one goroutine.
 	//
-	// plan, built at the first event atom, holds the expression of every
-	// event atom the Ctx has met, interned once — nodes maps it to its
-	// root, or to calculus.Valid's error — and eval answers them. wins holds the windows of the event atoms the running
-	// Formula.Eval has scanned, ext the extension a class atom is
-	// enumerating, prims and times an at() atom's primitive types and
-	// activation instants. names is the slot table of the rows. empty
-	// lists the empty row an evaluation starts from, and gen holds the rows
-	// atoms generate in two generations: a generating atom reads the rows
-	// of one and writes those of the other, gen[next]. oids is the set
-	// OIDSet hands out.
-	plan  *calculus.Plan
+	// eval answers the event atoms, over the plan their formula was
+	// interned into; it is built when the Ctx first meets that plan. wins
+	// holds the windows of the event atoms the running Formula.Eval has
+	// scanned, ext the extension a class atom is enumerating, times an
+	// at() atom's activation instants. names is the slot table of the
+	// rows. empty lists the empty row an evaluation starts from, and gen
+	// holds the rows atoms generate in two generations: a generating atom
+	// reads the rows of one and writes those of the other, gen[next]. oids
+	// is the set OIDSet hands out.
 	eval  *calculus.PlanEval
-	nodes map[calculus.Expr]node
 	wins  []window
 	ext   []types.OID
-	prims []event.Type
 	times []clock.Time
 	names []string
 	empty [1]Binding
@@ -213,34 +211,41 @@ func (b *rowBuf) add(w int) Binding {
 	return r
 }
 
-// node is an event expression's root in the Ctx's plan, or its error.
-type node struct {
-	id  calculus.NodeID
-	err error
+// root is the expression of an occurred or at atom as Formula.Intern
+// left it: the plan it is interned into and its root there. The zero root
+// is an expression never interned.
+type root struct {
+	plan *calculus.Plan
+	id   calculus.NodeID
 }
 
-// event returns e's root, interning e the first time ctx meets it, and
-// binds the evaluator to the observed window.
-func (c *Ctx) event(e calculus.Expr) (calculus.NodeID, error) {
-	n, ok := c.nodes[e]
-	if !ok {
-		if c.plan == nil {
-			c.plan = calculus.NewPlan()
-			c.eval = calculus.NewPlanEval(c.plan)
-			c.nodes = make(map[calculus.Expr]node)
-		}
-		n = node{calculus.NoNode, calculus.Valid(e)}
-		if n.err == nil {
-			n.id = c.plan.Intern(e)
-		}
-		c.nodes[e] = n
+// intern validates e and interns it into plan.
+func intern(plan *calculus.Plan, e calculus.Expr) (root, error) {
+	if err := calculus.Valid(e); err != nil {
+		return root{}, err
 	}
-	if n.err != nil {
-		return calculus.NoNode, n.err
+	return root{plan, plan.Intern(e)}, nil
+}
+
+// release gives back the reference intern took.
+func (r root) release() {
+	if r.plan != nil {
+		r.plan.Release(r.id)
+	}
+}
+
+// evaluator returns ctx's evaluator of r's plan, bound to the observed
+// window, building it when ctx first meets that plan.
+func (c *Ctx) evaluator(r root) (*calculus.PlanEval, error) {
+	if r.plan == nil {
+		return nil, fmt.Errorf("cond: event formula not interned (see Formula.Intern)")
+	}
+	if c.eval == nil || c.eval.Plan() != r.plan {
+		c.eval = calculus.NewPlanEval(r.plan)
 	}
 	c.eval.Budget = c.Budget
 	c.eval.Bind(c.Base, c.Since)
-	return n.id, nil
+	return c.eval, nil
 }
 
 // window is the part of an event atom that depends on the Ctx alone,
@@ -249,10 +254,10 @@ func (c *Ctx) event(e calculus.Expr) (calculus.NodeID, error) {
 // once per evaluation lets an earlier class atom enumerate it and the
 // event atom then filter by it.
 type window struct {
-	// atom is the event atom's position in the formula, and node its event
-	// expression's root in the Ctx's plan (occurred and at).
+	// atom is the event atom's position in the formula, and eval the
+	// evaluator that scanned it.
 	atom int
-	node calculus.NodeID
+	eval *calculus.PlanEval
 	// order lists the objects the atom binds an unbound variable to, in
 	// generation order, without duplicates.
 	order []types.OID
@@ -592,6 +597,7 @@ func (a Class) String() string { return fmt.Sprintf("%s(%s)", a.Class, a.Var) }
 type Occurred struct {
 	Event calculus.Expr
 	Var   string
+	root  root
 }
 
 // Eval binds or filters X by the affected-object set.
@@ -599,11 +605,12 @@ func (a Occurred) Eval(ctx *Ctx, in []Binding) ([]Binding, error) { return evalE
 
 func (a Occurred) objVar() string { return a.Var }
 
-func (a Occurred) scan(ctx *Ctx, w *window) (err error) {
-	if w.node, err = ctx.event(a.Event); err != nil {
+func (a Occurred) scan(ctx *Ctx, w *window) error {
+	ev, err := ctx.evaluator(a.root)
+	if err != nil {
 		return err
 	}
-	w.order = ctx.eval.AffectedObjects(w.order[:0], w.node, ctx.At, ctx.Since)
+	w.order = ev.AffectedObjects(w.order[:0], a.root.id, ctx.At, ctx.Since)
 	w.setSorted()
 	return nil
 }
@@ -624,6 +631,7 @@ type At struct {
 	Event   calculus.Expr
 	Var     string
 	TimeVar string
+	root    root
 }
 
 // Eval binds (X, T) pairs.
@@ -635,17 +643,19 @@ func (a At) objVar() string { return a.Var }
 // accepted whenever an occurrence of E arose for it at some instant of
 // the window, whether or not E is still active for it at the end; unless
 // E is vacuously active that takes an occurrence of one of E's own
-// primitive types, so the objects those touched bound the window.
-func (a At) scan(ctx *Ctx, w *window) (err error) {
-	if w.node, err = ctx.event(a.Event); err != nil {
+// primitive types, so the objects those touched, which the same fold
+// hands out, bound the window.
+func (a At) scan(ctx *Ctx, w *window) error {
+	var err error
+	if w.eval, err = ctx.evaluator(a.root); err != nil {
 		return err
 	}
-	w.order = ctx.eval.AffectedObjects(w.order[:0], w.node, ctx.At, ctx.Since)
 	if w.bounded = !calculus.VacuouslyActive(a.Event); w.bounded {
-		ctx.prims = calculus.AppendPrimitives(ctx.prims[:0], a.Event)
-		w.buf = ctx.Base.AppendOIDsOfTypes(w.buf[:0], ctx.prims, ctx.Since, ctx.At)
-		w.sorted = w.buf
+		w.order, w.buf = w.eval.AffectedWindow(w.order[:0], w.buf[:0], a.root.id, ctx.At, ctx.Since)
+	} else {
+		w.order = w.eval.AffectedObjects(w.order[:0], a.root.id, ctx.At, ctx.Since)
 	}
+	w.sorted = w.buf
 	return nil
 }
 
@@ -662,7 +672,7 @@ func (a At) bind(ctx *Ctx, w *window, v, t int, in []Binding) ([]Binding, error)
 			candidates = []types.OID{x.AsOID()}
 		}
 		for _, oid := range candidates {
-			ctx.times = ctx.eval.ActivationTimes(ctx.times[:0], w.node, ctx.At, ctx.Since, oid)
+			ctx.times = w.eval.ActivationTimes(ctx.times[:0], a.root.id, ctx.At, ctx.Since, oid)
 			for _, ts := range ctx.times {
 				r := ctx.extend(gen, row)
 				r[v] = types.Ref(oid)
@@ -756,6 +766,44 @@ type Formula struct {
 	Atoms []Atom
 }
 
+// Intern compiles f's event formulas once, for every evaluation to come:
+// it validates (calculus.Valid) the expression of each occurred and at
+// atom and interns it into plan, and returns a copy of f whose atoms hold
+// their roots there. It is the only way such an atom becomes evaluable;
+// f itself is left as it was. On the first invalid expression it fails
+// and interns nothing. Release gives the references back.
+func (f Formula) Intern(plan *calculus.Plan) (Formula, error) {
+	atoms := slices.Clone(f.Atoms)
+	for i, a := range atoms {
+		var err error
+		switch a := a.(type) {
+		case Occurred:
+			a.root, err = intern(plan, a.Event)
+			atoms[i] = a
+		case At:
+			a.root, err = intern(plan, a.Event)
+			atoms[i] = a
+		}
+		if err != nil {
+			Formula{Atoms: atoms[:i]}.Release()
+			return Formula{}, fmt.Errorf("%s: %w", a, err)
+		}
+	}
+	return Formula{Atoms: atoms}, nil
+}
+
+// Release gives back the references Intern took for f's event formulas.
+func (f Formula) Release() {
+	for _, a := range f.Atoms {
+		switch a := a.(type) {
+		case Occurred:
+			a.root.release()
+		case At:
+			a.root.release()
+		}
+	}
+}
+
 // Eval returns every satisfying binding — the rows, in the order, of
 // running the atoms left to right from the empty row; the condition
 // succeeds if at least one survives. Column i of the rows holds the i-th
@@ -841,4 +889,3 @@ func (f Formula) String() string {
 	}
 	return strings.Join(parts, ", ")
 }
-

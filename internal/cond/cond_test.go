@@ -1,6 +1,7 @@
 package cond
 
 import (
+	"strings"
 	"testing"
 
 	"chimera/internal/calculus"
@@ -37,6 +38,13 @@ func fixture(t *testing.T) (*Ctx, types.OID, types.OID) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return &Ctx{Store: st, Base: history(t, o1, o2), Since: clock.Never, At: 10}, o1, o2
+}
+
+// history is the fixture's Event Base, as each transaction that replays
+// the fixture's events logs it afresh.
+func history(t *testing.T, o1, o2 types.OID) *event.Base {
+	t.Helper()
 	b := event.NewBase()
 	mustAppend := func(ty event.Type, oid types.OID, at clock.Time) {
 		if _, err := b.Append(ty, oid, at); err != nil {
@@ -48,11 +56,25 @@ func fixture(t *testing.T) (*Ctx, types.OID, types.OID) {
 	mustAppend(event.Modify("stock", "quantity"), o1, 3)
 	mustAppend(event.Modify("stock", "quantity"), o2, 4)
 	mustAppend(event.Modify("stock", "quantity"), o2, 5)
-	return &Ctx{Store: st, Base: b, Since: clock.Never, At: 10}, o1, o2
+	return b
 }
 
 // one is the formula of a single atom.
 func one(a Atom) Formula { return Formula{Atoms: []Atom{a}} }
+
+// rules is the condition plan of the tests' formulas, one for all of
+// them as an engine's is for its rule set.
+var rules = calculus.NewPlan()
+
+// compile interns f's event formulas into rules, as a rule definition
+// does.
+func compile(f Formula) Formula {
+	f, err := f.Intern(rules)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
 
 // oidsOf lists the objects the rows bind v to.
 func oidsOf(ctx *Ctx, rows []Binding, v string) []types.OID {
@@ -90,7 +112,8 @@ func TestOccurredBindsAffectedObjects(t *testing.T) {
 	ctx, o1, o2 := fixture(t)
 	// occurred(create += modify(quantity), S): both objects qualify.
 	e := calculus.ConjI(calculus.P(event.Create("stock")), calculus.P(event.Modify("stock", "quantity")))
-	out, err := one(Occurred{Event: e, Var: "S"}).Eval(ctx)
+	f := compile(one(Occurred{Event: e, Var: "S"}))
+	out, err := f.Eval(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +123,7 @@ func TestOccurredBindsAffectedObjects(t *testing.T) {
 	// With a consumption window starting after o1's events, only o2.
 	ctx2 := *ctx
 	ctx2.Since = 3
-	out, err = one(Occurred{Event: e, Var: "S"}).Eval(&ctx2)
+	out, err = f.Eval(&ctx2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +140,7 @@ func TestOccurredFiltersBoundVariable(t *testing.T) {
 	ctx, o1, o2 := fixture(t)
 	e := calculus.P(event.Modify("stock", "quantity"))
 	in := ctx.Seed("S", []types.OID{o1, o2})
-	out, err := Occurred{Event: e, Var: "S"}.Eval(ctx, in)
+	out, err := compile(one(Occurred{Event: e, Var: "S"})).Atoms[0].Eval(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +154,7 @@ func TestOccurredFiltersBoundVariable(t *testing.T) {
 func TestAtBindsTimestamps(t *testing.T) {
 	ctx, _, o2 := fixture(t)
 	e := calculus.PrecI(calculus.P(event.Create("stock")), calculus.P(event.Modify("stock", "quantity")))
-	out, err := one(At{Event: e, Var: "X", TimeVar: "T"}).Eval(ctx)
+	out, err := compile(one(At{Event: e, Var: "X", TimeVar: "T"})).Eval(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +209,11 @@ func TestCompareAndTerms(t *testing.T) {
 
 func TestFormulaConjunction(t *testing.T) {
 	ctx, o1, _ := fixture(t)
-	f := Formula{Atoms: []Atom{
+	f := compile(Formula{Atoms: []Atom{
 		Class{Class: "stock", Var: "S"},
 		Occurred{Event: calculus.P(event.Create("stock")), Var: "S"},
 		Compare{L: Attr{Var: "S", Attr: "quantity"}, Op: CmpGt, R: Attr{Var: "S", Attr: "maxquantity"}},
-	}}
+	}})
 	out, err := f.Eval(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -238,9 +261,11 @@ func TestAttrOnDeletedObjectErrors(t *testing.T) {
 // A consideration runs in the Ctx's row buffers: once one evaluation has
 // grown them, a rule without a condition, one that binds the objects of
 // an event formula, one whose class atom enumerates a window and one that
-// binds at() pairs all allocate nothing.
+// binds at() pairs all allocate nothing. Nor do the event formulas when
+// the Ctx outlives the transaction: against the Event Base of a new one,
+// a warm Ctx allocates nothing either.
 func TestEvalSeedAllocatesNothing(t *testing.T) {
-	ctx, _, _ := fixture(t)
+	ctx, o1, o2 := fixture(t)
 	if n := testing.AllocsPerRun(100, func() {
 		if out, err := (Formula{}).Eval(ctx); err != nil || len(out) != 1 || len(out[0]) != 0 {
 			t.Fatalf("empty condition = %v %v", out, err)
@@ -250,6 +275,8 @@ func TestEvalSeedAllocatesNothing(t *testing.T) {
 	}
 	cardCtx, _ := cards(t, 64)
 	prec := calculus.PrecI(calculus.P(event.Create("stock")), calculus.P(event.Modify("stock", "quantity")))
+	occurred := compile(one(Occurred{Event: calculus.P(event.Create("stock")), Var: "S"}))
+	at := compile(one(At{Event: prec, Var: "X", TimeVar: "T"}))
 	for _, c := range []struct {
 		name string
 		ctx  *Ctx
@@ -257,12 +284,12 @@ func TestEvalSeedAllocatesNothing(t *testing.T) {
 		rows int
 	}{
 		// occurred binds S to the two created objects.
-		{"occurred", ctx, one(Occurred{Event: calculus.P(event.Create("stock")), Var: "S"}), 2},
+		{"occurred", ctx, occurred, 2},
 		// card(C) enumerates occurred's window of eight cards, and the
 		// comparison keeps the three past their limit.
 		{"class", cardCtx, overlimit, 3},
 		// at binds (o1, t3), (o2, t4) and (o2, t5).
-		{"at", ctx, one(At{Event: prec, Var: "X", TimeVar: "T"}), 3},
+		{"at", ctx, at, 3},
 	} {
 		eval := func() {
 			if out, err := c.f.Eval(c.ctx); err != nil || len(out) != c.rows {
@@ -274,6 +301,24 @@ func TestEvalSeedAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: %v allocs after a warm-up evaluation, want 0", c.name, n)
 		}
 	}
+
+	const runs = 50
+	bases := make([]*event.Base, runs+1) // AllocsPerRun warms up with one run
+	for i := range bases {
+		bases[i] = history(t, o1, o2)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		ctx.Base = bases[next]
+		next++
+		for _, f := range []Formula{occurred, at} {
+			if out, err := f.Eval(ctx); err != nil || len(out) == 0 {
+				t.Fatalf("%s over a new transaction's base = %v %v", f, out, err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("occurred and at over a new transaction's base: %v allocs, want 0", n)
+	}
 }
 
 // An event formula neither interns the types it mentions into the Event
@@ -282,7 +327,7 @@ func TestEvalSeedAllocatesNothing(t *testing.T) {
 // again.
 func TestEventAtomInternsNoType(t *testing.T) {
 	ctx, o1, _ := fixture(t)
-	f := one(Occurred{Event: calculus.P(event.Delete("stock")), Var: "S"})
+	f := compile(one(Occurred{Event: calculus.P(event.Delete("stock")), Var: "S"}))
 	before := ctx.Base.InternedTypes()
 	if out, err := f.Eval(ctx); err != nil || len(out) != 0 {
 		t.Fatalf("before any delete: %v %v", out, err)
@@ -295,5 +340,43 @@ func TestEventAtomInternsNoType(t *testing.T) {
 	}
 	if out, err := f.Eval(ctx); err != nil || len(oidsOf(ctx, out, "S")) != 1 || oidsOf(ctx, out, "S")[0] != o1 {
 		t.Fatalf("after o1's delete: %v %v, want o1", out, err)
+	}
+}
+
+// An event formula is evaluable only once interned. Formula.Intern
+// validates and interns every occurred and at atom into the plan, leaves
+// the formula it was given as it was, and rejects an invalid expression
+// with calculus.Valid's error, interning nothing; Release gives back what
+// it took.
+func TestInternValidatesAndReleases(t *testing.T) {
+	ctx, _, _ := fixture(t)
+	occ := Occurred{Event: calculus.P(event.Create("stock")), Var: "S"}
+	if _, err := one(occ).Eval(ctx); err == nil || !strings.Contains(err.Error(), "not interned") {
+		t.Fatalf("an event formula never interned = %v, want an error", err)
+	}
+	plan := calculus.NewPlan()
+	bad := calculus.NegI(calculus.Conj(calculus.P(event.Create("stock")), calculus.P(event.Modify("stock", "quantity"))))
+	invalid := Formula{Atoms: []Atom{occ, At{Event: bad, Var: "S", TimeVar: "T"}}}
+	if _, err := invalid.Intern(plan); err == nil || !strings.Contains(err.Error(), calculus.Valid(bad).Error()) {
+		t.Fatalf("Intern(%s) = %v, want %v", invalid, err, calculus.Valid(bad))
+	}
+	if plan.Live() != 0 {
+		t.Fatalf("a rejected formula left %d nodes in the plan", plan.Live())
+	}
+	prec := calculus.PrecI(calculus.P(event.Create("stock")), calculus.P(event.Modify("stock", "quantity")))
+	f := Formula{Atoms: []Atom{occ, At{Event: prec, Var: "S", TimeVar: "T"}}}
+	g, err := f.Intern(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := g.Eval(ctx); err != nil || len(out) != 3 {
+		t.Fatalf("%s = %v %v, want 3 rows", g, out, err)
+	}
+	if _, err := f.Eval(ctx); err == nil {
+		t.Fatal("Intern changed the formula it was given")
+	}
+	g.Release()
+	if plan.Live() != 0 {
+		t.Fatalf("Release left %d nodes in the plan", plan.Live())
 	}
 }

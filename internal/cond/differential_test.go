@@ -19,9 +19,13 @@ import (
 // atom written from its definition over bindings that map variable names
 // to values — a class atom walks the whole class extension, every event
 // atom recomputes its set per evaluation with the definition of the
-// calculus (calculus.Env), nothing is shared and nothing is reused. Production Formula.Eval must
-// return the oracle's bindings in the oracle's order, its rows read
-// through the slot table, and fail with the oracle's error text.
+// calculus (calculus.Env), nothing is shared and nothing is reused. A
+// formula with an invalid event expression is no condition at all: its
+// rule is rejected at definition. Formula.Intern must reject exactly
+// those, with the oracle's error text, and production Formula.Eval of the
+// interned formula must return the oracle's bindings in the oracle's
+// order, its rows read through the slot table, and fail with the
+// oracle's error text.
 
 // env is the oracle's binding: variable names to values.
 type env map[string]types.Value
@@ -51,6 +55,24 @@ func envs(ctx *Ctx, rows []Binding) []env {
 		}
 	}
 	return out
+}
+
+// oracleValid is the definition-time check: the calculus.Valid error of
+// the first occurred or at atom whose expression is invalid.
+func oracleValid(f Formula) error {
+	for _, a := range f.Atoms {
+		var err error
+		switch a := a.(type) {
+		case Occurred:
+			err = calculus.Valid(a.Event)
+		case At:
+			err = calculus.Valid(a.Event)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", a, err)
+		}
+	}
+	return nil
 }
 
 func oracleEval(ctx *Ctx, f Formula) ([]env, error) {
@@ -153,9 +175,6 @@ func oracleAtom(ctx *Ctx, atom Atom, in []env) ([]env, error) {
 			}
 		}
 	case Occurred:
-		if err := calculus.Valid(a.Event); err != nil {
-			return nil, err
-		}
 		affected := oracleAffected(ctx, a.Event)
 		for _, e := range in {
 			if v, bound := e[a.Var]; bound {
@@ -171,9 +190,6 @@ func oracleAtom(ctx *Ctx, atom Atom, in []env) ([]env, error) {
 			}
 		}
 	case At:
-		if err := calculus.Valid(a.Event); err != nil {
-			return nil, err
-		}
 		for _, e := range in {
 			candidates := oracleAffected(ctx, a.Event)
 			if v, bound := e[a.Var]; bound {
@@ -245,12 +261,16 @@ func oracleAtom(ctx *Ctx, atom Atom, in []env) ([]env, error) {
 			}
 		}
 	case touched:
-		oids := ctx.Base.AppendOIDsOfTypes(nil, calculus.Primitives(a.event), ctx.Since, ctx.At)
+		prims := calculus.Primitives(a.event)
+		hit := map[types.OID]bool{}
+		for _, occ := range ctx.Base.Window(ctx.Since, ctx.At) {
+			if slices.Contains(prims, occ.Type) {
+				hit[occ.OID] = true
+			}
+		}
 		for _, e := range in {
-			for _, oid := range oids {
-				if e[a.v].AsOID() == oid {
-					out = append(out, e)
-				}
+			if hit[e[a.v].AsOID()] {
+				out = append(out, e)
 			}
 		}
 	default:
@@ -303,7 +323,7 @@ func firstBound(later []Atom, v string) Atom {
 	for _, a := range later {
 		switch a := a.(type) {
 		case Occurred:
-			if a.Var == v && calculus.Valid(a.Event) == nil {
+			if a.Var == v {
 				return a
 			}
 		case Holds:
@@ -311,7 +331,7 @@ func firstBound(later []Atom, v string) Atom {
 				return a
 			}
 		case At:
-			if a.Var == v && calculus.Valid(a.Event) == nil && !calculus.VacuouslyActive(a.Event) {
+			if a.Var == v && !calculus.VacuouslyActive(a.Event) {
 				return touched{event: a.Event, v: v}
 			}
 		}
@@ -486,12 +506,22 @@ func randomFormula(r *rand.Rand) Formula {
 
 func TestEvalMatchesLeftToRightOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(19960325))
-	var withBindings, withErrors, diverged int
+	plan := calculus.NewPlan()
+	var withBindings, withErrors, diverged, rejected int
 	for i := 0; i < 4000; i++ {
 		w := randomWorld(t, r)
 		for j := 0; j < 6; j++ {
 			f := randomFormula(r)
-			got, gotErr := f.Eval(w.ctx)
+			g, err := f.Intern(plan)
+			if want := oracleValid(f); fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Fatalf("world %d, %s: Intern error %v, oracle %v", i, f, err, want)
+			}
+			if err != nil {
+				rejected++
+				continue
+			}
+			got, gotErr := g.Eval(w.ctx)
+			g.Release()
 			plain, plainErr := oracleEval(w.ctx, f)
 			want, wantErr := plain, plainErr
 			if plainErr != nil {
@@ -517,9 +547,14 @@ func TestEvalMatchesLeftToRightOracle(t *testing.T) {
 			}
 		}
 	}
-	// The generator must reach all three outcomes, or the test proves little.
-	if withBindings < 1000 || withErrors < 1000 || diverged == 0 {
-		t.Fatalf("coverage: %d formulas bound something, %d raised an error, %d only without push-down",
-			withBindings, withErrors, diverged)
+	// The generator must reach all four outcomes, or the test proves little.
+	if withBindings < 1000 || withErrors < 1000 || diverged == 0 || rejected == 0 {
+		t.Fatalf("coverage: %d formulas bound something, %d raised an error, %d only without push-down, %d rejected",
+			withBindings, withErrors, diverged, rejected)
+	}
+	t.Logf("%d formulas bound something, %d raised an error, %d only without push-down, %d rejected",
+		withBindings, withErrors, diverged, rejected)
+	if plan.Live() != 0 {
+		t.Fatalf("every formula released, the plan still holds %d nodes", plan.Live())
 	}
 }

@@ -32,11 +32,11 @@ func (v *countingView) Select(class string) ([]types.OID, error) {
 
 // overlimit is the idiomatic shape: a class atom ahead of the event
 // formula that names the few objects the window touched.
-var overlimit = Formula{Atoms: []Atom{
+var overlimit = compile(Formula{Atoms: []Atom{
 	Class{Class: "card", Var: "C"},
 	Occurred{Event: calculus.P(event.Modify("card", "spent")), Var: "C"},
 	Compare{L: Attr{Var: "C", Attr: "spent"}, Op: CmpGt, R: Attr{Var: "C", Attr: "limit"}},
-}}
+}})
 
 // cards builds a store of n cards whose window modified the first eight,
 // three of them past their limit.

@@ -250,16 +250,21 @@ type DB struct {
 	schema  *schema.Schema
 	store   *object.Store
 	support *rules.Support
-	bodies  map[string]Body
-	opts    Options
-	stats   statsCounters
-	tracer  Tracer
+	// bodies and conds are the rule registry: each rule's condition and
+	// action, and the plan DefineRule interned the conditions' event
+	// formulas into. Only rule DDL writes them, under mu with no line open.
+	bodies map[string]Body
+	conds  *calculus.Plan
+	opts   Options
+	stats  statsCounters
+	tracer Tracer
 
-	// mu guards the session state: the single-session txn pointer and
-	// the active-line count.
+	// mu guards the session state: the single-session txn pointer, the
+	// active-line count and the idle condition contexts of past lines.
 	mu     sync.Mutex
 	txn    *Txn
 	active int
+	ctxs   []*cond.Ctx
 	// commitMu is the commit pipeline's serialization point: deferred
 	// rule processing and the publication of a line's writes (its latch
 	// release) happen one line at a time, in commit order, while
@@ -350,6 +355,7 @@ func newDB(opts Options) *DB {
 		store:       object.NewStore(s),
 		support:     rules.NewSupport(nil, opts.Support),
 		bodies:      make(map[string]Body),
+		conds:       calculus.NewPlan(),
 		opts:        opts,
 		m:           newEngineMetrics(opts.Metrics),
 		baseMetrics: event.NewBaseMetrics(opts.Metrics),
@@ -473,13 +479,15 @@ func (db *DB) DefineSubclass(name, parent string, attrs ...schema.Attribute) err
 
 // DefineRule registers a trigger: its event expression and modes go to
 // the Trigger Support, its condition and action are kept for
-// consideration time. Rules may be defined at any time outside a
-// transaction.
+// consideration time, the condition's event formulas validated and
+// interned into the condition plan. Rules may be defined at any time
+// outside a transaction; an invalid rule leaves nothing behind.
 func (db *DB) DefineRule(def rules.Def, body Body) error {
+	// The check for open lines and the registry's mutation are one
+	// critical section: a Begin cannot slip in between.
 	db.mu.Lock()
-	open := db.txn != nil || db.active > 0
-	db.mu.Unlock()
-	if open {
+	defer db.mu.Unlock()
+	if db.txn != nil || db.active > 0 {
 		return errors.New("engine: cannot define rules inside a transaction")
 	}
 	for _, t := range eventClasses(def) {
@@ -487,9 +495,15 @@ func (db *DB) DefineRule(def rules.Def, body Body) error {
 			return fmt.Errorf("engine: rule %q mentions unknown class %q", def.Name, t)
 		}
 	}
+	condition, err := body.Condition.Intern(db.conds)
+	if err != nil {
+		return fmt.Errorf("engine: rule %q condition: %w", def.Name, err)
+	}
 	if err := db.support.Define(def); err != nil {
+		condition.Release()
 		return err
 	}
+	body.Condition = condition
 	db.bodies[def.Name] = body
 	// Rules are logged as their concrete-syntax source: recovery replays
 	// them through lang.ParseRule, the same front door a live definition
@@ -503,7 +517,7 @@ func eventClasses(def rules.Def) []string {
 	if def.Event == nil {
 		return nil
 	}
-	for _, t := range defPrimitives(def) {
+	for _, t := range calculus.Primitives(def.Event) {
 		if t.Op == event.OpExternal {
 			continue // signal names are free-form, not schema classes
 		}
@@ -515,24 +529,17 @@ func eventClasses(def rules.Def) []string {
 	return out
 }
 
-func defPrimitives(def rules.Def) []event.Type {
-	if def.Event == nil {
-		return nil
-	}
-	return calculusPrimitives(def)
-}
-
 // DropRule removes a rule.
 func (db *DB) DropRule(name string) error {
 	db.mu.Lock()
-	open := db.txn != nil || db.active > 0
-	db.mu.Unlock()
-	if open {
+	defer db.mu.Unlock()
+	if db.txn != nil || db.active > 0 {
 		return errors.New("engine: cannot drop rules inside a transaction")
 	}
 	if err := db.support.Drop(name); err != nil {
 		return err
 	}
+	db.bodies[name].Condition.Release()
 	delete(db.bodies, name)
 	return db.walDDL(encDropRule(nil, name))
 }
@@ -562,9 +569,9 @@ type Txn struct {
 	// operation that crossed the limit and the transaction must be
 	// rolled back.
 	budget *calculus.Budget
-	// cctx is the condition context of the running consideration; one per
-	// line, so its evaluation scratch recycles across considerations.
-	cctx cond.Ctx
+	// cctx is the line's condition context, taken from the database's idle
+	// ones: its scratch recycles across considerations and transactions.
+	cctx *cond.Ctx
 	// Durable-mode block state: the current block's WAL op stream
 	// (events, mutations, considerations in execution order — becomes
 	// one record at the block boundary), a reused record-assembly
@@ -640,6 +647,7 @@ func (db *DB) Begin() (*Txn, error) {
 		t.line = db.store.BeginLine(object.LineOptions{Solo: true})
 		db.txn = t
 	}
+	t.cctx = db.idleCtx()
 	db.active++
 	db.m.activeLines.Set(int64(db.active))
 	if db.opts.Durability.enabled() {
@@ -674,6 +682,16 @@ func (db *DB) Begin() (*Txn, error) {
 		}
 	}
 	return t, nil
+}
+
+// idleCtx takes an idle condition context, or a new one; db.mu is held.
+func (db *DB) idleCtx() *cond.Ctx {
+	if n := len(db.ctxs); n > 0 {
+		ctx := db.ctxs[n-1]
+		db.ctxs = db.ctxs[:n-1]
+		return ctx
+	}
+	return new(cond.Ctx)
 }
 
 // log stamps and stores one occurrence (Event Handler duty). In durable
@@ -1121,7 +1139,7 @@ func (t *Txn) runRule(name string) error {
 	// The condition reads through the line, so in multi-session mode
 	// every object and class extension it examines is latched shared to
 	// end of line and the bindings stay stable.
-	ctx := &t.cctx
+	ctx := t.cctx
 	ctx.Store, ctx.Base, ctx.Budget = t.line, t.base, t.budget
 	ctx.Since, ctx.At = consideration.Since, consideration.At
 	bindings, err := evalCondition(body, ctx)
@@ -1344,7 +1362,11 @@ func (t *Txn) finish() {
 		sess.Release()
 	}
 	t.done = true
+	ctx := t.cctx // idle, it keeps its scratch but not the line's state
+	ctx.Store, ctx.Base, ctx.Budget = nil, nil, nil
+	t.cctx = nil
 	t.db.mu.Lock()
+	t.db.ctxs = append(t.db.ctxs, ctx)
 	if t.db.txn == t {
 		t.db.txn = nil
 	}

@@ -1,6 +1,9 @@
 package engine
 
-import "chimera/internal/types"
+import (
+	"chimera/internal/calculus"
+	"chimera/internal/types"
+)
 
 // CheckpointOIDs decodes checkpoint bytes and returns the OIDs of the
 // objects frame in the order they were written.
@@ -14,4 +17,15 @@ func CheckpointOIDs(data []byte) ([]types.OID, error) {
 		oids[i] = o.OID
 	}
 	return oids, nil
+}
+
+// CondPlan returns the condition plan the rules' conditions are interned
+// into.
+func (db *DB) CondPlan() *calculus.Plan { return db.conds }
+
+// IdleContexts returns the number of idle condition contexts.
+func (db *DB) IdleContexts() int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return len(db.ctxs)
 }

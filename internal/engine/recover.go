@@ -230,6 +230,7 @@ func (db *DB) reopenTxn(base *event.Base, ck *checkpoint) (*Txn, error) {
 	db.support.BeginTransaction(ck.Start)
 	t.view = db.support
 	t.line = db.store.BeginLine(object.LineOptions{Solo: true})
+	t.cctx = db.idleCtx()
 	db.txn = t
 	db.active++
 	db.mu.Unlock()

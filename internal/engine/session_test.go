@@ -469,3 +469,86 @@ func TestConsiderationDoesNotLatchTheClass(t *testing.T) {
 		}
 	}
 }
+
+// Rule DDL and Begin exclude each other: DefineRule and DropRule check for
+// open lines and write the rule registry — the bodies and the condition
+// plan — in one critical section, so a line that begins meanwhile never
+// reads them half-written. Lines run Begin → Modify → Commit, considering
+// a resident rule and, while it is defined, a churned one, beside a loop
+// that defines and drops the churned rule whenever no line is open. Run
+// it under -race (make race-stress).
+func TestRuleDDLRacesBegin(t *testing.T) {
+	db := multiDB(t, 2)
+	modified := calculus.P(event.Modify("stock", "quantity"))
+	def := func(name string) rules.Def {
+		return rules.Def{Name: name, Target: "stock", Event: modified, Coupling: rules.Immediate}
+	}
+	body := Body{Condition: cond.Formula{Atoms: []cond.Atom{
+		cond.Occurred{Event: modified, Var: "S"},
+		cond.At{Event: modified, Var: "S", TimeVar: "T"},
+	}}}
+	if err := db.DefineRule(def("resident"), body); err != nil {
+		t.Fatal(err)
+	}
+	var oids []types.OID
+	if err := db.Run(func(tx *Txn) error {
+		for i := 0; i < 2; i++ {
+			oid, err := tx.Create("stock", map[string]types.Value{"quantity": types.Int(0)})
+			if err != nil {
+				return err
+			}
+			oids = append(oids, oid)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, oid := range oids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tx, err := db.Begin()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tx.Modify(oid, "quantity", types.Int(int64(i))); err != nil {
+					t.Error(err)
+					tx.Rollback()
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%4 == 0 {
+					time.Sleep(10 * time.Microsecond) // leave the DDL loop an idle moment
+				}
+			}
+		}()
+	}
+	cycles := 0
+	for deadline := time.Now().Add(time.Second); cycles < 200 && time.Now().Before(deadline); {
+		if db.DefineRule(def("churn"), body) != nil {
+			continue // a line is open
+		}
+		for db.DropRule("churn") != nil {
+		}
+		cycles++
+	}
+	close(stop)
+	wg.Wait()
+	if cycles == 0 {
+		t.Fatal("no define/drop cycle found the lines idle")
+	}
+	t.Logf("%d define/drop cycles beside the lines", cycles)
+}

@@ -111,9 +111,9 @@ const DefaultSegmentSize = 256
 // as the base it was exported from. The index is keyed by id only (see
 // segment), in open-addressed tables whose memory follows the entries
 // of the segment, never the vocabulary. A probe (LastOf, LastOfObj,
-// AppendOIDsOfTypes, OccurrencesOf, ...) resolves its Type and OID to
-// ids once, at the API edge, and below that compares and hashes int32s;
-// a Type or OID that was never interned has no occurrences. The probe
+// OccurrencesOfObj, ...) resolves its Type and OID to ids once, at the
+// API edge, and below that compares and hashes int32s; a Type or OID
+// that was never interned has no occurrences. The probe
 // loops of the Trigger Support walk windows through ChunkCols, touching
 // only the timestamp and type-id columns; Occurrence rows exist only as
 // copies made at the API edge (Window, AppendWindow, All,
@@ -129,9 +129,9 @@ const DefaultSegmentSize = 256
 // by type id) are transaction-lifetime state: they grow with the number
 // of *distinct* types and objects, not with occurrences, and compaction
 // never shrinks them, because retired history still determines id
-// assignment (and OID first-arrival order, which OIDs/AppendOIDs
-// expose). A transaction touching an unbounded stream of fresh objects
-// therefore grows its interner without bound; the
+// assignment (and OID first-arrival order, which OIDs exposes). A
+// transaction touching an unbounded stream of fresh objects therefore
+// grows its interner without bound; the
 // chimera_eb_distinct_oids and chimera_eb_interned_types gauges expose
 // exactly this component so operators can see the slope.
 //
@@ -157,8 +157,8 @@ type Base struct {
 	segs    []*segment // live segments, ascending by time stamp
 	// typeIDs/typesByID and oidIDs/oidsByID are the per-Base interners:
 	// dense int32 ids in first-arrival order. The OID interner doubles as
-	// the first-arrival rank that keeps OIDs/AppendOIDs order stable
-	// across segment boundaries and compactions. latest, parallel to
+	// the first-arrival rank that keeps OIDs' order stable across
+	// segment boundaries and compactions. latest, parallel to
 	// typesByID, is each type's newest time stamp (clock.Never before its
 	// first occurrence). See the retention contract in the type comment.
 	typeIDs   map[Type]int32
@@ -202,21 +202,13 @@ type segment struct {
 	ts       []clock.Time
 	tids     []int32
 	oids     []int32
-	// leafOf holds a leaf per type of the segment, pairOf per (type,
-	// object) pair the ascending positions of its occurrences; objOf's
-	// keys are the distinct objects of the segment.
-	leafOf idTable[segLeaf]
+	// leafOf holds per type of the segment (its slice of a leaf of the
+	// Occurred-Events tree), and pairOf per (type, object) pair, the
+	// ascending positions of its occurrences; objOf's keys are the
+	// distinct objects of the segment.
+	leafOf idTable[[]int32]
 	pairOf idTable[[]int32]
 	objOf  idTable[struct{}]
-}
-
-// segLeaf is one segment's slice of a leaf of the Occurred-Events tree:
-// the positions of one event type's occurrences within the segment,
-// ascending, and the distinct objects (interned ids, first-touch order)
-// they affect.
-type segLeaf struct {
-	all  []int32
-	objs []int32
 }
 
 // idTable is a segment-local open-addressed index from an id key to a
@@ -296,12 +288,8 @@ func (sg *segment) maxTS() clock.Time { return sg.ts[len(sg.ts)-1] }
 // index of a segment is index applied to its rows in order.
 func (sg *segment) index(i, tid, oi int32) {
 	l, _ := sg.leafOf.findOrAdd(uint64(tid))
-	lf := &sg.leafOf.vals[l]
-	lf.all = append(lf.all, i)
-	p, added := sg.pairOf.findOrAdd(pairKey(tid, oi))
-	if added {
-		lf.objs = append(lf.objs, oi)
-	}
+	sg.leafOf.vals[l] = append(sg.leafOf.vals[l], i)
+	p, _ := sg.pairOf.findOrAdd(pairKey(tid, oi))
 	sg.pairOf.vals[p] = append(sg.pairOf.vals[p], i)
 	sg.objOf.findOrAdd(uint64(oi))
 }
@@ -315,7 +303,7 @@ const anyObj int32 = -1
 func (sg *segment) list(tid, oi int32) []int32 {
 	if oi == anyObj {
 		if l := sg.leafOf.find(uint64(tid)); l >= 0 {
-			return sg.leafOf.vals[l].all
+			return sg.leafOf.vals[l]
 		}
 		return nil
 	}
@@ -458,8 +446,7 @@ func (b *Base) internTypeLocked(t Type) int32 {
 }
 
 // internOIDLocked interns oid; ids ascend in first-arrival order, which
-// is exactly the global rank OIDs/AppendOIDs sort by. Callers hold the
-// write lock.
+// is exactly the global rank OIDs sorts by. Callers hold the write lock.
 func (b *Base) internOIDLocked(oid types.OID) int32 {
 	if id, ok := b.oidIDs[oid]; ok {
 		return id
@@ -955,54 +942,27 @@ func (b *Base) Newest(upTo clock.Time) clock.Time {
 // (since, upTo], in order of first appearance in the transaction. This
 // is the object domain of the instance-oriented lifts ("oid ∈ R").
 func (b *Base) OIDs(since, upTo clock.Time) []types.OID {
-	return b.AppendOIDs(nil, since, upTo)
+	r := b.Read()
+	defer r.Done()
+	var oids []types.OID
+	for _, oi := range r.AppendObjs(nil, since, upTo) {
+		oids = append(oids, r.OID(oi))
+	}
+	return oids
 }
-
-// objID is what the domain gathers append: interned object ids, in an
-// []int32 or, until they are translated, in the tail of the caller's
-// []types.OID (the OID-typed probes have no other buffer).
-type objID interface{ ~int32 | ~int64 }
 
 // appendObjs appends the id of every object of (since, upTo], with
 // duplicates: a segment inside the window contributes its distinct
 // objects, a segment the window cuts the objects column of the cut.
-func appendObjs[E objID](b *Base, dst []E, since, upTo clock.Time) []E {
+func appendObjs(b *Base, dst []int32, since, upTo clock.Time) []int32 {
 	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
 		if hi-lo == sg.n() {
 			for _, oi := range sg.objOf.keys {
-				dst = append(dst, E(oi))
+				dst = append(dst, int32(oi))
 			}
 			return true
 		}
-		for _, oi := range sg.oids[lo:hi] {
-			dst = append(dst, E(oi))
-		}
-		return true
-	})
-	return dst
-}
-
-// appendObjsOfTIDs is appendObjs restricted to occurrences of the given
-// types, read off each type's segment leaves: O(objects touched) within
-// the live window rather than a scan of every occurrence.
-func appendObjsOfTIDs[E objID](b *Base, dst []E, tids []int32, since, upTo clock.Time) []E {
-	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
-		for _, tid := range tids {
-			l := sg.leafOf.find(uint64(tid))
-			if l < 0 {
-				continue
-			}
-			lf := &sg.leafOf.vals[l]
-			if hi-lo == sg.n() {
-				for _, oi := range lf.objs {
-					dst = append(dst, E(oi))
-				}
-				continue
-			}
-			for _, i := range within(lf.all, lo, hi) {
-				dst = append(dst, E(sg.oids[i]))
-			}
-		}
+		dst = append(dst, sg.oids[lo:hi]...)
 		return true
 	})
 	return dst
@@ -1011,16 +971,9 @@ func appendObjsOfTIDs[E objID](b *Base, dst []E, tids []int32, since, upTo clock
 // sortDedup sorts dst[start:] ascending and compacts duplicates in
 // place. Deduplicating by sorting instead of with a set is what keeps
 // the domain probes allocation-free on a recycled buffer.
-func sortDedup[E objID](dst []E, start int) []E {
+func sortDedup(dst []int32, start int) []int32 {
 	slices.Sort(dst[start:])
-	w := start
-	for r := start; r < len(dst); r++ {
-		if r == start || dst[r] != dst[r-1] {
-			dst[w] = dst[r]
-			w++
-		}
-	}
-	return dst[:w]
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
 // AppendObjs appends the interned ids of the distinct objects of
@@ -1045,7 +998,7 @@ func (r Reader) ForLeaf(tid int32, since, upTo clock.Time, fn func(oi int32, at 
 		if l < 0 {
 			return true
 		}
-		idxs := sg.leafOf.vals[l].all
+		idxs := sg.leafOf.vals[l]
 		if hi-lo != sg.n() {
 			idxs = within(idxs, lo, hi)
 		}
@@ -1054,53 +1007,6 @@ func (r Reader) ForLeaf(tid int32, since, upTo clock.Time, fn func(oi int32, at 
 		}
 		return true
 	})
-}
-
-// AppendOIDs appends the distinct objects of (since, upTo] to dst, in
-// order of first appearance, and returns the extended slice (the
-// buffer-reusing variant of OIDs). The order is the OID interner's id
-// order, so it is stable across segment boundaries and compactions.
-func (r Reader) AppendOIDs(dst []types.OID, since, upTo clock.Time) []types.OID {
-	start := len(dst)
-	dst = sortDedup(appendObjs(r.b, dst, since, upTo), start)
-	for i, oi := range dst[start:] {
-		dst[start+i] = r.b.oidsByID[oi]
-	}
-	return dst
-}
-
-// AppendOIDsOfTypes appends the distinct objects touched by the given
-// types in (since, upTo] to dst, ascending by OID, and returns the
-// extended slice; a recycled dst[:0] makes the call allocation-free. It
-// is the object domain of occurred() and of the restricted lifts.
-func (r Reader) AppendOIDsOfTypes(dst []types.OID, ts []Type, since, upTo clock.Time) []types.OID {
-	var buf [8]int32
-	tids := buf[:0]
-	for _, t := range ts {
-		if tid, ok := r.TypeID(t); ok {
-			tids = append(tids, tid)
-		}
-	}
-	start := len(dst)
-	dst = appendObjsOfTIDs(r.b, dst, tids, since, upTo)
-	for i, oi := range dst[start:] {
-		dst[start+i] = r.b.oidsByID[oi]
-	}
-	return sortDedup(dst, start)
-}
-
-// AppendOIDs is Reader.AppendOIDs under its own lock.
-func (b *Base) AppendOIDs(dst []types.OID, since, upTo clock.Time) []types.OID {
-	r := b.Read()
-	defer r.Done()
-	return r.AppendOIDs(dst, since, upTo)
-}
-
-// AppendOIDsOfTypes is Reader.AppendOIDsOfTypes under its own lock.
-func (b *Base) AppendOIDsOfTypes(dst []types.OID, ts []Type, since, upTo clock.Time) []types.OID {
-	r := b.Read()
-	defer r.Done()
-	return r.AppendOIDsOfTypes(dst, ts, since, upTo)
 }
 
 // String renders the retained base as the table of Figure 3.

@@ -128,11 +128,8 @@ func checkAgainstOracle(t *testing.T, tag string, r *rand.Rand, b *Base, o *orac
 				}
 			}
 		}
-		if got := b.AppendOIDs(nil, since, upTo); !slices.Equal(got, wantAll) {
-			t.Fatalf("%s: AppendOIDs = %v, want %v", at, got, wantAll)
-		}
-		if got := b.AppendOIDsOfTypes(nil, tys, since, upTo); !slices.Equal(got, wantOfTypes) {
-			t.Fatalf("%s: AppendOIDsOfTypes(%v) = %v, want %v", at, tys, got, wantOfTypes)
+		if got := b.OIDs(since, upTo); !slices.Equal(got, wantAll) {
+			t.Fatalf("%s: OIDs = %v, want %v", at, got, wantAll)
 		}
 		if want := o.newest(upTo); b.Newest(upTo) != want {
 			t.Fatalf("%s: Newest = %d, want %d", at, b.Newest(upTo), want)
@@ -272,16 +269,16 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 }
 
 // indexWords counts the machine words the live segments' indexes hold:
-// table slots, keys and values (a leaf is two slice headers, a pair
-// one), and the capacity of every position list.
+// table slots, keys and values (a leaf and a pair are one slice header
+// each), and the capacity of every position list.
 func indexWords(b *Base) int {
 	words := 0
 	for _, sg := range b.segs {
-		words += len(sg.leafOf.slots)/2 + 7*cap(sg.leafOf.keys)
+		words += len(sg.leafOf.slots)/2 + 4*cap(sg.leafOf.keys)
 		words += len(sg.pairOf.slots)/2 + 4*cap(sg.pairOf.keys)
 		words += len(sg.objOf.slots)/2 + cap(sg.objOf.keys)
 		for _, lf := range sg.leafOf.vals {
-			words += (cap(lf.all) + cap(lf.objs)) / 2
+			words += cap(lf) / 2
 		}
 		for _, p := range sg.pairOf.vals {
 			words += cap(p) / 2
@@ -378,15 +375,6 @@ func TestProbesAllocateNothing(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("LastOfObj: %v allocs/op, want 0", a)
 	}
-	buf := make([]types.OID, 0, 64)
-	if a := testing.AllocsPerRun(1000, func() {
-		buf = b.AppendOIDsOfTypes(buf[:0], tys, now-500, now)
-		if len(buf) != objects {
-			t.Fatalf("domain of %d objects, want %d", len(buf), objects)
-		}
-	}); a != 0 {
-		t.Errorf("AppendOIDsOfTypes into a recycled buffer: %v allocs/op, want 0", a)
-	}
 	// The same over default-size segments, where the window crosses many.
 	small := NewBase()
 	for ts := clock.Time(1); ts <= 4096; ts++ {
@@ -394,9 +382,11 @@ func TestProbesAllocateNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	buf := make([]int32, 0, 64)
 	if a := testing.AllocsPerRun(1000, func() {
-		buf = small.AppendOIDsOfTypes(buf[:0], tys, 100, 4000)
-		buf = small.AppendOIDs(buf[:0], 100, 4000)
+		rd := small.Read()
+		buf = rd.AppendObjs(buf[:0], 100, 4000)
+		rd.Done()
 		small.LastOfObj(tys[1], 5, 100, 4000)
 	}); a != 0 {
 		t.Errorf("probes across segments: %v allocs/op, want 0", a)

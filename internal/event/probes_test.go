@@ -1,6 +1,8 @@
 package event
 
 import (
+	"slices"
+
 	"chimera/internal/clock"
 	"chimera/internal/types"
 )
@@ -48,11 +50,29 @@ func (b *Base) OccurrencesOf(t Type, since, upTo clock.Time) []Occurrence {
 // OIDsOfTypes returns the distinct objects affected by occurrences of any
 // of the given types in (since, upTo], in ascending OID order.
 func (b *Base) OIDsOfTypes(ts []Type, since, upTo clock.Time) []types.OID {
-	return b.AppendOIDsOfTypes(nil, ts, since, upTo)
+	r := b.Read()
+	defer r.Done()
+	var tids []int32
+	for _, t := range ts {
+		if tid, ok := r.TypeID(t); ok {
+			tids = append(tids, tid)
+		}
+	}
+	var oids []types.OID
+	for _, oi := range r.AppendObjsOfTIDs(nil, tids, since, upTo) {
+		oids = append(oids, r.OID(oi))
+	}
+	slices.Sort(oids)
+	return oids
 }
 
 // AppendObjsOfTIDs is AppendObjs restricted to the objects touched by
-// occurrences of the given types, ascending by interned id.
+// occurrences of the given types, ascending by interned id: the objects
+// of the types' leaves.
 func (r Reader) AppendObjsOfTIDs(dst []int32, tids []int32, since, upTo clock.Time) []int32 {
-	return sortDedup(appendObjsOfTIDs(r.b, dst, tids, since, upTo), len(dst))
+	start := len(dst)
+	for _, tid := range tids {
+		r.ForLeaf(tid, since, upTo, func(oi int32, _ clock.Time) { dst = append(dst, oi) })
+	}
+	return sortDedup(dst, start)
 }

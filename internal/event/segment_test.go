@@ -134,7 +134,7 @@ func typeOfTID(t *testing.T, b *Base, tid int32) Type {
 }
 
 // oidOfID resolves an interned OID id by scanning the first-arrival
-// order exposed through AppendOIDs over the whole log.
+// order exposed through OIDs over the whole log.
 func oidOfID(t *testing.T, b *Base, id int32) types.OID {
 	t.Helper()
 	oids := b.OIDs(clock.Never, clock.Time(1<<40))
@@ -158,8 +158,7 @@ func occEqual(a, b []Occurrence) bool {
 
 // TestWindowBoundaryCases covers the degenerate windows: since == upTo,
 // types with no occurrences (empty leaves), windows entirely before or
-// after the log, and OID dedup across types and segments in
-// AppendOIDsOfTypes.
+// after the log, and OID dedup across types and segments.
 func TestWindowBoundaryCases(t *testing.T) {
 	b := NewBaseSize(2) // every second append seals a segment
 	cs, co := Create("stock"), Create("order")
@@ -231,12 +230,6 @@ func TestWindowBoundaryCases(t *testing.T) {
 	want := []types.OID{1, 2, 3}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("OIDsOfTypes dedup = %v, want %v", got, want)
-	}
-	// Buffer-reuse variant keeps the prefix intact.
-	buf := []types.OID{99}
-	buf = b.AppendOIDsOfTypes(buf, []Type{cs, mq}, clock.Never, 9)
-	if !reflect.DeepEqual(buf, []types.OID{99, 1, 2}) {
-		t.Errorf("AppendOIDsOfTypes with prefix = %v", buf)
 	}
 }
 
