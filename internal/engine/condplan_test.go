@@ -54,6 +54,11 @@ func TestInvalidConditionFailsDefineRule(t *testing.T) {
 	if err := db.DefineRule(ok, engine.Body{Condition: eventCondition(modifiedQty)}); err != nil {
 		t.Fatal(err)
 	}
+	// Under FsyncOff records reach the store on the WAL writer's drain
+	// tick: sync before each snapshot so both see every record enqueued.
+	if err := db.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
 	wal, _ := store.WAL()
 	triggerNodes, condNodes := db.Support().Plan().Live(), db.CondPlan().Live()
 
@@ -75,6 +80,9 @@ func TestInvalidConditionFailsDefineRule(t *testing.T) {
 	}
 	if got := db.CondPlan().Live(); got != condNodes {
 		t.Errorf("condition plan holds %d nodes, want %d", got, condNodes)
+	}
+	if err := db.SyncWAL(); err != nil {
+		t.Fatal(err)
 	}
 	if after, _ := store.WAL(); !bytes.Equal(after, wal) {
 		t.Errorf("the rejected rule reached the WAL: %d bytes, were %d", len(after), len(wal))

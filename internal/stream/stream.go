@@ -1,6 +1,6 @@
 // Package stream is Chimera's continuous-ingestion mode: a long-lived
 // stream session over one engine transaction line, fed through a
-// bounded multi-producer arrival queue and swept in micro-batches.
+// bounded multi-producer arrival ring and swept in micro-batches.
 //
 // The paper evaluates composite events only at transaction boundaries;
 // driving one transaction per event makes every arrival pay the full
@@ -12,8 +12,9 @@
 // sweep over the shared-plan memo groups, one compaction pass and one
 // WAL record — instead of hundreds.
 //
-// Backpressure is explicit: when the arrival queue fills, Block makes
-// producers wait and Drop sheds the event (counted, never silent).
+// Backpressure is explicit: when the arrival ring fills, Block makes
+// producers wait and Drop sheds the event (counted, never silent). An
+// Emit that returned nil is swept before Close returns.
 // Sweeps are paced by an injectable clock.Source, so time-based
 // behavior (partial-batch flush latency, idle sweeps that advance the
 // logical clock when no events arrive) is deterministic under test.
@@ -103,7 +104,7 @@ type Options struct {
 	// the logical clock) each interval so time-driven behavior does not
 	// wait for arrivals. 0 means 5ms.
 	FlushInterval time.Duration
-	// QueueSize bounds the arrival queue. 0 means 4096.
+	// QueueSize is the arrival ring's capacity. 0 means 4096.
 	QueueSize int
 	// Backpressure selects the full-queue policy (Block or Drop).
 	Backpressure Policy
@@ -147,7 +148,7 @@ func (o Options) withDefaults() Options {
 
 // Stats is a point-in-time snapshot of a stream session.
 type Stats struct {
-	// Enqueued counts arrivals accepted into the queue; Dropped counts
+	// Enqueued counts arrivals accepted into the ring; Dropped counts
 	// arrivals shed by the Drop policy.
 	Enqueued uint64
 	Dropped  uint64
@@ -162,7 +163,7 @@ type Stats struct {
 	// errors) forced.
 	BudgetKills uint64
 	Restarts    uint64
-	// QueueDepth is the current arrival-queue occupancy.
+	// QueueDepth is the arrival ring's current occupancy.
 	QueueDepth int
 	// LiveEvents / LiveSegments / Floor describe the session's Event
 	// Base window: what retention plus the low-watermark compactor
@@ -174,23 +175,35 @@ type Stats struct {
 
 // Stream is a live stream session. Emit/Raise are safe for concurrent
 // use by any number of producers; Flush, Close and Stats may be called
-// from any goroutine.
+// from any goroutine. Arrivals wait in a ring of QueueSize events under
+// one mutex: a producer appends under it, the sweep goroutine takes a
+// whole batch per acquisition. Every Emit that returned nil is swept
+// before Close returns; every later one returns ErrClosed.
 type Stream struct {
 	db   *engine.DB
 	opts Options
 	src  clock.Source
 	m    streamMetrics
 
-	in       chan Event
+	// The arrival ring: n events from head, wrapping at len(ring).
+	// shut refuses further arrivals; Close and the worker's exit set it.
+	// room wakes Block producers when the sweep takes or the ring shuts.
+	qmu      sync.Mutex
+	room     sync.Cond
+	ring     []Event
+	head, n  int
+	shut     bool
+	enqueued uint64
+	dropped  uint64
+
+	ready    chan struct{} // one slot: the ring holds events to take
 	flushReq chan chan error
-	quit     chan struct{} // closed by Close: stop accepting, drain, commit
+	quit     chan struct{} // closed by Close: drain, commit
 	done     chan struct{} // closed by the worker on exit
 
 	closed atomic.Bool
 	failed atomic.Bool // worker terminated abnormally (line restart failed)
 
-	enqueued    atomic.Uint64
-	dropped     atomic.Uint64
 	events      atomic.Uint64
 	batches     atomic.Uint64
 	idleSweeps  atomic.Uint64
@@ -218,11 +231,13 @@ func Open(db *engine.DB, opts Options) (*Stream, error) {
 		opts:     opts,
 		src:      opts.Clock,
 		m:        newStreamMetrics(db.Metrics()),
-		in:       make(chan Event, opts.QueueSize),
+		ring:     make([]Event, opts.QueueSize),
+		ready:    make(chan struct{}, 1),
 		flushReq: make(chan chan error),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	s.room.L = &s.qmu
 	if err := s.beginLine(); err != nil {
 		return nil, err
 	}
@@ -249,39 +264,92 @@ func (s *Stream) beginLine() error {
 	return nil
 }
 
-// Emit enqueues one arrival. Under Block it waits for queue room (or
-// the stream closing); under Drop a full queue sheds the event, counts
-// it and returns nil.
+// Emit enqueues one arrival. Under Block it waits for ring room (or
+// the stream closing); under Drop a full ring sheds the event, counts
+// it and returns nil. An Emit that returns nil is swept before Close
+// returns; once Close has begun, Emit returns ErrClosed (or, after the
+// session failed, its terminal error).
 func (s *Stream) Emit(ty event.Type, oid types.OID) error {
-	if s.closed.Load() {
-		return ErrClosed
+	s.qmu.Lock()
+	for s.n == len(s.ring) && !s.shut && s.opts.Backpressure == Block {
+		s.room.Wait()
 	}
-	if s.failed.Load() {
-		return s.terminalErr()
-	}
-	ev := Event{Type: ty, OID: oid}
-	switch s.opts.Backpressure {
-	case Drop:
-		select {
-		case s.in <- ev:
-		default:
-			s.dropped.Add(1)
-			s.m.dropped.Inc()
-			return nil
-		}
-	default: // Block
-		select {
-		case s.in <- ev:
-		case <-s.quit:
-			return ErrClosed
-		case <-s.done:
+	if s.shut {
+		s.qmu.Unlock()
+		if s.failed.Load() && !s.closed.Load() {
 			return s.terminalErr()
 		}
+		return ErrClosed
 	}
-	s.enqueued.Add(1)
+	if s.n == len(s.ring) {
+		s.dropped++
+		s.qmu.Unlock()
+		s.m.dropped.Inc()
+		return nil
+	}
+	i := s.head + s.n
+	if i >= len(s.ring) {
+		i -= len(s.ring)
+	}
+	s.ring[i] = Event{Type: ty, OID: oid}
+	s.n++
+	s.enqueued++
+	depth := s.n
+	s.qmu.Unlock()
 	s.m.enqueued.Inc()
-	s.m.queueDepth.Set(int64(len(s.in)))
+	s.m.queueDepth.Set(int64(depth))
+	if depth == 1 {
+		s.signal()
+	}
 	return nil
+}
+
+// signal leaves a token in ready unless one is already waiting.
+func (s *Stream) signal() {
+	select {
+	case s.ready <- struct{}{}:
+	default:
+	}
+}
+
+// shutRing refuses further arrivals and wakes every producer waiting
+// for room.
+func (s *Stream) shutRing() {
+	s.qmu.Lock()
+	s.shut = true
+	s.qmu.Unlock()
+	s.room.Broadcast()
+}
+
+// take moves up to MaxBatch−len(batch) arrivals from the ring into
+// batch under one lock acquisition, zeroing the slots it empties so the
+// ring keeps no event alive, and wakes the producers waiting for room.
+// When it leaves arrivals behind it re-arms ready, so the sweep loop
+// comes back for them.
+func (s *Stream) take(batch []Event) []Event {
+	s.qmu.Lock()
+	k := min(s.n, s.opts.MaxBatch-len(batch))
+	took := k > 0
+	for k > 0 {
+		seg := s.ring[s.head:min(s.head+k, len(s.ring))]
+		batch = append(batch, seg...)
+		clear(seg)
+		k -= len(seg)
+		s.n -= len(seg)
+		if s.head += len(seg); s.head == len(s.ring) {
+			s.head = 0
+		}
+	}
+	left := s.n
+	s.qmu.Unlock()
+	if took {
+		s.room.Broadcast()
+	}
+	s.m.queueDepth.Set(int64(left))
+	if left > 0 {
+		s.signal()
+	}
+	return batch
 }
 
 // Raise enqueues an external signal (an object-less arrival), the
@@ -320,16 +388,17 @@ func (s *Stream) Flush() error {
 	}
 }
 
-// Close stops the session: no further Emits are accepted, the queue is
-// drained and swept, and the session's transaction commits (publishing
-// every rule-action mutation). Close returns the commit error, or the
-// terminal error if the session had already failed. Close is
-// idempotent.
+// Close stops the session: the ring stops accepting arrivals (waiting
+// producers return ErrClosed), every arrival it accepted is swept, and
+// the session's transaction commits (publishing every rule-action
+// mutation). Close returns the commit error, or the terminal error if
+// the session had already failed. Close is idempotent.
 func (s *Stream) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		<-s.done
 		return s.terminalErr()
 	}
+	s.shutRing()
 	close(s.quit)
 	<-s.done
 	return s.terminalErr()
@@ -353,15 +422,15 @@ func (s *Stream) terminalErr() error {
 // Stats snapshots the session counters and the live window state.
 func (s *Stream) Stats() Stats {
 	st := Stats{
-		Enqueued:    s.enqueued.Load(),
-		Dropped:     s.dropped.Load(),
 		Events:      s.events.Load(),
 		Batches:     s.batches.Load(),
 		IdleSweeps:  s.idleSweeps.Load(),
 		BudgetKills: s.budgetKills.Load(),
 		Restarts:    s.restarts.Load(),
-		QueueDepth:  len(s.in),
 	}
+	s.qmu.Lock()
+	st.Enqueued, st.Dropped, st.QueueDepth = s.enqueued, s.dropped, s.n
+	s.qmu.Unlock()
 	s.mu.Lock()
 	txn := s.txn
 	s.mu.Unlock()
@@ -377,7 +446,10 @@ func (s *Stream) Stats() Stats {
 // run is the sweep goroutine: it owns the session's transaction line
 // and is the only goroutine touching it.
 func (s *Stream) run() {
-	defer close(s.done)
+	defer func() {
+		s.shutRing()
+		close(s.done)
+	}()
 	ticker := s.src.NewTicker(s.opts.FlushInterval)
 	defer ticker.Stop()
 	batch := make([]Event, 0, s.opts.MaxBatch)
@@ -385,23 +457,11 @@ func (s *Stream) run() {
 
 	for {
 		select {
-		case ev := <-s.in:
+		case <-s.ready:
 			if len(batch) == 0 {
 				batchStart = s.src.Now()
 			}
-			batch = append(batch, ev)
-			// Opportunistic coalescing: take whatever else is already
-			// queued, up to the batch bound, without blocking.
-		coalesce:
-			for len(batch) < s.opts.MaxBatch {
-				select {
-				case ev := <-s.in:
-					batch = append(batch, ev)
-				default:
-					break coalesce
-				}
-			}
-			s.m.queueDepth.Set(int64(len(s.in)))
+			batch = s.take(batch)
 			if len(batch) >= s.opts.MaxBatch {
 				if _, terminal := s.sweep(batch, batchStart, false); terminal {
 					return
@@ -429,9 +489,7 @@ func (s *Stream) run() {
 			}
 
 		case <-s.quit:
-			batch, _, terminal := s.drainAndSweep(batch, batchStart)
-			_ = batch
-			if !terminal {
+			if _, _, terminal := s.drainAndSweep(batch, batchStart); !terminal {
 				s.mu.Lock()
 				txn := s.txn
 				s.txn = nil
@@ -447,41 +505,29 @@ func (s *Stream) run() {
 	}
 }
 
-// drainAndSweep empties the arrival queue into MaxBatch-sized sweeps
-// (the queue is bounded, so this terminates even against racing
-// producers as soon as the queue is momentarily empty). It returns the
-// recycled batch buffer, the first batch error hit, and whether the
-// session reached its terminal state.
+// drainAndSweep empties the arrival ring into MaxBatch-sized sweeps.
+// It stops at the first batch the ring could not fill, so it terminates
+// against racing producers as soon as the ring is momentarily empty. It
+// returns the recycled batch buffer, the first batch error hit, and
+// whether the session reached its terminal state.
 func (s *Stream) drainAndSweep(batch []Event, batchStart time.Time) ([]Event, error, bool) {
 	var firstErr error
-	flush := func() bool {
+	for {
+		if len(batch) == 0 {
+			batchStart = s.src.Now()
+		}
+		batch = s.take(batch)
+		if len(batch) == 0 {
+			return batch, firstErr, false
+		}
+		full := len(batch) >= s.opts.MaxBatch
 		err, terminal := s.sweep(batch, batchStart, false)
 		if firstErr == nil {
 			firstErr = err
 		}
 		batch = batch[:0]
-		return !terminal
-	}
-	for {
-		select {
-		case ev := <-s.in:
-			if len(batch) == 0 {
-				batchStart = s.src.Now()
-			}
-			batch = append(batch, ev)
-			if len(batch) >= s.opts.MaxBatch {
-				if !flush() {
-					return batch, firstErr, true
-				}
-			}
-		default:
-			if len(batch) > 0 {
-				if !flush() {
-					return batch, firstErr, true
-				}
-			}
-			s.m.queueDepth.Set(int64(len(s.in)))
-			return batch, firstErr, false
+		if terminal || !full {
+			return batch, firstErr, terminal
 		}
 	}
 }

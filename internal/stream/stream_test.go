@@ -14,8 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +27,7 @@ import (
 	"chimera/internal/cond"
 	"chimera/internal/engine"
 	"chimera/internal/event"
+	"chimera/internal/metrics"
 	"chimera/internal/rules"
 	"chimera/internal/schema"
 	"chimera/internal/storage"
@@ -654,8 +657,8 @@ func TestStreamSoak(t *testing.T) {
 	if st.Dropped != 0 {
 		t.Fatalf("Block policy dropped %d events", st.Dropped)
 	}
-	if st.Events != total {
-		t.Fatalf("soak ingested %d events, want %d", st.Events, total)
+	if st.Events != total || st.Enqueued != st.Events {
+		t.Fatalf("soak enqueued %d and ingested %d events, want %d each", st.Enqueued, st.Events, total)
 	}
 	if bound := window/segSize + 8; maxSegs > bound {
 		t.Fatalf("live segments peaked at %d, want <= %d (flat-memory bound)", maxSegs, bound)
@@ -730,5 +733,300 @@ func waitStream(t *testing.T, step func() bool) {
 			t.Fatal("condition never reached")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStreamEmitRacingClose pins the Emit/Close contract: producers
+// racing Close either have their arrival swept before Close returns or
+// get ErrClosed. An Emit that returned nil is never lost, neither
+// counted as enqueued and left unswept nor refused without an error.
+func TestStreamEmitRacingClose(t *testing.T) {
+	const producers = 8
+	trials := 1000
+	if testing.Short() {
+		trials = 200
+	}
+	// The race needs producers running beside the closer: ask for at
+	// least four Ps on a smaller machine.
+	if runtime.GOMAXPROCS(0) < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for trial := 0; trial < trials && time.Now().Before(deadline); trial++ {
+		db, err := engine.Open(engine.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := stream.Open(db, stream.Options{
+			MaxBatch:  64,
+			QueueSize: 64,
+			Clock:     clock.NewManual(time.Unix(0, 0)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accepted atomic.Uint64
+		refusals := make(chan error, producers)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if err := s.Raise("tick"); err != nil {
+						refusals <- err
+						return
+					}
+					accepted.Add(1)
+				}
+			}()
+		}
+		for accepted.Load() < 64 {
+			runtime.Gosched()
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		close(refusals)
+		for err := range refusals {
+			if !errors.Is(err, stream.ErrClosed) {
+				t.Fatalf("trial %d: Emit racing Close returned %v, want ErrClosed", trial, err)
+			}
+		}
+		n, st := accepted.Load(), s.Stats()
+		if st.Enqueued != n || st.Events != n {
+			t.Fatalf("trial %d: %d Emits returned nil, but %d were enqueued and %d swept",
+				trial, n, st.Enqueued, st.Events)
+		}
+	}
+}
+
+// parkedStream opens a stream with MaxBatch 1 whose sweep goroutine is
+// parked when it returns: an item modification trips GasPerBatch 1, and
+// the refused batch's OnBatchError waits until release is called.
+// Signals spend no gas, so they sweep cleanly once it is released.
+func parkedStream(t *testing.T, opts stream.Options) (s *stream.Stream, release func()) {
+	t.Helper()
+	db, err := engine.Open(engine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defineStreamCatalog(t, db)
+	oids := seedItems(t, db, 1)
+	parked, hold := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	opts.MaxBatch = 1
+	opts.GasPerBatch = 1
+	opts.Clock = clock.NewManual(time.Unix(0, 0))
+	opts.OnBatchError = func(*stream.BatchError) {
+		once.Do(func() {
+			close(parked)
+			<-hold
+		})
+	}
+	if s, err = stream.Open(db, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Emit(event.Modify("item", "n"), oids[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	return s, func() { close(hold) }
+}
+
+// raiseAll runs one producer per signal and returns the channel their
+// Raise results arrive on.
+func raiseAll(s *stream.Stream, n int) <-chan error {
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { errs <- s.Raise("late") }()
+	}
+	return errs
+}
+
+// waitRoom waits until n goroutines wait inside Emit for ring room.
+func waitRoom(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	waitStream(t, func() bool {
+		waiting := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "stream.(*Stream).Emit") {
+				waiting++
+			}
+		}
+		return waiting >= n
+	})
+}
+
+// collect receives n results from errs, failing the test when they do
+// not all arrive within five seconds.
+func collect(t *testing.T, errs <-chan error, n int) []error {
+	t.Helper()
+	out := make([]error, 0, n)
+	timeout := time.After(5 * time.Second)
+	for len(out) < n {
+		select {
+		case err := <-errs:
+			out = append(out, err)
+		case <-timeout:
+			t.Fatalf("%d of %d producers returned", len(out), n)
+		}
+	}
+	return out
+}
+
+// TestStreamRingBackpressure drives the arrival ring against a parked
+// sweep goroutine: Block producers wait on a full ring and wake when
+// the sweep takes a batch or Close runs, Drop sheds exactly the
+// overflow, and QueueDepth reports the ring's occupancy.
+func TestStreamRingBackpressure(t *testing.T) {
+	const size, late = 4, 3
+	fill := func(t *testing.T, s *stream.Stream, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := s.Raise("fill"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("block-wakes-on-take", func(t *testing.T) {
+		s, release := parkedStream(t, stream.Options{QueueSize: size})
+		fill(t, s, size)
+		if d := s.Stats().QueueDepth; d != size {
+			t.Fatalf("QueueDepth = %d on a full ring, want %d", d, size)
+		}
+		errs := raiseAll(s, late)
+		waitRoom(t, late)
+		release()
+		for _, err := range collect(t, errs, late) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if st.Enqueued != 1+size+late || st.Events != size+late || st.Dropped != 0 || st.QueueDepth != 0 {
+			t.Fatalf("enqueued %d, swept %d, dropped %d, depth %d; want %d, %d, 0, 0",
+				st.Enqueued, st.Events, st.Dropped, st.QueueDepth, 1+size+late, size+late)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("block-refused-on-close", func(t *testing.T) {
+		s, release := parkedStream(t, stream.Options{QueueSize: size})
+		fill(t, s, size)
+		errs := raiseAll(s, late)
+		waitRoom(t, late)
+		closed := make(chan error, 1)
+		go func() { closed <- s.Close() }()
+		// The sweep goroutine is still parked: Close alone must wake the
+		// waiting producers.
+		for _, err := range collect(t, errs, late) {
+			if !errors.Is(err, stream.ErrClosed) {
+				t.Fatalf("producer waiting on a full ring got %v at Close, want ErrClosed", err)
+			}
+		}
+		release()
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Enqueued != 1+size || st.Events != size || st.QueueDepth != 0 {
+			t.Fatalf("enqueued %d, swept %d, depth %d; want %d, %d, 0",
+				st.Enqueued, st.Events, st.QueueDepth, 1+size, size)
+		}
+	})
+
+	t.Run("drop-counts-the-overflow", func(t *testing.T) {
+		s, release := parkedStream(t, stream.Options{QueueSize: size, Backpressure: stream.Drop})
+		fill(t, s, size+late)
+		st := s.Stats()
+		if st.Enqueued != 1+size || st.Dropped != late || st.QueueDepth != size {
+			t.Fatalf("enqueued %d, dropped %d, depth %d; want %d, %d, %d",
+				st.Enqueued, st.Dropped, st.QueueDepth, 1+size, late, size)
+		}
+		release()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Events != size || st.Enqueued+st.Dropped != 1+size+late {
+			t.Fatalf("swept %d, enqueued %d + dropped %d; want %d swept of %d produced",
+				st.Events, st.Enqueued, st.Dropped, size, 1+size+late)
+		}
+	})
+}
+
+// TestStreamRingZeroesSlots checks the sweep zeroes every slot it takes,
+// so the ring keeps no event's strings alive once they are swept.
+func TestStreamRingZeroesSlots(t *testing.T) {
+	db, err := engine.Open(engine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := stream.Open(db, stream.Options{
+		MaxBatch:  3,
+		QueueSize: 8,
+		Clock:     clock.NewManual(time.Unix(0, 0)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 21; i++ { // wraps the ring more than twice
+		if err := s.Raise(fmt.Sprintf("signal-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range stream.RingSlots(s) {
+		if ev != (stream.Event{}) {
+			t.Errorf("slot %d still holds %v after the sweep took it", i, ev)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamEmitAllocatesNothing pins the warm hand-off: an Emit into a
+// ring with room allocates nothing, metrics registry included.
+func TestStreamEmitAllocatesNothing(t *testing.T) {
+	o := engine.DefaultOptions()
+	o.Metrics = metrics.NewRegistry()
+	db, err := engine.Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A batch bound above every arrival: no sweep runs inside the
+	// measurement, so only Emit and the sweep goroutine's take allocate.
+	s, err := stream.Open(db, stream.Options{
+		MaxBatch:  4096,
+		QueueSize: 4096,
+		Clock:     clock.NewManual(time.Unix(0, 0)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ty := event.External("tick")
+	if err := s.Emit(ty, types.NilOID); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := s.Emit(ty, types.NilOID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm Emit allocates %.2f times, want 0", allocs)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

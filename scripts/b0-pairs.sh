@@ -30,6 +30,11 @@
 #
 # The IQR and the worsening compare with the bound as fractions of the
 # parent's median.
+#
+# After the pairs, each workload gets one traced pass (--trace 1) per
+# side, the parent's first, and a last table prints every per-layer
+# metric of BENCHMARK.json as the parent's value and the change's. One
+# pass per side places a change in a layer; it is no verdict.
 set -euo pipefail
 parent=${1:?usage: b0-pairs.sh <parent-rev> [pairs] [seed] [seconds] [workloads] [out]}
 pairs=${2:-10} seed=${3:-7} secs=${4:-10} workloads=${5:-stream_rules}
@@ -41,10 +46,10 @@ trap 'git -C "$root" worktree remove --force "$tree"' EXIT
 git -C "$root" worktree add --detach --quiet "$tree" "$parent"
 echo "parent $(git -C "$tree" rev-parse --short HEAD), change $(git -C "$root" rev-parse --short HEAD)+edits; output in $out"
 
-# pass <side> <dir> <workload> <pair>
+# pass <side> <dir> <workload> <pair> [trace]
 pass() {
 	local f="$out/$3.$1.$4"
-	if ! (cd "$2" && bash benchmark/run.sh --workload "$3" --seed "$seed" --seconds "$secs" --trace 0) >"$f.out" 2>"$f.err"; then
+	if ! (cd "$2" && bash benchmark/run.sh --workload "$3" --seed "$seed" --seconds "$secs" --trace "${5:-0}") >"$f.out" 2>"$f.err"; then
 		echo "$1 pass $4 of $3 failed: see $f.err" >&2
 	fi
 }
@@ -57,9 +62,13 @@ for ((i = 1; i <= pairs; i++)); do
 		fi
 	done
 done
+for w in $workloads; do
+	pass parent "$tree" "$w" trace 1
+	pass change "$root" "$w" trace 1
+done
 
 # value <side> <workload> <pair> <metric>: the metric of one pass, or nothing.
-value() { tail -n 1 "$out/$2.$1.$3.out" | jq -r ".metrics.$4.value // empty" 2>/dev/null || true; }
+value() { tail -n 1 "$out/$2.$1.$3.out" | jq -r --arg m "$4" '.metrics[$m].value // empty' 2>/dev/null || true; }
 
 # failures <side> <workload>: the operations the side's passes failed and
 # attempted, and its passes without a result.
@@ -103,5 +112,14 @@ for w in $workloads; do
 				else verdict = "within"
 				printf "%-13s %-19s %13.6g %11.4g %13.6g %3d/%d  %s\n", w, m, pm, iqr, cm, won, run, verdict
 			}'
+	done
+done
+
+# The traced passes: every per-layer metric, parent and change side by side.
+num() { if [[ -n $1 ]]; then printf '%.6g' "$1"; else printf -- -; fi; }
+printf '\ntraced pass, one per side\n%-13s %-34s %13s %13s\n' workload metric parent change
+for w in $workloads; do
+	jq -r '.per_layer[].name' "$root/BENCHMARK.json" | while read -r m; do
+		printf '%-13s %-34s %13s %13s\n' "$w" "$m" "$(num "$(value parent "$w" trace "$m")")" "$(num "$(value change "$w" trace "$m")")"
 	done
 done
