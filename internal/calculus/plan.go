@@ -405,7 +405,7 @@ func (pe *PlanEval) Bind(base *event.Base, floor clock.Time) {
 // rebuildTIDs resolves the plan's leaves against base. A tracking
 // evaluator interns every live prim type (assigning ids, in the plan's
 // prim order, to types the engine has not interned yet; after
-// Support.Rebind there are none), so types interned after this instant
+// Support.NewSession there are none), so types interned after this instant
 // cannot be prim types while the plan is unchanged and tid2prim lookups
 // past its length are simply not prims. Any other evaluator only looks
 // the types up: a condition or an explanation must not change the ids

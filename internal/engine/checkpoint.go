@@ -134,8 +134,8 @@ func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, 
 	}
 
 	// Open-transaction frame: start instant, marks, segment references.
-	marks := db.support.Marks()
-	txp := wire.AppendVarint(nil, int64(db.support.TxnStart()))
+	marks := t.view.Marks()
+	txp := wire.AppendVarint(nil, int64(t.view.Start()))
 	txp = wire.AppendUvarint(txp, uint64(len(marks)))
 	for _, m := range marks {
 		txp = wire.AppendString(txp, m.Rule)

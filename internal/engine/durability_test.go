@@ -129,7 +129,11 @@ func durFingerprint(db *engine.DB, tx *engine.Txn) string {
 		}
 	}
 	if tx != nil {
-		for _, m := range db.Support().Marks() {
+		marks, err := tx.Marks()
+		if err != nil {
+			return err.Error()
+		}
+		for _, m := range marks {
 			fmt.Fprintf(&b, "mark %s lc=%d trig=%v at=%d\n",
 				m.Rule, m.LastConsideration, m.Triggered, m.TriggeredAt)
 		}

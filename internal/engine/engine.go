@@ -131,9 +131,11 @@ type Options struct {
 	// MaxSessions is how many transaction lines Begin admits at once.
 	// 0 or 1 is the classic single-session engine: one open transaction,
 	// no latching, bit-identical to the sequential reference. Above 1
-	// each Begin opens an independent line — its own Event Base, its own
-	// Trigger Support session, its own undo — and the object store
-	// isolates the lines with per-OID/per-class latches (DESIGN.md §11).
+	// each Begin opens an independent line with its own undo, and the
+	// object store isolates the lines with per-OID/per-class latches
+	// (DESIGN.md §11). In both modes every line has its own Event Base
+	// and its own Trigger Support session, recycled from the lines
+	// before it.
 	MaxSessions int
 	// LockWait bounds how long a line blocks on a latch another line
 	// holds before the operation fails with ErrConflict: 0 means the
@@ -257,7 +259,9 @@ type DB struct {
 	conds  *calculus.Plan
 	opts   Options
 	stats  statsCounters
-	tracer Tracer
+	// tracer is the installed Tracer (nil: none). SetTracer swaps it while
+	// lines run, so every reader loads it once per span it opens.
+	tracer atomic.Pointer[tracerBox]
 
 	// mu guards the session state: the single-session txn pointer, the
 	// active-line count and the idle condition contexts of past lines.
@@ -487,7 +491,7 @@ func (db *DB) DefineRule(def rules.Def, body Body) error {
 	// critical section: a Begin cannot slip in between.
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.txn != nil || db.active > 0 {
+	if db.active > 0 {
 		return errors.New("engine: cannot define rules inside a transaction")
 	}
 	for _, t := range eventClasses(def) {
@@ -533,7 +537,7 @@ func eventClasses(def rules.Def) []string {
 func (db *DB) DropRule(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.txn != nil || db.active > 0 {
+	if db.active > 0 {
 		return errors.New("engine: cannot drop rules inside a transaction")
 	}
 	if err := db.support.Drop(name); err != nil {
@@ -552,10 +556,11 @@ func (db *DB) DropRule(name string) error {
 type Txn struct {
 	db   *DB
 	base *event.Base
-	// view is the line's Trigger Support state: the shared Support
-	// itself in single-session mode (the classic Rebind dance), a
-	// private rules.Session in multi-session mode.
-	view rules.View
+	// view is the line's Trigger Support session: its rules' marks.
+	// finish releases it to the Support's idle pool and clears the
+	// pointer, so a finished Txn never reaches a session another line
+	// reuses.
+	view *rules.Session
 	// line is the object-store session: solo (no latching, OID-reusing
 	// undo) in single-session mode, latched in multi-session mode.
 	line    *object.Line
@@ -572,6 +577,9 @@ type Txn struct {
 	// cctx is the line's condition context, taken from the database's idle
 	// ones: its scratch recycles across considerations and transactions.
 	cctx *cond.Ctx
+	// tr is the tracer loaded at Begin: TransactionStart and
+	// TransactionEnd go to the same one.
+	tr Tracer
 	// Durable-mode block state: the current block's WAL op stream
 	// (events, mutations, considerations in execution order — becomes
 	// one record at the block boundary), a reused record-assembly
@@ -631,25 +639,11 @@ func (db *DB) Begin() (*Txn, error) {
 			return nil, fmt.Errorf("%w: %d transaction lines active (MaxSessions %d)",
 				ErrTxnOpen, db.active, db.opts.MaxSessions)
 		}
-		t.view = db.support.NewSession(base, db.clock.Now())
-		t.line = db.store.BeginLine(object.LineOptions{
-			Wait:    db.lockWait(),
-			Metrics: db.latchM,
-		})
-	} else {
-		if db.txn != nil {
-			db.mu.Unlock()
-			return nil, ErrTxnOpen
-		}
-		db.support.Rebind(base)
-		db.support.BeginTransaction(db.clock.Now())
-		t.view = db.support
-		t.line = db.store.BeginLine(object.LineOptions{Solo: true})
-		db.txn = t
+	} else if db.txn != nil {
+		db.mu.Unlock()
+		return nil, ErrTxnOpen
 	}
-	t.cctx = db.idleCtx()
-	db.active++
-	db.m.activeLines.Set(int64(db.active))
+	db.openLine(t, db.clock.Now())
 	if db.opts.Durability.enabled() {
 		// The generation namespaces this transaction's persisted segment
 		// ids; segment ordinals restart at zero with the fresh base. The
@@ -663,15 +657,10 @@ func (db *DB) Begin() (*Txn, error) {
 	}
 	db.mu.Unlock()
 
-	// Install the line's budget unconditionally: the single-session view
-	// is the shared Support, so a nil install clears any budget left by a
-	// previous transaction.
-	t.view.SetBudget(t.budget)
-
 	db.stats.transactions.Add(1)
 	db.m.transactions.Inc()
-	if db.tracer != nil {
-		db.tracer.TransactionStart(db.clock.Now())
+	if t.tr = db.loadTracer(); t.tr != nil {
+		t.tr.TransactionStart(db.clock.Now())
 	}
 	if db.wal != nil {
 		if t.multi {
@@ -682,6 +671,27 @@ func (db *DB) Begin() (*Txn, error) {
 		}
 	}
 	return t, nil
+}
+
+// openLine opens t's line at start over t.base — its Trigger Support
+// session, its object-store line (solo in single-session mode, latched
+// in multi-session mode) and its condition context — for Begin, and for
+// recovery at a checkpoint's start. db.mu is held.
+func (db *DB) openLine(t *Txn, start clock.Time) {
+	t.view = db.support.NewSession(t.base, start)
+	t.view.SetBudget(t.budget)
+	if t.multi {
+		t.line = db.store.BeginLine(object.LineOptions{
+			Wait:    db.lockWait(),
+			Metrics: db.latchM,
+		})
+	} else {
+		t.line = db.store.BeginLine(object.LineOptions{Solo: true})
+		db.txn = t
+	}
+	t.cctx = db.idleCtx()
+	db.active++
+	db.m.activeLines.Set(int64(db.active))
 }
 
 // idleCtx takes an idle condition context, or a new one; db.mu is held.
@@ -965,6 +975,16 @@ func (t *Txn) Get(oid types.OID) (*object.Object, bool) {
 // remainder of the log — compaction retires segments no rule can see.
 func (t *Txn) Base() *event.Base { return t.base }
 
+// Marks snapshots every defined rule's triggering state on this line, in
+// priority order: the consideration horizon, and the triggered flag with
+// its activation instant.
+func (t *Txn) Marks() ([]rules.Mark, error) {
+	if err := t.check(); err != nil {
+		return nil, err
+	}
+	return t.view.Marks(), nil
+}
+
 // EndLine closes the current non-interruptible block (a user transaction
 // line): the Event Handler announces the block's occurrences, the
 // Trigger Support determines newly triggered rules, and the engine
@@ -994,7 +1014,7 @@ func (t *Txn) EndLine() error {
 // log exactly as if the block never ran.
 func (t *Txn) flushBlock() error {
 	db := t.db
-	tr := db.tracer
+	tr := db.loadTracer()
 	db.stats.blocks.Add(1)
 	db.m.blocks.Inc()
 	n := len(t.pending)
@@ -1146,8 +1166,9 @@ func (t *Txn) runRule(name string) error {
 	if err != nil {
 		return t.classify(t.conflict(fmt.Errorf("engine: rule %q condition: %w", name, err)))
 	}
-	if t.db.tracer != nil {
-		t.db.tracer.Considered(name, consideration.Since, consideration.At, len(bindings))
+	tr := t.db.loadTracer()
+	if tr != nil {
+		tr.Considered(name, consideration.Since, consideration.At, len(bindings))
 	}
 	if len(bindings) == 0 {
 		// Condition not satisfied: the rule was considered and is
@@ -1159,8 +1180,8 @@ func (t *Txn) runRule(name string) error {
 	if err := body.Action.Exec(ctx, (*txnMutator)(t), bindings); err != nil {
 		return fmt.Errorf("engine: rule %q action: %w", name, err)
 	}
-	if t.db.tracer != nil {
-		t.db.tracer.Executed(name)
+	if tr != nil {
+		tr.Executed(name)
 	}
 	// The action is a non-interruptible block; its occurrences are
 	// announced at its end.
@@ -1270,8 +1291,8 @@ func (t *Txn) Commit() error {
 	db.commitMu.Unlock()
 	t.finish()
 	db.m.commits.Inc()
-	if t.db.tracer != nil {
-		t.db.tracer.TransactionEnd(true)
+	if t.tr != nil {
+		t.tr.TransactionEnd(true)
 	}
 	if db.wal != nil {
 		err := walErr
@@ -1332,8 +1353,8 @@ func (t *Txn) rollback() {
 	}
 	t.finish()
 	t.db.m.rollbacks.Inc()
-	if t.db.tracer != nil {
-		t.db.tracer.TransactionEnd(false)
+	if t.tr != nil {
+		t.tr.TransactionEnd(false)
 	}
 	if t.db.wal != nil {
 		// Discard the unflushed block ops (they never happened, as far as
@@ -1354,13 +1375,8 @@ func (t *Txn) rollback() {
 // finish retires the line: its Trigger Support session is released and
 // the database's session bookkeeping updated.
 func (t *Txn) finish() {
-	// Clear the budget before the view outlives the transaction: the
-	// single-session view is the shared Support, and a stale budget must
-	// not charge (or kill) work done between transactions.
-	t.view.SetBudget(nil)
-	if sess, ok := t.view.(*rules.Session); ok {
-		sess.Release()
-	}
+	t.view.Release()
+	t.view = nil
 	t.done = true
 	ctx := t.cctx // idle, it keeps its scratch but not the line's state
 	ctx.Store, ctx.Base, ctx.Budget = nil, nil, nil

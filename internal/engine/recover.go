@@ -9,8 +9,6 @@ import (
 
 	"chimera/internal/event"
 	"chimera/internal/lang"
-	"chimera/internal/object"
-	"chimera/internal/rules"
 	"chimera/internal/wire"
 )
 
@@ -220,21 +218,15 @@ func (db *DB) applyCheckpoint(ck *checkpoint, rep *RecoveryReport) (*Txn, error)
 }
 
 // reopenTxn reinstates the interrupted transaction around a restored
-// base: the single-session Begin dance at the recorded start instant,
+// base: a single-session line opened at the recorded start instant,
 // then the marks.
 func (db *DB) reopenTxn(base *event.Base, ck *checkpoint) (*Txn, error) {
 	base.SetMetrics(db.baseMetrics)
 	t := &Txn{db: db, base: base}
 	db.mu.Lock()
-	db.support.Rebind(base)
-	db.support.BeginTransaction(ck.Start)
-	t.view = db.support
-	t.line = db.store.BeginLine(object.LineOptions{Solo: true})
-	t.cctx = db.idleCtx()
-	db.txn = t
-	db.active++
+	db.openLine(t, ck.Start)
 	db.mu.Unlock()
-	if err := db.support.RestoreMarks(ck.Marks); err != nil {
+	if err := t.view.RestoreMarks(ck.Marks); err != nil {
 		return nil, fmt.Errorf("engine: recover: %w", err)
 	}
 	// The checkpointed undo log: without it a replayed rollback could
@@ -265,7 +257,7 @@ func (db *DB) replayDefineRule(src string) error {
 
 // replayTypes maps interned type ids to event types during block
 // decode. The table is indexed by the id itself: the base's interner is
-// pre-populated by Rebind (the rule vocabulary), so the ids a log
+// pre-populated by NewSession (the rule vocabulary), so the ids a log
 // declares are not dense — the first declared id may be any slot the
 // live interner handed out. declared tracks which slots the log has
 // defined; an opEvent may only reference those.
@@ -506,17 +498,9 @@ func (t *Txn) replayBlock(rec walRecord, typeTab *replayTypes, rep *RecoveryRepo
 	t.view.NotifyArrivals(t.pending)
 	t.pending = t.pending[:0]
 	for _, f := range rec.Fired {
-		// Fired marks are per-line state: a multi-session line restores
-		// them into its private Session, the single-session engine into
-		// the shared Support (its embedded default line) — exactly where
-		// the live run recorded them.
-		var err error
-		if sess, ok := t.view.(*rules.Session); ok {
-			err = sess.RestoreTriggered(f.Rule, f.At)
-		} else {
-			err = db.support.RestoreTriggered(f.Rule, f.At)
-		}
-		if err != nil {
+		// Fired marks are per-line state: they go back into the line's
+		// session, exactly where the live run recorded them.
+		if err := t.view.RestoreTriggered(f.Rule, f.At); err != nil {
 			return fmt.Errorf("engine: recover: %w", err)
 		}
 	}

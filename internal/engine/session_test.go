@@ -552,3 +552,27 @@ func TestRuleDDLRacesBegin(t *testing.T) {
 	}
 	t.Logf("%d define/drop cycles beside the lines", cycles)
 }
+
+// Every line is a recycled Trigger Support session, whatever the mode: a
+// warm multi-session Begin+Commit of an empty transaction allocates no
+// more than a single-session one.
+func TestEmptyTxnAllocsSameInBothModes(t *testing.T) {
+	allocs := func(db *DB) float64 {
+		defineCheckStockQty(t, db)
+		run := func() {
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(100, run)
+	}
+	single, multi := allocs(stockDB(t)), allocs(multiDB(t, 4))
+	if multi > single {
+		t.Errorf("an empty transaction allocates %v times on a multi-session database, %v on a single-session one", multi, single)
+	}
+}

@@ -17,9 +17,10 @@ import (
 // the generational Event Base retired.
 //
 // All hooks are called synchronously from the engine; implementations
-// must be fast and must not call back into the database. Every call
-// site is guarded by a single nil check, so a database without a tracer
-// pays one predictable branch per span — nothing else. Instrumentation
+// must be fast and must not call back into the database. Every span
+// loads the installed tracer once and guards its calls with a nil check,
+// so a database without a tracer pays one atomic load and one
+// predictable branch per span — nothing else. Instrumentation
 // is observably inert: the differential suite pins traced and untraced
 // runs to identical triggerings and final states.
 //
@@ -62,8 +63,28 @@ type Tracer interface {
 	TransactionEnd(committed bool)
 }
 
-// SetTracer installs (or removes, with nil) the tracer.
-func (db *DB) SetTracer(tr Tracer) { db.tracer = tr }
+// SetTracer installs (or removes, with nil) the tracer. It may be called
+// while lines run: a block, a consideration and a transaction each
+// report to the tracer installed when they began, so every span a tracer
+// sees opened is also closed there.
+func (db *DB) SetTracer(tr Tracer) {
+	if tr == nil {
+		db.tracer.Store(nil)
+		return
+	}
+	db.tracer.Store(&tracerBox{tr})
+}
+
+// tracerBox holds a Tracer behind the pointer DB.tracer swaps.
+type tracerBox struct{ Tracer }
+
+// loadTracer returns the installed tracer, or nil.
+func (db *DB) loadTracer() Tracer {
+	if b := db.tracer.Load(); b != nil {
+		return b.Tracer
+	}
+	return nil
+}
 
 // NopTracer implements every Tracer hook as a no-op. Embed it to build
 // tracers that care about a subset of the lifecycle.

@@ -41,7 +41,7 @@ const (
 	// recBlock is one non-interruptible block: the op stream (events,
 	// mutations, rule considerations in execution order), the clock at
 	// the boundary, and the rules that newly fired there with their
-	// activation instants (restored verbatim — see rules.RestoreTriggered).
+	// activation instants (restored verbatim — see rules.Session.RestoreTriggered).
 	recBlock
 	// recCommit / recRollback close the transaction.
 	recCommit

@@ -51,9 +51,10 @@ func TestColumnarProbeScanSteadyStateAllocs(t *testing.T) {
 	now := c.Tick()
 	rewind := func() {
 		s.line.sync()
-		for _, st := range s.ordered {
-			st.lastProbe, st.pending = origin, false
-			s.line.arrive(st) // back on the worklist
+		for r := range s.line.marks {
+			m := &s.line.marks[r]
+			m.lastProbe, m.pending = origin, false
+			s.line.arrive(int32(r)) // back on the worklist
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -74,10 +75,10 @@ func TestColumnarProbeScanSteadyStateAllocs(t *testing.T) {
 }
 
 // TestCheckAssignsNoTypeIDs pins the interner contract WAL records and
-// segment frames rest on: once Rebind has interned the rule set's
+// segment frames rest on: once NewSession has interned the rule set's
 // vocabulary into a transaction's base, resolving the shared plan's
 // leaves (PlanEval.Bind) and full checks assign no further type id, and
-// the ids they use are the ones Rebind assigned, in vocabulary order.
+// the ids they use are the ones NewSession assigned, in vocabulary order.
 func TestCheckAssignsNoTypeIDs(t *testing.T) {
 	r := rand.New(rand.NewSource(83))
 	vocab := calculus.DefaultVocabulary()
@@ -91,8 +92,7 @@ func TestCheckAssignsNoTypeIDs(t *testing.T) {
 	}
 	for txn := 0; txn < 3; txn++ {
 		b, c := event.NewBaseSize(4), clock.New()
-		s.Rebind(b)
-		s.BeginTransaction(c.Now())
+		sess := s.NewSession(b, c.Now())
 		for i, ty := range s.vocab {
 			if tid, ok := b.TypeID(ty); !ok || int(tid) != i {
 				t.Fatalf("vocabulary type %d (%v) has id %d, %v", i, ty, tid, ok)
@@ -109,9 +109,9 @@ func TestCheckAssignsNoTypeIDs(t *testing.T) {
 				}
 				occs = append(occs, occ)
 			}
-			s.NotifyArrivals(occs)
-			for _, name := range s.CheckTriggered(c.Now()) {
-				if _, err := s.Consider(name, c.Tick()); err != nil {
+			sess.NotifyArrivals(occs)
+			for _, name := range sess.CheckTriggered(c.Now()) {
+				if _, err := sess.Consider(name, c.Tick()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -120,5 +120,6 @@ func TestCheckAssignsNoTypeIDs(t *testing.T) {
 					txn, block, got, len(s.vocab))
 			}
 		}
+		sess.Release()
 	}
 }

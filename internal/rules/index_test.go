@@ -15,16 +15,20 @@ import (
 )
 
 // checkIndex holds the block-boundary index to its definition: whenever
-// it is not stale it must equal what a recomputation from the States
-// yields — ranks, triggered set, watermark — and the worklist must hold
-// every rule a check would have to evaluate.
+// it is not stale it must equal what a recomputation from the marks
+// yields — triggered set, watermark — and the worklist must hold every
+// rule a check would have to evaluate; the registry's ranks must be the
+// queue positions.
 func (l *line) checkIndex() error {
 	if l.stale {
 		return nil
 	}
-	words := (len(l.ordered) + 63) >> 6
+	if len(l.marks) != len(l.sup.ordered) {
+		return fmt.Errorf("%d marks for %d rules", len(l.marks), len(l.sup.ordered))
+	}
+	words := (len(l.marks) + 63) >> 6
 	if len(l.queue) != words || len(l.trig) != words {
-		return fmt.Errorf("sets of %d and %d words for %d rules", len(l.queue), len(l.trig), len(l.ordered))
+		return fmt.Errorf("sets of %d and %d words for %d rules", len(l.queue), len(l.trig), len(l.marks))
 	}
 	has := func(b rankSet, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 	ntrig, queued := 0, 0
@@ -40,20 +44,21 @@ func (l *line) checkIndex() error {
 	if queued > 0 && !l.queued {
 		return fmt.Errorf("worklist holds %d rules but is marked empty", queued)
 	}
-	for i, st := range l.ordered {
+	for i, st := range l.sup.ordered {
+		m := l.marks[i]
 		if int(st.rank) != i {
 			return fmt.Errorf("rule %s at %d has rank %d", st.Def.Name, i, st.rank)
 		}
-		if has(l.trig, i) != st.Triggered {
-			return fmt.Errorf("rule %s: Triggered = %v, in the triggered set: %v", st.Def.Name, st.Triggered, has(l.trig, i))
+		if has(l.trig, i) != m.triggered {
+			return fmt.Errorf("rule %s: triggered = %v, in the triggered set: %v", st.Def.Name, m.triggered, has(l.trig, i))
 		}
-		if st.pending && !st.Triggered && !has(l.queue, i) {
+		if m.pending && !m.triggered && !has(l.queue, i) {
 			return fmt.Errorf("rule %s is pending but not on the worklist", st.Def.Name)
 		}
 	}
 	min, holders := walkHorizon(l)
-	if len(l.ordered) > 0 && (l.wmMin != min || l.wmHolders != holders) {
-		return fmt.Errorf("watermark %d held by %d, States say %d held by %d", l.wmMin, l.wmHolders, min, holders)
+	if len(l.marks) > 0 && (l.wmMin != min || l.wmHolders != holders) {
+		return fmt.Errorf("watermark %d held by %d, marks say %d held by %d", l.wmMin, l.wmHolders, min, holders)
 	}
 	return l.checkProbeIndex()
 }
@@ -71,12 +76,12 @@ func (l *line) checkProbeIndex() error {
 	if p.base == nil || p.base != l.base {
 		return nil
 	}
-	if len(p.lo) != len(l.ordered) {
-		return fmt.Errorf("probe index marks %d ranks for %d rules", len(p.lo), len(l.ordered))
+	if len(p.lo) != len(l.marks) {
+		return fmt.Errorf("probe index marks %d ranks for %d rules", len(p.lo), len(l.marks))
 	}
 	for i, lo := range p.lo {
 		if lo != notProbing {
-			return fmt.Errorf("rule %s is still marked for the walk at %d", l.ordered[i].Def.Name, lo)
+			return fmt.Errorf("rule %s is still marked for the walk at %d", l.sup.ordered[i].Def.Name, lo)
 		}
 	}
 	if probeBuildsChecked[l] == p.builds {
@@ -85,7 +90,7 @@ func (l *line) checkProbeIndex() error {
 	probeBuildsChecked[l] = p.builds
 	want := make([][]int32, len(p.off)-1)
 	var all []int32
-	for i, st := range l.ordered {
+	for i, st := range l.sup.ordered {
 		if st.monotone {
 			continue
 		}
@@ -121,17 +126,17 @@ func verifyIndex(t *testing.T, l *line) {
 
 // The oracle: the block boundary as a walk of every defined rule, the
 // way it was computed before the index existed. It reads nothing but the
-// States and the queue order.
+// marks and the queue order.
 
 // walkBatch is the batch a check would examine, with the examined and
 // skipped counts the walk accumulates.
 func walkBatch(l *line) (batch []string, examined, skipped int64) {
-	for _, st := range l.ordered {
-		if st.Triggered {
+	for i, st := range l.sup.ordered {
+		if l.marks[i].triggered {
 			continue
 		}
 		examined++
-		if !st.pending {
+		if !l.marks[i].pending {
 			skipped++
 			continue
 		}
@@ -142,8 +147,8 @@ func walkBatch(l *line) (batch []string, examined, skipped int64) {
 
 func walkTriggered(l *line, filter func(Def) bool) []string {
 	var out []string
-	for _, st := range l.ordered {
-		if st.Triggered && (filter == nil || filter(st.Def)) {
+	for i, st := range l.sup.ordered {
+		if l.marks[i].triggered && (filter == nil || filter(st.Def)) {
 			out = append(out, st.Def.Name)
 		}
 	}
@@ -151,11 +156,11 @@ func walkTriggered(l *line, filter func(Def) bool) []string {
 }
 
 func walkHorizon(l *line) (min clock.Time, holders int) {
-	for i, st := range l.ordered {
+	for i, m := range l.marks {
 		switch {
-		case i == 0 || st.LastConsideration < min:
-			min, holders = st.LastConsideration, 1
-		case st.LastConsideration == min:
+		case i == 0 || m.lastConsideration < min:
+			min, holders = m.lastConsideration, 1
+		case m.lastConsideration == min:
 			holders++
 		}
 	}
@@ -163,16 +168,16 @@ func walkHorizon(l *line) (min clock.Time, holders int) {
 }
 
 func walkWatermark(l *line) clock.Time {
-	if l.preserving > 0 || len(l.ordered) == 0 {
+	if l.sup.preserving > 0 || len(l.marks) == 0 {
 		return l.txnStart
 	}
 	min, _ := walkHorizon(l)
 	return min
 }
 
-// walked drives one line (the Support's own or a Session's) through its
-// View and compares every answer with the oracle's, computed from the
-// same States.
+// walked drives one line (the Support's direct line or a Session's) and
+// compares every answer with the oracle's, computed from the same
+// marks.
 type walked struct {
 	t *testing.T
 	v lineView
@@ -219,15 +224,15 @@ func (w walked) check(now clock.Time) error {
 		w.t.Fatalf("check skipped %d rules, walk says %d", got, skipped)
 	}
 	got := make([]string, len(w.l.checkBuf))
-	for i, st := range w.l.checkBuf {
-		got[i] = st.Def.Name
+	for i, r := range w.l.checkBuf {
+		got[i] = w.l.sup.ordered[r].Def.Name
 	}
 	if !slices.Equal(got, batch) {
 		w.t.Fatalf("check evaluated %v, walk says %v", got, batch)
 	}
 	var want []string
 	for _, name := range batch {
-		if w.l.rules[name].Triggered {
+		if w.l.marks[w.l.sup.rules[name].rank].triggered {
 			want = append(want, name)
 		}
 	}
@@ -271,17 +276,20 @@ func scriptArrivals(t *testing.T, r *rand.Rand, b *event.Base, c *clock.Clock) [
 // A random script of everything that touches marks — arrivals, checks,
 // picks and considerations, considerations of rules that are not
 // triggered (of all of them in turn, and at stale instants),
-// mid-transaction Define and Drop, a checkpoint round trip through
-// RestoreMarks, replayed firings through RestoreTriggered, a new
-// transaction, a check cut short by its budget — with every answer
-// compared to the full walk after every step.
+// mid-transaction Define and Drop, a checkpoint round trip of the marks,
+// replayed firings, a new transaction, a check cut short by its budget —
+// with every answer compared to the full walk after every step. The
+// script runs on the direct line, the one line whose rule set may change
+// mid-transaction; the round trip and the replayed firings call the line
+// methods a Session's RestoreMarks and RestoreTriggered wrap.
 func TestIndexMatchesFullWalk(t *testing.T) {
 	for _, seed := range []int64{1996, 1997} {
 		r := rand.New(rand.NewSource(seed))
 		b := event.NewBase()
 		c := clock.New()
 		s := NewSupport(b, Options{})
-		s.BeginTransaction(c.Now())
+		start := c.Now()
+		s.BeginTransaction(start)
 		w := walked{t: t, v: s, l: &s.line}
 		for _, d := range scriptDefs(r, 48, "r") {
 			if err := s.Define(d); err != nil {
@@ -323,14 +331,14 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 				}
 				at := c.Tick()
 				if r.Intn(4) == 0 {
-					at = s.TxnStart()
+					at = start
 				}
 				for _, name := range names {
 					if _, err := s.Consider(name, at); err != nil {
 						t.Fatal(err)
 					}
 					w.verify("after considering " + name + " unprompted")
-					if at != s.TxnStart() {
+					if at != start {
 						at = c.Tick()
 					}
 				}
@@ -352,29 +360,33 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 					w.verify("after Drop of " + name)
 				}
 			case op == 17:
-				ms, start := s.Marks(), s.TxnStart()
+				ms := s.line.exportMarks()
 				s.BeginTransaction(start)
 				w.verify("after BeginTransaction")
-				if err := s.RestoreMarks(ms); err != nil {
+				if err := s.line.restoreMarks(ms); err != nil {
 					t.Fatal(err)
 				}
-				w.verify("after RestoreMarks")
+				w.verify("after restoreMarks")
+				if got := s.line.exportMarks(); !slices.Equal(got, ms) {
+					t.Fatalf("marks after the round trip %v, want %v", got, ms)
+				}
 			case op == 18:
 				if name, ok := pickAny(); ok {
-					if err := s.RestoreTriggered(name, c.Now()); err != nil {
+					if err := s.line.restoreTriggered(name, c.Now()); err != nil {
 						t.Fatal(err)
 					}
 					w.verify("after RestoreTriggered of " + name)
 				}
 			default:
 				if r.Intn(2) == 0 {
-					s.BeginTransaction(c.Tick())
+					start = c.Tick()
+					s.BeginTransaction(start)
 					w.verify("after a new transaction")
 					break
 				}
-				s.SetBudget(calculus.NewBudget(int64(1+r.Intn(6)), time.Time{}))
+				s.line.budget = calculus.NewBudget(int64(1+r.Intn(6)), time.Time{})
 				err := w.check(c.Now()) // may or may not run out
-				s.SetBudget(nil)
+				s.line.budget = nil
 				if err != nil {
 					// The killed check left some rules decided and some
 					// not; the next one picks up exactly the rest. If the
@@ -393,8 +405,10 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 	}
 }
 
-// The same script over a Session's line, beside the Support's own line
-// serving a different history: the two indexes share nothing.
+// The same script over a Session's line, beside the Support's direct
+// line serving a different history: the two indexes share nothing. A
+// checkpoint round trip releases the session and restores its marks into
+// the recycled one a NewSession at the same start hands back.
 func TestIndexMatchesFullWalkInSession(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	s := NewSupport(event.NewBase(), Options{})
@@ -410,7 +424,7 @@ func TestIndexMatchesFullWalkInSession(t *testing.T) {
 		w := walked{t: t, v: sess, l: &sess.line}
 		w.verify("after NewSession")
 		for step := 0; step < 300; step++ {
-			switch op := r.Intn(10); {
+			switch op := r.Intn(11); {
 			case op < 4:
 				sess.NotifyArrivals(scriptArrivals(t, r, b, c))
 				w.verify("after arrivals")
@@ -425,6 +439,21 @@ func TestIndexMatchesFullWalkInSession(t *testing.T) {
 					}
 					w.verify("after considering " + name)
 				}
+			case op == 9:
+				ms, start := sess.Marks(), sess.Start()
+				sess.Release()
+				if sess = s.NewSession(b, start); &sess.line != w.l {
+					t.Fatal("NewSession did not recycle the released session")
+				}
+				w.v = sess
+				w.verify("after a recycled NewSession")
+				if err := sess.RestoreMarks(ms); err != nil {
+					t.Fatal(err)
+				}
+				w.verify("after RestoreMarks")
+				if got := sess.Marks(); !slices.Equal(got, ms) {
+					t.Fatalf("marks after the round trip %v, want %v", got, ms)
+				}
 			default:
 				name := s.Rules()[r.Intn(70)]
 				if err := sess.RestoreTriggered(name, c.Now()); err != nil {
@@ -438,17 +467,18 @@ func TestIndexMatchesFullWalkInSession(t *testing.T) {
 	verifyIndex(t, &s.line)
 }
 
-// hide replaces every State in the queue but those of keep with nil, so
+// hide replaces every registry State in the queue but those of keep with nil, so
 // that a block boundary visiting any other rule crashes; the returned
 // function puts them back.
 func hide(l *line, keep ...string) (restore func()) {
-	saved := slices.Clone(l.ordered)
-	for i, st := range l.ordered {
+	rules := l.sup.ordered
+	saved := slices.Clone(rules)
+	for i, st := range rules {
 		if !slices.Contains(keep, st.Def.Name) {
-			l.ordered[i] = nil
+			rules[i] = nil
 		}
 	}
-	return func() { copy(l.ordered, saved) }
+	return func() { copy(rules, saved) }
 }
 
 // The cost of a block boundary follows the rules an arrival touched, not

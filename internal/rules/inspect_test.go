@@ -1,10 +1,16 @@
 package rules
 
+import "chimera/internal/clock"
+
 // Inspection reads that only this package's tests make on a line.
 
-// lineView is a View that also lists its triggered rules.
+// lineView is what the tests that hold a line to a full walk read: the
+// direct line through the Support, or a Session.
 type lineView interface {
-	View
+	CheckTriggered(now clock.Time) []string
+	Watermark() clock.Time
+	Pick(filter func(Def) bool) (string, bool)
+	Stats() Stats
 	Triggered(filter func(Def) bool) []string
 }
 
@@ -15,36 +21,41 @@ func (s *Support) ResetStats() {
 	s.stats = Stats{}
 }
 
-// Triggered returns the currently triggered rules in priority order,
-// optionally restricted to one coupling mode.
+// Triggered returns the direct line's currently triggered rules in
+// priority order, optionally restricted to one coupling mode.
 func (s *Support) Triggered(filter func(Def) bool) []string {
-	s.rlockSynced()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.line.triggeredNames(filter)
 }
 
 // Triggered lists the session's currently triggered rules.
 func (sess *Session) Triggered(filter func(Def) bool) []string {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
 	return sess.line.triggeredNames(filter)
 }
 
 func (l *line) triggeredNames(filter func(Def) bool) []string {
 	l.sync()
 	var out []string
-	l.each(l.trig, func(st *State) bool {
-		if filter == nil || filter(st.Def) {
-			out = append(out, st.Def.Name)
+	l.trig.each(func(r int32) bool {
+		if d := l.sup.ordered[r].Def; filter == nil || filter(d) {
+			out = append(out, d.Name)
 		}
 		return true
 	})
 	return out
 }
 
-// Rule returns a copy of the session's state for one rule.
-func (sess *Session) Rule(name string) (State, bool) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.line.rule(name)
+// Mark returns one rule's mark on the direct line.
+func (s *Support) Mark(name string) (Mark, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.line.markOf(name)
+}
+
+// TxnStart returns the direct line's transaction start.
+func (s *Support) TxnStart() clock.Time {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.txnStart
 }

@@ -30,8 +30,16 @@ import (
 type oracle struct {
 	base     *event.Base
 	txnStart clock.Time
-	ordered  []*State // by (priority, name)
+	ordered  []*oracleRule // by (priority, name)
 	env      calculus.Env
+}
+
+// oracleRule is one rule of the oracle with its mark.
+type oracleRule struct {
+	Def Def
+	Mark
+	lastProbe clock.Time
+	monotone  bool
 }
 
 func newOracle(base *event.Base, start clock.Time) *oracle {
@@ -45,14 +53,13 @@ func (o *oracle) Define(d Def) error {
 	if _, ok := o.find(d.Name); ok {
 		return fmt.Errorf("oracle: rule %q already defined", d.Name)
 	}
-	o.ordered = append(o.ordered, &State{
-		Def:               d,
-		LastConsideration: o.txnStart,
-		TriggeredAt:       clock.Never,
-		lastProbe:         o.txnStart,
-		monotone:          !calculus.ContainsNegation(d.Event),
+	o.ordered = append(o.ordered, &oracleRule{
+		Def:       d,
+		Mark:      Mark{Rule: d.Name, LastConsideration: o.txnStart, TriggeredAt: clock.Never},
+		lastProbe: o.txnStart,
+		monotone:  !calculus.ContainsNegation(d.Event),
 	})
-	slices.SortFunc(o.ordered, func(a, b *State) int {
+	slices.SortFunc(o.ordered, func(a, b *oracleRule) int {
 		if a.Def.Priority != b.Def.Priority {
 			return a.Def.Priority - b.Def.Priority
 		}
@@ -130,21 +137,21 @@ func (o *oracle) Consider(name string, now clock.Time) (Consideration, error) {
 	return c, nil
 }
 
-func (o *oracle) Rule(name string) (State, bool) {
+func (o *oracle) Mark(name string) (Mark, bool) {
 	if i, ok := o.find(name); ok {
-		return *o.ordered[i], true
+		return o.ordered[i].Mark, true
 	}
-	return State{}, false
+	return Mark{}, false
 }
 
 // subject is what a differential replay drives: the oracle, a Support's
-// own line or a Session's.
+// direct line or a Session's.
 type subject interface {
 	NotifyArrivals(occs []event.Occurrence)
 	CheckTriggered(now clock.Time) []string
 	Pick(filter func(Def) bool) (string, bool)
 	Consider(name string, now clock.Time) (Consideration, error)
-	Rule(name string) (State, bool)
+	Mark(name string) (Mark, bool)
 }
 
 // definer is a subject whose rule set may change mid-transaction.
@@ -172,7 +179,7 @@ func reference(t *testing.T, base *event.Base, start clock.Time, defs []Def) sub
 	return o
 }
 
-// production is the Support's own line.
+// production is the Support's direct line.
 func production(t *testing.T, base *event.Base, start clock.Time, defs []Def) subject {
 	s := NewSupport(base, Options{})
 	s.BeginTransaction(start)
@@ -180,7 +187,7 @@ func production(t *testing.T, base *event.Base, start clock.Time, defs []Def) su
 	return s
 }
 
-// inSession is a Session's line over a Support whose own line serves
+// inSession is a Session's line over a Support whose direct line serves
 // nothing.
 func inSession(t *testing.T, base *event.Base, start clock.Time, defs []Def) subject {
 	s := NewSupport(event.NewBase(), Options{})
@@ -317,11 +324,11 @@ func replay(t *testing.T, mk maker, defs []Def, vocab []event.Type, seed int64, 
 			fired := s.CheckTriggered(c.Now())
 			w.seen.batch(lineOf(s))
 			for _, name := range fired {
-				st, ok := s.Rule(name)
+				m, ok := s.Mark(name)
 				if !ok {
 					t.Fatalf("fired unknown rule %q", name)
 				}
-				round = append(round, firing{name: name, at: st.TriggeredAt})
+				round = append(round, firing{name: name, at: m.TriggeredAt})
 			}
 		}
 		verifySubject(t, s)
@@ -359,15 +366,15 @@ func killedCheck(t *testing.T, s subject, names []string, now clock.Time, gas in
 	t.Helper()
 	was := make(map[string]bool)
 	for _, name := range names {
-		st, _ := s.Rule(name)
-		was[name] = st.Triggered
+		m, _ := s.Mark(name)
+		was[name] = m.Triggered
 	}
-	if b, ok := s.(interface{ SetBudget(*calculus.Budget) }); ok {
-		b.SetBudget(calculus.NewBudget(gas, time.Time{}))
+	if l := lineOf(s); l != nil {
+		l.budget = calculus.NewBudget(gas, time.Time{})
 		err := calculus.CatchBudget(func() { s.CheckTriggered(now) })
-		b.SetBudget(nil)
-		seen.batch(lineOf(s))
-		if l := lineOf(s); err != nil && l.probe.base == nil && l.probe.lo != nil && seen != nil {
+		l.budget = nil
+		seen.batch(l)
+		if err != nil && l.probe.base == nil && l.probe.lo != nil && seen != nil {
 			seen.midWalkKills++
 		}
 		verifySubject(t, s)
@@ -375,8 +382,8 @@ func killedCheck(t *testing.T, s subject, names []string, now clock.Time, gas in
 	s.CheckTriggered(now)
 	var round []firing
 	for _, name := range names {
-		if st, _ := s.Rule(name); st.Triggered && !was[name] {
-			round = append(round, firing{name: name, at: st.TriggeredAt})
+		if m, _ := s.Mark(name); m.Triggered && !was[name] {
+			round = append(round, firing{name: name, at: m.TriggeredAt})
 		}
 	}
 	return round
@@ -388,8 +395,8 @@ func (e *exercised) batch(l *line) {
 		return
 	}
 	horizons := make(map[clock.Time]bool)
-	for _, st := range l.checkBuf {
-		horizons[st.LastConsideration] = true
+	for _, r := range l.checkBuf {
+		horizons[l.marks[r].lastConsideration] = true
 	}
 	e.horizons = max(e.horizons, len(horizons))
 }

@@ -6,6 +6,13 @@
 // consumption, triggered flag — and decides triggering with the event
 // calculus.
 //
+// That state exists for one transaction (Section 5: every horizon resets
+// when a transaction starts), so it lives on the transaction's line, a
+// Session: one mark per rule, the block-boundary index over the marks
+// and the check's scratch. The Support holds what every line reads — the
+// definitions, V(E) filters, the interned plan and the listening index —
+// once, and recycles released Sessions for the lines after them.
+//
 // The Trigger Support decides T(r, t) of Section 4.4 one way. Every
 // rule's event expression is interned into one shared DAG
 // (calculus.Plan). At a block boundary the rules to examine — by the
@@ -23,15 +30,15 @@
 //
 // # Concurrency
 //
-// Support is safe for concurrent use. State-changing operations
-// (Define, Drop, NotifyArrivals, CheckTriggered, Consider,
-// BeginTransaction, Rebind, ResetStats) take the mutex exclusively;
-// read-only operations (Rule, Rules, Triggered, Pick, Watermark, Stats,
-// TxnStart) take it shared, so inspection never serializes against
-// other readers. A determination runs on the calling goroutine; lines
-// of different Sessions run theirs in parallel, sharing only the
-// immutable registry and the Event Base's read paths. See DESIGN.md §7
-// for the lock hierarchy.
+// Support is safe for concurrent use. Define and Drop take the mutex
+// exclusively; read-only operations (Rule, Rules, Stats, Plan,
+// HasDeferred) take it shared, so inspection never serializes against
+// other readers. Every transaction runs on its own Session — a line that
+// holds only its rules' marks and the check's scratch — and a
+// determination runs on the calling goroutine, so lines of different
+// Sessions run theirs in parallel, sharing only the registry (frozen
+// while any Session is open) and the Event Base's read paths. See
+// DESIGN.md §7 for the lock hierarchy.
 package rules
 
 import (
@@ -128,9 +135,10 @@ func (d Def) Validate() error {
 	return nil
 }
 
-// State is the Trigger Support's per-rule record: exactly the fields the
-// paper's Section 5 enumerates, plus the compiled V(E) filter and the
-// incremental probe mark.
+// State is a defined rule as the registry holds it: the definition, the
+// compiled V(E) filter and the rule's place in the shared plan and the
+// priority queue. It is stored once per Support, whatever the number of
+// transaction lines; what a line changes per rule is its Mark.
 //
 // The copies returned by Support.Rule share the Filter pointer with the
 // live support: a Filter is immutable after calculus.Compile, so the
@@ -139,21 +147,13 @@ type State struct {
 	Def Def
 	// Filter is the compiled V(E) filter. It is immutable once built —
 	// treat the pointer as a shared read-only view.
-	Filter            *calculus.Filter
-	LastConsideration clock.Time
-	Triggered         bool
-	TriggeredAt       clock.Time
+	Filter *calculus.Filter
 
-	// lastProbe is the newest instant already examined by the ∃t' probe;
-	// earlier instants can never yield a new outcome.
-	lastProbe clock.Time
-	// rank is the rule's position in its line's priority queue
-	// (line.ordered), the coordinate of the line's block-boundary index.
-	// Assigned by line.reindex; meaningless while the index is stale.
+	// rank is the rule's position in the priority queue
+	// (Support.ordered): the index of its mark on every line and the
+	// coordinate of every line's block-boundary index. Define and Drop
+	// renumber the rules after the slot they change.
 	rank int32
-	// pending is set when an arrival relevant per the filter has been
-	// seen since the last probe.
-	pending bool
 	// monotone marks negation-free expressions, whose activation never
 	// reverts as time grows: once ts(E, t') turns positive it stays
 	// positive at every later probe, so the ∃t' quantifier collapses to a
@@ -164,6 +164,21 @@ type State struct {
 	monotone bool
 	// planRoot is the rule's root node in the support's interned DAG.
 	planRoot calculus.NodeID
+}
+
+// mark is one rule's state on one line: the paper's per-rule record of
+// Section 5 (last consideration, triggered flag) plus the incremental
+// probe cursor and the pending bit.
+type mark struct {
+	lastConsideration clock.Time
+	triggeredAt       clock.Time
+	// lastProbe is the newest instant already examined by the ∃t' probe;
+	// earlier instants can never yield a new outcome.
+	lastProbe clock.Time
+	triggered bool
+	// pending is set when an arrival relevant per the filter has been
+	// seen since the last probe.
+	pending bool
 }
 
 // Options configures a Support.
@@ -277,50 +292,35 @@ func (s *Stats) add(o Stats) {
 }
 
 // line is the state of one transaction line's triggering determination:
-// the bound Event Base, the per-rule records, the inverted listening
-// index, the block-boundary index, the inverted V(E) index, work
-// counters, and all check-path scratch. The Support embeds one line (its default, serving the classic
-// single-session engine and the direct Support API) and every Session
-// owns another over the same rule registry, so N concurrent lines run
-// their determinations in parallel with nothing shared but the immutable
-// definitions, filters and the interned plan DAG.
+// the bound Event Base, one mark per defined rule (by rank), the
+// block-boundary index, work counters and all check-path scratch. It
+// holds nothing else: definitions, filters, plan roots, ranks and the
+// listening index are the Support's, read by every line. Every
+// transaction of the engine runs on a Session's line; the Support embeds
+// one more, its direct line, for the callers of the Support's own
+// determination API.
 //
 // The block-boundary index (queue, trig, wmMin; DESIGN.md "Block
 // boundary") is derived state: at every instant it is not stale it
-// equals what reindex would recompute from the States, so a block
+// equals what reindex would recompute from the marks, so a block
 // boundary reads it instead of walking every defined rule. Three
 // transitions maintain it — arrive, the fold at the end of
 // checkTriggered, and consider — and whatever else rewrites marks
-// (Define, Drop, BeginTransaction, RestoreMarks, NewSession, a check a
-// budget fault cut short) only sets stale.
+// (Define, Drop, begin, RestoreMarks, a check a budget fault cut short)
+// only sets stale.
 type line struct {
-	base  *event.Base
-	rules map[string]*State
-	// order holds rule names sorted by (priority, name); it is the
-	// priority queue of the paper's Rule Table. ordered mirrors it with
-	// resolved *State pointers; a State's rank is its position here.
-	order    []string
-	ordered  []*State
+	sup      *Support
+	base     *event.Base
 	txnStart clock.Time
-	// preserving counts the defined preserving-mode rules. Any preserving
-	// rule pins the consumption low-watermark at the transaction start
-	// (its event-formula window always reaches back to TxnStart), so
-	// Watermark short-circuits on the counter.
-	preserving int
-	stats      Stats
-	// byType is the inverted listening index: for each primitive event
-	// type, the rules whose V(E) filter an arrival of that type matches.
-	// matchAll holds the rules with vacuously active expressions, which
-	// listen to every arrival. Together they make NotifyArrivals
-	// O(arrivals × listeners hit) instead of O(arrivals × rules).
-	byType   map[event.Type][]*State
-	matchAll []*State
+	// marks holds every defined rule's mark, at the rule's rank.
+	marks []mark
+	stats Stats
 
-	// stale marks the index below as out of date with the States; sync
+	// stale marks the index below as out of date with the marks; sync
 	// rebuilds it before its next use.
 	stale bool
 	// queue is the pending worklist as a set of ranks: it holds every
-	// rule with pending && !Triggered (and possibly rules that stopped
+	// rule with pending && !triggered (and possibly rules that stopped
 	// being so since they entered); queued is false only if it is empty.
 	// A check takes its batch from it, already in queue order, and
 	// empties it.
@@ -330,27 +330,27 @@ type line struct {
 	// scans it for the first bit, Stats derive from its size.
 	trig  rankSet
 	ntrig int
-	// wmMin is the least LastConsideration of any rule and wmHolders the
+	// wmMin is the least last consideration of any rule and wmHolders the
 	// number of rules at it: the consumption low-watermark while no rule
 	// is preserving.
 	wmMin     clock.Time
 	wmHolders int
 
 	// CheckTriggered scratch, recycled across checks: checkBuf is the
-	// pending-rule batch, eval the memoized evaluator (created at the
-	// first check) and probe the inverted V(E) index its arrival walk
+	// pending-rule batch (ranks), eval the memoized evaluator (created at
+	// the first check) and probe the inverted V(E) index its arrival walk
 	// reads. firedBuf backs the result slice: the returned names are valid
 	// until the next call.
-	checkBuf []*State
+	checkBuf []int32
 	eval     *calculus.PlanEval
 	probe    probeIndex
 	firedBuf []string
 	// visits counts the (arrival, rule) probes of the arrival walks.
 	visits int64
 	// budget is the transaction's evaluation budget (nil = unlimited),
-	// installed by SetBudget at Begin and handed to the evaluator.
-	// Exhaustion aborts CheckTriggered with a budget fault that unwinds
-	// through the caller (the engine's block flush).
+	// handed to the evaluator. Exhaustion aborts CheckTriggered with a
+	// budget fault that unwinds through the caller (the engine's block
+	// flush).
 	budget *calculus.Budget
 }
 
@@ -360,46 +360,54 @@ type rankSet []uint64
 func (b rankSet) add(r int32)    { b[r>>6] |= 1 << (uint(r) & 63) }
 func (b rankSet) remove(r int32) { b[r>>6] &^= 1 << (uint(r) & 63) }
 
-// each calls f on the rules of set, in queue order, until f returns
+// each calls f on the ranks of set, in queue order, until f returns
 // false.
-func (l *line) each(set rankSet, f func(*State) bool) {
-	for w, word := range set {
+func (b rankSet) each(f func(r int32) bool) {
+	for w, word := range b {
 		for ; word != 0; word &= word - 1 {
-			if !f(l.ordered[w<<6|bits.TrailingZeros64(word)]) {
+			if !f(int32(w<<6 | bits.TrailingZeros64(word))) {
 				return
 			}
 		}
 	}
 }
 
-// sync brings the index up to date with the States. Every line method
-// that reads or maintains the index starts with it. A caller holding
-// only a read lock must have synced under the write lock first (see
-// Support.rlockSynced), so that this is a pure read there.
+// begin opens the line's transaction at start over base: every rule's
+// horizon at start, nothing triggered or pending.
+func (l *line) begin(base *event.Base, start clock.Time) {
+	l.base, l.txnStart = base, start
+	n := len(l.sup.ordered)
+	l.marks = slices.Grow(l.marks[:0], n)[:n]
+	for i := range l.marks {
+		l.marks[i] = mark{lastConsideration: start, lastProbe: start, triggeredAt: clock.Never}
+	}
+	l.stale = true
+}
+
+// sync brings the index up to date with the marks. Every line method
+// that reads or maintains the index starts with it.
 func (l *line) sync() {
 	if l.stale {
 		l.reindex()
 	}
 }
 
-// reindex recomputes the whole index from the States: ranks from the
-// queue order, the worklist from pending, the triggered set from
-// Triggered, the watermark from LastConsideration. It is the definition
-// the incremental transitions are held to (line.checkIndex, in the
-// tests, compares the two).
+// reindex recomputes the whole index from the marks: the worklist from
+// pending, the triggered set from triggered, the watermark from the last
+// considerations. It is the definition the incremental transitions are
+// held to (line.checkIndex, in the tests, compares the two).
 func (l *line) reindex() {
-	words := (len(l.ordered) + 63) >> 6
+	words := (len(l.marks) + 63) >> 6
 	l.queue = append(l.queue[:0], make(rankSet, words)...)
 	l.trig = append(l.trig[:0], make(rankSet, words)...)
 	l.queued, l.ntrig = false, 0
-	for i, st := range l.ordered {
-		st.rank = int32(i)
-		switch {
-		case st.Triggered:
-			l.trig.add(st.rank)
+	for i := range l.marks {
+		switch m := &l.marks[i]; {
+		case m.triggered:
+			l.trig.add(int32(i))
 			l.ntrig++
-		case st.pending:
-			l.queue.add(st.rank)
+		case m.pending:
+			l.queue.add(int32(i))
 			l.queued = true
 		}
 	}
@@ -411,54 +419,79 @@ func (l *line) reindex() {
 // number of rules holding it.
 func (l *line) rescanWatermark() {
 	l.wmMin, l.wmHolders = l.txnStart, 0
-	for i, st := range l.ordered {
-		switch {
-		case i == 0 || st.LastConsideration < l.wmMin:
-			l.wmMin, l.wmHolders = st.LastConsideration, 1
-		case st.LastConsideration == l.wmMin:
+	for i := range l.marks {
+		switch lc := l.marks[i].lastConsideration; {
+		case i == 0 || lc < l.wmMin:
+			l.wmMin, l.wmHolders = lc, 1
+		case lc == l.wmMin:
 			l.wmHolders++
 		}
 	}
 }
 
-// Support is the Trigger Support plus Rule Table.
+// Support is the Trigger Support plus Rule Table: the registry of
+// defined rules every transaction line reads, the pool of idle lines,
+// and the aggregate work counters.
 type Support struct {
 	mu   sync.RWMutex
 	opts Options
 	// plan is the rule set's interned expression DAG, rebuilt
 	// incrementally on Define/Drop via per-node refcounts.
-	plan *calculus.Plan
-	// sessions counts the open per-transaction Sessions. While any are
-	// open the rule set (and with it the plan DAG their evaluators walk)
-	// is frozen: Define and Drop fail.
-	sessions int
+	plan  *calculus.Plan
+	rules map[string]*State
+	// order holds rule names sorted by (priority, name); it is the
+	// priority queue of the paper's Rule Table. ordered mirrors it with
+	// resolved *State pointers; a State's rank is its position here.
+	order   []string
+	ordered []*State
+	// preserving counts the defined preserving-mode rules. Any preserving
+	// rule pins every line's consumption low-watermark at its transaction
+	// start (its event-formula window always reaches back there), so the
+	// watermark short-circuits on the counter.
+	preserving int
 	// deferred counts the defined deferred-coupling rules. The engine's
 	// commit path skips the under-latch deferred-rule phase entirely when
 	// it is zero; the count is stable while any session is open (the
 	// registry is frozen), so the skip decision cannot race a Define.
 	deferred int
+	// byType is the inverted listening index: for each primitive event
+	// type, the rules whose V(E) filter an arrival of that type matches.
+	// matchAll holds the rules with vacuously active expressions, which
+	// listen to every arrival. Together they make NotifyArrivals
+	// O(arrivals × listeners hit) instead of O(arrivals × rules).
+	byType   map[event.Type][]*State
+	matchAll []*State
 	// vocab is the rule set's primitive event types, each once, in the
 	// order the (priority, expression traversal) walk first meets them;
 	// nil after Define or Drop until internVocabulary rebuilds it.
 	vocab []event.Type
+	// sessions counts the open Sessions. While any are open the rule set
+	// (and with it the plan DAG their evaluators walk) is frozen: Define
+	// and Drop fail. idle holds released Sessions for NewSession to
+	// reuse; Define and Drop empty it, since its lines are sized to the
+	// old rule set and their evaluators walk the old plan.
+	sessions int
+	idle     []*Session
+	// line is the direct line (see BeginTransaction). Its stats also
+	// accumulate every released Session's counters.
 	line
 }
 
-// NewSupport builds a Trigger Support over an Event Base.
+// NewSupport builds a Trigger Support whose direct line runs over base.
 func NewSupport(base *event.Base, opts Options) *Support {
-	return &Support{
-		opts: opts,
-		plan: calculus.NewPlan(),
-		line: line{
-			base:   base,
-			rules:  make(map[string]*State),
-			byType: make(map[event.Type][]*State),
-		},
+	s := &Support{
+		opts:   opts,
+		plan:   calculus.NewPlan(),
+		rules:  make(map[string]*State),
+		byType: make(map[event.Type][]*State),
 	}
+	s.line = line{sup: s, base: base}
+	return s
 }
 
-// Define registers a rule. The rule starts non-triggered with its
-// consideration horizon at the current transaction start.
+// Define registers a rule. On the direct line the rule starts
+// non-triggered with its consideration horizon at the current
+// transaction start.
 func (s *Support) Define(d Def) error {
 	if err := d.Validate(); err != nil {
 		return err
@@ -472,22 +505,35 @@ func (s *Support) Define(d Def) error {
 		return fmt.Errorf("rules: rule %q already defined", d.Name)
 	}
 	st := &State{
-		Def:               d,
-		Filter:            calculus.Compile(d.Event),
-		LastConsideration: s.txnStart,
-		lastProbe:         s.txnStart,
-		monotone:          !calculus.ContainsNegation(d.Event),
-		// A rule defined mid-transaction starts pending: its window
-		// (txnStart, now] may already hold relevant occurrences, and the
-		// V(E) gate in CheckTriggered would otherwise skip it until the
-		// NEXT relevant arrival. The first check settles the flag (an
-		// empty window simply decides "not triggered").
-		pending:  true,
+		Def:      d,
+		Filter:   calculus.Compile(d.Event),
+		monotone: !calculus.ContainsNegation(d.Event),
 		planRoot: s.plan.Intern(d.Event),
 	}
 	s.rules[d.Name] = st
-	s.enqueue(st)
-	s.vocab = nil
+	// Insert the rule at its (priority, name) slot of the queue, which
+	// Define and Drop keep sorted: names are unique, so the slot is.
+	i := sort.Search(len(s.ordered), func(i int) bool {
+		q := s.ordered[i].Def
+		if q.Priority != d.Priority {
+			return q.Priority > d.Priority
+		}
+		return q.Name > d.Name
+	})
+	s.order = slices.Insert(s.order, i, d.Name)
+	s.ordered = slices.Insert(s.ordered, i, st)
+	s.renumber(i)
+	// A rule defined mid-transaction starts pending: its window
+	// (txnStart, now] may already hold relevant occurrences, and the
+	// V(E) gate in CheckTriggered would otherwise skip it until the NEXT
+	// relevant arrival. The first check settles the flag (an empty window
+	// simply decides "not triggered").
+	s.line.marks = slices.Insert(s.line.marks, i, mark{
+		lastConsideration: s.txnStart,
+		lastProbe:         s.txnStart,
+		triggeredAt:       clock.Never,
+		pending:           true,
+	})
 	if d.Consumption == Preserving {
 		s.preserving++
 	}
@@ -495,7 +541,26 @@ func (s *Support) Define(d Def) error {
 		s.deferred++
 	}
 	s.index(st)
+	s.changed()
 	return nil
+}
+
+// renumber assigns every rule from queue slot i on its rank.
+func (s *Support) renumber(i int) {
+	for ; i < len(s.ordered); i++ {
+		s.ordered[i].rank = int32(i)
+	}
+}
+
+// changed invalidates what depends on the rule set: the vocabulary, the
+// idle Sessions, and the direct line's index and inverted V(E) index
+// (rebuilt at the next block boundary and the next arrival walk, so
+// loading N rules inverts once, not N times).
+func (s *Support) changed() {
+	s.vocab = nil
+	s.idle = nil
+	s.line.stale = true
+	s.line.probe.base = nil
 }
 
 // HasDeferred reports whether any deferred-coupling rule is defined.
@@ -507,62 +572,48 @@ func (s *Support) HasDeferred() bool {
 	return s.deferred > 0
 }
 
-// Watermark returns the consumption low-watermark: the minimum over all
-// defined rules of the (exclusive) start of the window the rule can
-// still observe — the last consideration for consuming rules, the
-// transaction start for preserving ones (whose event formulas always
-// reach back to TxnStart). Every occurrence at or below the watermark is
-// invisible to every rule, so the Event Base may retire it; the engine
-// feeds the value to event.Base.CompactBelow at block boundaries.
-//
-// The call reads the line's index — the least LastConsideration and how
-// many rules hold it, which Consider keeps current and rescans only when
-// the last holder moves — so it costs the same under one rule and under
-// ten thousand. Define (a new rule starts its window at the transaction
-// start, pulling the watermark back down) and Drop (removing the pinning
-// rule releases it immediately) mark the index stale, and the first call
-// after them rebuilds it. With no rules defined it conservatively
-// returns the transaction start, keeping the whole log available to
-// ad-hoc window queries.
+// Watermark returns the direct line's consumption low-watermark (see
+// Session.Watermark).
 func (s *Support) Watermark() clock.Time {
-	s.rlockSynced()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.line.watermark()
 }
 
-// rlockSynced takes the read lock with the default line's index in sync,
-// rebuilding it under the write lock first if it is stale.
-func (s *Support) rlockSynced() {
-	s.mu.RLock()
-	for s.line.stale {
-		s.mu.RUnlock()
-		s.mu.Lock()
-		s.line.sync()
-		s.mu.Unlock()
-		s.mu.RLock()
-	}
-}
-
+// watermark is the minimum over all defined rules of the (exclusive)
+// start of the window the rule can still observe — the last
+// consideration for consuming rules, the transaction start for
+// preserving ones (whose event formulas always reach back to the
+// transaction start). Every occurrence at or below it is invisible to
+// every rule, so the Event Base may retire it; the engine feeds the
+// value to event.Base.CompactBelow at block boundaries.
+//
+// The call reads the line's index — the least last consideration and
+// how many rules hold it, which consider keeps current and rescans only
+// when the last holder moves — so it costs the same under one rule and
+// under ten thousand. With no rules defined it conservatively returns
+// the transaction start, keeping the whole log available to ad-hoc
+// window queries.
 func (l *line) watermark() clock.Time {
 	l.sync()
-	if l.preserving > 0 || len(l.ordered) == 0 {
+	if l.sup.preserving > 0 || len(l.marks) == 0 {
 		return l.txnStart
 	}
 	return l.wmMin
 }
 
 // index registers the rule in the inverted listening index.
-func (l *line) index(st *State) {
+func (s *Support) index(st *State) {
 	if st.Filter.MatchAll {
-		l.matchAll = append(l.matchAll, st)
+		s.matchAll = append(s.matchAll, st)
 		return
 	}
 	for _, t := range st.Filter.RelevantTypes() {
-		l.byType[t] = append(l.byType[t], st)
+		s.byType[t] = append(s.byType[t], st)
 	}
 }
 
-func (l *line) unindex(st *State) {
+func (s *Support) unindex(st *State) {
 	drop := func(list []*State) []*State {
 		for i, x := range list {
 			if x == st {
@@ -571,14 +622,14 @@ func (l *line) unindex(st *State) {
 		}
 		return list
 	}
-	l.matchAll = drop(l.matchAll)
-	for t, list := range l.byType {
+	s.matchAll = drop(s.matchAll)
+	for t, list := range s.byType {
 		if nl := drop(list); len(nl) == 0 {
 			// Delete emptied keys so rule churn over many types does not
-			// grow the index unboundedly in long-lived sessions.
-			delete(l.byType, t)
+			// grow the index unboundedly in long-lived supports.
+			delete(s.byType, t)
 		} else {
-			l.byType[t] = nl
+			s.byType[t] = nl
 		}
 	}
 }
@@ -595,18 +646,13 @@ func (s *Support) Drop(name string) error {
 		return fmt.Errorf("rules: no rule %q", name)
 	}
 	delete(s.rules, name)
-	// The rule leaves the queue below, so every rank after it moves: the
-	// index (which may hold the rule as pending or triggered) is rebuilt
-	// from the surviving States before anything reads it again.
-	s.stale = true
-	s.vocab = nil
 	// Drop the rule's tree from the interned DAG; nodes still referenced
 	// by other rules survive, the rest free their ids.
 	s.plan.Release(st.planRoot)
 	st.planRoot = calculus.NoNode
 	if st.Def.Consumption == Preserving {
-		// Recompute the watermark input immediately: dropping the last
-		// preserving rule must unpin compaction without waiting for any
+		// The direct line's watermark reads the counter: dropping the last
+		// preserving rule unpins compaction without waiting for any
 		// further rule activity.
 		s.preserving--
 	}
@@ -614,46 +660,25 @@ func (s *Support) Drop(name string) error {
 		s.deferred--
 	}
 	s.unindex(st)
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			s.ordered = append(s.ordered[:i], s.ordered[i+1:]...)
-			break
-		}
-	}
-	s.probe.base = nil
+	// The rule leaves the queue, so every rank after it moves, and the
+	// direct line's index (which may hold the rule as pending or
+	// triggered) is rebuilt from the surviving marks before anything
+	// reads it again.
+	i := int(st.rank)
+	s.order = slices.Delete(s.order, i, i+1)
+	s.ordered = slices.Delete(s.ordered, i, i+1)
+	s.line.marks = slices.Delete(s.line.marks, i, i+1)
+	s.renumber(i)
+	s.changed()
 	return nil
 }
 
-// enqueue inserts the rule at its (priority, name) slot of the queue,
-// which Define and Drop keep sorted: names are unique, so the slot is.
-func (s *Support) enqueue(st *State) {
-	i := sort.Search(len(s.ordered), func(i int) bool {
-		q := s.ordered[i].Def
-		if q.Priority != st.Def.Priority {
-			return q.Priority > st.Def.Priority
-		}
-		return q.Name > st.Def.Name
-	})
-	s.order = slices.Insert(s.order, i, st.Def.Name)
-	s.ordered = slices.Insert(s.ordered, i, st)
-	// Every later rank moved. Renumbering is left to the next block
-	// boundary, and the inverted V(E) index to the next arrival walk, so
-	// loading N rules renumbers and inverts once, not N times.
-	s.stale = true
-	s.probe.base = nil
-}
-
-// Rule returns a copy of the rule's state. The copy shares the
-// immutable Filter pointer with the live support (see State).
+// Rule returns a copy of the rule's registry record. The copy shares
+// the immutable Filter pointer with the live support (see State).
 func (s *Support) Rule(name string) (State, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.line.rule(name)
-}
-
-func (l *line) rule(name string) (State, bool) {
-	st, ok := l.rules[name]
+	st, ok := s.rules[name]
 	if !ok {
 		return State{}, false
 	}
@@ -667,7 +692,8 @@ func (s *Support) Rules() []string {
 	return append([]string(nil), s.order...)
 }
 
-// Stats returns a snapshot of the work counters.
+// Stats returns a snapshot of the work counters: every released
+// Session's, plus the direct line's.
 func (s *Support) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -684,44 +710,32 @@ func (s *Support) Plan() *calculus.Plan {
 	return s.plan
 }
 
-// BeginTransaction resets every rule's horizon to the new transaction's
-// start instant (the Event Base is per-transaction; the engine supplies a
-// fresh one via Rebind).
+// BeginTransaction opens a transaction on the Support's direct line,
+// over the base NewSupport was given: every rule's horizon resets to
+// start.
+//
+// The direct line — BeginTransaction, NotifyArrivals, CheckTriggered,
+// Pick, Consider, Watermark, and Define in the middle of a transaction —
+// runs on the same marks-only line type as a Session. Only the rules
+// kernel of the benchmark and this package's tests call it; the engine
+// opens every transaction as a Session. It goes once that kernel opens a
+// Session instead.
 func (s *Support) BeginTransaction(start clock.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.txnStart = start
-	for _, st := range s.ordered {
-		st.LastConsideration = start
-		st.lastProbe = start
-		st.Triggered = false
-		st.TriggeredAt = clock.Never
-		st.pending = false
-	}
-	s.stale = true
-}
-
-// Rebind points the support at a new Event Base (a new transaction's
-// log).
-//
-// The rule vocabulary is interned into the fresh base here, eagerly and
-// in deterministic (priority, then expression traversal) order. The
-// probe machinery would intern the same types lazily at the first
-// triggering determination; doing it at Rebind pins the interner's id
-// assignment to a pure function of the rule set and the append order —
-// the property WAL replay relies on to rebuild a bit-identical base
-// without re-running the probes.
-func (s *Support) Rebind(base *event.Base) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.base = base
-	s.internVocabulary(base)
+	s.line.begin(s.line.base, start)
 }
 
 // internVocabulary interns the rule set's primitive types into base in
-// vocabulary order. Interning assigns ids by first appearance, so the
-// de-duplicated list yields exactly the ids a walk of every mention
-// would. The list is built once per rule set, not once per transaction.
+// deterministic (priority, then expression traversal) order. The probe
+// machinery would intern the same types lazily at the first triggering
+// determination; doing it when a line opens pins the interner's id
+// assignment to a pure function of the rule set and the append order —
+// the property WAL replay (which re-runs appends but not
+// determinations) relies on to rebuild a bit-identical base. Interning
+// assigns ids by first appearance, so the de-duplicated list yields
+// exactly the ids a walk of every mention would. The list is built once
+// per rule set, not once per transaction.
 func (s *Support) internVocabulary(base *event.Base) {
 	if s.vocab == nil {
 		seen := make(map[event.Type]bool)
@@ -739,29 +753,8 @@ func (s *Support) internVocabulary(base *event.Base) {
 	}
 }
 
-// TxnStart returns the current transaction's start instant.
-func (s *Support) TxnStart() clock.Time {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.txnStart
-}
-
-// SetBudget installs (or, with nil, clears) the evaluation budget the
-// default line's determinations charge against. The engine calls it at
-// transaction begin; mid-transaction changes take effect at the next
-// CheckTriggered.
-func (s *Support) SetBudget(b *calculus.Budget) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.line.budget = b
-}
-
-// NotifyArrivals tells the support about freshly logged occurrences and
-// marks the rules those arrivals are relevant to: by the V(E) static
-// optimization of Section 5.1, a rule whose V(E) gives the arrival's type
-// a Δ+ or Δ± variation (a pure Δ− arrival cannot raise ts, so a
-// non-triggered rule skips it). This is the Event Handler → Trigger
-// Support hand-off of Section 5.
+// NotifyArrivals is NotifyArrivals of the direct line (see
+// Session.NotifyArrivals).
 func (s *Support) NotifyArrivals(occs []event.Occurrence) {
 	if len(occs) == 0 {
 		return
@@ -771,42 +764,51 @@ func (s *Support) NotifyArrivals(occs []event.Occurrence) {
 	s.line.notifyArrivals(occs)
 }
 
+// notifyArrivals marks the rules the arrivals are relevant to: by the
+// V(E) static optimization of Section 5.1, a rule whose V(E) gives the
+// arrival's type a Δ+ or Δ± variation (a pure Δ− arrival cannot raise
+// ts, so a non-triggered rule skips it). This is the Event Handler →
+// Trigger Support hand-off of Section 5.
 func (l *line) notifyArrivals(occs []event.Occurrence) {
 	l.sync()
-	for _, st := range l.matchAll {
-		l.arrive(st)
+	for _, st := range l.sup.matchAll {
+		l.arrive(st.rank)
 	}
 	for _, occ := range occs {
-		for _, st := range l.byType[occ.Type] {
-			l.arrive(st)
+		for _, st := range l.sup.byType[occ.Type] {
+			l.arrive(st.rank)
 		}
 	}
 }
 
 // arrive is the arrival→pending transition: a rule a relevant arrival
 // reaches joins the worklist the moment its flag flips.
-func (l *line) arrive(st *State) {
-	if st.pending || st.Triggered {
+func (l *line) arrive(r int32) {
+	m := &l.marks[r]
+	if m.pending || m.triggered {
 		return
 	}
-	st.pending = true
-	l.queue.add(st.rank)
+	m.pending = true
+	l.queue.add(r)
 	l.queued = true
 }
 
-// CheckTriggered runs the triggering determination at a block boundary:
-// for every non-triggered rule (skipping rules with no relevant arrival)
-// it decides T(r, now) and flips the triggered flag. It returns the names
-// of newly triggered rules in priority order.
+// CheckTriggered is CheckTriggered of the direct line (see
+// Session.CheckTriggered).
 func (s *Support) CheckTriggered(now clock.Time) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.line.checkTriggered(now, s.opts.Metrics, s.plan)
+	return s.line.checkTriggered(now)
 }
 
-func (l *line) checkTriggered(now clock.Time, m *SupportMetrics, plan *calculus.Plan) []string {
+// checkTriggered runs the triggering determination at a block boundary:
+// for every non-triggered rule (skipping rules with no relevant arrival)
+// it decides T(r, now) and flips the triggered flag. It returns the names
+// of newly triggered rules in priority order.
+func (l *line) checkTriggered(now clock.Time) []string {
+	met := l.sup.opts.Metrics
 	var statsBefore Stats
-	if m != nil {
+	if met != nil {
 		statsBefore = l.stats
 	}
 	l.sync()
@@ -815,12 +817,12 @@ func (l *line) checkTriggered(now clock.Time, m *SupportMetrics, plan *calculus.
 	// that need a ts evaluation — the worklist, whose ranks come out of
 	// the set already in queue order. An empty worklist — the block after
 	// a consideration whose action logged nothing — visits no rule at all.
-	examined := len(l.ordered) - l.ntrig
+	examined := len(l.marks) - l.ntrig
 	batch := l.checkBuf[:0]
 	if l.queued {
-		l.each(l.queue, func(st *State) bool {
-			if st.pending && !st.Triggered {
-				batch = append(batch, st)
+		l.queue.each(func(r int32) bool {
+			if m := &l.marks[r]; m.pending && !m.triggered {
+				batch = append(batch, r)
 			}
 			return true
 		})
@@ -831,22 +833,22 @@ func (l *line) checkTriggered(now clock.Time, m *SupportMetrics, plan *calculus.
 	l.stats.RulesExamined += int64(examined)
 	l.stats.RulesSkipped += int64(examined - len(batch))
 	l.checkBuf = batch
-	// The evaluator writes Triggered and pending into the States only;
-	// the index learns of it in the fold below. A budget fault unwinding
-	// from here skips the fold, and stale makes the next reader rebuild
-	// from what the States then say.
+	// The evaluator writes triggered and pending into the marks only; the
+	// index learns of it in the fold below. A budget fault unwinding from
+	// here skips the fold, and stale makes the next reader rebuild from
+	// what the marks then say.
 	l.stale = true
-	l.checkShared(batch, now, plan)
-	m.report(statsBefore, l.stats, len(batch), plan)
+	l.checkShared(batch, now)
+	met.report(statsBefore, l.stats, len(batch), l.sup.plan)
 	// The result slice is recycled across checks (no allocation on busy
 	// boundaries); callers must not retain it past the next call. The
 	// same pass is the check→triggered transition of the index.
 	fired := l.firedBuf[:0]
-	for _, st := range batch {
-		if st.Triggered {
-			l.trig.add(st.rank)
+	for _, r := range batch {
+		if l.marks[r].triggered {
+			l.trig.add(r)
 			l.ntrig++
-			fired = append(fired, st.Def.Name)
+			fired = append(fired, l.sup.ordered[r].Def.Name)
 		}
 	}
 	l.stale = false
@@ -863,27 +865,29 @@ func (l *line) checkTriggered(now clock.Time, m *SupportMetrics, plan *calculus.
 // whole batch, whatever the horizons. Per-rule outcomes are independent,
 // so the order rules are probed in cannot change results; the caller
 // collects fired names from the priority-ordered batch.
-func (l *line) checkShared(batch []*State, now clock.Time, plan *calculus.Plan) {
+func (l *line) checkShared(batch []int32, now clock.Time) {
+	rules := l.sup.ordered
 	// R = (since, now] is empty exactly when the newest arrival at or
 	// before now is at or below since: one comparison per rule.
 	newest := l.base.Newest(now)
 	floor, minLo := now, now
-	for _, st := range batch {
-		since := st.LastConsideration
+	for _, r := range batch {
+		m := &l.marks[r]
+		since := m.lastConsideration
 		if newest <= since {
-			st.lastProbe, st.pending = now, false
+			m.lastProbe, m.pending = now, false
 			continue
 		}
 		floor = min(floor, since)
-		if !st.monotone {
-			minLo = min(minLo, max(st.lastProbe, since))
+		if !rules[r].monotone {
+			minLo = min(minLo, max(m.lastProbe, since))
 		}
 	}
 	if floor == now {
 		return // every window is empty
 	}
 	if l.eval == nil {
-		l.eval = calculus.NewPlanEval(plan)
+		l.eval = calculus.NewPlanEval(l.sup.plan)
 		// The walk feeds every arrival to the evaluator in timestamp
 		// order, so the prim cursors apply.
 		l.eval.Track(true)
@@ -898,29 +902,35 @@ func (l *line) checkShared(batch []*State, now clock.Time, plan *calculus.Plan) 
 	if pe.Cur() != now {
 		pe.Begin(now)
 	}
-	for _, st := range batch {
+	for _, r := range batch {
 		if walked {
-			l.probe.lo[st.rank] = notProbing
+			l.probe.lo[r] = notProbing
 		}
-		since := st.LastConsideration
-		if st.Triggered || newest <= since {
+		m := &l.marks[r]
+		since := m.lastConsideration
+		if m.triggered || newest <= since {
 			continue // at an arrival of the walk, or R = ∅
 		}
-		if st.monotone {
+		if st := rules[r]; st.monotone {
 			if v := pe.TS(st.planRoot, now, since); v.Active() {
-				st.Triggered, st.TriggeredAt = true, v.Time()
+				m.triggered, m.triggeredAt = true, v.Time()
 				l.stats.Triggerings++
 			}
-		} else if now > max(st.lastProbe, since) && pe.TS(st.planRoot, now, since).Active() {
-			st.Triggered, st.TriggeredAt = true, now
+		} else if now > max(m.lastProbe, since) && pe.TS(st.planRoot, now, since).Active() {
+			m.triggered, m.triggeredAt = true, now
 			l.stats.Triggerings++
 		}
-		st.lastProbe, st.pending = now, false
+		m.lastProbe, m.pending = now, false
 	}
 	if walked {
 		l.probe.base = l.base
 	}
-	evals, hits := pe.TakeCounters()
+	l.count()
+}
+
+// count moves the evaluator's counters into the line's.
+func (l *line) count() {
+	evals, hits := l.eval.TakeCounters()
 	l.stats.TsEvaluations += evals
 	l.stats.MemoMisses += evals
 	l.stats.MemoHits += hits
@@ -933,10 +943,10 @@ const notProbing = clock.Time(math.MaxInt64)
 // interned in the line's base, the queue ranks of the rules whose V(E)
 // mentions that type, ascending, plus the ranks of the match-all rules —
 // non-monotone rules only, since a monotone one decides at the check
-// instant alone. Like the block-boundary index it is derived state. It is built at the
-// first arrival walk after the base or the rule set changed (base nil
-// marks it unbuilt; Define and Drop only clear it), so Define, Drop and
-// NewSession never invert anything.
+// instant alone. Like the block-boundary index it is derived state. It is
+// built at the first arrival walk after the base or the rule set changed
+// (base nil marks it unbuilt; Define and Drop only clear it), so Define,
+// Drop and NewSession never invert anything.
 //
 // lo is the walk's scratch, by rank: the instant after which an
 // undecided rule of the check probes arrivals, notProbing for every
@@ -959,14 +969,14 @@ type probeIndex struct {
 type filing struct{ tid, rank int32 }
 
 // buildProbeIndex inverts the non-monotone rules' V(E) over the line's
-// base. The mentioned types are interned (after Rebind or NewSession they
-// already are), and a counting sort by type id files each rank under its
-// types, keeping every list in rank order.
+// base. The mentioned types are interned (on a line NewSession opened
+// they already are), and a counting sort by type id files each rank
+// under its types, keeping every list in rank order.
 func (l *line) buildProbeIndex() {
 	p := &l.probe
 	p.builds++
 	p.all, p.filed = p.all[:0], p.filed[:0]
-	for _, st := range l.ordered {
+	for _, st := range l.sup.ordered {
 		if st.monotone {
 			continue
 		}
@@ -992,7 +1002,7 @@ func (l *line) buildProbeIndex() {
 		p.off[f.tid+1]++
 	}
 	p.off = p.off[:n+1]
-	p.lo = append(p.lo[:0], make([]clock.Time, len(l.ordered))...)
+	p.lo = append(p.lo[:0], make([]clock.Time, len(l.marks))...)
 	for i := range p.lo {
 		p.lo[i] = notProbing
 	}
@@ -1005,16 +1015,18 @@ func (l *line) buildProbeIndex() {
 // and the match-all rules — whose lo lies below it: one load per rule
 // filed under it, so an arrival no rule mentions costs one table read.
 // The memo generation of an instant opens at its first probe.
-func (l *line) walk(pe *calculus.PlanEval, batch []*State, newest, minLo, now clock.Time) {
+func (l *line) walk(pe *calculus.PlanEval, batch []int32, newest, minLo, now clock.Time) {
 	p := &l.probe
 	if p.base != l.base {
 		l.buildProbeIndex()
 	}
 	p.base = nil
+	rules := l.sup.ordered
 	open := 0
-	for _, st := range batch {
-		if !st.monotone && newest > st.LastConsideration {
-			p.lo[st.rank] = max(st.lastProbe, st.LastConsideration)
+	for _, r := range batch {
+		m := &l.marks[r]
+		if !rules[r].monotone && newest > m.lastConsideration {
+			p.lo[r] = max(m.lastProbe, m.lastConsideration)
 			open++
 		}
 	}
@@ -1044,10 +1056,10 @@ func (l *line) walk(pe *calculus.PlanEval, batch []*State, newest, minLo, now cl
 						pe.Begin(t)
 					}
 					l.visits++
-					st := l.ordered[r]
-					if pe.TS(st.planRoot, t, st.LastConsideration).Active() {
-						st.Triggered, st.TriggeredAt = true, t
-						st.lastProbe, st.pending = now, false
+					m := &l.marks[r]
+					if pe.TS(rules[r].planRoot, t, m.lastConsideration).Active() {
+						m.triggered, m.triggeredAt = true, t
+						m.lastProbe, m.pending = now, false
 						p.lo[r] = notProbing
 						l.stats.Triggerings++
 						open--
@@ -1059,10 +1071,10 @@ func (l *line) walk(pe *calculus.PlanEval, batch []*State, newest, minLo, now cl
 	}
 }
 
-// Pick returns the highest-priority triggered rule passing the filter.
+// Pick is Pick of the direct line (see Session.Pick).
 func (s *Support) Pick(filter func(Def) bool) (string, bool) {
-	s.rlockSynced()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.line.pick(filter)
 }
 
@@ -1074,9 +1086,9 @@ func (l *line) pick(filter func(Def) bool) (name string, ok bool) {
 	if l.ntrig == 0 {
 		return "", false
 	}
-	l.each(l.trig, func(st *State) bool {
-		if filter == nil || filter(st.Def) {
-			name, ok = st.Def.Name, true
+	l.trig.each(func(r int32) bool {
+		if d := l.sup.ordered[r].Def; filter == nil || filter(d) {
+			name, ok = d.Name, true
 		}
 		return !ok
 	})
@@ -1095,40 +1107,42 @@ type Consideration struct {
 	At clock.Time
 }
 
-// Consider detriggers the rule and returns the event-formula window. The
-// rule can be triggered again only by occurrences newer than this
-// consideration (Section 2).
+// Consider is Consider of the direct line (see Session.Consider).
 func (s *Support) Consider(name string, now clock.Time) (Consideration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.line.consider(name, now)
 }
 
+// consider detriggers the rule and returns the event-formula window. The
+// rule can be triggered again only by occurrences newer than this
+// consideration (Section 2).
 func (l *line) consider(name string, now clock.Time) (Consideration, error) {
-	st, ok := l.rules[name]
+	st, ok := l.sup.rules[name]
 	if !ok {
 		return Consideration{}, fmt.Errorf("rules: no rule %q", name)
 	}
-	since := st.LastConsideration
+	m := &l.marks[st.rank]
+	since := m.lastConsideration
 	if st.Def.Consumption == Preserving {
 		since = l.txnStart
 	}
 	c := Consideration{Rule: st.Def, Since: since, At: now}
 	l.sync()
-	if st.Triggered {
-		st.Triggered = false
+	if m.triggered {
+		m.triggered = false
 		l.trig.remove(st.rank)
 		l.ntrig--
 	}
-	st.TriggeredAt = clock.Never
-	st.lastProbe = now
-	st.pending = false
-	if old := st.LastConsideration; now != old {
+	m.triggeredAt = clock.Never
+	m.lastProbe = now
+	m.pending = false
+	if old := m.lastConsideration; now != old {
 		// The horizon leaves the minimum only if the rule held it, and the
 		// minimum is rescanned only when its last holder leaves — or when
 		// a caller hands in an instant at or below it, which a clock never
 		// does.
-		st.LastConsideration = now
+		m.lastConsideration = now
 		if old == l.wmMin {
 			l.wmHolders--
 		}

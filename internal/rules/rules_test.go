@@ -77,9 +77,9 @@ func TestBasicTriggerDetriggerCycle(t *testing.T) {
 	if len(fired) != 1 || fired[0] != "onCreate" {
 		t.Fatalf("fired = %v", fired)
 	}
-	st, _ := s.Rule("onCreate")
-	if !st.Triggered || st.TriggeredAt != occ.Timestamp {
-		t.Fatalf("state = %+v", st)
+	m, _ := s.Mark("onCreate")
+	if !m.Triggered || m.TriggeredAt != occ.Timestamp {
+		t.Fatalf("mark = %+v", m)
 	}
 
 	// Triggered rules are not re-examined.
@@ -274,8 +274,8 @@ func TestOptimizedMatchesNaive(t *testing.T) {
 				s.NotifyArrivals(occs)
 				var round []firing
 				for _, name := range s.CheckTriggered(c.Now()) {
-					st, _ := s.Rule(name)
-					round = append(round, firing{name, st.TriggeredAt})
+					m, _ := s.Mark(name)
+					round = append(round, firing{name, m.TriggeredAt})
 				}
 				rounds = append(rounds, round)
 				// Occasionally consider the head of the queue.
@@ -362,15 +362,14 @@ func TestBeginTransactionResets(t *testing.T) {
 	s.Define(Def{Name: "r", Event: calculus.P(createStock)})
 	log(t, s, b, c, createStock, 1)
 	s.CheckTriggered(c.Now())
-	if st, _ := s.Rule("r"); !st.Triggered {
+	if m, _ := s.Mark("r"); !m.Triggered {
 		t.Fatal("not triggered")
 	}
-	// New transaction: fresh base, reset states.
-	nb := event.NewBase()
-	s.Rebind(nb)
-	s.BeginTransaction(c.Now())
-	if st, _ := s.Rule("r"); st.Triggered {
-		t.Fatal("triggered flag survived transaction boundary")
+	// New transaction: every mark resets to its start.
+	start := c.Tick()
+	s.BeginTransaction(start)
+	if m, _ := s.Mark("r"); m.Triggered || m.TriggeredAt != clock.Never || m.LastConsideration != start {
+		t.Fatalf("mark %+v survived the transaction boundary", m)
 	}
 	if fired := s.CheckTriggered(c.Tick()); len(fired) != 0 {
 		t.Fatal("rule fired with no events in the new transaction")

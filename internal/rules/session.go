@@ -1,203 +1,130 @@
 package rules
 
 import (
-	"sync"
-
 	"chimera/internal/calculus"
 	"chimera/internal/clock"
 	"chimera/internal/event"
 )
 
-// View is the per-transaction-line face of the Trigger Support: the
-// operations the engine's rule-processing loop needs against one line's
-// Event Base and consumption state. Two implementations exist — the
-// Support itself (its embedded default line, serving the classic
-// single-session engine bit for bit) and Session (an independent line
-// over the same rule registry, for concurrent transactions).
-type View interface {
-	// NotifyArrivals is the Event Handler → Trigger Support hand-off.
-	NotifyArrivals(occs []event.Occurrence)
-	// CheckTriggered runs the triggering determination at a block
-	// boundary and returns newly triggered rules in priority order.
-	CheckTriggered(now clock.Time) []string
-	// Watermark is the line's consumption low-watermark (see
-	// Support.Watermark).
-	Watermark() clock.Time
-	// Consider detriggers a rule and returns its event-formula window.
-	Consider(name string, now clock.Time) (Consideration, error)
-	// Pick returns the highest-priority triggered rule passing filter.
-	Pick(filter func(Def) bool) (string, bool)
-	// Mark returns one rule's durable state (see Support.Mark).
-	Mark(name string) (Mark, bool)
-	// Stats snapshots the line's work counters.
-	Stats() Stats
-	// SetBudget installs (or, with nil, clears) the evaluation budget
-	// this line's triggering determinations charge against. Exhaustion
-	// surfaces from CheckTriggered as a budget fault the engine converts
-	// into the typed error (calculus.ErrGasExhausted /
-	// calculus.ErrDeadlineExceeded).
-	SetBudget(b *calculus.Budget)
-}
-
-var (
-	_ View = (*Support)(nil)
-	_ View = (*Session)(nil)
-)
-
-// Session is one concurrent transaction line's Trigger Support state: a
-// private set of per-rule records (last consideration, triggered flag,
-// probe cursors, memo scratch) over the Support's shared,
-// immutable rule registry — definitions, compiled V(E) filters and the
-// interned plan DAG stay global, exactly the split the multi-session
-// engine needs. Sessions of one Support run their determinations fully
-// in parallel: they share no mutable state, only atomic metric
+// Session is one transaction line's Trigger Support state: one mark per
+// rule (last consideration, triggered flag and instant, probe cursor,
+// pending bit), the block-boundary index over them and the check's
+// scratch. Definitions, compiled V(E) filters, plan roots, ranks and the
+// listening index stay in the Support's registry, stored once whatever
+// the number of lines. Sessions of one Support run their determinations
+// fully in parallel: they share no mutable state, only atomic metric
 // instruments and the read-only registry.
 //
 // While sessions are open the registry is frozen (Define and Drop
 // fail), so the plan DAG the sessions' evaluators walk cannot change
-// under them. Release the session when its transaction ends; its work
-// counters then fold into the Support's aggregate Stats.
+// under them. Release the session when its transaction ends: its work
+// counters fold into the Support's aggregate Stats, and the session goes
+// back to the Support's idle pool, for a later NewSession to reuse with
+// its scratch.
 //
-// A Session is safe for concurrent use, but the expected pattern is one
-// goroutine per session (the transaction's line).
+// A Session is not safe for concurrent use: like the transaction whose
+// line it is, it is driven by one goroutine at a time.
 type Session struct {
-	mu       sync.Mutex
-	sup      *Support
 	released bool
 	line
 }
 
-// NewSession opens a per-transaction view over the rule registry, bound
-// to the transaction's Event Base with every rule's horizon at start.
+// NewSession opens a transaction line over the rule registry, bound to
+// the transaction's Event Base with every rule's horizon at start. It
+// reuses an idle session when the pool has one.
 func (s *Support) NewSession(base *event.Base, start clock.Time) *Session {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess := &Session{
-		sup: s,
-		line: line{
-			base:     base,
-			txnStart: start,
-			rules:    make(map[string]*State, len(s.rules)),
-			byType:   make(map[event.Type][]*State),
-			order:    make([]string, 0, len(s.order)),
-			ordered:  make([]*State, 0, len(s.order)),
-		},
+	var sess *Session
+	if n := len(s.idle); n > 0 {
+		sess = s.idle[n-1]
+		s.idle = s.idle[:n-1]
+	} else {
+		sess = &Session{line: line{sup: s}}
 	}
-	// Intern the rule vocabulary into the fresh base eagerly, in the
-	// same deterministic order Rebind uses for the single-session line.
-	// The probe machinery would intern lazily at the first triggering
-	// determination; doing it here pins the interner's id assignment to
-	// a pure function of the rule set and the append order — the
-	// property multi-session WAL replay (which re-runs appends but not
-	// determinations) relies on to reproduce the logged type ids.
 	s.internVocabulary(base)
-	for _, name := range s.order {
-		reg := s.rules[name]
-		st := &State{
-			Def:               reg.Def,
-			Filter:            reg.Filter, // immutable, shared read-only
-			LastConsideration: start,
-			TriggeredAt:       clock.Never,
-			lastProbe:         start,
-			monotone:          reg.monotone,
-			planRoot:          reg.planRoot,
-		}
-		sess.line.rules[name] = st
-		sess.line.order = append(sess.line.order, name)
-		sess.line.ordered = append(sess.line.ordered, st)
-		if st.Def.Consumption == Preserving {
-			sess.line.preserving++
-		}
-		sess.line.index(st)
-	}
-	sess.line.stale = true
 	s.sessions++
+	s.mu.Unlock()
+	// The registry is frozen from here until the session's release, so
+	// the line may size itself to it without the Support's lock.
+	sess.released = false
+	sess.line.begin(base, start)
 	return sess
 }
 
-// Release closes the session, folding its work counters into the
-// Support's aggregate Stats and unfreezing the registry once the last
-// session is gone. Idempotent.
+// Release closes the session: its work counters fold into the Support's
+// aggregate Stats, the session joins the idle pool, and the registry
+// unfreezes once the last session is gone. Idempotent; the session must
+// not be used after it.
 func (sess *Session) Release() {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
 	if sess.released {
 		return
 	}
 	sess.released = true
-	sess.sup.mu.Lock()
-	sess.sup.sessions--
-	sess.sup.stats.add(sess.stats)
-	sess.sup.mu.Unlock()
+	if sess.eval != nil {
+		sess.count() // a check its budget cut short left them uncounted
+	}
+	stats := sess.stats
+	sess.stats, sess.base, sess.budget = Stats{}, nil, nil
+	s := sess.sup
+	s.mu.Lock()
+	s.sessions--
+	s.stats.add(stats)
+	s.idle = append(s.idle, sess)
+	s.mu.Unlock()
 }
 
-// NotifyArrivals marks the session's rules relevant arrivals pend on.
+// Start returns the instant the session's transaction began.
+func (sess *Session) Start() clock.Time { return sess.txnStart }
+
+// NotifyArrivals tells the session about freshly logged occurrences and
+// marks the rules those arrivals are relevant to (the Event Handler →
+// Trigger Support hand-off of Section 5).
 func (sess *Session) NotifyArrivals(occs []event.Occurrence) {
 	if len(occs) == 0 {
 		return
 	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
 	sess.line.notifyArrivals(occs)
 }
 
-// CheckTriggered runs the session's triggering determination. The
-// returned slice is recycled across calls (see Support.CheckTriggered).
-func (sess *Session) CheckTriggered(now clock.Time) []string {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.line.checkTriggered(now, sess.sup.opts.Metrics, sess.sup.plan)
-}
+// CheckTriggered runs the triggering determination at a block boundary
+// and returns the newly triggered rules in priority order. The returned
+// slice is recycled across calls: it is valid until the next one.
+func (sess *Session) CheckTriggered(now clock.Time) []string { return sess.line.checkTriggered(now) }
 
-// SetBudget installs the session's evaluation budget (nil = unlimited).
-func (sess *Session) SetBudget(b *calculus.Budget) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	sess.line.budget = b
-}
+// SetBudget installs (or, with nil, clears) the evaluation budget the
+// session's determinations charge against. Exhaustion surfaces from
+// CheckTriggered as a budget fault the engine converts into the typed
+// error (calculus.ErrGasExhausted / calculus.ErrDeadlineExceeded).
+func (sess *Session) SetBudget(b *calculus.Budget) { sess.line.budget = b }
 
-// Watermark is the session's consumption low-watermark.
-func (sess *Session) Watermark() clock.Time {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.line.watermark()
-}
+// Watermark is the session's consumption low-watermark: every
+// occurrence at or below it is invisible to every rule, so the Event
+// Base may retire it (see line.watermark).
+func (sess *Session) Watermark() clock.Time { return sess.line.watermark() }
 
-// Consider detriggers the rule in this session and returns its window.
+// Consider detriggers the rule and returns its event-formula window.
 func (sess *Session) Consider(name string, now clock.Time) (Consideration, error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
 	return sess.line.consider(name, now)
 }
 
-// Pick returns the session's highest-priority triggered rule.
-func (sess *Session) Pick(filter func(Def) bool) (string, bool) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.line.pick(filter)
-}
+// Pick returns the highest-priority triggered rule passing filter.
+func (sess *Session) Pick(filter func(Def) bool) (string, bool) { return sess.line.pick(filter) }
 
-// RestoreTriggered reinstates one rule's triggered flag in this session
-// during multi-session WAL replay — the session-scoped twin of
-// Support.RestoreTriggered (fired marks are per-line state, so replaying
-// a concurrent line's block must restore them into that line's session,
-// never the shared registry).
+// RestoreTriggered reinstates one rule's triggered flag during WAL
+// replay (see line.restoreTriggered).
 func (sess *Session) RestoreTriggered(name string, at clock.Time) error {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
 	return sess.line.restoreTriggered(name, at)
 }
 
+// RestoreMarks reinstates a checkpoint's marks (see line.restoreMarks).
+func (sess *Session) RestoreMarks(ms []Mark) error { return sess.line.restoreMarks(ms) }
+
 // Mark returns one rule's durable state in this session.
-func (sess *Session) Mark(name string) (Mark, bool) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.line.mark(name)
-}
+func (sess *Session) Mark(name string) (Mark, bool) { return sess.line.markOf(name) }
+
+// Marks snapshots every defined rule's durable state in this session,
+// in priority order.
+func (sess *Session) Marks() []Mark { return sess.line.exportMarks() }
 
 // Stats snapshots the session's private work counters.
-func (sess *Session) Stats() Stats {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.stats
-}
+func (sess *Session) Stats() Stats { return sess.stats }

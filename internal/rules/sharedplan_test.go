@@ -266,9 +266,10 @@ func liftCheckAllocatesNothing(t *testing.T) {
 	now := c.Tick()
 	rewind := func() {
 		s.line.sync()
-		for _, st := range s.ordered {
-			st.lastProbe, st.pending = origin, false
-			s.line.arrive(st) // back on the worklist
+		for r := range s.line.marks {
+			m := &s.line.marks[r]
+			m.lastProbe, m.pending = origin, false
+			s.line.arrive(int32(r)) // back on the worklist
 		}
 	}
 	for i := 0; i < 3; i++ {

@@ -12,6 +12,7 @@ import (
 
 	"chimera"
 	"chimera/internal/calculus"
+	"chimera/internal/clock"
 	"chimera/internal/cond"
 	"chimera/internal/lang"
 	"chimera/internal/metrics"
@@ -366,11 +367,18 @@ func (s *Shell) show(c lang.CmdShow) error {
 			}
 		}
 	case "rules":
+		// The triggered flags are the open transaction line's; with none
+		// open, no rule is triggered.
+		marks, _ := s.txn.Marks()
+		triggered := make(map[string]bool, len(marks))
+		for _, m := range marks {
+			triggered[m.Rule] = m.Triggered
+		}
 		for _, name := range s.db.Support().Rules() {
 			st, _ := s.db.Support().Rule(name)
-			triggered := ""
-			if st.Triggered {
-				triggered = " TRIGGERED"
+			flag := ""
+			if triggered[name] {
+				flag = " TRIGGERED"
 			}
 			filter := st.Filter.Set().String()
 			if st.Filter.MatchAll {
@@ -378,7 +386,7 @@ func (s *Shell) show(c lang.CmdShow) error {
 			}
 			fmt.Fprintf(s.out, "%s [%s, %s, priority %d]%s\n  events %s\n  V(E) = %s\n",
 				name, st.Def.Coupling, st.Def.Consumption, st.Def.Priority,
-				triggered, st.Def.Event, filter)
+				flag, st.Def.Event, filter)
 		}
 	case "events":
 		if s.txn == nil {
@@ -494,7 +502,8 @@ func writeHistLine(w io.Writer, h metrics.HistogramSnapshot) {
 }
 
 // explain renders the triggering verdict of one rule against the open
-// transaction's Event Base: the R ≠ ∅ guard, the ∃t' probe, and the
+// transaction's Event Base, from the rule's horizon on that line: the
+// R ≠ ∅ guard, the ∃t' probe, and the
 // per-subexpression ts tree at the decisive instant, all read from a
 // calculus.PlanEval, the evaluator that decides triggering.
 func (s *Shell) explain(rule string) error {
@@ -505,12 +514,22 @@ func (s *Shell) explain(rule string) error {
 	if !ok {
 		return fmt.Errorf("no rule %q", rule)
 	}
+	marks, err := s.txn.Marks()
+	if err != nil {
+		return err
+	}
+	var since clock.Time
+	for _, m := range marks {
+		if m.Rule == rule {
+			since = m.LastConsideration
+		}
+	}
 	plan := calculus.NewPlan()
 	root := plan.Intern(st.Def.Event)
 	pe := calculus.NewPlanEval(plan)
-	pe.Bind(s.txn.Base(), st.LastConsideration)
+	pe.Bind(s.txn.Base(), since)
 	fmt.Fprintf(s.out, "rule %s\nevents %s\n", rule, st.Def.Event)
-	fmt.Fprint(s.out, pe.ExplainTrigger(root, st.LastConsideration, s.db.Clock().Now()))
+	fmt.Fprint(s.out, pe.ExplainTrigger(root, since, s.db.Clock().Now()))
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"chimera"
 	"chimera/internal/calculus"
+	"chimera/internal/rules"
 )
 
 func newShell(t *testing.T) (*Shell, *bytes.Buffer) {
@@ -374,10 +375,11 @@ end
 	}
 	got = out.String()
 	st, _ := sh.db.Support().Rule("audit")
-	if !st.Triggered {
+	m := lineMark(t, sh, "audit")
+	if !m.Triggered {
 		t.Fatal("rule audit is not triggered")
 	}
-	env := calculus.Env{Base: sh.txn.Base(), Since: st.LastConsideration}
+	env := calculus.Env{Base: sh.txn.Base(), Since: m.LastConsideration}
 	ok, at := env.Triggered(st.Def.Event, sh.db.Clock().Now())
 	if !ok || !strings.Contains(got, "TRIGGERED") || !strings.Contains(got, fmt.Sprintf("t' = t%d ", at)) {
 		t.Errorf("explain of a triggered deferred rule (definition: %v at t%d):\n%s", ok, at, got)
@@ -387,6 +389,67 @@ end
 		t.Error("explain of unknown rule accepted")
 	}
 	sh.Execute("rollback")
+}
+
+// lineMark is one rule's mark on the shell's open transaction line.
+func lineMark(t *testing.T, sh *Shell, rule string) rules.Mark {
+	t.Helper()
+	marks, err := sh.txn.Marks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range marks {
+		if m.Rule == rule {
+			return m
+		}
+	}
+	t.Fatalf("no mark for rule %s", rule)
+	return rules.Mark{}
+}
+
+// show rules and explain read the open transaction line, whatever the
+// number of lines the database allows: a deferred rule the line
+// triggered shows TRIGGERED, and explain opens its window at the rule's
+// horizon on that line.
+func TestShowRulesAndExplainReadTheLine(t *testing.T) {
+	for _, sessions := range []int{1, 4} {
+		opts := InteractiveOptions()
+		opts.MaxSessions = sessions
+		var out bytes.Buffer
+		sh := New(chimera.OpenWith(opts), &out)
+		if err := sh.RunScript(setup + `
+define deferred audit for stock
+events create
+end
+begin
+create stock(name = "e", quantity = 99, maxquantity = 5)
+`); err != nil {
+			t.Fatal(err)
+		}
+		if !lineMark(t, sh, "audit").Triggered {
+			t.Fatalf("MaxSessions %d: the line did not trigger audit", sessions)
+		}
+		out.Reset()
+		if err := sh.Execute("show rules"); err != nil {
+			t.Fatal(err)
+		}
+		if got := out.String(); !strings.Contains(got, "audit [deferred, consuming, priority 0] TRIGGERED\n") ||
+			strings.Count(got, "TRIGGERED") != 1 {
+			t.Errorf("MaxSessions %d: show rules printed\n%s", sessions, got)
+		}
+		// checkStockQty was considered at the end of the create line: its
+		// horizon is that instant, not the transaction's start.
+		m := lineMark(t, sh, "checkStockQty")
+		out.Reset()
+		if err := sh.Execute("explain checkStockQty"); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("window R = (t%d, t%d]", m.LastConsideration, sh.db.Clock().Now())
+		if m.LastConsideration == 0 || !strings.Contains(out.String(), want) {
+			t.Errorf("MaxSessions %d: explain printed\n%s\nwant %s", sessions, out.String(), want)
+		}
+		sh.Execute("rollback")
+	}
 }
 
 // Golden sessions: scripted inputs under testdata/ must produce exactly

@@ -150,9 +150,9 @@ func genEvents(r *rand.Rand, oids []types.OID, n int) []stream.Event {
 }
 
 // fingerprint renders the post-commit state the differential compares:
-// logical clock, OID allocation point, every object, every rule mark,
-// and (withStats — they are process-lifetime, not recovered) the
-// engine's counters.
+// logical clock, OID allocation point, every object, and (withStats —
+// they are process-lifetime, not recovered) the engine's counters. The
+// rules' marks end with the transaction line; ruleTrace follows them.
 func fingerprint(db *engine.DB, withStats bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "clock=%d nextOID=%d\n", db.Clock().Now(), db.Store().NextOID())
@@ -165,10 +165,6 @@ func fingerprint(db *engine.DB, withStats bool) string {
 			}
 		}
 	}
-	for _, m := range db.Support().Marks() {
-		fmt.Fprintf(&b, "mark %s lc=%d trig=%v at=%d\n",
-			m.Rule, m.LastConsideration, m.Triggered, m.TriggeredAt)
-	}
 	if withStats {
 		st := db.Stats()
 		fmt.Fprintf(&b, "events=%d blocks=%d cons=%d exec=%d\n",
@@ -177,11 +173,41 @@ func fingerprint(db *engine.DB, withStats bool) string {
 	return b.String()
 }
 
+// ruleTrace records every triggering and consideration a database
+// reports, in order. Each carries the mark values of its transition —
+// the activation instant and the events since the horizon, the horizon
+// a consideration left and the one it set — so two traces agree exactly
+// when the two lines' marks went through the same states.
+type ruleTrace struct {
+	engine.NopTracer
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (r *ruleTrace) RuleTriggered(rule string, at clock.Time, events int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fmt.Fprintf(&r.b, "triggered %s at=%d events=%d\n", rule, at, events)
+}
+
+func (r *ruleTrace) Considered(rule string, since, at clock.Time, bindings int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fmt.Fprintf(&r.b, "considered %s since=%d at=%d bindings=%d\n", rule, since, at, bindings)
+}
+
+func (r *ruleTrace) String() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.b.String()
+}
+
 // TestStreamDifferential proves the central equivalence: a stream
 // session ingesting a workload in MaxBatch-sized micro-batches is
 // bit-identical to a plain transaction replaying the same batches as
-// explicit Emit+EndLine blocks — same objects, marks, clock, engine
-// counters, and (in the durable variant) the same WAL bytes.
+// explicit Emit+EndLine blocks — same objects, clock, engine counters,
+// the same sequence of mark transitions, and (in the durable variant)
+// the same WAL bytes.
 func TestStreamDifferential(t *testing.T) {
 	const batch = 32
 	const n = 600 // deliberately not a multiple of batch
@@ -214,6 +240,9 @@ func TestStreamDifferential(t *testing.T) {
 			rOids := seedItems(t, refDB, 8)
 			evs := genEvents(rand.New(rand.NewSource(42)), sOids, n)
 			refEvs := genEvents(rand.New(rand.NewSource(42)), rOids, n)
+			streamTrace, refTrace := &ruleTrace{}, &ruleTrace{}
+			streamDB.SetTracer(streamTrace)
+			refDB.SetTracer(refTrace)
 
 			// Stream side: manual clock (no tick ever fires), so the only
 			// sweep boundaries are size flushes plus the Flush barrier.
@@ -271,6 +300,14 @@ func TestStreamDifferential(t *testing.T) {
 			if got, want := fingerprint(streamDB, true), fingerprint(refDB, true); got != want {
 				t.Fatalf("stream diverged from batch replay:\n--- stream ---\n%s--- replay ---\n%s",
 					got, want)
+			}
+			got, want := streamTrace.String(), refTrace.String()
+			if got != want {
+				t.Fatalf("stream marks diverged from batch replay:\n--- stream ---\n%s--- replay ---\n%s",
+					got, want)
+			}
+			if strings.Count(want, "triggered ") == 0 || strings.Count(want, "considered ") == 0 {
+				t.Fatalf("the workload triggered or considered nothing:\n%s", want)
 			}
 			if durable {
 				// Force both group committers to drain before comparing:
@@ -1027,6 +1064,90 @@ func TestStreamEmitAllocatesNothing(t *testing.T) {
 		t.Fatalf("a warm Emit allocates %.2f times, want 0", allocs)
 	}
 	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// spanCount is a tracer that counts the spans it sees open and close.
+type spanCount struct {
+	engine.NopTracer
+	blocks, blockEnds, sweeps, sweepEnds, txns, txnEnds atomic.Int64
+}
+
+func (c *spanCount) BlockStart(int)                { c.blocks.Add(1) }
+func (c *spanCount) BlockEnd(int, []string)        { c.blockEnds.Add(1) }
+func (c *spanCount) SweepStart(clock.Time)         { c.sweeps.Add(1) }
+func (c *spanCount) SweepEnd(int, int)             { c.sweepEnds.Add(1) }
+func (c *spanCount) TransactionStart(clock.Time)   { c.txns.Add(1) }
+func (c *spanCount) TransactionEnd(committed bool) { c.txnEnds.Add(1) }
+
+// TestSetTracerWhileStreaming swaps the tracer (and removes it) over and
+// over while a stream's sweep goroutine runs blocks. Under -race the swap
+// must be clean, and every tracer must see each span it saw open also
+// close: a block, a sweep and a transaction each report to the tracer
+// installed when they began.
+func TestSetTracerWhileStreaming(t *testing.T) {
+	db, err := engine.Open(engine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defineStreamCatalog(t, db)
+	oids := seedItems(t, db, 4)
+	tracers := []*spanCount{{}, {}, {}}
+	db.SetTracer(tracers[0])
+	s, err := stream.Open(db, stream.Options{
+		MaxBatch: 4,
+		Clock:    clock.NewManual(time.Unix(0, 0)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, swapped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(swapped)
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%4 == 3 {
+				db.SetTracer(nil)
+			} else {
+				db.SetTracer(tracers[i%4])
+			}
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		if err := s.Emit(event.Modify("item", "n"), oids[i%len(oids)]); err != nil {
+			t.Fatal(err)
+		}
+		if i%100 == 99 {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	<-swapped
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var blocks int64
+	for i, c := range tracers {
+		if c.blocks.Load() != c.blockEnds.Load() || c.sweeps.Load() != c.sweepEnds.Load() ||
+			c.txns.Load() != c.txnEnds.Load() {
+			t.Errorf("tracer %d: %d/%d blocks, %d/%d sweeps, %d/%d transactions opened/closed", i,
+				c.blocks.Load(), c.blockEnds.Load(), c.sweeps.Load(), c.sweepEnds.Load(),
+				c.txns.Load(), c.txnEnds.Load())
+		}
+		blocks += c.blocks.Load()
+	}
+	if blocks == 0 {
+		t.Error("no tracer saw a block")
+	}
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -28,7 +28,7 @@ func driveMarked(t *testing.T, db *chimera.DB, blocks, perBlock, classes int) []
 		if err := tx.EndLine(); err != nil {
 			t.Fatal(err)
 		}
-		trace = append(trace, marksFingerprint(db))
+		trace = append(trace, marksFingerprint(t, tx))
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)

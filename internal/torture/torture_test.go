@@ -63,10 +63,16 @@ func objFingerprint(db *chimera.DB) string {
 	return strings.Join(lines, "\n")
 }
 
-// marksFingerprint renders the per-rule consideration/triggering marks.
-func marksFingerprint(db *chimera.DB) string {
+// marksFingerprint renders the line's per-rule consideration/triggering
+// marks.
+func marksFingerprint(t *testing.T, tx *chimera.Txn) string {
+	t.Helper()
+	marks, err := tx.Marks()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
-	for _, m := range db.Support().Marks() {
+	for _, m := range marks {
 		fmt.Fprintf(&b, "%s lc=%d trig=%v at=%d\n",
 			m.Rule, m.LastConsideration, m.Triggered, m.TriggeredAt)
 	}
