@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench-module bench-module-test cover fuzz b0-pairs size verify verify-full
+.PHONY: build test race race-stress crash-smoke stream-smoke torture vet fmt bench-module bench-module-test cover fuzz b0-pairs size verify verify-full
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,11 @@ torture:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails, listing the files, if gofmt would rewrite any Go
+# file of the repository, the nested benchmark/ module included.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
+
 # benchmark/ is a nested module that calls internal packages directly
 # (benchmark/kernels.go) and that `./...` above does not reach: build and
 # vet it here, so that an internal API change that breaks it fails tier-1
@@ -116,6 +121,6 @@ b0-pairs:
 size:
 	$(GO) run scripts/size.go
 
-verify: build test race vet bench-module
+verify: build fmt test race vet bench-module
 
 verify-full: verify bench-module-test cover fuzz

@@ -112,7 +112,7 @@ func (pe *PlanEval) Explain(id NodeID, t, since clock.Time) ExplainNode {
 func (pe *PlanEval) explainLift(id NodeID, n *planNode, node ExplainNode, t, since clock.Time) ExplainNode {
 	pe.rd = pe.base.Read()
 	defer pe.endFold()
-	pe.fold(id, t, since)
+	pe.fold(n.set, t, since)
 	objs := pe.touched
 	if !n.safe {
 		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)

@@ -89,9 +89,11 @@ func (pe *PlanEval) probeAffected(id NodeID, t, since clock.Time) []types.OID {
 
 // foldShapes are the lifts the fold must get right whatever the random
 // draw: a restriction-safe instance conjunction; lifts that are not
-// restrictionSafe, which count the objects no leaf touched; and lifts
-// probed at a historical instant, as a set precedence's left operand and
-// under an instance precedence.
+// restrictionSafe, which count the objects no leaf touched; lifts probed
+// at a historical instant, as a set precedence's left operand and under
+// an instance precedence; and five lifts over one leaf set, {A, B}, which
+// read one kept fold at an instant — A += B and its commuted form, A ,= B,
+// the universal -=(A += B), which is not restrictionSafe, and A <= B.
 func foldShapes(vocab []event.Type) []Expr {
 	a, b, c := P(vocab[0]), P(vocab[2]), P(vocab[3])
 	return []Expr{
@@ -101,7 +103,23 @@ func foldShapes(vocab []event.Type) []Expr {
 		Prec(ConjI(b, c), a),
 		PrecI(ConjI(b, c), a),
 		Conj(NegI(PrecI(a, b)), ConjI(b, c)),
+		ConjI(a, b),
+		ConjI(b, a),
+		DisjI(a, b),
+		NegI(ConjI(a, b)),
+		PrecI(a, b),
 	}
+}
+
+// horizonOrders are the orders TestFoldMatchesProbeLift probes an
+// instant's horizons in: ascending, so each lift reads the fold kept at
+// the lowest; descending, so each refolds at its own; and shuffled.
+func horizonOrders(r *rand.Rand, horizons []clock.Time) [][]clock.Time {
+	desc := slices.Clone(horizons)
+	slices.Reverse(desc)
+	shuffled := slices.Clone(horizons)
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	return [][]clock.Time{horizons, desc, shuffled}
 }
 
 // instanceRooted draws n random instance-rooted expressions.
@@ -132,10 +150,13 @@ func appendHistory(r *rand.Rand, b *event.Base, c *clock.Clock, vocab []event.Ty
 // and to the definition, value for value: every lift node of random
 // instance-rooted trees and of foldShapes, at every arrival instant and
 // now, over several horizons each (so windows cut segments at both ends),
-// over segments of 1, 2 and 256 occurrences. For restriction-safe lifts
-// the fold also computes exactly the oracle's number of nodes. The
-// history then grows onto objects interned after the fold's tables were
-// sized, and the same evaluator is checked again.
+// probed in ascending, descending and shuffled order (so a lift reads the
+// fold its leaf set kept at a lower horizon, or refolds at its own), over
+// segments of 1, 2 and 256 occurrences. For restriction-safe lifts the
+// fold computes exactly the oracle's number of nodes, or, reading a kept
+// fold, one fewer (the oracle's domain gather) and scores one memo hit.
+// The history then grows onto objects interned after the fold's tables
+// were sized, and the same evaluator is checked again.
 func TestFoldMatchesProbeLift(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	vocab := DefaultVocabulary()
@@ -160,9 +181,10 @@ func TestFoldMatchesProbeLift(t *testing.T) {
 				oracle.Bind(base, clock.Never)
 				probes := append(base.AppendArrivals(nil, clock.Never, now), now)
 				horizons := []clock.Time{clock.Never, now / 3, now / 2, now - 3}
-				for _, at := range probes {
+				orders := horizonOrders(r, horizons)
+				for pi, at := range probes {
 					pe.Begin(at)
-					for _, since := range horizons {
+					for _, since := range orders[pi%len(orders)] {
 						if at <= since {
 							continue
 						}
@@ -176,7 +198,7 @@ func TestFoldMatchesProbeLift(t *testing.T) {
 							n := &pe.plan.nodes[id]
 							pe.TakeCounters()
 							got := pe.lift(id, n, at, since)
-							foldEvals, _ := pe.TakeCounters()
+							foldEvals, reused := pe.TakeCounters()
 							oracle.TakeCounters()
 							want := oracle.probeLift(id, at, since)
 							probeEvals, _ := oracle.TakeCounters()
@@ -184,9 +206,9 @@ func TestFoldMatchesProbeLift(t *testing.T) {
 								t.Fatalf("seg %d trial %d: lift %s at %d since %d: fold %d, probes %d, definition %d",
 									seg, trial, n.expr, at, since, got, want, def)
 							}
-							if n.safe && foldEvals != probeEvals {
-								t.Fatalf("seg %d trial %d: lift %s at %d since %d computed %d nodes, the probes %d",
-									seg, trial, n.expr, at, since, foldEvals, probeEvals)
+							if reused > 1 || n.safe && foldEvals+reused != probeEvals {
+								t.Fatalf("seg %d trial %d: lift %s at %d since %d computed %d nodes and reused %d folds, the probes computed %d",
+									seg, trial, n.expr, at, since, foldEvals, reused, probeEvals)
 							}
 						}
 					}
@@ -227,58 +249,81 @@ func TestFoldMatchesProbeLift(t *testing.T) {
 
 // TestFoldAfterBudgetKill kills lifts at every point of their work — at
 // the fold itself, between the fold and the objects' ots and inside the
-// latter — and requires the next evaluation on the same evaluator to
-// equal the oracle, and an ActivationTimes probe at the killed instant
-// over another horizon to find nothing of the killed fold.
+// latter — in a fresh fold, in a fold kept at a lower horizon of the same
+// instant and read again, and in a refold below the kept one. The next
+// evaluations in the killed generation, at every horizon, must equal the
+// definition and the oracle, an ActivationTimes probe at the killed
+// instant over another horizon must find nothing of the killed fold, and
+// the next generation's ts must equal the definition.
 func TestFoldAfterBudgetKill(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	vocab := DefaultVocabulary()
 	c := clock.New()
 	base := event.NewBaseSize(2)
 	now := appendHistory(r, base, c, vocab, 6, 60)
+	horizons := []clock.Time{clock.Never, now / 3, now / 2}
+	cases := []struct {
+		name  string
+		warm  clock.Time // the horizon evaluated first, unbudgeted; -1 for none
+		since clock.Time
+	}{
+		{"fresh", -1, clock.Never},
+		{"fresh", -1, now / 2},
+		{"reused", clock.Never, now / 2},
+		{"refold", now / 2, clock.Never},
+	}
 	for _, e := range foldShapes(vocab) {
 		pe, roots := evaluator(base, e)
 		oracle := NewPlanEval(pe.plan)
 		oracle.Bind(base, clock.Never)
 		oracle.Begin(now)
-		for _, since := range []clock.Time{clock.Never, now / 2} {
-			env := &Env{Base: base, Since: since}
+		for _, tc := range cases {
 			killed := 0
 			for gas := int64(1); ; gas++ {
+				pe.Bind(base, clock.Never)
+				pe.Begin(now)
+				if tc.warm >= 0 {
+					pe.TS(roots[0], now, tc.warm)
+				}
+				pe.TakeCounters()
 				pe.Budget = NewBudget(gas, time.Time{})
-				err := CatchBudget(func() {
-					pe.Bind(base, clock.Never)
-					pe.Begin(now)
-					pe.TS(roots[0], now, since)
-				})
+				err := CatchBudget(func() { pe.TS(roots[0], now, tc.since) })
 				pe.Budget = nil
 				if err == nil {
+					if _, hits := pe.TakeCounters(); tc.name == "reused" && IsInstanceRooted(e) && hits == 0 {
+						t.Fatalf("%s since %d after %d: no kept fold was read", e, tc.since, tc.warm)
+					}
 					break
 				}
 				if !errors.Is(err, ErrGasExhausted) {
 					t.Fatalf("%s: gas %d: %v", e, gas, err)
 				}
 				killed++
+				for _, since := range append([]clock.Time{tc.since}, horizons...) {
+					if got, def := pe.TS(roots[0], now, since), (&Env{Base: base, Since: since}).TS(e, now); got != def {
+						t.Fatalf("%s %s killed at gas %d: next ts since %d = %d, want %d", tc.name, e, gas, since, got, def)
+					}
+					if IsInstanceRooted(e) {
+						if got, def := pe.lift(roots[0], &pe.plan.nodes[roots[0]], now, since), oracle.probeLift(roots[0], now, since); got != def {
+							t.Fatalf("%s %s killed at gas %d: next lift since %d = %d, oracle %d", tc.name, e, gas, since, got, def)
+						}
+					}
+				}
 				other := now - 5
 				for _, oid := range []types.OID{1, 2, 3} {
 					if got, want := pe.ActivationTimes(nil, roots[0], now, other, oid),
 						(&Env{Base: base, Since: other}).ActivationTimes(e, now, oid); !slices.Equal(got, want) {
-						t.Fatalf("%s killed at gas %d: activation instants of %s = %v, want %v", e, gas, oid, got, want)
+						t.Fatalf("%s %s killed at gas %d: activation instants of %s = %v, want %v", tc.name, e, gas, oid, got, want)
 					}
 				}
 				pe.Bind(base, clock.Never)
 				pe.Begin(now)
-				if got, def := pe.TS(roots[0], now, since), env.TS(e, now); got != def {
-					t.Fatalf("%s killed at gas %d since %d: next ts = %d, want %d", e, gas, since, got, def)
-				}
-				if IsInstanceRooted(e) {
-					if got, def := pe.lift(roots[0], &pe.plan.nodes[roots[0]], now, since), oracle.probeLift(roots[0], now, since); got != def {
-						t.Fatalf("%s killed at gas %d since %d: next lift = %d, oracle %d", e, gas, since, got, def)
-					}
+				if got, def := pe.TS(roots[0], now, tc.since), (&Env{Base: base, Since: tc.since}).TS(e, now); got != def {
+					t.Fatalf("%s %s killed at gas %d since %d: next generation's ts = %d, want %d", tc.name, e, gas, tc.since, got, def)
 				}
 			}
 			if killed < 3 {
-				t.Fatalf("%s since %d: only %d kill points", e, since, killed)
+				t.Fatalf("%s %s since %d: only %d kill points", tc.name, e, tc.since, killed)
 			}
 		}
 	}

@@ -52,21 +52,37 @@ type nodeKey struct {
 }
 
 // planNode is one interned node plus the evaluation facts precomputed at
-// intern time (so the hot path never re-derives them).
+// intern time (so the hot path never re-derives them). The int32 fields
+// pair up and set shares a word with the flags, so a node stays 88 bytes.
 type planNode struct {
 	key  nodeKey
 	refs int32
-	// expr is the canonical expression of the subtree (the first interned
-	// instance); the sharing report renders it.
-	expr Expr
 	// size is the tree size of the subtree (nodes counted with
 	// multiplicity), the sharing report's dedup numerator.
 	size int32
+	// expr is the canonical expression of the subtree (the first interned
+	// instance); the sharing report renders it.
+	expr Expr
+	// set is the fold set of the node's distinct primitives: every fold
+	// over the node reads those leaves, and nodes over the same leaves
+	// share their folds.
+	set int32
 	// instRooted marks nodes whose top operator is instance-oriented: in a
 	// set-oriented context they evaluate via the ots→ts lift. safe is
 	// restrictionSafe of the lift; meaningful only when instRooted.
 	instRooted bool
 	safe       bool
+}
+
+// foldSet is one entry of the fold-set table: a sorted, distinct set of
+// prim nodes, referenced by every live node whose leaves they are. A
+// fold's columns are positions in leaves. The sets whose least leaf is
+// prim p form a chain from p's own set {p} through next (-1 ends it),
+// which is how Intern finds a set it has seen.
+type foldSet struct {
+	leaves []NodeID
+	refs   int32
+	next   int32
 }
 
 // Plan is the interned DAG for one rule set. It is not safe for
@@ -83,6 +99,9 @@ type Plan struct {
 	// interned-type-id dispatch tables without scanning the whole DAG.
 	prims   []NodeID
 	version uint64
+	// sets is the fold-set table, freeSets lists its recycled ids.
+	sets     []foldSet
+	freeSets []int32
 }
 
 // NewPlan returns an empty plan.
@@ -150,6 +169,7 @@ func (p *Plan) Intern(e Expr) NodeID {
 		nd.instRooted = true
 		nd.safe = restrictionSafe(e)
 	}
+	nd.set = p.internSet(id, l, r)
 	p.ids[k] = id
 	p.live++
 	p.version++
@@ -213,6 +233,7 @@ func (p *Plan) Release(id NodeID) {
 		return
 	}
 	delete(p.ids, n.key)
+	p.releaseSet(n.set)
 	p.version++
 	if n.key.op == planPrim {
 		for i, pid := range p.prims {
@@ -229,6 +250,64 @@ func (p *Plan) Release(id NodeID) {
 	p.live--
 	p.Release(l)
 	p.Release(r)
+}
+
+// internSet takes a reference on the fold set of node id, whose children
+// are l and r: {id} for a primitive, which heads the chain of the sets
+// whose least leaf is id, and otherwise the sorted union of the
+// children's leaves, found on the chain of its least leaf or added to it.
+func (p *Plan) internSet(id, l, r NodeID) int32 {
+	if l == NoNode {
+		return p.newSet([]NodeID{id}, -1)
+	}
+	leaves := slices.Clone(p.sets[p.nodes[l].set].leaves)
+	if r != NoNode {
+		leaves = append(leaves, p.sets[p.nodes[r].set].leaves...)
+		slices.Sort(leaves)
+		leaves = slices.Compact(leaves)
+	}
+	head := p.nodes[leaves[0]].set
+	for s := head; s >= 0; s = p.sets[s].next {
+		if slices.Equal(p.sets[s].leaves, leaves) {
+			p.sets[s].refs++
+			return s
+		}
+	}
+	s := p.newSet(leaves, p.sets[head].next)
+	p.sets[head].next = s
+	return s
+}
+
+// newSet adds a fold set of leaves with one reference, linked before next.
+func (p *Plan) newSet(leaves []NodeID, next int32) int32 {
+	fs := foldSet{leaves: leaves, refs: 1, next: next}
+	if n := len(p.freeSets); n > 0 {
+		s := p.freeSets[n-1]
+		p.freeSets = p.freeSets[:n-1]
+		p.sets[s] = fs
+		return s
+	}
+	p.sets = append(p.sets, fs)
+	return int32(len(p.sets) - 1)
+}
+
+// releaseSet drops one reference on fold set s; at zero it unlinks s from
+// its least leaf's chain and recycles its id. A prim's own set goes last:
+// every other set on its chain belongs to a node above the prim.
+func (p *Plan) releaseSet(s int32) {
+	fs := &p.sets[s]
+	if fs.refs--; fs.refs > 0 {
+		return
+	}
+	if head := p.nodes[fs.leaves[0]].set; head != s {
+		prev := head
+		for p.sets[prev].next != s {
+			prev = p.sets[prev].next
+		}
+		p.sets[prev].next = fs.next
+	}
+	*fs = foldSet{}
+	p.freeSets = append(p.freeSets, s)
 }
 
 // SharedNode is one row of the sharing report: a subexpression and how
@@ -271,9 +350,11 @@ func (p *Plan) SharedNodes(minRefs int) []SharedNode {
 // serves every rule probing that instant, whatever its last consideration.
 // The per-object ots values below a lift are not memoized: the lift's own
 // ts is, and that is the value rules share. A lift reads its objects and
-// their stamps from one fold over its leaves' occurrences in the window
-// (fold). Leaves are resolved to the bound base's interned ids at Bind,
-// so an evaluation hashes no Type and no OID.
+// their stamps from a fold over its leaves' occurrences in the window
+// (fold), and at the generation's instant every lift over the same leaves
+// reads one kept fold, whatever its horizon (foldKept). Leaves are
+// resolved to the bound base's interned ids at Bind, so an evaluation
+// hashes no Type and no OID.
 //
 // Besides ts it answers the two event formulas of Section 3.3 over a node
 // (AffectedObjects, ActivationTimes), each in one read section of the
@@ -298,7 +379,8 @@ type PlanEval struct {
 	// at or below it cannot make a leaf active.
 	floor clock.Time
 	// Budget, when non-nil, is charged one unit per computed node (the
-	// same work evals counts; hits of the node memo are free). Exhaustion
+	// same work evals counts; memo hits, kept folds read again included,
+	// are free). Exhaustion
 	// aborts with a budget fault (see Budget).
 	Budget *Budget
 
@@ -343,22 +425,39 @@ type PlanEval struct {
 	oidScratch []int32
 	times      []clock.Time
 
+	// The fold arena: objs holds, back to back, the objects of the folds
+	// kept in the open generation and then those of the open fold, cells
+	// their rows of stamps. The kept folds take the first keepObjs objects
+	// and keepCells cells; endFold cuts a fold that is not kept off. kept
+	// locates them, and keptAt[s] is the position of fold set s's in kept
+	// if that entry names s (a set's earlier, replaced folds stay behind).
+	// Begin and Bind empty the arena and kept.
+	objs      []int32
+	cells     []clock.Time
+	keepObjs  int
+	keepCells int
+	kept      []keptFold
+	keptAt    []int32
+
 	// The open fold (see fold): the instant it is open at (clock.Never
-	// when none is), the prims under its node and the objects it touched,
-	// in first-touch order. stamps holds a row per touched object, its
-	// newest stamp of each prim of leaves, in order; leafCol[p] is the
-	// column of prim p in the last fold over it. rows maps an interned
-	// object id to its row: open addressing sized to the objects folds
-	// touch, not to the base's, its entries live while their epoch is
-	// foldGen, so a fold clears nothing.
-	foldAt   clock.Time
-	foldGen  uint32
-	leaves   []NodeID
-	leafCol  []int32
-	touched  []int32
-	stamps   []clock.Time
-	rows     []foldRow
-	rowShift uint8
+	// when none is), the horizon it was folded at, its fold set's leaves
+	// and the objects it touched, in first-touch order, with a row each
+	// of its newest stamp of each leaf, in order: touched and stamps view
+	// the arena from objs[o0] and cells[c0]. leafCol[p] is the column of
+	// prim p in the open fold. While a fold is built, rows maps an
+	// interned object id to its row: open addressing sized to the objects
+	// folds touch, not to the base's, its entries live while their epoch
+	// is foldGen, so a fold clears nothing.
+	foldAt    clock.Time
+	foldSince clock.Time
+	foldGen   uint32
+	leaves    []NodeID
+	leafCol   []int32
+	o0, c0    int
+	touched   []int32
+	stamps    []clock.Time
+	rows      []foldRow
+	rowShift  uint8
 
 	evals int64
 	hits  int64
@@ -366,6 +465,14 @@ type PlanEval struct {
 
 // span is the half-open range [lo, hi) of horizons a value holds for.
 type span struct{ lo, hi clock.Time }
+
+// keptFold is the kept fold of fold set set: n objects from objs[o0] and
+// their rows from cells[c0], folded over (since, Cur()].
+type keptFold struct {
+	since     clock.Time
+	set       int32
+	o0, c0, n int32
+}
 
 // memoSlot is one node's memoized value; the four words share a cache
 // line.
@@ -396,6 +503,7 @@ func (pe *PlanEval) Bind(base *event.Base, floor clock.Time) {
 	pe.gen++
 	pe.bindGen++
 	pe.cur = clock.Never
+	pe.clearArena()
 	if pe.tidBase != base || pe.planVer != pe.plan.version ||
 		!pe.tracking && base.InternedTypes() != pe.tidTypes {
 		pe.rebuildTIDs(base)
@@ -485,17 +593,28 @@ func (pe *PlanEval) growPrim() {
 }
 
 // Begin opens the memo generation for probe instant t: values computed
-// at t are memoized, each for its range of horizons, until the next
-// Begin or Bind.
+// at t are memoized, each for its range of horizons, and folds are kept,
+// each for every horizon at or above its own, until the next Begin or
+// Bind.
 func (pe *PlanEval) Begin(t clock.Time) {
 	pe.gen++
 	pe.cur = t
+	pe.clearArena()
 	if n := pe.plan.Cap(); len(pe.memo) < n {
 		pe.memo = append(pe.memo, make([]memoSlot, n-len(pe.memo))...)
+	}
+	if n := len(pe.plan.sets); len(pe.keptAt) < n {
+		pe.keptAt = append(pe.keptAt, make([]int32, n-len(pe.keptAt))...)
 	}
 	if pe.tracking {
 		pe.growPrim()
 	}
+}
+
+// clearArena drops the kept folds.
+func (pe *PlanEval) clearArena() {
+	pe.objs, pe.cells, pe.kept = pe.objs[:0], pe.cells[:0], pe.kept[:0]
+	pe.keepObjs, pe.keepCells = 0, 0
 }
 
 // Cur returns the probe instant of the open generation (clock.Never
@@ -504,8 +623,8 @@ func (pe *PlanEval) Cur() clock.Time { return pe.cur }
 
 // TakeCounters returns and resets the evaluation-work counters: evals is
 // the number of node results actually computed (set-level ts, per-object
-// ots, lift folds), hits the number served from the memo — the
-// recomputations sharing avoided.
+// ots, lift folds), hits the number served from the memo or from a kept
+// fold — the recomputations sharing avoided.
 func (pe *PlanEval) TakeCounters() (evals, hits int64) {
 	evals, hits = pe.evals, pe.hits
 	pe.evals, pe.hits = 0, 0
@@ -594,22 +713,6 @@ func (pe *PlanEval) primTS(id NodeID, t, since clock.Time) (TS, span) {
 	return -TS(t), span{last, math.MaxInt64}
 }
 
-// appendLeaves appends to dst the prim nodes under node id that dst
-// lacks.
-func (pe *PlanEval) appendLeaves(dst []NodeID, id NodeID) []NodeID {
-	if id == NoNode {
-		return dst
-	}
-	n := &pe.plan.nodes[id]
-	if n.key.op != planPrim {
-		return pe.appendLeaves(pe.appendLeaves(dst, n.key.l), n.key.r)
-	}
-	if !slices.Contains(dst, id) {
-		dst = append(dst, id)
-	}
-	return dst
-}
-
 // lastOf is prim node id's last occurrence in (floor, t].
 func (pe *PlanEval) lastOf(id NodeID, t clock.Time) clock.Time {
 	rd := pe.base.Read()
@@ -620,26 +723,38 @@ func (pe *PlanEval) lastOf(id NodeID, t clock.Time) clock.Time {
 
 // lift mirrors Env.lift on the DAG: universal lift for instance
 // negation, existential lift otherwise, over the objects of (since, t].
-// One fold over the node's leaves gives every object they touched, and
-// the ots of each of those; an object they did not touch has the node's
+// A fold over the node's leaves gives every object they touched, and the
+// ots of each of those; an object they did not touch has the node's
 // vacuous ots, which counts only when the node is not restrictionSafe
-// and (since, t] holds such an object. All of it runs in one read section
-// of the base; nothing below calls a locking Base method.
+// and (since, t] holds such an object. At the generation's instant the
+// fold may be a kept one from a lower horizon: its rows with no stamp
+// above since are objects the leaves did not touch in (since, t]. All of
+// it runs in one read section of the base; nothing below calls a locking
+// Base method.
 func (pe *PlanEval) lift(id NodeID, n *planNode, t, since clock.Time) TS {
 	pe.rd = pe.base.Read()
 	defer pe.endFold() // a budget fault unwinds through here
-	pe.fold(id, t, since)
+	if t == pe.cur {
+		pe.foldKept(n.set, t, since)
+	} else {
+		pe.fold(n.set, t, since)
+	}
 	univ := n.key.op == planNot
 	best := -TS(t)
 	if univ {
 		best = TS(t)
 	}
+	k, live, below := len(pe.leaves), 0, since > pe.foldSince
 	for r, oi := range pe.touched {
+		if below && slices.Max(pe.stamps[r*k:(r+1)*k]) <= since {
+			continue // no leaf touched oi in (since, t]
+		}
+		live++
 		best = liftStep(univ, best, pe.ots(id, t, since, oi, r))
 	}
 	if !n.safe {
 		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)
-		if len(pe.oidScratch) > len(pe.touched) { // some object no leaf touched
+		if len(pe.oidScratch) > live { // some object no leaf touched
 			best = liftStep(univ, best, pe.ots(id, t, since, event.NoObj, -1))
 		}
 	}
@@ -656,37 +771,67 @@ func liftStep(univ bool, best, v TS) TS {
 	return max(best, v)
 }
 
-// fold walks node id's leaves over (since, t] in one pass, inside the
-// caller's read section: every object the node's primitive types touched
-// in the window lands in touched, with the newest stamp of each of those
-// types on it. Until endFold, ots at instant t reads a prim's stamp from
-// the fold instead of probing the base; an object the fold did not touch
-// reads no stamp at all, which is its ots. The fold counts as one
-// computed node.
-func (pe *PlanEval) fold(id NodeID, t, since clock.Time) {
+// foldKept opens the fold of fold set s at the generation's instant t
+// for horizon since: the set's kept fold if it was folded at or below
+// since — a prim's newest stamp in (since, t] is the kept one if that is
+// above since, and there is none otherwise — or else a new fold at since,
+// which replaces it. A kept fold read again is a memo hit: it charges
+// nothing.
+func (pe *PlanEval) foldKept(s int32, t, since clock.Time) {
+	if i := int(pe.keptAt[s]); i < len(pe.kept) && pe.kept[i].set == s && pe.kept[i].since <= since {
+		kf := &pe.kept[i]
+		pe.hits++
+		pe.openFold(s, t, kf.since)
+		o0, c0, n := int(kf.o0), int(kf.c0), int(kf.n)
+		pe.touched, pe.stamps = pe.objs[o0:o0+n], pe.cells[c0:c0+n*len(pe.leaves)]
+		return
+	}
+	pe.fold(s, t, since)
+	pe.keptAt[s] = int32(len(pe.kept))
+	pe.kept = append(pe.kept, keptFold{since, s, int32(pe.o0), int32(pe.c0), int32(len(pe.touched))})
+	pe.keepObjs, pe.keepCells = len(pe.objs), len(pe.cells)
+}
+
+// openFold makes the fold of fold set s over (since, t] the open one and
+// maps its leaves to their columns.
+func (pe *PlanEval) openFold(s int32, t, since clock.Time) {
+	pe.foldAt, pe.foldSince = t, since
+	pe.leaves = pe.plan.sets[s].leaves
+	if n := len(pe.plan.nodes); len(pe.leafCol) < n {
+		pe.leafCol = append(pe.leafCol, make([]int32, n-len(pe.leafCol))...)
+	}
+	for c, leaf := range pe.leaves {
+		pe.leafCol[leaf] = int32(c)
+	}
+}
+
+// fold walks the leaves of fold set s over (since, t] in one pass, inside
+// the caller's read section, onto the arena's end: every object those
+// primitive types touched in the window lands in touched, with the newest
+// stamp of each of those types on it. Until endFold, ots at instant t
+// reads a prim's stamp from the fold instead of probing the base; an
+// object the fold did not touch reads no stamp at all, which is its ots.
+// The fold counts as one computed node.
+func (pe *PlanEval) fold(s int32, t, since clock.Time) {
 	pe.Budget.Charge()
 	pe.evals++
 	if pe.foldGen++; pe.foldGen == 0 { // the epochs wrapped: forget them all
 		clear(pe.rows)
 		pe.foldGen = 1
 	}
-	pe.foldAt = t
-	pe.leaves = pe.appendLeaves(pe.leaves[:0], id)
+	pe.openFold(s, t, since)
 	k := len(pe.leaves)
-	pe.touched, pe.stamps = pe.touched[:0], pe.stamps[:0]
+	pe.o0, pe.c0 = len(pe.objs), len(pe.cells)
 	if len(pe.rows) == 0 {
 		pe.growRows(k)
 	}
-	if n := len(pe.plan.nodes); len(pe.leafCol) < n {
-		pe.leafCol = append(pe.leafCol, make([]int32, n-len(pe.leafCol))...)
-	}
 	for c, leaf := range pe.leaves {
-		pe.leafCol[leaf] = int32(c)
 		pe.rd.ForLeaf(pe.primTID[leaf], since, t, func(oi int32, at clock.Time) {
-			r := pe.rowFor(oi, k) // may grow stamps
-			pe.stamps[r*k+c] = at // the leaf is in time order: the newest stamp lands last
+			r := pe.rowFor(oi, k)      // may grow cells
+			pe.cells[pe.c0+r*k+c] = at // the leaf is in time order: the newest stamp lands last
 		})
 	}
+	pe.touched, pe.stamps = pe.objs[pe.o0:], pe.cells[pe.c0:]
 }
 
 // foldRow is an entry of the fold's object table: row r of touched and
@@ -706,14 +851,15 @@ func (pe *PlanEval) find(oi int32) (slot, row int) {
 		if e.epoch != pe.foldGen {
 			return i, -1
 		}
-		if pe.touched[e.r] == oi {
+		if pe.objs[pe.o0+int(e.r)] == oi {
 			return i, int(e.r)
 		}
 	}
 }
 
 // row returns the row of object oi in the open fold, or -1 if it did not
-// touch oi.
+// touch oi. The fold must be one this evaluator just built: a kept fold
+// read again has no entries in the table.
 func (pe *PlanEval) row(oi int32) int {
 	_, r := pe.find(oi)
 	return r
@@ -722,41 +868,46 @@ func (pe *PlanEval) row(oi int32) int {
 // rowFor returns the row of object oi in the open fold, adding one of k
 // empty stamps if the fold had not touched oi yet.
 func (pe *PlanEval) rowFor(oi int32, k int) int {
-	if 2*len(pe.touched) >= len(pe.rows) { // keep the load at most one half
+	n := len(pe.objs) - pe.o0
+	if 2*n >= len(pe.rows) { // keep the load at most one half
 		pe.growRows(k)
 	}
 	i, r := pe.find(oi)
 	if r < 0 {
-		r = len(pe.touched)
+		r = n
 		pe.rows[i] = foldRow{pe.foldGen, int32(r)}
-		pe.touched = append(pe.touched, oi)
+		pe.objs = append(pe.objs, oi)
 		for range k {
-			pe.stamps = append(pe.stamps, clock.Never)
+			pe.cells = append(pe.cells, clock.Never)
 		}
 	}
 	return r
 }
 
-// growRows doubles the object table (from 16 slots), gives touched and
-// stamps room for as many objects as it takes before it grows again (half
-// its slots, k stamps each), and re-enters the open fold's objects. An
-// evaluator keeps its table, so once it has held the most objects a fold
-// touches, folds no longer grow it.
+// growRows doubles the object table (from 16 slots), gives the arena room
+// for as many objects of the open fold as the table takes before it grows
+// again (half its slots, k stamps each), and re-enters the open fold's
+// objects. An evaluator keeps its table and its arena, so once they have
+// held the most objects a fold, and a generation's kept folds, touch,
+// folds no longer grow them.
 func (pe *PlanEval) growRows(k int) {
 	n := max(16, 2*len(pe.rows))
 	pe.rows = make([]foldRow, n)
 	pe.rowShift = uint8(32 - bits.TrailingZeros(uint(n)))
-	pe.touched = slices.Grow(pe.touched, n/2-len(pe.touched))
-	pe.stamps = slices.Grow(pe.stamps, n/2*k-len(pe.stamps))
-	for r, oi := range pe.touched {
+	open := pe.objs[pe.o0:]
+	pe.objs = slices.Grow(pe.objs, n/2-len(open))
+	pe.cells = slices.Grow(pe.cells, n/2*k-len(open)*k)
+	for r, oi := range pe.objs[pe.o0:] {
 		i, _ := pe.find(oi)
 		pe.rows[i] = foldRow{pe.foldGen, int32(r)}
 	}
 }
 
-// endFold ends the fold and the read section it ran in.
+// endFold ends the fold and the read section it ran in, and cuts the
+// fold off the arena unless it is kept.
 func (pe *PlanEval) endFold() {
 	pe.foldAt = clock.Never
+	pe.objs, pe.cells = pe.objs[:pe.keepObjs], pe.cells[:pe.keepCells]
 	pe.rd.Done()
 }
 
@@ -780,9 +931,10 @@ func (pe *PlanEval) AffectedWindow(dst, window []types.OID, id NodeID, t, since 
 
 // affected is AffectedWindow, or AffectedObjects if window is nil.
 func (pe *PlanEval) affected(dst []types.OID, window *[]types.OID, id NodeID, t, since clock.Time) []types.OID {
+	n := &pe.plan.nodes[id]
 	pe.rd = pe.base.Read()
 	defer pe.endFold() // a budget fault unwinds through here
-	pe.fold(id, t, since)
+	pe.fold(n.set, t, since)
 	if window != nil {
 		start := len(*window)
 		for _, oi := range pe.touched {
@@ -790,7 +942,6 @@ func (pe *PlanEval) affected(dst []types.OID, window *[]types.OID, id NodeID, t,
 		}
 		slices.Sort((*window)[start:])
 	}
-	n := &pe.plan.nodes[id]
 	if VacuouslyActive(n.expr) {
 		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)
 		for _, oi := range pe.oidScratch {
@@ -829,9 +980,11 @@ func (pe *PlanEval) ActivationTimes(dst []clock.Time, id NodeID, t, since clock.
 
 // ots mirrors Env.OTS on the DAG, for the object with interned id oid
 // (event.NoObj for one the base never logged), inside the caller's read
-// section. At the instant of an open fold a primitive — one under the
-// fold's node, as every ots there is — reads its stamp from oid's row of
-// the fold, row (-1 if the fold did not touch oid); at any other instant
+// section. At the instant of an open fold a primitive — one of the fold's
+// leaves, as every ots there is — reads its stamp from oid's row of the
+// fold, row (-1 if the fold did not touch oid), and a stamp at or below
+// since, which a kept fold from a lower horizon holds, is none; at any
+// other instant
 // (an instance precedence's left operand, which is probed at its right
 // operand's activation instant, or an ActivationTimes probe) it probes
 // the base, and row is not read.
@@ -847,7 +1000,7 @@ func (pe *PlanEval) ots(id NodeID, t, since clock.Time, oid int32, row int) TS {
 		} else if row >= 0 {
 			last = pe.stamps[row*len(pe.leaves)+int(pe.leafCol[id])]
 		}
-		if last != clock.Never {
+		if last > since {
 			v = TS(last)
 		} else {
 			v = -TS(t)

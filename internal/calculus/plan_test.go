@@ -1,6 +1,7 @@
 package calculus
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -62,6 +63,95 @@ func TestPlanInterningSharesStructure(t *testing.T) {
 	p.Intern(shared)
 	if p.Cap() != capBefore {
 		t.Fatalf("re-interning grew the id space: cap %d -> %d", capBefore, p.Cap())
+	}
+}
+
+// TestPlanInternsFoldSets holds the fold-set table to its definition
+// while random expressions are interned and released: every live node's
+// set is the sorted, distinct prims under it, each set is counted once
+// per live node over it, no two live sets hold the same leaves, every
+// set is on its least leaf's chain, and releasing every root frees every
+// set. Lifts over one leaf set in any order and shape share one set.
+func TestPlanInternsFoldSets(t *testing.T) {
+	p := NewPlan()
+	a, b := P(event.Create("stock")), P(event.Modify("stock", "quantity"))
+	var roots []NodeID
+	for _, e := range []Expr{ConjI(a, b), ConjI(b, a), DisjI(a, b), NegI(ConjI(a, b)), PrecI(a, b), Conj(a, Neg(b))} {
+		roots = append(roots, p.Intern(e))
+	}
+	for _, id := range roots[1:] {
+		if p.nodes[id].set != p.nodes[roots[0]].set {
+			t.Fatalf("%s and %s have different fold sets", p.nodes[id].expr, p.nodes[roots[0]].expr)
+		}
+	}
+	checkFoldSets(t, p)
+	r := rand.New(rand.NewSource(12))
+	vocab := DefaultVocabulary()
+	for step := 0; step < 400; step++ {
+		if len(roots) > 0 && r.Intn(3) == 0 {
+			i := r.Intn(len(roots))
+			p.Release(roots[i])
+			roots = slices.Delete(roots, i, i+1)
+		} else {
+			roots = append(roots, p.Intern(GenExpr(r, GenOptions{Types: vocab, MaxDepth: 3,
+				AllowNegation: true, AllowInstance: true, AllowPrecedence: true})))
+		}
+		checkFoldSets(t, p)
+	}
+	for _, id := range roots {
+		p.Release(id)
+	}
+	if live := len(p.sets) - len(p.freeSets); live != 0 {
+		t.Fatalf("%d fold sets live after every root was released", live)
+	}
+}
+
+// checkFoldSets checks the fold-set table of p against the live nodes.
+func checkFoldSets(t *testing.T, p *Plan) {
+	t.Helper()
+	var under func(id NodeID, dst []NodeID) []NodeID
+	under = func(id NodeID, dst []NodeID) []NodeID {
+		if id == NoNode {
+			return dst
+		}
+		if n := &p.nodes[id]; n.key.op != planPrim {
+			return under(n.key.r, under(n.key.l, dst))
+		}
+		return append(dst, id)
+	}
+	refs := make(map[int32]int32)
+	for id := range p.nodes {
+		n := &p.nodes[id]
+		if n.expr == nil {
+			continue
+		}
+		want := under(NodeID(id), nil)
+		slices.Sort(want)
+		if got := p.sets[n.set].leaves; !slices.Equal(got, slices.Compact(want)) {
+			t.Fatalf("%s: fold set %v, want %v", n.expr, got, want)
+		}
+		refs[n.set]++
+	}
+	seen := make(map[string]bool)
+	for s, fs := range p.sets {
+		if fs.refs != refs[int32(s)] {
+			t.Fatalf("fold set %d %v: %d references, %d live nodes over it", s, fs.leaves, fs.refs, refs[int32(s)])
+		}
+		if fs.refs == 0 {
+			continue
+		}
+		key := fmt.Sprint(fs.leaves)
+		if seen[key] {
+			t.Fatalf("fold set %v interned twice", fs.leaves)
+		}
+		seen[key] = true
+		on := false
+		for c := p.nodes[fs.leaves[0]].set; c >= 0; c = p.sets[c].next {
+			on = on || c == int32(s)
+		}
+		if !on {
+			t.Fatalf("fold set %d %v is not on its least leaf's chain", s, fs.leaves)
+		}
 	}
 }
 

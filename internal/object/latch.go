@@ -38,7 +38,7 @@ type latchKey struct {
 // serialization and deadlocks are broken by the timeout.
 type latch struct {
 	mu      sync.Mutex
-	writer  uint64            // line id holding exclusive; 0 = none
+	writer  uint64 // line id holding exclusive; 0 = none
 	readers map[uint64]struct{}
 	waiters int
 	// changed is closed and replaced whenever a holder releases, waking

@@ -236,11 +236,12 @@ func TestCheckTriggeredSteadyStateAllocs(t *testing.T) {
 }
 
 // liftCheckAllocatesNothing defines `A < (B += C)` rules whose A never
-// occurs, over a window where B and C keep hitting the same objects, and
-// rewinds the rules before each check so every check re-walks the whole
-// window and folds the lift at each of its instants: once the fold's
-// tables are warm, a check allocates nothing. So does AffectedObjects
-// into a recycled buffer.
+// occurs, over a window where B and C keep hitting the same objects, at
+// horizons in no order, so the check's lifts both read their leaf set's
+// kept fold and refold below it, and rewinds the rules before each check
+// so every check re-walks the whole window and folds the lift at each of
+// its instants: once the fold's tables and arena are warm, a check
+// allocates nothing. So does AffectedObjects into a recycled buffer.
 func liftCheckAllocatesNothing(t *testing.T) {
 	b := event.NewBase()
 	c := clock.New()
@@ -248,8 +249,10 @@ func liftCheckAllocatesNothing(t *testing.T) {
 	s.BeginTransaction(c.Now())
 	never := event.Delete("stock")
 	lift := calculus.ConjI(calculus.P(modStockQty), calculus.P(createStock))
-	for i, a := range []event.Type{never, event.Delete("show")} {
-		if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Event: calculus.Prec(calculus.P(a), lift)}); err != nil {
+	horizons := []clock.Time{0, 200, 100, 450, 300, 50}
+	for i := range horizons {
+		a := []event.Type{never, event.Delete("show")}[i%2]
+		if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Priority: i, Event: calculus.Prec(calculus.P(a), lift)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,6 +267,11 @@ func liftCheckAllocatesNothing(t *testing.T) {
 		}
 	}
 	now := c.Tick()
+	s.line.sync()
+	for r, h := range horizons {
+		s.line.marks[r].lastConsideration = origin + h
+	}
+	s.line.stale = true
 	rewind := func() {
 		s.line.sync()
 		for r := range s.line.marks {
@@ -278,15 +286,15 @@ func liftCheckAllocatesNothing(t *testing.T) {
 			t.Fatalf("fired %v", fired)
 		}
 	}
-	before := s.Stats().TsEvaluations
+	before := s.Stats()
 	if allocs := testing.AllocsPerRun(20, func() {
 		rewind()
 		s.CheckTriggered(now)
 	}); allocs != 0 {
 		t.Errorf("checks folding an instance lift allocate %.1f objects/op in steady state, want 0", allocs)
 	}
-	if s.Stats().TsEvaluations == before {
-		t.Fatal("the rewound checks evaluated nothing")
+	if after := s.Stats(); after.TsEvaluations == before.TsEvaluations || after.MemoHits == before.MemoHits {
+		t.Fatal("the rewound checks evaluated nothing, or read no kept fold")
 	}
 
 	// The lift, and a vacuously active node, whose query ranges over
@@ -304,6 +312,78 @@ func liftCheckAllocatesNothing(t *testing.T) {
 			objs = pe.AffectedObjects(objs[:0], id, now, origin)
 		}); allocs != 0 {
 			t.Errorf("AffectedObjects of %s into a recycled buffer allocates %.1f objects/op, want 0", e, allocs)
+		}
+	}
+}
+
+// TestCheckFoldsOncePerLeafSet puts K monotone lift rules over L leaf
+// sets — A += B, its commuted form, A ,= B and A <= B over each pair — at
+// K distinct horizons into one check. Every rule lifts once at the check
+// instant and no two share a horizon, so no node memo entry serves
+// another rule: every memo hit is a lift reading its leaf set's kept
+// fold. With horizons ascending in rank order, the first rule over each
+// set folds it and every other reads it, L folds in all; descending,
+// every lift lies below the kept fold and folds at its own horizon. Both
+// trigger exactly the rules the definition does.
+func TestCheckFoldsOncePerLeafSet(t *testing.T) {
+	createShow, delStock := event.Create("show"), event.Delete("stock")
+	pairs := [][2]event.Type{{createStock, modStockQty}, {modStockQty, delStock}, {createShow, modShowQty}}
+	shapes := []func(a, b calculus.Expr) calculus.Expr{
+		func(a, b calculus.Expr) calculus.Expr { return calculus.ConjI(a, b) },
+		func(a, b calculus.Expr) calculus.Expr { return calculus.ConjI(b, a) },
+		func(a, b calculus.Expr) calculus.Expr { return calculus.DisjI(a, b) },
+		func(a, b calculus.Expr) calculus.Expr { return calculus.PrecI(a, b) },
+	}
+	for _, ascending := range []bool{true, false} {
+		s, b, c := newSupport(t)
+		var exprs []calculus.Expr
+		k := 0
+		for _, shape := range shapes {
+			for _, p := range pairs {
+				e := shape(calculus.P(p[0]), calculus.P(p[1]))
+				exprs = append(exprs, e)
+				if err := s.Define(Def{Name: fmt.Sprintf("r%02d", k), Priority: k, Event: e}); err != nil {
+					t.Fatal(err)
+				}
+				k++
+			}
+		}
+		origin := c.Now()
+		for i := 0; i < 3*k; i++ {
+			p := pairs[i%len(pairs)]
+			log(t, s, b, c, p[i/len(pairs)%2], types.OID(i%5+1))
+		}
+		now := c.Tick()
+		s.line.sync()
+		for r := range s.line.marks {
+			h := origin + clock.Time(r)
+			if !ascending {
+				h = origin + clock.Time(k-1-r)
+			}
+			s.line.marks[r].lastConsideration, s.line.marks[r].lastProbe = h, h
+		}
+		s.line.stale = true
+		before := s.Stats()
+		s.CheckTriggered(now)
+		hits := s.Stats().MemoHits - before.MemoHits
+		if want := int64(k - len(pairs)); ascending && hits != want {
+			t.Errorf("%d rules over %d leaf sets, horizons ascending: %d folds read again, want %d", k, len(pairs), hits, want)
+		}
+		if !ascending && hits != 0 {
+			t.Errorf("%d rules over %d leaf sets, horizons descending: %d folds read again, want 0", k, len(pairs), hits)
+		}
+		triggered := 0
+		for r, e := range exprs {
+			m := &s.line.marks[r]
+			if m.triggered {
+				triggered++
+			}
+			if want := (&calculus.Env{Base: b, Since: m.lastConsideration}).TS(e, now).Active(); m.triggered != want {
+				t.Errorf("ascending %v: %s since %d triggered %v, want %v", ascending, e, m.lastConsideration, m.triggered, want)
+			}
+		}
+		if triggered == 0 {
+			t.Errorf("ascending %v: no rule triggered", ascending)
 		}
 	}
 }
