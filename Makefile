@@ -96,10 +96,13 @@ cover:
 	  if (t+0 < b+0) { printf "FAIL: coverage %.1f%% below baseline %.1f%%\n", t, b; exit 1 } \
 	  printf "coverage %.1f%% (baseline %.1f%%)\n", t, b }'
 
-# 20-second fuzz smoke: random command scripts through a fully
-# instrumented engine, asserting no panic and balanced lifecycle spans.
+# Fuzz smoke: 20 seconds of random command scripts through a fully
+# instrumented engine, asserting no panic and balanced lifecycle spans,
+# then 10 seconds of mutated checkpoints through the checkpoint decoder,
+# asserting it returns an error or decodes, never panics.
 fuzz:
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzEngineBlock -fuzztime 20s
+	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s
 
 # Alternating parent/change passes of the B0 benchmark, PAIRS of them per
 # workload, with every pass's output kept under .b0-pairs/ and a summary

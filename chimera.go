@@ -315,9 +315,11 @@ type SharingReport = analysis.SharingReport
 // subexpressions.
 func AnalyzeSharing(db *DB) SharingReport { return analysis.AnalyzeSharing(db) }
 
-// Save writes a snapshot of the database (schema, live objects, rules)
-// as JSON to path. Snapshots capture committed state only; the Event
-// Base is per-transaction and is not persisted.
+// Save writes a snapshot of the database (schema, objects, rules) as
+// JSON to path. It captures committed state only, read from the
+// published snapshot, so it may run while transactions are open in
+// either session mode and none of their writes reach the file; the
+// Event Base is per-transaction and is not persisted.
 func Save(db *DB, path string) error { return storage.SaveFile(db, path) }
 
 // Restore reconstructs a database from a snapshot file written by Save.
@@ -326,7 +328,8 @@ func Restore(path string) (*DB, error) {
 }
 
 // RestoreWith is Restore with an explicit configuration for the rebuilt
-// database.
+// database. The options are validated; with durable options the store
+// must be empty, and the restored state becomes its first checkpoint.
 func RestoreWith(path string, opts Options) (*DB, error) {
 	return storage.LoadFile(path, opts)
 }

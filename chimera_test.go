@@ -350,3 +350,43 @@ end`)
 		t.Fatalf("recovered quantity = %d, want 40", got)
 	}
 }
+
+// RestoreWith accepts durable options: the restored state becomes the
+// store's first checkpoint, so a recovery finds it. Invalid options are
+// an error, not a panic.
+func TestFacadeRestoreWithDurable(t *testing.T) {
+	db := chimera.Open()
+	chimera.MustLoad(db, `class stock(name: string, quantity: integer)`)
+	if err := db.Run(func(tx *chimera.Txn) error {
+		_, err := tx.Create("stock", chimera.Values{"name": chimera.Str("bolts"), "quantity": chimera.Int(7)})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/db.json"
+	if err := chimera.Save(db, path); err != nil {
+		t.Fatal(err)
+	}
+	store := chimera.NewMemStore()
+	opts := chimera.DefaultOptions()
+	opts.Durability = chimera.DurabilityOptions{Store: store, Fsync: chimera.FsyncOff}
+	restored, err := chimera.RestoreWith(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	opts.Durability.Store = store.Clone()
+	rdb, _, _, err := chimera.Recover(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	if rdb.Store().Len() != 1 {
+		t.Fatalf("recovered %d object(s), want the restored one", rdb.Store().Len())
+	}
+	bad := chimera.DefaultOptions()
+	bad.SegmentSize = -1
+	if _, err := chimera.RestoreWith(path, bad); err == nil {
+		t.Error("RestoreWith accepted a negative SegmentSize")
+	}
+}

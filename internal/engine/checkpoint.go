@@ -13,12 +13,13 @@ import (
 	"chimera/internal/wire"
 )
 
-// A checkpoint is the engine's durable root: the committed
-// schema/object/rule state, the clock, and — when a transaction is open
-// — the live window's meta (interner tables, compaction counters), the
-// per-rule marks (consideration horizons, triggered flags), the tail
-// segment, and references to the sealed segments persisted alongside.
-// Together with the WAL records that follow it, a checkpoint
+// A checkpoint is the engine's durable root: the committed state as one
+// Image (schema, rules, objects, NextOID), the clock, and — when a
+// single-session transaction is open — the live window's meta (interner
+// tables, compaction counters), its retention window, the per-rule
+// marks (consideration horizons, triggered flags), the undo log, the
+// tail segment, and references to the sealed segments persisted
+// alongside. Together with the WAL records that follow it, a checkpoint
 // reconstructs the engine bit-identically.
 //
 // The generation protocol makes the checkpoint/WAL transition
@@ -31,22 +32,23 @@ import (
 // previous checkpoint's world fully intact (the freshly persisted
 // segments are unreferenced garbage until the next checkpoint drops
 // them).
-const ckptVersion = 1
+//
+// Version history: 1 — the layout below without the retention window;
+// 2 — the open-transaction frame carries the window after the start
+// instant (a version-1 checkpoint decodes as "no window").
+const ckptVersion = 2
 
 // checkpoint is the decoded form.
 type checkpoint struct {
-	Seq     uint64
-	TxnGen  uint32
-	Now     clock.Time
-	NextOID types.OID
-	InTxn   bool
-
-	Classes []ckptClass
-	Rules   []string
-	Objects []ckptObject
+	Seq    uint64
+	TxnGen uint32
+	Now    clock.Time
+	InTxn  bool
+	Image
 
 	// Open-transaction section (InTxn only).
 	Start      clock.Time
+	Window     clock.Time // retention window (Txn.SetRetention)
 	Marks      []rules.Mark
 	Undo       []object.UndoRec
 	FirstSeg   uint64 // ordinal of the first live sealed segment
@@ -55,74 +57,60 @@ type checkpoint struct {
 	Tail       *event.SegmentFrame
 }
 
-type ckptClass struct {
-	Name   string
-	Parent string
-	Attrs  []schema.Attribute
-}
-
-type ckptObject struct {
-	OID   types.OID
-	Class string
-	Vals  map[string]types.Value
-}
-
 // encodeCheckpoint captures the database into checkpoint bytes. t is
-// the open transaction (nil when idle); st its exported base state
-// (only read when t is non-nil). Called at a block boundary under the
-// WAL barrier.
+// the open single-session transaction (nil otherwise); st its exported
+// base state (only read when t is non-nil). Called at a block boundary
+// under db.mu and the WAL barrier.
 func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, error) {
+	var img *Image
+	if t == nil {
+		img = db.image(db.store.Published().Objects())
+	} else {
+		// Inside a single-session transaction the objects frame is the
+		// line's live view: the undo log below is what lets a replayed
+		// rollback reverse the writes made before the checkpoint.
+		img = db.image(db.store.Objects())
+	}
+
 	// Header frame.
 	hdr := make([]byte, 0, 32)
 	hdr = append(hdr, ckptVersion)
 	hdr = wire.AppendUvarint(hdr, seq)
 	hdr = wire.AppendUvarint(hdr, uint64(db.txnGen))
 	hdr = wire.AppendVarint(hdr, int64(db.clock.Now()))
-	hdr = wire.AppendVarint(hdr, int64(db.store.NextOID()))
-	if t != nil {
-		hdr = append(hdr, 1)
-	} else {
-		hdr = append(hdr, 0)
-	}
+	hdr = wire.AppendVarint(hdr, int64(img.NextOID))
+	hdr = wire.AppendBool(hdr, t != nil)
 	out := wire.AppendFrame(nil, hdr)
 
-	// Catalog frame: classes parents-first, each with the attributes it
-	// declares, then rule sources in priority order.
-	classes := db.schema.Ordered()
-	catp := wire.AppendUvarint(nil, uint64(len(classes)))
-	for _, c := range classes {
-		parent := ""
-		if p := c.Parent(); p != nil {
-			parent = p.Name()
-		}
-		catp = wire.AppendString(catp, c.Name())
-		catp = wire.AppendString(catp, parent)
-		catp = wire.AppendUvarint(catp, uint64(len(c.Own())))
-		for _, a := range c.Own() {
+	// Catalog frame: the image's classes, each with the attributes it
+	// declares, then its rule sources.
+	catp := wire.AppendUvarint(nil, uint64(len(img.Classes)))
+	for _, c := range img.Classes {
+		catp = wire.AppendString(catp, c.Name)
+		catp = wire.AppendString(catp, c.Parent)
+		catp = wire.AppendUvarint(catp, uint64(len(c.Attrs)))
+		for _, a := range c.Attrs {
 			catp = wire.AppendString(catp, a.Name)
 			catp = wire.AppendString(catp, a.Kind.String())
 		}
 	}
-	ruleNames := db.support.Rules()
-	catp = wire.AppendUvarint(catp, uint64(len(ruleNames)))
-	for _, name := range ruleNames {
-		rst, _ := db.support.Rule(name)
-		catp = wire.AppendString(catp, RenderRule(rst.Def, db.bodies[name]))
+	catp = wire.AppendUvarint(catp, uint64(len(img.Rules)))
+	for _, src := range img.Rules {
+		catp = wire.AppendString(catp, src)
 	}
 	out = wire.AppendFrame(out, catp)
 
-	// Objects frame, ascending OID.
-	objs := db.store.Objects()
-	objp := wire.AppendUvarint(nil, uint64(len(objs)))
-	for _, o := range objs {
-		vals := o.Snapshot()
-		objp = wire.AppendVarint(objp, int64(o.OID()))
-		objp = wire.AppendString(objp, o.Class().Name())
-		objp = wire.AppendUvarint(objp, uint64(len(vals)))
+	// Objects frame: the image's objects, so the bytes of a state are
+	// always the same.
+	objp := wire.AppendUvarint(nil, uint64(len(img.Objects)))
+	for _, o := range img.Objects {
+		objp = wire.AppendVarint(objp, int64(o.OID))
+		objp = wire.AppendString(objp, o.Class)
+		objp = wire.AppendUvarint(objp, uint64(len(o.Attrs)))
 		var err error
-		for k, v := range vals {
-			objp = wire.AppendString(objp, k)
-			if objp, err = wire.AppendValue(objp, v); err != nil {
+		for _, a := range o.Attrs {
+			objp = wire.AppendString(objp, a.Name)
+			if objp, err = wire.AppendValue(objp, a.Val); err != nil {
 				return nil, err
 			}
 		}
@@ -133,18 +121,16 @@ func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, 
 		return out, nil
 	}
 
-	// Open-transaction frame: start instant, marks, segment references.
+	// Open-transaction frame: start instant, retention window, marks,
+	// undo log, segment references.
 	marks := t.view.Marks()
 	txp := wire.AppendVarint(nil, int64(t.view.Start()))
+	txp = wire.AppendVarint(txp, int64(t.base.Retention()))
 	txp = wire.AppendUvarint(txp, uint64(len(marks)))
 	for _, m := range marks {
 		txp = wire.AppendString(txp, m.Rule)
 		txp = wire.AppendVarint(txp, int64(m.LastConsideration))
-		if m.Triggered {
-			txp = append(txp, 1)
-		} else {
-			txp = append(txp, 0)
-		}
+		txp = wire.AppendBool(txp, m.Triggered)
 		txp = wire.AppendVarint(txp, int64(m.TriggeredAt))
 	}
 	// The open transaction's undo log: a WAL-replayed rollback must be
@@ -157,19 +143,12 @@ func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, 
 		txp = wire.AppendVarint(txp, int64(u.OID))
 		txp = wire.AppendString(txp, u.Class)
 		txp = wire.AppendString(txp, u.Attr)
-		if u.Had {
-			txp = append(txp, 1)
-		} else {
-			txp = append(txp, 0)
-		}
+		txp = wire.AppendBool(txp, u.Had)
 		var err error
 		if txp, err = wire.AppendValue(txp, u.Val); err != nil {
 			return nil, err
 		}
-		if u.Vals == nil {
-			txp = append(txp, 0)
-		} else {
-			txp = append(txp, 1)
+		if txp = wire.AppendBool(txp, u.Vals != nil); u.Vals != nil {
 			txp = wire.AppendUvarint(txp, uint64(len(u.Vals)))
 			for k, v := range u.Vals {
 				txp = wire.AppendString(txp, k)
@@ -178,20 +157,12 @@ func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, 
 				}
 			}
 		}
-		if u.Reuse {
-			txp = append(txp, 1)
-		} else {
-			txp = append(txp, 0)
-		}
+		txp = wire.AppendBool(txp, u.Reuse)
 	}
 	first := uint64(st.Meta.RetiredSegs)
 	txp = wire.AppendUvarint(txp, first)
 	txp = wire.AppendUvarint(txp, first+uint64(len(st.Sealed)))
-	if st.Tail != nil {
-		txp = append(txp, 1)
-	} else {
-		txp = append(txp, 0)
-	}
+	txp = wire.AppendBool(txp, st.Tail != nil)
 	out = wire.AppendFrame(out, txp)
 	out = event.AppendBaseMeta(out, st.Meta)
 	if st.Tail != nil {
@@ -202,131 +173,62 @@ func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, 
 
 // decodeCheckpoint parses checkpoint bytes.
 func decodeCheckpoint(data []byte) (*checkpoint, error) {
-	hdr, rest, err := wire.NextFrame(data)
-	if err != nil || hdr == nil {
-		if err == nil {
-			err = fmt.Errorf("%w: missing checkpoint header", wire.ErrCorrupt)
-		}
+	hdr, rest, err := nextFrame(data, "checkpoint header")
+	if err != nil {
 		return nil, err
 	}
-	if len(hdr) < 1 || hdr[0] != ckptVersion {
-		return nil, fmt.Errorf("%w: unknown checkpoint version", wire.ErrCorrupt)
+	r := wire.NewReader(hdr)
+	version := r.Byte()
+	if r.Err() == nil && (version < 1 || version > ckptVersion) {
+		return nil, fmt.Errorf("%w: unknown checkpoint version %d", wire.ErrCorrupt, version)
 	}
-	ck := &checkpoint{}
-	p := hdr[1:]
-	var v int64
-	var n uint64
-	if ck.Seq, p, err = wire.Uvarint(p); err != nil {
+	ck := &checkpoint{Seq: r.Uvarint(), TxnGen: uint32(r.Uvarint()), Now: clock.Time(r.Varint())}
+	ck.NextOID = types.OID(r.Varint())
+	ck.InTxn = r.Bool()
+	if err := r.Done("checkpoint header"); err != nil {
 		return nil, err
 	}
-	if n, p, err = wire.Uvarint(p); err != nil {
-		return nil, err
-	}
-	ck.TxnGen = uint32(n)
-	if v, p, err = wire.Varint(p); err != nil {
-		return nil, err
-	}
-	ck.Now = clock.Time(v)
-	if v, p, err = wire.Varint(p); err != nil {
-		return nil, err
-	}
-	ck.NextOID = types.OID(v)
-	if len(p) != 1 {
-		return nil, fmt.Errorf("%w: checkpoint header length", wire.ErrCorrupt)
-	}
-	ck.InTxn = p[0] != 0
 
 	// Catalog frame.
-	catp, rest, err := wire.NextFrame(rest)
-	if err != nil || catp == nil {
-		if err == nil {
-			err = fmt.Errorf("%w: missing checkpoint catalog", wire.ErrCorrupt)
-		}
+	catp, rest, err := nextFrame(rest, "checkpoint catalog")
+	if err != nil {
 		return nil, err
 	}
-	p = catp
-	if n, p, err = wire.Uvarint(p); err != nil {
-		return nil, err
-	}
-	ck.Classes = make([]ckptClass, n)
+	r = wire.NewReader(catp)
+	ck.Classes = make([]ImageClass, r.Count())
 	for i := range ck.Classes {
 		c := &ck.Classes[i]
-		if c.Name, p, err = wire.String(p); err != nil {
-			return nil, err
-		}
-		if c.Parent, p, err = wire.String(p); err != nil {
-			return nil, err
-		}
-		var na uint64
-		if na, p, err = wire.Uvarint(p); err != nil {
-			return nil, err
-		}
-		c.Attrs = make([]schema.Attribute, na)
+		c.Name, c.Parent = r.Str(), r.Str()
+		c.Attrs = make([]schema.Attribute, r.Count())
 		for j := range c.Attrs {
-			if c.Attrs[j].Name, p, err = wire.String(p); err != nil {
-				return nil, err
-			}
-			var ks string
-			if ks, p, err = wire.String(p); err != nil {
-				return nil, err
-			}
-			if c.Attrs[j].Kind, err = types.ParseKind(ks); err != nil {
-				return nil, fmt.Errorf("%w: %v", wire.ErrCorrupt, err)
-			}
+			c.Attrs[j] = schema.Attribute{Name: r.Str(), Kind: r.Kind()}
 		}
 	}
-	if n, p, err = wire.Uvarint(p); err != nil {
-		return nil, err
-	}
-	ck.Rules = make([]string, n)
+	ck.Rules = make([]string, r.Count())
 	for i := range ck.Rules {
-		if ck.Rules[i], p, err = wire.String(p); err != nil {
-			return nil, err
-		}
+		ck.Rules[i] = r.Str()
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes in checkpoint catalog", wire.ErrCorrupt)
+	if err := r.Done("checkpoint catalog"); err != nil {
+		return nil, err
 	}
 
 	// Objects frame.
-	objp, rest, err := wire.NextFrame(rest)
-	if err != nil || objp == nil {
-		if err == nil {
-			err = fmt.Errorf("%w: missing checkpoint objects", wire.ErrCorrupt)
-		}
+	objp, rest, err := nextFrame(rest, "checkpoint objects")
+	if err != nil {
 		return nil, err
 	}
-	p = objp
-	if n, p, err = wire.Uvarint(p); err != nil {
-		return nil, err
-	}
-	ck.Objects = make([]ckptObject, n)
+	r = wire.NewReader(objp)
+	ck.Objects = make([]ImageObject, r.Count())
 	for i := range ck.Objects {
 		o := &ck.Objects[i]
-		if v, p, err = wire.Varint(p); err != nil {
-			return nil, err
-		}
-		o.OID = types.OID(v)
-		if o.Class, p, err = wire.String(p); err != nil {
-			return nil, err
-		}
-		var nv uint64
-		if nv, p, err = wire.Uvarint(p); err != nil {
-			return nil, err
-		}
-		o.Vals = make(map[string]types.Value, nv)
-		for j := uint64(0); j < nv; j++ {
-			var k string
-			if k, p, err = wire.String(p); err != nil {
-				return nil, err
-			}
-			if o.Vals[k], p, err = wire.Value(p); err != nil {
-				return nil, err
-			}
+		o.OID, o.Class = types.OID(r.Varint()), r.Str()
+		o.Attrs = make([]ImageAttr, r.Count())
+		for j := range o.Attrs {
+			o.Attrs[j] = ImageAttr{Name: r.Str(), Val: r.Value()}
 		}
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes in checkpoint objects", wire.ErrCorrupt)
+	if err := r.Done("checkpoint objects"); err != nil {
+		return nil, err
 	}
 
 	if !ck.InTxn {
@@ -337,113 +239,48 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	}
 
 	// Open-transaction frame.
-	txp, rest, err := wire.NextFrame(rest)
-	if err != nil || txp == nil {
-		if err == nil {
-			err = fmt.Errorf("%w: missing checkpoint txn section", wire.ErrCorrupt)
-		}
+	txp, rest, err := nextFrame(rest, "checkpoint txn section")
+	if err != nil {
 		return nil, err
 	}
-	p = txp
-	if v, p, err = wire.Varint(p); err != nil {
-		return nil, err
+	r = wire.NewReader(txp)
+	ck.Start = clock.Time(r.Varint())
+	if version >= 2 {
+		ck.Window = clock.Time(r.Varint())
 	}
-	ck.Start = clock.Time(v)
-	if n, p, err = wire.Uvarint(p); err != nil {
-		return nil, err
-	}
-	ck.Marks = make([]rules.Mark, n)
+	ck.Marks = make([]rules.Mark, r.Count())
 	for i := range ck.Marks {
-		m := &ck.Marks[i]
-		if m.Rule, p, err = wire.String(p); err != nil {
-			return nil, err
-		}
-		if v, p, err = wire.Varint(p); err != nil {
-			return nil, err
-		}
-		m.LastConsideration = clock.Time(v)
-		if len(p) == 0 {
-			return nil, wire.ErrCorrupt
-		}
-		m.Triggered = p[0] != 0
-		p = p[1:]
-		if v, p, err = wire.Varint(p); err != nil {
-			return nil, err
-		}
-		m.TriggeredAt = clock.Time(v)
+		ck.Marks[i] = rules.Mark{Rule: r.Str(), LastConsideration: clock.Time(r.Varint()),
+			Triggered: r.Bool(), TriggeredAt: clock.Time(r.Varint())}
 	}
-	if n, p, err = wire.Uvarint(p); err != nil {
-		return nil, err
-	}
-	ck.Undo = make([]object.UndoRec, n)
+	ck.Undo = make([]object.UndoRec, r.Count())
 	for i := range ck.Undo {
 		u := &ck.Undo[i]
-		if len(p) == 0 {
-			return nil, wire.ErrCorrupt
-		}
-		u.Kind = p[0]
-		p = p[1:]
-		if v, p, err = wire.Varint(p); err != nil {
-			return nil, err
-		}
-		u.OID = types.OID(v)
-		if u.Class, p, err = wire.String(p); err != nil {
-			return nil, err
-		}
-		if u.Attr, p, err = wire.String(p); err != nil {
-			return nil, err
-		}
-		if len(p) == 0 {
-			return nil, wire.ErrCorrupt
-		}
-		u.Had = p[0] != 0
-		p = p[1:]
-		if u.Val, p, err = wire.Value(p); err != nil {
-			return nil, err
-		}
-		if len(p) == 0 {
-			return nil, wire.ErrCorrupt
-		}
-		hasVals := p[0] != 0
-		p = p[1:]
-		if hasVals {
-			var nv uint64
-			if nv, p, err = wire.Uvarint(p); err != nil {
-				return nil, err
-			}
-			u.Vals = make(map[string]types.Value, nv)
-			for j := uint64(0); j < nv; j++ {
-				var k string
-				if k, p, err = wire.String(p); err != nil {
-					return nil, err
-				}
-				if u.Vals[k], p, err = wire.Value(p); err != nil {
-					return nil, err
-				}
+		u.Kind, u.OID, u.Class, u.Attr = r.Byte(), types.OID(r.Varint()), r.Str(), r.Str()
+		u.Had, u.Val = r.Bool(), r.Value()
+		if r.Bool() {
+			n := r.Count()
+			u.Vals = make(map[string]types.Value, n)
+			for j := 0; j < n; j++ {
+				k := r.Str()
+				u.Vals[k] = r.Value()
 			}
 		}
-		if len(p) == 0 {
-			return nil, wire.ErrCorrupt
-		}
-		u.Reuse = p[0] != 0
-		p = p[1:]
+		u.Reuse = r.Bool()
 	}
-	if ck.FirstSeg, p, err = wire.Uvarint(p); err != nil {
+	ck.FirstSeg, ck.SealedSegs = r.Uvarint(), r.Uvarint()
+	hasTail := r.Bool()
+	if err := r.Done("checkpoint txn section"); err != nil {
 		return nil, err
 	}
-	if ck.SealedSegs, p, err = wire.Uvarint(p); err != nil {
-		return nil, err
+	if ck.SealedSegs < ck.FirstSeg || ck.SealedSegs-ck.FirstSeg > 1<<32 {
+		// Segment ordinals are 32 bits wide (segKey).
+		return nil, fmt.Errorf("%w: checkpoint segment range", wire.ErrCorrupt)
 	}
-	if len(p) != 1 {
-		return nil, fmt.Errorf("%w: checkpoint txn section length", wire.ErrCorrupt)
-	}
-	hasTail := p[0] != 0
 
-	var metaRest []byte
-	if ck.Meta, metaRest, err = event.DecodeBaseMeta(rest); err != nil {
+	if ck.Meta, rest, err = event.DecodeBaseMeta(rest); err != nil {
 		return nil, err
 	}
-	rest = metaRest
 	if hasTail {
 		// The tail travels as the final frame; DecodeSegment wants exactly
 		// one frame, which is what remains.
@@ -460,14 +297,24 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	return ck, nil
 }
 
+// nextFrame splits the next frame off data; a missing one is corrupt.
+func nextFrame(data []byte, what string) (payload, rest []byte, err error) {
+	payload, rest, err = wire.NextFrame(data)
+	if err == nil && payload == nil {
+		err = fmt.Errorf("%w: missing %s", wire.ErrCorrupt, what)
+	}
+	return payload, rest, err
+}
+
 // attachWAL starts the group committer over the configured store.
 func (db *DB) attachWAL() {
 	db.wal = newWALWriter(db.dur().Store, db.dur().Fsync, db.dur().syncInterval(), db.dur().clock(), &db.m)
 }
 
 // checkpointNow writes a checkpoint under the WAL barrier. t is the
-// open transaction (nil when idle); the caller guarantees a block
-// boundary (no pending occurrences, no buffered ops).
+// open single-session transaction (nil otherwise); the caller holds
+// db.mu, which keeps DDL out, and guarantees a block boundary (no
+// pending occurrences, no buffered ops).
 func (db *DB) checkpointNow(t *Txn) error {
 	store := db.dur().Store
 	return db.wal.barrier(true, func() error {
@@ -536,40 +383,31 @@ func (db *DB) checkpointNow(t *Txn) error {
 	})
 }
 
-// Checkpoint writes a checkpoint: the committed state, and — when a
-// transaction is open — the live window at its current block boundary.
-// The WAL is truncated; sealed segments the checkpoint references are
-// persisted first. It must be called at a block boundary (not from
-// inside a rule action; with pending occurrences, call EndLine first).
+// Checkpoint writes a checkpoint and truncates the WAL. Its image is
+// the committed state, read from the published snapshot. In
+// single-session mode with a transaction open it also carries the live
+// window at the current block boundary (sealed segments are persisted
+// first); it must then be called from the transaction's goroutine at a
+// block boundary (not from inside a rule action; with pending
+// occurrences, call EndLine first). In multi-session mode it may be
+// called at any time, lines open or not: holding the commit latch, it
+// sees every run either committed (in the image) or still staged
+// privately (its begin, blocks and commit reach the log after the new
+// marker and replay on top of the image).
 func (db *DB) Checkpoint() error {
 	if db.wal == nil {
 		return errors.New("engine: not a durable database")
 	}
 	if db.multiSession() {
-		// A multi-session checkpoint must capture only committed state,
-		// but encodeCheckpoint reads the live store — which would include
-		// other lines' uncommitted latched writes. Checkpoints are
-		// therefore idle-only: db.mu is held across the whole write so no
-		// Begin can slip a new line in mid-capture (commits in flight are
-		// impossible at active == 0 — a line counts as active until its
-		// post-publication finish).
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if db.closed {
-			return ErrClosed
-		}
-		if db.active > 0 {
-			return fmt.Errorf("engine: checkpoint with %d transaction line(s) open; multi-session checkpoints require an idle engine", db.active)
-		}
-		return db.checkpointNow(nil)
+		db.commitMu.Lock()
+		defer db.commitMu.Unlock()
 	}
 	db.mu.Lock()
-	t := db.txn
-	closed := db.closed
-	db.mu.Unlock()
-	if closed {
+	defer db.mu.Unlock()
+	if db.closed {
 		return ErrClosed
 	}
+	t := db.txn // nil in multi-session mode
 	if t != nil && (len(t.pending) > 0 || len(t.wrec) > 0) {
 		return errors.New("engine: checkpoint mid-block; call EndLine first")
 	}

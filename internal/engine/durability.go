@@ -101,9 +101,12 @@ type DurabilityOptions struct {
 	// 0 means 5ms.
 	SyncInterval time.Duration
 	// CheckpointEvery, when positive, writes a checkpoint automatically
-	// after that many blocks, truncating the WAL and persisting sealed
-	// segments. 0 checkpoints only on explicit DB.Checkpoint calls (and
-	// at the end of recovery).
+	// after that many logged blocks, truncating the WAL (and, inside a
+	// single-session transaction, persisting sealed segments). A
+	// multi-session commit counts its run's blocks and checkpoints right
+	// after the run joins the log, under the commit latch. 0 checkpoints
+	// only on explicit DB.Checkpoint calls (and at Open and the end of
+	// recovery).
 	CheckpointEvery int
 	// Clock is the wall-clock source pacing the group committer's drain
 	// tick and interval syncs. nil means clock.Wall; tests inject a

@@ -12,6 +12,7 @@ package engine_test
 // implementations live in internal/storage, which imports the engine.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -27,6 +28,7 @@ import (
 	"chimera/internal/schema"
 	"chimera/internal/storage"
 	"chimera/internal/types"
+	"chimera/internal/wire"
 )
 
 func durOptions(store engine.SegmentStore, checkpointEvery int) engine.Options {
@@ -44,7 +46,7 @@ func durOptions(store engine.SegmentStore, checkpointEvery int) engine.Options {
 // defineDurCatalog installs the differential schema and rule set (the
 // same shapes as the in-package differential suite: an immediate clamp,
 // a deferred composite with negation, an instance-oriented sequence).
-func defineDurCatalog(t *testing.T, db *engine.DB) {
+func defineDurCatalog(t testing.TB, db *engine.DB) {
 	t.Helper()
 	if err := db.DefineClass("item",
 		schema.Attribute{Name: "n", Kind: types.KindInt},
@@ -803,4 +805,193 @@ func TestDDLReplay(t *testing.T) {
 	}
 	rdb.Close()
 	db.Close()
+}
+
+// TestRecoverRetentionWindow: a streaming line's retention window
+// (Txn.SetRetention) must survive recovery, through the log and through
+// checkpoints taken inside the transaction. A dormant preserving rule
+// pins the watermark at the line's start, so only the window lets
+// compaction retire anything; recovered and live bases must agree at
+// every logged block boundary, and again after one more block.
+func TestRecoverRetentionWindow(t *testing.T) {
+	for _, every := range []int{0, 3} {
+		store := storage.NewMemStore()
+		db, err := engine.Open(durOptions(store, every))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.DefineRule(rules.Def{Name: "hold", Consumption: rules.Preserving,
+			Event: calculus.P(event.External("never"))}, engine.Body{}); err != nil {
+			t.Fatal(err)
+		}
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.SetRetention(16); err != nil {
+			t.Fatal(err)
+		}
+		block := func(tx *engine.Txn) {
+			t.Helper()
+			for i := 0; i < 4; i++ {
+				if err := tx.Emit(event.External("swipe"), types.NilOID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.EndLine(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for b := 1; b <= 50; b++ {
+			block(tx)
+			if b%10 != 0 {
+				continue
+			}
+			if err := db.SyncWAL(); err != nil {
+				t.Fatal(err)
+			}
+			rdb, rtx, _ := recoverClone(t, store, every)
+			if rtx == nil {
+				t.Fatalf("every=%d block %d: recovery lost the open line", every, b)
+			}
+			for step := 0; step < 2; step++ {
+				want, got := durFingerprint(db, tx), durFingerprint(rdb, rtx)
+				if want != got {
+					t.Fatalf("every=%d block %d step %d: recovered base diverged:\n--- live\n%s--- recovered\n%s",
+						every, b, step, want, got)
+				}
+				if step == 0 {
+					block(tx)
+					block(rtx)
+				}
+			}
+			rdb.Close()
+		}
+		if base := tx.Base(); base.Retired() == 0 || base.Len() > 24 {
+			t.Fatalf("every=%d: live base holds %d occurrence(s), %d retired; the window did not bound it",
+				every, base.Len(), base.Retired())
+		}
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+	}
+}
+
+// TestCheckpointBytesDeterministic: checkpoints of the same state are
+// byte-identical after their header frame (which carries the sequence
+// number), single-session at idle and multi-session with a line open.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	for _, sessions := range []int{0, 2} {
+		store := storage.NewMemStore()
+		db, err := engine.Open(multiDurOptions(store, sessions))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defineDurCatalog(t, db)
+		if err := db.Run(func(tx *engine.Txn) error {
+			for i := 0; i < 20; i++ {
+				if _, err := tx.Create("item", map[string]types.Value{
+					"n": types.Int(int64(i)), "cap": types.Int(50)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if sessions > 1 {
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Modify(3, "n", types.Int(44)); err != nil {
+				t.Fatal(err)
+			}
+			defer tx.Rollback()
+		}
+		var first []byte
+		for i := 0; i < 9; i++ {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			ckpt, err := store.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, body, err := wire.NextFrame(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Fatalf("MaxSessions %d: checkpoint %d differs from the first after the header", sessions, i+1)
+			}
+		}
+		db.Close()
+	}
+}
+
+// TestRecoverTwice: the checkpoint Recover closes with is a complete
+// root. Recovering again from the recovered store lands on the same
+// state, at idle (the image comes from the snapshot Recover published)
+// and inside an open transaction.
+func TestRecoverTwice(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	ops := genDurOps(r, 60)
+	store := storage.NewMemStore()
+	db, err := engine.Open(durOptions(store, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defineDurCatalog(t, db)
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []types.OID
+	checks := 0
+	for i, op := range ops {
+		var boundary bool
+		if tx, boundary = applyDurOp(t, db, tx, &live, op); !boundary {
+			continue
+		}
+		open := tx
+		if op.kind == 5 && i%2 == 0 {
+			// Commit without reopening: recover an idle store.
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			open = nil
+		}
+		if err := db.SyncWAL(); err != nil {
+			t.Fatal(err)
+		}
+		first := store.Clone()
+		rdb, _, _, err := engine.Recover(durOptions(first, 0))
+		if err != nil {
+			t.Fatalf("op %d: recover: %v", i, err)
+		}
+		rdb2, rtx2, _, err := engine.Recover(durOptions(first.Clone(), 0))
+		if err != nil {
+			t.Fatalf("op %d: second recover: %v", i, err)
+		}
+		if want, got := durFingerprint(db, open), durFingerprint(rdb2, rtx2); want != got {
+			t.Fatalf("op %d (open=%v): second recovery diverged:\n--- live\n%s--- recovered twice\n%s",
+				i, open != nil, want, got)
+		}
+		rdb.Close()
+		rdb2.Close()
+		checks++
+		if open == nil {
+			if tx, err = db.Begin(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if checks == 0 {
+		t.Fatal("no block boundary was checked")
+	}
 }

@@ -135,7 +135,8 @@ type Options struct {
 	// object store isolates the lines with per-OID/per-class latches
 	// (DESIGN.md §11). In both modes every line has its own Event Base
 	// and its own Trigger Support session, recycled from the lines
-	// before it.
+	// before it, and durable databases checkpoint (explicitly or every
+	// Durability.CheckpointEvery blocks) whether lines are open or not.
 	MaxSessions int
 	// LockWait bounds how long a line blocks on a latch another line
 	// holds before the operation fails with ErrConflict: 0 means the
@@ -152,11 +153,9 @@ type Options struct {
 	Durability DurabilityOptions
 }
 
-// Validate checks the options for constructor use. Negative limits are
-// rejected rather than silently clamped, and durability's structural
-// requirement (automatic checkpoints only in single-session mode) is
-// enforced up front — a misconfiguration must fail at Open, not at the
-// first checkpoint.
+// Validate checks the options for constructor use: negative limits are
+// rejected rather than silently clamped, so a misconfiguration fails at
+// Open, not at first use. It restricts no combination of fields.
 func (o Options) Validate() error {
 	if o.SegmentSize < 0 {
 		return fmt.Errorf("engine: negative SegmentSize %d", o.SegmentSize)
@@ -180,14 +179,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("engine: negative MaxSegments %d", o.MaxSegments)
 	}
 	if o.Durability.enabled() {
-		if o.MaxSessions > 1 && o.Durability.CheckpointEvery > 0 {
-			// A multi-session checkpoint must capture only committed state,
-			// but the live store holds other lines' uncommitted latched
-			// writes; checkpoints are therefore explicit and idle-only
-			// (DB.Checkpoint with no open lines), never automatic.
-			return fmt.Errorf("engine: automatic checkpoints (CheckpointEvery %d) require single-session mode, MaxSessions is %d; use explicit DB.Checkpoint at idle",
-				o.Durability.CheckpointEvery, o.MaxSessions)
-		}
 		if o.Durability.SyncInterval < 0 {
 			return fmt.Errorf("engine: negative Durability.SyncInterval %v", o.Durability.SyncInterval)
 		}
@@ -302,35 +293,7 @@ type DB struct {
 // New). With durability enabled the store must be empty: a store
 // holding a checkpoint or WAL records is an existing database and must
 // go through Recover, not be silently reinitialized (ErrNeedsRecovery).
-func Open(opts Options) (*DB, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	db := newDB(opts)
-	if !opts.Durability.enabled() {
-		return db, nil
-	}
-	ckpt, err := opts.Durability.Store.Checkpoint()
-	if err != nil {
-		return nil, fmt.Errorf("engine: open: %w", err)
-	}
-	wal, err := opts.Durability.Store.WAL()
-	if err != nil {
-		return nil, fmt.Errorf("engine: open: %w", err)
-	}
-	if ckpt != nil || len(wal) > 0 {
-		return nil, ErrNeedsRecovery
-	}
-	db.attachWAL()
-	// The initial checkpoint stamps the store with sequence 1 and seeds
-	// the WAL with its marker record, so a crash before the first
-	// explicit checkpoint already recovers cleanly.
-	if err := db.checkpointNow(nil); err != nil {
-		db.wal.close()
-		return nil, err
-	}
-	return db, nil
-}
+func Open(opts Options) (*DB, error) { return OpenImage(nil, opts) }
 
 // New creates an empty database with the given options. New does not
 // validate (it predates Options.Validate and keeps the legacy clamping
@@ -367,8 +330,7 @@ func newDB(opts Options) *DB {
 	}
 	// Publish the empty store as epoch 1 so BeginRead always has a
 	// snapshot to pin, even before the first commit.
-	db.store.PublishAll()
-	db.m.snapshotEpoch.Set(int64(db.store.PublishedEpoch()))
+	db.publishAll()
 	return db
 }
 
@@ -465,8 +427,11 @@ func (db *DB) walDDL(rec []byte) error {
 	return err
 }
 
-// DefineClass registers a root class.
+// DefineClass registers a root class. Class DDL holds db.mu, like rule
+// DDL, so a checkpoint's image and its log never disagree on a class.
 func (db *DB) DefineClass(name string, attrs ...schema.Attribute) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if _, err := db.schema.Define(name, attrs...); err != nil {
 		return err
 	}
@@ -475,6 +440,8 @@ func (db *DB) DefineClass(name string, attrs ...schema.Attribute) error {
 
 // DefineSubclass registers a class specializing parent.
 func (db *DB) DefineSubclass(name, parent string, attrs ...schema.Attribute) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if _, err := db.schema.DefineSub(name, parent, attrs...); err != nil {
 		return err
 	}
@@ -615,7 +582,13 @@ func (t *Txn) stageRec(rec []byte) {
 // Options.MaxSessions ≤ 1 at most one transaction is open at a time;
 // above that, up to MaxSessions lines run concurrently. Either limit
 // reports ErrTxnOpen.
-func (db *DB) Begin() (*Txn, error) {
+func (db *DB) Begin() (*Txn, error) { return db.begin(db.clock.Now()) }
+
+// begin opens a line at start. WAL replay passes each line's logged
+// start, which in multi-session mode may lie behind the clock (a line
+// open across a checkpoint, or one that began before a line that
+// committed first).
+func (db *DB) begin(start clock.Time) (*Txn, error) {
 	base := event.NewBaseSize(db.opts.SegmentSize)
 	base.SetMetrics(db.baseMetrics)
 	base.SetLimits(db.opts.MaxEvents, db.opts.MaxSegments)
@@ -643,15 +616,15 @@ func (db *DB) Begin() (*Txn, error) {
 		db.mu.Unlock()
 		return nil, ErrTxnOpen
 	}
-	db.openLine(t, db.clock.Now())
-	if db.opts.Durability.enabled() {
+	db.openLine(t, start)
+	if db.opts.Durability.enabled() && !t.multi {
 		// The generation namespaces this transaction's persisted segment
 		// ids; segment ordinals restart at zero with the fresh base. The
 		// bump happens during WAL replay too (wal is nil then), keeping
-		// replay's generation arithmetic identical to the live run's. It
-		// lives under db.mu because concurrent multi-session Begins race
-		// on it (the generation is unused there — multi-session
-		// checkpoints are idle-only — but the counter must stay sane).
+		// replay's generation arithmetic identical to the live run's.
+		// Multi-session lines persist no segments (their checkpoints
+		// carry no open transaction), so the generation stays put and a
+		// checkpoint's value is the one replay ends on.
 		db.txnGen++
 		db.segsPersisted = 0
 	}
@@ -660,12 +633,12 @@ func (db *DB) Begin() (*Txn, error) {
 	db.stats.transactions.Add(1)
 	db.m.transactions.Inc()
 	if t.tr = db.loadTracer(); t.tr != nil {
-		t.tr.TransactionStart(db.clock.Now())
+		t.tr.TransactionStart(start)
 	}
 	if db.wal != nil {
 		if t.multi {
-			t.stageRec(encBegin(nil, db.clock.Now()))
-		} else if _, err := db.wal.append(encBegin(nil, db.clock.Now())); err != nil {
+			t.stageRec(encBegin(nil, start))
+		} else if _, err := db.wal.append(encBegin(nil, start)); err != nil {
 			t.rollback()
 			return nil, err
 		}
@@ -711,20 +684,14 @@ func (db *DB) idleCtx() *cond.Ctx {
 // drains record batches in the background).
 func (t *Txn) log(ty event.Type, oid types.OID) error {
 	ts := t.db.clock.Tick()
-	if t.db.wal != nil {
-		occ, tid, err := t.base.AppendTID(ty, oid, ts)
-		if err != nil {
-			return t.classify(err)
-		}
-		t.walEvent(tid, ty, ts, oid)
-		t.pending = append(t.pending, occ)
-	} else {
-		occ, err := t.base.Append(ty, oid, ts)
-		if err != nil {
-			return t.classify(err)
-		}
-		t.pending = append(t.pending, occ)
+	occ, tid, err := t.base.AppendTID(ty, oid, ts)
+	if err != nil {
+		return t.classify(err)
 	}
+	if t.db.wal != nil {
+		t.walEvent(tid, ty, ts, oid)
+	}
+	t.pending = append(t.pending, occ)
 	t.db.stats.events.Add(1)
 	t.db.m.events.Inc()
 	return nil
@@ -905,12 +872,16 @@ func (t *Txn) Emit(ty event.Type, oid types.OID) error {
 // clock even when a dormant rule's watermark would pin them. Streaming
 // sessions use it to keep steady-state memory flat on unbounded inputs;
 // the cost is semantic and explicit — operators cannot see past the
-// retention bound.
+// retention bound. In durable mode the window joins the block's op
+// stream and checkpoints, so replay compacts at the same bound.
 func (t *Txn) SetRetention(window clock.Time) error {
 	if err := t.check(); err != nil {
 		return err
 	}
 	t.base.SetRetention(window)
+	if t.db.wal != nil {
+		t.wrec = encOpRetention(t.wrec, window)
+	}
 	return nil
 }
 
@@ -1100,18 +1071,26 @@ func (t *Txn) walFlushBlock(now clock.Time, fired []string) {
 	t.wrec = t.wrec[:0]
 	if t.multi {
 		// Concurrent lines stage their block records privately; the whole
-		// run reaches the committer at commit. Automatic checkpoints are
-		// disabled in multi-session mode (Options.Validate), so no
-		// block-count bookkeeping happens here either.
+		// run reaches the committer at commit, which counts its blocks.
 		t.stageRec(rec)
 		return
 	}
 	if _, err := db.wal.append(rec); err != nil {
 		return // sticky; Commit reports it
 	}
-	db.blocksSinceCkpt++
+	db.blocksLogged(1, t)
+}
+
+// blocksLogged counts n logged block records toward CheckpointEvery and
+// checkpoints once the cadence is reached. t is the open single-session
+// transaction; a multi-session commit passes nil under the commit latch,
+// right after its run joined the log. Errors are sticky in the writer.
+func (db *DB) blocksLogged(n int, t *Txn) {
+	db.blocksSinceCkpt += n
 	if every := db.dur().CheckpointEvery; every > 0 && db.blocksSinceCkpt >= every {
+		db.mu.Lock()
 		db.checkpointNow(t) //nolint:errcheck // sticky in the writer; Commit reports it
+		db.mu.Unlock()
 	}
 }
 
@@ -1283,7 +1262,9 @@ func (t *Txn) Commit() error {
 	if db.wal != nil {
 		if t.multi {
 			t.stageRec([]byte{recCommit})
-			commitLSN, walErr = db.wal.appendRun(t.runBuf, t.runRecs)
+			if commitLSN, walErr = db.wal.appendRun(t.runBuf, t.runRecs); walErr == nil {
+				db.blocksLogged(t.runRecs-2, nil) // the run less its begin and commit
+			}
 		} else {
 			commitLSN, walErr = db.wal.append([]byte{recCommit})
 		}
@@ -1414,6 +1395,5 @@ func (db *DB) Run(fn func(*Txn) error) error {
 }
 
 // RuleBody returns the condition/action pair of a defined rule (the
-// zero Body if the rule is unknown). Snapshotting uses it to re-render
-// rules to source.
+// zero Body if the rule is unknown).
 func (db *DB) RuleBody(name string) Body { return db.bodies[name] }

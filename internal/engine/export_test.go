@@ -19,6 +19,12 @@ func CheckpointOIDs(data []byte) ([]types.OID, error) {
 	return oids, nil
 }
 
+// DecodeCheckpoint parses checkpoint bytes, reporting only the error.
+func DecodeCheckpoint(data []byte) error {
+	_, err := decodeCheckpoint(data)
+	return err
+}
+
 // CondPlan returns the condition plan the rules' conditions are interned
 // into.
 func (db *DB) CondPlan() *calculus.Plan { return db.conds }

@@ -11,20 +11,24 @@ package engine_test
 // (fsyncs strictly fewer than commits under concurrency).
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"chimera/internal/engine"
 	"chimera/internal/metrics"
+	"chimera/internal/schema"
 	"chimera/internal/storage"
 	"chimera/internal/types"
 )
 
 func multiDurOptions(store engine.SegmentStore, sessions int) engine.Options {
-	o := durOptions(store, 0) // auto checkpoints are single-session only
+	o := durOptions(store, 0)
 	o.MaxSessions = sessions
 	o.LockWait = 5 * time.Second
 	return o
@@ -233,52 +237,327 @@ func TestMultiSessionCrashMidTransaction(t *testing.T) {
 	tx.Rollback()
 }
 
-// TestMultiSessionCheckpointIdleOnly: explicit checkpoints in
-// multi-session mode demand an idle engine and work once it is.
-func TestMultiSessionCheckpointIdleOnly(t *testing.T) {
+// imageFingerprint renders a database's committed image (DB.Image):
+// every object with the attributes ever set on it, plus the OID
+// allocation point. Open lines' writes are not in it.
+func imageFingerprint(db *engine.DB) string {
+	img := db.Image()
+	var b strings.Builder
+	fmt.Fprintf(&b, "nextOID=%d\n", img.NextOID)
+	for _, o := range img.Objects {
+		fmt.Fprintf(&b, "%s(%s)%v\n", o.Class, o.OID, o.Attrs)
+	}
+	return b.String()
+}
+
+// TestMultiSessionCheckpointWithLinesOpen checkpoints while three lines
+// are open, each with writes made before the checkpoint. The image
+// holds only committed state; afterwards one line commits, one rolls
+// back, and one commits into a log torn mid-run. Recovery must land on
+// the committed state each time.
+func TestMultiSessionCheckpointWithLinesOpen(t *testing.T) {
 	store := storage.NewMemStore()
-	db, err := engine.Open(multiDurOptions(store, 2))
+	db, err := engine.Open(multiDurOptions(store, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	defineDurCatalog(t, db)
-
-	tx, err := db.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err == nil {
-		t.Error("Checkpoint succeeded with a line open")
-	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatalf("idle Checkpoint: %v", err)
-	}
-
-	// Commits after the checkpoint replay on top of it.
+	var a, b types.OID
 	if err := db.Run(func(tx *engine.Txn) error {
-		_, err := tx.Create("item", map[string]types.Value{
-			"n": types.Int(4), "cap": types.Int(50)})
+		var err error
+		if a, err = tx.Create("item", map[string]types.Value{
+			"n": types.Int(1), "cap": types.Int(50)}); err != nil {
+			return err
+		}
+		b, err = tx.Create("item", map[string]types.Value{
+			"n": types.Int(2), "cap": types.Int(50)})
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	begin := func() *engine.Txn {
+		t.Helper()
+		tx, err := db.Begin()
+		must(err)
+		return tx
+	}
+	commits, rolls, torn := begin(), begin(), begin()
+	made, err := commits.Create("item", map[string]types.Value{
+		"n": types.Int(3), "cap": types.Int(50)})
+	must(err)
+	must(commits.EndLine())
+	_, err = rolls.Create("note", map[string]types.Value{"n": types.Int(4)})
+	must(err)
+	must(torn.Modify(b, "n", types.Int(20)))
+	must(torn.EndLine())
+
+	committed := imageFingerprint(db)
+	must(db.Checkpoint())
+	rdb, rtx, rep, err := engine.Recover(multiDurOptions(store.Clone(), 4))
+	must(err)
+	if rtx != nil || rep.Records != 1 {
+		t.Fatalf("recovery right after the checkpoint: open=%v, %d record(s); want none open and only the marker", rtx != nil, rep.Records)
+	}
+	if got := imageFingerprint(rdb); got != committed {
+		t.Fatalf("checkpoint image is not the committed state:\n--- committed\n%s--- recovered\n%s", committed, got)
+	}
+	rdb.Close()
+
+	// After the checkpoint: the committing line writes again, the other
+	// rolls back, the third keeps its write open.
+	must(commits.Modify(made, "n", types.Int(5)))
+	must(commits.Modify(a, "n", types.Int(6)))
+	must(rolls.Rollback())
+	must(commits.Commit())
+	must(db.SyncWAL())
+	want := imageFingerprint(db)
+	before := store.WALLen()
+	must(torn.Modify(a, "n", types.Int(7)))
+	must(torn.Commit())
+	must(db.SyncWAL())
+	after := store.WALLen()
+
+	// The whole log recovers to the live state, clock included: the
+	// header's clock and allocator were already advanced by the open
+	// lines, and replaying their runs lands on the live values.
+	rdb, _, _, err = engine.Recover(multiDurOptions(store.Clone(), 4))
+	must(err)
+	if live, got := storeFingerprint(db), storeFingerprint(rdb); got != live {
+		t.Errorf("full-log recovery differs:\n--- live\n%s--- recovered\n%s", live, got)
+	}
+	if live, got := db.Clock().Now(), rdb.Clock().Now(); got != live {
+		t.Errorf("recovered clock %d, live %d", got, live)
+	}
+	rdb.Close()
+
+	// Torn anywhere inside the last run, the log recovers to the state
+	// before that run.
+	for _, cut := range []int{before + 1, (before + after) / 2, after - 1} {
+		clone := store.Clone()
+		clone.TruncateWAL(cut)
+		rdb, rtx, rep, err := engine.Recover(multiDurOptions(clone, 4))
+		must(err)
+		if rtx != nil || !rep.TruncatedWAL {
+			t.Errorf("cut at %d of %d..%d: open=%v truncated=%v; want a torn tail and no open line", cut, before, after, rtx != nil, rep.TruncatedWAL)
+		}
+		if got := imageFingerprint(rdb); got != want {
+			t.Errorf("cut at %d: recovered state differs:\n--- want\n%s--- recovered\n%s", cut, want, got)
+		}
+		rdb.Close()
+	}
+}
+
+// TestMultiSessionAutoCheckpointsConcurrent runs 8 concurrent writers
+// at MaxSessions 8 with CheckpointEvery 4, while a checker takes
+// explicit checkpoints and clones the store at random points. Every
+// clone must recover to a committed state: each worker's counter item
+// agrees with the rows it committed beside it (atomicity), and no
+// transaction that committed before the clone's SyncWAL is missing
+// (durability). Once the writers stop, recovery equals the live store.
+func TestMultiSessionAutoCheckpointsConcurrent(t *testing.T) {
+	const workers = 8
+	perWorker := 40
+	if testing.Short() {
+		perWorker = 15
+	}
+	store := storage.NewMemStore()
+	reg := metrics.NewRegistry()
+	opts := multiDurOptions(store, workers)
+	opts.Durability.CheckpointEvery = 4
+	opts.Metrics = reg
+	db, err := engine.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defineDurCatalog(t, db)
+	if err := db.DefineClass("row",
+		schema.Attribute{Name: "w", Kind: types.KindInt},
+		schema.Attribute{Name: "k", Kind: types.KindInt}); err != nil {
+		t.Fatal(err)
+	}
+	counters := make([]types.OID, workers)
+	if err := db.Run(func(tx *engine.Txn) error {
+		for w := range counters {
+			var err error
+			if counters[w], err = tx.Create("item", map[string]types.Value{
+				"n": types.Int(0), "cap": types.Int(1 << 40)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// recovered reads, per worker, the counter value and the rows.
+	recovered := func(rdb *engine.DB) (ns, rows []int64) {
+		ns, rows = make([]int64, workers), make([]int64, workers)
+		for w, oid := range counters {
+			o, ok := rdb.Store().Get(oid)
+			if !ok {
+				t.Fatalf("counter %d lost", w)
+			}
+			ns[w] = o.MustGet("n").AsInt()
+		}
+		oids, _ := rdb.Store().Select("row")
+		for _, oid := range oids {
+			o, _ := rdb.Store().Get(oid)
+			rows[o.MustGet("w").AsInt()]++
+		}
+		return ns, rows
+	}
+
+	var done [workers]atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, workers+1) // one per writer, one for the checker
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < perWorker; i++ {
+				rollback := r.Intn(5) == 0
+				err := db.Run(func(tx *engine.Txn) error {
+					o, ok := tx.Get(counters[w])
+					if !ok {
+						return fmt.Errorf("counter %d missing", w)
+					}
+					n := o.MustGet("n").AsInt()
+					if err := tx.Modify(counters[w], "n", types.Int(n+1)); err != nil {
+						return err
+					}
+					if err := tx.EndLine(); err != nil {
+						return err
+					}
+					if _, err := tx.Create("row", map[string]types.Value{
+						"w": types.Int(int64(w)), "k": types.Int(n + 1)}); err != nil {
+						return err
+					}
+					if rollback {
+						return errRollback
+					}
+					return nil
+				})
+				switch {
+				case err == nil:
+					done[w].Add(1)
+				case errors.Is(err, errRollback):
+				default:
+					errs <- fmt.Errorf("worker %d: %w", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+
+	stop := make(chan struct{})
+	checked := make(chan int)
+	var explicit atomic.Int64
+	go func() {
+		r := rand.New(rand.NewSource(99))
+		n := 0
+		defer func() { checked <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Duration(r.Intn(3)) * time.Millisecond):
+			}
+			if r.Intn(3) == 0 {
+				if err := db.Checkpoint(); err != nil {
+					errs <- fmt.Errorf("explicit checkpoint: %w", err)
+					return
+				}
+				explicit.Add(1)
+			}
+			var floor [workers]int64
+			for w := range floor {
+				floor[w] = done[w].Load()
+			}
+			if err := db.SyncWAL(); err != nil {
+				errs <- err
+				return
+			}
+			rdb, _, _, err := engine.Recover(func() engine.Options {
+				o := multiDurOptions(store.Clone(), workers)
+				o.Durability.CheckpointEvery = 4
+				return o
+			}())
+			if err != nil {
+				errs <- fmt.Errorf("recover: %w", err)
+				return
+			}
+			ns, rows := recovered(rdb)
+			rdb.Close()
+			for w := range ns {
+				if ns[w] != rows[w] || ns[w] < floor[w] {
+					errs <- fmt.Errorf("clone %d, worker %d: counter %d, %d row(s), %d committed before the clone",
+						n, w, ns[w], rows[w], floor[w])
+					return
+				}
+			}
+			n++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	clones := <-checked
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if clones == 0 {
+		t.Error("no clone was recovered while the writers ran")
+	}
+	// Open's checkpoint, the explicit ones, and the automatic ones.
+	if auto := reg.Snapshot().Counters["chimera_ckpt_total"] - 1 - explicit.Load(); auto == 0 {
+		t.Error("no automatic checkpoint was written")
+	}
+
 	if err := db.SyncWAL(); err != nil {
 		t.Fatal(err)
 	}
-	want := storeFingerprint(db)
-	rdb, _, _, err := engine.Recover(multiDurOptions(store.Clone(), 2))
+	rdb, _, _, err := engine.Recover(func() engine.Options {
+		o := multiDurOptions(store.Clone(), workers)
+		o.Durability.CheckpointEvery = 4
+		return o
+	}())
 	if err != nil {
-		t.Fatalf("recover after checkpoint: %v", err)
+		t.Fatal(err)
 	}
 	defer rdb.Close()
-	if got := storeFingerprint(rdb); got != want {
-		t.Errorf("post-checkpoint recovery differs:\n--- live ---\n%s--- recovered ---\n%s", want, got)
+	// The objects match exactly. The allocator may end lower than the
+	// live one: OIDs that rolled-back lines allocated after the last
+	// checkpoint are never logged, and none of them is committed.
+	want, got := storeFingerprint(db), storeFingerprint(rdb)
+	_, wantObjs, _ := strings.Cut(want, "\n")
+	_, gotObjs, _ := strings.Cut(got, "\n")
+	if wantObjs != gotObjs {
+		t.Errorf("final recovery differs:\n--- live\n%s--- recovered\n%s", want, got)
 	}
+	objs := rdb.Store().Objects()
+	if next := rdb.Store().NextOID(); next > db.Store().NextOID() || next < objs[len(objs)-1].OID() {
+		t.Errorf("recovered allocator at %v: live %v, highest recovered OID %v",
+			next, db.Store().NextOID(), objs[len(objs)-1].OID())
+	}
+	ns, rows := recovered(rdb)
+	for w := range ns {
+		if ns[w] != done[w].Load() || rows[w] != ns[w] {
+			t.Errorf("worker %d: counter %d, %d row(s), %d commits", w, ns[w], rows[w], done[w].Load())
+		}
+	}
+	t.Logf("%d clones recovered during the run", clones)
 }
+
+var errRollback = errors.New("roll back")
 
 // slowSyncStore delays SyncWAL so concurrent FsyncPerCommit committers
 // pile up behind one in-flight fsync — the condition group commit

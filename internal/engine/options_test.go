@@ -48,7 +48,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"durable multi-session auto-checkpoints", durable(func(o *Options) {
 			o.MaxSessions = 4
 			o.Durability.CheckpointEvery = 8
-		}), "single-session"},
+		}), ""},
 		{"durable negative sync interval", durable(func(o *Options) {
 			o.Durability.SyncInterval = -time.Millisecond
 		}), "SyncInterval"},

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"chimera/internal/event"
-	"chimera/internal/lang"
 	"chimera/internal/wire"
 )
 
@@ -105,53 +104,36 @@ func Recover(opts Options) (*DB, *Txn, *RecoveryReport, error) {
 	}
 	rep.TxnOpen = t != nil
 
+	// Publish the recovered store for the lock-free read path, before
+	// the closing checkpoint reads its image from it. With an open
+	// transaction returned live this includes its uncommitted solo
+	// writes; its eventual commit or rollback republishes the write set,
+	// converging the snapshot on the transaction's outcome.
+	db.publishAll()
+
 	// Re-arm durability: attach the committer and write a fresh
 	// checkpoint so the replayed log retires and the next crash recovers
 	// from here.
 	db.attachWAL()
-	if err := db.checkpointNow(t); err != nil {
+	db.mu.Lock()
+	err = db.checkpointNow(t)
+	db.mu.Unlock()
+	if err != nil {
 		db.wal.close()
 		return nil, nil, nil, fmt.Errorf("engine: recover: %w", err)
 	}
 	if t != nil {
 		db.segsPersisted = t.base.SealedSegments()
 	}
-	// Publish the recovered store for the lock-free read path. With an
-	// open transaction returned live this includes its uncommitted solo
-	// writes; its eventual commit or rollback republishes the write set,
-	// converging the snapshot on the transaction's outcome.
-	db.store.PublishAll()
-	db.m.snapshotEpoch.Set(int64(db.store.PublishedEpoch()))
 	return db, t, rep, nil
 }
 
 // applyCheckpoint loads the checkpoint into the fresh database,
 // reopening the interrupted transaction if one was captured.
 func (db *DB) applyCheckpoint(ck *checkpoint, rep *RecoveryReport) (*Txn, error) {
-	for _, c := range ck.Classes {
-		var err error
-		if c.Parent == "" {
-			_, err = db.schema.Define(c.Name, c.Attrs...)
-		} else {
-			_, err = db.schema.DefineSub(c.Name, c.Parent, c.Attrs...)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("engine: recover: class %q: %w", c.Name, err)
-		}
+	if err := db.restore(&ck.Image); err != nil {
+		return nil, fmt.Errorf("engine: recover: %w", err)
 	}
-	for _, src := range ck.Rules {
-		if err := db.replayDefineRule(src); err != nil {
-			return nil, err
-		}
-	}
-	for _, o := range ck.Objects {
-		if err := db.store.Restore(o.OID, o.Class, o.Vals); err != nil {
-			return nil, fmt.Errorf("engine: recover: %w", err)
-		}
-	}
-	// The allocation point is explicit state: OIDs freed by
-	// pre-checkpoint deletions must never be reissued.
-	db.store.SetNextOID(ck.NextOID)
 	db.clock.AdvanceTo(ck.Now)
 	if !ck.InTxn {
 		return nil, nil
@@ -219,9 +201,10 @@ func (db *DB) applyCheckpoint(ck *checkpoint, rep *RecoveryReport) (*Txn, error)
 
 // reopenTxn reinstates the interrupted transaction around a restored
 // base: a single-session line opened at the recorded start instant,
-// then the marks.
+// then the retention window and the marks.
 func (db *DB) reopenTxn(base *event.Base, ck *checkpoint) (*Txn, error) {
 	base.SetMetrics(db.baseMetrics)
+	base.SetRetention(ck.Window)
 	t := &Txn{db: db, base: base}
 	db.mu.Lock()
 	db.openLine(t, ck.Start)
@@ -241,18 +224,6 @@ func (db *DB) reopenTxn(base *event.Base, ck *checkpoint) (*Txn, error) {
 		t.walTypes[i] = true
 	}
 	return t, nil
-}
-
-// replayDefineRule replays one rule definition from its source form.
-func (db *DB) replayDefineRule(src string) error {
-	r, err := lang.ParseRule(src)
-	if err != nil {
-		return fmt.Errorf("engine: recover: rule %w", err)
-	}
-	if err := db.DefineRule(r.Def, Body{Condition: r.Condition, Action: r.Action}); err != nil {
-		return fmt.Errorf("engine: recover: rule %q: %w", r.Def.Name, err)
-	}
-	return nil
 }
 
 // replayTypes maps interned type ids to event types during block
@@ -365,8 +336,8 @@ func (db *DB) replayRecord(rec walRecord, t *Txn, typeTab *replayTypes, rep *Rec
 			return nil, fmt.Errorf("engine: recover: class %q: %w", rec.Name, err)
 		}
 	case recDefineRule:
-		if err := db.replayDefineRule(rec.Src); err != nil {
-			return nil, err
+		if err := db.defineRuleSource(rec.Src); err != nil {
+			return nil, fmt.Errorf("engine: recover: %w", err)
 		}
 	case recDropRule:
 		if err := db.DropRule(rec.Name); err != nil {
@@ -378,8 +349,8 @@ func (db *DB) replayRecord(rec walRecord, t *Txn, typeTab *replayTypes, rep *Rec
 		}
 		db.clock.AdvanceTo(rec.Start)
 		// The live Begin path reproduces the recorded one exactly: same
-		// clock instant, same fresh base, same generation bump.
-		nt, err := db.Begin()
+		// start instant, same fresh base, same generation bump.
+		nt, err := db.begin(rec.Start)
 		if err != nil {
 			return nil, fmt.Errorf("engine: recover: begin: %w", err)
 		}
@@ -419,15 +390,15 @@ func (db *DB) replayRecord(rec walRecord, t *Txn, typeTab *replayTypes, rep *Rec
 
 // replayBlock applies one block record: the op stream in execution
 // order, then the block-boundary protocol — arrivals announced,
-// recorded firings restored verbatim, compaction below the watermark —
-// exactly as flushBlock ran it live, minus the triggering
-// determination (its outcome is in the record).
+// recorded firings restored verbatim, compaction below the watermark
+// lifted to the retention bound at the block's instant — exactly as
+// flushBlock ran it live, minus the triggering determination (its
+// outcome is in the record).
 func (t *Txn) replayBlock(rec walRecord, typeTab *replayTypes, rep *RecoveryReport) error {
 	db := t.db
-	ops := rec.Ops
-	for len(ops) > 0 {
-		op, rest, err := nextWalOp(ops)
-		if err != nil {
+	for r := wire.NewReader(rec.Ops); r.Len() > 0; {
+		op := readWalOp(&r)
+		if err := r.Err(); err != nil {
 			return fmt.Errorf("engine: recover: block op: %w", err)
 		}
 		switch op.Kind {
@@ -490,10 +461,9 @@ func (t *Txn) replayBlock(rec walRecord, typeTab *replayTypes, rep *RecoveryRepo
 			if _, err := t.view.Consider(op.Rule, op.At); err != nil {
 				return fmt.Errorf("engine: recover: consider %q: %w", op.Rule, err)
 			}
-		default:
-			return fmt.Errorf("%w: unknown op kind %d", wire.ErrCorrupt, op.Kind)
+		case opRetention:
+			t.base.SetRetention(op.Window)
 		}
-		ops = rest
 	}
 	t.view.NotifyArrivals(t.pending)
 	t.pending = t.pending[:0]
@@ -506,7 +476,7 @@ func (t *Txn) replayBlock(rec walRecord, typeTab *replayTypes, rep *RecoveryRepo
 	}
 	db.clock.AdvanceTo(rec.Now)
 	if !db.opts.DisableCompaction {
-		t.base.CompactBelow(t.view.Watermark())
+		t.base.CompactBelow(t.base.RetentionBound(t.view.Watermark(), rec.Now))
 	}
 	return nil
 }

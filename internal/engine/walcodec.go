@@ -69,6 +69,10 @@ const (
 	// rule's horizon and detriggers it; the condition/action that follow
 	// are ordinary ops of the same stream).
 	opConsider
+	// opRetention sets the Event Base's retention window
+	// (Txn.SetRetention); replay compacts at the same bound. Logs
+	// written before it existed carry none and replay with no window.
+	opRetention
 )
 
 // firedMark is one newly triggered rule at a block boundary.
@@ -174,6 +178,10 @@ func encOpConsider(dst []byte, rule string, at clock.Time) []byte {
 	return wire.AppendVarint(dst, int64(at))
 }
 
+func encOpRetention(dst []byte, window clock.Time) []byte {
+	return wire.AppendVarint(append(dst, opRetention), int64(window))
+}
+
 // --- decoders ---
 
 // walRecord is one decoded WAL record (fields populated per Kind).
@@ -191,198 +199,87 @@ type walRecord struct {
 }
 
 func decRecord(payload []byte) (walRecord, error) {
-	if len(payload) == 0 {
-		return walRecord{}, fmt.Errorf("%w: empty wal record", wire.ErrCorrupt)
-	}
-	r := walRecord{Kind: payload[0]}
-	p := payload[1:]
-	var err error
-	switch r.Kind {
+	r := wire.NewReader(payload)
+	rec := walRecord{Kind: r.Byte()}
+	switch rec.Kind {
 	case recCkptMarker:
-		if r.Seq, p, err = wire.Uvarint(p); err != nil {
-			return walRecord{}, err
-		}
+		rec.Seq = r.Uvarint()
 	case recDefineClass:
-		if r.Name, p, err = wire.String(p); err != nil {
-			return walRecord{}, err
-		}
-		if r.Parent, p, err = wire.String(p); err != nil {
-			return walRecord{}, err
-		}
-		var n uint64
-		if n, p, err = wire.Uvarint(p); err != nil {
-			return walRecord{}, err
-		}
-		r.Attrs = make([]schema.Attribute, n)
-		for i := range r.Attrs {
-			if r.Attrs[i].Name, p, err = wire.String(p); err != nil {
-				return walRecord{}, err
-			}
-			var ks string
-			if ks, p, err = wire.String(p); err != nil {
-				return walRecord{}, err
-			}
-			if r.Attrs[i].Kind, err = types.ParseKind(ks); err != nil {
-				return walRecord{}, fmt.Errorf("%w: %v", wire.ErrCorrupt, err)
-			}
+		rec.Name, rec.Parent = r.Str(), r.Str()
+		rec.Attrs = make([]schema.Attribute, r.Count())
+		for i := range rec.Attrs {
+			rec.Attrs[i] = schema.Attribute{Name: r.Str(), Kind: r.Kind()}
 		}
 	case recDefineRule:
-		if r.Src, p, err = wire.String(p); err != nil {
-			return walRecord{}, err
-		}
+		rec.Src = r.Str()
 	case recDropRule:
-		if r.Name, p, err = wire.String(p); err != nil {
-			return walRecord{}, err
-		}
+		rec.Name = r.Str()
 	case recBegin:
-		var v int64
-		if v, p, err = wire.Varint(p); err != nil {
-			return walRecord{}, err
-		}
-		r.Start = clock.Time(v)
+		rec.Start = clock.Time(r.Varint())
 	case recBlock:
-		var v int64
-		if v, p, err = wire.Varint(p); err != nil {
-			return walRecord{}, err
+		rec.Now = clock.Time(r.Varint())
+		rec.Fired = make([]firedMark, r.Count())
+		for i := range rec.Fired {
+			rec.Fired[i] = firedMark{Rule: r.Str(), At: clock.Time(r.Varint())}
 		}
-		r.Now = clock.Time(v)
-		var n uint64
-		if n, p, err = wire.Uvarint(p); err != nil {
-			return walRecord{}, err
-		}
-		r.Fired = make([]firedMark, n)
-		for i := range r.Fired {
-			if r.Fired[i].Rule, p, err = wire.String(p); err != nil {
-				return walRecord{}, err
-			}
-			if v, p, err = wire.Varint(p); err != nil {
-				return walRecord{}, err
-			}
-			r.Fired[i].At = clock.Time(v)
-		}
-		r.Ops = p
-		p = nil
+		rec.Ops = r.Rest()
 	case recCommit, recRollback:
 		// no body
 	default:
-		return walRecord{}, fmt.Errorf("%w: unknown wal record kind %d", wire.ErrCorrupt, r.Kind)
+		r.Fail(fmt.Errorf("%w: unknown wal record kind %d", wire.ErrCorrupt, rec.Kind))
 	}
-	if len(p) != 0 {
-		return walRecord{}, fmt.Errorf("%w: trailing bytes in wal record %d", wire.ErrCorrupt, r.Kind)
+	if err := r.Done("wal record"); err != nil {
+		return walRecord{}, err
 	}
-	return r, nil
+	return rec, nil
 }
 
 // walOp is one decoded block op (fields populated per Kind).
 type walOp struct {
-	Kind  byte
-	TID   int32
-	Type  event.Type
-	TS    clock.Time
-	OID   types.OID
-	Class string
-	Attr  string
-	Rule  string
-	At    clock.Time
-	Vals  map[string]types.Value
-	Val   types.Value
+	Kind   byte
+	TID    int32
+	Type   event.Type
+	TS     clock.Time
+	OID    types.OID
+	Class  string
+	Attr   string
+	Rule   string
+	At     clock.Time
+	Window clock.Time
+	Vals   map[string]types.Value
+	Val    types.Value
 }
 
-// nextWalOp decodes one op off the front of the stream.
-func nextWalOp(ops []byte) (walOp, []byte, error) {
-	if len(ops) == 0 {
-		return walOp{}, nil, fmt.Errorf("%w: empty wal op", wire.ErrCorrupt)
-	}
-	op := walOp{Kind: ops[0]}
-	p := ops[1:]
-	var err error
-	var v int64
-	var n uint64
+// readWalOp decodes one op off the front of the stream; the caller
+// checks r.Err.
+func readWalOp(r *wire.Reader) walOp {
+	op := walOp{Kind: r.Byte()}
 	switch op.Kind {
 	case opTypeDef:
-		if n, p, err = wire.Uvarint(p); err != nil {
-			return walOp{}, nil, err
-		}
-		op.TID = int32(n)
-		if len(p) == 0 {
-			return walOp{}, nil, wire.ErrCorrupt
-		}
-		op.Type.Op = event.Op(p[0])
-		p = p[1:]
-		if op.Type.Class, p, err = wire.String(p); err != nil {
-			return walOp{}, nil, err
-		}
-		if op.Type.Attr, p, err = wire.String(p); err != nil {
-			return walOp{}, nil, err
-		}
+		op.TID = int32(r.Uvarint())
+		op.Type = event.Type{Op: event.Op(r.Byte()), Class: r.Str(), Attr: r.Str()}
 	case opEvent:
-		if v, p, err = wire.Varint(p); err != nil {
-			return walOp{}, nil, err
-		}
-		op.TS = clock.Time(v)
-		if n, p, err = wire.Uvarint(p); err != nil {
-			return walOp{}, nil, err
-		}
-		op.TID = int32(n)
-		if v, p, err = wire.Varint(p); err != nil {
-			return walOp{}, nil, err
-		}
-		op.OID = types.OID(v)
+		op.TS, op.TID, op.OID = clock.Time(r.Varint()), int32(r.Uvarint()), types.OID(r.Varint())
 	case opCreate:
-		if v, p, err = wire.Varint(p); err != nil {
-			return walOp{}, nil, err
-		}
-		op.OID = types.OID(v)
-		if op.Class, p, err = wire.String(p); err != nil {
-			return walOp{}, nil, err
-		}
-		if n, p, err = wire.Uvarint(p); err != nil {
-			return walOp{}, nil, err
-		}
+		op.OID, op.Class = types.OID(r.Varint()), r.Str()
+		n := r.Count()
 		op.Vals = make(map[string]types.Value, n)
-		for i := uint64(0); i < n; i++ {
-			var k string
-			if k, p, err = wire.String(p); err != nil {
-				return walOp{}, nil, err
-			}
-			if op.Vals[k], p, err = wire.Value(p); err != nil {
-				return walOp{}, nil, err
-			}
+		for i := 0; i < n; i++ {
+			k := r.Str()
+			op.Vals[k] = r.Value()
 		}
 	case opModify:
-		if v, p, err = wire.Varint(p); err != nil {
-			return walOp{}, nil, err
-		}
-		op.OID = types.OID(v)
-		if op.Attr, p, err = wire.String(p); err != nil {
-			return walOp{}, nil, err
-		}
-		if op.Val, p, err = wire.Value(p); err != nil {
-			return walOp{}, nil, err
-		}
+		op.OID, op.Attr, op.Val = types.OID(r.Varint()), r.Str(), r.Value()
 	case opDelete:
-		if v, p, err = wire.Varint(p); err != nil {
-			return walOp{}, nil, err
-		}
-		op.OID = types.OID(v)
+		op.OID = types.OID(r.Varint())
 	case opSpecialize, opGeneralize:
-		if v, p, err = wire.Varint(p); err != nil {
-			return walOp{}, nil, err
-		}
-		op.OID = types.OID(v)
-		if op.Class, p, err = wire.String(p); err != nil {
-			return walOp{}, nil, err
-		}
+		op.OID, op.Class = types.OID(r.Varint()), r.Str()
 	case opConsider:
-		if op.Rule, p, err = wire.String(p); err != nil {
-			return walOp{}, nil, err
-		}
-		if v, p, err = wire.Varint(p); err != nil {
-			return walOp{}, nil, err
-		}
-		op.At = clock.Time(v)
+		op.Rule, op.At = r.Str(), clock.Time(r.Varint())
+	case opRetention:
+		op.Window = clock.Time(r.Varint())
 	default:
-		return walOp{}, nil, fmt.Errorf("%w: unknown wal op kind %d", wire.ErrCorrupt, op.Kind)
+		r.Fail(fmt.Errorf("%w: unknown wal op kind %d", wire.ErrCorrupt, op.Kind))
 	}
-	return op, p, nil
+	return op
 }

@@ -414,6 +414,13 @@ func (b *Base) SetRetention(window clock.Time) {
 	b.retention = window
 }
 
+// Retention returns the window SetRetention declared (0 = none).
+func (b *Base) Retention() clock.Time {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.retention
+}
+
 // RetentionBound lifts a consumption watermark to the retention floor:
 // the compaction bound at instant now is the higher of the rule-set
 // watermark and now minus the retention window. With no retention

@@ -162,19 +162,12 @@ func DecodeSegment(data []byte) (SegmentFrame, error) {
 	if payload == nil || len(rest) != 0 {
 		return SegmentFrame{}, fmt.Errorf("%w: segment frame boundary", wire.ErrCorrupt)
 	}
-	if len(payload) < 1 || payload[0] != segmentCodecVersion {
+	r := wire.NewReader(payload)
+	if r.Byte() != segmentCodecVersion {
 		return SegmentFrame{}, fmt.Errorf("%w: unknown segment codec version", wire.ErrCorrupt)
 	}
-	p := payload[1:]
-	first, p, err := wire.Varint(p)
-	if err != nil {
-		return SegmentFrame{}, err
-	}
-	n64, p, err := wire.Uvarint(p)
-	if err != nil {
-		return SegmentFrame{}, err
-	}
-	n := int(n64)
+	first := r.Varint()
+	n := r.Count()
 	f := SegmentFrame{
 		FirstEID: EID(first),
 		TS:       make([]clock.Time, n),
@@ -182,33 +175,18 @@ func DecodeSegment(data []byte) (SegmentFrame, error) {
 		OIDs:     make([]int32, n),
 	}
 	prev := int64(0)
-	for i := 0; i < n; i++ {
-		d, q, err := wire.Uvarint(p)
-		if err != nil {
-			return SegmentFrame{}, err
-		}
-		prev += int64(d)
+	for i := range f.TS {
+		prev += int64(r.Uvarint())
 		f.TS[i] = clock.Time(prev)
-		p = q
 	}
-	for i := 0; i < n; i++ {
-		v, q, err := wire.Uvarint(p)
-		if err != nil {
-			return SegmentFrame{}, err
-		}
-		f.TIDs[i] = int32(v)
-		p = q
+	for i := range f.TIDs {
+		f.TIDs[i] = int32(r.Uvarint())
 	}
-	for i := 0; i < n; i++ {
-		v, q, err := wire.Uvarint(p)
-		if err != nil {
-			return SegmentFrame{}, err
-		}
-		f.OIDs[i] = int32(v)
-		p = q
+	for i := range f.OIDs {
+		f.OIDs[i] = int32(r.Uvarint())
 	}
-	if len(p) != 0 {
-		return SegmentFrame{}, fmt.Errorf("%w: %d trailing bytes in segment payload", wire.ErrCorrupt, len(p))
+	if err := r.Done("segment payload"); err != nil {
+		return SegmentFrame{}, err
 	}
 	return f, nil
 }
@@ -375,80 +353,32 @@ func DecodeBaseMeta(data []byte) (BaseMeta, []byte, error) {
 		}
 		return BaseMeta{}, nil, err
 	}
-	if len(payload) < 1 || payload[0] != segmentCodecVersion {
+	r := wire.NewReader(payload)
+	if r.Byte() != segmentCodecVersion {
 		return BaseMeta{}, nil, fmt.Errorf("%w: unknown base meta version", wire.ErrCorrupt)
 	}
-	p := payload[1:]
-	var m BaseMeta
-	segSize, p, err := wire.Uvarint(p)
-	if err != nil {
-		return BaseMeta{}, nil, err
-	}
-	m.SegSize = int(segSize)
-	if len(p) < 1 || p[0] != metaLayoutColumnar {
+	m := BaseMeta{SegSize: int(r.Uvarint())}
+	if r.Byte() != metaLayoutColumnar {
 		return BaseMeta{}, nil, fmt.Errorf("%w: base meta layout", wire.ErrCorrupt)
 	}
-	p = p[1:]
-	nTypes, p, err := wire.Uvarint(p)
-	if err != nil {
-		return BaseMeta{}, nil, err
-	}
+	nTypes := r.Count()
 	m.Types = make([]Type, nTypes)
 	m.Latest = make([]clock.Time, nTypes)
 	for i := range m.Types {
-		if len(p) < 1 {
-			return BaseMeta{}, nil, wire.ErrCorrupt
-		}
-		m.Types[i].Op = Op(p[0])
-		p = p[1:]
-		if m.Types[i].Class, p, err = wire.String(p); err != nil {
-			return BaseMeta{}, nil, err
-		}
-		if m.Types[i].Attr, p, err = wire.String(p); err != nil {
-			return BaseMeta{}, nil, err
-		}
-		var ts int64
-		if ts, p, err = wire.Varint(p); err != nil {
-			return BaseMeta{}, nil, err
-		}
-		m.Latest[i] = clock.Time(ts)
+		m.Types[i] = Type{Op: Op(r.Byte()), Class: r.Str(), Attr: r.Str()}
+		m.Latest[i] = clock.Time(r.Varint())
 	}
-	nOIDs, p, err := wire.Uvarint(p)
-	if err != nil {
-		return BaseMeta{}, nil, err
-	}
-	m.OIDs = make([]types.OID, nOIDs)
+	m.OIDs = make([]types.OID, r.Count())
 	for i := range m.OIDs {
-		var v int64
-		if v, p, err = wire.Varint(p); err != nil {
-			return BaseMeta{}, nil, err
-		}
-		m.OIDs[i] = types.OID(v)
+		m.OIDs[i] = types.OID(r.Varint())
 	}
-	var floor, nextEID, lastTS int64
-	var retired, retiredSegs uint64
-	if floor, p, err = wire.Varint(p); err != nil {
+	m.Floor = clock.Time(r.Varint())
+	m.Retired = int(r.Uvarint())
+	m.RetiredSegs = int(r.Uvarint())
+	m.NextEID = EID(r.Varint())
+	m.LastTS = clock.Time(r.Varint())
+	if err := r.Done("base meta"); err != nil {
 		return BaseMeta{}, nil, err
 	}
-	if retired, p, err = wire.Uvarint(p); err != nil {
-		return BaseMeta{}, nil, err
-	}
-	if retiredSegs, p, err = wire.Uvarint(p); err != nil {
-		return BaseMeta{}, nil, err
-	}
-	if nextEID, p, err = wire.Varint(p); err != nil {
-		return BaseMeta{}, nil, err
-	}
-	if lastTS, p, err = wire.Varint(p); err != nil {
-		return BaseMeta{}, nil, err
-	}
-	if len(p) != 0 {
-		return BaseMeta{}, nil, fmt.Errorf("%w: trailing bytes in base meta", wire.ErrCorrupt)
-	}
-	m.Floor = clock.Time(floor)
-	m.Retired = int(retired)
-	m.RetiredSegs = int(retiredSegs)
-	m.NextEID = EID(nextEID)
-	m.LastTS = clock.Time(lastTS)
 	return m, rest, nil
 }

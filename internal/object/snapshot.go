@@ -1,6 +1,7 @@
 package object
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -46,6 +47,19 @@ func (sn *Snapshot) Len() int {
 		n += len(sh)
 	}
 	return n
+}
+
+// Objects returns the snapshot's objects in ascending OID order: the
+// committed objects a checkpoint or a saved snapshot writes out.
+func (sn *Snapshot) Objects() []*Object {
+	out := make([]*Object, 0, sn.Len())
+	for _, sh := range sn.shards {
+		for _, o := range sh {
+			out = append(out, o)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Object) int { return cmp.Compare(a.oid, b.oid) })
+	return out
 }
 
 // Select returns the OIDs of all snapshot objects whose class is (or

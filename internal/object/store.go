@@ -48,13 +48,10 @@ func (o *Object) Get(attr string) (types.Value, error) {
 // MustGet is Get for callers that already validated the attribute.
 func (o *Object) MustGet(attr string) types.Value { return o.attrs[attr] }
 
-// Snapshot returns a copy of the attribute values.
-func (o *Object) Snapshot() map[string]types.Value {
-	m := make(map[string]types.Value, len(o.attrs))
-	for k, v := range o.attrs {
-		m[k] = v
-	}
-	return m
+// Lookup returns the value of an attribute and whether it was ever set.
+func (o *Object) Lookup(attr string) (types.Value, bool) {
+	v, ok := o.attrs[attr]
+	return v, ok
 }
 
 // String renders the object as class(oid){attr: value, ...} with sorted
@@ -339,36 +336,14 @@ func (s *Store) migrateLocked(oid types.OID, to string, down bool, undo *[]undoE
 	return nil
 }
 
-// Restore reinstates an object with a fixed OID — used by snapshot
-// loading only. It fails if the OID is already live; the allocator is
-// advanced past the restored OID so later creations stay unique.
+// Restore reinstates an object with a fixed OID — used by image loading
+// only. It fails if the OID is already live; the allocator is advanced
+// past the restored OID so later creations stay unique.
 func (s *Store) Restore(oid types.OID, class string, vals map[string]types.Value) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if oid == types.NilOID {
-		return fmt.Errorf("object: cannot restore the nil OID")
-	}
-	if _, dup := s.objects[oid]; dup {
-		return fmt.Errorf("object: OID %s already live", oid)
-	}
-	c, ok := s.schema.Class(class)
-	if !ok {
-		return fmt.Errorf("object: unknown class %q", class)
-	}
-	if err := schema.Validate(c, vals); err != nil {
-		return err
-	}
-	attrs := make(map[string]types.Value, len(vals))
-	for k, v := range vals {
-		attrs[k] = v
-	}
-	o := &Object{oid: oid, class: c, attrs: attrs}
-	s.objects[oid] = o
-	s.classSet(class)[oid] = o
-	if oid > s.nextOID {
-		s.nextOID = oid
-	}
-	return nil
+	var undo []undoEntry // no line to roll it back
+	return s.createAtLocked(oid, class, vals, &undo)
 }
 
 // NextOID returns the allocator's high-water mark: the OID most
@@ -438,8 +413,9 @@ func (s *Store) Select(class string) ([]types.OID, error) {
 	return out, nil
 }
 
-// Objects returns every live object in ascending OID order: what a
-// checkpoint or a snapshot writes out.
+// Objects returns every live object in ascending OID order, uncommitted
+// writes included: what a checkpoint taken inside a single-session
+// transaction writes out.
 func (s *Store) Objects() []*Object {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

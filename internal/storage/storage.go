@@ -1,9 +1,9 @@
-// Package storage implements database snapshots: the schema, the live
-// objects, and the rule set serialize to a JSON document that a fresh
-// database loads back. Rules are persisted as their concrete-syntax
-// source (the renderings of the event expression, condition and action
-// all parse back through internal/lang), so a snapshot is readable and
-// diffable.
+// Package storage implements database snapshots: the engine's Image of
+// committed state — the schema, the objects and the rule set — as a
+// JSON document that a fresh database loads back. Rules are persisted
+// as their concrete-syntax source (the renderings of the event
+// expression, condition and action all parse back through
+// internal/lang), so a snapshot is readable and diffable.
 //
 // Snapshots capture committed state only; the Event Base is
 // per-transaction by the paper's definition and is deliberately not
@@ -15,11 +15,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"chimera/internal/clock"
 	"chimera/internal/engine"
-	"chimera/internal/lang"
 	"chimera/internal/schema"
 	"chimera/internal/types"
 )
@@ -144,43 +142,32 @@ func decodeValue(r ValueRecord) (types.Value, error) {
 	return types.Null, fmt.Errorf("storage: unknown value kind %q", r.Kind)
 }
 
-// Capture builds a snapshot of a database. It must be called outside a
-// transaction.
+// Capture builds a snapshot of a database's committed state
+// (engine.DB.Image): open transactions are left out, whatever their
+// mode.
 func Capture(db *engine.DB) (*Snapshot, error) {
-	snap := &Snapshot{Format: CurrentFormat, NextOID: int64(db.Store().NextOID())}
-
-	// Classes, parents first, each with the attributes it declares.
-	for _, c := range db.Schema().Ordered() {
-		rec := ClassRecord{Name: c.Name()}
-		if p := c.Parent(); p != nil {
-			rec.Extends = p.Name()
-		}
-		for _, a := range c.Own() {
+	img := db.Image()
+	snap := &Snapshot{Format: CurrentFormat, NextOID: int64(img.NextOID)}
+	for _, c := range img.Classes {
+		rec := ClassRecord{Name: c.Name, Extends: c.Parent}
+		for _, a := range c.Attrs {
 			rec.Attrs = append(rec.Attrs, AttrRecord{Name: a.Name, Kind: a.Kind.String()})
 		}
 		snap.Classes = append(snap.Classes, rec)
 	}
-
-	// Objects, ascending OID.
-	for _, o := range db.Store().Objects() {
-		rec := ObjectRecord{OID: int64(o.OID()), Class: o.Class().Name(),
-			Attrs: make(map[string]ValueRecord)}
-		for name, v := range o.Snapshot() {
-			enc, err := encodeValue(v)
+	for _, o := range img.Objects {
+		rec := ObjectRecord{OID: int64(o.OID), Class: o.Class,
+			Attrs: make(map[string]ValueRecord, len(o.Attrs))}
+		for _, a := range o.Attrs {
+			enc, err := encodeValue(a.Val)
 			if err != nil {
 				return nil, err
 			}
-			rec.Attrs[name] = enc
+			rec.Attrs[a.Name] = enc
 		}
 		snap.Objects = append(snap.Objects, rec)
 	}
-
-	// Rules, in priority order, re-rendered to source.
-	for _, name := range db.Support().Rules() {
-		st, _ := db.Support().Rule(name)
-		body := db.RuleBody(name)
-		snap.Rules = append(snap.Rules, engine.RenderRule(st.Def, body))
-	}
+	snap.Rules = img.Rules
 	return snap, nil
 }
 
@@ -192,7 +179,9 @@ var ErrOldFormat = fmt.Errorf("storage: snapshot format predates this version")
 // know — most likely a newer release's output (or a corrupt document).
 var ErrUnknownFormat = fmt.Errorf("storage: unknown snapshot format")
 
-// Load reconstructs a fresh database from a snapshot.
+// Load reconstructs a fresh database from a snapshot through
+// engine.OpenImage: the options are validated, and on a durable store
+// the loaded state becomes the first checkpoint.
 func Load(snap *Snapshot, opts engine.Options) (*engine.DB, error) {
 	switch {
 	case snap.Format == CurrentFormat:
@@ -202,58 +191,30 @@ func Load(snap *Snapshot, opts engine.Options) (*engine.DB, error) {
 	default:
 		return nil, fmt.Errorf("%w: got %d, current is %d", ErrUnknownFormat, snap.Format, CurrentFormat)
 	}
-	db := engine.New(opts)
+	img := &engine.Image{NextOID: types.OID(snap.NextOID), Rules: snap.Rules}
 	for _, c := range snap.Classes {
-		attrs := make([]schema.Attribute, len(c.Attrs))
+		ic := engine.ImageClass{Name: c.Name, Parent: c.Extends, Attrs: make([]schema.Attribute, len(c.Attrs))}
 		for i, a := range c.Attrs {
 			k, err := types.ParseKind(a.Kind)
 			if err != nil {
 				return nil, fmt.Errorf("storage: class %s: %w", c.Name, err)
 			}
-			attrs[i] = schema.Attribute{Name: a.Name, Kind: k}
+			ic.Attrs[i] = schema.Attribute{Name: a.Name, Kind: k}
 		}
-		var err error
-		if c.Extends != "" {
-			err = db.DefineSubclass(c.Name, c.Extends, attrs...)
-		} else {
-			err = db.DefineClass(c.Name, attrs...)
-		}
-		if err != nil {
-			return nil, err
-		}
+		img.Classes = append(img.Classes, ic)
 	}
 	for _, rec := range snap.Objects {
-		vals := make(map[string]types.Value, len(rec.Attrs))
+		o := engine.ImageObject{OID: types.OID(rec.OID), Class: rec.Class}
 		for name, vr := range rec.Attrs {
 			v, err := decodeValue(vr)
 			if err != nil {
 				return nil, fmt.Errorf("storage: object o%d: %w", rec.OID, err)
 			}
-			vals[name] = v
+			o.Attrs = append(o.Attrs, engine.ImageAttr{Name: name, Val: v})
 		}
-		if err := db.Store().Restore(types.OID(rec.OID), rec.Class, vals); err != nil {
-			return nil, err
-		}
+		img.Objects = append(img.Objects, o)
 	}
-	db.Store().SetNextOID(types.OID(snap.NextOID))
-	for _, src := range snap.Rules {
-		r, err := lang.ParseRule(src)
-		if err != nil {
-			return nil, fmt.Errorf("storage: rule %q: %w", firstLine(src), err)
-		}
-		if err := db.DefineRule(r.Def, engine.Body{
-			Condition: r.Condition, Action: r.Action}); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
+	return engine.OpenImage(img, opts)
 }
 
 // Write serializes the snapshot as indented JSON.

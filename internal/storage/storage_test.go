@@ -128,9 +128,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if cp.Class().Name() != orig.Class().Name() {
 			t.Errorf("%s class = %s, want %s", oid, cp.Class().Name(), orig.Class().Name())
 		}
-		for name, v := range orig.Snapshot() {
-			if got := cp.MustGet(name); !got.Equal(v) || got.Kind() != v.Kind() {
-				t.Errorf("%s.%s = %s (%s), want %s (%s)", oid, name, got, got.Kind(), v, v.Kind())
+		for _, a := range orig.Class().Attributes() {
+			v, had := orig.Lookup(a.Name)
+			if got, has := cp.Lookup(a.Name); has != had || !got.Equal(v) || got.Kind() != v.Kind() {
+				t.Errorf("%s.%s = %s (%s, set %v), want %s (%s, set %v)",
+					oid, a.Name, got, got.Kind(), has, v, v.Kind(), had)
 			}
 		}
 	}

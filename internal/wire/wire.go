@@ -73,40 +73,18 @@ func AppendVarint(dst []byte, x int64) []byte {
 	return binary.AppendVarint(dst, x)
 }
 
-// Uvarint decodes an unsigned varint off the front of data.
-func Uvarint(data []byte) (uint64, []byte, error) {
-	x, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, ErrCorrupt
+// AppendBool appends a one-byte flag.
+func AppendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
 	}
-	return x, data[n:], nil
-}
-
-// Varint decodes a zigzag varint off the front of data.
-func Varint(data []byte) (int64, []byte, error) {
-	x, n := binary.Varint(data)
-	if n <= 0 {
-		return 0, nil, ErrCorrupt
-	}
-	return x, data[n:], nil
+	return append(dst, 0)
 }
 
 // AppendString appends a length-prefixed string.
 func AppendString(dst []byte, s string) []byte {
 	dst = AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// String decodes a length-prefixed string off the front of data.
-func String(data []byte) (string, []byte, error) {
-	n, rest, err := Uvarint(data)
-	if err != nil {
-		return "", nil, err
-	}
-	if uint64(len(rest)) < n {
-		return "", nil, ErrCorrupt
-	}
-	return string(rest[:n]), rest[n:], nil
 }
 
 // Value kind tags. They mirror types.Kind but are pinned here so the
@@ -136,11 +114,7 @@ func AppendValue(dst []byte, v types.Value) ([]byte, error) {
 	case types.KindString:
 		return AppendString(append(dst, vkString), v.AsString()), nil
 	case types.KindBool:
-		dst = append(dst, vkBool)
-		if v.AsBool() {
-			return append(dst, 1), nil
-		}
-		return append(dst, 0), nil
+		return AppendBool(append(dst, vkBool), v.AsBool()), nil
 	case types.KindTime:
 		return AppendVarint(append(dst, vkTime), int64(v.AsTime())), nil
 	case types.KindOID:
@@ -149,50 +123,148 @@ func AppendValue(dst []byte, v types.Value) ([]byte, error) {
 	return nil, fmt.Errorf("wire: unencodable value kind %v", v.Kind())
 }
 
-// Value decodes a tagged attribute value off the front of data.
-func Value(data []byte) (types.Value, []byte, error) {
-	if len(data) == 0 {
-		return types.Null, nil, ErrCorrupt
+// Reader decodes wire primitives off the front of a byte slice. The
+// first failure sticks: every later read returns a zero value and
+// consumes nothing, so a decoder reads a whole layout and checks Err (or
+// Done) once. Payload-level failures are ErrCorrupt: the frame CRC
+// already vouched for the bytes, so a short read means bad data, not a
+// torn write.
+type Reader struct {
+	p   []byte
+	err error
+}
+
+// NewReader reads p.
+func NewReader(p []byte) Reader { return Reader{p: p} }
+
+// Err returns the first failure, if any.
+func (r *Reader) Err() error { return r.err }
+
+// Len returns the number of bytes left.
+func (r *Reader) Len() int { return len(r.p) }
+
+// Rest returns the bytes left and consumes them.
+func (r *Reader) Rest() []byte {
+	p := r.p
+	r.p = nil
+	return p
+}
+
+// Done returns the first failure, or ErrCorrupt when bytes are left over
+// at the end of what (a record, a frame).
+func (r *Reader) Done(what string) error {
+	if r.err == nil && len(r.p) != 0 {
+		return fmt.Errorf("%w: trailing bytes in %s", ErrCorrupt, what)
 	}
-	tag, rest := data[0], data[1:]
-	switch tag {
+	return r.err
+}
+
+// Fail records err as the reader's failure unless one is already set.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.p = nil
+}
+
+// Byte decodes one byte.
+func (r *Reader) Byte() byte {
+	if len(r.p) == 0 {
+		r.Fail(ErrCorrupt)
+		return 0
+	}
+	b := r.p[0]
+	r.p = r.p[1:]
+	return b
+}
+
+// Bool decodes a one-byte flag.
+func (r *Reader) Bool() bool { return r.Byte() != 0 }
+
+// Uvarint decodes an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
+	x, n := binary.Uvarint(r.p)
+	if n <= 0 {
+		r.Fail(ErrCorrupt)
+		return 0
+	}
+	r.p = r.p[n:]
+	return x
+}
+
+// Varint decodes a zigzag varint.
+func (r *Reader) Varint() int64 {
+	x, n := binary.Varint(r.p)
+	if n <= 0 {
+		r.Fail(ErrCorrupt)
+		return 0
+	}
+	r.p = r.p[n:]
+	return x
+}
+
+// Count decodes an element count. Every element takes at least one
+// byte, so a count above the bytes left is corrupt: decoders size their
+// allocations from it, and input must not choose them.
+func (r *Reader) Count() int {
+	n := r.Uvarint()
+	if n > uint64(len(r.p)) {
+		r.Fail(fmt.Errorf("%w: count %d past the %d byte(s) left", ErrCorrupt, n, len(r.p)))
+		return 0
+	}
+	return int(n)
+}
+
+// Str decodes a length-prefixed string.
+func (r *Reader) Str() string {
+	n := r.Uvarint()
+	if n > uint64(len(r.p)) {
+		r.Fail(ErrCorrupt)
+		return ""
+	}
+	s := string(r.p[:n])
+	r.p = r.p[n:]
+	return s
+}
+
+// Kind decodes an attribute kind written by name (Kind.String).
+func (r *Reader) Kind() types.Kind {
+	s := r.Str()
+	if r.err != nil {
+		return types.KindNull
+	}
+	k, err := types.ParseKind(s)
+	if err != nil {
+		r.Fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
+	}
+	return k
+}
+
+// Value decodes a tagged attribute value.
+func (r *Reader) Value() types.Value {
+	switch tag := r.Byte(); tag {
 	case vkNull:
-		return types.Null, rest, nil
+		return types.Null
 	case vkInt:
-		n, rest, err := Varint(rest)
-		if err != nil {
-			return types.Null, nil, err
-		}
-		return types.Int(n), rest, nil
+		return types.Int(r.Varint())
 	case vkFloat:
-		if len(rest) < 8 {
-			return types.Null, nil, ErrCorrupt
+		if len(r.p) < 8 {
+			r.Fail(ErrCorrupt)
+			return types.Null
 		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(rest[:8]))
-		return types.Float(f), rest[8:], nil
+		f := math.Float64frombits(binary.LittleEndian.Uint64(r.p[:8]))
+		r.p = r.p[8:]
+		return types.Float(f)
 	case vkString:
-		s, rest, err := String(rest)
-		if err != nil {
-			return types.Null, nil, err
-		}
-		return types.String_(s), rest, nil
+		return types.String_(r.Str())
 	case vkBool:
-		if len(rest) < 1 {
-			return types.Null, nil, ErrCorrupt
-		}
-		return types.Bool(rest[0] != 0), rest[1:], nil
+		return types.Bool(r.Bool())
 	case vkTime:
-		n, rest, err := Varint(rest)
-		if err != nil {
-			return types.Null, nil, err
-		}
-		return types.TimeVal(clock.Time(n)), rest, nil
+		return types.TimeVal(clock.Time(r.Varint()))
 	case vkOID:
-		n, rest, err := Varint(rest)
-		if err != nil {
-			return types.Null, nil, err
-		}
-		return types.Ref(types.OID(n)), rest, nil
+		return types.Ref(types.OID(r.Varint()))
+	default:
+		r.Fail(fmt.Errorf("%w: unknown value tag %d", ErrCorrupt, tag))
+		return types.Null
 	}
-	return types.Null, nil, fmt.Errorf("%w: unknown value tag %d", ErrCorrupt, tag)
 }

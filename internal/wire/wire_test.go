@@ -70,13 +70,10 @@ func TestVarintRoundTrip(t *testing.T) {
 	for _, v := range uvals {
 		buf = AppendUvarint(buf, v)
 	}
-	rest := buf
+	r := NewReader(buf)
 	for _, want := range uvals {
-		var got uint64
-		var err error
-		got, rest, err = Uvarint(rest)
-		if err != nil || got != want {
-			t.Fatalf("uvarint: got %d err %v, want %d", got, err, want)
+		if got := r.Uvarint(); r.Err() != nil || got != want {
+			t.Fatalf("uvarint: got %d err %v, want %d", got, r.Err(), want)
 		}
 	}
 
@@ -85,21 +82,32 @@ func TestVarintRoundTrip(t *testing.T) {
 	for _, v := range ivals {
 		buf = AppendVarint(buf, v)
 	}
-	rest = buf
+	r = NewReader(buf)
 	for _, want := range ivals {
-		var got int64
-		var err error
-		got, rest, err = Varint(rest)
-		if err != nil || got != want {
-			t.Fatalf("varint: got %d err %v, want %d", got, err, want)
+		if got := r.Varint(); r.Err() != nil || got != want {
+			t.Fatalf("varint: got %d err %v, want %d", got, r.Err(), want)
 		}
 	}
 
 	// Payload-level decode errors are ErrCorrupt: the frame CRC already
 	// vouched for the bytes, so a short varint means bad data, not a
-	// torn write.
-	if _, _, err := Uvarint(nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("empty uvarint: got %v, want ErrCorrupt", err)
+	// torn write. The failure sticks: later reads return zero values.
+	r = NewReader(nil)
+	if r.Uvarint(); !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("empty uvarint: got %v, want ErrCorrupt", r.Err())
+	}
+	if r.Varint() != 0 || !errors.Is(r.Done("test"), ErrCorrupt) {
+		t.Fatal("a failed reader went on decoding")
+	}
+	// A count larger than the bytes left is corrupt, and so are bytes
+	// left over at the end.
+	r = NewReader(AppendUvarint(nil, 3))
+	if n := r.Count(); n != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("oversized count: got %d, %v", n, r.Err())
+	}
+	r = NewReader([]byte{1, 2})
+	if r.Byte(); !errors.Is(r.Done("test"), ErrCorrupt) {
+		t.Fatal("trailing byte accepted")
 	}
 }
 
@@ -109,20 +117,18 @@ func TestStringRoundTrip(t *testing.T) {
 	for _, v := range vals {
 		buf = AppendString(buf, v)
 	}
-	rest := buf
+	r := NewReader(buf)
 	for _, want := range vals {
-		var got string
-		var err error
-		got, rest, err = String(rest)
-		if err != nil || got != want {
-			t.Fatalf("string: got %q err %v, want %q", got, err, want)
+		if got := r.Str(); r.Err() != nil || got != want {
+			t.Fatalf("string: got %q err %v, want %q", got, r.Err(), want)
 		}
 	}
 	// Declared length beyond the buffer is corrupt payload data.
 	bad := AppendUvarint(nil, 10)
 	bad = append(bad, 'x')
-	if _, _, err := String(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("short string: got %v, want ErrCorrupt", err)
+	r = NewReader(bad)
+	if r.Str(); !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("short string: got %v, want ErrCorrupt", r.Err())
 	}
 }
 
@@ -144,22 +150,22 @@ func TestValueRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rest := buf
+	r := NewReader(buf)
 	for _, want := range vals {
-		var got types.Value
-		got, rest, err = Value(rest)
-		if err != nil {
-			t.Fatal(err)
+		got := r.Value()
+		if r.Err() != nil {
+			t.Fatal(r.Err())
 		}
 		if got.Kind() != want.Kind() || got.String() != want.String() {
 			t.Fatalf("value: got %v, want %v", got, want)
 		}
 	}
-	if len(rest) != 0 {
-		t.Fatalf("trailing bytes: %v", rest)
+	if err := r.Done("values"); err != nil {
+		t.Fatal(err)
 	}
 	// Unknown tag.
-	if _, _, err := Value([]byte{0xEE}); err == nil {
+	r = NewReader([]byte{0xEE})
+	if r.Value(); r.Err() == nil {
 		t.Fatal("unknown value tag accepted")
 	}
 }
