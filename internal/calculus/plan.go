@@ -510,6 +510,13 @@ func (pe *PlanEval) Bind(base *event.Base, floor clock.Time) {
 	}
 }
 
+// Unbind drops the evaluator's references to its Event Base, so an idle
+// evaluator keeps no transaction's log alive. The next Bind resolves the
+// leaves afresh.
+func (pe *PlanEval) Unbind() {
+	pe.base, pe.tidBase, pe.rd = nil, nil, event.Reader{}
+}
+
 // rebuildTIDs resolves the plan's leaves against base. A tracking
 // evaluator interns every live prim type (assigning ids, in the plan's
 // prim order, to types the engine has not interned yet; after

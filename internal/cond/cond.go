@@ -234,6 +234,17 @@ func (r root) release() {
 	}
 }
 
+// Detach clears the context's references to a transaction line — the
+// store view, the event base, the budget, and the base its evaluator is
+// bound to — and keeps its scratch: an idle context keeps no
+// transaction's state alive.
+func (c *Ctx) Detach() {
+	c.Store, c.Base, c.Budget = nil, nil, nil
+	if c.eval != nil {
+		c.eval.Unbind()
+	}
+}
+
 // evaluator returns ctx's evaluator of r's plan, bound to the observed
 // window, building it when ctx first meets that plan.
 func (c *Ctx) evaluator(r root) (*calculus.PlanEval, error) {

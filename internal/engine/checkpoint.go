@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"chimera/internal/clock"
 	"chimera/internal/event"
@@ -149,10 +150,17 @@ func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, 
 			return nil, err
 		}
 		if txp = wire.AppendBool(txp, u.Vals != nil); u.Vals != nil {
+			// In name order, so equal states checkpoint to equal bytes; the
+			// decoder reads them back into a map.
+			names := make([]string, 0, len(u.Vals))
+			for k := range u.Vals {
+				names = append(names, k)
+			}
+			slices.Sort(names)
 			txp = wire.AppendUvarint(txp, uint64(len(u.Vals)))
-			for k, v := range u.Vals {
+			for _, k := range names {
 				txp = wire.AppendString(txp, k)
-				if txp, err = wire.AppendValue(txp, v); err != nil {
+				if txp, err = wire.AppendValue(txp, u.Vals[k]); err != nil {
 					return nil, err
 				}
 			}

@@ -880,11 +880,28 @@ func TestRecoverRetentionWindow(t *testing.T) {
 
 // TestCheckpointBytesDeterministic: checkpoints of the same state are
 // byte-identical after their header frame (which carries the sequence
-// number), single-session at idle and multi-session with a line open.
+// number): single-session at idle, multi-session with a line open, and
+// single-session inside a transaction whose undo log holds a deleted
+// object's attributes.
 func TestCheckpointBytesDeterministic(t *testing.T) {
-	for _, sessions := range []int{0, 2} {
+	for _, c := range []struct {
+		name     string
+		sessions int
+		open     func(tx *engine.Txn) error // nil: checkpoint at idle
+	}{
+		{"single-session at idle", 0, nil},
+		{"multi-session, a line open", 2, func(tx *engine.Txn) error {
+			return tx.Modify(3, "n", types.Int(44))
+		}},
+		{"single-session, a delete to undo", 0, func(tx *engine.Txn) error {
+			if err := tx.Delete(5); err != nil {
+				return err
+			}
+			return tx.EndLine()
+		}},
+	} {
 		store := storage.NewMemStore()
-		db, err := engine.Open(multiDurOptions(store, sessions))
+		db, err := engine.Open(multiDurOptions(store, c.sessions))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -900,12 +917,12 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if sessions > 1 {
+		if c.open != nil {
 			tx, err := db.Begin()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tx.Modify(3, "n", types.Int(44)); err != nil {
+			if err := c.open(tx); err != nil {
 				t.Fatal(err)
 			}
 			defer tx.Rollback()
@@ -926,7 +943,7 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 			if i == 0 {
 				first = body
 			} else if !bytes.Equal(body, first) {
-				t.Fatalf("MaxSessions %d: checkpoint %d differs from the first after the header", sessions, i+1)
+				t.Fatalf("%s: checkpoint %d differs from the first after the header", c.name, i+1)
 			}
 		}
 		db.Close()

@@ -530,9 +530,11 @@ type Txn struct {
 	view *rules.Session
 	// line is the object-store session: solo (no latching, OID-reusing
 	// undo) in single-session mode, latched in multi-session mode.
-	line    *object.Line
-	multi   bool
-	pending []event.Occurrence
+	line  *object.Line
+	multi bool
+	// pending is the open block's arrivals, by the type ids their appends
+	// returned: what the block boundary announces to the line's session.
+	pending []int32
 	execs   int
 	done    bool
 	// budget is the transaction's evaluation budget (nil = unlimited),
@@ -684,14 +686,14 @@ func (db *DB) idleCtx() *cond.Ctx {
 // drains record batches in the background).
 func (t *Txn) log(ty event.Type, oid types.OID) error {
 	ts := t.db.clock.Tick()
-	occ, tid, err := t.base.AppendTID(ty, oid, ts)
+	tid, err := t.base.AppendTID(ty, oid, ts)
 	if err != nil {
 		return t.classify(err)
 	}
 	if t.db.wal != nil {
 		t.walEvent(tid, ty, ts, oid)
 	}
-	t.pending = append(t.pending, occ)
+	t.pending = append(t.pending, tid)
 	t.db.stats.events.Add(1)
 	t.db.m.events.Inc()
 	return nil
@@ -1360,7 +1362,7 @@ func (t *Txn) finish() {
 	t.view = nil
 	t.done = true
 	ctx := t.cctx // idle, it keeps its scratch but not the line's state
-	ctx.Store, ctx.Base, ctx.Budget = nil, nil, nil
+	ctx.Detach()
 	t.cctx = nil
 	t.db.mu.Lock()
 	t.db.ctxs = append(t.db.ctxs, ctx)

@@ -412,7 +412,7 @@ func (t *Txn) replayBlock(rec walRecord, typeTab *replayTypes, rep *RecoveryRepo
 				return err
 			}
 			db.clock.AdvanceTo(op.TS)
-			occ, tid, err := t.base.AppendTID(ty, op.OID, op.TS)
+			tid, err := t.base.AppendTID(ty, op.OID, op.TS)
 			if err != nil {
 				return fmt.Errorf("engine: recover: append: %w", err)
 			}
@@ -420,7 +420,7 @@ func (t *Txn) replayBlock(rec walRecord, typeTab *replayTypes, rep *RecoveryRepo
 				return fmt.Errorf("%w: replay interned type id %d, log says %d",
 					wire.ErrCorrupt, tid, op.TID)
 			}
-			t.pending = append(t.pending, occ)
+			t.pending = append(t.pending, tid)
 			rep.Events++
 		case opCreate:
 			if t.multi {

@@ -110,7 +110,13 @@ const DefaultSegmentSize = 256
 // the checkpoint restore alike, so a restored base answers every probe
 // as the base it was exported from. The index is keyed by id only (see
 // segment), in open-addressed tables whose memory follows the entries
-// of the segment, never the vocabulary. A probe (LastOf, LastOfObj,
+// of the segment, never the vocabulary. The tables' values are spans of
+// one int32 arena the segment owns: an append writes its two index
+// entries into chunks already reserved and allocates only when the arena
+// itself grows. A rolled-over segment sizes its tables and arena like
+// its predecessor and each key's first chunk by the key's count there,
+// so a stream whose segments look alike allocates one arena per segment
+// and nothing per occurrence. A probe (LastOf, LastOfObj,
 // OccurrencesOfObj, ...) resolves its Type and OID to ids once, at the
 // API edge, and below that compares and hashes int32s; a Type or OID
 // that was never interned has no occurrences. The probe
@@ -203,13 +209,28 @@ type segment struct {
 	tids     []int32
 	oids     []int32
 	// leafOf holds per type of the segment (its slice of a leaf of the
-	// Occurred-Events tree), and pairOf per (type, object) pair, the
-	// ascending positions of its occurrences; objOf's keys are the
-	// distinct objects of the segment.
-	leafOf idTable[[]int32]
-	pairOf idTable[[]int32]
+	// Occurred-Events tree), and pairOf per (type, object) pair, the span
+	// of arena holding the ascending positions of its occurrences; objOf's
+	// keys are the distinct objects of the segment.
+	leafOf idTable[span]
+	pairOf idTable[span]
 	objOf  idTable[struct{}]
+	// arena backs every position list of the segment. A list that fills
+	// grows in place when its chunk ends the arena, else moves to a fresh
+	// chunk at the arena's end; nothing written is ever moved or
+	// overwritten, so a list read earlier stays valid even when the arena
+	// reallocates (the reader keeps the old backing array).
+	arena []int32
+	// prev is the predecessor segment while this one fills: its lists'
+	// lengths size the first chunks of the keys the two share. It is
+	// dropped when the segment fills, so no retired segment is kept alive
+	// by a sealed one.
+	prev *segment
 }
+
+// span is one position list: arena[off:off+n], with room for cap entries
+// before it must move.
+type span struct{ off, n, cap int32 }
 
 // idTable is a segment-local open-addressed index from an id key to a
 // value. Entries are numbered in insertion order (keys[n], vals[n]), so
@@ -287,12 +308,63 @@ func (sg *segment) maxTS() clock.Time { return sg.ts[len(sg.ts)-1] }
 // oi, into the segment-local index. It is the index's only writer: the
 // index of a segment is index applied to its rows in order.
 func (sg *segment) index(i, tid, oi int32) {
-	l, _ := sg.leafOf.findOrAdd(uint64(tid))
-	sg.leafOf.vals[l] = append(sg.leafOf.vals[l], i)
-	p, _ := sg.pairOf.findOrAdd(pairKey(tid, oi))
-	sg.pairOf.vals[p] = append(sg.pairOf.vals[p], i)
+	var leafHint, pairHint *idTable[span]
+	if sg.prev != nil {
+		leafHint, pairHint = &sg.prev.leafOf, &sg.prev.pairOf
+	}
+	sg.file(&sg.leafOf, leafHint, uint64(tid), i)
+	sg.file(&sg.pairOf, pairHint, pairKey(tid, oi), i)
 	sg.objOf.findOrAdd(uint64(oi))
 }
+
+// firstChunk is the room a key the predecessor segment did not have
+// starts with.
+const firstChunk = 2
+
+// file appends row i to key k's list in t. A new key's first chunk is
+// sized by hint, the predecessor's table: its count there plus an eighth.
+// A full list grows by its size — in place when it ends the arena, else
+// by moving to a fresh chunk. No list is given room for more entries
+// than the segment has rows left.
+func (sg *segment) file(t, hint *idTable[span], k uint64, i int32) {
+	left := int32(cap(sg.ts)) - i
+	e, added := t.findOrAdd(k)
+	sp := &t.vals[e]
+	if added {
+		size := int32(firstChunk)
+		if hint != nil {
+			if h := hint.find(k); h >= 0 {
+				n := hint.vals[h].n
+				size = n + n/8 + 1
+			}
+		}
+		size = min(size, left)
+		*sp = span{off: sg.reserve(size), cap: size}
+	} else if sp.n == sp.cap {
+		grow := min(sp.cap, left)
+		if sp.off+sp.cap == int32(len(sg.arena)) {
+			sg.reserve(grow)
+		} else {
+			off := sg.reserve(sp.cap + grow)
+			copy(sg.arena[off:], sg.arena[sp.off:sp.off+sp.n])
+			sp.off = off
+		}
+		sp.cap += grow
+	}
+	sg.arena[sp.off+sp.n] = i
+	sp.n++
+}
+
+// reserve extends the arena by n entries and returns the offset of the
+// first.
+func (sg *segment) reserve(n int32) int32 {
+	off := len(sg.arena)
+	sg.arena = slices.Grow(sg.arena, int(n))[:off+int(n)]
+	return int32(off)
+}
+
+// entries returns the positions sp lists.
+func (sg *segment) entries(sp span) []int32 { return sg.arena[sp.off : sp.off+sp.n] }
 
 // anyObj as the object id of list selects the type's whole leaf.
 const anyObj int32 = -1
@@ -303,12 +375,12 @@ const anyObj int32 = -1
 func (sg *segment) list(tid, oi int32) []int32 {
 	if oi == anyObj {
 		if l := sg.leafOf.find(uint64(tid)); l >= 0 {
-			return sg.leafOf.vals[l]
+			return sg.entries(sg.leafOf.vals[l])
 		}
 		return nil
 	}
 	if p := sg.pairOf.find(pairKey(tid, oi)); p >= 0 {
-		return sg.pairOf.vals[p]
+		return sg.entries(sg.pairOf.vals[p])
 	}
 	return nil
 }
@@ -499,35 +571,44 @@ func (b *Base) occAt(sg *segment, i int) Occurrence {
 // Append records a new event occurrence and returns it. The time stamp
 // must exceed every time stamp already appended (including retired ones).
 func (b *Base) Append(t Type, oid types.OID, at clock.Time) (Occurrence, error) {
-	occ, _, err := b.AppendTID(t, oid, at)
-	return occ, err
+	eid, _, err := b.append(t, oid, at)
+	if err != nil {
+		return Occurrence{}, err
+	}
+	return Occurrence{EID: eid, Type: t, OID: oid, Timestamp: at}, nil
 }
 
-// AppendTID is Append, additionally returning the occurrence's interned
-// type id: the engine's WAL encoder keys its per-transaction type
-// dictionary by it. One append interns the type and the object once and
-// takes the lock once.
-func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (Occurrence, int32, error) {
+// AppendTID is Append returning the occurrence's interned type id instead
+// of the occurrence: the engine's WAL encoder keys its per-transaction
+// type dictionary by it, and the Trigger Support is told of arrivals by
+// it, so the type is hashed once per occurrence, here.
+func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (int32, error) {
+	_, tid, err := b.append(t, oid, at)
+	return tid, err
+}
+
+// append is Append and AppendTID: one append interns the type and the
+// object once and takes the lock once.
+func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) {
 	if err := t.Valid(); err != nil {
-		return Occurrence{}, 0, err
+		return 0, 0, err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.nextID > 0 && at <= b.lastTS {
-		return Occurrence{}, 0, fmt.Errorf(
+		return 0, 0, fmt.Errorf(
 			"event: non-monotone time stamp t%d after t%d", at, b.lastTS)
 	}
 	if b.maxEvents > 0 && b.live >= b.maxEvents {
-		return Occurrence{}, 0, fmt.Errorf(
+		return 0, 0, fmt.Errorf(
 			"%w: %d live occurrences (MaxEvents %d)", ErrLimit, b.live, b.maxEvents)
 	}
 	tailRoom := len(b.segs) > 0 && b.segs[len(b.segs)-1].n() < b.segSize
 	if !tailRoom && b.maxSegments > 0 && len(b.segs) >= b.maxSegments {
-		return Occurrence{}, 0, fmt.Errorf(
+		return 0, 0, fmt.Errorf(
 			"%w: %d live segments (MaxSegments %d)", ErrLimit, len(b.segs), b.maxSegments)
 	}
 	b.nextID++
-	occ := Occurrence{EID: b.nextID, Type: t, OID: oid, Timestamp: at}
 
 	var sg *segment
 	if tailRoom {
@@ -540,11 +621,18 @@ func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (Occurrence, int3
 			oids:     make([]int32, 0, b.segSize),
 		}
 		if n := len(b.segs); n > 0 {
-			// Roll-over: the predecessor's table sizes, never more.
+			// Roll-over: the predecessor's table sizes and arena use, never
+			// more, and its lists' lengths as the hints of the keys.
 			prev := b.segs[n-1]
 			sg.leafOf.sizeLike(&prev.leafOf)
 			sg.pairOf.sizeLike(&prev.pairOf)
 			sg.objOf.sizeLike(&prev.objOf)
+			sg.arena = make([]int32, 0, len(prev.arena))
+			sg.prev = prev
+		} else {
+			// A base's first segment: room for eight occurrences that each
+			// open two lists, what a short transaction logs.
+			sg.arena = make([]int32, 0, 2*firstChunk*min(b.segSize, 8))
 		}
 		b.segs = append(b.segs, sg)
 		b.m.SegmentsAllocated.Inc()
@@ -557,13 +645,16 @@ func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (Occurrence, int3
 	sg.tids = append(sg.tids, tid)
 	sg.oids = append(sg.oids, oi)
 	sg.index(idx, tid, oi)
+	if sg.n() == b.segSize {
+		sg.prev = nil
+	}
 
 	b.latest[tid] = at
 	b.lastTS = at
 	b.live++
 	b.m.Appends.Inc()
 	b.m.Live.Set(int64(b.live))
-	return occ, tid, nil
+	return b.nextID, tid, nil
 }
 
 // CompactBelow retires every segment whose newest occurrence is at or
@@ -1005,7 +1096,7 @@ func (r Reader) ForLeaf(tid int32, since, upTo clock.Time, fn func(oi int32, at 
 		if l < 0 {
 			return true
 		}
-		idxs := sg.leafOf.vals[l]
+		idxs := sg.entries(sg.leafOf.vals[l])
 		if hi-lo != sg.n() {
 			idxs = within(idxs, lo, hi)
 		}

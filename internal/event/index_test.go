@@ -269,22 +269,112 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 }
 
 // indexWords counts the machine words the live segments' indexes hold:
-// table slots, keys and values (a leaf and a pair are one slice header
-// each), and the capacity of every position list.
+// table slots, keys and values (a leaf and a pair value is one span of
+// three int32s), and the capacity of each segment's list arena.
 func indexWords(b *Base) int {
 	words := 0
 	for _, sg := range b.segs {
-		words += len(sg.leafOf.slots)/2 + 4*cap(sg.leafOf.keys)
-		words += len(sg.pairOf.slots)/2 + 4*cap(sg.pairOf.keys)
+		words += len(sg.leafOf.slots)/2 + cap(sg.leafOf.keys) + 3*cap(sg.leafOf.vals)/2
+		words += len(sg.pairOf.slots)/2 + cap(sg.pairOf.keys) + 3*cap(sg.pairOf.vals)/2
 		words += len(sg.objOf.slots)/2 + cap(sg.objOf.keys)
-		for _, lf := range sg.leafOf.vals {
-			words += cap(lf) / 2
-		}
-		for _, p := range sg.pairOf.vals {
-			words += cap(p) / 2
-		}
+		words += cap(sg.arena) / 2
 	}
 	return words
+}
+
+// TestArenaListsMatchNaiveScan drives the shapes the arena's per-key
+// chunk sizing has to survive, each for about one segment, and pins every
+// probe to the naive scan after every append (every sixteenth at segment
+// size 256): a steady mix; one (type, object) key taking seven in eight
+// occurrences, so it outgrows the headroom its count in the predecessor
+// gave it; the same key falling back to one in eight, so its hint is far
+// too large; a type and objects the predecessor never held; and, half way
+// through a segment, the predecessor retired by CompactBelow while its
+// successor still sizes chunks from it. No full segment links its
+// predecessor.
+func TestArenaListsMatchNaiveScan(t *testing.T) {
+	vocab := []Type{
+		Modify("card", "spent"), Modify("card", "limit"), Create("card"),
+		External("fresh"),
+		Create("never"), // stays uninterned
+	}
+	const objects = 6 // OID objects+1 is never seen
+	hot, mixed := func(k int) (Type, types.OID) { return vocab[0], 1 },
+		func(k int) (Type, types.OID) { return vocab[k%3], types.OID(1 + k%4) }
+	shapes := []struct {
+		name string
+		pick func(k int) (Type, types.OID)
+	}{
+		{"steady", mixed},
+		{"grows", func(k int) (Type, types.OID) {
+			if k%8 != 0 {
+				return hot(k)
+			}
+			return mixed(k)
+		}},
+		{"shrinks", func(k int) (Type, types.OID) {
+			if k%8 == 0 {
+				return hot(k)
+			}
+			return mixed(k)
+		}},
+		{"absent", func(k int) (Type, types.OID) {
+			if k%2 == 0 {
+				return vocab[3], types.OID(5 + k%2)
+			}
+			return vocab[k%3], 6
+		}},
+		{"retired", mixed},
+	}
+	for _, segSize := range []int{1, 2, 3, 256} {
+		r := rand.New(rand.NewSource(int64(segSize) + 41))
+		b := NewBaseSize(segSize)
+		o := &oracle{latest: map[Type]clock.Time{}, rank: map[types.OID]int{}}
+		var stamps []clock.Time
+		now := clock.Never
+		// segStart returns the stamp before the first entry of the
+		// segment holding entry i.
+		segStart := func(i int) clock.Time {
+			if j := i / segSize * segSize; j > 0 {
+				return stamps[j-1]
+			}
+			return clock.Never
+		}
+		for round := 0; round < 2*len(shapes); round++ {
+			sh := shapes[round%len(shapes)]
+			// Keep the predecessor of the segment about to fill, retire
+			// what lies before it.
+			if n := len(stamps); n > segSize {
+				b.CompactBelow(segStart(n - segSize))
+			}
+			for k := 0; k < segSize; k++ {
+				now += clock.Time(1 + r.Intn(2))
+				ty, oid := sh.pick(k)
+				if _, err := b.Append(ty, oid, now); err != nil {
+					t.Fatal(err)
+				}
+				stamps = append(stamps, now)
+				o.note(ty, oid, now)
+				// Only a filling segment links its predecessor: a sealed one
+				// keeps no retired segment alive.
+				for _, sg := range b.segs {
+					if sg.prev != nil && sg.n() == segSize {
+						t.Fatalf("seg=%d: a full segment still links its predecessor", segSize)
+					}
+				}
+				if sh.name == "retired" && k == segSize/2 && segSize > 1 {
+					b.CompactBelow(segStart(len(stamps) - 1))
+					if b.Segments() != 1 {
+						t.Fatalf("seg=%d: %d segments live after retiring the tail's predecessor", segSize, b.Segments())
+					}
+				}
+				if segSize < 256 || k%16 == 15 {
+					tag := fmt.Sprintf("seg=%d %s round %d entry %d", segSize, sh.name, round, k)
+					checkAgainstOracle(t, tag, r, b, o, vocab, objects, now)
+				}
+			}
+		}
+	}
 }
 
 // TestIndexMemoryFollowsEntries feeds a base ten thousand distinct types

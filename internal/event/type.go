@@ -60,8 +60,10 @@ func (o Op) String() string {
 }
 
 // Type is a primitive event type: an operation, the class it applies to,
-// and — for modify — the attribute changed. Type is comparable and used
-// as a map key throughout the Trigger Support.
+// and — for modify — the attribute changed. Type is comparable, and an
+// Event Base interns it to a dense int32 id (Base.InternType): below the
+// API edge the Event Base, the evaluators and the Trigger Support's
+// arrival hand-off work on those ids and never hash a Type.
 //
 // The paper's Figure 3 writes these as "create stock" and
 // "modify stock quantity"; Type.String renders the calculus syntax

@@ -109,7 +109,7 @@ func TestCheckAssignsNoTypeIDs(t *testing.T) {
 				}
 				occs = append(occs, occ)
 			}
-			sess.NotifyArrivals(occs)
+			sess.NotifyArrivals(tidsOf(b, occs))
 			for _, name := range sess.CheckTriggered(c.Now()) {
 				if _, err := sess.Consider(name, c.Tick()); err != nil {
 					t.Fatal(err)

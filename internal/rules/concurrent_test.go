@@ -118,23 +118,30 @@ func TestSupportConcurrentAccess(t *testing.T) {
 	}
 }
 
-// Dropping the last listener of a type must delete the byType key, so
-// rule churn over many types cannot grow the index unboundedly.
+// Rule churn over many types cannot grow the listening tables: once
+// every rule is dropped, the registry's vocabulary and filings and the
+// direct line's arrival table hold nothing, however many types the
+// dropped rules listened to and however many arrivals reached them.
 func TestDropPrunesListeningIndex(t *testing.T) {
-	s, _, _ := newSupport(t)
+	s, b, c := newSupport(t)
 	for i := 0; i < 50; i++ {
 		ty := event.Modify("stock", fmt.Sprintf("attr%d", i))
 		name := fmt.Sprintf("r%d", i)
 		if err := s.Define(Def{Name: name, Event: calculus.P(ty)}); err != nil {
 			t.Fatal(err)
 		}
+		log(t, s, b, c, ty, 1)
 		if err := s.Drop(name); err != nil {
 			t.Fatal(err)
 		}
 	}
+	log(t, s, b, c, createStock, 1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.byType) != 0 {
-		t.Errorf("byType holds %d stale entries after dropping every rule", len(s.byType))
+	if n := len(s.vocab) + len(s.listens) + len(s.mentions) + len(s.matchAll); n != 0 {
+		t.Errorf("the registry derives %d stale entries after dropping every rule", n)
+	}
+	if l := s.line.listen; len(l.ranks) != 0 || len(l.off) > 1 {
+		t.Errorf("the arrival table holds %d ranks over %d type ids after dropping every rule", len(l.ranks), len(l.off)-1)
 	}
 }

@@ -106,8 +106,8 @@ func (l *line) checkProbeIndex() error {
 			want[tid] = append(want[tid], int32(i))
 		}
 	}
-	if !slices.Equal(p.all, all) {
-		return fmt.Errorf("match-all ranks %v, the rules say %v", p.all, all)
+	if !slices.Equal(l.sup.probeAll, all) {
+		return fmt.Errorf("match-all ranks %v, the rules say %v", l.sup.probeAll, all)
 	}
 	for tid, ranks := range want {
 		if got := p.ranks[p.off[tid]:p.off[tid+1]]; !slices.Equal(got, ranks) {
@@ -426,7 +426,7 @@ func TestIndexMatchesFullWalkInSession(t *testing.T) {
 		for step := 0; step < 300; step++ {
 			switch op := r.Intn(11); {
 			case op < 4:
-				sess.NotifyArrivals(scriptArrivals(t, r, b, c))
+				sess.NotifyArrivals(tidsOf(b, scriptArrivals(t, r, b, c)))
 				w.verify("after arrivals")
 			case op < 6:
 				if err := w.check(c.Now()); err != nil {

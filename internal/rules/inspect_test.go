@@ -1,6 +1,9 @@
 package rules
 
-import "chimera/internal/clock"
+import (
+	"chimera/internal/clock"
+	"chimera/internal/event"
+)
 
 // Inspection reads that only this package's tests make on a line.
 
@@ -12,6 +15,29 @@ type lineView interface {
 	Pick(filter func(Def) bool) (string, bool)
 	Stats() Stats
 	Triggered(filter func(Def) bool) []string
+}
+
+// tidsOf resolves each occurrence's type to its id in b, the way
+// Support.NotifyArrivals does, for the tests that announce occurrences to
+// a Session.
+func tidsOf(b *event.Base, occs []event.Occurrence) []int32 {
+	tids := make([]int32, 0, len(occs))
+	for _, occ := range occs {
+		tid, ok := b.TypeID(occ.Type)
+		if !ok {
+			tid = event.NoType
+		}
+		tids = append(tids, tid)
+	}
+	return tids
+}
+
+// occSession is a Session announced occurrences, for the differential
+// replays whose subjects all take them.
+type occSession struct{ *Session }
+
+func (o occSession) NotifyArrivals(occs []event.Occurrence) {
+	o.Session.NotifyArrivals(tidsOf(o.base, occs))
 }
 
 // ResetStats zeroes the work counters.

@@ -1,0 +1,253 @@
+package rules
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"chimera/internal/calculus"
+	"chimera/internal/clock"
+	"chimera/internal/event"
+	"chimera/internal/types"
+)
+
+// byTypeOracle is the listening index as the registry once kept it, by
+// event.Type: for each type the rules whose V(E) filter an arrival of
+// that type matches (its Δ+ and Δ± types), and the match-all rules,
+// which every arrival reaches. It is the definition the arrival table,
+// keyed by type id, is held to.
+type byTypeOracle struct {
+	byType   map[event.Type][]*State
+	matchAll []*State
+}
+
+func newByTypeOracle(s *Support) byTypeOracle {
+	o := byTypeOracle{byType: map[event.Type][]*State{}}
+	for _, st := range s.ordered {
+		if st.Filter.MatchAll {
+			o.matchAll = append(o.matchAll, st)
+			continue
+		}
+		for _, ty := range st.Filter.RelevantTypes() {
+			o.byType[ty] = append(o.byType[ty], st)
+		}
+	}
+	return o
+}
+
+// pendingAfter is the set of ranks pending on l once arrivals of tys are
+// announced: those pending now, and every rule an arrival reaches that is
+// not triggered.
+func (o byTypeOracle) pendingAfter(l *line, tys []event.Type) []int32 {
+	set := pendingRanks(l)
+	reach := func(st *State) {
+		if !l.marks[st.rank].triggered && !slices.Contains(set, st.rank) {
+			set = append(set, st.rank)
+		}
+	}
+	if len(tys) > 0 {
+		for _, st := range o.matchAll {
+			reach(st)
+		}
+	}
+	for _, ty := range tys {
+		for _, st := range o.byType[ty] {
+			reach(st)
+		}
+	}
+	slices.Sort(set)
+	return set
+}
+
+func pendingRanks(l *line) []int32 {
+	var out []int32
+	for i, m := range l.marks {
+		if m.pending {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// listenVocab is what the differential appends: the rule vocabulary plus
+// two signals no rule mentions, interned only when they first arrive.
+var listenVocab = append(calculus.DefaultVocabulary(), event.External("x"), event.External("y"))
+
+// listenDefs draws n random rules and adds the shapes the table must
+// file right: a match-all rule (an instance negation), and a rule whose
+// V(E) gives a type only a Δ− variation (a negation-only type), whose
+// arrivals must not reach it.
+func listenDefs(r *rand.Rand, n int) []Def {
+	defs := scriptDefs(r, n, "r")
+	return append(defs,
+		Def{Name: "all", Event: calculus.NegI(calculus.P(event.Create("show")))},
+		Def{Name: "neg", Event: calculus.Conj(
+			calculus.P(event.Create("stock")), calculus.Neg(calculus.P(event.Modify("show", "quantity"))))},
+	)
+}
+
+// listenBlock appends one to four random arrivals to b, announces them
+// to the line through announce, and holds the line's pending set to the
+// oracle's; then it checks the block and considers some of what fired.
+func listenBlock(t *testing.T, tag string, r *rand.Rand, l *line, b *event.Base, c *clock.Clock, announce func(tids []int32, tys []event.Type), check func(clock.Time) []string, consider func(string, clock.Time)) {
+	t.Helper()
+	var tids []int32
+	var tys []event.Type
+	for i := 1 + r.Intn(4); i > 0; i-- {
+		ty := listenVocab[r.Intn(len(listenVocab))]
+		tid, err := b.AppendTID(ty, types.OID(1+r.Intn(3)), c.Tick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tids, tys = append(tids, tid), append(tys, ty)
+	}
+	want := newByTypeOracle(l.sup).pendingAfter(l, tys)
+	announce(tids, tys)
+	if got := pendingRanks(l); !slices.Equal(got, want) {
+		t.Fatalf("%s: arrivals %v leave ranks %v pending, the by-type index says %v", tag, tys, got, want)
+	}
+	verifyIndex(t, l)
+	for _, name := range check(c.Now()) {
+		if r.Intn(2) == 0 {
+			consider(name, c.Tick())
+		}
+	}
+}
+
+// The arrival table, keyed by type id, marks exactly the rules the
+// by-type index marked, after every block: on a session over a fresh
+// base (type ids are the vocabulary's positions), on a session over a
+// base rebuilt by RestoreBase from a base whose types arrived in another
+// order (they are not), and on the direct line, whose rule set changes
+// mid-transaction. Every rule set holds match-all rules and negation-only
+// types, and the arrivals include types no rule mentions, interned after
+// the line opened.
+func TestArrivalTableMatchesByType(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := supportWith(t, listenDefs(r, 40))
+
+		// A session over a fresh base, and one over a restored base.
+		for _, restored := range []bool{false, true} {
+			b, c := event.NewBaseSize(4), clock.New()
+			if restored {
+				for _, i := range r.Perm(len(listenVocab)) {
+					if _, err := b.Append(listenVocab[i], 9, c.Tick()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st, err := b.ExportState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames := slices.Clone(st.Sealed)
+				if st.Tail != nil {
+					frames = append(frames, *st.Tail)
+				}
+				if b, err = event.RestoreBase(st.Meta, frames, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sess := s.NewSession(b, c.Now())
+			identity := true
+			for pos, tid := range sess.vmap {
+				identity = identity && tid == int32(pos)
+			}
+			if identity == restored {
+				t.Fatalf("seed %d restored %v: the vocabulary maps to type ids %v", seed, restored, sess.vmap)
+			}
+			for block := 0; block < 30; block++ {
+				tag := fmt.Sprintf("seed %d restored %v block %d", seed, restored, block)
+				listenBlock(t, tag, r, &sess.line, b, c,
+					func(tids []int32, _ []event.Type) { sess.NotifyArrivals(tids) },
+					sess.CheckTriggered,
+					func(name string, at clock.Time) {
+						if _, err := sess.Consider(name, at); err != nil {
+							t.Fatal(err)
+						}
+					})
+			}
+			sess.Release()
+		}
+
+		// The direct line, over a base that saw the signals first, with a
+		// rule defined or dropped between blocks now and then.
+		b, c := event.NewBaseSize(4), clock.New()
+		for _, ty := range listenVocab[len(listenVocab)-2:] {
+			if _, err := b.Append(ty, 9, c.Tick()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d := NewSupport(b, Options{})
+		d.BeginTransaction(c.Now())
+		defineAll(t, d, listenDefs(r, 20))
+		extra := 0
+		for block := 0; block < 40; block++ {
+			switch r.Intn(5) {
+			case 0:
+				def := scriptDefs(r, 1, fmt.Sprintf("x%d-", extra))[0]
+				extra++
+				if err := d.Define(def); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				if names := d.Rules(); len(names) > 0 {
+					if err := d.Drop(names[r.Intn(len(names))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			tag := fmt.Sprintf("seed %d direct line block %d", seed, block)
+			listenBlock(t, tag, r, &d.line, b, c,
+				func(_ []int32, tys []event.Type) {
+					occs := make([]event.Occurrence, len(tys))
+					for i, ty := range tys {
+						occs[i] = event.Occurrence{Type: ty}
+					}
+					d.NotifyArrivals(occs)
+				},
+				d.CheckTriggered,
+				func(name string, at clock.Time) {
+					if _, err := d.Consider(name, at); err != nil {
+						t.Fatal(err)
+					}
+				})
+		}
+	}
+}
+
+// A recycled session builds its arrival table for each new base, and
+// announces arrivals through it, without allocating.
+func TestArrivalTableBuildAllocatesNothing(t *testing.T) {
+	s := supportWith(t, listenDefs(rand.New(rand.NewSource(3)), 200))
+	bases := []*event.Base{event.NewBase(), event.NewBase()}
+	tids := make([]int32, len(bases))
+	for i, b := range bases {
+		s.NewSession(b, 0).Release() // interns the vocabulary first
+		tid, err := b.AppendTID(event.Create("stock"), 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tids[i] = tid
+	}
+	reached := 0
+	if a := testing.AllocsPerRun(50, func() {
+		for i, b := range bases {
+			sess := s.NewSession(b, 0)
+			sess.NotifyArrivals(tids[i : i+1])
+			reached = 0
+			for _, m := range sess.marks {
+				if m.pending {
+					reached++
+				}
+			}
+			sess.Release()
+		}
+	}); a != 0 {
+		t.Errorf("a recycled session's table build and announcement allocate %v times", a)
+	}
+	if reached == 0 {
+		t.Fatal("the arrival reached no rule")
+	}
+}

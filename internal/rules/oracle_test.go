@@ -194,7 +194,7 @@ func inSession(t *testing.T, base *event.Base, start clock.Time, defs []Def) sub
 	defineAll(t, s, defs)
 	sess := s.NewSession(base, start)
 	t.Cleanup(sess.Release)
-	return sess
+	return occSession{sess}
 }
 
 // verifySubject holds a production line's block-boundary index to its
@@ -204,7 +204,7 @@ func verifySubject(t *testing.T, sub subject) {
 	switch s := sub.(type) {
 	case *Support:
 		verifyIndex(t, &s.line)
-	case *Session:
+	case occSession:
 		verifyIndex(t, &s.line)
 	}
 }
@@ -254,7 +254,7 @@ func lineOf(sub subject) *line {
 	switch s := sub.(type) {
 	case *Support:
 		return &s.line
-	case *Session:
+	case occSession:
 		return &s.line
 	}
 	return nil

@@ -336,6 +336,17 @@ type line struct {
 	wmMin     clock.Time
 	wmHolders int
 
+	// vmap is the type id, in the base mapped, of each type of the rule
+	// set's vocabulary (Support.vocab), by position: the tables below file
+	// the registry's ranks under the line's own type ids through it.
+	// NewSession maps a session's base when it opens the line; the direct
+	// line maps its base at the first use after a change.
+	vmap   []int32
+	mapped *event.Base
+	// listen is the arrival table: the rules an arrival of each type id
+	// marks pending (see notifyArrivals).
+	listen table
+
 	// CheckTriggered scratch, recycled across checks: checkBuf is the
 	// pending-rule batch (ranks), eval the memoized evaluator (created at
 	// the first check) and probe the inverted V(E) index its arrival walk
@@ -352,6 +363,16 @@ type line struct {
 	// budget fault that unwinds through the caller (the engine's block
 	// flush).
 	budget *calculus.Budget
+}
+
+// zeroed returns n zero elements in s's storage when it has room for
+// them, in new storage otherwise: the derived state a line rebuilds
+// reuses its buffers without relying on the compiler to elide a
+// temporary.
+func zeroed[S ~[]E, E any](s S, n int) S {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // rankSet is a set of queue ranks, one bit each.
@@ -395,11 +416,19 @@ func (l *line) sync() {
 // reindex recomputes the whole index from the marks: the worklist from
 // pending, the triggered set from triggered, the watermark from the last
 // considerations. It is the definition the incremental transitions are
-// held to (line.checkIndex, in the tests, compares the two).
+// held to (line.checkIndex, in the tests, compares the two). Whatever
+// made the index stale may also have changed the base or the rule set,
+// so it brings the arrival table up to date first.
 func (l *line) reindex() {
+	if l.listen.base != l.base {
+		if l.mapped != l.base {
+			l.mapVocabulary()
+		}
+		l.listen.build(l.sup.listens, l.vmap, l.base)
+	}
 	words := (len(l.marks) + 63) >> 6
-	l.queue = append(l.queue[:0], make(rankSet, words)...)
-	l.trig = append(l.trig[:0], make(rankSet, words)...)
+	l.queue = zeroed(l.queue, words)
+	l.trig = zeroed(l.trig, words)
 	l.queued, l.ntrig = false, 0
 	for i := range l.marks {
 		switch m := &l.marks[i]; {
@@ -454,17 +483,26 @@ type Support struct {
 	// it is zero; the count is stable while any session is open (the
 	// registry is frozen), so the skip decision cannot race a Define.
 	deferred int
-	// byType is the inverted listening index: for each primitive event
-	// type, the rules whose V(E) filter an arrival of that type matches.
-	// matchAll holds the rules with vacuously active expressions, which
-	// listen to every arrival. Together they make NotifyArrivals
-	// O(arrivals × listeners hit) instead of O(arrivals × rules).
-	byType   map[event.Type][]*State
-	matchAll []*State
-	// vocab is the rule set's primitive event types, each once, in the
-	// order the (priority, expression traversal) walk first meets them;
-	// nil after Define or Drop until internVocabulary rebuilds it.
-	vocab []event.Type
+	// What every line derives its tables from, rebuilt by derive after
+	// Define or Drop (derived false until then). vocab is the rule set's
+	// primitive event types, each once, in the order the (priority,
+	// expression traversal) walk first meets them. listens files each rule
+	// under the vocabulary positions of the types whose arrivals are
+	// relevant to it (its V(E)'s Δ+ and Δ± types), mentions each
+	// non-monotone rule under every type its V(E) mentions; matchAll and
+	// probeAll are the ranks of the rules with vacuously active
+	// expressions, which every arrival reaches (probeAll: the
+	// non-monotone ones). Positions, not types: a line maps them to its
+	// base's type ids once (line.vmap), and no arrival is ever hashed by
+	// its Type here.
+	derived  bool
+	vocab    []event.Type
+	listens  []filing
+	mentions []filing
+	matchAll []int32
+	probeAll []int32
+	// tids is the direct line's NotifyArrivals scratch.
+	tids []int32
 	// sessions counts the open Sessions. While any are open the rule set
 	// (and with it the plan DAG their evaluators walk) is frozen: Define
 	// and Drop fail. idle holds released Sessions for NewSession to
@@ -480,10 +518,9 @@ type Support struct {
 // NewSupport builds a Trigger Support whose direct line runs over base.
 func NewSupport(base *event.Base, opts Options) *Support {
 	s := &Support{
-		opts:   opts,
-		plan:   calculus.NewPlan(),
-		rules:  make(map[string]*State),
-		byType: make(map[event.Type][]*State),
+		opts:  opts,
+		plan:  calculus.NewPlan(),
+		rules: make(map[string]*State),
 	}
 	s.line = line{sup: s, base: base}
 	return s
@@ -540,7 +577,6 @@ func (s *Support) Define(d Def) error {
 	if d.Coupling == Deferred {
 		s.deferred++
 	}
-	s.index(st)
 	s.changed()
 	return nil
 }
@@ -552,14 +588,17 @@ func (s *Support) renumber(i int) {
 	}
 }
 
-// changed invalidates what depends on the rule set: the vocabulary, the
-// idle Sessions, and the direct line's index and inverted V(E) index
-// (rebuilt at the next block boundary and the next arrival walk, so
-// loading N rules inverts once, not N times).
+// changed invalidates what depends on the rule set: the registry's
+// derived tables, the idle Sessions, and the direct line's index, its
+// vocabulary map, its arrival table and its inverted V(E) index (rebuilt
+// at the next block boundary, arrival and arrival walk, so loading N
+// rules inverts once, not N times).
 func (s *Support) changed() {
-	s.vocab = nil
+	s.derived = false
 	s.idle = nil
 	s.line.stale = true
+	s.line.mapped = nil
+	s.line.listen.base = nil
 	s.line.probe.base = nil
 }
 
@@ -602,38 +641,6 @@ func (l *line) watermark() clock.Time {
 	return l.wmMin
 }
 
-// index registers the rule in the inverted listening index.
-func (s *Support) index(st *State) {
-	if st.Filter.MatchAll {
-		s.matchAll = append(s.matchAll, st)
-		return
-	}
-	for _, t := range st.Filter.RelevantTypes() {
-		s.byType[t] = append(s.byType[t], st)
-	}
-}
-
-func (s *Support) unindex(st *State) {
-	drop := func(list []*State) []*State {
-		for i, x := range list {
-			if x == st {
-				return append(list[:i], list[i+1:]...)
-			}
-		}
-		return list
-	}
-	s.matchAll = drop(s.matchAll)
-	for t, list := range s.byType {
-		if nl := drop(list); len(nl) == 0 {
-			// Delete emptied keys so rule churn over many types does not
-			// grow the index unboundedly in long-lived supports.
-			delete(s.byType, t)
-		} else {
-			s.byType[t] = nl
-		}
-	}
-}
-
 // Drop removes a rule.
 func (s *Support) Drop(name string) error {
 	s.mu.Lock()
@@ -659,7 +666,6 @@ func (s *Support) Drop(name string) error {
 	if st.Def.Coupling == Deferred {
 		s.deferred--
 	}
-	s.unindex(st)
 	// The rule leaves the queue, so every rank after it moves, and the
 	// direct line's index (which may hold the rule as pending or
 	// triggered) is rebuilt from the surviving marks before anything
@@ -726,57 +732,100 @@ func (s *Support) BeginTransaction(start clock.Time) {
 	s.line.begin(s.line.base, start)
 }
 
-// internVocabulary interns the rule set's primitive types into base in
-// deterministic (priority, then expression traversal) order. The probe
-// machinery would intern the same types lazily at the first triggering
-// determination; doing it when a line opens pins the interner's id
-// assignment to a pure function of the rule set and the append order —
-// the property WAL replay (which re-runs appends but not
-// determinations) relies on to rebuild a bit-identical base. Interning
-// assigns ids by first appearance, so the de-duplicated list yields
-// exactly the ids a walk of every mention would. The list is built once
-// per rule set, not once per transaction.
-func (s *Support) internVocabulary(base *event.Base) {
-	if s.vocab == nil {
-		seen := make(map[event.Type]bool)
-		for _, st := range s.ordered {
-			for _, t := range calculus.Primitives(st.Def.Event) {
-				if !seen[t] {
-					seen[t] = true
-					s.vocab = append(s.vocab, t)
-				}
+// derive rebuilds what the lines derive their tables from (see
+// Support.derived) if Define or Drop changed the rule set since. It runs
+// once per rule set, not once per line. The caller holds the mutex.
+func (s *Support) derive() {
+	if s.derived {
+		return
+	}
+	// An interner assigns dense ids in first-arrival order: interning
+	// the walk's types into an empty base numbers them by position.
+	pos := event.NewBase()
+	s.vocab, s.listens, s.mentions = s.vocab[:0], s.listens[:0], s.mentions[:0]
+	s.matchAll, s.probeAll = s.matchAll[:0], s.probeAll[:0]
+	for _, st := range s.ordered {
+		for _, t := range calculus.Primitives(st.Def.Event) {
+			if int(pos.InternType(t)) == len(s.vocab) {
+				s.vocab = append(s.vocab, t)
+			}
+		}
+		if st.Filter.MatchAll {
+			s.matchAll = append(s.matchAll, st.rank)
+			if !st.monotone {
+				s.probeAll = append(s.probeAll, st.rank)
+			}
+			continue
+		}
+		for _, t := range st.Filter.RelevantTypes() {
+			s.listens = append(s.listens, filing{pos.InternType(t), st.rank})
+		}
+		if !st.monotone {
+			for _, t := range st.Filter.MentionedTypes() {
+				s.mentions = append(s.mentions, filing{pos.InternType(t), st.rank})
 			}
 		}
 	}
-	for _, t := range s.vocab {
-		base.InternType(t)
+	s.derived = true
+}
+
+// mapVocabulary interns the rule set's vocabulary into the line's base in
+// deterministic (priority, then expression traversal) order and records
+// each type's id in vmap. The probe machinery would intern the same types
+// lazily at the first triggering determination; doing it when a line
+// opens pins the interner's id assignment to a pure function of the rule
+// set and the append order — the property WAL replay (which re-runs
+// appends but not determinations) relies on to rebuild a bit-identical
+// base. On a fresh base the ids are the vocabulary positions. The caller
+// holds the Support's mutex.
+func (l *line) mapVocabulary() {
+	l.sup.derive()
+	l.vmap = l.vmap[:0]
+	for _, t := range l.sup.vocab {
+		l.vmap = append(l.vmap, l.base.InternType(t))
 	}
+	l.mapped = l.base
 }
 
 // NotifyArrivals is NotifyArrivals of the direct line (see
-// Session.NotifyArrivals).
+// Session.NotifyArrivals), for occurrences: it resolves each
+// occurrence's type to its id in the line's base, then marks by id.
 func (s *Support) NotifyArrivals(occs []event.Occurrence) {
 	if len(occs) == 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.line.notifyArrivals(occs)
+	tids := s.tids[:0]
+	rd := s.line.base.Read()
+	for _, occ := range occs {
+		tid, ok := rd.TypeID(occ.Type)
+		if !ok {
+			tid = event.NoType
+		}
+		tids = append(tids, tid)
+	}
+	rd.Done()
+	s.tids = tids
+	s.line.notifyArrivals(tids)
 }
 
-// notifyArrivals marks the rules the arrivals are relevant to: by the
-// V(E) static optimization of Section 5.1, a rule whose V(E) gives the
-// arrival's type a Δ+ or Δ± variation (a pure Δ− arrival cannot raise
-// ts, so a non-triggered rule skips it). This is the Event Handler →
-// Trigger Support hand-off of Section 5.
-func (l *line) notifyArrivals(occs []event.Occurrence) {
+// notifyArrivals marks the rules the arrivals, given by type id, are
+// relevant to: by the V(E) static optimization of Section 5.1, a rule
+// whose V(E) gives the arrival's type a Δ+ or Δ± variation (a pure Δ−
+// arrival cannot raise ts, so a non-triggered rule skips it), and every
+// match-all rule. This is the Event Handler → Trigger Support hand-off of
+// Section 5: one read of the arrival table per arrival, and a type id
+// past the table (a type no rule mentions, interned after the table was
+// built) reaches the match-all rules only.
+func (l *line) notifyArrivals(tids []int32) {
 	l.sync()
-	for _, st := range l.sup.matchAll {
-		l.arrive(st.rank)
+	for _, r := range l.sup.matchAll {
+		l.arrive(r)
 	}
-	for _, occ := range occs {
-		for _, st := range l.sup.byType[occ.Type] {
-			l.arrive(st.rank)
+	for _, tid := range tids {
+		for _, r := range l.listen.of(tid) {
+			l.arrive(r)
 		}
 	}
 }
@@ -936,17 +985,66 @@ func (l *line) count() {
 	l.stats.MemoHits += hits
 }
 
+// table files queue ranks under the type ids of one Event Base: the
+// ranks filed under id tid are ranks[off[tid]:off[tid+1]], ascending. A
+// line holds two, both derived state: the arrival table (line.listen)
+// and the inverted V(E) index (probeIndex). base is the base whose ids
+// the table is keyed by, nil while it is unbuilt.
+type table struct {
+	base  *event.Base
+	off   []int32
+	ranks []int32
+}
+
+// filing is one (vocabulary position, rank) entry of a table's source.
+type filing struct{ pos, rank int32 }
+
+// build files the rank of each filing under the type id vmap gives its
+// position, by a counting sort that keeps every list in rank order (the
+// filings come in rank order). It allocates nothing once the table has
+// held as many ids and filings.
+func (tb *table) build(filed []filing, vmap []int32, base *event.Base) {
+	n := int32(0)
+	for _, tid := range vmap {
+		n = max(n, tid+1)
+	}
+	tb.off = zeroed(tb.off, int(n)+2)
+	for _, f := range filed {
+		tb.off[vmap[f.pos]+2]++
+	}
+	for i := 2; i < len(tb.off); i++ {
+		tb.off[i] += tb.off[i-1]
+	}
+	tb.ranks = zeroed(tb.ranks, len(filed))
+	for _, f := range filed {
+		tid := vmap[f.pos]
+		tb.ranks[tb.off[tid+1]] = f.rank
+		tb.off[tid+1]++
+	}
+	tb.off = tb.off[:n+1]
+	tb.base = base
+}
+
+// of returns the ranks filed under tid: none for a type id past the
+// table or event.NoType.
+func (tb *table) of(tid int32) []int32 {
+	if tid < 0 || int(tid) >= len(tb.off)-1 {
+		return nil
+	}
+	return tb.ranks[tb.off[tid]:tb.off[tid+1]]
+}
+
 // notProbing is probeIndex.lo of a rule no arrival of the walk probes.
 const notProbing = clock.Time(math.MaxInt64)
 
 // probeIndex is the inverted V(E) index of one line: for every type id
-// interned in the line's base, the queue ranks of the rules whose V(E)
-// mentions that type, ascending, plus the ranks of the match-all rules —
-// non-monotone rules only, since a monotone one decides at the check
-// instant alone. Like the block-boundary index it is derived state. It is
-// built at the first arrival walk after the base or the rule set changed
-// (base nil marks it unbuilt; Define and Drop only clear it), so Define,
-// Drop and NewSession never invert anything.
+// of the rule set's vocabulary in the line's base, the queue ranks of the
+// rules whose V(E) mentions that type, ascending — non-monotone rules
+// only, since a monotone one decides at the check instant alone; the
+// match-all ones are the registry's probeAll. It is built at the first
+// arrival walk after the base or the rule set changed (base nil marks it
+// unbuilt; Define and Drop only clear it), so Define, Drop and
+// NewSession never invert anything.
 //
 // lo is the walk's scratch, by rank: the instant after which an
 // undecided rule of the check probes arrivals, notProbing for every
@@ -955,58 +1053,22 @@ const notProbing = clock.Time(math.MaxInt64)
 // unwinds through it leaves the index unbuilt, and the next walk
 // rebuilds it clean.
 type probeIndex struct {
-	base  *event.Base
-	off   []int32 // the ranks mentioning type id tid are ranks[off[tid]:off[tid+1]]
-	ranks []int32
-	all   []int32
-	lo    []clock.Time
-	// filed is the build's scratch; builds counts the builds.
-	filed  []filing
+	table
+	lo []clock.Time
+	// builds counts the builds.
 	builds int
 }
 
-// filing is one (type id, rank) entry of the index under construction.
-type filing struct{ tid, rank int32 }
-
 // buildProbeIndex inverts the non-monotone rules' V(E) over the line's
-// base. The mentioned types are interned (on a line NewSession opened
-// they already are), and a counting sort by type id files each rank
-// under its types, keeping every list in rank order.
+// base.
 func (l *line) buildProbeIndex() {
 	p := &l.probe
 	p.builds++
-	p.all, p.filed = p.all[:0], p.filed[:0]
-	for _, st := range l.sup.ordered {
-		if st.monotone {
-			continue
-		}
-		if st.Filter.MatchAll {
-			p.all = append(p.all, st.rank)
-			continue
-		}
-		for _, t := range st.Filter.MentionedTypes() {
-			p.filed = append(p.filed, filing{l.base.InternType(t), st.rank})
-		}
-	}
-	n := l.base.InternedTypes()
-	p.off = append(p.off[:0], make([]int32, n+2)...)
-	for _, f := range p.filed {
-		p.off[f.tid+2]++
-	}
-	for i := 2; i < len(p.off); i++ {
-		p.off[i] += p.off[i-1]
-	}
-	p.ranks = append(p.ranks[:0], make([]int32, len(p.filed))...)
-	for _, f := range p.filed {
-		p.ranks[p.off[f.tid+1]] = f.rank
-		p.off[f.tid+1]++
-	}
-	p.off = p.off[:n+1]
-	p.lo = append(p.lo[:0], make([]clock.Time, len(l.marks))...)
+	p.build(l.sup.mentions, l.vmap, l.base)
+	p.lo = zeroed(p.lo, len(l.marks))
 	for i := range p.lo {
 		p.lo[i] = notProbing
 	}
-	p.base = l.base
 }
 
 // walk is the check's one pass over the arrivals of (minLo, now]. Each
@@ -1043,11 +1105,7 @@ func (l *line) walk(pe *calculus.PlanEval, batch []int32, newest, minLo, now clo
 			if open == 0 {
 				continue
 			}
-			var mentioning []int32
-			if int(tid) < len(p.off)-1 {
-				mentioning = p.ranks[p.off[tid]:p.off[tid+1]]
-			}
-			for _, ranks := range [2][]int32{mentioning, p.all} {
+			for _, ranks := range [2][]int32{p.of(tid), l.sup.probeAll} {
 				for _, r := range ranks {
 					if p.lo[r] >= t {
 						continue

@@ -443,7 +443,7 @@ func TestPickAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.NotifyArrivals([]event.Occurrence{occ})
+	sess.NotifyArrivals(tidsOf(b, []event.Occurrence{occ}))
 	s.NotifyArrivals([]event.Occurrence{occ})
 	for _, v := range []lineView{s, sess} {
 		if fired := v.CheckTriggered(c.Now()); len(fired) != 200 {

@@ -41,7 +41,8 @@ func (s *Support) NewSession(base *event.Base, start clock.Time) *Session {
 	} else {
 		sess = &Session{line: line{sup: s}}
 	}
-	s.internVocabulary(base)
+	sess.base = base
+	sess.mapVocabulary()
 	s.sessions++
 	s.mu.Unlock()
 	// The registry is frozen from here until the session's release, so
@@ -64,7 +65,13 @@ func (sess *Session) Release() {
 		sess.count() // a check its budget cut short left them uncounted
 	}
 	stats := sess.stats
+	// An idle session holds no Event Base: the transaction's log is
+	// collectable as soon as the transaction lets go of it.
 	sess.stats, sess.base, sess.budget = Stats{}, nil, nil
+	sess.mapped, sess.listen.base, sess.probe.base = nil, nil, nil
+	if sess.eval != nil {
+		sess.eval.Unbind()
+	}
 	s := sess.sup
 	s.mu.Lock()
 	s.sessions--
@@ -76,14 +83,15 @@ func (sess *Session) Release() {
 // Start returns the instant the session's transaction began.
 func (sess *Session) Start() clock.Time { return sess.txnStart }
 
-// NotifyArrivals tells the session about freshly logged occurrences and
-// marks the rules those arrivals are relevant to (the Event Handler →
-// Trigger Support hand-off of Section 5).
-func (sess *Session) NotifyArrivals(occs []event.Occurrence) {
-	if len(occs) == 0 {
+// NotifyArrivals tells the session about freshly logged occurrences, by
+// the type ids their appends returned (event.Base.AppendTID), and marks
+// the rules those arrivals are relevant to (the Event Handler → Trigger
+// Support hand-off of Section 5).
+func (sess *Session) NotifyArrivals(tids []int32) {
+	if len(tids) == 0 {
 		return
 	}
-	sess.line.notifyArrivals(occs)
+	sess.line.notifyArrivals(tids)
 }
 
 // CheckTriggered runs the triggering determination at a block boundary

@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func sessionTxn(t *testing.T, s *Support, seed int64) (*Session, string) {
 	r := rand.New(rand.NewSource(seed))
 	var out strings.Builder
 	for block := 0; block < 12; block++ {
-		sess.NotifyArrivals(scriptArrivals(t, r, b, c))
+		sess.NotifyArrivals(tidsOf(b, scriptArrivals(t, r, b, c)))
 		fmt.Fprintf(&out, "fired %v\n", sess.CheckTriggered(c.Now()))
 		for k := 0; k < 2; k++ {
 			if name, ok := sess.Pick(nil); ok && r.Intn(2) == 0 {
@@ -62,7 +63,7 @@ func killedTxn(t *testing.T, s *Support, seed int64) (*Session, bool) {
 	sess.SetBudget(calculus.NewBudget(3, time.Time{}))
 	r := rand.New(rand.NewSource(seed))
 	for block := 0; block < 50; block++ {
-		sess.NotifyArrivals(scriptArrivals(t, r, b, c))
+		sess.NotifyArrivals(tidsOf(b, scriptArrivals(t, r, b, c)))
 		if err := calculus.CatchBudget(func() { sess.CheckTriggered(c.Now()) }); err != nil {
 			return sess, sess.probe.base == nil && sess.probe.lo != nil
 		}
@@ -108,6 +109,47 @@ func TestRecycledSessionDecidesLikeFresh(t *testing.T) {
 	if midWalk == 0 {
 		t.Error("no budget fault cut an arrival walk short")
 	}
+}
+
+// A released session keeps no reference to its transaction's Event Base
+// while it waits in the idle pool: once the transaction lets go of the
+// base, the garbage collector reclaims it. A finalizer observes the
+// collection, since it runs only once the base is unreachable.
+func TestReleasedSessionKeepsNoBase(t *testing.T) {
+	s := supportWith(t, scriptDefs(rand.New(rand.NewSource(30)), 30, "r"))
+	collected := make(chan struct{})
+	func() {
+		b, c := event.NewBaseSize(4), clock.New()
+		runtime.SetFinalizer(b, func(*event.Base) { close(collected) })
+		sess := s.NewSession(b, c.Now())
+		r := rand.New(rand.NewSource(12))
+		for block := 0; block < 12; block++ {
+			sess.NotifyArrivals(tidsOf(b, scriptArrivals(t, r, b, c)))
+			for _, name := range sess.CheckTriggered(c.Now()) {
+				if _, err := sess.Consider(name, c.Tick()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if sess.probe.builds == 0 {
+			t.Fatal("no arrival walk ran: the session never held the base everywhere it can")
+		}
+		sess.Release()
+	}()
+	if len(s.idle) != 1 {
+		t.Fatalf("%d sessions idle, want the released one", len(s.idle))
+	}
+	// The Support, and with it the idle pool, stays reachable throughout.
+	defer runtime.KeepAlive(s)
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the idle session keeps its transaction's Event Base alive")
 }
 
 // Define and Drop between two lines empty the idle pool: the next line
