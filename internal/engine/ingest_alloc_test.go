@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"chimera/internal/calculus"
@@ -14,10 +15,12 @@ import (
 // A warm in-memory transaction ingests blocks of 256 events over 8
 // types and 32 objects, each block ended by EndLine, under rules that
 // listen to every type and never fire (each waits for a signal that
-// never comes). Appending an event, announcing it to the line's session
-// and checking the block allocate nothing per event: what allocates is
-// a segment's storage, once per segment, and nothing per occurrence. The
-// gate is at most a tenth of an allocation per event.
+// never comes), while retention keeps compaction retiring segments.
+// Appending an event, announcing it to the line's session and checking
+// the block allocate nothing per event, and a roll-over reuses the index
+// storage of a retired segment: what allocates is a segment's two
+// columns, 16 bytes per occurrence. The gates are at most a hundredth of
+// an allocation and 20 bytes per event.
 func TestIngestAllocationsPerEvent(t *testing.T) {
 	const blocks, perBlock, ntypes, objects = 16, 256, 8, 32
 	db := New(DefaultOptions())
@@ -64,11 +67,78 @@ func TestIngestAllocationsPerEvent(t *testing.T) {
 	ingest() // warm: every table and scratch buffer at its steady size
 	perEvent := testing.AllocsPerRun(4, ingest) / (blocks * perBlock)
 	t.Logf("%.4f allocations per event", perEvent)
-	if perEvent > 0.1 {
-		t.Errorf("ingest allocates %.3f times per event, want at most 0.1", perEvent)
+	if perEvent > 0.01 {
+		t.Errorf("ingest allocates %.4f times per event, want at most 0.01", perEvent)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 4
+	for i := 0; i < runs; i++ {
+		ingest()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs * blocks * perBlock)
+	t.Logf("%.2f bytes per event", bytes)
+	if bytes > 20 {
+		t.Errorf("ingest allocates %.2f bytes per event, want at most 20", bytes)
 	}
 	// Every rule was in every block's batch, and none fired.
 	if st := tx.view.Stats(); st.Triggerings != 0 || st.RulesExamined-st.RulesSkipped != st.Checks*ntypes {
 		t.Fatalf("%+v: every rule must listen to every block without firing", st)
+	}
+}
+
+// A warm in-memory transaction that writes five objects — Begin, five
+// Modify, Commit — allocates a few kilobytes, and its Event Base is a
+// small part of them: the base's first segment starts with columns for
+// 16 occurrences, not for a whole segment of 256. The gate is the 7 528
+// bytes per transaction measured so (Go 1.24, linux/amd64; 7 552 under
+// -race) plus 1 KiB; a first segment of 256 rows alone adds 3.8 KiB.
+func TestShortTransactionBytes(t *testing.T) {
+	const perTxn = 7528 + 1024
+	db := stockDB(t)
+	var oids []types.OID
+	if err := db.Run(func(tx *Txn) error {
+		for i := 0; i < 5; i++ {
+			oid, err := tx.Create("stock", map[string]types.Value{"quantity": types.Int(0)})
+			if err != nil {
+				return err
+			}
+			oids = append(oids, oid)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k := int64(0)
+	write := func() {
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, oid := range oids {
+			k++
+			if err := tx.Modify(oid, "quantity", types.Int(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		write() // warm: recycled sessions and snapshots at their steady size
+	}
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per transaction", bytes)
+	if bytes > perTxn {
+		t.Errorf("a five-write transaction allocates %d bytes, want at most %d", bytes, perTxn)
 	}
 }

@@ -69,10 +69,19 @@ func NewBaseMetrics(r *metrics.Registry) BaseMetrics {
 // DefaultSegmentSize is the number of occurrences one segment of the
 // Event Base holds. 256 keeps a segment (with its segment-local indexes)
 // comfortably inside a few cache lines' worth of slice headers while
-// making appends amortized O(1) — a full segment is sealed and a fresh
-// one opened, so no append ever reallocates or copies previously logged
-// occurrences.
+// making appends amortized O(1) — a full segment is sealed and the next
+// one opened, so only a base's first segment, which starts small, ever
+// copies logged occurrences as it grows, and a reader keeps the columns
+// it was handed.
 const DefaultSegmentSize = 256
+
+// firstRows is the column room a base's first segment starts with, what
+// a short transaction logs; it doubles up to the segment size.
+const firstRows = 16
+
+// maxSpares is the number of retired segments whose index storage a base
+// keeps for roll-overs to reuse.
+const maxSpares = 2
 
 // Base is the Event Base: the append-only log of all event occurrences
 // since the beginning of the transaction, organized as the
@@ -115,8 +124,12 @@ const DefaultSegmentSize = 256
 // entries into chunks already reserved and allocates only when the arena
 // itself grows. A rolled-over segment sizes its tables and arena like
 // its predecessor and each key's first chunk by the key's count there,
-// so a stream whose segments look alike allocates one arena per segment
-// and nothing per occurrence. A probe (LastOf, LastOfObj,
+// and takes that storage from a segment compaction retired (a spare)
+// when there is one, so a stream whose segments look alike and whose
+// window moves allocates only each segment's columns: a time stamp
+// column and one id array holding the type ids and then the object ids.
+// Columns are never reused, since ChunkCols and ExportState hand them
+// out. A probe (LastOf, LastOfObj,
 // OccurrencesOfObj, ...) resolves its Type and OID to ids once, at the
 // API edge, and below that compares and hashes int32s; a Type or OID
 // that was never interned has no occurrences. The probe
@@ -152,7 +165,8 @@ const DefaultSegmentSize = 256
 // append-only: existing entries are never moved or overwritten, and
 // compaction only unlinks whole segments from the chain, never
 // relocating live data, so previously returned columns stay valid (the
-// garbage collector keeps their segment alive) even across appends and
+// garbage collector keeps them alive; a retired segment's index storage
+// may be reused, its columns never are) even across appends and
 // compactions. Appends and CompactBelow take the mutex exclusively; the
 // engine additionally serializes writers per transaction (one open
 // transaction owns the Base), so readers racing a writer observe either
@@ -175,6 +189,10 @@ type Base struct {
 	nextID    EID
 	lastTS    clock.Time // newest time stamp ever appended
 	live      int        // occurrences currently retained
+	// spares are retired segments, newest last, kept for their index
+	// storage: their columns are dropped at retirement, and a roll-over
+	// resets one to its predecessor's sizes instead of allocating.
+	spares []*segment
 	// Compaction bookkeeping: the retirement floor (highest retired time
 	// stamp — every live occurrence is strictly above it) and counters.
 	floor       clock.Time
@@ -208,6 +226,9 @@ type segment struct {
 	ts       []clock.Time
 	tids     []int32
 	oids     []int32
+	// size is the number of occurrences the segment holds when full; no
+	// position list is given room for more.
+	size int32
 	// leafOf holds per type of the segment (its slice of a leaf of the
 	// Occurred-Events tree), and pairOf per (type, object) pair, the span
 	// of arena holding the ascending positions of its occurrences; objOf's
@@ -222,9 +243,10 @@ type segment struct {
 	// reallocates (the reader keeps the old backing array).
 	arena []int32
 	// prev is the predecessor segment while this one fills: its lists'
-	// lengths size the first chunks of the keys the two share. It is
-	// dropped when the segment fills, so no retired segment is kept alive
-	// by a sealed one.
+	// lengths size the first chunks of the keys the two share, and only
+	// its tables are read. It is dropped when the segment fills or is
+	// retired. A predecessor retired while its successor fills has lost
+	// its columns; its index lives on as a hint until the successor fills.
 	prev *segment
 }
 
@@ -292,12 +314,24 @@ func (t *idTable[V]) resize(size int) {
 	}
 }
 
-// sizeLike gives an empty table the slot count prev ended with, so that a
-// segment indexing the same stream as its predecessor never rehashes.
-func (t *idTable[V]) sizeLike(prev *idTable[V]) {
-	if n := len(prev.slots); n > 0 {
-		t.resize(n)
+// sizeLike empties the table and gives it the slot count prev ended
+// with, so that a segment indexing the same stream as its predecessor
+// never rehashes.
+func (t *idTable[V]) sizeLike(prev *idTable[V]) { t.reset(len(prev.slots)) }
+
+// reset empties the table and gives it size slots (0: none until the
+// first key), keeping its arrays when they are large enough. The keys
+// are truncated first, so that a resize never rehashes a key of the
+// table's earlier use.
+func (t *idTable[V]) reset(size int) {
+	t.keys, t.vals = t.keys[:0], t.vals[:0]
+	if cap(t.slots) < size {
+		t.resize(size)
+		return
 	}
+	t.slots = t.slots[:size]
+	clear(t.slots)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 }
 
 func (sg *segment) n() int            { return len(sg.ts) }
@@ -327,7 +361,7 @@ const firstChunk = 2
 // by moving to a fresh chunk. No list is given room for more entries
 // than the segment has rows left.
 func (sg *segment) file(t, hint *idTable[span], k uint64, i int32) {
-	left := int32(cap(sg.ts)) - i
+	left := sg.size - i
 	e, added := t.findOrAdd(k)
 	sp := &t.vals[e]
 	if added {
@@ -613,30 +647,11 @@ func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) 
 	var sg *segment
 	if tailRoom {
 		sg = b.segs[len(b.segs)-1]
+		if sg.n() == cap(sg.ts) {
+			sg.columns(min(2*sg.n(), b.segSize))
+		}
 	} else {
-		sg = &segment{
-			firstEID: b.nextID,
-			ts:       make([]clock.Time, 0, b.segSize),
-			tids:     make([]int32, 0, b.segSize),
-			oids:     make([]int32, 0, b.segSize),
-		}
-		if n := len(b.segs); n > 0 {
-			// Roll-over: the predecessor's table sizes and arena use, never
-			// more, and its lists' lengths as the hints of the keys.
-			prev := b.segs[n-1]
-			sg.leafOf.sizeLike(&prev.leafOf)
-			sg.pairOf.sizeLike(&prev.pairOf)
-			sg.objOf.sizeLike(&prev.objOf)
-			sg.arena = make([]int32, 0, len(prev.arena))
-			sg.prev = prev
-		} else {
-			// A base's first segment: room for eight occurrences that each
-			// open two lists, what a short transaction logs.
-			sg.arena = make([]int32, 0, 2*firstChunk*min(b.segSize, 8))
-		}
-		b.segs = append(b.segs, sg)
-		b.m.SegmentsAllocated.Inc()
-		b.m.LiveSegments.Set(int64(len(b.segs)))
+		sg = b.open()
 	}
 	idx := int32(sg.n())
 	tid := b.internTypeLocked(t)
@@ -657,13 +672,82 @@ func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) 
 	return b.nextID, tid, nil
 }
 
+// open appends an empty segment to the chain and returns it. A
+// roll-over sizes its tables and arena like the predecessor's and hints
+// each key's first chunk by the key's list there; it takes that storage
+// from the newest spare when there is one, keeping the spare's arrays
+// where they are large enough. With no live predecessor — a base's first
+// segment, or the chain retired whole — a spare keeps its own sizes, and
+// a new segment starts with empty tables and an arena with room for
+// eight occurrences that each open two lists. Only a base's first
+// segment starts with columns for fewer than the segment size:
+// firstRows, what a short transaction logs. Callers hold the write lock.
+func (b *Base) open() *segment {
+	var prev, sg *segment
+	if n := len(b.segs); n > 0 {
+		prev = b.segs[n-1]
+	}
+	if n := len(b.spares); n > 0 {
+		sg = b.spares[n-1]
+		b.spares[n-1] = nil
+		b.spares = b.spares[:n-1]
+	}
+	rows := b.segSize
+	switch {
+	case prev != nil:
+		if sg == nil {
+			sg = new(segment)
+		}
+		sg.leafOf.sizeLike(&prev.leafOf)
+		sg.pairOf.sizeLike(&prev.pairOf)
+		sg.objOf.sizeLike(&prev.objOf)
+		if cap(sg.arena) < len(prev.arena) {
+			sg.arena = make([]int32, 0, len(prev.arena))
+		}
+		sg.arena = sg.arena[:0]
+		sg.prev = prev
+	case sg != nil:
+		sg.leafOf.reset(len(sg.leafOf.slots))
+		sg.pairOf.reset(len(sg.pairOf.slots))
+		sg.objOf.reset(len(sg.objOf.slots))
+		sg.arena = sg.arena[:0]
+	default:
+		sg = &segment{arena: make([]int32, 0, 2*firstChunk*min(b.segSize, 8))}
+		if b.retiredSegs == 0 {
+			rows = min(b.segSize, firstRows)
+		}
+	}
+	sg.firstEID = b.nextID
+	sg.size = int32(b.segSize)
+	sg.columns(rows)
+	b.segs = append(b.segs, sg)
+	b.m.SegmentsAllocated.Inc()
+	b.m.LiveSegments.Set(int64(len(b.segs)))
+	return sg
+}
+
+// columns gives sg fresh columns with room for rows occurrences — a time
+// stamp column and one id array whose first half holds the type ids and
+// second half the object ids — and copies the rows logged so far. The
+// old arrays are left as they are for the readers that hold them.
+func (sg *segment) columns(rows int) {
+	n := sg.n()
+	ts := make([]clock.Time, n, rows)
+	ids := make([]int32, 2*rows)
+	copy(ts, sg.ts)
+	copy(ids, sg.tids)
+	copy(ids[rows:], sg.oids)
+	sg.ts, sg.tids, sg.oids = ts, ids[:n:rows], ids[rows:rows+n]
+}
+
 // CompactBelow retires every segment whose newest occurrence is at or
 // below the watermark — the minimum over all defined rules of their
 // relevant-window start (rules.Support exports it). Retirement unlinks
 // whole segments, dropping their occurrences and every segment-local
-// index in O(segments retired); live data is never moved, so previously
-// returned ChunkCols columns stay valid. It returns the number of
-// occurrences retired.
+// index in O(segments retired), and keeps the index storage of the
+// newest maxSpares for roll-overs to reuse; live data is never moved, so
+// previously returned ChunkCols columns stay valid. It returns the
+// number of occurrences retired.
 //
 // Callers must guarantee no window reaching at or below the watermark is
 // still being evaluated: the engine compacts only at block boundaries,
@@ -681,6 +765,20 @@ func (b *Base) CompactBelow(watermark clock.Time) int {
 	}
 	if cut == 0 {
 		return 0
+	}
+	// Drop the retired segments' columns, which a retired predecessor
+	// would otherwise keep alive through the tail's prev, and keep the
+	// newest as spares.
+	for k, sg := range b.segs[:cut] {
+		sg.ts, sg.tids, sg.oids, sg.prev = nil, nil, nil, nil
+		if k >= cut-maxSpares {
+			b.spares = append(b.spares, sg)
+		}
+	}
+	if extra := len(b.spares) - maxSpares; extra > 0 {
+		m := copy(b.spares, b.spares[extra:])
+		clear(b.spares[m:])
+		b.spares = b.spares[:m]
 	}
 	// Shift the chain down and nil the tail so the GC can reclaim the
 	// retired segments as soon as no view aliases them.
@@ -715,6 +813,14 @@ func (b *Base) Len() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.live
+}
+
+// Extent returns Len, Segments and Floor read under one lock, so that
+// the three describe the same instant even beside a compaction.
+func (b *Base) Extent() (live, segments int, floor clock.Time) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.live, len(b.segs), b.floor
 }
 
 // Retired returns the number of occurrences retired by compaction.

@@ -305,6 +305,7 @@ func (b *Base) buildSegment(f SegmentFrame) *segment {
 		ts:       append(make([]clock.Time, 0, b.segSize), f.TS...),
 		tids:     append(make([]int32, 0, b.segSize), f.TIDs...),
 		oids:     append(make([]int32, 0, b.segSize), f.OIDs...),
+		size:     int32(b.segSize),
 	}
 	for i, tid := range sg.tids {
 		sg.index(int32(i), tid, sg.oids[i])

@@ -377,6 +377,98 @@ func TestArenaListsMatchNaiveScan(t *testing.T) {
 	}
 }
 
+// TestRecycledSegmentsMatchNaiveScan runs roll-overs that reuse the
+// index storage of retired segments and pins every probe to the naive
+// scan. Three narrow segments (two types on one object) alternate with
+// three wide ones (four types on six objects), so a spare is larger than
+// its new predecessor's pair table or arena as well as smaller, which
+// makes the reset grow a reused table. After each filled segment but two
+// in six, compaction keeps a random number of the newest segments (none
+// included, which retires the chain whole); the pauses use the spares up,
+// so new segments are allocated and retired in turn. Half way through
+// some segments it retires everything but the tail. Most segments opened
+// must reuse a spare.
+func TestRecycledSegmentsMatchNaiveScan(t *testing.T) {
+	vocab := []Type{
+		Modify("card", "spent"), Modify("card", "limit"), Create("card"),
+		External("fresh"),
+		Create("never"), // stays uninterned
+	}
+	const objects = 6 // OID objects+1 is never seen
+	narrow := func(k int) (Type, types.OID) { return vocab[k%2], 1 }
+	wide := func(k int) (Type, types.OID) { return vocab[k%4], types.OID(1 + k/4%objects) }
+	larger, smaller := 0, 0 // reuses of a spare above the predecessor's sizes, and of one whose pair table must grow
+	for _, segSize := range []int{1, 2, 3, 256} {
+		r := rand.New(rand.NewSource(int64(segSize) + 83))
+		b := NewBaseSize(segSize)
+		o := &oracle{latest: map[Type]clock.Time{}, rank: map[types.OID]int{}}
+		var stamps []clock.Time
+		now := clock.Never
+		opened, reused := 0, 0
+		segments, every := 60, 1
+		if segSize == 256 {
+			segments, every = 24, 64
+		}
+		for seg := 0; seg < segments; seg++ {
+			pick := narrow
+			if seg%6 >= 3 {
+				pick = wide
+			}
+			for k := 0; k < segSize; k++ {
+				var tail *segment
+				if n := len(b.segs); n > 0 && b.segs[n-1].n() < segSize {
+					tail = b.segs[n-1]
+				}
+				spares := slices.Clone(b.spares)
+				// The spare a roll-over takes, against its predecessor.
+				var roomy, grow bool
+				if n := len(b.segs); tail == nil && n > 0 && len(spares) > 0 {
+					prev, spare := b.segs[n-1], spares[len(spares)-1]
+					roomy = cap(spare.pairOf.slots) > len(prev.pairOf.slots) || cap(spare.arena) > len(prev.arena)
+					grow = cap(spare.pairOf.slots) < len(prev.pairOf.slots)
+				}
+				now += clock.Time(1 + r.Intn(2))
+				ty, oid := pick(k)
+				if _, err := b.Append(ty, oid, now); err != nil {
+					t.Fatal(err)
+				}
+				stamps = append(stamps, now)
+				o.note(ty, oid, now)
+				if tail == nil {
+					opened++
+					if slices.Contains(spares, b.segs[len(b.segs)-1]) {
+						reused++
+						if roomy {
+							larger++
+						}
+						if grow {
+							smaller++
+						}
+					}
+				}
+				if k == segSize/2 && seg > 0 && segSize > 1 && r.Intn(3) == 0 {
+					// Retire the tail's predecessor before the tail fills.
+					b.CompactBelow(stamps[len(stamps)-1-k-1])
+				}
+				if k%every == every-1 || k == segSize-1 {
+					tag := fmt.Sprintf("seg=%d segment %d entry %d", segSize, seg, k)
+					checkAgainstOracle(t, tag, r, b, o, vocab, objects, now)
+				}
+			}
+			// Keep 0 to 3 of the newest full segments, or pause.
+			if keep := r.Intn(4); keep <= seg && seg%6 >= 2 {
+				b.CompactBelow(stamps[(seg+1-keep)*segSize-1])
+			}
+		}
+		if 2*reused <= opened {
+			t.Errorf("seg=%d: %d of %d segments opened reused a spare, want most", segSize, reused, opened)
+		}
+	}
+	if larger == 0 || smaller == 0 {
+		t.Errorf("spares reused above the predecessor's sizes %d times, with a pair table to grow %d times: want both", larger, smaller)
+	}
+}
+
 // TestIndexMemoryFollowsEntries feeds a base ten thousand distinct types
 // over small segments: the index must hold a bounded number of words per
 // live entry, where any per-segment structure sized to the vocabulary

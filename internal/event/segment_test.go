@@ -1,11 +1,14 @@
 package event
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"chimera/internal/clock"
 	"chimera/internal/types"
@@ -474,8 +477,95 @@ func TestConcurrentReadersWithCompaction(t *testing.T) {
 				b.OIDs(since, upTo)
 				b.OIDsOfTypes(ty[:2], since, upTo)
 				b.Window(since, upTo)
+				if err := indexMatchesColumns(b, ty[r.Intn(3)], since, upTo); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(int64(w))
 	}
 	wg.Wait()
+}
+
+// indexMatchesColumns checks, inside one read section, the index-backed
+// probes of type ty over (since, upTo] — LastOfTID, ForLeaf and
+// AppendObjs — against a scan of the window's columns. A roll-over that
+// reset a spare's tables under an open section would break the equality,
+// or show as a race.
+func indexMatchesColumns(b *Base, ty Type, since, upTo clock.Time) error {
+	rd := b.Read()
+	defer rd.Done()
+	tid, interned := rd.TypeID(ty)
+	if !interned {
+		return nil
+	}
+	type row struct {
+		oi int32
+		at clock.Time
+	}
+	var leaf, gotLeaf []row
+	var objs []int32
+	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
+		for i := lo; i < hi; i++ {
+			objs = append(objs, sg.oids[i])
+			if sg.tids[i] == tid {
+				leaf = append(leaf, row{sg.oids[i], sg.ts[i]})
+			}
+		}
+		return true
+	})
+	slices.Sort(objs)
+	objs = slices.Compact(objs)
+	last := clock.Never
+	if len(leaf) > 0 {
+		last = leaf[len(leaf)-1].at
+	}
+	if got := rd.LastOfTID(tid, since, upTo); got != last {
+		return fmt.Errorf("LastOfTID(%v) over (%d, %d] = %d, the columns say %d", ty, since, upTo, got, last)
+	}
+	rd.ForLeaf(tid, since, upTo, func(oi int32, at clock.Time) { gotLeaf = append(gotLeaf, row{oi, at}) })
+	if !slices.Equal(gotLeaf, leaf) {
+		return fmt.Errorf("ForLeaf(%v) over (%d, %d] = %v, the columns say %v", ty, since, upTo, gotLeaf, leaf)
+	}
+	if got := rd.AppendObjs(nil, since, upTo); !slices.Equal(got, objs) {
+		return fmt.Errorf("AppendObjs over (%d, %d] = %v, the columns say %v", since, upTo, got, objs)
+	}
+	return nil
+}
+
+// TestRetiredColumnsCollected: a segment CompactBelow retires keeps no
+// column alive, though its index stays behind as a spare and as the
+// hints of the open tail it preceded. A finalizer on the first time
+// stamp of a view of the retired segment observes the collection.
+func TestRetiredColumnsCollected(t *testing.T) {
+	b := NewBaseSize(4)
+	collected := make(chan struct{})
+	func() {
+		for i := 1; i <= 5; i++ {
+			if _, err := b.Append(Create("c"), types.OID(i), clock.Time(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := b.ChunkCols(clock.Never, 4)
+		if len(c.TS) != 4 {
+			t.Fatalf("the first segment's view holds %d stamps, want 4", len(c.TS))
+		}
+		runtime.SetFinalizer(&c.TS[0], func(*clock.Time) { close(collected) })
+	}()
+	if n := b.CompactBelow(4); n != 4 {
+		t.Fatalf("CompactBelow retired %d occurrences, want 4", n)
+	}
+	if b.Segments() != 1 || b.segs[0].n() != 1 {
+		t.Fatal("the tail must still be filling")
+	}
+	defer runtime.KeepAlive(b)
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the base keeps a retired segment's columns alive")
 }

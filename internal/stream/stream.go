@@ -167,7 +167,7 @@ type Stats struct {
 	QueueDepth int
 	// LiveEvents / LiveSegments / Floor describe the session's Event
 	// Base window: what retention plus the low-watermark compactor
-	// currently retain.
+	// currently retain, read at one instant.
 	LiveEvents   int
 	LiveSegments int
 	Floor        clock.Time
@@ -435,10 +435,7 @@ func (s *Stream) Stats() Stats {
 	txn := s.txn
 	s.mu.Unlock()
 	if txn != nil {
-		base := txn.Base()
-		st.LiveEvents = base.Len()
-		st.LiveSegments = base.Segments()
-		st.Floor = base.Floor()
+		st.LiveEvents, st.LiveSegments, st.Floor = txn.Base().Extent()
 	}
 	return st
 }
@@ -594,9 +591,9 @@ func (s *Stream) sweep(batch []Event, batchStart time.Time, idle bool) (error, b
 		s.m.batchEvents.Observe(int64(n))
 		s.m.sweepLag.Observe(s.src.Since(batchStart).Nanoseconds())
 	}
-	base := txn.Base()
-	s.m.liveEvents.Set(int64(base.Len()))
-	s.m.liveSegments.Set(int64(base.Segments()))
+	live, segs, _ := txn.Base().Extent()
+	s.m.liveEvents.Set(int64(live))
+	s.m.liveSegments.Set(int64(segs))
 	return nil, false
 }
 

@@ -557,6 +557,70 @@ func TestStreamRetentionFlatMemory(t *testing.T) {
 	}
 }
 
+// TestStreamStatsWindowConsistent polls Stats beside a stream whose
+// retention window keeps compaction retiring segments: every poll must
+// describe one instant of the base, where only the tail segment may be
+// partial, so (LiveSegments−1)·segSize < LiveEvents ≤
+// LiveSegments·segSize, or both are 0. Reading the three figures under
+// separate locks lets a compaction fall between them.
+func TestStreamStatsWindowConsistent(t *testing.T) {
+	const n, segSize = 20000, 8
+	o := engine.DefaultOptions()
+	o.SegmentSize = segSize
+	db, err := engine.Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s, err := stream.Open(db, stream.Options{
+		MaxBatch:  16,
+		QueueSize: 1024,
+		Window:    4 * segSize,
+		Clock:     clock.NewManual(time.Unix(0, 0)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		polls := 0
+		defer func() { polled <- polls }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			st := s.Stats()
+			polls++
+			if live, segs := st.LiveEvents, st.LiveSegments; live > segs*segSize || (segs > 0 && live <= (segs-1)*segSize) {
+				t.Errorf("Stats reports %d live events in %d segments of %d", live, segs, segSize)
+				return
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		if err := s.Raise("noise"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	close(done)
+	if polls := <-polled; polls == 0 {
+		t.Fatal("Stats was never polled")
+	}
+	st := s.Stats()
+	if st.Events != n || st.Floor == clock.Never {
+		t.Fatalf("%+v: every event ingested and compaction run expected", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStreamIdleSweeps checks clock-driven behavior under a manual
 // source: ticks flush partial batches, and on a quiet stream they run
 // idle sweeps that advance the logical clock so time-based operators
