@@ -102,10 +102,14 @@ cover:
 # Fuzz smoke: 20 seconds of random command scripts through a fully
 # instrumented engine, asserting no panic and balanced lifecycle spans,
 # then 10 seconds of mutated checkpoints through the checkpoint decoder,
-# asserting it returns an error or decodes, never panics.
+# asserting it returns an error or decodes, never panics, then 10
+# seconds of decoded rule sets and block-cut histories through the
+# Trigger Support's arrival walk, asserting it fires what the
+# all-arrivals oracle fires, at the same instants.
 fuzz:
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzEngineBlock -fuzztime 20s
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s
+	$(GO) test ./internal/rules/ -run '^$$' -fuzz FuzzSignedProbing -fuzztime 10s
 
 # Alternating parent/change passes of the B0 benchmark, PAIRS of them per
 # workload, with every pass's output kept under .b0-pairs/ and a summary

@@ -321,21 +321,3 @@ func (f *Filter) RelevantTypes() []event.Type {
 	}
 	return out
 }
-
-// MentionedTypes returns every primitive type appearing in V(E)
-// regardless of sign (the paper's literal matching condition). It is nil
-// when MatchAll is set.
-func (f *Filter) MentionedTypes() []event.Type {
-	if f.MatchAll {
-		return nil
-	}
-	seen := make(map[event.Type]bool)
-	var out []event.Type
-	for _, v := range f.set {
-		if !seen[v.Type] {
-			seen[v.Type] = true
-			out = append(out, v.Type)
-		}
-	}
-	return out
-}

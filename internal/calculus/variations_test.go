@@ -148,10 +148,13 @@ func TestFilterRelevance(t *testing.T) {
 	if f.Relevant(B) {
 		t.Error("arrival of B is a pure Δ− variation; not relevant for triggering")
 	}
-	if !slices.Contains(f.MentionedTypes(), B) {
+	mentions := func(ty event.Type) bool {
+		return slices.ContainsFunc(f.Set(), func(v Variation) bool { return v.Type == ty })
+	}
+	if !mentions(B) {
 		t.Error("B is mentioned in V(E)")
 	}
-	if f.Relevant(C) || slices.Contains(f.MentionedTypes(), C) {
+	if f.Relevant(C) || mentions(C) {
 		t.Error("C is foreign to the expression")
 	}
 

@@ -138,7 +138,7 @@ func TestDropPrunesListeningIndex(t *testing.T) {
 	log(t, s, b, c, createStock, 1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if n := len(s.vocab) + len(s.listens) + len(s.mentions) + len(s.matchAll); n != 0 {
+	if n := len(s.vocab) + len(s.listens) + len(s.matchAll) + len(s.probeAll); n != 0 {
 		t.Errorf("the registry derives %d stale entries after dropping every rule", n)
 	}
 	if l := s.line.listen; len(l.ranks) != 0 || len(l.off) > 1 {

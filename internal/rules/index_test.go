@@ -63,55 +63,87 @@ func (l *line) checkIndex() error {
 	return l.checkProbeIndex()
 }
 
-// probeBuildsChecked records, per line, the build of its inverted index
-// whose lists checkProbeIndex last compared with their definition.
-var probeBuildsChecked = map[*line]int{}
+// checkedTable is an arrival table checkProbeIndex held to its
+// definition, with the rule set and the base it was built for.
+type checkedTable struct {
+	base                          *event.Base
+	rules                         []*State
+	off, probeEnd, ranks, matches []int32
+}
 
-// checkProbeIndex holds a built inverted V(E) index to its definition:
-// between checks no rank is marked, and the ranks filed under each type
-// id are, in queue order, the non-monotone rules whose V(E) mentions that
-// type (the lists are compared once per build).
+// tablesChecked records, per line, the arrival table checkProbeIndex
+// last compared with its definition, which it compares again only once
+// the table, the rule set or the base differ.
+var tablesChecked = map[*line]checkedTable{}
+
+// checkProbeIndex holds what the arrival walk reads to its definition:
+// between walks no rank is marked, and the arrival table, once built,
+// files under each type id first, in queue order, the non-monotone rules
+// whose V(E) gives that type a Δ+ or Δ± variation, and then, in queue
+// order, the monotone ones; the match-all ranks are the non-monotone
+// rules' first as well, and probeAll is their prefix.
 func (l *line) checkProbeIndex() error {
-	p := &l.probe
-	if p.base == nil || p.base != l.base {
-		return nil
-	}
-	if len(p.lo) != len(l.marks) {
-		return fmt.Errorf("probe index marks %d ranks for %d rules", len(p.lo), len(l.marks))
-	}
-	for i, lo := range p.lo {
-		if lo != notProbing {
-			return fmt.Errorf("rule %s is still marked for the walk at %d", l.sup.ordered[i].Def.Name, lo)
-		}
-	}
-	if probeBuildsChecked[l] == p.builds {
-		return nil
-	}
-	probeBuildsChecked[l] = p.builds
-	want := make([][]int32, len(p.off)-1)
-	var all []int32
-	for i, st := range l.sup.ordered {
-		if st.monotone {
-			continue
-		}
-		if st.Filter.MatchAll {
-			all = append(all, int32(i))
-			continue
-		}
-		for _, ty := range st.Filter.MentionedTypes() {
-			tid, ok := l.base.TypeID(ty)
-			if !ok || int(tid) >= len(want) {
-				return fmt.Errorf("rule %s mentions %v, which the index has no list for", st.Def.Name, ty)
+	if p := &l.probe; !p.walking {
+		for i, lo := range p.lo {
+			if lo != notProbing {
+				return fmt.Errorf("rank %d is still marked for the walk at %d", i, lo)
 			}
-			want[tid] = append(want[tid], int32(i))
 		}
 	}
-	if !slices.Equal(l.sup.probeAll, all) {
-		return fmt.Errorf("match-all ranks %v, the rules say %v", l.sup.probeAll, all)
+	tb := &l.listen
+	if tb.base == nil || tb.base != l.base {
+		return nil
 	}
-	for tid, ranks := range want {
-		if got := p.ranks[p.off[tid]:p.off[tid+1]]; !slices.Equal(got, ranks) {
-			return fmt.Errorf("type id %d files ranks %v, the rules say %v", tid, got, ranks)
+	seen := checkedTable{l.base, l.sup.ordered, tb.off, tb.probeEnd, tb.ranks, l.sup.matchAll}
+	if last, ok := tablesChecked[l]; ok && last.base == seen.base && slices.Equal(last.rules, seen.rules) &&
+		slices.Equal(last.off, seen.off) && slices.Equal(last.probeEnd, seen.probeEnd) &&
+		slices.Equal(last.ranks, seen.ranks) && slices.Equal(last.matches, seen.matches) {
+		return nil
+	}
+	for _, ids := range []*[]int32{&seen.off, &seen.probeEnd, &seen.ranks, &seen.matches} {
+		*ids = slices.Clone(*ids)
+	}
+	seen.rules = slices.Clone(seen.rules)
+	tablesChecked[l] = seen
+	n := len(tb.off) - 1
+	probes, rest := make([][]int32, n), make([][]int32, n)
+	var all, allMonotone []int32
+	for _, monotone := range []bool{false, true} {
+		for i, st := range l.sup.ordered {
+			if st.monotone != monotone {
+				continue
+			}
+			if st.Filter.MatchAll {
+				if monotone {
+					allMonotone = append(allMonotone, int32(i))
+				} else {
+					all = append(all, int32(i))
+				}
+				continue
+			}
+			for _, ty := range st.Filter.RelevantTypes() {
+				tid, ok := l.base.TypeID(ty)
+				if !ok || int(tid) >= n {
+					return fmt.Errorf("rule %s listens to %v, which the table has no list for", st.Def.Name, ty)
+				}
+				if monotone {
+					rest[tid] = append(rest[tid], int32(i))
+				} else {
+					probes[tid] = append(probes[tid], int32(i))
+				}
+			}
+		}
+	}
+	if !slices.Equal(l.sup.probeAll, all) || !slices.Equal(l.sup.matchAll, append(all, allMonotone...)) {
+		return fmt.Errorf("match-all ranks %v probing %v, the rules say %v then %v", l.sup.matchAll, l.sup.probeAll, all, allMonotone)
+	}
+	for tid := int32(0); int(tid) < n; tid++ {
+		got := tb.probes(tid)
+		if !slices.Equal(got, probes[tid]) {
+			return fmt.Errorf("type id %d probes ranks %v, the rules say %v", tid, got, probes[tid])
+		}
+		if all := tb.of(tid); !slices.Equal(all[len(got):], rest[tid]) {
+			return fmt.Errorf("type id %d files monotone ranks %v, the rules say %v", tid, all[len(got):], rest[tid])
 		}
 	}
 	return nil
@@ -390,14 +422,10 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 				if err != nil {
 					// The killed check left some rules decided and some
 					// not; the next one picks up exactly the rest. If the
-					// fault cut an arrival walk short, the next walk
-					// rebuilds the inverted index first.
-					cut, builds := s.probe.base == nil && s.probe.lo != nil, s.probe.builds
+					// fault cut an arrival walk short, the next walk clears
+					// its marks first (TestWalkAfterCutWalkStartsClean).
 					if err := w.check(c.Now()); err != nil {
 						t.Fatal(err)
-					}
-					if cut && s.probe.base != nil && s.probe.builds != builds+1 {
-						t.Fatalf("a walk after a cut one ran on the old index (%d builds, then %d)", builds, s.probe.builds)
 					}
 				}
 			}
@@ -598,16 +626,20 @@ func TestDropLeavesIndex(t *testing.T) {
 	}
 }
 
-// An arrival walk visits the rules whose V(E) mentions the arrival, not
-// the rules pending: the same arrivals cost the same visits under 10 and
-// under 10 000 pending, undecided rules that do not mention them.
-func TestProbeVisitsFollowMentions(t *testing.T) {
+// An arrival walk visits the rules an arrival can activate, not the
+// rules pending: the same arrivals cost the same visits under 10 and
+// under 10 000 pending, undecided rules that they cannot activate. Among
+// those is a rule whose V(E) gives the arrivals' type only the sign Δ−:
+// such an arrival can only lower its ts, so the walk never probes it
+// there, though its V(E) mentions the type.
+func TestProbeVisitsFollowRelevantTypes(t *testing.T) {
 	var visits []int64
 	for _, n := range []int{10, 10000} {
 		s, b, c := newSupport(t)
-		// A ∧ ¬A is inactive at every instant: every rule stays undecided
-		// through the whole walk. Two rules mention create(stock), the rest
-		// only modify(show.quantity), which never arrives.
+		// A ∧ ¬A is inactive at every instant, A a Δ± type of it: every rule
+		// stays undecided through the whole walk. Two rules name
+		// create(stock), the rest only modify(show.quantity), which never
+		// arrives; one more negates create(stock) and nothing else.
 		for i := 0; i < n; i++ {
 			ty := modShowQty
 			if i == 3 || i == n-2 {
@@ -618,51 +650,93 @@ func TestProbeVisitsFollowMentions(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		neg := calculus.Conj(calculus.P(modShowQty), calculus.Neg(calculus.P(createStock)))
+		if err := s.Define(Def{Name: "neg", Event: neg}); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 20; i++ {
 			log(t, s, b, c, createStock, types.OID(1+i%3))
 		}
 		if fired := s.CheckTriggered(c.Now()); len(fired) != 0 {
 			t.Fatalf("%d rules: fired %v", n, fired)
 		}
-		if st := s.Stats(); st.RulesExamined-st.RulesSkipped != int64(n) {
+		if st := s.Stats(); st.RulesExamined-st.RulesSkipped != int64(n+1) {
 			t.Fatalf("%d rules: the batch held %d rules, want every one pending", n, st.RulesExamined-st.RulesSkipped)
 		}
 		visits = append(visits, s.visits)
 	}
 	if visits[0] != 40 || visits[1] != visits[0] {
-		t.Errorf("20 arrivals mentioned by 2 rules visited %v rules under 10 and 10 000 rules, want 40 each", visits)
+		t.Errorf("20 arrivals two rules can activate visited %v rules under 10 and 10 000 rules, want 40 each", visits)
 	}
 }
 
-// Loading rules inverts nothing: 1 000 Defines build the inverted V(E)
-// index no time, the first check that walks arrivals builds it once, and
-// later checks over the same base and rules reuse it. A NewSession over
-// one rule allocates no more than it did before the index existed.
-func TestDefineBuildsNoProbeIndex(t *testing.T) {
+// Loading rules derives nothing: 1 000 Defines leave the registry's
+// filings underived and the direct line's arrival table and walk scratch
+// unbuilt, and the first check builds both, over the rule set as it then
+// stands. A NewSession over one rule allocates at most ten objects.
+func TestDefineDerivesNothing(t *testing.T) {
 	s, b, c := newSupport(t)
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 	for i := 0; i < 1000; i++ {
 		if err := s.Define(Def{Name: fmt.Sprintf("r%04d", i), Event: e}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if s.probe.builds != 0 {
-		t.Fatalf("Define built the inverted index %d times", s.probe.builds)
-	}
-	for i := 0; i < 3; i++ {
-		log(t, s, b, c, modShowQty, 1)
-		s.CheckTriggered(c.Now())
-		if s.probe.builds != 1 {
-			t.Fatalf("after check %d the inverted index was built %d times, want once", i, s.probe.builds)
+		if s.derived || s.listen.base != nil || s.probe.lo != nil {
+			t.Fatalf("Define %d derived the filings or built the table or the walk's scratch", i)
 		}
 	}
+	log(t, s, b, c, createStock, 1)
+	s.CheckTriggered(c.Now())
+	if !s.derived || s.listen.base != b || len(s.listen.probes(0)) != 1000 || len(s.probe.lo) != 1000 {
+		t.Fatalf("the first check left the table over %p probing %d ranks, the scratch over %d",
+			s.listen.base, len(s.listen.probes(0)), len(s.probe.lo))
+	}
+	verifyIndex(t, &s.line)
 
 	one := NewSupport(event.NewBase(), Options{})
 	if err := one.Define(Def{Name: "cap", Event: calculus.P(modStockQty)}); err != nil {
 		t.Fatal(err)
 	}
-	const before = 10 // NewSession + Release over one rule before the index existed
-	if n := testing.AllocsPerRun(100, func() { one.NewSession(b, c.Now()).Release() }); n > before {
-		t.Errorf("NewSession over one rule allocates %v objects, want at most %d", n, before)
+	const most = 10
+	if n := testing.AllocsPerRun(100, func() { one.NewSession(b, c.Now()).Release() }); n > most {
+		t.Errorf("NewSession over one rule allocates %v objects, want at most %d", n, most)
 	}
+}
+
+// A walk a budget fault cut short leaves its marks in the walk's
+// scratch; the next walk starts clean. The cut walk marks x; a new
+// transaction leaves x neither pending nor probed, and the next walk,
+// which only y's arrival starts, must leave no mark of x behind.
+func TestWalkAfterCutWalkStartsClean(t *testing.T) {
+	s, b, c := newSupport(t)
+	for _, d := range []Def{
+		{Name: "x", Event: calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modShowQty)))},
+		{Name: "y", Event: calculus.Conj(calculus.P(modStockQty), calculus.Neg(calculus.P(modShowQty)))},
+	} {
+		if err := s.Define(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.BeginTransaction(c.Tick())
+	log(t, s, b, c, createStock, 1)
+	s.line.budget = calculus.NewBudget(2, time.Time{})
+	if err := calculus.CatchBudget(func() { s.CheckTriggered(c.Now()) }); err == nil {
+		t.Fatal("a budget of two units decided x")
+	}
+	s.line.budget = nil
+	if !s.probe.walking || s.probe.lo[0] == notProbing {
+		t.Fatal("the fault did not cut the walk short with x marked")
+	}
+	verifyIndex(t, &s.line)
+
+	s.BeginTransaction(c.Tick())
+	at := log(t, s, b, c, modStockQty, 1).Timestamp
+	log(t, s, b, c, modShowQty, 1) // y turns inactive again before the check
+	if fired := s.CheckTriggered(c.Now()); !slices.Equal(fired, []string{"y"}) {
+		t.Fatalf("fired %v, want y", fired)
+	}
+	if m, _ := s.Mark("y"); m.TriggeredAt != at {
+		t.Fatalf("y triggered at %d, want its arrival at %d", m.TriggeredAt, at)
+	}
+	verifyIndex(t, &s.line)
 }

@@ -374,7 +374,7 @@ func killedCheck(t *testing.T, s subject, names []string, now clock.Time, gas in
 		err := calculus.CatchBudget(func() { s.CheckTriggered(now) })
 		l.budget = nil
 		seen.batch(l)
-		if err != nil && l.probe.base == nil && l.probe.lo != nil && seen != nil {
+		if err != nil && l.probe.walking && seen != nil {
 			seen.midWalkKills++
 		}
 		verifySubject(t, s)

@@ -18,15 +18,15 @@
 // (calculus.Plan). At a block boundary the rules to examine — by the
 // V(E) filter of Section 5.1, only those a relevant arrival reached —
 // are decided together in one walk of the check's arrivals through the
-// interned-id columns of the Event Base: an inverted V(E) index hands
-// each arrival the undecided rules whose V(E) mentions its type, and
-// each of them probes ts(E, t') there; every rule probes the check
-// instant last. One memoized evaluator (calculus.PlanEval) serves the
-// whole walk, its memo shared by every rule whatever its consideration
-// horizon. The same evaluator answers the conditions' event formulas
-// and the shell's explain. The recursive calculus.Env is the definition
-// it is held to: the tests keep the per-rule determination over it as the
-// oracle.
+// interned-id columns of the Event Base: the prefix of the arrival
+// table's list for each arrival hands it the undecided non-monotone
+// rules it can activate (Δ+ or Δ± in their V(E)), and each of them
+// probes ts(E, t') there; every rule probes the check instant last. One
+// memoized evaluator (calculus.PlanEval) serves the whole walk, its memo
+// shared by every rule whatever its consideration horizon. The same
+// evaluator answers the conditions' event formulas and the shell's
+// explain. The recursive calculus.Env is the definition it is held to:
+// the tests keep the per-rule determination over it as the oracle.
 //
 // # Concurrency
 //
@@ -344,17 +344,17 @@ type line struct {
 	vmap   []int32
 	mapped *event.Base
 	// listen is the arrival table: the rules an arrival of each type id
-	// marks pending (see notifyArrivals).
+	// marks pending (see notifyArrivals), and, in the prefix of each list,
+	// the rules the arrival walk probes at it (see walk).
 	listen table
 
 	// CheckTriggered scratch, recycled across checks: checkBuf is the
 	// pending-rule batch (ranks), eval the memoized evaluator (created at
-	// the first check) and probe the inverted V(E) index its arrival walk
-	// reads. firedBuf backs the result slice: the returned names are valid
-	// until the next call.
+	// the first check) and probe its arrival walk's marks. firedBuf backs
+	// the result slice: the returned names are valid until the next call.
 	checkBuf []int32
 	eval     *calculus.PlanEval
-	probe    probeIndex
+	probe    probeScratch
 	firedBuf []string
 	// visits counts the (arrival, rule) probes of the arrival walks.
 	visits int64
@@ -424,7 +424,7 @@ func (l *line) reindex() {
 		if l.mapped != l.base {
 			l.mapVocabulary()
 		}
-		l.listen.build(l.sup.listens, l.vmap, l.base)
+		l.listen.build(l.sup.listens, l.sup.probed, l.vmap, l.base)
 	}
 	words := (len(l.marks) + 63) >> 6
 	l.queue = zeroed(l.queue, words)
@@ -488,17 +488,17 @@ type Support struct {
 	// primitive event types, each once, in the order the (priority,
 	// expression traversal) walk first meets them. listens files each rule
 	// under the vocabulary positions of the types whose arrivals are
-	// relevant to it (its V(E)'s Δ+ and Δ± types), mentions each
-	// non-monotone rule under every type its V(E) mentions; matchAll and
-	// probeAll are the ranks of the rules with vacuously active
-	// expressions, which every arrival reaches (probeAll: the
-	// non-monotone ones). Positions, not types: a line maps them to its
-	// base's type ids once (line.vmap), and no arrival is ever hashed by
-	// its Type here.
+	// relevant to it (its V(E)'s Δ+ and Δ± types), the first probed of
+	// them the non-monotone rules', which the arrival walk probes.
+	// matchAll holds the ranks of the rules with vacuously active
+	// expressions, which every arrival reaches, the non-monotone ones
+	// first; probeAll is that prefix. Positions, not types: a line
+	// maps them to its base's type ids once (line.vmap), and no arrival is
+	// ever hashed by its Type here.
 	derived  bool
 	vocab    []event.Type
 	listens  []filing
-	mentions []filing
+	probed   int
 	matchAll []int32
 	probeAll []int32
 	// tids is the direct line's NotifyArrivals scratch.
@@ -590,16 +590,14 @@ func (s *Support) renumber(i int) {
 
 // changed invalidates what depends on the rule set: the registry's
 // derived tables, the idle Sessions, and the direct line's index, its
-// vocabulary map, its arrival table and its inverted V(E) index (rebuilt
-// at the next block boundary, arrival and arrival walk, so loading N
-// rules inverts once, not N times).
+// vocabulary map and its arrival table (rebuilt at the next block
+// boundary or arrival, so loading N rules derives once, not N times).
 func (s *Support) changed() {
 	s.derived = false
 	s.idle = nil
 	s.line.stale = true
 	s.line.mapped = nil
 	s.line.listen.base = nil
-	s.line.probe.base = nil
 }
 
 // HasDeferred reports whether any deferred-coupling rule is defined.
@@ -742,30 +740,35 @@ func (s *Support) derive() {
 	// An interner assigns dense ids in first-arrival order: interning
 	// the walk's types into an empty base numbers them by position.
 	pos := event.NewBase()
-	s.vocab, s.listens, s.mentions = s.vocab[:0], s.listens[:0], s.mentions[:0]
-	s.matchAll, s.probeAll = s.matchAll[:0], s.probeAll[:0]
+	s.vocab, s.listens, s.matchAll = s.vocab[:0], s.listens[:0], s.matchAll[:0]
 	for _, st := range s.ordered {
 		for _, t := range calculus.Primitives(st.Def.Event) {
 			if int(pos.InternType(t)) == len(s.vocab) {
 				s.vocab = append(s.vocab, t)
 			}
 		}
-		if st.Filter.MatchAll {
-			s.matchAll = append(s.matchAll, st.rank)
-			if !st.monotone {
-				s.probeAll = append(s.probeAll, st.rank)
+	}
+	// Two passes, the non-monotone rules first, so that every list of
+	// the arrival table starts with the ranks the walk probes.
+	probeAll := 0
+	for _, monotone := range [2]bool{false, true} {
+		for _, st := range s.ordered {
+			if st.monotone != monotone {
+				continue
 			}
-			continue
-		}
-		for _, t := range st.Filter.RelevantTypes() {
-			s.listens = append(s.listens, filing{pos.InternType(t), st.rank})
-		}
-		if !st.monotone {
-			for _, t := range st.Filter.MentionedTypes() {
-				s.mentions = append(s.mentions, filing{pos.InternType(t), st.rank})
+			if st.Filter.MatchAll {
+				s.matchAll = append(s.matchAll, st.rank)
+				continue
 			}
+			for _, t := range st.Filter.RelevantTypes() {
+				s.listens = append(s.listens, filing{pos.InternType(t), st.rank})
+			}
+		}
+		if !monotone {
+			s.probed, probeAll = len(s.listens), len(s.matchAll)
 		}
 	}
+	s.probeAll = s.matchAll[:probeAll]
 	s.derived = true
 }
 
@@ -906,14 +909,15 @@ func (l *line) checkTriggered(now clock.Time) []string {
 }
 
 // checkShared decides T(r, now) for every rule of the batch over the
-// interned DAG. A rule probes every arrival instant in (lo, now] — lo the
-// later of its last probe and its horizon — that its V(E) mentions, then
-// now itself; the earliest active probe wins, a monotone rule collapses
-// to one evaluation at now with the activation instant as TriggeredAt,
-// and an empty R never triggers. One arrival walk and one memo serve the
-// whole batch, whatever the horizons. Per-rule outcomes are independent,
-// so the order rules are probed in cannot change results; the caller
-// collects fired names from the priority-ordered batch.
+// interned DAG. A rule probes every arrival instant in (lo, now] — lo
+// the later of its last probe and its horizon — that can activate it
+// (see walk), then now itself; the earliest active probe wins, a
+// monotone rule collapses to one evaluation at now with the activation
+// instant as TriggeredAt, and an empty R never triggers. One arrival
+// walk and one memo serve the whole batch, whatever the horizons.
+// Per-rule outcomes are independent, so the order rules are probed in
+// cannot change results; the caller collects fired names from the
+// priority-ordered batch.
 func (l *line) checkShared(batch []int32, now clock.Time) {
 	rules := l.sup.ordered
 	// R = (since, now] is empty exactly when the newest arrival at or
@@ -972,7 +976,7 @@ func (l *line) checkShared(batch []int32, now clock.Time) {
 		m.lastProbe, m.pending = now, false
 	}
 	if walked {
-		l.probe.base = l.base
+		l.probe.walking = false
 	}
 	l.count()
 }
@@ -986,34 +990,45 @@ func (l *line) count() {
 }
 
 // table files queue ranks under the type ids of one Event Base: the
-// ranks filed under id tid are ranks[off[tid]:off[tid+1]], ascending. A
-// line holds two, both derived state: the arrival table (line.listen)
-// and the inverted V(E) index (probeIndex). base is the base whose ids
-// the table is keyed by, nil while it is unbuilt.
+// ranks filed under id tid are ranks[off[tid]:off[tid+1]], the
+// non-monotone rules' first, up to probeEnd[tid], then the monotone
+// rules', each run ascending. A line holds one, its arrival table
+// (line.listen), derived state; base is the base whose ids it is keyed
+// by, nil while it is unbuilt.
 type table struct {
-	base  *event.Base
-	off   []int32
-	ranks []int32
+	base     *event.Base
+	off      []int32
+	probeEnd []int32
+	ranks    []int32
 }
 
 // filing is one (vocabulary position, rank) entry of a table's source.
 type filing struct{ pos, rank int32 }
 
 // build files the rank of each filing under the type id vmap gives its
-// position, by a counting sort that keeps every list in rank order (the
-// filings come in rank order). It allocates nothing once the table has
-// held as many ids and filings.
-func (tb *table) build(filed []filing, vmap []int32, base *event.Base) {
+// position, by a counting sort that keeps the filings' order within
+// every list (they come as the non-monotone rules' in rank order, the
+// first split of them, then the monotone rules'). It allocates nothing
+// once the table has held as many ids and filings.
+func (tb *table) build(filed []filing, split int, vmap []int32, base *event.Base) {
 	n := int32(0)
 	for _, tid := range vmap {
 		n = max(n, tid+1)
 	}
 	tb.off = zeroed(tb.off, int(n)+2)
-	for _, f := range filed {
-		tb.off[vmap[f.pos]+2]++
+	tb.probeEnd = zeroed(tb.probeEnd, int(n))
+	for i, f := range filed {
+		tid := vmap[f.pos]
+		tb.off[tid+2]++
+		if i < split {
+			tb.probeEnd[tid]++
+		}
 	}
 	for i := 2; i < len(tb.off); i++ {
 		tb.off[i] += tb.off[i-1]
+	}
+	for tid := range tb.probeEnd {
+		tb.probeEnd[tid] += tb.off[tid+1]
 	}
 	tb.ranks = zeroed(tb.ranks, len(filed))
 	for _, f := range filed {
@@ -1034,55 +1049,47 @@ func (tb *table) of(tid int32) []int32 {
 	return tb.ranks[tb.off[tid]:tb.off[tid+1]]
 }
 
-// notProbing is probeIndex.lo of a rule no arrival of the walk probes.
-const notProbing = clock.Time(math.MaxInt64)
-
-// probeIndex is the inverted V(E) index of one line: for every type id
-// of the rule set's vocabulary in the line's base, the queue ranks of the
-// rules whose V(E) mentions that type, ascending — non-monotone rules
-// only, since a monotone one decides at the check instant alone; the
-// match-all ones are the registry's probeAll. It is built at the first
-// arrival walk after the base or the rule set changed (base nil marks it
-// unbuilt; Define and Drop only clear it), so Define, Drop and
-// NewSession never invert anything.
-//
-// lo is the walk's scratch, by rank: the instant after which an
-// undecided rule of the check probes arrivals, notProbing for every
-// other rule, so an arrival at t probes rank r exactly when lo[r] < t.
-// The walk clears base while lo holds its marks: a budget fault that
-// unwinds through it leaves the index unbuilt, and the next walk
-// rebuilds it clean.
-type probeIndex struct {
-	table
-	lo []clock.Time
-	// builds counts the builds.
-	builds int
+// probes returns the non-monotone prefix of of(tid).
+func (tb *table) probes(tid int32) []int32 {
+	if tid < 0 || int(tid) >= len(tb.probeEnd) {
+		return nil
+	}
+	return tb.ranks[tb.off[tid]:tb.probeEnd[tid]]
 }
 
-// buildProbeIndex inverts the non-monotone rules' V(E) over the line's
-// base.
-func (l *line) buildProbeIndex() {
-	p := &l.probe
-	p.builds++
-	p.build(l.sup.mentions, l.vmap, l.base)
-	p.lo = zeroed(p.lo, len(l.marks))
-	for i := range p.lo {
-		p.lo[i] = notProbing
-	}
+// notProbing is probeScratch.lo of a rule no arrival of the walk probes.
+const notProbing = clock.Time(math.MaxInt64)
+
+// probeScratch is the arrival walk's scratch, by rank: lo is the instant
+// after which an undecided rule of the check probes arrivals, notProbing
+// for every other rule, so an arrival at t probes rank r exactly when
+// lo[r] < t. walking is set while lo holds a walk's marks, from the
+// walk's start until checkShared clears them: a budget fault that
+// unwinds through the walk leaves it set, and the next walk resets lo
+// before it marks anything.
+type probeScratch struct {
+	lo      []clock.Time
+	walking bool
 }
 
 // walk is the check's one pass over the arrivals of (minLo, now]. Each
 // arrival is fed to the prim cursors and probed by the undecided rules
-// its type id files it under — the rules whose V(E) mentions its type,
-// and the match-all rules — whose lo lies below it: one load per rule
-// filed under it, so an arrival no rule mentions costs one table read.
-// The memo generation of an instant opens at its first probe.
+// whose lo lies below it among those it can activate: the ranks in its
+// type id's probed prefix, and probeAll. A rule the walk has not found
+// active was inactive before the arrival, and an arrival of a type its
+// V(E) gives only the sign Δ− can only lower ts (Section 5.1). One load
+// per rule filed under the arrival, so an arrival no rule can activate
+// costs one table read. The memo generation of an instant opens at its
+// first probe.
 func (l *line) walk(pe *calculus.PlanEval, batch []int32, newest, minLo, now clock.Time) {
 	p := &l.probe
-	if p.base != l.base {
-		l.buildProbeIndex()
+	if p.walking || len(p.lo) != len(l.marks) {
+		p.lo = slices.Grow(p.lo[:0], len(l.marks))[:len(l.marks)]
+		for i := range p.lo {
+			p.lo[i] = notProbing
+		}
 	}
-	p.base = nil
+	p.walking = true
 	rules := l.sup.ordered
 	open := 0
 	for _, r := range batch {
@@ -1105,7 +1112,7 @@ func (l *line) walk(pe *calculus.PlanEval, batch []int32, newest, minLo, now clo
 			if open == 0 {
 				continue
 			}
-			for _, ranks := range [2][]int32{p.of(tid), l.sup.probeAll} {
+			for _, ranks := range [2][]int32{l.listen.probes(tid), l.sup.probeAll} {
 				for _, r := range ranks {
 					if p.lo[r] >= t {
 						continue

@@ -68,7 +68,7 @@ func (sess *Session) Release() {
 	// An idle session holds no Event Base: the transaction's log is
 	// collectable as soon as the transaction lets go of it.
 	sess.stats, sess.base, sess.budget = Stats{}, nil, nil
-	sess.mapped, sess.listen.base, sess.probe.base = nil, nil, nil
+	sess.mapped, sess.listen.base = nil, nil
 	if sess.eval != nil {
 		sess.eval.Unbind()
 	}

@@ -65,7 +65,7 @@ func killedTxn(t *testing.T, s *Support, seed int64) (*Session, bool) {
 	for block := 0; block < 50; block++ {
 		sess.NotifyArrivals(tidsOf(b, scriptArrivals(t, r, b, c)))
 		if err := calculus.CatchBudget(func() { sess.CheckTriggered(c.Now()) }); err != nil {
-			return sess, sess.probe.base == nil && sess.probe.lo != nil
+			return sess, sess.probe.walking
 		}
 	}
 	t.Fatal("the budget never ran out")
@@ -131,8 +131,8 @@ func TestReleasedSessionKeepsNoBase(t *testing.T) {
 				}
 			}
 		}
-		if sess.probe.builds == 0 {
-			t.Fatal("no arrival walk ran: the session never held the base everywhere it can")
+		if sess.visits == 0 || sess.listen.base != b {
+			t.Fatal("no arrival walk probed the base: the session never held it everywhere it can")
 		}
 		sess.Release()
 	}()
