@@ -114,9 +114,10 @@ fuzz:
 # Alternating parent/change passes of the B0 benchmark, PAIRS of them per
 # workload, with every pass's output kept under .b0-pairs/ and a summary
 # per end-to-end metric: the parent's median and IQR, the change's median
-# and the pairs the change won; then one traced pass per side and
-# workload, printing every per-layer metric for both. Takes (PAIRS + 1) ×
-# workloads × ~2 × (SECONDS + set-up); not part of verify.
+# and the pairs the change won; then three traced passes per side and
+# workload, alternating which side goes first, printing every per-layer
+# metric as each side's median. Takes (PAIRS + 3) × workloads × ~2 ×
+# (SECONDS + set-up); not part of verify.
 PARENT ?= HEAD~1
 PAIRS ?= 10
 SEED ?= 7

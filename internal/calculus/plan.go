@@ -402,21 +402,15 @@ type PlanEval struct {
 	primLast  []clock.Time
 	primEpoch []uint64
 
-	// The leaves resolved against the bound base's type interner: primTID
-	// is each prim node's type id (event.NoType for a type the base never
-	// interned), and tid2prim the way back, from a type id to the prim
-	// node of that type — the batched probe path reports arrivals by id
-	// (NoteArrivalTID). Bind rebuilds both whenever the bound base or the
-	// plan's structure changed, and, unless tracking, whenever the base
-	// interned a type since (tidTypes is the count the rebuild saw). A
-	// tracking rebuild interns every live prim type, so a tid at or past
-	// tid2prim's length was interned later by a non-prim arrival and is
-	// correctly ignored.
+	// The leaves resolved against a type registry: primTID is each prim
+	// node's type id, tid2prim the way back (arrivals come by id,
+	// NoteArrivalTID). registry and planVer are what they were resolved
+	// against; resolving registers every live prim type, so a tid past
+	// tid2prim's end is no prim's.
 	primTID  []int32
 	tid2prim []NodeID
-	tidBase  *event.Base
+	registry *event.Registry
 	planVer  uint64
-	tidTypes int
 
 	// rd is the read section a lift or a query holds over its fold and
 	// ots probes. oidScratch holds a window's objects, times a query's
@@ -494,9 +488,10 @@ func (pe *PlanEval) Plan() *Plan { return pe.plan }
 
 // Bind points the evaluator at an Event Base for probes whose horizons
 // all lie at or above floor, and invalidates every memoized value, prim
-// cursors included. It also resolves the plan's leaves to the base's type
-// ids if the base or the plan changed since they were last resolved, or,
-// unless tracking, if the base interned a type since.
+// cursors included. It also resolves the plan's leaves to the type ids
+// of the base's registry if the registry or the plan changed since they
+// were last resolved: once per plan version and registry, whatever the
+// number of bases.
 func (pe *PlanEval) Bind(base *event.Base, floor clock.Time) {
 	pe.base = base
 	pe.floor = floor
@@ -504,47 +499,30 @@ func (pe *PlanEval) Bind(base *event.Base, floor clock.Time) {
 	pe.bindGen++
 	pe.cur = clock.Never
 	pe.clearArena()
-	if pe.tidBase != base || pe.planVer != pe.plan.version ||
-		!pe.tracking && base.InternedTypes() != pe.tidTypes {
-		pe.rebuildTIDs(base)
+	if pe.registry != base.Registry() || pe.planVer != pe.plan.version {
+		pe.resolve(base.Registry())
 	}
 }
 
 // Unbind drops the evaluator's references to its Event Base, so an idle
-// evaluator keeps no transaction's log alive. The next Bind resolves the
-// leaves afresh.
+// evaluator keeps no transaction's log alive.
 func (pe *PlanEval) Unbind() {
-	pe.base, pe.tidBase, pe.rd = nil, nil, event.Reader{}
+	pe.base, pe.rd = nil, event.Reader{}
 }
 
-// rebuildTIDs resolves the plan's leaves against base. A tracking
-// evaluator interns every live prim type (assigning ids, in the plan's
-// prim order, to types the engine has not interned yet; after
-// Support.NewSession there are none), so types interned after this instant
-// cannot be prim types while the plan is unchanged and tid2prim lookups
-// past its length are simply not prims. Any other evaluator only looks
-// the types up: a condition or an explanation must not change the ids
-// the base hands its arrivals, which the WAL logs. A type it does not
-// find has no occurrence yet; one interned after the lookups began is
-// resolved at the next Bind.
-func (pe *PlanEval) rebuildTIDs(base *event.Base) {
+// resolve resolves the plan's leaves against reg, registering the types
+// it has not met yet.
+func (pe *PlanEval) resolve(reg *event.Registry) {
 	nodes := pe.plan.nodes
 	if len(pe.primTID) < len(nodes) {
 		pe.primTID = append(pe.primTID, make([]int32, len(nodes)-len(pe.primTID))...)
 	}
-	pe.tidTypes = base.InternedTypes()
+	n := int32(0)
 	for _, id := range pe.plan.prims {
-		t := nodes[id].key.t
-		if pe.tracking {
-			pe.primTID[id] = base.InternType(t)
-		} else if tid, ok := base.TypeID(t); ok {
-			pe.primTID[id] = tid
-		} else {
-			pe.primTID[id] = event.NoType
-		}
+		pe.primTID[id] = reg.Intern(nodes[id].key.t)
+		n = max(n, pe.primTID[id]+1)
 	}
-	n := base.InternedTypes()
-	if cap(pe.tid2prim) < n {
+	if cap(pe.tid2prim) < int(n) {
 		pe.tid2prim = make([]NodeID, n)
 	}
 	pe.tid2prim = pe.tid2prim[:n]
@@ -552,14 +530,12 @@ func (pe *PlanEval) rebuildTIDs(base *event.Base) {
 		pe.tid2prim[i] = NoNode
 	}
 	for _, id := range pe.plan.prims {
-		if tid := pe.primTID[id]; tid != event.NoType {
-			pe.tid2prim[tid] = id
-		}
+		pe.tid2prim[pe.primTID[id]] = id
 	}
 	if pe.tracking {
 		pe.growPrim()
 	}
-	pe.tidBase = base
+	pe.registry = reg
 	pe.planVer = pe.plan.version
 }
 
@@ -567,7 +543,7 @@ func (pe *PlanEval) rebuildTIDs(base *event.Base) {
 // cursors: one array index per scanned arrival. Cursors not yet
 // initialized in this Bind stay lazy: their first evaluation runs one
 // LastOf catch-up query that includes this arrival. Valid only after a
-// Bind to the base whose interner produced the tid.
+// Bind to a base of the registry that numbered the tid.
 func (pe *PlanEval) NoteArrivalTID(tid int32, at clock.Time) {
 	if !pe.tracking || int(tid) >= len(pe.tid2prim) {
 		return

@@ -307,7 +307,7 @@ func TestPlanEvalTrackingMatchesEnv(t *testing.T) {
 				}
 			}
 			for j, o := range base.AppendWindow(nil, floor, now) {
-				tid, _ := base.TypeID(o.Type)
+				tid := base.Registry().Intern(o.Type)
 				pe.NoteArrivalTID(tid, o.Timestamp)
 				if j%2 == 0 {
 					probe(o.Timestamp) // odd arrivals are noted but never probed: later probes must still see them

@@ -16,11 +16,11 @@ import (
 
 // A checkpoint is the engine's durable root: the committed state as one
 // Image (schema, rules, objects, NextOID), the clock, and — when a
-// single-session transaction is open — the live window's meta (interner
-// tables, compaction counters), its retention window, the per-rule
-// marks (consideration horizons, triggered flags), the undo log, the
-// tail segment, and references to the sealed segments persisted
-// alongside. Together with the WAL records that follow it, a checkpoint
+// single-session transaction is open — the live window's meta (the
+// tables naming its ids, compaction counters), its retention window,
+// the per-rule marks (consideration horizons, triggered flags), the
+// undo log, the tail segment, and references to the sealed segments
+// persisted alongside. Together with the WAL records that follow it, a checkpoint
 // reconstructs the engine bit-identically.
 //
 // The generation protocol makes the checkpoint/WAL transition
@@ -380,7 +380,7 @@ func (db *DB) checkpointNow(t *Txn) error {
 		db.blocksSinceCkpt = 0
 		db.m.checkpoints.Inc()
 		if t != nil {
-			// Every type interned so far travels in the checkpoint's meta;
+			// Every type registered so far travels in the checkpoint's meta;
 			// records after the reset need not re-declare them.
 			t.walTypes = t.walTypes[:0]
 			for range st.Meta.Types {

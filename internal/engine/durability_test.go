@@ -1012,3 +1012,70 @@ func TestRecoverTwice(t *testing.T) {
 		t.Fatal("no block boundary was checked")
 	}
 }
+
+// A transaction Recover hands back open keeps its uncommitted writes out
+// of the snapshot readers pin. Item n=1 commits; an open durable
+// transaction modifies it to 2 and ends its block, and the log is synced,
+// so it holds the write. A reader of the database recovered from a copy of the store sees
+// n=1, and n=2 only once the returned transaction commits.
+func TestRecoverPublishesCommittedState(t *testing.T) {
+	store := storage.NewMemStore()
+	db, err := engine.Open(durOptions(store, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defineDurCatalog(t, db)
+	var oid types.OID
+	if err := db.Run(func(tx *engine.Txn) error {
+		var err error
+		oid, err = tx.Create("item", map[string]types.Value{"n": types.Int(1), "cap": types.Int(50)})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Modify(oid, "n", types.Int(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.EndLine(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	rdb, rtx, _, err := engine.Recover(durOptions(store.Clone(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	if rtx == nil {
+		t.Fatal("the open transaction did not come back")
+	}
+	read := func() int64 {
+		t.Helper()
+		rt := rdb.BeginRead()
+		defer rt.Close()
+		o, ok := rt.Get(oid)
+		if !ok {
+			t.Fatalf("%v is not in the snapshot", oid)
+		}
+		v, err := o.Get("n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.AsInt()
+	}
+	if n := read(); n != 1 {
+		t.Fatalf("a reader after Recover sees n=%d, the open transaction's write; want the committed 1", n)
+	}
+	if err := rtx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := read(); n != 2 {
+		t.Fatalf("a reader after the commit sees n=%d, want 2", n)
+	}
+}

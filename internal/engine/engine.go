@@ -243,6 +243,9 @@ type DB struct {
 	schema  *schema.Schema
 	store   *object.Store
 	support *rules.Support
+	// types numbers the database's event types, for every transaction's
+	// Event Base, the Trigger Support and the condition evaluators alike.
+	types event.Registry
 	// bodies and conds are the rule registry: each rule's condition and
 	// action, and the plan DefineRule interned the conditions' event
 	// formulas into. Only rule DDL writes them, under mu with no line open.
@@ -330,7 +333,7 @@ func newDB(opts Options) *DB {
 	}
 	// Publish the empty store as epoch 1 so BeginRead always has a
 	// snapshot to pin, even before the first commit.
-	db.publishAll()
+	db.publishAll(nil)
 	return db
 }
 
@@ -553,7 +556,7 @@ type Txn struct {
 	// (events, mutations, considerations in execution order — becomes
 	// one record at the block boundary), a reused record-assembly
 	// buffer, and the per-log set of event type ids already declared
-	// (indexed by interned id).
+	// (indexed by registry id).
 	wrec     []byte
 	recBuf   []byte
 	markBuf  []firedMark
@@ -591,7 +594,7 @@ func (db *DB) Begin() (*Txn, error) { return db.begin(db.clock.Now()) }
 // open across a checkpoint, or one that began before a line that
 // committed first).
 func (db *DB) begin(start clock.Time) (*Txn, error) {
-	base := event.NewBaseSize(db.opts.SegmentSize)
+	base := db.types.NewBase(db.opts.SegmentSize)
 	base.SetMetrics(db.baseMetrics)
 	base.SetLimits(db.opts.MaxEvents, db.opts.MaxSegments)
 	t := &Txn{db: db, base: base, multi: db.multiSession()}
@@ -700,7 +703,7 @@ func (t *Txn) log(ty event.Type, oid types.OID) error {
 }
 
 // walEvent appends one occurrence to the block op stream, declaring its
-// interned type id on first use in this log.
+// type id on first use in this log.
 func (t *Txn) walEvent(tid int32, ty event.Type, ts clock.Time, oid types.OID) {
 	if int(tid) >= len(t.walTypes) {
 		t.walTypes = append(t.walTypes, make([]bool, int(tid)+1-len(t.walTypes))...)

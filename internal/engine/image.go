@@ -176,7 +176,7 @@ func OpenImage(img *Image, opts Options) (*DB, error) {
 		if err := db.restore(img); err != nil {
 			return nil, fmt.Errorf("engine: open: %w", err)
 		}
-		db.publishAll()
+		db.publishAll(nil)
 	}
 	if !opts.Durability.enabled() {
 		return db, nil
@@ -195,8 +195,10 @@ func OpenImage(img *Image, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// publishAll publishes the whole store as a new snapshot epoch.
-func (db *DB) publishAll() {
-	db.store.PublishAll()
+// publishAll publishes the whole committed store as a new snapshot
+// epoch: with open, the store minus open's uncommitted writes (see
+// object.Store.PublishAll).
+func (db *DB) publishAll(open *object.Line) {
+	db.store.PublishAll(open)
 	db.m.snapshotEpoch.Set(int64(db.store.PublishedEpoch()))
 }

@@ -46,15 +46,18 @@ type RecoveryReport struct {
 // opts.Durability.Store: the checkpoint is loaded, its referenced
 // segments are fetched, decoded and index-rebuilt in parallel across
 // cores, and the WAL records since the checkpoint are replayed through
-// the engine's own code paths. The result is bit-identical to the
-// crashed engine at its last durable block boundary: same objects, same
-// occurrences and interner ids, same marks, same triggered flags and
-// activation instants, same watermark.
+// the engine's own code paths. The result is the crashed engine at its
+// last durable block boundary: same objects, same occurrences and OID
+// ids, same marks, same triggered flags and activation instants, same
+// watermark. Type ids are the recovering database's registry's: the
+// checkpoint and the log name the type of every id they use, and
+// recovery maps each onto the registry.
 //
 // If a transaction was open at the crash, Recover returns it live — the
-// caller continues it or rolls it back. Recovery ends by writing a
-// fresh checkpoint, so the store is immediately re-openable and the
-// replayed log is not replayed twice.
+// caller continues it or rolls it back; until it commits, readers see
+// the committed state. Recovery ends by writing a fresh checkpoint, so
+// the store is immediately re-openable and the replayed log is not
+// replayed twice.
 func Recover(opts Options) (*DB, *Txn, *RecoveryReport, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -71,6 +74,7 @@ func Recover(opts Options) (*DB, *Txn, *RecoveryReport, error) {
 		return nil, nil, nil, fmt.Errorf("engine: recover: checkpoint: %w", err)
 	}
 	var t *Txn
+	var typeTab replayTypes
 	if ckptBytes != nil {
 		ck, err := decodeCheckpoint(ckptBytes)
 		if err != nil {
@@ -82,6 +86,15 @@ func Recover(opts Options) (*DB, *Txn, *RecoveryReport, error) {
 		if t, err = db.applyCheckpoint(ck, rep); err != nil {
 			return nil, nil, nil, err
 		}
+		if t != nil {
+			// The ids of the checkpoint's types need no declaration in the
+			// records after it, as the live engine's walTypes reset there.
+			for tid, ty := range ck.Meta.Types {
+				if err := typeTab.declare(int32(tid), ty); err != nil {
+					return nil, nil, nil, err
+				}
+			}
+		}
 	}
 
 	walBytes, err := store.WAL()
@@ -89,7 +102,7 @@ func Recover(opts Options) (*DB, *Txn, *RecoveryReport, error) {
 		return nil, nil, nil, fmt.Errorf("engine: recover: wal: %w", err)
 	}
 	replay0 := time.Now()
-	if t, err = db.replayWAL(walBytes, t, rep); err != nil {
+	if t, err = db.replayWAL(walBytes, t, &typeTab, rep); err != nil {
 		return nil, nil, nil, err
 	}
 	rep.Replay = time.Since(replay0)
@@ -104,12 +117,15 @@ func Recover(opts Options) (*DB, *Txn, *RecoveryReport, error) {
 	}
 	rep.TxnOpen = t != nil
 
-	// Publish the recovered store for the lock-free read path, before
-	// the closing checkpoint reads its image from it. With an open
-	// transaction returned live this includes its uncommitted solo
-	// writes; its eventual commit or rollback republishes the write set,
-	// converging the snapshot on the transaction's outcome.
-	db.publishAll()
+	// Publish the recovered store's committed state for the lock-free
+	// read path, before the closing checkpoint reads its image from it:
+	// an open transaction returned live keeps its uncommitted solo writes
+	// out of the snapshot until its commit publishes its write set.
+	if t != nil {
+		db.publishAll(t.line)
+	} else {
+		db.publishAll(nil)
+	}
 
 	// Re-arm durability: attach the committer and write a fresh
 	// checkpoint so the replayed log retires and the next crash recovers
@@ -185,7 +201,7 @@ func (db *DB) applyCheckpoint(ck *checkpoint, rep *RecoveryReport) (*Txn, error)
 	if ck.Tail != nil {
 		frames[total-1] = *ck.Tail
 	}
-	base, err := event.RestoreBase(ck.Meta, frames, 0)
+	base, err := event.RestoreBase(&db.types, ck.Meta, frames, 0)
 	if err != nil {
 		return nil, fmt.Errorf("engine: recover: %w", err)
 	}
@@ -217,73 +233,45 @@ func (db *DB) reopenTxn(base *event.Base, ck *checkpoint) (*Txn, error) {
 	if err := t.line.RestoreUndo(ck.Undo); err != nil {
 		return nil, fmt.Errorf("engine: recover: %w", err)
 	}
-	// Types carried by the checkpoint's meta need no re-declaration in
-	// later WAL records.
-	t.walTypes = make([]bool, len(ck.Meta.Types))
-	for i := range t.walTypes {
-		t.walTypes[i] = true
-	}
 	return t, nil
 }
 
-// replayTypes maps interned type ids to event types during block
-// decode. The table is indexed by the id itself: the base's interner is
-// pre-populated by NewSession (the rule vocabulary), so the ids a log
-// declares are not dense — the first declared id may be any slot the
-// live interner handed out. declared tracks which slots the log has
-// defined; an opEvent may only reference those.
-type replayTypes struct {
-	types    []event.Type
-	declared []bool
-}
-
-func (tt *replayTypes) reset() {
-	tt.types = tt.types[:0]
-	tt.declared = tt.declared[:0]
-}
+// replayTypes maps the type ids a transaction's log declares, by id, to
+// the declared types (the zero Type while undeclared); replay appends by
+// type, so each id lands on the recovering registry's id for its type,
+// whatever numbering wrote the log (the live registry's, or a base's own
+// in stores older than it). An event may only name a declared id, and an
+// id may be declared once.
+type replayTypes []event.Type
 
 func (tt *replayTypes) declare(tid int32, ty event.Type) error {
-	if int(tid) >= len(tt.types) {
-		grow := int(tid) + 1 - len(tt.types)
-		tt.types = append(tt.types, make([]event.Type, grow)...)
-		tt.declared = append(tt.declared, make([]bool, grow)...)
+	if err := ty.Valid(); err != nil || tid < 0 {
+		return fmt.Errorf("%w: type id %d declared as %v", wire.ErrCorrupt, tid, ty)
 	}
-	if tt.declared[tid] {
+	if int(tid) >= len(*tt) {
+		*tt = append(*tt, make([]event.Type, int(tid)+1-len(*tt))...)
+	}
+	if (*tt)[tid] != (event.Type{}) {
 		return fmt.Errorf("%w: type id %d declared twice", wire.ErrCorrupt, tid)
 	}
-	tt.types[tid] = ty
-	tt.declared[tid] = true
+	(*tt)[tid] = ty
 	return nil
 }
 
-func (tt *replayTypes) lookup(tid int32) (event.Type, error) {
-	if tid < 0 || int(tid) >= len(tt.types) || !tt.declared[tid] {
+func (tt replayTypes) lookup(tid int32) (event.Type, error) {
+	if tid < 0 || int(tid) >= len(tt) || tt[tid] == (event.Type{}) {
 		return event.Type{}, fmt.Errorf("%w: undeclared type id %d", wire.ErrCorrupt, tid)
 	}
-	return tt.types[tid], nil
+	return tt[tid], nil
 }
 
 // replayWAL applies the log's records to the recovering database. t is
-// the transaction reopened from the checkpoint (nil if none); the
-// return value is the transaction open after the last good record. A
-// torn or corrupt tail ends replay at the last complete record; a
-// marker mismatch discards the whole log as stale.
-func (db *DB) replayWAL(data []byte, t *Txn, rep *RecoveryReport) (*Txn, error) {
-	// Seed the table from the checkpoint's meta — its interner contents
-	// need no re-declaration in later records (mirroring the live
-	// engine's walTypes reset at checkpoint time).
-	var typeTab replayTypes
-	if t != nil {
-		st, err := t.base.ExportState()
-		if err != nil {
-			return nil, fmt.Errorf("engine: recover: %w", err)
-		}
-		for tid, ty := range st.Meta.Types {
-			if err := typeTab.declare(int32(tid), ty); err != nil {
-				return nil, err
-			}
-		}
-	}
+// the transaction reopened from the checkpoint (nil if none), and
+// typeTab holds the ids its checkpoint declared; the return value is
+// the transaction open after the last good record. A torn or corrupt
+// tail ends replay at the last complete record; a marker mismatch
+// discards the whole log as stale.
+func (db *DB) replayWAL(data []byte, t *Txn, typeTab *replayTypes, rep *RecoveryReport) (*Txn, error) {
 	first := true
 	for len(data) > 0 {
 		payload, rest, err := wire.NextFrame(data)
@@ -312,7 +300,7 @@ func (db *DB) replayWAL(data []byte, t *Txn, rep *RecoveryReport) (*Txn, error) 
 			data = rest
 			continue
 		}
-		if t, err = db.replayRecord(rec, t, &typeTab, rep); err != nil {
+		if t, err = db.replayRecord(rec, t, typeTab, rep); err != nil {
 			return nil, err
 		}
 		rep.Records++
@@ -354,7 +342,7 @@ func (db *DB) replayRecord(rec walRecord, t *Txn, typeTab *replayTypes, rep *Rec
 		if err != nil {
 			return nil, fmt.Errorf("engine: recover: begin: %w", err)
 		}
-		typeTab.reset()
+		*typeTab = (*typeTab)[:0]
 		return nt, nil
 	case recBlock:
 		if t == nil {
@@ -415,10 +403,6 @@ func (t *Txn) replayBlock(rec walRecord, typeTab *replayTypes, rep *RecoveryRepo
 			tid, err := t.base.AppendTID(ty, op.OID, op.TS)
 			if err != nil {
 				return fmt.Errorf("engine: recover: append: %w", err)
-			}
-			if tid != op.TID {
-				return fmt.Errorf("%w: replay interned type id %d, log says %d",
-					wire.ErrCorrupt, tid, op.TID)
 			}
 			t.pending = append(t.pending, tid)
 			rep.Events++

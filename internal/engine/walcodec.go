@@ -15,8 +15,9 @@ import (
 // physical: it records the operations of the transaction (DDL, block
 // op streams, commit/rollback), and recovery replays them through the
 // same engine code paths that ran them live — determinism of the
-// engine (logical clock, deterministic OID allocation, deterministic
-// interner ids) makes the replayed state bit-identical.
+// engine (logical clock, deterministic OID allocation) makes the
+// replayed state bit-identical, and type ids, which are not durable,
+// travel with the types they name (opTypeDef).
 //
 // Granularity is the block: a block's operations accumulate in an
 // in-memory buffer and become one record at the block boundary
@@ -50,10 +51,10 @@ const (
 
 // Block op stream entries; first byte of each op.
 const (
-	// opTypeDef declares an interned event-type id before its first use
-	// in this log. Ids are assigned by the Event Base in arrival order,
-	// so replay's interner reproduces them; the declaration lets the
-	// decoder map ids without re-deriving them.
+	// opTypeDef declares an event-type id before its first use in this
+	// log. Ids are the database registry's, which lives in memory only:
+	// the declaration is what replay maps an id through, onto the
+	// recovering registry's id for the declared type.
 	opTypeDef byte = iota + 1
 	// opEvent is one occurrence: time stamp, type id, OID.
 	opEvent

@@ -37,13 +37,11 @@ type BaseMetrics struct {
 	// bounded-memory claim of DESIGN.md §8 is about.
 	Live         *metrics.Gauge
 	LiveSegments *metrics.Gauge
-	// DistinctOIDs / InternedTypes gauge the interner footprint (see the
-	// retention contract in the Base comment): both grow with the
-	// transaction's distinct objects and event types and are never shrunk
-	// by compaction, so a monotonically climbing gauge on a long-lived
-	// transaction is the expected signal — what the pair exposes is the
-	// slope, the one component of the base's memory that compaction
-	// cannot bound.
+	// DistinctOIDs gauges the OID interner (see the retention contract in
+	// the Base comment): compaction never shrinks it, so what it exposes
+	// is the slope, the one component of a base's memory compaction
+	// cannot bound. InternedTypes gauges the type Registry, as of the last
+	// append that met a type new to its base.
 	DistinctOIDs  *metrics.Gauge
 	InternedTypes *metrics.Gauge
 }
@@ -131,28 +129,24 @@ const maxSpares = 2
 // Columns are never reused, since ChunkCols and ExportState hand them
 // out. A probe (LastOf, LastOfObj,
 // OccurrencesOfObj, ...) resolves its Type and OID to ids once, at the
-// API edge, and below that compares and hashes int32s; a Type or OID
-// that was never interned has no occurrences. The probe
+// API edge, and below that compares and hashes int32s; a Type never
+// registered or an OID never interned has no occurrences. The probe
 // loops of the Trigger Support walk windows through ChunkCols, touching
 // only the timestamp and type-id columns; Occurrence rows exist only as
 // copies made at the API edge (Window, AppendWindow, All,
 // OccurrencesOfObj).
 //
-// # Interners and retention
+// # Ids and retention
 //
-// Ids are per Base, dense int32s assigned in first-arrival order
-// (InternType lets compiled consumers claim a type id before the type
-// occurs), and never recycled: WAL records and segment frames carry
-// them. Type appears only at the API edge, in the interner map and in
-// typesByID. The interners and the per-type latest time stamp (a slice
-// by type id) are transaction-lifetime state: they grow with the number
-// of *distinct* types and objects, not with occurrences, and compaction
-// never shrinks them, because retired history still determines id
-// assignment (and OID first-arrival order, which OIDs exposes). A
-// transaction touching an unbounded stream of fresh objects therefore
-// grows its interner without bound; the
-// chimera_eb_distinct_oids and chimera_eb_interned_types gauges expose
-// exactly this component so operators can see the slope.
+// Type ids are those of the Registry the base was opened from, shared by
+// every base of the database. Object ids are the base's own, dense int32s
+// in first-arrival order, never recycled. The OID interner and the
+// per-type latest time stamp are transaction-lifetime state: they grow
+// with the distinct objects and types, not with occurrences, and
+// compaction never shrinks them, because retired history still fixes
+// OID first-arrival order, which OIDs exposes. A transaction touching an
+// unbounded stream of fresh objects grows its interner without bound;
+// the chimera_eb_distinct_oids gauge shows the slope.
 //
 // # Concurrency
 //
@@ -173,22 +167,18 @@ const maxSpares = 2
 // the pre-append or the post-append log, never a torn state.
 type Base struct {
 	mu      sync.RWMutex
+	reg     *Registry
 	segSize int
 	segs    []*segment // live segments, ascending by time stamp
-	// typeIDs/typesByID and oidIDs/oidsByID are the per-Base interners:
-	// dense int32 ids in first-arrival order. The OID interner doubles as
-	// the first-arrival rank that keeps OIDs' order stable across
-	// segment boundaries and compactions. latest, parallel to
-	// typesByID, is each type's newest time stamp (clock.Never before its
-	// first occurrence). See the retention contract in the type comment.
-	typeIDs   map[Type]int32
-	typesByID []Type
-	latest    []clock.Time
-	oidIDs    map[types.OID]int32
-	oidsByID  []types.OID
-	nextID    EID
-	lastTS    clock.Time // newest time stamp ever appended
-	live      int        // occurrences currently retained
+	// latest is each type's newest time stamp by type id (clock.Never
+	// before its first occurrence and past its end). oidIDs/oidsByID is
+	// the OID interner, whose ids are the first-arrival rank OIDs sorts by.
+	latest   []clock.Time
+	oidIDs   map[types.OID]int32
+	oidsByID []types.OID
+	nextID   EID
+	lastTS   clock.Time // newest time stamp ever appended
+	live     int        // occurrences currently retained
 	// spares are retired segments, newest last, kept for their index
 	// storage: their columns are dropped at retirement, and a roll-over
 	// resets one to its predecessor's sizes instead of allocating.
@@ -462,24 +452,31 @@ func (sg *segment) bounds(since, upTo clock.Time) (int, int) {
 	return sg.after(since), sg.after(upTo)
 }
 
-// NewBase returns an empty Event Base with the default segment size.
+// NewBase returns an empty Event Base over a registry of its own, with
+// the default segment size.
 func NewBase() *Base { return NewBaseSize(DefaultSegmentSize) }
 
-// NewBaseSize returns an empty Event Base whose segments hold segSize
-// occurrences (below 1: the default). Small sizes exercise segment
-// boundaries in tests; a size larger than any workload degenerates to
-// the flat single-array layout (useful as an uncompacted differential
-// reference).
-func NewBaseSize(segSize int) *Base {
+// NewBaseSize is NewBase with segments of segSize (see Registry.NewBase).
+func NewBaseSize(segSize int) *Base { return new(Registry).NewBase(segSize) }
+
+// NewBase returns an empty Event Base over the registry, whose segments
+// hold segSize occurrences (below 1: the default). Small sizes exercise
+// segment boundaries in tests; a size larger than any workload
+// degenerates to the flat single-array layout (useful as an uncompacted
+// differential reference).
+func (r *Registry) NewBase(segSize int) *Base {
 	if segSize < 1 {
 		segSize = DefaultSegmentSize
 	}
 	return &Base{
+		reg:     r,
 		segSize: segSize,
-		typeIDs: make(map[Type]int32),
 		oidIDs:  make(map[types.OID]int32),
 	}
 }
+
+// Registry returns the registry whose ids the base's type columns hold.
+func (b *Base) Registry() *Registry { return b.reg }
 
 // SetMetrics installs the instrument set. Call before the Base is
 // shared between goroutines (the engine installs it at Begin).
@@ -544,18 +541,23 @@ func (b *Base) RetentionBound(wm, now clock.Time) clock.Time {
 	return wm
 }
 
-// internTypeLocked interns t, assigning the next dense id on first
-// sight. Callers hold the write lock.
-func (b *Base) internTypeLocked(t Type) int32 {
-	if id, ok := b.typeIDs[t]; ok {
-		return id
+// growLatest extends latest, which does not cover type id tid, with
+// clock.Never up to tid. Callers hold the write lock.
+func (b *Base) growLatest(tid int32) {
+	b.latest = slices.Grow(b.latest, int(tid)+1-len(b.latest))
+	for int(tid) >= len(b.latest) {
+		b.latest = append(b.latest, clock.Never)
 	}
-	id := int32(len(b.typesByID))
-	b.typeIDs[t] = id
-	b.typesByID = append(b.typesByID, t)
-	b.latest = append(b.latest, clock.Never)
-	b.m.InternedTypes.Set(int64(len(b.typesByID)))
-	return id
+	b.m.InternedTypes.Set(int64(len(b.reg.types())))
+}
+
+// latestOf is the newest time stamp of type tid, clock.Never if the base
+// holds none. Callers hold the mutex.
+func (b *Base) latestOf(tid int32) clock.Time {
+	if uint(tid) < uint(len(b.latest)) {
+		return b.latest[tid]
+	}
+	return clock.Never
 }
 
 // internOIDLocked interns oid; ids ascend in first-arrival order, which
@@ -571,32 +573,12 @@ func (b *Base) internOIDLocked(oid types.OID) int32 {
 	return id
 }
 
-// InternType interns an event type and returns its dense id, assigning
-// one if the type has not occurred yet. Compiled consumers (the shared
-// plan's prim cursors, the Trigger Support's inverted V(E) index) call
-// it at bind time so arrivals can be matched by int32 id instead of by
-// Type struct comparison or map hashing.
-func (b *Base) InternType(t Type) int32 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.internTypeLocked(t)
-}
-
-// InternedTypes returns the number of distinct event types interned so
-// far. Consumers caching id-indexed state use it as a cheap version
-// stamp: it only ever grows.
-func (b *Base) InternedTypes() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.typesByID)
-}
-
 // occAt materializes the occurrence at index i of sg. Callers hold the
 // mutex (read suffices).
 func (b *Base) occAt(sg *segment, i int) Occurrence {
 	return Occurrence{
 		EID:       sg.firstEID + EID(i),
-		Type:      b.typesByID[sg.tids[i]],
+		Type:      b.reg.types()[sg.tids[i]],
 		OID:       b.oidsByID[sg.oids[i]],
 		Timestamp: sg.ts[i],
 	}
@@ -612,20 +594,25 @@ func (b *Base) Append(t Type, oid types.OID, at clock.Time) (Occurrence, error) 
 	return Occurrence{EID: eid, Type: t, OID: oid, Timestamp: at}, nil
 }
 
-// AppendTID is Append returning the occurrence's interned type id instead
-// of the occurrence: the engine's WAL encoder keys its per-transaction
-// type dictionary by it, and the Trigger Support is told of arrivals by
-// it, so the type is hashed once per occurrence, here.
+// AppendTID is Append returning the occurrence's type id instead of the
+// occurrence: the engine's WAL encoder keys its per-transaction type
+// declarations by it, and the Trigger Support is told of arrivals by it,
+// so the type is hashed once per occurrence, here.
 func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (int32, error) {
 	_, tid, err := b.append(t, oid, at)
 	return tid, err
 }
 
-// append is Append and AppendTID: one append interns the type and the
-// object once and takes the lock once.
+// append is Append and AppendTID: one append resolves the type and
+// interns the object once and takes the lock once.
 func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) {
 	if err := t.Valid(); err != nil {
 		return 0, 0, err
+	}
+	// The lookup inlines, Intern does not: a known type costs no call.
+	tid, ok := b.reg.lookup(t)
+	if !ok {
+		tid = b.reg.Intern(t)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -654,7 +641,6 @@ func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) 
 		sg = b.open()
 	}
 	idx := int32(sg.n())
-	tid := b.internTypeLocked(t)
 	oi := b.internOIDLocked(oid)
 	sg.ts = append(sg.ts, at)
 	sg.tids = append(sg.tids, tid)
@@ -664,6 +650,9 @@ func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) 
 		sg.prev = nil
 	}
 
+	if int(tid) >= len(b.latest) {
+		b.growLatest(tid)
+	}
 	b.latest[tid] = at
 	b.lastTS = at
 	b.live++
@@ -882,19 +871,9 @@ func (b *Base) Read() Reader {
 // Done closes the section.
 func (r Reader) Done() { r.b.mu.RUnlock() }
 
-// TypeID returns t's interned id, or false if t was never interned (and
-// so has no occurrences).
-func (r Reader) TypeID(t Type) (int32, bool) {
-	tid, ok := r.b.typeIDs[t]
-	return tid, ok
-}
-
-// NoType and NoObj stand for a type and an object the base never
-// interned: every probe on them finds nothing.
-const (
-	NoType int32 = -1
-	NoObj  int32 = -2
-)
+// NoObj stands for an object the base never interned: every probe on it
+// finds nothing.
+const NoObj int32 = -2
 
 // ObjID returns oid's interned id, or NoObj if no occurrence on it was
 // ever logged.
@@ -908,20 +887,13 @@ func (r Reader) ObjID(oid types.OID) int32 {
 // OID returns the object with interned id oi.
 func (r Reader) OID(oi int32) types.OID { return r.b.oidsByID[oi] }
 
-// TypeID is Reader.TypeID under its own lock.
-func (b *Base) TypeID(t Type) (int32, bool) {
-	r := b.Read()
-	defer r.Done()
-	return r.TypeID(t)
-}
-
 // LastOfObjTID returns the time stamp of the most recent occurrence in
 // the window (since, upTo] of the type with id tid on the object with id
 // oi, or clock.Never if there is none; it backs ots(E, t, oid). Segments
 // are walked newest-first.
 func (r Reader) LastOfObjTID(tid, oi int32, since, upTo clock.Time) clock.Time {
 	b := r.b
-	if since >= upTo || tid == NoType || b.latest[tid] <= since {
+	if since >= upTo || b.latestOf(tid) <= since {
 		return clock.Never
 	}
 	for i := len(b.segs) - 1; i >= 0; i-- {
@@ -957,7 +929,7 @@ func (r Reader) LastOfTID(tid int32, since, upTo clock.Time) clock.Time {
 
 // LastOfObj is LastOfObjTID for a Type and an OID.
 func (r Reader) LastOfObj(t Type, oid types.OID, since, upTo clock.Time) clock.Time {
-	tid, ok := r.b.typeIDs[t]
+	tid, ok := r.b.reg.lookup(t)
 	oi, seen := r.b.oidIDs[oid]
 	if !ok || !seen {
 		return clock.Never
@@ -969,7 +941,7 @@ func (r Reader) LastOfObj(t Type, oid types.OID, since, upTo clock.Time) clock.T
 func (b *Base) LastOf(t Type, since, upTo clock.Time) clock.Time {
 	r := b.Read()
 	defer r.Done()
-	if tid, ok := r.TypeID(t); ok {
+	if tid, ok := b.reg.lookup(t); ok {
 		return r.LastOfTID(tid, since, upTo)
 	}
 	return clock.Never
@@ -985,7 +957,7 @@ func (b *Base) LastOfObj(t Type, oid types.OID, since, upTo clock.Time) clock.Ti
 // occurrences returns the occurrences in (since, upTo] of type t on
 // object oi (anyObj: on any object), in time order.
 func (b *Base) occurrences(t Type, oi int32, since, upTo clock.Time) []Occurrence {
-	tid, ok := b.typeIDs[t]
+	tid, ok := b.reg.lookup(t)
 	if !ok {
 		return nil
 	}
@@ -1194,7 +1166,7 @@ func (r Reader) AppendObjs(dst []int32, since, upTo clock.Time) []int32 {
 // into, hashing no object and allocating nothing.
 func (r Reader) ForLeaf(tid int32, since, upTo clock.Time, fn func(oi int32, at clock.Time)) {
 	b := r.b
-	if tid == NoType || b.latest[tid] <= since {
+	if b.latestOf(tid) <= since {
 		return
 	}
 	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {

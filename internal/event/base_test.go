@@ -2,8 +2,11 @@ package event
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"chimera/internal/clock"
 	"chimera/internal/metrics"
@@ -263,8 +266,8 @@ func TestInternerGauges(t *testing.T) {
 			if got := b.DistinctOIDs(); got != 3 {
 				t.Fatalf("DistinctOIDs = %d, want 3", got)
 			}
-			if got := b.InternedTypes(); got != 3 {
-				t.Fatalf("InternedTypes = %d, want 3", got)
+			if got := len(b.reg.types()); got != 3 {
+				t.Fatalf("registered types = %d, want 3", got)
 			}
 			s := reg.Snapshot()
 			if got := s.Gauges["chimera_eb_distinct_oids"]; got != 3 {
@@ -273,21 +276,25 @@ func TestInternerGauges(t *testing.T) {
 			if got := s.Gauges["chimera_eb_interned_types"]; got != 3 {
 				t.Fatalf("chimera_eb_interned_types = %d, want 3", got)
 			}
-			// Eager interning (compile-time consumers) registers unseen
-			// types immediately and is idempotent for seen ones.
-			if b.InternType(Create("stock")) != b.InternType(Create("stock")) {
-				t.Fatal("InternType not idempotent")
+			// Registering ahead of use (compiled consumers) is idempotent
+			// for seen types; the gauge reports the registry's size at the
+			// next append of a type new to the base.
+			if b.reg.Intern(Create("stock")) != b.reg.Intern(Create("stock")) {
+				t.Fatal("Intern not idempotent")
 			}
-			b.InternType(Delete("stock"))
+			b.reg.Intern(Delete("stock"))
+			if _, err := b.Append(Delete("stock"), 2, clock.Time(len(rows)+1)); err != nil {
+				t.Fatal(err)
+			}
 			if got := reg.Snapshot().Gauges["chimera_eb_interned_types"]; got != 4 {
-				t.Fatalf("gauge after eager intern = %d, want 4", got)
+				t.Fatalf("gauge after a new type = %d, want 4", got)
 			}
 			// Compaction retires occurrences but never interner entries.
 			b.CompactBelow(4)
 			if b.Retired() == 0 {
 				t.Fatal("compaction retired nothing")
 			}
-			if b.DistinctOIDs() != 3 || b.InternedTypes() != 4 {
+			if b.DistinctOIDs() != 3 || len(b.reg.types()) != 4 {
 				t.Fatal("compaction shrank an interner")
 			}
 			s = reg.Snapshot()
@@ -306,4 +313,78 @@ func ParseOp(name string) (Op, error) {
 		}
 	}
 	return 0, fmt.Errorf("event: unknown operation %q", name)
+}
+
+// TestRegistryLookupsRaceRegistrations registers a vocabulary from four
+// goroutines in four orders while four more look up the types already
+// registered, resolving each id back to its type: every type ends with
+// one id, the ids are dense, and a lookup never sees a type under
+// another's id (under -race, never a torn table). A lookup of a known
+// type takes no lock — it completes while the registry's mutex is held —
+// and allocates nothing.
+func TestRegistryLookupsRaceRegistrations(t *testing.T) {
+	var vocab []Type
+	for c := 0; c < 40; c++ {
+		class := fmt.Sprintf("c%02d", c)
+		vocab = append(vocab, Create(class), Delete(class), Modify(class, "v"))
+	}
+	reg := new(Registry)
+	ids := make([][]int32, 4)
+	done := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for w := range ids {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			ids[w] = make([]int32, len(vocab))
+			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(len(vocab)) {
+				ids[w][i] = reg.Intern(vocab[i])
+			}
+		}()
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ty := vocab[(k+w)%len(vocab)]
+				if id, ok := reg.lookup(ty); ok && reg.types()[id] != ty {
+					t.Errorf("%v looked up as id %d, which names %v", ty, id, reg.types()[id])
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if got := len(reg.types()); got != len(vocab) {
+		t.Fatalf("%d types registered, want %d", got, len(vocab))
+	}
+	for i, ty := range vocab {
+		for w := range ids {
+			if ids[w][i] != ids[0][i] || reg.types()[ids[w][i]] != ty {
+				t.Fatalf("%v: writer %d got id %d, writer 0 id %d", ty, w, ids[w][i], ids[0][i])
+			}
+		}
+	}
+
+	reg.mu.Lock()
+	looked := make(chan int32)
+	go func() { looked <- reg.Intern(vocab[7]) }()
+	select {
+	case id := <-looked:
+		if id != ids[0][7] {
+			t.Fatalf("lookup under the held mutex: id %d, want %d", id, ids[0][7])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a lookup of a known type waited for the registry's mutex")
+	}
+	reg.mu.Unlock()
+	if a := testing.AllocsPerRun(100, func() { reg.Intern(vocab[11]) }); a != 0 {
+		t.Fatalf("a lookup of a known type allocates %v times", a)
+	}
 }

@@ -17,8 +17,8 @@ import (
 //
 // A segment travels as one wire frame whose payload is the three
 // parallel columns — timestamps (delta-encoded; they are strictly
-// increasing), interned type ids and interned OID ids — plus the EID of
-// the first entry. Interner tables live in BaseMeta, written once per
+// increasing), type ids and interned OID ids — plus the EID of the first
+// entry. The tables naming the ids live in BaseMeta, written once per
 // checkpoint, so segment frames stay pure integer columns: a 256-entry
 // segment encodes in roughly a kilobyte. Frames are self-checking (CRC)
 // and independent of each other, which is what lets recovery decode and
@@ -42,15 +42,15 @@ type SegmentFrame struct {
 func (f SegmentFrame) Len() int { return len(f.TS) }
 
 // BaseMeta is the transaction-lifetime state of a Base that segments do
-// not carry: the segment size, the interner tables (dense id →
-// type/OID, in assignment order), the per-type latest-occurrence cache,
-// and the compaction counters. Together with the live segment frames it
-// reconstructs a Base bit-identically.
+// not carry: the segment size, the tables naming the frames' ids (dense
+// id → type/OID), the per-type latest-occurrence cache, and the
+// compaction counters. Together with the live segment frames it
+// reconstructs a Base that answers every probe as the exported one.
 type BaseMeta struct {
 	SegSize int
-	// Types and OIDs are the interner tables; index is the dense id.
-	// Types may include entries with no occurrence (compiled consumers
-	// intern at bind time), so Latest is clock.Never for those.
+	// Types and OIDs name the frames' ids; index is the id. Types is the
+	// exporting base's registry as of the export, so it may include
+	// entries with no occurrence in the base, whose Latest is clock.Never.
 	Types []Type
 	OIDs  []types.OID
 	// Latest is indexed by type id: the newest occurrence time stamp of
@@ -86,15 +86,18 @@ func (b *Base) ExportState() (BaseState, error) {
 	st := BaseState{
 		Meta: BaseMeta{
 			SegSize:     b.segSize,
-			Types:       append([]Type(nil), b.typesByID...),
+			Types:       append([]Type(nil), b.reg.types()...),
 			OIDs:        append([]types.OID(nil), b.oidsByID...),
-			Latest:      append([]clock.Time(nil), b.latest...),
 			Floor:       b.floor,
 			Retired:     b.retired,
 			RetiredSegs: b.retiredSegs,
 			NextEID:     b.nextID,
 			LastTS:      b.lastTS,
 		},
+	}
+	st.Meta.Latest = make([]clock.Time, len(st.Meta.Types))
+	for tid := range st.Meta.Latest {
+		st.Meta.Latest[tid] = b.latestOf(int32(tid))
 	}
 	for i, sg := range b.segs {
 		if sg.n() == b.segSize {
@@ -191,14 +194,17 @@ func DecodeSegment(data []byte) (SegmentFrame, error) {
 	return f, nil
 }
 
-// RestoreBase reconstructs a Base from a checkpoint export: the meta
-// plus the live frames in ascending order (sealed frames first, then
-// the tail, exactly as ExportState produced them). The per-segment
-// indexes — leaves and per-object lists — are rebuilt concurrently
-// across workers (≤0 means GOMAXPROCS), which is the parallel-recovery
-// half of the durability design: segments are independent, so index
-// rebuild scales with cores.
-func RestoreBase(meta BaseMeta, frames []SegmentFrame, workers int) (*Base, error) {
+// RestoreBase reconstructs a Base over reg from a checkpoint export: the
+// meta plus the live frames in ascending order (sealed frames first,
+// then the tail, exactly as ExportState produced them). Each type of
+// meta.Types is registered in reg, and the frames' type ids, which
+// meta.Types names, are mapped onto reg's as the columns are copied, so
+// a frame restores under any numbering of reg. The per-segment indexes —
+// leaves and per-object lists — are rebuilt concurrently across workers
+// (≤0 means GOMAXPROCS), which is the parallel-recovery half of the
+// durability design: segments are independent, so index rebuild scales
+// with cores.
+func RestoreBase(reg *Registry, meta BaseMeta, frames []SegmentFrame, workers int) (*Base, error) {
 	if meta.SegSize < 1 {
 		return nil, fmt.Errorf("event: restore: invalid segment size %d", meta.SegSize)
 	}
@@ -206,17 +212,22 @@ func RestoreBase(meta BaseMeta, frames []SegmentFrame, workers int) (*Base, erro
 		return nil, fmt.Errorf("event: restore: latest table has %d entries for %d types",
 			len(meta.Latest), len(meta.Types))
 	}
-	b := NewBaseSize(meta.SegSize)
+	b := reg.NewBase(meta.SegSize)
+	tids := make([]int32, len(meta.Types))
+	seen := make(map[int32]bool, len(meta.Types))
 	for id, t := range meta.Types {
 		if err := t.Valid(); err != nil {
 			return nil, fmt.Errorf("event: restore: type %d: %w", id, err)
 		}
-		b.typeIDs[t] = int32(id)
-		b.typesByID = append(b.typesByID, t)
-	}
-	b.latest = append(b.latest, meta.Latest...)
-	if len(b.typeIDs) != len(meta.Types) {
-		return nil, fmt.Errorf("event: restore: duplicate entries in type table")
+		tids[id] = reg.Intern(t)
+		if seen[tids[id]] {
+			return nil, fmt.Errorf("event: restore: duplicate entries in type table")
+		}
+		seen[tids[id]] = true
+		if int(tids[id]) >= len(b.latest) {
+			b.growLatest(tids[id])
+		}
+		b.latest[tids[id]] = meta.Latest[id]
 	}
 	for id, oid := range meta.OIDs {
 		b.oidIDs[oid] = int32(id)
@@ -287,7 +298,7 @@ func RestoreBase(meta BaseMeta, frames []SegmentFrame, workers int) (*Base, erro
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				b.segs[i] = b.buildSegment(frames[i])
+				b.segs[i] = b.buildSegment(frames[i], tids)
 			}
 		}()
 	}
@@ -296,19 +307,21 @@ func RestoreBase(meta BaseMeta, frames []SegmentFrame, workers int) (*Base, erro
 }
 
 // buildSegment reconstructs one segment from a frame: the columns copied
-// to full segment capacity, and the index Append would have built, by
-// the same function over the same rows. It reads only the segment size
-// of b, so concurrent calls are safe.
-func (b *Base) buildSegment(f SegmentFrame) *segment {
+// to full segment capacity, the frame's type ids mapped through tids,
+// and the index Append would have built, by the same function over the
+// same rows. It reads only the segment size of b, so concurrent calls
+// are safe.
+func (b *Base) buildSegment(f SegmentFrame, tids []int32) *segment {
 	sg := &segment{
 		firstEID: f.FirstEID,
 		ts:       append(make([]clock.Time, 0, b.segSize), f.TS...),
-		tids:     append(make([]int32, 0, b.segSize), f.TIDs...),
+		tids:     make([]int32, len(f.TIDs), b.segSize),
 		oids:     append(make([]int32, 0, b.segSize), f.OIDs...),
 		size:     int32(b.segSize),
 	}
-	for i, tid := range sg.tids {
-		sg.index(int32(i), tid, sg.oids[i])
+	for i, tid := range f.TIDs {
+		sg.tids[i] = tids[tid]
+		sg.index(int32(i), sg.tids[i], sg.oids[i])
 	}
 	return sg
 }

@@ -134,7 +134,7 @@ func TestRestoreBaseRoundTrip(t *testing.T) {
 			}
 			frames = append(frames, dec)
 		}
-		r, err := RestoreBase(st.Meta, frames, workers)
+		r, err := RestoreBase(new(Registry), st.Meta, frames, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -181,7 +181,7 @@ var parentMeta = []byte{
 // layout byte of 0, which no checkpoint ever carried, is corrupt.
 func TestDecodeParentMeta(t *testing.T) {
 	b := buildBase(t, 8, 30)
-	b.InternType(Create("never"))
+	b.reg.Intern(Create("never"))
 	b.CompactBelow(clock.Time(10))
 	st, err := b.ExportState()
 	if err != nil {
@@ -198,7 +198,7 @@ func TestDecodeParentMeta(t *testing.T) {
 	if st.Tail != nil {
 		frames = append(frames, *st.Tail)
 	}
-	r, err := RestoreBase(meta, frames, 2)
+	r, err := RestoreBase(new(Registry), meta, frames, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRestoreBaseValidation(t *testing.T) {
 	// A frame whose first EID does not chain is rejected.
 	broken := append([]SegmentFrame(nil), frames...)
 	broken[1].FirstEID += 3
-	if _, err := RestoreBase(st.Meta, broken, 2); err == nil {
+	if _, err := RestoreBase(new(Registry), st.Meta, broken, 2); err == nil {
 		t.Fatal("discontinuous EID chain accepted")
 	}
 	// A TID out of the interner's range is rejected.
@@ -243,7 +243,7 @@ func TestRestoreBaseValidation(t *testing.T) {
 	broken[0] = frames[0]
 	broken[0].TIDs = append([]int32(nil), frames[0].TIDs...)
 	broken[0].TIDs[0] = int32(len(st.Meta.Types)) + 5
-	if _, err := RestoreBase(st.Meta, broken, 2); err == nil {
+	if _, err := RestoreBase(new(Registry), st.Meta, broken, 2); err == nil {
 		t.Fatal("out-of-range TID accepted")
 	}
 }

@@ -138,7 +138,7 @@ func checkAgainstOracle(t *testing.T, tag string, r *rand.Rand, b *Base, o *orac
 		rd := b.Read()
 		var tids []int32
 		for _, ty := range vocab {
-			tid, interned := rd.TypeID(ty)
+			tid, interned := b.reg.lookup(ty)
 			want := o.lastOf(ty, 0, true, since, upTo)
 			if !interned {
 				if want != clock.Never {
@@ -194,9 +194,13 @@ func oidsOf(b *Base, ids []int32) []types.OID {
 	return out
 }
 
-// restoreThroughCodec takes b through the checkpoint path: export, every
-// frame and the meta through their wire encodings, parallel rebuild.
-func restoreThroughCodec(t *testing.T, b *Base) *Base {
+// restoreThroughCodec takes b through the checkpoint path into a fresh
+// registry (see restoreInto).
+func restoreThroughCodec(t *testing.T, b *Base) *Base { return restoreInto(t, new(Registry), b) }
+
+// restoreInto takes b through the checkpoint path: export, every frame
+// and the meta through their wire encodings, parallel rebuild over reg.
+func restoreInto(t *testing.T, reg *Registry, b *Base) *Base {
 	t.Helper()
 	st, err := b.ExportState()
 	if err != nil {
@@ -215,7 +219,7 @@ func restoreThroughCodec(t *testing.T, b *Base) *Base {
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("meta round trip: %v (%d trailing bytes)", err, len(rest))
 	}
-	restored, err := RestoreBase(meta, frames, 3)
+	restored, err := RestoreBase(reg, meta, frames, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +268,53 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 				continue // long histories: probe every twentieth step
 			}
 			checkAgainstOracle(t, tag, r, b, o, vocab, objects, now)
+		}
+	}
+}
+
+// TestRestoreRemapsTypeIDs restores bases through the codec into a
+// registry that numbers their types otherwise — unrelated types first,
+// one more at each restore, then the vocabulary in reverse — and pins every probe of the restored
+// base, and of appends continuing into it, to the naive scan, at segment
+// sizes 1, 2 and 256.
+func TestRestoreRemapsTypeIDs(t *testing.T) {
+	vocab := []Type{
+		Create("stock"), Delete("stock"), Modify("stock", "quantity"),
+		Create("order"), Modify("order", "total"), External("tick"),
+		Create("never"), // never registered
+	}
+	const objects = 7
+	for _, segSize := range []int{1, 2, 256} {
+		r := rand.New(rand.NewSource(int64(segSize) + 97))
+		b := NewBaseSize(segSize)
+		o := &oracle{latest: map[Type]clock.Time{}, rank: map[types.OID]int{}}
+		now := clock.Never
+		for step := 0; step < 300; step++ {
+			now += clock.Time(1 + r.Intn(3))
+			ty := vocab[r.Intn(len(vocab)-1)]
+			oid := types.OID(1 + r.Intn(objects))
+			if _, err := b.Append(ty, oid, now); err != nil {
+				t.Fatal(err)
+			}
+			o.note(ty, oid, now)
+			if r.Intn(6) == 0 {
+				b.CompactBelow(now - clock.Time(r.Intn(40)))
+			}
+			if step%50 != 49 {
+				continue
+			}
+			reg := new(Registry)
+			for k := 0; k <= step/50; k++ {
+				reg.Intern(External(fmt.Sprint("unrelated", k)))
+			}
+			for i := len(vocab) - 2; i >= 0; i-- {
+				reg.Intern(vocab[i])
+			}
+			before := b.reg.types()
+			if b = restoreInto(t, reg, b); slices.Equal(b.reg.types()[:len(before)], before) {
+				t.Fatalf("seg=%d step=%d: the restore kept the numbering %v", segSize, step, before)
+			}
+			checkAgainstOracle(t, fmt.Sprintf("seg=%d step=%d remapped", segSize, step), r, b, o, vocab, objects, now)
 		}
 	}
 }
@@ -482,8 +533,8 @@ func TestIndexMemoryFollowsEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.InternedTypes() != n {
-		t.Fatalf("interned %d types, want %d", b.InternedTypes(), n)
+	if len(b.reg.types()) != n {
+		t.Fatalf("registered %d types, want %d", len(b.reg.types()), n)
 	}
 	if w := indexWords(b); w > perEntry*b.Len() {
 		t.Fatalf("index holds %d words for %d live entries (%d per entry, want ≤ %d)", w, b.Len(), w/b.Len(), perEntry)
@@ -573,7 +624,7 @@ func TestProbesAllocateNothing(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("probes across segments: %v allocs/op, want 0", a)
 	}
-	tid, _ := small.TypeID(tys[1])
+	tid, _ := small.reg.lookup(tys[1])
 	var newest clock.Time
 	if a := testing.AllocsPerRun(1000, func() {
 		rd := small.Read()

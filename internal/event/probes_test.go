@@ -33,8 +33,8 @@ func (b *Base) Appended() int {
 func (b *Base) Latest(t Type) clock.Time {
 	r := b.Read()
 	defer r.Done()
-	if tid, ok := r.TypeID(t); ok {
-		return b.latest[tid]
+	if tid, ok := b.reg.lookup(t); ok {
+		return b.latestOf(tid)
 	}
 	return clock.Never
 }
@@ -54,7 +54,7 @@ func (b *Base) OIDsOfTypes(ts []Type, since, upTo clock.Time) []types.OID {
 	defer r.Done()
 	var tids []int32
 	for _, t := range ts {
-		if tid, ok := r.TypeID(t); ok {
+		if tid, ok := b.reg.lookup(t); ok {
 			tids = append(tids, tid)
 		}
 	}

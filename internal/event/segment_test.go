@@ -119,20 +119,13 @@ func TestSegmentedLookupsMatchFlat(t *testing.T) {
 	}
 }
 
-// typeOfTID resolves an interned type id by probing the base's interner
-// through InternType (interning is idempotent, so re-interning every
-// vocabulary type finds the one with the matching id).
+// typeOfTID resolves a type id through the base's registry.
 func typeOfTID(t *testing.T, b *Base, tid int32) Type {
 	t.Helper()
-	for _, ty := range []Type{
-		Create("stock"), Delete("stock"), Modify("stock", "quantity"),
-		Create("order"), Modify("order", "total"),
-	} {
-		if b.InternType(ty) == tid {
-			return ty
-		}
+	if tys := b.reg.types(); int(tid) < len(tys) {
+		return tys[tid]
 	}
-	t.Fatalf("unknown interned type id %d", tid)
+	t.Fatalf("unknown type id %d", tid)
 	return Type{}
 }
 
@@ -495,7 +488,7 @@ func TestConcurrentReadersWithCompaction(t *testing.T) {
 func indexMatchesColumns(b *Base, ty Type, since, upTo clock.Time) error {
 	rd := b.Read()
 	defer rd.Done()
-	tid, interned := rd.TypeID(ty)
+	tid, interned := b.reg.lookup(ty)
 	if !interned {
 		return nil
 	}

@@ -7,10 +7,17 @@
 // Section 5: a tree whose leaves are the per-type occurrence lists, each
 // leaf keeping the time stamp of the most recent occurrence of its type,
 // plus the sparse per-object index needed by instance-oriented operators.
+//
+// A database numbers its event types once, in one Registry that every
+// transaction's Base and every consumer resolving types for those bases
+// share.
 package event
 
 import (
 	"fmt"
+	"maps"
+	"sync"
+	"sync/atomic"
 
 	"chimera/internal/clock"
 	"chimera/internal/types"
@@ -60,10 +67,10 @@ func (o Op) String() string {
 }
 
 // Type is a primitive event type: an operation, the class it applies to,
-// and — for modify — the attribute changed. Type is comparable, and an
-// Event Base interns it to a dense int32 id (Base.InternType): below the
-// API edge the Event Base, the evaluators and the Trigger Support's
-// arrival hand-off work on those ids and never hash a Type.
+// and — for modify — the attribute changed. Type is comparable, and a
+// database's Registry numbers it with a dense int32 id: below the API
+// edge the Event Base, the evaluators and the Trigger Support's arrival
+// hand-off work on those ids and never hash a Type.
 //
 // The paper's Figure 3 writes these as "create stock" and
 // "modify stock quantity"; Type.String renders the calculus syntax
@@ -110,6 +117,67 @@ func (t Type) Valid() error {
 	}
 	if t.Op != OpModify && t.Attr != "" {
 		return fmt.Errorf("event: %s type cannot carry attribute %q", t.Op, t.Attr)
+	}
+	return nil
+}
+
+// Registry numbers the event types of one database: every Base opened
+// from it, and every consumer resolving types for those bases, uses one
+// dense int32 id per type, assigned at its first use (Intern) and never
+// recycled. Ids live only in memory: a WAL run declares each id it uses
+// and a checkpoint carries BaseMeta.Types, and restore maps those onto
+// the registry. A lookup of a known type takes no lock and allocates
+// nothing, reading an immutable table published atomically; registering
+// copies the table under the mutex, once per type per database. The
+// zero value is an empty registry.
+type Registry struct {
+	mu  sync.Mutex
+	tab atomic.Pointer[regTable]
+}
+
+// regTable is one published state of a Registry. Nothing a reader of it
+// reads is written after it is published: types' backing array only
+// gains entries past its length.
+type regTable struct {
+	ids   map[Type]int32
+	types []Type
+}
+
+// lookup returns t's id, or false if t was never registered.
+func (r *Registry) lookup(t Type) (int32, bool) {
+	if tab := r.tab.Load(); tab != nil {
+		id, ok := tab.ids[t]
+		return id, ok
+	}
+	return 0, false
+}
+
+// Intern returns t's id, registering t on first use.
+func (r *Registry) Intern(t Type) int32 {
+	if id, ok := r.lookup(t); ok {
+		return id
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	tab := regTable{ids: map[Type]int32{}}
+	if old := r.tab.Load(); old != nil {
+		if id, ok := old.ids[t]; ok {
+			return id
+		}
+		tab = regTable{ids: maps.Clone(old.ids), types: old.types}
+	}
+	id := int32(len(tab.types))
+	tab.ids[t] = id
+	tab.types = append(tab.types, t)
+	r.tab.Store(&tab)
+	return id
+}
+
+// types returns the registered types, indexed by id. The slice is
+// read-only.
+func (r *Registry) types() []Type {
+	if tab := r.tab.Load(); tab != nil {
+		return tab.types
 	}
 	return nil
 }

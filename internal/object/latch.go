@@ -154,14 +154,13 @@ func NewLatchMetrics(r *metrics.Registry) LatchMetrics {
 //     otherwise wait on each other until timeout, every time);
 //   - shared: no writer other than id.
 //
-// wait < 0 blocks indefinitely; wait == 0 is a try-latch. Returns
-// whether the caller is now a *new* holder in that mode (false when it
-// already held it — the release bookkeeping stays one entry per latch).
+// wait < 0 blocks indefinitely; wait == 0 is a try-latch; a positive
+// budget runs from the first pass that cannot admit the caller, so an
+// uncontended acquire reads no clock. Returns whether the caller is now
+// a *new* holder in that mode (false when it already held it — the
+// release bookkeeping stays one entry per latch).
 func (la *latch) acquire(id uint64, exclusive bool, wait time.Duration, m *LatchMetrics) (bool, error) {
 	var deadline time.Time
-	if wait > 0 {
-		deadline = time.Now().Add(wait)
-	}
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -233,6 +232,9 @@ func (la *latch) acquire(id uint64, exclusive bool, wait time.Duration, m *Latch
 			return false, ErrConflict
 		}
 		start := time.Now()
+		if deadline.IsZero() {
+			deadline = start.Add(wait)
+		}
 		if wait < 0 {
 			<-ch
 			waited += time.Since(start)

@@ -3,6 +3,7 @@ package object
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"chimera/internal/schema"
@@ -153,16 +154,32 @@ func (s *Store) materialize() *Snapshot {
 // PublishAll publishes a fresh snapshot of the entire committed store
 // under a new epoch, discarding any staged deltas (the full copy
 // supersedes them). Used at engine open, snapshot load and recovery;
-// per-commit publication uses StageTouched. The caller must guarantee
-// the store holds no uncommitted state (publication deep-copies whatever
+// per-commit publication uses StageTouched. open, when not nil, is the
+// one line holding uncommitted state (the transaction recovery hands
+// back open): its undo log is applied to copies of what it touched, so
+// the snapshot holds the committed state. The caller must guarantee no
+// other line holds uncommitted state (publication deep-copies whatever
 // is live).
-func (s *Store) PublishAll() {
+func (s *Store) PublishAll(open *Line) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.pendMu.Lock()
 	defer s.pendMu.Unlock()
+	objects := s.objects
+	if open != nil {
+		img := &Store{schema: s.schema, objects: maps.Clone(s.objects), byClass: map[string]map[types.OID]*Object{}}
+		for _, e := range open.undo {
+			if o, ok := img.objects[e.oid]; ok {
+				img.objects[e.oid] = cloneObject(o)
+			}
+		}
+		for i := len(open.undo) - 1; i >= 0; i-- {
+			open.undo[i].apply(img)
+		}
+		objects = img.objects
+	}
 	next := &Snapshot{epoch: s.epoch.Add(1), schema: s.schema}
-	for oid, o := range s.objects {
+	for oid, o := range objects {
 		i := uint64(oid) & (snapShards - 1)
 		if next.shards[i] == nil {
 			next.shards[i] = make(map[types.OID]*Object)

@@ -2,7 +2,6 @@ package rules
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"chimera/internal/calculus"
@@ -71,55 +70,5 @@ func TestColumnarProbeScanSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("columnar probe scan allocates %.1f objects/op in steady state, want 0", allocs)
-	}
-}
-
-// TestCheckAssignsNoTypeIDs pins the interner contract WAL records and
-// segment frames rest on: once NewSession has interned the rule set's
-// vocabulary into a transaction's base, resolving the shared plan's
-// leaves (PlanEval.Bind) and full checks assign no further type id, and
-// the ids they use are the ones NewSession assigned, in vocabulary order.
-func TestCheckAssignsNoTypeIDs(t *testing.T) {
-	r := rand.New(rand.NewSource(83))
-	vocab := calculus.DefaultVocabulary()
-	gen := calculus.GenOptions{Types: vocab, MaxDepth: 3,
-		AllowNegation: true, AllowInstance: true, AllowPrecedence: true}
-	s := NewSupport(event.NewBase(), Options{})
-	for i := 0; i < 40; i++ {
-		if err := s.Define(Def{Name: fmt.Sprintf("r%02d", i), Event: calculus.GenExpr(r, gen), Priority: i % 5}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for txn := 0; txn < 3; txn++ {
-		b, c := event.NewBaseSize(4), clock.New()
-		sess := s.NewSession(b, c.Now())
-		for i, ty := range s.vocab {
-			if tid, ok := b.TypeID(ty); !ok || int(tid) != i {
-				t.Fatalf("vocabulary type %d (%v) has id %d, %v", i, ty, tid, ok)
-			}
-		}
-		for block := 0; block < 6; block++ {
-			var occs []event.Occurrence
-			for i := 0; i < 5; i++ {
-				// Only vocabulary types: an append of a new type would
-				// rightly intern it.
-				occ, err := b.Append(s.vocab[r.Intn(len(s.vocab))], types.OID(1+r.Intn(3)), c.Tick())
-				if err != nil {
-					t.Fatal(err)
-				}
-				occs = append(occs, occ)
-			}
-			sess.NotifyArrivals(tidsOf(b, occs))
-			for _, name := range sess.CheckTriggered(c.Now()) {
-				if _, err := sess.Consider(name, c.Tick()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := b.InternedTypes(); got != len(s.vocab) {
-				t.Fatalf("txn %d block %d: %d types interned, the vocabulary has %d",
-					txn, block, got, len(s.vocab))
-			}
-		}
-		sess.Release()
 	}
 }

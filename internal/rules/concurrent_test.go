@@ -119,9 +119,9 @@ func TestSupportConcurrentAccess(t *testing.T) {
 }
 
 // Rule churn over many types cannot grow the listening tables: once
-// every rule is dropped, the registry's vocabulary and filings and the
-// direct line's arrival table hold nothing, however many types the
-// dropped rules listened to and however many arrivals reached them.
+// every rule is dropped, the registry's match-all lists and its arrival
+// table hold nothing, however many types the dropped rules listened to
+// and however many arrivals reached them.
 func TestDropPrunesListeningIndex(t *testing.T) {
 	s, b, c := newSupport(t)
 	for i := 0; i < 50; i++ {
@@ -138,10 +138,10 @@ func TestDropPrunesListeningIndex(t *testing.T) {
 	log(t, s, b, c, createStock, 1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if n := len(s.vocab) + len(s.listens) + len(s.matchAll) + len(s.probeAll); n != 0 {
+	if n := len(s.matchAll) + len(s.probeAll); n != 0 {
 		t.Errorf("the registry derives %d stale entries after dropping every rule", n)
 	}
-	if l := s.line.listen; len(l.ranks) != 0 || len(l.off) > 1 {
+	if l := s.listen; len(l.ranks) != 0 || len(l.off) > 1 {
 		t.Errorf("the arrival table holds %d ranks over %d type ids after dropping every rule", len(l.ranks), len(l.off)-1)
 	}
 }

@@ -64,17 +64,16 @@ func (l *line) checkIndex() error {
 }
 
 // checkedTable is an arrival table checkProbeIndex held to its
-// definition, with the rule set and the base it was built for.
+// definition, with the rule set it was built for.
 type checkedTable struct {
-	base                          *event.Base
 	rules                         []*State
 	off, probeEnd, ranks, matches []int32
 }
 
-// tablesChecked records, per line, the arrival table checkProbeIndex
+// tablesChecked records, per Support, the arrival table checkProbeIndex
 // last compared with its definition, which it compares again only once
-// the table, the rule set or the base differ.
-var tablesChecked = map[*line]checkedTable{}
+// the table or the rule set differ.
+var tablesChecked = map[*Support]checkedTable{}
 
 // checkProbeIndex holds what the arrival walk reads to its definition:
 // between walks no rank is marked, and the arrival table, once built,
@@ -90,12 +89,12 @@ func (l *line) checkProbeIndex() error {
 			}
 		}
 	}
-	tb := &l.listen
-	if tb.base == nil || tb.base != l.base {
+	tb := &l.sup.listen
+	if !l.sup.derived {
 		return nil
 	}
-	seen := checkedTable{l.base, l.sup.ordered, tb.off, tb.probeEnd, tb.ranks, l.sup.matchAll}
-	if last, ok := tablesChecked[l]; ok && last.base == seen.base && slices.Equal(last.rules, seen.rules) &&
+	seen := checkedTable{l.sup.ordered, tb.off, tb.probeEnd, tb.ranks, l.sup.matchAll}
+	if last, ok := tablesChecked[l.sup]; ok && slices.Equal(last.rules, seen.rules) &&
 		slices.Equal(last.off, seen.off) && slices.Equal(last.probeEnd, seen.probeEnd) &&
 		slices.Equal(last.ranks, seen.ranks) && slices.Equal(last.matches, seen.matches) {
 		return nil
@@ -104,7 +103,7 @@ func (l *line) checkProbeIndex() error {
 		*ids = slices.Clone(*ids)
 	}
 	seen.rules = slices.Clone(seen.rules)
-	tablesChecked[l] = seen
+	tablesChecked[l.sup] = seen
 	n := len(tb.off) - 1
 	probes, rest := make([][]int32, n), make([][]int32, n)
 	var all, allMonotone []int32
@@ -122,8 +121,8 @@ func (l *line) checkProbeIndex() error {
 				continue
 			}
 			for _, ty := range st.Filter.RelevantTypes() {
-				tid, ok := l.base.TypeID(ty)
-				if !ok || int(tid) >= n {
+				tid := l.sup.reg.Intern(ty)
+				if int(tid) >= n {
 					return fmt.Errorf("rule %s listens to %v, which the table has no list for", st.Def.Name, ty)
 				}
 				if monotone {
@@ -439,14 +438,14 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 // the recycled one a NewSession at the same start hands back.
 func TestIndexMatchesFullWalkInSession(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	s := NewSupport(event.NewBase(), Options{})
+	s := NewSupport(nil, Options{})
 	for _, d := range scriptDefs(r, 70, "r") {
 		if err := s.Define(d); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for round := 0; round < 3; round++ {
-		b := event.NewBase()
+		b := s.testBase(0)
 		c := clock.New()
 		sess := s.NewSession(b, c.Now())
 		w := walked{t: t, v: sess, l: &sess.line}
@@ -681,19 +680,20 @@ func TestDefineDerivesNothing(t *testing.T) {
 		if err := s.Define(Def{Name: fmt.Sprintf("r%04d", i), Event: e}); err != nil {
 			t.Fatal(err)
 		}
-		if s.derived || s.listen.base != nil || s.probe.lo != nil {
+		if s.derived || s.listen.off != nil || s.probe.lo != nil {
 			t.Fatalf("Define %d derived the filings or built the table or the walk's scratch", i)
 		}
 	}
 	log(t, s, b, c, createStock, 1)
 	s.CheckTriggered(c.Now())
-	if !s.derived || s.listen.base != b || len(s.listen.probes(0)) != 1000 || len(s.probe.lo) != 1000 {
-		t.Fatalf("the first check left the table over %p probing %d ranks, the scratch over %d",
-			s.listen.base, len(s.listen.probes(0)), len(s.probe.lo))
+	tid := b.Registry().Intern(createStock)
+	if !s.derived || len(s.listen.probes(tid)) != 1000 || len(s.probe.lo) != 1000 {
+		t.Fatalf("the first check left the table probing %d ranks, the scratch over %d",
+			len(s.listen.probes(tid)), len(s.probe.lo))
 	}
 	verifyIndex(t, &s.line)
 
-	one := NewSupport(event.NewBase(), Options{})
+	one := NewSupport(nil, Options{})
 	if err := one.Define(Def{Name: "cap", Event: calculus.P(modStockQty)}); err != nil {
 		t.Fatal(err)
 	}

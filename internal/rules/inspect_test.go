@@ -17,17 +17,13 @@ type lineView interface {
 	Triggered(filter func(Def) bool) []string
 }
 
-// tidsOf resolves each occurrence's type to its id in b, the way
-// Support.NotifyArrivals does, for the tests that announce occurrences to
-// a Session.
+// tidsOf resolves each occurrence's type to its id in b's registry, the
+// way Support.NotifyArrivals does, for the tests that announce
+// occurrences to a Session.
 func tidsOf(b *event.Base, occs []event.Occurrence) []int32 {
 	tids := make([]int32, 0, len(occs))
 	for _, occ := range occs {
-		tid, ok := b.TypeID(occ.Type)
-		if !ok {
-			tid = event.NoType
-		}
-		tids = append(tids, tid)
+		tids = append(tids, b.Registry().Intern(occ.Type))
 	}
 	return tids
 }

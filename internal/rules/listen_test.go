@@ -117,12 +117,12 @@ func listenBlock(t *testing.T, tag string, r *rand.Rand, l *line, b *event.Base,
 
 // The arrival table, keyed by type id, marks exactly the rules the
 // by-type index marked, after every block: on a session over a fresh
-// base (type ids are the vocabulary's positions), on a session over a
-// base rebuilt by RestoreBase from a base whose types arrived in another
-// order (they are not), and on the direct line, whose rule set changes
-// mid-transaction. Every rule set holds match-all rules and negation-only
-// types, and the arrivals include types no rule mentions, interned after
-// the line opened.
+// base of the Support's registry, on a session over a base RestoreBase
+// rebuilt into that registry from a base of another registry, whose
+// types arrived in another order and took other ids, and on the direct
+// line, whose rule set changes mid-transaction. Every rule set holds
+// match-all rules and negation-only types, and the arrivals include types
+// no rule mentions, registered after the line opened.
 func TestArrivalTableMatchesByType(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -130,14 +130,15 @@ func TestArrivalTableMatchesByType(t *testing.T) {
 
 		// A session over a fresh base, and one over a restored base.
 		for _, restored := range []bool{false, true} {
-			b, c := event.NewBaseSize(4), clock.New()
+			b, c := s.testBase(4), clock.New()
 			if restored {
+				src := event.NewBaseSize(4)
 				for _, i := range r.Perm(len(listenVocab)) {
-					if _, err := b.Append(listenVocab[i], 9, c.Tick()); err != nil {
+					if _, err := src.Append(listenVocab[i], 9, c.Tick()); err != nil {
 						t.Fatal(err)
 					}
 				}
-				st, err := b.ExportState()
+				st, err := src.ExportState()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,18 +146,18 @@ func TestArrivalTableMatchesByType(t *testing.T) {
 				if st.Tail != nil {
 					frames = append(frames, *st.Tail)
 				}
-				if b, err = event.RestoreBase(st.Meta, frames, 1); err != nil {
+				if b, err = event.RestoreBase(s.reg, st.Meta, frames, 1); err != nil {
 					t.Fatal(err)
+				}
+				remapped := false
+				for id, ty := range st.Meta.Types {
+					remapped = remapped || s.reg.Intern(ty) != int32(id)
+				}
+				if !remapped {
+					t.Fatalf("seed %d: the restore kept the exported base's ids", seed)
 				}
 			}
 			sess := s.NewSession(b, c.Now())
-			identity := true
-			for pos, tid := range sess.vmap {
-				identity = identity && tid == int32(pos)
-			}
-			if identity == restored {
-				t.Fatalf("seed %d restored %v: the vocabulary maps to type ids %v", seed, restored, sess.vmap)
-			}
 			for block := 0; block < 30; block++ {
 				tag := fmt.Sprintf("seed %d restored %v block %d", seed, restored, block)
 				listenBlock(t, tag, r, &sess.line, b, c,
@@ -217,35 +218,42 @@ func TestArrivalTableMatchesByType(t *testing.T) {
 	}
 }
 
-// A recycled session builds its arrival table for each new base, and
-// announces arrivals through it, without allocating.
-func TestArrivalTableBuildAllocatesNothing(t *testing.T) {
+// A session builds no table: the Support's arrival table, derived once
+// per rule set, is the one every line reads, whatever its base — a
+// NewSession leaves a poisoned entry of it as it was. And a recycled
+// session over a fresh base of the Support's registry opens, announces
+// an arrival through the table and is released without allocating.
+func TestNewSessionBuildsNoTable(t *testing.T) {
 	s := supportWith(t, listenDefs(rand.New(rand.NewSource(3)), 200))
-	bases := []*event.Base{event.NewBase(), event.NewBase()}
-	tids := make([]int32, len(bases))
-	for i, b := range bases {
-		s.NewSession(b, 0).Release() // interns the vocabulary first
-		tid, err := b.AppendTID(event.Create("stock"), 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tids[i] = tid
+	s.NewSession(s.testBase(0), 0).Release() // derives the table
+	kept := s.listen.ranks[0]
+	s.listen.ranks[0] = -1
+	s.NewSession(s.testBase(0), 0).Release()
+	if s.listen.ranks[0] != -1 {
+		t.Fatal("NewSession rebuilt the arrival table")
 	}
-	reached := 0
-	if a := testing.AllocsPerRun(50, func() {
-		for i, b := range bases {
-			sess := s.NewSession(b, 0)
-			sess.NotifyArrivals(tids[i : i+1])
-			reached = 0
-			for _, m := range sess.marks {
-				if m.pending {
-					reached++
-				}
+	s.listen.ranks[0] = kept
+
+	const runs = 50
+	bases := make([]*event.Base, runs+1) // AllocsPerRun warms up with one run
+	for i := range bases {
+		bases[i] = s.testBase(0)
+	}
+	tids := []int32{s.reg.Intern(event.Create("stock"))}
+	next, reached := 0, 0
+	if a := testing.AllocsPerRun(runs, func() {
+		sess := s.NewSession(bases[next], 0)
+		next++
+		sess.NotifyArrivals(tids)
+		reached = 0
+		for _, m := range sess.marks {
+			if m.pending {
+				reached++
 			}
-			sess.Release()
 		}
+		sess.Release()
 	}); a != 0 {
-		t.Errorf("a recycled session's table build and announcement allocate %v times", a)
+		t.Errorf("a recycled session over a fresh base allocates %v times", a)
 	}
 	if reached == 0 {
 		t.Fatal("the arrival reached no rule")

@@ -190,7 +190,7 @@ func production(t *testing.T, base *event.Base, start clock.Time, defs []Def) su
 // inSession is a Session's line over a Support whose direct line serves
 // nothing.
 func inSession(t *testing.T, base *event.Base, start clock.Time, defs []Def) subject {
-	s := NewSupport(event.NewBase(), Options{})
+	s := NewSupport(nil, Options{})
 	defineAll(t, s, defs)
 	sess := s.NewSession(base, start)
 	t.Cleanup(sess.Release)

@@ -10,7 +10,8 @@
 // when a transaction starts), so it lives on the transaction's line, a
 // Session: one mark per rule, the block-boundary index over the marks
 // and the check's scratch. The Support holds what every line reads — the
-// definitions, V(E) filters, the interned plan and the listening index —
+// definitions, V(E) filters, the interned plan and the arrival table,
+// keyed by the type ids of the registry every line's Event Base shares —
 // once, and recycles released Sessions for the lines after them.
 //
 // The Trigger Support decides T(r, t) of Section 4.4 one way. Every
@@ -336,18 +337,6 @@ type line struct {
 	wmMin     clock.Time
 	wmHolders int
 
-	// vmap is the type id, in the base mapped, of each type of the rule
-	// set's vocabulary (Support.vocab), by position: the tables below file
-	// the registry's ranks under the line's own type ids through it.
-	// NewSession maps a session's base when it opens the line; the direct
-	// line maps its base at the first use after a change.
-	vmap   []int32
-	mapped *event.Base
-	// listen is the arrival table: the rules an arrival of each type id
-	// marks pending (see notifyArrivals), and, in the prefix of each list,
-	// the rules the arrival walk probes at it (see walk).
-	listen table
-
 	// CheckTriggered scratch, recycled across checks: checkBuf is the
 	// pending-rule batch (ranks), eval the memoized evaluator (created at
 	// the first check) and probe its arrival walk's marks. firedBuf backs
@@ -417,15 +406,12 @@ func (l *line) sync() {
 // pending, the triggered set from triggered, the watermark from the last
 // considerations. It is the definition the incremental transitions are
 // held to (line.checkIndex, in the tests, compares the two). Whatever
-// made the index stale may also have changed the base or the rule set,
-// so it brings the arrival table up to date first.
+// made the index stale may also have changed the rule set, so it brings
+// the arrival table up to date first: on the direct line, whose caller
+// holds the Support's mutex, since a Session's rule set is frozen and
+// was derived when it opened.
 func (l *line) reindex() {
-	if l.listen.base != l.base {
-		if l.mapped != l.base {
-			l.mapVocabulary()
-		}
-		l.listen.build(l.sup.listens, l.sup.probed, l.vmap, l.base)
-	}
+	l.sup.derive()
 	words := (len(l.marks) + 63) >> 6
 	l.queue = zeroed(l.queue, words)
 	l.trig = zeroed(l.trig, words)
@@ -483,22 +469,20 @@ type Support struct {
 	// it is zero; the count is stable while any session is open (the
 	// registry is frozen), so the skip decision cannot race a Define.
 	deferred int
-	// What every line derives its tables from, rebuilt by derive after
-	// Define or Drop (derived false until then). vocab is the rule set's
-	// primitive event types, each once, in the order the (priority,
-	// expression traversal) walk first meets them. listens files each rule
-	// under the vocabulary positions of the types whose arrivals are
-	// relevant to it (its V(E)'s Δ+ and Δ± types), the first probed of
-	// them the non-monotone rules', which the arrival walk probes.
-	// matchAll holds the ranks of the rules with vacuously active
-	// expressions, which every arrival reaches, the non-monotone ones
-	// first; probeAll is that prefix. Positions, not types: a line
-	// maps them to its base's type ids once (line.vmap), and no arrival is
-	// ever hashed by its Type here.
+	// reg is the type registry every line's base shares: the base's
+	// NewSupport was given, else the first Session's.
+	reg *event.Registry
+	// What every line reads to mark and probe rules, rebuilt by derive
+	// after Define or Drop (derived false until then). listen is the
+	// arrival table: the rules an arrival of each type id marks pending
+	// (see notifyArrivals) — the rules whose V(E) gives the type a Δ+ or
+	// Δ± variation — and, in the prefix of each list, the non-monotone
+	// ones, which the arrival walk probes at it (see walk). matchAll holds
+	// the ranks of the rules with vacuously active expressions, which
+	// every arrival reaches, the non-monotone ones first; probeAll is that
+	// prefix. No arrival is ever hashed by its Type here.
 	derived  bool
-	vocab    []event.Type
-	listens  []filing
-	probed   int
+	listen   table
 	matchAll []int32
 	probeAll []int32
 	// tids is the direct line's NotifyArrivals scratch.
@@ -516,11 +500,16 @@ type Support struct {
 }
 
 // NewSupport builds a Trigger Support whose direct line runs over base.
+// Every Session's base must share base's type registry; with a nil base,
+// the first Session's.
 func NewSupport(base *event.Base, opts Options) *Support {
 	s := &Support{
 		opts:  opts,
 		plan:  calculus.NewPlan(),
 		rules: make(map[string]*State),
+	}
+	if base != nil {
+		s.reg = base.Registry()
 	}
 	s.line = line{sup: s, base: base}
 	return s
@@ -588,16 +577,14 @@ func (s *Support) renumber(i int) {
 	}
 }
 
-// changed invalidates what depends on the rule set: the registry's
-// derived tables, the idle Sessions, and the direct line's index, its
-// vocabulary map and its arrival table (rebuilt at the next block
-// boundary or arrival, so loading N rules derives once, not N times).
+// changed invalidates what depends on the rule set: the derived tables,
+// the idle Sessions, and the direct line's index (rebuilt at the next
+// block boundary or arrival, so loading N rules derives once, not N
+// times).
 func (s *Support) changed() {
 	s.derived = false
 	s.idle = nil
 	s.line.stale = true
-	s.line.mapped = nil
-	s.line.listen.base = nil
 }
 
 // HasDeferred reports whether any deferred-coupling rule is defined.
@@ -730,27 +717,19 @@ func (s *Support) BeginTransaction(start clock.Time) {
 	s.line.begin(s.line.base, start)
 }
 
-// derive rebuilds what the lines derive their tables from (see
-// Support.derived) if Define or Drop changed the rule set since. It runs
-// once per rule set, not once per line. The caller holds the mutex.
+// derive rebuilds what every line reads (see Support.derived) if Define
+// or Drop changed the rule set since, registering the types it files
+// rules under. It runs once per rule set, not once per line, and not
+// before the Support knows its registry. The caller holds the mutex.
 func (s *Support) derive() {
-	if s.derived {
+	if s.derived || s.reg == nil {
 		return
 	}
-	// An interner assigns dense ids in first-arrival order: interning
-	// the walk's types into an empty base numbers them by position.
-	pos := event.NewBase()
-	s.vocab, s.listens, s.matchAll = s.vocab[:0], s.listens[:0], s.matchAll[:0]
-	for _, st := range s.ordered {
-		for _, t := range calculus.Primitives(st.Def.Event) {
-			if int(pos.InternType(t)) == len(s.vocab) {
-				s.vocab = append(s.vocab, t)
-			}
-		}
-	}
+	var filings []filing
+	s.matchAll = s.matchAll[:0]
 	// Two passes, the non-monotone rules first, so that every list of
 	// the arrival table starts with the ranks the walk probes.
-	probeAll := 0
+	probed, probeAll := 0, 0
 	for _, monotone := range [2]bool{false, true} {
 		for _, st := range s.ordered {
 			if st.monotone != monotone {
@@ -761,38 +740,21 @@ func (s *Support) derive() {
 				continue
 			}
 			for _, t := range st.Filter.RelevantTypes() {
-				s.listens = append(s.listens, filing{pos.InternType(t), st.rank})
+				filings = append(filings, filing{s.reg.Intern(t), st.rank})
 			}
 		}
 		if !monotone {
-			s.probed, probeAll = len(s.listens), len(s.matchAll)
+			probed, probeAll = len(filings), len(s.matchAll)
 		}
 	}
 	s.probeAll = s.matchAll[:probeAll]
+	s.listen.build(filings, probed)
 	s.derived = true
-}
-
-// mapVocabulary interns the rule set's vocabulary into the line's base in
-// deterministic (priority, then expression traversal) order and records
-// each type's id in vmap. The probe machinery would intern the same types
-// lazily at the first triggering determination; doing it when a line
-// opens pins the interner's id assignment to a pure function of the rule
-// set and the append order — the property WAL replay (which re-runs
-// appends but not determinations) relies on to rebuild a bit-identical
-// base. On a fresh base the ids are the vocabulary positions. The caller
-// holds the Support's mutex.
-func (l *line) mapVocabulary() {
-	l.sup.derive()
-	l.vmap = l.vmap[:0]
-	for _, t := range l.sup.vocab {
-		l.vmap = append(l.vmap, l.base.InternType(t))
-	}
-	l.mapped = l.base
 }
 
 // NotifyArrivals is NotifyArrivals of the direct line (see
 // Session.NotifyArrivals), for occurrences: it resolves each
-// occurrence's type to its id in the line's base, then marks by id.
+// occurrence's type to its registry id, then marks by id.
 func (s *Support) NotifyArrivals(occs []event.Occurrence) {
 	if len(occs) == 0 {
 		return
@@ -800,15 +762,9 @@ func (s *Support) NotifyArrivals(occs []event.Occurrence) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tids := s.tids[:0]
-	rd := s.line.base.Read()
 	for _, occ := range occs {
-		tid, ok := rd.TypeID(occ.Type)
-		if !ok {
-			tid = event.NoType
-		}
-		tids = append(tids, tid)
+		tids = append(tids, s.reg.Intern(occ.Type))
 	}
-	rd.Done()
 	s.tids = tids
 	s.line.notifyArrivals(tids)
 }
@@ -819,15 +775,15 @@ func (s *Support) NotifyArrivals(occs []event.Occurrence) {
 // arrival cannot raise ts, so a non-triggered rule skips it), and every
 // match-all rule. This is the Event Handler → Trigger Support hand-off of
 // Section 5: one read of the arrival table per arrival, and a type id
-// past the table (a type no rule mentions, interned after the table was
-// built) reaches the match-all rules only.
+// past the table (a type no rule mentions, registered after the table
+// was built) reaches the match-all rules only.
 func (l *line) notifyArrivals(tids []int32) {
 	l.sync()
 	for _, r := range l.sup.matchAll {
 		l.arrive(r)
 	}
 	for _, tid := range tids {
-		for _, r := range l.listen.of(tid) {
+		for _, r := range l.sup.listen.of(tid) {
 			l.arrive(r)
 		}
 	}
@@ -989,36 +945,33 @@ func (l *line) count() {
 	l.stats.MemoHits += hits
 }
 
-// table files queue ranks under the type ids of one Event Base: the
-// ranks filed under id tid are ranks[off[tid]:off[tid+1]], the
-// non-monotone rules' first, up to probeEnd[tid], then the monotone
-// rules', each run ascending. A line holds one, its arrival table
-// (line.listen), derived state; base is the base whose ids it is keyed
-// by, nil while it is unbuilt.
+// table files queue ranks under type ids: the ranks filed under id tid
+// are ranks[off[tid]:off[tid+1]], the non-monotone rules' first, up to
+// probeEnd[tid], then the monotone rules', each run ascending. The
+// Support holds one, the arrival table (Support.listen), derived state.
 type table struct {
-	base     *event.Base
 	off      []int32
 	probeEnd []int32
 	ranks    []int32
 }
 
-// filing is one (vocabulary position, rank) entry of a table's source.
-type filing struct{ pos, rank int32 }
+// filing is one (type id, rank) entry of a table's source.
+type filing struct{ tid, rank int32 }
 
-// build files the rank of each filing under the type id vmap gives its
-// position, by a counting sort that keeps the filings' order within
-// every list (they come as the non-monotone rules' in rank order, the
-// first split of them, then the monotone rules'). It allocates nothing
-// once the table has held as many ids and filings.
-func (tb *table) build(filed []filing, split int, vmap []int32, base *event.Base) {
+// build files the rank of each filing under its type id, by a counting
+// sort that keeps the filings' order within every list (they come as
+// the non-monotone rules' in rank order, the first split of them, then
+// the monotone rules'). It allocates nothing once the table has held as
+// many ids and filings.
+func (tb *table) build(filed []filing, split int) {
 	n := int32(0)
-	for _, tid := range vmap {
-		n = max(n, tid+1)
+	for _, f := range filed {
+		n = max(n, f.tid+1)
 	}
 	tb.off = zeroed(tb.off, int(n)+2)
 	tb.probeEnd = zeroed(tb.probeEnd, int(n))
 	for i, f := range filed {
-		tid := vmap[f.pos]
+		tid := f.tid
 		tb.off[tid+2]++
 		if i < split {
 			tb.probeEnd[tid]++
@@ -1032,16 +985,14 @@ func (tb *table) build(filed []filing, split int, vmap []int32, base *event.Base
 	}
 	tb.ranks = zeroed(tb.ranks, len(filed))
 	for _, f := range filed {
-		tid := vmap[f.pos]
-		tb.ranks[tb.off[tid+1]] = f.rank
-		tb.off[tid+1]++
+		tb.ranks[tb.off[f.tid+1]] = f.rank
+		tb.off[f.tid+1]++
 	}
 	tb.off = tb.off[:n+1]
-	tb.base = base
 }
 
 // of returns the ranks filed under tid: none for a type id past the
-// table or event.NoType.
+// table.
 func (tb *table) of(tid int32) []int32 {
 	if tid < 0 || int(tid) >= len(tb.off)-1 {
 		return nil
@@ -1112,7 +1063,7 @@ func (l *line) walk(pe *calculus.PlanEval, batch []int32, newest, minLo, now clo
 			if open == 0 {
 				continue
 			}
-			for _, ranks := range [2][]int32{l.listen.probes(tid), l.sup.probeAll} {
+			for _, ranks := range [2][]int32{l.sup.listen.probes(tid), l.sup.probeAll} {
 				for _, r := range ranks {
 					if p.lo[r] >= t {
 						continue

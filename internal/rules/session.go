@@ -10,8 +10,8 @@ import (
 // rule (last consideration, triggered flag and instant, probe cursor,
 // pending bit), the block-boundary index over them and the check's
 // scratch. Definitions, compiled V(E) filters, plan roots, ranks and the
-// listening index stay in the Support's registry, stored once whatever
-// the number of lines. Sessions of one Support run their determinations
+// arrival table stay in the Support's registry, stored once whatever the
+// number of lines. Sessions of one Support run their determinations
 // fully in parallel: they share no mutable state, only atomic metric
 // instruments and the read-only registry.
 //
@@ -31,9 +31,18 @@ type Session struct {
 
 // NewSession opens a transaction line over the rule registry, bound to
 // the transaction's Event Base with every rule's horizon at start. It
-// reuses an idle session when the pool has one.
+// reuses an idle session when the pool has one, and builds no table: the
+// arrival table is the Support's, derived once per rule set. The base
+// must share the Support's type registry (see NewSupport).
 func (s *Support) NewSession(base *event.Base, start clock.Time) *Session {
 	s.mu.Lock()
+	if s.reg == nil {
+		s.reg = base.Registry()
+	} else if base.Registry() != s.reg {
+		s.mu.Unlock()
+		panic("rules: session base does not share the support's type registry")
+	}
+	s.derive()
 	var sess *Session
 	if n := len(s.idle); n > 0 {
 		sess = s.idle[n-1]
@@ -41,8 +50,6 @@ func (s *Support) NewSession(base *event.Base, start clock.Time) *Session {
 	} else {
 		sess = &Session{line: line{sup: s}}
 	}
-	sess.base = base
-	sess.mapVocabulary()
 	s.sessions++
 	s.mu.Unlock()
 	// The registry is frozen from here until the session's release, so
@@ -68,7 +75,6 @@ func (sess *Session) Release() {
 	// An idle session holds no Event Base: the transaction's log is
 	// collectable as soon as the transaction lets go of it.
 	sess.stats, sess.base, sess.budget = Stats{}, nil, nil
-	sess.mapped, sess.listen.base = nil, nil
 	if sess.eval != nil {
 		sess.eval.Unbind()
 	}
@@ -84,7 +90,8 @@ func (sess *Session) Release() {
 func (sess *Session) Start() clock.Time { return sess.txnStart }
 
 // NotifyArrivals tells the session about freshly logged occurrences, by
-// the type ids their appends returned (event.Base.AppendTID), and marks
+// the registry type ids their appends returned (event.Base.AppendTID),
+// and marks
 // the rules those arrivals are relevant to (the Event Handler → Trigger
 // Support hand-off of Section 5).
 func (sess *Session) NotifyArrivals(tids []int32) {

@@ -129,7 +129,7 @@ func runScript(t *testing.T, s *Support, defs []Def, hist []arrival, cuts uint64
 	bases := make([]*event.Base, len(segs))
 	sessions := make([]*Session, len(segs))
 	for i, seg := range segs {
-		bases[i] = event.NewBaseSize(seg)
+		bases[i] = s.testBase(seg)
 		sessions[i] = s.NewSession(bases[i], 0)
 		defer sessions[i].Release()
 	}

@@ -56,6 +56,49 @@ func driveMarked(t *testing.T, db *chimera.DB, blocks, perBlock, classes int) []
 	return trace
 }
 
+// driveChain runs the workload in the order of a precedence chain
+// create(c) < delete(c) < modify(c.n) < … against a single-session
+// database and returns the trace of per-rule marks after every block.
+// Each round, for each class in turn, it creates two objects, deletes
+// one and modifies the other, each step a block of its own, so every
+// round advances each class's chains by three links.
+func driveChain(t *testing.T, db *chimera.DB, rounds, classes int) []string {
+	t.Helper()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace []string
+	block := func(step func() error) {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.EndLine(); err != nil {
+			t.Fatal(err)
+		}
+		trace = append(trace, marksFingerprint(t, tx))
+	}
+	for r := 0; r < rounds; r++ {
+		for c := 0; c < classes; c++ {
+			var oids [2]types.OID
+			block(func() (err error) {
+				for i := range oids {
+					if oids[i], err = tx.Create(ClassName(c), map[string]types.Value{"n": types.Int(int64(r))}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			block(func() error { return tx.Delete(oids[0]) })
+			block(func() error { return tx.Modify(oids[1], "n", types.Int(int64(r+1))) })
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return trace
+}
+
 // sharedLiftProgram renders, for each of k classes, immediate rules that
 // driveMarked's creates and modifies trigger: two instance conjunctions
 // over one leaf set, create(cK) += modify(cK.n) and its commuted form,
@@ -89,9 +132,11 @@ func sharedLiftProgram(k int) string {
 // and with a generous (never-tripping) budget. Both must produce an
 // identical block-by-block triggering trace: budget instrumentation may
 // change how much work evaluation does, never what the rules observe.
-// The shared-lift program's trace must not be vacuous: it holds a
-// triggered mark and rules considered at different instants, so lifts
-// over one leaf set are probed at different horizons.
+// No program's trace may be vacuous: each shows rules considered at
+// different instants — the prec-chain program, whose chains only a drive
+// in their own order completes, through driveChain — and the shared-lift
+// program's also holds a triggered mark, so lifts over one leaf set are
+// probed at different horizons.
 func TestTorture_Differential_DegradationModes(t *testing.T) {
 	programs := map[string]string{
 		"deep-nest":   AdversarialProgram(41, 6, 18, 3),
@@ -107,14 +152,16 @@ func TestTorture_Differential_DegradationModes(t *testing.T) {
 			traces := make(map[string][]string)
 			for cname, opts := range configs {
 				db := loadDB(t, opts, program)
-				traces[cname] = driveMarked(t, db, 12, 6, 3)
+				if pname == "prec-chain" {
+					traces[cname] = driveChain(t, db, 7, 3)
+				} else {
+					traces[cname] = driveMarked(t, db, 12, 6, 3)
+				}
 			}
 			want := traces["optimized"]
-			if pname == "shared-lift" {
-				triggered, horizons := traceCoverage(want)
-				if triggered == 0 || len(horizons) < 2 {
-					t.Fatalf("vacuous trace: %d triggered marks, %d distinct last considerations %v", triggered, len(horizons), horizons)
-				}
+			triggered, horizons := traceCoverage(want)
+			if len(horizons) < 2 || pname == "shared-lift" && triggered == 0 {
+				t.Fatalf("vacuous trace: %d triggered marks, %d distinct last considerations %v", triggered, len(horizons), horizons)
 			}
 			for cname, got := range traces {
 				if len(got) != len(want) {

@@ -31,10 +31,11 @@
 # The IQR and the worsening compare with the bound as fractions of the
 # parent's median.
 #
-# After the pairs, each workload gets one traced pass (--trace 1) per
-# side, the parent's first, and a last table prints every per-layer
-# metric of BENCHMARK.json as the parent's value and the change's. One
-# pass per side places a change in a layer; it is no verdict.
+# After the pairs, each workload gets three traced passes (--trace 1) per
+# side, alternating which side goes first as the pairs do, and a last
+# table prints every per-layer metric of BENCHMARK.json as the median of
+# the parent's three passes and of the change's. The medians place a
+# change in a layer; they are no verdict.
 set -euo pipefail
 parent=${1:?usage: b0-pairs.sh <parent-rev> [pairs] [seed] [seconds] [workloads] [out]}
 pairs=${2:-10} seed=${3:-7} secs=${4:-10} workloads=${5:-stream_rules}
@@ -62,9 +63,14 @@ for ((i = 1; i <= pairs; i++)); do
 		fi
 	done
 done
-for w in $workloads; do
-	pass parent "$tree" "$w" trace 1
-	pass change "$root" "$w" trace 1
+for i in 1 2 3; do
+	for w in $workloads; do
+		if ((i % 2)); then
+			pass parent "$tree" "$w" "trace$i" 1 && pass change "$root" "$w" "trace$i" 1
+		else
+			pass change "$root" "$w" "trace$i" 1 && pass parent "$tree" "$w" "trace$i" 1
+		fi
+	done
 done
 
 # value <side> <workload> <pair> <metric>: the metric of one pass, or nothing.
@@ -115,11 +121,16 @@ for w in $workloads; do
 	done
 done
 
-# The traced passes: every per-layer metric, parent and change side by side.
-num() { if [[ -n $1 ]]; then printf '%.6g' "$1"; else printf -- -; fi; }
-printf '\ntraced pass, one per side\n%-13s %-34s %13s %13s\n' workload metric parent change
+# The traced passes: every per-layer metric, the median of each side's
+# passes side by side.
+median() {
+	local i
+	for i in 1 2 3; do value "$1" "$2" "trace$i" "$3"; done |
+		sort -g | awk '{ v[NR] = $1 } END { if (NR) printf "%.6g", NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2; else printf "-" }'
+}
+printf '\ntraced passes, median of three per side\n%-13s %-34s %13s %13s\n' workload metric parent change
 for w in $workloads; do
 	jq -r '.per_layer[].name' "$root/BENCHMARK.json" | while read -r m; do
-		printf '%-13s %-34s %13s %13s\n' "$w" "$m" "$(num "$(value parent "$w" trace "$m")")" "$(num "$(value change "$w" trace "$m")")"
+		printf '%-13s %-34s %13s %13s\n' "$w" "$m" "$(median parent "$w" "$m")" "$(median change "$w" "$m")"
 	done
 done
