@@ -19,10 +19,9 @@ race:
 # every test of the five packages whose state several goroutines reach
 # — the store's transaction lines and snapshot readers, the engine's
 # sessions, group commit and recovery, the Trigger Support's concurrent
-# sessions and its block-boundary index, the evaluators' lifts (each
-# with its own fold tables) beside an appender of the Event Base they
-# read, and the Event Base's readers racing appends into a segment's
-# list arena and compaction — twice, with GOMAXPROCS pinned to 4 so
+# sessions and its block-boundary index, and the event-type registry's
+# lock-free lookups racing registrations (an Event Base itself has one
+# owner and no lock) — twice, with GOMAXPROCS pinned to 4 so
 # goroutines genuinely interleave even on small CI runners. Selected by
 # package, not by test name: a new test cannot be left out by a regex
 # nobody updated.

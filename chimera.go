@@ -97,7 +97,7 @@ var (
 	// past Options.TimeBudget; roll back the transaction.
 	ErrDeadlineExceeded = engine.ErrDeadlineExceeded
 	// ErrEventLimit is returned (wrapped) by an event-logging operation
-	// refused by Options.MaxEvents / Options.MaxSegments.
+	// refused by Options.MaxEvents.
 	ErrEventLimit = engine.ErrEventLimit
 	// ErrRuleLimit is returned (wrapped) when a rule cascade exceeds
 	// Options.MaxRuleExecutions.

@@ -110,17 +110,16 @@ func (pe *PlanEval) Explain(id NodeID, t, since clock.Time) ExplainNode {
 // window in order of first appearance otherwise — and one child per
 // object, its ots read from the lift's fold.
 func (pe *PlanEval) explainLift(id NodeID, n *planNode, node ExplainNode, t, since clock.Time) ExplainNode {
-	pe.rd = pe.base.Read()
 	defer pe.endFold()
 	pe.fold(n.set, t, since)
 	objs := pe.touched
 	if !n.safe {
-		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)
+		pe.oidScratch = pe.base.AppendObjs(pe.oidScratch[:0], since, t)
 		objs = pe.oidScratch
 	}
 	var oids []types.OID
 	for _, oi := range objs {
-		oids = append(oids, pe.rd.OID(oi))
+		oids = append(oids, pe.base.OID(oi))
 	}
 	if n.safe {
 		slices.Sort(oids)
@@ -131,7 +130,7 @@ func (pe *PlanEval) explainLift(id NodeID, n *planNode, node ExplainNode, t, sin
 	}
 	node.Note = fmt.Sprintf("%s over %d object(s)", quant, len(oids))
 	for _, oid := range oids {
-		oi := pe.rd.ObjID(oid)
+		oi := pe.base.ObjID(oid)
 		node.Children = append(node.Children, ExplainNode{
 			Expr:  fmt.Sprintf("ots for %s", oid),
 			Value: pe.ots(id, t, since, oi, pe.row(oi)),

@@ -22,8 +22,7 @@ import (
 
 // probeDomain is a lift's object domain over (since, t]: the objects node
 // id's own types touched if restrict is set, every object of the window
-// otherwise, as interned ids, ascending. It scans the base's window and
-// must run outside a read section.
+// otherwise, as interned ids, ascending. It scans the base's window.
 func (pe *PlanEval) probeDomain(id NodeID, restrict bool, t, since clock.Time) []int32 {
 	pe.Budget.Charge()
 	pe.evals++
@@ -34,11 +33,9 @@ func (pe *PlanEval) probeDomain(id NodeID, restrict bool, t, since clock.Time) [
 			oids = append(oids, occ.OID)
 		}
 	}
-	rd := pe.base.Read()
-	defer rd.Done()
 	var ois []int32
 	for _, oid := range oids {
-		ois = append(ois, rd.ObjID(oid))
+		ois = append(ois, pe.base.ObjID(oid))
 	}
 	slices.Sort(ois)
 	return slices.Compact(ois)
@@ -49,8 +46,6 @@ func (pe *PlanEval) probeDomain(id NodeID, restrict bool, t, since clock.Time) [
 func (pe *PlanEval) probeLift(id NodeID, t, since clock.Time) TS {
 	n := &pe.plan.nodes[id]
 	oids := pe.probeDomain(id, n.safe, t, since)
-	pe.rd = pe.base.Read()
-	defer pe.rd.Done()
 	if n.key.op == planNot {
 		best := TS(t)
 		for i, oi := range oids {
@@ -73,12 +68,10 @@ func (pe *PlanEval) probeLift(id NodeID, t, since clock.Time) TS {
 func (pe *PlanEval) probeAffected(id NodeID, t, since clock.Time) []types.OID {
 	restrict := !VacuouslyActive(pe.plan.nodes[id].expr)
 	domain := pe.probeDomain(id, restrict, t, since)
-	pe.rd = pe.base.Read()
-	defer pe.rd.Done()
 	var out []types.OID
 	for _, oi := range domain {
 		if pe.ots(id, t, since, oi, -1).Active() {
-			out = append(out, pe.rd.OID(oi))
+			out = append(out, pe.base.OID(oi))
 		}
 	}
 	if restrict {
@@ -228,11 +221,9 @@ func TestFoldMatchesProbeLift(t *testing.T) {
 						}
 						ois := oracle.probeDomain(roots[i], true, now, since)
 						var domain []types.OID
-						rd := base.Read()
 						for _, oi := range ois {
-							domain = append(domain, rd.OID(oi))
+							domain = append(domain, base.OID(oi))
 						}
-						rd.Done()
 						slices.Sort(domain)
 						if !slices.Equal(touched, domain) {
 							t.Fatalf("seg %d trial %d: objects %s's types touched since %d = %v, want %v", seg, trial, e, since, touched, domain)

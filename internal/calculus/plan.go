@@ -357,9 +357,8 @@ func (p *Plan) SharedNodes(minRefs int) []SharedNode {
 // hashes no Type and no OID.
 //
 // Besides ts it answers the two event formulas of Section 3.3 over a node
-// (AffectedObjects, ActivationTimes), each in one read section of the
-// base, and explains a triggering verdict (explain.go). Env is the
-// definition it is held to.
+// (AffectedObjects, ActivationTimes) and explains a triggering verdict
+// (explain.go). Env is the definition it is held to.
 //
 // A PlanEval is stateful scratch: one per goroutine. The underlying Plan
 // may be shared read-only across evaluators.
@@ -412,10 +411,8 @@ type PlanEval struct {
 	registry *event.Registry
 	planVer  uint64
 
-	// rd is the read section a lift or a query holds over its fold and
-	// ots probes. oidScratch holds a window's objects, times a query's
-	// probe instants.
-	rd         event.Reader
+	// oidScratch holds a window's objects, times a query's probe
+	// instants.
 	oidScratch []int32
 	times      []clock.Time
 
@@ -507,7 +504,7 @@ func (pe *PlanEval) Bind(base *event.Base, floor clock.Time) {
 // Unbind drops the evaluator's references to its Event Base, so an idle
 // evaluator keeps no transaction's log alive.
 func (pe *PlanEval) Unbind() {
-	pe.base, pe.rd = nil, event.Reader{}
+	pe.base = nil
 }
 
 // resolve resolves the plan's leaves against reg, registering the types
@@ -698,10 +695,7 @@ func (pe *PlanEval) primTS(id NodeID, t, since clock.Time) (TS, span) {
 
 // lastOf is prim node id's last occurrence in (floor, t].
 func (pe *PlanEval) lastOf(id NodeID, t clock.Time) clock.Time {
-	rd := pe.base.Read()
-	last := rd.LastOfTID(pe.primTID[id], pe.floor, t)
-	rd.Done()
-	return last
+	return pe.base.LastOfTID(pe.primTID[id], pe.floor, t)
 }
 
 // lift mirrors Env.lift on the DAG: universal lift for instance
@@ -711,11 +705,8 @@ func (pe *PlanEval) lastOf(id NodeID, t clock.Time) clock.Time {
 // vacuous ots, which counts only when the node is not restrictionSafe
 // and (since, t] holds such an object. At the generation's instant the
 // fold may be a kept one from a lower horizon: its rows with no stamp
-// above since are objects the leaves did not touch in (since, t]. All of
-// it runs in one read section of the base; nothing below calls a locking
-// Base method.
+// above since are objects the leaves did not touch in (since, t].
 func (pe *PlanEval) lift(id NodeID, n *planNode, t, since clock.Time) TS {
-	pe.rd = pe.base.Read()
 	defer pe.endFold() // a budget fault unwinds through here
 	if t == pe.cur {
 		pe.foldKept(n.set, t, since)
@@ -736,7 +727,7 @@ func (pe *PlanEval) lift(id NodeID, n *planNode, t, since clock.Time) TS {
 		best = liftStep(univ, best, pe.ots(id, t, since, oi, r))
 	}
 	if !n.safe {
-		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)
+		pe.oidScratch = pe.base.AppendObjs(pe.oidScratch[:0], since, t)
 		if len(pe.oidScratch) > live { // some object no leaf touched
 			best = liftStep(univ, best, pe.ots(id, t, since, event.NoObj, -1))
 		}
@@ -788,13 +779,13 @@ func (pe *PlanEval) openFold(s int32, t, since clock.Time) {
 	}
 }
 
-// fold walks the leaves of fold set s over (since, t] in one pass, inside
-// the caller's read section, onto the arena's end: every object those
-// primitive types touched in the window lands in touched, with the newest
-// stamp of each of those types on it. Until endFold, ots at instant t
-// reads a prim's stamp from the fold instead of probing the base; an
-// object the fold did not touch reads no stamp at all, which is its ots.
-// The fold counts as one computed node.
+// fold walks the leaves of fold set s over (since, t] in one pass, onto
+// the arena's end: every object those primitive types touched in the
+// window lands in touched, with the newest stamp of each of those types
+// on it. Until endFold, ots at instant t reads a prim's stamp from the
+// fold instead of probing the base; an object the fold did not touch
+// reads no stamp at all, which is its ots. The fold counts as one
+// computed node.
 func (pe *PlanEval) fold(s int32, t, since clock.Time) {
 	pe.Budget.Charge()
 	pe.evals++
@@ -809,7 +800,7 @@ func (pe *PlanEval) fold(s int32, t, since clock.Time) {
 		pe.growRows(k)
 	}
 	for c, leaf := range pe.leaves {
-		pe.rd.ForLeaf(pe.primTID[leaf], since, t, func(oi int32, at clock.Time) {
+		pe.base.ForLeaf(pe.primTID[leaf], since, t, func(oi int32, at clock.Time) {
 			r := pe.rowFor(oi, k)      // may grow cells
 			pe.cells[pe.c0+r*k+c] = at // the leaf is in time order: the newest stamp lands last
 		})
@@ -886,12 +877,10 @@ func (pe *PlanEval) growRows(k int) {
 	}
 }
 
-// endFold ends the fold and the read section it ran in, and cuts the
-// fold off the arena unless it is kept.
+// endFold ends the fold and cuts it off the arena unless it is kept.
 func (pe *PlanEval) endFold() {
 	pe.foldAt = clock.Never
 	pe.objs, pe.cells = pe.objs[:pe.keepObjs], pe.cells[:pe.keepCells]
-	pe.rd.Done()
 }
 
 // AffectedObjects appends to dst the objects for which node id is active
@@ -915,21 +904,20 @@ func (pe *PlanEval) AffectedWindow(dst, window []types.OID, id NodeID, t, since 
 // affected is AffectedWindow, or AffectedObjects if window is nil.
 func (pe *PlanEval) affected(dst []types.OID, window *[]types.OID, id NodeID, t, since clock.Time) []types.OID {
 	n := &pe.plan.nodes[id]
-	pe.rd = pe.base.Read()
 	defer pe.endFold() // a budget fault unwinds through here
 	pe.fold(n.set, t, since)
 	if window != nil {
 		start := len(*window)
 		for _, oi := range pe.touched {
-			*window = append(*window, pe.rd.OID(oi))
+			*window = append(*window, pe.base.OID(oi))
 		}
 		slices.Sort((*window)[start:])
 	}
 	if VacuouslyActive(n.expr) {
-		pe.oidScratch = pe.rd.AppendObjs(pe.oidScratch[:0], since, t)
+		pe.oidScratch = pe.base.AppendObjs(pe.oidScratch[:0], since, t)
 		for _, oi := range pe.oidScratch {
 			if pe.ots(id, t, since, oi, pe.row(oi)).Active() {
-				dst = append(dst, pe.rd.OID(oi))
+				dst = append(dst, pe.base.OID(oi))
 			}
 		}
 		return dst
@@ -938,7 +926,7 @@ func (pe *PlanEval) affected(dst []types.OID, window *[]types.OID, id NodeID, t,
 	for r, oi := range pe.touched {
 		// A primitive is active for exactly the objects its type touched.
 		if n.key.op == planPrim || pe.ots(id, t, since, oi, r).Active() {
-			dst = append(dst, pe.rd.OID(oi))
+			dst = append(dst, pe.base.OID(oi))
 		}
 	}
 	slices.Sort(dst[start:])
@@ -949,10 +937,8 @@ func (pe *PlanEval) affected(dst []types.OID, window *[]types.OID, id NodeID, t,
 // an occurrence of node id arises for object oid, ots(E, t', oid) = t' —
 // the at(E, X, T) instants of Section 3.3, as Env.ActivationTimes.
 func (pe *PlanEval) ActivationTimes(dst []clock.Time, id NodeID, t, since clock.Time, oid types.OID) []clock.Time {
-	pe.rd = pe.base.Read()
-	defer pe.rd.Done() // a budget fault unwinds through here
-	oi := pe.rd.ObjID(oid)
-	pe.times = pe.rd.AppendArrivals(pe.times[:0], since, t)
+	oi := pe.base.ObjID(oid)
+	pe.times = pe.base.AppendArrivals(pe.times[:0], since, t)
 	for _, at := range pe.times {
 		if pe.ots(id, at, since, oi, -1) == TS(at) {
 			dst = append(dst, at)
@@ -962,15 +948,14 @@ func (pe *PlanEval) ActivationTimes(dst []clock.Time, id NodeID, t, since clock.
 }
 
 // ots mirrors Env.OTS on the DAG, for the object with interned id oid
-// (event.NoObj for one the base never logged), inside the caller's read
-// section. At the instant of an open fold a primitive — one of the fold's
-// leaves, as every ots there is — reads its stamp from oid's row of the
-// fold, row (-1 if the fold did not touch oid), and a stamp at or below
-// since, which a kept fold from a lower horizon holds, is none; at any
-// other instant
-// (an instance precedence's left operand, which is probed at its right
-// operand's activation instant, or an ActivationTimes probe) it probes
-// the base, and row is not read.
+// (event.NoObj for one the base never logged). At the instant of an open
+// fold a primitive — one of the fold's leaves, as every ots there is —
+// reads its stamp from oid's row of the fold, row (-1 if the fold did not
+// touch oid), and a stamp at or below since, which a kept fold from a
+// lower horizon holds, is none; at any other instant (an instance
+// precedence's left operand, which is probed at its right operand's
+// activation instant, or an ActivationTimes probe) it probes the base,
+// and row is not read.
 func (pe *PlanEval) ots(id NodeID, t, since clock.Time, oid int32, row int) TS {
 	pe.Budget.Charge()
 	n := &pe.plan.nodes[id]
@@ -979,7 +964,7 @@ func (pe *PlanEval) ots(id NodeID, t, since clock.Time, oid int32, row int) TS {
 	case planPrim:
 		last := clock.Never
 		if t != pe.foldAt {
-			last = pe.rd.LastOfObjTID(pe.primTID[id], oid, since, t)
+			last = pe.base.LastOfObjTID(pe.primTID[id], oid, since, t)
 		} else if row >= 0 {
 			last = pe.stamps[row*len(pe.leaves)+int(pe.leafCol[id])]
 		}

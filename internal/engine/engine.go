@@ -64,9 +64,8 @@ var ErrGasExhausted = calculus.ErrGasExhausted
 var ErrDeadlineExceeded = calculus.ErrDeadlineExceeded
 
 // ErrEventLimit is returned (wrapped) when an append would grow a
-// transaction's Event Base past Options.MaxEvents/MaxSegments — the
-// explicit error that replaces unbounded memory growth. Aliases
-// event.ErrLimit.
+// transaction's Event Base past Options.MaxEvents — the explicit error
+// that replaces unbounded memory growth. Aliases event.ErrLimit.
 var ErrEventLimit = event.ErrLimit
 
 // Body is the condition/action pair of a rule (the triggering state is
@@ -103,10 +102,6 @@ type Options struct {
 	// without limit — the guard against a transaction outrunning its
 	// consumption watermark.
 	MaxEvents int
-	// MaxSegments bounds the live segments of one transaction's Event
-	// Base (MaxSegments × SegmentSize occurrences, in coarser units);
-	// 0 = unlimited. Same error and contract as MaxEvents.
-	MaxSegments int
 	// DisableCompaction keeps every occurrence of a transaction in the
 	// Event Base instead of retiring segments below the consumption
 	// low-watermark at block boundaries. Compaction is semantically
@@ -174,9 +169,6 @@ func (o Options) Validate() error {
 	}
 	if o.MaxEvents < 0 {
 		return fmt.Errorf("engine: negative MaxEvents %d", o.MaxEvents)
-	}
-	if o.MaxSegments < 0 {
-		return fmt.Errorf("engine: negative MaxSegments %d", o.MaxSegments)
 	}
 	if o.Durability.enabled() {
 		if o.Durability.SyncInterval < 0 {
@@ -370,10 +362,9 @@ func (db *DB) Stats() Stats {
 // counters of transactions that hit them — the data behind the shell's
 // `show limits`.
 type Limits struct {
-	GasLimit    int64
-	TimeBudget  time.Duration
-	MaxEvents   int
-	MaxSegments int
+	GasLimit   int64
+	TimeBudget time.Duration
+	MaxEvents  int
 	// MaxRuleExecutions is the per-transaction rule-cascade bound.
 	MaxRuleExecutions int
 	// Kill counters (see Stats).
@@ -389,7 +380,6 @@ func (db *DB) Limits() Limits {
 		GasLimit:          db.opts.GasLimit,
 		TimeBudget:        db.opts.TimeBudget,
 		MaxEvents:         db.opts.MaxEvents,
-		MaxSegments:       db.opts.MaxSegments,
 		MaxRuleExecutions: db.opts.MaxRuleExecutions,
 		GasKills:          db.stats.gasKills.Load(),
 		DeadlineKills:     db.stats.deadlineKills.Load(),
@@ -596,7 +586,7 @@ func (db *DB) Begin() (*Txn, error) { return db.begin(db.clock.Now()) }
 func (db *DB) begin(start clock.Time) (*Txn, error) {
 	base := db.types.NewBase(db.opts.SegmentSize)
 	base.SetMetrics(db.baseMetrics)
-	base.SetLimits(db.opts.MaxEvents, db.opts.MaxSegments)
+	base.SetLimits(db.opts.MaxEvents)
 	t := &Txn{db: db, base: base, multi: db.multiSession()}
 	if db.opts.GasLimit > 0 || db.opts.TimeBudget > 0 {
 		var deadline time.Time
@@ -945,7 +935,8 @@ func (t *Txn) Get(oid types.OID) (*object.Object, bool) {
 	return t.line.Get(oid)
 }
 
-// Base exposes the transaction's Event Base (read-only use). Unless
+// Base exposes the transaction's Event Base, for read-only use on the
+// transaction's goroutine: like the Txn, a Base has one owner. Unless
 // Options.DisableCompaction is set, windows reaching below every rule's
 // horizon (the consumption low-watermark) may observe only the live
 // remainder of the log — compaction retires segments no rule can see.

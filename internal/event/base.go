@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 
 	"chimera/internal/clock"
 	"chimera/internal/metrics"
@@ -148,25 +147,19 @@ const maxSpares = 2
 // unbounded stream of fresh objects grows its interner without bound;
 // the chimera_eb_distinct_oids gauge shows the slope.
 //
-// # Concurrency
+// # Ownership
 //
-// Base is explicitly safe for any number of concurrent readers: every
-// read path takes the internal RWMutex in shared mode and either copies
-// results or appends into a buffer the caller owns. A loop of probes
-// takes it once, through a read section (Read, Reader). The one
-// exception, ChunkCols, returns slices aliasing a segment's columns —
-// safe because sealed segments are immutable and the tail segment is
-// append-only: existing entries are never moved or overwritten, and
-// compaction only unlinks whole segments from the chain, never
-// relocating live data, so previously returned columns stay valid (the
-// garbage collector keeps them alive; a retired segment's index storage
-// may be reused, its columns never are) even across appends and
-// compactions. Appends and CompactBelow take the mutex exclusively; the
-// engine additionally serializes writers per transaction (one open
-// transaction owns the Base), so readers racing a writer observe either
-// the pre-append or the post-append log, never a torn state.
+// A Base is not safe for concurrent use: one goroutine drives it, the
+// one that owns its transaction line (the engine gives every line its
+// own Base). Its probes are plain methods that lock nothing. ChunkCols
+// returns slices aliasing a segment's columns, and they stay valid
+// across later appends and compactions: sealed segments are immutable,
+// the tail segment is append-only (existing entries are never moved or
+// overwritten), and compaction only unlinks whole segments from the
+// chain, never relocating live data (the garbage collector keeps the
+// columns alive; a retired segment's index storage may be reused, its
+// columns never are).
 type Base struct {
-	mu      sync.RWMutex
 	reg     *Registry
 	segSize int
 	segs    []*segment // live segments, ascending by time stamp
@@ -188,12 +181,11 @@ type Base struct {
 	floor       clock.Time
 	retired     int
 	retiredSegs int
-	// Capacity bounds on the *live* window (SetLimits; 0 = unlimited).
-	// They bound what compaction cannot: a transaction whose rules'
-	// consumption watermark keeps up stays far under the limits forever,
-	// while one outrunning its watermark hits ErrLimit instead of OOM.
-	maxEvents   int
-	maxSegments int
+	// maxEvents bounds the *live* window (SetLimits; 0 = unlimited). It
+	// bounds what compaction cannot: a transaction whose rules'
+	// consumption watermark keeps up stays far under it forever, while
+	// one outrunning its watermark hits ErrLimit instead of OOM.
+	maxEvents int
 	// retention is the streaming window bound (SetRetention; 0 = none):
 	// compaction may retire occurrences more than retention ticks behind
 	// the current instant regardless of the consumption watermark.
@@ -478,27 +470,18 @@ func (r *Registry) NewBase(segSize int) *Base {
 // Registry returns the registry whose ids the base's type columns hold.
 func (b *Base) Registry() *Registry { return b.reg }
 
-// SetMetrics installs the instrument set. Call before the Base is
-// shared between goroutines (the engine installs it at Begin).
-func (b *Base) SetMetrics(m BaseMetrics) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m = m
-}
+// SetMetrics installs the instrument set (the engine installs it at
+// Begin).
+func (b *Base) SetMetrics(m BaseMetrics) { b.m = m }
 
-// SetLimits bounds the live window: at most maxEvents retained
-// occurrences and maxSegments live segments (0 = unlimited). An append
-// that would exceed either bound fails with a wrapped ErrLimit before
-// any state changes — the base stays fully usable, and compaction
-// (CompactBelow) frees room for further appends. The limits govern
-// live, not total, volume: what they bound is the memory component the
-// watermark cannot, a transaction whose rules stop consuming.
-func (b *Base) SetLimits(maxEvents, maxSegments int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.maxEvents = maxEvents
-	b.maxSegments = maxSegments
-}
+// SetLimits bounds the live window to at most maxEvents retained
+// occurrences (0 = unlimited). An append that would exceed it fails
+// with a wrapped ErrLimit before any state changes — the base stays
+// fully usable, and compaction (CompactBelow) frees room for further
+// appends. The limit governs live, not total, volume: what it bounds is
+// the memory component the watermark cannot, a transaction whose rules
+// stop consuming.
+func (b *Base) SetLimits(maxEvents int) { b.maxEvents = maxEvents }
 
 // SetRetention declares a logical-time retention window for streaming
 // consumption: occurrences older than window ticks behind the current
@@ -511,38 +494,27 @@ func (b *Base) SetLimits(maxEvents, maxSegments int) {
 // operator's window effectively starts at the retention bound, so
 // occurrences older than the window can no longer contribute to
 // triggering (DESIGN.md §15).
-func (b *Base) SetRetention(window clock.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.retention = window
-}
+func (b *Base) SetRetention(window clock.Time) { b.retention = window }
 
 // Retention returns the window SetRetention declared (0 = none).
-func (b *Base) Retention() clock.Time {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.retention
-}
+func (b *Base) Retention() clock.Time { return b.retention }
 
 // RetentionBound lifts a consumption watermark to the retention floor:
 // the compaction bound at instant now is the higher of the rule-set
 // watermark and now minus the retention window. With no retention
 // configured the watermark passes through unchanged.
 func (b *Base) RetentionBound(wm, now clock.Time) clock.Time {
-	b.mu.RLock()
-	w := b.retention
-	b.mu.RUnlock()
-	if w <= 0 {
+	if b.retention <= 0 {
 		return wm
 	}
-	if bound := now - w; bound > wm {
+	if bound := now - b.retention; bound > wm {
 		return bound
 	}
 	return wm
 }
 
 // growLatest extends latest, which does not cover type id tid, with
-// clock.Never up to tid. Callers hold the write lock.
+// clock.Never up to tid.
 func (b *Base) growLatest(tid int32) {
 	b.latest = slices.Grow(b.latest, int(tid)+1-len(b.latest))
 	for int(tid) >= len(b.latest) {
@@ -552,7 +524,7 @@ func (b *Base) growLatest(tid int32) {
 }
 
 // latestOf is the newest time stamp of type tid, clock.Never if the base
-// holds none. Callers hold the mutex.
+// holds none.
 func (b *Base) latestOf(tid int32) clock.Time {
 	if uint(tid) < uint(len(b.latest)) {
 		return b.latest[tid]
@@ -560,9 +532,9 @@ func (b *Base) latestOf(tid int32) clock.Time {
 	return clock.Never
 }
 
-// internOIDLocked interns oid; ids ascend in first-arrival order, which
-// is exactly the global rank OIDs sorts by. Callers hold the write lock.
-func (b *Base) internOIDLocked(oid types.OID) int32 {
+// internOID interns oid; ids ascend in first-arrival order, which is
+// exactly the global rank OIDs sorts by.
+func (b *Base) internOID(oid types.OID) int32 {
 	if id, ok := b.oidIDs[oid]; ok {
 		return id
 	}
@@ -573,8 +545,7 @@ func (b *Base) internOIDLocked(oid types.OID) int32 {
 	return id
 }
 
-// occAt materializes the occurrence at index i of sg. Callers hold the
-// mutex (read suffices).
+// occAt materializes the occurrence at index i of sg.
 func (b *Base) occAt(sg *segment, i int) Occurrence {
 	return Occurrence{
 		EID:       sg.firstEID + EID(i),
@@ -604,7 +575,7 @@ func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (int32, error) {
 }
 
 // append is Append and AppendTID: one append resolves the type and
-// interns the object once and takes the lock once.
+// interns the object once.
 func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) {
 	if err := t.Valid(); err != nil {
 		return 0, 0, err
@@ -614,8 +585,6 @@ func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) 
 	if !ok {
 		tid = b.reg.Intern(t)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.nextID > 0 && at <= b.lastTS {
 		return 0, 0, fmt.Errorf(
 			"event: non-monotone time stamp t%d after t%d", at, b.lastTS)
@@ -624,16 +593,11 @@ func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) 
 		return 0, 0, fmt.Errorf(
 			"%w: %d live occurrences (MaxEvents %d)", ErrLimit, b.live, b.maxEvents)
 	}
-	tailRoom := len(b.segs) > 0 && b.segs[len(b.segs)-1].n() < b.segSize
-	if !tailRoom && b.maxSegments > 0 && len(b.segs) >= b.maxSegments {
-		return 0, 0, fmt.Errorf(
-			"%w: %d live segments (MaxSegments %d)", ErrLimit, len(b.segs), b.maxSegments)
-	}
 	b.nextID++
 
 	var sg *segment
-	if tailRoom {
-		sg = b.segs[len(b.segs)-1]
+	if n := len(b.segs); n > 0 && b.segs[n-1].n() < b.segSize {
+		sg = b.segs[n-1]
 		if sg.n() == cap(sg.ts) {
 			sg.columns(min(2*sg.n(), b.segSize))
 		}
@@ -641,7 +605,7 @@ func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) 
 		sg = b.open()
 	}
 	idx := int32(sg.n())
-	oi := b.internOIDLocked(oid)
+	oi := b.internOID(oid)
 	sg.ts = append(sg.ts, at)
 	sg.tids = append(sg.tids, tid)
 	sg.oids = append(sg.oids, oi)
@@ -670,7 +634,7 @@ func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) 
 // a new segment starts with empty tables and an arena with room for
 // eight occurrences that each open two lists. Only a base's first
 // segment starts with columns for fewer than the segment size:
-// firstRows, what a short transaction logs. Callers hold the write lock.
+// firstRows, what a short transaction logs.
 func (b *Base) open() *segment {
 	var prev, sg *segment
 	if n := len(b.segs); n > 0 {
@@ -743,8 +707,6 @@ func (sg *segment) columns(rows int) {
 // after every in-flight consideration window has been fully read (see
 // DESIGN.md §8).
 func (b *Base) CompactBelow(watermark clock.Time) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	cut := 0
 	n := 0
 	for cut < len(b.segs) && b.segs[cut].maxTS() <= watermark {
@@ -790,56 +752,26 @@ func (b *Base) CompactBelow(watermark clock.Time) int {
 // Every retained occurrence is strictly above it; windows reaching at or
 // below it observe only the live remainder. Floor is clock.Never while
 // nothing has been retired.
-func (b *Base) Floor() clock.Time {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.floor
-}
+func (b *Base) Floor() clock.Time { return b.floor }
 
 // Len returns the number of occurrences currently retained (appended and
 // not yet retired by compaction).
-func (b *Base) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.live
-}
-
-// Extent returns Len, Segments and Floor read under one lock, so that
-// the three describe the same instant even beside a compaction.
-func (b *Base) Extent() (live, segments int, floor clock.Time) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.live, len(b.segs), b.floor
-}
+func (b *Base) Len() int { return b.live }
 
 // Retired returns the number of occurrences retired by compaction.
-func (b *Base) Retired() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.retired
-}
+func (b *Base) Retired() int { return b.retired }
 
 // Segments returns the number of live segments; RetiredSegments the
 // number retired so far. The pair bounds the base's storage footprint:
 // live memory is Segments × segment size regardless of how many
 // occurrences the transaction has logged.
-func (b *Base) Segments() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.segs)
-}
+func (b *Base) Segments() int { return len(b.segs) }
 
 // RetiredSegments returns the number of segments retired by compaction.
-func (b *Base) RetiredSegments() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.retiredSegs
-}
+func (b *Base) RetiredSegments() int { return b.retiredSegs }
 
 // All returns a copy of the retained log in arrival order.
 func (b *Base) All() []Occurrence {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	out := make([]Occurrence, 0, b.live)
 	for _, sg := range b.segs {
 		for i := 0; i < sg.n(); i++ {
@@ -849,50 +781,28 @@ func (b *Base) All() []Occurrence {
 	return out
 }
 
-// Reader is a read section over a Base: it holds the base's lock in
-// shared mode from Read to Done, and its probes do not lock. The
-// function that owns a loop of probes (a lift over an object domain, an
-// occurred() window) opens one around the loop and pays for the lock
-// once instead of once per leaf. While a section is open its goroutine
-// must call no locking method of the same Base: a shared lock
-// re-acquired behind a waiting writer deadlocks. Defer Done when
-// anything inside may panic (budget faults do).
-//
-// The id-typed probes are the implementation; the Type-keyed methods of
-// Reader and Base resolve ids once and call them.
-type Reader struct{ b *Base }
-
-// Read opens a read section.
-func (b *Base) Read() Reader {
-	b.mu.RLock()
-	return Reader{b}
-}
-
-// Done closes the section.
-func (r Reader) Done() { r.b.mu.RUnlock() }
-
 // NoObj stands for an object the base never interned: every probe on it
 // finds nothing.
 const NoObj int32 = -2
 
 // ObjID returns oid's interned id, or NoObj if no occurrence on it was
 // ever logged.
-func (r Reader) ObjID(oid types.OID) int32 {
-	if oi, ok := r.b.oidIDs[oid]; ok {
+func (b *Base) ObjID(oid types.OID) int32 {
+	if oi, ok := b.oidIDs[oid]; ok {
 		return oi
 	}
 	return NoObj
 }
 
 // OID returns the object with interned id oi.
-func (r Reader) OID(oi int32) types.OID { return r.b.oidsByID[oi] }
+func (b *Base) OID(oi int32) types.OID { return b.oidsByID[oi] }
 
 // LastOfObjTID returns the time stamp of the most recent occurrence in
 // the window (since, upTo] of the type with id tid on the object with id
 // oi, or clock.Never if there is none; it backs ots(E, t, oid). Segments
-// are walked newest-first.
-func (r Reader) LastOfObjTID(tid, oi int32, since, upTo clock.Time) clock.Time {
-	b := r.b
+// are walked newest-first. The id-typed probes are the implementation;
+// the Type-keyed ones resolve ids once and call them.
+func (b *Base) LastOfObjTID(tid, oi int32, since, upTo clock.Time) clock.Time {
 	if since >= upTo || b.latestOf(tid) <= since {
 		return clock.Never
 	}
@@ -923,35 +833,26 @@ func (r Reader) LastOfObjTID(tid, oi int32, since, upTo clock.Time) clock.Time {
 
 // LastOfTID is LastOfObjTID on any object: the primitive lookup behind
 // ts(E, t) over R = (since, now].
-func (r Reader) LastOfTID(tid int32, since, upTo clock.Time) clock.Time {
-	return r.LastOfObjTID(tid, anyObj, since, upTo)
+func (b *Base) LastOfTID(tid int32, since, upTo clock.Time) clock.Time {
+	return b.LastOfObjTID(tid, anyObj, since, upTo)
 }
 
-// LastOfObj is LastOfObjTID for a Type and an OID.
-func (r Reader) LastOfObj(t Type, oid types.OID, since, upTo clock.Time) clock.Time {
-	tid, ok := r.b.reg.lookup(t)
-	oi, seen := r.b.oidIDs[oid]
-	if !ok || !seen {
-		return clock.Never
-	}
-	return r.LastOfObjTID(tid, oi, since, upTo)
-}
-
-// LastOf is LastOfTID for a Type, under its own lock.
+// LastOf is LastOfTID for a Type.
 func (b *Base) LastOf(t Type, since, upTo clock.Time) clock.Time {
-	r := b.Read()
-	defer r.Done()
 	if tid, ok := b.reg.lookup(t); ok {
-		return r.LastOfTID(tid, since, upTo)
+		return b.LastOfTID(tid, since, upTo)
 	}
 	return clock.Never
 }
 
-// LastOfObj is Reader.LastOfObj under its own lock.
+// LastOfObj is LastOfObjTID for a Type and an OID.
 func (b *Base) LastOfObj(t Type, oid types.OID, since, upTo clock.Time) clock.Time {
-	r := b.Read()
-	defer r.Done()
-	return r.LastOfObj(t, oid, since, upTo)
+	tid, ok := b.reg.lookup(t)
+	oi, seen := b.oidIDs[oid]
+	if !ok || !seen {
+		return clock.Never
+	}
+	return b.LastOfObjTID(tid, oi, since, upTo)
 }
 
 // occurrences returns the occurrences in (since, upTo] of type t on
@@ -974,8 +875,6 @@ func (b *Base) occurrences(t Type, oi int32, since, upTo clock.Time) []Occurrenc
 // OccurrencesOfObj returns the occurrences of type t on object oid in the
 // window (since, upTo].
 func (b *Base) OccurrencesOfObj(t Type, oid types.OID, since, upTo clock.Time) []Occurrence {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	if oi, ok := b.oidIDs[oid]; ok {
 		return b.occurrences(t, oi, since, upTo)
 	}
@@ -984,7 +883,7 @@ func (b *Base) OccurrencesOfObj(t Type, oid types.OID, since, upTo clock.Time) [
 
 // forRanges calls fn for each live segment range [lo:hi] covering
 // (since, upTo], in ascending time order. fn returning false stops the
-// walk. Callers hold the mutex.
+// walk.
 func (b *Base) forRanges(since, upTo clock.Time, fn func(sg *segment, lo, hi int) bool) {
 	if since >= upTo {
 		return
@@ -1014,8 +913,6 @@ func (b *Base) Window(since, upTo clock.Time) []Occurrence {
 // allocation-free in steady state. Hot loops walk ChunkCols instead and
 // skip the row materialization entirely.
 func (b *Base) AppendWindow(dst []Occurrence, since, upTo clock.Time) []Occurrence {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
 		for i := lo; i < hi; i++ {
 			dst = append(dst, b.occAt(sg, i))
@@ -1045,8 +942,6 @@ type Cols struct {
 // columns, with no Occurrence materialization at all.
 func (b *Base) ChunkCols(since, upTo clock.Time) Cols {
 	var c Cols
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
 		c = Cols{
 			TS:   sg.ts[lo:hi],
@@ -1069,14 +964,7 @@ func (b *Base) Arrivals(since, upTo clock.Time) []clock.Time {
 // returns the extended slice (the buffer-reusing variant of Arrivals),
 // straight from the timestamp column.
 func (b *Base) AppendArrivals(dst []clock.Time, since, upTo clock.Time) []clock.Time {
-	r := b.Read()
-	defer r.Done()
-	return r.AppendArrivals(dst, since, upTo)
-}
-
-// AppendArrivals is Base.AppendArrivals inside the read section.
-func (r Reader) AppendArrivals(dst []clock.Time, since, upTo clock.Time) []clock.Time {
-	r.b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
+	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
 		dst = append(dst, sg.ts[lo:hi]...)
 		return true
 	})
@@ -1086,8 +974,6 @@ func (r Reader) AppendArrivals(dst []clock.Time, since, upTo clock.Time) []clock
 // CountArrivals returns the number of occurrences in (since, upTo]
 // without materializing them.
 func (b *Base) CountArrivals(since, upTo clock.Time) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	n := 0
 	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
 		n += hi - lo
@@ -1104,8 +990,6 @@ func (b *Base) Empty(since, upTo clock.Time) bool { return b.Newest(upTo) <= sin
 // before upTo, or clock.Never if there is none: every window (since,
 // upTo] with since below it is non-empty, every other one empty.
 func (b *Base) Newest(upTo clock.Time) clock.Time {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	for i := len(b.segs) - 1; i >= 0; i-- {
 		if k := b.segs[i].after(upTo); k > 0 {
 			return b.segs[i].ts[k-1]
@@ -1118,11 +1002,9 @@ func (b *Base) Newest(upTo clock.Time) clock.Time {
 // (since, upTo], in order of first appearance in the transaction. This
 // is the object domain of the instance-oriented lifts ("oid ∈ R").
 func (b *Base) OIDs(since, upTo clock.Time) []types.OID {
-	r := b.Read()
-	defer r.Done()
 	var oids []types.OID
-	for _, oi := range r.AppendObjs(nil, since, upTo) {
-		oids = append(oids, r.OID(oi))
+	for _, oi := range b.AppendObjs(nil, since, upTo) {
+		oids = append(oids, b.oidsByID[oi])
 	}
 	return oids
 }
@@ -1155,8 +1037,8 @@ func sortDedup(dst []int32, start int) []int32 {
 // AppendObjs appends the interned ids of the distinct objects of
 // (since, upTo] to dst, ascending — which for ids is the order of first
 // appearance in the transaction — and returns the extended slice.
-func (r Reader) AppendObjs(dst []int32, since, upTo clock.Time) []int32 {
-	return sortDedup(appendObjs(r.b, dst, since, upTo), len(dst))
+func (b *Base) AppendObjs(dst []int32, since, upTo clock.Time) []int32 {
+	return sortDedup(appendObjs(b, dst, since, upTo), len(dst))
 }
 
 // ForLeaf calls fn with the interned object id and the time stamp of
@@ -1164,8 +1046,7 @@ func (r Reader) AppendObjs(dst []int32, since, upTo clock.Time) []int32 {
 // order: it reads each live segment's leaf of the type (cut to the window
 // on a segment the window cuts) and the ts and oids columns it points
 // into, hashing no object and allocating nothing.
-func (r Reader) ForLeaf(tid int32, since, upTo clock.Time, fn func(oi int32, at clock.Time)) {
-	b := r.b
+func (b *Base) ForLeaf(tid int32, since, upTo clock.Time, fn func(oi int32, at clock.Time)) {
 	if b.latestOf(tid) <= since {
 		return
 	}
@@ -1187,8 +1068,6 @@ func (r Reader) ForLeaf(tid int32, since, upTo clock.Time, fn func(oi int32, at 
 
 // String renders the retained base as the table of Figure 3.
 func (b *Base) String() string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var sb strings.Builder
 	sb.WriteString("EID | event-type | OID | timestamp\n")
 	for _, sg := range b.segs {

@@ -81,8 +81,6 @@ type BaseState struct {
 // the immutable segment columns (no copy); the tail frame is copied, so
 // the export stays consistent even if appends continue afterwards.
 func (b *Base) ExportState() (BaseState, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	st := BaseState{
 		Meta: BaseMeta{
 			SegSize:     b.segSize,
@@ -123,8 +121,6 @@ func (b *Base) ExportState() (BaseState, error) {
 // retired segments plus live full ones. Ordinals [RetiredSegments(),
 // SealedSegments()) are the live sealed frames.
 func (b *Base) SealedSegments() uint64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	n := b.retiredSegs
 	for _, sg := range b.segs {
 		if sg.n() == b.segSize {

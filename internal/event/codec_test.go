@@ -252,8 +252,6 @@ func TestRestoreBaseValidation(t *testing.T) {
 // (Meta.RetiredSegs ≤ ord < RetiredSegs + sealed count), aliasing its
 // immutable columns.
 func (b *Base) SealedFrame(ord uint64) (SegmentFrame, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	i := int(ord) - b.retiredSegs
 	if i < 0 || i >= len(b.segs) || b.segs[i].n() != b.segSize {
 		return SegmentFrame{}, fmt.Errorf("event: no sealed segment with ordinal %d", ord)

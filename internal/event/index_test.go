@@ -84,7 +84,7 @@ func (o *oracle) oids(tys []Type, byRank bool, since, upTo clock.Time) []types.O
 // checkAgainstOracle compares every Type-keyed probe of b, and its
 // id-typed twin, with the naive scan, over random windows and over a
 // vocabulary that includes a type never interned and an object never
-// seen. The locking probes run first, the Reader's inside one section.
+// seen.
 func checkAgainstOracle(t *testing.T, tag string, r *rand.Rand, b *Base, o *oracle, vocab []Type, objects int, now clock.Time) {
 	t.Helper()
 	o.all = b.All()
@@ -135,7 +135,6 @@ func checkAgainstOracle(t *testing.T, tag string, r *rand.Rand, b *Base, o *orac
 			t.Fatalf("%s: Newest = %d, want %d", at, b.Newest(upTo), want)
 		}
 
-		rd := b.Read()
 		var tids []int32
 		for _, ty := range vocab {
 			tid, interned := b.reg.lookup(ty)
@@ -149,40 +148,39 @@ func checkAgainstOracle(t *testing.T, tag string, r *rand.Rand, b *Base, o *orac
 			if slices.Contains(tys, ty) {
 				tids = append(tids, tid)
 			}
-			if got := rd.LastOfTID(tid, since, upTo); got != want {
+			if got := b.LastOfTID(tid, since, upTo); got != want {
 				t.Fatalf("%s: LastOfTID(%v) = %d, want %d", at, ty, got, want)
 			}
 			var gotLeaf, wantLeaf []Occurrence
 			for _, occ := range o.occurrences(ty, 0, true, since, upTo) {
 				wantLeaf = append(wantLeaf, Occurrence{Type: ty, OID: occ.OID, Timestamp: occ.Timestamp})
 			}
-			rd.ForLeaf(tid, since, upTo, func(oi int32, ts clock.Time) {
-				gotLeaf = append(gotLeaf, Occurrence{Type: ty, OID: rd.OID(oi), Timestamp: ts})
+			b.ForLeaf(tid, since, upTo, func(oi int32, ts clock.Time) {
+				gotLeaf = append(gotLeaf, Occurrence{Type: ty, OID: b.OID(oi), Timestamp: ts})
 			})
 			if !slices.Equal(gotLeaf, wantLeaf) {
 				t.Fatalf("%s: ForLeaf(%v) = %v, want %v", at, ty, gotLeaf, wantLeaf)
 			}
 			for oid := types.OID(1); oid <= types.OID(objects)+1; oid++ {
 				want := o.lastOf(ty, oid, false, since, upTo)
-				if got := rd.LastOfObj(ty, oid, since, upTo); got != want {
-					t.Fatalf("%s: Reader.LastOfObj(%v, %v) = %d, want %d", at, ty, oid, got, want)
+				if got := b.LastOfObj(ty, oid, since, upTo); got != want {
+					t.Fatalf("%s: LastOfObj(%v, %v) = %d, want %d", at, ty, oid, got, want)
 				}
 				if oi, seen := b.oidIDs[oid]; seen {
-					if got := rd.LastOfObjTID(tid, oi, since, upTo); got != want {
+					if got := b.LastOfObjTID(tid, oi, since, upTo); got != want {
 						t.Fatalf("%s: LastOfObjTID(%v, %v) = %d, want %d", at, ty, oid, got, want)
 					}
 				}
 			}
 		}
-		if got := oidsOf(b, rd.AppendObjs(nil, since, upTo)); !slices.Equal(got, wantAll) {
+		if got := oidsOf(b, b.AppendObjs(nil, since, upTo)); !slices.Equal(got, wantAll) {
 			t.Fatalf("%s: AppendObjs = %v, want %v", at, got, wantAll)
 		}
-		got := oidsOf(b, rd.AppendObjsOfTIDs(nil, tids, since, upTo))
+		got := oidsOf(b, b.AppendObjsOfTIDs(nil, tids, since, upTo))
 		slices.Sort(got)
 		if !slices.Equal(got, wantOfTypes) {
 			t.Fatalf("%s: AppendObjsOfTIDs(%v) = %v, want %v", at, tys, got, wantOfTypes)
 		}
-		rd.Done()
 	}
 }
 
@@ -617,9 +615,7 @@ func TestProbesAllocateNothing(t *testing.T) {
 	}
 	buf := make([]int32, 0, 64)
 	if a := testing.AllocsPerRun(1000, func() {
-		rd := small.Read()
-		buf = rd.AppendObjs(buf[:0], 100, 4000)
-		rd.Done()
+		buf = small.AppendObjs(buf[:0], 100, 4000)
 		small.LastOfObj(tys[1], 5, 100, 4000)
 	}); a != 0 {
 		t.Errorf("probes across segments: %v allocs/op, want 0", a)
@@ -627,9 +623,7 @@ func TestProbesAllocateNothing(t *testing.T) {
 	tid, _ := small.reg.lookup(tys[1])
 	var newest clock.Time
 	if a := testing.AllocsPerRun(1000, func() {
-		rd := small.Read()
-		rd.ForLeaf(tid, 100, 4000, func(_ int32, at clock.Time) { newest = max(newest, at) })
-		rd.Done()
+		small.ForLeaf(tid, 100, 4000, func(_ int32, at clock.Time) { newest = max(newest, at) })
 	}); a != 0 {
 		t.Errorf("ForLeaf across segments: %v allocs/op, want 0", a)
 	}

@@ -12,16 +12,12 @@ import (
 // DistinctOIDs returns the number of distinct objects ever logged
 // (retired occurrences included).
 func (b *Base) DistinctOIDs() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	return len(b.oidsByID)
 }
 
 // Appended returns the total number of occurrences ever appended,
 // including retired ones.
 func (b *Base) Appended() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	return b.live + b.retired
 }
 
@@ -31,8 +27,6 @@ func (b *Base) Appended() int {
 // most recent occurrence of a type is a fact about the whole
 // transaction, not about the live window).
 func (b *Base) Latest(t Type) clock.Time {
-	r := b.Read()
-	defer r.Done()
 	if tid, ok := b.reg.lookup(t); ok {
 		return b.latestOf(tid)
 	}
@@ -42,16 +36,12 @@ func (b *Base) Latest(t Type) clock.Time {
 // OccurrencesOf returns all occurrences of type t in the window
 // (since, upTo], in time order.
 func (b *Base) OccurrencesOf(t Type, since, upTo clock.Time) []Occurrence {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	return b.occurrences(t, anyObj, since, upTo)
 }
 
 // OIDsOfTypes returns the distinct objects affected by occurrences of any
 // of the given types in (since, upTo], in ascending OID order.
 func (b *Base) OIDsOfTypes(ts []Type, since, upTo clock.Time) []types.OID {
-	r := b.Read()
-	defer r.Done()
 	var tids []int32
 	for _, t := range ts {
 		if tid, ok := b.reg.lookup(t); ok {
@@ -59,8 +49,8 @@ func (b *Base) OIDsOfTypes(ts []Type, since, upTo clock.Time) []types.OID {
 		}
 	}
 	var oids []types.OID
-	for _, oi := range r.AppendObjsOfTIDs(nil, tids, since, upTo) {
-		oids = append(oids, r.OID(oi))
+	for _, oi := range b.AppendObjsOfTIDs(nil, tids, since, upTo) {
+		oids = append(oids, b.OID(oi))
 	}
 	slices.Sort(oids)
 	return oids
@@ -69,10 +59,10 @@ func (b *Base) OIDsOfTypes(ts []Type, since, upTo clock.Time) []types.OID {
 // AppendObjsOfTIDs is AppendObjs restricted to the objects touched by
 // occurrences of the given types, ascending by interned id: the objects
 // of the types' leaves.
-func (r Reader) AppendObjsOfTIDs(dst []int32, tids []int32, since, upTo clock.Time) []int32 {
+func (b *Base) AppendObjsOfTIDs(dst []int32, tids []int32, since, upTo clock.Time) []int32 {
 	start := len(dst)
 	for _, tid := range tids {
-		r.ForLeaf(tid, since, upTo, func(oi int32, _ clock.Time) { dst = append(dst, oi) })
+		b.ForLeaf(tid, since, upTo, func(oi int32, _ clock.Time) { dst = append(dst, oi) })
 	}
 	return sortDedup(dst, start)
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -339,10 +338,13 @@ func TestViewsSurviveCompaction(t *testing.T) {
 }
 
 // TestViewsStableAcrossSealsColumnar pins the aliasing contract:
-// ChunkCols columns taken at every stage — inside an unsealed tail
-// segment, before later appends seal it, and before CompactBelow — keep
-// their exact contents through all of it, and those contents are the
-// window as a copy taken at capture time.
+// ChunkCols columns and ExportState frames taken at every stage — inside
+// an unsealed tail segment, before later appends seal it, and before
+// CompactBelow retires the segments they came from — keep their exact
+// contents through all of it, and those contents are the window as a
+// copy taken at capture time. The appends roll over onto recycled
+// segments, whose index storage compaction handed back: at each stage
+// the index probes must still agree with the columns.
 func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	col := NewBaseSize(4)
@@ -351,30 +353,58 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 	type snap struct {
 		since, upTo clock.Time
 		cols        Cols
+		copied      Cols         // the columns as they were at capture time
 		want        []Occurrence // deep copy at capture time
 	}
 	var snaps []snap
-
-	ts := clock.Time(0)
-	for i := 0; i < 120; i++ {
-		ts += clock.Time(1 + r.Intn(2))
-		ty := vocab[r.Intn(len(vocab))]
-		oid := types.OID(1 + r.Intn(5))
-		if _, err := col.Append(ty, oid, ts); err != nil {
+	clone := func(c Cols) Cols {
+		return Cols{TS: slices.Clone(c.TS), TIDs: slices.Clone(c.TIDs), OIDs: slices.Clone(c.OIDs), EID0: c.EID0}
+	}
+	// frames are ExportState's frames, copies the same frames copied when
+	// they were exported.
+	var frames, copies []SegmentFrame
+	export := func() {
+		st, err := col.ExportState()
+		if err != nil {
 			t.Fatal(err)
 		}
-		// Capture columns mid-stream — including from the unsealed tail
-		// (i not a multiple of the segment size) — so later appends write
-		// into the very arrays the columns alias.
-		if i%7 == 3 {
-			since := ts - clock.Time(r.Intn(6)+1)
-			s := snap{
-				since: since,
-				upTo:  ts,
-				cols:  col.ChunkCols(since, ts),
-				want:  col.Window(since, ts), // a copy, never an alias
+		if st.Tail != nil {
+			st.Sealed = append(st.Sealed, *st.Tail)
+		}
+		for _, f := range st.Sealed {
+			frames = append(frames, f)
+			copies = append(copies, SegmentFrame{
+				FirstEID: f.FirstEID, TS: slices.Clone(f.TS), TIDs: slices.Clone(f.TIDs), OIDs: slices.Clone(f.OIDs),
+			})
+		}
+	}
+
+	ts := clock.Time(0)
+	appendSome := func(n int) {
+		for i := 0; i < n; i++ {
+			ts += clock.Time(1 + r.Intn(2))
+			ty := vocab[r.Intn(len(vocab))]
+			oid := types.OID(1 + r.Intn(5))
+			if _, err := col.Append(ty, oid, ts); err != nil {
+				t.Fatal(err)
 			}
-			snaps = append(snaps, s)
+			// Capture columns mid-stream — including from the unsealed tail
+			// (i not a multiple of the segment size) — so later appends write
+			// into the very arrays the columns alias.
+			if i%7 == 3 {
+				since := ts - clock.Time(r.Intn(6)+1)
+				c := col.ChunkCols(since, ts)
+				snaps = append(snaps, snap{
+					since:  since,
+					upTo:   ts,
+					cols:   c,
+					copied: clone(c),
+					want:   col.Window(since, ts), // a copy, never an alias
+				})
+			}
+			if i%11 == 5 {
+				export()
+			}
 		}
 	}
 
@@ -387,8 +417,28 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 					t.Fatalf("%s: ChunkCols(%d, %d) changed under the view", stage, s.since, s.upTo)
 				}
 			}
+			if !slices.Equal(s.cols.TIDs, s.copied.TIDs) || !slices.Equal(s.cols.OIDs, s.copied.OIDs) {
+				t.Fatalf("%s: ChunkCols(%d, %d)'s id columns changed under the view", stage, s.since, s.upTo)
+			}
+		}
+		for i, f := range frames {
+			c := copies[i]
+			if f.FirstEID != c.FirstEID || !slices.Equal(f.TS, c.TS) || !slices.Equal(f.TIDs, c.TIDs) || !slices.Equal(f.OIDs, c.OIDs) {
+				t.Fatalf("%s: exported frame %d (EID %d) changed", stage, i, f.FirstEID)
+			}
+		}
+		for k := 0; k < 8; k++ {
+			since := col.Floor() + clock.Time(r.Intn(40))
+			upTo := since + clock.Time(r.Intn(60))
+			for _, ty := range vocab {
+				if err := indexMatchesColumns(col, ty, since, upTo); err != nil {
+					t.Fatalf("%s: %v", stage, err)
+				}
+			}
 		}
 	}
+
+	appendSome(120)
 	check("after appends across seals")
 
 	mid := ts / 2
@@ -404,90 +454,33 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 		}
 	}
 	check("after post-compaction appends")
-}
 
-// TestConcurrentReadersWithCompaction stress-tests the reader paths
-// against a live appender and compactor under -race: readers walk
-// windows, column chunks and index lookups while segments are appended and
-// retired.
-func TestConcurrentReadersWithCompaction(t *testing.T) {
-	b := NewBaseSize(8)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	// Appender: the single writer, as in the engine.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ty := []Type{Create("c"), Modify("c", "a"), Delete("c")}
-		for i := 1; i <= 4000; i++ {
-			if _, err := b.Append(ty[i%3], types.OID(i%7+1), clock.Time(i)); err != nil {
-				panic(err)
-			}
-			if i%64 == 0 {
-				// Retire everything older than a trailing window.
-				b.CompactBelow(clock.Time(i - 200))
-			}
+	// A trailing window: every few roll-overs retire what the views and
+	// frames came from, and the next roll-overs reuse the retired
+	// segments' index storage.
+	for round := 0; round < 12; round++ {
+		appendSome(30)
+		if col.CompactBelow(ts-20) == 0 {
+			t.Fatalf("round %d: compaction retired nothing", round)
 		}
-		close(stop)
-	}()
-
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			ty := []Type{Create("c"), Modify("c", "a"), Delete("c")}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				floor := b.Floor()
-				since := floor + clock.Time(r.Intn(100))
-				upTo := since + clock.Time(r.Intn(150))
-				// Chunk walks must stay ascending and inside the window even
-				// while the compactor races past (the engine never lets the
-				// watermark overtake a live window; here we only require the
-				// walk to never yield torn or out-of-order data).
-				prev := since
-				lo := since
-				for {
-					c := b.ChunkCols(lo, upTo)
-					if len(c.TS) == 0 {
-						break
-					}
-					for _, ts := range c.TS {
-						if ts <= prev || ts > upTo {
-							panic("chunk walk out of window order")
-						}
-						prev = ts
-					}
-					lo = c.TS[len(c.TS)-1]
-				}
-				b.LastOf(ty[r.Intn(3)], since, upTo)
-				b.OIDs(since, upTo)
-				b.OIDsOfTypes(ty[:2], since, upTo)
-				b.Window(since, upTo)
-				if err := indexMatchesColumns(b, ty[r.Intn(3)], since, upTo); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(int64(w))
+		check(fmt.Sprintf("after trailing compaction %d", round))
 	}
-	wg.Wait()
+
+	// Retire the whole chain: the next segment has no live predecessor
+	// and starts from a spare.
+	col.CompactBelow(ts)
+	if col.Segments() != 0 {
+		t.Fatalf("%d segments live after retiring everything", col.Segments())
+	}
+	appendSome(40)
+	check("after appends onto a retired chain")
 }
 
-// indexMatchesColumns checks, inside one read section, the index-backed
-// probes of type ty over (since, upTo] — LastOfTID, ForLeaf and
-// AppendObjs — against a scan of the window's columns. A roll-over that
-// reset a spare's tables under an open section would break the equality,
-// or show as a race.
+// indexMatchesColumns checks the index-backed probes of type ty over
+// (since, upTo] — LastOfTID, ForLeaf and AppendObjs — against a scan of
+// the window's columns. A roll-over that reset a spare's tables a live
+// segment still used would break the equality.
 func indexMatchesColumns(b *Base, ty Type, since, upTo clock.Time) error {
-	rd := b.Read()
-	defer rd.Done()
 	tid, interned := b.reg.lookup(ty)
 	if !interned {
 		return nil
@@ -513,14 +506,14 @@ func indexMatchesColumns(b *Base, ty Type, since, upTo clock.Time) error {
 	if len(leaf) > 0 {
 		last = leaf[len(leaf)-1].at
 	}
-	if got := rd.LastOfTID(tid, since, upTo); got != last {
+	if got := b.LastOfTID(tid, since, upTo); got != last {
 		return fmt.Errorf("LastOfTID(%v) over (%d, %d] = %d, the columns say %d", ty, since, upTo, got, last)
 	}
-	rd.ForLeaf(tid, since, upTo, func(oi int32, at clock.Time) { gotLeaf = append(gotLeaf, row{oi, at}) })
+	b.ForLeaf(tid, since, upTo, func(oi int32, at clock.Time) { gotLeaf = append(gotLeaf, row{oi, at}) })
 	if !slices.Equal(gotLeaf, leaf) {
 		return fmt.Errorf("ForLeaf(%v) over (%d, %d] = %v, the columns say %v", ty, since, upTo, gotLeaf, leaf)
 	}
-	if got := rd.AppendObjs(nil, since, upTo); !slices.Equal(got, objs) {
+	if got := b.AppendObjs(nil, since, upTo); !slices.Equal(got, objs) {
 		return fmt.Errorf("AppendObjs over (%d, %d] = %v, the columns say %v", since, upTo, got, objs)
 	}
 	return nil

@@ -467,7 +467,6 @@ func (s *Shell) show(c lang.CmdShow) error {
 			fmt.Fprintf(s.out, "  %-18s unlimited\n", "time budget")
 		}
 		fmtLimit("max events", int64(lim.MaxEvents), "live occurrences/txn")
-		fmtLimit("max segments", int64(lim.MaxSegments), "live segments/txn")
 		fmtLimit("max rule execs", int64(lim.MaxRuleExecutions), "executions/txn")
 		fmt.Fprintf(s.out, "hit counters: gas kills %d, deadline kills %d, event-limit hits %d, rule-limit hits %d\n",
 			lim.GasKills, lim.DeadlineKills, lim.EventLimitHits, lim.RuleLimitHits)

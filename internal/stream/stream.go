@@ -167,10 +167,17 @@ type Stats struct {
 	QueueDepth int
 	// LiveEvents / LiveSegments / Floor describe the session's Event
 	// Base window: what retention plus the low-watermark compactor
-	// currently retain, read at one instant.
+	// retained at the end of the last sweep.
 	LiveEvents   int
 	LiveSegments int
 	Floor        clock.Time
+}
+
+// extent is the Event Base window a sweep ended with, the part of Stats
+// only the sweep goroutine can read: the line's Base is its alone.
+type extent struct {
+	live, segments int
+	floor          clock.Time
 }
 
 // Stream is a live stream session. Emit/Raise are safe for concurrent
@@ -212,8 +219,9 @@ type Stream struct {
 
 	mu       sync.Mutex
 	txn      *engine.Txn
-	lastErr  error // most recent batch error (observability)
-	finalErr error // Close/terminal outcome
+	window   extent // the line's window after its last sweep
+	lastErr  error  // most recent batch error (observability)
+	finalErr error  // Close/terminal outcome
 }
 
 // Open starts a stream session over db: it opens the session's
@@ -432,11 +440,9 @@ func (s *Stream) Stats() Stats {
 	st.Enqueued, st.Dropped, st.QueueDepth = s.enqueued, s.dropped, s.n
 	s.qmu.Unlock()
 	s.mu.Lock()
-	txn := s.txn
+	w := s.window
 	s.mu.Unlock()
-	if txn != nil {
-		st.LiveEvents, st.LiveSegments, st.Floor = txn.Base().Extent()
-	}
+	st.LiveEvents, st.LiveSegments, st.Floor = w.live, w.segments, w.floor
 	return st
 }
 
@@ -489,7 +495,7 @@ func (s *Stream) run() {
 			if _, _, terminal := s.drainAndSweep(batch, batchStart); !terminal {
 				s.mu.Lock()
 				txn := s.txn
-				s.txn = nil
+				s.txn, s.window = nil, extent{}
 				s.mu.Unlock()
 				if err := txn.Commit(); err != nil {
 					s.mu.Lock()
@@ -591,9 +597,13 @@ func (s *Stream) sweep(batch []Event, batchStart time.Time, idle bool) (error, b
 		s.m.batchEvents.Observe(int64(n))
 		s.m.sweepLag.Observe(s.src.Since(batchStart).Nanoseconds())
 	}
-	live, segs, _ := txn.Base().Extent()
-	s.m.liveEvents.Set(int64(live))
-	s.m.liveSegments.Set(int64(segs))
+	base := txn.Base()
+	w := extent{base.Len(), base.Segments(), base.Floor()}
+	s.mu.Lock()
+	s.window = w
+	s.mu.Unlock()
+	s.m.liveEvents.Set(int64(w.live))
+	s.m.liveSegments.Set(int64(w.segments))
 	return nil, false
 }
 
@@ -609,7 +619,7 @@ func (s *Stream) batchFailed(batch []Event, err error) (error, bool) {
 	s.mu.Lock()
 	s.lastErr = be
 	txn := s.txn
-	s.txn = nil
+	s.txn, s.window = nil, extent{}
 	s.mu.Unlock()
 
 	txn.Rollback() //nolint:errcheck // the line is poisoned either way

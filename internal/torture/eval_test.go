@@ -207,28 +207,6 @@ func TestTorture_Error_MaxEvents(t *testing.T) {
 	}
 }
 
-func TestTorture_Error_MaxSegments(t *testing.T) {
-	opts := chimera.DefaultOptions()
-	opts.SegmentSize = 4
-	opts.MaxSegments = 2
-	opts.DisableCompaction = true
-	db := loadDB(t, opts, ClassSrc(1))
-	tx, err := db.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flood(tx, 8, 1); err != nil { // fills both segments exactly
-		t.Fatalf("appends within MaxSegments must succeed: %v", err)
-	}
-	_, err = tx.Create(ClassName(0), map[string]types.Value{"n": types.Int(9)})
-	if !errors.Is(err, chimera.ErrEventLimit) {
-		t.Fatalf("want ErrEventLimit when a third segment is needed, got %v", err)
-	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTorture_Error_RuleLimit(t *testing.T) {
 	// A self-triggering rule (create begets create) must stop at
 	// MaxRuleExecutions with the typed error and count the hit.
@@ -270,11 +248,10 @@ func TestTorture_Error_LimitsReport(t *testing.T) {
 	opts.GasLimit = 123
 	opts.TimeBudget = 7 * time.Second
 	opts.MaxEvents = 456
-	opts.MaxSegments = 9
 	db := chimera.OpenWith(opts)
 	lim := db.Limits()
 	if lim.GasLimit != 123 || lim.TimeBudget != 7*time.Second ||
-		lim.MaxEvents != 456 || lim.MaxSegments != 9 || lim.MaxRuleExecutions != 10000 {
+		lim.MaxEvents != 456 || lim.MaxRuleExecutions != 10000 {
 		t.Fatalf("Limits() does not reflect the configuration: %+v", lim)
 	}
 }
@@ -284,7 +261,6 @@ func TestTorture_Error_OptionsValidate(t *testing.T) {
 		func(o *chimera.Options) { o.GasLimit = -1 },
 		func(o *chimera.Options) { o.TimeBudget = -time.Second },
 		func(o *chimera.Options) { o.MaxEvents = -1 },
-		func(o *chimera.Options) { o.MaxSegments = -1 },
 	} {
 		opts := chimera.DefaultOptions()
 		mut(&opts)
