@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -474,6 +475,73 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 	}
 	appendSome(40)
 	check("after appends onto a retired chain")
+}
+
+// TestConcurrentReadersWithCompaction stress-tests the reader paths
+// under -race the way the engine runs them: every transaction line owns
+// its Base and drives it from its own goroutine, and all the Bases share
+// one Registry. Each goroutine appends, retires a trailing window and,
+// between appends, walks windows, column chunks and index lookups of its
+// own Base, while the other goroutines append, compact and register new
+// types in the shared Registry. A Base that kept state outside itself —
+// a shared spare pool or scratch buffer — shows as a race or as probes
+// that disagree with the columns.
+func TestConcurrentReadersWithCompaction(t *testing.T) {
+	reg := new(Registry)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			b := reg.NewBase(8)
+			r := rand.New(rand.NewSource(int64(w)))
+			// Create and Delete are shared by every line; the Modify type
+			// is this line's own, registered while the others probe.
+			ty := []Type{Create("c"), Modify("c", fmt.Sprintf("a%d", w)), Delete("c")}
+			for i := 1; i <= 4000; i++ {
+				if _, err := b.Append(ty[i%3], types.OID(i%7+1), clock.Time(i)); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%64 == 0 {
+					// Retire everything older than a trailing window.
+					b.CompactBelow(clock.Time(i - 200))
+				}
+				if i%16 != 0 {
+					continue
+				}
+				since := b.Floor() + clock.Time(r.Intn(100))
+				upTo := since + clock.Time(r.Intn(150))
+				// Chunk walks stay ascending and inside the window across
+				// the segments compaction has left.
+				prev := since
+				lo := since
+				for {
+					c := b.ChunkCols(lo, upTo)
+					if len(c.TS) == 0 {
+						break
+					}
+					for _, ts := range c.TS {
+						if ts <= prev || ts > upTo {
+							t.Errorf("line %d: chunk walk over (%d, %d] out of window order at %d", w, since, upTo, ts)
+							return
+						}
+						prev = ts
+					}
+					lo = c.TS[len(c.TS)-1]
+				}
+				b.LastOf(ty[r.Intn(3)], since, upTo)
+				b.OIDs(since, upTo)
+				b.OIDsOfTypes(ty[:2], since, upTo)
+				b.Window(since, upTo)
+				if err := indexMatchesColumns(b, ty[r.Intn(3)], since, upTo); err != nil {
+					t.Errorf("line %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // indexMatchesColumns checks the index-backed probes of type ty over
