@@ -31,6 +31,53 @@ func TestOneEvaluatorInProduction(t *testing.T) {
 		"Env":     "production code evaluates with calculus.PlanEval",
 		"NewPlan": "conditions are interned into the engine's condition plan",
 	}
+	walkModule(t, false, func(path string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, name := range importNames(f, "chimera/internal/calculus") {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+					if dirs, gated := allowed[sel.Sel.Name]; gated && !slices.Contains(dirs, dir) {
+						t.Errorf("%s names calculus.%s: %s", path, sel.Sel.Name, why[sel.Sel.Name])
+					}
+				}
+				return true
+			})
+		}
+	})
+}
+
+// The Trigger Support's kernel-only calls stay kernel-only: its
+// BeginTransaction opens the Session its NotifyArrivals, CheckTriggered,
+// Pick, Consider and Watermark call, for the benchmark's rules kernel,
+// which is another module. A program file of this module outside
+// internal/rules that calls a method named BeginTransaction fails here;
+// every transaction of the engine is a rules.Session of its own.
+func TestKernelOnlyCallsStayInTheKernel(t *testing.T) {
+	walkModule(t, false, func(path string, f *ast.File) {
+		if filepath.ToSlash(filepath.Dir(path)) == "internal/rules" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "BeginTransaction" {
+					t.Errorf("%s calls BeginTransaction: open a rules.Session with NewSession", path)
+				}
+			}
+			return true
+		})
+	})
+}
+
+// walkModule parses every Go file of this module — the test files only
+// when tests is set, the program files otherwise — skipping hidden
+// directories, testdata and nested modules (benchmark/), and hands each
+// to visit with its slash-separated path.
+func walkModule(t *testing.T, tests bool, visit func(path string, f *ast.File)) {
+	t.Helper()
 	files := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -48,7 +95,7 @@ func TestOneEvaluatorInProduction(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
 		files++
@@ -56,37 +103,23 @@ func TestOneEvaluatorInProduction(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		for _, name := range calculusNames(f) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
-					if dirs, gated := allowed[sel.Sel.Name]; gated && !slices.Contains(dirs, dir) {
-						t.Errorf("%s names calculus.%s: %s", path, sel.Sel.Name, why[sel.Sel.Name])
-					}
-				}
-				return true
-			})
-		}
+		visit(filepath.ToSlash(path), f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if files < 50 {
-		t.Fatalf("walked %d program files: the walk missed the module", files)
+		t.Fatalf("walked %d files: the walk missed the module", files)
 	}
 }
 
-// calculusNames returns the names f imports the calculus package under.
-func calculusNames(f *ast.File) []string {
+// importNames returns the names f imports the package path under.
+func importNames(f *ast.File, path string) []string {
 	var names []string
 	for _, imp := range f.Imports {
-		if path, _ := strconv.Unquote(imp.Path.Value); path == "chimera/internal/calculus" {
-			name := "calculus"
+		if p, _ := strconv.Unquote(imp.Path.Value); p == path {
+			name := filepath.Base(p)
 			if imp.Name != nil {
 				name = imp.Name.Name
 			}

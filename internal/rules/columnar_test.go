@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"chimera/internal/calculus"
-	"chimera/internal/clock"
 	"chimera/internal/event"
 	"chimera/internal/types"
 )
@@ -27,20 +26,16 @@ func TestColumnarSteadyStateAllocs(t *testing.T) {
 // boundary check above never enters the scan loop; this rewind drives
 // it at full depth every run.)
 func TestColumnarProbeScanSteadyStateAllocs(t *testing.T) {
-	b := event.NewBase()
-	c := clock.New()
-	s := NewSupport(b, Options{})
-	s.BeginTransaction(c.Now())
 	vocab := []event.Type{createStock, modStockQty, modShowQty, event.Delete("stock")}
 	// Never-triggering non-monotone rules: A ∧ ¬A is inactive at every
 	// instant, so the rules stay undecided through the whole scan and
 	// every arrival exercises the mention test and probe bookkeeping.
+	defs := make([]Def, len(vocab))
 	for i, ty := range vocab {
 		e := calculus.Conj(calculus.P(ty), calculus.Neg(calculus.P(ty)))
-		if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Event: e}); err != nil {
-			t.Fatal(err)
-		}
+		defs[i] = Def{Name: fmt.Sprintf("r%d", i), Event: e}
 	}
+	s, b, c := newSupport(t, defs...)
 	origin := c.Now()
 	for i := 0; i < 600; i++ { // spans 3 segments at the default size
 		if _, err := b.Append(vocab[i%len(vocab)], types.OID(i%5+1), c.Tick()); err != nil {
@@ -49,11 +44,11 @@ func TestColumnarProbeScanSteadyStateAllocs(t *testing.T) {
 	}
 	now := c.Tick()
 	rewind := func() {
-		s.line.sync()
-		for r := range s.line.marks {
-			m := &s.line.marks[r]
+		s.sync()
+		for r := range s.marks {
+			m := &s.marks[r]
 			m.lastProbe, m.pending = origin, false
-			s.line.arrive(int32(r)) // back on the worklist
+			s.arrive(int32(r)) // back on the worklist
 		}
 	}
 	for i := 0; i < 3; i++ {

@@ -1,7 +1,9 @@
 package rules
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -35,11 +37,14 @@ func costPrim(c, p int) event.Type {
 // C)` (B and C on one class) and `(A + B) , C`, drawn as the benchmark's
 // catalogue draws them; 4 096 events with a uniform class and object (8
 // per class), 5 % creations, 60 % modify(v) and 35 % modify(w); a check
-// every 16 events on a Session, each triggered rule considered at the
-// check instant. Per event: probes of the arrival walk (line.visits), ts
-// evaluations and triggerings.
+// every 16 events, each triggered rule considered at the check instant.
+// Per event: probes of the arrival walk (Session.visits), ts evaluations
+// and triggerings, and an FNV-1a hash of the firing trace — every
+// check's fired rules with their activation instants, in order. The
+// stream runs twice, on a Session and through the Support's kernel-only
+// calls, and both must read the same.
 func TestCost_StreamRules(t *testing.T) {
-	const classes, nrules, objects, events, block = 8, 300, 8, 4096, 16
+	const classes, nrules = 8, 300
 	r := rand.New(rand.NewSource(19960325))
 	prim := func() calculus.Expr { return calculus.P(costPrim(r.Intn(classes), r.Intn(3))) }
 	defs := make([]Def, nrules)
@@ -56,12 +61,45 @@ func TestCost_StreamRules(t *testing.T) {
 		}
 		defs[i] = Def{Name: fmt.Sprintf("r%04d", i), Event: e, Priority: i % 7}
 	}
+	const want = "19549 visits, 383123 ts evaluations, 18739 triggerings, trace 0x1a24017f4eba2f4c"
+
 	s := supportWith(t, defs)
 	b, c := event.NewBase(), clock.New()
 	sess := s.NewSession(b, c.Now())
 	defer sess.Release()
+	trace := costStream(t, b, c, func(occs []event.Occurrence) { sess.NotifyArrivals(tidsOf(b, occs)) }, sess, sess.Mark)
+	if got := costReading(sess, trace); got != want {
+		t.Errorf("on a Session: %s; want %s", got, want)
+	}
+
+	kb, kc := event.NewBase(), clock.New()
+	k := NewSupport(kb, Options{})
+	defineAll(t, k, defs)
+	k.BeginTransaction(kc.Now())
+	defer k.own.Release()
+	trace = costStream(t, kb, kc, k.NotifyArrivals, k, k.own.Mark)
+	if got := costReading(k.own, trace); got != want {
+		t.Errorf("through the kernel-only calls: %s; want %s", got, want)
+	}
+}
+
+// costLine is what the cost stream drives: a Session, or a Support's
+// kernel-only calls.
+type costLine interface {
+	CheckTriggered(now clock.Time) []string
+	Pick(filter func(Def) bool) (string, bool)
+	Consider(name string, now clock.Time) (Consideration, error)
+}
+
+// costStream appends TestCost_StreamRules' 4 096 events to b, hands each
+// block of 16 to announce, checks, considers every triggered rule at the
+// check instant, and returns the FNV-1a hash of the firing trace.
+func costStream(t *testing.T, b *event.Base, c *clock.Clock, announce func([]event.Occurrence), sub costLine, mark func(string) (Mark, bool)) uint64 {
+	t.Helper()
+	const classes, objects, events, block = 8, 8, 4096, 16
 	in := rand.New(rand.NewSource(7))
-	tids := make([]int32, 0, block)
+	trace := fnv.New64a()
+	occs := make([]event.Occurrence, 0, block)
 	for i := 0; i < events; i++ {
 		cl, p := in.Intn(classes), 2
 		if x := in.Intn(100); x < 5 {
@@ -69,32 +107,35 @@ func TestCost_StreamRules(t *testing.T) {
 		} else if x < 65 {
 			p = 1
 		}
-		tid, err := b.AppendTID(costPrim(cl, p), types.OID(1+cl*objects+in.Intn(objects)), c.Tick())
+		occ, err := b.Append(costPrim(cl, p), types.OID(1+cl*objects+in.Intn(objects)), c.Tick())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tids = append(tids, tid); len(tids) < block {
+		if occs = append(occs, occ); len(occs) < block {
 			continue
 		}
-		sess.NotifyArrivals(tids)
-		tids = tids[:0]
-		sess.CheckTriggered(c.Now())
+		announce(occs)
+		occs = occs[:0]
+		for _, name := range sub.CheckTriggered(c.Now()) {
+			m, _ := mark(name)
+			trace.Write([]byte(name))
+			trace.Write(binary.LittleEndian.AppendUint64(nil, uint64(m.TriggeredAt)))
+		}
 		for {
-			name, ok := sess.Pick(nil)
+			name, ok := sub.Pick(nil)
 			if !ok {
 				break
 			}
-			if _, err := sess.Consider(name, c.Now()); err != nil {
+			if _, err := sub.Consider(name, c.Now()); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	return trace.Sum64()
+}
+
+// costReading renders a Session's counters and a firing trace's hash.
+func costReading(sess *Session, trace uint64) string {
 	st := sess.Stats()
-	got := [3]int64{sess.visits, st.TsEvaluations, st.Triggerings}
-	want := [3]int64{19549, 383123, 18739}
-	if got != want {
-		t.Errorf("per event over %d events: %.3f visits, %.3f ts evaluations, %.3f triggerings (%v); want %.3f, %.3f, %.3f (%v)",
-			events, float64(got[0])/events, float64(got[1])/events, float64(got[2])/events, got,
-			float64(want[0])/events, float64(want[1])/events, float64(want[2])/events, want)
-	}
+	return fmt.Sprintf("%d visits, %d ts evaluations, %d triggerings, trace %#016x", sess.visits, st.TsEvaluations, st.Triggerings, trace)
 }

@@ -19,48 +19,48 @@ import (
 // yields — triggered set, watermark — and the worklist must hold every
 // rule a check would have to evaluate; the registry's ranks must be the
 // queue positions.
-func (l *line) checkIndex() error {
-	if l.stale {
+func (sess *Session) checkIndex() error {
+	if sess.stale {
 		return nil
 	}
-	if len(l.marks) != len(l.sup.ordered) {
-		return fmt.Errorf("%d marks for %d rules", len(l.marks), len(l.sup.ordered))
+	if len(sess.marks) != len(sess.sup.ordered) {
+		return fmt.Errorf("%d marks for %d rules", len(sess.marks), len(sess.sup.ordered))
 	}
-	words := (len(l.marks) + 63) >> 6
-	if len(l.queue) != words || len(l.trig) != words {
-		return fmt.Errorf("sets of %d and %d words for %d rules", len(l.queue), len(l.trig), len(l.marks))
+	words := (len(sess.marks) + 63) >> 6
+	if len(sess.queue) != words || len(sess.trig) != words {
+		return fmt.Errorf("sets of %d and %d words for %d rules", len(sess.queue), len(sess.trig), len(sess.marks))
 	}
 	has := func(b rankSet, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 	ntrig, queued := 0, 0
-	for _, w := range l.trig {
+	for _, w := range sess.trig {
 		ntrig += bits.OnesCount64(w)
 	}
-	for _, w := range l.queue {
+	for _, w := range sess.queue {
 		queued += bits.OnesCount64(w)
 	}
-	if ntrig != l.ntrig {
-		return fmt.Errorf("ntrig = %d, set holds %d", l.ntrig, ntrig)
+	if ntrig != sess.ntrig {
+		return fmt.Errorf("ntrig = %d, set holds %d", sess.ntrig, ntrig)
 	}
-	if queued > 0 && !l.queued {
+	if queued > 0 && !sess.queued {
 		return fmt.Errorf("worklist holds %d rules but is marked empty", queued)
 	}
-	for i, st := range l.sup.ordered {
-		m := l.marks[i]
+	for i, st := range sess.sup.ordered {
+		m := sess.marks[i]
 		if int(st.rank) != i {
 			return fmt.Errorf("rule %s at %d has rank %d", st.Def.Name, i, st.rank)
 		}
-		if has(l.trig, i) != m.triggered {
-			return fmt.Errorf("rule %s: triggered = %v, in the triggered set: %v", st.Def.Name, m.triggered, has(l.trig, i))
+		if has(sess.trig, i) != m.triggered {
+			return fmt.Errorf("rule %s: triggered = %v, in the triggered set: %v", st.Def.Name, m.triggered, has(sess.trig, i))
 		}
-		if m.pending && !m.triggered && !has(l.queue, i) {
+		if m.pending && !m.triggered && !has(sess.queue, i) {
 			return fmt.Errorf("rule %s is pending but not on the worklist", st.Def.Name)
 		}
 	}
-	min, holders := walkHorizon(l)
-	if len(l.marks) > 0 && (l.wmMin != min || l.wmHolders != holders) {
-		return fmt.Errorf("watermark %d held by %d, marks say %d held by %d", l.wmMin, l.wmHolders, min, holders)
+	min, holders := walkHorizon(sess)
+	if len(sess.marks) > 0 && (sess.wmMin != min || sess.wmHolders != holders) {
+		return fmt.Errorf("watermark %d held by %d, marks say %d held by %d", sess.wmMin, sess.wmHolders, min, holders)
 	}
-	return l.checkProbeIndex()
+	return sess.checkProbeIndex()
 }
 
 // checkedTable is an arrival table checkProbeIndex held to its
@@ -81,20 +81,17 @@ var tablesChecked = map[*Support]checkedTable{}
 // whose V(E) gives that type a Δ+ or Δ± variation, and then, in queue
 // order, the monotone ones; the match-all ranks are the non-monotone
 // rules' first as well, and probeAll is their prefix.
-func (l *line) checkProbeIndex() error {
-	if p := &l.probe; !p.walking {
+func (sess *Session) checkProbeIndex() error {
+	if p := &sess.probe; !p.walking {
 		for i, lo := range p.lo {
 			if lo != notProbing {
 				return fmt.Errorf("rank %d is still marked for the walk at %d", i, lo)
 			}
 		}
 	}
-	tb := &l.sup.listen
-	if !l.sup.derived {
-		return nil
-	}
-	seen := checkedTable{l.sup.ordered, tb.off, tb.probeEnd, tb.ranks, l.sup.matchAll}
-	if last, ok := tablesChecked[l.sup]; ok && slices.Equal(last.rules, seen.rules) &&
+	tb := &sess.sup.listen
+	seen := checkedTable{sess.sup.ordered, tb.off, tb.probeEnd, tb.ranks, sess.sup.matchAll}
+	if last, ok := tablesChecked[sess.sup]; ok && slices.Equal(last.rules, seen.rules) &&
 		slices.Equal(last.off, seen.off) && slices.Equal(last.probeEnd, seen.probeEnd) &&
 		slices.Equal(last.ranks, seen.ranks) && slices.Equal(last.matches, seen.matches) {
 		return nil
@@ -103,12 +100,12 @@ func (l *line) checkProbeIndex() error {
 		*ids = slices.Clone(*ids)
 	}
 	seen.rules = slices.Clone(seen.rules)
-	tablesChecked[l.sup] = seen
+	tablesChecked[sess.sup] = seen
 	n := len(tb.off) - 1
 	probes, rest := make([][]int32, n), make([][]int32, n)
 	var all, allMonotone []int32
 	for _, monotone := range []bool{false, true} {
-		for i, st := range l.sup.ordered {
+		for i, st := range sess.sup.ordered {
 			if st.monotone != monotone {
 				continue
 			}
@@ -121,7 +118,7 @@ func (l *line) checkProbeIndex() error {
 				continue
 			}
 			for _, ty := range st.Filter.RelevantTypes() {
-				tid := l.sup.reg.Intern(ty)
+				tid := sess.sup.reg.Intern(ty)
 				if int(tid) >= n {
 					return fmt.Errorf("rule %s listens to %v, which the table has no list for", st.Def.Name, ty)
 				}
@@ -133,8 +130,8 @@ func (l *line) checkProbeIndex() error {
 			}
 		}
 	}
-	if !slices.Equal(l.sup.probeAll, all) || !slices.Equal(l.sup.matchAll, append(all, allMonotone...)) {
-		return fmt.Errorf("match-all ranks %v probing %v, the rules say %v then %v", l.sup.matchAll, l.sup.probeAll, all, allMonotone)
+	if !slices.Equal(sess.sup.probeAll, all) || !slices.Equal(sess.sup.matchAll, append(all, allMonotone...)) {
+		return fmt.Errorf("match-all ranks %v probing %v, the rules say %v then %v", sess.sup.matchAll, sess.sup.probeAll, all, allMonotone)
 	}
 	for tid := int32(0); int(tid) < n; tid++ {
 		got := tb.probes(tid)
@@ -148,9 +145,9 @@ func (l *line) checkProbeIndex() error {
 	return nil
 }
 
-func verifyIndex(t *testing.T, l *line) {
+func verifyIndex(t *testing.T, sess *Session) {
 	t.Helper()
-	if err := l.checkIndex(); err != nil {
+	if err := sess.checkIndex(); err != nil {
 		t.Fatalf("index: %v", err)
 	}
 }
@@ -161,7 +158,7 @@ func verifyIndex(t *testing.T, l *line) {
 
 // walkBatch is the batch a check would examine, with the examined and
 // skipped counts the walk accumulates.
-func walkBatch(l *line) (batch []string, examined, skipped int64) {
+func walkBatch(l *Session) (batch []string, examined, skipped int64) {
 	for i, st := range l.sup.ordered {
 		if l.marks[i].triggered {
 			continue
@@ -176,7 +173,7 @@ func walkBatch(l *line) (batch []string, examined, skipped int64) {
 	return batch, examined, skipped
 }
 
-func walkTriggered(l *line, filter func(Def) bool) []string {
+func walkTriggered(l *Session, filter func(Def) bool) []string {
 	var out []string
 	for i, st := range l.sup.ordered {
 		if l.marks[i].triggered && (filter == nil || filter(st.Def)) {
@@ -186,7 +183,7 @@ func walkTriggered(l *line, filter func(Def) bool) []string {
 	return out
 }
 
-func walkHorizon(l *line) (min clock.Time, holders int) {
+func walkHorizon(l *Session) (min clock.Time, holders int) {
 	for i, m := range l.marks {
 		switch {
 		case i == 0 || m.lastConsideration < min:
@@ -198,7 +195,7 @@ func walkHorizon(l *line) (min clock.Time, holders int) {
 	return min, holders
 }
 
-func walkWatermark(l *line) clock.Time {
+func walkWatermark(l *Session) clock.Time {
 	if l.sup.preserving > 0 || len(l.marks) == 0 {
 		return l.txnStart
 	}
@@ -206,13 +203,11 @@ func walkWatermark(l *line) clock.Time {
 	return min
 }
 
-// walked drives one line (the Support's direct line or a Session's) and
-// compares every answer with the oracle's, computed from the same
-// marks.
+// walked drives one Session and compares every answer with the
+// oracle's, computed from the same marks.
 type walked struct {
 	t *testing.T
-	v lineView
-	l *line
+	l *Session
 }
 
 var immediateOnly = func(d Def) bool { return d.Coupling == Immediate }
@@ -222,15 +217,15 @@ func (w walked) verify(step string) {
 	w.t.Helper()
 	for _, filter := range []func(Def) bool{nil, immediateOnly} {
 		want := walkTriggered(w.l, filter)
-		if got := w.v.Triggered(filter); !slices.Equal(got, want) {
+		if got := w.l.Triggered(filter); !slices.Equal(got, want) {
 			w.t.Fatalf("%s: Triggered = %v, walk says %v", step, got, want)
 		}
-		name, ok := w.v.Pick(filter)
+		name, ok := w.l.Pick(filter)
 		if ok != (len(want) > 0) || (ok && name != want[0]) {
 			w.t.Fatalf("%s: Pick = %q %v, walk says %v", step, name, ok, want)
 		}
 	}
-	if got, want := w.v.Watermark(), walkWatermark(w.l); got != want {
+	if got, want := w.l.Watermark(), walkWatermark(w.l); got != want {
 		w.t.Fatalf("%s: Watermark = %d, walk says %d", step, got, want)
 	}
 	verifyIndex(w.t, w.l)
@@ -241,13 +236,13 @@ func (w walked) verify(step string) {
 func (w walked) check(now clock.Time) error {
 	w.t.Helper()
 	batch, examined, skipped := walkBatch(w.l)
-	before := w.v.Stats()
+	before := w.l.Stats()
 	var fired []string
-	if err := calculus.CatchBudget(func() { fired = w.v.CheckTriggered(now) }); err != nil {
+	if err := calculus.CatchBudget(func() { fired = w.l.CheckTriggered(now) }); err != nil {
 		w.verify("after a budget fault")
 		return err
 	}
-	after := w.v.Stats()
+	after := w.l.Stats()
 	if got := after.RulesExamined - before.RulesExamined; got != examined {
 		w.t.Fatalf("check examined %d rules, walk says %d", got, examined)
 	}
@@ -306,28 +301,29 @@ func scriptArrivals(t *testing.T, r *rand.Rand, b *event.Base, c *clock.Clock) [
 
 // A random script of everything that touches marks — arrivals, checks,
 // picks and considerations, considerations of rules that are not
-// triggered (of all of them in turn, and at stale instants),
-// mid-transaction Define and Drop, a checkpoint round trip of the marks,
+// triggered (of all of them in turn, and at stale instants), Define and
+// Drop between two Sessions, a checkpoint round trip of the marks,
 // replayed firings, a new transaction, a check cut short by its budget —
-// with every answer compared to the full walk after every step. The
-// script runs on the direct line, the one line whose rule set may change
-// mid-transaction; the round trip and the replayed firings call the line
-// methods a Session's RestoreMarks and RestoreTriggered wrap.
+// with every answer compared to the full walk after every step. DDL runs
+// as the engine runs it: the Session is released, the rule set changes,
+// and a new Session opens over the same base.
 func TestIndexMatchesFullWalk(t *testing.T) {
 	for _, seed := range []int64{1996, 1997} {
 		r := rand.New(rand.NewSource(seed))
-		b := event.NewBase()
+		s := supportWith(t, scriptDefs(r, 48, "r"))
+		b := s.testBase(0)
 		c := clock.New()
-		s := NewSupport(b, Options{})
 		start := c.Now()
-		s.BeginTransaction(start)
-		w := walked{t: t, v: s, l: &s.line}
-		for _, d := range scriptDefs(r, 48, "r") {
-			if err := s.Define(d); err != nil {
-				t.Fatal(err)
-			}
-		}
+		w := walked{t: t, l: s.NewSession(b, start)}
 		w.verify("after load")
+		// restart releases the Session, runs ddl and opens the next one at
+		// at.
+		restart := func(at clock.Time, ddl func()) {
+			w.l.Release()
+			ddl()
+			start = at
+			w.l = s.NewSession(b, start)
+		}
 		defined := 48
 		pickAny := func() (string, bool) {
 			names := s.Rules()
@@ -337,17 +333,18 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 			return names[r.Intn(len(names))], true
 		}
 		for step := 0; step < 600; step++ {
+			sess := w.l
 			switch op := r.Intn(20); {
 			case op < 6:
-				s.NotifyArrivals(scriptArrivals(t, r, b, c))
+				sess.NotifyArrivals(tidsOf(b, scriptArrivals(t, r, b, c)))
 				w.verify("after arrivals")
 			case op < 10:
 				if err := w.check(c.Now()); err != nil {
 					t.Fatal(err)
 				}
 			case op < 14:
-				if name, ok := s.Pick(nil); ok {
-					if _, err := s.Consider(name, c.Tick()); err != nil {
+				if name, ok := sess.Pick(nil); ok {
+					if _, err := sess.Consider(name, c.Tick()); err != nil {
 						t.Fatal(err)
 					}
 					w.verify("after considering " + name)
@@ -365,7 +362,7 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 					at = start
 				}
 				for _, name := range names {
-					if _, err := s.Consider(name, at); err != nil {
+					if _, err := sess.Consider(name, at); err != nil {
 						t.Fatal(err)
 					}
 					w.verify("after considering " + name + " unprompted")
@@ -379,45 +376,48 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 				if r.Intn(4) == 0 {
 					d.Consumption = Preserving
 				}
-				if err := s.Define(d); err != nil {
-					t.Fatal(err)
-				}
+				restart(c.Tick(), func() {
+					if err := s.Define(d); err != nil {
+						t.Fatal(err)
+					}
+				})
 				w.verify("after Define")
 			case op == 16:
 				if name, ok := pickAny(); ok {
-					if err := s.Drop(name); err != nil {
-						t.Fatal(err)
-					}
+					restart(c.Tick(), func() {
+						if err := s.Drop(name); err != nil {
+							t.Fatal(err)
+						}
+					})
 					w.verify("after Drop of " + name)
 				}
 			case op == 17:
-				ms := s.line.exportMarks()
-				s.BeginTransaction(start)
-				w.verify("after BeginTransaction")
-				if err := s.line.restoreMarks(ms); err != nil {
+				ms := sess.Marks()
+				restart(start, func() {})
+				w.verify("after a new Session at the same start")
+				if err := w.l.RestoreMarks(ms); err != nil {
 					t.Fatal(err)
 				}
-				w.verify("after restoreMarks")
-				if got := s.line.exportMarks(); !slices.Equal(got, ms) {
+				w.verify("after RestoreMarks")
+				if got := w.l.Marks(); !slices.Equal(got, ms) {
 					t.Fatalf("marks after the round trip %v, want %v", got, ms)
 				}
 			case op == 18:
 				if name, ok := pickAny(); ok {
-					if err := s.line.restoreTriggered(name, c.Now()); err != nil {
+					if err := sess.RestoreTriggered(name, c.Now()); err != nil {
 						t.Fatal(err)
 					}
 					w.verify("after RestoreTriggered of " + name)
 				}
 			default:
 				if r.Intn(2) == 0 {
-					start = c.Tick()
-					s.BeginTransaction(start)
+					restart(c.Tick(), func() {})
 					w.verify("after a new transaction")
 					break
 				}
-				s.line.budget = calculus.NewBudget(int64(1+r.Intn(6)), time.Time{})
+				sess.SetBudget(calculus.NewBudget(int64(1+r.Intn(6)), time.Time{}))
 				err := w.check(c.Now()) // may or may not run out
-				s.line.budget = nil
+				sess.SetBudget(nil)
 				if err != nil {
 					// The killed check left some rules decided and some
 					// not; the next one picks up exactly the rest. If the
@@ -429,13 +429,14 @@ func TestIndexMatchesFullWalk(t *testing.T) {
 				}
 			}
 		}
+		w.l.Release()
 	}
 }
 
-// The same script over a Session's line, beside the Support's direct
-// line serving a different history: the two indexes share nothing. A
-// checkpoint round trip releases the session and restores its marks into
-// the recycled one a NewSession at the same start hands back.
+// The same script over a Session whose rule set stays, across three
+// transactions. A checkpoint round trip releases the session and restores
+// its marks into the recycled one a NewSession at the same start hands
+// back.
 func TestIndexMatchesFullWalkInSession(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	s := NewSupport(nil, Options{})
@@ -448,7 +449,7 @@ func TestIndexMatchesFullWalkInSession(t *testing.T) {
 		b := s.testBase(0)
 		c := clock.New()
 		sess := s.NewSession(b, c.Now())
-		w := walked{t: t, v: sess, l: &sess.line}
+		w := walked{t: t, l: sess}
 		w.verify("after NewSession")
 		for step := 0; step < 300; step++ {
 			switch op := r.Intn(11); {
@@ -469,10 +470,9 @@ func TestIndexMatchesFullWalkInSession(t *testing.T) {
 			case op == 9:
 				ms, start := sess.Marks(), sess.Start()
 				sess.Release()
-				if sess = s.NewSession(b, start); &sess.line != w.l {
+				if sess = s.NewSession(b, start); sess != w.l {
 					t.Fatal("NewSession did not recycle the released session")
 				}
-				w.v = sess
 				w.verify("after a recycled NewSession")
 				if err := sess.RestoreMarks(ms); err != nil {
 					t.Fatal(err)
@@ -491,14 +491,13 @@ func TestIndexMatchesFullWalkInSession(t *testing.T) {
 		}
 		sess.Release()
 	}
-	verifyIndex(t, &s.line)
 }
 
 // hide replaces every registry State in the queue but those of keep with nil, so
 // that a block boundary visiting any other rule crashes; the returned
 // function puts them back.
-func hide(l *line, keep ...string) (restore func()) {
-	rules := l.sup.ordered
+func hide(sess *Session, keep ...string) (restore func()) {
+	rules := sess.sup.ordered
 	saved := slices.Clone(rules)
 	for i, st := range rules {
 		if !slices.Contains(keep, st.Def.Name) {
@@ -515,25 +514,20 @@ func hide(l *line, keep ...string) (restore func()) {
 // hidden — and allocates nothing.
 func TestBlockBoundaryIndependentOfRuleCount(t *testing.T) {
 	for _, n := range []int{10, 10000} {
-		b := event.NewBase()
-		c := clock.New()
-		s := NewSupport(b, Options{})
-		s.BeginTransaction(c.Now())
-		for i := 0; i < n; i++ {
+		defs := make([]Def, n)
+		for i := range defs {
 			// Two rules listen to create(stock), the rest to a type that
 			// never arrives.
-			d := Def{Name: fmt.Sprintf("r%05d", i), Priority: i % 7, Event: calculus.P(modShowQty)}
+			defs[i] = Def{Name: fmt.Sprintf("r%05d", i), Priority: i % 7, Event: calculus.P(modShowQty)}
 			if i == 3 || i == n-2 {
-				d.Event = calculus.P(createStock)
-			}
-			if err := s.Define(d); err != nil {
-				t.Fatal(err)
+				defs[i].Event = calculus.P(createStock)
 			}
 		}
+		s, b, c := newSupport(t, defs...)
 		touched := []string{"r00003", fmt.Sprintf("r%05d", n-2)}
-		s.CheckTriggered(c.Now()) // settles the index and every rule's initial pending flag
+		s.CheckTriggered(c.Now()) // settles the index
 
-		restore := hide(&s.line, touched...)
+		restore := hide(s, touched...)
 		log(t, s, b, c, createStock, 1)
 		if fired := s.CheckTriggered(c.Now()); len(fired) != 2 {
 			t.Fatalf("%d rules: fired %v", n, fired)
@@ -550,7 +544,7 @@ func TestBlockBoundaryIndependentOfRuleCount(t *testing.T) {
 		}
 		restore()
 
-		restore = hide(&s.line)
+		restore = hide(s)
 		allocs := testing.AllocsPerRun(50, func() {
 			if fired := s.CheckTriggered(c.Now()); len(fired) != 0 {
 				t.Fatalf("%d rules: empty block fired %v", n, fired)
@@ -558,7 +552,7 @@ func TestBlockBoundaryIndependentOfRuleCount(t *testing.T) {
 			if name, ok := s.Pick(nil); ok {
 				t.Fatalf("%d rules: empty block picked %s", n, name)
 			}
-			if wm := s.Watermark(); wm != s.TxnStart() {
+			if wm := s.Watermark(); wm != s.Start() {
 				t.Fatalf("%d rules: watermark %d", n, wm)
 			}
 		})
@@ -566,61 +560,62 @@ func TestBlockBoundaryIndependentOfRuleCount(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%d rules: an empty block allocates %v times", n, allocs)
 		}
-		verifyIndex(t, &s.line)
-		if st := s.Stats(); st.RulesExamined != st.RulesSkipped+int64(n)+2 {
+		verifyIndex(t, s)
+		if st := s.Stats(); st.RulesExamined != st.RulesSkipped+2 {
 			// Every check examined all n rules (none was triggered when
-			// one started); only the load check and the arrival's
-			// evaluated any.
+			// one started); only the arrival's evaluated any.
 			t.Errorf("%d rules: examined %d, skipped %d", n, st.RulesExamined, st.RulesSkipped)
 		}
 	}
 }
 
-// A dropped rule leaves the index with its State: neither a pending nor
-// a triggered rule is evaluated, picked or counted after its Drop, and
-// the ranks it shifted keep pointing at the right neighbours.
+// Drop between two Sessions shifts the ranks of the rules after the
+// dropped one: the next Session's marks, index and arrival table cover
+// the surviving rules at their new ranks, so neither a rule that was
+// triggered nor one that was pending before its Drop is evaluated,
+// picked or counted, and the neighbours' arrivals reach the neighbours.
 func TestDropLeavesIndex(t *testing.T) {
-	s, b, c := newSupport(t)
-	for _, d := range []Def{
-		{Name: "a", Priority: 1, Event: calculus.P(createStock)},
-		{Name: "b", Priority: 2, Event: calculus.P(createStock)},
-		{Name: "c", Priority: 3, Event: calculus.P(modStockQty)},
-		{Name: "d", Priority: 4, Event: calculus.P(modStockQty)},
-	} {
-		if err := s.Define(d); err != nil {
-			t.Fatal(err)
-		}
-	}
+	s, b, c := newSupport(t,
+		Def{Name: "a", Priority: 1, Event: calculus.P(createStock)},
+		Def{Name: "b", Priority: 2, Event: calculus.P(createStock)},
+		Def{Name: "c", Priority: 3, Event: calculus.P(modStockQty)},
+		Def{Name: "d", Priority: 4, Event: calculus.P(modStockQty)})
 	log(t, s, b, c, createStock, 1)
 	if fired := s.CheckTriggered(c.Now()); !slices.Equal(fired, []string{"a", "b"}) {
 		t.Fatalf("fired %v", fired)
 	}
 	log(t, s, b, c, modStockQty, 1) // c and d are pending now
-	w := walked{t: t, v: s, l: &s.line}
+	w := walked{t: t, l: s}
 	w.verify("before the drops")
 
-	if err := s.Drop("a"); err != nil { // triggered
+	sup := s.sup
+	s.Release()
+	if err := sup.Drop("a"); err != nil { // triggered
 		t.Fatal(err)
 	}
-	if err := s.Drop("c"); err != nil { // pending
+	if err := sup.Drop("c"); err != nil { // pending
 		t.Fatal(err)
 	}
+	w.l = sup.NewSession(b, c.Tick())
+	defer w.l.Release()
 	w.verify("after the drops")
-	if name, ok := s.Pick(nil); !ok || name != "b" {
-		t.Fatalf("Pick = %q %v, want b", name, ok)
-	}
-	before := s.Stats()
+	log(t, w.l, b, c, createStock, 2)
+	log(t, w.l, b, c, modStockQty, 2)
+	before := w.l.Stats()
 	if err := w.check(c.Now()); err != nil {
 		t.Fatal(err)
 	}
-	after := s.Stats()
-	if got := after.RulesExamined - before.RulesExamined; got != 1 {
-		t.Errorf("check examined %d rules, want 1 (d; b is triggered, a and c are gone)", got)
+	after := w.l.Stats()
+	if got := after.RulesExamined - before.RulesExamined; got != 2 {
+		t.Errorf("check examined %d rules, want 2 (b and d; a and c are gone)", got)
 	}
-	if got := s.Triggered(nil); !slices.Equal(got, []string{"b", "d"}) {
+	if got := w.l.Triggered(nil); !slices.Equal(got, []string{"b", "d"}) {
 		t.Errorf("Triggered = %v, want [b d]", got)
 	}
-	if live := s.Plan().Live(); live != 2 {
+	if name, ok := w.l.Pick(nil); !ok || name != "b" {
+		t.Fatalf("Pick = %q %v, want b", name, ok)
+	}
+	if live := sup.Plan().Live(); live != 2 {
 		t.Errorf("plan holds %d nodes, want the two prims still in use", live)
 	}
 }
@@ -634,27 +629,28 @@ func TestDropLeavesIndex(t *testing.T) {
 func TestProbeVisitsFollowRelevantTypes(t *testing.T) {
 	var visits []int64
 	for _, n := range []int{10, 10000} {
-		s, b, c := newSupport(t)
 		// A ∧ ¬A is inactive at every instant, A a Δ± type of it: every rule
 		// stays undecided through the whole walk. Two rules name
 		// create(stock), the rest only modify(show.quantity), which never
 		// arrives; one more negates create(stock) and nothing else.
-		for i := 0; i < n; i++ {
+		defs := make([]Def, n, n+1)
+		for i := range defs {
 			ty := modShowQty
 			if i == 3 || i == n-2 {
 				ty = createStock
 			}
 			e := calculus.Conj(calculus.P(ty), calculus.Neg(calculus.P(ty)))
-			if err := s.Define(Def{Name: fmt.Sprintf("r%05d", i), Priority: i % 7, Event: e}); err != nil {
-				t.Fatal(err)
-			}
+			defs[i] = Def{Name: fmt.Sprintf("r%05d", i), Priority: i % 7, Event: e}
 		}
 		neg := calculus.Conj(calculus.P(modShowQty), calculus.Neg(calculus.P(createStock)))
-		if err := s.Define(Def{Name: "neg", Event: neg}); err != nil {
-			t.Fatal(err)
-		}
+		s, b, c := newSupport(t, append(defs, Def{Name: "neg", Event: neg})...)
 		for i := 0; i < 20; i++ {
 			log(t, s, b, c, createStock, types.OID(1+i%3))
+		}
+		// Every rule pending, as a recovered Session's rules are: a
+		// checkpoint's marks restored re-arm every rule.
+		if err := s.RestoreMarks(s.Marks()); err != nil {
+			t.Fatal(err)
 		}
 		if fired := s.CheckTriggered(c.Now()); len(fired) != 0 {
 			t.Fatalf("%d rules: fired %v", n, fired)
@@ -670,28 +666,35 @@ func TestProbeVisitsFollowRelevantTypes(t *testing.T) {
 }
 
 // Loading rules derives nothing: 1 000 Defines leave the registry's
-// filings underived and the direct line's arrival table and walk scratch
-// unbuilt, and the first check builds both, over the rule set as it then
-// stands. A NewSession over one rule allocates at most ten objects.
+// filings underived and its arrival table unbuilt, and the first
+// NewSession builds it, over the rule set as it then stands; the
+// Session's walk scratch waits for its first walk. A NewSession over one
+// rule allocates at most ten objects.
 func TestDefineDerivesNothing(t *testing.T) {
-	s, b, c := newSupport(t)
+	s := NewSupport(nil, Options{})
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 	for i := 0; i < 1000; i++ {
 		if err := s.Define(Def{Name: fmt.Sprintf("r%04d", i), Event: e}); err != nil {
 			t.Fatal(err)
 		}
-		if s.derived || s.listen.off != nil || s.probe.lo != nil {
-			t.Fatalf("Define %d derived the filings or built the table or the walk's scratch", i)
+		if s.derived || s.listen.off != nil {
+			t.Fatalf("Define %d derived the filings or built the table", i)
 		}
 	}
-	log(t, s, b, c, createStock, 1)
-	s.CheckTriggered(c.Now())
+	b, c := s.testBase(0), clock.New()
+	sess := s.NewSession(b, c.Now())
+	defer sess.Release()
 	tid := b.Registry().Intern(createStock)
-	if !s.derived || len(s.listen.probes(tid)) != 1000 || len(s.probe.lo) != 1000 {
-		t.Fatalf("the first check left the table probing %d ranks, the scratch over %d",
-			len(s.listen.probes(tid)), len(s.probe.lo))
+	if !s.derived || len(s.listen.probes(tid)) != 1000 || sess.probe.lo != nil {
+		t.Fatalf("the first NewSession left the table probing %d ranks, the walk's scratch over %d",
+			len(s.listen.probes(tid)), len(sess.probe.lo))
 	}
-	verifyIndex(t, &s.line)
+	log(t, sess, b, c, createStock, 1)
+	sess.CheckTriggered(c.Now())
+	if len(sess.probe.lo) != 1000 {
+		t.Fatalf("the first walk left its scratch over %d ranks", len(sess.probe.lo))
+	}
+	verifyIndex(t, sess)
 
 	one := NewSupport(nil, Options{})
 	if err := one.Define(Def{Name: "cap", Event: calculus.P(modStockQty)}); err != nil {
@@ -704,32 +707,29 @@ func TestDefineDerivesNothing(t *testing.T) {
 }
 
 // A walk a budget fault cut short leaves its marks in the walk's
-// scratch; the next walk starts clean. The cut walk marks x; a new
-// transaction leaves x neither pending nor probed, and the next walk,
-// which only y's arrival starts, must leave no mark of x behind.
+// scratch; the next walk starts clean. The cut walk marks x; the next
+// transaction's Session, the same one recycled, leaves x neither pending
+// nor probed, and the next walk, which only y's arrival starts, must
+// leave no mark of x behind.
 func TestWalkAfterCutWalkStartsClean(t *testing.T) {
-	s, b, c := newSupport(t)
-	for _, d := range []Def{
-		{Name: "x", Event: calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modShowQty)))},
-		{Name: "y", Event: calculus.Conj(calculus.P(modStockQty), calculus.Neg(calculus.P(modShowQty)))},
-	} {
-		if err := s.Define(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.BeginTransaction(c.Tick())
+	s, b, c := newSupport(t,
+		Def{Name: "x", Event: calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modShowQty)))},
+		Def{Name: "y", Event: calculus.Conj(calculus.P(modStockQty), calculus.Neg(calculus.P(modShowQty)))})
 	log(t, s, b, c, createStock, 1)
-	s.line.budget = calculus.NewBudget(2, time.Time{})
+	s.SetBudget(calculus.NewBudget(2, time.Time{}))
 	if err := calculus.CatchBudget(func() { s.CheckTriggered(c.Now()) }); err == nil {
 		t.Fatal("a budget of two units decided x")
 	}
-	s.line.budget = nil
+	s.SetBudget(nil)
 	if !s.probe.walking || s.probe.lo[0] == notProbing {
 		t.Fatal("the fault did not cut the walk short with x marked")
 	}
-	verifyIndex(t, &s.line)
+	verifyIndex(t, s)
 
-	s.BeginTransaction(c.Tick())
+	s.Release()
+	if next := s.sup.NewSession(b, c.Tick()); next != s {
+		t.Fatal("NewSession did not recycle the released session")
+	}
 	at := log(t, s, b, c, modStockQty, 1).Timestamp
 	log(t, s, b, c, modShowQty, 1) // y turns inactive again before the check
 	if fired := s.CheckTriggered(c.Now()); !slices.Equal(fired, []string{"y"}) {
@@ -738,5 +738,5 @@ func TestWalkAfterCutWalkStartsClean(t *testing.T) {
 	if m, _ := s.Mark("y"); m.TriggeredAt != at {
 		t.Fatalf("y triggered at %d, want its arrival at %d", m.TriggeredAt, at)
 	}
-	verifyIndex(t, &s.line)
+	verifyIndex(t, s)
 }

@@ -39,7 +39,7 @@ func newByTypeOracle(s *Support) byTypeOracle {
 // pendingAfter is the set of ranks pending on l once arrivals of tys are
 // announced: those pending now, and every rule an arrival reaches that is
 // not triggered.
-func (o byTypeOracle) pendingAfter(l *line, tys []event.Type) []int32 {
+func (o byTypeOracle) pendingAfter(l *Session, tys []event.Type) []int32 {
 	set := pendingRanks(l)
 	reach := func(st *State) {
 		if !l.marks[st.rank].triggered && !slices.Contains(set, st.rank) {
@@ -60,7 +60,7 @@ func (o byTypeOracle) pendingAfter(l *line, tys []event.Type) []int32 {
 	return set
 }
 
-func pendingRanks(l *line) []int32 {
+func pendingRanks(l *Session) []int32 {
 	var out []int32
 	for i, m := range l.marks {
 		if m.pending {
@@ -88,9 +88,9 @@ func listenDefs(r *rand.Rand, n int) []Def {
 }
 
 // listenBlock appends one to four random arrivals to b, announces them
-// to the line through announce, and holds the line's pending set to the
+// to the Session through announce, and holds its pending set to the
 // oracle's; then it checks the block and considers some of what fired.
-func listenBlock(t *testing.T, tag string, r *rand.Rand, l *line, b *event.Base, c *clock.Clock, announce func(tids []int32, tys []event.Type), check func(clock.Time) []string, consider func(string, clock.Time)) {
+func listenBlock(t *testing.T, tag string, r *rand.Rand, l *Session, b *event.Base, c *clock.Clock, announce func(tids []int32, tys []event.Type), check func(clock.Time) []string, consider func(string, clock.Time)) {
 	t.Helper()
 	var tids []int32
 	var tys []event.Type
@@ -119,10 +119,12 @@ func listenBlock(t *testing.T, tag string, r *rand.Rand, l *line, b *event.Base,
 // by-type index marked, after every block: on a session over a fresh
 // base of the Support's registry, on a session over a base RestoreBase
 // rebuilt into that registry from a base of another registry, whose
-// types arrived in another order and took other ids, and on the direct
-// line, whose rule set changes mid-transaction. Every rule set holds
-// match-all rules and negation-only types, and the arrivals include types
-// no rule mentions, registered after the line opened.
+// types arrived in another order and took other ids, and on the
+// Sessions the kernel-only calls open, whose NotifyArrivals resolves
+// occurrences' types, with the rule set changing between them. Every
+// rule set holds match-all rules and negation-only types, and the
+// arrivals include types no rule mentions, registered after the Session
+// opened.
 func TestArrivalTableMatchesByType(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -160,7 +162,7 @@ func TestArrivalTableMatchesByType(t *testing.T) {
 			sess := s.NewSession(b, c.Now())
 			for block := 0; block < 30; block++ {
 				tag := fmt.Sprintf("seed %d restored %v block %d", seed, restored, block)
-				listenBlock(t, tag, r, &sess.line, b, c,
+				listenBlock(t, tag, r, sess, b, c,
 					func(tids []int32, _ []event.Type) { sess.NotifyArrivals(tids) },
 					sess.CheckTriggered,
 					func(name string, at clock.Time) {
@@ -172,8 +174,9 @@ func TestArrivalTableMatchesByType(t *testing.T) {
 			sess.Release()
 		}
 
-		// The direct line, over a base that saw the signals first, with a
-		// rule defined or dropped between blocks now and then.
+		// The kernel-only calls, over a base that saw the signals first,
+		// with a rule defined or dropped between two of their transactions
+		// now and then.
 		b, c := event.NewBaseSize(4), clock.New()
 		for _, ty := range listenVocab[len(listenVocab)-2:] {
 			if _, err := b.Append(ty, 9, c.Tick()); err != nil {
@@ -181,26 +184,30 @@ func TestArrivalTableMatchesByType(t *testing.T) {
 			}
 		}
 		d := NewSupport(b, Options{})
-		d.BeginTransaction(c.Now())
 		defineAll(t, d, listenDefs(r, 20))
+		d.BeginTransaction(c.Now())
 		extra := 0
 		for block := 0; block < 40; block++ {
 			switch r.Intn(5) {
 			case 0:
 				def := scriptDefs(r, 1, fmt.Sprintf("x%d-", extra))[0]
 				extra++
+				d.own.Release()
 				if err := d.Define(def); err != nil {
 					t.Fatal(err)
 				}
+				d.BeginTransaction(c.Now())
 			case 1:
 				if names := d.Rules(); len(names) > 0 {
+					d.own.Release()
 					if err := d.Drop(names[r.Intn(len(names))]); err != nil {
 						t.Fatal(err)
 					}
+					d.BeginTransaction(c.Now())
 				}
 			}
-			tag := fmt.Sprintf("seed %d direct line block %d", seed, block)
-			listenBlock(t, tag, r, &d.line, b, c,
+			tag := fmt.Sprintf("seed %d kernel block %d", seed, block)
+			listenBlock(t, tag, r, d.own, b, c,
 				func(_ []int32, tys []event.Type) {
 					occs := make([]event.Occurrence, len(tys))
 					for i, ty := range tys {
@@ -215,6 +222,7 @@ func TestArrivalTableMatchesByType(t *testing.T) {
 					}
 				})
 		}
+		d.own.Release()
 	}
 }
 

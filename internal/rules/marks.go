@@ -6,7 +6,7 @@ import (
 	"chimera/internal/clock"
 )
 
-// Mark is the durable per-rule triggering state of one line: the
+// Mark is the durable per-rule triggering state of one Session: the
 // consideration horizon (the input to the consumption low-watermark) and
 // the triggered flag with its activation instant. It is exactly the
 // per-rule state a checkpoint must carry — the registry is recompiled on
@@ -18,22 +18,22 @@ type Mark struct {
 	TriggeredAt       clock.Time
 }
 
-// exportMarks snapshots every defined rule's durable state, in priority
-// order. The engine's checkpoint writer calls it at a block boundary
-// (no check in flight), so the snapshot is consistent with the
+// Marks snapshots every defined rule's durable state in the session, in
+// priority order. The engine's checkpoint writer calls it at a block
+// boundary (no check in flight), so the snapshot is consistent with the
 // watermark the same checkpoint records.
-func (l *line) exportMarks() []Mark {
-	out := make([]Mark, len(l.marks))
-	for r, st := range l.sup.ordered {
-		out[r] = l.export(st)
+func (sess *Session) Marks() []Mark {
+	out := make([]Mark, len(sess.marks))
+	for r, st := range sess.sup.ordered {
+		out[r] = sess.export(st)
 	}
 	return out
 }
 
-// restoreMarks reinstates a checkpoint's marks on a line just opened at
-// the checkpoint's start. Every defined rule must be covered by exactly
-// one mark (the checkpoint and the rule set are written together, and
-// rules cannot be defined mid-transaction).
+// RestoreMarks reinstates a checkpoint's marks on a session just opened
+// at the checkpoint's start. Every defined rule must be covered by
+// exactly one mark (the checkpoint and the rule set are written
+// together, and rules cannot be defined while a session is open).
 //
 // Probe scratch is re-armed conservatively: lastProbe rewinds to the
 // consideration horizon and pending is set, so the next check re-probes
@@ -43,13 +43,13 @@ func (l *line) exportMarks() []Mark {
 // again, and a triggered rule's flag arrives from the mark (checks skip
 // triggered rules) — but it means recovery never has to serialize
 // probe cursors or memo state.
-func (l *line) restoreMarks(ms []Mark) error {
-	if len(ms) != len(l.marks) {
-		return fmt.Errorf("rules: %d marks for %d defined rules", len(ms), len(l.marks))
+func (sess *Session) RestoreMarks(ms []Mark) error {
+	if len(ms) != len(sess.marks) {
+		return fmt.Errorf("rules: %d marks for %d defined rules", len(ms), len(sess.marks))
 	}
-	seen := make([]bool, len(l.marks))
+	seen := make([]bool, len(sess.marks))
 	for _, m := range ms {
-		st, ok := l.sup.rules[m.Rule]
+		st, ok := sess.sup.rules[m.Rule]
 		if !ok {
 			return fmt.Errorf("rules: mark for undefined rule %q", m.Rule)
 		}
@@ -57,7 +57,7 @@ func (l *line) restoreMarks(ms []Mark) error {
 			return fmt.Errorf("rules: duplicate mark for rule %q", m.Rule)
 		}
 		seen[st.rank] = true
-		l.marks[st.rank] = mark{
+		sess.marks[st.rank] = mark{
 			lastConsideration: m.LastConsideration,
 			triggered:         m.Triggered,
 			triggeredAt:       m.TriggeredAt,
@@ -65,27 +65,27 @@ func (l *line) restoreMarks(ms []Mark) error {
 			pending:           true,
 		}
 	}
-	l.stale = true
+	sess.stale = true
 	return nil
 }
 
-// restoreTriggered reinstates one rule's triggered flag during WAL
+// RestoreTriggered reinstates one rule's triggered flag during WAL
 // replay. The engine logs each block's newly fired rules with their
 // activation instants; replay sets them back verbatim instead of
 // re-running the triggering determination, which keeps recovery
 // bit-identical (TriggeredAt of an already-triggered rule is latched at
 // the first activation and cannot be recomputed from a later probe).
-func (l *line) restoreTriggered(name string, at clock.Time) error {
-	st, ok := l.sup.rules[name]
+func (sess *Session) RestoreTriggered(name string, at clock.Time) error {
+	st, ok := sess.sup.rules[name]
 	if !ok {
 		return fmt.Errorf("rules: no rule %q", name)
 	}
-	l.sync()
-	m := &l.marks[st.rank]
+	sess.sync()
+	m := &sess.marks[st.rank]
 	if !m.triggered {
 		m.triggered = true
-		l.trig.add(st.rank)
-		l.ntrig++
+		sess.trig.add(st.rank)
+		sess.ntrig++
 	}
 	m.triggeredAt = at
 	m.pending = false
@@ -93,19 +93,19 @@ func (l *line) restoreTriggered(name string, at clock.Time) error {
 	return nil
 }
 
-// markOf returns one rule's durable state: what the engine reads per fired
+// Mark returns one rule's durable state in the session: what the engine reads per fired
 // rule at a block boundary (the activation instant for the WAL, the
 // horizon for the tracer).
-func (l *line) markOf(name string) (Mark, bool) {
-	st, ok := l.sup.rules[name]
+func (sess *Session) Mark(name string) (Mark, bool) {
+	st, ok := sess.sup.rules[name]
 	if !ok {
 		return Mark{}, false
 	}
-	return l.export(st), true
+	return sess.export(st), true
 }
 
-func (l *line) export(st *State) Mark {
-	m := &l.marks[st.rank]
+func (sess *Session) export(st *State) Mark {
+	m := &sess.marks[st.rank]
 	return Mark{
 		Rule:              st.Def.Name,
 		LastConsideration: m.lastConsideration,

@@ -86,7 +86,17 @@ func (o *oracle) find(name string) (int, bool) {
 	return -1, false
 }
 
-func (o *oracle) NotifyArrivals([]event.Occurrence) {}
+// begin starts the oracle's next transaction at start: every rule's
+// horizon there, nothing triggered.
+func (o *oracle) begin(start clock.Time) {
+	o.txnStart = start
+	for _, st := range o.ordered {
+		st.Mark = Mark{Rule: st.Def.Name, LastConsideration: start, TriggeredAt: clock.Never}
+		st.lastProbe = start
+	}
+}
+
+func (o *oracle) NotifyArrivals([]int32) {}
 
 func (o *oracle) CheckTriggered(now clock.Time) []string {
 	var fired []string
@@ -144,17 +154,16 @@ func (o *oracle) Mark(name string) (Mark, bool) {
 	return Mark{}, false
 }
 
-// subject is what a differential replay drives: the oracle, a Support's
-// direct line or a Session's.
+// subject is what a differential replay drives: the oracle or a Session.
 type subject interface {
-	NotifyArrivals(occs []event.Occurrence)
+	NotifyArrivals(tids []int32)
 	CheckTriggered(now clock.Time) []string
 	Pick(filter func(Def) bool) (string, bool)
 	Consider(name string, now clock.Time) (Consideration, error)
 	Mark(name string) (Mark, bool)
 }
 
-// definer is a subject whose rule set may change mid-transaction.
+// definer is a rule set: the oracle's or a Support's.
 type definer interface {
 	Define(d Def) error
 	Drop(name string) error
@@ -179,33 +188,41 @@ func reference(t *testing.T, base *event.Base, start clock.Time, defs []Def) sub
 	return o
 }
 
-// production is the Support's direct line.
+// production is a Session over a Support with defs defined.
 func production(t *testing.T, base *event.Base, start clock.Time, defs []Def) subject {
-	s := NewSupport(base, Options{})
-	s.BeginTransaction(start)
-	defineAll(t, s, defs)
-	return s
-}
-
-// inSession is a Session's line over a Support whose direct line serves
-// nothing.
-func inSession(t *testing.T, base *event.Base, start clock.Time, defs []Def) subject {
 	s := NewSupport(nil, Options{})
 	defineAll(t, s, defs)
 	sess := s.NewSession(base, start)
 	t.Cleanup(sess.Release)
-	return occSession{sess}
+	return sess
 }
 
-// verifySubject holds a production line's block-boundary index to its
+// between ends sub's transaction, applies ddl to its rule set and
+// returns the subject of the next transaction, begun at start over the
+// same base: DDL runs between transactions, as the engine runs it — a
+// Session is released, the Support's rules change, and a new Session
+// opens.
+func between(t *testing.T, sub subject, base *event.Base, start clock.Time, ddl func(definer)) subject {
+	t.Helper()
+	if o, ok := sub.(*oracle); ok {
+		ddl(o)
+		o.begin(start)
+		return o
+	}
+	sess := sub.(*Session)
+	sess.Release()
+	ddl(sess.sup)
+	next := sess.sup.NewSession(base, start)
+	t.Cleanup(next.Release)
+	return next
+}
+
+// verifySubject holds a Session's block-boundary index to its
 // definition (see checkIndex); the oracle has none.
 func verifySubject(t *testing.T, sub subject) {
 	t.Helper()
-	switch s := sub.(type) {
-	case *Support:
-		verifyIndex(t, &s.line)
-	case occSession:
-		verifyIndex(t, &s.line)
+	if sess, ok := sub.(*Session); ok {
+		verifyIndex(t, sess)
 	}
 }
 
@@ -227,8 +244,8 @@ type replayOpts struct {
 	// compact retires the base below the subject's watermark after every
 	// block (production subjects only).
 	compact bool
-	// churn defines a fresh random rule and drops a random one between
-	// blocks, now and then (definer subjects only).
+	// churn defines a fresh random rule and drops a random one now and
+	// then, each time between two transactions (see between).
 	churn bool
 	// spread considers every rule, each at an instant of its own and with
 	// an arrival after every eighth, before every other block: the next
@@ -249,15 +266,10 @@ type exercised struct {
 	midWalkKills int // budget faults that left an arrival walk unfinished
 }
 
-// lineOf is a production subject's line, nil for the oracle.
-func lineOf(sub subject) *line {
-	switch s := sub.(type) {
-	case *Support:
-		return &s.line
-	case occSession:
-		return &s.line
-	}
-	return nil
+// sessionOf is a production subject's Session, nil for the oracle.
+func sessionOf(sub subject) *Session {
+	sess, _ := sub.(*Session)
+	return sess
 }
 
 // replay drives one subject through a deterministic workload (seeded by
@@ -278,20 +290,26 @@ func replay(t *testing.T, mk maker, defs []Def, vocab []event.Type, seed int64, 
 	var rounds [][]firing
 	for block := 0; block < blocks; block++ {
 		if w.churn {
-			d := s.(definer)
+			var ddl []func(definer) error
 			if r.Intn(3) == 0 {
 				def := Def{Name: fmt.Sprintf("late%02d", block), Event: calculus.GenExpr(r, gen), Priority: r.Intn(5)}
-				if err := d.Define(def); err != nil {
-					t.Fatal(err)
-				}
+				ddl = append(ddl, func(d definer) error { return d.Define(def) })
 				names = append(names, def.Name)
 			}
 			if r.Intn(4) == 0 && len(names) > 0 {
 				k := r.Intn(len(names))
-				if err := d.Drop(names[k]); err != nil {
-					t.Fatal(err)
-				}
+				name := names[k]
+				ddl = append(ddl, func(d definer) error { return d.Drop(name) })
 				names = slices.Delete(names, k, k+1)
+			}
+			if len(ddl) > 0 {
+				s = between(t, s, b, c.Tick(), func(d definer) {
+					for _, f := range ddl {
+						if err := f(d); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
 			}
 		}
 		arrive := func(n int) {
@@ -303,7 +321,7 @@ func replay(t *testing.T, mk maker, defs []Def, vocab []event.Type, seed int64, 
 				}
 				occs = append(occs, occ)
 			}
-			s.NotifyArrivals(occs)
+			s.NotifyArrivals(tidsOf(b, occs))
 		}
 		if w.spread && block%2 == 0 {
 			for i, name := range names {
@@ -322,7 +340,7 @@ func replay(t *testing.T, mk maker, defs []Def, vocab []event.Type, seed int64, 
 			round = killedCheck(t, s, names, c.Now(), int64(1+block%5), w.seen)
 		} else {
 			fired := s.CheckTriggered(c.Now())
-			w.seen.batch(lineOf(s))
+			w.seen.batch(sessionOf(s))
 			for _, name := range fired {
 				m, ok := s.Mark(name)
 				if !ok {
@@ -352,7 +370,7 @@ func replay(t *testing.T, mk maker, defs []Def, vocab []event.Type, seed int64, 
 			}
 		}
 		if w.compact {
-			b.CompactBelow(s.(*Support).Watermark())
+			b.CompactBelow(s.(*Session).Watermark())
 		}
 	}
 	return rounds
@@ -369,12 +387,12 @@ func killedCheck(t *testing.T, s subject, names []string, now clock.Time, gas in
 		m, _ := s.Mark(name)
 		was[name] = m.Triggered
 	}
-	if l := lineOf(s); l != nil {
-		l.budget = calculus.NewBudget(gas, time.Time{})
+	if sess := sessionOf(s); sess != nil {
+		sess.SetBudget(calculus.NewBudget(gas, time.Time{}))
 		err := calculus.CatchBudget(func() { s.CheckTriggered(now) })
-		l.budget = nil
-		seen.batch(l)
-		if err != nil && l.probe.walking && seen != nil {
+		sess.SetBudget(nil)
+		seen.batch(sess)
+		if err != nil && sess.probe.walking && seen != nil {
 			seen.midWalkKills++
 		}
 		verifySubject(t, s)
@@ -389,14 +407,14 @@ func killedCheck(t *testing.T, s subject, names []string, now clock.Time, gas in
 	return round
 }
 
-// batch records the distinct horizons of a production line's last batch.
-func (e *exercised) batch(l *line) {
-	if e == nil || l == nil {
+// batch records the distinct horizons of a Session's last batch.
+func (e *exercised) batch(sess *Session) {
+	if e == nil || sess == nil {
 		return
 	}
 	horizons := make(map[clock.Time]bool)
-	for _, r := range l.checkBuf {
-		horizons[l.marks[r].lastConsideration] = true
+	for _, r := range sess.checkBuf {
+		horizons[sess.marks[r].lastConsideration] = true
 	}
 	e.horizons = max(e.horizons, len(horizons))
 }

@@ -19,27 +19,31 @@ var (
 	modShowQty  = event.Modify("show", "quantity")
 )
 
-func newSupport(t *testing.T) (*Support, *event.Base, *clock.Clock) {
+// newSupport defines defs on a new Support and opens a Session over a
+// fresh base of its registry, at the clock's start; the test's cleanup
+// releases it. The Support is the Session's sup.
+func newSupport(t *testing.T, defs ...Def) (*Session, *event.Base, *clock.Clock) {
 	t.Helper()
-	b := event.NewBase()
-	c := clock.New()
-	s := NewSupport(b, Options{})
-	s.BeginTransaction(c.Now())
-	return s, b, c
+	s := supportWith(t, defs)
+	b, c := s.testBase(0), clock.New()
+	sess := s.NewSession(b, c.Now())
+	t.Cleanup(sess.Release)
+	return sess, b, c
 }
 
-func log(t *testing.T, s *Support, b *event.Base, c *clock.Clock, ty event.Type, oid types.OID) event.Occurrence {
+// log appends one occurrence to b and announces it to sess.
+func log(t *testing.T, sess *Session, b *event.Base, c *clock.Clock, ty event.Type, oid types.OID) event.Occurrence {
 	t.Helper()
 	occ, err := b.Append(ty, oid, c.Tick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.NotifyArrivals([]event.Occurrence{occ})
+	sess.NotifyArrivals(tidsOf(b, []event.Occurrence{occ}))
 	return occ
 }
 
 func TestDefineValidation(t *testing.T) {
-	s, _, _ := newSupport(t)
+	s := NewSupport(nil, Options{})
 	if err := s.Define(Def{Name: "", Event: calculus.P(createStock)}); err == nil {
 		t.Error("unnamed rule accepted")
 	}
@@ -62,10 +66,7 @@ func TestDefineValidation(t *testing.T) {
 }
 
 func TestBasicTriggerDetriggerCycle(t *testing.T) {
-	s, b, c := newSupport(t)
-	if err := s.Define(Def{Name: "onCreate", Event: calculus.P(createStock)}); err != nil {
-		t.Fatal(err)
-	}
+	s, b, c := newSupport(t, Def{Name: "onCreate", Event: calculus.P(createStock)})
 
 	// No events: nothing triggers.
 	if fired := s.CheckTriggered(c.Now()); len(fired) != 0 {
@@ -108,10 +109,10 @@ func TestBasicTriggerDetriggerCycle(t *testing.T) {
 }
 
 func TestPriorityOrder(t *testing.T) {
-	s, b, c := newSupport(t)
-	s.Define(Def{Name: "zeta", Priority: 1, Event: calculus.P(createStock)})
-	s.Define(Def{Name: "alpha", Priority: 2, Event: calculus.P(createStock)})
-	s.Define(Def{Name: "beta", Priority: 1, Event: calculus.P(createStock)})
+	s, b, c := newSupport(t,
+		Def{Name: "zeta", Priority: 1, Event: calculus.P(createStock)},
+		Def{Name: "alpha", Priority: 2, Event: calculus.P(createStock)},
+		Def{Name: "beta", Priority: 1, Event: calculus.P(createStock)})
 	log(t, s, b, c, createStock, 1)
 	fired := s.CheckTriggered(c.Now())
 	want := []string{"beta", "zeta", "alpha"} // priority, then name
@@ -133,8 +134,9 @@ func TestPriorityOrder(t *testing.T) {
 }
 
 func TestPreservingConsumptionWindow(t *testing.T) {
-	s, b, c := newSupport(t)
-	s.Define(Def{Name: "p", Consumption: Preserving, Event: calculus.P(createStock)})
+	s, b, c := newSupport(t,
+		Def{Name: "p", Consumption: Preserving, Event: calculus.P(createStock)},
+		Def{Name: "q", Consumption: Consuming, Event: calculus.P(createStock)})
 	log(t, s, b, c, createStock, 1)
 	s.CheckTriggered(c.Now())
 	first, _ := s.Consider("p", c.Tick())
@@ -149,8 +151,7 @@ func TestPreservingConsumptionWindow(t *testing.T) {
 		t.Fatalf("preserving window since = %d, want 0", second.Since)
 	}
 
-	// A consuming rule would instead observe only the suffix.
-	s.Define(Def{Name: "q", Consumption: Consuming, Event: calculus.P(createStock)})
+	// A consuming rule instead observes only the suffix.
 	log(t, s, b, c, createStock, 3)
 	s.CheckTriggered(c.Now())
 	s.Consider("q", c.Tick())
@@ -163,14 +164,10 @@ func TestPreservingConsumptionWindow(t *testing.T) {
 }
 
 func TestFilterSkipsIrrelevantRules(t *testing.T) {
-	s, b, c := newSupport(t)
-	s.Define(Def{Name: "stockRule", Event: calculus.P(createStock)})
-	s.Define(Def{Name: "showRule", Event: calculus.P(modShowQty)})
-	// Fresh rules start pending (their window may already hold matches);
-	// settle them so the steady-state skip below is observable.
-	s.CheckTriggered(c.Now())
+	s, b, c := newSupport(t,
+		Def{Name: "stockRule", Event: calculus.P(createStock)},
+		Def{Name: "showRule", Event: calculus.P(modShowQty)})
 	log(t, s, b, c, createStock, 1)
-	s.ResetStats()
 	fired := s.CheckTriggered(c.Now())
 	if len(fired) != 1 || fired[0] != "stockRule" {
 		t.Fatalf("fired = %v", fired)
@@ -185,12 +182,9 @@ func TestFilterSkipsIrrelevantRules(t *testing.T) {
 // arrives, and that is semantically safe (it could only have gone
 // inactive).
 func TestFilterSkipsPureNegativeArrival(t *testing.T) {
-	s, b, c := newSupport(t)
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
-	s.Define(Def{Name: "r", Event: e})
-	s.CheckTriggered(c.Now())       // settle the fresh rule's pending state
+	s, b, c := newSupport(t, Def{Name: "r", Event: e})
 	log(t, s, b, c, modStockQty, 1) // pure Δ− arrival
-	s.ResetStats()
 	if fired := s.CheckTriggered(c.Now()); len(fired) != 0 {
 		t.Fatal("rule fired on a pure Δ− arrival")
 	}
@@ -212,14 +206,13 @@ func TestFilterSkipsPureNegativeArrival(t *testing.T) {
 func TestBoundaryOnlyMissesTransient(t *testing.T) {
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 
-	s, b, c := newSupport(t)
-	s.Define(Def{Name: "r", Event: e})
+	s, b, c := newSupport(t, Def{Name: "r", Event: e})
 	log(t, s, b, c, createStock, 1)
 	log(t, s, b, c, modStockQty, 1)
 	if fired := s.CheckTriggered(c.Now()); len(fired) != 1 {
 		t.Fatal("formal semantics should catch the transient activation")
 	}
-	env := calculus.Env{Base: b, Since: s.TxnStart()}
+	env := calculus.Env{Base: b, Since: s.Start()}
 	if env.TS(e, c.Now()).Active() {
 		t.Fatal("test premise: the activation must be over at the check instant")
 	}
@@ -229,15 +222,14 @@ func TestBoundaryOnlyMissesTransient(t *testing.T) {
 // A arrives, the activation lasts to the check instant, where the
 // implementation sketch would see it too.
 func TestBoundaryOnlyPositiveControl(t *testing.T) {
-	s, b, c := newSupport(t)
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
-	s.Define(Def{Name: "r", Event: e})
+	s, b, c := newSupport(t, Def{Name: "r", Event: e})
 	log(t, s, b, c, createStock, 1) // only A arrives
 	if fired := s.CheckTriggered(c.Now()); len(fired) != 1 {
-		st, _ := s.Rule("r")
+		st, _ := s.sup.Rule("r")
 		t.Fatalf("fired=%v state=%+v now=%d", fired, st, c.Now())
 	}
-	env := calculus.Env{Base: b, Since: s.TxnStart()}
+	env := calculus.Env{Base: b, Since: s.Start()}
 	if !env.TS(e, c.Now()).Active() {
 		t.Fatal("the activation must last to the check instant")
 	}
@@ -271,7 +263,7 @@ func TestOptimizedMatchesNaive(t *testing.T) {
 					}
 					occs = append(occs, occ)
 				}
-				s.NotifyArrivals(occs)
+				s.NotifyArrivals(tidsOf(b, occs))
 				var round []firing
 				for _, name := range s.CheckTriggered(c.Now()) {
 					m, _ := s.Mark(name)
@@ -307,18 +299,17 @@ func TestDisjunctionOnlyIsTypeIndex(t *testing.T) {
 	}
 	for _, n := range []int{10, 100, 1000} {
 		r := rand.New(rand.NewSource(int64(n)))
-		s, b, c := newSupport(t)
 		listeners := make(map[event.Type][]int)
-		for i := 0; i < n; i++ {
+		defs := make([]Def, n)
+		for i := range defs {
 			var prims []calculus.Expr
 			for _, k := range r.Perm(len(vocab))[:3] {
 				prims = append(prims, calculus.P(vocab[k]))
 				listeners[vocab[k]] = append(listeners[vocab[k]], i)
 			}
-			if err := s.Define(Def{Name: fmt.Sprintf("r%04d", i), Event: calculus.DisjAll(prims...), Priority: i}); err != nil {
-				t.Fatal(err)
-			}
+			defs[i] = Def{Name: fmt.Sprintf("r%04d", i), Event: calculus.DisjAll(prims...), Priority: i}
 		}
+		s, b, c := newSupport(t, defs...)
 		fired := 0
 		for block := 0; block < 50; block++ {
 			reached := make([]bool, n)
@@ -339,7 +330,7 @@ func TestDisjunctionOnlyIsTypeIndex(t *testing.T) {
 					want = append(want, fmt.Sprintf("r%04d", i))
 				}
 			}
-			s.NotifyArrivals(occs)
+			s.NotifyArrivals(tidsOf(b, occs))
 			got := s.CheckTriggered(c.Now())
 			if !slices.Equal(got, want) {
 				t.Fatalf("%d rules, block %d: fired %v, the type index says %v", n, block, got, want)
@@ -357,27 +348,53 @@ func TestDisjunctionOnlyIsTypeIndex(t *testing.T) {
 	}
 }
 
+// The kernel-only calls run one Session of the Support's own:
+// BeginTransaction releases it and opens the next, whose marks start
+// over, and Define fails while it is open, as under any Session.
 func TestBeginTransactionResets(t *testing.T) {
-	s, b, c := newSupport(t)
-	s.Define(Def{Name: "r", Event: calculus.P(createStock)})
-	log(t, s, b, c, createStock, 1)
-	s.CheckTriggered(c.Now())
-	if m, _ := s.Mark("r"); !m.Triggered {
-		t.Fatal("not triggered")
+	b, c := event.NewBase(), clock.New()
+	s := NewSupport(b, Options{})
+	if err := s.Define(Def{Name: "r", Event: calculus.P(createStock)}); err != nil {
+		t.Fatal(err)
 	}
+	s.BeginTransaction(c.Now())
+	occ, err := b.Append(createStock, 1, c.Tick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.NotifyArrivals([]event.Occurrence{occ})
+	if fired := s.CheckTriggered(c.Now()); !slices.Equal(fired, []string{"r"}) {
+		t.Fatalf("fired %v", fired)
+	}
+	if name, ok := s.Pick(nil); !ok || name != "r" {
+		t.Fatalf("Pick = %q %v", name, ok)
+	}
+	if err := s.Define(Def{Name: "late", Event: calculus.P(createStock)}); err == nil {
+		t.Fatal("Define succeeded while the Support's own Session is open")
+	}
+	first := s.own
 	// New transaction: every mark resets to its start.
 	start := c.Tick()
 	s.BeginTransaction(start)
-	if m, _ := s.Mark("r"); m.Triggered || m.TriggeredAt != clock.Never || m.LastConsideration != start {
+	if s.sessions != 1 || s.own != first {
+		t.Fatalf("BeginTransaction left %d sessions open; recycled the released one: %v", s.sessions, s.own == first)
+	}
+	if m, _ := s.own.Mark("r"); m.Triggered || m.TriggeredAt != clock.Never || m.LastConsideration != start {
 		t.Fatalf("mark %+v survived the transaction boundary", m)
+	}
+	if s.Watermark() != start {
+		t.Fatalf("watermark %d, want the new start %d", s.Watermark(), start)
 	}
 	if fired := s.CheckTriggered(c.Tick()); len(fired) != 0 {
 		t.Fatal("rule fired with no events in the new transaction")
 	}
+	if got := s.Stats().Checks; got != 1 {
+		t.Fatalf("Stats counts %d checks, want the released Session's one", got)
+	}
 }
 
 func TestDrop(t *testing.T) {
-	s, _, _ := newSupport(t)
+	s := NewSupport(nil, Options{})
 	s.Define(Def{Name: "r", Event: calculus.P(createStock)})
 	if err := s.Drop("r"); err != nil {
 		t.Fatal(err)
@@ -394,7 +411,7 @@ func TestDrop(t *testing.T) {
 // sequence of both, the queue is the (priority, name) sort of the rules
 // defined.
 func TestDefineInsertsInQueueOrder(t *testing.T) {
-	s, _, _ := newSupport(t)
+	s := NewSupport(nil, Options{})
 	r := rand.New(rand.NewSource(7))
 	var defs []Def
 	for i := 0; i < 1000; i++ {
@@ -431,30 +448,20 @@ func TestDefineInsertsInQueueOrder(t *testing.T) {
 // Pick runs once per consideration: it returns the first triggered rule
 // without building the list of all of them.
 func TestPickAllocatesNothing(t *testing.T) {
-	s, b, c := newSupport(t)
-	for i := 0; i < 200; i++ {
-		if err := s.Define(Def{Name: fmt.Sprintf("r%03d", i), Priority: i % 5, Event: calculus.P(createStock)}); err != nil {
-			t.Fatal(err)
-		}
+	defs := make([]Def, 200)
+	for i := range defs {
+		defs[i] = Def{Name: fmt.Sprintf("r%03d", i), Priority: i % 5, Event: calculus.P(createStock)}
 	}
-	sess := s.NewSession(b, c.Now())
-	defer sess.Release()
-	occ, err := b.Append(createStock, 1, c.Tick())
-	if err != nil {
-		t.Fatal(err)
+	sess, b, c := newSupport(t, defs...)
+	log(t, sess, b, c, createStock, 1)
+	if fired := sess.CheckTriggered(c.Now()); len(fired) != 200 {
+		t.Fatalf("%d rules triggered, want 200", len(fired))
 	}
-	sess.NotifyArrivals(tidsOf(b, []event.Occurrence{occ}))
-	s.NotifyArrivals([]event.Occurrence{occ})
-	for _, v := range []lineView{s, sess} {
-		if fired := v.CheckTriggered(c.Now()); len(fired) != 200 {
-			t.Fatalf("%d rules triggered, want 200", len(fired))
-		}
-		if name, ok := v.Pick(nil); !ok || name != v.Triggered(nil)[0] {
-			t.Fatalf("Pick = %q, want the head of Triggered", name)
-		}
-		immediate := func(d Def) bool { return d.Coupling == Immediate }
-		if n := testing.AllocsPerRun(100, func() { v.Pick(immediate) }); n != 0 {
-			t.Errorf("%T.Pick allocates %v times", v, n)
-		}
+	if name, ok := sess.Pick(nil); !ok || name != sess.Triggered(nil)[0] {
+		t.Fatalf("Pick = %q, want the head of Triggered", name)
+	}
+	immediate := func(d Def) bool { return d.Coupling == Immediate }
+	if n := testing.AllocsPerRun(100, func() { sess.Pick(immediate) }); n != 0 {
+		t.Errorf("Pick allocates %v times", n)
 	}
 }

@@ -46,7 +46,7 @@ func sessionTxn(t *testing.T, s *Support, seed int64) (*Session, string) {
 			}
 		}
 		fmt.Fprintf(&out, "marks %v watermark %d\n", sess.Marks(), sess.Watermark())
-		verifyIndex(t, &sess.line)
+		verifyIndex(t, sess)
 	}
 	fmt.Fprintf(&out, "stats %+v\n", sess.Stats())
 	return sess, out.String()

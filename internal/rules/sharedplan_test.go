@@ -17,8 +17,8 @@ import (
 // fragment pool spliced into every other rule), the production support
 // must fire the identical rule set at identical activation instants as
 // the per-rule oracle, which has no V(E) filter — on segments of 1, 2 and
-// 256 occurrences, compacting below its watermark, with rules defined and
-// dropped mid-transaction, and on a Session's line. The horizons shapes
+// 256 occurrences, compacting below its watermark, and with rules
+// defined and dropped between transactions. The horizons shapes
 // give every rule of a wider set — copies of one expression, match-all
 // rules, precedence and instance lifts among them — a consideration
 // horizon of its own before every other check, so one arrival walk and
@@ -53,8 +53,7 @@ func TestSharedPlanMatchesReference(t *testing.T) {
 		ref  replayOpts
 		prod []variant
 	}{
-		{"picks", false, replayOpts{}, append(layouts,
-			variant{inSession, replayOpts{segSize: 2}})},
+		{"picks", false, replayOpts{}, layouts},
 		{"churn", false, replayOpts{churn: true}, []variant{
 			{production, replayOpts{churn: true, segSize: 2}},
 		}},
@@ -67,12 +66,9 @@ func TestSharedPlanMatchesReference(t *testing.T) {
 			{production, spread(replayOpts{segSize: 2, compact: true})},
 			{production, spread(replayOpts{segSize: 256, compact: true})},
 			{production, spread(replayOpts{segSize: 256})},
-			{inSession, spread(replayOpts{segSize: 2})},
 		}},
 		{"horizons-churn", true, spread(replayOpts{churn: true}), []variant{
-			// No compaction here: a rule defined mid-transaction reaches back
-			// to the transaction start, below what the watermark let go.
-			{production, spread(replayOpts{churn: true, segSize: 1})},
+			{production, spread(replayOpts{churn: true, segSize: 1, compact: true})},
 			{production, spread(replayOpts{churn: true, segSize: 2})},
 			{production, spread(replayOpts{churn: true, segSize: 256})},
 		}},
@@ -151,15 +147,13 @@ func wideDefs(r *rand.Rand, vocab []event.Type, pool []calculus.Expr) []Def {
 // hits, and TsEvaluations must equal MemoMisses (shared runs count node
 // evaluations, and every counted evaluation is by definition a miss).
 func TestSharedPlanStatsAccounting(t *testing.T) {
-	s, b, c := newSupport(t)
 	shared := calculus.Conj(calculus.P(createStock), calculus.P(modStockQty))
-	for i := 0; i < 8; i++ {
-		d := Def{Name: fmt.Sprintf("r%d", i),
+	defs := make([]Def, 8)
+	for i := range defs {
+		defs[i] = Def{Name: fmt.Sprintf("r%d", i),
 			Event: calculus.Disj(shared, calculus.P(modShowQty))}
-		if err := s.Define(d); err != nil {
-			t.Fatal(err)
-		}
 	}
+	s, b, c := newSupport(t, defs...)
 	log(t, s, b, c, createStock, 1)
 	s.CheckTriggered(c.Now())
 	st := s.Stats()
@@ -176,29 +170,11 @@ func TestSharedPlanStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestMidTransactionDefine is the regression test for the pending-gate
-// bug: a rule defined after relevant arrivals in the same transaction
-// must still be examined at the next check — its window (txnStart, now]
-// already holds matching occurrences.
-func TestMidTransactionDefine(t *testing.T) {
-	s, b, c := newSupport(t)
-	// The arrival lands before the rule exists, so NotifyArrivals cannot
-	// mark it pending.
-	log(t, s, b, c, createStock, 1)
-	if err := s.Define(Def{Name: "late", Event: calculus.P(createStock)}); err != nil {
-		t.Fatal(err)
-	}
-	fired := s.CheckTriggered(c.Now())
-	if len(fired) != 1 || fired[0] != "late" {
-		t.Fatalf("mid-transaction rule not triggered, fired = %v", fired)
-	}
-}
-
 // TestSharedPlanDefineDropLifecycle: rule churn must keep the DAG's
 // refcounts exact — shared nodes survive partial drops, and dropping
 // every owner empties the plan.
 func TestSharedPlanDefineDropLifecycle(t *testing.T) {
-	s, _, _ := newSupport(t)
+	s := NewSupport(nil, Options{})
 	shared := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 	if err := s.Define(Def{Name: "a", Event: calculus.Disj(shared, calculus.P(modShowQty))}); err != nil {
 		t.Fatal(err)
@@ -243,19 +219,15 @@ func TestCheckTriggeredSteadyStateAllocs(t *testing.T) {
 // its instants: once the fold's tables and arena are warm, a check
 // allocates nothing. So does AffectedObjects into a recycled buffer.
 func liftCheckAllocatesNothing(t *testing.T) {
-	b := event.NewBase()
-	c := clock.New()
-	s := NewSupport(b, Options{})
-	s.BeginTransaction(c.Now())
 	never := event.Delete("stock")
 	lift := calculus.ConjI(calculus.P(modStockQty), calculus.P(createStock))
 	horizons := []clock.Time{0, 200, 100, 450, 300, 50}
+	defs := make([]Def, len(horizons))
 	for i := range horizons {
 		a := []event.Type{never, event.Delete("show")}[i%2]
-		if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Priority: i, Event: calculus.Prec(calculus.P(a), lift)}); err != nil {
-			t.Fatal(err)
-		}
+		defs[i] = Def{Name: fmt.Sprintf("r%d", i), Priority: i, Event: calculus.Prec(calculus.P(a), lift)}
 	}
+	s, b, c := newSupport(t, defs...)
 	origin := c.Now()
 	for i := 0; i < 600; i++ { // spans 3 segments at the default size
 		ty := createStock
@@ -267,17 +239,17 @@ func liftCheckAllocatesNothing(t *testing.T) {
 		}
 	}
 	now := c.Tick()
-	s.line.sync()
+	s.sync()
 	for r, h := range horizons {
-		s.line.marks[r].lastConsideration = origin + h
+		s.marks[r].lastConsideration = origin + h
 	}
-	s.line.stale = true
+	s.stale = true
 	rewind := func() {
-		s.line.sync()
-		for r := range s.line.marks {
-			m := &s.line.marks[r]
+		s.sync()
+		for r := range s.marks {
+			m := &s.marks[r]
 			m.lastProbe, m.pending = origin, false
-			s.line.arrive(int32(r)) // back on the worklist
+			s.arrive(int32(r)) // back on the worklist
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -335,34 +307,32 @@ func TestCheckFoldsOncePerLeafSet(t *testing.T) {
 		func(a, b calculus.Expr) calculus.Expr { return calculus.PrecI(a, b) },
 	}
 	for _, ascending := range []bool{true, false} {
-		s, b, c := newSupport(t)
 		var exprs []calculus.Expr
-		k := 0
+		var defs []Def
 		for _, shape := range shapes {
 			for _, p := range pairs {
 				e := shape(calculus.P(p[0]), calculus.P(p[1]))
 				exprs = append(exprs, e)
-				if err := s.Define(Def{Name: fmt.Sprintf("r%02d", k), Priority: k, Event: e}); err != nil {
-					t.Fatal(err)
-				}
-				k++
+				defs = append(defs, Def{Name: fmt.Sprintf("r%02d", len(defs)), Priority: len(defs), Event: e})
 			}
 		}
+		k := len(defs)
+		s, b, c := newSupport(t, defs...)
 		origin := c.Now()
 		for i := 0; i < 3*k; i++ {
 			p := pairs[i%len(pairs)]
 			log(t, s, b, c, p[i/len(pairs)%2], types.OID(i%5+1))
 		}
 		now := c.Tick()
-		s.line.sync()
-		for r := range s.line.marks {
+		s.sync()
+		for r := range s.marks {
 			h := origin + clock.Time(r)
 			if !ascending {
 				h = origin + clock.Time(k-1-r)
 			}
-			s.line.marks[r].lastConsideration, s.line.marks[r].lastProbe = h, h
+			s.marks[r].lastConsideration, s.marks[r].lastProbe = h, h
 		}
-		s.line.stale = true
+		s.stale = true
 		before := s.Stats()
 		s.CheckTriggered(now)
 		hits := s.Stats().MemoHits - before.MemoHits
@@ -374,7 +344,7 @@ func TestCheckFoldsOncePerLeafSet(t *testing.T) {
 		}
 		triggered := 0
 		for r, e := range exprs {
-			m := &s.line.marks[r]
+			m := &s.marks[r]
 			if m.triggered {
 				triggered++
 			}
@@ -394,20 +364,19 @@ func TestCheckFoldsOncePerLeafSet(t *testing.T) {
 // allocate nothing. With no arrival between checks the batch is empty.
 func quietCheckAllocatesNothing(t *testing.T, b *event.Base) {
 	t.Helper()
-	c := clock.New()
-	s := NewSupport(b, Options{})
-	s.BeginTransaction(c.Now())
 	mono := calculus.Conj(calculus.P(createStock), calculus.P(modShowQty))
 	nonMono := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(createStock)))
-	for i := 0; i < 6; i++ {
+	defs := make([]Def, 6)
+	for i := range defs {
 		e := mono
 		if i%2 == 1 {
 			e = nonMono
 		}
-		if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Event: e}); err != nil {
-			t.Fatal(err)
-		}
+		defs[i] = Def{Name: fmt.Sprintf("r%d", i), Event: e}
 	}
+	c := clock.New()
+	s := supportWith(t, defs).NewSession(b, c.Now())
+	defer s.Release()
 	for i := 0; i < 10; i++ {
 		if _, err := b.Append(createStock, 1, c.Tick()); err != nil {
 			t.Fatal(err)
@@ -430,10 +399,7 @@ func quietCheckAllocatesNothing(t *testing.T, b *event.Base) {
 // checks (documented contract), so two consecutive boundaries with
 // firings must hand back the same backing array.
 func TestSharedPlanFiredSliceRecycled(t *testing.T) {
-	s, b, c := newSupport(t)
-	if err := s.Define(Def{Name: "r", Event: calculus.P(createStock), Consumption: Consuming}); err != nil {
-		t.Fatal(err)
-	}
+	s, b, c := newSupport(t, Def{Name: "r", Event: calculus.P(createStock), Consumption: Consuming})
 	log(t, s, b, c, createStock, 1)
 	first := s.CheckTriggered(c.Now())
 	if len(first) != 1 {
@@ -458,13 +424,12 @@ func TestSharedPlanFiredSliceRecycled(t *testing.T) {
 // them all; the first computes the DAG and the other seven read it back,
 // because every node's value holds for every horizon below the arrival.
 func TestMemoSharedAcrossHorizons(t *testing.T) {
-	s, b, c := newSupport(t)
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
-	for i := 0; i < 8; i++ {
-		if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Event: e}); err != nil {
-			t.Fatal(err)
-		}
+	defs := make([]Def, 8)
+	for i := range defs {
+		defs[i] = Def{Name: fmt.Sprintf("r%d", i), Event: e}
 	}
+	s, b, c := newSupport(t, defs...)
 	for i := 0; i < 8; i++ {
 		log(t, s, b, c, modShowQty, 1)
 		if _, err := s.Consider(fmt.Sprintf("r%d", i), c.Tick()); err != nil {
@@ -472,7 +437,6 @@ func TestMemoSharedAcrossHorizons(t *testing.T) {
 		}
 	}
 	log(t, s, b, c, createStock, 1)
-	s.ResetStats()
 	if fired := s.CheckTriggered(c.Now()); len(fired) != 8 {
 		t.Fatalf("fired %v, want all eight", fired)
 	}

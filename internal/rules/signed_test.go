@@ -61,9 +61,9 @@ func signedDefs(r *rand.Rand, vocab []event.Type, n int) []Def {
 }
 
 // The signed filing fires what the all-arrivals oracle fires, at the
-// same instants: on segments of 1, 2 and 256 occurrences, on a Session's
-// line, and with every rule at a horizon of its own and checks cut short
-// by a budget in the middle of the walk.
+// same instants: on segments of 1, 2 and 256 occurrences, and with every
+// rule at a horizon of its own and checks cut short by a budget in the
+// middle of the walk.
 func TestSignedProbingMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	vocab := calculus.DefaultVocabulary()[:4]
@@ -85,12 +85,11 @@ func TestSignedProbingMatchesOracle(t *testing.T) {
 			{production, replayOpts{segSize: 1}},
 			{production, replayOpts{segSize: 2}},
 			{production, replayOpts{segSize: 256}},
-			{inSession, replayOpts{segSize: 2}},
 		}},
 		{"horizons", spread(replayOpts{}), []variant{
 			{production, spread(replayOpts{segSize: 1, compact: true})},
 			{production, spread(replayOpts{segSize: 256})},
-			{inSession, spread(replayOpts{segSize: 2})},
+			{production, spread(replayOpts{segSize: 2})},
 		}},
 	}
 	for trial := 0; trial < 12; trial++ {
@@ -157,10 +156,10 @@ func runScript(t *testing.T, s *Support, defs []Def, hist []arrival, cuts uint64
 				sess.SetBudget(calculus.NewBudget(gas, time.Time{}))
 				_ = calculus.CatchBudget(func() { sess.CheckTriggered(now) })
 				sess.SetBudget(nil)
-				verifyIndex(t, &sess.line)
+				verifyIndex(t, sess)
 			}
 			sess.CheckTriggered(now)
-			verifyIndex(t, &sess.line)
+			verifyIndex(t, sess)
 			for _, d := range defs {
 				got, _ := sess.Mark(d.Name)
 				if want, _ := o.Mark(d.Name); got != want {

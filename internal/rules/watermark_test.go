@@ -15,16 +15,14 @@ import (
 // TestWatermarkTracksConsiderations: for an all-consuming rule set the
 // watermark is the minimum last consideration — it starts at the
 // transaction start and advances only when the laggard rule is
-// considered.
+// considered; the next transaction's Session starts it over.
 func TestWatermarkTracksConsiderations(t *testing.T) {
-	s, b, c := newSupport(t)
-	for i := 0; i < 3; i++ {
-		d := Def{Name: fmt.Sprintf("r%d", i), Event: calculus.P(createStock), Priority: i}
-		if err := s.Define(d); err != nil {
-			t.Fatal(err)
-		}
+	defs := make([]Def, 3)
+	for i := range defs {
+		defs[i] = Def{Name: fmt.Sprintf("r%d", i), Event: calculus.P(createStock), Priority: i}
 	}
-	start := s.TxnStart()
+	s, b, c := newSupport(t, defs...)
+	start := s.Start()
 	if got := s.Watermark(); got != start {
 		t.Fatalf("initial watermark = %d, want txn start %d", got, start)
 	}
@@ -41,6 +39,9 @@ func TestWatermarkTracksConsiderations(t *testing.T) {
 	if _, err := s.Consider("r1", at1); err != nil {
 		t.Fatal(err)
 	}
+	if got := s.Watermark(); got != start {
+		t.Fatalf("watermark after two considerations = %d, want %d (r2 lags)", got, start)
+	}
 	at2 := c.Tick()
 	if _, err := s.Consider("r2", at2); err != nil {
 		t.Fatal(err)
@@ -48,57 +49,36 @@ func TestWatermarkTracksConsiderations(t *testing.T) {
 	if got := s.Watermark(); got != at0 {
 		t.Fatalf("watermark = %d, want min consideration %d", got, at0)
 	}
-
-	// Regression: defining a rule after considerations must pull the
-	// watermark back down to the transaction start (the new rule's window
-	// opens there), not leave the cached minimum.
-	if err := s.Define(Def{Name: "late", Event: calculus.P(modStockQty)}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Watermark(); got != start {
-		t.Fatalf("watermark after late Define = %d, want %d", got, start)
-	}
-	if err := s.Drop("late"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Watermark(); got != at0 {
-		t.Fatalf("watermark after dropping the laggard = %d, want %d", got, at0)
-	}
-	// Dropping the minimum-holding rule advances the watermark too.
-	if err := s.Drop("r0"); err != nil {
+	// Considering the laggard again moves the minimum to the next one.
+	if _, err := s.Consider("r0", c.Tick()); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Watermark(); got != at1 {
-		t.Fatalf("watermark after dropping r0 = %d, want %d", got, at1)
+		t.Fatalf("watermark after reconsidering r0 = %d, want %d", got, at1)
 	}
-	// BeginTransaction resets everything to the new start.
-	s.BeginTransaction(c.Tick())
-	if got := s.Watermark(); got != s.TxnStart() {
-		t.Fatalf("watermark after BeginTransaction = %d, want %d", got, s.TxnStart())
+	// A new transaction's Session starts everything at its start.
+	s.Release()
+	next := s.sup.NewSession(b, c.Tick())
+	defer next.Release()
+	if got := next.Watermark(); got != next.Start() {
+		t.Fatalf("watermark of the next Session = %d, want its start %d", got, next.Start())
 	}
 }
 
 // TestWatermarkPreservingPinsAndDropUnpins is the satellite regression:
 // one preserving rule pins the watermark at the transaction start no
-// matter how far consuming rules advance, and dropping the last
-// preserving rule unpins compaction immediately — with no further rule
-// activity needed.
+// matter how far consuming rules advance; once the last preserving rule
+// is dropped between two transactions, the next Session's watermark
+// follows the consuming rules' considerations.
 func TestWatermarkPreservingPinsAndDropUnpins(t *testing.T) {
-	s, b, c := newSupport(t)
-	if err := s.Define(Def{Name: "keep", Event: calculus.P(createStock),
-		Consumption: Preserving}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Define(Def{Name: "churn", Event: calculus.P(createStock)}); err != nil {
-		t.Fatal(err)
-	}
-	start := s.TxnStart()
-	var lastConsider clock.Time
+	s, b, c := newSupport(t,
+		Def{Name: "keep", Event: calculus.P(createStock), Consumption: Preserving},
+		Def{Name: "churn", Event: calculus.P(createStock)})
+	start := s.Start()
 	for i := 0; i < 5; i++ {
 		log(t, s, b, c, createStock, 1)
 		s.CheckTriggered(c.Now())
-		lastConsider = c.Tick()
-		if _, err := s.Consider("churn", lastConsider); err != nil {
+		if _, err := s.Consider("churn", c.Tick()); err != nil {
 			t.Fatal(err)
 		}
 		// The preserving rule is considered too — its consideration must
@@ -110,15 +90,25 @@ func TestWatermarkPreservingPinsAndDropUnpins(t *testing.T) {
 			t.Fatalf("round %d: watermark = %d, want pinned at %d", i, got, start)
 		}
 	}
-	if err := s.Drop("keep"); err != nil {
+	sup := s.sup
+	s.Release()
+	if err := sup.Drop("keep"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Watermark(); got != lastConsider {
-		t.Fatalf("watermark after dropping last preserving rule = %d, want %d (unpinned immediately)",
+	next := sup.NewSession(b, c.Tick())
+	defer next.Release()
+	log(t, next, b, c, createStock, 1)
+	next.CheckTriggered(c.Now())
+	lastConsider := c.Tick()
+	if _, err := next.Consider("churn", lastConsider); err != nil {
+		t.Fatal(err)
+	}
+	if got := next.Watermark(); got != lastConsider {
+		t.Fatalf("watermark after dropping the last preserving rule = %d, want %d (unpinned)",
 			got, lastConsider)
 	}
 	// And compaction actually proceeds now.
-	if n := b.CompactBelow(s.Watermark()); n == 0 {
+	if n := b.CompactBelow(next.Watermark()); n == 0 {
 		t.Fatal("compaction still pinned after dropping the preserving rule")
 	}
 }
@@ -161,27 +151,23 @@ func TestPreservingSurvivesConsumingChurn(t *testing.T) {
 	compacted := event.NewBaseSize(4)
 	flat := event.NewBaseSize(1 << 20)
 	c := clock.New()
-	s := NewSupport(compacted, Options{})
-	s.BeginTransaction(c.Now())
-	if err := s.Define(Def{Name: "audit", Event: calculus.P(createStock),
-		Consumption: Preserving, Priority: 99}); err != nil {
-		t.Fatal(err)
-	}
+	defs := []Def{{Name: "audit", Event: calculus.P(createStock), Consumption: Preserving, Priority: 99}}
 	for i := 0; i < 8; i++ {
-		if err := s.Define(Def{Name: fmt.Sprintf("hot%d", i),
-			Event: calculus.P(vocab[i%len(vocab)]), Priority: i}); err != nil {
-			t.Fatal(err)
-		}
+		defs = append(defs, Def{Name: fmt.Sprintf("hot%d", i), Event: calculus.P(vocab[i%len(vocab)]), Priority: i})
 	}
-	start := s.TxnStart()
+	sup := supportWith(t, defs)
+	s := sup.NewSession(compacted, c.Now())
+	start := s.Start()
 	for block := 0; block < 60; block++ {
 		for i := 0; i < 3; i++ {
 			ty := vocab[r.Intn(len(vocab))]
 			oid := types.OID(1 + r.Intn(4))
 			at := c.Tick()
-			if _, err := compacted.Append(ty, oid, at); err != nil {
+			tid, err := compacted.AppendTID(ty, oid, at)
+			if err != nil {
 				t.Fatal(err)
 			}
+			s.NotifyArrivals([]int32{tid})
 			if _, err := flat.Append(ty, oid, at); err != nil {
 				t.Fatal(err)
 			}
@@ -212,11 +198,15 @@ func TestPreservingSurvivesConsumingChurn(t *testing.T) {
 			t.Fatalf("LastOf(%v) over the preserving window: %d vs %d", ty, g, w)
 		}
 	}
-	// Dropping the preserving rule unpins: the same base now compacts.
-	if err := s.Drop("audit"); err != nil {
+	// Dropping the preserving rule between two transactions unpins: the
+	// same base now compacts below the next Session's watermark.
+	s.Release()
+	if err := sup.Drop("audit"); err != nil {
 		t.Fatal(err)
 	}
-	if n := compacted.CompactBelow(s.Watermark()); n == 0 {
+	next := sup.NewSession(compacted, c.Tick())
+	defer next.Release()
+	if n := compacted.CompactBelow(next.Watermark()); n == 0 {
 		t.Fatal("nothing retired after the preserving pin was dropped")
 	}
 }
