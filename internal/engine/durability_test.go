@@ -1079,3 +1079,78 @@ func TestRecoverPublishesCommittedState(t *testing.T) {
 		t.Fatalf("a reader after the commit sees n=%d, want 2", n)
 	}
 }
+
+// TestRollbackPublishesNothing: a rollback leaves the published snapshot
+// as it was — its epoch, which counts commits, and the committed values
+// a reader sees — both for an ordinary single-session transaction and
+// for one Recover handed back open (whose committed state Recover has
+// already published).
+func TestRollbackPublishesNothing(t *testing.T) {
+	store := storage.NewMemStore()
+	db, err := engine.Open(durOptions(store, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defineDurCatalog(t, db)
+	var oid types.OID
+	if err := db.Run(func(tx *engine.Txn) error {
+		var err error
+		oid, err = tx.Create("item", map[string]types.Value{"n": types.Int(1), "cap": types.Int(50)})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// modify opens a transaction on d that writes n and ends a block.
+	modify := func(d *engine.DB, n int64) *engine.Txn {
+		t.Helper()
+		tx, err := d.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Modify(oid, "n", types.Int(n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.EndLine(); err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	// rollback rolls tx back on d and checks that the epoch stayed put and
+	// that a reader sees the committed n=1.
+	rollback := func(name string, d *engine.DB, tx *engine.Txn) {
+		t.Helper()
+		epoch := d.Store().PublishedEpoch()
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Store().PublishedEpoch(); got != epoch {
+			t.Errorf("%s: the rollback moved the published epoch %d -> %d; epochs count commits", name, epoch, got)
+		}
+		rt := d.BeginRead()
+		defer rt.Close()
+		o, ok := rt.Get(oid)
+		if !ok {
+			t.Fatalf("%s: %v is not in the snapshot", name, oid)
+		}
+		if v, err := o.Get("n"); err != nil || v.AsInt() != 1 {
+			t.Errorf("%s: a reader after the rollback sees n=%v (%v), want the committed 1", name, v, err)
+		}
+	}
+	rollback("solo", db, modify(db, 2))
+
+	open := modify(db, 3)
+	if err := db.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	rdb, rtx, _, err := engine.Recover(durOptions(store.Clone(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rollback("crashed", db, open)
+	defer rdb.Close()
+	if rtx == nil {
+		t.Fatal("the open transaction did not come back")
+	}
+	rollback("recovered", rdb, rtx)
+}

@@ -117,11 +117,13 @@ type Options struct {
 	SegmentSize int
 	// Metrics, when non-nil, is the registry the engine and every layer
 	// under it (Event Base, Trigger Support) report into; read it back
-	// with DB.Snapshot. nil (the default) disables instrumentation
-	// entirely: every report site reduces to one
-	// branch-predictable nil check with no allocation and no atomic
-	// operation, and the differential suite pins enabled vs disabled
-	// runs to identical semantics (see DESIGN.md §9).
+	// with DB.Snapshot. Its counters are the ones DB.Stats and
+	// Support.Stats read, so a registry serves one database: two given
+	// the same one would share their Stats too. nil (the default) keeps
+	// those counters in the database and reports nothing else: every
+	// other report site reduces to one branch-predictable nil check.
+	// The differential suite pins enabled vs disabled runs to identical
+	// semantics (see DESIGN.md §9).
 	Metrics *metrics.Registry
 	// MaxSessions is how many transaction lines Begin admits at once.
 	// 0 or 1 is the classic single-session engine: one open transaction,
@@ -212,22 +214,6 @@ type Stats struct {
 	RuleLimitHits  int64
 }
 
-// statsCounters is the engine's internal, atomically-updated form of
-// Stats: concurrent transaction lines bump them without a lock.
-type statsCounters struct {
-	transactions   atomic.Int64
-	blocks         atomic.Int64
-	events         atomic.Int64
-	ruleExecutions atomic.Int64
-	considerations atomic.Int64
-	readTxns       atomic.Int64
-	conflicts      atomic.Int64
-	gasKills       atomic.Int64
-	deadlineKills  atomic.Int64
-	eventLimitHits atomic.Int64
-	ruleLimitHits  atomic.Int64
-}
-
 // DB is a Chimera database: schema, object store, rule set, and the
 // machinery to run transactions against them.
 type DB struct {
@@ -244,7 +230,6 @@ type DB struct {
 	bodies map[string]Body
 	conds  *calculus.Plan
 	opts   Options
-	stats  statsCounters
 	// tracer is the installed Tracer (nil: none). SetTracer swaps it while
 	// lines run, so every reader loads it once per span it opens.
 	tracer atomic.Pointer[tracerBox]
@@ -341,20 +326,21 @@ func (db *DB) Clock() *clock.Clock { return db.clock }
 // Support exposes the Trigger Support (for statistics and inspection).
 func (db *DB) Support() *rules.Support { return db.support }
 
-// Stats returns a snapshot of the engine counters.
+// Stats reads the engine counters (the registry's, see Options.Metrics),
+// one at a time: not a consistent cut while lines run.
 func (db *DB) Stats() Stats {
 	return Stats{
-		Transactions:   db.stats.transactions.Load(),
-		Blocks:         db.stats.blocks.Load(),
-		Events:         db.stats.events.Load(),
-		RuleExecutions: db.stats.ruleExecutions.Load(),
-		Considerations: db.stats.considerations.Load(),
-		ReadTxns:       db.stats.readTxns.Load(),
-		Conflicts:      db.stats.conflicts.Load(),
-		GasKills:       db.stats.gasKills.Load(),
-		DeadlineKills:  db.stats.deadlineKills.Load(),
-		EventLimitHits: db.stats.eventLimitHits.Load(),
-		RuleLimitHits:  db.stats.ruleLimitHits.Load(),
+		Transactions:   db.m.transactions.Value(),
+		Blocks:         db.m.blocks.Value(),
+		Events:         db.m.events.Value(),
+		RuleExecutions: db.m.executions.Value(),
+		Considerations: db.m.considerations.Value(),
+		ReadTxns:       db.m.readTxns.Value(),
+		Conflicts:      db.m.conflicts.Value(),
+		GasKills:       db.m.gasKills.Value(),
+		DeadlineKills:  db.m.deadlineKills.Value(),
+		EventLimitHits: db.m.eventLimitHits.Value(),
+		RuleLimitHits:  db.m.ruleLimitHits.Value(),
 	}
 }
 
@@ -381,10 +367,10 @@ func (db *DB) Limits() Limits {
 		TimeBudget:        db.opts.TimeBudget,
 		MaxEvents:         db.opts.MaxEvents,
 		MaxRuleExecutions: db.opts.MaxRuleExecutions,
-		GasKills:          db.stats.gasKills.Load(),
-		DeadlineKills:     db.stats.deadlineKills.Load(),
-		EventLimitHits:    db.stats.eventLimitHits.Load(),
-		RuleLimitHits:     db.stats.ruleLimitHits.Load(),
+		GasKills:          db.m.gasKills.Value(),
+		DeadlineKills:     db.m.deadlineKills.Value(),
+		EventLimitHits:    db.m.eventLimitHits.Value(),
+		RuleLimitHits:     db.m.ruleLimitHits.Value(),
 	}
 }
 
@@ -625,7 +611,6 @@ func (db *DB) begin(start clock.Time) (*Txn, error) {
 	}
 	db.mu.Unlock()
 
-	db.stats.transactions.Add(1)
 	db.m.transactions.Inc()
 	if t.tr = db.loadTracer(); t.tr != nil {
 		t.tr.TransactionStart(start)
@@ -687,7 +672,6 @@ func (t *Txn) log(ty event.Type, oid types.OID) error {
 		t.walEvent(tid, ty, ts, oid)
 	}
 	t.pending = append(t.pending, tid)
-	t.db.stats.events.Add(1)
 	t.db.m.events.Inc()
 	return nil
 }
@@ -718,7 +702,7 @@ func (t *Txn) check() error {
 // conflict funnels every ErrConflict an operation reports, counting it.
 func (t *Txn) conflict(err error) error {
 	if errors.Is(err, object.ErrConflict) {
-		t.db.stats.conflicts.Add(1)
+		t.db.m.conflicts.Inc()
 	}
 	return err
 }
@@ -730,16 +714,12 @@ func (t *Txn) classify(err error) error {
 	switch {
 	case err == nil:
 	case errors.Is(err, calculus.ErrGasExhausted):
-		t.db.stats.gasKills.Add(1)
 		t.db.m.gasKills.Inc()
 	case errors.Is(err, calculus.ErrDeadlineExceeded):
-		t.db.stats.deadlineKills.Add(1)
 		t.db.m.deadlineKills.Inc()
 	case errors.Is(err, event.ErrLimit):
-		t.db.stats.eventLimitHits.Add(1)
 		t.db.m.eventLimitHits.Inc()
 	case errors.Is(err, ErrRuleLimit):
-		t.db.stats.ruleLimitHits.Add(1)
 		t.db.m.ruleLimitHits.Inc()
 	}
 	return err
@@ -982,7 +962,6 @@ func (t *Txn) EndLine() error {
 func (t *Txn) flushBlock() error {
 	db := t.db
 	tr := db.loadTracer()
-	db.stats.blocks.Add(1)
 	db.m.blocks.Inc()
 	n := len(t.pending)
 	db.m.blockEvents.Observe(int64(n))
@@ -1128,7 +1107,6 @@ func (t *Txn) runRule(name string) error {
 		// horizon at exactly the live instant.
 		t.wrec = encOpConsider(t.wrec, name, at)
 	}
-	t.db.stats.considerations.Add(1)
 	t.db.m.considerations.Inc()
 	body := t.db.bodies[name]
 	// The condition reads through the line, so in multi-session mode
@@ -1150,7 +1128,6 @@ func (t *Txn) runRule(name string) error {
 		// detriggered; nothing executes.
 		return t.flushBlock()
 	}
-	t.db.stats.ruleExecutions.Add(1)
 	t.db.m.executions.Inc()
 	if err := body.Action.Exec(ctx, (*txnMutator)(t), bindings); err != nil {
 		return fmt.Errorf("engine: rule %q action: %w", name, err)
@@ -1313,21 +1290,7 @@ func (t *Txn) Rollback() error {
 }
 
 func (t *Txn) rollback() {
-	touched := t.line.TouchedOIDs()
 	t.line.Rollback()
-	if !t.multi && len(touched) > 0 {
-		// A solo line mutates the shared store in place, and recovery can
-		// publish mid-transaction state (Recover returns an interrupted
-		// transaction live after a full-store publication): restage the
-		// restored committed values so the snapshot never retains writes
-		// the rollback undid. In ordinary operation this restages
-		// identical values — uncommitted writes never reach a snapshot.
-		// Multi-session lines skip it: their writes were latched private
-		// and never staged, and staging is reserved to commits holding
-		// the commit latch.
-		t.db.store.StageTouched(touched)
-		t.db.m.snapshotEpoch.Set(int64(t.db.store.PublishedEpoch()))
-	}
 	t.finish()
 	t.db.m.rollbacks.Inc()
 	if t.tr != nil {

@@ -9,8 +9,11 @@ import (
 // executions, plus the watermark-age gauge (how far the consumption
 // low-watermark trails the clock — a stall means some rule has not been
 // considered for a long stretch and the Event Base cannot compact).
-// The zero value (all nil instruments) is the disabled configuration;
-// every report is then a branch-predictable nil check and nothing else.
+// The counters behind Stats are the database's only count of their
+// facts: the registry's counters of the same names, or counters of the
+// database's own when Options.Metrics is nil. Every other instrument is
+// nil without a registry, and its report is then a branch-predictable
+// nil check and nothing else.
 type engineMetrics struct {
 	transactions   *metrics.Counter
 	commits        *metrics.Counter
@@ -50,27 +53,36 @@ type engineMetrics struct {
 	deadlineKills  *metrics.Counter
 	eventLimitHits *metrics.Counter
 	ruleLimitHits  *metrics.Counter
+	// conflicts counts line operations that failed with ErrConflict
+	// (Stats.Conflicts). It is never registered: the object layer's
+	// chimera_object_latch_conflicts_total also counts a Txn.Get that
+	// meets a conflicting latch, which Get reads as a missing object.
+	conflicts *metrics.Counter
 }
 
 func newEngineMetrics(r *metrics.Registry) engineMetrics {
-	if r == nil {
-		return engineMetrics{}
+	// counter resolves a counter behind a Stats field.
+	counter := func(name string) *metrics.Counter {
+		if r == nil {
+			return new(metrics.Counter)
+		}
+		return r.Counter(name)
 	}
 	return engineMetrics{
-		transactions:   r.Counter("chimera_engine_transactions_total"),
+		transactions:   counter("chimera_engine_transactions_total"),
 		commits:        r.Counter("chimera_engine_commits_total"),
 		rollbacks:      r.Counter("chimera_engine_rollbacks_total"),
-		blocks:         r.Counter("chimera_engine_blocks_total"),
-		events:         r.Counter("chimera_engine_events_total"),
-		considerations: r.Counter("chimera_engine_considerations_total"),
-		executions:     r.Counter("chimera_engine_executions_total"),
+		blocks:         counter("chimera_engine_blocks_total"),
+		events:         counter("chimera_engine_events_total"),
+		considerations: counter("chimera_engine_considerations_total"),
+		executions:     counter("chimera_engine_executions_total"),
 		blockEvents: r.Histogram("chimera_engine_block_events",
 			0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024),
 		watermarkAge: r.Gauge("chimera_engine_watermark_age"),
 		activeLines:  r.Gauge("chimera_engine_active_lines"),
 		commitWait: r.Histogram("chimera_engine_commit_wait_ns",
 			1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9),
-		readTxns:          r.Counter("chimera_engine_read_txns_total"),
+		readTxns:          counter("chimera_engine_read_txns_total"),
 		snapshotEpoch:     r.Gauge("chimera_engine_snapshot_epoch"),
 		publishedObjects:  r.Counter("chimera_engine_published_objects_total"),
 		walRecords:        r.Counter("chimera_wal_records_total"),
@@ -79,10 +91,11 @@ func newEngineMetrics(r *metrics.Registry) engineMetrics {
 		walFsyncs:         r.Counter("chimera_wal_fsyncs_total"),
 		checkpoints:       r.Counter("chimera_ckpt_total"),
 		segmentsPersisted: r.Counter("chimera_ckpt_segments_persisted_total"),
-		gasKills:          r.Counter("chimera_engine_gas_kills_total"),
-		deadlineKills:     r.Counter("chimera_engine_deadline_kills_total"),
-		eventLimitHits:    r.Counter("chimera_engine_event_limit_hits_total"),
-		ruleLimitHits:     r.Counter("chimera_engine_rule_limit_hits_total"),
+		gasKills:          counter("chimera_engine_gas_kills_total"),
+		deadlineKills:     counter("chimera_engine_deadline_kills_total"),
+		eventLimitHits:    counter("chimera_engine_event_limit_hits_total"),
+		ruleLimitHits:     counter("chimera_engine_rule_limit_hits_total"),
+		conflicts:         new(metrics.Counter),
 	}
 }
 

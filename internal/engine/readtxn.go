@@ -43,7 +43,6 @@ type ReadTxn struct {
 // only against other materializing readers and O(write set) stagings,
 // never against open transactions.
 func (db *DB) BeginRead() ReadTxn {
-	db.stats.readTxns.Add(1)
 	db.m.readTxns.Inc()
 	return ReadTxn{db: db, snap: db.store.Published()}
 }

@@ -184,12 +184,14 @@ type mark struct {
 // Options configures a Support.
 type Options struct {
 	// Metrics, when non-nil, is the instrument set the support reports
-	// into. Reporting happens in bulk at the end of each CheckTriggered
-	// (counter deltas, not per-rule atomics), so the enabled path adds a
-	// constant cost per block boundary; a nil set costs one predictable
-	// branch. Instrumentation never changes outcomes — the differential
-	// suite in internal/engine pins metrics-on vs metrics-off runs to
-	// identical triggerings and database states.
+	// into, and its seven counters are the ones Support.Stats reads; nil
+	// gives the Support counters of its own (NewSupportMetrics(nil)).
+	// Each Session adds its counts to them in bulk after every check and
+	// at Release (counter deltas, not per-rule atomics), so reporting
+	// costs a constant per block boundary. Instrumentation never changes
+	// outcomes — the differential suite in internal/engine pins
+	// metrics-on vs metrics-off runs to identical triggerings and
+	// database states.
 	Metrics *SupportMetrics
 }
 
@@ -220,8 +222,10 @@ type Stats struct {
 	Triggerings int64
 }
 
-// SupportMetrics is the Trigger Support's instrument set. A nil
-// *SupportMetrics disables reporting.
+// SupportMetrics is the Trigger Support's instrument set. Its seven
+// counters are the Support's only count of its Stats; the batch
+// histogram and the plan gauges are nil (not reported) without a
+// registry.
 type SupportMetrics struct {
 	Checks        *metrics.Counter
 	RulesExamined *metrics.Counter
@@ -240,54 +244,29 @@ type SupportMetrics struct {
 }
 
 // NewSupportMetrics resolves the Trigger Support instruments from a
-// registry; a nil registry yields nil (reporting disabled).
+// registry. A nil registry yields seven counters of the Support's own
+// and no histogram or gauge.
 func NewSupportMetrics(r *metrics.Registry) *SupportMetrics {
-	if r == nil {
-		return nil
+	// counter resolves a counter behind a Stats field.
+	counter := func(name string) *metrics.Counter {
+		if r == nil {
+			return new(metrics.Counter)
+		}
+		return r.Counter(name)
 	}
 	return &SupportMetrics{
-		Checks:        r.Counter("chimera_trigger_checks_total"),
-		RulesExamined: r.Counter("chimera_trigger_rules_examined_total"),
-		RulesSkipped:  r.Counter("chimera_trigger_rules_skipped_total"),
-		TsEvals:       r.Counter("chimera_trigger_ts_evals_total"),
-		Triggerings:   r.Counter("chimera_trigger_triggerings_total"),
+		Checks:        counter("chimera_trigger_checks_total"),
+		RulesExamined: counter("chimera_trigger_rules_examined_total"),
+		RulesSkipped:  counter("chimera_trigger_rules_skipped_total"),
+		TsEvals:       counter("chimera_trigger_ts_evals_total"),
+		Triggerings:   counter("chimera_trigger_triggerings_total"),
 		BatchRules: r.Histogram("chimera_trigger_batch_rules",
 			1, 4, 16, 64, 256, 1024, 4096),
-		MemoHits:   r.Counter("chimera_plan_memo_hits_total"),
-		MemoMisses: r.Counter("chimera_plan_memo_misses_total"),
+		MemoHits:   counter("chimera_plan_memo_hits_total"),
+		MemoMisses: counter("chimera_plan_memo_misses_total"),
 		PlanNodes:  r.Gauge("chimera_plan_nodes"),
 		PlanShared: r.Gauge("chimera_plan_shared_nodes"),
 	}
-}
-
-// report publishes the delta between two Stats snapshots plus the batch
-// size of one check and the plan's shape. Called once per CheckTriggered;
-// all instrument writes are atomic and allocation-free.
-func (m *SupportMetrics) report(before, after Stats, batch int, plan *calculus.Plan) {
-	if m == nil {
-		return
-	}
-	m.Checks.Inc()
-	m.RulesExamined.Add(after.RulesExamined - before.RulesExamined)
-	m.RulesSkipped.Add(after.RulesSkipped - before.RulesSkipped)
-	m.TsEvals.Add(after.TsEvaluations - before.TsEvaluations)
-	m.MemoHits.Add(after.MemoHits - before.MemoHits)
-	m.MemoMisses.Add(after.MemoMisses - before.MemoMisses)
-	m.Triggerings.Add(after.Triggerings - before.Triggerings)
-	m.BatchRules.Observe(int64(batch))
-	m.PlanNodes.Set(int64(plan.Live()))
-	m.PlanShared.Set(int64(plan.Shared()))
-}
-
-// add accumulates a released session's counters into the receiver.
-func (s *Stats) add(o Stats) {
-	s.Checks += o.Checks
-	s.RulesExamined += o.RulesExamined
-	s.RulesSkipped += o.RulesSkipped
-	s.TsEvaluations += o.TsEvaluations
-	s.MemoHits += o.MemoHits
-	s.MemoMisses += o.MemoMisses
-	s.Triggerings += o.Triggerings
 }
 
 // zeroed returns n zero elements in s's storage when it has room for
@@ -302,7 +281,7 @@ func zeroed[S ~[]E, E any](s S, n int) S {
 
 // Support is the Trigger Support plus Rule Table: the registry of
 // defined rules every Session reads, the pool of idle Sessions, and the
-// aggregate work counters. It holds no mark.
+// aggregate work counters (Options.Metrics). It holds no mark.
 type Support struct {
 	mu   sync.RWMutex
 	opts Options
@@ -348,8 +327,6 @@ type Support struct {
 	// old rule set and their evaluators walk the old plan.
 	sessions int
 	idle     []*Session
-	// stats accumulates every released Session's counters.
-	stats Stats
 	// base, own and tids serve the kernel-only calls (see
 	// BeginTransaction): the base NewSupport was given, the Session
 	// BeginTransaction opened over it, and NotifyArrivals' scratch.
@@ -362,6 +339,9 @@ type Support struct {
 // Session's base must share it. With a nil base, the first Session's
 // registry is the Support's.
 func NewSupport(base *event.Base, opts Options) *Support {
+	if opts.Metrics == nil {
+		opts.Metrics = NewSupportMetrics(nil)
+	}
 	s := &Support{
 		opts:  opts,
 		plan:  calculus.NewPlan(),
@@ -491,12 +471,22 @@ func (s *Support) Rules() []string {
 	return append([]string(nil), s.order...)
 }
 
-// Stats returns a snapshot of the work counters of every released
-// Session.
+// Stats reads the work counters of every check a Session completed,
+// in open Sessions too, and of every check a budget cut short in a
+// released one. It takes no lock: it reads Options.Metrics' counters,
+// one at a time, so a check finishing meanwhile may show in some fields
+// and not yet in others.
 func (s *Support) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.stats
+	m := s.opts.Metrics
+	return Stats{
+		Checks:        m.Checks.Value(),
+		RulesExamined: m.RulesExamined.Value(),
+		RulesSkipped:  m.RulesSkipped.Value(),
+		TsEvaluations: m.TsEvals.Value(),
+		MemoHits:      m.MemoHits.Value(),
+		MemoMisses:    m.MemoMisses.Value(),
+		Triggerings:   m.Triggerings.Value(),
+	}
 }
 
 // Plan returns the interned trigger-plan DAG. The plan is mutated only

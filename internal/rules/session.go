@@ -23,10 +23,10 @@ import (
 //
 // While sessions are open the registry is frozen (Define and Drop
 // fail), so the rule set a session's marks cover and the plan DAG its
-// evaluator walks cannot change under it. Release the session when its
-// transaction ends: its work counters fold into the Support's aggregate
-// Stats, and the session goes back to the Support's idle pool, for a
-// later NewSession to reuse with its scratch.
+// evaluator walks cannot change under it. The session adds its work
+// counts to the Support's counters after every check and at Release.
+// Release the session when its transaction ends: it goes back to the
+// Support's idle pool, for a later NewSession to reuse with its scratch.
 //
 // The block-boundary index (queue, trig, wmMin; DESIGN.md "Block
 // boundary") is derived state: at every instant it is not stale it
@@ -46,7 +46,9 @@ type Session struct {
 	released bool
 	// marks holds every defined rule's mark, at the rule's rank.
 	marks []mark
-	stats Stats
+	// stats counts the transaction's work; published is the part of it
+	// already added to the Support's counters.
+	stats, published Stats
 
 	// stale marks the index below as out of date with the marks; sync
 	// rebuilds it before its next use.
@@ -133,10 +135,10 @@ func (s *Support) NewSession(base *event.Base, start clock.Time) *Session {
 	return sess
 }
 
-// Release closes the session: its work counters fold into the Support's
-// aggregate Stats, the session joins the idle pool, and the registry
-// unfreezes once the last session is gone. Idempotent; the session must
-// not be used after it.
+// Release closes the session: it publishes what it has not yet (a check
+// its budget cut short), joins the idle pool, and the registry unfreezes
+// once the last session is gone. Idempotent; the session must not be
+// used after it.
 func (sess *Session) Release() {
 	if sess.released {
 		return
@@ -145,17 +147,16 @@ func (sess *Session) Release() {
 	if sess.eval != nil {
 		sess.count() // a check its budget cut short left them uncounted
 	}
-	stats := sess.stats
+	sess.publish()
 	// An idle session holds no Event Base: the transaction's log is
 	// collectable as soon as the transaction lets go of it.
-	sess.stats, sess.base, sess.budget = Stats{}, nil, nil
+	sess.stats, sess.published, sess.base, sess.budget = Stats{}, Stats{}, nil, nil
 	if sess.eval != nil {
 		sess.eval.Unbind()
 	}
 	s := sess.sup
 	s.mu.Lock()
 	s.sessions--
-	s.stats.add(stats)
 	s.idle = append(s.idle, sess)
 	s.mu.Unlock()
 }
@@ -294,11 +295,6 @@ func (sess *Session) arrive(r int32) {
 // of newly triggered rules in priority order. The returned slice is
 // recycled across calls: it is valid until the next one.
 func (sess *Session) CheckTriggered(now clock.Time) []string {
-	met := sess.sup.opts.Metrics
-	var statsBefore Stats
-	if met != nil {
-		statsBefore = sess.stats
-	}
 	sess.sync()
 	sess.stats.Checks++
 	// Every non-triggered rule is examined; the batch is those of them
@@ -327,7 +323,11 @@ func (sess *Session) CheckTriggered(now clock.Time) []string {
 	// what the marks then say.
 	sess.stale = true
 	sess.checkShared(batch, now)
-	met.report(statsBefore, sess.stats, len(batch), sess.sup.plan)
+	sess.publish()
+	met, plan := sess.sup.opts.Metrics, sess.sup.plan
+	met.BatchRules.Observe(int64(len(batch)))
+	met.PlanNodes.Set(int64(plan.Live()))
+	met.PlanShared.Set(int64(plan.Shared()))
 	// The result slice is recycled across checks (no allocation on busy
 	// boundaries); callers must not retain it past the next call. The
 	// same pass is the check→triggered transition of the index.
@@ -423,6 +423,20 @@ func (sess *Session) count() {
 	sess.stats.TsEvaluations += evals
 	sess.stats.MemoMisses += evals
 	sess.stats.MemoHits += hits
+}
+
+// publish adds what the session counted since its last publication to
+// the Support's counters.
+func (sess *Session) publish() {
+	m, c, p := sess.sup.opts.Metrics, &sess.stats, &sess.published
+	m.Checks.Add(c.Checks - p.Checks)
+	m.RulesExamined.Add(c.RulesExamined - p.RulesExamined)
+	m.RulesSkipped.Add(c.RulesSkipped - p.RulesSkipped)
+	m.TsEvals.Add(c.TsEvaluations - p.TsEvaluations)
+	m.MemoHits.Add(c.MemoHits - p.MemoHits)
+	m.MemoMisses.Add(c.MemoMisses - p.MemoMisses)
+	m.Triggerings.Add(c.Triggerings - p.Triggerings)
+	*p = *c
 }
 
 // notProbing is probeScratch.lo of a rule no arrival of the walk probes.

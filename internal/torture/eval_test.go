@@ -12,6 +12,7 @@ import (
 	"chimera/internal/engine"
 	"chimera/internal/event"
 	"chimera/internal/rules"
+	"chimera/internal/storage"
 	"chimera/internal/types"
 )
 
@@ -401,4 +402,88 @@ func TestTorture_Lifecycle_RepeatedKills(t *testing.T) {
 	if db.ActiveLines() != 0 {
 		t.Fatal("lines leaked across repeated kills")
 	}
+}
+
+func TestTorture_Lifecycle_TriggerStatsMatchMetrics(t *testing.T) {
+	// Support.Stats and the registry's trigger counters are one count of
+	// the same facts: they agree at every instant, with a transaction
+	// open, after a check the budget cut short, and once every
+	// transaction has ended.
+	const gas = 50
+	opts := durTortureOpts(storage.NewMemStore(), gas)
+	opts.Metrics = chimera.NewMetricsRegistry()
+	db, err := engine.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := chimera.Load(db, "class plain (n: integer)\n"+
+		"define onPlain events create(plain) end\n"+
+		AdversarialProgram(31, 4, 16, 3)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		st, c := db.Support().Stats(), db.Snapshot().Counters
+		for _, f := range []struct {
+			name string
+			got  int64
+		}{
+			{"chimera_trigger_checks_total", st.Checks},
+			{"chimera_trigger_rules_examined_total", st.RulesExamined},
+			{"chimera_trigger_rules_skipped_total", st.RulesSkipped},
+			{"chimera_trigger_ts_evals_total", st.TsEvaluations},
+			{"chimera_trigger_triggerings_total", st.Triggerings},
+			{"chimera_plan_memo_hits_total", st.MemoHits},
+			{"chimera_plan_memo_misses_total", st.MemoMisses},
+		} {
+			if f.got != c[f.name] {
+				t.Errorf("%s: Support.Stats reads %d, %s reads %d", stage, f.got, f.name, c[f.name])
+			}
+		}
+	}
+
+	// (a) An open transaction whose first block triggers onPlain.
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Create("plain", map[string]types.Value{"n": types.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.EndLine(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Snapshot().Counters["chimera_trigger_triggerings_total"] == 0 {
+		t.Fatal("(a): the block triggered no rule")
+	}
+	check("(a) open transaction")
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// (b) A transaction killed by its gas budget in its first check.
+	tx, err = db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := flood(tx, 200, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.EndLine(); !errors.Is(err, chimera.ErrGasExhausted) {
+		t.Fatalf("(b): want ErrGasExhausted in the first block, got %v", err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	check("(b) budget kill rolled back")
+
+	// (c) Every transaction ended, the last one committed.
+	if err := db.Run(func(tx *chimera.Txn) error {
+		_, err := tx.Create("plain", map[string]types.Value{"n": types.Int(2)})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("(c) every transaction ended")
 }
