@@ -46,10 +46,11 @@ crash-smoke:
 
 # Streaming-mode suite under the race detector with forced parallelism:
 # the stream-vs-replay differential (bit-identical store, marks, clock
-# and WAL bytes), close/commit semantics, budget-kill recovery with
-# pipeline continuation, drop accounting, retention flatness under a
-# watermark-pinning rule, clock-driven idle sweeps, and the
-# multi-producer soak (see DESIGN.md §15).
+# and WAL bytes), close/commit semantics, refused batches that roll back
+# to their savepoint and keep every batch before them (budget, MaxEvents
+# and MaxRuleExecutions kills, in memory and durable), drop accounting,
+# retention flatness under a watermark-pinning rule, clock-driven idle
+# sweeps, and the multi-producer soak (see DESIGN.md §15).
 stream-smoke:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/stream/
 

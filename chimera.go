@@ -416,7 +416,8 @@ type (
 	// affected object).
 	StreamEvent = stream.Event
 	// BatchError reports a refused micro-batch with its offending
-	// events; the session restarts its line and keeps ingesting.
+	// events; the batch rolled back to the previous batch's savepoint,
+	// and the session keeps ingesting on the same line.
 	BatchError = stream.BatchError
 	// BackpressurePolicy selects what producers experience when the
 	// arrival queue is full.

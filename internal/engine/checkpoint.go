@@ -416,7 +416,7 @@ func (db *DB) Checkpoint() error {
 		return ErrClosed
 	}
 	t := db.txn // nil in multi-session mode
-	if t != nil && (len(t.pending) > 0 || len(t.wrec) > 0) {
+	if t != nil && (len(t.pending) > 0 || len(t.wrec) > 0 || t.runRecs > 0) {
 		return errors.New("engine: checkpoint mid-block; call EndLine first")
 	}
 	return db.checkpointNow(t)

@@ -52,9 +52,9 @@ var ErrConflict = object.ErrConflict
 var ErrRuleLimit = errors.New("engine: rule execution limit exceeded")
 
 // ErrGasExhausted is returned (wrapped) when a transaction spends more
-// evaluation gas than Options.GasLimit allows. The transaction must be
-// rolled back; the engine, its shared plan DAG and the WAL stay fully
-// consistent and reusable. Aliases calculus.ErrGasExhausted so either
+// evaluation gas than Options.GasLimit allows. The open block is
+// refused (Txn.EndLine); the engine, its shared plan DAG and the WAL
+// stay fully consistent and reusable. Aliases calculus.ErrGasExhausted so either
 // package's sentinel matches with errors.Is.
 var ErrGasExhausted = calculus.ErrGasExhausted
 
@@ -87,8 +87,9 @@ type Options struct {
 	// in node-evaluation units (the work TsEvaluations/MemoMisses
 	// count), across the triggering determination and condition
 	// formulas; 0 = unlimited. A transaction exceeding it fails with a
-	// wrapped ErrGasExhausted and must be rolled back; the engine and
-	// its shared structures stay consistent (DESIGN.md §14).
+	// wrapped ErrGasExhausted, which refuses the open block; the engine
+	// and its shared structures stay consistent (DESIGN.md §14). The
+	// spent budget stays spent.
 	GasLimit int64
 	// TimeBudget bounds a transaction's wall-clock evaluation time,
 	// measured from Begin; 0 = unlimited. Exceeding it fails with a
@@ -98,9 +99,9 @@ type Options struct {
 	TimeBudget time.Duration
 	// MaxEvents bounds the live (retained, uncompacted) occurrences of
 	// one transaction's Event Base; 0 = unlimited. An append past the
-	// bound fails with a wrapped ErrEventLimit instead of growing
-	// without limit — the guard against a transaction outrunning its
-	// consumption watermark.
+	// bound fails with a wrapped ErrEventLimit, which refuses the open
+	// block, instead of growing without limit — the guard against a
+	// transaction outrunning its consumption watermark.
 	MaxEvents int
 	// DisableCompaction keeps every occurrence of a transaction in the
 	// Event Base instead of retiring segments below the consumption
@@ -259,13 +260,16 @@ type DB struct {
 	// against the WAL's leading marker record), the transaction
 	// generation that namespaces persisted segment ids, the high-water
 	// mark of persisted segment ordinals within the current generation,
-	// the block count since the last checkpoint, and the closed flag.
+	// the block count since the last checkpoint, the closed flag, and the
+	// run buffer the last single-session line staged its records in,
+	// which the next one reuses.
 	wal             *walWriter
 	ckptSeq         uint64
 	txnGen          uint32
 	segsPersisted   uint64
 	blocksSinceCkpt int
 	closed          bool
+	soloRun         []byte
 }
 
 // Open creates an empty database after validating the options — the
@@ -519,8 +523,7 @@ type Txn struct {
 	// budget is the transaction's evaluation budget (nil = unlimited),
 	// shared by the triggering determination and condition evaluation.
 	// When it trips, the fault surfaces as a typed error from the
-	// operation that crossed the limit and the transaction must be
-	// rolled back.
+	// operation that crossed the limit, and the open block is refused.
 	budget *calculus.Budget
 	// cctx is the line's condition context, taken from the database's idle
 	// ones: its scratch recycles across considerations and transactions.
@@ -537,24 +540,89 @@ type Txn struct {
 	recBuf   []byte
 	markBuf  []firedMark
 	walTypes []bool
-	// Multi-session durable-mode run staging: the transaction's framed
-	// begin and block records, withheld from the group committer until
-	// commit. The WAL must stay a serial stream of whole per-transaction
-	// runs in commit order (replay is commit-ordered), so racing sessions
-	// cannot append block records directly; each stages its run privately
-	// and hands it over in one appendRun under the commit latch. A
-	// rollback simply discards the staged run — the log never learns the
-	// transaction existed.
-	runBuf  []byte
-	runRecs int
+	// Durable-mode run staging: the transaction's framed records, withheld
+	// from the group committer until they are accepted — a single-session
+	// line hands its run over at every savepoint, a multi-session line at
+	// commit, under the commit latch (replay is commit-ordered, so racing
+	// sessions must append whole runs in commit order). runBlocks counts
+	// the run's block records, toward CheckpointEvery. A refused block's
+	// records are cut from the run; a multi-session rollback discards the
+	// whole run, and the log never learns the transaction existed.
+	runBuf    []byte
+	runRecs   int
+	runBlocks int
+	// walDecl lists the type ids whose declaration the staged records
+	// since the savepoint carry: a refusal undeclares them.
+	walDecl []int32
+	// sp is the last clean block boundary — Begin, or an EndLine that
+	// returned nil: the line's undo length, the cascade guard and the
+	// staged run there. The Event Base and the Trigger Support session
+	// keep their own part of it (Savepoint, Rewind). refuse returns every
+	// layer to it.
+	sp struct {
+		undo, execs             int
+		run, runRecs, runBlocks int
+		retention               clock.Time
+	}
 }
 
-// stageRec frames one record into the transaction's private run buffer
-// (multi-session durable mode). The frame copies rec, so the reused
-// record-assembly buffers are safe to pass.
+// stageRec frames one record into the transaction's run buffer (durable
+// mode). The frame copies rec, so the reused record-assembly buffers are
+// safe to pass.
 func (t *Txn) stageRec(rec []byte) {
 	t.runBuf = wire.AppendFrame(t.runBuf, rec)
 	t.runRecs++
+}
+
+// savepoint makes the line's state the one a refused block returns to:
+// the undo entries since the last savepoint fold into the line's images,
+// the Event Base and the session mark where they stand, and a
+// single-session line hands its staged records to the group committer,
+// counting its blocks toward CheckpointEvery — so a checkpoint is only
+// ever cut here. In the steady state it allocates nothing; the fold
+// costs what the block's mutations did. Append errors are sticky in the
+// writer; Commit reports them.
+func (t *Txn) savepoint() {
+	t.sp.undo = t.line.Savepoint()
+	t.base.Savepoint()
+	t.view.Savepoint()
+	t.sp.execs, t.sp.retention = t.execs, t.base.Retention()
+	t.walDecl = t.walDecl[:0]
+	if db := t.db; db.wal != nil && !t.multi && t.runRecs > 0 {
+		if _, err := db.wal.appendRun(t.runBuf, t.runRecs); err == nil && t.runBlocks > 0 {
+			db.blocksLogged(t.runBlocks, t)
+		}
+		t.runBuf, t.runRecs, t.runBlocks = t.runBuf[:0], 0, 0
+	}
+	t.sp.run, t.sp.runRecs, t.sp.runBlocks = len(t.runBuf), t.runRecs, t.runBlocks
+}
+
+// refuse rolls the open block back to the last savepoint: the object
+// store, the Event Base and the marks are as they were there, the
+// block's staged records are cut from the run, and the transaction stays
+// open on the same line. What the block consumed stays consumed: clock
+// ticks, a latched line's OIDs, the budget's gas, every counter. EIDs
+// are dense, so the next occurrence takes the refused block's first,
+// as replay numbers it. Refusing twice is refusing once.
+func (t *Txn) refuse() {
+	t.line.RollbackTo(t.sp.undo)
+	t.base.Rewind()
+	t.view.Rewind()
+	t.pending = t.pending[:0]
+	t.execs = t.sp.execs
+	if t.db.wal != nil {
+		t.wrec = t.wrec[:0]
+		if w := t.base.Retention(); w != t.sp.retention {
+			// A retention window is the line's setting, not the block's
+			// work: it stays, and the next block logs it.
+			t.wrec = encOpRetention(t.wrec, w)
+		}
+		t.runBuf, t.runRecs, t.runBlocks = t.runBuf[:t.sp.run], t.sp.runRecs, t.sp.runBlocks
+		for _, tid := range t.walDecl {
+			t.walTypes[tid] = false
+		}
+		t.walDecl = t.walDecl[:0]
+	}
 }
 
 // Begin opens a transaction line. The Event Base starts empty (it is
@@ -608,6 +676,7 @@ func (db *DB) begin(start clock.Time) (*Txn, error) {
 		// checkpoint's value is the one replay ends on.
 		db.txnGen++
 		db.segsPersisted = 0
+		t.runBuf, db.soloRun = db.soloRun, nil
 	}
 	db.mu.Unlock()
 
@@ -616,9 +685,11 @@ func (db *DB) begin(start clock.Time) (*Txn, error) {
 		t.tr.TransactionStart(start)
 	}
 	if db.wal != nil {
-		if t.multi {
-			t.stageRec(encBegin(nil, start))
-		} else if _, err := db.wal.append(encBegin(nil, start)); err != nil {
+		t.stageRec(encBegin(nil, start))
+	}
+	t.savepoint()
+	if db.wal != nil {
+		if err := db.wal.Err(); err != nil {
 			t.rollback()
 			return nil, err
 		}
@@ -661,12 +732,16 @@ func (db *DB) idleCtx() *cond.Ctx {
 // mode it also encodes the occurrence into the block's WAL op stream —
 // an in-memory append into a reused buffer, so the hot path stays
 // allocation-free and never touches the store (the group committer
-// drains record batches in the background).
+// drains record batches in the background). An append past MaxEvents
+// refuses the open block.
 func (t *Txn) log(ty event.Type, oid types.OID) error {
 	ts := t.db.clock.Tick()
 	tid, err := t.base.AppendTID(ty, oid, ts)
 	if err != nil {
-		return t.classify(err)
+		if err = t.classify(err); errors.Is(err, event.ErrLimit) {
+			t.refuse()
+		}
+		return err
 	}
 	if t.db.wal != nil {
 		t.walEvent(tid, ty, ts, oid)
@@ -684,6 +759,7 @@ func (t *Txn) walEvent(tid int32, ty event.Type, ts clock.Time, oid types.OID) {
 	}
 	if !t.walTypes[tid] {
 		t.walTypes[tid] = true
+		t.walDecl = append(t.walDecl, tid)
 		t.wrec = encOpTypeDef(t.wrec, tid, ty)
 	}
 	t.wrec = encOpEvent(t.wrec, ts, tid, oid)
@@ -848,7 +924,9 @@ func (t *Txn) Emit(ty event.Type, oid types.OID) error {
 // sessions use it to keep steady-state memory flat on unbounded inputs;
 // the cost is semantic and explicit — operators cannot see past the
 // retention bound. In durable mode the window joins the block's op
-// stream and checkpoints, so replay compacts at the same bound.
+// stream and checkpoints, so replay compacts at the same bound. The
+// window is the line's setting: a refused block keeps it, and the next
+// block logs it.
 func (t *Txn) SetRetention(window clock.Time) error {
 	if err := t.check(); err != nil {
 		return err
@@ -935,30 +1013,63 @@ func (t *Txn) Marks() ([]rules.Mark, error) {
 // EndLine closes the current non-interruptible block (a user transaction
 // line): the Event Handler announces the block's occurrences, the
 // Trigger Support determines newly triggered rules, and the engine
-// considers and executes immediate rules until quiescence.
+// considers and executes immediate rules until quiescence. Then, at the
+// clean boundary, the Event Base compacts and the transaction records a
+// savepoint.
+//
+// Any error from the sweep or the cascade — a §14 limit, a condition or
+// action error, a latch conflict — refuses the block instead: the
+// transaction returns to the last savepoint and stays open, and the
+// caller may go on with the next block, commit what the accepted blocks
+// did, or roll back (docs/SEMANTICS.md §7).
 func (t *Txn) EndLine() error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	if err := t.flushBlock(); err != nil {
+	err := t.flushBlock()
+	if err == nil {
+		err = t.processRules(func(d rules.Def) bool { return d.Coupling == rules.Immediate })
+	}
+	if err != nil {
+		t.refuse()
 		return err
 	}
-	return t.processRules(func(d rules.Def) bool { return d.Coupling == rules.Immediate })
+	t.compact()
+	t.savepoint()
+	return nil
+}
+
+// compact retires the Event Base segments below the consumption
+// low-watermark. The clean block boundary is the one point where
+// compaction is safe: no consideration window is in flight, so every
+// occurrence at or below the watermark is unreachable by any future read
+// (DESIGN.md §8), and no block a refusal may still rewind has begun, so
+// a rewind never meets a retired segment.
+func (t *Txn) compact() {
+	db := t.db
+	if db.opts.DisableCompaction {
+		return
+	}
+	// The retention bound lifts the watermark for streaming sessions
+	// (Txn.SetRetention); with no retention it is the watermark.
+	now := db.clock.Now()
+	wm := t.base.RetentionBound(t.view.Watermark(), now)
+	db.m.watermarkAge.Set(int64(now - wm))
+	tr := db.loadTracer()
+	segsBefore := t.base.RetiredSegments()
+	if retired := t.base.CompactBelow(wm); retired > 0 && tr != nil {
+		tr.Compaction(retired, t.base.RetiredSegments()-segsBefore, wm)
+	}
 }
 
 // flushBlock announces the pending occurrences and runs the triggering
-// determination, then retires Event Base segments below the consumption
-// low-watermark. The block boundary is the one point where compaction is
-// safe: no consideration window is in flight (runRule finishes reading
-// its window — condition and action — before flushing the action's
-// block), so every occurrence at or below the watermark is unreachable
-// by any future read. See DESIGN.md §8.
+// determination, and stages the block's WAL record.
 //
 // A transaction budget tripping mid-determination surfaces here as the
 // typed error (ErrGasExhausted / ErrDeadlineExceeded). The error returns
-// before compaction and before the block record reaches the WAL: the
-// killed block's ops stay unlogged, so a subsequent rollback leaves the
-// log exactly as if the block never ran.
+// before the block record is staged, and the refusal that follows cuts
+// the records its cascade staged since the savepoint: a refused block
+// never reaches the log.
 func (t *Txn) flushBlock() error {
 	db := t.db
 	tr := db.loadTracer()
@@ -992,19 +1103,6 @@ func (t *Txn) flushBlock() error {
 			}
 		}
 	}
-	if !db.opts.DisableCompaction {
-		// The retention bound lifts the watermark for streaming sessions
-		// (Txn.SetRetention); with no retention it is the watermark.
-		wm := t.base.RetentionBound(t.view.Watermark(), now)
-		db.m.watermarkAge.Set(int64(now - wm))
-		segsBefore := 0
-		if tr != nil {
-			segsBefore = t.base.RetiredSegments()
-		}
-		if retired := t.base.CompactBelow(wm); retired > 0 && tr != nil {
-			tr.Compaction(retired, t.base.RetiredSegments()-segsBefore, wm)
-		}
-	}
 	if tr != nil {
 		tr.BlockEnd(n, fired)
 	}
@@ -1015,13 +1113,10 @@ func (t *Txn) flushBlock() error {
 }
 
 // walFlushBlock turns the accumulated op stream into one block record
-// and hands it to the group committer. Empty blocks (no ops, nothing
+// and stages it in the transaction's run. Empty blocks (no ops, nothing
 // fired) are skipped — they are semantically inert, and skipping them
-// keeps idle EndLine calls off the log. Append errors are sticky in the
-// writer and surface at Commit; a failed log must not corrupt the
-// in-memory run.
+// keeps idle EndLine calls off the log.
 func (t *Txn) walFlushBlock(now clock.Time, fired []string) {
-	db := t.db
 	if len(t.wrec) == 0 && len(fired) == 0 {
 		return
 	}
@@ -1044,22 +1139,15 @@ func (t *Txn) walFlushBlock(now clock.Time, fired []string) {
 	rec := encBlock(t.recBuf[:0], now, marks, t.wrec)
 	t.recBuf = rec
 	t.wrec = t.wrec[:0]
-	if t.multi {
-		// Concurrent lines stage their block records privately; the whole
-		// run reaches the committer at commit, which counts its blocks.
-		t.stageRec(rec)
-		return
-	}
-	if _, err := db.wal.append(rec); err != nil {
-		return // sticky; Commit reports it
-	}
-	db.blocksLogged(1, t)
+	t.stageRec(rec)
+	t.runBlocks++
 }
 
 // blocksLogged counts n logged block records toward CheckpointEvery and
 // checkpoints once the cadence is reached. t is the open single-session
-// transaction; a multi-session commit passes nil under the commit latch,
-// right after its run joined the log. Errors are sticky in the writer.
+// transaction, at its savepoint; a commit passes nil under the commit
+// latch, right after its run joined the log. Errors are sticky in the
+// writer.
 func (db *DB) blocksLogged(n int, t *Txn) {
 	db.blocksSinceCkpt += n
 	if every := db.dur().CheckpointEvery; every > 0 && db.blocksSinceCkpt >= every {
@@ -1180,13 +1268,15 @@ func (t *Txn) Commit() error {
 	if err := t.check(); err != nil {
 		return err
 	}
+	// The last block ends without a savepoint: nothing can return to it.
+	var err error
 	if len(t.pending) > 0 {
-		if err := t.EndLine(); err != nil {
-			t.rollback()
-			return err
-		}
+		err = t.flushBlock()
 	}
-	if err := t.processRules(func(d rules.Def) bool { return d.Coupling == rules.Immediate }); err != nil {
+	if err == nil {
+		err = t.processRules(func(d rules.Def) bool { return d.Coupling == rules.Immediate })
+	}
+	if err != nil {
 		t.rollback()
 		return err
 	}
@@ -1233,13 +1323,9 @@ func (t *Txn) Commit() error {
 	var commitLSN uint64
 	var walErr error
 	if db.wal != nil {
-		if t.multi {
-			t.stageRec([]byte{recCommit})
-			if commitLSN, walErr = db.wal.appendRun(t.runBuf, t.runRecs); walErr == nil {
-				db.blocksLogged(t.runRecs-2, nil) // the run less its begin and commit
-			}
-		} else {
-			commitLSN, walErr = db.wal.append([]byte{recCommit})
+		t.stageRec([]byte{recCommit})
+		if commitLSN, walErr = db.wal.appendRun(t.runBuf, t.runRecs); walErr == nil {
+			db.blocksLogged(t.runBlocks, nil)
 		}
 	}
 	db.commitMu.Unlock()
@@ -1297,16 +1383,14 @@ func (t *Txn) rollback() {
 		t.tr.TransactionEnd(false)
 	}
 	if t.db.wal != nil {
-		// Discard the unflushed block ops (they never happened, as far as
-		// the log is concerned) and record the rollback.
+		// Discard the unflushed block ops and the staged run (they never
+		// happened, as far as the log is concerned). A multi-session run
+		// never reached the committer, so that is the whole rollback:
+		// replay only ever sees committed runs. A single-session line
+		// handed its accepted blocks over, so it records the rollback.
 		t.wrec = t.wrec[:0]
-		if t.multi {
-			// The staged run never reached the committer: discarding it is
-			// the whole rollback, and the log never learns the transaction
-			// existed (replay only ever sees committed runs).
-			t.runBuf = t.runBuf[:0]
-			t.runRecs = 0
-		} else {
+		t.runBuf, t.runRecs, t.runBlocks = t.runBuf[:0], 0, 0
+		if !t.multi {
 			t.db.wal.append([]byte{recRollback}) //nolint:errcheck // sticky in the writer
 		}
 	}
@@ -1325,6 +1409,8 @@ func (t *Txn) finish() {
 	t.db.ctxs = append(t.db.ctxs, ctx)
 	if t.db.txn == t {
 		t.db.txn = nil
+		// Commit and rollback have handed over or cut the whole run.
+		t.db.soloRun, t.runBuf = t.runBuf[:0], nil
 	}
 	t.db.active--
 	t.db.m.activeLines.Set(int64(t.db.active))

@@ -35,3 +35,16 @@ func (db *DB) IdleContexts() int {
 	defer db.mu.Unlock()
 	return len(db.ctxs)
 }
+
+// CheckpointUndo decodes checkpoint bytes and returns the number of
+// entries in the open transaction's undo frame.
+func CheckpointUndo(data []byte) (int, error) {
+	ck, err := decodeCheckpoint(data)
+	if err != nil {
+		return 0, err
+	}
+	return len(ck.Undo), nil
+}
+
+// UndoLen returns the number of entries in the line's undo log.
+func (t *Txn) UndoLen() int { return len(t.line.ExportUndo()) }

@@ -116,6 +116,11 @@ func Recover(opts Options) (*DB, *Txn, *RecoveryReport, error) {
 		t = nil
 	}
 	rep.TxnOpen = t != nil
+	if t != nil {
+		// Replay ended at a clean block boundary: the records of a refused
+		// block never reached the log.
+		t.savepoint()
+	}
 
 	// Publish the recovered store's committed state for the lock-free
 	// read path, before the closing checkpoint reads its image from it:
@@ -217,9 +222,11 @@ func (db *DB) applyCheckpoint(ck *checkpoint, rep *RecoveryReport) (*Txn, error)
 
 // reopenTxn reinstates the interrupted transaction around a restored
 // base: a single-session line opened at the recorded start instant,
-// then the retention window and the marks.
+// then the base's bounds (MaxEvents, the retention window) and the
+// marks.
 func (db *DB) reopenTxn(base *event.Base, ck *checkpoint) (*Txn, error) {
 	base.SetMetrics(db.baseMetrics)
+	base.SetLimits(db.opts.MaxEvents)
 	base.SetRetention(ck.Window)
 	t := &Txn{db: db, base: base}
 	db.mu.Lock()

@@ -190,9 +190,25 @@ type Base struct {
 	// compaction may retire occurrences more than retention ticks behind
 	// the current instant regardless of the consumption watermark.
 	retention clock.Time
+	// sp is the base as the last Savepoint found it, what Rewind returns
+	// to: its newest EID and time stamp, its interned OIDs, and the value
+	// there of every latest entry an append changed since, unless it was
+	// Never.
+	sp struct {
+		eid    EID
+		ts     clock.Time
+		oids   int
+		latest []latestWas
+	}
 	// m is the instrument set (zero value when metrics are off; every
 	// report is then a nil-check no-op).
 	m BaseMetrics
+}
+
+// latestWas is one latest entry as a savepoint found it.
+type latestWas struct {
+	tid int32
+	ts  clock.Time
 }
 
 // segment is one generation of the log: up to segSize occurrences in
@@ -617,6 +633,11 @@ func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) 
 	if int(tid) >= len(b.latest) {
 		b.growLatest(tid)
 	}
+	if was := b.latest[tid]; was <= b.sp.ts && was != clock.Never {
+		// The type's first occurrence since the savepoint. A type with
+		// none before it needs no entry: Rewind resets it to Never.
+		b.sp.latest = append(b.sp.latest, latestWas{tid, was})
+	}
 	b.latest[tid] = at
 	b.lastTS = at
 	b.live++
@@ -746,6 +767,63 @@ func (b *Base) CompactBelow(watermark clock.Time) int {
 	b.m.Live.Set(int64(b.live))
 	b.m.LiveSegments.Set(int64(len(b.segs)))
 	return n
+}
+
+// Savepoint records the base as it stands, for Rewind. It costs O(1)
+// and allocates nothing. The engine takes one at every clean block
+// boundary, after compaction: nothing is retired between a savepoint
+// and the Rewind that returns to it.
+func (b *Base) Savepoint() {
+	b.sp.eid, b.sp.ts, b.sp.oids = b.nextID, b.lastTS, len(b.oidsByID)
+	b.sp.latest = b.sp.latest[:0]
+}
+
+// Rewind drops every occurrence appended since the last Savepoint: the
+// base answers every probe, and exports, as it did there. EIDs stay
+// dense: the next append takes the EID the first dropped occurrence
+// had, as if the dropped ones never ran, while its time stamp, from the
+// caller's clock, comes after theirs.
+func (b *Base) Rewind() {
+	for n := len(b.segs); n > 0; n-- {
+		sg := b.segs[n-1]
+		keep := int(b.sp.eid - sg.firstEID + 1)
+		if keep >= sg.n() {
+			break
+		}
+		b.live -= sg.n() - max(keep, 0)
+		if keep <= 0 {
+			b.segs[n-1] = nil
+			b.segs = b.segs[:n-1]
+			continue
+		}
+		// The tail's columns may be aliased (ChunkCols): the kept rows
+		// move to fresh ones, and the index is rebuilt from them.
+		cut := &segment{firstEID: sg.firstEID, size: sg.size,
+			ts: sg.ts[:keep], tids: sg.tids[:keep], oids: sg.oids[:keep]}
+		cut.columns(b.segSize)
+		for i := range keep {
+			cut.index(int32(i), cut.tids[i], cut.oids[i])
+		}
+		b.segs[n-1] = cut
+		break
+	}
+	for _, oid := range b.oidsByID[b.sp.oids:] {
+		delete(b.oidIDs, oid)
+	}
+	b.oidsByID = b.oidsByID[:b.sp.oids]
+	for tid, ts := range b.latest {
+		if ts > b.sp.ts {
+			b.latest[tid] = clock.Never
+		}
+	}
+	for i := len(b.sp.latest) - 1; i >= 0; i-- {
+		b.latest[b.sp.latest[i].tid] = b.sp.latest[i].ts
+	}
+	b.sp.latest = b.sp.latest[:0]
+	b.nextID, b.lastTS = b.sp.eid, b.sp.ts
+	b.m.Live.Set(int64(b.live))
+	b.m.LiveSegments.Set(int64(len(b.segs)))
+	b.m.DistinctOIDs.Set(int64(len(b.oidsByID)))
 }
 
 // Floor returns the retirement floor: the highest retired time stamp.

@@ -2,6 +2,8 @@ package object
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"chimera/internal/schema"
@@ -25,9 +27,16 @@ type Line struct {
 	solo bool
 	wait time.Duration
 	m    LatchMetrics
-	undo []undoEntry
-	held []heldLatch
-	done bool
+	// undo is the line's undo log: undo[:folded] one image per object the
+	// accepted blocks touched, undo[folded:] one entry per mutation since
+	// the last savepoint. index maps each imaged OID to its image; fresh
+	// is Savepoint's scratch.
+	undo   []undoEntry
+	folded int
+	index  map[types.OID]int32
+	fresh  []undoEntry
+	held   []heldLatch
+	done   bool
 }
 
 type heldLatch struct {
@@ -279,22 +288,101 @@ func (ln *Line) Select(class string) ([]types.OID, error) {
 func (ln *Line) Schema() *schema.Schema { return ln.s.schema }
 
 // TouchedOIDs returns the distinct OIDs the line has created, modified,
-// deleted or migrated, in first-touch order. The engine captures this
-// write set just before Commit (which discards the undo log it is
-// derived from) to drive snapshot publication.
+// deleted or migrated, ascending. The engine captures this write set
+// just before Commit (which discards the undo log it is derived from) to
+// drive snapshot publication.
 func (ln *Line) TouchedOIDs() []types.OID {
 	if len(ln.undo) == 0 {
 		return nil
 	}
-	seen := make(map[types.OID]struct{}, len(ln.undo))
-	out := make([]types.OID, 0, len(ln.undo))
-	for _, e := range ln.undo {
-		if _, dup := seen[e.oid]; !dup {
-			seen[e.oid] = struct{}{}
-			out = append(out, e.oid)
-		}
+	out := make([]types.OID, len(ln.undo))
+	for i := range ln.undo {
+		out[i] = ln.undo[i].oid
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// Savepoint accepts every mutation since the previous savepoint and
+// returns the undo length RollbackTo rewinds to. The accepted entries
+// fold into the log of images: an object the log already holds an image
+// of needs nothing more, any other gets its image as the block found it,
+// computed by reversing the block's entries on a copy of its current
+// state. The log therefore holds one entry per object the line touched
+// plus one per mutation of the open block, however many blocks the line
+// runs. Once every object a long line touches is imaged, a savepoint
+// allocates nothing.
+func (ln *Line) Savepoint() int {
+	raw := ln.undo[ln.folded:]
+	if len(raw) == 0 {
+		return ln.folded
+	}
+	if ln.index == nil {
+		ln.index = make(map[types.OID]int32)
+	}
+	first := int32(ln.folded)
+	fresh := ln.fresh[:0]
+	for i := range raw {
+		e := &raw[i]
+		if _, ok := ln.index[e.oid]; ok {
+			continue
+		}
+		ln.index[e.oid] = first + int32(len(fresh))
+		img := undoEntry{oid: e.oid}
+		if e.kind == undoCreate {
+			// Created in the block: absent before it, whatever followed.
+			img.kind, img.class, img.reuse = undoCreate, e.class, e.reuse
+		}
+		fresh = append(fresh, img)
+	}
+	if len(fresh) > 0 {
+		ln.s.mu.RLock()
+		for i := len(raw) - 1; i >= 0; i-- {
+			k := ln.index[raw[i].oid] - first
+			if k < 0 || fresh[k].kind == undoCreate {
+				continue // imaged before the block, or created in it
+			}
+			img := &fresh[k]
+			if img.kind == 0 {
+				// The object's newest entry: start from its current state
+				// (a deleted object's image comes from its delete entry).
+				img.kind = undoDelete
+				if o, ok := ln.s.objects[img.oid]; ok {
+					img.class, img.vals = o.class.Name(), maps.Clone(o.attrs)
+				}
+			}
+			raw[i].unapply(img)
+		}
+		ln.s.mu.RUnlock()
+	}
+	n := ln.folded + copy(raw, fresh)
+	clear(ln.undo[n:])
+	ln.undo, ln.folded = ln.undo[:n], n
+	clear(fresh)
+	ln.fresh = fresh[:0]
+	return n
+}
+
+// RollbackTo undoes, newest first, every undo entry past the first n
+// — the mutations since the savepoint that returned n — and keeps the
+// line open with its latches. RollbackTo(0) undoes the whole line.
+func (ln *Line) RollbackTo(n int) {
+	if ln.checkOpen() != nil || n >= len(ln.undo) {
+		return
+	}
+	ln.s.mu.Lock()
+	for i := len(ln.undo) - 1; i >= n; i-- {
+		ln.undo[i].apply(ln.s)
+	}
+	ln.s.mu.Unlock()
+	if n < ln.folded {
+		for _, e := range ln.undo[n:ln.folded] {
+			delete(ln.index, e.oid)
+		}
+		ln.folded = n
+	}
+	clear(ln.undo[n:])
+	ln.undo = ln.undo[:n]
 }
 
 // UndoRec is the serializable image of one undo entry. The engine
@@ -340,7 +428,8 @@ func (ln *Line) ExportUndo() []UndoRec {
 
 // RestoreUndo replaces the line's undo log with previously exported
 // records — recovery reinstates the checkpointed log into the reopened
-// transaction's line before replaying the WAL suffix.
+// transaction's line before replaying the WAL suffix — and accepts them
+// (Savepoint): the store must hold the state they were exported at.
 func (ln *Line) RestoreUndo(recs []UndoRec) error {
 	undo := make([]undoEntry, len(recs))
 	for i, r := range recs {
@@ -364,7 +453,8 @@ func (ln *Line) RestoreUndo(recs []UndoRec) error {
 		}
 		undo[i] = e
 	}
-	ln.undo = undo
+	ln.undo, ln.folded, ln.index = undo, 0, nil
+	ln.Savepoint()
 	return nil
 }
 
@@ -374,22 +464,18 @@ func (ln *Line) Commit() {
 	if ln.checkOpen() != nil {
 		return
 	}
-	ln.undo = nil
+	ln.undo, ln.index = nil, nil
 	ln.finish()
 }
 
-// Rollback ends the line undoing every mutation it performed, newest
-// first, then releases its latches.
+// Rollback ends the line undoing every mutation it performed
+// (RollbackTo(0)), then releases its latches.
 func (ln *Line) Rollback() {
 	if ln.checkOpen() != nil {
 		return
 	}
-	ln.s.mu.Lock()
-	for i := len(ln.undo) - 1; i >= 0; i-- {
-		ln.undo[i].apply(ln.s)
-	}
-	ln.undo = nil
-	ln.s.mu.Unlock()
+	ln.RollbackTo(0)
+	ln.undo, ln.index = nil, nil
 	ln.finish()
 }
 

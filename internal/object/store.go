@@ -86,6 +86,15 @@ const (
 // closures, no *Object pointers — so an open transaction's undo log can
 // be serialized into a durability checkpoint and reinstated after a
 // crash; every apply resolves the object by OID at undo time.
+//
+// A line's log holds two kinds of entry (see Line.Savepoint): one per
+// mutation for the block since the last savepoint, and, below them, one
+// image per object for the blocks accepted before it — an undoCreate for
+// an object the transaction created, an undoDelete carrying the whole
+// object (class and attributes) as the transaction found it otherwise.
+// apply serves both: an undoCreate removes the object from whatever
+// class it is in, an undoDelete reinstates the image over whatever the
+// object has become.
 type undoEntry struct {
 	kind  undoKind
 	oid   types.OID
@@ -97,17 +106,21 @@ type undoEntry struct {
 	reuse bool                   // create: roll the OID allocator back
 }
 
-// apply reverses the recorded mutation. Undo entries run newest first,
-// so by the time an entry applies, every later mutation to the same
-// object has already been reversed: a created object is back in its
-// creation class, a migrated object still carries the target class.
+// apply reverses the recorded mutation. Per-mutation entries run newest
+// first, so by the time one applies, every later mutation to the same
+// object has already been reversed: a migrated object still carries the
+// target class. Images run after every per-mutation entry above them.
 func (e undoEntry) apply(s *Store) {
 	switch e.kind {
 	case undoCreate:
-		delete(s.objects, e.oid)
-		delete(s.classSet(e.class), e.oid)
+		if o, ok := s.objects[e.oid]; ok {
+			delete(s.classSet(o.class.Name()), e.oid)
+			delete(s.objects, e.oid)
+		}
 		if e.reuse {
-			s.nextOID-- // creation is always the newest OID at undo time
+			// One allocation undone per creation: on a solo line every
+			// OID above this one was created later and is undone first.
+			s.nextOID--
 		}
 	case undoModify:
 		o, ok := s.objects[e.oid]
@@ -124,8 +137,14 @@ func (e undoEntry) apply(s *Store) {
 		if !ok {
 			return
 		}
-		o := &Object{oid: e.oid, class: c, attrs: e.vals}
-		s.objects[e.oid] = o
+		o, ok := s.objects[e.oid]
+		if ok {
+			delete(s.classSet(o.class.Name()), e.oid)
+			o.class, o.attrs = c, e.vals
+		} else {
+			o = &Object{oid: e.oid, class: c, attrs: e.vals}
+			s.objects[e.oid] = o
+		}
 		s.classSet(e.class)[e.oid] = o
 	case undoMigrate:
 		o, ok := s.objects[e.oid]
@@ -144,6 +163,31 @@ func (e undoEntry) apply(s *Store) {
 			o.attrs[k] = v
 		}
 		s.classSet(e.class)[e.oid] = o
+	}
+}
+
+// unapply reverses e on img, a detached image of e's object being
+// rolled back from its current state (Line.Savepoint): the store is not
+// touched.
+func (e *undoEntry) unapply(img *undoEntry) {
+	switch e.kind {
+	case undoCreate:
+		img.kind, img.class, img.vals, img.reuse = undoCreate, e.class, nil, e.reuse
+	case undoModify:
+		if e.had {
+			img.vals[e.attr] = e.val
+		} else {
+			delete(img.vals, e.attr)
+		}
+	case undoDelete:
+		// The deleted object's attribute map is the entry's alone, and the
+		// entry is dropped with the fold: the image takes it over.
+		img.class, img.vals = e.class, e.vals
+	case undoMigrate:
+		img.class = e.class
+		for k, v := range e.vals {
+			img.vals[k] = v
+		}
 	}
 }
 

@@ -81,6 +81,7 @@ func (sess *Session) RestoreTriggered(name string, at clock.Time) error {
 		return fmt.Errorf("rules: no rule %q", name)
 	}
 	sess.sync()
+	sess.save(st.rank)
 	m := &sess.marks[st.rank]
 	if !m.triggered {
 		m.triggered = true

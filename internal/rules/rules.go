@@ -179,6 +179,9 @@ type mark struct {
 	// pending is set when an arrival relevant per the filter has been
 	// seen since the last probe.
 	pending bool
+	// saved is the savepoint generation whose log holds this mark's
+	// image (Session.save).
+	saved uint32
 }
 
 // Options configures a Support.

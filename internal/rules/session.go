@@ -85,6 +85,18 @@ type Session struct {
 	// budget fault that unwinds through the caller (the engine's block
 	// flush).
 	budget *calculus.Budget
+
+	// gen numbers the savepoints, and was holds the first image since
+	// the last one of every mark that changed (the marks whose saved is
+	// gen): what Rewind restores.
+	gen uint32
+	was []markWas
+}
+
+// markWas is one mark as the savepoint found it, at its rank.
+type markWas struct {
+	r int32
+	m mark
 }
 
 // rankSet is a set of queue ranks, one bit each.
@@ -171,6 +183,40 @@ func (sess *Session) begin(base *event.Base, start clock.Time) {
 		sess.marks[i] = mark{lastConsideration: start, lastProbe: start, triggeredAt: clock.Never}
 	}
 	sess.stale = true
+	sess.Savepoint()
+}
+
+// Savepoint makes the marks as they stand the state Rewind returns to.
+// It costs O(1) and allocates nothing, whatever the number of rules.
+func (sess *Session) Savepoint() {
+	sess.was = sess.was[:0]
+	if sess.gen++; sess.gen == 0 {
+		// The generation wrapped: no mark may claim the new one.
+		for i := range sess.marks {
+			sess.marks[i].saved = 0
+		}
+		sess.gen = 1
+	}
+}
+
+// Rewind restores every mark changed since the last Savepoint to its
+// image there. The block-boundary index is rebuilt at its next use:
+// O(rules), paid by a refused block only.
+func (sess *Session) Rewind() {
+	for i := len(sess.was) - 1; i >= 0; i-- {
+		sess.marks[sess.was[i].r] = sess.was[i].m
+	}
+	sess.was = sess.was[:0]
+	sess.stale = true
+}
+
+// save logs rank r's mark for Rewind, the first time it changes since
+// the savepoint. Every transition of a mark after begin goes through it.
+func (sess *Session) save(r int32) {
+	if m := &sess.marks[r]; m.saved != sess.gen {
+		sess.was = append(sess.was, markWas{r, *m})
+		m.saved = sess.gen
+	}
 }
 
 // Start returns the instant the session's transaction began.
@@ -284,6 +330,7 @@ func (sess *Session) arrive(r int32) {
 	if m.pending || m.triggered {
 		return
 	}
+	sess.save(r)
 	m.pending = true
 	sess.queue.add(r)
 	sess.queued = true
@@ -306,6 +353,7 @@ func (sess *Session) CheckTriggered(now clock.Time) []string {
 	if sess.queued {
 		sess.queue.each(func(r int32) bool {
 			if m := &sess.marks[r]; m.pending && !m.triggered {
+				sess.save(r) // the check writes the marks of its batch only
 				batch = append(batch, r)
 			}
 			return true
@@ -563,6 +611,7 @@ func (sess *Session) Consider(name string, now clock.Time) (Consideration, error
 	}
 	c := Consideration{Rule: st.Def, Since: since, At: now}
 	sess.sync()
+	sess.save(st.rank)
 	if m.triggered {
 		m.triggered = false
 		sess.trig.remove(st.rank)

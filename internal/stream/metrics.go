@@ -22,10 +22,8 @@ type streamMetrics struct {
 	sweepLag    *metrics.Histogram
 	// idleSweeps counts clock-driven sweeps that ran without arrivals.
 	idleSweeps *metrics.Counter
-	// budgetKills / restarts count poisoned batches and the line
-	// restarts batch errors forced.
+	// budgetKills counts batches the per-batch budget refused.
 	budgetKills *metrics.Counter
-	restarts    *metrics.Counter
 	// queueDepth gauges arrival-queue occupancy; liveEvents and
 	// liveSegments gauge the session's retained window (the flat-memory
 	// claim of DESIGN.md §15 is about these staying bounded).
@@ -49,7 +47,6 @@ func newStreamMetrics(r *metrics.Registry) streamMetrics {
 			1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9),
 		idleSweeps:   r.Counter("chimera_stream_idle_sweeps_total"),
 		budgetKills:  r.Counter("chimera_stream_budget_kills_total"),
-		restarts:     r.Counter("chimera_stream_restarts_total"),
 		queueDepth:   r.Gauge("chimera_stream_queue_depth"),
 		liveEvents:   r.Gauge("chimera_stream_live_events"),
 		liveSegments: r.Gauge("chimera_stream_live_segments"),

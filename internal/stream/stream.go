@@ -75,12 +75,12 @@ type Event struct {
 
 // BatchError reports a micro-batch whose sweep was refused — typically
 // a poisoned batch tripping the per-batch budget (errors.Is
-// ErrGasExhausted / ErrDeadlineExceeded). The offending events are
-// attached so the producer side can quarantine or replay them. After a
-// batch error the session restarts its transaction line: the
-// accumulated window and any uncommitted rule-action mutations are
-// discarded (the engine's budget contract — a tripped determination
-// must roll back), and ingestion continues on the fresh line.
+// ErrGasExhausted / ErrDeadlineExceeded), or any other §14 limit. The
+// offending events are attached so the producer side can quarantine or
+// replay them. The refused batch rolls back to the savepoint the
+// previous batch left (Txn.EndLine): its occurrences and its rule
+// actions are undone, every batch accepted before it stays, and
+// ingestion continues on the same line.
 type BatchError struct {
 	// Events is the offending micro-batch (empty for an idle sweep).
 	Events []Event
@@ -125,8 +125,8 @@ type Options struct {
 	// clock.Wall; tests inject clock.Manual for determinism.
 	Clock clock.Source
 	// OnBatchError, when set, is invoked (on the sweep goroutine) for
-	// every refused batch, after the line restarted. The callback must
-	// not call back into the stream.
+	// every refused batch, after it rolled back. The callback must not
+	// call back into the stream.
 	OnBatchError func(*BatchError)
 }
 
@@ -158,9 +158,10 @@ type Stats struct {
 	Events     uint64
 	Batches    uint64
 	IdleSweeps uint64
-	// BudgetKills counts batches refused by the per-batch budget;
-	// Restarts the transaction-line restarts they (or other batch
-	// errors) forced.
+	// BudgetKills counts batches refused by the per-batch budget.
+	// Restarts is always 0: a refused batch rolls back to its savepoint
+	// and the session keeps its line. It stays for the callers that read
+	// it.
 	BudgetKills uint64
 	Restarts    uint64
 	// QueueDepth is the arrival ring's current occupancy.
@@ -209,19 +210,19 @@ type Stream struct {
 	done     chan struct{} // closed by the worker on exit
 
 	closed atomic.Bool
-	failed atomic.Bool // worker terminated abnormally (line restart failed)
 
 	events      atomic.Uint64
 	batches     atomic.Uint64
 	idleSweeps  atomic.Uint64
 	budgetKills atomic.Uint64
-	restarts    atomic.Uint64
 
-	mu       sync.Mutex
-	txn      *engine.Txn
-	window   extent // the line's window after its last sweep
-	lastErr  error  // most recent batch error (observability)
-	finalErr error  // Close/terminal outcome
+	// txn is the session's line, the sweep goroutine's alone.
+	txn *engine.Txn
+
+	mu        sync.Mutex
+	window    extent // the line's window after its last sweep
+	lastErr   error  // most recent batch error (observability)
+	commitErr error  // the outcome of the commit at Close
 }
 
 // Open starts a stream session over db: it opens the session's
@@ -246,37 +247,25 @@ func Open(db *engine.DB, opts Options) (*Stream, error) {
 		done:     make(chan struct{}),
 	}
 	s.room.L = &s.qmu
-	if err := s.beginLine(); err != nil {
+	txn, err := db.Begin()
+	if err != nil {
 		return nil, err
 	}
-	go s.run()
-	return s, nil
-}
-
-// beginLine opens (or reopens, after a batch error) the session's
-// transaction line and applies the retention window.
-func (s *Stream) beginLine() error {
-	txn, err := s.db.Begin()
-	if err != nil {
-		return err
-	}
-	if s.opts.Window > 0 {
-		if err := txn.SetRetention(s.opts.Window); err != nil {
-			txn.Rollback() //nolint:errcheck // refusing the line anyway
-			return err
+	if opts.Window > 0 {
+		if err := txn.SetRetention(opts.Window); err != nil {
+			txn.Rollback() //nolint:errcheck // refusing the session anyway
+			return nil, err
 		}
 	}
-	s.mu.Lock()
 	s.txn = txn
-	s.mu.Unlock()
-	return nil
+	go s.run()
+	return s, nil
 }
 
 // Emit enqueues one arrival. Under Block it waits for ring room (or
 // the stream closing); under Drop a full ring sheds the event, counts
 // it and returns nil. An Emit that returns nil is swept before Close
-// returns; once Close has begun, Emit returns ErrClosed (or, after the
-// session failed, its terminal error).
+// returns; once Close has begun, Emit returns ErrClosed.
 func (s *Stream) Emit(ty event.Type, oid types.OID) error {
 	s.qmu.Lock()
 	for s.n == len(s.ring) && !s.shut && s.opts.Backpressure == Block {
@@ -284,9 +273,6 @@ func (s *Stream) Emit(ty event.Type, oid types.OID) error {
 	}
 	if s.shut {
 		s.qmu.Unlock()
-		if s.failed.Load() && !s.closed.Load() {
-			return s.terminalErr()
-		}
 		return ErrClosed
 	}
 	if s.n == len(s.ring) {
@@ -371,11 +357,11 @@ func (s *Stream) Raise(signal string) error {
 
 // Flush synchronously drains everything enqueued before the call and
 // sweeps it (in MaxBatch-sized batches), returning the first batch
-// error hit (the pipeline itself has already recovered and continues).
+// error hit (that batch rolled back, and the pipeline continues).
 // Tests and differential harnesses use it as a barrier.
 func (s *Stream) Flush() error {
 	if s.closed.Load() {
-		if err := s.terminalErr(); err != nil {
+		if err := s.closeErr(); err != nil {
 			return err
 		}
 		return ErrClosed
@@ -386,30 +372,29 @@ func (s *Stream) Flush() error {
 	case <-s.quit:
 		return ErrClosed
 	case <-s.done:
-		return s.terminalErr()
+		return s.closeErr()
 	}
 	select {
 	case err := <-req:
 		return err
 	case <-s.done:
-		return s.terminalErr()
+		return s.closeErr()
 	}
 }
 
 // Close stops the session: the ring stops accepting arrivals (waiting
 // producers return ErrClosed), every arrival it accepted is swept, and
 // the session's transaction commits (publishing every rule-action
-// mutation). Close returns the commit error, or the terminal error if
-// the session had already failed. Close is idempotent.
+// mutation). Close returns the commit error. Close is idempotent.
 func (s *Stream) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		<-s.done
-		return s.terminalErr()
+		return s.closeErr()
 	}
 	s.shutRing()
 	close(s.quit)
 	<-s.done
-	return s.terminalErr()
+	return s.closeErr()
 }
 
 // Err returns the most recent batch error (nil when every batch so far
@@ -421,10 +406,10 @@ func (s *Stream) Err() error {
 	return s.lastErr
 }
 
-func (s *Stream) terminalErr() error {
+func (s *Stream) closeErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.finalErr
+	return s.commitErr
 }
 
 // Stats snapshots the session counters and the live window state.
@@ -434,7 +419,6 @@ func (s *Stream) Stats() Stats {
 		Batches:     s.batches.Load(),
 		IdleSweeps:  s.idleSweeps.Load(),
 		BudgetKills: s.budgetKills.Load(),
-		Restarts:    s.restarts.Load(),
 	}
 	s.qmu.Lock()
 	st.Enqueued, st.Dropped, st.QueueDepth = s.enqueued, s.dropped, s.n
@@ -466,9 +450,7 @@ func (s *Stream) run() {
 			}
 			batch = s.take(batch)
 			if len(batch) >= s.opts.MaxBatch {
-				if _, terminal := s.sweep(batch, batchStart, false); terminal {
-					return
-				}
+				s.sweep(batch, batchStart, false) //nolint:errcheck // reported through Err and OnBatchError
 				batch = batch[:0]
 			}
 
@@ -477,32 +459,21 @@ func (s *Stream) run() {
 			// its latency at one interval); an idle session sweeps with
 			// an advanced logical clock so time-based behavior runs
 			// without arrivals.
-			if _, terminal := s.sweep(batch, batchStart, len(batch) == 0); terminal {
-				return
-			}
+			s.sweep(batch, batchStart, len(batch) == 0) //nolint:errcheck // reported through Err and OnBatchError
 			batch = batch[:0]
 
 		case req := <-s.flushReq:
 			var err error
-			var terminal bool
-			batch, err, terminal = s.drainAndSweep(batch, batchStart)
+			batch, err = s.drainAndSweep(batch, batchStart)
 			req <- err
-			if terminal {
-				return
-			}
 
 		case <-s.quit:
-			if _, _, terminal := s.drainAndSweep(batch, batchStart); !terminal {
-				s.mu.Lock()
-				txn := s.txn
-				s.txn, s.window = nil, extent{}
-				s.mu.Unlock()
-				if err := txn.Commit(); err != nil {
-					s.mu.Lock()
-					s.finalErr = err
-					s.mu.Unlock()
-				}
-			}
+			s.drainAndSweep(batch, batchStart) //nolint:errcheck // reported through Err and OnBatchError
+			err := s.txn.Commit()
+			s.txn = nil
+			s.mu.Lock()
+			s.window, s.commitErr = extent{}, err
+			s.mu.Unlock()
 			return
 		}
 	}
@@ -511,9 +482,8 @@ func (s *Stream) run() {
 // drainAndSweep empties the arrival ring into MaxBatch-sized sweeps.
 // It stops at the first batch the ring could not fill, so it terminates
 // against racing producers as soon as the ring is momentarily empty. It
-// returns the recycled batch buffer, the first batch error hit, and
-// whether the session reached its terminal state.
-func (s *Stream) drainAndSweep(batch []Event, batchStart time.Time) ([]Event, error, bool) {
+// returns the recycled batch buffer and the first batch error hit.
+func (s *Stream) drainAndSweep(batch []Event, batchStart time.Time) ([]Event, error) {
 	var firstErr error
 	for {
 		if len(batch) == 0 {
@@ -521,16 +491,16 @@ func (s *Stream) drainAndSweep(batch []Event, batchStart time.Time) ([]Event, er
 		}
 		batch = s.take(batch)
 		if len(batch) == 0 {
-			return batch, firstErr, false
+			return batch, firstErr
 		}
 		full := len(batch) >= s.opts.MaxBatch
-		err, terminal := s.sweep(batch, batchStart, false)
+		err := s.sweep(batch, batchStart, false)
 		if firstErr == nil {
 			firstErr = err
 		}
 		batch = batch[:0]
-		if terminal || !full {
-			return batch, firstErr, terminal
+		if !full {
+			return batch, firstErr
 		}
 	}
 }
@@ -539,35 +509,31 @@ func (s *Stream) drainAndSweep(batch []Event, batchStart time.Time) ([]Event, er
 // close the block (one trigger sweep, one compaction pass, one WAL
 // record) and run immediate rules to quiescence. idle sweeps advance
 // the logical clock first, standing in for "time passed" on a quiet
-// stream. It returns the batch error (nil on a clean sweep) and whether
-// the session reached its terminal state (line restart failed).
-func (s *Stream) sweep(batch []Event, batchStart time.Time, idle bool) (error, bool) {
+// stream. It returns the batch error, nil on a clean sweep.
+func (s *Stream) sweep(batch []Event, batchStart time.Time, idle bool) error {
 	if idle {
 		s.db.Clock().Tick()
 	}
-	s.mu.Lock()
 	txn := s.txn
-	s.mu.Unlock()
 
 	// The cascade guard bounds each batch's sweep, not the session's
 	// lifetime total — a long-lived line would otherwise trip
-	// MaxRuleExecutions after enough healthy batches.
-	if err := txn.ResetRuleGuard(); err != nil {
-		return s.batchFailed(batch, err)
-	}
-
-	var budget *calculus.Budget
+	// MaxRuleExecutions after enough healthy batches. The line is open
+	// until Close, so neither call can fail.
+	txn.ResetRuleGuard() //nolint:errcheck
 	if s.opts.GasPerBatch > 0 || s.opts.TimePerBatch > 0 {
 		var deadline time.Time
 		if s.opts.TimePerBatch > 0 {
 			deadline = time.Now().Add(s.opts.TimePerBatch)
 		}
-		budget = calculus.NewBudget(s.opts.GasPerBatch, deadline)
-		if err := txn.SetBudget(budget); err != nil {
-			return s.batchFailed(batch, err)
-		}
+		txn.SetBudget(calculus.NewBudget(s.opts.GasPerBatch, deadline)) //nolint:errcheck
+		// The batch's budget must not charge (or kill) later batches, nor
+		// the commit at Close.
+		defer txn.SetBudget(nil) //nolint:errcheck
 	}
 
+	// A limit an Emit trips refuses the block as EndLine does: either way
+	// the line is back at the previous batch's savepoint.
 	err := func() error {
 		for _, ev := range batch {
 			if err := txn.Emit(ev.Type, ev.OID); err != nil {
@@ -576,11 +542,6 @@ func (s *Stream) sweep(batch []Event, batchStart time.Time, idle bool) (error, b
 		}
 		return txn.EndLine()
 	}()
-
-	if budget != nil && err == nil {
-		// The batch's budget must not charge (or kill) later batches.
-		err = txn.SetBudget(nil)
-	}
 	if err != nil {
 		return s.batchFailed(batch, err)
 	}
@@ -597,20 +558,13 @@ func (s *Stream) sweep(batch []Event, batchStart time.Time, idle bool) (error, b
 		s.m.batchEvents.Observe(int64(n))
 		s.m.sweepLag.Observe(s.src.Since(batchStart).Nanoseconds())
 	}
-	base := txn.Base()
-	w := extent{base.Len(), base.Segments(), base.Floor()}
-	s.mu.Lock()
-	s.window = w
-	s.mu.Unlock()
-	s.m.liveEvents.Set(int64(w.live))
-	s.m.liveSegments.Set(int64(w.segments))
-	return nil, false
+	s.observe()
+	return nil
 }
 
-// batchFailed records a refused batch, restarts the transaction line
-// and reports through OnBatchError. The returned bool is true only when
-// the restart itself failed (the terminal state).
-func (s *Stream) batchFailed(batch []Event, err error) (error, bool) {
+// batchFailed records a refused batch, which the line has already rolled
+// back to its savepoint, and reports it through OnBatchError.
+func (s *Stream) batchFailed(batch []Event, err error) *BatchError {
 	be := &BatchError{Events: append([]Event(nil), batch...), Err: err}
 	if errors.Is(err, calculus.ErrGasExhausted) || errors.Is(err, calculus.ErrDeadlineExceeded) {
 		s.budgetKills.Add(1)
@@ -618,25 +572,22 @@ func (s *Stream) batchFailed(batch []Event, err error) (error, bool) {
 	}
 	s.mu.Lock()
 	s.lastErr = be
-	txn := s.txn
-	s.txn, s.window = nil, extent{}
 	s.mu.Unlock()
-
-	txn.Rollback() //nolint:errcheck // the line is poisoned either way
-	if rerr := s.beginLine(); rerr != nil {
-		s.failed.Store(true)
-		s.mu.Lock()
-		s.finalErr = fmt.Errorf("stream: line restart after batch error: %w", rerr)
-		s.mu.Unlock()
-		if s.opts.OnBatchError != nil {
-			s.opts.OnBatchError(be)
-		}
-		return be, true
-	}
-	s.restarts.Add(1)
-	s.m.restarts.Inc()
+	s.observe()
 	if s.opts.OnBatchError != nil {
 		s.opts.OnBatchError(be)
 	}
-	return be, false
+	return be
+}
+
+// observe publishes the line's Event Base window as the last sweep left
+// it (Stats, the live gauges).
+func (s *Stream) observe() {
+	base := s.txn.Base()
+	w := extent{base.Len(), base.Segments(), base.Floor()}
+	s.mu.Lock()
+	s.window = w
+	s.mu.Unlock()
+	s.m.liveEvents.Set(int64(w.live))
+	s.m.liveSegments.Set(int64(w.segments))
 }

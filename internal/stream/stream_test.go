@@ -376,8 +376,8 @@ func TestStreamCloseCommits(t *testing.T) {
 
 // TestStreamBudgetKill checks the satellite contract: a poisoned batch
 // trips the per-batch budget, the error is typed and carries the
-// offending events, and the pipeline continues on a fresh line instead
-// of stalling.
+// offending events, the batch accepted before it survives on the same
+// line, and the pipeline continues instead of stalling.
 func TestStreamBudgetKill(t *testing.T) {
 	db, err := engine.Open(engine.DefaultOptions())
 	if err != nil {
@@ -395,6 +395,13 @@ func TestStreamBudgetKill(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A batch no rule listens to spends no gas and is accepted.
+	if err := s.Raise("noop"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatalf("pre-kill Flush = %v, want nil", err)
 	}
 	for i := 0; i < 4; i++ {
 		if err := s.Emit(event.Modify("item", "n"), oids[i%2]); err != nil {
@@ -416,11 +423,14 @@ func TestStreamBudgetKill(t *testing.T) {
 		t.Fatalf("BatchError carries %d events, want the 4 offenders", len(be.Events))
 	}
 	st := s.Stats()
-	if st.BudgetKills != 1 || st.Restarts != 1 {
-		t.Fatalf("kills=%d restarts=%d, want 1/1", st.BudgetKills, st.Restarts)
+	if st.BudgetKills != 1 || st.Restarts != 0 {
+		t.Fatalf("kills=%d restarts=%d, want 1/0", st.BudgetKills, st.Restarts)
 	}
-	if st.Events != 0 {
-		t.Fatalf("refused batch counted %d ingested events, want 0", st.Events)
+	if st.Events != 1 {
+		t.Fatalf("ingested %d events, want the pre-kill batch's 1 and none of the refused", st.Events)
+	}
+	if st.LiveEvents != 1 {
+		t.Fatalf("the line's Event Base holds %d occurrences, want the pre-kill batch's 1", st.LiveEvents)
 	}
 	if len(cbErrs) != 1 || cbErrs[0] != be {
 		t.Fatalf("OnBatchError saw %d errors, want the same BatchError once", len(cbErrs))
@@ -429,17 +439,16 @@ func TestStreamBudgetKill(t *testing.T) {
 		t.Fatalf("Err() = %v, want the batch error", got)
 	}
 
-	// The pipeline continues: an innocuous batch (no rule listens to the
-	// signal, so no evaluation gas is spent) sweeps cleanly on the
-	// restarted line.
+	// The pipeline continues: an innocuous batch sweeps cleanly on the
+	// same line.
 	if err := s.Raise("noop"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
-		t.Fatalf("post-restart Flush = %v, want nil", err)
+		t.Fatalf("post-kill Flush = %v, want nil", err)
 	}
-	if got := s.Stats().Events; got != 1 {
-		t.Fatalf("post-restart ingested %d events, want 1", got)
+	if st := s.Stats(); st.Events != 2 || st.LiveEvents != 2 {
+		t.Fatalf("post-kill ingested %d events, %d live, want 2 and 2", st.Events, st.LiveEvents)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
