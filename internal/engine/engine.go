@@ -260,16 +260,13 @@ type DB struct {
 	// against the WAL's leading marker record), the transaction
 	// generation that namespaces persisted segment ids, the high-water
 	// mark of persisted segment ordinals within the current generation,
-	// the block count since the last checkpoint, the closed flag, and the
-	// run buffer the last single-session line staged its records in,
-	// which the next one reuses.
+	// the block count since the last checkpoint, and the closed flag.
 	wal             *walWriter
 	ckptSeq         uint64
 	txnGen          uint32
 	segsPersisted   uint64
 	blocksSinceCkpt int
 	closed          bool
-	soloRun         []byte
 }
 
 // Open creates an empty database after validating the options — the
@@ -676,7 +673,6 @@ func (db *DB) begin(start clock.Time) (*Txn, error) {
 		// checkpoint's value is the one replay ends on.
 		db.txnGen++
 		db.segsPersisted = 0
-		t.runBuf, db.soloRun = db.soloRun, nil
 	}
 	db.mu.Unlock()
 
@@ -732,16 +728,16 @@ func (db *DB) idleCtx() *cond.Ctx {
 // mode it also encodes the occurrence into the block's WAL op stream —
 // an in-memory append into a reused buffer, so the hot path stays
 // allocation-free and never touches the store (the group committer
-// drains record batches in the background). An append past MaxEvents
-// refuses the open block.
+// drains record batches in the background). Any append error — past
+// MaxEvents, or a type an Emit passed that Type.Valid rejects — refuses
+// the open block: the operation is half done, and a stream's batch is
+// refused whole.
 func (t *Txn) log(ty event.Type, oid types.OID) error {
 	ts := t.db.clock.Tick()
 	tid, err := t.base.AppendTID(ty, oid, ts)
 	if err != nil {
-		if err = t.classify(err); errors.Is(err, event.ErrLimit) {
-			t.refuse()
-		}
-		return err
+		t.refuse()
+		return t.classify(err)
 	}
 	if t.db.wal != nil {
 		t.walEvent(tid, ty, ts, oid)
@@ -909,7 +905,8 @@ func (t *Txn) Raise(signal string) error {
 // coalesces externally observed events — sensor readings, card swipes,
 // telemetry — into micro-batches of Emits followed by one EndLine, so
 // one trigger sweep and one WAL record serve the whole batch. Raise is
-// Emit specialized to external signals.
+// Emit specialized to external signals. A type Type.Valid rejects, like
+// a limit, refuses the open block.
 func (t *Txn) Emit(ty event.Type, oid types.OID) error {
 	if err := t.check(); err != nil {
 		return err
@@ -1409,8 +1406,6 @@ func (t *Txn) finish() {
 	t.db.ctxs = append(t.db.ctxs, ctx)
 	if t.db.txn == t {
 		t.db.txn = nil
-		// Commit and rollback have handed over or cut the whole run.
-		t.db.soloRun, t.runBuf = t.runBuf[:0], nil
 	}
 	t.db.active--
 	t.db.m.activeLines.Set(int64(t.db.active))

@@ -105,29 +105,29 @@ func addFillerRules(t *testing.T, db *DB, n int) {
 // obsConfigs are the engine configurations the inertness claim is
 // pinned on.
 var obsConfigs = []struct {
-	name    string
-	fillers int
-	opts    Options
+	name      string
+	fillers   int
+	opts      Options
+	immediate bool
 }{
-	{"sequential", 0, Options{}},
+	{"sequential", 0, Options{}, false},
 	// 40 fillers whose types arrive: the batch holds many rules, each at
 	// a horizon of its own.
-	{"fillers", 40, Options{}},
-	{"compacting", 40, Options{SegmentSize: 4}},
-	{"no-compaction", 0, Options{DisableCompaction: true}},
+	{"fillers", 40, Options{}, false},
+	{"compacting", 40, Options{SegmentSize: 4}, false},
+	// Without the deferred rule, whose watermark stays at the transaction
+	// start until commit, the EndLines retire segments.
+	{"retiring", 40, Options{SegmentSize: 4}, true},
+	{"no-compaction", 0, Options{DisableCompaction: true}, false},
 }
 
 // buildObsDB builds the differential database for one config,
-// optionally instrumented.
-func buildObsDB(t *testing.T, cfg Options, fillers int, reg *metrics.Registry, seed int64) *DB {
+// optionally instrumented; immediate drops its deferred rule.
+func buildObsDB(t *testing.T, cfg Options, fillers int, immediate bool, reg *metrics.Registry, seed int64) *DB {
 	t.Helper()
 	cfg.Metrics = reg
 	db := buildDiffDB(t, cfg, seed)
-	if cfg.SegmentSize > 0 {
-		// The deferred rule pins the watermark at the transaction start
-		// until commit, and compaction runs at clean block boundaries
-		// only: without it the compacting configuration's EndLines retire
-		// segments.
+	if immediate {
 		if err := db.DropRule("audit"); err != nil {
 			t.Fatal(err)
 		}
@@ -149,18 +149,18 @@ func TestDifferentialInstrumentationInert(t *testing.T) {
 				ops := genWorkload(rand.New(rand.NewSource(seed)), 240)
 
 				// Reference: no metrics, no tracer.
-				plain := buildObsDB(t, cfg.opts, cfg.fillers, nil, seed)
+				plain := buildObsDB(t, cfg.opts, cfg.fillers, cfg.immediate, nil, seed)
 				runDiffWorkload(t, plain, ops)
 
 				// Tracer only.
-				traced := buildObsDB(t, cfg.opts, cfg.fillers, nil, seed)
+				traced := buildObsDB(t, cfg.opts, cfg.fillers, cfg.immediate, nil, seed)
 				tr1 := &spanRecorder{}
 				traced.SetTracer(tr1)
 				runDiffWorkload(t, traced, ops)
 
 				// Metrics + tracer.
 				reg := metrics.NewRegistry()
-				full := buildObsDB(t, cfg.opts, cfg.fillers, reg, seed)
+				full := buildObsDB(t, cfg.opts, cfg.fillers, cfg.immediate, reg, seed)
 				tr2 := &spanRecorder{}
 				full.SetTracer(tr2)
 				runDiffWorkload(t, full, ops)
@@ -263,7 +263,7 @@ func checkMetricsTruth(t *testing.T, trial int, reg *metrics.Registry, db *DB) {
 	}
 }
 
-// TestCompactingPathExercised pins that the compacting configuration
+// TestCompactingPathExercised pins that the retiring configuration
 // above actually reaches the machinery it claims to cover: it retires
 // segments, and the Compaction spans agree with the metrics. Without
 // this the inertness suite could silently degrade into copies of the
@@ -273,7 +273,7 @@ func TestCompactingPathExercised(t *testing.T) {
 	ops := genWorkload(rand.New(rand.NewSource(seed)), 240)
 
 	regComp := metrics.NewRegistry()
-	compacting := buildObsDB(t, Options{SegmentSize: 4}, 40, regComp, seed)
+	compacting := buildObsDB(t, Options{SegmentSize: 4}, 40, true, regComp, seed)
 	tr := &spanRecorder{}
 	compacting.SetTracer(tr)
 	runDiffWorkload(t, compacting, ops)

@@ -433,7 +433,8 @@ func (s *Shell) show(c lang.CmdShow) error {
 			snap.Counters["chimera_stream_events_total"],
 			snap.Counters["chimera_stream_batches_total"],
 			snap.Counters["chimera_stream_idle_sweeps_total"])
-		fmt.Fprintf(s.out, "failures: budget kills %d\n",
+		fmt.Fprintf(s.out, "failures: refused batches %d, budget kills %d\n",
+			snap.Counters["chimera_stream_refused_total"],
 			snap.Counters["chimera_stream_budget_kills_total"])
 		fmt.Fprintf(s.out, "window: queue depth %d, live events %d, live segments %d\n",
 			snap.Gauges["chimera_stream_queue_depth"],

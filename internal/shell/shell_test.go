@@ -519,7 +519,7 @@ func TestShowStream(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"enqueued 10", "ingested 10", "batch size", "sweep lag",
+		"enqueued 10", "ingested 10", "refused batches 0", "batch size", "sweep lag",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("show stream missing %q:\n%s", want, got)

@@ -22,7 +22,9 @@ type streamMetrics struct {
 	sweepLag    *metrics.Histogram
 	// idleSweeps counts clock-driven sweeps that ran without arrivals.
 	idleSweeps *metrics.Counter
-	// budgetKills counts batches the per-batch budget refused.
+	// refused counts refused batches; budgetKills the part of them the
+	// per-batch budget refused.
+	refused     *metrics.Counter
 	budgetKills *metrics.Counter
 	// queueDepth gauges arrival-queue occupancy; liveEvents and
 	// liveSegments gauge the session's retained window (the flat-memory
@@ -46,6 +48,7 @@ func newStreamMetrics(r *metrics.Registry) streamMetrics {
 		sweepLag: r.Histogram("chimera_stream_sweep_lag_ns",
 			1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9),
 		idleSweeps:   r.Counter("chimera_stream_idle_sweeps_total"),
+		refused:      r.Counter("chimera_stream_refused_total"),
 		budgetKills:  r.Counter("chimera_stream_budget_kills_total"),
 		queueDepth:   r.Gauge("chimera_stream_queue_depth"),
 		liveEvents:   r.Gauge("chimera_stream_live_events"),

@@ -83,8 +83,115 @@ func TestStreamRefusedBatchKeepsEarlierBatches(t *testing.T) {
 	if got := strings.Join(ns, ","); got != "1,2,1" {
 		t.Fatalf("notes n=[%s], want [1,2,1]", got)
 	}
-	if st := s.Stats(); st.Events != 2 || st.Batches != 1 || st.Restarts != 0 {
-		t.Fatalf("Stats events=%d batches=%d restarts=%d, want 2/1/0", st.Events, st.Batches, st.Restarts)
+	if st := s.Stats(); st.Events != 2 || st.Batches != 1 || st.Restarts != 0 || st.Refused != 1 || st.BudgetKills != 0 {
+		t.Fatalf("Stats events=%d batches=%d restarts=%d refused=%d kills=%d, want 2/1/0/1/0",
+			st.Events, st.Batches, st.Restarts, st.Refused, st.BudgetKills)
+	}
+}
+
+// TestStreamInvalidTypeRefusesWholeBatch: an arrival whose type the
+// engine rejects refuses its whole batch, the arrivals before it in the
+// batch included. The create the refused batch carried first must not
+// survive: neither seq, on the next batch's modify, nor the deferred
+// audit, at Close, may see it.
+func TestStreamInvalidTypeRefusesWholeBatch(t *testing.T) {
+	db, err := engine.Open(engine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defineStreamCatalog(t, db)
+	item := seedItems(t, db, 1)[0]
+	s, err := stream.Open(db, stream.Options{MaxBatch: 8, Clock: clock.NewManual(time.Unix(0, 0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Raise("start"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatalf("batch 1: %v", err)
+	}
+	before := objects(db)
+
+	if err := s.Emit(event.Create("item"), item); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Emit(event.T(event.OpModify, "item"), item); err != nil { // no attribute
+		t.Fatal(err)
+	}
+	if err := s.Raise("after"); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Flush()
+	var be *stream.BatchError
+	if !errors.As(err, &be) || len(be.Events) != 3 || errors.Is(err, engine.ErrEventLimit) {
+		t.Fatalf("batch 2: %v, want a BatchError of 3 events that is not a limit", err)
+	}
+
+	if err := s.Emit(event.Modify("item", "n"), item); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatalf("batch 3: %v", err)
+	}
+	if got := objects(db); got != before {
+		t.Fatalf("after batch 3 the store reads\n%swant batch 1's\n%s", got, before)
+	}
+	st := s.Stats()
+	if st.Events != 2 || st.Batches != 2 || st.LiveEvents != 2 || st.Refused != 1 || st.BudgetKills != 0 {
+		t.Fatalf("Stats events=%d batches=%d live=%d refused=%d kills=%d, want 2/2/2/1/0",
+			st.Events, st.Batches, st.LiveEvents, st.Refused, st.BudgetKills)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := objects(db); got != before {
+		t.Fatalf("after Close the store reads\n%swant batch 1's\n%s", got, before)
+	}
+}
+
+// TestStreamDatabaseBudgetBoundsEachBatch: on a database opened with a
+// GasLimit and a stream with no per-batch budget, the database's limit
+// bounds each batch. A batch that spends more is refused, and the
+// batches after it, which together spend more than the limit, are
+// accepted.
+func TestStreamDatabaseBudgetBoundsEachBatch(t *testing.T) {
+	o := engine.DefaultOptions()
+	o.GasLimit = 64 // a one-item batch spends 12, a 32-item one 198
+	db, err := engine.Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defineStreamCatalog(t, db)
+	var items []types.OID
+	for i := 0; i < 32; i++ {
+		items = append(items, seedItems(t, db, 1)...)
+	}
+	s, err := stream.Open(db, stream.Options{MaxBatch: 64, Clock: clock.NewManual(time.Unix(0, 0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, oid := range items {
+		if err := s.Emit(event.Modify("item", "n"), oid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); !errors.Is(err, calculus.ErrGasExhausted) {
+		t.Fatalf("poisoned batch: %v, want ErrGasExhausted", err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := s.Emit(event.Modify("item", "n"), items[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatalf("batch %d after the poisoned one: %v", i+1, err)
+		}
+	}
+	if st := s.Stats(); st.Batches != 8 || st.Refused != 1 || st.BudgetKills != 1 {
+		t.Fatalf("Stats batches=%d refused=%d kills=%d, want 8/1/1", st.Batches, st.Refused, st.BudgetKills)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -25,6 +25,7 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -75,8 +76,8 @@ type Event struct {
 
 // BatchError reports a micro-batch whose sweep was refused — typically
 // a poisoned batch tripping the per-batch budget (errors.Is
-// ErrGasExhausted / ErrDeadlineExceeded), or any other §14 limit. The
-// offending events are attached so the producer side can quarantine or
+// ErrGasExhausted / ErrDeadlineExceeded), any other §14 limit, or an
+// arrival whose event type the engine rejects. The offending events are attached so the producer side can quarantine or
 // replay them. The refused batch rolls back to the savepoint the
 // previous batch left (Txn.EndLine): its occurrences and its rule
 // actions are undone, every batch accepted before it stays, and
@@ -116,10 +117,13 @@ type Options struct {
 	// GasPerBatch, when positive, caps the evaluation gas one
 	// micro-batch sweep may spend; a poisoned batch trips
 	// ErrGasExhausted (reported via a BatchError with the offending
-	// events) instead of stalling the pipeline. 0 = unlimited.
+	// events) instead of stalling the pipeline. 0 means the database's
+	// GasLimit (unlimited when that is 0 too): the session's line
+	// outlives any one budget, so the database's limit bounds each batch.
+	// The commit at Close runs unbudgeted.
 	GasPerBatch int64
 	// TimePerBatch, when positive, is the wall-clock analogue of
-	// GasPerBatch. 0 = unlimited.
+	// GasPerBatch. 0 means the database's TimeBudget.
 	TimePerBatch time.Duration
 	// Clock paces flush ticks and measures sweep lag. nil means
 	// clock.Wall; tests inject clock.Manual for determinism.
@@ -158,10 +162,13 @@ type Stats struct {
 	Events     uint64
 	Batches    uint64
 	IdleSweeps uint64
-	// BudgetKills counts batches refused by the per-batch budget.
-	// Restarts is always 0: a refused batch rolls back to its savepoint
-	// and the session keeps its line. It stays for the callers that read
-	// it.
+	// Refused counts the batches refused for any reason (a budget, a
+	// limit, an error of the sweep or the cascade, an event type the
+	// engine rejects); BudgetKills is the part the per-batch budget
+	// refused. Restarts is always 0: a refused batch rolls back to its
+	// savepoint and the session keeps its line. It stays for the callers
+	// that read it.
+	Refused     uint64
 	BudgetKills uint64
 	Restarts    uint64
 	// QueueDepth is the arrival ring's current occupancy.
@@ -214,6 +221,7 @@ type Stream struct {
 	events      atomic.Uint64
 	batches     atomic.Uint64
 	idleSweeps  atomic.Uint64
+	refused     atomic.Uint64
 	budgetKills atomic.Uint64
 
 	// txn is the session's line, the sweep goroutine's alone.
@@ -235,6 +243,9 @@ type Stream struct {
 // reports the chimera_stream_* instrument set into it.
 func Open(db *engine.DB, opts Options) (*Stream, error) {
 	opts = opts.withDefaults()
+	lim := db.Limits()
+	opts.GasPerBatch = cmp.Or(opts.GasPerBatch, lim.GasLimit)
+	opts.TimePerBatch = cmp.Or(opts.TimePerBatch, lim.TimeBudget)
 	s := &Stream{
 		db:       db,
 		opts:     opts,
@@ -418,6 +429,7 @@ func (s *Stream) Stats() Stats {
 		Events:      s.events.Load(),
 		Batches:     s.batches.Load(),
 		IdleSweeps:  s.idleSweeps.Load(),
+		Refused:     s.refused.Load(),
 		BudgetKills: s.budgetKills.Load(),
 	}
 	s.qmu.Lock()
@@ -532,8 +544,8 @@ func (s *Stream) sweep(batch []Event, batchStart time.Time, idle bool) error {
 		defer txn.SetBudget(nil) //nolint:errcheck
 	}
 
-	// A limit an Emit trips refuses the block as EndLine does: either way
-	// the line is back at the previous batch's savepoint.
+	// An error an Emit hits refuses the block as EndLine's does: either
+	// way the line is back at the previous batch's savepoint.
 	err := func() error {
 		for _, ev := range batch {
 			if err := txn.Emit(ev.Type, ev.OID); err != nil {
@@ -566,6 +578,8 @@ func (s *Stream) sweep(batch []Event, batchStart time.Time, idle bool) error {
 // back to its savepoint, and reports it through OnBatchError.
 func (s *Stream) batchFailed(batch []Event, err error) *BatchError {
 	be := &BatchError{Events: append([]Event(nil), batch...), Err: err}
+	s.refused.Add(1)
+	s.m.refused.Inc()
 	if errors.Is(err, calculus.ErrGasExhausted) || errors.Is(err, calculus.ErrDeadlineExceeded) {
 		s.budgetKills.Add(1)
 		s.m.budgetKills.Inc()
