@@ -11,6 +11,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,11 +237,12 @@ type DB struct {
 	tracer atomic.Pointer[tracerBox]
 
 	// mu guards the session state: the single-session txn pointer, the
-	// active-line count and the idle condition contexts of past lines.
+	// active-line count and the work of ended lines, idle until a Begin
+	// takes it.
 	mu     sync.Mutex
 	txn    *Txn
 	active int
-	ctxs   []*cond.Ctx
+	idle   []*lineWork
 	// commitMu is the commit pipeline's serialization point: deferred
 	// rule processing and the publication of a line's writes (its latch
 	// release) happen one line at a time, in commit order, while
@@ -499,58 +501,33 @@ func (db *DB) DropRule(name string) error {
 // blocks followed by Commit or Rollback. In single-session mode it is
 // the database's one open transaction; in multi-session mode up to
 // Options.MaxSessions lines run concurrently, each on its own
-// goroutine. A Txn itself is not safe for concurrent use.
+// goroutine. A Txn itself is not safe for concurrent use. An ended Txn
+// returns ErrNoTransaction: its work went back to the database, which
+// hands it to a later line.
 type Txn struct {
-	db   *DB
-	base *event.Base
+	db *DB
+	// lineWork is what the line writes into, nil once the line ended.
+	*lineWork
 	// view is the line's Trigger Support session: its rules' marks.
 	// finish releases it to the Support's idle pool and clears the
 	// pointer, so a finished Txn never reaches a session another line
 	// reuses.
-	view *rules.Session
-	// line is the object-store session: solo (no latching, OID-reusing
-	// undo) in single-session mode, latched in multi-session mode.
-	line  *object.Line
+	view  *rules.Session
 	multi bool
-	// pending is the open block's arrivals, by the type ids their appends
-	// returned: what the block boundary announces to the line's session.
-	pending []int32
-	execs   int
-	done    bool
+	execs int
+	done  bool
 	// budget is the transaction's evaluation budget (nil = unlimited),
 	// shared by the triggering determination and condition evaluation.
 	// When it trips, the fault surfaces as a typed error from the
 	// operation that crossed the limit, and the open block is refused.
 	budget *calculus.Budget
-	// cctx is the line's condition context, taken from the database's idle
-	// ones: its scratch recycles across considerations and transactions.
-	cctx *cond.Ctx
 	// tr is the tracer loaded at Begin: TransactionStart and
 	// TransactionEnd go to the same one.
 	tr Tracer
-	// Durable-mode block state: the current block's WAL op stream
-	// (events, mutations, considerations in execution order — becomes
-	// one record at the block boundary), a reused record-assembly
-	// buffer, and the per-log set of event type ids already declared
-	// (indexed by registry id).
-	wrec     []byte
-	recBuf   []byte
-	markBuf  []firedMark
-	walTypes []bool
-	// Durable-mode run staging: the transaction's framed records, withheld
-	// from the group committer until they are accepted — a single-session
-	// line hands its run over at every savepoint, a multi-session line at
-	// commit, under the commit latch (replay is commit-ordered, so racing
-	// sessions must append whole runs in commit order). runBlocks counts
-	// the run's block records, toward CheckpointEvery. A refused block's
-	// records are cut from the run; a multi-session rollback discards the
-	// whole run, and the log never learns the transaction existed.
-	runBuf    []byte
+	// runRecs counts the staged run's records, runBlocks its block
+	// records, toward CheckpointEvery.
 	runRecs   int
 	runBlocks int
-	// walDecl lists the type ids whose declaration the staged records
-	// since the savepoint carry: a refusal undeclares them.
-	walDecl []int32
 	// sp is the last clean block boundary — Begin, or an EndLine that
 	// returned nil: the line's undo length, the cascade guard and the
 	// staged run there. The Event Base and the Trigger Support session
@@ -561,6 +538,79 @@ type Txn struct {
 		run, runRecs, runBlocks int
 		retention               clock.Time
 	}
+}
+
+// lineWork is the storage a transaction line writes into: its Event
+// Base, its object-store line, its condition context and its scratch.
+// finish empties it and hands it to the database's idle pool, and the
+// next Begin takes it from there, so a warm transaction allocates only
+// what it writes. Emptied, each part holds no trace of the line before:
+// the Base is as Registry.NewBase returns it, the object line as
+// BeginLine does, and the buffers are empty. What a long line grew is
+// trimmed: the Base and the object line keep what a short transaction
+// uses (event.Base.Reset, object.Line), each buffer at most keptScratch
+// bytes.
+type lineWork struct {
+	base *event.Base
+	// line is the object-store session: solo (no latching, OID-reusing
+	// undo) in single-session mode, latched in multi-session mode.
+	line *object.Line
+	// cctx is the line's condition context: its scratch recycles across
+	// considerations and lines.
+	cctx *cond.Ctx
+	// pending is the open block's arrivals, by the type ids their appends
+	// returned: what the block boundary announces to the line's session.
+	pending []int32
+	// Durable-mode block state: the current block's WAL op stream
+	// (events, mutations, considerations in execution order — becomes
+	// one record at the block boundary), a reused record-assembly
+	// buffer, and the per-line set of event type ids already declared
+	// (indexed by registry id).
+	wrec     []byte
+	recBuf   []byte
+	markBuf  []firedMark
+	walTypes []bool
+	// Durable-mode run staging: the transaction's framed records, withheld
+	// from the group committer until they are accepted — a single-session
+	// line hands its run over at every savepoint, a multi-session line at
+	// commit, under the commit latch (replay is commit-ordered, so racing
+	// sessions must append whole runs in commit order). A refused block's
+	// records are cut from the run; a multi-session rollback discards the
+	// whole run, and the log never learns the transaction existed.
+	runBuf []byte
+	// walDecl lists the type ids whose declaration the staged records
+	// since the savepoint carry: a refusal undeclares them.
+	walDecl []int32
+}
+
+// keptScratch bounds, in bytes, the storage an ended line keeps of each
+// of its buffers: a few short transactions' worth, so the transaction
+// that seeds thousands of objects does not pin its peak in the pool.
+const keptScratch = 4 << 10
+
+// empty readies w for the next line once its line ended: the Base is
+// reset, the condition context detached, the buffers emptied and
+// trimmed. Nothing may read the Base afterwards; see DB.begin.
+func (w *lineWork) empty() {
+	w.base.Reset()
+	w.cctx.Detach()
+	w.pending = kept(w.pending, keptScratch/4)
+	w.wrec = kept(w.wrec, keptScratch)
+	w.recBuf = kept(w.recBuf, keptScratch)
+	w.markBuf = kept(w.markBuf, keptScratch/24)
+	w.walTypes = kept(w.walTypes, keptScratch)
+	w.runBuf = kept(w.runBuf, keptScratch)
+	w.walDecl = kept(w.walDecl, keptScratch/4)
+}
+
+// kept empties s, dropping what its entries refer to, and returns it for
+// reuse, or nil when it has room for more than n entries.
+func kept[T any](s []T, n int) []T {
+	clear(s)
+	if cap(s) > n {
+		return nil
+	}
+	return s[:0]
 }
 
 // stageRec frames one record into the transaction's run buffer (durable
@@ -622,23 +672,30 @@ func (t *Txn) refuse() {
 	}
 }
 
-// Begin opens a transaction line. The Event Base starts empty (it is
-// the log of occurrences "since the beginning of the transaction") and
-// every rule's horizon resets to the transaction start. With
-// Options.MaxSessions ≤ 1 at most one transaction is open at a time;
-// above that, up to MaxSessions lines run concurrently. Either limit
-// reports ErrTxnOpen.
+// Begin opens a transaction line. Its Event Base holds no occurrence
+// (it is the log of occurrences "since the beginning of the
+// transaction") and every rule's horizon resets to the transaction
+// start. With Options.MaxSessions ≤ 1 at most one transaction is open at
+// a time; above that, up to MaxSessions lines run concurrently. Either
+// limit reports ErrTxnOpen.
 func (db *DB) Begin() (*Txn, error) { return db.begin(db.clock.Now()) }
 
 // begin opens a line at start. WAL replay passes each line's logged
 // start, which in multi-session mode may lie behind the clock (a line
 // open across a checkpoint, or one that began before a line that
 // committed first).
+//
+// The line writes into the work of an ended line (lineWork), emptied:
+// its Event Base is the one that ended line logged into, Reset. That is
+// sound because nothing reads a Base once its line ended. Txn.Base
+// returns nil then; the Trigger Support session and the condition
+// context drop it at finish (rules.Session.Release, cond.Ctx.Detach);
+// ChunkCols views live inside one sweep; ExportState frames are encoded
+// inside the checkpoint that took them; the tracer is handed counts, the
+// stream's published window a copy; and recovery's reopened line is an
+// ordinary line from there on.
 func (db *DB) begin(start clock.Time) (*Txn, error) {
-	base := db.types.NewBase(db.opts.SegmentSize)
-	base.SetMetrics(db.baseMetrics)
-	base.SetLimits(db.opts.MaxEvents)
-	t := &Txn{db: db, base: base, multi: db.multiSession()}
+	t := &Txn{db: db, multi: db.multiSession()}
 	if db.opts.GasLimit > 0 || db.opts.TimeBudget > 0 {
 		var deadline time.Time
 		if db.opts.TimeBudget > 0 {
@@ -665,7 +722,7 @@ func (db *DB) begin(start clock.Time) (*Txn, error) {
 	db.openLine(t, start)
 	if db.opts.Durability.enabled() && !t.multi {
 		// The generation namespaces this transaction's persisted segment
-		// ids; segment ordinals restart at zero with the fresh base. The
+		// ids; segment ordinals restart at zero with the empty base. The
 		// bump happens during WAL replay too (wal is nil then), keeping
 		// replay's generation arithmetic identical to the live run's.
 		// Multi-session lines persist no segments (their checkpoints
@@ -681,7 +738,8 @@ func (db *DB) begin(start clock.Time) (*Txn, error) {
 		t.tr.TransactionStart(start)
 	}
 	if db.wal != nil {
-		t.stageRec(encBegin(nil, start))
+		t.recBuf = encBegin(t.recBuf[:0], start)
+		t.stageRec(t.recBuf)
 	}
 	t.savepoint()
 	if db.wal != nil {
@@ -693,35 +751,44 @@ func (db *DB) begin(start clock.Time) (*Txn, error) {
 	return t, nil
 }
 
-// openLine opens t's line at start over t.base — its Trigger Support
-// session, its object-store line (solo in single-session mode, latched
-// in multi-session mode) and its condition context — for Begin, and for
-// recovery at a checkpoint's start. db.mu is held.
+// openLine opens t's line at start — its Trigger Support session, its
+// object-store line (solo in single-session mode, latched in
+// multi-session mode) — in the work of an ended line, for Begin; and for
+// recovery at a checkpoint's start, in work holding the restored Base.
+// Work with no ended line behind it gets its parts here. db.mu is held.
 func (db *DB) openLine(t *Txn, start clock.Time) {
+	if t.lineWork == nil {
+		if n := len(db.idle); n > 0 {
+			t.lineWork = db.idle[n-1]
+			db.idle[n-1] = nil
+			db.idle = db.idle[:n-1]
+		} else {
+			t.lineWork = new(lineWork)
+		}
+	}
+	if t.base == nil {
+		t.base = db.types.NewBase(db.opts.SegmentSize)
+	}
+	if t.cctx == nil {
+		t.cctx = new(cond.Ctx)
+	}
+	t.base.SetMetrics(db.baseMetrics)
+	t.base.SetLimits(db.opts.MaxEvents)
 	t.view = db.support.NewSession(t.base, start)
 	t.view.SetBudget(t.budget)
+	opts := object.LineOptions{Solo: true}
 	if t.multi {
-		t.line = db.store.BeginLine(object.LineOptions{
-			Wait:    db.lockWait(),
-			Metrics: db.latchM,
-		})
+		opts = object.LineOptions{Wait: db.lockWait(), Metrics: db.latchM}
 	} else {
-		t.line = db.store.BeginLine(object.LineOptions{Solo: true})
 		db.txn = t
 	}
-	t.cctx = db.idleCtx()
+	if t.line == nil {
+		t.line = db.store.BeginLine(opts)
+	} else {
+		t.line.Reopen(opts)
+	}
 	db.active++
 	db.m.activeLines.Set(int64(db.active))
-}
-
-// idleCtx takes an idle condition context, or a new one; db.mu is held.
-func (db *DB) idleCtx() *cond.Ctx {
-	if n := len(db.ctxs); n > 0 {
-		ctx := db.ctxs[n-1]
-		db.ctxs = db.ctxs[:n-1]
-		return ctx
-	}
-	return new(cond.Ctx)
 }
 
 // log stamps and stores one occurrence (Event Handler duty). In durable
@@ -750,8 +817,9 @@ func (t *Txn) log(ty event.Type, oid types.OID) error {
 // walEvent appends one occurrence to the block op stream, declaring its
 // type id on first use in this log.
 func (t *Txn) walEvent(tid int32, ty event.Type, ts clock.Time, oid types.OID) {
-	if int(tid) >= len(t.walTypes) {
-		t.walTypes = append(t.walTypes, make([]bool, int(tid)+1-len(t.walTypes))...)
+	if n := len(t.walTypes); int(tid) >= n {
+		t.walTypes = slices.Grow(t.walTypes, int(tid)+1-n)[:tid+1]
+		clear(t.walTypes[n:])
 	}
 	if !t.walTypes[tid] {
 		t.walTypes[tid] = true
@@ -991,11 +1059,18 @@ func (t *Txn) Get(oid types.OID) (*object.Object, bool) {
 }
 
 // Base exposes the transaction's Event Base, for read-only use on the
-// transaction's goroutine: like the Txn, a Base has one owner. Unless
-// Options.DisableCompaction is set, windows reaching below every rule's
-// horizon (the consumption low-watermark) may observe only the live
-// remainder of the log — compaction retires segments no rule can see.
-func (t *Txn) Base() *event.Base { return t.base }
+// transaction's goroutine while the line is open: like the Txn, a Base
+// has one owner, and once the line ends the database resets it for a
+// later line. An ended Txn returns nil. Unless Options.DisableCompaction
+// is set, windows reaching below every rule's horizon (the consumption
+// low-watermark) may observe only the live remainder of the log —
+// compaction retires segments no rule can see.
+func (t *Txn) Base() *event.Base {
+	if t.lineWork == nil {
+		return nil
+	}
+	return t.base
+}
 
 // Marks snapshots every defined rule's triggering state on this line, in
 // priority order: the consideration horizon, and the triggered flag with
@@ -1374,42 +1449,42 @@ func (t *Txn) Rollback() error {
 
 func (t *Txn) rollback() {
 	t.line.Rollback()
+	if t.db.wal != nil && !t.multi {
+		// The unflushed block ops and the staged run never happened, as
+		// far as the log is concerned: finish discards them. A
+		// multi-session run never reached the committer, so that is the
+		// whole rollback: replay only ever sees committed runs. A
+		// single-session line handed its accepted blocks over, so it
+		// records the rollback.
+		t.db.wal.append([]byte{recRollback}) //nolint:errcheck // sticky in the writer
+	}
 	t.finish()
 	t.db.m.rollbacks.Inc()
 	if t.tr != nil {
 		t.tr.TransactionEnd(false)
 	}
-	if t.db.wal != nil {
-		// Discard the unflushed block ops and the staged run (they never
-		// happened, as far as the log is concerned). A multi-session run
-		// never reached the committer, so that is the whole rollback:
-		// replay only ever sees committed runs. A single-session line
-		// handed its accepted blocks over, so it records the rollback.
-		t.wrec = t.wrec[:0]
-		t.runBuf, t.runRecs, t.runBlocks = t.runBuf[:0], 0, 0
-		if !t.multi {
-			t.db.wal.append([]byte{recRollback}) //nolint:errcheck // sticky in the writer
-		}
-	}
 }
 
-// finish retires the line: its Trigger Support session is released and
-// the database's session bookkeeping updated.
+// finish retires the line, whose object-store line has ended: its
+// Trigger Support session is released, its work emptied and handed to
+// the idle pool, and the database's session bookkeeping updated.
 func (t *Txn) finish() {
 	t.view.Release()
 	t.view = nil
 	t.done = true
-	ctx := t.cctx // idle, it keeps its scratch but not the line's state
-	ctx.Detach()
-	t.cctx = nil
-	t.db.mu.Lock()
-	t.db.ctxs = append(t.db.ctxs, ctx)
-	if t.db.txn == t {
-		t.db.txn = nil
+	db := t.db
+	// Under db.mu, as Checkpoint reads the single-session line's work.
+	db.mu.Lock()
+	if db.txn == t {
+		db.txn = nil
 	}
-	t.db.active--
-	t.db.m.activeLines.Set(int64(t.db.active))
-	t.db.mu.Unlock()
+	w := t.lineWork
+	t.lineWork = nil
+	w.empty()
+	db.idle = append(db.idle, w)
+	db.active--
+	db.m.activeLines.Set(int64(db.active))
+	db.mu.Unlock()
 }
 
 // Run executes fn inside a fresh transaction, ending the line after fn

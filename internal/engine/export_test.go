@@ -29,11 +29,12 @@ func DecodeCheckpoint(data []byte) error {
 // into.
 func (db *DB) CondPlan() *calculus.Plan { return db.conds }
 
-// IdleContexts returns the number of idle condition contexts.
+// IdleContexts returns the number of idle condition contexts: one in
+// each ended line's idle work.
 func (db *DB) IdleContexts() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return len(db.ctxs)
+	return len(db.idle)
 }
 
 // CheckpointUndo decodes checkpoint bytes and returns the number of

@@ -89,15 +89,15 @@ func TestIngestAllocationsPerEvent(t *testing.T) {
 }
 
 // A warm in-memory transaction that writes five objects — Begin, five
-// Modify, Commit — allocates a few kilobytes, and its Event Base is a
-// small part of them: the base's first segment starts with columns for
-// 16 occurrences, not for a whole segment of 256, and it builds no type
-// map: its type ids are the database registry's. The gate is the 7 000
-// bytes per transaction measured so (Go 1.24, linux/amd64; 7 024 under
-// -race; 7 528 while each base interned its types in a map of its own)
-// plus 1 KiB; a first segment of 256 rows alone adds 3.8 KiB.
+// Modify, Commit — allocates what it writes: the snapshot copies of the
+// five objects and the Txn handle. Its Event Base, object-store line and
+// scratch are the work of the line before, reset (engine lineWork). The
+// gate is the 2 904 bytes per transaction measured so (Go 1.24,
+// linux/amd64, -race too; 7 000 while every line built a new Base, line
+// and latch set, 7 528 while each base interned its types in a map of
+// its own) plus 1 KiB.
 func TestShortTransactionBytes(t *testing.T) {
-	const perTxn = 7000 + 1024
+	const perTxn = 2904 + 1024
 	db := stockDB(t)
 	var oids []types.OID
 	if err := db.Run(func(tx *Txn) error {

@@ -225,13 +225,11 @@ func (db *DB) applyCheckpoint(ck *checkpoint, rep *RecoveryReport) (*Txn, error)
 // then the base's bounds (MaxEvents, the retention window) and the
 // marks.
 func (db *DB) reopenTxn(base *event.Base, ck *checkpoint) (*Txn, error) {
-	base.SetMetrics(db.baseMetrics)
-	base.SetLimits(db.opts.MaxEvents)
-	base.SetRetention(ck.Window)
-	t := &Txn{db: db, base: base}
+	t := &Txn{db: db, lineWork: &lineWork{base: base}}
 	db.mu.Lock()
 	db.openLine(t, ck.Start)
 	db.mu.Unlock()
+	base.SetRetention(ck.Window)
 	if err := t.view.RestoreMarks(ck.Marks); err != nil {
 		return nil, fmt.Errorf("engine: recover: %w", err)
 	}

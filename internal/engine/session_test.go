@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -576,47 +575,4 @@ func TestEmptyTxnAllocsSameInBothModes(t *testing.T) {
 	if multi > single {
 		t.Errorf("an empty transaction allocates %v times on a multi-session database, %v on a single-session one", multi, single)
 	}
-}
-
-// A committed transaction's Event Base is garbage once the transaction
-// is: neither its released Trigger Support session nor its idle condition
-// context, both kept for the next transaction, refers to it. The rule's
-// condition reads an event formula, so the context's evaluator was bound
-// to the base. A finalizer observes the collection.
-func TestCommittedBaseIsCollected(t *testing.T) {
-	db := stockDB(t)
-	defineCheckStockQty(t, db)
-	collected := make(chan struct{})
-	func() {
-		tx, err := db.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.SetFinalizer(tx.Base(), func(*event.Base) { close(collected) })
-		for i := 0; i < 40; i++ {
-			if _, err := tx.Create("stock", map[string]types.Value{
-				"quantity": types.Int(int64(i)), "maxquantity": types.Int(20)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tx.EndLine(); err != nil {
-			t.Fatal(err)
-		}
-		if db.Stats().RuleExecutions == 0 {
-			t.Fatal("the rule never ran: its condition read no event formula")
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	defer runtime.KeepAlive(db)
-	for i := 0; i < 50; i++ {
-		runtime.GC()
-		select {
-		case <-collected:
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	t.Fatal("the database keeps a committed transaction's Event Base alive")
 }

@@ -125,8 +125,9 @@ const maxSpares = 2
 // when there is one, so a stream whose segments look alike and whose
 // window moves allocates only each segment's columns: a time stamp
 // column and one id array holding the type ids and then the object ids.
-// Columns are never reused, since ChunkCols and ExportState hand them
-// out. A probe (LastOf, LastOfObj,
+// Within a transaction columns are never reused, since ChunkCols and
+// ExportState hand them out; only Reset, once the transaction ended,
+// keeps the first segment's. A probe (LastOf, LastOfObj,
 // OccurrencesOfObj, ...) resolves its Type and OID to ids once, at the
 // API edge, and below that compares and hashes int32s; a Type never
 // registered or an OID never interned has no occurrences. The probe
@@ -158,7 +159,7 @@ const maxSpares = 2
 // overwritten), and compaction only unlinks whole segments from the
 // chain, never relocating live data (the garbage collector keeps the
 // columns alive; a retired segment's index storage may be reused, its
-// columns never are).
+// columns never are). Views are void once Reset starts the base over.
 type Base struct {
 	reg     *Registry
 	segSize int
@@ -176,6 +177,9 @@ type Base struct {
 	// storage: their columns are dropped at retirement, and a roll-over
 	// resets one to its predecessor's sizes instead of allocating.
 	spares []*segment
+	// first is the segment Reset kept, with its columns, for the base's
+	// next first segment.
+	first *segment
 	// Compaction bookkeeping: the retirement floor (highest retired time
 	// stamp — every live occurrence is strictly above it) and counters.
 	floor       clock.Time
@@ -655,7 +659,8 @@ func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) 
 // a new segment starts with empty tables and an arena with room for
 // eight occurrences that each open two lists. Only a base's first
 // segment starts with columns for fewer than the segment size:
-// firstRows, what a short transaction logs.
+// firstRows, what a short transaction logs. The first segment of a
+// Reset base is the one Reset kept, columns included.
 func (b *Base) open() *segment {
 	var prev, sg *segment
 	if n := len(b.segs); n > 0 {
@@ -680,11 +685,13 @@ func (b *Base) open() *segment {
 		}
 		sg.arena = sg.arena[:0]
 		sg.prev = prev
+	case sg == nil && b.first != nil:
+		sg, b.first = b.first, nil
+		sg.empty()
+		sg.ts, sg.tids, sg.oids = sg.ts[:0], sg.tids[:0], sg.oids[:0]
+		rows = 0
 	case sg != nil:
-		sg.leafOf.reset(len(sg.leafOf.slots))
-		sg.pairOf.reset(len(sg.pairOf.slots))
-		sg.objOf.reset(len(sg.objOf.slots))
-		sg.arena = sg.arena[:0]
+		sg.empty()
 	default:
 		sg = &segment{arena: make([]int32, 0, 2*firstChunk*min(b.segSize, 8))}
 		if b.retiredSegs == 0 {
@@ -693,11 +700,21 @@ func (b *Base) open() *segment {
 	}
 	sg.firstEID = b.nextID
 	sg.size = int32(b.segSize)
-	sg.columns(rows)
+	if rows > 0 { // 0: the first segment's kept columns serve
+		sg.columns(rows)
+	}
 	b.segs = append(b.segs, sg)
 	b.m.SegmentsAllocated.Inc()
 	b.m.LiveSegments.Set(int64(len(b.segs)))
 	return sg
+}
+
+// empty clears sg's index, keeping its tables' and arena's sizes.
+func (sg *segment) empty() {
+	sg.leafOf.reset(len(sg.leafOf.slots))
+	sg.pairOf.reset(len(sg.pairOf.slots))
+	sg.objOf.reset(len(sg.objOf.slots))
+	sg.arena = sg.arena[:0]
 }
 
 // columns gives sg fresh columns with room for rows occurrences — a time
@@ -824,6 +841,54 @@ func (b *Base) Rewind() {
 	b.m.Live.Set(int64(b.live))
 	b.m.LiveSegments.Set(int64(len(b.segs)))
 	b.m.DistinctOIDs.Set(int64(len(b.oidsByID)))
+}
+
+// keptIDs bounds the OIDs whose interner storage Reset keeps, and the
+// segment pointers and savepoint entries: what a short transaction uses.
+const keptIDs = 64
+
+// Reset makes b an empty base, as Registry.NewBase returns it: no
+// occurrences, no OIDs, every latest time stamp Never, EIDs and segment
+// ordinals from the start, no savepoint, and no limit, retention window
+// or instruments (set them again). It keeps storage for the next
+// transaction, trimmed to what a short one uses: the first segment, with
+// its tables and columns, when it never grew past firstRows rows, and
+// the OID interner's map and the latest table, cleared.
+//
+// Whatever still reads the base reads the next transaction's log:
+// ChunkCols views and ExportState frames of the old one are void. The
+// caller must be its last reader.
+func (b *Base) Reset() {
+	b.first = nil
+	if len(b.segs) > 0 && cap(b.segs[0].ts) <= firstRows {
+		b.first = b.segs[0]
+		b.first.prev = nil
+	}
+	b.segs = kept(b.segs)
+	b.spares = kept(b.spares)
+	b.latest = b.latest[:0]
+	if len(b.oidsByID) > keptIDs {
+		b.oidIDs = make(map[types.OID]int32)
+	} else {
+		clear(b.oidIDs)
+	}
+	b.oidsByID = kept(b.oidsByID)
+	b.sp.latest = kept(b.sp.latest)
+	b.sp.eid, b.sp.ts, b.sp.oids = 0, 0, 0
+	b.nextID, b.lastTS, b.live = 0, 0, 0
+	b.floor, b.retired, b.retiredSegs = clock.Never, 0, 0
+	b.maxEvents, b.retention = 0, 0
+	b.m = BaseMetrics{}
+}
+
+// kept empties s, dropping what its entries refer to, and returns it
+// for reuse, or nil when its storage is past keptIDs.
+func kept[T any](s []T) []T {
+	clear(s)
+	if cap(s) > keptIDs {
+		return nil
+	}
+	return s[:0]
 }
 
 // Floor returns the retirement floor: the highest retired time stamp.

@@ -36,25 +36,60 @@ type latchKey struct {
 // out (ErrConflict). Strict two-phase latching — every latch is held to
 // the end of the line — makes waits equivalent to commit-order
 // serialization and deadlocks are broken by the timeout.
+//
+// An uncontended latch allocates nothing: readers keeps its storage
+// across holders and keys, and changed exists only while a line waits.
 type latch struct {
 	mu      sync.Mutex
-	writer  uint64 // line id holding exclusive; 0 = none
-	readers map[uint64]struct{}
+	writer  uint64   // line id holding exclusive; 0 = none
+	readers []uint64 // line ids holding shared, unordered
 	waiters int
-	// changed is closed and replaced whenever a holder releases, waking
-	// every waiter to re-check admission.
+	// changed is made by the first waiter that has to block and closed
+	// (then dropped) by the next release, waking every waiter to re-check
+	// admission; nil while no line waits.
 	changed chan struct{}
 }
 
+// reads returns the position of line id in readers, or -1.
+func (la *latch) reads(id uint64) int {
+	for i, r := range la.readers {
+		if r == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// unread drops readers[i].
+func (la *latch) unread(i int) {
+	last := len(la.readers) - 1
+	la.readers[i] = la.readers[last]
+	la.readers = la.readers[:last]
+}
+
+// unused reports whether nothing holds, waits on or pins the latch; la.mu
+// is held.
+func (la *latch) unused() bool {
+	return la.waiters == 0 && la.writer == 0 && len(la.readers) == 0
+}
+
 // latchShards stripes the latch table; the per-shard mutex only guards
-// the key→latch map, never a wait.
+// the key→latch map and the idle list, never a wait.
 const latchShards = 64
 
+// idleLatches bounds each shard's idle list: latches no key uses, kept
+// for the shard's next new key. A store that has latched millions of
+// distinct OIDs keeps at most latchShards × idleLatches of them.
+const idleLatches = 2
+
+type latchShard struct {
+	sync.Mutex
+	m    map[latchKey]*latch
+	idle []*latch
+}
+
 type latchTable struct {
-	shards [latchShards]struct {
-		sync.Mutex
-		m map[latchKey]*latch
-	}
+	shards [latchShards]latchShard
 }
 
 func newLatchTable() *latchTable {
@@ -65,10 +100,7 @@ func newLatchTable() *latchTable {
 	return t
 }
 
-func (t *latchTable) shard(k latchKey) *struct {
-	sync.Mutex
-	m map[latchKey]*latch
-} {
+func (t *latchTable) shard(k latchKey) *latchShard {
 	h := uint64(k.oid) * 0x9e3779b97f4a7c15
 	for i := 0; i < len(k.class); i++ {
 		h = (h ^ uint64(k.class[i])) * 0x100000001b3
@@ -76,15 +108,21 @@ func (t *latchTable) shard(k latchKey) *struct {
 	return &t.shards[h%latchShards]
 }
 
-// get returns the latch for k, creating it on first use and pinning it
-// against concurrent cleanup by bumping waiters while the caller
-// negotiates admission.
+// get returns the latch for k — the one in use, else an idle one of the
+// shard, else a new one — pinning it against removal by bumping waiters
+// while the caller negotiates admission.
 func (t *latchTable) get(k latchKey) *latch {
 	sh := t.shard(k)
 	sh.Lock()
 	la := sh.m[k]
 	if la == nil {
-		la = &latch{readers: make(map[uint64]struct{}), changed: make(chan struct{})}
+		if n := len(sh.idle); n > 0 {
+			la = sh.idle[n-1]
+			sh.idle[n-1] = nil
+			sh.idle = sh.idle[:n-1]
+		} else {
+			la = new(latch)
+		}
 		sh.m[k] = la
 	}
 	la.mu.Lock()
@@ -94,32 +132,32 @@ func (t *latchTable) get(k latchKey) *latch {
 	return la
 }
 
-// put drops the pin taken by get and garbage-collects the latch when it
-// has no holders and no other waiters (long-lived stores latch millions
-// of distinct OIDs over time; idle latches must not accumulate).
-func (t *latchTable) put(k latchKey, la *latch) {
+// put drops the caller's use of k's latch — the pin get took (pinned),
+// or a hold it released — and removes the latch from the table once it
+// is unused (long-lived stores latch millions of distinct OIDs over
+// time; idle latches must not accumulate), keeping it on the shard's
+// idle list while there is room. Only the caller that finds la unused
+// and still mapped at k removes it, under the shard lock every get
+// takes, so a latch is mapped or idle, never both, and no pinned waiter
+// or holder ever sees it reused: both keep it in use. A holder's put
+// that comes after the latch moved to another key finds it mapped
+// elsewhere and leaves it.
+func (t *latchTable) put(k latchKey, la *latch, pinned bool) {
 	sh := t.shard(k)
 	sh.Lock()
 	la.mu.Lock()
-	la.waiters--
-	dead := la.waiters == 0 && la.writer == 0 && len(la.readers) == 0
-	la.mu.Unlock()
-	if dead && sh.m[k] == la {
-		delete(sh.m, k)
+	if pinned {
+		la.waiters--
 	}
-	sh.Unlock()
-}
-
-// free garbage-collects a latch after a holder released it, if nothing
-// holds or waits on it anymore.
-func (t *latchTable) free(k latchKey, la *latch) {
-	sh := t.shard(k)
-	sh.Lock()
-	la.mu.Lock()
-	dead := la.waiters == 0 && la.writer == 0 && len(la.readers) == 0
+	// An unused latch has no changed channel either: only a waiter
+	// blocked behind a holder makes one, and the holder's release drops it.
+	dead := la.unused() && sh.m[k] == la
 	la.mu.Unlock()
-	if dead && sh.m[k] == la {
+	if dead {
 		delete(sh.m, k)
+		if len(sh.idle) < idleLatches {
+			sh.idle = append(sh.idle, la)
+		}
 	}
 	sh.Unlock()
 }
@@ -176,14 +214,15 @@ func (la *latch) acquire(id uint64, exclusive bool, wait time.Duration, m *Latch
 				la.noteWait(waited, m)
 				return false, nil
 			}
-			_, selfReads := la.readers[id]
+			self := la.reads(id)
+			selfReads := self >= 0
 			others := len(la.readers)
 			if selfReads {
 				others--
 			}
 			if la.writer == 0 && others == 0 {
 				if selfReads {
-					delete(la.readers, id) // upgrade consumes the shared hold
+					la.unread(self) // upgrade consumes the shared hold
 				}
 				la.writer = id
 				la.mu.Unlock()
@@ -212,25 +251,29 @@ func (la *latch) acquire(id uint64, exclusive bool, wait time.Duration, m *Latch
 				return false, nil
 			}
 			if la.writer == 0 {
-				if _, dup := la.readers[id]; dup {
+				if la.reads(id) >= 0 {
 					la.mu.Unlock()
 					la.noteWait(waited, m)
 					return false, nil
 				}
-				la.readers[id] = struct{}{}
+				la.readers = append(la.readers, id)
 				la.mu.Unlock()
 				la.noteWait(waited, m)
 				return true, nil
 			}
 		}
-		ch := la.changed
-		la.mu.Unlock()
 		if wait == 0 {
+			la.mu.Unlock()
 			if m.Conflicts != nil {
 				m.Conflicts.Inc()
 			}
 			return false, ErrConflict
 		}
+		if la.changed == nil {
+			la.changed = make(chan struct{})
+		}
+		ch := la.changed
+		la.mu.Unlock()
 		start := time.Now()
 		if deadline.IsZero() {
 			deadline = start.Add(wait)
@@ -275,15 +318,18 @@ func (la *latch) noteWait(d time.Duration, m *LatchMetrics) {
 	}
 }
 
-// release drops line id's hold (exclusive or shared) and wakes waiters.
+// release drops line id's hold (exclusive or shared) and wakes waiters,
+// if any.
 func (la *latch) release(id uint64) {
 	la.mu.Lock()
 	if la.writer == id {
 		la.writer = 0
-	} else {
-		delete(la.readers, id)
+	} else if i := la.reads(id); i >= 0 {
+		la.unread(i)
 	}
-	close(la.changed)
-	la.changed = make(chan struct{})
+	if la.changed != nil {
+		close(la.changed)
+		la.changed = nil
+	}
 	la.mu.Unlock()
 }

@@ -20,7 +20,8 @@ import (
 // exact objects and classes they contend on.
 //
 // A Line is used by a single goroutine; distinct Lines of one Store are
-// safe to use concurrently.
+// safe to use concurrently. An ended line keeps its undo log's, latch
+// list's and write set's storage, within keptEntries each, for Reopen.
 type Line struct {
 	s    *Store
 	id   uint64
@@ -36,8 +37,16 @@ type Line struct {
 	index  map[types.OID]int32
 	fresh  []undoEntry
 	held   []heldLatch
-	done   bool
+	// touched is TouchedOIDs' result.
+	touched []types.OID
+	done    bool
 }
+
+// keptEntries bounds the storage an ended line keeps of each of its
+// slices and of its image index: what a short transaction uses, so a
+// line that once latched or touched thousands of objects does not pin
+// that much memory while it waits for Reopen.
+const keptEntries = 32
 
 type heldLatch struct {
 	k  latchKey
@@ -62,13 +71,25 @@ type LineOptions struct {
 
 // BeginLine opens a transaction line over the store.
 func (s *Store) BeginLine(opts LineOptions) *Line {
-	return &Line{
-		s:    s,
-		id:   s.nextLine.Add(1),
-		solo: opts.Solo,
-		wait: opts.Wait,
-		m:    opts.Metrics,
+	ln := &Line{s: s}
+	ln.open(opts)
+	return ln
+}
+
+// Reopen opens a new line over the same store in ln, which has ended
+// (Commit or Rollback): the new line is indistinguishable from one
+// BeginLine returns, except that it writes into the storage ln kept.
+func (ln *Line) Reopen(opts LineOptions) {
+	if !ln.done {
+		panic("object: Reopen of an open line")
 	}
+	ln.open(opts)
+}
+
+func (ln *Line) open(opts LineOptions) {
+	ln.id = ln.s.nextLine.Add(1)
+	ln.solo, ln.wait, ln.m = opts.Solo, opts.Wait, opts.Metrics
+	ln.done = false
 }
 
 func (ln *Line) checkOpen() error {
@@ -87,7 +108,7 @@ func (ln *Line) latch(k latchKey, exclusive bool) error {
 	}
 	la := ln.s.latches.get(k)
 	isNew, err := la.acquire(ln.id, exclusive, ln.wait, &ln.m)
-	ln.s.latches.put(k, la)
+	ln.s.latches.put(k, la, true)
 	if err != nil {
 		return err
 	}
@@ -290,17 +311,19 @@ func (ln *Line) Schema() *schema.Schema { return ln.s.schema }
 // TouchedOIDs returns the distinct OIDs the line has created, modified,
 // deleted or migrated, ascending. The engine captures this write set
 // just before Commit (which discards the undo log it is derived from) to
-// drive snapshot publication.
+// drive snapshot publication. The slice is the line's: it is valid until
+// the next TouchedOIDs or Reopen.
 func (ln *Line) TouchedOIDs() []types.OID {
 	if len(ln.undo) == 0 {
 		return nil
 	}
-	out := make([]types.OID, len(ln.undo))
+	out := slices.Grow(ln.touched[:0], len(ln.undo))
 	for i := range ln.undo {
-		out[i] = ln.undo[i].oid
+		out = append(out, ln.undo[i].oid)
 	}
 	slices.Sort(out)
-	return slices.Compact(out)
+	ln.touched = slices.Compact(out)
+	return ln.touched
 }
 
 // Savepoint accepts every mutation since the previous savepoint and
@@ -464,7 +487,6 @@ func (ln *Line) Commit() {
 	if ln.checkOpen() != nil {
 		return
 	}
-	ln.undo, ln.index = nil, nil
 	ln.finish()
 }
 
@@ -475,16 +497,35 @@ func (ln *Line) Rollback() {
 		return
 	}
 	ln.RollbackTo(0)
-	ln.undo, ln.index = nil, nil
 	ln.finish()
 }
 
+// finish releases the line's latches and empties its state, keeping the
+// storage Reopen reuses.
 func (ln *Line) finish() {
 	for i := len(ln.held) - 1; i >= 0; i-- {
 		h := ln.held[i]
 		h.la.release(ln.id)
-		ln.s.latches.free(h.k, h.la)
+		ln.s.latches.put(h.k, h.la, false)
 	}
-	ln.held = nil
+	ln.held = kept(ln.held)
+	ln.undo, ln.folded = kept(ln.undo), 0
+	ln.fresh = kept(ln.fresh)
+	ln.touched = kept(ln.touched)
+	if len(ln.index) > keptEntries {
+		ln.index = nil
+	} else {
+		clear(ln.index)
+	}
 	ln.done = true
+}
+
+// kept empties s, dropping what its entries refer to, and returns it for
+// the line's next use, or nil when its storage is past keptEntries.
+func kept[T any](s []T) []T {
+	clear(s)
+	if cap(s) > keptEntries {
+		return nil
+	}
+	return s[:0]
 }

@@ -327,3 +327,52 @@ func TestLineClosedRejectsUse(t *testing.T) {
 	}
 	ln.Rollback() // must be a no-op, not a crash
 }
+
+// An ended line keeps its storage for Reopen, but no more than
+// keptEntries of each slice, and nothing of its state: a reopened line is
+// a new line with a new id, and works as one.
+func TestReopenedLineKeepsTrimmedStorage(t *testing.T) {
+	st := newStockStore(t)
+	for _, n := range []int{5, 2048} {
+		ln := st.BeginLine(blockingOpts)
+		var oids []types.OID
+		for i := 0; i < n; i++ {
+			oid, err := ln.Create("stock", map[string]types.Value{"quantity": types.Int(int64(i))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oids = append(oids, oid)
+		}
+		ln.Savepoint()
+		if err := ln.Modify(oids[0], "quantity", types.Int(-1)); err != nil {
+			t.Fatal(err)
+		}
+		if len(ln.TouchedOIDs()) != n {
+			t.Fatalf("%d objects touched, want %d", len(ln.TouchedOIDs()), n)
+		}
+		ln.Commit()
+		if cap(ln.undo) > keptEntries || cap(ln.held) > keptEntries || cap(ln.fresh) > keptEntries ||
+			cap(ln.touched) > keptEntries || len(ln.index) != 0 {
+			t.Fatalf("after %d creates the ended line keeps room for %d undo entries, %d latches, %d images, %d OIDs and %d index entries",
+				n, cap(ln.undo), cap(ln.held), cap(ln.fresh), cap(ln.touched), len(ln.index))
+		}
+		if n <= keptEntries && cap(ln.undo) == 0 {
+			t.Fatal("a short line's undo log storage was not kept")
+		}
+		id := ln.id
+		ln.Reopen(tryOpts)
+		if ln.id == id || ln.done || len(ln.undo) != 0 || ln.folded != 0 || len(ln.held) != 0 {
+			t.Fatal("a reopened line carries its predecessor's state")
+		}
+		if got := ln.TouchedOIDs(); got != nil {
+			t.Fatalf("a reopened line has touched %v", got)
+		}
+		if err := ln.Modify(oids[n-1], "quantity", types.Int(1)); err != nil {
+			t.Fatal(err)
+		}
+		ln.Rollback()
+		if o, _ := st.Get(oids[n-1]); o.MustGet("quantity").AsInt() != int64(n-1) {
+			t.Fatalf("a reopened line's rollback left quantity %d", o.MustGet("quantity").AsInt())
+		}
+	}
+}

@@ -22,7 +22,7 @@ func TestTorture_Concurrency_KilledSessionReleasesPeers(t *testing.T) {
 	db := chimera.OpenWith(opts)
 	// Rules cover only the generated hot classes; the contended object
 	// is rule-free so the peer's work stays far under budget.
-	if err := chimera.Load(db, "class plain (n: integer)\n"+AdversarialProgram(23, 6, 20, 3)); err != nil {
+	if err := chimera.Load(db, "class plain (n: integer)\n"+adversarialProgram(23, 6, 20, 3)); err != nil {
 		t.Fatal(err)
 	}
 	var contended types.OID
@@ -110,7 +110,7 @@ func TestTorture_Concurrency_ParallelKills(t *testing.T) {
 	db := chimera.OpenWith(opts)
 	// One class per session so the floods contend only inside the
 	// engine (shared plan DAG, commit latch), not on class extensions.
-	if err := chimera.Load(db, AdversarialProgram(29, 2*sessions, 14, sessions)); err != nil {
+	if err := chimera.Load(db, adversarialProgram(29, 2*sessions, 14, sessions)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, sessions)
@@ -119,7 +119,7 @@ func TestTorture_Concurrency_ParallelKills(t *testing.T) {
 			done <- db.Run(func(tx *chimera.Txn) error {
 				for i := 0; i < 256; i++ {
 					for j := 0; j < 16; j++ {
-						if _, err := tx.Create(ClassName(s),
+						if _, err := tx.Create(className(s),
 							map[string]types.Value{"n": types.Int(int64(j))}); err != nil {
 							return err
 						}
@@ -152,7 +152,7 @@ func TestTorture_Concurrency_ParallelKills(t *testing.T) {
 	}
 	// Reusable afterwards.
 	if err := db.Run(func(tx *chimera.Txn) error {
-		_, err := tx.Create(ClassName(0), map[string]types.Value{"n": types.Int(1)})
+		_, err := tx.Create(className(0), map[string]types.Value{"n": types.Int(1)})
 		return err
 	}); err != nil && !errors.Is(err, chimera.ErrGasExhausted) {
 		t.Fatalf("engine unusable after parallel kills: %v", err)

@@ -28,7 +28,7 @@ func driveMarked(t *testing.T, db *chimera.DB, blocks, perBlock, classes int) []
 	for b := 0; b < blocks; b++ {
 		var created []types.OID
 		for i := 0; i < perBlock; i++ {
-			oid, err := tx.Create(ClassName((b*perBlock+i)%classes),
+			oid, err := tx.Create(className((b*perBlock+i)%classes),
 				map[string]types.Value{"n": types.Int(int64(i))})
 			if err != nil {
 				t.Fatal(err)
@@ -83,7 +83,7 @@ func driveChain(t *testing.T, db *chimera.DB, rounds, classes int) []string {
 			var oids [2]types.OID
 			block(func() (err error) {
 				for i := range oids {
-					if oids[i], err = tx.Create(ClassName(c), map[string]types.Value{"n": types.Int(int64(r))}); err != nil {
+					if oids[i], err = tx.Create(className(c), map[string]types.Value{"n": types.Int(int64(r))}); err != nil {
 						return err
 					}
 				}
@@ -109,7 +109,7 @@ func driveChain(t *testing.T, db *chimera.DB, rounds, classes int) []string {
 // so the trace shows its triggered mark.
 func sharedLiftProgram(k int) string {
 	var b strings.Builder
-	b.WriteString(ClassSrc(k))
+	b.WriteString(classSrc(k))
 	shapes := []string{
 		"create(%[1]s) += modify(%[1]s.n)",
 		"modify(%[1]s.n) += create(%[1]s)",
@@ -120,9 +120,9 @@ func sharedLiftProgram(k int) string {
 	for i := 0; i < k; i++ {
 		for j, shape := range shapes {
 			fmt.Fprintf(&b, "define s%d_%d priority %d\nevents %s\nend\n",
-				i, j, i*len(shapes)+j+1, fmt.Sprintf(shape, ClassName(i)))
+				i, j, i*len(shapes)+j+1, fmt.Sprintf(shape, className(i)))
 		}
-		fmt.Fprintf(&b, "define deferred d%d\nevents modify(%[2]s.n) += create(%[2]s)\nend\n", i, ClassName(i))
+		fmt.Fprintf(&b, "define deferred d%d\nevents modify(%[2]s.n) += create(%[2]s)\nend\n", i, className(i))
 	}
 	return b.String()
 }
@@ -139,8 +139,8 @@ func sharedLiftProgram(k int) string {
 // probed at different horizons.
 func TestTorture_Differential_DegradationModes(t *testing.T) {
 	programs := map[string]string{
-		"deep-nest":   AdversarialProgram(41, 6, 18, 3),
-		"prec-chain":  PrecChainProgram(6, 20, 3),
+		"deep-nest":   adversarialProgram(41, 6, 18, 3),
+		"prec-chain":  precChainProgram(6, 20, 3),
 		"shared-lift": sharedLiftProgram(3),
 	}
 	configs := map[string]chimera.Options{
@@ -184,7 +184,7 @@ func TestTorture_Differential_DegradationModes(t *testing.T) {
 // must agree on every observable afterwards.
 func TestTorture_Differential_KillDeterminism(t *testing.T) {
 	run := func() (killBlock int, err error, db *chimera.DB) {
-		db = loadDB(t, adversarialOpts(1000), AdversarialProgram(5, 8, 20, 3))
+		db = loadDB(t, adversarialOpts(1000), adversarialProgram(5, 8, 20, 3))
 		tx, berr := db.Begin()
 		if berr != nil {
 			t.Fatal(berr)

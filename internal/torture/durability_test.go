@@ -37,7 +37,7 @@ func TestTorture_Durability_CrashDuringBudgetKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chimera.Load(db, "class plain (n: integer)\n"+AdversarialProgram(31, 4, 16, 3)); err != nil {
+	if err := chimera.Load(db, "class plain (n: integer)\n"+adversarialProgram(31, 4, 16, 3)); err != nil {
 		t.Fatal(err)
 	}
 	// Committed prefix: rule-free objects, no triggering pressure.
@@ -145,7 +145,7 @@ func TestTorture_Durability_KillsAcrossCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chimera.Load(db, "class plain (n: integer)\n"+AdversarialProgram(37, 4, 16, 3)); err != nil {
+	if err := chimera.Load(db, "class plain (n: integer)\n"+adversarialProgram(37, 4, 16, 3)); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 4; round++ {

@@ -105,7 +105,7 @@ func TestTorture_Eval_BudgetConcurrentWorkers(t *testing.T) {
 // --- Eval: engine-level kills -----------------------------------------
 
 func TestTorture_Eval_GasKill(t *testing.T) {
-	db := loadDB(t, adversarialOpts(200), AdversarialProgram(3, 8, 24, 3))
+	db := loadDB(t, adversarialOpts(200), adversarialProgram(3, 8, 24, 3))
 	tx, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestTorture_Eval_GasKill(t *testing.T) {
 func TestTorture_Eval_DeadlineKill(t *testing.T) {
 	opts := chimera.DefaultOptions()
 	opts.TimeBudget = time.Nanosecond // expired before the first charge
-	db := loadDB(t, opts, PrecChainProgram(6, 24, 3))
+	db := loadDB(t, opts, precChainProgram(6, 24, 3))
 	tx, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestTorture_Eval_DeadlineKill(t *testing.T) {
 func TestTorture_Eval_UnlimitedUnaffected(t *testing.T) {
 	// GasLimit 0 is unlimited: the same adversarial load that kills a
 	// budgeted engine runs to completion.
-	db := loadDB(t, chimera.DefaultOptions(), AdversarialProgram(3, 8, 24, 3))
+	db := loadDB(t, chimera.DefaultOptions(), adversarialProgram(3, 8, 24, 3))
 	tx, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestTorture_Error_MaxEvents(t *testing.T) {
 	opts := chimera.DefaultOptions()
 	opts.MaxEvents = 8
 	opts.DisableCompaction = true
-	db := loadDB(t, opts, ClassSrc(1))
+	db := loadDB(t, opts, classSrc(1))
 	tx, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestTorture_Error_MaxEvents(t *testing.T) {
 	if err := flood(tx, 8, 1); err != nil {
 		t.Fatalf("appends within MaxEvents must succeed: %v", err)
 	}
-	_, err = tx.Create(ClassName(0), map[string]types.Value{"n": types.Int(9)})
+	_, err = tx.Create(className(0), map[string]types.Value{"n": types.Int(9)})
 	if !errors.Is(err, chimera.ErrEventLimit) {
 		t.Fatalf("want ErrEventLimit on occurrence 9, got %v", err)
 	}
@@ -214,13 +214,13 @@ func TestTorture_Error_RuleLimit(t *testing.T) {
 	opts := chimera.DefaultOptions()
 	opts.MaxRuleExecutions = 16
 	db := chimera.OpenWith(opts)
-	if err := chimera.Load(db, ClassSrc(1)); err != nil {
+	if err := chimera.Load(db, classSrc(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.DefineRule(
-		rules.Def{Name: "loop", Event: calculus.P(event.Create(ClassName(0)))},
+		rules.Def{Name: "loop", Event: calculus.P(event.Create(className(0)))},
 		engine.Body{Action: act.Action{Statements: []act.Statement{
-			act.Create{Class: ClassName(0), Once: true, Vals: map[string]cond.Term{
+			act.Create{Class: className(0), Once: true, Vals: map[string]cond.Term{
 				"n": cond.Const{V: types.Int(1)}}},
 		}}}); err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestTorture_Error_RuleLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Create(ClassName(0), map[string]types.Value{"n": types.Int(0)}); err != nil {
+	if _, err := tx.Create(className(0), map[string]types.Value{"n": types.Int(0)}); err != nil {
 		t.Fatal(err)
 	}
 	err = tx.EndLine()
@@ -288,8 +288,8 @@ action modify(hot.n, S, 0)
 end
 `
 	opts := adversarialOpts(3000)
-	killedDB := loadDB(t, opts, program+AdversarialProgram(5, 10, 20, 3))
-	refDB := loadDB(t, opts, program+AdversarialProgram(5, 10, 20, 3))
+	killedDB := loadDB(t, opts, program+adversarialProgram(5, 10, 20, 3))
+	refDB := loadDB(t, opts, program+adversarialProgram(5, 10, 20, 3))
 
 	// Adversarial transaction on killedDB only: flood until the gas
 	// budget kills it, then roll back.
@@ -352,7 +352,7 @@ end
 func TestTorture_Lifecycle_RunAutoRollback(t *testing.T) {
 	// db.Run wraps the kill: the typed error surfaces, the deferred
 	// rollback fires, and the engine stays reusable.
-	db := loadDB(t, adversarialOpts(200), AdversarialProgram(11, 8, 24, 3))
+	db := loadDB(t, adversarialOpts(200), adversarialProgram(11, 8, 24, 3))
 	err := db.Run(func(tx *chimera.Txn) error {
 		for i := 0; i < 64; i++ {
 			if err := flood(tx, 16, 3); err != nil {
@@ -379,7 +379,7 @@ func TestTorture_Lifecycle_RunAutoRollback(t *testing.T) {
 func TestTorture_Lifecycle_RepeatedKills(t *testing.T) {
 	// Kill the same engine many times in a row; every kill must be
 	// typed, every rollback clean, and the counters must add up.
-	db := loadDB(t, adversarialOpts(150), AdversarialProgram(17, 8, 24, 3))
+	db := loadDB(t, adversarialOpts(150), adversarialProgram(17, 8, 24, 3))
 	const rounds = 16
 	for i := 0; i < rounds; i++ {
 		err := db.Run(func(tx *chimera.Txn) error {
@@ -419,7 +419,7 @@ func TestTorture_Lifecycle_TriggerStatsMatchMetrics(t *testing.T) {
 	defer db.Close()
 	if err := chimera.Load(db, "class plain (n: integer)\n"+
 		"define onPlain events create(plain) end\n"+
-		AdversarialProgram(31, 4, 16, 3)); err != nil {
+		adversarialProgram(31, 4, 16, 3)); err != nil {
 		t.Fatal(err)
 	}
 	check := func(stage string) {

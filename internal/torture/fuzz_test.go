@@ -15,11 +15,11 @@ import (
 // stays usable afterwards. Hostile programs are free to fail to parse
 // or load — silently succeeding would be the bug.
 func FuzzAdversarialRules(f *testing.F) {
-	f.Add(AdversarialProgram(1, 4, 8, 3), uint16(100))
-	f.Add(AdversarialProgram(2, 8, 24, 3), uint16(30))
-	f.Add(PrecChainProgram(3, 12, 2), uint16(50))
-	f.Add(ClassSrc(2)+"define r priority 1\nevents create(c0) < delete(c1)\nend\n", uint16(5))
-	f.Add(GarbageSrc(7, 512), uint16(10))
+	f.Add(adversarialProgram(1, 4, 8, 3), uint16(100))
+	f.Add(adversarialProgram(2, 8, 24, 3), uint16(30))
+	f.Add(precChainProgram(3, 12, 2), uint16(50))
+	f.Add(classSrc(2)+"define r priority 1\nevents create(c0) < delete(c1)\nend\n", uint16(5))
+	f.Add(garbageSrc(7, 512), uint16(10))
 	f.Fuzz(func(t *testing.T, src string, gas uint16) {
 		opts := chimera.DefaultOptions()
 		opts.GasLimit = int64(gas%1024) + 1

@@ -1,9 +1,3 @@
-// Package torture holds the adversarial-input and resource-governance
-// test matrix: deterministic generators for pathological rule sets
-// (deep nesting, long precedence chains, memo-busting overlap) and the
-// TestTorture_* suites that drive them against the engine under gas,
-// wall-clock and capacity budgets. Everything is seeded and
-// reproducible; the suite is CI tier and race-clean.
 package torture
 
 import (
@@ -12,9 +6,9 @@ import (
 	"strings"
 )
 
-// ClassSrc renders k class definitions c0..c{k-1}, each with one
+// classSrc renders k class definitions c0..c{k-1}, each with one
 // integer attribute n — the schema every generated program shares.
-func ClassSrc(k int) string {
+func classSrc(k int) string {
 	var b strings.Builder
 	for i := 0; i < k; i++ {
 		fmt.Fprintf(&b, "class c%d (n: integer)\n", i)
@@ -22,12 +16,12 @@ func ClassSrc(k int) string {
 	return b.String()
 }
 
-// ClassName returns the i'th generated class name.
-func ClassName(i int) string { return fmt.Sprintf("c%d", i) }
+// className returns the i'th generated class name.
+func className(i int) string { return fmt.Sprintf("c%d", i) }
 
 // primSrc picks a random set-level primitive event over the k classes.
 func primSrc(r *rand.Rand, k int) string {
-	c := ClassName(r.Intn(k))
+	c := className(r.Intn(k))
 	switch r.Intn(3) {
 	case 0:
 		return "create(" + c + ")"
@@ -43,21 +37,21 @@ func primSrc(r *rand.Rand, k int) string {
 // so every composition is valid calculus.
 var setOps = []string{",", "+", "<"}
 
-// DeepNestSrc renders a right-nested, fully parenthesized event
+// deepNestSrc renders a right-nested, fully parenthesized event
 // expression of the given nesting depth — the parser-recursion and
 // evaluator-depth torture shape.
-func DeepNestSrc(r *rand.Rand, depth, k int) string {
+func deepNestSrc(r *rand.Rand, depth, k int) string {
 	if depth <= 0 {
 		return primSrc(r, k)
 	}
 	op := setOps[r.Intn(len(setOps))]
-	return "(" + primSrc(r, k) + " " + op + " " + DeepNestSrc(r, depth-1, k) + ")"
+	return "(" + primSrc(r, k) + " " + op + " " + deepNestSrc(r, depth-1, k) + ")"
 }
 
-// PrecChainSrc renders a precedence chain of n primitives over one
+// precChainSrc renders a precedence chain of n primitives over one
 // class — the pathological shape for the ∃t' probe, every link sharing
 // the same primitive types.
-func PrecChainSrc(class string, n int) string {
+func precChainSrc(class string, n int) string {
 	parts := make([]string, 0, n)
 	ops := []string{"create(%s)", "delete(%s)", "modify(%s.n)"}
 	for i := 0; i < n; i++ {
@@ -66,39 +60,39 @@ func PrecChainSrc(class string, n int) string {
 	return strings.Join(parts, " < ")
 }
 
-// AdversarialProgram renders a complete program: nClasses classes and
+// adversarialProgram renders a complete program: nClasses classes and
 // nRules rules whose event expressions are deep random nests. Distinct
 // random shapes per rule bust cross-rule plan sharing (each rule
 // contributes mostly-unique nodes to the shared DAG), which is exactly
 // the memo-unfriendly load the budget machinery must bound.
-func AdversarialProgram(seed int64, nRules, depth, nClasses int) string {
+func adversarialProgram(seed int64, nRules, depth, nClasses int) string {
 	r := rand.New(rand.NewSource(seed))
 	var b strings.Builder
-	b.WriteString(ClassSrc(nClasses))
+	b.WriteString(classSrc(nClasses))
 	for i := 0; i < nRules; i++ {
 		fmt.Fprintf(&b, "define r%d priority %d\nevents %s\nend\n",
-			i, i+1, DeepNestSrc(r, depth, nClasses))
+			i, i+1, deepNestSrc(r, depth, nClasses))
 	}
 	return b.String()
 }
 
-// PrecChainProgram renders nRules rules that are all long precedence
+// precChainProgram renders nRules rules that are all long precedence
 // chains over overlapping classes — the plan DAG shares the primitives
 // but every chain node above them is distinct.
-func PrecChainProgram(nRules, chainLen, nClasses int) string {
+func precChainProgram(nRules, chainLen, nClasses int) string {
 	var b strings.Builder
-	b.WriteString(ClassSrc(nClasses))
+	b.WriteString(classSrc(nClasses))
 	for i := 0; i < nRules; i++ {
 		fmt.Fprintf(&b, "define r%d priority %d\nevents %s\nend\n",
-			i, i+1, PrecChainSrc(ClassName(i%nClasses), chainLen))
+			i, i+1, precChainSrc(className(i%nClasses), chainLen))
 	}
 	return b.String()
 }
 
-// GarbageSrc renders a deterministic pseudo-random byte soup drawn from
+// garbageSrc renders a deterministic pseudo-random byte soup drawn from
 // the language's own alphabet — hostile parser input that is dense in
 // almost-valid prefixes.
-func GarbageSrc(seed int64, n int) string {
+func garbageSrc(seed int64, n int) string {
 	r := rand.New(rand.NewSource(seed))
 	const alphabet = "abcdefg0123456789()<>+,=.-*/;:\"' \n\tclassdefineeventsconditionactionend"
 	var b strings.Builder

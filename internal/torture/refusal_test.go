@@ -59,7 +59,7 @@ type refusalBlock struct {
 // cascade over k that never ends once external(boom) starts it.
 func refusalProgram(r *rand.Rand, nRules int) string {
 	var b strings.Builder
-	b.WriteString(ClassSrc(3))
+	b.WriteString(classSrc(3))
 	b.WriteString("class h (n: integer)\nclass k (n: integer)\n")
 	instance := []string{"create += modify(n)", "create <= modify(n)", "modify(n) ,= delete", "create ,= modify(n)"}
 	for i := 0; i < nRules; i++ {
@@ -71,9 +71,9 @@ func refusalProgram(r *rand.Rand, nRules int) string {
 			mods = append(mods, "preserving")
 		}
 		mod := strings.Join(append(mods, ""), " ")
-		c := ClassName(r.Intn(3))
+		c := className(r.Intn(3))
 		if r.Intn(2) == 0 {
-			e := DeepNestSrc(r, r.Intn(2), 3)
+			e := deepNestSrc(r, r.Intn(2), 3)
 			fmt.Fprintf(&b, "define %sr%d priority %d\nevents %s\ncondition %s(S), S.n < 4\naction modify(%s.n, S, S.n + 1)\nend\n",
 				mod, i, r.Intn(4), e, c, c)
 			continue
@@ -96,7 +96,7 @@ func refusalBlocks(r *rand.Rand, n int, objs []types.OID) []refusalBlock {
 		bl := &blocks[i]
 		for j := 1 + r.Intn(5); j > 0; j-- {
 			oid := objs[r.Intn(len(objs))]
-			c := ClassName(int(oid-1) % 3)
+			c := className(int(oid-1) % 3)
 			ty := []event.Type{event.Create(c), event.Modify(c, "n"), event.Delete(c)}[r.Intn(3)]
 			bl.evs = append(bl.evs, stream.Event{Type: ty, OID: oid})
 		}
@@ -187,7 +187,7 @@ func refusalDB(t *testing.T, opts chimera.Options, src string) *chimera.DB {
 	}
 	if err := db.Run(func(tx *chimera.Txn) error {
 		for i := 0; i < 6; i++ {
-			if _, err := tx.Create(ClassName(i%3), map[string]types.Value{"n": types.Int(0)}); err != nil {
+			if _, err := tx.Create(className(i%3), map[string]types.Value{"n": types.Int(0)}); err != nil {
 				return err
 			}
 		}

@@ -39,7 +39,7 @@ func loadDB(t *testing.T, opts chimera.Options, src string) *chimera.DB {
 // flood logs n creates spread over the first k generated classes.
 func flood(tx *chimera.Txn, n, k int) error {
 	for i := 0; i < n; i++ {
-		if _, err := tx.Create(ClassName(i%k), map[string]types.Value{
+		if _, err := tx.Create(className(i%k), map[string]types.Value{
 			"n": types.Int(int64(i))}); err != nil {
 			return err
 		}
@@ -141,7 +141,7 @@ func TestTorture_Parse_TermNestingBoundary(t *testing.T) {
 func TestTorture_Parse_RuleCountBoundary(t *testing.T) {
 	program := func(n int) string {
 		var b strings.Builder
-		b.WriteString(ClassSrc(1))
+		b.WriteString(classSrc(1))
 		for i := 0; i < n; i++ {
 			fmt.Fprintf(&b, "define r%d for c0 events create end\n", i)
 		}
@@ -172,7 +172,7 @@ func TestTorture_Parse_GarbageNoPanic(t *testing.T) {
 	// reject them (almost always will) but must never panic and must
 	// never loop; each case either parses or returns an error promptly.
 	for seed := int64(0); seed < 64; seed++ {
-		src := GarbageSrc(seed, 2048)
+		src := garbageSrc(seed, 2048)
 		if _, err := lang.ParseProgram(src); err == nil {
 			// Fine: a lucky soup can be a valid (empty or tiny) program.
 			continue
@@ -184,7 +184,7 @@ func TestTorture_Parse_GeneratedProgramsRoundTrip(t *testing.T) {
 	// Every generator output must be valid input: parse, load, and
 	// survive a definition round trip.
 	for seed := int64(1); seed <= 8; seed++ {
-		src := AdversarialProgram(seed, 6, 20, 3)
+		src := adversarialProgram(seed, 6, 20, 3)
 		if _, err := lang.ParseProgram(src); err != nil {
 			t.Fatalf("seed %d: generated program must parse: %v", seed, err)
 		}
@@ -193,7 +193,7 @@ func TestTorture_Parse_GeneratedProgramsRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: generated program must load: %v", seed, err)
 		}
 	}
-	if _, err := lang.ParseProgram(PrecChainProgram(8, 40, 2)); err != nil {
+	if _, err := lang.ParseProgram(precChainProgram(8, 40, 2)); err != nil {
 		t.Fatalf("precedence-chain program must parse: %v", err)
 	}
 }
