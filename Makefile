@@ -87,13 +87,13 @@ bench-module-test:
 	$(GO) -C benchmark test ./...
 
 # Coverage gate: total statement coverage must not fall below the
-# recorded baseline (84.1% when last measured; the floor leaves room for
-# platform-dependent branches). It
+# recorded baseline (87.1% when last measured; the floor, 1.5 points
+# lower, leaves room for platform-dependent branches). It
 # measures the packages that have tests, as it did when introduced:
 # since Go 1.22 ./... also reports the packages without tests (cmd/) at
 # 0%. The examples/ programs have tests (each compares its output with
 # testdata/stdout.golden), so they count.
-COVER_BASELINE ?= 79.8
+COVER_BASELINE ?= 85.6
 COVER_PKGS = $(shell $(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...)
 cover:
 	$(GO) test -count=1 -coverprofile=coverage.out $(COVER_PKGS)

@@ -163,7 +163,7 @@ type walWriter struct {
 	m      *engineMetrics
 
 	mu       chan struct{} // 1-token mutex; see lock/unlock
-	cond     chan struct{} // closed-and-replaced broadcast channel
+	cond     chan struct{} // broadcast channel, made by the first waiter
 	buf      []byte        // pending framed records
 	spare    []byte        // recycled drained buffer
 	enqueued uint64        // records appended to buf, ever
@@ -187,7 +187,6 @@ func newWALWriter(store SegmentStore, policy FsyncPolicy, ival time.Duration, sr
 		src:    src,
 		m:      m,
 		mu:     make(chan struct{}, 1),
-		cond:   make(chan struct{}),
 		wake:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
@@ -197,18 +196,24 @@ func newWALWriter(store SegmentStore, policy FsyncPolicy, ival time.Duration, sr
 
 // lock/unlock implement the writer's mutex as a channel so waiters can
 // also select on the broadcast channel. broadcast wakes every waiter by
-// closing the current cond channel and installing a fresh one (callers
+// closing the cond channel and dropping it; the next waiter makes a
+// fresh one, so a broadcast nobody waits for costs nothing (callers
 // must hold the lock).
 func (w *walWriter) lock()   { w.mu <- struct{}{} }
 func (w *walWriter) unlock() { <-w.mu }
 func (w *walWriter) broadcast() {
-	close(w.cond)
-	w.cond = make(chan struct{})
+	if w.cond != nil {
+		close(w.cond)
+		w.cond = nil
+	}
 }
 
 // wait releases the lock, blocks until the next broadcast, and
 // re-acquires the lock.
 func (w *walWriter) wait() {
+	if w.cond == nil {
+		w.cond = make(chan struct{})
+	}
 	c := w.cond
 	w.unlock()
 	<-c

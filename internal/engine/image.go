@@ -78,21 +78,15 @@ func (db *DB) image(objs []*object.Object) *Image {
 		st, _ := db.support.Rule(name)
 		img.Rules = append(img.Rules, RenderRule(st.Def, db.bodies[name]))
 	}
-	layout := make(map[*schema.Class][]schema.Attribute)
 	total := 0
 	for _, o := range objs {
-		attrs, ok := layout[o.Class()]
-		if !ok {
-			attrs = o.Class().Attributes()
-			layout[o.Class()] = attrs
-		}
-		total += len(attrs)
+		total += len(o.Class().Attributes())
 	}
 	// One backing array holds every object's attributes.
 	vals := make([]ImageAttr, 0, total)
 	for i, o := range objs {
 		start := len(vals)
-		for _, a := range layout[o.Class()] {
+		for _, a := range o.Class().Attributes() {
 			if v, ok := o.Lookup(a.Name); ok {
 				vals = append(vals, ImageAttr{Name: a.Name, Val: v})
 			}

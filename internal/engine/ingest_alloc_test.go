@@ -90,14 +90,15 @@ func TestIngestAllocationsPerEvent(t *testing.T) {
 
 // A warm in-memory transaction that writes five objects — Begin, five
 // Modify, Commit — allocates what it writes: the snapshot copies of the
-// five objects and the Txn handle. Its Event Base, object-store line and
-// scratch are the work of the line before, reset (engine lineWork). The
-// gate is the 2 904 bytes per transaction measured so (Go 1.24,
-// linux/amd64, -race too; 7 000 while every line built a new Base, line
-// and latch set, 7 528 while each base interned its types in a map of
-// its own) plus 1 KiB.
+// five objects, in one arena, and the Txn handle. Its Event Base,
+// object-store line and scratch are the work of the line before, reset
+// (engine lineWork). The gate is the 1 376 bytes per transaction
+// measured so (Go 1.24, linux/amd64, -race too; 2 904 while each
+// snapshot copy had its own attribute map, 7 000 while every line built
+// a new Base, line and latch set, 7 528 while each base interned its
+// types in a map of its own) plus 1 KiB.
 func TestShortTransactionBytes(t *testing.T) {
-	const perTxn = 2904 + 1024
+	const perTxn = 1376 + 1024
 	db := stockDB(t)
 	var oids []types.OID
 	if err := db.Run(func(tx *Txn) error {

@@ -16,13 +16,15 @@ import (
 // admitted: its Event Base, object-store line, condition context and WAL
 // scratch are the work of the line before (engine lineWork), and an
 // uncontended latch allocates nothing. What is left is the snapshot
-// copies of the five objects it wrote (StageTouched, 16 allocations),
-// the Txn handle and the group committer's wake-up. The gate is the 18
-// allocations per transaction measured so in both modes (Go 1.24,
-// linux/amd64, -race too; 61 single-session and 91 with two lines while
-// every line built its work afresh) plus 3.
+// copies of the five objects it wrote (StageTouched: one arena, 2
+// allocations), the Txn handle and the wake-up channel of the commit
+// that waits for its sync. The gate is the 5 allocations per
+// transaction measured so in both modes (Go 1.24, linux/amd64, -race
+// too; 18 while each snapshot copy had its own attribute map, 61
+// single-session and 91 with two lines while every line built its work
+// afresh) plus 3.
 func TestDurableShortTransactionAllocs(t *testing.T) {
-	const perTxn = 18 + 3
+	const perTxn = 5 + 3
 	for _, sessions := range []int{1, 2} {
 		t.Run(fmt.Sprintf("sessions=%d", sessions), func(t *testing.T) {
 			opts := engine.DefaultOptions()

@@ -128,8 +128,9 @@ func (t Type) Valid() error {
 // and a checkpoint carries BaseMeta.Types, and restore maps those onto
 // the registry. A lookup of a known type takes no lock and allocates
 // nothing, reading an immutable table published atomically; registering
-// copies the table under the mutex, once per type per database. The
-// zero value is an empty registry.
+// copies the table under the mutex, once per registration — one type
+// (Intern) or a batch (InternAll) — per database. The zero value is an
+// empty registry.
 type Registry struct {
 	mu  sync.Mutex
 	tab atomic.Pointer[regTable]
@@ -157,20 +158,56 @@ func (r *Registry) Intern(t Type) int32 {
 	if id, ok := r.lookup(t); ok {
 		return id
 	}
+	return r.register([]Type{t}, nil)[0]
+}
+
+// InternAll appends the id of each of ts to ids, registering the types
+// not yet known together: the table is copied once for the batch, where
+// registering them one by one copies it once per type.
+func (r *Registry) InternAll(ts []Type, ids []int32) []int32 {
+	n := len(ids)
+	for _, t := range ts {
+		id, ok := r.lookup(t)
+		if !ok {
+			return r.register(ts, ids[:n])
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// register appends the id of each of ts to ids under the mutex,
+// publishing one new table if any of them is new.
+func (r *Registry) register(ts []Type, ids []int32) []int32 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tab := regTable{ids: map[Type]int32{}}
-	if old := r.tab.Load(); old != nil {
-		if id, ok := old.ids[t]; ok {
-			return id
+	old := r.tab.Load()
+	var tab *regTable
+	for _, t := range ts {
+		if old != nil {
+			if id, ok := old.ids[t]; ok {
+				ids = append(ids, id)
+				continue
+			}
 		}
-		tab = regTable{ids: maps.Clone(old.ids), types: old.types}
+		if tab == nil {
+			tab = &regTable{ids: map[Type]int32{}}
+			if old != nil {
+				tab.ids, tab.types = maps.Clone(old.ids), old.types
+			}
+		}
+		id, ok := tab.ids[t]
+		if !ok {
+			id = int32(len(tab.types))
+			tab.ids[t] = id
+			tab.types = append(tab.types, t)
+		}
+		ids = append(ids, id)
 	}
-	id := int32(len(tab.types))
-	tab.ids[t] = id
-	tab.types = append(tab.types, t)
-	r.tab.Store(&tab)
-	return id
+	if tab != nil {
+		r.tab.Store(tab)
+	}
+	return ids
 }
 
 // types returns the registered types, indexed by id. The slice is

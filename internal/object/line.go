@@ -2,7 +2,6 @@ package object
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -21,7 +20,8 @@ import (
 //
 // A Line is used by a single goroutine; distinct Lines of one Store are
 // safe to use concurrently. An ended line keeps its undo log's, latch
-// list's and write set's storage, within keptEntries each, for Reopen.
+// list's and write set's storage, within keptEntries each, and its image
+// rows' storage, within keptCells, for Reopen.
 type Line struct {
 	s    *Store
 	id   uint64
@@ -31,11 +31,13 @@ type Line struct {
 	// undo is the line's undo log: undo[:folded] one image per object the
 	// accepted blocks touched, undo[folded:] one entry per mutation since
 	// the last savepoint. index maps each imaged OID to its image; fresh
-	// is Savepoint's scratch.
+	// is Savepoint's scratch. rows is the storage of the images' rows:
+	// each takes the next range of it (imageRow).
 	undo   []undoEntry
 	folded int
 	index  map[types.OID]int32
 	fresh  []undoEntry
+	rows   []cell
 	held   []heldLatch
 	// touched is TouchedOIDs' result.
 	touched []types.OID
@@ -47,6 +49,10 @@ type Line struct {
 // line that once latched or touched thousands of objects does not pin
 // that much memory while it waits for Reopen.
 const keptEntries = 32
+
+// keptCells bounds the image row storage an ended line keeps: the rows
+// of keptEntries objects of eight attributes.
+const keptCells = 8 * keptEntries
 
 type heldLatch struct {
 	k  latchKey
@@ -371,10 +377,10 @@ func (ln *Line) Savepoint() int {
 				// (a deleted object's image comes from its delete entry).
 				img.kind = undoDelete
 				if o, ok := ln.s.objects[img.oid]; ok {
-					img.class, img.vals = o.class.Name(), maps.Clone(o.attrs)
+					img.class, img.row = o.class.Name(), ln.imageRow(o.row)
 				}
 			}
-			raw[i].unapply(img)
+			raw[i].unapply(img, ln.s.schema)
 		}
 		ln.s.mu.RUnlock()
 	}
@@ -384,6 +390,19 @@ func (ln *Line) Savepoint() int {
 	clear(fresh)
 	ln.fresh = fresh[:0]
 	return n
+}
+
+// imageRow copies row into the line's image storage. Images take
+// consecutive ranges of one buffer, each capped at its length; a full
+// buffer is left to the images in it and a larger one started, so an
+// image row is never moved and never aliases a live row.
+func (ln *Line) imageRow(row []cell) []cell {
+	if cap(ln.rows)-len(ln.rows) < len(row) {
+		ln.rows = make([]cell, 0, max(2*cap(ln.rows), len(row), keptEntries))
+	}
+	i := len(ln.rows)
+	ln.rows = append(ln.rows, row...)
+	return ln.rows[i:len(ln.rows):len(ln.rows)]
 }
 
 // RollbackTo undoes, newest first, every undo entry past the first n
@@ -411,7 +430,10 @@ func (ln *Line) RollbackTo(n int) {
 // UndoRec is the serializable image of one undo entry. The engine
 // persists an open transaction's undo log inside its checkpoint so a
 // rollback replayed after a crash can still reverse mutations older
-// than the checkpoint (the WAL prefix holding them is truncated).
+// than the checkpoint (the WAL prefix holding them is truncated). A
+// record names attributes, not slots: Attr for a modify, whose Class is
+// empty; Vals for a delete (every set attribute) and for a
+// generalization (the set attributes it dropped, nil if none).
 type UndoRec struct {
 	Kind  uint8
 	OID   types.OID
@@ -424,29 +446,39 @@ type UndoRec struct {
 }
 
 // ExportUndo returns the line's undo log as serializable records,
-// oldest first. Attribute maps are copied, freezing the records against
-// later mutations by the still-open line.
+// oldest first. Values are copied, freezing the records against later
+// mutations by the still-open line.
 func (ln *Line) ExportUndo() []UndoRec {
 	recs := make([]UndoRec, len(ln.undo))
 	for i, e := range ln.undo {
-		r := UndoRec{
-			Kind:  uint8(e.kind),
-			OID:   e.oid,
-			Class: e.class,
-			Attr:  e.attr,
-			Val:   e.val,
-			Had:   e.had,
-			Reuse: e.reuse,
-		}
-		if e.vals != nil {
-			r.Vals = make(map[string]types.Value, len(e.vals))
-			for k, v := range e.vals {
-				r.Vals[k] = v
-			}
+		r := UndoRec{Kind: uint8(e.kind), OID: e.oid, Class: e.class, Reuse: e.reuse}
+		c, _ := ln.s.schema.Class(e.class)
+		switch e.kind {
+		case undoModify:
+			r.Class, r.Attr, r.Val, r.Had = "", c.Attributes()[e.slot].Name, e.old.v, e.old.set
+		case undoDelete:
+			r.Vals = setVals(c, e.row, map[string]types.Value{})
+		case undoMigrate:
+			r.Vals = setVals(c, e.row, nil)
 		}
 		recs[i] = r
 	}
 	return recs
+}
+
+// setVals adds the set cells of tail, the last cells of a row of c, to
+// vals by attribute name, making vals if it is nil and a cell is set.
+func setVals(c *schema.Class, tail []cell, vals map[string]types.Value) map[string]types.Value {
+	attrs := c.Attributes()[len(c.Attributes())-len(tail):]
+	for i, x := range tail {
+		if x.set {
+			if vals == nil {
+				vals = make(map[string]types.Value)
+			}
+			vals[attrs[i].Name] = x.v
+		}
+	}
+	return vals
 }
 
 // RestoreUndo replaces the line's undo log with previously exported
@@ -454,31 +486,83 @@ func (ln *Line) ExportUndo() []UndoRec {
 // transaction's line before replaying the WAL suffix — and accepts them
 // (Savepoint): the store must hold the state they were exported at.
 func (ln *Line) RestoreUndo(recs []UndoRec) error {
-	undo := make([]undoEntry, len(recs))
-	for i, r := range recs {
-		if undoKind(r.Kind) < undoCreate || undoKind(r.Kind) > undoMigrate {
-			return fmt.Errorf("object: unknown undo kind %d", r.Kind)
-		}
-		e := undoEntry{
-			kind:  undoKind(r.Kind),
-			oid:   r.OID,
-			class: r.Class,
-			attr:  r.Attr,
-			val:   r.Val,
-			had:   r.Had,
-			reuse: r.Reuse,
-		}
-		if r.Vals != nil {
-			e.vals = make(map[string]types.Value, len(r.Vals))
-			for k, v := range r.Vals {
-				e.vals[k] = v
-			}
-		}
-		undo[i] = e
+	undo, err := ln.s.undoOf(recs)
+	if err != nil {
+		return err
 	}
 	ln.undo, ln.folded, ln.index = undo, 0, nil
 	ln.Savepoint()
 	return nil
+}
+
+// undoOf turns exported records back into undo entries over the store's
+// current state. A modify's attribute resolves to a slot of the class
+// its object had then: the class the object's next migration or deletion
+// in the log restores, or else its class in the store; so the records
+// are read newest first.
+func (s *Store) undoOf(recs []UndoRec) ([]undoEntry, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	undo := make([]undoEntry, len(recs))
+	classAt := make(map[types.OID]*schema.Class)
+	for i := len(recs) - 1; i >= 0; i-- {
+		r := &recs[i]
+		k := undoKind(r.Kind)
+		if k < undoCreate || k > undoMigrate {
+			return nil, fmt.Errorf("object: unknown undo kind %d", r.Kind)
+		}
+		e := undoEntry{kind: k, oid: r.OID, class: r.Class, reuse: r.Reuse}
+		after, ok := classAt[r.OID]
+		if !ok {
+			if o, live := s.objects[r.OID]; live {
+				after = o.class
+			}
+		}
+		switch k {
+		case undoCreate:
+			classAt[r.OID] = nil
+		case undoModify:
+			if after == nil {
+				return nil, fmt.Errorf("object: undo modifies %s, which does not exist", r.OID)
+			}
+			slot, ok := after.Slot(r.Attr)
+			if !ok {
+				return nil, fmt.Errorf("object: undo modifies %s.%s, which class %q lacks", r.OID, r.Attr, after.Name())
+			}
+			e.class, e.slot, e.old = after.Name(), int32(slot), cell{v: r.Val, set: r.Had}
+		case undoDelete, undoMigrate:
+			c, ok := s.schema.Class(r.Class)
+			if !ok {
+				return nil, fmt.Errorf("object: undo restores unknown class %q", r.Class)
+			}
+			// A delete restores the whole row; a generalization the row's
+			// tail from its first dropped attribute on, which must lie past
+			// every slot of the class it left the object in.
+			lo := 0
+			if k == undoMigrate {
+				lo = len(c.Attributes())
+				for name := range r.Vals {
+					if slot, ok := c.Slot(name); ok {
+						lo = min(lo, slot)
+					}
+				}
+				if len(r.Vals) > 0 && after != nil && lo < len(after.Attributes()) {
+					return nil, fmt.Errorf("object: undo of %s restores attributes class %q keeps", r.OID, after.Name())
+				}
+			}
+			e.row = make([]cell, len(c.Attributes())-lo)
+			for name, v := range r.Vals {
+				slot, ok := c.Slot(name)
+				if !ok {
+					return nil, fmt.Errorf("object: undo restores %s.%s, which class %q lacks", r.OID, name, c.Name())
+				}
+				e.row[slot-lo] = cell{v: v, set: true}
+			}
+			classAt[r.OID] = c
+		}
+		undo[i] = e
+	}
+	return undo, nil
 }
 
 // Commit ends the line keeping its mutations: the undo log is discarded
@@ -511,6 +595,7 @@ func (ln *Line) finish() {
 	ln.held = kept(ln.held)
 	ln.undo, ln.folded = kept(ln.undo), 0
 	ln.fresh = kept(ln.fresh)
+	ln.rows = keptN(ln.rows, keptCells)
 	ln.touched = kept(ln.touched)
 	if len(ln.index) > keptEntries {
 		ln.index = nil
@@ -522,9 +607,12 @@ func (ln *Line) finish() {
 
 // kept empties s, dropping what its entries refer to, and returns it for
 // the line's next use, or nil when its storage is past keptEntries.
-func kept[T any](s []T) []T {
+func kept[T any](s []T) []T { return keptN(s, keptEntries) }
+
+// keptN is kept with the bound n.
+func keptN[T any](s []T, n int) []T {
 	clear(s)
-	if cap(s) > keptEntries {
+	if cap(s) > n {
 		return nil
 	}
 	return s[:0]

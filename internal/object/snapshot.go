@@ -18,9 +18,12 @@ const snapShards = 64
 // Snapshot is an immutable, epoch-stamped image of the store's committed
 // state. A Snapshot is never mutated after publication: readers may hold
 // one indefinitely and traverse it without latches, locks or allocation.
-// Objects inside a snapshot are deep copies of the committed originals
-// (the live store mutates attribute maps in place), so a snapshot object
-// can never change underneath a reader.
+// Objects inside a snapshot are copies of the committed originals, rows
+// included (the live store mutates rows in place), so a snapshot object
+// can never change underneath a reader. The copies a staging or a full
+// publication makes share one arena (see arena): one object that
+// survives in the snapshot keeps its whole batch's rows alive until a
+// later staging or publication replaces it.
 type Snapshot struct {
 	epoch  uint64
 	schema *schema.Schema
@@ -35,7 +38,7 @@ func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 func (sn *Snapshot) Schema() *schema.Schema { return sn.schema }
 
 // Get returns the snapshot's object with the given OID. The returned
-// object is immutable; callers must not modify its attribute map.
+// object is immutable.
 func (sn *Snapshot) Get(oid types.OID) (*Object, bool) {
 	o, ok := sn.shards[uint64(oid)&(snapShards-1)][oid]
 	return o, ok
@@ -84,14 +87,27 @@ func (sn *Snapshot) Select(class string) ([]types.OID, error) {
 	return out, nil
 }
 
-// cloneObject deep-copies an object for publication: the live store
-// mutates attribute maps in place, so published objects must own theirs.
-func cloneObject(o *Object) *Object {
-	attrs := make(map[string]types.Value, len(o.attrs))
-	for k, v := range o.attrs {
-		attrs[k] = v
-	}
-	return &Object{oid: o.oid, class: o.class, attrs: attrs}
+// arena holds the copies one publication makes of live objects: the
+// headers in one array, the rows in another, each row capped at its
+// length. Sized by reserve, a batch of copies costs two allocations
+// whatever its number of objects. A copy never aliases the live row it
+// was taken from, which the store goes on mutating in place.
+type arena struct {
+	objs []Object
+	rows []cell
+}
+
+// reserve sizes the arena for n objects of width cells in all.
+func (a *arena) reserve(n, width int) {
+	a.objs, a.rows = make([]Object, 0, n), make([]cell, 0, width)
+}
+
+// copy returns a copy of o inside the arena.
+func (a *arena) copy(o *Object) *Object {
+	i := len(a.rows)
+	a.rows = append(a.rows, o.row...)
+	a.objs = append(a.objs, Object{oid: o.oid, class: o.class, row: a.rows[i:len(a.rows):len(a.rows)]})
+	return &a.objs[len(a.objs)-1]
 }
 
 // Published returns the latest snapshot, materializing any staged
@@ -158,8 +174,8 @@ func (s *Store) materialize() *Snapshot {
 // one line holding uncommitted state (the transaction recovery hands
 // back open): its undo log is applied to copies of what it touched, so
 // the snapshot holds the committed state. The caller must guarantee no
-// other line holds uncommitted state (publication deep-copies whatever
-// is live).
+// other line holds uncommitted state (publication copies whatever is
+// live).
 func (s *Store) PublishAll(open *Line) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -169,8 +185,8 @@ func (s *Store) PublishAll(open *Line) {
 	if open != nil {
 		img := &Store{schema: s.schema, objects: maps.Clone(s.objects), byClass: map[string]map[types.OID]*Object{}}
 		for _, e := range open.undo {
-			if o, ok := img.objects[e.oid]; ok {
-				img.objects[e.oid] = cloneObject(o)
+			if o, ok := img.objects[e.oid]; ok && o == s.objects[e.oid] {
+				img.objects[e.oid] = &Object{oid: o.oid, class: o.class, row: slices.Clone(o.row)}
 			}
 		}
 		for i := len(open.undo) - 1; i >= 0; i-- {
@@ -179,12 +195,18 @@ func (s *Store) PublishAll(open *Line) {
 		objects = img.objects
 	}
 	next := &Snapshot{epoch: s.epoch.Add(1), schema: s.schema}
+	var a arena
+	width := 0
+	for _, o := range objects {
+		width += len(o.row)
+	}
+	a.reserve(len(objects), width)
 	for oid, o := range objects {
 		i := uint64(oid) & (snapShards - 1)
 		if next.shards[i] == nil {
 			next.shards[i] = make(map[types.OID]*Object)
 		}
-		next.shards[i][oid] = cloneObject(o)
+		next.shards[i][oid] = a.copy(o)
 	}
 	clear(s.pending)
 	s.published.Store(next)
@@ -192,10 +214,11 @@ func (s *Store) PublishAll(open *Line) {
 }
 
 // StageTouched stages a commit's write set for publication: each OID
-// present in the live store is deep-copied into the pending delta map,
-// each absent OID is staged as a delete. Cost is O(write set) — no shard
-// copies; those are deferred to the first Published() call that observes
-// the staged state, so write-only workloads never pay them.
+// present in the live store is copied into the pending delta map, each
+// absent OID is staged as a delete. The copies share one arena, two
+// allocations per commit. Cost is O(write set) — no shard copies; those
+// are deferred to the first Published() call that observes the staged
+// state, so write-only workloads never pay them.
 //
 // The engine calls this under its commit mutex — stagings are serialized
 // in commit order — and while the committing line still holds its
@@ -214,9 +237,19 @@ func (s *Store) StageTouched(oids []types.OID) {
 	if s.pending == nil {
 		s.pending = make(map[types.OID]*Object)
 	}
+	n, width := 0, 0
 	for _, oid := range oids {
 		if o, ok := s.objects[oid]; ok {
-			s.pending[oid] = cloneObject(o)
+			n, width = n+1, width+len(o.row)
+		}
+	}
+	var a arena
+	if n > 0 {
+		a.reserve(n, width)
+	}
+	for _, oid := range oids {
+		if o, ok := s.objects[oid]; ok {
+			s.pending[oid] = a.copy(o)
 		} else {
 			s.pending[oid] = nil
 		}

@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -23,11 +22,22 @@ import (
 )
 
 // Object is one stored instance: an OID, its current class, and its
-// attribute values.
+// attribute values as a row laid out by the class: row[i] is the
+// attribute at the class's slot i (schema.Class.Slot), and the row has
+// one cell per attribute of the class. Specializing extends the row,
+// generalizing truncates it; every kept attribute stays at its slot.
 type Object struct {
 	oid   types.OID
 	class *schema.Class
-	attrs map[string]types.Value
+	row   []cell
+}
+
+// cell is one attribute of a row. set tells an attribute set to Null
+// from one never set: Null is assignable to every attribute, and Lookup,
+// the undo log and the checkpoint image tell the two apart.
+type cell struct {
+	v   types.Value
+	set bool
 }
 
 // OID returns the object's identity.
@@ -39,37 +49,72 @@ func (o *Object) Class() *schema.Class { return o.class }
 // Get returns the value of an attribute (types.Null if never set; an
 // error if the class has no such attribute).
 func (o *Object) Get(attr string) (types.Value, error) {
-	if _, ok := o.class.Attr(attr); !ok {
+	i, ok := o.class.Slot(attr)
+	if !ok {
 		return types.Null, fmt.Errorf("object: class %q has no attribute %q", o.class.Name(), attr)
 	}
-	return o.attrs[attr], nil
+	return o.row[i].v, nil
 }
 
 // MustGet is Get for callers that already validated the attribute.
-func (o *Object) MustGet(attr string) types.Value { return o.attrs[attr] }
+func (o *Object) MustGet(attr string) types.Value {
+	if i, ok := o.class.Slot(attr); ok {
+		return o.row[i].v
+	}
+	return types.Null
+}
 
 // Lookup returns the value of an attribute and whether it was ever set.
 func (o *Object) Lookup(attr string) (types.Value, bool) {
-	v, ok := o.attrs[attr]
-	return v, ok
+	if i, ok := o.class.Slot(attr); ok && o.row[i].set {
+		return o.row[i].v, true
+	}
+	return types.Null, false
 }
 
-// String renders the object as class(oid){attr: value, ...} with sorted
-// attributes.
+// String renders the object as class(oid){attr: value, ...} with its set
+// attributes sorted by name.
 func (o *Object) String() string {
-	keys := make([]string, 0, len(o.attrs))
-	for k := range o.attrs {
-		keys = append(keys, k)
+	attrs := o.class.Attributes()
+	set := make([]int, 0, len(o.row))
+	for i := range o.row {
+		if o.row[i].set {
+			set = append(set, i)
+		}
 	}
-	sort.Strings(keys)
+	slices.SortFunc(set, func(a, b int) int { return cmp.Compare(attrs[a].Name, attrs[b].Name) })
 	s := fmt.Sprintf("%s(%s){", o.class.Name(), o.oid)
-	for i, k := range keys {
-		if i > 0 {
+	for n, i := range set {
+		if n > 0 {
 			s += ", "
 		}
-		s += fmt.Sprintf("%s: %s", k, o.attrs[k])
+		s += fmt.Sprintf("%s: %s", attrs[i].Name, o.row[i].v)
 	}
 	return s + "}"
+}
+
+// newRow lays vals, which schema.Validate accepted for c, out as a row
+// of c.
+func newRow(c *schema.Class, vals map[string]types.Value) []cell {
+	row := make([]cell, len(c.Attributes()))
+	for k, v := range vals {
+		i, _ := c.Slot(k)
+		row[i] = cell{v: v, set: true}
+	}
+	return row
+}
+
+// resize returns row at length n: truncated, the cut cells cleared, or
+// extended by unset cells.
+func resize(row []cell, n int) []cell {
+	if n <= len(row) {
+		clear(row[n:])
+		return row[:n]
+	}
+	m := len(row)
+	row = slices.Grow(row, n-m)[:n]
+	clear(row[m:])
+	return row
 }
 
 // undoKind discriminates the mutation an undoEntry reverses.
@@ -91,25 +136,26 @@ const (
 // mutation for the block since the last savepoint, and, below them, one
 // image per object for the blocks accepted before it — an undoCreate for
 // an object the transaction created, an undoDelete carrying the whole
-// object (class and attributes) as the transaction found it otherwise.
-// apply serves both: an undoCreate removes the object from whatever
-// class it is in, an undoDelete reinstates the image over whatever the
-// object has become.
+// object (class and row) as the transaction found it otherwise. apply
+// serves both: an undoCreate removes the object from whatever class it
+// is in, an undoDelete reinstates the image over whatever the object has
+// become.
 type undoEntry struct {
 	kind  undoKind
+	reuse bool  // create: roll the OID allocator back
+	slot  int32 // modify: the attribute's slot
 	oid   types.OID
-	class string                 // create: creation class; delete/migrate: class to restore
-	attr  string                 // modify: attribute name
-	val   types.Value            // modify: previous value
-	had   bool                   // modify: attribute existed before
-	vals  map[string]types.Value // delete: attrs to restore; migrate: attrs dropped by generalize
-	reuse bool                   // create: roll the OID allocator back
+	class string // create: creation class; modify: the object's class, which names the slot; delete/migrate: class to restore
+	old   cell   // modify: previous value, and whether it was set
+	row   []cell // delete: row to restore; migrate: the row's tail generalize dropped
 }
 
 // apply reverses the recorded mutation. Per-mutation entries run newest
 // first, so by the time one applies, every later mutation to the same
 // object has already been reversed: a migrated object still carries the
 // target class. Images run after every per-mutation entry above them.
+// apply copies the rows it reinstates: an entry's row may be the line's
+// image storage, which outlives no line.
 func (e undoEntry) apply(s *Store) {
 	switch e.kind {
 	case undoCreate:
@@ -123,14 +169,8 @@ func (e undoEntry) apply(s *Store) {
 			s.nextOID--
 		}
 	case undoModify:
-		o, ok := s.objects[e.oid]
-		if !ok {
-			return
-		}
-		if e.had {
-			o.attrs[e.attr] = e.val
-		} else {
-			delete(o.attrs, e.attr)
+		if o, ok := s.objects[e.oid]; ok {
+			o.row[e.slot] = e.old
 		}
 	case undoDelete:
 		c, ok := s.schema.Class(e.class)
@@ -140,9 +180,9 @@ func (e undoEntry) apply(s *Store) {
 		o, ok := s.objects[e.oid]
 		if ok {
 			delete(s.classSet(o.class.Name()), e.oid)
-			o.class, o.attrs = c, e.vals
+			o.class, o.row = c, append(o.row[:0], e.row...)
 		} else {
-			o = &Object{oid: e.oid, class: c, attrs: e.vals}
+			o = &Object{oid: e.oid, class: c, row: slices.Clone(e.row)}
 			s.objects[e.oid] = o
 		}
 		s.classSet(e.class)[e.oid] = o
@@ -157,37 +197,37 @@ func (e undoEntry) apply(s *Store) {
 		}
 		delete(s.classSet(o.class.Name()), e.oid)
 		o.class = c
-		// Generalizing dropped these attributes; the superclass had no
-		// such attributes so nothing could have touched them since.
-		for k, v := range e.vals {
-			o.attrs[k] = v
-		}
+		o.row = e.restore(o.row, c)
 		s.classSet(e.class)[e.oid] = o
 	}
+}
+
+// restore returns row, the row of a migrated object, at the width of c,
+// the class the migration left: a specialization's extra cells are cut,
+// a generalization's dropped tail is put back. The superclass has no
+// such attributes, so nothing could have touched them since.
+func (e *undoEntry) restore(row []cell, c *schema.Class) []cell {
+	row = resize(row, len(c.Attributes()))
+	copy(row[len(row)-len(e.row):], e.row)
+	return row
 }
 
 // unapply reverses e on img, a detached image of e's object being
 // rolled back from its current state (Line.Savepoint): the store is not
 // touched.
-func (e *undoEntry) unapply(img *undoEntry) {
+func (e *undoEntry) unapply(img *undoEntry, sch *schema.Schema) {
 	switch e.kind {
 	case undoCreate:
-		img.kind, img.class, img.vals, img.reuse = undoCreate, e.class, nil, e.reuse
+		img.kind, img.class, img.row, img.reuse = undoCreate, e.class, nil, e.reuse
 	case undoModify:
-		if e.had {
-			img.vals[e.attr] = e.val
-		} else {
-			delete(img.vals, e.attr)
-		}
+		img.row[e.slot] = e.old
 	case undoDelete:
-		// The deleted object's attribute map is the entry's alone, and the
-		// entry is dropped with the fold: the image takes it over.
-		img.class, img.vals = e.class, e.vals
+		// The deleted object's row is the entry's alone, and the entry is
+		// dropped with the fold: the image takes it over.
+		img.class, img.row = e.class, e.row
 	case undoMigrate:
-		img.class = e.class
-		for k, v := range e.vals {
-			img.vals[k] = v
-		}
+		c, _ := sch.Class(e.class)
+		img.class, img.row = e.class, e.restore(img.row, c)
 	}
 }
 
@@ -208,7 +248,7 @@ type Store struct {
 	// single atomic load; commits stage deltas and the first reader that
 	// observes a stale snapshot materializes the successor.
 	published atomic.Pointer[Snapshot]
-	// Staged publication state (see snapshot.go): commits deep-copy their
+	// Staged publication state (see snapshot.go): commits copy their
 	// write sets into pending under pendMu — O(write set), no shard
 	// copies — and flip stale; Published() materializes lazily. epoch is
 	// the logical epoch counter: one tick per staged commit or full
@@ -255,11 +295,7 @@ func (s *Store) createLocked(class string, vals map[string]types.Value, undo *[]
 	}
 	s.nextOID++
 	oid := s.nextOID
-	attrs := make(map[string]types.Value, len(vals))
-	for k, v := range vals {
-		attrs[k] = v
-	}
-	o := &Object{oid: oid, class: c, attrs: attrs}
+	o := &Object{oid: oid, class: c, row: newRow(c, vals)}
 	s.objects[oid] = o
 	s.classSet(c.Name())[oid] = o
 	*undo = append(*undo, undoEntry{kind: undoCreate, oid: oid, class: c.Name(), reuse: reuseOID})
@@ -288,11 +324,7 @@ func (s *Store) createAtLocked(oid types.OID, class string, vals map[string]type
 	if err := schema.Validate(c, vals); err != nil {
 		return err
 	}
-	attrs := make(map[string]types.Value, len(vals))
-	for k, v := range vals {
-		attrs[k] = v
-	}
-	o := &Object{oid: oid, class: c, attrs: attrs}
+	o := &Object{oid: oid, class: c, row: newRow(c, vals)}
 	s.objects[oid] = o
 	s.classSet(c.Name())[oid] = o
 	if oid > s.nextOID {
@@ -307,16 +339,15 @@ func (s *Store) modifyLocked(oid types.OID, attr string, v types.Value, undo *[]
 	if !ok {
 		return fmt.Errorf("object: no object %s", oid)
 	}
-	k, ok := o.class.Attr(attr)
+	i, ok := o.class.Slot(attr)
 	if !ok {
 		return fmt.Errorf("object: class %q has no attribute %q", o.class.Name(), attr)
 	}
-	if !v.AssignableTo(k) {
+	if k := o.class.Attributes()[i].Kind; !v.AssignableTo(k) {
 		return fmt.Errorf("object: attribute %s.%s is %s, got %s", o.class.Name(), attr, k, v.Kind())
 	}
-	old, hadOld := o.attrs[attr]
-	o.attrs[attr] = v
-	*undo = append(*undo, undoEntry{kind: undoModify, oid: oid, attr: attr, val: old, had: hadOld})
+	*undo = append(*undo, undoEntry{kind: undoModify, oid: oid, class: o.class.Name(), slot: int32(i), old: o.row[i]})
+	o.row[i] = cell{v: v, set: true}
 	return nil
 }
 
@@ -327,9 +358,9 @@ func (s *Store) deleteLocked(oid types.OID, undo *[]undoEntry) error {
 	}
 	delete(s.objects, oid)
 	delete(s.classSet(o.class.Name()), oid)
-	// The deleted object's attrs map is unreachable from the store now,
-	// so the entry can keep it without copying.
-	*undo = append(*undo, undoEntry{kind: undoDelete, oid: oid, class: o.class.Name(), vals: o.attrs})
+	// The deleted object's row is unreachable from the store now, so the
+	// entry can keep it without copying.
+	*undo = append(*undo, undoEntry{kind: undoDelete, oid: oid, class: o.class.Name(), row: o.row})
 	return nil
 }
 
@@ -356,27 +387,22 @@ func (s *Store) migrateLocked(oid types.OID, to string, down bool, undo *[]undoE
 	}
 	oldClass := o.class
 	delete(s.classSet(oldClass.Name()), oid)
-	var dropped map[string]types.Value
-	if !down {
-		// Generalizing drops attributes the superclass lacks. The undo
-		// entry keeps only the dropped values: the superclass has no such
-		// attributes, so they cannot change before the entry applies.
-		trimmed := make(map[string]types.Value, len(o.attrs))
-		for k, v := range o.attrs {
-			if _, ok := target.Attr(k); ok {
-				trimmed[k] = v
-			} else {
-				if dropped == nil {
-					dropped = make(map[string]types.Value)
-				}
-				dropped[k] = v
-			}
-		}
-		o.attrs = trimmed
+	n := len(target.Attributes())
+	var dropped []cell
+	if down {
+		o.row = resize(o.row, n)
+	} else {
+		// Generalizing drops the row's tail, the attributes the superclass
+		// lacks. The undo entry keeps the tail: the superclass has no such
+		// attributes, so they cannot change before the entry applies. The
+		// row's capacity ends where the tail starts, so the tail is the
+		// entry's alone.
+		dropped = o.row[n:]
+		o.row = o.row[:n:n]
 	}
 	o.class = target
 	s.classSet(target.Name())[oid] = o
-	*undo = append(*undo, undoEntry{kind: undoMigrate, oid: oid, class: oldClass.Name(), vals: dropped})
+	*undo = append(*undo, undoEntry{kind: undoMigrate, oid: oid, class: oldClass.Name(), row: dropped})
 	return nil
 }
 

@@ -512,6 +512,7 @@ func (s *Support) derive() {
 		return
 	}
 	var filings []filing
+	var filed []event.Type // filings[i]'s type
 	s.matchAll = s.matchAll[:0]
 	// Two passes, the non-monotone rules first, so that every list of
 	// the arrival table starts with the ranks the walk probes.
@@ -526,12 +527,18 @@ func (s *Support) derive() {
 				continue
 			}
 			for _, t := range st.Filter.RelevantTypes() {
-				filings = append(filings, filing{s.reg.Intern(t), st.rank})
+				filings = append(filings, filing{rank: st.rank})
+				filed = append(filed, t)
 			}
 		}
 		if !monotone {
 			probed, probeAll = len(filings), len(s.matchAll)
 		}
+	}
+	// One registration for the whole rule set: interning type by type
+	// would copy the registry's table once per new type.
+	for i, tid := range s.reg.InternAll(filed, nil) {
+		filings[i].tid = tid
 	}
 	s.probeAll = s.matchAll[:probeAll]
 	s.listen.build(filings, probed)

@@ -11,6 +11,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"chimera/internal/types"
@@ -24,11 +25,17 @@ type Attribute struct {
 
 // Class is a named set of attributes, optionally specializing a parent
 // class (from which it inherits all attributes).
+//
+// A class lays its attributes out parent first: slot i of a class is
+// slot i of each of its subclasses, so an object that specializes or
+// generalizes along the chain keeps every attribute it keeps at the same
+// slot, and an object's values can be a row indexed by slot.
 type Class struct {
 	name   string
 	parent *Class
-	own    []Attribute // attributes declared by this class, in order
-	attrs  map[string]types.Kind
+	own    []Attribute      // attributes declared by this class, in order
+	all    []Attribute      // every attribute, parent first: all[i] is slot i
+	slots  map[string]int32 // attribute name -> slot
 }
 
 // Name returns the class name.
@@ -39,8 +46,17 @@ func (c *Class) Parent() *Class { return c.parent }
 
 // Attr looks up an attribute (own or inherited) by name.
 func (c *Class) Attr(name string) (types.Kind, bool) {
-	k, ok := c.attrs[name]
-	return k, ok
+	if i, ok := c.slots[name]; ok {
+		return c.all[i].Kind, true
+	}
+	return types.KindNull, false
+}
+
+// Slot returns the slot of an attribute (own or inherited): its index in
+// Attributes, the same in every subclass.
+func (c *Class) Slot(name string) (int, bool) {
+	i, ok := c.slots[name]
+	return int(i), ok
 }
 
 // Own returns the attributes the class declares itself, in declaration
@@ -49,14 +65,9 @@ func (c *Class) Attr(name string) (types.Kind, bool) {
 func (c *Class) Own() []Attribute { return c.own }
 
 // Attributes returns the full attribute list, inherited first, in
-// declaration order.
-func (c *Class) Attributes() []Attribute {
-	var out []Attribute
-	if c.parent != nil {
-		out = c.parent.Attributes()
-	}
-	return append(out, c.own...)
-}
+// declaration order: Attributes()[i] is the attribute at slot i. Callers
+// must not modify the slice.
+func (c *Class) Attributes() []Attribute { return c.all }
 
 // IsA reports whether c equals anc or specializes it (transitively).
 func (c *Class) IsA(anc *Class) bool {
@@ -98,20 +109,22 @@ func (s *Schema) DefineSub(name, parentName string, attrs ...Attribute) (*Class,
 		}
 		parent = p
 	}
-	c := &Class{name: name, parent: parent, attrs: make(map[string]types.Kind)}
+	c := &Class{name: name, parent: parent, slots: make(map[string]int32)}
 	if parent != nil {
-		for n, k := range parent.attrs {
-			c.attrs[n] = k
+		c.all = slices.Clip(parent.all)
+		for n, i := range parent.slots {
+			c.slots[n] = i
 		}
 	}
 	for _, a := range attrs {
 		if a.Name == "" {
 			return nil, fmt.Errorf("schema: class %q has an unnamed attribute", name)
 		}
-		if _, dup := c.attrs[a.Name]; dup {
+		if _, dup := c.slots[a.Name]; dup {
 			return nil, fmt.Errorf("schema: class %q redeclares attribute %q", name, a.Name)
 		}
-		c.attrs[a.Name] = a.Kind
+		c.slots[a.Name] = int32(len(c.all))
+		c.all = append(c.all, a)
 		c.own = append(c.own, a)
 	}
 	s.classes[name] = c
