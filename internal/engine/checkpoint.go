@@ -325,7 +325,7 @@ func (db *DB) attachWAL() {
 // pending occurrences, no buffered ops).
 func (db *DB) checkpointNow(t *Txn) error {
 	store := db.dur().Store
-	return db.wal.barrier(true, func() error {
+	return db.wal.barrier(func() error {
 		newSeq := db.ckptSeq + 1
 		var st event.BaseState
 		if t != nil {
@@ -430,10 +430,7 @@ func (db *DB) SyncWAL() error {
 	if db.wal == nil {
 		return nil
 	}
-	db.wal.lock()
-	n := db.wal.enqueued
-	db.wal.unlock()
-	return db.wal.waitDurable(n)
+	return db.wal.syncAll()
 }
 
 // Close flushes and syncs the WAL, stops the group committer and closes

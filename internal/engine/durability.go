@@ -3,10 +3,10 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"chimera/internal/clock"
-	"chimera/internal/wire"
 )
 
 // This file is the engine half of the durability design (DESIGN.md
@@ -162,17 +162,16 @@ type walWriter struct {
 	src    clock.Source
 	m      *engineMetrics
 
-	mu       chan struct{} // 1-token mutex; see lock/unlock
-	cond     chan struct{} // broadcast channel, made by the first waiter
-	buf      []byte        // pending framed records
-	spare    []byte        // recycled drained buffer
-	enqueued uint64        // records appended to buf, ever
-	drained  uint64        // records handed to AppendWAL
-	synced   uint64        // records covered by the last SyncWAL
-	syncReq  uint64        // highest record count a waiter needs durable
-	writing  bool          // committer is inside a store call (outside mu)
-	paused   bool          // checkpoint barrier: committer must not start I/O
-	err      error         // sticky failure
+	mu       sync.Mutex
+	cond     sync.Cond // on mu; broadcast when synced, err, closed, writing or paused change
+	buf      []byte    // pending framed records
+	spare    []byte    // recycled drained buffer
+	enqueued uint64    // records appended to buf, ever
+	synced   uint64    // records covered by the last SyncWAL
+	syncReq  uint64    // highest record count a waiter needs durable
+	writing  bool      // committer is inside a store call (outside mu)
+	paused   bool      // checkpoint barrier: committer must not start I/O
+	err      error     // sticky failure
 	closed   bool
 
 	wake chan struct{} // committer doorbell (capacity 1)
@@ -186,38 +185,12 @@ func newWALWriter(store SegmentStore, policy FsyncPolicy, ival time.Duration, sr
 		ival:   ival,
 		src:    src,
 		m:      m,
-		mu:     make(chan struct{}, 1),
 		wake:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
+	w.cond.L = &w.mu
 	go w.run()
 	return w
-}
-
-// lock/unlock implement the writer's mutex as a channel so waiters can
-// also select on the broadcast channel. broadcast wakes every waiter by
-// closing the cond channel and dropping it; the next waiter makes a
-// fresh one, so a broadcast nobody waits for costs nothing (callers
-// must hold the lock).
-func (w *walWriter) lock()   { w.mu <- struct{}{} }
-func (w *walWriter) unlock() { <-w.mu }
-func (w *walWriter) broadcast() {
-	if w.cond != nil {
-		close(w.cond)
-		w.cond = nil
-	}
-}
-
-// wait releases the lock, blocks until the next broadcast, and
-// re-acquires the lock.
-func (w *walWriter) wait() {
-	if w.cond == nil {
-		w.cond = make(chan struct{})
-	}
-	c := w.cond
-	w.unlock()
-	<-c
-	w.lock()
 }
 
 // ring rings the committer doorbell (non-blocking; one pending ring is
@@ -229,67 +202,42 @@ func (w *walWriter) ring() {
 	}
 }
 
-// walWakeBytes is the buffered-batch size past which append rings the
-// committer immediately. Below it, records wait for the drain tick (or
-// a waitDurable/close/checkpoint, all of which ring): waking the
+// walWakeBytes is the buffered-batch size past which appendRun rings
+// the committer immediately. Below it, records wait for the drain tick
+// (or a waitDurable/close/checkpoint, all of which ring): waking the
 // committer goroutine per record costs more in scheduling than the
 // write it performs, and on small hosts the wakeups preempt the ingest
 // path itself.
 const walWakeBytes = 64 << 10
 
-// append enqueues one framed record. It never blocks on I/O: the bytes
-// are framed into the in-memory batch, and the committer is rung only
-// when the batch has grown past walWakeBytes or a waiter already needs
-// durability — everything else drains on the committer's tick. The
-// returned count is the record's sequence number, usable with
-// waitDurable.
-func (w *walWriter) append(payload []byte) (uint64, error) {
-	w.lock()
-	if w.err != nil {
-		err := w.err
-		w.unlock()
-		return 0, err
-	}
-	if w.closed {
-		w.unlock()
-		return 0, ErrClosed
-	}
-	w.buf = wire.AppendFrame(w.buf, payload)
-	w.enqueued++
-	n := w.enqueued
-	wake := len(w.buf) >= walWakeBytes || w.syncReq > w.synced
-	w.unlock()
-	if wake {
-		w.ring()
-	}
-	w.m.walRecords.Inc()
-	return n, nil
-}
-
-// appendRun enqueues a transaction's entire staged run — nrecs
-// already-framed records (begin, blocks, commit) — as one contiguous
-// append. Multi-session commits call it under the engine's commit
-// latch, so runs enter the log whole and in commit order; the committer
-// then makes concurrently-arriving runs durable together (one fsync
-// covers every run enqueued before it — group commit across sessions).
-// The returned count is the run's last record's sequence number, usable
-// with waitDurable.
+// appendRun enqueues nrecs already-framed records as one contiguous
+// append: a transaction's staged run (begin, blocks, commit), a
+// single-session line's savepoint or rollback record, or one DDL
+// record. It never blocks on I/O: the bytes are copied into the
+// in-memory batch, and the committer is rung only when the batch has
+// grown past walWakeBytes or a waiter already needs durability —
+// everything else drains on the committer's tick. Multi-session commits
+// call it under the engine's commit latch, so runs enter the log whole
+// and in commit order; the committer then makes concurrently-arriving
+// runs durable together (one fsync covers every run enqueued before it
+// — group commit across sessions). The returned count is the run's last
+// record's sequence number, usable with waitDurable.
 func (w *walWriter) appendRun(framed []byte, nrecs int) (uint64, error) {
-	w.lock()
+	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
-		w.unlock()
+		w.mu.Unlock()
 		return 0, err
 	}
 	if w.closed {
-		w.unlock()
+		w.mu.Unlock()
 		return 0, ErrClosed
 	}
 	w.buf = append(w.buf, framed...)
 	w.enqueued += uint64(nrecs)
 	n := w.enqueued
 	wake := len(w.buf) >= walWakeBytes || w.syncReq > w.synced
-	w.unlock()
+	w.mu.Unlock()
 	if wake {
 		w.ring()
 	}
@@ -297,30 +245,38 @@ func (w *walWriter) appendRun(framed []byte, nrecs int) (uint64, error) {
 	return n, nil
 }
 
+// syncAll blocks until every record enqueued so far is durable.
+func (w *walWriter) syncAll() error {
+	w.mu.Lock()
+	n := w.enqueued
+	w.mu.Unlock()
+	return w.waitDurable(n)
+}
+
 // waitDurable blocks until record count n is synced (or the writer
-// fails/closes). FsyncPerCommit commits call it; explicit DB.SyncWAL
+// fails/closes). FsyncPerCommit commits call it; syncAll (DB.SyncWAL)
 // uses it regardless of policy.
 func (w *walWriter) waitDurable(n uint64) error {
-	w.lock()
+	w.mu.Lock()
 	if n > w.syncReq {
 		w.syncReq = n
 	}
 	w.ring()
 	for w.synced < n && w.err == nil && !w.closed {
-		w.wait()
+		w.cond.Wait()
 	}
 	err := w.err
 	if err == nil && w.synced < n {
 		err = ErrClosed
 	}
-	w.unlock()
+	w.mu.Unlock()
 	return err
 }
 
 // Err returns the sticky failure, if any.
 func (w *walWriter) Err() error {
-	w.lock()
-	defer w.unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return w.err
 }
 
@@ -345,12 +301,12 @@ func (w *walWriter) run() {
 		case <-w.wake:
 		case <-tick:
 		}
-		w.lock()
+		w.mu.Lock()
 		for w.paused && !w.closed {
-			w.wait()
+			w.cond.Wait()
 		}
 		if w.closed && len(w.buf) == 0 && w.syncReq <= w.synced {
-			w.unlock()
+			w.mu.Unlock()
 			return
 		}
 		batch := w.buf
@@ -363,11 +319,11 @@ func (w *walWriter) run() {
 		}
 		closing := w.closed
 		if len(batch) == 0 && !needSync && !closing {
-			w.unlock()
+			w.mu.Unlock()
 			continue
 		}
 		w.writing = true
-		w.unlock()
+		w.mu.Unlock()
 
 		var err error
 		if len(batch) > 0 {
@@ -384,7 +340,7 @@ func (w *walWriter) run() {
 			}
 		}
 
-		w.lock()
+		w.mu.Lock()
 		w.writing = false
 		if err != nil {
 			if w.err == nil {
@@ -393,65 +349,60 @@ func (w *walWriter) run() {
 				w.err = fmt.Errorf("engine: wal: %w", errors.Join(ErrWALFailed, err))
 			}
 		} else {
-			w.drained = count
 			if syncedTo > w.synced {
 				w.synced = syncedTo
 			}
 			w.spare = batch[:0]
 		}
-		w.broadcast()
+		w.cond.Broadcast()
 		if closing && len(w.buf) == 0 {
-			w.unlock()
+			w.mu.Unlock()
 			return
 		}
-		w.unlock()
+		w.mu.Unlock()
 	}
 }
 
 // barrier quiesces the committer and runs fn with exclusive store
-// access: the committer is parked, no record I/O is in flight, and the
-// pending batch has been handed to fn's view of the world. fn runs the
-// checkpoint's store operations directly. discard controls whether the
-// pending (not yet drained) batch is dropped — a checkpoint captures
-// state newer than every buffered record, so the records are dead the
-// moment the checkpoint is durable.
-func (w *walWriter) barrier(discard bool, fn func() error) error {
-	w.lock()
+// access: the committer is parked and no record I/O is in flight. The
+// pending batch is dropped — a checkpoint captures state newer than
+// every buffered record, so the records are dead the moment the
+// checkpoint is durable. fn runs the checkpoint's store operations
+// directly.
+func (w *walWriter) barrier(fn func() error) error {
+	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
-		w.unlock()
+		w.mu.Unlock()
 		return err
 	}
 	if w.closed {
-		w.unlock()
+		w.mu.Unlock()
 		return ErrClosed
 	}
 	w.paused = true
 	for w.writing {
-		w.wait()
+		w.cond.Wait()
 	}
 	if w.err != nil {
 		err := w.err
 		w.paused = false
-		w.broadcast()
-		w.unlock()
+		w.cond.Broadcast()
+		w.mu.Unlock()
 		return err
 	}
-	if discard {
-		w.buf = w.buf[:0]
-		w.drained = w.enqueued
-		w.synced = w.enqueued
-		if w.syncReq > w.synced {
-			w.syncReq = w.synced
-		}
+	w.buf = w.buf[:0]
+	w.synced = w.enqueued
+	if w.syncReq > w.synced {
+		w.syncReq = w.synced
 	}
 	err := fn()
 	if err != nil && w.err == nil {
 		w.err = fmt.Errorf("engine: checkpoint: %w", errors.Join(ErrWALFailed, err))
 	}
 	w.paused = false
-	w.broadcast()
-	w.unlock()
+	w.cond.Broadcast()
+	w.mu.Unlock()
 	w.ring()
 	return err
 }
@@ -459,16 +410,16 @@ func (w *walWriter) barrier(discard bool, fn func() error) error {
 // close flushes and syncs whatever is buffered, stops the committer and
 // closes the store.
 func (w *walWriter) close() error {
-	w.lock()
+	w.mu.Lock()
 	if w.closed {
-		w.unlock()
+		w.mu.Unlock()
 		<-w.done
 		return w.err
 	}
 	w.closed = true
 	w.syncReq = w.enqueued
-	w.broadcast()
-	w.unlock()
+	w.cond.Broadcast()
+	w.mu.Unlock()
 	w.ring()
 	<-w.done
 	err := w.Err()

@@ -400,12 +400,13 @@ func (db *DB) lockWait() time.Duration {
 	}
 }
 
-// walDDL logs one DDL record (a no-op on the in-memory engine).
+// walDDL frames and logs one DDL record (a no-op on the in-memory
+// engine).
 func (db *DB) walDDL(rec []byte) error {
 	if db.wal == nil {
 		return nil
 	}
-	_, err := db.wal.append(rec)
+	_, err := db.wal.appendRun(wire.AppendFrame(nil, rec), 1)
 	return err
 }
 
@@ -1289,7 +1290,7 @@ func (t *Txn) runRule(name string) error {
 		return t.flushBlock()
 	}
 	t.db.m.executions.Inc()
-	if err := body.Action.Exec(ctx, (*txnMutator)(t), bindings); err != nil {
+	if err := body.Action.Exec(ctx, t, bindings); err != nil {
 		return fmt.Errorf("engine: rule %q action: %w", name, err)
 	}
 	if tr != nil {
@@ -1306,23 +1307,6 @@ func (t *Txn) runRule(name string) error {
 func evalCondition(body Body, ctx *cond.Ctx) (bindings []cond.Binding, err error) {
 	defer calculus.RecoverBudget(&err)
 	return body.Condition.Eval(ctx)
-}
-
-// txnMutator adapts Txn to act.Mutator.
-type txnMutator Txn
-
-func (m *txnMutator) Create(class string, vals map[string]types.Value) (types.OID, error) {
-	return (*Txn)(m).Create(class, vals)
-}
-func (m *txnMutator) Modify(oid types.OID, attr string, v types.Value) error {
-	return (*Txn)(m).Modify(oid, attr, v)
-}
-func (m *txnMutator) Delete(oid types.OID) error { return (*Txn)(m).Delete(oid) }
-func (m *txnMutator) Specialize(oid types.OID, sub string) error {
-	return (*Txn)(m).Specialize(oid, sub)
-}
-func (m *txnMutator) Generalize(oid types.OID, super string) error {
-	return (*Txn)(m).Generalize(oid, super)
 }
 
 // Commit ends the transaction: any open block is closed, immediate rules
@@ -1395,7 +1379,7 @@ func (t *Txn) Commit() error {
 	var commitLSN uint64
 	var walErr error
 	if db.wal != nil {
-		t.stageRec([]byte{recCommit})
+		t.stageRec(commitRec)
 		if commitLSN, walErr = db.wal.appendRun(t.runBuf, t.runRecs); walErr == nil {
 			db.blocksLogged(t.runBlocks, nil)
 		}
@@ -1455,8 +1439,9 @@ func (t *Txn) rollback() {
 		// multi-session run never reached the committer, so that is the
 		// whole rollback: replay only ever sees committed runs. A
 		// single-session line handed its accepted blocks over, so it
-		// records the rollback.
-		t.db.wal.append([]byte{recRollback}) //nolint:errcheck // sticky in the writer
+		// records the rollback, framed into the emptied run buffer.
+		t.runBuf = wire.AppendFrame(t.runBuf[:0], rollbackRec)
+		t.db.wal.appendRun(t.runBuf, 1) //nolint:errcheck // sticky in the writer
 	}
 	t.finish()
 	t.db.m.rollbacks.Inc()

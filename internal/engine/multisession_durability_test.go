@@ -646,3 +646,171 @@ func TestMultiSessionGroupCommitSharesFsyncs(t *testing.T) {
 		t.Error("recovered state differs after concurrent group-committed workload")
 	}
 }
+
+// heldSyncStore parks every SyncWAL until release, so FsyncPerCommit
+// commits pile up as waiters on the group committer.
+type heldSyncStore struct {
+	*storage.MemStore
+	mu      sync.Mutex
+	gate    chan struct{} // nil once released
+	entered chan struct{} // signalled when a sync reaches the held gate
+}
+
+func (s *heldSyncStore) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	close(s.gate)
+	s.gate = nil
+}
+
+func (s *heldSyncStore) SyncWAL() error {
+	s.mu.Lock()
+	gate := s.gate
+	s.mu.Unlock()
+	if gate != nil {
+		select {
+		case s.entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	return s.MemStore.SyncWAL()
+}
+
+// TestCommitterWakesEveryWaiter parks four concurrent FsyncPerCommit
+// commits behind a held fsync and then fails the sync, closes the
+// database, or checkpoints it: every parked commit must return, none may
+// be stranded by a lost wake-up.
+func TestCommitterWakesEveryWaiter(t *testing.T) {
+	const lines = 4
+	const deadline = 10 * time.Second
+	// park opens a database whose syncs are held and commits one create
+	// on each of four lines, returning once every commit has joined the log
+	// and the committer sits in the held sync; results receives each
+	// Commit's error.
+	park := func(t *testing.T) (db *engine.DB, store *heldSyncStore, results chan error) {
+		t.Helper()
+		store = &heldSyncStore{MemStore: storage.NewMemStore(),
+			gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+		reg := metrics.NewRegistry()
+		opts := multiDurOptions(store, lines)
+		opts.Durability.Fsync = engine.FsyncPerCommit
+		opts.Metrics = reg
+		db, err := engine.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defineDurCatalog(t, db)
+		commits := func() int64 { return reg.Snapshot().Counters["chimera_engine_commits_total"] }
+		base := commits()
+		results = make(chan error, lines)
+		for i := 0; i < lines; i++ {
+			go func(i int) {
+				results <- db.Run(func(tx *engine.Txn) error {
+					_, err := tx.Create("item", map[string]types.Value{
+						"n": types.Int(int64(i)), "cap": types.Int(50)})
+					return err
+				})
+			}(i)
+		}
+		until := time.Now().Add(deadline)
+		for commits()-base < lines {
+			if time.Now().After(until) {
+				t.Fatal("the commits never joined the log")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		select {
+		case <-store.entered:
+		case <-time.After(deadline):
+			t.Fatal("the committer never reached the held sync")
+		}
+		return db, store, results
+	}
+	// collect returns every line's Commit error, failing the test if one
+	// does not return within the deadline.
+	collect := func(t *testing.T, results chan error) []error {
+		t.Helper()
+		var errs []error
+		for len(errs) < lines {
+			select {
+			case err := <-results:
+				errs = append(errs, err)
+			case <-time.After(deadline):
+				t.Fatalf("%d of %d commits still parked after %v", lines-len(errs), lines, deadline)
+			}
+		}
+		return errs
+	}
+
+	t.Run("sync fails", func(t *testing.T) {
+		db, store, results := park(t)
+		defer db.Close()
+		store.FailSync(errors.New("fsync: I/O error"))
+		store.release()
+		for _, err := range collect(t, results) {
+			if !errors.Is(err, engine.ErrWALFailed) {
+				t.Errorf("commit over a failed sync returned %v, want ErrWALFailed", err)
+			}
+		}
+	})
+
+	t.Run("close", func(t *testing.T) {
+		db, store, results := park(t)
+		closed := make(chan error, 1)
+		go func() { closed <- db.Close() }()
+		// Close wakes the parked commits before the held sync ends.
+		for _, err := range collect(t, results) {
+			if err != nil && !errors.Is(err, engine.ErrClosed) {
+				t.Errorf("commit raced by Close returned %v, want nil or ErrClosed", err)
+			}
+		}
+		store.release()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		case <-time.After(deadline):
+			t.Fatal("Close did not return")
+		}
+	})
+
+	t.Run("checkpoint", func(t *testing.T) {
+		db, store, results := park(t)
+		defer db.Close()
+		ckpt := make(chan error, 1)
+		go func() { ckpt <- db.Checkpoint() }()
+		store.release()
+		for _, err := range collect(t, results) {
+			if err != nil {
+				t.Errorf("commit waiting across a checkpoint: %v", err)
+			}
+		}
+		select {
+		case err := <-ckpt:
+			if err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+		case <-time.After(deadline):
+			t.Fatal("Checkpoint did not return")
+		}
+		// The committer resumed after the barrier: a later commit syncs.
+		done := make(chan error, 1)
+		go func() {
+			done <- db.Run(func(tx *engine.Txn) error {
+				_, err := tx.Create("item", map[string]types.Value{
+					"n": types.Int(9), "cap": types.Int(50)})
+				return err
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("commit after the checkpoint: %v", err)
+			}
+		case <-time.After(deadline):
+			t.Fatal("commit after the checkpoint never synced")
+		}
+	})
+}

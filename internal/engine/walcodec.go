@@ -49,6 +49,15 @@ const (
 	recRollback
 )
 
+// The payloads of the one-byte records. wire.AppendFrame leaks its
+// payload (the checksum is called through a function variable), so a
+// []byte{recCommit} literal at the call site would escape to the heap on
+// every commit.
+var (
+	commitRec   = []byte{recCommit}
+	rollbackRec = []byte{recRollback}
+)
+
 // Block op stream entries; first byte of each op.
 const (
 	// opTypeDef declares an event-type id before its first use in this

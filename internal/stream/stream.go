@@ -239,6 +239,14 @@ type Stream struct {
 // goroutine. The session owns the line until Close, which drains the
 // queue, runs a final sweep and commits.
 //
+// Durability: on a durable single-session database each accepted batch
+// joins the log at its savepoint. On a durable multi-session database
+// (MaxSessions > 1) the line stages every batch's records privately and
+// hands the whole run to the log only at Close: Flush and DB.SyncWAL
+// make none of the session's batches durable, a crash before Close
+// recovers none of them, and the staged records held in memory grow
+// with the session's age.
+//
 // Metrics: when db was opened with a metrics registry, the session
 // reports the chimera_stream_* instrument set into it.
 func Open(db *engine.DB, opts Options) (*Stream, error) {

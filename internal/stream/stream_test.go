@@ -835,6 +835,73 @@ func TestStreamDurableSmoke(t *testing.T) {
 	}
 }
 
+// TestStreamDurableMultiSessionLogsAtClose pins where a durable
+// multi-session stream's batches reach the log: its line stages every
+// accepted batch privately, as any multi-session line does, and hands
+// the whole run to the group committer at Close. A crash before Close
+// recovers the state before the stream, with no open transaction; after
+// Close, every batch.
+func TestStreamDurableMultiSessionLogsAtClose(t *testing.T) {
+	store := storage.NewMemStore()
+	o := engine.DefaultOptions()
+	o.MaxSessions = 2
+	o.Durability = engine.DurabilityOptions{Store: store, Fsync: engine.FsyncOff}
+	db, err := engine.Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defineStreamCatalog(t, db)
+	oids := seedItems(t, db, 4)
+	before := fingerprint(db, false)
+	recovered := func() string {
+		t.Helper()
+		if err := db.SyncWAL(); err != nil {
+			t.Fatal(err)
+		}
+		ro := o
+		ro.Durability.Store = store.Clone()
+		re, rtx, _, err := engine.Recover(ro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if rtx != nil {
+			t.Fatal("recovery returned an open transaction")
+		}
+		return fingerprint(re, false)
+	}
+
+	s, err := stream.Open(db, stream.Options{
+		MaxBatch: 16,
+		Clock:    clock.NewManual(time.Unix(0, 0)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := s.Emit(event.Modify("item", "n"), oids[i%4]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recovered(); got != before {
+		t.Fatalf("flushed batches reached the log before Close:\n--- recovered ---\n%s--- before the stream ---\n%s", got, before)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(db, false)
+	if want == before {
+		t.Fatal("the stream changed nothing")
+	}
+	if got := recovered(); got != want {
+		t.Fatalf("the closed stream's run is not in the log:\n--- recovered ---\n%s--- committed ---\n%s", got, want)
+	}
+}
+
 func waitStream(t *testing.T, step func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

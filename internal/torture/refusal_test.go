@@ -239,11 +239,14 @@ func checkRefusal(t *testing.T, i int, bl refusalBlock, err error) {
 	}
 }
 
-// runTxn drives the blocks through one Txn, EndLine per block. clocks
-// receives the logical clock after every block.
-func runTxn(t *testing.T, src string, blocks []refusalBlock) (refusalRun, []clock.Time) {
+// runTxn drives the blocks through one Txn on a database admitting
+// sessions lines, EndLine per block. clocks receives the logical clock
+// after every block.
+func runTxn(t *testing.T, src string, blocks []refusalBlock, sessions int) (refusalRun, []clock.Time) {
 	t.Helper()
-	db := refusalDB(t, limitOpts(), src)
+	opts := limitOpts()
+	opts.MaxSessions = sessions
+	db := refusalDB(t, opts, src)
 	tr := &traceRec{}
 	db.SetTracer(tr)
 	tx, err := db.Begin()
@@ -431,9 +434,11 @@ func compareRuns(t *testing.T, name string, got, want refusalRun) {
 // roll back to their savepoints ends exactly as a line that never ran
 // them — same object store after every accepted block and after commit,
 // same marks, same firing trace — whether the blocks go through a Txn
-// (EndLine per block), a stream session (a batch per block) or a
-// durable line recovered after every block. The blocks are refused by
-// the gas budget, by MaxRuleExecutions and by MaxEvents.
+// (EndLine per block) in single-session mode or on one of two admitted
+// lines, a stream session (a batch per block) or a durable line
+// recovered after every block. The blocks are refused by the gas
+// budget, by MaxRuleExecutions and by MaxEvents. The generated rules
+// create no objects, so the OIDs a latched line consumes do not show.
 func TestTorture_Differential_RefusedBlocks(t *testing.T) {
 	kinds := map[refusal]int{}
 	for seed := int64(1); seed <= 16; seed++ {
@@ -447,9 +452,11 @@ func TestTorture_Differential_RefusedBlocks(t *testing.T) {
 		for _, bl := range blocks {
 			kinds[bl.refuse]++
 		}
-		txnRun, clocks := runTxn(t, src, blocks)
+		txnRun, clocks := runTxn(t, src, blocks, 1)
 		ticked := runOracle(t, src, blocks, clocks)
 		compareRuns(t, fmt.Sprintf("seed %d txn", seed), txnRun, ticked)
+		multiRun, _ := runTxn(t, src, blocks, 2)
+		compareRuns(t, fmt.Sprintf("seed %d multi-session txn", seed), multiRun, ticked)
 		compareRuns(t, fmt.Sprintf("seed %d stream", seed), runStream(t, src, blocks), ticked)
 		compareRuns(t, fmt.Sprintf("seed %d durable", seed), runDurable(t, src, blocks),
 			runOracle(t, src, blocks, nil))
