@@ -210,6 +210,12 @@ func (w *walWriter) ring() {
 // path itself.
 const walWakeBytes = 64 << 10
 
+// keptWALBytes bounds the capacity of a drained batch the committer
+// keeps for reuse. Batches drain at about walWakeBytes, plus what
+// arrives during one write and sync; a larger one, a bulk run, is left
+// to the collector rather than held for the writer's life.
+const keptWALBytes = 4 * walWakeBytes
+
 // appendRun enqueues nrecs already-framed records as one contiguous
 // append: a transaction's staged run (begin, blocks, commit), a
 // single-session line's savepoint or rollback record, or one DDL
@@ -309,19 +315,21 @@ func (w *walWriter) run() {
 			w.mu.Unlock()
 			return
 		}
-		batch := w.buf
-		w.buf = w.spare[:0]
-		w.spare = nil
 		count := w.enqueued
 		needSync := w.syncReq > w.synced
 		if w.policy == FsyncInterval && count > w.synced && w.src.Since(lastSync) >= w.ival {
 			needSync = true
 		}
 		closing := w.closed
-		if len(batch) == 0 && !needSync && !closing {
+		if len(w.buf) == 0 && !needSync && !closing {
+			// An empty wake-up leaves both buffers where they are: a
+			// swap here would drop one to the collector.
 			w.mu.Unlock()
 			continue
 		}
+		batch := w.buf
+		w.buf = w.spare[:0]
+		w.spare = nil
 		w.writing = true
 		w.mu.Unlock()
 
@@ -352,7 +360,9 @@ func (w *walWriter) run() {
 			if syncedTo > w.synced {
 				w.synced = syncedTo
 			}
-			w.spare = batch[:0]
+			if cap(batch) <= keptWALBytes {
+				w.spare = batch[:0]
+			}
 		}
 		w.cond.Broadcast()
 		if closing && len(w.buf) == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chimera/internal/calculus"
+	"chimera/internal/clock"
 	"chimera/internal/event"
 	"chimera/internal/rules"
 	"chimera/internal/schema"
@@ -85,6 +86,51 @@ func TestIngestAllocationsPerEvent(t *testing.T) {
 	// Every rule was in every block's batch, and none fired.
 	if st := tx.view.Stats(); st.Triggerings != 0 || st.RulesExamined-st.RulesSkipped != st.Checks*ntypes {
 		t.Fatalf("%+v: every rule must listen to every block without firing", st)
+	}
+}
+
+// The group committer keeps both its buffers — the batch producers fill
+// and the one it drained last — across wake-ups that find nothing to
+// write: once two runs have been drained, enqueueing and draining a run
+// no larger allocates nothing, however many empty wake-ups come between
+// them. A drained batch past keptWALBytes is not kept.
+func TestCommitterKeepsBuffersAcrossEmptyWakeUps(t *testing.T) {
+	w := newWALWriter(nullStore{}, FsyncPerCommit, 0, clock.Wall, &engineMetrics{})
+	defer w.close()
+	run := make([]byte, 512)
+	// idle rings the doorbell three times, each time waiting until the
+	// committer has taken the ring: it takes one only after it has
+	// finished with the one before, so at least two wake-ups, each with
+	// nothing enqueued and nothing to sync, have run to their end.
+	idle := func() {
+		for i := 0; i < 3; i++ {
+			w.ring()
+			for len(w.wake) > 0 {
+				runtime.Gosched()
+			}
+		}
+	}
+	round := func() {
+		if _, err := w.appendRun(run, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.syncAll(); err != nil {
+			t.Fatal(err)
+		}
+		idle()
+	}
+	round() // warm: both buffers hold a run's bytes
+	round()
+	if allocs := testing.AllocsPerRun(16, round); allocs != 0 {
+		t.Errorf("a drained run after empty wake-ups allocates %.2f times, want 0", allocs)
+	}
+	run = make([]byte, keptWALBytes+1)
+	round()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if cap(w.buf) > keptWALBytes || cap(w.spare) > keptWALBytes {
+		t.Errorf("after a bulk run the committer keeps buffers of %d and %d bytes, want at most %d",
+			cap(w.buf), cap(w.spare), keptWALBytes)
 	}
 }
 

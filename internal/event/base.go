@@ -170,6 +170,13 @@ type Base struct {
 	latest   []clock.Time
 	oidIDs   map[types.OID]int32
 	oidsByID []types.OID
+	// lastType is the type the newest append resolved and lastTID its
+	// id: an append of the same type takes the id without hashing it.
+	// Registry ids are never recycled, so the pair stays right across
+	// Reset and Rewind; the zero Type, where a new base starts, is never
+	// Valid, so it matches no append.
+	lastType Type
+	lastTID  int32
 	nextID   EID
 	lastTS   clock.Time // newest time stamp ever appended
 	live     int        // occurrences currently retained
@@ -588,22 +595,30 @@ func (b *Base) Append(t Type, oid types.OID, at clock.Time) (Occurrence, error) 
 // AppendTID is Append returning the occurrence's type id instead of the
 // occurrence: the engine's WAL encoder keys its per-transaction type
 // declarations by it, and the Trigger Support is told of arrivals by it,
-// so the type is hashed once per occurrence, here.
+// so the type is resolved once per occurrence, here — and hashed only
+// when it differs from the previous append's.
 func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (int32, error) {
 	_, tid, err := b.append(t, oid, at)
 	return tid, err
 }
 
 // append is Append and AppendTID: one append resolves the type and
-// interns the object once.
+// interns the object once. A run of one type, what a stream of updates
+// to one attribute logs, resolves it by comparing it with the previous
+// append's type; any other type is looked up (or registered) and takes
+// its place.
 func (b *Base) append(t Type, oid types.OID, at clock.Time) (EID, int32, error) {
 	if err := t.Valid(); err != nil {
 		return 0, 0, err
 	}
-	// The lookup inlines, Intern does not: a known type costs no call.
-	tid, ok := b.reg.lookup(t)
-	if !ok {
-		tid = b.reg.Intern(t)
+	tid := b.lastTID
+	if t != b.lastType {
+		// The lookup inlines, Intern does not: a known type costs no call.
+		var ok bool
+		if tid, ok = b.reg.lookup(t); !ok {
+			tid = b.reg.Intern(t)
+		}
+		b.lastType, b.lastTID = t, tid
 	}
 	if b.nextID > 0 && at <= b.lastTS {
 		return 0, 0, fmt.Errorf(

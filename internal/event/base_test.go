@@ -108,10 +108,88 @@ func TestAppendRejectsNonMonotone(t *testing.T) {
 	}
 }
 
+// An invalid type is refused whatever the base appended before it: on
+// a new base, whose remembered type is the zero Type, the zero Type
+// included; right after a valid append of the same class; and after
+// Reset. A refused append leaves the base as it was.
 func TestAppendRejectsInvalidType(t *testing.T) {
+	invalid := []Type{
+		{},
+		{Op: OpModify, Class: "stock"},
+		{Op: OpCreate, Class: "stock", Attr: "quantity"},
+		{Op: OpModify, Attr: "quantity"},
+	}
+	refuses := func(b *Base, when string) {
+		t.Helper()
+		n := b.Len()
+		for _, ty := range invalid {
+			if _, err := b.AppendTID(ty, 1, 100); err == nil {
+				t.Fatalf("%s: %#v accepted", when, ty)
+			}
+		}
+		if b.Len() != n {
+			t.Fatalf("%s: refused appends left %d occurrences, want %d", when, b.Len(), n)
+		}
+	}
 	b := NewBase()
-	if _, err := b.Append(Type{Op: OpModify, Class: "stock"}, 1, 1); err == nil {
-		t.Fatal("modify without attribute accepted")
+	refuses(b, "new base")
+	for i, ty := range []Type{Modify("stock", "quantity"), Create("stock")} {
+		if _, err := b.Append(ty, 1, clock.Time(1+i)); err != nil {
+			t.Fatal(err)
+		}
+		refuses(b, "after "+ty.String())
+	}
+	b.Reset()
+	refuses(b, "after Reset")
+}
+
+// The id AppendTID returns is the registry's id of the type appended,
+// whether the type repeats the previous append's or not: over random
+// runs drawn from a small vocabulary, across segment roll-overs,
+// Rewind, Reset and compaction, and while a second base of the same
+// registry registers types of its own in between.
+func TestAppendTIDMatchesRegistry(t *testing.T) {
+	tys := []Type{Modify("card", "spent"), Modify("card", "limit"), Create("card"), External("declined")}
+	for _, seg := range []int{1, 3, 256} {
+		for seed := int64(1); seed <= 10; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			reg := new(Registry)
+			b, other := reg.NewBase(seg), reg.NewBase(seg)
+			b.Savepoint()
+			ts, ots, ty := clock.Time(0), clock.Time(0), tys[0]
+			for step := 0; step < 400; step++ {
+				if r.Intn(3) == 0 {
+					ty = tys[r.Intn(len(tys))]
+				}
+				ts++
+				tid, err := b.AppendTID(ty, types.OID(1+r.Intn(4)), ts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := reg.Intern(ty); tid != want {
+					t.Fatalf("segment %d seed %d step %d: %v appended as id %d, registry id %d",
+						seg, seed, step, ty, tid, want)
+				}
+				switch r.Intn(20) {
+				case 0:
+					b.Rewind()
+				case 1:
+					b.Savepoint()
+				case 2:
+					b.CompactBelow(ts - clock.Time(r.Intn(8)))
+					b.Savepoint()
+				case 3:
+					b.Reset()
+					b.Savepoint()
+					ts = 0
+				case 4:
+					ots++
+					if _, err := other.AppendTID(External(fmt.Sprintf("s%d", step)), 1, ots); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -386,5 +464,42 @@ func TestRegistryLookupsRaceRegistrations(t *testing.T) {
 	reg.mu.Unlock()
 	if a := testing.AllocsPerRun(100, func() { reg.Intern(vocab[11]) }); a != 0 {
 		t.Fatalf("a lookup of a known type allocates %v times", a)
+	}
+}
+
+var appendedTID int32
+
+// BenchmarkAppend appends blocks of 256 occurrences over 32 objects,
+// retiring all but the last four blocks at each block's end, as a
+// stream with a retention window does. "repeated" appends one type
+// throughout, the shape of a stream of updates to one attribute, and
+// resolves it by comparison with the previous append's; "mix96" rotates
+// through 96 types, so every append looks its type up in the registry.
+func BenchmarkAppend(b *testing.B) {
+	mix := make([]Type, 96)
+	for i := range mix {
+		mix[i] = Modify("card", fmt.Sprintf("f%d", i))
+	}
+	for _, bc := range []struct {
+		name string
+		tys  []Type
+	}{{"repeated", mix[:1]}, {"mix96", mix}} {
+		b.Run(bc.name, func(b *testing.B) {
+			base := NewBase()
+			at := clock.Time(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at++
+				tid, err := base.AppendTID(bc.tys[i%len(bc.tys)], types.OID(1+i%32), at)
+				if err != nil {
+					b.Fatal(err)
+				}
+				appendedTID = tid
+				if i%256 == 255 {
+					base.CompactBelow(at - 4*256)
+				}
+			}
+		})
 	}
 }

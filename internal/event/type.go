@@ -68,9 +68,11 @@ func (o Op) String() string {
 
 // Type is a primitive event type: an operation, the class it applies to,
 // and — for modify — the attribute changed. Type is comparable, and a
-// database's Registry numbers it with a dense int32 id: below the API
-// edge the Event Base, the evaluators and the Trigger Support's arrival
-// hand-off work on those ids and never hash a Type.
+// database's Registry numbers it with a dense int32 id: an append
+// resolves its Type to that id (hashing it only when it differs from
+// the base's previous append), and below it the Event Base, the
+// evaluators and the Trigger Support's arrival hand-off work on ids and
+// never hash a Type.
 //
 // The paper's Figure 3 writes these as "create stock" and
 // "modify stock quantity"; Type.String renders the calculus syntax
