@@ -58,10 +58,11 @@ stream-smoke:
 # the resource-governance machinery (gas/deadline kills, Event Base
 # bounds, parser limits, crash-during-budget-kill recovery, killed
 # sessions vs concurrent peers), plus a short adversarial fuzz pass.
-# Every test of the package, selected by package like race-stress.
+# Every test of the package, selected by package like race-stress, with
+# the refused-block differential at 128 seeds (16 in tier-1).
 # Deterministic and time-capped; part of CI.
 torture:
-	$(GO) test -race -count=1 -timeout 5m ./internal/torture/
+	$(GO) test -race -count=1 -timeout 5m ./internal/torture/ -torture.seeds 128
 	$(GO) test ./internal/torture/ -run '^$$' -fuzz FuzzAdversarialRules -fuzztime 15s
 
 vet:

@@ -74,8 +74,14 @@ func (t *ReadTxn) Select(class string) ([]types.OID, error) {
 	return t.snap.Select(class)
 }
 
-// Len returns the number of objects in the pinned snapshot.
-func (t *ReadTxn) Len() int { return t.snap.Len() }
+// Len returns the number of objects in the pinned snapshot, 0 once the
+// transaction is closed.
+func (t *ReadTxn) Len() int {
+	if t.done {
+		return 0
+	}
+	return t.snap.Len()
+}
 
 // Snapshot exposes the pinned snapshot itself — a cond.StoreView — so
 // condition predicates (e.g. the shell's select-where filter) can

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,6 +130,9 @@ func TestReadTxnClosed(t *testing.T) {
 	}
 	if _, err := rt.Select("stock"); !errors.Is(err, ErrNoTransaction) {
 		t.Errorf("Select on closed read txn = %v, want ErrNoTransaction", err)
+	}
+	if n := rt.Len(); n != 0 {
+		t.Errorf("Len on closed read txn = %d, want 0", n)
 	}
 	rt.Close() // idempotent
 }
@@ -261,8 +265,13 @@ func TestCommitWaitObservedOnce(t *testing.T) {
 // committing writers (picked up by make race-stress). Each writer owns
 // a pair of objects and every commit moves quantity between them,
 // keeping the pair sum constant — any snapshot showing a torn sum
-// caught a commit publishing non-atomically. Readers also check epoch
-// monotonicity across successive BeginReads.
+// caught a commit publishing non-atomically. Writer 0 also creates an
+// object of its own in one commit and deletes it in the next, so
+// snapshots alternately take over and replace their class-extension
+// cache while readers race to fill it. Readers check epoch monotonicity
+// across successive BeginReads, and that each snapshot Select of the
+// class is ascending, holds both members of every pair, and names only
+// objects the same snapshot resolves.
 func TestMultiSessionReadersWriters(t *testing.T) {
 	const (
 		writers = 2
@@ -299,8 +308,22 @@ func TestMultiSessionReadersWriters(t *testing.T) {
 		go func(w int) {
 			defer writersWG.Done()
 			a, b := pairs[w][0], pairs[w][1]
+			var own types.OID // writer 0's own object, NilOID between its create and delete
 			for i := 0; i < commits; i++ {
+				next := own
 				err := db.Run(func(tx *Txn) error {
+					if w == 0 && own == types.NilOID {
+						oid, err := tx.Create("stock", map[string]types.Value{"name": types.String_("own")})
+						if err != nil {
+							return err
+						}
+						next = oid
+					} else if w == 0 {
+						if err := tx.Delete(own); err != nil {
+							return err
+						}
+						next = types.NilOID
+					}
 					oa, ok := tx.Get(a)
 					if !ok {
 						return fmt.Errorf("writer %d lost object %v", w, a)
@@ -327,6 +350,7 @@ func TestMultiSessionReadersWriters(t *testing.T) {
 					errs <- fmt.Errorf("writer %d commit %d: %w", w, i, err)
 					return
 				}
+				own = next
 			}
 		}(w)
 	}
@@ -361,6 +385,25 @@ func TestMultiSessionReadersWriters(t *testing.T) {
 						errs <- fmt.Errorf("reader %d: torn snapshot at epoch %d: pair %d sums to %d, want %d",
 							r, rt.Epoch(), w, sum, pairSum)
 						return
+					}
+				}
+				all, err := rt.Select("stock")
+				if err != nil {
+					errs <- fmt.Errorf("reader %d: Select: %v", r, err)
+					return
+				}
+				for i, oid := range all {
+					if _, ok := rt.Get(oid); !ok || i > 0 && all[i-1] >= oid {
+						errs <- fmt.Errorf("reader %d: Select at epoch %d = %v: %v unresolved or out of order", r, rt.Epoch(), all, oid)
+						return
+					}
+				}
+				for _, pair := range pairs {
+					for _, oid := range pair {
+						if _, found := slices.BinarySearch(all, oid); !found {
+							errs <- fmt.Errorf("reader %d: Select at epoch %d = %v lacks %v", r, rt.Epoch(), all, oid)
+							return
+						}
 					}
 				}
 				rt.Close()

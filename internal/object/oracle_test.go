@@ -3,6 +3,8 @@ package object
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -150,6 +152,26 @@ func checkStore(t *testing.T, where string, st *Store, m *mapStore) {
 	}
 }
 
+// checkSelect compares every class extension of a snapshot with the
+// oracle's: the OIDs whose class is or specializes the class, ascending,
+// nil when there are none.
+func checkSelect(t *testing.T, where string, sn *Snapshot, m *mapStore) {
+	t.Helper()
+	for _, c := range sn.Schema().Ordered() {
+		var want []types.OID
+		for oid, o := range m.objs {
+			if o.class.IsA(c) {
+				want = append(want, oid)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		got, err := sn.Select(c.Name())
+		if err != nil || !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("%s: snapshot Select(%s) = %v, %v; oracle %v", where, c.Name(), got, err, want)
+		}
+	}
+}
+
 // restoredRollback is what recovery does with an open line's undo log:
 // it rebuilds the store from the line's current state, reinstates the
 // exported log into a new line and rolls it back. The result is the
@@ -182,12 +204,18 @@ func restoredRollback(t *testing.T, st *Store, recs []UndoRec) *Store {
 // generalizations across one and two levels, deletions, savepoints,
 // rollbacks to them, whole-line rollbacks and commits, and compares the
 // store with the map-backed oracle after every step. Each commit stages
-// its write set and publishes; the snapshot must match the committed
-// oracle state, and must go on matching it while the live store changes
-// underneath. At random steps the open line's undo log is exported,
-// reinstated over a rebuilt store and rolled back, which must give the
-// state the line began on.
+// its write set and publishes; the snapshot's objects and every class
+// extension it selects must match the committed oracle state, and must
+// go on matching it while the live store changes underneath, as must an
+// older snapshot held across later commits. Some steps stage two commits
+// before one publication — a create then a delete of one object, a
+// specialization then a generalization back, or two modifications — so
+// the extension cache sees net deltas that leave membership unchanged
+// after it was filled. At random steps the open line's undo log is
+// exported, reinstated over a rebuilt store and rolled back, which must
+// give the state the line began on.
 func TestObjectsMatchMapOracle(t *testing.T) {
+	var shapes [3]int // create then delete, specialize then back, modify twice
 	for sd := uint64(1); sd <= 30; sd++ {
 		r := rand.New(rand.NewPCG(sd, 48))
 		sch := oracleSchema(t)
@@ -198,6 +226,7 @@ func TestObjectsMatchMapOracle(t *testing.T) {
 		begun, sp, atSP := cur.clone(), ln.Savepoint(), cur.clone()
 		st.PublishAll(nil)
 		pub, pubModel := st.Published(), cur.clone()
+		held, heldModel, commits := pub, pubModel, 0
 		pick := func() (types.OID, *mapObject, bool) {
 			if len(cur.objs) == 0 {
 				return types.NilOID, nil, false
@@ -210,10 +239,33 @@ func TestObjectsMatchMapOracle(t *testing.T) {
 			oid := oids[r.IntN(len(oids))]
 			return oid, cur.objs[oid], true
 		}
+		subclasses := func(o *mapObject) []*schema.Class {
+			var subs []*schema.Class
+			for _, c := range classes {
+				if c != o.class && c.IsA(o.class) {
+					subs = append(subs, c)
+				}
+			}
+			return subs
+		}
+		// commit ends the line with a commit, staging its write set, and
+		// reopens it; publish also takes the next snapshot.
+		commit := func(publish bool) {
+			st.StageTouched(ln.TouchedOIDs())
+			ln.Commit()
+			if publish {
+				pub, pubModel = st.Published(), cur.clone()
+				if commits++; commits%8 == 0 {
+					held, heldModel = pub, pubModel
+				}
+			}
+			ln.Reopen(LineOptions{Solo: true})
+			begun, sp, atSP = cur.clone(), ln.Savepoint(), cur.clone()
+		}
 		for step := 0; step < 300; step++ {
 			var op string
 			var err error
-			switch k := r.IntN(12); {
+			switch k := r.IntN(13); {
 			case k < 2:
 				c := classes[r.IntN(len(classes))]
 				vals := map[string]types.Value{}
@@ -250,12 +302,7 @@ func TestObjectsMatchMapOracle(t *testing.T) {
 				if !ok {
 					continue
 				}
-				var subs []*schema.Class
-				for _, c := range classes {
-					if c != o.class && c.IsA(o.class) {
-						subs = append(subs, c)
-					}
-				}
+				subs := subclasses(o)
 				if len(subs) == 0 {
 					continue
 				}
@@ -303,14 +350,54 @@ func TestObjectsMatchMapOracle(t *testing.T) {
 					op = "rollback"
 					ln.Rollback()
 					cur = begun.clone()
+					ln.Reopen(LineOptions{Solo: true})
+					begun, sp, atSP = cur.clone(), ln.Savepoint(), cur.clone()
 				} else {
 					op = "commit"
-					st.StageTouched(ln.TouchedOIDs())
-					ln.Commit()
-					pub, pubModel = st.Published(), cur.clone()
+					commit(true)
 				}
-				ln.Reopen(LineOptions{Solo: true})
-				begun, sp, atSP = cur.clone(), ln.Savepoint(), cur.clone()
+			case k == 11:
+				// Publish the open work and fill every extension, then
+				// stage two commits whose net delta keeps every object's
+				// presence and class, and publish them once.
+				commit(true)
+				checkSelect(t, fmt.Sprintf("seed %d step %d before two commits", sd, step), pub, pubModel)
+				switch oid, o, ok := pick(); {
+				case r.IntN(3) == 0:
+					c, vals := classes[r.IntN(len(classes))], map[string]types.Value{}
+					op, shapes[0] = fmt.Sprintf("commit create %s, commit its delete", c.Name()), shapes[0]+1
+					if oid, err = ln.Create(c.Name(), vals); err == nil {
+						cur.next++
+						cur.objs[oid] = &mapObject{class: c, attrs: vals}
+						commit(false)
+						err = ln.Delete(oid)
+						delete(cur.objs, oid)
+					}
+				case ok && len(subclasses(o)) > 0:
+					was, c := o.class, subclasses(o)[0]
+					op, shapes[1] = fmt.Sprintf("commit specialize %s to %s, commit its generalization back", oid, c.Name()), shapes[1]+1
+					if err = ln.Specialize(oid, c.Name()); err == nil {
+						o.class = c
+						commit(false)
+						err = ln.Generalize(oid, was.Name())
+						o.class = was
+					}
+				case ok:
+					a := o.class.Attributes()[0]
+					v := randValue(r, a.Kind)
+					op, shapes[2] = fmt.Sprintf("commit modify %s.%s = %v, commit it again", oid, a.Name, v), shapes[2]+1
+					if err = ln.Modify(oid, a.Name, types.Null); err == nil {
+						o.attrs[a.Name] = types.Null
+						commit(false)
+						err = ln.Modify(oid, a.Name, v)
+						o.attrs[a.Name] = v
+					}
+				default:
+					continue
+				}
+				if err == nil {
+					commit(true)
+				}
 			default:
 				op = "export, restore and roll back"
 				checkStore(t, fmt.Sprintf("seed %d step %d: %s", sd, step, op), restoredRollback(t, st, ln.ExportUndo()), begun)
@@ -321,7 +408,13 @@ func TestObjectsMatchMapOracle(t *testing.T) {
 			where := fmt.Sprintf("seed %d step %d after %s", sd, step, op)
 			checkStore(t, where, st, cur)
 			checkAgainst(t, where+", published", sch, pub.Objects(), pubModel)
+			checkSelect(t, where+", published", pub, pubModel)
+			checkAgainst(t, where+", held", sch, held.Objects(), heldModel)
+			checkSelect(t, where+", held", held, heldModel)
 		}
+	}
+	if slices.Contains(shapes[:], 0) {
+		t.Errorf("two-commit shapes run %v times: the generator misses one", shapes)
 	}
 }
 
@@ -355,5 +448,102 @@ func TestStageTouchedAllocs(t *testing.T) {
 	ln.Commit()
 	if o, _ := st.Published().Get(oids[0]); o.String() != `pair(o1){a: 0, b: "x"}` {
 		t.Errorf("published %s after a later write, want a: 0", o)
+	}
+}
+
+// acctStore returns a published store of n objects of one class, acct.
+func acctStore(tb testing.TB, n int) (*Store, []types.OID) {
+	tb.Helper()
+	s := schema.New()
+	if _, err := s.Define("acct", schema.Attribute{Name: "balance", Kind: types.KindInt}); err != nil {
+		tb.Fatal(err)
+	}
+	st := NewStore(s)
+	ln := solo(st)
+	oids := make([]types.OID, n)
+	for i := range oids {
+		oid, err := ln.Create("acct", map[string]types.Value{"balance": types.Int(0)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		oids[i] = oid
+	}
+	ln.Commit()
+	st.PublishAll(nil)
+	return st, oids
+}
+
+// modifyOne commits a modification of oid and stages it: the store's
+// membership is unchanged.
+func modifyOne(tb testing.TB, st *Store, oid types.OID, v int64) {
+	tb.Helper()
+	ln := solo(st)
+	if err := ln.Modify(oid, "balance", types.Int(v)); err != nil {
+		tb.Fatal(err)
+	}
+	st.StageTouched(ln.TouchedOIDs())
+	ln.Commit()
+}
+
+// TestSnapshotSelectAllocs: a snapshot's class extension is scanned and
+// sorted once and then copied out: a warm Select allocates exactly the
+// slice it returns. A commit that leaves membership unchanged hands the
+// filled extension on, so the next snapshot's first Select allocates
+// that one slice too (a fresh cache would scan, grow and sort again).
+// The returned slice is the caller's: writing to it leaves the next
+// Select unchanged.
+func TestSnapshotSelectAllocs(t *testing.T) {
+	st, oids := acctStore(t, 256)
+	sn := st.Published()
+	if _, err := sn.Select("acct"); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { sn.Select("acct") }); a != 1 {
+		t.Errorf("a warm snapshot Select allocates %.2f times, want 1", a)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	for i := 0; i < 10; i++ {
+		modifyOne(t, st, oids[i], int64(i))
+		next := st.Published()
+		if next == sn {
+			t.Fatal("a staged commit published no new snapshot")
+		}
+		runtime.ReadMemStats(&before)
+		got, err := next.Select("acct")
+		runtime.ReadMemStats(&after)
+		if err != nil || len(got) != len(oids) {
+			t.Fatalf("Select after a modification = %d OIDs, %v; want %d", len(got), err, len(oids))
+		}
+		if a := after.Mallocs - before.Mallocs; a != 1 {
+			t.Errorf("the first Select after modify-only commit %d allocates %d times, want 1", i, a)
+		}
+		sn = next
+	}
+	got, _ := sn.Select("acct")
+	got[0], got[1] = got[1], types.NilOID
+	if again, _ := sn.Select("acct"); !slices.Equal(again, oids) {
+		t.Errorf("Select after writing to its last result = %v…, want %v…", again[:2], oids[:2])
+	}
+}
+
+// BenchmarkSnapshotSelect selects a 2 048-object class extension from
+// the published snapshot: warm, and with a modify-only commit published
+// between selects.
+func BenchmarkSnapshotSelect(b *testing.B) {
+	for _, between := range []bool{false, true} {
+		b.Run(fmt.Sprintf("modify-between=%t", between), func(b *testing.B) {
+			st, oids := acctStore(b, 2048)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if between {
+					modifyOne(b, st, oids[i%len(oids)], int64(i))
+				}
+				if got, err := st.Published().Select("acct"); err != nil || len(got) != len(oids) {
+					b.Fatalf("Select = %d OIDs, %v", len(got), err)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync"
 
 	"chimera/internal/schema"
 	"chimera/internal/types"
@@ -18,6 +19,9 @@ const snapShards = 64
 // Snapshot is an immutable, epoch-stamped image of the store's committed
 // state. A Snapshot is never mutated after publication: readers may hold
 // one indefinitely and traverse it without latches, locks or allocation.
+// Select alone takes a lock, that of the class-extension cache the
+// snapshot shares with its neighbours of the same membership (extents),
+// and allocates the copy it returns.
 // Objects inside a snapshot are copies of the committed originals, rows
 // included (the live store mutates rows in place), so a snapshot object
 // can never change underneath a reader. The copies a staging or a full
@@ -28,6 +32,20 @@ type Snapshot struct {
 	epoch  uint64
 	schema *schema.Schema
 	shards [snapShards]map[types.OID]*Object
+	ext    *extents
+}
+
+// extents caches class extensions: for each class selected so far, the
+// ascending OIDs of the objects whose class is or specializes it.
+// Successive snapshots share one cache while the commits between them
+// leave every object's presence and class as they were (see
+// materialize), so a reader that selects beside a writer that only
+// modifies scans and sorts each extension once, not once per call. The
+// cache holds OIDs only, never an *Object: it keeps no commit's arena
+// alive.
+type extents struct {
+	mu   sync.Mutex
+	oids map[*schema.Class][]types.OID
 }
 
 // Epoch returns the snapshot's publication epoch. Epochs increase by one
@@ -69,12 +87,33 @@ func (sn *Snapshot) Objects() []*Object {
 // Select returns the OIDs of all snapshot objects whose class is (or
 // specializes) the named class, in ascending OID order — the same
 // set-oriented select as Store.Select, evaluated against the frozen
-// image instead of the live store.
+// image instead of the live store. The first Select of a class fills the
+// shared cache entry; every call returns a copy the caller owns, nil for
+// an empty extension.
 func (sn *Snapshot) Select(class string) ([]types.OID, error) {
 	target, ok := sn.schema.Class(class)
 	if !ok {
 		return nil, fmt.Errorf("object: unknown class %q", class)
 	}
+	sn.ext.mu.Lock()
+	ext, ok := sn.ext.oids[target]
+	if !ok {
+		ext = sn.scan(target)
+		if sn.ext.oids == nil {
+			sn.ext.oids = make(map[*schema.Class][]types.OID)
+		}
+		sn.ext.oids[target] = ext
+	}
+	sn.ext.mu.Unlock()
+	if len(ext) == 0 {
+		return nil, nil
+	}
+	return slices.Clone(ext), nil
+}
+
+// scan walks every shard for the objects whose class is or specializes
+// target and returns their OIDs, ascending.
+func (sn *Snapshot) scan(target *schema.Class) []types.OID {
 	var out []types.OID
 	for _, sh := range sn.shards {
 		for oid, o := range sh {
@@ -84,7 +123,7 @@ func (sn *Snapshot) Select(class string) ([]types.OID, error) {
 		}
 	}
 	slices.Sort(out)
-	return out, nil
+	return out
 }
 
 // arena holds the copies one publication makes of live objects: the
@@ -129,7 +168,12 @@ func (s *Store) Published() *Snapshot {
 // publishes it. It reads only pre-cloned pending objects and the previous
 // snapshot's immutable shards — never the live store — so it takes no
 // store mutex and no latches; pendMu alone serializes it against staging
-// commits and concurrent readers.
+// commits and concurrent readers. The pending map is the net delta of
+// every commit staged since the previous snapshot: when each OID in it
+// was absent before and after, or present both times with the same
+// class, every class extension is unchanged and the successor takes over
+// the previous snapshot's extension cache; otherwise it starts a fresh
+// one.
 func (s *Store) materialize() *Snapshot {
 	s.pendMu.Lock()
 	defer s.pendMu.Unlock()
@@ -144,9 +188,14 @@ func (s *Store) materialize() *Snapshot {
 	if prev != nil {
 		next.shards = prev.shards
 	}
+	same := prev != nil && prev.schema == next.schema
 	var copied [snapShards]bool
 	for oid, o := range s.pending {
 		i := uint64(oid) & (snapShards - 1)
+		if same {
+			old, had := next.shards[i][oid]
+			same = had == (o != nil) && (o == nil || old.class == o.class)
+		}
 		if !copied[i] {
 			copied[i] = true
 			sh := make(map[types.OID]*Object, len(next.shards[i])+1)
@@ -160,6 +209,11 @@ func (s *Store) materialize() *Snapshot {
 		} else {
 			delete(next.shards[i], oid)
 		}
+	}
+	if same {
+		next.ext = prev.ext
+	} else {
+		next.ext = &extents{}
 	}
 	clear(s.pending)
 	s.published.Store(next)
@@ -194,7 +248,7 @@ func (s *Store) PublishAll(open *Line) {
 		}
 		objects = img.objects
 	}
-	next := &Snapshot{epoch: s.epoch.Add(1), schema: s.schema}
+	next := &Snapshot{epoch: s.epoch.Add(1), schema: s.schema, ext: &extents{}}
 	var a arena
 	width := 0
 	for _, o := range objects {

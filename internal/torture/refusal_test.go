@@ -2,6 +2,7 @@ package torture
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -430,6 +431,10 @@ func compareRuns(t *testing.T, name string, got, want refusalRun) {
 	}
 }
 
+// refusalSeeds is the number of seeds TestTorture_Differential_RefusedBlocks
+// runs: 16 by default, more under make torture.
+var refusalSeeds = flag.Int("torture.seeds", 16, "seeds of the refused-block differential")
+
 // TestTorture_Differential_RefusedBlocks: a line whose refused blocks
 // roll back to their savepoints ends exactly as a line that never ran
 // them — same object store after every accepted block and after commit,
@@ -441,7 +446,7 @@ func compareRuns(t *testing.T, name string, got, want refusalRun) {
 // create no objects, so the OIDs a latched line consumes do not show.
 func TestTorture_Differential_RefusedBlocks(t *testing.T) {
 	kinds := map[refusal]int{}
-	for seed := int64(1); seed <= 16; seed++ {
+	for seed := int64(1); seed <= int64(*refusalSeeds); seed++ {
 		r := rand.New(rand.NewSource(seed))
 		src := refusalProgram(r, 10)
 		var objs []types.OID
