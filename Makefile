@@ -112,9 +112,11 @@ cover:
 # all-arrivals oracle fires, at the same instants, then 5 seconds each
 # of mutated expressions, rule definitions and commands through the
 # parser, asserting it never panics, that an accepted expression prints
-# and parses back the same and that an accepted rule validates. Every
-# func Fuzz* of the module must be run here or by torture
-# (TestEveryFuzzerIsRun).
+# and parses back the same and that an accepted rule validates, then 5
+# seconds of set, delete and publish histories through the object
+# store's OID directory, asserting it and every publication it held read
+# like a map. Every func Fuzz* of the module must be run here or by
+# torture (TestEveryFuzzerIsRun).
 fuzz:
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzEngineBlock -fuzztime 20s
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s
@@ -122,6 +124,7 @@ fuzz:
 	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzParseExpr -fuzztime 5s
 	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzParseRule -fuzztime 5s
 	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzParseCommand -fuzztime 5s
+	$(GO) test ./internal/object/ -run '^$$' -fuzz FuzzOIDDirectory -fuzztime 5s
 
 # Alternating parent/change passes of the B0 benchmark, PAIRS of them per
 # workload, with every pass's output kept under .b0-pairs/ and a summary

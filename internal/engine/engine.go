@@ -1362,8 +1362,8 @@ func (t *Txn) Commit() error {
 	// Stage the write set for snapshot publication before the line's
 	// latches release: the exclusive latches pin the touched objects'
 	// committed values, so the staging copies exactly what this commit
-	// decided. Staging is O(write set); the shard rebuild is deferred to
-	// the next BeginRead. The write set is captured first — line.Commit
+	// decided. Staging is O(write set); the snapshot's directory writes
+	// are deferred to the next BeginRead. The write set is captured first — line.Commit
 	// discards the undo log it derives from.
 	touched := t.line.TouchedOIDs()
 	if len(touched) > 0 {

@@ -38,10 +38,11 @@ type ReadTxn struct {
 // database still serves its final published state. When no commit has
 // landed since the last BeginRead, pinning is a single atomic load with
 // zero allocation; when commits have been staged since, this call
-// materializes their deltas into the next snapshot — an O(touched
-// shards) rebuild shared by every commit staged in between, serialized
-// only against other materializing readers and O(write set) stagings,
-// never against open transactions.
+// materializes their deltas into the next snapshot — one copied
+// directory path per leaf the staged writes touch, the rest shared with
+// the previous snapshot, and one rebuild for every commit staged in
+// between — serialized only against other materializing readers and
+// O(write set) stagings, never against open transactions.
 func (db *DB) BeginRead() ReadTxn {
 	db.m.readTxns.Inc()
 	return ReadTxn{db: db, snap: db.store.Published()}

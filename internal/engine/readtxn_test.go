@@ -419,3 +419,32 @@ func TestMultiSessionReadersWriters(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOpenImageRefusesOIDBelowOne: OIDs start at 1, so an image holding
+// an object at OID 0 or below does not open, and no read transaction can
+// find it; the same image with the object at OID 5 opens and serves it.
+func TestOpenImageRefusesOIDBelowOne(t *testing.T) {
+	img := func(oid types.OID) *Image {
+		return &Image{
+			Classes: []ImageClass{{Name: "stock", Attrs: []schema.Attribute{{Name: "quantity", Kind: types.KindInt}}}},
+			Objects: []ImageObject{{OID: oid, Class: "stock", Attrs: []ImageAttr{{Name: "quantity", Val: types.Int(7)}}}},
+			NextOID: 5,
+		}
+	}
+	for _, oid := range []types.OID{-5, 0} {
+		if db, err := OpenImage(img(oid), DefaultOptions()); err == nil {
+			rt := db.BeginRead()
+			_, found := rt.Get(oid)
+			t.Errorf("OpenImage of an object at OID %d succeeded; ReadTxn.Get finds it: %t", oid, found)
+		}
+	}
+	db, err := OpenImage(img(5), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := db.BeginRead()
+	defer rt.Close()
+	if q := snapQty(t, &rt, 5); q != 7 || rt.Len() != 1 {
+		t.Errorf("image at OID 5 reads quantity %d in %d objects, want 7 in 1", q, rt.Len())
+	}
+}

@@ -261,7 +261,7 @@ func (ln *Line) migrate(oid types.OID, to string, down bool) error {
 func (ln *Line) classOf(oid types.OID) (string, error) {
 	ln.s.mu.RLock()
 	defer ln.s.mu.RUnlock()
-	o, ok := ln.s.objects[oid]
+	o, ok := ln.s.objects.get(oid)
 	if !ok {
 		return "", fmt.Errorf("object: no object %s", oid)
 	}
@@ -376,7 +376,7 @@ func (ln *Line) Savepoint() int {
 				// The object's newest entry: start from its current state
 				// (a deleted object's image comes from its delete entry).
 				img.kind = undoDelete
-				if o, ok := ln.s.objects[img.oid]; ok {
+				if o, ok := ln.s.objects.get(img.oid); ok {
 					img.class, img.row = o.class.Name(), ln.imageRow(o.row)
 				}
 			}
@@ -514,7 +514,7 @@ func (s *Store) undoOf(recs []UndoRec) ([]undoEntry, error) {
 		e := undoEntry{kind: k, oid: r.OID, class: r.Class, reuse: r.Reuse}
 		after, ok := classAt[r.OID]
 		if !ok {
-			if o, live := s.objects[r.OID]; live {
+			if o, live := s.objects.get(r.OID); live {
 				after = o.class
 			}
 		}

@@ -125,11 +125,36 @@ func checkAgainst(t *testing.T, where string, sch *schema.Schema, objs []*Object
 	}
 }
 
+// checkLookups compares how a store or snapshot finds its objects with
+// the oracle: objs, its objects in the order it lists them, ascend; len
+// counts them; get finds each at its OID, and nothing at the OIDs just
+// past the oracle's largest and below 1.
+func checkLookups(t *testing.T, where string, objs []*Object, n int, get func(types.OID) (*Object, bool), m *mapStore) {
+	t.Helper()
+	if n != len(m.objs) {
+		t.Fatalf("%s: Len %d, oracle %d", where, n, len(m.objs))
+	}
+	if !slices.IsSortedFunc(objs, func(a, b *Object) int { return int(a.OID() - b.OID()) }) {
+		t.Fatalf("%s: objects listed out of OID order", where)
+	}
+	for _, o := range objs {
+		if got, ok := get(o.OID()); !ok || got != o {
+			t.Fatalf("%s: Get(%s) = %v, %t; listed %s", where, o.OID(), got, ok, o)
+		}
+	}
+	for _, oid := range []types.OID{0, -1, m.next + 1, m.next + 64} {
+		if o, ok := get(oid); ok {
+			t.Fatalf("%s: Get(%d) = %s, oracle has none", where, oid, o)
+		}
+	}
+}
+
 // checkStore compares the live store, its allocator and its class
 // extensions with the oracle.
 func checkStore(t *testing.T, where string, st *Store, m *mapStore) {
 	t.Helper()
 	checkAgainst(t, where, st.Schema(), st.Objects(), m)
+	checkLookups(t, where, st.Objects(), st.Len(), st.Get, m)
 	if st.NextOID() != m.next {
 		t.Fatalf("%s: allocator at %d, oracle %d", where, st.NextOID(), m.next)
 	}
@@ -408,8 +433,10 @@ func TestObjectsMatchMapOracle(t *testing.T) {
 			where := fmt.Sprintf("seed %d step %d after %s", sd, step, op)
 			checkStore(t, where, st, cur)
 			checkAgainst(t, where+", published", sch, pub.Objects(), pubModel)
+			checkLookups(t, where+", published", pub.Objects(), pub.Len(), pub.Get, pubModel)
 			checkSelect(t, where+", published", pub, pubModel)
 			checkAgainst(t, where+", held", sch, held.Objects(), heldModel)
+			checkLookups(t, where+", held", held.Objects(), held.Len(), held.Get, heldModel)
 			checkSelect(t, where+", held", held, heldModel)
 		}
 	}

@@ -1,20 +1,13 @@
 package object
 
 import (
-	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 
 	"chimera/internal/schema"
 	"chimera/internal/types"
 )
-
-// snapShards is the number of OID-hashed shards in a published snapshot.
-// Publication copies only the shards a commit touched, so a commit that
-// wrote k objects allocates O(k + touched-shard sizes), not O(store).
-const snapShards = 64
 
 // Snapshot is an immutable, epoch-stamped image of the store's committed
 // state. A Snapshot is never mutated after publication: readers may hold
@@ -28,10 +21,14 @@ const snapShards = 64
 // publication makes share one arena (see arena): one object that
 // survives in the snapshot keeps its whole batch's rows alive until a
 // later staging or publication replaces it.
+//
+// The objects are found through a radix directory (dir) stamped with the
+// snapshot's epoch: it shares every node a later commit did not write
+// with the snapshot before it, and the snapshots after it share its own.
 type Snapshot struct {
 	epoch  uint64
 	schema *schema.Schema
-	shards [snapShards]map[types.OID]*Object
+	objs   dir
 	ext    *extents
 }
 
@@ -40,9 +37,8 @@ type Snapshot struct {
 // Successive snapshots share one cache while the commits between them
 // leave every object's presence and class as they were (see
 // materialize), so a reader that selects beside a writer that only
-// modifies scans and sorts each extension once, not once per call. The
-// cache holds OIDs only, never an *Object: it keeps no commit's arena
-// alive.
+// modifies scans each extension once, not once per call. The cache
+// holds OIDs only, never an *Object: it keeps no commit's arena alive.
 type extents struct {
 	mu   sync.Mutex
 	oids map[*schema.Class][]types.OID
@@ -57,30 +53,16 @@ func (sn *Snapshot) Schema() *schema.Schema { return sn.schema }
 
 // Get returns the snapshot's object with the given OID. The returned
 // object is immutable.
-func (sn *Snapshot) Get(oid types.OID) (*Object, bool) {
-	o, ok := sn.shards[uint64(oid)&(snapShards-1)][oid]
-	return o, ok
-}
+func (sn *Snapshot) Get(oid types.OID) (*Object, bool) { return sn.objs.get(oid) }
 
 // Len returns the number of objects in the snapshot.
-func (sn *Snapshot) Len() int {
-	n := 0
-	for _, sh := range sn.shards {
-		n += len(sh)
-	}
-	return n
-}
+func (sn *Snapshot) Len() int { return sn.objs.n }
 
 // Objects returns the snapshot's objects in ascending OID order: the
 // committed objects a checkpoint or a saved snapshot writes out.
 func (sn *Snapshot) Objects() []*Object {
-	out := make([]*Object, 0, sn.Len())
-	for _, sh := range sn.shards {
-		for _, o := range sh {
-			out = append(out, o)
-		}
-	}
-	slices.SortFunc(out, func(a, b *Object) int { return cmp.Compare(a.oid, b.oid) })
+	out := make([]*Object, 0, sn.objs.n)
+	sn.objs.each(func(o *Object) { out = append(out, o) })
 	return out
 }
 
@@ -111,18 +93,15 @@ func (sn *Snapshot) Select(class string) ([]types.OID, error) {
 	return slices.Clone(ext), nil
 }
 
-// scan walks every shard for the objects whose class is or specializes
-// target and returns their OIDs, ascending.
+// scan walks the directory for the objects whose class is or
+// specializes target and returns their OIDs, ascending.
 func (sn *Snapshot) scan(target *schema.Class) []types.OID {
 	var out []types.OID
-	for _, sh := range sn.shards {
-		for oid, o := range sh {
-			if o.class.IsA(target) {
-				out = append(out, oid)
-			}
+	sn.objs.each(func(o *Object) {
+		if o.class.IsA(target) {
+			out = append(out, o.oid)
 		}
-	}
-	slices.Sort(out)
+	})
 	return out
 }
 
@@ -153,8 +132,9 @@ func (a *arena) copy(o *Object) *Object {
 // commits first. The steady-state path — no commit since the last call —
 // is a single atomic flag check plus an atomic load: no locks, no
 // allocation. When commits have been staged, the calling reader pays one
-// materialization (copying only the shards the staged write sets touch);
-// commits staged since the last reader share that one rebuild.
+// materialization (copying the directory's paths to the leaves the
+// staged write sets touch); commits staged since the last reader share
+// that one rebuild.
 func (s *Store) Published() *Snapshot {
 	if !s.stale.Load() {
 		if sn := s.published.Load(); sn != nil {
@@ -165,8 +145,12 @@ func (s *Store) Published() *Snapshot {
 }
 
 // materialize folds the pending delta map into a successor snapshot and
-// publishes it. It reads only pre-cloned pending objects and the previous
-// snapshot's immutable shards — never the live store — so it takes no
+// publishes it. The successor's directory starts as the previous one
+// under the successor's epoch, so writing each pending OID copies the
+// nodes on its path the successor does not own yet and shares every
+// other node; epochs only grow, so no node an earlier snapshot reaches
+// is written. It reads only pre-cloned pending objects and the previous
+// snapshot's immutable nodes — never the live store — so it takes no
 // store mutex and no latches; pendMu alone serializes it against staging
 // commits and concurrent readers. The pending map is the net delta of
 // every commit staged since the previous snapshot: when each OID in it
@@ -186,28 +170,19 @@ func (s *Store) materialize() *Snapshot {
 	}
 	next := &Snapshot{epoch: s.epoch.Load(), schema: s.pendSchema}
 	if prev != nil {
-		next.shards = prev.shards
+		next.objs = prev.objs
 	}
+	next.objs.epoch = next.epoch
 	same := prev != nil && prev.schema == next.schema
-	var copied [snapShards]bool
 	for oid, o := range s.pending {
-		i := uint64(oid) & (snapShards - 1)
 		if same {
-			old, had := next.shards[i][oid]
+			old, had := next.objs.get(oid)
 			same = had == (o != nil) && (o == nil || old.class == o.class)
 		}
-		if !copied[i] {
-			copied[i] = true
-			sh := make(map[types.OID]*Object, len(next.shards[i])+1)
-			for k, v := range next.shards[i] {
-				sh[k] = v
-			}
-			next.shards[i] = sh
-		}
 		if o != nil {
-			next.shards[i][oid] = o
+			next.objs.set(oid, o)
 		} else {
-			delete(next.shards[i], oid)
+			next.objs.del(oid)
 		}
 	}
 	if same {
@@ -226,41 +201,31 @@ func (s *Store) materialize() *Snapshot {
 // supersedes them). Used at engine open, snapshot load and recovery;
 // per-commit publication uses StageTouched. open, when not nil, is the
 // one line holding uncommitted state (the transaction recovery hands
-// back open): its undo log is applied to copies of what it touched, so
-// the snapshot holds the committed state. The caller must guarantee no
+// back open): its undo log is applied to the snapshot's copies, so the
+// snapshot holds the committed state. The caller must guarantee no
 // other line holds uncommitted state (publication copies whatever is
-// live).
+// live). The snapshot's directory is built afresh, sharing no node with
+// the previous snapshot's.
 func (s *Store) PublishAll(open *Line) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.pendMu.Lock()
 	defer s.pendMu.Unlock()
-	objects := s.objects
+	next := &Snapshot{epoch: s.epoch.Add(1), schema: s.schema, ext: &extents{}}
+	next.objs.epoch = next.epoch
+	var a arena
+	width := 0
+	s.objects.each(func(o *Object) { width += len(o.row) })
+	a.reserve(s.objects.n, width)
+	s.objects.each(func(o *Object) { next.objs.set(o.oid, a.copy(o)) })
 	if open != nil {
-		img := &Store{schema: s.schema, objects: maps.Clone(s.objects), byClass: map[string]map[types.OID]*Object{}}
-		for _, e := range open.undo {
-			if o, ok := img.objects[e.oid]; ok && o == s.objects[e.oid] {
-				img.objects[e.oid] = &Object{oid: o.oid, class: o.class, row: slices.Clone(o.row)}
-			}
-		}
+		// The copies are the snapshot's own, and so is every node of its
+		// directory: undoing open's writes on them touches nothing live.
+		img := &Store{schema: s.schema, objects: next.objs, byClass: map[string]map[types.OID]*Object{}}
 		for i := len(open.undo) - 1; i >= 0; i-- {
 			open.undo[i].apply(img)
 		}
-		objects = img.objects
-	}
-	next := &Snapshot{epoch: s.epoch.Add(1), schema: s.schema, ext: &extents{}}
-	var a arena
-	width := 0
-	for _, o := range objects {
-		width += len(o.row)
-	}
-	a.reserve(len(objects), width)
-	for oid, o := range objects {
-		i := uint64(oid) & (snapShards - 1)
-		if next.shards[i] == nil {
-			next.shards[i] = make(map[types.OID]*Object)
-		}
-		next.shards[i][oid] = a.copy(o)
+		next.objs = img.objects
 	}
 	clear(s.pending)
 	s.published.Store(next)
@@ -270,9 +235,9 @@ func (s *Store) PublishAll(open *Line) {
 // StageTouched stages a commit's write set for publication: each OID
 // present in the live store is copied into the pending delta map, each
 // absent OID is staged as a delete. The copies share one arena, two
-// allocations per commit. Cost is O(write set) — no shard copies; those
-// are deferred to the first Published() call that observes the staged
-// state, so write-only workloads never pay them.
+// allocations per commit. Cost is O(write set) — no directory writes;
+// those are deferred to the first Published() call that observes the
+// staged state, so write-only workloads never pay them.
 //
 // The engine calls this under its commit mutex — stagings are serialized
 // in commit order — and while the committing line still holds its
@@ -293,7 +258,7 @@ func (s *Store) StageTouched(oids []types.OID) {
 	}
 	n, width := 0, 0
 	for _, oid := range oids {
-		if o, ok := s.objects[oid]; ok {
+		if o, ok := s.objects.get(oid); ok {
 			n, width = n+1, width+len(o.row)
 		}
 	}
@@ -302,7 +267,7 @@ func (s *Store) StageTouched(oids []types.OID) {
 		a.reserve(n, width)
 	}
 	for _, oid := range oids {
-		if o, ok := s.objects[oid]; ok {
+		if o, ok := s.objects.get(oid); ok {
 			s.pending[oid] = a.copy(o)
 		} else {
 			s.pending[oid] = nil

@@ -159,9 +159,9 @@ type undoEntry struct {
 func (e undoEntry) apply(s *Store) {
 	switch e.kind {
 	case undoCreate:
-		if o, ok := s.objects[e.oid]; ok {
+		if o, ok := s.objects.get(e.oid); ok {
 			delete(s.classSet(o.class.Name()), e.oid)
-			delete(s.objects, e.oid)
+			s.objects.del(e.oid)
 		}
 		if e.reuse {
 			// One allocation undone per creation: on a solo line every
@@ -169,7 +169,7 @@ func (e undoEntry) apply(s *Store) {
 			s.nextOID--
 		}
 	case undoModify:
-		if o, ok := s.objects[e.oid]; ok {
+		if o, ok := s.objects.get(e.oid); ok {
 			o.row[e.slot] = e.old
 		}
 	case undoDelete:
@@ -177,17 +177,17 @@ func (e undoEntry) apply(s *Store) {
 		if !ok {
 			return
 		}
-		o, ok := s.objects[e.oid]
+		o, ok := s.objects.get(e.oid)
 		if ok {
 			delete(s.classSet(o.class.Name()), e.oid)
 			o.class, o.row = c, append(o.row[:0], e.row...)
 		} else {
 			o = &Object{oid: e.oid, class: c, row: slices.Clone(e.row)}
-			s.objects[e.oid] = o
+			s.objects.set(e.oid, o)
 		}
 		s.classSet(e.class)[e.oid] = o
 	case undoMigrate:
-		o, ok := s.objects[e.oid]
+		o, ok := s.objects.get(e.oid)
 		if !ok {
 			return
 		}
@@ -233,9 +233,11 @@ func (e *undoEntry) unapply(img *undoEntry, sch *schema.Schema) {
 
 // Store holds all live objects of a database.
 type Store struct {
-	mu      sync.RWMutex
-	schema  *schema.Schema
-	objects map[types.OID]*Object
+	mu     sync.RWMutex
+	schema *schema.Schema
+	// objects finds every live object by OID; its nodes carry epoch 0,
+	// so it is written in place, under mu.
+	objects dir
 	byClass map[string]map[types.OID]*Object
 	nextOID types.OID
 	// latches and nextLine serve the multi-line access path (BeginLine):
@@ -249,8 +251,8 @@ type Store struct {
 	// observes a stale snapshot materializes the successor.
 	published atomic.Pointer[Snapshot]
 	// Staged publication state (see snapshot.go): commits copy their
-	// write sets into pending under pendMu — O(write set), no shard
-	// copies — and flip stale; Published() materializes lazily. epoch is
+	// write sets into pending under pendMu — O(write set), no directory
+	// writes — and flip stale; Published() materializes lazily. epoch is
 	// the logical epoch counter: one tick per staged commit or full
 	// publication, read by PublishedEpoch without materializing.
 	pendMu     sync.Mutex
@@ -264,7 +266,6 @@ type Store struct {
 func NewStore(s *schema.Schema) *Store {
 	return &Store{
 		schema:  s,
-		objects: make(map[types.OID]*Object),
 		byClass: make(map[string]map[types.OID]*Object),
 		latches: newLatchTable(),
 	}
@@ -277,7 +278,7 @@ func (s *Store) Schema() *schema.Schema { return s.schema }
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.objects)
+	return s.objects.n
 }
 
 // createLocked instantiates a new object of the named class, recording
@@ -296,7 +297,7 @@ func (s *Store) createLocked(class string, vals map[string]types.Value, undo *[]
 	s.nextOID++
 	oid := s.nextOID
 	o := &Object{oid: oid, class: c, row: newRow(c, vals)}
-	s.objects[oid] = o
+	s.objects.set(oid, o)
 	s.classSet(c.Name())[oid] = o
 	*undo = append(*undo, undoEntry{kind: undoCreate, oid: oid, class: c.Name(), reuse: reuseOID})
 	return oid, nil
@@ -311,10 +312,10 @@ func (s *Store) createLocked(class string, vals map[string]types.Value, undo *[]
 // rolls the allocator back (reuse=false), matching the concurrent-line
 // creation path.
 func (s *Store) createAtLocked(oid types.OID, class string, vals map[string]types.Value, undo *[]undoEntry) error {
-	if oid == types.NilOID {
-		return fmt.Errorf("object: cannot create the nil OID")
+	if oid < 1 {
+		return fmt.Errorf("object: cannot create OID %s: OIDs start at 1", oid)
 	}
-	if _, dup := s.objects[oid]; dup {
+	if _, dup := s.objects.get(oid); dup {
 		return fmt.Errorf("object: OID %s already live", oid)
 	}
 	c, ok := s.schema.Class(class)
@@ -325,7 +326,7 @@ func (s *Store) createAtLocked(oid types.OID, class string, vals map[string]type
 		return err
 	}
 	o := &Object{oid: oid, class: c, row: newRow(c, vals)}
-	s.objects[oid] = o
+	s.objects.set(oid, o)
 	s.classSet(c.Name())[oid] = o
 	if oid > s.nextOID {
 		s.nextOID = oid
@@ -335,7 +336,7 @@ func (s *Store) createAtLocked(oid types.OID, class string, vals map[string]type
 }
 
 func (s *Store) modifyLocked(oid types.OID, attr string, v types.Value, undo *[]undoEntry) error {
-	o, ok := s.objects[oid]
+	o, ok := s.objects.get(oid)
 	if !ok {
 		return fmt.Errorf("object: no object %s", oid)
 	}
@@ -352,11 +353,11 @@ func (s *Store) modifyLocked(oid types.OID, attr string, v types.Value, undo *[]
 }
 
 func (s *Store) deleteLocked(oid types.OID, undo *[]undoEntry) error {
-	o, ok := s.objects[oid]
+	o, ok := s.objects.get(oid)
 	if !ok {
 		return fmt.Errorf("object: no object %s", oid)
 	}
-	delete(s.objects, oid)
+	s.objects.del(oid)
 	delete(s.classSet(o.class.Name()), oid)
 	// The deleted object's row is unreachable from the store now, so the
 	// entry can keep it without copying.
@@ -368,7 +369,7 @@ func (s *Store) deleteLocked(oid types.OID, undo *[]undoEntry) error {
 // subclass of its current class, keeping its attributes, or up into a
 // superclass, dropping the attributes the superclass lacks.
 func (s *Store) migrateLocked(oid types.OID, to string, down bool, undo *[]undoEntry) error {
-	o, ok := s.objects[oid]
+	o, ok := s.objects.get(oid)
 	if !ok {
 		return fmt.Errorf("object: no object %s", oid)
 	}
@@ -407,8 +408,8 @@ func (s *Store) migrateLocked(oid types.OID, to string, down bool, undo *[]undoE
 }
 
 // Restore reinstates an object with a fixed OID — used by image loading
-// only. It fails if the OID is already live; the allocator is advanced
-// past the restored OID so later creations stay unique.
+// only. It fails if the OID is below 1 or already live; the allocator is
+// advanced past the restored OID so later creations stay unique.
 func (s *Store) Restore(oid types.OID, class string, vals map[string]types.Value) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -441,8 +442,8 @@ func (s *Store) SetNextOID(oid types.OID) {
 // Get returns the live object with the given OID.
 func (s *Store) Get(oid types.OID) (*Object, bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	o, ok := s.objects[oid]
+	o, ok := s.objects.get(oid)
+	s.mu.RUnlock()
 	return o, ok
 }
 
@@ -489,11 +490,8 @@ func (s *Store) Select(class string) ([]types.OID, error) {
 func (s *Store) Objects() []*Object {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]*Object, 0, len(s.objects))
-	for _, o := range s.objects {
-		out = append(out, o)
-	}
-	slices.SortFunc(out, func(a, b *Object) int { return cmp.Compare(a.oid, b.oid) })
+	out := make([]*Object, 0, s.objects.n)
+	s.objects.each(func(o *Object) { out = append(out, o) })
 	return out
 }
 
